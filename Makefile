@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-optimizer test-repair test-conc test-semcache test-shard bench bench-smoke lint lint-conc analyze-smoke trace-smoke verify
+.PHONY: test test-optimizer test-repair test-conc test-semcache test-shard bench bench-smoke perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -36,6 +36,20 @@ bench:
 
 bench-smoke:
 	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_resilience.py benchmarks/bench_repair.py benchmarks/bench_trace_overhead.py benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_racecheck.py benchmarks/bench_semcache.py benchmarks/bench_sharding.py -q
+
+# Wall-clock benchmark (benchmarks/perf, see its README): measure all
+# five workloads, then hold the eight end-to-end metrics to their
+# bounds against the committed baseline.  Exits nonzero when a metric
+# is worse than the baseline by more than its bound or an output check
+# fails.  ~3 minutes; not part of verify.
+perf:
+	$(PYTHON) -m benchmarks.perf run --all
+	$(PYTHON) -m benchmarks.perf compare benchmarks/perf/results.json benchmarks/perf/out/results.json
+
+# The benchmark harness's own smoke tests (short windows, every
+# workload's output checks, the comparison rules).
+perf-smoke:
+	$(PYTHON) -m pytest benchmarks/perf -q
 
 # The concurrency suites on their own: static-analyzer golden rules
 # and lockset properties, dynamic checker unit tests, and the serve
@@ -73,8 +87,9 @@ trace-smoke:
 
 # The pre-merge gate: full tier-1 suite, the concurrency and
 # semantic-cache suites, a smoke-mode pass of the resilience, repair,
-# trace-overhead, race-check, and semantic-cache benchmarks, clean
-# determinism-lint and concurrency baselines, an analyzer round-trip
-# through the CLI, and the trace worker-invariance smoke.
-verify: test test-conc test-semcache bench-smoke lint lint-conc analyze-smoke trace-smoke
+# trace-overhead, race-check, and semantic-cache benchmarks, the
+# wall-clock harness's smoke tests, clean determinism-lint and
+# concurrency baselines, an analyzer round-trip through the CLI, and
+# the trace worker-invariance smoke.
+verify: test test-conc test-semcache bench-smoke perf-smoke lint lint-conc analyze-smoke trace-smoke
 	@echo "verify: OK"

@@ -28,6 +28,7 @@ from repro.analysis.cost import (
     ColumnStats,
     CostModel,
     predicate_selectivity,
+    table_stats,
 )
 from repro.analysis.diagnostics import (
     CostEstimate,
@@ -36,7 +37,7 @@ from repro.analysis.diagnostics import (
     Severity,
     Span,
 )
-from repro.db import Database
+from repro.db import Database, Table
 from repro.db.functions import FunctionRegistry
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
@@ -175,41 +176,17 @@ class _Scope:
     #: True when a FROM source failed to resolve; suppresses cascading
     #: unknown-column diagnostics inside this scope.
     open: bool = False
-    #: Catalog distinct counts for batched LM-cost pricing, keyed by
-    #: ``(binding_lower, column_lower)``.  Only stored-table columns
-    #: appear; anything else falls back to the per-row bound.
-    distinct: dict[tuple[str, str], int] = field(default_factory=dict)
-    #: Full per-column catalog statistics (rows/distinct/nulls) for the
-    #: shared selectivity estimator, same keying as ``distinct``.
-    stats: dict[tuple[str, str], ColumnStats] = field(
-        default_factory=dict
-    )
-
-    def distinct_bound(self, name: str, table: str | None) -> int | None:
-        """Distinct-value count for a column ref, if known."""
-        lowered = name.lower()
-        if table is not None:
-            return self.distinct.get((table.lower(), lowered))
-        matches = [
-            count
-            for (_, column), count in self.distinct.items()
-            if column == lowered
-        ]
-        return matches[0] if len(matches) == 1 else None
+    #: Stored tables by lower-cased binding: the source of catalog
+    #: statistics for batched LM-cost pricing and the shared
+    #: selectivity estimator.  Subquery sources do not appear, so
+    #: their columns fall back to the per-row bound.
+    tables: dict[str, Table] = field(default_factory=dict)
 
     def column_stats(
         self, name: str, table: str | None
     ) -> ColumnStats | None:
         """StatsLookup for :func:`predicate_selectivity`."""
-        lowered = name.lower()
-        if table is not None:
-            return self.stats.get((table.lower(), lowered))
-        matches = [
-            stats
-            for (_, column), stats in self.stats.items()
-            if column == lowered
-        ]
-        return matches[0] if len(matches) == 1 else None
+        return table_stats(self.tables, name, table)
 
     def resolve(
         self, name: str, table: str | None
@@ -598,24 +575,11 @@ class _Run:
                 (source.binding, column.name, column.dtype)
                 for column in table.schema.columns
             ]
-            distinct = {
-                (source.binding.lower(), column.name.lower()): (
-                    table.distinct_count(column.name)
-                )
-                for column in table.schema.columns
-            }
-            stats = {
-                (source.binding.lower(), column.name.lower()): (
-                    ColumnStats(
-                        rows=len(table),
-                        distinct=table.distinct_count(column.name),
-                        nulls=table.null_count(column.name),
-                    )
-                )
-                for column in table.schema.columns
-            }
             return (
-                _Scope(entries=entries, distinct=distinct, stats=stats),
+                _Scope(
+                    entries=entries,
+                    tables={source.binding.lower(): table},
+                ),
                 max(len(table), 1),
             )
         if isinstance(source, ast.SubquerySource):
@@ -635,8 +599,7 @@ class _Run:
             scope = _Scope(
                 entries=left.entries + right.entries,
                 open=left.open or right.open,
-                distinct={**left.distinct, **right.distinct},
-                stats={**left.stats, **right.stats},
+                tables={**left.tables, **right.tables},
             )
             if source.condition is not None:
                 self._check(
@@ -977,11 +940,11 @@ class _Run:
             if isinstance(argument, ast.Literal):
                 continue
             if isinstance(argument, ast.ColumnRef):
-                distinct = scope.distinct_bound(
+                stats = scope.column_stats(
                     argument.name, argument.table
                 )
-                if distinct is not None:
-                    bound *= max(distinct, 1)
+                if stats is not None:
+                    bound *= max(stats.distinct, 1)
                     if bound >= context.rows:
                         return context.rows
                     continue

@@ -7,7 +7,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
 from repro.db import types as dbtypes
-from repro.db.expr import ExpressionCompiler
+from repro.db.expr import ExpressionCompiler, is_true
 from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.plan import UDFExecContext
 from repro.db.planner import Planner
@@ -497,64 +497,58 @@ class Database:
             count += 1
         return count
 
-    def _execute_update(self, statement: ast.Update) -> int:
-        from repro.db.expr import is_true
-
+    def _target_rows(
+        self, statement: ast.Update | ast.Delete
+    ) -> tuple[Table, ExpressionCompiler, list[int]]:
+        """The table an UPDATE/DELETE names, a compiler over its row
+        layout, and the ascending ids of the rows its WHERE selects
+        (all of them without one)."""
         table = self.table(statement.table)
-        layout = RowLayout(
+        compiler = ExpressionCompiler(
+            RowLayout(
+                [
+                    (statement.table, name)
+                    for name in table.schema.column_names
+                ]
+            ),
+            self.functions,
+        )
+        candidates = Planner(self, self.functions).candidate_row_ids(
+            table, statement.table, statement.where
+        )
+        if statement.where is None:
+            return table, compiler, list(candidates)
+        predicate = compiler.compile(statement.where)
+        rows = table.rows
+        return (
+            table,
+            compiler,
             [
-                (statement.table, name)
-                for name in table.schema.column_names
-            ]
+                row_id
+                for row_id in candidates
+                if is_true(predicate(rows[row_id]))
+            ],
         )
-        compiler = ExpressionCompiler(layout, self.functions)
-        predicate = (
-            compiler.compile(statement.where)
-            if statement.where is not None
-            else None
-        )
+
+    def _execute_update(self, statement: ast.Update) -> int:
+        table, compiler, row_ids = self._target_rows(statement)
         assignments = [
             (table.schema.column_index(column), compiler.compile(value))
             for column, value in statement.assignments
         ]
-        updated = 0
-        new_rows: list[list] = []
-        for row in table.rows:
-            if predicate is None or is_true(predicate(row)):
-                updated += 1
-                mutable = list(row)
-                for position, evaluate in assignments:
-                    mutable[position] = evaluate(row)
-                new_rows.append(mutable)
-            else:
-                new_rows.append(list(row))
-        table.replace_all(new_rows)
-        return updated
+        rows = table.rows
+        changes = []
+        for row_id in row_ids:
+            row = rows[row_id]
+            mutable = list(row)
+            for position, evaluate in assignments:
+                mutable[position] = evaluate(row)
+            changes.append((row_id, mutable))
+        return table.update_rows(changes)
 
     def _execute_delete(self, statement: ast.Delete) -> int:
-        from repro.db.expr import is_true
-
-        table = self.table(statement.table)
-        layout = RowLayout(
-            [
-                (statement.table, name)
-                for name in table.schema.column_names
-            ]
-        )
-        compiler = ExpressionCompiler(layout, self.functions)
-        predicate = (
-            compiler.compile(statement.where)
-            if statement.where is not None
-            else None
-        )
-        survivors = [
-            list(row)
-            for row in table.rows
-            if predicate is not None and not is_true(predicate(row))
-        ]
-        deleted = len(table) - len(survivors)
-        table.replace_all(survivors)
-        return deleted
+        table, _, row_ids = self._target_rows(statement)
+        return table.delete_rows(row_ids)
 
     def __repr__(self) -> str:
         return f"Database({self.name!r}, tables={self.table_names})"

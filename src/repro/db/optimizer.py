@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
 from repro.db.sql import ast
+from repro.db.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.catalog import Database
@@ -157,7 +158,7 @@ class QueryOptimizer:
         #: Only statements touching expensive UDFs get decisions; plans
         #: for purely relational queries must stay byte-identical.
         self._lm_relevant = False
-        self._bindings: dict[str, object] = {}
+        self._bindings: dict[str, Table] = {}
 
     # ------------------------------------------------------------------
     # route choice (pre-planning)
@@ -451,30 +452,9 @@ class QueryOptimizer:
         # Subquery sources: computed columns, no catalog stats.
 
     def _column_stats(self, name: str, table: str | None):
-        from repro.analysis.cost import ColumnStats
+        from repro.analysis.cost import table_stats
 
-        if table is not None:
-            candidates = [self._bindings.get(table.lower())]
-        else:
-            candidates = [
-                bound
-                for bound in self._bindings.values()
-                if name.lower()
-                in (c.lower() for c in bound.schema.column_names)
-            ]
-            if len(candidates) != 1:
-                return None
-        bound = candidates[0]
-        if bound is None:
-            return None
-        try:
-            return ColumnStats(
-                rows=len(bound),
-                distinct=bound.distinct_count(name),
-                nulls=bound.null_count(name),
-            )
-        except Exception:
-            return None
+        return table_stats(self._bindings, name, table)
 
     def _selectivity(self, conjunct: ast.Expression) -> float:
         from repro.analysis.cost import predicate_selectivity
@@ -547,8 +527,8 @@ def _estimate_rows(node: physical.PlanNode) -> int:
     if isinstance(node, physical.Scan):
         return len(node.table)
     if isinstance(node, physical.IndexLookup):
-        distinct = max(node.table.distinct_count(node.column), 1)
-        return max(1, len(node.table) // distinct)
+        stats = node.table.column_stats(node.column)
+        return max(1, stats.rows // max(stats.distinct, 1))
     if isinstance(node, physical.HashJoin):
         return max(
             _estimate_rows(node.left), _estimate_rows(node.right)

@@ -29,7 +29,7 @@ ablation benchmark compares both modes.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
@@ -39,7 +39,8 @@ from repro.db.functions import AggregateSpec, FunctionRegistry
 from repro.db.result import ResultSet, Row, RowLayout
 from repro.db.shard import PartitionSpec, ShardContext
 from repro.db.sql import ast
-from repro.errors import PlanningError
+from repro.db.table import Table
+from repro.errors import PlanningError, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.catalog import Database
@@ -340,7 +341,10 @@ class Planner:
             if point is None:
                 continue
             column, value = point
-            if not scan.table.has_index(column):
+            if not (
+                scan.table.has_index(column)
+                and _probe_matches_filter(scan.table, column, value)
+            ):
                 continue
             lookup = physical.IndexLookup(
                 scan.table, scan.binding, column, value
@@ -348,6 +352,27 @@ class Planner:
             rest = conjuncts[:position] + conjuncts[position + 1 :]
             return lookup, rest
         return scan, conjuncts
+
+    def candidate_row_ids(
+        self,
+        table: Table,
+        binding: str,
+        where: ast.Expression | None,
+    ) -> Sequence[int]:
+        """Ascending ids of the rows ``where`` can select: a superset.
+
+        UPDATE and DELETE find their targets through the access path a
+        SELECT's scan of the table would get — :meth:`_maybe_index_lookup`
+        decides, so there is one index rule — and evaluate the whole
+        WHERE on the candidates themselves.
+        """
+        if self._optimize and where is not None:
+            node, _ = self._maybe_index_lookup(
+                physical.Scan(table, binding), _split_conjuncts(where)
+            )
+            if isinstance(node, physical.IndexLookup):
+                return table.lookup_ids(node.column, node.value)
+        return range(len(table))
 
     def _point_predicate(
         self, conjunct: ast.Expression, scan: physical.Scan
@@ -1081,6 +1106,25 @@ class Planner:
 # ---------------------------------------------------------------------------
 # AST utilities
 # ---------------------------------------------------------------------------
+
+
+def _probe_matches_filter(
+    table: Table, column: str, value: dbtypes.SQLValue
+) -> bool:
+    """Would an index probe for ``value`` select what a Filter selects?
+
+    The probe coerces its key to the column's type; a Filter compares
+    the literal as written.  They agree only when coercion succeeds and
+    leaves the literal equal to itself under :func:`types.compare`
+    (``3.0`` on an INTEGER column, not ``'3'``, ``2.5`` or ``'abc'``);
+    otherwise the conjunct stays a Filter: the answer, and the absence
+    of a coercion error, that the statement gets without the index.
+    """
+    try:
+        key = dbtypes.coerce(value, table.schema.column(column).dtype)
+    except SchemaError:
+        return False
+    return dbtypes.compare(value, key) == 0
 
 
 def _split_conjuncts(

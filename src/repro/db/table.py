@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from typing import Any
 
 from repro.db.schema import TableSchema
@@ -14,11 +16,27 @@ from repro.errors import SchemaError
 Row = tuple[SQLValue, ...]
 
 
+@dataclass(frozen=True)
+class ColumnStats:
+    """Catalog statistics for one stored column."""
+
+    rows: int
+    #: Distinct values, NULL counted as one of them.
+    distinct: int
+    nulls: int
+
+    @property
+    def null_fraction(self) -> float:
+        return self.nulls / self.rows if self.rows else 0.0
+
+
 class Table:
     """Rows of one table, stored as tuples in insertion order.
 
-    Writes go through :meth:`insert`, which coerces each value to the
-    declared column type and enforces NOT NULL and primary-key uniqueness.
+    Writes go through :meth:`insert`, :meth:`update_rows` and
+    :meth:`delete_rows`, which coerce each written value to the declared
+    column type and enforce NOT NULL and primary-key uniqueness.  A
+    write that fails validation raises before anything is mutated.
     Equality lookups on indexed columns are O(1) via hash indexes, which
     the executor uses for index scans on point predicates.
     """
@@ -34,6 +52,13 @@ class Table:
         self._pk_seen: set[tuple[SQLValue, ...]] = set()
         self._partition: PartitionSpec | None = None
         self._partition_rows: list[list[int]] | None = None
+        #: Column position -> statistics, filled lazily by
+        #: :meth:`column_stats`.  Writes drop it by *rebinding* a fresh
+        #: dict (never ``clear()``), and a reader publishes into the
+        #: dict it captured before scanning: concurrent readers at worst
+        #: store the same frozen value twice, and a scan overtaken by a
+        #: write lands in the orphaned dict instead of going stale.
+        self._stats: dict[int, ColumnStats] = {}
 
     # ------------------------------------------------------------------
     # Writes
@@ -48,6 +73,7 @@ class Table:
         for position, index in self._indexes.items():
             index[row[position]].append(row_id)
         self._partition_rows = None
+        self._stats = {}
 
     def insert_many(
         self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]
@@ -84,37 +110,126 @@ class Table:
         )
 
     def _check_constraints(self, row: Row) -> None:
+        self._check_not_null(row)
+        if self._pk_positions:
+            key = self._pk_key(row)
+            if key in self._pk_seen:
+                raise self._duplicate_key(key)
+            self._pk_seen.add(key)
+
+    def _check_not_null(self, row: Row) -> None:
         for position, column in enumerate(self.schema.columns):
             if row[position] is None and not column.nullable:
                 raise SchemaError(
                     f"NULL in NOT NULL column {column.name!r} of "
                     f"{self.schema.name!r}"
                 )
-        if self._pk_positions:
-            key = tuple(row[position] for position in self._pk_positions)
-            if key in self._pk_seen:
-                raise SchemaError(
-                    f"duplicate primary key {key!r} in {self.schema.name!r}"
-                )
-            self._pk_seen.add(key)
 
-    def replace_all(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Replace the table's contents wholesale (UPDATE/DELETE use
-        this after computing the surviving/modified row set); constraint
-        checks and indexes are rebuilt from scratch.  Returns the new
-        row count."""
-        prepared = [self._prepare_row(row) for row in rows]
-        self._rows = []
-        self._pk_seen = set()
-        indexed_positions = list(self._indexes)
-        self._indexes = {}
-        for row in prepared:
-            self._check_constraints(row)
-            self._rows.append(row)
-        for position in indexed_positions:
-            self.create_index(self.schema.columns[position].name)
+    def _check_row_ids(self, row_ids: Iterable[int]) -> None:
+        for row_id in row_ids:
+            if not 0 <= row_id < len(self._rows):
+                raise SchemaError(
+                    f"no row {row_id} in table {self.schema.name!r}"
+                )
+
+    def _pk_key(self, row: Row) -> tuple[SQLValue, ...]:
+        return tuple(row[position] for position in self._pk_positions)
+
+    def _duplicate_key(self, key: tuple[SQLValue, ...]) -> SchemaError:
+        return SchemaError(
+            f"duplicate primary key {key!r} in {self.schema.name!r}"
+        )
+
+    def update_rows(
+        self, changes: Iterable[tuple[int, Sequence[Any]]]
+    ) -> int:
+        """Overwrite rows in place from ``(row_id, new_values)`` pairs.
+
+        Validate-then-mutate: every new row is coerced, then checked
+        for NOT NULL and for primary-key uniqueness against the key set
+        the table will hold *after* the statement (keys the changed
+        rows give up may be reused, by them or by each other).  Any
+        failure raises :class:`SchemaError` with rows, key set, indexes
+        and statistics untouched.  Only the changed rows are coerced
+        and only their index entries move.  Returns the number of rows
+        written.
+        """
+        staged = [
+            (row_id, self._prepare_row(values))
+            for row_id, values in changes
+        ]
+        if not staged:
+            return 0
+        rows = self._rows
+        self._check_row_ids(row_id for row_id, _ in staged)
+        keyed = bool(self._pk_positions)
+        old_keys = (
+            [self._pk_key(rows[row_id]) for row_id, _ in staged]
+            if keyed
+            else []
+        )
+        released = set(old_keys)
+        claimed: set[tuple[SQLValue, ...]] = set()
+        for _, row in staged:
+            self._check_not_null(row)
+            if keyed:
+                key = self._pk_key(row)
+                if key in claimed or (
+                    key in self._pk_seen and key not in released
+                ):
+                    raise self._duplicate_key(key)
+                claimed.add(key)
+
+        # Every row passed: nothing below can fail.
+        self._pk_seen.difference_update(old_keys)
+        self._pk_seen.update(claimed)
+        for row_id, row in staged:
+            old = rows[row_id]
+            rows[row_id] = row
+            for position, index in self._indexes.items():
+                if old[position] != row[position]:
+                    _unindex(index, old[position], row_id)
+                    insort(index[row[position]], row_id)
         self._partition_rows = None
-        return len(self._rows)
+        self._stats = {}
+        return len(staged)
+
+    def delete_rows(self, row_ids: Iterable[int]) -> int:
+        """Delete the rows with these ids; later rows shift down.
+
+        A delete cannot violate a constraint, so validation is only
+        that every id names a row.  Deleting a suffix of the table pops
+        rows and their index entries; any other shape filters the row
+        list and rebuilds each index over the survivors — stored rows
+        are already coerced and checked, so neither happens again.
+        Returns the number of rows deleted.
+        """
+        doomed = sorted(set(row_ids))
+        if not doomed:
+            return 0
+        rows = self._rows
+        self._check_row_ids((doomed[0], doomed[-1]))
+        if self._pk_positions:
+            self._pk_seen.difference_update(
+                self._pk_key(rows[row_id]) for row_id in doomed
+            )
+        if doomed[0] == len(rows) - len(doomed):
+            for row_id in reversed(doomed):
+                row = rows.pop()
+                for position, index in self._indexes.items():
+                    _unindex(index, row[position], row_id)
+        else:
+            gone = set(doomed)
+            self._rows = [
+                row
+                for row_id, row in enumerate(rows)
+                if row_id not in gone
+            ]
+            for position in self._indexes:
+                self._indexes[position] = self._build_index(position)
+        self._partition_rows = None
+        self._stats = {}
+        return len(doomed)
 
     # ------------------------------------------------------------------
     # Partitioning
@@ -178,25 +293,27 @@ class Table:
         position = self.schema.column_index(name)
         return [row[position] for row in self._rows]
 
-    def distinct_count(self, name: str) -> int:
-        """Number of distinct values in a column (catalog statistic).
+    def column_stats(self, name: str) -> ColumnStats:
+        """Rows, distinct values and NULLs of one column.
 
-        The static analyzer uses this to bound batched LM-UDF cost: a
-        deduplicating execution path invokes the UDF at most once per
-        distinct argument value, not once per row.
+        The analyzer's LM-cost bound (a deduplicating path calls a UDF
+        at most once per distinct argument), the selectivity estimator
+        and the optimizer's row estimates all read this.  Computed in
+        one pass on first use and kept until the next write, so a
+        statement's planning cost does not depend on the table's size.
         """
         position = self.schema.column_index(name)
-        return len({row[position] for row in self._rows})
-
-    def null_count(self, name: str) -> int:
-        """Number of NULLs in a column (catalog statistic).
-
-        The cost model's selectivity estimator uses the null fraction
-        for ``IS NULL`` / ``IS NOT NULL`` predicates instead of a
-        magic default.
-        """
-        position = self.schema.column_index(name)
-        return sum(1 for row in self._rows if row[position] is None)
+        cache = self._stats
+        stats = cache.get(position)
+        if stats is None:
+            values = [row[position] for row in self._rows]
+            stats = ColumnStats(
+                rows=len(values),
+                distinct=len(set(values)),
+                nulls=values.count(None),
+            )
+            cache[position] = stats
+        return stats
 
     def to_dicts(self) -> list[dict[str, SQLValue]]:
         names = self.schema.column_names
@@ -209,22 +326,48 @@ class Table:
     def create_index(self, column_name: str) -> None:
         """Build (or rebuild) a hash index on ``column_name``."""
         position = self.schema.column_index(column_name)
+        self._indexes[position] = self._build_index(position)
+
+    def _build_index(self, position: int) -> dict[SQLValue, list[int]]:
         index: dict[SQLValue, list[int]] = defaultdict(list)
         for row_id, row in enumerate(self._rows):
             index[row[position]].append(row_id)
-        self._indexes[position] = index
+        return index
 
     def has_index(self, column_name: str) -> bool:
         return self.schema.column_index(column_name) in self._indexes
 
-    def lookup(self, column_name: str, value: Any) -> list[Row]:
-        """Equality lookup; uses the index when present, else scans."""
+    def lookup_ids(self, column_name: str, value: Any) -> list[int]:
+        """Ascending ids of the rows whose column equals ``value``
+        (coerced to the column type); uses the index when present."""
         position = self.schema.column_index(column_name)
         coerced = coerce(value, self.schema.columns[position].dtype)
         index = self._indexes.get(position)
         if index is not None:
-            return [self._rows[row_id] for row_id in index.get(coerced, [])]
-        return [row for row in self._rows if row[position] == coerced]
+            return list(index.get(coerced, ()))
+        return [
+            row_id
+            for row_id, row in enumerate(self._rows)
+            if row[position] == coerced
+        ]
+
+    def lookup(self, column_name: str, value: Any) -> list[Row]:
+        """Equality lookup; uses the index when present, else scans."""
+        rows = self._rows
+        return [
+            rows[row_id] for row_id in self.lookup_ids(column_name, value)
+        ]
 
     def __repr__(self) -> str:
         return f"Table({self.schema.name!r}, {len(self._rows)} rows)"
+
+
+def _unindex(
+    index: dict[SQLValue, list[int]], value: SQLValue, row_id: int
+) -> None:
+    """Drop ``row_id`` from ``value``'s ascending bucket; an emptied
+    bucket goes too, so the index equals one built from scratch."""
+    bucket = index[value]
+    del bucket[bisect_left(bucket, row_id)]
+    if not bucket:
+        del index[value]

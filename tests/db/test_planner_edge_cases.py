@@ -164,3 +164,72 @@ class TestInsertStatements:
         db.execute("CREATE TABLE fresh (a INTEGER, b TEXT NOT NULL)")
         db.execute("INSERT INTO fresh VALUES (1, 'x')")
         assert db.execute("SELECT b FROM fresh").scalar() == "x"
+
+
+class TestIndexLookupAgreesWithFilter:
+    """An index must never change an answer.  ``Table.lookup`` coerces
+    its probe to the column type; a Filter compares the literal as
+    written — so the planner takes the index only for literals that
+    survive the coercion unchanged under ``types.compare``."""
+
+    LITERALS = [
+        "3", "3.0", "2.5", "'3'", "'abc'", "' 3 '", "TRUE", "'true'",
+        "0", "-1", "1.0", "'x'", "'1'",
+    ]
+
+    @staticmethod
+    def make(indexed: bool) -> Database:
+        database = Database()
+        database.create_table(
+            TableSchema(
+                "t",
+                [
+                    Column("id", DataType.INTEGER),
+                    Column("x", DataType.REAL),
+                    Column("s", DataType.TEXT),
+                    Column("b", DataType.BOOLEAN),
+                    Column("a", DataType.ANY),
+                ],
+            )
+        )
+        database.insert(
+            "t",
+            [
+                [1, 1.0, "1", True, 1],
+                [2, 2.5, "x", False, "1"],
+                [3, 3.0, "3", True, 3.0],
+                [0, 0.0, "true", False, "abc"],
+                [None, None, None, None, None],
+            ],
+        )
+        if indexed:
+            for column in ("id", "x", "s", "b", "a"):
+                database.create_index("t", column)
+        return database
+
+    @pytest.mark.parametrize("column", ["id", "x", "s", "b", "a"])
+    @pytest.mark.parametrize("literal", LITERALS)
+    def test_same_rows_with_and_without_index(self, column, literal):
+        sql = f"SELECT id FROM t WHERE {column} = {literal}"
+        assert self.make(indexed=True).execute(sql).rows == (
+            self.make(indexed=False).execute(sql).rows
+        )
+
+    def test_uncoercible_literals_neither_raise_nor_match(self):
+        database = self.make(indexed=True)
+        for literal in ("'abc'", "2.5", "'3'"):
+            sql = f"SELECT id FROM t WHERE id = {literal}"
+            assert database.execute(sql).rows == []
+            assert "IndexLookup" not in database.explain(sql)
+
+    def test_equal_after_coercion_still_uses_the_index(self):
+        database = self.make(indexed=True)
+        for predicate, expected in (
+            ("id = 3", [(3,)]),
+            ("id = 3.0", [(3,)]),
+            ("x = 3", [(3,)]),
+            ("b = 1", [(1,), (3,)]),
+        ):
+            sql = f"SELECT id FROM t WHERE {predicate}"
+            assert "IndexLookup" in database.explain(sql)
+            assert database.execute(sql).rows == expected

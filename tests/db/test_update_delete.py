@@ -94,6 +94,184 @@ class TestDelete:
         ).scalar() == "New"
 
 
+def table_state(table):
+    """Everything a write maintains, copied so it can be compared."""
+    return {
+        "rows": list(table.rows),
+        "pk_seen": set(table._pk_seen),
+        "indexes": {
+            position: {value: list(ids) for value, ids in index.items()}
+            for position, index in table._indexes.items()
+        },
+        "stats": dict(table._stats),
+        "partition_row_ids": [
+            list(ids) for ids in table.partition_row_ids()
+        ],
+    }
+
+
+@pytest.fixture()
+def primed_movies(movies_db):
+    """``movies`` with indexes, partitioning and cached statistics, so
+    a failed write has every kind of derived state to leave alone."""
+    movies_db.create_index("movies", "id")
+    movies_db.create_index("movies", "genre")
+    movies_db.set_partitioning("movies", "year", shards=2)
+    table = movies_db.table("movies")
+    for name in table.schema.column_names:
+        table.column_stats(name)
+    return movies_db
+
+
+class TestFailedWriteLeavesTableIntact:
+    """A failing UPDATE used to destroy the table: ``replace_all`` had
+    already emptied it when the constraint check raised."""
+
+    def test_pk_collision_keeps_every_row_and_index(self, movies_db):
+        movies_db.create_index("movies", "genre")
+        table = movies_db.table("movies")
+        before = list(table.rows)
+        with pytest.raises(SchemaError) as raised:
+            movies_db.execute("UPDATE movies SET id = 1 WHERE id = 3")
+        assert str(raised.value) == "duplicate primary key (1,) in 'movies'"
+        assert table.rows == before
+        assert table.has_index("genre")
+        assert [row[0] for row in table.lookup("genre", "SciFi")] == [3, 5]
+        # The key set survived too: 3 is still taken, 7 still free.
+        with pytest.raises(SchemaError, match="duplicate primary key"):
+            movies_db.execute(
+                "INSERT INTO movies VALUES (3, 'Dup', 'Drama', 1.0, 2024)"
+            )
+        movies_db.execute(
+            "INSERT INTO movies VALUES (7, 'New', 'Drama', 1.0, 2024)"
+        )
+
+    def test_not_null_violation_keeps_every_row(self, movies_db):
+        table = movies_db.table("movies")
+        before = list(table.rows)
+        with pytest.raises(SchemaError) as raised:
+            movies_db.execute("UPDATE movies SET id = NULL")
+        assert str(raised.value) == (
+            "NULL in NOT NULL column 'id' of 'movies'"
+        )
+        assert table.rows == before
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "UPDATE movies SET id = 1 WHERE id = 3",
+            "UPDATE movies SET id = NULL",
+            # two updated rows collide with each other, not the table
+            "UPDATE movies SET id = 9 WHERE genre = 'SciFi'",
+            "UPDATE movies SET year = 'soon' WHERE id >= 5",
+            "UPDATE movies SET year = 1 WHERE nope = 1",
+            "DELETE FROM movies WHERE nope = 1",
+        ],
+    )
+    def test_failed_write_leaves_derived_state_untouched(
+        self, primed_movies, sql
+    ):
+        from repro.errors import ReproError
+
+        table = primed_movies.table("movies")
+        before = table_state(table)
+        with pytest.raises(ReproError):
+            primed_movies.execute(sql)
+        assert table_state(table) == before
+
+    def test_keys_released_by_the_statement_are_reusable(self, movies_db):
+        # Validation is against the post-statement key set: every row
+        # moves onto a key another updated row gives up.
+        movies_db.execute("UPDATE movies SET id = 7 - id")
+        assert movies_db.execute(
+            "SELECT id FROM movies WHERE title = 'Titanic'"
+        ).scalar() == 6
+        assert movies_db.table("movies")._pk_seen == {
+            (n,) for n in range(1, 7)
+        }
+
+
+class TestInPlaceWrites:
+    def test_update_moves_only_the_changed_index_entries(self, movies_db):
+        movies_db.create_index("movies", "genre")
+        table = movies_db.table("movies")
+        movies_db.execute("UPDATE movies SET genre = 'Epic' WHERE id = 3")
+        assert [row[0] for row in table.lookup("genre", "Epic")] == [3]
+        assert [row[0] for row in table.lookup("genre", "SciFi")] == [5]
+        movies_db.execute("UPDATE movies SET genre = 'Epic' WHERE id = 5")
+        # The emptied bucket is dropped: same index as a fresh build.
+        position = table.schema.column_index("genre")
+        assert "SciFi" not in table._indexes[position]
+        assert table._indexes[position] == table._build_index(position)
+
+    def test_index_buckets_stay_in_row_order(self, movies_db):
+        movies_db.create_index("movies", "genre")
+        movies_db.execute("UPDATE movies SET genre = 'SciFi' WHERE id = 1")
+        assert [
+            row[0]
+            for row in movies_db.table("movies").lookup("genre", "SciFi")
+        ] == [1, 3, 5]
+
+    def test_tail_and_mid_table_deletes_keep_indexes(self, movies_db):
+        movies_db.create_index("movies", "id")
+        movies_db.create_index("movies", "genre")
+        table = movies_db.table("movies")
+        movies_db.execute("DELETE FROM movies WHERE id = 6")  # tail
+        movies_db.execute("DELETE FROM movies WHERE id = 2")  # middle
+        for position in table._indexes:
+            assert table._indexes[position] == table._build_index(position)
+        assert [row[0] for row in table.lookup("genre", "Romance")] == [
+            1,
+            4,
+        ]
+        assert table.lookup("id", 6) == []
+
+    def test_index_driven_write_matches_the_scan(self, movies_db):
+        indexed = movies_db
+        plain = Database()
+        plain.create_table(indexed.table("movies").schema)
+        plain.insert("movies", indexed.table("movies").rows)
+        indexed.create_index("movies", "genre")
+        for sql in (
+            "UPDATE movies SET year = 0 WHERE genre = 'Romance' AND id > 1",
+            "DELETE FROM movies WHERE year = 0 AND genre = 'Romance'",
+        ):
+            assert indexed.execute(sql).rows == plain.execute(sql).rows
+            assert indexed.table("movies").rows == plain.table("movies").rows
+
+    @pytest.mark.parametrize("literal", ["'abc'", "2.5", "'3'", "3.0", "3"])
+    def test_write_through_index_agrees_with_unindexed(
+        self, movies_db, literal
+    ):
+        # UPDATE/DELETE take the planner's index rule, so a literal the
+        # index would coerce differently from a Filter falls back too.
+        plain = Database()
+        plain.create_table(movies_db.table("movies").schema)
+        plain.insert("movies", movies_db.table("movies").rows)
+        movies_db.create_index("movies", "id")
+        for sql in (
+            f"UPDATE movies SET title = 'hit' WHERE id = {literal}",
+            f"DELETE FROM movies WHERE id = {literal}",
+        ):
+            assert movies_db.execute(sql).rows == plain.execute(sql).rows
+            assert movies_db.table("movies").rows == plain.table("movies").rows
+
+    def test_statistics_follow_writes(self, movies_db):
+        table = movies_db.table("movies")
+        assert table.column_stats("genre").distinct == 3  # NULL counts
+        assert table.column_stats("genre").nulls == 1
+        movies_db.execute("UPDATE movies SET genre = 'Romance'")
+        assert table.column_stats("genre").distinct == 1
+        assert table.column_stats("genre").nulls == 0
+        movies_db.execute("DELETE FROM movies WHERE id > 2")
+        assert table.column_stats("genre").rows == 2
+        movies_db.execute(
+            "INSERT INTO movies VALUES (9, 'New', NULL, 1.0, 2024)"
+        )
+        stats = table.column_stats("genre")
+        assert (stats.rows, stats.distinct, stats.nulls) == (3, 2, 1)
+
+
 class TestSyntax:
     def test_update_requires_set(self, movies_db):
         with pytest.raises(SQLSyntaxError):
