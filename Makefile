@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-optimizer test-repair test-conc test-semcache test-shard bench bench-smoke perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
+.PHONY: test test-optimizer test-repair test-conc test-semcache test-shard test-access bench bench-smoke perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -30,6 +30,13 @@ test-semcache:
 test-shard:
 	$(PYTHON) -m pytest tests/db/test_sharding.py tests/obs/test_shard_trace.py -q
 	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_sharding.py -q
+
+# The index access-path suites on their own: index-vs-no-index and
+# sqlite3 properties for ranges and key joins, Top-N against the full
+# sort, golden IndexRange/IndexJoin renders, and the write state
+# machine (ordered-index upkeep under every write shape).
+test-access:
+	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
@@ -85,11 +92,12 @@ trace-smoke:
 	@rm -f benchmarks/out/trace-w1.json benchmarks/out/trace-w3.json
 	@echo "trace-smoke: byte-identical across worker counts"
 
-# The pre-merge gate: full tier-1 suite, the concurrency and
-# semantic-cache suites, a smoke-mode pass of the resilience, repair,
+# The pre-merge gate: full tier-1 suite, the concurrency,
+# semantic-cache and access-path suites, a smoke-mode pass of the
+# resilience, repair,
 # trace-overhead, race-check, and semantic-cache benchmarks, the
 # wall-clock harness's smoke tests, clean determinism-lint and
 # concurrency baselines, an analyzer round-trip through the CLI, and
 # the trace worker-invariance smoke.
-verify: test test-conc test-semcache bench-smoke perf-smoke lint lint-conc analyze-smoke trace-smoke
+verify: test test-conc test-semcache test-access bench-smoke perf-smoke lint lint-conc analyze-smoke trace-smoke
 	@echo "verify: OK"

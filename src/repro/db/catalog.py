@@ -105,7 +105,8 @@ class Database:
         return self.table(table_name).insert_many(rows)
 
     def create_index(self, table_name: str, column_name: str) -> None:
-        """Build a hash index for equality lookups on one column."""
+        """Index one column: hash buckets for equality lookups and key
+        joins, plus their keys in order for range scans."""
         self.table(table_name).create_index(column_name)
 
     def set_partitioning(

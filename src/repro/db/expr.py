@@ -266,14 +266,19 @@ class ExpressionCompiler:
         upper = self.compile(node.upper)
 
         def evaluate(row: Row) -> SQLValue:
+            # ``x >= low AND x <= high`` in three-valued logic: one
+            # false side decides it even when the other is NULL.
             subject = operand(row)
             low, high = lower(row), upper(row)
             above = dbtypes.compare(subject, low)
             below = dbtypes.compare(subject, high)
+            if (above is not None and above < 0) or (
+                below is not None and below > 0
+            ):
+                return node.negated
             if above is None or below is None:
                 return None
-            inside = above >= 0 and below <= 0
-            return inside != node.negated
+            return not node.negated
 
         return evaluate
 

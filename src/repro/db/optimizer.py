@@ -527,8 +527,11 @@ def _estimate_rows(node: physical.PlanNode) -> int:
     if isinstance(node, physical.Scan):
         return len(node.table)
     if isinstance(node, physical.IndexLookup):
-        stats = node.table.column_stats(node.column)
-        return max(1, stats.rows // max(stats.distinct, 1))
+        return _rows_per_key(node)
+    if isinstance(node, physical.IndexRange):
+        return max(1, len(node.keys()) * _rows_per_key(node))
+    if isinstance(node, physical.IndexJoin):
+        return _estimate_rows(node.child) * _rows_per_key(node)
     if isinstance(node, physical.HashJoin):
         return max(
             _estimate_rows(node.left), _estimate_rows(node.right)
@@ -545,3 +548,11 @@ def _estimate_rows(node: physical.PlanNode) -> int:
     if rows is not None:
         return len(rows)
     return 1
+
+
+def _rows_per_key(
+    node: "physical.IndexLookup | physical.IndexRange | physical.IndexJoin",
+) -> int:
+    """Mean rows under one key of the column an index node reads."""
+    stats = node.table.column_stats(node.column)
+    return max(1, stats.rows // max(stats.distinct, 1))

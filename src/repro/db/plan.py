@@ -11,9 +11,10 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import defaultdict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 
 from repro.db.expr import (
     Evaluator,
@@ -66,15 +67,20 @@ class PlanNode:
         return []
 
 
+def _stored_layout(table: Table, binding: str) -> RowLayout:
+    """Layout of a stored table's rows under a binding (alias)."""
+    return RowLayout(
+        [(binding, name) for name in table.schema.column_names]
+    )
+
+
 class Scan(PlanNode):
     """Full scan of a stored table under a binding (alias)."""
 
     def __init__(self, table: Table, binding: str) -> None:
         self.table = table
         self.binding = binding
-        self.layout = RowLayout(
-            [(binding, name) for name in table.schema.column_names]
-        )
+        self.layout = _stored_layout(table, binding)
 
     def execute(self) -> Iterator[Row]:
         yield from self.table
@@ -91,9 +97,11 @@ class IndexLookup(PlanNode):
         self.binding = binding
         self.column = column
         self.value = value
-        self.layout = RowLayout(
-            [(binding, name) for name in table.schema.column_names]
-        )
+        self.layout = _stored_layout(table, binding)
+
+    def row_ids(self) -> list[int]:
+        """Ascending ids of the rows this node emits."""
+        return self.table.lookup_ids(self.column, self.value)
 
     def execute(self) -> Iterator[Row]:
         yield from self.table.lookup(self.column, self.value)
@@ -102,6 +110,74 @@ class IndexLookup(PlanNode):
         return (
             f"IndexLookup({self.table.schema.name} AS {self.binding}, "
             f"{self.column} = {self.value!r})"
+        )
+
+
+class IndexRange(PlanNode):
+    """Range scan via a table's ordered index (``col BETWEEN a AND b``,
+    ``col < a``, ...).
+
+    Bounds are the literals as written (``None`` = open) and are
+    compared through ``sort_key``, like the filter this node replaces,
+    so it selects that filter's rows whatever the literal's type.  Rows
+    come out in scan order (ascending row id) unless the planner sets
+    ``key_order`` because an ``ORDER BY`` on the column wants them
+    ascending by (key, row id) and then needs no Sort.
+    """
+
+    def __init__(
+        self,
+        table: Table,
+        binding: str,
+        column: str,
+        low: SQLValue,
+        high: SQLValue,
+        low_strict: bool = False,
+        high_strict: bool = False,
+    ) -> None:
+        self.table = table
+        self.binding = binding
+        self.column = column
+        self.low = low
+        self.high = high
+        self.low_strict = low_strict
+        self.high_strict = high_strict
+        self.key_order = False
+        self.layout = _stored_layout(table, binding)
+
+    def keys(self) -> list[SQLValue]:
+        """The index keys inside the range, ascending."""
+        return self.table.range_keys(
+            self.column,
+            self.low,
+            self.high,
+            self.low_strict,
+            self.high_strict,
+        )
+
+    def row_ids(self) -> Iterable[int]:
+        """Ids of the rows this node emits, in emission order."""
+        buckets = self.table.index_buckets(self.column)
+        ids = chain.from_iterable(buckets[key] for key in self.keys())
+        return ids if self.key_order else sorted(ids)
+
+    def execute(self) -> Iterator[Row]:
+        rows = self.table.rows
+        for row_id in self.row_ids():
+            yield rows[row_id]
+
+    def _describe(self) -> str:
+        bounds = []
+        if self.low is not None:
+            op = ">" if self.low_strict else ">="
+            bounds.append(f"{self.column} {op} {self.low!r}")
+        if self.high is not None:
+            op = "<" if self.high_strict else "<="
+            bounds.append(f"{self.column} {op} {self.high!r}")
+        order = ", key order" if self.key_order else ""
+        return (
+            f"IndexRange({self.table.schema.name} AS {self.binding}, "
+            f"{' AND '.join(bounds)}{order})"
         )
 
 
@@ -567,6 +643,84 @@ class HashJoin(PlanNode):
         return [self.left, self.right]
 
 
+class IndexJoin(PlanNode):
+    """INNER single-key equi-join that probes a stored table's index.
+
+    The planner's replacement for a :class:`HashJoin` one of whose
+    inputs is a bare scan of a table indexed on the join key while the
+    other (``child``, the outer input) is small: each outer row's key
+    is looked up in the index buckets as it is, with no coercion, so a
+    key matches exactly the rows the hash table would have matched.
+    Rows come out in the hash join's order, left-major: when the probed
+    table is the left input the matches are sorted by its row id (then
+    outer position) first.
+    """
+
+    def __init__(
+        self,
+        child: PlanNode,
+        key: Evaluator,
+        table: Table,
+        binding: str,
+        column: str,
+        table_is_left: bool,
+        residual: Evaluator | None = None,
+    ) -> None:
+        self.child = child
+        self.key = key
+        self.table = table
+        self.binding = binding
+        self.column = column
+        self.table_is_left = table_is_left
+        self.residual = residual
+        probed = _stored_layout(table, binding)
+        self.layout = (
+            RowLayout.concat(probed, child.layout)
+            if table_is_left
+            else RowLayout.concat(child.layout, probed)
+        )
+
+    def execute(self) -> Iterator[Row]:
+        residual = self.residual
+        for row in self._matches():
+            if residual is None or is_true(residual(row)):
+                yield row
+
+    def _matches(self) -> Iterator[Row]:
+        """Key-matched combined rows, in the hash join's order."""
+        buckets = self.table.index_buckets(self.column)
+        rows = self.table.rows
+        key = self.key
+        if not self.table_is_left:
+            for outer_row in self.child.execute():
+                value = key(outer_row)
+                if value is not None:  # NULL keys never match
+                    for row_id in buckets.get(value, ()):
+                        yield outer_row + rows[row_id]
+            return
+        outer = list(self.child.execute())
+        matches: list[tuple[int, int]] = []
+        for position, outer_row in enumerate(outer):
+            value = key(outer_row)
+            if value is not None:
+                matches.extend(
+                    (row_id, position) for row_id in buckets.get(value, ())
+                )
+        matches.sort()
+        for row_id, position in matches:
+            yield rows[row_id] + outer[position]
+
+    def _describe(self) -> str:
+        side = "left" if self.table_is_left else "right"
+        return (
+            f"IndexJoin(INNER, {side} {self.table.schema.name} AS "
+            f"{self.binding} ON {self.column})"
+        )
+
+    def _children(self) -> list[PlanNode]:
+        return [self.child]
+
+
 class AggregateCall:
     """One compiled aggregate invocation within an Aggregate node."""
 
@@ -684,6 +838,11 @@ class Sort(PlanNode):
     Equivalent to the previous stable right-to-left multi-pass sort
     (stability there *was* the input-position tie-break, implicitly),
     but the contract is now explicit and single-pass.
+
+    ``bound`` is set by the planner when a ``LIMIT`` sits directly
+    above: only the first ``bound`` rows of the order are wanted, so a
+    heap of that size replaces the full sort.  The order is total, so
+    the bounded output is a prefix of the unbounded one.
     """
 
     def __init__(
@@ -695,20 +854,29 @@ class Sort(PlanNode):
         self.child = child
         self.keys = keys
         self.ascending = ascending
+        self.bound: int | None = None
         self.layout = child.layout
 
-    def execute(self) -> Iterator[Row]:
+    def _decorated(self) -> Iterator[tuple[tuple, Row]]:
         directed = list(zip(self.keys, self.ascending))
-        decorated = []
         for position, row in enumerate(self.child.execute()):
             parts: list[object] = []
             for evaluate, ascending in directed:
                 part = sort_key(evaluate(row))
                 parts.append(part if ascending else _Descending(part))
             parts.append(position)
-            decorated.append((tuple(parts), row))
-        decorated.sort(key=lambda pair: pair[0])
-        for _, row in decorated:
+            yield tuple(parts), row
+
+    def execute(self) -> Iterator[Row]:
+        # A bound of 0 sorts in full: nsmallest(0, ...) would not pull
+        # the child at all, and every input row must still be evaluated.
+        if self.bound:
+            ordered = heapq.nsmallest(
+                self.bound, self._decorated(), key=itemgetter(0)
+            )
+        else:
+            ordered = sorted(self._decorated(), key=itemgetter(0))
+        for _, row in ordered:
             yield row
 
     def _describe(self) -> str:
@@ -814,9 +982,7 @@ class ShardScan(PlanNode):
         self.binding = binding
         self.spec = spec
         self.shard_id = shard_id
-        self.layout = RowLayout(
-            [(binding, name) for name in table.schema.column_names]
-        )
+        self.layout = _stored_layout(table, binding)
 
     def execute(self) -> Iterator[Row]:
         rows = self.table.rows

@@ -7,35 +7,45 @@ The planner performs, in order:
 3. WHERE decomposition into conjuncts with optional *predicate pushdown*
    (each conjunct is applied at the deepest subtree whose layout can
    resolve all of its columns; never pushed into the right side of a
-   LEFT join, which would change semantics),
+   LEFT join, which would change semantics); one conjunct that compares
+   an indexed column with literals becomes the scan's access path
+   (``=``: index lookup; ``BETWEEN``/``<``/``<=``/``>``/``>=``: range
+   scan over the ordered index),
 4. equi-join detection (ON conjuncts of the form ``l.x = r.y`` become
-   hash-join keys; the rest stay as a residual predicate),
+   hash-join keys; the rest stay as a residual predicate); once
+   push-down has settled the inputs, an INNER single-key hash join of a
+   small input with a bare scan indexed on the key probes that index
+   instead (same rows, same order),
 5. aggregation planning: aggregate calls anywhere in the SELECT items,
    HAVING, or ORDER BY are collected, deduplicated, and computed by one
    Aggregate node; bare column references in an aggregate query are
    rewritten to a hidden FIRST() aggregate (SQLite-style leniency, which
    LM-generated SQL relies on),
 6. HAVING, extended projection (items + extra ORDER BY expressions),
-   sort, slice back to the item columns, DISTINCT, LIMIT/OFFSET.
+   sort, slice back to the item columns, DISTINCT, LIMIT/OFFSET.  No
+   sort is planned when a range scan already emits the one ascending
+   key, and a sort directly under LIMIT keeps only ``limit + offset``
+   rows (Top-N).
 
 *Expensive-predicate deferral*: conjuncts calling a UDF registered as
 expensive (LM UDFs) are always applied after cheap relational conjuncts
 at the same plan level, so the LM sees as few rows as possible.
 
-Set ``optimize=False`` to disable pushdown/hash joins/index lookups; the
-ablation benchmark compares both modes.
+Set ``optimize=False`` to disable pushdown/hash joins/index access paths;
+the ablation benchmark compares both modes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
 from repro.db import types as dbtypes
 from repro.db.expr import ExpressionCompiler, plan_batched_expressions
 from repro.db.functions import AggregateSpec, FunctionRegistry
+from repro.db.optimizer import _estimate_rows
 from repro.db.result import ResultSet, Row, RowLayout
 from repro.db.shard import PartitionSpec, ShardContext
 from repro.db.sql import ast
@@ -45,6 +55,12 @@ from repro.errors import PlanningError, SchemaError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.catalog import Database
     from repro.db.optimizer import QueryOptimizer
+
+#: An index-nested-loop join replaces a hash join only when its
+#: estimated probe results, times this, still fit under the probed
+#: table's row count: the estimate counts filters as pass-through, and
+#: the hash join it displaces costs one pass over that table.
+_INDEX_JOIN_MARGIN = 4
 
 #: Dedup/replay ordinal for the (single) sharded projection stage; far
 #: above any WHERE-conjunct ordinal so cache events replay in plan order.
@@ -92,6 +108,12 @@ class Planner:
         #: The Merge capping a freshly sharded WHERE region, while the
         #: projection step may still push expensive work into it.
         self._open_merge: physical.Merge | None = None
+        #: (left key, right key) of each INNER single-key hash join
+        #: built so far, for the index-join rule that runs after
+        #: push-down has settled what the join's inputs are.
+        self._equi_keys: dict[
+            physical.HashJoin, tuple[ast.Expression, ast.Expression]
+        ] = {}
 
     # ------------------------------------------------------------------
     # public entry points
@@ -231,7 +253,7 @@ class Planner:
             return physical.NestedLoopJoin(left, right, condition, kind)
         left_compiler = self._compiler(left.layout)
         right_compiler = self._compiler(right.layout)
-        return physical.HashJoin(
+        join = physical.HashJoin(
             left,
             right,
             [left_compiler.compile(key) for key in left_keys],
@@ -239,6 +261,9 @@ class Planner:
             kind,
             residual_evaluator,
         )
+        if kind == "INNER" and len(left_keys) == 1:
+            self._equi_keys[join] = (left_keys[0], right_keys[0])
+        return join
 
     def _equi_key_pair(
         self,
@@ -269,7 +294,7 @@ class Planner:
     def _apply_where(
         self, source: physical.PlanNode, conjuncts: list[ast.Expression]
     ) -> physical.PlanNode:
-        if conjuncts and self._optimize:
+        if self._optimize:
             source, conjuncts = self._push_down(source, conjuncts)
         sharded = self._maybe_shard(source, conjuncts)
         if sharded is not None:
@@ -319,38 +344,84 @@ class Planner:
                     ),
                     node,
                 )
-            if left_push:
-                new_left, leftover = self._push_down(node.left, left_push)
-                node.left = self._attach_filters(new_left, leftover)
-            if right_push:
-                new_right, leftover = self._push_down(
-                    node.right, right_push
-                )
-                node.right = self._attach_filters(new_right, leftover)
-            return node, remaining
+            new_left, leftover = self._push_down(node.left, left_push)
+            node.left = self._attach_filters(new_left, leftover)
+            new_right, leftover = self._push_down(node.right, right_push)
+            node.right = self._attach_filters(new_right, leftover)
+            return self._maybe_index_join(node), remaining
         if isinstance(node, physical.Scan):
             return self._maybe_index_lookup(node, conjuncts)
         return node, conjuncts
 
+    def _maybe_index_join(
+        self, join: physical.HashJoin | physical.NestedLoopJoin
+    ) -> physical.PlanNode:
+        """Probe an index instead of hashing a whole table, when one
+        input is a bare indexed scan and the other is small.
+
+        Applies to an INNER hash join on one key whose key on the scan
+        side is the indexed column itself.  The rows and their order
+        are the hash join's (see :class:`~repro.db.plan.IndexJoin`).
+        """
+        keys = self._equi_keys.pop(join, None)
+        if keys is None:
+            return join
+        # The right input first: probing it streams the left input,
+        # where probing the left one has to sort its matches.
+        for probed, key, outer, outer_key, table_is_left in (
+            (join.right, keys[1], join.left, join.left_keys[0], False),
+            (join.left, keys[0], join.right, join.right_keys[0], True),
+        ):
+            if not (
+                isinstance(probed, physical.Scan)
+                and isinstance(key, ast.ColumnRef)
+                and probed.table.has_index(key.name)
+            ):
+                continue
+            candidate = physical.IndexJoin(
+                outer,
+                outer_key,
+                probed.table,
+                probed.binding,
+                key.name,
+                table_is_left,
+                join.residual,
+            )
+            if _estimate_rows(candidate) * _INDEX_JOIN_MARGIN <= len(
+                probed.table
+            ):
+                return candidate
+        return join
+
     def _maybe_index_lookup(
         self, scan: physical.Scan, conjuncts: list[ast.Expression]
     ) -> tuple[physical.PlanNode, list[ast.Expression]]:
-        """Turn one ``col = literal`` conjunct into an index lookup."""
+        """Turn one conjunct on an indexed column into an index access:
+        ``col = literal`` into a lookup, else a range comparison of the
+        column with literals into a range scan."""
+        table = scan.table
         for position, conjunct in enumerate(conjuncts):
             point = self._point_predicate(conjunct, scan)
             if point is None:
                 continue
             column, value = point
             if not (
-                scan.table.has_index(column)
-                and _probe_matches_filter(scan.table, column, value)
+                table.has_index(column)
+                and _probe_matches_filter(table, column, value)
             ):
                 continue
             lookup = physical.IndexLookup(
-                scan.table, scan.binding, column, value
+                table, scan.binding, column, value
             )
             rest = conjuncts[:position] + conjuncts[position + 1 :]
             return lookup, rest
+        for position, conjunct in enumerate(conjuncts):
+            bounds = self._range_predicate(conjunct, scan)
+            if bounds is None or not table.has_index(bounds[0]):
+                continue
+            ranged = physical.IndexRange(table, scan.binding, *bounds)
+            rest = conjuncts[:position] + conjuncts[position + 1 :]
+            return ranged, rest
         return scan, conjuncts
 
     def candidate_row_ids(
@@ -358,7 +429,7 @@ class Planner:
         table: Table,
         binding: str,
         where: ast.Expression | None,
-    ) -> Sequence[int]:
+    ) -> Iterable[int]:
         """Ascending ids of the rows ``where`` can select: a superset.
 
         UPDATE and DELETE find their targets through the access path a
@@ -370,8 +441,8 @@ class Planner:
             node, _ = self._maybe_index_lookup(
                 physical.Scan(table, binding), _split_conjuncts(where)
             )
-            if isinstance(node, physical.IndexLookup):
-                return table.lookup_ids(node.column, node.value)
+            if not isinstance(node, physical.Scan):
+                return node.row_ids()
         return range(len(table))
 
     def _point_predicate(
@@ -392,6 +463,55 @@ class Planner:
                 and scan.layout.can_resolve(ref.name, ref.table)
             ):
                 return ref.name, literal.value
+        return None
+
+    def _range_predicate(
+        self, conjunct: ast.Expression, scan: physical.Scan
+    ) -> tuple[str, object, object, bool, bool] | None:
+        """``(column, low, high, low_strict, high_strict)`` when
+        ``conjunct`` bounds one of the scan's columns by literals:
+        ``col BETWEEN a AND b`` or ``col <|<=|>|>= a`` (either way
+        round); a side left open is None.  NULL bounds and NOT BETWEEN
+        select nothing a range can express, so they stay filters.
+        """
+
+        def column_of(ref: ast.Expression) -> str | None:
+            if isinstance(ref, ast.ColumnRef) and scan.layout.can_resolve(
+                ref.name, ref.table
+            ):
+                return ref.name
+            return None
+
+        def bound_of(literal: ast.Expression) -> object:
+            return (
+                literal.value if isinstance(literal, ast.Literal) else None
+            )
+
+        if isinstance(conjunct, ast.BetweenExpression):
+            column = column_of(conjunct.operand)
+            low, high = bound_of(conjunct.lower), bound_of(conjunct.upper)
+            if (
+                conjunct.negated
+                or column is None
+                or low is None
+                or high is None
+            ):
+                return None
+            return column, low, high, False, False
+        if not (
+            isinstance(conjunct, ast.BinaryOp) and conjunct.op in _FLIPPED
+        ):
+            return None
+        for ref, literal, op in (
+            (conjunct.left, conjunct.right, conjunct.op),
+            (conjunct.right, conjunct.left, _FLIPPED[conjunct.op]),
+        ):
+            column, bound = column_of(ref), bound_of(literal)
+            if column is None or bound is None:
+                continue
+            if op in (">", ">="):
+                return column, bound, None, op == ">", False
+            return column, None, bound, False, op == "<"
         return None
 
     def _attach_filters(
@@ -905,6 +1025,8 @@ class Planner:
             item.alias or _expression_name(item.expression)
             for item in items
         ]
+        if self._arrives_ordered(source, items, names, order_items):
+            order_items = []
 
         # ORDER BY may reference output aliases, positional numbers, or
         # any expression over the pre-projection layout; extend the
@@ -942,6 +1064,42 @@ class Planner:
         if distinct:
             plan = physical.Distinct(plan)
         return plan, names
+
+    def _arrives_ordered(
+        self,
+        source: physical.PlanNode,
+        items: list[ast.SelectItem],
+        names: list[str],
+        order_items: list[ast.OrderItem],
+    ) -> bool:
+        """Whether ``ORDER BY`` asks for what a range scan can emit.
+
+        True when the rows come from an :class:`~repro.db.plan.IndexRange`
+        through nothing but filters and the only sort key is the
+        scanned column, ascending.  The scan is then switched to key
+        order: ascending (key, row id), which is the order Sort's
+        (key, input position) gives the same rows, so no Sort is needed.
+        """
+        if len(order_items) != 1 or not order_items[0].ascending:
+            return False
+        scan = source
+        while isinstance(scan, (physical.Filter, physical.BatchedFilter)):
+            scan = scan.child
+        if not isinstance(scan, physical.IndexRange):
+            return False
+        key = order_items[0].expression
+        position = self._order_target(key, items, names)
+        if position is not None:
+            key = items[position].expression
+        if not (
+            isinstance(key, ast.ColumnRef)
+            and scan.layout.can_resolve(key.name, key.table)
+            and scan.layout.resolve(key.name, key.table)
+            == scan.table.schema.column_index(scan.column)
+        ):
+            return False
+        scan.key_order = True
+        return True
 
     def _build_projection(
         self,
@@ -1024,6 +1182,9 @@ class Planner:
         offset_value = self._constant_int(offset, "OFFSET") or 0
         if limit_value is not None and limit_value < 0:
             limit_value = None  # LIMIT -1 means no limit (SQLite)
+        top = plan.child if isinstance(plan, physical.Slice) else plan
+        if isinstance(top, physical.Sort) and limit_value is not None:
+            top.bound = limit_value + max(offset_value, 0)
         return physical.Limit(plan, limit_value, offset_value)
 
     def _constant_int(
@@ -1106,6 +1267,10 @@ class Planner:
 # ---------------------------------------------------------------------------
 # AST utilities
 # ---------------------------------------------------------------------------
+
+
+#: ``literal op col`` read as ``col op' literal``.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _probe_matches_filter(

@@ -74,6 +74,25 @@ def next_shard_thread_name(shard_id: int) -> str:
     return f"{parent}:shard{shard_id}-{next(_SPAWN)}"
 
 
+def _hash_form(value: SQLValue) -> tuple[int, Any]:
+    """What hash partitioning encodes for a key value.
+
+    :func:`sort_key`, with every number a float holds exactly written
+    as that float: ``1``, ``1.0`` and ``True`` are one key to a join,
+    so they must land on one shard, while an integer past 2**53 keeps
+    its own digits instead of colliding with its neighbours.
+    """
+    rank, payload = sort_key(value)
+    if rank == 1:
+        try:
+            as_float = float(payload)
+        except OverflowError:
+            return rank, payload
+        if as_float == payload:
+            return rank, as_float
+    return rank, payload
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """How one table's rows map to shards, on one key column.
@@ -137,7 +156,7 @@ class PartitionSpec:
         if value is None:
             return 0
         if self.kind == "hash":
-            encoded = repr(sort_key(value)).encode("utf-8")
+            encoded = repr(_hash_form(value)).encode("utf-8")
             return zlib.crc32(encoded) % self.shards
         keys = [sort_key(bound) for bound in self.bounds]
         return bisect.bisect_right(keys, sort_key(value))

@@ -1,8 +1,18 @@
-"""In-memory row storage with type enforcement and secondary hash indexes."""
+"""In-memory row storage with type enforcement and secondary indexes.
+
+A secondary index on a column is two structures kept in step: hash
+*buckets* (``value -> ascending row ids``) for equality probes, and one
+list of the buckets' non-NULL keys sorted by
+:func:`~repro.db.types.sort_key` for range scans.  Both hold the stored
+(coerced) values themselves, so an index adds one list slot per distinct
+key to what the buckets already cost.  Upkeep per written row is one
+bisect in the row's bucket, plus one bisect and an O(distinct keys)
+list shift in the key list when the write creates or empties a bucket.
+"""
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -10,7 +20,7 @@ from typing import Any
 
 from repro.db.schema import TableSchema
 from repro.db.shard import PartitionSpec
-from repro.db.types import SQLValue, coerce
+from repro.db.types import SQLValue, coerce, sort_key
 from repro.errors import SchemaError
 
 Row = tuple[SQLValue, ...]
@@ -37,14 +47,20 @@ class Table:
     :meth:`delete_rows`, which coerce each written value to the declared
     column type and enforce NOT NULL and primary-key uniqueness.  A
     write that fails validation raises before anything is mutated.
-    Equality lookups on indexed columns are O(1) via hash indexes, which
-    the executor uses for index scans on point predicates.
+    An indexed column answers equality probes in O(1) from its hash
+    buckets (point predicates, index-nested-loop joins) and range
+    predicates in O(log keys + matches) from its ordered key list, and
+    serves its own catalog statistics; every write keeps both halves
+    equal to an index built from scratch.
     """
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self._rows: list[Row] = []
         self._indexes: dict[int, dict[SQLValue, list[int]]] = {}
+        #: Column position -> that index's non-NULL keys, ascending by
+        #: ``sort_key``; written only where ``_indexes`` is.
+        self._index_keys: dict[int, list[SQLValue]] = {}
         self._pk_positions = [
             schema.column_index(column.name)
             for column in schema.primary_key_columns
@@ -71,7 +87,7 @@ class Table:
         row_id = len(self._rows)
         self._rows.append(row)
         for position, index in self._indexes.items():
-            index[row[position]].append(row_id)
+            _index(index, self._index_keys[position], row[position], row_id)
         self._partition_rows = None
         self._stats = {}
 
@@ -188,8 +204,9 @@ class Table:
             rows[row_id] = row
             for position, index in self._indexes.items():
                 if old[position] != row[position]:
-                    _unindex(index, old[position], row_id)
-                    insort(index[row[position]], row_id)
+                    keys = self._index_keys[position]
+                    _unindex(index, keys, old[position], row_id)
+                    _index(index, keys, row[position], row_id)
         self._partition_rows = None
         self._stats = {}
         return len(staged)
@@ -217,7 +234,12 @@ class Table:
             for row_id in reversed(doomed):
                 row = rows.pop()
                 for position, index in self._indexes.items():
-                    _unindex(index, row[position], row_id)
+                    _unindex(
+                        index,
+                        self._index_keys[position],
+                        row[position],
+                        row_id,
+                    )
         else:
             gone = set(doomed)
             self._rows = [
@@ -226,7 +248,7 @@ class Table:
                 if row_id not in gone
             ]
             for position in self._indexes:
-                self._indexes[position] = self._build_index(position)
+                self._install_index(position)
         self._partition_rows = None
         self._stats = {}
         return len(doomed)
@@ -300,18 +322,27 @@ class Table:
         at most once per distinct argument), the selectivity estimator
         and the optimizer's row estimates all read this.  Computed in
         one pass on first use and kept until the next write, so a
-        statement's planning cost does not depend on the table's size.
+        statement's planning cost does not depend on the table's size;
+        an indexed column is read off its index and never scanned.
         """
         position = self.schema.column_index(name)
         cache = self._stats
         stats = cache.get(position)
         if stats is None:
-            values = [row[position] for row in self._rows]
-            stats = ColumnStats(
-                rows=len(values),
-                distinct=len(set(values)),
-                nulls=values.count(None),
-            )
+            index = self._indexes.get(position)
+            if index is not None:
+                stats = ColumnStats(
+                    rows=len(self._rows),
+                    distinct=len(index),
+                    nulls=len(index.get(None, ())),
+                )
+            else:
+                values = [row[position] for row in self._rows]
+                stats = ColumnStats(
+                    rows=len(values),
+                    distinct=len(set(values)),
+                    nulls=values.count(None),
+                )
             cache[position] = stats
         return stats
 
@@ -324,9 +355,15 @@ class Table:
     # ------------------------------------------------------------------
 
     def create_index(self, column_name: str) -> None:
-        """Build (or rebuild) a hash index on ``column_name``."""
-        position = self.schema.column_index(column_name)
-        self._indexes[position] = self._build_index(position)
+        """Build (or rebuild) the index on ``column_name``."""
+        self._install_index(self.schema.column_index(column_name))
+
+    def _install_index(self, position: int) -> None:
+        index = self._build_index(position)
+        self._indexes[position] = index
+        self._index_keys[position] = sorted(
+            (key for key in index if key is not None), key=sort_key
+        )
 
     def _build_index(self, position: int) -> dict[SQLValue, list[int]]:
         index: dict[SQLValue, list[int]] = defaultdict(list)
@@ -358,16 +395,69 @@ class Table:
             rows[row_id] for row_id in self.lookup_ids(column_name, value)
         ]
 
+    def index_buckets(
+        self, column_name: str
+    ) -> Mapping[SQLValue, Sequence[int]]:
+        """The index's ``value -> ascending row ids`` buckets (a direct
+        view; do not mutate).  A key is matched as a ``dict`` matches
+        it, with no coercion: what a hash join on the column matches."""
+        return self._indexes[self.schema.column_index(column_name)]
+
+    def range_keys(
+        self,
+        column_name: str,
+        low: SQLValue,
+        high: SQLValue,
+        low_strict: bool = False,
+        high_strict: bool = False,
+    ) -> list[SQLValue]:
+        """The index's keys between two bounds, ascending.
+
+        A bound of ``None`` is open.  Bounds are compared as written,
+        through ``sort_key``: exactly the comparison a filter makes
+        between the stored value and the literal, whatever their types.
+        NULL is never a key here, as it never satisfies a comparison.
+        """
+        keys = self._index_keys[self.schema.column_index(column_name)]
+        start, stop = 0, len(keys)
+        if low is not None:
+            cut = bisect_right if low_strict else bisect_left
+            start = cut(keys, sort_key(low), key=sort_key)
+        if high is not None:
+            cut = bisect_left if high_strict else bisect_right
+            stop = cut(keys, sort_key(high), key=sort_key)
+        return keys[start:stop]
+
     def __repr__(self) -> str:
         return f"Table({self.schema.name!r}, {len(self._rows)} rows)"
 
 
+def _index(
+    index: dict[SQLValue, list[int]],
+    keys: list[SQLValue],
+    value: SQLValue,
+    row_id: int,
+) -> None:
+    """Add ``row_id`` to ``value``'s ascending bucket; a value new to
+    the index also enters the ordered key list."""
+    bucket = index[value]
+    if not bucket and value is not None:
+        insort(keys, value, key=sort_key)
+    insort(bucket, row_id)
+
+
 def _unindex(
-    index: dict[SQLValue, list[int]], value: SQLValue, row_id: int
+    index: dict[SQLValue, list[int]],
+    keys: list[SQLValue],
+    value: SQLValue,
+    row_id: int,
 ) -> None:
     """Drop ``row_id`` from ``value``'s ascending bucket; an emptied
-    bucket goes too, so the index equals one built from scratch."""
+    bucket goes, and its key with it, so the index equals one built
+    from scratch."""
     bucket = index[value]
     del bucket[bisect_left(bucket, row_id)]
     if not bucket:
         del index[value]
+        if value is not None:
+            del keys[bisect_left(keys, sort_key(value), key=sort_key)]

@@ -159,15 +159,18 @@ def sort_key(value: SQLValue) -> tuple[int, Any]:
     NULLs sort first (rank 0), then numerics (including booleans, which
     compare as 0/1), then text.  The executor uses this for ORDER BY,
     DISTINCT, and MIN/MAX so mixed-type columns never raise ``TypeError``.
+    Numerics are kept as they are: Python compares ``int``, ``float``
+    and ``bool`` with each other exactly, whereas a trip through
+    ``float()`` would make integers above 2**53 tie, and two keys tie
+    here only if they are the same key to a ``dict``, which the
+    ordered table index relies on.
     """
     rank = _TYPE_RANK.get(type(value), 3)
     if rank == 0:
         return (0, 0)
-    if rank == 1:
-        return (1, float(value))  # type: ignore[arg-type]
-    if rank == 2:
-        return (2, value)
-    return (3, str(value))
+    if rank == 3:
+        return (3, str(value))
+    return (rank, value)
 
 
 def compare(left: SQLValue, right: SQLValue) -> int | None:

@@ -20,9 +20,9 @@ ROMANCE_SQL = (
 )
 
 ROMANCE_GOLDEN = """\
-Limit(1, offset=0) [rows_in=2 rows_out=1 vtime=0.000103s]
-  Slice([0, 1]) [rows_in=2 rows_out=2 vtime=0.000104s]
-    Sort(1 key(s)) [rows_in=10 rows_out=2 vtime=0.000112s]
+Limit(1, offset=0) [rows_in=1 rows_out=1 vtime=0.000102s]
+  Slice([0, 1]) [rows_in=1 rows_out=1 vtime=0.000102s]
+    Sort(1 key(s)) [rows_in=10 rows_out=1 vtime=0.000111s]
       Project(movie_title, review, revenue) [rows_in=10 rows_out=10 vtime=0.000120s]
         Filter(where) [rows_in=20 rows_out=10 vtime=0.000130s]
           Scan(movies AS movies) [rows_in=0 rows_out=20 vtime=0.000120s]"""
@@ -34,8 +34,8 @@ SCHOOLS_SQL = (
 )
 
 SCHOOLS_GOLDEN = """\
-Limit(3, offset=0) [rows_in=4 rows_out=3 vtime=0.000107s]
-  Sort(2 key(s)) [rows_in=24 rows_out=4 vtime=0.000128s]
+Limit(3, offset=0) [rows_in=3 rows_out=3 vtime=0.000106s]
+  Sort(2 key(s)) [rows_in=24 rows_out=3 vtime=0.000127s]
     Project(County, n) [rows_in=24 rows_out=24 vtime=0.000148s]
       Aggregate(groups=1, calls=[COUNT]) [rows_in=150 rows_out=24 vtime=0.000274s]
         HashJoin(INNER, 1 key(s)) [rows_in=400 rows_out=150 vtime=0.000650s]
