@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-optimizer test-repair test-conc test-semcache test-shard test-access bench bench-smoke perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
+.PHONY: test test-optimizer test-repair test-conc test-semcache test-shard test-access bench bench-smoke artifacts-check perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -43,6 +43,15 @@ bench:
 
 bench-smoke:
 	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_resilience.py benchmarks/bench_repair.py benchmarks/bench_trace_overhead.py benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_racecheck.py benchmarks/bench_semcache.py benchmarks/bench_sharding.py -q
+
+# Regenerate, full-size, the four artifacts that are deterministic and
+# quick (~10 s together), and fail if any differs from the committed
+# file.  Smoke runs never write under benchmarks/out (see
+# benchmarks/conftest.py), so the committed files stay the full-size ones.
+ARTIFACTS = udf_batching optimizer_plan_choice sharding resilience
+artifacts-check:
+	$(PYTHON) -m pytest benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_sharding.py benchmarks/bench_resilience.py -q
+	git diff --exit-code -- $(ARTIFACTS:%=benchmarks/out/%.txt)
 
 # Wall-clock benchmark (benchmarks/perf, see its README): measure all
 # five workloads, then hold the eight end-to-end metrics to their
@@ -96,8 +105,9 @@ trace-smoke:
 # semantic-cache and access-path suites, a smoke-mode pass of the
 # resilience, repair,
 # trace-overhead, race-check, and semantic-cache benchmarks, the
+# full-size regeneration check of four committed artifacts, the
 # wall-clock harness's smoke tests, clean determinism-lint and
 # concurrency baselines, an analyzer round-trip through the CLI, and
 # the trace worker-invariance smoke.
-verify: test test-conc test-semcache test-access bench-smoke perf-smoke lint lint-conc analyze-smoke trace-smoke
+verify: test test-conc test-semcache test-access bench-smoke artifacts-check perf-smoke lint lint-conc analyze-smoke trace-smoke
 	@echo "verify: OK"

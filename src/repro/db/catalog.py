@@ -18,7 +18,12 @@ from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.db.table import Table
-from repro.errors import AnalysisError, PlanningError, SchemaError
+from repro.errors import (
+    AnalysisError,
+    ExecutionError,
+    PlanningError,
+    SchemaError,
+)
 
 
 #: ``EXPLAIN ANALYZE <select>`` prefix, handled before the parser sees
@@ -247,7 +252,20 @@ class Database:
         ``None`` pins the per-row oracle path; an int pins that morsel
         size.  With ``optimize=False`` there is no optimizer: ``"auto"``
         degrades to per-row, ints are still honored (for ablations).
+        Anything else is refused here, whatever the statement plans to.
         """
+        if not (udf_batch_size is None or udf_batch_size == "auto"):
+            if isinstance(udf_batch_size, bool) or not isinstance(
+                udf_batch_size, int
+            ):
+                raise ExecutionError(
+                    "udf_batch_size must be 'auto', None or an int, "
+                    f"got {udf_batch_size!r}"
+                )
+            if udf_batch_size < 1:
+                raise ExecutionError(
+                    f"udf_batch_size must be >= 1, got {udf_batch_size}"
+                )
         optimizer = None
         if optimize:
             from repro.db.optimizer import QueryOptimizer
@@ -308,8 +326,9 @@ class Database:
         cost-based optimizer choose (see
         :class:`repro.db.optimizer.QueryOptimizer`); ``None`` pins the
         per-row oracle path; an int ``N`` pins the vectorized operators
-        (:class:`~repro.db.plan.BatchedFilter` /
-        :class:`~repro.db.plan.BatchedProject`): morsels of N rows,
+        (:class:`~repro.db.plan.MorselFilter` /
+        :class:`~repro.db.plan.MorselProject`, rendered as
+        ``BatchedFilter`` / ``BatchedProject``): morsels of N rows,
         one batch dispatch per morsel of distinct argument tuples,
         memoized across statements via :attr:`udf_cache`.  Results are
         identical to the default per-row path (property-tested); only

@@ -443,8 +443,8 @@ class UDFCallSite:
         #: Cascade tier: a cheap classifier that either agrees with
         #: ``function`` or returns None to escalate (see
         #: ``FunctionRegistry.register_scalar``).  Consulted before the
-        #: expensive dispatch in ``_resolve_morsel``; never memoizes
-        #: errors, never changes results.
+        #: expensive dispatch in ``repro.db.plan._dispatch``; never
+        #: memoizes errors, never changes results.
         self.cheap_function = cheap_function
         self.cheap_batch = cheap_batch
         self.arg_evaluators = arg_evaluators

@@ -15,6 +15,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from itertools import chain, islice
 from operator import itemgetter
+from typing import Protocol
 
 from repro.db.expr import (
     Evaluator,
@@ -226,8 +227,46 @@ class Project(PlanNode):
         return [self.child]
 
 
+class MorselContext(Protocol):
+    """What differs between local and shard execution of a UDF morsel.
+
+    :class:`UDFExecContext` is the local form, used by an unsharded
+    plan; :class:`~repro.db.shard.ShardContext` the form handed to the
+    operators of one shard pipeline.  ``site_id`` is ``(operator
+    ordinal, site index)``: one call site of the statement.
+    """
+
+    #: Whether rows carry a trailing tag (their global row id) that a
+    #: projection passes through and that a failure is wrapped with
+    #: (:class:`~repro.db.shard.ShardRowError`); ``tag`` below is it,
+    #: for the row a key first occurs at, and None on untagged rows.
+    tagged: bool
+
+    def tally(self, stats: dict[str, int], key: str, amount: int) -> None:
+        """Add to one operator counter, and to whatever mirrors it."""
+
+    def lookup(
+        self, site_id: tuple, key: MemoKey, tag: int | None
+    ) -> tuple[bool, object]:
+        """Where a cache read comes from: ``(found, value)``."""
+
+    def claim(
+        self, site_id: tuple, pending: list[MemoKey]
+    ) -> tuple[list[MemoKey], Iterable[tuple[MemoKey, object]]]:
+        """Who dispatches each pending key: the keys the caller must,
+        and ``(key, value)`` for the rest, to be read only after every
+        one of the caller's own has been published (reading may wait on
+        whoever dispatches them)."""
+
+    def publish(
+        self, site_id: tuple, key: MemoKey, tag: int | None, value: object
+    ) -> None:
+        """Where a result goes (a parked failure reaches those waiting
+        for it but never a cache)."""
+
+
 class UDFExecContext:
-    """Shared execution context for the batched UDF operators.
+    """The local :class:`MorselContext`: live cache, mirrored counters.
 
     Carries the :class:`~repro.db.Database`'s cross-statement memo
     cache plus optional mirrors: a :class:`~repro.lm.usage.Usage`
@@ -236,8 +275,11 @@ class UDFExecContext:
     an ``exec_stats`` dict surfaced by EXPLAIN ANALYZE; :meth:`tally`
     is the single meter — every increment lands in the operator's
     stats and is mirrored to the bound sinks, so the three surfaces can
-    never disagree.
+    never disagree.  Cache reads and writes go to the live cache and
+    every pending key is the caller's to dispatch.
     """
+
+    tagged = False
 
     #: Metric name per exec-stats key (only cache traffic and cascade
     #: routing are exported; LM calls/batches are already metered by
@@ -276,24 +318,41 @@ class UDFExecContext:
             if metric is not None:
                 self.metrics.counter(metric).inc(amount)
 
+    def lookup(
+        self, site_id: tuple, key: MemoKey, tag: int | None
+    ) -> tuple[bool, object]:
+        if self.cache is None:
+            return False, None
+        return self.cache.lookup(key)
 
-def _fresh_exec_stats(
-    sites: list[UDFCallSite] | None = None,
-) -> dict[str, int]:
+    def claim(
+        self, site_id: tuple, pending: list[MemoKey]
+    ) -> tuple[list[MemoKey], Iterable[tuple[MemoKey, object]]]:
+        return pending, ()
+
+    def publish(
+        self, site_id: tuple, key: MemoKey, tag: int | None, value: object
+    ) -> None:
+        if self.cache is not None and not isinstance(value, UDFCallError):
+            self.cache.put(key, value)
+
+
+def _fresh_exec_stats(sites: list[UDFCallSite]) -> dict[str, int]:
     """Pre-seeded so EXPLAIN ANALYZE renders a fixed, complete key order.
 
     Cascade keys appear only when a site actually carries a cheap tier,
-    so non-cascade plans render exactly as before.
+    so non-cascade plans render exactly as before; an operator with no
+    call sites has no counters.
     """
+    if not sites:
+        return {}
     stats = {
         "lm_calls": 0,
         "lm_batches": 0,
         "udf_cache_hits": 0,
         "udf_cache_misses": 0,
     }
-    if sites is not None and any(
-        site.cheap_function is not None for site in sites
-    ):
+    if any(site.cheap_function is not None for site in sites):
         stats["cascade_cheap_hits"] = 0
         stats["cascade_escalations"] = 0
     return stats
@@ -330,8 +389,9 @@ def _cheap_tier_answers(
 def _resolve_morsel(
     sites: list[UDFCallSite],
     rows: list[Row],
-    context: UDFExecContext,
+    context: MorselContext,
     stats: dict[str, int],
+    ordinal: int,
 ) -> None:
     """Resolve every strict UDF call for a morsel of rows, in waves.
 
@@ -340,101 +400,204 @@ def _resolve_morsel(
     memoized.  Per site: evaluate each row's argument tuple (rows whose
     arguments error are skipped — the residual phase re-raises the same
     error at the same row), serve duplicates and cache hits for free,
-    then dispatch the remaining distinct tuples as one batch call (or
-    per-tuple scalar calls when no batch form is registered or the
-    batch dispatch fails).
+    dispatch the remaining distinct tuples the context says are this
+    caller's (:func:`_dispatch`), then collect the ones it says someone
+    else dispatches.  The caller's own come first, so whoever waits on
+    them waits on a caller that is making progress.
 
     Counter contract: ``udf_cache_hits`` counts row-occurrences served
-    without a new invocation (statement memo, cross-statement LRU, or
-    intra-morsel dedup); ``udf_cache_misses`` and ``lm_calls`` count
-    dispatched invocations; ``lm_batches`` counts batch dispatches.
+    without a new invocation (statement memo, cross-statement LRU,
+    intra-morsel dedup, or another shard's dispatch);
+    ``udf_cache_misses`` and ``lm_calls`` count dispatched invocations;
+    ``lm_batches`` counts batch dispatches.
     """
-    for site in sites:
+    tagged = context.tagged
+    for site_idx, site in enumerate(sites):
+        site_id = (ordinal, site_idx)
+        memo = site.memo
         pending: list[MemoKey] = []
-        pending_keys: set[MemoKey] = set()
+        #: Tag of the row each pending key first occurs at.
+        tags: dict[MemoKey, int | None] = {}
         hits = 0
         for row in rows:
             try:
                 key = site.key(row)
             except Exception:
                 continue  # argument error; re-raised per row later
-            if key in site.memo or key in pending_keys:
+            if key in memo or key in tags:
                 hits += 1
                 continue
-            if context.cache is not None:
-                found, value = context.cache.lookup(key)
-                if found:
-                    site.memo[key] = value
-                    hits += 1
-                    continue
-            pending_keys.add(key)
+            tag = row[-1] if tagged else None
+            found, value = context.lookup(site_id, key, tag)
+            if found:
+                memo[key] = value
+                hits += 1
+                continue
+            tags[key] = tag
             pending.append(key)
         context.tally(stats, "udf_cache_hits", hits)
-        if pending and site.cheap_function is not None:
-            # Cascade route: the cheap classifier tier answers what it
-            # can; only declined tuples reach the expensive dispatch.
-            # Cheap answers are real results (contract: the cheap tier
-            # agrees with the expensive form), so they are memoized and
-            # cached exactly like expensive ones.
-            answers = _cheap_tier_answers(site, pending)
-            escalated: list[MemoKey] = []
-            cheap_hits = 0
-            for key, answer in zip(pending, answers):
-                if answer is None:
-                    escalated.append(key)
-                    continue
-                site.memo[key] = answer
-                if context.cache is not None:
-                    context.cache.put(key, answer)
-                cheap_hits += 1
-            context.tally(stats, "cascade_cheap_hits", cheap_hits)
-            context.tally(stats, "cascade_escalations", len(escalated))
-            pending = escalated
         if not pending:
             continue
-        context.tally(stats, "udf_cache_misses", len(pending))
-        context.tally(stats, "lm_calls", len(pending))
-        resolved: list[SQLValue] | None = None
-        if site.batch_function is not None:
-            context.tally(stats, "lm_batches", 1)
-            try:
-                resolved = list(
-                    site.batch_function([key[1] for key in pending])
-                )
-            except Exception:
-                # Fall back to per-tuple scalar calls so each failing
-                # tuple is attributed (and wrapped) exactly as the
-                # per-row oracle path would attribute it.
-                resolved = None
-            else:
-                if len(resolved) != len(pending):
-                    raise ExecutionError(
-                        f"batch form of {site.name} returned "
-                        f"{len(resolved)} results for {len(pending)} "
-                        "argument tuples"
+        mine, theirs = context.claim(site_id, pending)
+        try:
+            _dispatch(site, site_id, mine, tags, context, stats)
+        finally:
+            # A dispatch-level error (e.g. a wrong-length batch result)
+            # aborts this morsel; park the failure for every key that
+            # never landed, so a shard waiting on one wakes.
+            for key in mine:
+                if key not in memo:
+                    aborted = ExecutionError(
+                        f"shard dispatch of {site.name} aborted"
                     )
-        if resolved is not None:
-            for key, value in zip(pending, resolved):
-                site.memo[key] = value
-                if context.cache is not None:
-                    context.cache.put(key, value)
+                    context.publish(
+                        site_id, key, tags[key], UDFCallError(aborted)
+                    )
+        waited = 0
+        for key, value in theirs:
+            memo[key] = value
+            context.publish(site_id, key, tags[key], value)
+            waited += 1
+        context.tally(stats, "udf_cache_hits", waited)
+
+
+def _dispatch(
+    site: UDFCallSite,
+    site_id: tuple,
+    pending: list[MemoKey],
+    tags: dict[MemoKey, int | None],
+    context: MorselContext,
+    stats: dict[str, int],
+) -> None:
+    """Invoke ``site`` for ``pending``: the cascade's cheap tier first,
+    then one batch call (or per-tuple scalar calls when no batch form
+    is registered or the batch dispatch fails).  Every result is
+    memoized and published as it lands."""
+    memo = site.memo
+    if pending and site.cheap_function is not None:
+        # Cascade route: the cheap classifier tier answers what it
+        # can; only declined tuples reach the expensive dispatch.
+        # Cheap answers are real results (contract: the cheap tier
+        # agrees with the expensive form), so they are memoized and
+        # published exactly like expensive ones.
+        answers = _cheap_tier_answers(site, pending)
+        escalated: list[MemoKey] = []
+        for key, answer in zip(pending, answers):
+            if answer is None:
+                escalated.append(key)
+                continue
+            memo[key] = answer
+            context.publish(site_id, key, tags[key], answer)
+        cheap_hits = len(pending) - len(escalated)
+        context.tally(stats, "cascade_cheap_hits", cheap_hits)
+        context.tally(stats, "cascade_escalations", len(escalated))
+        pending = escalated
+    if not pending:
+        return
+    context.tally(stats, "udf_cache_misses", len(pending))
+    context.tally(stats, "lm_calls", len(pending))
+    resolved: Iterable[object] | None = None
+    if site.batch_function is not None:
+        context.tally(stats, "lm_batches", 1)
+        try:
+            resolved = list(
+                site.batch_function([key[1] for key in pending])
+            )
+        except Exception:
+            # Fall back to per-tuple scalar calls so each failing
+            # tuple is attributed (and wrapped) exactly as the
+            # per-row oracle path would attribute it.
+            resolved = None
         else:
-            for key in pending:
-                value = site.call_scalar(key[1])
-                site.memo[key] = value
-                if context.cache is not None and not isinstance(
-                    value, UDFCallError
-                ):
-                    context.cache.put(key, value)
+            if len(resolved) != len(pending):
+                raise ExecutionError(
+                    f"batch form of {site.name} returned "
+                    f"{len(resolved)} results for {len(pending)} "
+                    "argument tuples"
+                )
+    if resolved is None:
+        # Lazily: each result lands before the next call is made.
+        resolved = (site.call_scalar(key[1]) for key in pending)
+    for key, value in zip(pending, resolved):
+        memo[key] = value
+        context.publish(site_id, key, tags[key], value)
 
 
-class BatchedFilter(PlanNode):
+class _MorselNode(PlanNode):
+    """Shared state and loop of the two morsel operators: pull a morsel
+    of ``batch_size`` rows, resolve every strict expensive call in it
+    through :func:`_resolve_morsel`, hand it on for per-row work.
+
+    ``ordinal`` numbers the operator within its statement where its
+    context tells call sites apart (shard pipelines).  The rendered
+    name follows from the context and the sites, not from a class:
+    ``Shard`` when rows are tagged, ``Batched`` when there are call
+    sites to resolve.
+    """
+
+    def __init__(
+        self,
+        child: PlanNode,
+        sites: list[UDFCallSite],
+        context: MorselContext,
+        batch_size: int | None,
+        ordinal: int,
+    ) -> None:
+        self.child = child
+        self.sites = sites
+        self.context = context
+        self.batch_size = batch_size
+        self.ordinal = ordinal
+        self.exec_stats = _fresh_exec_stats(sites)
+
+    def _morsels(self) -> Iterator[Iterable[Row]]:
+        source = self.child.execute()
+        if not self.sites:
+            yield source  # nothing to resolve: one morsel, streamed
+            return
+        while True:
+            morsel = list(islice(source, self.batch_size))
+            if not morsel:
+                return
+            try:
+                _resolve_morsel(
+                    self.sites,
+                    morsel,
+                    self.context,
+                    self.exec_stats,
+                    self.ordinal,
+                )
+            except ShardRowError:
+                raise
+            except Exception as exc:
+                if self.context.tagged:
+                    raise ShardRowError(morsel[0][-1], exc) from exc
+                raise
+            yield morsel
+
+    def _label(self, kind: str, parts: list[str]) -> str:
+        shard = "Shard" if self.context.tagged else ""
+        name = shard + ("Batched" if self.sites else "") + kind
+        if self.sites:
+            parts = parts + [
+                f"batch={self.batch_size}",
+                f"sites={len(self.sites)}",
+            ]
+        return f"{name}({', '.join(parts)})" if parts else name
+
+    def _children(self) -> list[PlanNode]:
+        return [self.child]
+
+
+class MorselFilter(_MorselNode):
     """Filter with vectorized expensive-UDF resolution.
 
-    Pulls morsels of ``batch_size`` rows, resolves every strict
-    expensive call through :func:`_resolve_morsel`, then applies the
-    residual predicate per row — identical rows, order, and error
-    behaviour to :class:`Filter` over the same predicate.
+    Applies the residual predicate per row of each resolved morsel —
+    identical rows, order, and error behaviour to :class:`Filter` over
+    the same predicate.  Renders as ``BatchedFilter``; in a shard
+    pipeline as ``ShardBatchedFilter``, or, with no call sites (the
+    cheap conjuncts, where only the failure tagging is wanted), as
+    ``ShardFilter``.
     """
 
     def __init__(
@@ -442,51 +605,39 @@ class BatchedFilter(PlanNode):
         child: PlanNode,
         predicate: Evaluator,
         sites: list[UDFCallSite],
-        context: UDFExecContext,
-        batch_size: int,
+        context: MorselContext,
+        batch_size: int | None,
+        ordinal: int = 0,
         label: str = "",
     ) -> None:
-        if batch_size < 1:
-            raise ExecutionError(
-                f"udf_batch_size must be >= 1, got {batch_size}"
-            )
-        self.child = child
+        super().__init__(child, sites, context, batch_size, ordinal)
         self.predicate = predicate
-        self.sites = sites
-        self.context = context
-        self.batch_size = batch_size
         self.label = label
         self.layout = child.layout
-        self.exec_stats = _fresh_exec_stats(sites)
 
     def execute(self) -> Iterator[Row]:
         predicate = self.predicate
-        source = self.child.execute()
-        while True:
-            morsel = list(islice(source, self.batch_size))
-            if not morsel:
-                return
-            _resolve_morsel(
-                self.sites, morsel, self.context, self.exec_stats
-            )
+        tagged = self.context.tagged
+        for morsel in self._morsels():
             for row in morsel:
-                if is_true(predicate(row)):
-                    yield row
+                try:
+                    if not is_true(predicate(row)):
+                        continue
+                except Exception as exc:
+                    if tagged:
+                        raise ShardRowError(row[-1], exc) from exc
+                    raise
+                yield row
 
     def _describe(self) -> str:
-        label = f"{self.label}, " if self.label else ""
-        return (
-            f"BatchedFilter({label}batch={self.batch_size}, "
-            f"sites={len(self.sites)})"
-        )
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]
+        return self._label("Filter", [self.label] if self.label else [])
 
 
-class BatchedProject(PlanNode):
+class MorselProject(_MorselNode):
     """Project with vectorized expensive-UDF resolution (see
-    :class:`BatchedFilter`)."""
+    :class:`MorselFilter`); renders as ``BatchedProject`` or
+    ``ShardBatchedProject``.  A tag is one more output column, so the
+    merge above still sees globally ordered tuples."""
 
     def __init__(
         self,
@@ -494,42 +645,33 @@ class BatchedProject(PlanNode):
         evaluators: list[Evaluator],
         layout: RowLayout,
         sites: list[UDFCallSite],
-        context: UDFExecContext,
+        context: MorselContext,
         batch_size: int,
+        ordinal: int = 0,
     ) -> None:
-        if batch_size < 1:
-            raise ExecutionError(
-                f"udf_batch_size must be >= 1, got {batch_size}"
-            )
-        self.child = child
+        super().__init__(child, sites, context, batch_size, ordinal)
+        if context.tagged:
+            evaluators = evaluators + [itemgetter(-1)]
         self.evaluators = evaluators
         self.layout = layout
-        self.sites = sites
-        self.context = context
-        self.batch_size = batch_size
-        self.exec_stats = _fresh_exec_stats(sites)
 
     def execute(self) -> Iterator[Row]:
         evaluators = self.evaluators
-        source = self.child.execute()
-        while True:
-            morsel = list(islice(source, self.batch_size))
-            if not morsel:
-                return
-            _resolve_morsel(
-                self.sites, morsel, self.context, self.exec_stats
-            )
+        tagged = self.context.tagged
+        for morsel in self._morsels():
             for row in morsel:
-                yield tuple(evaluate(row) for evaluate in evaluators)
+                try:
+                    projected = tuple(
+                        evaluate(row) for evaluate in evaluators
+                    )
+                except Exception as exc:
+                    if tagged:
+                        raise ShardRowError(row[-1], exc) from exc
+                    raise
+                yield projected
 
     def _describe(self) -> str:
-        return (
-            f"BatchedProject({', '.join(self.layout.names)}, "
-            f"batch={self.batch_size}, sites={len(self.sites)})"
-        )
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]
+        return self._label("Project", [", ".join(self.layout.names)])
 
 
 class Slice(PlanNode):
@@ -954,6 +1096,10 @@ class Values(PlanNode):
 #       Exchange(shards=N)       <- runs pipelines on threads, k-way merge
 #         ShardScan -> [ShardFilter] -> [ShardBatchedFilter...] (x N)
 #
+# The filters (and a ShardBatchedProject pushed on top) are the morsel
+# operators above over the shard's ShardContext; ShardScan, Exchange and
+# Merge are the only shard-specific nodes.
+#
 # Every shard row carries one trailing *tag*: the row's global id in the
 # table's insertion order.  Tags make the merged output order — and
 # therefore Sort's input-position tie-break, LIMIT under duplicates, and
@@ -994,330 +1140,6 @@ class ShardScan(PlanNode):
             f"ShardScan({self.table.schema.name} AS {self.binding}, "
             f"{self.spec.describe()}, shard={self.shard_id})"
         )
-
-
-class ShardFilter(PlanNode):
-    """Cheap filter inside a shard pipeline; tags per-row failures."""
-
-    def __init__(
-        self, child: PlanNode, predicate: Evaluator, label: str = ""
-    ) -> None:
-        self.child = child
-        self.predicate = predicate
-        self.label = label
-        self.layout = child.layout
-
-    def execute(self) -> Iterator[Row]:
-        predicate = self.predicate
-        for row in self.child.execute():
-            try:
-                keep = is_true(predicate(row))
-            except Exception as exc:
-                raise ShardRowError(row[-1], exc) from exc
-            if keep:
-                yield row
-
-    def _describe(self) -> str:
-        return (
-            f"ShardFilter({self.label})" if self.label else "ShardFilter"
-        )
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]
-
-
-def _dispatch_owned(
-    site: UDFCallSite,
-    owned: list[tuple[MemoKey, object]],
-    context: ShardContext,
-    stats: dict[str, int],
-    ordinal: int,
-    site_idx: int,
-    first_tag: dict[MemoKey, int],
-) -> None:
-    """The unsharded dispatch tail over the keys this shard owns.
-
-    Mirrors :func:`_resolve_morsel` exactly — cascade cheap tier, then
-    one batch dispatch (or per-tuple scalar fallback) — but resolves
-    each key's rendezvous slot as its value lands, and records cache
-    events instead of touching the live cache.
-    """
-    pending = [key for key, _ in owned]
-    slots = {key: slot for key, slot in owned}
-    dedup = context.dedup
-    if pending and site.cheap_function is not None:
-        answers = _cheap_tier_answers(site, pending)
-        escalated: list[MemoKey] = []
-        cheap_hits = 0
-        for key, answer in zip(pending, answers):
-            if answer is None:
-                escalated.append(key)
-                continue
-            site.memo[key] = answer
-            context.record_new(
-                ordinal, site_idx, key, first_tag[key], answer
-            )
-            dedup.resolve(slots[key], answer)
-            cheap_hits += 1
-        context.tally(stats, "cascade_cheap_hits", cheap_hits)
-        context.tally(stats, "cascade_escalations", len(escalated))
-        pending = escalated
-    if not pending:
-        return
-    context.tally(stats, "udf_cache_misses", len(pending))
-    context.tally(stats, "lm_calls", len(pending))
-    resolved: list[SQLValue] | None = None
-    if site.batch_function is not None:
-        context.tally(stats, "lm_batches", 1)
-        try:
-            resolved = list(
-                site.batch_function([key[1] for key in pending])
-            )
-        except Exception:
-            resolved = None
-        else:
-            if len(resolved) != len(pending):
-                raise ExecutionError(
-                    f"batch form of {site.name} returned "
-                    f"{len(resolved)} results for {len(pending)} "
-                    "argument tuples"
-                )
-    if resolved is not None:
-        for key, value in zip(pending, resolved):
-            site.memo[key] = value
-            context.record_new(
-                ordinal, site_idx, key, first_tag[key], value
-            )
-            dedup.resolve(slots[key], value)
-    else:
-        for key in pending:
-            value = site.call_scalar(key[1])
-            site.memo[key] = value
-            if not isinstance(value, UDFCallError):
-                context.record_new(
-                    ordinal, site_idx, key, first_tag[key], value
-                )
-            dedup.resolve(slots[key], value)
-
-
-def _resolve_morsel_sharded(
-    sites: list[UDFCallSite],
-    rows: list[Row],
-    context: ShardContext,
-    stats: dict[str, int],
-    ordinal: int,
-) -> None:
-    """Shard-parallel twin of :func:`_resolve_morsel` over tagged rows.
-
-    Differences from the unsharded resolver, and nothing else:
-
-    * cache reads come from the statement-start snapshot (via
-      ``context``), and cache effects are *recorded* for the post-join
-      replay instead of applied;
-    * keys not served by memo or snapshot go through the cross-shard
-      :class:`~repro.db.shard.ShardDedup` — the first shard to claim a
-      key dispatches it, the rest wait (session parked) and memoize the
-      owner's result as a cache hit, so the dispatched set is identical
-      at every shard count;
-    * owners resolve their own keys *before* waiting on anyone else's
-      (wait-free progress), and abort-resolve them with a parked
-      :class:`~repro.db.expr.UDFCallError` on a dispatch-level failure
-      so cross-shard waiters can never hang.
-    """
-    for site_idx, site in enumerate(sites):
-        pending: list[MemoKey] = []
-        pending_keys: set[MemoKey] = set()
-        first_tag: dict[MemoKey, int] = {}
-        hits = 0
-        for row in rows:
-            try:
-                key = site.key(row)
-            except Exception:
-                continue  # argument error; re-raised per row later
-            if key not in first_tag:
-                first_tag[key] = row[-1]
-            if key in site.memo or key in pending_keys:
-                hits += 1
-                continue
-            found, value = context.snapshot_lookup(key)
-            if found:
-                site.memo[key] = value
-                context.record_hit(
-                    ordinal, site_idx, key, first_tag[key]
-                )
-                hits += 1
-                continue
-            pending_keys.add(key)
-            pending.append(key)
-        owned: list[tuple[MemoKey, object]] = []
-        foreign: list[tuple[MemoKey, object]] = []
-        dedup = context.dedup
-        for key in pending:
-            is_owner, slot = dedup.claim((ordinal, site_idx, key))
-            if is_owner:
-                owned.append((key, slot))
-            else:
-                foreign.append((key, slot))
-        try:
-            _dispatch_owned(
-                site, owned, context, stats, ordinal, site_idx, first_tag
-            )
-        finally:
-            # A dispatch-level error (e.g. a wrong-length batch result)
-            # aborts this morsel; park the failure into any slot we
-            # claimed but never filled so other shards' waiters wake.
-            for key, slot in owned:
-                if not slot.done:
-                    dedup.resolve(
-                        slot,
-                        UDFCallError(
-                            ExecutionError(
-                                f"shard dispatch of {site.name} aborted"
-                            )
-                        ),
-                    )
-        for key, slot in foreign:
-            value = dedup.wait(slot)
-            site.memo[key] = value
-            if not isinstance(value, UDFCallError):
-                context.record_new(
-                    ordinal, site_idx, key, first_tag[key], value
-                )
-            hits += 1
-        context.tally(stats, "udf_cache_hits", hits)
-
-
-class ShardBatchedFilter(PlanNode):
-    """Batched-UDF filter inside a shard pipeline (tagged rows)."""
-
-    def __init__(
-        self,
-        child: PlanNode,
-        predicate: Evaluator,
-        sites: list[UDFCallSite],
-        context: ShardContext,
-        batch_size: int,
-        ordinal: int,
-        label: str = "",
-    ) -> None:
-        if batch_size < 1:
-            raise ExecutionError(
-                f"udf_batch_size must be >= 1, got {batch_size}"
-            )
-        self.child = child
-        self.predicate = predicate
-        self.sites = sites
-        self.context = context
-        self.batch_size = batch_size
-        self.ordinal = ordinal
-        self.label = label
-        self.layout = child.layout
-        self.exec_stats = _fresh_exec_stats(sites)
-
-    def execute(self) -> Iterator[Row]:
-        predicate = self.predicate
-        source = self.child.execute()
-        while True:
-            morsel = list(islice(source, self.batch_size))
-            if not morsel:
-                return
-            try:
-                _resolve_morsel_sharded(
-                    self.sites,
-                    morsel,
-                    self.context,
-                    self.exec_stats,
-                    self.ordinal,
-                )
-            except ShardRowError:
-                raise
-            except Exception as exc:
-                raise ShardRowError(morsel[0][-1], exc) from exc
-            for row in morsel:
-                try:
-                    keep = is_true(predicate(row))
-                except Exception as exc:
-                    raise ShardRowError(row[-1], exc) from exc
-                if keep:
-                    yield row
-
-    def _describe(self) -> str:
-        label = f"{self.label}, " if self.label else ""
-        return (
-            f"ShardBatchedFilter({label}batch={self.batch_size}, "
-            f"sites={len(self.sites)})"
-        )
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]
-
-
-class ShardBatchedProject(PlanNode):
-    """Batched-UDF projection inside a shard pipeline.
-
-    Projects each resolved row and re-appends its tag, so the merge
-    above still sees globally ordered tuples.
-    """
-
-    def __init__(
-        self,
-        child: PlanNode,
-        evaluators: list[Evaluator],
-        layout: RowLayout,
-        sites: list[UDFCallSite],
-        context: ShardContext,
-        batch_size: int,
-        ordinal: int,
-    ) -> None:
-        if batch_size < 1:
-            raise ExecutionError(
-                f"udf_batch_size must be >= 1, got {batch_size}"
-            )
-        self.child = child
-        self.evaluators = evaluators
-        self.layout = layout
-        self.sites = sites
-        self.context = context
-        self.batch_size = batch_size
-        self.ordinal = ordinal
-        self.exec_stats = _fresh_exec_stats(sites)
-
-    def execute(self) -> Iterator[Row]:
-        evaluators = self.evaluators
-        source = self.child.execute()
-        while True:
-            morsel = list(islice(source, self.batch_size))
-            if not morsel:
-                return
-            try:
-                _resolve_morsel_sharded(
-                    self.sites,
-                    morsel,
-                    self.context,
-                    self.exec_stats,
-                    self.ordinal,
-                )
-            except ShardRowError:
-                raise
-            except Exception as exc:
-                raise ShardRowError(morsel[0][-1], exc) from exc
-            for row in morsel:
-                try:
-                    projected = tuple(
-                        evaluate(row) for evaluate in evaluators
-                    )
-                except Exception as exc:
-                    raise ShardRowError(row[-1], exc) from exc
-                yield projected + (row[-1],)
-
-    def _describe(self) -> str:
-        return (
-            f"ShardBatchedProject({', '.join(self.layout.names)}, "
-            f"batch={self.batch_size}, sites={len(self.sites)})"
-        )
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]
 
 
 def _shard_stat_nodes(pipeline: PlanNode) -> list[PlanNode]:

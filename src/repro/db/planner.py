@@ -94,7 +94,7 @@ class Planner:
         self._functions = functions
         self._optimize = optimize
         #: When set, expensive-UDF filters and projections become
-        #: morsel-driven Batched* operators over morsels of this size.
+        #: morsel operators over morsels of this size.
         self._udf_batch_size = udf_batch_size
         self._udf_context = udf_context
         #: Cost-based optimizer for this statement: records decisions
@@ -545,7 +545,11 @@ class Planner:
         return node
 
     def _expensive_filter(
-        self, node: physical.PlanNode, conjunct: ast.Expression
+        self,
+        node: physical.PlanNode,
+        conjunct: ast.Expression,
+        context: "physical.MorselContext | None" = None,
+        ordinal: int = 0,
     ) -> physical.PlanNode:
         """One expensive conjunct: batched when enabled, per-row else.
 
@@ -553,6 +557,8 @@ class Planner:
         positions (the right side of AND/OR, non-first CASE branches)
         has no strict call sites to batch; it falls back to the per-row
         oracle path, which preserves short-circuit semantics exactly.
+        ``context`` and ``ordinal`` place the filter in a shard
+        pipeline; the default is the statement's own context.
         """
         if self._udf_batch_size is not None:
             sites, evaluators = plan_batched_expressions(
@@ -563,12 +569,13 @@ class Planner:
                 cascade=self._cascade(),
             )
             if sites:
-                return physical.BatchedFilter(
+                return physical.MorselFilter(
                     node,
                     evaluators[0],
                     sites,
-                    self._udf_exec_context(),
+                    context or self._udf_exec_context(),
                     self._udf_batch_size,
+                    ordinal,
                     label="where[expensive]",
                 )
         compiler = self._compiler(node.layout)
@@ -595,19 +602,21 @@ class Planner:
         """
         if not self._optimize:
             return None
-        if not isinstance(source, physical.Scan):
+        if not isinstance(
+            source, (physical.Scan, physical.IndexLookup, physical.IndexRange)
+        ):
             return None
         spec = source.table.partition_spec
         if spec is None:
             return None
+        if not isinstance(source, physical.Scan):
+            return self._shard_declined(source, "index access path chosen")
         select = self._shard_select
         if select is None:
             return None
         decline = self._shard_decline_reason(select, conjuncts)
         if decline is not None:
-            if self._optimizer is not None:
-                self._optimizer.note_shard_declined(source.table, decline)
-            return None
+            return self._shard_declined(source, decline)
         cheap = [c for c in conjuncts if not self._is_expensive(c)]
         expensive = [c for c in conjuncts if self._is_expensive(c)]
         survivors, prunable = self._prune_shards(spec, source, conjuncts)
@@ -623,19 +632,17 @@ class Planner:
         pipelines: list[physical.PlanNode] = []
         contexts: list[ShardContext] = []
         for shard_id in survivors:
-            pipeline, shard_context = self._shard_pipeline(
-                source, spec, shard_id, cheap, expensive
+            shard_context = ShardContext()
+            pipeline = self._shard_pipeline(
+                source, spec, shard_id, cheap, expensive, shard_context
             )
-            if pipeline is None or shard_context is None:
+            if pipeline is None:
                 # The conjunct's expensive calls all sit in conditional
                 # positions: no strict sites to batch, so sharding would
                 # put per-row LM calls on shard threads.  Stay unsharded.
-                if self._optimizer is not None:
-                    self._optimizer.note_shard_declined(
-                        source.table,
-                        "expensive conjunct has no batchable call sites",
-                    )
-                return None
+                return self._shard_declined(
+                    source, "expensive conjunct has no batchable call sites"
+                )
             pipelines.append(pipeline)
             contexts.append(shard_context)
         if self._optimizer is not None:
@@ -651,6 +658,11 @@ class Planner:
         merge = physical.Merge(exchange)
         self._open_merge = merge
         return merge
+
+    def _shard_declined(self, source: physical.PlanNode, reason: str) -> None:
+        """Say in the EXPLAIN footer why ``source`` stays unsharded."""
+        if self._optimizer is not None:
+            self._optimizer.note_shard_declined(source.table, reason)
 
     def _shard_decline_reason(
         self, select: ast.Select, conjuncts: list[ast.Expression]
@@ -684,40 +696,30 @@ class Planner:
         shard_id: int,
         cheap: list[ast.Expression],
         expensive: list[ast.Expression],
-    ) -> tuple[physical.PlanNode | None, ShardContext | None]:
+        context: ShardContext,
+    ) -> physical.PlanNode | None:
         """One shard's pipeline, compiled fresh: evaluators and call
         sites hold per-shard state (memos, LIKE caches), so nothing
-        compiled is ever shared across shard threads."""
+        compiled is ever shared across shard threads.  None when an
+        expensive conjunct has no call site to batch."""
         node: physical.PlanNode = physical.ShardScan(
             source.table, source.binding, spec, shard_id
         )
-        shard_context = ShardContext()
         if cheap:
             compiler = self._compiler(node.layout)
-            node = physical.ShardFilter(
-                node, compiler.compile(_and_all(cheap)), label="where"
+            node = physical.MorselFilter(
+                node,
+                compiler.compile(_and_all(cheap)),
+                sites=[],
+                context=context,
+                batch_size=None,
+                label="where",
             )
         for ordinal, conjunct in enumerate(expensive):
-            assert self._udf_batch_size is not None  # declined otherwise
-            sites, evaluators = plan_batched_expressions(
-                [conjunct],
-                node.layout,
-                self._functions,
-                self,
-                cascade=self._cascade(),
-            )
-            if not sites:
-                return None, None
-            node = physical.ShardBatchedFilter(
-                node,
-                evaluators[0],
-                sites,
-                shard_context,
-                self._udf_batch_size,
-                ordinal,
-                label="where[expensive]",
-            )
-        return node, shard_context
+            node = self._expensive_filter(node, conjunct, context, ordinal)
+            if not isinstance(node, physical.MorselFilter):
+                return None
+        return node
 
     def _prune_shards(
         self,
@@ -779,8 +781,7 @@ class Planner:
     ) -> physical.PlanNode | None:
         """Push an expensive projection into an open shard region.
 
-        Replaces each shard pipeline with a
-        :class:`~repro.db.plan.ShardBatchedProject` over it, so
+        Puts a morsel projection on top of each shard pipeline, so
         projection LM morsels run shard-parallel and meet the other
         shards' batches at the flush barrier.  Cheap projections stay
         above the merge: there is nothing to overlap.
@@ -788,38 +789,21 @@ class Planner:
         merge = self._open_merge
         if merge is None or source is not merge:
             return None
-        if self._udf_batch_size is None:
-            return None
-        if not any(
-            self._functions.contains_expensive(expression)
-            for expression in expressions
-        ):
-            return None
         exchange = merge.child
         replacements: list[physical.PlanNode] = []
         for pipeline, shard_context in zip(
             exchange.shards, exchange.contexts
         ):
-            sites, evaluators = plan_batched_expressions(
+            projected = self._batched_projection(
+                pipeline,
                 expressions,
-                pipeline.layout,
-                self._functions,
-                self,
-                cascade=self._cascade(),
+                layout,
+                shard_context,
+                _SHARD_PROJECT_ORDINAL,
             )
-            if not sites:
-                return None  # conditional-only; project above the merge
-            replacements.append(
-                physical.ShardBatchedProject(
-                    pipeline,
-                    evaluators,
-                    layout,
-                    sites,
-                    shard_context,
-                    self._udf_batch_size,
-                    _SHARD_PROJECT_ORDINAL,
-                )
-            )
+            if projected is None:
+                return None  # nothing batchable; project above the merge
+            replacements.append(projected)
         exchange.shards = replacements
         exchange.layout = layout
         merge.layout = layout
@@ -1083,7 +1067,7 @@ class Planner:
         if len(order_items) != 1 or not order_items[0].ascending:
             return False
         scan = source
-        while isinstance(scan, (physical.Filter, physical.BatchedFilter)):
+        while isinstance(scan, (physical.Filter, physical.MorselFilter)):
             scan = scan.child
         if not isinstance(scan, physical.IndexRange):
             return False
@@ -1107,40 +1091,57 @@ class Planner:
         expressions: list[ast.Expression],
         layout: RowLayout,
     ) -> physical.PlanNode:
-        """Project ``expressions``, batching expensive UDFs when enabled.
-
-        All projected expressions (SELECT items plus extra ORDER BY
-        expressions) share one call-site pool, so an LM call repeated
-        across items resolves once per distinct argument tuple.
-        """
-        sharded = self._shard_projection(source, expressions, layout)
-        if sharded is not None:
-            return sharded
-        if self._udf_batch_size is not None and any(
-            self._functions.contains_expensive(expression)
-            for expression in expressions
-        ):
-            sites, evaluators = plan_batched_expressions(
-                expressions,
-                source.layout,
-                self._functions,
-                self,
-                cascade=self._cascade(),
-            )
-            if sites:
-                return physical.BatchedProject(
-                    source,
-                    evaluators,
-                    layout,
-                    sites,
-                    self._udf_exec_context(),
-                    self._udf_batch_size,
-                )
+        """Project ``expressions``, batching expensive UDFs when enabled."""
+        plan = self._shard_projection(source, expressions, layout)
+        if plan is None:
+            plan = self._batched_projection(source, expressions, layout)
+        if plan is not None:
+            return plan
         compiler = self._compiler(source.layout)
         return physical.Project(
             source,
             [compiler.compile(expression) for expression in expressions],
             layout,
+        )
+
+    def _batched_projection(
+        self,
+        source: physical.PlanNode,
+        expressions: list[ast.Expression],
+        layout: RowLayout,
+        context: "physical.MorselContext | None" = None,
+        ordinal: int = 0,
+    ) -> physical.PlanNode | None:
+        """A morsel projection over ``source``, or None when batching
+        is off or no expression has a strict expensive call.
+
+        All projected expressions (SELECT items plus extra ORDER BY
+        expressions) share one call-site pool, so an LM call repeated
+        across items resolves once per distinct argument tuple.
+        ``context`` and ``ordinal`` are as for :meth:`_expensive_filter`.
+        """
+        if self._udf_batch_size is None or not any(
+            self._functions.contains_expensive(expression)
+            for expression in expressions
+        ):
+            return None
+        sites, evaluators = plan_batched_expressions(
+            expressions,
+            source.layout,
+            self._functions,
+            self,
+            cascade=self._cascade(),
+        )
+        if not sites:
+            return None
+        return physical.MorselProject(
+            source,
+            evaluators,
+            layout,
+            sites,
+            context or self._udf_exec_context(),
+            self._udf_batch_size,
+            ordinal,
         )
 
     def _order_target(

@@ -1,8 +1,8 @@
 """Sharded-execution support: partitioning specs and shard-local state.
 
-The exchange-style operators in :mod:`repro.db.plan` split a scan into
-N partitions and run each partition's pipeline on its own thread.  This
-module holds everything those operators share:
+The exchange in :mod:`repro.db.plan` splits a scan into N partitions and
+runs each partition's pipeline on its own thread.  This module holds
+what the exchange and those pipelines share:
 
 :class:`PartitionSpec`
     How a table's rows map to shards — hash or range partitioning on
@@ -22,7 +22,9 @@ module holds everything those operators share:
     progress — the rendezvous cannot deadlock.
 
 :class:`ShardContext`
-    The shard-local stand-in for :class:`~repro.db.plan.UDFExecContext`.
+    The shard-side :class:`~repro.db.plan.MorselContext`, handed to the
+    morsel operators of one shard pipeline in place of the statement's
+    :class:`~repro.db.plan.UDFExecContext`.
     Shards never touch the live memo cache, the shared
     :class:`~repro.lm.usage.Usage`, or the metrics registry directly —
     ``Usage`` mirroring is a read-modify-write ``setattr`` and the LRU
@@ -52,9 +54,11 @@ import bisect
 import itertools
 import threading
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
+from repro.db.expr import UDFCallError
 from repro.db.types import SQLValue, sort_key
 from repro.errors import SchemaError
 from repro.obs import racecheck
@@ -199,7 +203,7 @@ class _DedupSlot:
 class ShardDedup:
     """Cross-shard once-per-key dispatch rendezvous for one statement.
 
-    Keys are ``(node ordinal, site index, memo key)`` — dedup is *per
+    Keys are ``((node ordinal, site index), memo key)`` — dedup is *per
     logical call site*, exactly mirroring the per-site statement memo
     of the unsharded path, so error results propagate to waiters the
     same way a memoized :class:`~repro.db.expr.UDFCallError` replays
@@ -289,66 +293,86 @@ class ShardRowError(Exception):
 
 @dataclass
 class ShardContext:
-    """Shard-local execution context: snapshot reads, buffered effects.
+    """The shard side of :class:`~repro.db.plan.MorselContext`.
 
-    The duck-typed twin of :class:`~repro.db.plan.UDFExecContext` for
-    shard threads: ``tally`` writes only the operator's stats dict
-    (the exchange mirrors merged totals into Usage/metrics after the
-    join), cache reads come from the statement-start ``snapshot``, and
-    cache effects are recorded as events keyed by each key's
-    first-occurrence global row id — a timing-independent quantity —
-    so the post-join replay is identical no matter which shard claimed
-    a key first.
+    Rows carry a trailing tag (their global row id).  ``tally`` writes
+    only the operator's stats dict (the exchange mirrors merged totals
+    into Usage/metrics after the join), cache reads come from the
+    statement-start ``snapshot``, and cache effects are recorded as
+    events keyed by each key's first-occurrence tag — a
+    timing-independent quantity — so the post-join replay is identical
+    no matter which shard claimed a key first.
     """
+
+    tagged = True
 
     snapshot: dict[Hashable, Any] = field(default_factory=dict)
     dedup: ShardDedup | None = None
-    #: ``(ordinal, site_idx, key) -> [kind, first_tag, value]`` where
-    #: kind is "hit" (present in the snapshot; replayed as a promoting
-    #: lookup) or "new" (resolved this statement; replayed as a put).
+    #: ``(site id, key) -> [kind, first_tag, value]`` where kind is
+    #: "hit" (present in the snapshot; replayed as a promoting lookup)
+    #: or "new" (resolved this statement; replayed as a put).
     events: dict[tuple, list] = field(default_factory=dict)
+    #: Rendezvous slots this shard claimed and has yet to fill, by key;
+    #: call sites resolve one at a time, so the key alone identifies one.
+    owed: dict[Hashable, _DedupSlot] = field(default_factory=dict)
 
     def begin(self, snapshot: dict, dedup: ShardDedup) -> None:
         """Arm the context for one execution of its shard pipeline."""
         self.snapshot = snapshot
         self.dedup = dedup
         self.events = {}
+        self.owed = {}
 
     def tally(self, stats: dict[str, int], key: str, amount: int) -> None:
         if amount == 0:
             return
         stats[key] = stats.get(key, 0) + amount
 
-    def snapshot_lookup(self, key: Hashable) -> tuple[bool, Any]:
+    def lookup(
+        self, site_id: tuple, key: Hashable, tag: int
+    ) -> tuple[bool, Any]:
         if key in self.snapshot:
+            self._record(site_id, key, tag, "hit", None)
             return True, self.snapshot[key]
         return False, None
 
-    def record_hit(
-        self, ordinal: int, site_idx: int, key: Hashable, tag: int
-    ) -> None:
-        self._record(ordinal, site_idx, key, tag, "hit", None)
+    def claim(
+        self, site_id: tuple, pending: list
+    ) -> tuple[list, Iterator[tuple[Hashable, Any]]]:
+        """The first shard to claim a key dispatches it; the rest wait
+        (session parked) for the owner's result, so the dispatched set
+        is the same at every shard count."""
+        mine = []
+        theirs = []
+        for key in pending:
+            owned, slot = self.dedup.claim((site_id, key))
+            if owned:
+                self.owed[key] = slot
+                mine.append(key)
+            else:
+                theirs.append((key, slot))
+        return mine, (
+            (key, self.dedup.wait(slot)) for key, slot in theirs
+        )
 
-    def record_new(
-        self,
-        ordinal: int,
-        site_idx: int,
-        key: Hashable,
-        tag: int,
-        value: Any,
+    def publish(
+        self, site_id: tuple, key: Hashable, tag: int, value: Any
     ) -> None:
-        self._record(ordinal, site_idx, key, tag, "new", value)
+        if not isinstance(value, UDFCallError):
+            self._record(site_id, key, tag, "new", value)
+        slot = self.owed.pop(key, None)
+        if slot is not None:
+            self.dedup.resolve(slot, value)
 
     def _record(
         self,
-        ordinal: int,
-        site_idx: int,
+        site_id: tuple,
         key: Hashable,
         tag: int,
         kind: str,
         value: Any,
     ) -> None:
-        event_key = (ordinal, site_idx, key)
+        event_key = (site_id, key)
         event = self.events.get(event_key)
         if event is None:
             self.events[event_key] = [kind, tag, value]
@@ -361,12 +385,12 @@ def merge_cache_events(
 ) -> list[tuple[tuple, str, Hashable, Any]]:
     """Merge per-shard cache events into one canonical replay order.
 
-    Events for the same ``(ordinal, site_idx, key)`` across shards keep
-    the minimum first-occurrence tag (several shards may have seen the
-    key; they all recorded the same kind and value).  The result is
-    sorted by ``(ordinal, site_idx, tag)`` — i.e. by call site in plan
-    order, then by global first occurrence — which is exactly the order
-    the unsharded path touches the cache in, modulo morsel batching.
+    Events for the same ``(site id, key)`` across shards keep the
+    minimum first-occurrence tag (several shards may have seen the key;
+    they all recorded the same kind and value).  The result is sorted
+    by ``(site id, tag)`` — i.e. by call site in plan order, then by
+    global first occurrence — which is exactly the order the unsharded
+    path touches the cache in, modulo morsel batching.
     """
     merged: dict[tuple, list] = {}
     for context in contexts:
@@ -377,9 +401,9 @@ def merge_cache_events(
             elif tag < event[1]:
                 event[1] = tag
     ordered = sorted(
-        merged.items(), key=lambda item: (item[0][0], item[0][1], item[1][1])
+        merged.items(), key=lambda item: (item[0][0], item[1][1])
     )
     return [
-        ((ordinal, site_idx), kind, key, value)
-        for (ordinal, site_idx, key), (kind, tag, value) in ordered
+        (site_id, kind, key, value)
+        for (site_id, key), (kind, tag, value) in ordered
     ]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db import Column, Database, DataType, TableSchema
-from repro.errors import PlanningError
+from repro.errors import ExecutionError, PlanningError
 
 
 @pytest.fixture()
@@ -233,3 +233,57 @@ class TestIndexLookupAgreesWithFilter:
             sql = f"SELECT id FROM t WHERE {predicate}"
             assert "IndexLookup" in database.explain(sql)
             assert database.execute(sql).rows == expected
+
+
+class TestUdfBatchSizeValidation:
+    """``udf_batch_size`` is checked once, where execute / explain /
+    explain_analyze meet — not by whichever operator a plan happens to
+    contain."""
+
+    STATEMENTS = [
+        "SELECT id FROM l",  # no UDF: nothing batched would be planned
+        "SELECT id FROM l WHERE SLOW(v) > 0",
+        "SELECT SLOW(v) FROM l",
+    ]
+
+    @pytest.fixture()
+    def udf_db(self, db):
+        db.register_udf("SLOW", lambda v: v, expensive=True)
+        return db
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0, "udf_batch_size must be >= 1, got 0"),
+            (-3, "udf_batch_size must be >= 1, got -3"),
+            (2.5, "udf_batch_size must be 'auto', None or an int, got 2.5"),
+            ("8", "udf_batch_size must be 'auto', None or an int, got '8'"),
+            (True, "udf_batch_size must be 'auto', None or an int, got True"),
+        ],
+    )
+    def test_rejected_everywhere(self, udf_db, sql, optimize, bad, message):
+        calls = [
+            lambda: udf_db.execute(
+                sql, optimize=optimize, udf_batch_size=bad
+            ),
+            lambda: udf_db.explain(
+                sql, optimize=optimize, udf_batch_size=bad
+            ),
+            lambda: udf_db.explain_analyze(
+                sql, optimize=optimize, udf_batch_size=bad
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(ExecutionError) as caught:
+                call()
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    @pytest.mark.parametrize("good", ["auto", None, 1, 8])
+    def test_accepted(self, udf_db, sql, optimize, good):
+        oracle = udf_db.execute(sql, optimize=False, udf_batch_size=None)
+        got = udf_db.execute(sql, optimize=optimize, udf_batch_size=good)
+        assert got.rows == oracle.rows

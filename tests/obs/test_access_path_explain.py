@@ -44,8 +44,7 @@ Project(id, amount, name) [rows_in=5 rows_out=5 vtime=0.000110s]
     IndexLookup(customers AS c, id = 3) [rows_in=0 rows_out=1 vtime=0.000101s]"""
 
 
-@pytest.fixture(scope="module")
-def db():
+def build() -> Database:
     database = Database()
     database.execute(
         "CREATE TABLE customers (id INTEGER PRIMARY KEY, name TEXT)"
@@ -62,6 +61,11 @@ def db():
     database.create_index("orders", "id")
     database.create_index("orders", "customer_id")
     return database
+
+
+@pytest.fixture(scope="module")
+def db():
+    return build()
 
 
 def test_index_range_with_sort_elided(db):
@@ -85,3 +89,17 @@ def test_unoptimized_plans_keep_the_generic_operators(db):
         plan = db.explain(sql, optimize=False)
         assert "Index" not in plan
         assert db.execute(sql, optimize=False).rows == db.execute(sql).rows
+
+
+def test_index_path_on_a_partitioned_table_says_why_it_is_not_sharded():
+    # Push-down turns the scan into an index access before the sharding
+    # rule sees it; like every other decline, that gets a footer line.
+    database = build()
+    database.set_partitioning("orders", "id", shards=2)
+    declined = "\nOptimizer:\n  shard-declined: orders: index access path chosen"
+    assert database.explain(RANGE_SQL) == RANGE_PLAN + declined
+    analyzed = database.explain_analyze(RANGE_SQL)
+    assert analyzed.render() == RANGE_ANALYZED + declined
+    point = "SELECT amount FROM orders WHERE id = 3"
+    assert database.explain(point).endswith(declined)
+    assert database.execute(point).rows == [(7.5,)]
