@@ -1,10 +1,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-optimizer test-repair test-conc test-semcache test-shard test-access bench bench-smoke artifacts-check perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
+.PHONY: test test-durations test-optimizer test-repair test-conc test-semcache test-shard test-access bench bench-smoke artifacts-check perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Tier-1 wall time and its 20 slowest tests (the ledger's time tier:
+# EXPERIMENTS.md records the table per perf PR); not part of verify.
+test-durations:
+	$(PYTHON) -m pytest -q --durations=20
 
 # The query-optimizer suites on their own: plan-equivalence harness,
 # golden EXPLAIN footers, selectivity regressions.
@@ -34,9 +39,11 @@ test-shard:
 # The index access-path suites on their own: index-vs-no-index and
 # sqlite3 properties for ranges and key joins, Top-N against the full
 # sort, golden IndexRange/IndexJoin renders, and the write state
-# machine (ordered-index upkeep under every write shape).
+# machine (ordered-index upkeep under every write shape); and the
+# comparison kernel's frozen-reference oracle, which every one of those
+# paths compares through.
 test-access:
-	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py -q
+	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -7,7 +7,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
 from repro.db import types as dbtypes
-from repro.db.expr import ExpressionCompiler, is_true
+from repro.db.expr import ExpressionCompiler
 from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.plan import UDFExecContext
 from repro.db.planner import Planner
@@ -546,7 +546,7 @@ class Database:
             [
                 row_id
                 for row_id in candidates
-                if is_true(predicate(rows[row_id]))
+                if predicate(rows[row_id])
             ],
         )
 

@@ -4,11 +4,18 @@ Expressions are compiled once at plan time into nested closures, so
 per-row evaluation does no AST walking.  SQL three-valued logic is
 implemented throughout: comparisons involving NULL yield NULL, AND/OR
 short-circuit per Kleene logic, and WHERE treats NULL as false (the
-executor applies ``is_true`` to predicate results).
+executor keeps a row when its predicate value is truthy, and NULL is
+not).
+
+What depends only on the expression is decided here, once: a column
+read is an ``itemgetter``, a comparison picks its operator function
+from one table, ``column <op> literal`` reads and compares in one
+step, and a literal LIKE pattern is translated before the first row.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Callable
 from typing import TYPE_CHECKING
@@ -25,11 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Row = tuple[SQLValue, ...]
 Evaluator = Callable[[Row], SQLValue]
-
-
-def is_true(value: SQLValue) -> bool:
-    """WHERE-clause truthiness: NULL and false are both rejections."""
-    return value is not None and bool(value)
 
 
 class ExpressionCompiler:
@@ -73,8 +75,9 @@ class ExpressionCompiler:
         return lambda row: value
 
     def _compile_columnref(self, node: ast.ColumnRef) -> Evaluator:
-        position = self._layout.resolve(node.name, node.table)
-        return lambda row: row[position]
+        return operator.itemgetter(
+            self._layout.resolve(node.name, node.table)
+        )
 
     def _compile_star(self, node: ast.Star) -> Evaluator:
         raise PlanningError("'*' is only valid in SELECT items or COUNT(*)")
@@ -112,12 +115,12 @@ class ExpressionCompiler:
             return self._compile_and(node)
         if node.op == "OR":
             return self._compile_or(node)
+        if node.op in _COMPARISONS:
+            return self._compile_comparison(node)
         left = self.compile(node.left)
         right = self.compile(node.right)
         if node.op in ("+", "-", "*", "/", "%"):
             return _arithmetic(node.op, left, right)
-        if node.op in ("=", "<>", "<", "<=", ">", ">="):
-            return _comparison(node.op, left, right)
         if node.op == "||":
 
             def concat(row: Row) -> SQLValue:
@@ -128,6 +131,26 @@ class ExpressionCompiler:
 
             return concat
         raise PlanningError(f"unknown binary operator {node.op!r}")
+
+    def _compile_comparison(self, node: ast.BinaryOp) -> Evaluator:
+        for ref, literal, op in (
+            (node.left, node.right, node.op),
+            (node.right, node.left, FLIPPED.get(node.op, node.op)),
+        ):
+            if (
+                isinstance(ref, ast.ColumnRef)
+                and isinstance(literal, ast.Literal)
+                and type(literal.value) in _RAW_COMPARABLE
+                and literal.value == literal.value  # not NaN
+            ):
+                return _column_comparison(
+                    op,
+                    self._layout.resolve(ref.name, ref.table),
+                    literal.value,
+                )
+        return _comparison(
+            node.op, self.compile(node.left), self.compile(node.right)
+        )
 
     def _compile_and(self, node: ast.BinaryOp) -> Evaluator:
         left = self.compile(node.left)
@@ -210,7 +233,7 @@ class ExpressionCompiler:
                         return result(row)
             else:
                 for condition, result in branches:
-                    if is_true(condition(row)):
+                    if condition(row):
                         return result(row)
             return default(row) if default is not None else None
 
@@ -284,6 +307,18 @@ class ExpressionCompiler:
 
     def _compile_likeexpression(self, node: ast.LikeExpression) -> Evaluator:
         operand = self.compile(node.operand)
+        literal = node.pattern
+        if isinstance(literal, ast.Literal) and literal.value is not None:
+            match = _like_to_regex(str(literal.value)).match
+            negated = node.negated
+
+            def evaluate_literal(row: Row) -> SQLValue:
+                subject = operand(row)
+                if subject is None:
+                    return None
+                return (match(_to_text(subject)) is not None) != negated
+
+            return evaluate_literal
         pattern = self.compile(node.pattern)
         cache: dict[str, re.Pattern[str]] = {}
 
@@ -344,7 +379,7 @@ class ExpressionCompiler:
                 state["values"] = values
                 state["saw_null"] = any(row_[0] is None for row_ in rows)
             values = state["values"]  # type: ignore[assignment]
-            if _hashable(subject) and subject in values:  # type: ignore[operator]
+            if subject in values:  # type: ignore[operator]
                 return not node.negated
             if state["saw_null"]:
                 return None
@@ -596,14 +631,6 @@ def plan_batched_expressions(
 # ---------------------------------------------------------------------------
 
 
-def _hashable(value: SQLValue) -> bool:
-    try:
-        hash(value)
-        return True
-    except TypeError:  # pragma: no cover - SQLValues are always hashable
-        return False
-
-
 def _to_text(value: SQLValue) -> str:
     if isinstance(value, str):
         return value
@@ -645,22 +672,53 @@ def _arithmetic(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
     return evaluate
 
 
+#: What a comparison operator asks, of two values that order as they
+#: are or of a three-way ordering and 0.
+_COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+#: ``literal op col`` read as ``col op' literal``.
+FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+#: By literal type, the column value types that order against it as
+#: they are (so not ``bool``, which is left to ``compare``).
+_RAW_COMPARABLE = {int: (int, float), float: (int, float), str: (str,)}
+
+
 def _comparison(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
+    test = _COMPARISONS[op]
+    compare = dbtypes.compare
+
     def evaluate(row: Row) -> SQLValue:
-        ordering = dbtypes.compare(left(row), right(row))
-        if ordering is None:
-            return None
-        if op == "=":
-            return ordering == 0
-        if op == "<>":
-            return ordering != 0
-        if op == "<":
-            return ordering < 0
-        if op == "<=":
-            return ordering <= 0
-        if op == ">":
-            return ordering > 0
-        return ordering >= 0
+        ordering = compare(left(row), right(row))
+        return None if ordering is None else test(ordering, 0)
+
+    return evaluate
+
+
+def _column_comparison(op: str, position: int, literal: SQLValue) -> Evaluator:
+    """``column <op> literal`` as one read and one test.
+
+    A value of a type that orders against the literal's as it is gets
+    the operator directly; anything else (NULL, another rank, ``bool``,
+    and NaN, which ``compare`` calls a tie) takes ``compare``'s answer.
+    """
+    test = _COMPARISONS[op]
+    raw = _RAW_COMPARABLE[type(literal)]
+    compare = dbtypes.compare
+
+    def evaluate(row: Row) -> SQLValue:
+        value = row[position]
+        if type(value) in raw and value == value:
+            return test(value, literal)
+        ordering = compare(value, literal)
+        return None if ordering is None else test(ordering, 0)
 
     return evaluate
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.db.sql import ast
-from repro.db.types import SQLValue, sort_key
+from repro.db.types import SQLValue, compare, sort_key
 from repro.errors import ExecutionError
 
 ScalarFunction = Callable[..., SQLValue]
@@ -288,7 +288,12 @@ def _avg_spec() -> AggregateSpec:
         if value is None:
             return state
         total, count = state
-        return total + float(value), count + 1
+        try:
+            return total + float(value), count + 1
+        except (TypeError, ValueError):
+            raise ExecutionError(
+                f"AVG over non-numeric value {value!r}"
+            ) from None
 
     def finish(state: tuple[float, int]) -> SQLValue:
         total, count = state
@@ -298,14 +303,14 @@ def _avg_spec() -> AggregateSpec:
 
 
 def _minmax_spec(pick_max: bool) -> AggregateSpec:
+    wanted = 1 if pick_max else -1
+
     def step(state: SQLValue, value: SQLValue) -> SQLValue:
         if value is None:
             return state
         if state is None:
             return value
-        if pick_max:
-            return value if sort_key(value) > sort_key(state) else state
-        return value if sort_key(value) < sort_key(state) else state
+        return value if compare(value, state) == wanted else state
 
     return AggregateSpec(lambda: None, step, lambda state: state)
 

@@ -13,17 +13,11 @@ import threading
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import chain, count, islice, tee
 from operator import itemgetter
 from typing import Protocol
 
-from repro.db.expr import (
-    Evaluator,
-    MemoKey,
-    UDFCallError,
-    UDFCallSite,
-    is_true,
-)
+from repro.db.expr import Evaluator, MemoKey, UDFCallError, UDFCallSite
 from repro.db.functions import AggregateSpec
 from repro.db.result import Row, RowLayout
 from repro.db.shard import (
@@ -84,7 +78,7 @@ class Scan(PlanNode):
         self.layout = _stored_layout(table, binding)
 
     def execute(self) -> Iterator[Row]:
-        yield from self.table
+        return iter(self.table)
 
     def _describe(self) -> str:
         return f"Scan({self.table.schema.name} AS {self.binding})"
@@ -182,6 +176,27 @@ class IndexRange(PlanNode):
         )
 
 
+def _tuple_builder(
+    evaluators: list[Evaluator], width: int
+) -> Callable[[Row], tuple]:
+    """One function from a row to ``(evaluate(row), ...)``.
+
+    Bare column reads (``itemgetter``s, as the compiler spells them)
+    fuse into a single ``itemgetter`` over their positions, which each
+    one gives back when applied to ``range(width)``, the row that holds
+    ``p`` at position ``p``; ``width`` is the input layout's.
+    """
+    if not all(type(evaluate) is itemgetter for evaluate in evaluators):
+        return lambda row: tuple([evaluate(row) for evaluate in evaluators])
+    positions = [read(range(width)) for read in evaluators]
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # One position alone would answer the bare value, and none cannot
+    # be asked for: slice the 1-tuple (or the empty one) out instead.
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
+
+
 class Filter(PlanNode):
     def __init__(
         self, child: PlanNode, predicate: Evaluator, label: str = ""
@@ -192,10 +207,8 @@ class Filter(PlanNode):
         self.layout = child.layout
 
     def execute(self) -> Iterator[Row]:
-        predicate = self.predicate
-        for row in self.child.execute():
-            if is_true(predicate(row)):
-                yield row
+        # A row is kept when its predicate value is truthy: NULL is not.
+        return filter(self.predicate, self.child.execute())
 
     def _describe(self) -> str:
         return f"Filter({self.label})" if self.label else "Filter"
@@ -214,11 +227,10 @@ class Project(PlanNode):
         self.child = child
         self.evaluators = evaluators
         self.layout = layout
+        self._project = _tuple_builder(evaluators, len(child.layout))
 
     def execute(self) -> Iterator[Row]:
-        evaluators = self.evaluators
-        for row in self.child.execute():
-            yield tuple(evaluate(row) for evaluate in evaluators)
+        return map(self._project, self.child.execute())
 
     def _describe(self) -> str:
         return f"Project({', '.join(self.layout.names)})"
@@ -621,7 +633,7 @@ class MorselFilter(_MorselNode):
         for morsel in self._morsels():
             for row in morsel:
                 try:
-                    if not is_true(predicate(row)):
+                    if not predicate(row):
                         continue
                 except Exception as exc:
                     if tagged:
@@ -720,7 +732,7 @@ class NestedLoopJoin(PlanNode):
             matched = False
             for right_row in right_rows:
                 combined = left_row + right_row
-                if condition is None or is_true(condition(combined)):
+                if condition is None or condition(combined):
                     matched = True
                     yield combined
             if self.kind == "LEFT" and not matched:
@@ -756,26 +768,45 @@ class HashJoin(PlanNode):
         self.kind = kind
         self.residual = residual
         self.layout = RowLayout.concat(left.layout, right.layout)
+        self._left_key = self._key_function(left_keys, len(left.layout))
+        self._right_key = self._key_function(right_keys, len(right.layout))
+
+    @staticmethod
+    def _key_function(
+        evaluators: list[Evaluator], width: int
+    ) -> Callable[[Row], object]:
+        """A row's hash key, or None when any part of it is NULL (NULL
+        keys never match in an equi-join): the evaluator itself for a
+        single key, a tuple of the parts otherwise."""
+        if len(evaluators) == 1:
+            return evaluators[0]
+        build = _tuple_builder(evaluators, width)
+
+        def key(row: Row) -> tuple | None:
+            parts = build(row)
+            return None if None in parts else parts
+
+        return key
 
     def execute(self) -> Iterator[Row]:
-        buckets: dict[tuple[SQLValue, ...], list[Row]] = defaultdict(list)
+        left_key, right_key = self._left_key, self._right_key
+        buckets: dict[object, list[Row]] = defaultdict(list)
         for right_row in self.right.execute():
-            key = tuple(evaluate(right_row) for evaluate in self.right_keys)
-            if any(part is None for part in key):
-                continue  # NULL keys never match in an equi-join
-            buckets[key].append(right_row)
+            key = right_key(right_row)
+            if key is not None:
+                buckets[key].append(right_row)
         null_right = (None,) * len(self.right.layout)
         residual = self.residual
+        outer = self.kind == "LEFT"
         for left_row in self.left.execute():
-            key = tuple(evaluate(left_row) for evaluate in self.left_keys)
             matched = False
-            if not any(part is None for part in key):
-                for right_row in buckets.get(key, ()):
-                    combined = left_row + right_row
-                    if residual is None or is_true(residual(combined)):
-                        matched = True
-                        yield combined
-            if self.kind == "LEFT" and not matched:
+            # A NULL key finds nothing: None is never a bucket.
+            for right_row in buckets.get(left_key(left_row), ()):
+                combined = left_row + right_row
+                if residual is None or residual(combined):
+                    matched = True
+                    yield combined
+            if outer and not matched:
                 yield left_row + null_right
 
     def _describe(self) -> str:
@@ -825,7 +856,7 @@ class IndexJoin(PlanNode):
     def execute(self) -> Iterator[Row]:
         residual = self.residual
         for row in self._matches():
-            if residual is None or is_true(residual(row)):
+            if residual is None or residual(row):
                 yield row
 
     def _matches(self) -> Iterator[Row]:
@@ -873,10 +904,32 @@ class AggregateCall:
         distinct: bool,
         name: str,
     ) -> None:
-        self.spec = spec
-        self.argument = argument
-        self.distinct = distinct
+        #: DISTINCT is part of the fold: the node's loop never asks.
+        self.spec = _distinct(spec) if distinct else spec
+        self.argument = _every_row if argument is None else argument
         self.name = name
+
+
+def _every_row(row: Row) -> SQLValue:
+    return 1  # COUNT(*) counts every row
+
+
+def _distinct(spec: AggregateSpec) -> AggregateSpec:
+    """``spec`` folding each non-NULL value of a group only once; the
+    values seen ride in the state, next to ``spec``'s own."""
+
+    def step(state: list, value: SQLValue) -> list:
+        seen, inner = state
+        if value is not None and value not in seen:
+            seen.add(value)
+            state[1] = spec.step(inner, value)
+        return state
+
+    return AggregateSpec(
+        lambda: [set(), spec.make_state()],
+        step,
+        lambda state: spec.finish(state[1]),
+    )
 
 
 class Aggregate(PlanNode):
@@ -899,42 +952,35 @@ class Aggregate(PlanNode):
         self.group_evaluators = group_evaluators
         self.calls = calls
         self.layout = layout
+        self._group_key = _tuple_builder(
+            group_evaluators, len(child.layout)
+        )
 
     def execute(self) -> Iterator[Row]:
+        group_key = self._group_key
+        makers = [call.spec.make_state for call in self.calls]
+        folds = [
+            (position, call.argument, call.spec.step)
+            for position, call in enumerate(self.calls)
+        ]
+        #: Insertion order is first-seen order, which groups come out in.
         groups: dict[tuple[SQLValue, ...], list] = {}
-        distinct_seen: dict[tuple[SQLValue, ...], list[set]] = {}
-        order: list[tuple[SQLValue, ...]] = []
         for row in self.child.execute():
-            key = tuple(
-                evaluate(row) for evaluate in self.group_evaluators
+            key = group_key(row)
+            states = groups.get(key)
+            if states is None:
+                states = groups[key] = [make() for make in makers]
+            for position, argument, step in folds:
+                states[position] = step(states[position], argument(row))
+        if not self.group_evaluators and not groups:
+            groups[()] = [make() for make in makers]
+        for key, states in groups.items():
+            yield key + tuple(
+                [
+                    call.spec.finish(state)
+                    for call, state in zip(self.calls, states)
+                ]
             )
-            if key not in groups:
-                groups[key] = [call.spec.make_state() for call in self.calls]
-                distinct_seen[key] = [set() for _ in self.calls]
-                order.append(key)
-            states = groups[key]
-            seen_sets = distinct_seen[key]
-            for position, call in enumerate(self.calls):
-                if call.argument is None:
-                    value: SQLValue = 1  # COUNT(*) counts every row
-                else:
-                    value = call.argument(row)
-                if call.distinct:
-                    if value is None or value in seen_sets[position]:
-                        continue
-                    seen_sets[position].add(value)
-                states[position] = call.spec.step(states[position], value)
-        if not self.group_evaluators and not order:
-            key = ()
-            groups[key] = [call.spec.make_state() for call in self.calls]
-            order.append(key)
-        for key in order:
-            states = groups[key]
-            finals = tuple(
-                call.spec.finish(state)
-                for call, state in zip(self.calls, states)
-            )
-            yield key + finals
 
     def _describe(self) -> str:
         names = ", ".join(call.name for call in self.calls)
@@ -948,20 +994,32 @@ class Aggregate(PlanNode):
 
 
 class _Descending:
-    """Inverts the ordering of one :func:`sort_key` part (DESC keys)."""
+    """Inverts the ordering of a value that cannot be negated (text)."""
 
-    __slots__ = ("part",)
+    __slots__ = ("value",)
 
-    def __init__(self, part: tuple) -> None:
-        self.part = part
+    def __init__(self, value: object) -> None:
+        self.value = value
 
     def __lt__(self, other: "_Descending") -> bool:
-        return other.part < self.part
+        return other.value < self.value
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, _Descending) and self.part == other.part
+            isinstance(other, _Descending) and self.value == other.value
         )
+
+
+def _descending_key(value: SQLValue) -> tuple[int, object]:
+    """:func:`sort_key` with the order inverted: ranks negated, numbers
+    negated (exact for ``int`` and ``float`` alike, so the tuples still
+    compare in C; NaN, which orders against nothing either way round,
+    stays the object it is), anything else behind :class:`_Descending`.
+    """
+    rank, key = sort_key(value)
+    if rank == 1:
+        return (-1, -key if key == key else key)
+    return (-rank, _Descending(key))
 
 
 class Sort(PlanNode):
@@ -970,9 +1028,9 @@ class Sort(PlanNode):
     The composite key is ``(key parts..., input position)``: every key
     part goes through :func:`~repro.db.types.sort_key` (NULLs rank
     lowest, so they sort first under ASC and last under DESC), DESC
-    parts are wrapped in a comparison-inverting shim rather than
-    handled by a separate reversed pass, and the original input
-    position breaks all remaining ties.  No two rows ever compare
+    parts are encoded with the order inverted (:func:`_descending_key`)
+    rather than handled by a separate reversed pass, and the original
+    input position breaks all remaining ties.  No two rows ever compare
     equal, so the output order — and anything built on it, notably
     ``LIMIT`` under duplicate key values — is reproducible by
     construction rather than by accident of sort stability.
@@ -999,27 +1057,26 @@ class Sort(PlanNode):
         self.bound: int | None = None
         self.layout = child.layout
 
-    def _decorated(self) -> Iterator[tuple[tuple, Row]]:
-        directed = list(zip(self.keys, self.ascending))
-        for position, row in enumerate(self.child.execute()):
-            parts: list[object] = []
-            for evaluate, ascending in directed:
-                part = sort_key(evaluate(row))
-                parts.append(part if ascending else _Descending(part))
-            parts.append(position)
-            yield tuple(parts), row
+    def _decorated(self) -> Iterator[tuple]:
+        """``(key parts..., input position, row)``: the position is
+        unique, so comparing two of these never reaches the row.  One
+        copy of the input feeds each key column and ``zip`` reads them
+        in step, so the input streams, row by row, as it always did."""
+        *copies, rows = tee(self.child.execute(), len(self.keys) + 1)
+        parts = [
+            map(sort_key if ascending else _descending_key, map(key, copy))
+            for key, ascending, copy in zip(self.keys, self.ascending, copies)
+        ]
+        return zip(*parts, count(), rows)
 
     def execute(self) -> Iterator[Row]:
         # A bound of 0 sorts in full: nsmallest(0, ...) would not pull
         # the child at all, and every input row must still be evaluated.
         if self.bound:
-            ordered = heapq.nsmallest(
-                self.bound, self._decorated(), key=itemgetter(0)
-            )
+            ordered = heapq.nsmallest(self.bound, self._decorated())
         else:
-            ordered = sorted(self._decorated(), key=itemgetter(0))
-        for _, row in ordered:
-            yield row
+            ordered = sorted(self._decorated())
+        yield from map(itemgetter(-1), ordered)
 
     def _describe(self) -> str:
         return f"Sort({len(self.keys)} key(s))"

@@ -39,11 +39,16 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
 from repro.db import types as dbtypes
-from repro.db.expr import ExpressionCompiler, plan_batched_expressions
+from repro.db.expr import (
+    FLIPPED,
+    ExpressionCompiler,
+    plan_batched_expressions,
+)
 from repro.db.functions import AggregateSpec, FunctionRegistry
 from repro.db.optimizer import _estimate_rows
 from repro.db.result import ResultSet, Row, RowLayout
@@ -499,12 +504,12 @@ class Planner:
                 return None
             return column, low, high, False, False
         if not (
-            isinstance(conjunct, ast.BinaryOp) and conjunct.op in _FLIPPED
+            isinstance(conjunct, ast.BinaryOp) and conjunct.op in FLIPPED
         ):
             return None
         for ref, literal, op in (
             (conjunct.left, conjunct.right, conjunct.op),
-            (conjunct.right, conjunct.left, _FLIPPED[conjunct.op]),
+            (conjunct.right, conjunct.left, FLIPPED[conjunct.op]),
         ):
             column, bound = column_of(ref), bound_of(literal)
             if column is None or bound is None:
@@ -1039,9 +1044,7 @@ class Planner:
         )
         plan = self._build_projection(source, expressions, layout)
         if sort_positions:
-            keys = [
-                _position_getter(position) for position in sort_positions
-            ]
+            keys = [itemgetter(position) for position in sort_positions]
             plan = physical.Sort(plan, keys, ascending)
         if extra_expressions:
             plan = physical.Slice(plan, list(range(len(items))))
@@ -1270,10 +1273,6 @@ class Planner:
 # ---------------------------------------------------------------------------
 
 
-#: ``literal op col`` read as ``col op' literal``.
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
 def _probe_matches_filter(
     table: Table, column: str, value: dbtypes.SQLValue
 ) -> bool:
@@ -1476,7 +1475,3 @@ def _expression_name(expression: ast.Expression) -> str:
     if isinstance(expression, ast.Literal):
         return repr(expression.value)
     return type(expression).__name__.lower()
-
-
-def _position_getter(position: int):
-    return lambda row: row[position]

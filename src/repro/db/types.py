@@ -149,8 +149,9 @@ def infer_type(value: SQLValue) -> DataType:
     return DataType.ANY
 
 
-#: Rank used to order values of different Python types deterministically.
-_TYPE_RANK = {type(None): 0, bool: 1, int: 1, float: 1, str: 2}
+#: Types whose values order among themselves as they are; across types
+#: :func:`sort_key` ranks them.
+_ORDERED_TYPES = (int, float, str)
 
 
 def sort_key(value: SQLValue) -> tuple[int, Any]:
@@ -165,24 +166,32 @@ def sort_key(value: SQLValue) -> tuple[int, Any]:
     here only if they are the same key to a ``dict``, which the
     ordered table index relies on.
     """
-    rank = _TYPE_RANK.get(type(value), 3)
-    if rank == 0:
+    kind = type(value)
+    if kind is int or kind is float:
+        return (1, value)
+    if kind is str:
+        return (2, value)
+    if value is None:
         return (0, 0)
-    if rank == 3:
-        return (3, str(value))
-    return (rank, value)
+    if kind is bool:
+        return (1, value)
+    return (3, str(value))
 
 
 def compare(left: SQLValue, right: SQLValue) -> int | None:
-    """Three-valued SQL comparison: -1, 0, 1, or None if either is NULL."""
+    """Three-valued SQL comparison: -1, 0, 1, or None if either is NULL.
+
+    Two values of one ordered type are compared as they are, which is
+    what their :func:`sort_key` tuples would answer (NaN included: it
+    is neither ``<`` nor ``>`` anything, so it compares as 0); the keys
+    are built only to order values of different types.
+    """
     if left is None or right is None:
         return None
-    lk, rk = sort_key(left), sort_key(right)
-    if lk < rk:
-        return -1
-    if lk > rk:
-        return 1
-    return 0
+    kind = type(left)
+    if kind is not type(right) or kind not in _ORDERED_TYPES:
+        left, right = sort_key(left), sort_key(right)
+    return (left > right) - (left < right)
 
 
 def values_equal(left: SQLValue, right: SQLValue) -> bool | None:

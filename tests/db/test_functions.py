@@ -66,3 +66,50 @@ class TestScalars:
         assert scalar(db, "CAST('12' AS INTEGER)") == 12
         assert scalar(db, "CAST('x' AS INTEGER)") == 0
         assert scalar(db, "CAST(3 AS TEXT)") == "3"
+
+
+class TestAggregateTypeErrors:
+    """An aggregate over a value it cannot fold raises the typed error,
+    through ``Database.execute`` and through the exec step alike."""
+
+    @pytest.fixture()
+    def texts(self, db) -> Database:
+        db.execute("CREATE TABLE t (s TEXT)")
+        return db
+
+    def test_avg_over_text_is_an_execution_error(self, texts):
+        texts.execute("INSERT INTO t VALUES ('x')")
+        with pytest.raises(
+            ExecutionError, match="AVG over non-numeric value 'x'"
+        ):
+            texts.execute("SELECT AVG(s) FROM t", analyze=False)
+        with pytest.raises(
+            ExecutionError, match="SUM over non-numeric value 'x'"
+        ):
+            texts.execute("SELECT SUM(s) FROM t", analyze=False)
+
+    def test_avg_over_numeric_looking_text_still_averages(self, texts):
+        texts.execute("INSERT INTO t VALUES ('1.5'), (' 2.5 '), (NULL)")
+        assert texts.execute("SELECT AVG(s) FROM t").scalar() == 2.0
+
+    def test_exec_step_reports_the_typed_error(self, texts):
+        from repro.core import (
+            FixedQuerySynthesizer,
+            NoGenerator,
+            SQLExecutor,
+            TAGPipeline,
+        )
+
+        texts.execute("INSERT INTO t VALUES ('1'), ('x')")
+        executor = SQLExecutor(texts)
+        with pytest.raises(ExecutionError, match="AVG over non-numeric"):
+            executor.execute("SELECT AVG(s) FROM t")
+        result = TAGPipeline(
+            FixedQuerySynthesizer("SELECT AVG(s) FROM t"),
+            executor,
+            NoGenerator(),
+        ).run("average?")
+        assert not result.ok
+        assert result.error.kind == "ExecutionError"
+        assert result.error.step_name == "execution"
+        assert "AVG over non-numeric value 'x'" in result.error.message

@@ -6,8 +6,9 @@ list, planned unsharded and over one and two shards at
 texts are pinned — operator names, per-shard subtrees with their
 ``lm_calls/lm_batches/udf_cache_*`` counters, the optimizer footer —
 together with a cascade (``cheap=``) variant, the first-failing-row
-contract, and the ``Exchange`` node's merged totals (read off the node:
-an ``Exchange`` line renders no counters).  No LM host is configured,
+contract, and the ``Exchange`` node's merged totals, which its line
+renders as the sum of the per-shard subtrees below it (an ``Exchange``
+over no call sites renders none).  No LM host is configured,
 so UDF shards run one after another and shard 0 claims every key: the
 per-shard counters are a function of the data alone.
 
@@ -119,7 +120,7 @@ Sort(1 key(s)) [rows_in=16 rows_out=16 vtime=0.000132s]
     1: """\
 Sort(1 key(s)) [rows_in=16 rows_out=16 vtime=0.000132s]
   Merge [rows_in=16 rows_out=16 vtime=0.000132s]
-    Exchange(shards=1) [rows_in=16 rows_out=16 vtime=0.000132s]
+    Exchange(shards=1) [rows_in=16 rows_out=16 vtime=0.000132s lm_calls=9 lm_batches=3 udf_cache_hits=27 udf_cache_misses=9]
       ShardBatchedProject(n, SLOW(s), batch=4, sites=1) [rows_in=16 rows_out=16 vtime=0.000132s lm_calls=4 lm_batches=1 udf_cache_hits=12 udf_cache_misses=4]
         ShardBatchedFilter(where[expensive], batch=4, sites=1) [rows_in=20 rows_out=16 vtime=0.000136s lm_calls=5 lm_batches=2 udf_cache_hits=15 udf_cache_misses=5]
           ShardFilter(where) [rows_in=24 rows_out=20 vtime=0.000144s]
@@ -129,7 +130,7 @@ Sort(1 key(s)) [rows_in=16 rows_out=16 vtime=0.000132s]
     2: """\
 Sort(1 key(s)) [rows_in=16 rows_out=16 vtime=0.000132s]
   Merge [rows_in=16 rows_out=16 vtime=0.000132s]
-    Exchange(shards=2) [rows_in=16 rows_out=16 vtime=0.000132s]
+    Exchange(shards=2) [rows_in=16 rows_out=16 vtime=0.000132s lm_calls=9 lm_batches=3 udf_cache_hits=27 udf_cache_misses=9]
       ShardBatchedProject(n, SLOW(s), batch=4, sites=1) [rows_in=9 rows_out=9 vtime=0.000118s lm_calls=4 lm_batches=1 udf_cache_hits=5 udf_cache_misses=4]
         ShardBatchedFilter(where[expensive], batch=4, sites=1) [rows_in=10 rows_out=9 vtime=0.000119s lm_calls=5 lm_batches=2 udf_cache_hits=5 udf_cache_misses=5]
           ShardFilter(where) [rows_in=12 rows_out=10 vtime=0.000122s]
@@ -153,7 +154,7 @@ Sort(1 key(s)) [rows_in=16 rows_out=16 vtime=0.000132s]
     1: """\
 Sort(1 key(s)) [rows_in=16 rows_out=16 vtime=0.000132s]
   Merge [rows_in=16 rows_out=16 vtime=0.000132s]
-    Exchange(shards=1) [rows_in=16 rows_out=16 vtime=0.000132s]
+    Exchange(shards=1) [rows_in=16 rows_out=16 vtime=0.000132s lm_calls=6 lm_batches=3 udf_cache_hits=27 udf_cache_misses=6 cascade_cheap_hits=3 cascade_escalations=6]
       ShardBatchedProject(n, SLOW(s), batch=4, sites=1) [rows_in=16 rows_out=16 vtime=0.000132s lm_calls=3 lm_batches=1 udf_cache_hits=12 udf_cache_misses=3 cascade_cheap_hits=1 cascade_escalations=3]
         ShardBatchedFilter(where[expensive], batch=4, sites=1) [rows_in=20 rows_out=16 vtime=0.000136s lm_calls=3 lm_batches=2 udf_cache_hits=15 udf_cache_misses=3 cascade_cheap_hits=2 cascade_escalations=3]
           ShardFilter(where) [rows_in=24 rows_out=20 vtime=0.000144s]
@@ -163,7 +164,7 @@ Sort(1 key(s)) [rows_in=16 rows_out=16 vtime=0.000132s]
     2: """\
 Sort(1 key(s)) [rows_in=16 rows_out=16 vtime=0.000132s]
   Merge [rows_in=16 rows_out=16 vtime=0.000132s]
-    Exchange(shards=2) [rows_in=16 rows_out=16 vtime=0.000132s]
+    Exchange(shards=2) [rows_in=16 rows_out=16 vtime=0.000132s lm_calls=6 lm_batches=2 udf_cache_hits=27 udf_cache_misses=6 cascade_cheap_hits=3 cascade_escalations=6]
       ShardBatchedProject(n, SLOW(s), batch=4, sites=1) [rows_in=9 rows_out=9 vtime=0.000118s lm_calls=3 lm_batches=1 udf_cache_hits=5 udf_cache_misses=3 cascade_cheap_hits=1 cascade_escalations=3]
         ShardBatchedFilter(where[expensive], batch=4, sites=1) [rows_in=10 rows_out=9 vtime=0.000119s lm_calls=3 lm_batches=1 udf_cache_hits=5 udf_cache_misses=3 cascade_cheap_hits=2 cascade_escalations=3]
           ShardFilter(where) [rows_in=12 rows_out=10 vtime=0.000122s]
@@ -194,6 +195,33 @@ class TestGoldenRenders:
         analyzed = db.explain_analyze(SQL, udf_batch_size=4)
         assert analyzed.render() == CASCADE_ANALYZED[shards]
         assert analyzed.result.rows == EXPECTED_ROWS
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("cheap", [False, True])
+def test_exchange_line_is_the_sum_of_its_shard_subtrees(shards, cheap):
+    db, _, _ = build(shards, cheap=cheap)
+    analyzed = db.explain_analyze(SQL, udf_batch_size=4)
+    (exchange,) = [
+        node
+        for node in analyzed.stats.walk()
+        if node.describe.startswith("Exchange")
+    ]
+    totals: dict[str, int] = {}
+    for pipeline in exchange.children:
+        for node in pipeline.walk():
+            for key, amount in node.extra.items():
+                totals[key] = totals.get(key, 0) + amount
+    assert exchange.extra == totals
+    assert exchange.extra["lm_calls"] > 0
+
+
+def test_exchange_over_no_call_sites_renders_no_counters():
+    db, _, _ = build(shards=2)
+    analyzed = db.explain_analyze("SELECT n FROM t WHERE n > 3")
+    lines = analyzed.render().splitlines()
+    assert any(line.lstrip().startswith("Exchange(") for line in lines)
+    assert all(line.endswith("s]") for line in lines if "[" in line)
 
 
 def run_to_failure(sql, shards):
