@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-durations test-optimizer test-repair test-conc test-semcache test-shard test-access bench bench-smoke artifacts-check perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
+.PHONY: test test-durations test-optimizer test-repair test-conc test-semcache test-shard test-access test-lm bench bench-smoke artifacts-check perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,6 +44,14 @@ test-shard:
 # paths compares through.
 test-access:
 	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py -q
+
+# What is derived once, against its frozen references: the handlers'
+# schema and vocabulary derivations, the embedder's buckets and the
+# shared row corpus (tests/lm/test_handler_memo.py; do not edit its
+# reference half), the prompt-schema staleness and Table.version
+# tests, and the reference-cycle check on a served pass.
+test-lm:
+	$(PYTHON) -m pytest tests/lm/test_handler_memo.py tests/data/test_datasets.py tests/core/test_tag.py tests/serve/test_server.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
@@ -109,12 +117,12 @@ trace-smoke:
 	@echo "trace-smoke: byte-identical across worker counts"
 
 # The pre-merge gate: full tier-1 suite, the concurrency,
-# semantic-cache and access-path suites, a smoke-mode pass of the
-# resilience, repair,
+# semantic-cache, access-path and derived-once suites, a smoke-mode
+# pass of the resilience, repair,
 # trace-overhead, race-check, and semantic-cache benchmarks, the
 # full-size regeneration check of four committed artifacts, the
 # wall-clock harness's smoke tests, clean determinism-lint and
 # concurrency baselines, an analyzer round-trip through the CLI, and
 # the trace worker-invariance smoke.
-verify: test test-conc test-semcache test-access bench-smoke artifacts-check perf-smoke lint lint-conc analyze-smoke trace-smoke
+verify: test test-conc test-semcache test-access test-lm bench-smoke artifacts-check perf-smoke lint lint-conc analyze-smoke trace-smoke
 	@echo "verify: OK"

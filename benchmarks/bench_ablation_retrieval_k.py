@@ -10,6 +10,7 @@ full table.
 import pytest
 
 from repro.bench.runner import run_benchmark
+from repro.embed import HashingEmbedder
 from repro.lm import LMConfig, SimulatedLM
 from repro.methods import RAGMethod
 
@@ -18,9 +19,16 @@ from benchmarks.conftest import write_artifact
 KS = (1, 5, 10, 20, 50)
 
 
-def _rag_run(k: int, suite, datasets):
+@pytest.fixture(scope="module")
+def retrieval():
+    """One embedder and corpus map for every depth: ``k`` is an argument
+    of the search, so the rows are embedded once, not once per point."""
+    return {"embedder": HashingEmbedder(), "corpora": {}}
+
+
+def _rag_run(k: int, suite, datasets, retrieval):
     queries = [s for s in suite if s.query_type != "aggregation"]
-    method = RAGMethod(SimulatedLM(LMConfig(seed=0)), k=k)
+    method = RAGMethod(SimulatedLM(LMConfig(seed=0)), k=k, **retrieval)
     report = run_benchmark(
         seed=0, methods=[method], queries=queries, datasets=datasets
     )
@@ -28,16 +36,20 @@ def _rag_run(k: int, suite, datasets):
 
 
 @pytest.mark.parametrize("k", (5, 10, 20))
-def test_rag_k(benchmark, k, suite, datasets):
+def test_rag_k(benchmark, k, suite, datasets, retrieval):
     accuracy, et = benchmark.pedantic(
-        lambda: _rag_run(k, suite, datasets), rounds=1, iterations=1
+        lambda: _rag_run(k, suite, datasets, retrieval),
+        rounds=1,
+        iterations=1,
     )
     print(f"\nk={k}: accuracy={accuracy:.2f} ET={et:.2f}s")
 
 
-def test_rag_depth_cannot_buy_accuracy(benchmark, suite, datasets):
+def test_rag_depth_cannot_buy_accuracy(
+    benchmark, suite, datasets, retrieval
+):
     rows = benchmark.pedantic(
-        lambda: {k: _rag_run(k, suite, datasets) for k in KS},
+        lambda: {k: _rag_run(k, suite, datasets, retrieval) for k in KS},
         rounds=1,
         iterations=1,
     )

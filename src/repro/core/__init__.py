@@ -19,7 +19,12 @@ in the paper's evaluation is a TAG special case:
   (see :mod:`repro.methods.handwritten`)
 """
 
-from repro.core.execution import SQLExecutor, VectorSearchExecutor
+from repro.core.execution import (
+    RowCorpus,
+    SQLExecutor,
+    VectorSearchExecutor,
+    shared_corpus,
+)
 from repro.core.generation import (
     MapReduceGenerator,
     NoGenerator,
@@ -60,6 +65,7 @@ __all__ = [
     "RefineGenerator",
     "RepairAttempt",
     "RepairPolicy",
+    "RowCorpus",
     "SQLExecutor",
     "SelfCorrectingPipeline",
     "SingleCallGenerator",
@@ -70,4 +76,5 @@ __all__ = [
     "VectorSearchExecutor",
     "describe_failure",
     "render_transcript",
+    "shared_corpus",
 ]

@@ -70,51 +70,81 @@ class SQLExecutor:
         ]
 
 
-class VectorSearchExecutor:
-    """exec over a vector store: query embedding -> top-k row records.
+class RowCorpus:
+    """Every row of a dataset as a record, embedded and indexed once.
 
-    Builds a row-level index over every table of the dataset on first
-    use (each row serialized "- col: val", as in the paper's RAG
-    baseline) and serves similarity lookups against it.
+    Rows are serialized "- col: val", as in the paper's RAG baseline.
+    The index is built on first use and is a function of (dataset,
+    embedder) alone, so every retrieval method over the dataset shares
+    one corpus; how many rows a caller wants is an argument of
+    :meth:`search`, not state.
     """
+
+    def __init__(self, dataset: Dataset, embedder) -> None:
+        self.dataset = dataset
+        self.embedder = embedder
+        self._built: tuple[list[dict[str, Any]], FlatIndex] | None = None
+
+    def _records_and_index(self) -> tuple[list[dict[str, Any]], FlatIndex]:
+        built = self._built
+        if built is None:
+            records: list[dict[str, Any]] = []
+            for table_name in self.dataset.db.table_names:
+                table = self.dataset.db.table(table_name)
+                names = table.schema.column_names
+                records.extend(dict(zip(names, row)) for row in table.rows)
+            index = FlatIndex(self.embedder.dimensions)
+            index.add(
+                self.embedder.embed_batch(
+                    [serialize_row(record) for record in records]
+                )
+            )
+            # Published whole, after the build: a concurrent first use
+            # at worst builds the same pair twice.
+            self._built = built = (records, index)
+        return built
+
+    @property
+    def size(self) -> int:
+        """Rows in the corpus (builds it)."""
+        return len(self._records_and_index()[0])
+
+    def search(self, query: np.ndarray, k: int) -> list[dict[str, Any]]:
+        records, index = self._records_and_index()
+        indices, _scores = index.search(query, k)
+        return [records[int(position)] for position in indices]
+
+
+def shared_corpus(
+    corpora: dict[tuple[str, Any], RowCorpus], dataset: Dataset, embedder
+) -> RowCorpus:
+    """The corpus of (dataset, embedder) in ``corpora``, added on first
+    ask: methods handed one map embed each dataset once between them."""
+    key = (dataset.name, embedder)
+    corpus = corpora.get(key)
+    if corpus is None:
+        corpus = corpora.setdefault(key, RowCorpus(dataset, embedder))
+    return corpus
+
+
+class VectorSearchExecutor:
+    """exec over a vector store: query embedding -> top-k row records."""
 
     def __init__(
         self,
         dataset: Dataset,
         embedder,
         k: int = 10,
-        index: FlatIndex | None = None,
+        corpus: RowCorpus | None = None,
     ) -> None:
-        self.dataset = dataset
-        self.embedder = embedder
+        self.corpus = (
+            RowCorpus(dataset, embedder) if corpus is None else corpus
+        )
         self.k = k
-        self._index = index
-        self._records: list[dict[str, Any]] = []
-        self._built = False
-
-    def _build(self) -> None:
-        texts: list[str] = []
-        for table_name in self.dataset.db.table_names:
-            table = self.dataset.db.table(table_name)
-            names = table.schema.column_names
-            for row in table.rows:
-                record = dict(zip(names, row))
-                self._records.append(record)
-                texts.append(serialize_row(record))
-        vectors = self.embedder.embed_batch(texts)
-        if self._index is None:
-            self._index = FlatIndex(self.embedder.dimensions)
-        self._index.add(vectors)
-        self._built = True
 
     @property
     def corpus_size(self) -> int:
-        if not self._built:
-            self._build()
-        return len(self._records)
+        return self.corpus.size
 
     def execute(self, query: np.ndarray) -> list[dict[str, Any]]:
-        if not self._built:
-            self._build()
-        indices, _scores = self._index.search(query, self.k)
-        return [self._records[int(index)] for index in indices]
+        return self.corpus.search(query, self.k)

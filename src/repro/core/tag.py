@@ -60,6 +60,10 @@ class TAGError:
     ) -> "TAGError":
         from repro.errors import AnalysisError, RepairExhaustedError
 
+        # The record outlives the frames that failed, and usually lands
+        # in a result one of those frames holds: keeping the traceback
+        # would tie every such result into a reference cycle.
+        exception.__traceback__ = None
         if isinstance(exception, RepairExhaustedError):
             # The repair loop ran dry: surface the budget exhaustion as
             # its own kind with the whole attempt history attached, so

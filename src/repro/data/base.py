@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from repro.db import Database
+from repro.db import Database, Table
 from repro.errors import BenchmarkError
 from repro.frame import DataFrame
 
@@ -23,6 +24,11 @@ class Dataset:
     db: Database
     description: str
     frames: dict[str, DataFrame] = field(default_factory=dict)
+    #: Table name -> ((table, its version, sample_rows), rendered block):
+    #: what :meth:`prompt_schema` last rendered.
+    _blocks: dict[str, tuple[tuple[Table, int, int], str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def frame(self, table: str) -> DataFrame:
         try:
@@ -42,40 +48,59 @@ class Dataset:
         a few sample rows per table — the enriched encoding BIRD-format
         prompts carry, which is also what makes real query-synthesis
         prompts thousands of tokens long.
+
+        A table's block is rendered again only after a write to that
+        table (or when asked for another ``sample_rows``): the blocks
+        are the same for every question over an unchanged database.
         """
-        blocks: list[str] = []
+        held = self._blocks
+        fresh: dict[str, tuple[tuple[Table, int, int], str]] = {}
         for table_name in self.db.table_names:
             table = self.db.table(table_name)
-            lines = [table.schema.to_create_sql()]
-            for position, column in enumerate(table.schema.columns):
-                described = _describe_identifier(column.name)
-                examples: list[str] = []
-                for row in table.rows:
-                    value = str(row[position])
-                    if value not in examples:
-                        examples.append(value)
-                    if len(examples) == 3:
-                        break
-                rendered_examples = ", ".join(examples)
-                lines.append(
-                    f"-- {table_name}.{column.name} "
-                    f"({column.dtype.value}): {described}; value examples: "
-                    f"{rendered_examples}"
-                )
-            names = " | ".join(table.schema.column_names)
-            lines.append(f"-- Sample rows ({table_name}): {names}")
-            for row in table.rows[:sample_rows]:
-                rendered = " | ".join(str(value) for value in row)
-                lines.append(f"--   {rendered}")
-            blocks.append("\n".join(lines))
-        return "\n\n".join(blocks)
+            # The version is read before rendering, so a write that
+            # lands mid-render leaves a block the next call redoes.
+            key = (table, table.version, sample_rows)
+            entry = held.get(table_name)
+            if entry is None or entry[0] != key:
+                entry = (key, _render_block(table_name, table, sample_rows))
+            fresh[table_name] = entry
+        # Rebound, never mutated: concurrent callers each publish a
+        # complete dict, and a dropped table's rows are let go.
+        self._blocks = fresh
+        return "\n\n".join(block for _, block in fresh.values())
+
+
+def _render_block(table_name: str, table: Table, sample_rows: int) -> str:
+    lines = [table.schema.to_create_sql()]
+    for position, column in enumerate(table.schema.columns):
+        described = _describe_identifier(column.name)
+        examples: list[str] = []
+        for row in table.rows:
+            value = str(row[position])
+            if value not in examples:
+                examples.append(value)
+            if len(examples) == 3:
+                break
+        rendered_examples = ", ".join(examples)
+        lines.append(
+            f"-- {table_name}.{column.name} "
+            f"({column.dtype.value}): {described}; value examples: "
+            f"{rendered_examples}"
+        )
+    names = " | ".join(table.schema.column_names)
+    lines.append(f"-- Sample rows ({table_name}): {names}")
+    for row in table.rows[:sample_rows]:
+        rendered = " | ".join(str(value) for value in row)
+        lines.append(f"--   {rendered}")
+    return "\n".join(lines)
+
+
+_CAMEL_BOUNDARY_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
 
 def _describe_identifier(name: str) -> str:
     """Readable phrase for a column name (GSoffered -> 'g s offered')."""
-    import re
-
-    spaced = re.sub(r"(?<=[a-z0-9])(?=[A-Z])", " ", name)
+    spaced = _CAMEL_BOUNDARY_RE.sub(" ", name)
     spaced = spaced.replace("_", " ")
     return spaced.lower()
 

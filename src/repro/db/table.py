@@ -75,6 +75,10 @@ class Table:
         #: store the same frozen value twice, and a scan overtaken by a
         #: write lands in the orphaned dict instead of going stale.
         self._stats: dict[int, ColumnStats] = {}
+        #: Bumped by every write, exactly where ``_stats`` is dropped:
+        #: anything derived from the rows is current while the number
+        #: it was derived at still stands.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Writes
@@ -90,6 +94,7 @@ class Table:
             _index(index, self._index_keys[position], row[position], row_id)
         self._partition_rows = None
         self._stats = {}
+        self.version += 1
 
     def insert_many(
         self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]
@@ -209,6 +214,7 @@ class Table:
                     _index(index, keys, row[position], row_id)
         self._partition_rows = None
         self._stats = {}
+        self.version += 1
         return len(staged)
 
     def delete_rows(self, row_ids: Iterable[int]) -> int:
@@ -251,6 +257,7 @@ class Table:
                 self._install_index(position)
         self._partition_rows = None
         self._stats = {}
+        self.version += 1
         return len(doomed)
 
     # ------------------------------------------------------------------

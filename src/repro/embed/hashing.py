@@ -9,6 +9,7 @@ without any model weights, and fully deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections.abc import Mapping, Sequence
 
@@ -17,6 +18,8 @@ import numpy as np
 from repro.text.tokenize import tokens
 
 
+# Sized for the benchmark's row corpus (13 k distinct features).
+@functools.lru_cache(maxsize=16384)
 def _bucket(feature: str, dimensions: int) -> tuple[int, float]:
     digest = hashlib.md5(feature.encode("utf-8")).digest()
     index = int.from_bytes(digest[:4], "big") % dimensions

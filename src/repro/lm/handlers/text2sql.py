@@ -20,6 +20,7 @@ Behaves the way the paper characterises LM query synthesis:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -140,29 +141,45 @@ class Text2SQLHandler:
 # ---------------------------------------------------------------------------
 
 
+_CREATE_TABLE_RE = re.compile(r"CREATE TABLE.*?\n\)", re.DOTALL)
+
+
 def _parse_schema(
     prompt: str,
 ) -> tuple[dict[str, list[str]], list[tuple[str, str, str, str]]]:
     """Extract tables {name: [columns]} and FK edges from the prompt."""
     tables: dict[str, list[str]] = {}
     edges: list[tuple[str, str, str, str]] = []
-    for block in re.findall(
-        r"CREATE TABLE.*?\n\)", prompt, re.DOTALL
-    ):
-        try:
-            statement = parse_statement(block)
-        except SQLSyntaxError:
-            continue
-        if not isinstance(statement, ast.CreateTable):
-            continue
-        tables[statement.name] = [
-            column.name for column in statement.columns
-        ]
-        for fk in statement.foreign_keys:
-            edges.append(
-                (statement.name, fk.column, fk.parent_table, fk.parent_column)
-            )
+    for block in _CREATE_TABLE_RE.findall(prompt):
+        parsed = _parse_block(block)
+        if parsed is not None:
+            name, columns, block_edges = parsed
+            tables[name] = list(columns)
+            edges.extend(block_edges)
     return tables, edges
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_block(
+    block: str,
+) -> tuple[str, tuple[str, ...], tuple[tuple[str, str, str, str], ...]] | None:
+    """One CREATE TABLE block as (name, columns, FK edges), parsed once
+    per distinct text: a schema's blocks recur in every prompt over it.
+    Immutable, so callers copy out of it."""
+    try:
+        statement = parse_statement(block)
+    except SQLSyntaxError:
+        return None
+    if not isinstance(statement, ast.CreateTable):
+        return None
+    return (
+        statement.name,
+        tuple(column.name for column in statement.columns),
+        tuple(
+            (statement.name, fk.column, fk.parent_table, fk.parent_column)
+            for fk in statement.foreign_keys
+        ),
+    )
 
 
 def _parse_external_knowledge_line(prompt: str) -> str:

@@ -15,6 +15,7 @@ serves every benchmark domain.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -113,6 +114,9 @@ PHRASE_HINTS: list[tuple[str, str | None, str]] = [
     ("score", None, "Score"),
 ]
 
+#: The bank in match order (longest phrase first, ties in list order).
+_ORDERED_HINTS = tuple(sorted(PHRASE_HINTS, key=lambda hint: -len(hint[0])))
+
 
 @dataclass(frozen=True)
 class Mention:
@@ -124,6 +128,7 @@ class Mention:
     position: int
 
 
+@functools.lru_cache(maxsize=len(PHRASE_HINTS))
 def _phrase_pattern(phrase: str) -> re.Pattern[str]:
     return re.compile(
         r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE
@@ -141,10 +146,7 @@ def find_mentions(
     }
     claimed: list[tuple[int, int]] = []
     mentions: list[Mention] = []
-    ordered_hints = sorted(
-        PHRASE_HINTS, key=lambda hint: -len(hint[0])
-    )
-    for phrase, hint_table, column in ordered_hints:
+    for phrase, hint_table, column in _ORDERED_HINTS:
         resolved = _resolve(hint_table, column, lowered_tables)
         if resolved is None:
             continue
@@ -192,9 +194,7 @@ def match_record_key(phrase: str, keys: list[str]) -> str | None:
     normalised names.
     """
     normalized = _normalize(phrase)
-    for hint_phrase, _table, column in sorted(
-        PHRASE_HINTS, key=lambda hint: -len(hint[0])
-    ):
+    for hint_phrase, _table, column in _ORDERED_HINTS:
         if _normalize(hint_phrase) in normalized or normalized in (
             _normalize(hint_phrase)
         ):
@@ -210,5 +210,9 @@ def match_record_key(phrase: str, keys: list[str]) -> str | None:
     return None
 
 
+_NON_ALNUM_RE = re.compile(r"[^a-z0-9]")
+
+
+@functools.lru_cache(maxsize=1024)
 def _normalize(text: str) -> str:
-    return re.sub(r"[^a-z0-9]", "", text.lower())
+    return _NON_ALNUM_RE.sub("", text.lower())

@@ -6,6 +6,7 @@ methods are Text2SQL, RAG, Retrieval + LM Rank, Text2SQL + LM, and
 Hand-written TAG.
 """
 
+from repro.embed import HashingEmbedder
 from repro.methods.base import Method, MethodResult
 from repro.methods.handwritten import HandwrittenTAGMethod
 from repro.methods.rag import RAGMethod
@@ -29,12 +30,18 @@ def default_methods(lm_factory) -> list[Method]:
     """The paper's five methods, each with its own LM instance.
 
     ``lm_factory`` is called once per method so usage accounting (and
-    therefore ET) is independent across methods.
+    therefore ET) is independent across methods.  The two retrieval
+    methods share one embedder and one corpus map, so each domain's
+    rows are embedded once.
     """
+    embedder = HashingEmbedder()
+    corpora: dict = {}
     return [
         Text2SQLMethod(lm_factory()),
-        RAGMethod(lm_factory()),
-        RetrievalRerankMethod(lm_factory()),
+        RAGMethod(lm_factory(), embedder=embedder, corpora=corpora),
+        RetrievalRerankMethod(
+            lm_factory(), embedder=embedder, corpora=corpora
+        ),
         Text2SQLLMMethod(lm_factory()),
         HandwrittenTAGMethod(lm_factory()),
     ]

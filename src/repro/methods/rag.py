@@ -12,9 +12,11 @@ from typing import Any
 from repro.bench.queries import QuerySpec
 from repro.core import (
     EmbeddingSynthesizer,
+    RowCorpus,
     SingleCallGenerator,
     TAGPipeline,
     VectorSearchExecutor,
+    shared_corpus,
 )
 from repro.data.base import Dataset
 from repro.embed import HashingEmbedder
@@ -30,30 +32,32 @@ class RAGMethod(Method):
         lm: SimulatedLM,
         k: int = 10,
         embedder: HashingEmbedder | None = None,
+        corpora: dict | None = None,
     ) -> None:
         super().__init__(lm)
         self.k = k
         self.embedder = embedder or HashingEmbedder()
-        self._executors: dict[str, VectorSearchExecutor] = {}
+        #: (domain, embedder) -> row corpus; methods given the same map
+        #: and embedder share each domain's index.
+        self.corpora = {} if corpora is None else corpora
 
-    def executor(self, dataset: Dataset) -> VectorSearchExecutor:
-        """The (cached) per-domain retrieval executor; index build time
-        is excluded from ET, as an offline indexing cost."""
-        if dataset.name not in self._executors:
-            self._executors[dataset.name] = VectorSearchExecutor(
-                dataset, self.embedder, k=self.k
-            )
-        executor = self._executors[dataset.name]
-        executor.k = self.k
-        return executor
+    def executor(self, dataset: Dataset) -> RowCorpus:
+        """What the exec step searches: the domain's row corpus.  Index
+        build time is excluded from ET, as an offline indexing cost."""
+        return shared_corpus(self.corpora, dataset, self.embedder)
 
     def prepare(self, dataset: Dataset) -> None:
-        self.executor(dataset).corpus_size  # build the index
+        self.executor(dataset).size  # build the index
 
     def _answer(self, spec: QuerySpec, dataset: Dataset) -> Any:
         pipeline = TAGPipeline(
             EmbeddingSynthesizer(self.embedder),
-            self.executor(dataset),
+            VectorSearchExecutor(
+                dataset,
+                self.embedder,
+                k=self.k,
+                corpus=self.executor(dataset),
+            ),
             SingleCallGenerator(
                 self.lm,
                 aggregation=spec.query_type == "aggregation",

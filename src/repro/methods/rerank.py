@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.bench.queries import QuerySpec
-from repro.core import SingleCallGenerator, VectorSearchExecutor
+from repro.core import SingleCallGenerator, shared_corpus
 from repro.data.base import Dataset
 from repro.embed import HashingEmbedder, serialize_row
 from repro.lm import SimulatedLM
@@ -29,29 +29,24 @@ class RetrievalRerankMethod(Method):
         candidates: int = 30,
         embedder: HashingEmbedder | None = None,
         batch_size: int = 16,
+        corpora: dict | None = None,
     ) -> None:
         super().__init__(lm)
         self.k = k
         self.candidates = candidates
         self.embedder = embedder or HashingEmbedder()
         self.engine = SemanticEngine(lm, batch_size=batch_size)
-        self._executors: dict[str, VectorSearchExecutor] = {}
-
-    def _executor(self, dataset: Dataset) -> VectorSearchExecutor:
-        if dataset.name not in self._executors:
-            self._executors[dataset.name] = VectorSearchExecutor(
-                dataset, self.embedder, k=self.candidates
-            )
-        return self._executors[dataset.name]
+        #: See :class:`~repro.methods.rag.RAGMethod`.
+        self.corpora = {} if corpora is None else corpora
 
     def prepare(self, dataset: Dataset) -> None:
-        self._executor(dataset).corpus_size
+        shared_corpus(self.corpora, dataset, self.embedder).size
 
     def _answer(self, spec: QuerySpec, dataset: Dataset) -> Any:
-        executor = self._executor(dataset)
-        executor.k = self.candidates
-        query_vector = self.embedder.embed(spec.question)
-        retrieved = executor.execute(query_vector)
+        corpus = shared_corpus(self.corpora, dataset, self.embedder)
+        retrieved = corpus.search(
+            self.embedder.embed(spec.question), self.candidates
+        )
         self.extra_cost(VECTOR_SEARCH_COST_S)
         documents = [serialize_row(record) for record in retrieved]
         scores = self.engine.relevance(spec.question, documents)

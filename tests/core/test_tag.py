@@ -146,6 +146,92 @@ class TestExecutors:
         assert executor.corpus_size == expected
 
 
+    def test_row_corpus_serves_every_depth_from_one_index(self, datasets):
+        from repro.core import RowCorpus, shared_corpus
+
+        dataset = datasets["codebase_community"]
+        embedder = HashingEmbedder()
+        corpora: dict = {}
+        corpus = shared_corpus(corpora, dataset, embedder)
+        assert shared_corpus(corpora, dataset, embedder) is corpus
+        assert shared_corpus(corpora, dataset, HashingEmbedder()) is not corpus
+        assert corpus._built is None  # nothing embedded until asked
+        query = embedder.embed("comments about regression")
+        deep = corpus.search(query, 30)
+        records, index = corpus._built
+        shallow = VectorSearchExecutor(
+            dataset, embedder, k=10, corpus=corpus
+        ).execute(query)
+        assert corpus._built[1] is index and len(index) == corpus.size
+        assert shallow == deep[:10]
+        private = VectorSearchExecutor(dataset, embedder, k=30)
+        assert isinstance(private.corpus, RowCorpus)
+        assert private.corpus is not corpus
+        assert private.execute(query) == deep
+
+    def test_row_corpus_first_use_from_several_threads(self, datasets):
+        """A first use racing another may build twice; every caller
+        still searches one complete index of the right size."""
+        import threading
+
+        from repro.core import RowCorpus
+
+        dataset = datasets["codebase_community"]
+        embedder = HashingEmbedder()
+        corpus = RowCorpus(dataset, embedder)
+        query = embedder.embed("the most upvoted comment")
+        found: list = [None] * 4
+
+        def search(slot: int) -> None:
+            found[slot] = corpus.search(query, 10)
+
+        threads = [
+            threading.Thread(target=search, args=(slot,))
+            for slot in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        rows = sum(
+            len(dataset.db.table(name)) for name in dataset.db.table_names
+        )
+        assert corpus.size == len(corpus._built[1]) == rows
+        assert found == [RowCorpus(dataset, embedder).search(query, 10)] * 4
+
+    def test_folded_error_drops_traceback_but_still_reraises(
+        self, suite, datasets
+    ):
+        """RAG re-raises the pipeline's folded error: the record lets
+        the traceback go, the message and accounting do not change."""
+        from repro.lm import LMConfig, SimulatedLM
+        from repro.methods import RAGMethod
+
+        spec = next(s for s in suite if s.qid == "match-k01")
+        method = RAGMethod(SimulatedLM(LMConfig(seed=0, context_window=64)))
+        for _ in range(2):
+            result = method.answer(spec, datasets[spec.domain])
+            assert result.error == (
+                "ContextLengthError: prompt of 1042 tokens exceeds the "
+                "64-token context window"
+            )
+            assert result.answer is None
+            assert result.et_seconds == 0.05
+            assert result.diagnostics["context_errors"] == 1
+        pipeline = TAGPipeline(
+            FixedQuerySynthesizer("SELECT broken FROM nowhere"),
+            SQLExecutor(datasets[spec.domain].db),
+            NoGenerator(),
+        )
+        error = pipeline.run("anything").error
+        assert error.exception.__traceback__ is None
+        with pytest.raises(type(error.exception)) as raised:
+            raise error.to_exception()
+        assert raised.value is error.exception
+        assert raised.value.__traceback__ is not None
+
+
 class TestGenerators:
     def test_no_generator_flattens(self):
         generator = NoGenerator()

@@ -188,3 +188,132 @@ class TestPromptSchema:
         )
         assert set(tables) == {"schools", "satscores", "frpm"}
         assert edges
+
+
+class TestTableVersion:
+    """``Table.version`` is the write epoch: it moves exactly where the
+    cached statistics are dropped, which is what ``prompt_schema``'s
+    per-table blocks are checked against."""
+
+    @staticmethod
+    def _table():
+        from repro.db import Column, Database, DataType, TableSchema
+
+        db = Database()
+        db.create_table(
+            TableSchema(
+                "t",
+                [
+                    Column(
+                        "id",
+                        DataType.INTEGER,
+                        nullable=False,
+                        primary_key=True,
+                    ),
+                    Column("s", DataType.TEXT),
+                ],
+            )
+        )
+        return db, db.table("t")
+
+    def test_moves_on_writes_that_drop_statistics(self):
+        db, table = self._table()
+        assert table.version == 0
+        seen = [table.version]
+
+        def moved() -> bool:
+            seen.append(table.version)
+            return seen[-1] == seen[-2] + 1
+
+        stats = table._stats
+        table.insert([1, "a"])
+        assert moved() and table._stats is not stats
+        db.insert("t", [[2, "b"], [3, "c"]])
+        assert table.version == seen[-1] + 2  # one per row
+        seen.append(table.version)
+        db.execute("INSERT INTO t VALUES (4, 'd')")
+        assert moved()
+        db.execute("UPDATE t SET s = 'z' WHERE id = 2")
+        assert moved()
+        table.update_rows([(0, [1, "again"])])
+        assert moved()
+        db.execute("DELETE FROM t WHERE id = 4")
+        assert moved()
+        table.delete_rows([0])
+        assert moved()
+
+    def test_stays_on_everything_else(self):
+        from repro.errors import SchemaError
+
+        db, table = self._table()
+        db.insert("t", [[1, "a"], [2, "b"]])
+        version, stats = table.version, table._stats
+        table.column_stats("s")
+        db.create_index("t", "s")
+        db.set_partitioning("t", "id", shards=2)
+        table.set_partitioning(None)
+        db.execute("SELECT * FROM t WHERE s = 'a'")
+        db.execute("UPDATE t SET s = 'q' WHERE id = 99")  # matches nothing
+        db.execute("DELETE FROM t WHERE id = 99")
+        assert table.delete_rows([]) == 0
+        with pytest.raises(SchemaError):
+            table.insert([1, "duplicate key"])
+        with pytest.raises(SchemaError):
+            table.update_rows([(0, [2, "duplicate key"])])
+        with pytest.raises(SchemaError):
+            table.delete_rows([17])
+        assert (table.version, table._stats) == (version, stats)
+        assert table._stats is stats
+
+
+def test_prompt_schema_under_concurrent_readers_and_a_writer():
+    """Serve workers share one ``Dataset``.  Readers racing a writer
+    each publish what they rendered; whatever they leave behind, the
+    first call after the last write is current."""
+    import sys
+    import threading
+    import time
+
+    from repro.db import Column, Database, DataType, TableSchema
+
+    db = Database()
+    db.create_table(TableSchema("t", [Column("n", DataType.INTEGER)]))
+    db.insert("t", [[0]])
+    table = db.table("t")
+    dataset = Dataset("race", db, "stress fixture")
+    done = threading.Event()
+    calls = [0] * 4
+    last: list[str | None] = [None] * 4
+
+    def reader(slot: int) -> None:
+        while not done.is_set():
+            dataset.prompt_schema()
+            calls[slot] += 1
+        last[slot] = dataset.prompt_schema()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    readers = [
+        threading.Thread(target=reader, args=(slot,)) for slot in range(4)
+    ]
+    try:
+        for thread in readers:
+            thread.start()
+        deadline = time.monotonic() + 10
+        written = 0
+        while written < 400 or (
+            min(calls) < 50 and time.monotonic() < deadline
+        ):
+            written += 1
+            table.update_rows([(0, [written])])
+    finally:
+        done.set()
+        for thread in readers:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert min(calls) >= 50
+    current = Dataset("race", db, "").prompt_schema()
+    assert f"--   {written}" in current
+    assert last == [current] * 4
+    assert dataset.prompt_schema() == current

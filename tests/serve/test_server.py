@@ -342,3 +342,54 @@ class TestServeReportAccounting:
             report.latency_percentile(0.0)
         with pytest.raises(ValueError):
             report.latency_percentile(1.5)
+
+
+class TestNoReferenceCycles:
+    """A failed request's error record keeps the exception but not its
+    traceback, whose frames hold the very result the record sits in:
+    nothing a pass leaves behind should need the cycle collector."""
+
+    def test_serve_pass_leaves_nothing_for_the_cycle_collector(
+        self, suite, datasets
+    ):
+        import gc
+
+        from repro.core import LMQuerySynthesizer
+
+        domain_of = {spec.question: spec.domain for spec in suite}
+
+        class Router:
+            def __init__(self, lm) -> None:
+                self.pipelines = {
+                    name: TAGPipeline(
+                        LMQuerySynthesizer(
+                            lm, dataset, retrieval_mode=True
+                        ),
+                        SQLExecutor(dataset.db, analyze=True, max_rows=50),
+                        SingleCallGenerator(lm),
+                    )
+                    for name, dataset in datasets.items()
+                }
+
+            def run(self, request: str):
+                return self.pipelines[domain_of[request]].run(request)
+
+        server = TagServer(
+            Router, SimulatedLM(LMConfig(seed=0)), workers=2, window=8
+        )
+        questions = [spec.question for spec in suite]
+        server.serve(questions)  # warm caches and lazy imports
+        gc.collect()
+        gc.disable()
+        try:
+            report = server.serve(questions)
+            failed = [r for r in report.results if not r.ok]
+            assert failed  # the pass does exercise the error path
+            assert all(
+                r.result.error.exception.__traceback__ is None
+                for r in failed
+            )
+            del report, failed
+            assert gc.collect() < 20
+        finally:
+            gc.enable()
