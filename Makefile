@@ -39,11 +39,14 @@ test-shard:
 # The index access-path suites on their own: index-vs-no-index and
 # sqlite3 properties for ranges and key joins, Top-N against the full
 # sort, golden IndexRange/IndexJoin renders, and the write state
-# machine (ordered-index upkeep under every write shape); and the
+# machine (ordered-index upkeep under every write shape); the
 # comparison kernel's frozen-reference oracle, which every one of those
-# paths compares through.
+# paths compares through; and the statement cache's pin (a repeated
+# statement answers as one never seen, after any interleaving of writes,
+# index builds, UDF re-registration and DDL) with its unit and stress
+# tests.
 test-access:
-	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py -q
+	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py -q
 
 # What is derived once, against its frozen references: the handlers'
 # schema and vocabulary derivations, the embedder's buckets and the

@@ -21,7 +21,7 @@ an interprocedural ``ast`` pass over ``src/repro/`` that
 (c) identifies classes whose instances **cross the worker boundary**:
     the transitive construction/annotation closure from
     :data:`SHARED_ROOTS` (``TagServer``, ``BatchingLM``, ``Database``,
-    ``UDFMemoCache``, ``MetricsRegistry``, ``Tracer``,
+    ``UDFMemoCache``, ``StatementCache``, ``MetricsRegistry``, ``Tracer``,
     ``SemanticResultCache``, ``QueryRegistry``).
 
 The rule taxonomy (codes are stable API, tests pin them):
@@ -85,6 +85,7 @@ SHARED_ROOTS = (
     "BatchingLM",
     "Database",
     "UDFMemoCache",
+    "StatementCache",
     "MetricsRegistry",
     "Tracer",
     "SemanticResultCache",

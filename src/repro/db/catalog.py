@@ -12,6 +12,7 @@ from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.plan import UDFExecContext
 from repro.db.planner import Planner
 from repro.db.shard import PartitionSpec, ShardRuntime
+from repro.db.stmtcache import Prepared, StatementCache
 from repro.db.udfcache import UDFMemoCache
 from repro.db.result import ResultSet, RowLayout
 from repro.db.schema import Column, ForeignKey, TableSchema
@@ -40,6 +41,45 @@ def _analysis_error(report) -> AnalysisError:
     return AnalysisError(f"static analysis rejected query: {head}", report)
 
 
+def _check_options(udf_batch_size: object, max_rows: object) -> None:
+    """Refuse a ``udf_batch_size`` that is not ``'auto'``, None or an
+    int >= 1, and a ``max_rows`` that is not None or an int >= 0."""
+    if not (udf_batch_size is None or udf_batch_size == "auto"):
+        if isinstance(udf_batch_size, bool) or not isinstance(
+            udf_batch_size, int
+        ):
+            raise ExecutionError(
+                "udf_batch_size must be 'auto', None or an int, "
+                f"got {udf_batch_size!r}"
+            )
+        if udf_batch_size < 1:
+            raise ExecutionError(
+                f"udf_batch_size must be >= 1, got {udf_batch_size}"
+            )
+    if not (max_rows is None or type(max_rows) is int and max_rows >= 0):
+        raise ExecutionError(
+            f"max_rows must be None or an int >= 0, got {max_rows!r}"
+        )
+
+
+def _named_tables(select: ast.Select) -> set[str]:
+    """Lowered name of every table a SELECT mentions, in its FROM tree
+    or in any subquery at any depth."""
+    names: set[str] = set()
+    stack: list[Any] = [select]
+    while stack:
+        node = stack.pop()
+        if type(node) is ast.TableSource:
+            names.add(node.name.lower())
+        elif type(node) is tuple:
+            stack.extend(node)
+        elif hasattr(node, "__dataclass_fields__"):
+            # Field by field: asking a node for its ``__dict__`` would
+            # make it grow one, for as long as the AST is kept.
+            stack.extend([getattr(node, f) for f in node.__dataclass_fields__])
+    return names
+
+
 class Database:
     """An in-memory relational database with a SQL interface.
 
@@ -59,6 +99,9 @@ class Database:
         #: every batched execution against this database.  Capacity 0
         #: disables it (intra-morsel dedup still applies).
         self.udf_cache = UDFMemoCache(udf_cache_capacity)
+        #: What :meth:`execute` derived from the text of each SELECT it
+        #: ran (AST, analyzer verdict, plan), reused while it stands.
+        self.statement_cache = StatementCache()
         self._udf_usage: Any = None
         self._udf_metrics: Any = None
         #: Worker count / LM host for shard-parallel execution; scans
@@ -252,20 +295,8 @@ class Database:
         ``None`` pins the per-row oracle path; an int pins that morsel
         size.  With ``optimize=False`` there is no optimizer: ``"auto"``
         degrades to per-row, ints are still honored (for ablations).
-        Anything else is refused here, whatever the statement plans to.
+        Anything else was refused by :func:`_check_options`.
         """
-        if not (udf_batch_size is None or udf_batch_size == "auto"):
-            if isinstance(udf_batch_size, bool) or not isinstance(
-                udf_batch_size, int
-            ):
-                raise ExecutionError(
-                    "udf_batch_size must be 'auto', None or an int, "
-                    f"got {udf_batch_size!r}"
-                )
-            if udf_batch_size < 1:
-                raise ExecutionError(
-                    f"udf_batch_size must be >= 1, got {udf_batch_size}"
-                )
         optimizer = None
         if optimize:
             from repro.db.optimizer import QueryOptimizer
@@ -293,6 +324,49 @@ class Database:
             self._udf_metrics.counter(
                 "repro_exec_rows_truncated_total"
             ).inc(dropped)
+
+    # ------------------------------------------------------------------
+    # statement cache
+    # ------------------------------------------------------------------
+
+    def _lookup(self, sql: str) -> Prepared | None:
+        """The statement cache's entry for ``sql``, if it still stands."""
+        entry = self.statement_cache.lookup(sql)
+        if entry is not None and entry.stands(
+            self._tables, self.functions.version, self.shard_runtime
+        ):
+            return entry
+        return None
+
+    def _first_sight(self, statement: ast.Select) -> Prepared:
+        """A not yet stored entry for a SELECT just parsed, stamped
+        before anything is derived from the catalog: a change racing
+        the derivation then voids the entry instead of hiding in it."""
+        version = self.functions.version
+        tables = tuple(
+            (name, table, getattr(table, "access_version", None))
+            for name in _named_tables(statement)
+            for table in [self._tables.get(name)]
+        )
+        return Prepared(statement, False, tables, version, self.shard_runtime)
+
+    def _preflight(self, statement: ast.Select, sql: str) -> None:
+        """Raise what the static analyzer's rejection flattens to."""
+        report = self.analyze(statement, source=sql)
+        if not report.ok:
+            raise _analysis_error(report)
+
+    def _select(self, sql: str, what: str, analyze: bool) -> ast.Select:
+        """For the EXPLAIN paths: the SELECT ``sql`` holds — as parsed
+        and accepted before, while its stored entry stands — analyzed
+        when asked."""
+        entry = self._lookup(sql)
+        statement = entry.statement if entry else parse_statement(sql)
+        if not isinstance(statement, ast.Select):
+            raise PlanningError(f"{what} only supports SELECT")
+        if analyze and not (entry is not None and entry.analyzed):
+            self._preflight(statement, sql)
+        return statement
 
     # ------------------------------------------------------------------
     # SQL execution
@@ -339,6 +413,15 @@ class Database:
         (per-operator rows in/out and virtual time) as a one-column
         ``plan`` result — see :meth:`explain_analyze` for the
         structured form.
+
+        A SELECT that has succeeded before skips what its text alone
+        decides (see :mod:`repro.db.stmtcache`): parsing and the
+        analyzer's verdict while the catalog objects it names stand,
+        and from its second repeat on planning too, while the
+        statistics the plan was chosen from stand.  Rows, errors and
+        everything metered are those of a statement seen for the first
+        time; :meth:`explain` and :meth:`explain_analyze` always plan
+        afresh.
         """
         prefixed = _EXPLAIN_ANALYZE.match(sql)
         if prefixed is not None:
@@ -353,23 +436,48 @@ class Database:
                 ["plan"],
                 [(line,) for line in analyzed.render().splitlines()],
             )
-        statement = parse_statement(sql)
-        if isinstance(statement, ast.Select):
-            if analyze:
-                report = self.analyze(statement, source=sql)
-                if not report.ok:
-                    raise _analysis_error(report)
+        entry = stored = self._lookup(sql)
+        if stored is None:
+            statement = parse_statement(sql)
+            if not isinstance(statement, ast.Select):
+                return self._execute_write(statement)
+            entry = self._first_sight(statement)
+        if analyze and not entry.analyzed:
+            self._preflight(entry.statement, sql)
+            entry = entry._replace(analyzed=True)
+        _check_options(udf_batch_size, max_rows)
+        if stored is not None and stored.serves((optimize, udf_batch_size)):
+            self.statement_cache.count_plan_hit()
+            plan, names, report = stored.plan, stored.names, stored.report
+        else:
             planner, optimizer = self._prepare_select(
-                statement, optimize, udf_batch_size
+                entry.statement, optimize, udf_batch_size
             )
-            result = planner.run_select(statement)
-            self._meter_optimizer(optimizer)
-            if max_rows is not None and len(result.rows) > max_rows:
-                self._meter_truncation(len(result.rows) - max_rows)
-                result = ResultSet(
-                    result.columns, result.rows[:max_rows]
+            plan, names = planner.plan_select(entry.statement)
+            report = optimizer.report if optimizer is not None else None
+            # The plan is kept from the text's first repeat on (one
+            # that never recurs then costs an AST, not a plan), and
+            # only when it may run again.
+            if stored is not None and planner.reusable:
+                entry = entry._replace(
+                    options=(optimize, udf_batch_size),
+                    plan=plan,
+                    names=names,
+                    report=report,
+                    stats=tuple(planner.stats_read.items()),
                 )
-            return result
+        rows = list(plan.execute())
+        if report is not None:
+            report.meter(self._udf_usage, self._udf_metrics)
+        if max_rows is not None and len(rows) > max_rows:
+            self._meter_truncation(len(rows) - max_rows)
+            rows = rows[:max_rows]
+        # Only a statement that has succeeded is kept.
+        if entry is not stored:
+            self.statement_cache.put(sql, entry)
+        return ResultSet(names, rows)
+
+    def _execute_write(self, statement: ast.Statement) -> ResultSet:
         if isinstance(statement, ast.CreateTable):
             self._execute_create(statement)
             return ResultSet([], [])
@@ -419,13 +527,8 @@ class Database:
         """
         from repro.obs.explain import AnalyzedQuery, instrument_plan
 
-        statement = parse_statement(sql)
-        if not isinstance(statement, ast.Select):
-            raise PlanningError("EXPLAIN ANALYZE only supports SELECT")
-        if analyze:
-            report = self.analyze(statement, source=sql)
-            if not report.ok:
-                raise _analysis_error(report)
+        statement = self._select(sql, "EXPLAIN ANALYZE", analyze)
+        _check_options(udf_batch_size, max_rows)
         planner, optimizer = self._prepare_select(
             statement, optimize, udf_batch_size
         )
@@ -461,9 +564,8 @@ class Database:
         listing every decision (route, batch size, reorders, pushdowns)
         with the cost numbers that justified it.
         """
-        statement = parse_statement(sql)
-        if not isinstance(statement, ast.Select):
-            raise PlanningError("EXPLAIN only supports SELECT")
+        statement = self._select(sql, "EXPLAIN", False)
+        _check_options(udf_batch_size, None)
         planner, optimizer = self._prepare_select(
             statement, optimize, udf_batch_size
         )
@@ -525,13 +627,7 @@ class Database:
         (all of them without one)."""
         table = self.table(statement.table)
         compiler = ExpressionCompiler(
-            RowLayout(
-                [
-                    (statement.table, name)
-                    for name in table.schema.column_names
-                ]
-            ),
-            self.functions,
+            table.layout(statement.table), self.functions
         )
         candidates = Planner(self, self.functions).candidate_row_ids(
             table, statement.table, statement.where

@@ -350,6 +350,8 @@ class ExpressionCompiler:
         if self._subquery_planner is None:
             raise PlanningError("subqueries are not allowed here")
         planner = self._subquery_planner
+        # The closure below answers once: a plan holding it runs once.
+        planner.reusable = False
         cache: list[list[Row]] = []
 
         def fetch() -> list[Row]:

@@ -47,6 +47,10 @@ class FunctionRegistry:
         self._batch: dict[str, BatchFunction] = {}
         self._cheap: dict[str, ScalarFunction] = {}
         self._cheap_batch: dict[str, BatchFunction] = {}
+        #: Bumped by every registration: anything compiled or checked
+        #: against the registry (closures bind the function object)
+        #: stands while this number does.
+        self.version = 0
         _register_builtin_scalars(self)
         _register_builtin_aggregates(self)
 
@@ -95,9 +99,11 @@ class FunctionRegistry:
             self._cheap[upper] = cheap
         if cheap_batch is not None:
             self._cheap_batch[upper] = cheap_batch
+        self.version += 1
 
     def register_aggregate(self, name: str, spec: AggregateSpec) -> None:
         self._aggregates[name.upper()] = spec
+        self.version += 1
 
     # -- lookup ----------------------------------------------------------
 

@@ -156,8 +156,10 @@ class QueryOptimizer:
         self.report = OptimizerReport()
         self.cascade = False
         #: Only statements touching expensive UDFs get decisions; plans
-        #: for purely relational queries must stay byte-identical.
-        self._lm_relevant = False
+        #: for purely relational queries must stay byte-identical.  Read
+        #: by the planner: such a statement's route, reorders and
+        #: pushdowns are priced from its tables' statistics.
+        self.lm_relevant = False
         self._bindings: dict[str, Table] = {}
 
     # ------------------------------------------------------------------
@@ -175,7 +177,7 @@ class QueryOptimizer:
         size the planner should use.
         """
         names = self._expensive_names(select)
-        self._lm_relevant = bool(names)
+        self.lm_relevant = bool(names)
         self._collect_bindings(select.source)
         if not names:
             return None if requested == "auto" else requested  # type: ignore[return-value]
@@ -340,7 +342,7 @@ class QueryOptimizer:
         node: physical.PlanNode,
     ) -> None:
         """Record a cheap-before-expensive conjunct reorder."""
-        if not self._lm_relevant or not cheap or not expensive:
+        if not self.lm_relevant or not cheap or not expensive:
             return
         selectivity = 1.0
         for conjunct in cheap:
@@ -367,7 +369,7 @@ class QueryOptimizer:
         Pushing below runs the LM over the side's rows; holding above
         runs it over the join's output.  Pick the smaller input.
         """
-        if not self._lm_relevant:
+        if not self.lm_relevant:
             return False
         below = _estimate_rows(side)
         above = _estimate_rows(join)
@@ -397,7 +399,7 @@ class QueryOptimizer:
     ) -> None:
         """Record a shard-parallel plan choice (and any pruning).
 
-        Deliberately *not* gated on ``_lm_relevant``: sharding applies
+        Deliberately *not* gated on ``lm_relevant``: sharding applies
         to purely relational scans too, and the EXPLAIN footer must say
         why a scan fanned out.  The pruning decision is emitted whenever
         a prunable predicate was found — even when it pruned nothing —
@@ -426,7 +428,7 @@ class QueryOptimizer:
         self, count: int, join: physical.PlanNode
     ) -> None:
         """Record cheap conjuncts pushed into join inputs."""
-        if not self._lm_relevant or count == 0:
+        if not self.lm_relevant or count == 0:
             return
         kind = getattr(join, "kind", "INNER")
         self.report.add(

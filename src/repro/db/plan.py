@@ -62,20 +62,13 @@ class PlanNode:
         return []
 
 
-def _stored_layout(table: Table, binding: str) -> RowLayout:
-    """Layout of a stored table's rows under a binding (alias)."""
-    return RowLayout(
-        [(binding, name) for name in table.schema.column_names]
-    )
-
-
 class Scan(PlanNode):
     """Full scan of a stored table under a binding (alias)."""
 
     def __init__(self, table: Table, binding: str) -> None:
         self.table = table
         self.binding = binding
-        self.layout = _stored_layout(table, binding)
+        self.layout = table.layout(binding)
 
     def execute(self) -> Iterator[Row]:
         return iter(self.table)
@@ -92,7 +85,7 @@ class IndexLookup(PlanNode):
         self.binding = binding
         self.column = column
         self.value = value
-        self.layout = _stored_layout(table, binding)
+        self.layout = table.layout(binding)
 
     def row_ids(self) -> list[int]:
         """Ascending ids of the rows this node emits."""
@@ -138,7 +131,7 @@ class IndexRange(PlanNode):
         self.low_strict = low_strict
         self.high_strict = high_strict
         self.key_order = False
-        self.layout = _stored_layout(table, binding)
+        self.layout = table.layout(binding)
 
     def keys(self) -> list[SQLValue]:
         """The index keys inside the range, ascending."""
@@ -846,7 +839,7 @@ class IndexJoin(PlanNode):
         self.column = column
         self.table_is_left = table_is_left
         self.residual = residual
-        probed = _stored_layout(table, binding)
+        probed = table.layout(binding)
         self.layout = (
             RowLayout.concat(probed, child.layout)
             if table_is_left
@@ -1185,7 +1178,7 @@ class ShardScan(PlanNode):
         self.binding = binding
         self.spec = spec
         self.shard_id = shard_id
-        self.layout = _stored_layout(table, binding)
+        self.layout = table.layout(binding)
 
     def execute(self) -> Iterator[Row]:
         rows = self.table.rows

@@ -119,6 +119,15 @@ class Planner:
         self._equi_keys: dict[
             physical.HashJoin, tuple[ast.Expression, ast.Expression]
         ] = {}
+        #: Cleared when the plan being built keeps run state outside
+        #: the frames of ``execute()`` — morsel operators, a shard
+        #: exchange, a subquery's fetch-once closure — and so may run
+        #: only once; the statement cache stores no such plan.
+        self.reusable = True
+        #: Table -> its ``version`` just before planning first read its
+        #: statistics: the plan was chosen for those numbers and stands
+        #: while they do.
+        self.stats_read: dict[Table, int] = {}
 
     # ------------------------------------------------------------------
     # public entry points
@@ -193,8 +202,14 @@ class Planner:
         if source is None:
             return physical.Values([()], RowLayout([]))
         if isinstance(source, ast.TableSource):
-            table = self._catalog.table(source.name)
-            return physical.Scan(table, source.binding)
+            scan = physical.Scan(
+                self._catalog.table(source.name), source.binding
+            )
+            if self._optimizer is not None and self._optimizer.lm_relevant:
+                # Routes, reorders and pushdowns of a statement with
+                # LM calls are priced from every table it scans.
+                self._reads_statistics(scan)
+            return scan
         if isinstance(source, ast.SubquerySource):
             inner, names = self.plan_select(source.query)
             sliced = physical.Slice(inner, list(range(len(names))))
@@ -392,11 +407,21 @@ class Planner:
                 table_is_left,
                 join.residual,
             )
+            self._reads_statistics(candidate)
             if _estimate_rows(candidate) * _INDEX_JOIN_MARGIN <= len(
                 probed.table
             ):
                 return candidate
         return join
+
+    def _reads_statistics(self, node: physical.PlanNode) -> None:
+        """Note, before an estimate reads them, the version of every
+        stored table under ``node``."""
+        table = getattr(node, "table", None)
+        if table is not None:
+            self.stats_read.setdefault(table, table.version)
+        for child in node._children():
+            self._reads_statistics(child)
 
     def _maybe_index_lookup(
         self, scan: physical.Scan, conjuncts: list[ast.Expression]
@@ -574,6 +599,7 @@ class Planner:
                 cascade=self._cascade(),
             )
             if sites:
+                self.reusable = False
                 return physical.MorselFilter(
                     node,
                     evaluators[0],
@@ -654,6 +680,7 @@ class Planner:
             self._optimizer.note_shard(
                 source.table, spec, len(pipelines), prunable, pruned
             )
+        self.reusable = False
         exchange = physical.Exchange(
             pipelines,
             contexts,
@@ -1137,6 +1164,7 @@ class Planner:
         )
         if not sites:
             return None
+        self.reusable = False
         return physical.MorselProject(
             source,
             evaluators,

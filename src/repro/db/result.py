@@ -23,14 +23,18 @@ class RowLayout:
     def __init__(self, entries: list[tuple[str | None, str]]) -> None:
         self.entries = list(entries)
         self._by_qualified: dict[tuple[str, str], int] = {}
-        self._by_name: dict[str, list[int]] = {}
+        #: Lowered name -> its first position; names that two distinct
+        #: bindings expose are ambiguous when unqualified.
+        self._by_name: dict[str, int] = {}
+        self._ambiguous: set[str] = set()
         for position, (binding, name) in enumerate(self.entries):
             lowered = name.lower()
-            self._by_name.setdefault(lowered, []).append(position)
+            first = self._by_name.setdefault(lowered, position)
+            if self.entries[first][0] != binding:
+                self._ambiguous.add(lowered)
             if binding is not None:
                 key = (binding.lower(), lowered)
-                if key not in self._by_qualified:
-                    self._by_qualified[key] = position
+                self._by_qualified.setdefault(key, position)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -52,16 +56,15 @@ class RowLayout:
             if key in self._by_qualified:
                 return self._by_qualified[key]
             raise PlanningError(f"unknown column {table}.{name}")
-        positions = self._by_name.get(name.lower(), [])
-        if not positions:
+        lowered = name.lower()
+        position = self._by_name.get(lowered)
+        if position is None:
             raise PlanningError(f"unknown column {name!r}")
-        if len(positions) > 1:
+        if lowered in self._ambiguous:
             # Distinct bindings exposing the same name are ambiguous;
             # duplicates within one binding never happen by construction.
-            bindings = {self.entries[p][0] for p in positions}
-            if len(bindings) > 1:
-                raise PlanningError(f"ambiguous column {name!r}")
-        return positions[0]
+            raise PlanningError(f"ambiguous column {name!r}")
+        return position
 
     def can_resolve(self, name: str, table: str | None = None) -> bool:
         try:

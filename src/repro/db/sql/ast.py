@@ -16,12 +16,12 @@ from typing import Union
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     value: int | float | str | bool | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnRef:
     """A possibly-qualified column reference (``t.col`` or ``col``).
 
@@ -41,7 +41,7 @@ class ColumnRef:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
     """``*`` or ``t.*`` in a projection or inside COUNT(*)."""
 
@@ -49,20 +49,20 @@ class Star:
     position: int | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnaryOp:
     op: str  # "-", "+", "NOT"
     operand: "Expression"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryOp:
     op: str  # arithmetic, comparison, AND/OR, "||"
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionCall:
     name: str  # upper-cased
     args: tuple["Expression", ...]
@@ -71,7 +71,7 @@ class FunctionCall:
     position: int | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseExpression:
     """``CASE [operand] WHEN ... THEN ... [ELSE ...] END``."""
 
@@ -80,38 +80,38 @@ class CaseExpression:
     default: "Expression | None"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CastExpression:
     operand: "Expression"
     type_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InList:
     operand: "Expression"
     items: tuple["Expression", ...]
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InSubquery:
     operand: "Expression"
     subquery: "Select"
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExistsSubquery:
     subquery: "Select"
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarSubquery:
     subquery: "Select"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetweenExpression:
     operand: "Expression"
     lower: "Expression"
@@ -119,14 +119,14 @@ class BetweenExpression:
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LikeExpression:
     operand: "Expression"
     pattern: "Expression"
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsNullExpression:
     operand: "Expression"
     negated: bool = False
@@ -156,7 +156,7 @@ Expression = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableSource:
     name: str
     alias: str | None = None
@@ -167,13 +167,13 @@ class TableSource:
         return self.alias or self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubquerySource:
     query: "Select"
     alias: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Join:
     """A join between the accumulated left source tree and ``right``."""
 
@@ -191,19 +191,19 @@ FromSource = Union[TableSource, SubquerySource, Join]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectItem:
     expression: Expression
     alias: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderItem:
     expression: Expression
     ascending: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Select:
     items: tuple[SelectItem, ...]
     source: FromSource | None = None
@@ -216,7 +216,7 @@ class Select:
     distinct: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnDef:
     name: str
     type_name: str
@@ -224,35 +224,35 @@ class ColumnDef:
     not_null: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForeignKeyDef:
     column: str
     parent_table: str
     parent_column: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateTable:
     name: str
     columns: tuple[ColumnDef, ...]
     foreign_keys: tuple[ForeignKeyDef, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Insert:
     table: str
     columns: tuple[str, ...]  # empty means all, in declaration order
     rows: tuple[tuple[Expression, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Update:
     table: str
     assignments: tuple[tuple[str, Expression], ...]
     where: Expression | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delete:
     table: str
     where: Expression | None = None

@@ -18,12 +18,16 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.db.result import RowLayout
 from repro.db.schema import TableSchema
 from repro.db.shard import PartitionSpec
 from repro.db.types import SQLValue, coerce, sort_key
 from repro.errors import SchemaError
 
 Row = tuple[SQLValue, ...]
+
+#: Bindings whose layout a table remembers at once (see ``Table.layout``).
+_MAX_LAYOUTS = 32
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,12 @@ class Table:
         #: anything derived from the rows is current while the number
         #: it was derived at still stands.
         self.version = 0
+        #: Bumped when an index is built or the partitioning changes:
+        #: a choice of access path stands while this number does.
+        self.access_version = 0
+        #: Binding (alias) -> layout of the rows under it, for
+        #: :meth:`layout`; published without a lock, like ``_stats``.
+        self._layouts: dict[str, RowLayout] = {}
 
     # ------------------------------------------------------------------
     # Writes
@@ -278,6 +288,7 @@ class Table:
             self.schema.column_index(spec.column)  # raises on unknown
         self._partition = spec
         self._partition_rows = None
+        self.access_version += 1
 
     @property
     def partition_spec(self) -> PartitionSpec | None:
@@ -317,6 +328,26 @@ class Table:
     def rows(self) -> list[Row]:
         """All rows, in insertion order (a direct view; do not mutate)."""
         return self._rows
+
+    def layout(self, binding: str) -> RowLayout:
+        """Layout of this table's rows under a binding (alias).
+
+        The schema is fixed for the table's life, so each binding's
+        layout is derived once and shared by every plan node that reads
+        the table under it (read-only by contract).  Racing first uses
+        at worst store equal layouts twice; the memo starts over past a
+        few dozen aliases rather than grow with the statements seen.
+        """
+        layouts = self._layouts
+        layout = layouts.get(binding)
+        if layout is None:
+            layout = RowLayout(
+                [(binding, name) for name in self.schema.column_names]
+            )
+            if len(layouts) >= _MAX_LAYOUTS:
+                layouts = self._layouts = {}
+            layouts[binding] = layout
+        return layout
 
     def column_values(self, name: str) -> list[SQLValue]:
         position = self.schema.column_index(name)
@@ -364,6 +395,7 @@ class Table:
     def create_index(self, column_name: str) -> None:
         """Build (or rebuild) the index on ``column_name``."""
         self._install_index(self.schema.column_index(column_name))
+        self.access_version += 1
 
     def _install_index(self, position: int) -> None:
         index = self._build_index(position)

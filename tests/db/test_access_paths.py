@@ -38,6 +38,14 @@ def literal(value) -> str:
     return repr(value)
 
 
+def select(db: Database, sql: str) -> list[tuple]:
+    """Rows of a SELECT executed twice: the second answer may come from
+    what the first left in the statement cache, and must equal it."""
+    rows = db.execute(sql).rows
+    assert db.execute(sql).rows == rows, sql
+    return rows
+
+
 def mirror_of(db: Database, *tables: str) -> closing:
     """The same tables and rows in an in-memory SQLite database, closed
     on leaving the ``with`` block."""
@@ -86,7 +94,7 @@ class TestExactIntegerComparison:
         db = self.make(indexed)
         sql = f"SELECT tag FROM big WHERE {predicate} ORDER BY id"
         with mirror_of(db, "big") as mirror:
-            assert db.execute(sql).rows == mirror.execute(sql).fetchall()
+            assert select(db, sql) == mirror.execute(sql).fetchall()
 
     def test_sort_key_ties_only_for_equal_values(self):
         assert sort_key(BIG) != sort_key(BIG + 1)
@@ -133,7 +141,7 @@ class TestBetweenNullBounds:
         sql = f"SELECT {expression}"
         with closing(sqlite3.connect(":memory:")) as mirror:
             expected = mirror.execute(sql).fetchone()[0]
-        got = Database().execute(sql).scalar()
+        ((got,),) = select(Database(), sql)
         assert (None if got is None else int(got)) == expected
 
     @pytest.mark.parametrize("indexed", [False, True])
@@ -152,7 +160,7 @@ class TestBetweenNullBounds:
                 "x BETWEEN 3 AND NULL",
             ):
                 sql = f"SELECT x FROM t WHERE {predicate} ORDER BY x"
-                assert db.execute(sql).rows == (
+                assert select(db, sql) == (
                     mirror.execute(sql).fetchall()
                 ), sql
                 assert "IndexRange" not in db.explain(sql)
@@ -252,8 +260,8 @@ def test_between_with_index_equals_without(
     plan = indexed.explain(sql)
     assert ("IndexRange" in plan) == (low is not None and high is not None)
     assert ("Sort" in plan) == (ordered and "IndexRange" not in plan)
-    got = indexed.execute(sql).rows
-    assert got == plain.execute(sql).rows
+    got = select(indexed, sql)
+    assert got == select(plain, sql)
     event(f"IndexRange={'IndexRange' in plan} rows={min(len(got), 2)}")
 
     if not (
@@ -295,8 +303,8 @@ def test_comparison_with_index_equals_without(
         sql += f" ORDER BY {column} LIMIT 5"
     indexed, plain = range_db(rows, True), range_db(rows, False)
     assert ("IndexRange" in indexed.explain(sql)) == (bound is not None)
-    got = indexed.execute(sql).rows
-    assert got == plain.execute(sql).rows
+    got = select(indexed, sql)
+    assert got == select(plain, sql)
     if sqlite_compares_alike(column, bound) and not ordered:
         with mirror_of(plain, "t") as mirror:
             assert sorted(got) == sorted(mirror.execute(sql).fetchall())
@@ -395,8 +403,8 @@ def test_key_join_with_index_equals_hash_join(
     indexed = join_db(order_keys, customer_ids, key_type, True)
     plain = join_db(order_keys, customer_ids, key_type, False)
     assert "HashJoin" in plain.explain(sql)
-    got = indexed.execute(sql).rows
-    assert got == plain.execute(sql).rows
+    got = select(indexed, sql)
+    assert got == select(plain, sql)
     event(f"IndexJoin={'IndexJoin' in indexed.explain(sql)}")
     if limit is None:
         with mirror_of(plain, "o", "c") as mirror:

@@ -7,7 +7,10 @@ into the bound :class:`~repro.lm.usage.Usage` and metrics registry and
 surfaced on EXPLAIN ANALYZE output.
 """
 
+import pytest
+
 from repro.core import SQLExecutor
+from repro.errors import ExecutionError
 from repro.lm.usage import Usage
 from repro.obs import MetricsRegistry
 
@@ -49,6 +52,41 @@ class TestEngineTruncation:
         analyzed = movies_db.explain_analyze("SELECT title FROM movies")
         assert analyzed.truncated is None
         assert "Result truncated" not in analyzed.render()
+
+
+class TestMaxRowsValidation:
+    """``max_rows=-1`` used to slice ``rows[:-1]``: the last row went
+    missing and one row too many was metered."""
+
+    @pytest.mark.parametrize("bad", [-1, -7, True, 2.0, "2"])
+    @pytest.mark.parametrize("repeat", [1, 3])
+    def test_refused_and_nothing_metered(self, movies_db, bad, repeat):
+        usage = Usage()
+        movies_db.bind_udf_meters(usage=usage)
+        sql = "SELECT title FROM movies"
+        for _ in range(repeat):  # first sight, AST reused, plan reused
+            movies_db.execute(sql)
+        for run in (movies_db.execute, movies_db.explain_analyze):
+            with pytest.raises(ExecutionError) as raised:
+                run(sql, max_rows=bad)
+            assert str(raised.value) == (
+                f"max_rows must be None or an int >= 0, got {bad!r}"
+            )
+        assert usage.rows_truncated == 0
+
+    def test_refused_whatever_the_statement_is(self, movies_db):
+        with pytest.raises(ExecutionError, match="max_rows"):
+            movies_db.execute("SELECT 1", max_rows=-1)
+
+    def test_zero_keeps_nothing_and_meters_everything(self, movies_db):
+        usage = Usage()
+        movies_db.bind_udf_meters(usage=usage)
+        for seen in range(1, 4):  # miss, then hits: metered alike
+            result = movies_db.execute(
+                "SELECT title FROM movies", max_rows=0
+            )
+            assert result.rows == []
+            assert usage.rows_truncated == 6 * seen
 
 
 class TestExecutorUsesEngineCap:

@@ -19,7 +19,8 @@ rebuilt from scratch from the live tables; ``db.explain(sql)`` equals
 the rebuilt database's; and the optimizer decisions and truncated rows
 metered into a bound ``Usage`` equal the rebuilt database's.  The file
 was written against an engine with no statement cache and pins the
-engine that has one.
+engine that has one; the one invariant added with the cache is that a
+plan it keeps renders the EXPLAIN a fresh plan does.
 """
 
 from __future__ import annotations
@@ -79,11 +80,23 @@ POOL = (
         True,
         True,
     ),
-    ("SELECT id, status FROM orders WHERE amount >= 1.5 ORDER BY id", True, True),
+    (
+        "SELECT id, status FROM orders WHERE amount >= 1.5 ORDER BY id",
+        True,
+        True,
+    ),
     # A registered UDF, whose body the rules replace.
-    ("SELECT id, LABEL(status) FROM orders WHERE id < 6 ORDER BY id", False, True),
+    (
+        "SELECT id, LABEL(status) FROM orders WHERE id < 6 ORDER BY id",
+        False,
+        True,
+    ),
     # An expensive UDF: batched, so its plan carries run state.
-    ("SELECT id FROM orders WHERE JUDGE(status) = 'yes' ORDER BY id", False, True),
+    (
+        "SELECT id FROM orders WHERE JUDGE(status) = 'yes' ORDER BY id",
+        False,
+        True,
+    ),
     # Accepted while customers.tier is INTEGER, rejected once it is TEXT.
     ("SELECT id, ABS(tier) FROM customers ORDER BY id", False, True),
     # Always rejected by the analyzer (and by the planner, for EXPLAIN).
@@ -201,6 +214,11 @@ class StatementMachine(RuleBasedStateMachine):
             "customer_id INTEGER NOT NULL, amount REAL, status TEXT)"
         )
         self.register(self.db)
+        # Indexed from the start, so the key join's access path follows
+        # the statistics from the first write on.
+        for indexed in (("orders", "customer_id"), ("customers", "id")):
+            self.db.create_index(*indexed)
+            self.indexes.add(indexed)
         for id in range(4):
             self.write(
                 f"INSERT INTO customers VALUES ({id}, 'c{id}', {id % 3})"
@@ -303,6 +321,22 @@ class StatementMachine(RuleBasedStateMachine):
         assert metered(self.usage, before[0]) == metered(
             fresh_usage, before[1]
         ), (sql, options)
+        # The text has just run under these options: a plan kept for
+        # them is the one it ran, and renders as a fresh one does.
+        planned = {
+            key: options[key]
+            for key in ("optimize", "udf_batch_size")
+            if key in options
+        }
+        kept = self.db._lookup(sql)
+        if kept is not None and kept.options == (
+            planned.get("optimize", True),
+            planned.get("udf_batch_size", "auto"),
+        ):
+            rendered = kept.plan.explain()
+            if kept.report is not None and kept.report.decisions:
+                rendered += "\n" + kept.report.render()
+            assert rendered == self.db.explain(sql, **planned), (sql, options)
         return got
 
     # -- writes through SQL ----------------------------------------------

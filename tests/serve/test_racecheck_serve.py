@@ -89,6 +89,29 @@ class TestServeSweepIsRaceClean:
         assert all(r.ok for r in serve_report.results)
         assert race_report.ok, race_report.render()
 
+    @pytest.mark.parametrize("workers", [1, 4, 8])
+    def test_sweep_covers_the_statement_cache(self, movie_dataset, workers):
+        """Every request executes the same SELECT on the one shared
+        ``Database``: the workers race on its first sight, then share
+        its entry and its stored plan, under the checker's eyes."""
+        cache = movie_dataset.db.statement_cache
+        lookups = cache.hits + cache.misses
+        checker = RaceChecker()
+        server = TagServer(
+            romance_factory(movie_dataset),
+            SimulatedLM(LMConfig(seed=0)),
+            workers=workers,
+            window=max(2, workers),
+        )
+        with racecheck.checking(checker):
+            report = server.serve(requests(9))
+        assert all(r.ok for r in report.results)
+        assert checker.report().ok, checker.report().render()
+        assert "StatementCache._entries" in checker._vars
+        assert cache.hits + cache.misses == lookups + 9
+        assert cache.plan_hits > 0
+        assert movie_dataset.db._lookup(ROMANCE_SQL).plan is not None
+
     def test_checker_does_not_perturb_answers(self, movie_dataset):
         checked, _ = _checked_serve(movie_dataset, workers=4)
         plain = TagServer(
