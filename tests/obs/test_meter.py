@@ -1,0 +1,449 @@
+"""Every counter that has two sinks, driven through the layer that emits it.
+
+A counter such as ``udf_cache_hits`` lands in a bound
+:class:`~repro.lm.usage.Usage` field *and* in a ``*_total`` instrument
+of a bound :class:`~repro.obs.metrics.MetricsRegistry`.  Each case
+below binds a fresh pair, runs one piece of the system, and pins three
+things at once: the exact count, that the two sinks hold the same
+number, and the complete key set of ``registry.snapshot()`` — so no
+instrument can appear, disappear or be renamed unnoticed, and an event
+that did not happen creates none.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable
+
+import pytest
+
+from repro.core import (
+    LMQuerySynthesizer,
+    NoGenerator,
+    RepairPolicy,
+    SQLExecutor,
+    SelfCorrectingPipeline,
+)
+from repro.core.tag import TAGResult
+from repro.db import Column, Database, DataType, TableSchema
+from repro.errors import DeadlineExceededError, TransientLMError
+from repro.lm import FaultPlan, FaultyLM, LMConfig, SimulatedLM, Usage
+from repro.lm.prompts import summary_prompt
+from repro.obs.metrics import MetricsRegistry
+from repro.serve.resilience import (
+    BreakerPolicy,
+    ResiliencePolicy,
+    ResilientLM,
+    RetryPolicy,
+)
+from repro.serve.semantic import SemanticResultCache
+
+#: Usage field -> instrument, for the counters that have both sinks.
+DUAL_SINK = {
+    "udf_cache_hits": "repro_udf_cache_hits_total",
+    "udf_cache_misses": "repro_udf_cache_misses_total",
+    "cascade_cheap_hits": "repro_cascade_cheap_hits_total",
+    "cascade_escalations": "repro_cascade_escalations_total",
+    "optimizer_decisions": "repro_optimizer_decisions_total",
+    "rows_truncated": "repro_exec_rows_truncated_total",
+    "repair_attempts": "repro_repair_attempts_total",
+    "repair_successes": "repro_repair_successes_total",
+    "repair_exhausted": "repro_repair_exhausted_total",
+    "semcache_hits": "repro_semcache_hits_total",
+    "semcache_misses": "repro_semcache_misses_total",
+    "semcache_near_hits": "repro_semcache_near_hits_total",
+    "semcache_invalidations": "repro_semcache_invalidations_total",
+}
+#: Counters the resilience middleware keeps on Usage alone.
+USAGE_ONLY = ("retries", "breaker_trips", "deadline_exceeded")
+
+#: 8 rows, 3 distinct judged values (tests/obs/test_udf_counters.py's).
+ROWS = [
+    ("thriller", 1),
+    ("comedy", 2),
+    ("thriller", 3),
+    ("romance", 4),
+    ("comedy", 5),
+    ("thriller", 6),
+    ("romance", 7),
+    ("comedy", 8),
+]
+UDF_SQL = "SELECT s, SLOW(s) AS j FROM t WHERE SLOW(s) <> 'X' ORDER BY n"
+PROMPT = summary_prompt("Summarize the notes", ["hello", "world"])
+
+
+def udf_database(
+    usage: Usage,
+    metrics: MetricsRegistry | None,
+    cheap: bool = False,
+    shards: int | None = None,
+) -> Database:
+    db = Database()
+    db.create_table(
+        TableSchema(
+            "t",
+            [Column("s", DataType.TEXT), Column("n", DataType.INTEGER)],
+        )
+    )
+    db.insert("t", ROWS)
+
+    def scalar(value):
+        return str(value).upper()
+
+    def batch(tuples):
+        return [str(value).upper() for (value,) in tuples]
+
+    def cheap_tier(value):
+        return "COMEDY" if value == "comedy" else None
+
+    db.register_udf(
+        "SLOW",
+        scalar,
+        expensive=True,
+        batch=batch,
+        cheap=cheap_tier if cheap else None,
+    )
+    db.bind_udf_meters(usage=usage, metrics=metrics)
+    if shards is not None:
+        db.set_partitioning("t", "n", shards=shards)
+        db.configure_sharding(workers=2)
+    return db
+
+
+def faulty(script, **plan) -> FaultyLM:
+    return FaultyLM(
+        SimulatedLM(LMConfig(seed=0)),
+        FaultPlan(script=tuple(script), **plan),
+    )
+
+
+@dataclass
+class World:
+    """What a case may use: the registry to bind and the shared fixtures."""
+
+    metrics: MetricsRegistry
+    datasets: dict
+    suite: list
+
+
+@dataclass
+class Case:
+    name: str
+    #: Runs the layer against ``world.metrics``; returns the Usage it bound.
+    drive: Callable[[World], Usage]
+    #: Every non-zero counter of DUAL_SINK and USAGE_ONLY, exactly.
+    usage: dict[str, int] = field(default_factory=dict)
+    #: Instruments beyond the mirrors of ``usage``: the whole rest of
+    #: ``registry.snapshot()``.
+    also: dict[str, int] = field(default_factory=dict)
+
+
+# -- the engine -----------------------------------------------------------
+
+
+def statement(method: str = "execute", **build) -> Callable[[World], Usage]:
+    def drive(world: World) -> Usage:
+        usage = Usage()
+        db = udf_database(usage, world.metrics, **build)
+        getattr(db, method)(UDF_SQL, udf_batch_size=4)
+        return usage
+
+    return drive
+
+
+def truncation(method: str) -> Callable[[World], Usage]:
+    def drive(world: World) -> Usage:
+        usage = Usage()
+        db = udf_database(usage, world.metrics)
+        getattr(db, method)("SELECT s FROM t", max_rows=3)
+        db.execute("SELECT s FROM t WHERE n > 2", max_rows=6)  # drops none
+        return usage
+
+    return drive
+
+
+ROUTE = {"repro_optimizer_route_total": 1}
+CASCADE = {**ROUTE, "repro_optimizer_cascade_total": 1}
+SHARDED = {"repro_optimizer_shard_parallel_total": 1}
+
+ENGINE = [
+    Case(
+        "batched statement",
+        statement(),
+        {"udf_cache_hits": 13, "udf_cache_misses": 3, "optimizer_decisions": 1},
+        ROUTE,
+    ),
+    Case(
+        "cascade statement",
+        statement(cheap=True),
+        {
+            "udf_cache_hits": 13,
+            "udf_cache_misses": 2,
+            "cascade_cheap_hits": 1,
+            "cascade_escalations": 2,
+            "optimizer_decisions": 2,
+        },
+        CASCADE,
+    ),
+    *(
+        Case(
+            f"batched statement through Exchange, {shards} shard(s)",
+            statement(shards=shards),
+            {
+                "udf_cache_hits": 10,
+                "udf_cache_misses": 6,
+                "optimizer_decisions": 2,
+            },
+            {**ROUTE, **SHARDED},
+        )
+        for shards in (1, 2, 8)
+    ),
+    *(
+        Case(
+            f"cascade statement through Exchange, {shards} shard(s)",
+            statement(cheap=True, shards=shards),
+            {
+                "udf_cache_hits": 10,
+                "udf_cache_misses": 4,
+                "cascade_cheap_hits": 2,
+                "cascade_escalations": 4,
+                "optimizer_decisions": 3,
+            },
+            {**CASCADE, **SHARDED},
+        )
+        for shards in (1, 2, 8)
+    ),
+    Case(
+        "optimizer decision via explain",
+        statement("explain"),
+        {"optimizer_decisions": 1},
+        ROUTE,
+    ),
+    Case(
+        "optimizer decision via explain_analyze",
+        statement("explain_analyze"),
+        {"udf_cache_hits": 13, "udf_cache_misses": 3, "optimizer_decisions": 1},
+        ROUTE,
+    ),
+    Case(
+        "max_rows truncation via execute",
+        truncation("execute"),
+        {"rows_truncated": 5},
+    ),
+    Case(
+        "max_rows truncation via explain_analyze",
+        truncation("explain_analyze"),
+        {"rows_truncated": 5},
+    ),
+]
+
+
+# -- the repair loop -------------------------------------------------------
+
+
+def repair(garbled: int) -> Callable[[World], Usage]:
+    def drive(world: World) -> Usage:
+        dataset = world.datasets["formula_1"]
+        lm = faulty(["malformed_sql"] * garbled)
+        pipeline = SelfCorrectingPipeline(
+            LMQuerySynthesizer(lm, dataset),
+            SQLExecutor(dataset.db, analyze=True),
+            NoGenerator(),
+            lm=lm,
+            schema_sql=dataset.prompt_schema(),
+            policy=RepairPolicy(max_repairs=2),
+            metrics=world.metrics,
+        )
+        question = next(
+            spec.question
+            for spec in world.suite
+            if spec.domain == "formula_1"
+        )
+        assert pipeline.run(question).ok == (garbled <= 2)
+        return lm.usage
+
+    return drive
+
+
+REPAIR = [
+    Case(
+        "repair loop that succeeds",
+        repair(1),
+        {"repair_attempts": 1, "repair_successes": 1},
+    ),
+    Case(
+        "repair loop that exhausts",
+        repair(3),
+        {"repair_attempts": 2, "repair_exhausted": 1},
+    ),
+    Case("pipeline that needs no repair", repair(0)),
+]
+
+
+# -- the semantic cache ----------------------------------------------------
+
+
+def semantic(world: World) -> Usage:
+    usage = Usage()
+    cache = SemanticResultCache(
+        capacity=8, threshold=0.6, usage=usage, metrics=world.metrics
+    )
+
+    def result(answer) -> TAGResult:
+        return TAGResult(request="q", query="SELECT 1", answer=answer)
+
+    assert cache.lookup("Top romance movies") is None  # miss
+    cache.store("Top romance movies", result(1))
+    assert cache.lookup("top romance movie").via == "exact"
+    assert cache.lookup("Top of the romance movies chart").via == "near"
+    cache.meter_coalesced()  # an in-run duplicate: a hit
+    cache.store("Average voter age", result(2))
+    assert cache.invalidate() == 2
+    assert cache.invalidate() == 0  # evicts nothing, meters nothing
+    assert cache.lookup("Top romance movies") is None  # miss
+    return usage
+
+
+def disabled_semantic(world: World) -> Usage:
+    usage = Usage()
+    cache = SemanticResultCache(
+        capacity=0, usage=usage, metrics=world.metrics
+    )
+    assert cache.lookup("Top movies") is None
+    assert cache.lookup("Top movies") is None
+    return usage
+
+
+SEMCACHE = [
+    Case(
+        "semantic cache: exact, near, miss, coalesced, invalidate",
+        semantic,
+        {
+            "semcache_hits": 2,
+            "semcache_near_hits": 1,
+            "semcache_misses": 2,
+            "semcache_invalidations": 2,
+        },
+    ),
+    Case(
+        "disabled semantic cache",
+        disabled_semantic,
+        {"semcache_misses": 2},
+    ),
+]
+
+
+# -- the resilience middleware ---------------------------------------------
+
+
+def retried(world: World) -> Usage:
+    lm = ResilientLM(
+        faulty(["transient", "transient", None]),
+        ResiliencePolicy(retry=RetryPolicy(max_attempts=3)),
+    )
+    assert lm.complete(PROMPT).text
+    return lm.usage
+
+
+def tripped(world: World) -> Usage:
+    lm = ResilientLM(
+        faulty(["transient"] * 2),
+        ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=1),
+            breaker=BreakerPolicy(
+                failure_threshold=2, reset_timeout_s=1000.0
+            ),
+        ),
+    )
+    for _ in range(2):
+        with pytest.raises(TransientLMError):
+            lm.complete(PROMPT)
+    return lm.usage
+
+
+def killed(world: World) -> Usage:
+    lm = ResilientLM(
+        faulty(["timeout", "timeout", None], timeout_s=30.0),
+        ResiliencePolicy(
+            retry=RetryPolicy(
+                max_attempts=5, base_backoff_s=1.0, jitter=0.0
+            ),
+            deadline_s=40.0,
+        ),
+    )
+    with pytest.raises(DeadlineExceededError):
+        lm.complete(PROMPT)
+    return lm.usage
+
+
+def healthy(world: World) -> Usage:
+    lm = ResilientLM(
+        faulty([None]),
+        ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=3),
+            deadline_s=40.0,
+            breaker=BreakerPolicy(),
+        ),
+    )
+    assert lm.complete(PROMPT).text
+    return lm.usage
+
+
+def plain_statement(world: World) -> Usage:
+    usage = Usage()
+    db = udf_database(usage, world.metrics)
+    for run in (db.execute, db.explain, db.explain_analyze):
+        run("SELECT s FROM t WHERE n > 2")
+    return usage
+
+
+RESILIENCE = [
+    Case("a request retried twice", retried, {"retries": 2}),
+    Case("a breaker trip", tripped, {"breaker_trips": 1}),
+    Case(
+        "a deadline kill",
+        killed,
+        {"retries": 1, "deadline_exceeded": 1},
+    ),
+    Case("a healthy call through the middleware", healthy),
+    Case("a statement with nothing to meter", plain_statement),
+]
+
+CASES = ENGINE + REPAIR + SEMCACHE + RESILIENCE
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
+def test_usage_equals_metric_equals_expected(case, datasets, suite):
+    metrics = MetricsRegistry()
+    usage = case.drive(World(metrics, datasets, suite))
+    for name in (*DUAL_SINK, *USAGE_ONLY):
+        assert getattr(usage, name) == case.usage.get(name, 0), name
+    mirrored = {
+        DUAL_SINK[name]: count
+        for name, count in case.usage.items()
+        if name in DUAL_SINK
+    }
+    assert metrics.snapshot() == {**mirrored, **case.also}
+
+
+def test_every_dual_sink_counter_is_driven():
+    driven = {name for case in CASES for name in case.usage}
+    assert driven == {*DUAL_SINK, *USAGE_ONLY}
+    assert all(hasattr(Usage(), name) for name in driven)
+
+
+def test_usage_alone_and_metrics_alone():
+    """Either sink may be left unbound; the other still counts."""
+    usage = Usage()
+    udf_database(usage, None).execute(UDF_SQL, udf_batch_size=4)
+    assert (usage.udf_cache_hits, usage.udf_cache_misses) == (13, 3)
+    metrics = MetricsRegistry()
+    db = udf_database(Usage(), metrics)
+    db.bind_udf_meters(metrics=metrics)
+    db.execute(UDF_SQL, udf_batch_size=4)
+    assert metrics.snapshot() == {
+        "repro_udf_cache_hits_total": 13,
+        "repro_udf_cache_misses_total": 3,
+        "repro_optimizer_decisions_total": 1,
+        **ROUTE,
+    }

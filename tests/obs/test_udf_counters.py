@@ -88,6 +88,36 @@ class TestExactCounters:
         assert usage.udf_cache_misses == misses_after_first
         assert usage.udf_cache_hits == 13 + 16  # every occurrence hits
 
+    def test_every_sink_agrees_across_statements(self):
+        """Two executions and an EXPLAIN ANALYZE of the golden query:
+        Usage and the registry hold the same numbers, and the registry
+        holds nothing else but the optimizer's instruments."""
+        db, usage, metrics = build_database()
+        db.execute(GOLDEN_SQL, udf_batch_size=4)
+        db.execute(GOLDEN_SQL, udf_batch_size=4)
+        analyzed = db.explain_analyze(GOLDEN_SQL, udf_batch_size=4)
+        assert usage.udf_cache_misses == 3
+        assert usage.udf_cache_hits == 13 + 16 + 16
+        assert metrics.snapshot() == {
+            "repro_optimizer_decisions_total": 3,
+            "repro_optimizer_route_total": 3,
+            "repro_udf_cache_hits_total": usage.udf_cache_hits,
+            "repro_udf_cache_misses_total": usage.udf_cache_misses,
+        }
+        assert usage.optimizer_decisions == 3
+        assert [
+            stats.extra
+            for stats in analyzed.stats.walk()
+            if stats.extra
+        ] == [
+            {
+                "lm_calls": 0,
+                "lm_batches": 0,
+                "udf_cache_hits": 8,
+                "udf_cache_misses": 0,
+            }
+        ] * 2
+
     def test_llm_judge_meters_model_usage(self):
         """The real LM UDF: lm_calls on Usage equals dispatched prompts,
         batches are paid once per morsel dispatch."""

@@ -74,6 +74,20 @@ class TestRetryMeteringWithCache:
         assert usage.retries == 0
         assert usage.calls == 1
 
+    def test_two_retries_meter_two_backoffs_and_still_one_miss(self):
+        """Each backoff sleep is one ``retries``; no other resilience
+        counter moves, and the logical request stays one miss."""
+        resilient = stack(("transient", "transient", None), cache_size=4)
+        resilient.complete(PROMPT_A)
+        usage = resilient.usage
+        assert usage.retries == 2
+        assert usage.breaker_trips == 0
+        assert usage.deadline_exceeded == 0
+        assert usage.cache_misses == 1
+        assert usage.cache_hits == 0
+        assert usage.faults_injected == 2
+        assert usage.calls == 1
+
 
 class TestPartialBatchRetry:
     def test_failed_slot_retries_without_rebilling_successes(self):
