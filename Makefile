@@ -86,10 +86,12 @@ perf-smoke:
 	$(PYTHON) -m pytest benchmarks/perf -q
 
 # The concurrency suites on their own: static-analyzer golden rules
-# and lockset properties, dynamic checker unit tests, and the serve
-# worker-sweep replay under an installed RaceChecker.
+# and lockset properties, dynamic checker unit tests, the serve
+# worker-sweep replay under an installed RaceChecker, and the meter's
+# pin (every dual-sink counter, no count lost under contention, one
+# seam).
 test-conc:
-	$(PYTHON) -m pytest tests/analysis/test_concurrency.py tests/obs/test_racecheck.py tests/serve/test_racecheck_serve.py -q
+	$(PYTHON) -m pytest tests/analysis/test_concurrency.py tests/obs/test_racecheck.py tests/serve/test_racecheck_serve.py tests/obs/test_meter.py -q
 
 # Determinism linter over src/ (see repro.analysis.lint); exits
 # nonzero on any unsuppressed finding.

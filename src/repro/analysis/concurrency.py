@@ -22,7 +22,8 @@ an interprocedural ``ast`` pass over ``src/repro/`` that
     the transitive construction/annotation closure from
     :data:`SHARED_ROOTS` (``TagServer``, ``BatchingLM``, ``Database``,
     ``UDFMemoCache``, ``StatementCache``, ``MetricsRegistry``, ``Tracer``,
-    ``SemanticResultCache``, ``QueryRegistry``).
+    ``SemanticResultCache``, ``QueryRegistry``, ``ShardDedup``,
+    ``Exchange``); ``Meter`` is reached from ``Database``.
 
 The rule taxonomy (codes are stable API, tests pin them):
 

@@ -360,14 +360,14 @@ class _Run:
         items = self._expand_stars(select.items, scope)
 
         has_aggregate = any(
-            self._contains_aggregate(item.expression) for item in items
+            self.functions.contains_aggregate(item.expression) for item in items
         )
         if select.having is not None:
-            has_aggregate = has_aggregate or self._contains_aggregate(
+            has_aggregate = has_aggregate or self.functions.contains_aggregate(
                 select.having
             )
         has_aggregate = has_aggregate or any(
-            self._contains_aggregate(order.expression)
+            self.functions.contains_aggregate(order.expression)
             for order in select.order_by
         )
 
@@ -435,7 +435,7 @@ class _Run:
 
         # ORDER BY: ordinals, output aliases, or source expressions.
         names = [
-            (item.alias or _expression_name(item.expression)).lower()
+            (item.alias or ast.expression_name(item.expression)).lower()
             for item in items
         ]
         for order in select.order_by:
@@ -487,7 +487,7 @@ class _Run:
                 expected_rows = max(0, min(expected_rows, limit_value))
         return _SelectInfo(
             names=[
-                item.alias or _expression_name(item.expression)
+                item.alias or ast.expression_name(item.expression)
                 for item in items
             ],
             types=item_types,
@@ -1063,20 +1063,6 @@ class _Run:
 
     # -- aggregate discovery / positional resolution ---------------------
 
-    def _is_aggregate_call(self, node: ast.Expression) -> bool:
-        return (
-            isinstance(node, ast.FunctionCall)
-            and self.functions.is_aggregate(node.name)
-            and (node.star or len(node.args) == 1)
-        )
-
-    def _contains_aggregate(self, expression: ast.Expression) -> bool:
-        from repro.db.planner import _walk
-
-        return any(
-            self._is_aggregate_call(node) for node in _walk(expression)
-        )
-
     def _resolve_positional(
         self,
         expression: ast.Expression,
@@ -1105,12 +1091,6 @@ class _Run:
                 ):
                     return item.expression
         return expression
-
-
-def _expression_name(expression: ast.Expression) -> str:
-    from repro.db.planner import _expression_name as planner_name
-
-    return planner_name(expression)
 
 
 def _type_name(expression_type: ExprType) -> str:

@@ -24,10 +24,13 @@ large fraction of invalid/hallucinated text-to-SQL generations.
    exactly as for any other failure.
 
 Every attempt is recorded as a :class:`RepairAttempt` on
-``TAGResult.repairs`` (success or not) and metered one-meter-three-ways:
-``Usage.repair_attempts/repair_successes/repair_exhausted``,
-``repro_repair_*_total`` metrics counters, and the per-request
-transcript (:func:`render_transcript`).
+``TAGResult.repairs`` (success or not) and on the per-request
+transcript (:func:`render_transcript`), and counted through one
+:class:`~repro.obs.meter.Meter` in ``Usage`` and the
+``repro_repair_*_total`` instruments: ``repair_attempts`` one per
+repair prompt issued, ``repair_successes`` one per request whose
+repaired SQL executed cleanly, ``repair_exhausted`` one per request
+that spent the whole ``max_repairs`` budget and degraded.
 
 Determinism.  With ``max_repairs=0`` the pipeline takes *exactly* the
 base class's code path — byte-identical traces, usage, and answers.
@@ -39,7 +42,6 @@ and worker counts.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -52,17 +54,7 @@ from repro.errors import (
 )
 from repro.lm.prompts import repair_prompt
 from repro.obs import trace
-
-#: Usage counter -> metrics counter, the standard naming convention.
-_METRIC_NAMES = {
-    "repair_attempts": "repro_repair_attempts_total",
-    "repair_successes": "repro_repair_successes_total",
-    "repair_exhausted": "repro_repair_exhausted_total",
-}
-
-#: Usage increments are read-modify-write; shared across pipelines so
-#: concurrent serving workers never lose a repair count.
-_METER_LOCK = threading.Lock()
+from repro.obs.meter import Meter
 
 
 @dataclass(frozen=True)
@@ -259,9 +251,4 @@ class SelfCorrectingPipeline(TAGPipeline):
         )
 
     def _meter(self, counter: str) -> None:
-        usage = getattr(self.lm, "usage", None)
-        if usage is not None:
-            with _METER_LOCK:
-                setattr(usage, counter, getattr(usage, counter) + 1)
-        if self.metrics is not None:
-            self.metrics.counter(_METRIC_NAMES[counter]).inc()
+        Meter(getattr(self.lm, "usage", None), self.metrics).add(counter)

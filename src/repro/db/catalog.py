@@ -19,6 +19,7 @@ from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.db.table import Table
+from repro.obs.meter import Meter
 from repro.errors import (
     AnalysisError,
     ExecutionError,
@@ -71,12 +72,7 @@ def _named_tables(select: ast.Select) -> set[str]:
         node = stack.pop()
         if type(node) is ast.TableSource:
             names.add(node.name.lower())
-        elif type(node) is tuple:
-            stack.extend(node)
-        elif hasattr(node, "__dataclass_fields__"):
-            # Field by field: asking a node for its ``__dict__`` would
-            # make it grow one, for as long as the AST is kept.
-            stack.extend([getattr(node, f) for f in node.__dataclass_fields__])
+        stack.extend(ast.children(node))
     return names
 
 
@@ -102,8 +98,7 @@ class Database:
         #: What :meth:`execute` derived from the text of each SELECT it
         #: ran (AST, analyzer verdict, plan), reused while it stands.
         self.statement_cache = StatementCache()
-        self._udf_usage: Any = None
-        self._udf_metrics: Any = None
+        self._meter = Meter()
         #: Worker count / LM host for shard-parallel execution; scans
         #: only shard once a table opts in via :meth:`set_partitioning`.
         self.shard_runtime = ShardRuntime()
@@ -242,24 +237,17 @@ class Database:
     def bind_udf_meters(
         self, usage: Any = None, metrics: Any = None
     ) -> None:
-        """Mirror UDF-cache counters into ``usage`` and/or ``metrics``.
+        """Where this database's counters go: a
+        :class:`repro.lm.usage.Usage` and/or a
+        :class:`repro.obs.metrics.MetricsRegistry`.
 
-        ``usage`` is a :class:`repro.lm.usage.Usage` (its
-        ``udf_cache_hits``/``udf_cache_misses`` fields are
-        incremented); ``metrics`` is a
-        :class:`repro.obs.metrics.MetricsRegistry` (duck-typed).  The
-        batched operators' per-node ``exec_stats`` stay the canonical
-        meter; these are mirrors of the same increments.
+        UDF-cache and cascade traffic, optimizer decisions and
+        ``max_rows`` drops are emitted through one
+        :class:`~repro.obs.meter.Meter` over the two.  The batched
+        operators' per-node ``exec_stats`` stay the canonical
+        per-operator numbers; these are the same increments.
         """
-        self._udf_usage = usage
-        self._udf_metrics = metrics
-
-    def _udf_exec_context(self) -> UDFExecContext:
-        return UDFExecContext(
-            cache=self.udf_cache,
-            usage=self._udf_usage,
-            metrics=self._udf_metrics,
-        )
+        self._meter = Meter(usage, metrics)
 
     def _planner(
         self,
@@ -273,7 +261,7 @@ class Database:
             optimize=optimize,
             udf_batch_size=udf_batch_size,
             udf_context=(
-                self._udf_exec_context()
+                UDFExecContext(self.udf_cache, self._meter)
                 if udf_batch_size is not None
                 else None
             ),
@@ -314,16 +302,7 @@ class Database:
 
     def _meter_optimizer(self, optimizer: Any) -> None:
         if optimizer is not None:
-            optimizer.report.meter(self._udf_usage, self._udf_metrics)
-
-    def _meter_truncation(self, dropped: int) -> None:
-        """Mirror ``max_rows`` row drops into the bound usage/metrics."""
-        if self._udf_usage is not None:
-            self._udf_usage.rows_truncated += dropped
-        if self._udf_metrics is not None:
-            self._udf_metrics.counter(
-                "repro_exec_rows_truncated_total"
-            ).inc(dropped)
+            optimizer.report.meter(self._meter)
 
     # ------------------------------------------------------------------
     # statement cache
@@ -468,9 +447,9 @@ class Database:
                 )
         rows = list(plan.execute())
         if report is not None:
-            report.meter(self._udf_usage, self._udf_metrics)
+            report.meter(self._meter)
         if max_rows is not None and len(rows) > max_rows:
-            self._meter_truncation(len(rows) - max_rows)
+            self._meter.add("rows_truncated", len(rows) - max_rows)
             rows = rows[:max_rows]
         # Only a statement that has succeeded is kept.
         if entry is not stored:
@@ -539,7 +518,7 @@ class Database:
         truncated = None
         if max_rows is not None and len(rows) > max_rows:
             truncated = (max_rows, len(rows))
-            self._meter_truncation(len(rows) - max_rows)
+            self._meter.add("rows_truncated", len(rows) - max_rows)
             rows = rows[:max_rows]
         return AnalyzedQuery(
             stats=stats,

@@ -160,6 +160,18 @@ class FunctionRegistry:
             for node in ast.walk(expression)
         )
 
+    def is_aggregate_call(self, node: ast.Expression) -> bool:
+        return (
+            isinstance(node, ast.FunctionCall)
+            and self.is_aggregate(node.name)
+            and (node.star or len(node.args) == 1)
+        )
+
+    def contains_aggregate(self, expression: ast.Expression) -> bool:
+        return any(
+            self.is_aggregate_call(node) for node in ast.walk(expression)
+        )
+
 
 # ---------------------------------------------------------------------------
 # Scalar builtins

@@ -58,6 +58,7 @@ from repro.db.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.catalog import Database
+    from repro.obs.meter import Meter
 
 #: Largest morsel the auto route will pick; beyond this, batching gains
 #: nothing while error attribution latency grows.
@@ -111,21 +112,17 @@ class OptimizerReport:
             lines.append("  " + decision.render())
         return "\n".join(lines)
 
-    def meter(self, usage: object | None, metrics: object | None) -> None:
-        """Mirror decision counts into Usage and the metrics registry.
+    def meter(self, meter: Meter) -> None:
+        """Emit the decision count, and one registry-only instrument
+        per rule.
 
         Decisions are plan-time events: every planned statement
         (execute, EXPLAIN, EXPLAIN ANALYZE) meters once, deterministic
         for a fixed query and catalog.
         """
-        if not self.decisions:
-            return
-        if usage is not None and hasattr(usage, "optimizer_decisions"):
-            usage.optimizer_decisions += len(self.decisions)
+        meter.add("optimizer_decisions", len(self.decisions))
+        metrics = meter.metrics
         if metrics is not None:
-            metrics.counter("repro_optimizer_decisions_total").inc(
-                len(self.decisions)
-            )
             for decision in self.decisions:
                 slug = decision.rule.replace("-", "_")
                 metrics.counter(f"repro_optimizer_{slug}_total").inc(1)
@@ -324,7 +321,7 @@ class QueryOptimizer:
     def _expensive_names(self, select: ast.Select) -> set[str]:
         names: set[str] = set()
         for expression in _statement_expressions(select):
-            for node in ast.walk(expression, into_subqueries=True):
+            for node in ast.walk(expression):
                 if isinstance(
                     node, ast.FunctionCall
                 ) and self._db.functions.is_expensive(node.name):

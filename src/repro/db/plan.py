@@ -34,6 +34,7 @@ from repro.db.types import SQLValue, sort_key
 from repro.db.udfcache import UDFMemoCache
 from repro.errors import ExecutionError
 from repro.obs import racecheck
+from repro.obs.meter import Meter
 
 
 class PlanNode:
@@ -271,57 +272,30 @@ class MorselContext(Protocol):
 
 
 class UDFExecContext:
-    """The local :class:`MorselContext`: live cache, mirrored counters.
+    """The local :class:`MorselContext`: live cache, emitted counters.
 
     Carries the :class:`~repro.db.Database`'s cross-statement memo
-    cache plus optional mirrors: a :class:`~repro.lm.usage.Usage`
-    (its ``udf_cache_hits``/``udf_cache_misses`` fields) and a metrics
-    registry (duck-typed ``counter(name).inc(n)``).  Each operator owns
+    cache and its :class:`~repro.obs.meter.Meter`.  Each operator owns
     an ``exec_stats`` dict surfaced by EXPLAIN ANALYZE; :meth:`tally`
-    is the single meter — every increment lands in the operator's
-    stats and is mirrored to the bound sinks, so the three surfaces can
-    never disagree.  Cache reads and writes go to the live cache and
-    every pending key is the caller's to dispatch.
+    counts an event on the node and emits it, so the node, the bound
+    Usage and the bound registry can never disagree.  Cache reads and
+    writes go to the live cache and every pending key is the caller's
+    to dispatch.
     """
 
     tagged = False
 
-    #: Metric name per exec-stats key (only cache traffic and cascade
-    #: routing are exported; LM calls/batches are already metered by
-    #: the model's own Usage).
-    _METRIC_NAMES = {
-        "udf_cache_hits": "repro_udf_cache_hits_total",
-        "udf_cache_misses": "repro_udf_cache_misses_total",
-        "cascade_cheap_hits": "repro_cascade_cheap_hits_total",
-        "cascade_escalations": "repro_cascade_escalations_total",
-    }
-    _USAGE_FIELDS = (
-        "udf_cache_hits",
-        "udf_cache_misses",
-        "cascade_cheap_hits",
-        "cascade_escalations",
-    )
-
     def __init__(
-        self,
-        cache: UDFMemoCache | None = None,
-        usage: object | None = None,
-        metrics: object | None = None,
+        self, cache: UDFMemoCache | None = None, meter: Meter | None = None
     ) -> None:
         self.cache = cache
-        self.usage = usage
-        self.metrics = metrics
+        self.meter = meter or Meter()
 
     def tally(self, stats: dict[str, int], key: str, amount: int) -> None:
         if amount == 0:
             return
         stats[key] = stats.get(key, 0) + amount
-        if self.usage is not None and key in self._USAGE_FIELDS:
-            setattr(self.usage, key, getattr(self.usage, key) + amount)
-        if self.metrics is not None:
-            metric = self._METRIC_NAMES.get(key)
-            if metric is not None:
-                self.metrics.counter(metric).inc(amount)
+        self.meter.add(key, amount)
 
     def lookup(
         self, site_id: tuple, key: MemoKey, tag: int | None
@@ -340,6 +314,11 @@ class UDFExecContext:
     ) -> None:
         if self.cache is not None and not isinstance(value, UDFCallError):
             self.cache.put(key, value)
+
+
+#: Operator counters nothing mirrors: the model's own Usage already
+#: meters calls and batches.
+_NODE_ONLY_STATS = ("lm_calls", "lm_batches")
 
 
 def _fresh_exec_stats(sites: list[UDFCallSite]) -> dict[str, int]:
@@ -414,7 +393,10 @@ def _resolve_morsel(
     without a new invocation (statement memo, cross-statement LRU,
     intra-morsel dedup, or another shard's dispatch);
     ``udf_cache_misses`` and ``lm_calls`` count dispatched invocations;
-    ``lm_batches`` counts batch dispatches.
+    ``lm_batches`` counts batch dispatches.  On the cascade route
+    ``cascade_cheap_hits`` counts distinct tuples the cheap tier
+    answered and ``cascade_escalations`` those it declined (dispatched
+    to the expensive form, so also ``udf_cache_misses``).
     """
     tagged = context.tagged
     for site_idx, site in enumerate(sites):
@@ -500,10 +482,10 @@ def _dispatch(
     if not pending:
         return
     context.tally(stats, "udf_cache_misses", len(pending))
-    context.tally(stats, "lm_calls", len(pending))
+    stats["lm_calls"] += len(pending)
     resolved: Iterable[object] | None = None
     if site.batch_function is not None:
-        context.tally(stats, "lm_batches", 1)
+        stats["lm_batches"] += 1
         try:
             resolved = list(
                 site.batch_function([key[1] for key in pending])
@@ -1244,21 +1226,18 @@ class Exchange(PlanNode):
         self.context = context
         self.runtime = runtime
         self.layout = shards[0].layout
-        self.exec_stats: dict[str, int] = {}
+        sites = [
+            site
+            for node in _shard_stat_nodes(shards[0])
+            for site in getattr(node, "sites", [])
+        ]
+        self.exec_stats = _fresh_exec_stats(sites)
         #: Stable operator label for trace spans: span names must not
         #: leak the shard count (see repro.obs.explain).
         self.trace_describe = "Exchange"
 
     def execute(self) -> Iterator[Row]:
-        sites = [
-            site
-            for node in _shard_stat_nodes(self.shards[0])
-            for site in getattr(node, "sites", [])
-        ]
-        has_sites = bool(sites)
-        if has_sites:
-            for key, value in _fresh_exec_stats(sites).items():
-                self.exec_stats.setdefault(key, value)
+        has_sites = bool(self.exec_stats)  # seeded iff there are sites
         lm = self.runtime.lm if has_sites else None
         snapshot: dict = {}
         if has_sites and self.context.cache is not None:
@@ -1315,7 +1294,10 @@ class Exchange(PlanNode):
             racecheck.read(f"Exchange.shard.{shard_id}")
             for node in _shard_stat_nodes(pipeline):
                 for key, amount in node.exec_stats.items():
-                    self.context.tally(self.exec_stats, key, amount)
+                    if key in _NODE_ONLY_STATS:
+                        self.exec_stats[key] += amount
+                    else:
+                        self.context.tally(self.exec_stats, key, amount)
         if has_sites and self.context.cache is not None:
             for _site, kind, key, value in merge_cache_events(
                 self.contexts

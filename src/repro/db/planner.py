@@ -160,15 +160,15 @@ class Planner:
 
         group_by = list(select.group_by)
         has_aggregate = any(
-            self._contains_aggregate(item.expression) for item in items
+            self._functions.contains_aggregate(item.expression) for item in items
         )
         if select.having is not None:
-            has_aggregate = has_aggregate or self._contains_aggregate(
+            has_aggregate = has_aggregate or self._functions.contains_aggregate(
                 select.having
             )
         order_items = list(select.order_by)
         has_aggregate = has_aggregate or any(
-            self._contains_aggregate(order.expression)
+            self._functions.contains_aggregate(order.expression)
             for order in order_items
         )
 
@@ -700,7 +700,7 @@ class Planner:
         self, select: ast.Select, conjuncts: list[ast.Expression]
     ) -> str | None:
         for expression in _select_expressions(select):
-            for node in ast.walk(expression, into_subqueries=True):
+            for node in ast.walk(expression):
                 if isinstance(
                     node,
                     (
@@ -836,11 +836,17 @@ class Planner:
             if projected is None:
                 return None  # nothing batchable; project above the merge
             replacements.append(projected)
-        exchange.shards = replacements
-        exchange.layout = layout
-        merge.layout = layout
         self._open_merge = None
-        return merge
+        # A new exchange, not new shards on the old one: an Exchange
+        # seeds its counters from the call sites it is built over.
+        return physical.Merge(
+            physical.Exchange(
+                replacements,
+                exchange.contexts,
+                exchange.context,
+                exchange.runtime,
+            )
+        )
 
     def _udf_exec_context(self) -> "physical.UDFExecContext":
         if self._udf_context is None:
@@ -884,8 +890,8 @@ class Planner:
         aggregate_calls: list[ast.FunctionCall] = []
 
         def collect(expression: ast.Expression) -> None:
-            for node in _walk(expression):
-                if self._is_aggregate_call(node) and (
+            for node in ast.walk(expression):
+                if self._functions.is_aggregate_call(node) and (
                     node not in aggregate_calls
                 ):
                     aggregate_calls.append(node)
@@ -902,7 +908,7 @@ class Planner:
 
         def collect_bare(expression: ast.Expression) -> None:
             for node in _walk_outside_aggregates(
-                expression, self._is_aggregate_call
+                expression, self._functions.is_aggregate_call
             ):
                 if (
                     isinstance(node, ast.ColumnRef)
@@ -971,7 +977,7 @@ class Planner:
         new_items = [
             ast.SelectItem(
                 rewrite(item.expression),
-                item.alias or _expression_name(item.expression),
+                item.alias or ast.expression_name(item.expression),
             )
             for item in items
         ]
@@ -988,7 +994,7 @@ class Planner:
         """Replace output-alias references (HAVING n > 2) with the
         aliased expression — SQLite-style leniency."""
         replacements: dict[ast.Expression, ast.Expression] = {}
-        for node in _walk(expression):
+        for node in ast.walk(expression):
             if (
                 isinstance(node, ast.ColumnRef)
                 and node.table is None
@@ -1038,7 +1044,7 @@ class Planner:
         distinct: bool,
     ) -> tuple[physical.PlanNode, list[str]]:
         names = [
-            item.alias or _expression_name(item.expression)
+            item.alias or ast.expression_name(item.expression)
             for item in items
         ]
         if self._arrives_ordered(source, items, names, order_items):
@@ -1059,7 +1065,7 @@ class Planner:
                 sort_positions.append(len(items) + len(extra_expressions))
                 extra_expressions.append(order.expression)
                 extra_names.append(
-                    _expression_name(order.expression)
+                    ast.expression_name(order.expression)
                 )
             ascending.append(order.ascending)
 
@@ -1263,18 +1269,6 @@ class Planner:
             raise PlanningError("SELECT list is empty")
         return expanded
 
-    def _is_aggregate_call(self, node: ast.Expression) -> bool:
-        return (
-            isinstance(node, ast.FunctionCall)
-            and self._functions.is_aggregate(node.name)
-            and (node.star or len(node.args) == 1)
-        )
-
-    def _contains_aggregate(self, expression: ast.Expression) -> bool:
-        return any(
-            self._is_aggregate_call(node) for node in _walk(expression)
-        )
-
     def _resolvable(
         self, expression: ast.Expression, layout: RowLayout
     ) -> bool:
@@ -1283,7 +1277,7 @@ class Planner:
         Subquery expressions are treated as opaque (they plan against the
         catalog, not the row), so they are always resolvable.
         """
-        for node in _walk(expression, into_subqueries=False):
+        for node in ast.walk(expression):
             if isinstance(node, ast.ColumnRef) and not layout.can_resolve(
                 node.name, node.table
             ):
@@ -1395,33 +1389,6 @@ def _partition_key_values(
     return None
 
 
-_SUBQUERY_FIELDS = ("subquery", "query")
-
-
-def _walk(
-    expression: ast.Expression, into_subqueries: bool = False
-) -> Iterator[ast.Expression]:
-    """Yield every expression node in ``expression`` (pre-order)."""
-    yield expression
-    if not dataclasses.is_dataclass(expression):
-        return
-    for field in dataclasses.fields(expression):
-        if not into_subqueries and field.name in _SUBQUERY_FIELDS:
-            continue
-        value = getattr(expression, field.name)
-        yield from _walk_value(value, into_subqueries)
-
-
-def _walk_value(value: object, into_subqueries: bool) -> Iterator:
-    if isinstance(value, tuple):
-        for element in value:
-            yield from _walk_value(element, into_subqueries)
-    elif dataclasses.is_dataclass(value) and not isinstance(
-        value, (ast.Select,)
-    ):
-        yield from _walk(value, into_subqueries)  # type: ignore[arg-type]
-
-
 def _walk_outside_aggregates(
     expression: ast.Expression, is_aggregate
 ) -> Iterator[ast.Expression]:
@@ -1429,24 +1396,9 @@ def _walk_outside_aggregates(
     if is_aggregate(expression):
         return
     yield expression
-    if not dataclasses.is_dataclass(expression):
-        return
-    for field in dataclasses.fields(expression):
-        if field.name in _SUBQUERY_FIELDS:
-            continue
-        value = getattr(expression, field.name)
-        for child in _immediate_children(value):
+    for child in ast.children(expression):
+        if not isinstance(child, ast.Select):
             yield from _walk_outside_aggregates(child, is_aggregate)
-
-
-def _immediate_children(value: object) -> Iterator[ast.Expression]:
-    if isinstance(value, tuple):
-        for element in value:
-            yield from _immediate_children(element)
-    elif dataclasses.is_dataclass(value) and not isinstance(
-        value, ast.Select
-    ):
-        yield value  # type: ignore[misc]
 
 
 def _replace(
@@ -1454,20 +1406,16 @@ def _replace(
     replacements: dict[ast.Expression, ast.ColumnRef],
 ) -> ast.Expression:
     """Structural find-and-replace over an expression tree."""
+    if isinstance(expression, ast.Select):
+        return expression  # opaque, and never a key: not worth hashing
     if expression in replacements:
         return replacements[expression]
-    if not dataclasses.is_dataclass(expression) or isinstance(
-        expression, ast.Select
-    ):
-        return expression
     changes = {}
-    for field in dataclasses.fields(expression):
-        if field.name in _SUBQUERY_FIELDS:
-            continue
-        value = getattr(expression, field.name)
+    for name in getattr(expression, "__dataclass_fields__", ()):
+        value = getattr(expression, name)
         new_value = _replace_value(value, replacements)
         if new_value is not value:
-            changes[field.name] = new_value
+            changes[name] = new_value
     if changes:
         return dataclasses.replace(expression, **changes)
     return expression
@@ -1483,23 +1431,4 @@ def _replace_value(value: object, replacements: dict) -> object:
         ):
             return new_elements
         return value
-    if dataclasses.is_dataclass(value) and not isinstance(
-        value, ast.Select
-    ):
-        return _replace(value, replacements)  # type: ignore[arg-type]
-    return value
-
-
-def _expression_name(expression: ast.Expression) -> str:
-    if isinstance(expression, ast.ColumnRef):
-        return expression.name
-    if isinstance(expression, ast.FunctionCall):
-        if expression.star:
-            return f"{expression.name}(*)"
-        inner = ", ".join(
-            _expression_name(arg) for arg in expression.args
-        )
-        return f"{expression.name}({inner})"
-    if isinstance(expression, ast.Literal):
-        return repr(expression.value)
-    return type(expression).__name__.lower()
+    return _replace(value, replacements)  # type: ignore[arg-type]

@@ -6,7 +6,6 @@ planner walks them, so they carry no behaviour beyond ``__repr__``.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Union
@@ -265,33 +264,49 @@ Statement = Union[Select, CreateTable, Insert, Update, Delete]
 # Traversal
 # ---------------------------------------------------------------------------
 
-#: Dataclass fields holding a nested SELECT rather than an expression.
-SUBQUERY_FIELDS = ("subquery", "query")
 
 
-def walk(
-    expression: "Expression", into_subqueries: bool = False
-) -> Iterator["Expression"]:
-    """Yield every expression node in ``expression`` (pre-order).
+def children(node: object) -> Iterator:
+    """Every AST node ``node`` holds directly, nested SELECTs included.
 
-    Descends through tuples (CASE branches, IN lists, function
-    arguments) so nothing nested is missed; subquery SELECTs are opaque
-    unless ``into_subqueries`` is set.
+    Looks through tuples (CASE branches, IN lists, function arguments)
+    so nothing nested is missed, and yields nothing for a non-node.
+    Reads the class's field table: asking a node for its ``__dict__``
+    would make it grow one, for as long as the AST is kept.
     """
-    yield expression
-    if not dataclasses.is_dataclass(expression):
-        return
-    for f in dataclasses.fields(expression):
-        if not into_subqueries and f.name in SUBQUERY_FIELDS:
-            continue
-        yield from _walk_value(
-            getattr(expression, f.name), into_subqueries
-        )
+    for name in getattr(node, "__dataclass_fields__", ()):
+        yield from _nodes_in(getattr(node, name))
 
 
-def _walk_value(value: object, into_subqueries: bool) -> Iterator:
+def _nodes_in(value: object) -> Iterator:
     if isinstance(value, tuple):
         for element in value:
-            yield from _walk_value(element, into_subqueries)
-    elif dataclasses.is_dataclass(value) and not isinstance(value, Select):
-        yield from walk(value, into_subqueries)  # type: ignore[arg-type]
+            yield from _nodes_in(element)
+    elif hasattr(value, "__dataclass_fields__"):
+        yield value
+
+
+def walk(expression: "Expression") -> Iterator["Expression"]:
+    """Yield every expression node in ``expression`` (pre-order).
+
+    A subquery's SELECT is opaque: the subquery node itself is
+    yielded, nothing inside it.
+    """
+    yield expression
+    for child in children(expression):
+        if not isinstance(child, Select):
+            yield from walk(child)
+
+
+def expression_name(expression: "Expression") -> str:
+    """The output column name of an unaliased SELECT item."""
+    if isinstance(expression, ColumnRef):
+        return expression.name
+    if isinstance(expression, FunctionCall):
+        if expression.star:
+            return f"{expression.name}(*)"
+        inner = ", ".join(expression_name(arg) for arg in expression.args)
+        return f"{expression.name}({inner})"
+    if isinstance(expression, Literal):
+        return repr(expression.value)
+    return type(expression).__name__.lower()

@@ -9,78 +9,32 @@ from dataclasses import dataclass, fields
 class Usage:
     """Cumulative usage counters; snapshot-and-subtract friendly.
 
-    ``cache_hits``/``cache_misses`` are metered by the serving layer's
-    prompt cache (:class:`repro.serve.BatchingLM`): a hit returns a
-    stored response without touching the model, so it increments no
-    call/token/latency counter — cached work is never double-metered.
+    One line per group, and who writes it:
 
-    ``udf_cache_hits``/``udf_cache_misses`` are metered by the SQL
-    engine's batched UDF operators (and the semantic engine's prompt
-    dedup) when a :class:`~repro.db.Database` is bound to this Usage
-    via ``bind_udf_meters``: a hit is a row-occurrence of an expensive
-    UDF served from the memo cache or intra-batch dedup without a new
-    invocation, a miss is a dispatched invocation.  Like the prompt
-    cache, hits touch no model counter, so
-    ``calls == udf_cache_misses`` on a pure batched-UDF workload.
+    - ``calls`` … ``context_errors``: work the model performed, written
+      by :class:`~repro.lm.model.SimulatedLM` alone (under threads,
+      every model call is made by the serving layer's flush, which
+      holds ``BatchingLM._cv``).  A retried call that re-runs the model
+      is billed again; work reused from a partially failed batch is
+      not.
+    - ``cache_hits`` / ``cache_misses``: the serving prompt cache
+      (:class:`repro.serve.BatchingLM`), once per *logical* request at
+      first submission — a retry is a continuation, not a new miss.
+    - ``faults_injected``: :class:`repro.lm.faults.FaultyLM`, one per
+      injected fault.
+    - everything else — UDF cache and cascade traffic, optimizer
+      decisions, dropped rows, the resilience, repair and semantic-cache
+      counters — is emitted through :class:`repro.obs.meter.Meter`,
+      whose ``METRIC_NAMES`` table lists each with the ``*_total``
+      instrument that mirrors it.  What each one counts is documented
+      where it is emitted (``db/plan.py``'s counter contract,
+      ``serve/resilience.py``, ``core/repair.py``,
+      ``serve/semantic.py``).
 
-    Retry metering contract.  Each *logical* request meters its cache
-    hit/miss exactly once, at first submission: when a delivery errors
-    and the resilience layer re-submits the same prompt, the retry is a
-    continuation of already-metered work, so the batching layer skips
-    hit/miss metering for it (the retry itself is counted in
-    ``retries``).  Model-side counters (``calls``, token counts,
-    ``simulated_seconds``) always reflect work the model actually
-    performed — a retried call that re-runs the model is billed again,
-    but work reused from a partially failed batch is not re-billed.
-
-    ``cascade_cheap_hits``/``cascade_escalations`` are metered by the
-    same operators when the optimizer's cascade route is active: a
-    cheap hit is a distinct tuple answered by the cheap classifier
-    tier, an escalation is one the cheap tier declined (so it was
-    dispatched to the expensive form and counted as a
-    ``udf_cache_misses`` there).  ``optimizer_decisions`` counts
-    recorded plan decisions (route, batch size, reorders, pushdowns),
-    metered once per planned statement.
-
-    The :mod:`repro.obs` metrics registry scrapes are derived from
-    these same events; Usage stays the canonical meter.
-
-    The resilience counters are metered by the fault-injection and
-    middleware layers: ``faults_injected`` by
-    :class:`repro.lm.faults.FaultyLM` (one per injected fault, latency
-    spikes included), and ``retries``/``breaker_trips``/
-    ``deadline_exceeded`` by :class:`repro.serve.resilience.ResilientLM`
-    (one per backoff sleep, breaker closed→open transition, and
-    deadline kill respectively).  All stay zero on a healthy path, so a
-    fault-free run's accounting is bit-identical with or without the
-    resilience stack.
-
-    The semantic-cache counters are metered by the serving control
-    plane (:class:`repro.serve.semantic.SemanticResultCache`):
-    ``semcache_hits`` counts requests served a stored ``TAGResult`` on
-    an exact canonical-form match (in-run duplicate coalescing
-    included), ``semcache_near_hits`` those served on an
-    above-threshold embedding match, ``semcache_misses`` lookups that
-    found nothing (the disabled-cache path meters exactly one miss per
-    lookup, in one place — see the cache's metering seam), and
-    ``semcache_invalidations`` entries evicted by an explicit
-    data/catalog-change invalidation.  A semantic hit dispatches no
-    pipeline, so it touches no call/token/latency counter — like the
-    prompt cache, cached work is never double-metered.  All stay zero
-    without a semantic cache, so an uncached run's accounting is
-    bit-identical with or without the control plane.
-
-    The repair counters are metered by the self-correcting pipeline
-    (:class:`repro.core.repair.SelfCorrectingPipeline`):
-    ``repair_attempts`` counts repair prompts issued (one per retry of
-    a failed SQL candidate), ``repair_successes`` counts requests whose
-    repaired SQL executed cleanly, and ``repair_exhausted`` counts
-    requests that burned the whole ``max_repairs`` budget and degraded.
-    ``rows_truncated`` is metered by the engine when a ``max_rows``
-    result cap drops rows (one per dropped row), via the same
-    ``bind_udf_meters`` binding as the UDF-cache counters.  All stay
-    zero with ``max_repairs=0`` and no row cap, so an unrepaired run's
-    accounting is bit-identical with or without the repair loop.
+    A hit of either cache touches no call/token/latency counter, so
+    cached work is never double-metered, and every counter outside the
+    first group stays zero on a healthy, uncached, unrepaired run: its
+    accounting is bit-identical with or without those layers.
     """
 
     calls: int = 0

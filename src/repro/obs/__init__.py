@@ -11,6 +11,8 @@ guarantees:
 - :mod:`repro.obs.metrics` — a counters/gauges/histograms registry with
   deterministic bucket bounds and permutation-invariant sums, scraped
   into :class:`~repro.serve.server.ServeReport`;
+- :mod:`repro.obs.meter` — the one place a counter kept both on a
+  ``Usage`` and in that registry is emitted;
 - :mod:`repro.obs.racecheck` — an Eraser-style lockset + vector-clock
   dynamic race checker behind zero-cost-when-disabled hooks, the
   runtime half of the concurrency analyzer
@@ -34,6 +36,7 @@ from repro.obs.explain import (
     render_stats,
 )
 from repro.obs.export import to_chrome, to_jsonl, write_trace
+from repro.obs.meter import Meter
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -50,6 +53,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
+    "Meter",
     "MetricsRegistry",
     "OperatorCostModel",
     "OperatorStats",

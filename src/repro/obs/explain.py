@@ -144,12 +144,10 @@ def instrument_plan(node) -> tuple[object, OperatorStats]:
             proxies.append(proxy)
             child_stats.append(stats)
         node.shards = proxies
-    # Bound even while empty: an Exchange fills its totals in as it runs.
-    extra = getattr(node, "exec_stats", None)
     stats = OperatorStats(
         describe=node.describe(),
         children=child_stats,
-        extra={} if extra is None else extra,
+        extra=getattr(node, "exec_stats", {}),
         trace_label=getattr(node, "trace_describe", None),
     )
     return _CountingNode(node, stats), stats

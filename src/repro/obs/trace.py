@@ -224,33 +224,15 @@ class _RequestContext:
         return False
 
 
-class _NullRequest:
-    """Disabled-tracer stand-in for :meth:`Tracer.request`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_REQUEST = _NullRequest()
-
-
 class Tracer:
-    """Collects request span trees; disabled tracers record nothing."""
+    """Collects request span trees (to trace nothing, pass no tracer)."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._roots: list[tuple[int, Span]] = []
 
     def request(self, name: str, index: int):
         """Open (and on exit record) the root span for one request."""
-        if not self.enabled:
-            return _NULL_REQUEST
         return _RequestContext(self, name, index)
 
     def _record(self, index: int, root: Span) -> None:

@@ -6,6 +6,7 @@ from collections.abc import Sequence
 
 from repro.db.udfcache import UDFMemoCache
 from repro.lm import SimulatedLM, prompts
+from repro.obs.meter import Meter
 
 
 class SemanticEngine:
@@ -41,7 +42,7 @@ class SemanticEngine:
         self, built_prompts: list[str], max_tokens: int | None = None
     ) -> list[str]:
         results: list[str | None] = [None] * len(built_prompts)
-        usage = self.lm.usage
+        meter = Meter(self.lm.usage)
         pending: list[int] = []
         for position, prompt in enumerate(built_prompts):
             if self.memo_cache is not None:
@@ -50,9 +51,9 @@ class SemanticEngine:
                 )
                 if found:
                     results[position] = text
-                    usage.udf_cache_hits += 1
                     continue
             pending.append(position)
+        meter.add("udf_cache_hits", len(built_prompts) - len(pending))
         for start in range(0, len(pending), self.batch_size):
             chunk = pending[start : start + self.batch_size]
             # First occurrence of each distinct prompt is dispatched;
@@ -63,8 +64,8 @@ class SemanticEngine:
                     built_prompts[position], []
                 ).append(position)
             distinct = list(occurrences)
-            usage.udf_cache_misses += len(distinct)
-            usage.udf_cache_hits += len(chunk) - len(distinct)
+            meter.add("udf_cache_misses", len(distinct))
+            meter.add("udf_cache_hits", len(chunk) - len(distinct))
             responses = self.lm.complete_batch(distinct, max_tokens)
             for prompt, response in zip(distinct, responses):
                 for position in occurrences[prompt]:

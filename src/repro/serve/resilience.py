@@ -31,8 +31,9 @@ keeps every report byte-identical across runs.  In single-threaded use
 you may pass the shared clock as the timeline; the two coincide.
 
 All policy events are metered in :class:`~repro.lm.usage.Usage`
-(``retries``, ``breaker_trips``, ``deadline_exceeded``).  With no
-faults occurring, the wrapper makes zero extra calls, zero clock
+through :class:`~repro.obs.meter.Meter`: ``retries`` one per backoff
+sleep, ``breaker_trips`` one per closed→open transition,
+``deadline_exceeded`` one per deadline kill.  With no faults occurring, the wrapper makes zero extra calls, zero clock
 advances, and zero meter increments — a strict no-op.
 """
 
@@ -50,6 +51,7 @@ from repro.errors import (
 from repro.lm.model import LMConfig, LMResponse
 from repro.lm.usage import Usage
 from repro.obs import racecheck, trace
+from repro.obs.meter import Meter
 from repro.serve.batching import Session
 from repro.serve.clock import VirtualClock
 
@@ -232,7 +234,6 @@ class ResilientLM:
         clock: VirtualClock | None = None,
         timeline: VirtualClock | None = None,
         session: Session | None = None,
-        meter_lock: threading.Lock | None = None,
     ) -> None:
         self._inner = inner
         self.policy = policy or ResiliencePolicy()
@@ -242,7 +243,6 @@ class ResilientLM:
         self._timeline = timeline or VirtualClock()
         #: Serving session to attribute backoff seconds to (optional).
         self._session = session
-        self._meter_lock = meter_lock or threading.Lock()
         self.breaker = (
             CircuitBreaker(self.policy.breaker, self._timeline)
             if self.policy.breaker is not None
@@ -350,17 +350,13 @@ class ResilientLM:
             spent += cost
             self._timeline.advance(cost)
             if self.breaker is not None and self.breaker.record_failure():
-                with racecheck.guard("serve.meter_lock", self._meter_lock):
-                    racecheck.write("Usage.resilience_meters")
-                    self.usage.breaker_trips += 1
+                Meter(self.usage).add("breaker_trips")
                 trace.event("breaker.trip")
             if attempt >= retry.max_attempts:
                 raise error
             backoff = retry.backoff_seconds(prompt, attempt)
             if deadline is not None and spent + backoff > deadline:
-                with racecheck.guard("serve.meter_lock", self._meter_lock):
-                    racecheck.write("Usage.resilience_meters")
-                    self.usage.deadline_exceeded += 1
+                Meter(self.usage).add("deadline_exceeded")
                 trace.event(
                     "deadline.exceeded", deadline=deadline, spent=spent
                 )
@@ -394,6 +390,4 @@ class ResilientLM:
             # went through — an edge the dynamic checker verifies.
             racecheck.write(f"Session.{self._session.order}.meters")
             self._session.consumed_seconds += seconds
-        with racecheck.guard("serve.meter_lock", self._meter_lock):
-            racecheck.write("Usage.resilience_meters")
-            self.usage.retries += 1
+        Meter(self.usage).add("retries")

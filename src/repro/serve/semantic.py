@@ -38,14 +38,20 @@ concurrently serving servers.  They are ``SHARED_ROOTS`` of the static
 concurrency analyzer (``python -m repro lint --conc``) and replay clean
 under the dynamic race checker at workers 1/4/8.
 
-Metering is one-meter-three-sinks: every event increments the bound
-:class:`~repro.lm.usage.Usage` (``semcache_*``), the bound
+Metering: every event goes through one
+:class:`~repro.obs.meter.Meter` into the bound
+:class:`~repro.lm.usage.Usage` (``semcache_*``) and the bound
 :class:`~repro.obs.metrics.MetricsRegistry`
-(``repro_semcache_*_total``), and surfaces on the
+(``repro_semcache_*_total``), both of which surface on the
 :class:`~repro.serve.server.ServeReport` — and it happens at exactly
 one seam per event (the lookup/invalidation paths below), so the
 disabled-cache path (``capacity == 0``) meters one miss per lookup,
-never a miss at ``get`` plus a drop at ``put``.
+never a miss at ``get`` plus a drop at ``put``.  ``semcache_hits``
+counts requests served on an exact canonical-form match (in-run
+duplicate coalescing included), ``semcache_near_hits`` those served on
+an above-threshold embedding match, ``semcache_misses`` lookups that
+found nothing, ``semcache_invalidations`` entries evicted by an
+explicit invalidation.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from repro.core.tag import TAGResult
 from repro.embed import HashingEmbedder
 from repro.lm.usage import Usage
 from repro.obs import racecheck, trace
+from repro.obs.meter import Meter
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import LRUCache
 from repro.text.tokenize import STOPWORDS, tokens
@@ -288,14 +295,8 @@ class SemanticResultCache:
     # -- metering (the one seam; lock held) ---------------------------
 
     def _meter(self, name: str, amount: int = 1) -> None:
-        if self.usage is not None:
-            racecheck.write("Usage.semcache_meters")
-            field = f"semcache_{name}"
-            setattr(self.usage, field, getattr(self.usage, field) + amount)
-        if self.metrics is not None:
-            self.metrics.counter(f"repro_semcache_{name}_total").inc(
-                amount
-            )
+        # Built per event: ``usage`` and ``metrics`` are assignable.
+        Meter(self.usage, self.metrics).add(name, amount)
 
     # -- lookup / store -----------------------------------------------
 
@@ -334,7 +335,7 @@ class SemanticResultCache:
         resolution time).
         """
         with racecheck.guard("SemanticResultCache._lock", self._lock):
-            self._meter("hits")
+            self._meter("semcache_hits")
 
     def lookup(
         self, request: str, catalog_version: Hashable | None = None
@@ -369,12 +370,12 @@ class SemanticResultCache:
         if self.capacity == 0 or canonical.degenerate:
             # The single disabled/uncacheable metering point: one miss
             # per lookup, nothing metered again at store time.
-            self._meter("misses")
+            self._meter("semcache_misses")
             return None
         key = self._key(canonical, catalog_version)
         entry = self._entries.get(key)
         if entry is not None:
-            self._meter("hits")
+            self._meter("semcache_hits")
             return SemanticHit(
                 result=detached_copy(entry.result, canonical.raw),
                 via="exact",
@@ -395,14 +396,14 @@ class SemanticResultCache:
             entry = self._entries.get(live)
             if entry is None:
                 continue
-            self._meter("near_hits")
+            self._meter("semcache_near_hits")
             return SemanticHit(
                 result=detached_copy(entry.result, canonical.raw),
                 via="near",
                 similarity=float(score),
                 source_request=entry.request,
             )
-        self._meter("misses")
+        self._meter("semcache_misses")
         return None
 
     def store(
@@ -477,7 +478,7 @@ class SemanticResultCache:
                 entry = self._entries.pop(key)
                 self._rows[entry.row] = None
             if doomed:
-                self._meter("invalidations", len(doomed))
+                self._meter("semcache_invalidations", len(doomed))
             return len(doomed)
 
     def stats(self) -> dict[str, int]:

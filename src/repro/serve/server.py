@@ -206,7 +206,7 @@ class TagServer:
             # Bind the cache's meters to this server's sinks unless the
             # caller wired its own: semcache_* counters then land in
             # the same Usage delta and metrics scrape as everything
-            # else the run metered (one meter, three sinks).
+            # else the run metered.
             if semantic_cache.usage is None:
                 semantic_cache.usage = self._inner.usage
             if semantic_cache.metrics is None:
@@ -236,7 +236,6 @@ class TagServer:
             clock=clock,
             metrics=self.metrics,
         )
-        meter_lock = threading.Lock()
         before = self._inner.usage.snapshot()
         results: list[ServeResult | None] = [None] * len(requests)
         # Semantic lookups and admission both run sequentially on this
@@ -315,7 +314,6 @@ class TagServer:
                     requests,
                     results,
                     clock,
-                    meter_lock,
                     fatal,
                 ),
                 name=f"tag-worker-{worker}",
@@ -437,7 +435,6 @@ class TagServer:
         batching: BatchingLM,
         session: Session,
         clock: VirtualClock,
-        meter_lock: threading.Lock,
     ):
         """The LM a worker's pipeline talks to.
 
@@ -453,7 +450,6 @@ class TagServer:
             self.resilience,
             clock=clock,
             session=session,
-            meter_lock=meter_lock,
         )
 
     def _run_worker(
@@ -465,14 +461,13 @@ class TagServer:
         requests: list[str],
         results: list[ServeResult | None],
         clock: VirtualClock,
-        meter_lock: threading.Lock,
         fatal: list[BaseException],
     ) -> None:
         try:
             with session:
                 try:
                     pipeline = self._factory(
-                        self._worker_lm(batching, session, clock, meter_lock)
+                        self._worker_lm(batching, session, clock)
                     )
                 except Exception as exc:  # noqa: BLE001 - fail requests, not the run
                     for index in indices:

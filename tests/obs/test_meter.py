@@ -12,7 +12,11 @@ that did not happen creates none.
 
 from __future__ import annotations
 
+import ast
+import sys
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import pytest
@@ -447,3 +451,127 @@ def test_usage_alone_and_metrics_alone():
         "repro_optimizer_decisions_total": 1,
         **ROUTE,
     }
+
+
+# -- contention ------------------------------------------------------------
+
+
+def morsel_context(db: Database):
+    """The context a batched statement's operators tally through."""
+    return db._planner(True, 4)._udf_exec_context()
+
+
+@pytest.mark.parametrize("databases", [1, 2], ids=["one db", "two dbs"])
+@pytest.mark.parametrize("threads, each", [(4, 50_000), (16, 20_000)])
+def test_no_count_is_lost_under_contention(threads, each, databases):
+    """``Usage.x += n`` is a read-modify-write: concurrent statements
+    (two serving workers, or two databases bound to one ``lm.usage``)
+    must not lose increments, and the registry must agree."""
+    usage = Usage()
+    metrics = MetricsRegistry()
+    contexts = [
+        morsel_context(udf_database(usage, metrics))
+        for _ in range(databases)
+    ]
+    errors: list[BaseException] = []
+
+    def work(context) -> None:
+        try:
+            stats: dict[str, int] = {}
+            for _ in range(each):
+                context.tally(stats, "udf_cache_hits", 1)
+            assert stats == {"udf_cache_hits": each}
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    workers = [
+        threading.Thread(target=work, args=(contexts[n % databases],))
+        for n in range(threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors, errors
+    assert usage.udf_cache_hits == threads * each
+    assert metrics.snapshot() == {
+        "repro_udf_cache_hits_total": threads * each
+    }
+
+
+# -- the seam ----------------------------------------------------------------
+
+
+def test_the_table_is_the_pinned_one():
+    from repro.obs.meter import METRIC_NAMES
+
+    assert METRIC_NAMES == {**DUAL_SINK, **dict.fromkeys(USAGE_ONLY)}
+
+
+def test_meter_refuses_what_it_does_not_know():
+    from repro.obs.meter import Meter
+
+    metrics = MetricsRegistry()
+    meter = Meter(Usage(), metrics)
+    with pytest.raises(KeyError):
+        meter.add("lm_calls", 1)
+    with pytest.raises(KeyError):
+        meter.add("no_such_counter", 0)
+    meter.add("udf_cache_hits", 0)
+    Meter().add("udf_cache_hits", 5)  # no sink bound: nothing to do
+    assert metrics.snapshot() == {}
+
+
+def _stored_attributes(node: ast.AST):
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        for part in ast.walk(target):
+            if isinstance(part, ast.Attribute):
+                yield part.attr
+
+
+def test_only_the_meter_writes_a_metered_counter():
+    """Adding a counter is a Usage field, a table row and the call that
+    emits it: no other module stores to an attribute named after a
+    table field, ``setattr``s one, or spells one of the table's
+    instrument names."""
+    from repro.obs import meter
+
+    fields = set(meter.METRIC_NAMES)
+    instruments = set(meter.METRIC_NAMES.values()) - {None}
+    source = Path(meter.__file__).parents[1]
+    offenders = []
+    for path in sorted(source.rglob("*.py")):
+        if path == Path(meter.__file__):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            found = [
+                name for name in _stored_attributes(node) if name in fields
+            ]
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in fields
+            ):
+                found.append(node.args[1].value)
+            if isinstance(node, ast.Constant) and node.value in instruments:
+                found.append(node.value)
+            offenders += [
+                f"{path.relative_to(source)}:{node.lineno}: {name}"
+                for name in found
+            ]
+    assert offenders == []

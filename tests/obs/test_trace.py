@@ -17,13 +17,6 @@ class TestNoActiveContext:
         trace.advance(5.0)
         assert not trace.active()
 
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.request("r", 0):
-            assert not trace.active()
-            trace.leaf("leaf", 1.0)
-        assert tracer.roots == []
-
 
 class TestSpanRecording:
     def test_request_root_and_nesting(self):
