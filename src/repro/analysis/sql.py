@@ -359,15 +359,16 @@ class _Run:
         scope, from_rows = self._scope_for(select.source)
         items = self._expand_stars(select.items, scope)
 
+        contains_aggregate = self.functions.contains_aggregate
         has_aggregate = any(
-            self.functions.contains_aggregate(item.expression) for item in items
+            contains_aggregate(item.expression) for item in items
         )
         if select.having is not None:
-            has_aggregate = has_aggregate or self.functions.contains_aggregate(
+            has_aggregate = has_aggregate or contains_aggregate(
                 select.having
             )
         has_aggregate = has_aggregate or any(
-            self.functions.contains_aggregate(order.expression)
+            contains_aggregate(order.expression)
             for order in select.order_by
         )
 

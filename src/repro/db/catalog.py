@@ -19,13 +19,13 @@ from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.db.table import Table
-from repro.obs.meter import Meter
 from repro.errors import (
     AnalysisError,
     ExecutionError,
     PlanningError,
     SchemaError,
 )
+from repro.obs.meter import Meter
 
 
 #: ``EXPLAIN ANALYZE <select>`` prefix, handled before the parser sees

@@ -159,16 +159,17 @@ class Planner:
         source = self._apply_where(source, conjuncts)
 
         group_by = list(select.group_by)
+        contains_aggregate = self._functions.contains_aggregate
         has_aggregate = any(
-            self._functions.contains_aggregate(item.expression) for item in items
+            contains_aggregate(item.expression) for item in items
         )
         if select.having is not None:
-            has_aggregate = has_aggregate or self._functions.contains_aggregate(
+            has_aggregate = has_aggregate or contains_aggregate(
                 select.having
             )
         order_items = list(select.order_by)
         has_aggregate = has_aggregate or any(
-            self._functions.contains_aggregate(order.expression)
+            contains_aggregate(order.expression)
             for order in order_items
         )
 

@@ -33,8 +33,9 @@ you may pass the shared clock as the timeline; the two coincide.
 All policy events are metered in :class:`~repro.lm.usage.Usage`
 through :class:`~repro.obs.meter.Meter`: ``retries`` one per backoff
 sleep, ``breaker_trips`` one per closed→open transition,
-``deadline_exceeded`` one per deadline kill.  With no faults occurring, the wrapper makes zero extra calls, zero clock
-advances, and zero meter increments — a strict no-op.
+``deadline_exceeded`` one per deadline kill.  With no faults
+occurring, the wrapper makes zero extra calls, zero clock advances, and
+zero meter increments — a strict no-op.
 """
 
 from __future__ import annotations
