@@ -448,6 +448,7 @@ class TestRepositoryBaseline:
             "BatchingLM",
             "Session",
             "UDFMemoCache",
+            "StatementCache",
             "MetricsRegistry",
             "Tracer",
             "VirtualClock",

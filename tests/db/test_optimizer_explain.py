@@ -89,6 +89,14 @@ def footer(rendered: str) -> str:
     return rendered[position:]
 
 
+def rules(rendered: str) -> list[str]:
+    """The rule of each decision line in the Optimizer: footer."""
+    return [
+        line.split(":")[0].strip()
+        for line in footer(rendered).splitlines()[1:]
+    ]
+
+
 class TestGoldenFooters:
     def test_predicate_reorder_and_auto_batch_size(self):
         db = build_database()
@@ -209,6 +217,13 @@ class TestDecisionMetering:
         assert snapshot["repro_optimizer_route_total"] == 1
         assert snapshot["repro_optimizer_auto_batch_size_total"] == 1
         assert snapshot["repro_optimizer_predicate_reorder_total"] == 1
+        # The footer names each decision the count is made of, once.
+        assert rules(db.explain(REORDER_SQL)) == [
+            "route",
+            "auto-batch-size",
+            "predicate-reorder",
+        ]
+        assert usage.optimizer_decisions == 6  # EXPLAIN meters too
 
     def test_cheap_only_statements_meter_nothing(self):
         db = build_database()

@@ -20,6 +20,7 @@ from repro.db import Column, Database, DataType, PartitionSpec, TableSchema
 from repro.errors import ExecutionError, SchemaError
 from repro.lm.model import SimulatedLM
 from repro.lm.udf import register_llm_judge
+from repro.lm.usage import Usage
 from repro.obs import racecheck
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.racecheck import RaceChecker
@@ -287,10 +288,21 @@ class TestPruning:
 
     def test_pruned_counter_is_metered(self):
         db = self._partitioned()
+        usage = Usage()
         metrics = MetricsRegistry()
-        db.bind_udf_meters(metrics=metrics)
+        db.bind_udf_meters(usage=usage, metrics=metrics)
         db.execute("SELECT s FROM t WHERE n = 7")
         assert metrics.counter("repro_shard_pruned_total").value == 3
+        # The pruning is one of the metered decisions, and the footer
+        # line that records it carries the shard count.
+        decisions = usage.optimizer_decisions
+        rendered = db.explain("SELECT s FROM t WHERE n = 7")
+        lines = rendered[rendered.index("Optimizer:") :].splitlines()[1:]
+        assert len(lines) == decisions
+        assert (
+            "  shard-pruning: partition-key predicate pruned 3 of 4 shard(s)"
+            in lines
+        )
 
     def test_null_equality_prunes_everything(self):
         # `n = NULL` matches no row: every shard is pruned and the

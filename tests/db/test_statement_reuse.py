@@ -289,8 +289,14 @@ class TestHitsMeterWhatMissesMeter:
         usage, metrics = Usage(), MetricsRegistry()
         db.bind_udf_meters(usage=usage, metrics=metrics)
         sql = "SELECT id FROM orders WHERE customer_id = 1"
-        assert "shard-declined" in db.explain(sql)
+        rendered = db.explain(sql)
         explained = usage.optimizer_decisions
+        # The one decision metered per run is the footer's one line.
+        assert explained == 1
+        footer = rendered.split("Optimizer:\n")[1].splitlines()
+        assert [line.split(":")[0].strip() for line in footer] == [
+            "shard-declined"
+        ]
         for seen in range(1, 5):
             assert len(db.execute(sql, max_rows=1).rows) == 1
             assert usage.optimizer_decisions == explained + seen

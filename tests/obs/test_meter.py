@@ -436,6 +436,36 @@ def test_every_dual_sink_counter_is_driven():
     assert all(hasattr(Usage(), name) for name in driven)
 
 
+@pytest.mark.parametrize(
+    "build, rules",
+    [
+        ({}, ["route"]),
+        ({"cheap": True}, ["route", "cascade"]),
+        *(
+            ({"shards": shards}, ["route", "shard-parallel"])
+            for shards in (1, 2, 8)
+        ),
+        *(
+            (
+                {"cheap": True, "shards": shards},
+                ["route", "cascade", "shard-parallel"],
+            )
+            for shards in (1, 2, 8)
+        ),
+    ],
+    ids=str,
+)
+def test_each_metered_decision_is_a_footer_line(build, rules):
+    """Which rules ``optimizer_decisions`` counted is read off the
+    EXPLAIN ``Optimizer:`` footer, one line per decision."""
+    usage = Usage()
+    db = udf_database(usage, None, **build)
+    rendered = db.explain(UDF_SQL, udf_batch_size=4)
+    footer = rendered[rendered.index("Optimizer:") :].splitlines()[1:]
+    assert [line.split(":")[0].strip() for line in footer] == rules
+    assert usage.optimizer_decisions == len(rules)
+
+
 def test_usage_alone_and_metrics_alone():
     """Either sink may be left unbound; the other still counts."""
     usage = Usage()

@@ -245,6 +245,9 @@ class TestReporting:
             racecheck.write("fixture.only")
         report = checker.report()
         assert report.ok
+        assert report.events >= 1
+        assert report.variables == 1
+        assert report.findings == []
         assert registry.counter("repro_conc_events_total").value >= 1
         assert registry.counter("repro_conc_vars_total").value == 1
         assert registry.counter("repro_conc_races_total").value == 0

@@ -34,6 +34,7 @@ INVARIANT_USAGE = (
     "cache_misses",
     "udf_cache_hits",
     "udf_cache_misses",
+    "optimizer_decisions",
 )
 
 INVARIANT_METRICS = (

@@ -73,9 +73,18 @@ def _serve(dataset, workers, fault_rate=0.0, metrics=None):
 
 class TestWorkerCountInvariance:
     def test_chrome_bytes_identical_workers_1_vs_8(self, movie_dataset):
-        tracer_1, _ = _serve(movie_dataset, workers=1)
-        tracer_8, _ = _serve(movie_dataset, workers=8)
+        tracer_1, report_1 = _serve(movie_dataset, workers=1)
+        tracer_8, report_8 = _serve(movie_dataset, workers=8)
         assert to_chrome(tracer_1) == to_chrome(tracer_8)
+        # Requests, errors and per-request ET are worker-count invariant
+        # too; batch shape (and so the makespan's value) legitimately is
+        # not.
+        for report in (report_1, report_8):
+            assert len(report.results) == 8
+            assert report.errors == []
+            assert all(r.et_seconds > 0.0 for r in report.results)
+            assert report.usage.batches >= 1
+            assert report.simulated_seconds > 0.0
 
     def test_jsonl_bytes_identical_workers_1_vs_8(self, movie_dataset):
         tracer_1, _ = _serve(movie_dataset, workers=1)

@@ -105,6 +105,10 @@ class TestExactCounters:
             "repro_udf_cache_misses_total": usage.udf_cache_misses,
         }
         assert usage.optimizer_decisions == 3
+        # One decision per statement: the footer's single route line.
+        footer = analyzed.render().split("Optimizer:\n")[1]
+        assert footer == GOLDEN_ANALYZE.split("Optimizer:\n")[1]
+        assert footer.count("\n") == 0
         assert [
             stats.extra
             for stats in analyzed.stats.walk()
@@ -213,10 +217,12 @@ class TestUsageFields:
         assert usage.udf_cache_misses == 0
 
     def test_metrics_stay_silent_without_binding(self):
-        db, _, _ = build_database()
+        db, usage, _ = build_database()
+        db.bind_udf_meters()  # unbinds: counters go nowhere now
         fresh = MetricsRegistry()
         db.execute(GOLDEN_SQL, udf_batch_size=4)
         assert "repro_udf_cache_hits_total" not in fresh.snapshot()
+        assert usage == Usage()
 
     @pytest.mark.parametrize("batch_size", [1, 4, 64])
     def test_miss_count_is_batch_size_invariant(self, batch_size):

@@ -136,6 +136,10 @@ class TestServeSweepIsRaceClean:
             server.serve(requests(6))
         report = checker.report()
         assert report.ok
+        assert report.findings == []
+        assert report.events > 0
+        assert report.variables > 0
+        assert report.threads == 5  # the serve thread and four workers
         assert (
             registry.counter("repro_conc_events_total").value
             == report.events
