@@ -107,7 +107,7 @@ def test_static_analyzer_runtime(benchmark):
     assert report.ok, report.render()
     assert report.files_analyzed > 0
     names = {entry.split(" ")[0] for entry in report.shared_classes}
-    assert {"BatchingLM", "UDFMemoCache", "MetricsRegistry"} <= names
+    assert {"BatchingLM", "UDFMemoCache", "StatementCache"} <= names
 
 
 def test_racecheck_preserves_serving_numbers(benchmark):

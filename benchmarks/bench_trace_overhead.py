@@ -29,7 +29,7 @@ from repro.core import (
 )
 from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
-from repro.obs import MetricsRegistry, Tracer, to_chrome, trace
+from repro.obs import Tracer, to_chrome, trace
 from repro.serve import TagServer
 
 from benchmarks.conftest import write_artifact
@@ -64,14 +64,12 @@ def _requests() -> list[str]:
 
 def _serve(traced: bool):
     tracer = Tracer() if traced else None
-    metrics = MetricsRegistry() if traced else None
     server = TagServer(
         _factory,
         SimulatedLM(LMConfig(seed=0)),
         workers=WORKERS,
         window=WINDOW,
         tracer=tracer,
-        metrics=metrics,
     )
     started = time.perf_counter()
     report = server.serve(_requests())

@@ -27,7 +27,7 @@ from repro.errors import ReproError
 from repro.frame import DataFrame
 from repro.knowledge import KnowledgeBase
 from repro.lm import LMConfig, SimulatedLM
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.semantic import SemanticOperators
 from repro.serve import BatchingLM, TagServer
 
@@ -39,7 +39,6 @@ __all__ = [
     "Database",
     "KnowledgeBase",
     "LMConfig",
-    "MetricsRegistry",
     "ReproError",
     "SemanticOperators",
     "SimulatedLM",

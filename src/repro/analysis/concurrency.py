@@ -21,7 +21,7 @@ an interprocedural ``ast`` pass over ``src/repro/`` that
 (c) identifies classes whose instances **cross the worker boundary**:
     the transitive construction/annotation closure from
     :data:`SHARED_ROOTS` (``TagServer``, ``BatchingLM``, ``Database``,
-    ``UDFMemoCache``, ``StatementCache``, ``MetricsRegistry``, ``Tracer``,
+    ``UDFMemoCache``, ``StatementCache``, ``Tracer``,
     ``SemanticResultCache``, ``QueryRegistry``, ``ShardDedup``,
     ``Exchange``); ``Meter`` is reached from ``Database``.
 
@@ -87,7 +87,6 @@ SHARED_ROOTS = (
     "Database",
     "UDFMemoCache",
     "StatementCache",
-    "MetricsRegistry",
     "Tracer",
     "SemanticResultCache",
     "QueryRegistry",

@@ -31,6 +31,13 @@ from repro.errors import ReproError
 from repro.frame.io import export_dataset
 from repro.lm import LMConfig, SimulatedLM
 
+#: The serve and trace demos' query: the top-grossing romance movie's
+#: review, one row for the generator to summarize.
+_ROMANCE_SQL = (
+    "SELECT movie_title, review FROM movies "
+    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse CLI (subcommands: bench/query/sql/suite/export)."""
@@ -304,7 +311,6 @@ def _command_export(args) -> int:
 def _command_serve(args) -> int:
     from repro.core import (
         FallbackPipeline,
-        FixedQuerySynthesizer,
         NoGenerator,
         RepairPolicy,
         SQLExecutor,
@@ -322,10 +328,6 @@ def _command_serve(args) -> int:
     )
 
     dataset = movies.build(seed=args.seed)
-    sql = (
-        "SELECT movie_title, review FROM movies "
-        "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-    )
     # A per-row LM UDF powers the admission-control demo: "deep scan"
     # requests classify every review, so their estimated cost scales
     # with the table instead of the single-row lookup above.
@@ -342,7 +344,7 @@ def _command_serve(args) -> int:
     )
 
     def query_for(request: str) -> str:
-        return deep_sql if "deep scan" in request else sql
+        return deep_sql if "deep scan" in request else _ROMANCE_SQL
 
     class _DemoSynthesizer:
         def synthesize(self, request: str) -> str:
@@ -496,37 +498,32 @@ def _command_trace(args) -> int:
     exported bytes are identical for any ``--workers`` value — the
     determinism contract ``make trace-smoke`` checks.
     """
-    from repro.core import SQLExecutor, SingleCallGenerator, TAGPipeline
+    from repro.core import (
+        FixedQuerySynthesizer,
+        SQLExecutor,
+        SingleCallGenerator,
+        TAGPipeline,
+    )
     from repro.data import movies
-    from repro.obs import MetricsRegistry, Tracer, write_trace
+    from repro.obs import Tracer, write_trace
     from repro.serve import TagServer
 
     dataset = movies.build(seed=args.seed)
-    sql = (
-        "SELECT movie_title, review FROM movies "
-        "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-    )
-
-    class _Synthesizer:
-        def synthesize(self, request: str) -> str:
-            return sql
 
     def factory(lm):
         return TAGPipeline(
-            _Synthesizer(),
+            FixedQuerySynthesizer(_ROMANCE_SQL),
             SQLExecutor(dataset.db),
             SingleCallGenerator(lm, aggregation=True),
         )
 
     tracer = Tracer()
-    metrics = MetricsRegistry()
     server = TagServer(
         factory,
         SimulatedLM(LMConfig(seed=args.seed)),
         workers=args.workers,
         window=args.window,
         tracer=tracer,
-        metrics=metrics,
     )
     requests = [
         f"Summarize the reviews of the top romance movie (#{index})"

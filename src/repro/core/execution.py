@@ -40,9 +40,8 @@ class SQLExecutor:
 
     def execute(self, query: str) -> list[dict[str, Any]]:
         # max_rows is enforced by the engine so truncation is metered
-        # (Usage.rows_truncated / repro_exec_rows_truncated_total) and
-        # noted in EXPLAIN ANALYZE output instead of silently dropping
-        # rows here.
+        # (Usage.rows_truncated) and noted in EXPLAIN ANALYZE output
+        # instead of silently dropping rows here.
         if trace.active():
             # Under an active trace, run through the EXPLAIN ANALYZE
             # instrumentation and mirror the plan as operator spans;

@@ -26,9 +26,8 @@ large fraction of invalid/hallucinated text-to-SQL generations.
 Every attempt is recorded as a :class:`RepairAttempt` on
 ``TAGResult.repairs`` (success or not) and on the per-request
 transcript (:func:`render_transcript`), and counted through one
-:class:`~repro.obs.meter.Meter` in ``Usage`` and the
-``repro_repair_*_total`` instruments: ``repair_attempts`` one per
-repair prompt issued, ``repair_successes`` one per request whose
+:class:`~repro.obs.meter.Meter` in ``Usage``: ``repair_attempts`` one
+per repair prompt issued, ``repair_successes`` one per request whose
 repaired SQL executed cleanly, ``repair_exhausted`` one per request
 that spent the whole ``max_repairs`` budget and degraded.
 
@@ -149,8 +148,7 @@ class SelfCorrectingPipeline(TAGPipeline):
     the original one did; ``rewrite_sql`` optionally post-processes
     each repaired query (e.g. the retrieval-mode broadening of
     Text2SQL+LM) so repairs go through the same shaping as the original
-    synthesis.  ``metrics`` is an optional
-    :class:`~repro.obs.metrics.MetricsRegistry` mirror.
+    synthesis.
     """
 
     def __init__(
@@ -163,7 +161,6 @@ class SelfCorrectingPipeline(TAGPipeline):
         policy: RepairPolicy | None = None,
         external_knowledge: str | None = None,
         rewrite_sql: "Callable[[str], str] | None" = None,
-        metrics: Any = None,
     ) -> None:
         super().__init__(synthesis, execution, generation)
         self.lm = lm
@@ -171,7 +168,6 @@ class SelfCorrectingPipeline(TAGPipeline):
         self.policy = policy if policy is not None else RepairPolicy()
         self.external_knowledge = external_knowledge
         self.rewrite_sql = rewrite_sql
-        self.metrics = metrics
 
     def _execute_step(
         self, request: str, result: TAGResult
@@ -251,4 +247,4 @@ class SelfCorrectingPipeline(TAGPipeline):
         )
 
     def _meter(self, counter: str) -> None:
-        Meter(getattr(self.lm, "usage", None), self.metrics).add(counter)
+        Meter(getattr(self.lm, "usage", None)).add(counter)

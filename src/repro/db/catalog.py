@@ -234,20 +234,17 @@ class Database:
             cheap_batch=cheap_batch,
         )
 
-    def bind_udf_meters(
-        self, usage: Any = None, metrics: Any = None
-    ) -> None:
+    def bind_udf_meters(self, usage: Any = None) -> None:
         """Where this database's counters go: a
-        :class:`repro.lm.usage.Usage` and/or a
-        :class:`repro.obs.metrics.MetricsRegistry`.
+        :class:`repro.lm.usage.Usage`, or nowhere when None.
 
         UDF-cache and cascade traffic, optimizer decisions and
         ``max_rows`` drops are emitted through one
-        :class:`~repro.obs.meter.Meter` over the two.  The batched
+        :class:`~repro.obs.meter.Meter` over it.  The batched
         operators' per-node ``exec_stats`` stay the canonical
         per-operator numbers; these are the same increments.
         """
-        self._meter = Meter(usage, metrics)
+        self._meter = Meter(usage)
 
     def _planner(
         self,
@@ -363,10 +360,8 @@ class Database:
 
         ``max_rows`` caps the rows a SELECT returns.  Truncation is
         never silent: every dropped row is metered into the bound
-        usage/metrics (``Usage.rows_truncated``,
-        ``repro_exec_rows_truncated_total`` — see
-        :meth:`bind_udf_meters`) and EXPLAIN ANALYZE output carries a
-        truncation note.
+        ``Usage.rows_truncated`` (see :meth:`bind_udf_meters`) and
+        EXPLAIN ANALYZE output carries a truncation note.
 
         With ``analyze=True``, SELECTs are pre-flighted through the
         static analyzer and an :class:`~repro.errors.AnalysisError`

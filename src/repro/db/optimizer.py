@@ -38,8 +38,8 @@ numbers that justified it:
 The report renders as an ``Optimizer:`` footer on EXPLAIN / EXPLAIN
 ANALYZE (only for statements that involve expensive UDFs, so plans for
 purely relational queries are byte-identical with the optimizer on or
-off), and every decision is metered through the one-meter pipeline
-(``Usage.optimizer_decisions`` plus per-rule metrics counters).
+off), and every decision is counted once in
+``Usage.optimizer_decisions``; the footer says which rules they were.
 
 Imports from :mod:`repro.analysis` stay lazy (function-level): the
 analysis package imports ``repro.db`` at module level, and this module
@@ -97,9 +97,6 @@ class OptimizerReport:
     est_per_row_tokens: int = 0
     est_chosen_calls: int = 0
     est_chosen_tokens: int = 0
-    #: Shards eliminated by partition pruning (equality/IN on the
-    #: partition key); mirrored to ``repro_shard_pruned_total``.
-    shards_pruned: int = 0
     decisions: list[Decision] = field(default_factory=list)
 
     def add(self, rule: str, detail: str) -> None:
@@ -113,23 +110,14 @@ class OptimizerReport:
         return "\n".join(lines)
 
     def meter(self, meter: Meter) -> None:
-        """Emit the decision count, and one registry-only instrument
-        per rule.
+        """Emit the decision count; which rules it counts is the
+        footer's to say.
 
         Decisions are plan-time events: every planned statement
         (execute, EXPLAIN, EXPLAIN ANALYZE) meters once, deterministic
         for a fixed query and catalog.
         """
         meter.add("optimizer_decisions", len(self.decisions))
-        metrics = meter.metrics
-        if metrics is not None:
-            for decision in self.decisions:
-                slug = decision.rule.replace("-", "_")
-                metrics.counter(f"repro_optimizer_{slug}_total").inc(1)
-            if self.shards_pruned:
-                metrics.counter("repro_shard_pruned_total").inc(
-                    self.shards_pruned
-                )
 
 
 class QueryOptimizer:
@@ -408,7 +396,6 @@ class QueryOptimizer:
             f"{pipelines} pipeline(s)",
         )
         if prunable:
-            self.report.shards_pruned += pruned
             self.report.add(
                 "shard-pruning",
                 f"partition-key predicate pruned {pruned} of "

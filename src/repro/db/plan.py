@@ -277,8 +277,8 @@ class UDFExecContext:
     Carries the :class:`~repro.db.Database`'s cross-statement memo
     cache and its :class:`~repro.obs.meter.Meter`.  Each operator owns
     an ``exec_stats`` dict surfaced by EXPLAIN ANALYZE; :meth:`tally`
-    counts an event on the node and emits it, so the node, the bound
-    Usage and the bound registry can never disagree.  Cache reads and
+    counts an event on the node and emits it, so the node and the bound
+    Usage can never disagree.  Cache reads and
     writes go to the live cache and every pending key is the caller's
     to dispatch.
     """
@@ -1198,7 +1198,7 @@ class Exchange(PlanNode):
     * the caller's session is *parked* for the duration — it is
       waiting on the shards, not on its own LM call — otherwise the
       flush barrier the shards need could never complete;
-    * shard threads buffer all Usage/metrics/cache effects; after the
+    * shard threads buffer all Usage and cache effects; after the
       join the caller replays them in canonical order (shard order for
       tallies, plan-order-then-first-occurrence for cache events), so
       every shared counter is byte-identical at any shard/worker count;
@@ -1287,8 +1287,8 @@ class Exchange(PlanNode):
                     thread.join()
                     racecheck.join(thread.name)
         # Replay buffered effects on the caller's thread, in canonical
-        # order: operator tallies shard by shard (mirroring Usage and
-        # metrics through the real context), then cache events by call
+        # order: operator tallies shard by shard (into Usage through
+        # the real context), then cache events by call
         # site and global first occurrence.
         for shard_id, pipeline in enumerate(self.shards):
             racecheck.read(f"Exchange.shard.{shard_id}")

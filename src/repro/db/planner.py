@@ -801,7 +801,7 @@ class Planner:
                 continue
             try:
                 coerced = dbtypes.coerce(value, dtype)
-            except Exception:
+            except SchemaError:
                 return None
             allowed.add(spec.shard_of(coerced))
         return allowed

@@ -25,9 +25,9 @@ what the exchange and those pipelines share:
     The shard-side :class:`~repro.db.plan.MorselContext`, handed to the
     morsel operators of one shard pipeline in place of the statement's
     :class:`~repro.db.plan.UDFExecContext`.
-    Shards never touch the live memo cache, the shared
-    :class:`~repro.lm.usage.Usage`, or the metrics registry directly —
-    ``Usage`` mirroring is a read-modify-write ``setattr`` and the LRU
+    Shards never touch the live memo cache or the shared
+    :class:`~repro.lm.usage.Usage` directly — a ``Usage`` count is a
+    read-modify-write ``setattr`` and the LRU
     promotes on lookup, both of which would race (and worse, make
     counter totals depend on thread interleaving).  Instead each shard
     reads from a statement-start cache *snapshot*, buffers its tallies
@@ -296,8 +296,8 @@ class ShardContext:
     """The shard side of :class:`~repro.db.plan.MorselContext`.
 
     Rows carry a trailing tag (their global row id).  ``tally`` writes
-    only the operator's stats dict (the exchange mirrors merged totals
-    into Usage/metrics after the join), cache reads come from the
+    only the operator's stats dict (the exchange adds merged totals to
+    Usage after the join), cache reads come from the
     statement-start ``snapshot``, and cache effects are recorded as
     events keyed by each key's first-occurrence tag — a
     timing-independent quantity — so the post-join replay is identical

@@ -14,8 +14,8 @@ lock, because every ``TagServer`` worker shares the one ``Database``.
 Whether an entry still stands (see :class:`Prepared`) is asked by the
 database, outside the lock; two workers racing on a first sight
 at worst both plan and one entry survives.  The counts are plain ints
-for tests and experiments, not ``Usage`` fields or metrics: a racing
-first sight would make those depend on timing.
+for tests and experiments, not ``Usage`` fields: a racing first sight
+would make those depend on timing.
 """
 
 from __future__ import annotations

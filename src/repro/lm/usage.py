@@ -25,9 +25,8 @@ class Usage:
     - everything else — UDF cache and cascade traffic, optimizer
       decisions, dropped rows, the resilience, repair and semantic-cache
       counters — is emitted through :class:`repro.obs.meter.Meter`,
-      whose ``METRIC_NAMES`` table lists each with the ``*_total``
-      instrument that mirrors it.  What each one counts is documented
-      where it is emitted (``db/plan.py``'s counter contract,
+      whose ``METRIC_NAMES`` lists each.  What each one counts is
+      documented where it is emitted (``db/plan.py``'s counter contract,
       ``serve/resilience.py``, ``core/repair.py``,
       ``serve/semantic.py``).
 

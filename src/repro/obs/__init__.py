@@ -1,4 +1,4 @@
-"""Deterministic observability: tracing, metrics, EXPLAIN ANALYZE.
+"""Deterministic observability: tracing, counters, EXPLAIN ANALYZE.
 
 The paper's core claim is about *where* work happens — SQL operators
 vs. LM calls vs. post-hoc reasoning — and this package makes that
@@ -8,11 +8,9 @@ guarantees:
 - :mod:`repro.obs.trace` — nested spans (request -> pipeline step ->
   SQL operator / LM call / retry) on per-request virtual timelines;
   byte-identical traces across runs and worker counts;
-- :mod:`repro.obs.metrics` — a counters/gauges/histograms registry with
-  deterministic bucket bounds and permutation-invariant sums, scraped
-  into :class:`~repro.serve.server.ServeReport`;
-- :mod:`repro.obs.meter` — the one place a counter kept both on a
-  ``Usage`` and in that registry is emitted;
+- :mod:`repro.obs.meter` — the one place a counter written above the
+  model (UDF cache, cascade, optimizer, repair, semantic cache,
+  resilience) is added to a ``Usage``;
 - :mod:`repro.obs.racecheck` — an Eraser-style lockset + vector-clock
   dynamic race checker behind zero-cost-when-disabled hooks, the
   runtime half of the concurrency analyzer
@@ -37,24 +35,12 @@ from repro.obs.explain import (
 )
 from repro.obs.export import to_chrome, to_jsonl, write_trace
 from repro.obs.meter import Meter
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.obs.racecheck import RaceChecker, RaceFinding, RaceReport
 from repro.obs.trace import Span, SpanEvent, Tracer
 
 __all__ = [
     "AnalyzedQuery",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
     "Meter",
-    "MetricsRegistry",
     "OperatorCostModel",
     "OperatorStats",
     "RaceChecker",

@@ -35,20 +35,12 @@ Lock-order tracking rides along: acquiring ``B`` while holding ``A``
 records an ``A -> B`` edge, and a cycle in the resulting digraph is
 reported as a potential deadlock even when the schedule happened not
 to deadlock this time.
-
-Metering: with a :class:`~repro.obs.metrics.MetricsRegistry` attached,
-:meth:`RaceChecker.report` publishes ``repro_conc_events_total``,
-``repro_conc_vars_total``, and ``repro_conc_races_total``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # avoid a cycle: metrics.py itself carries the hooks
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "RaceChecker",
@@ -173,9 +165,8 @@ class RaceChecker:
     detector itself needs.
     """
 
-    def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics = metrics
         self._vars: dict[str, _VarState] = {}
         #: thread name -> vector clock.
         self._clocks: dict[str, dict[str, int]] = {}
@@ -352,22 +343,12 @@ class RaceChecker:
                 key=lambda f: (f.variable, f.threads),
             )
             findings.extend(self._order_findings_locked())
-            report = RaceReport(
+            return RaceReport(
                 findings=findings,
                 events=self._events,
                 variables=len(self._vars),
                 threads=len(self._clocks),
             )
-            metrics = self._metrics
-        if metrics is not None:
-            metrics.counter("repro_conc_events_total").inc(report.events)
-            metrics.counter("repro_conc_vars_total").inc(
-                report.variables
-            )
-            metrics.counter("repro_conc_races_total").inc(
-                len(report.findings)
-            )
-        return report
 
     def _order_findings_locked(self) -> list[RaceFinding]:
         findings = []

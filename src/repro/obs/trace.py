@@ -16,7 +16,8 @@ the operator cost model, fault/backoff costs from their deterministic
 plans), so a request's trace is byte-identical across runs *and* across
 ``workers=1`` vs ``workers=8``.  The scheduling-dependent numbers
 (batch-shared latencies, makespan) stay where they belong: in
-:class:`~repro.lm.usage.Usage` and the metrics registry.
+:class:`~repro.lm.usage.Usage` and the
+:class:`~repro.serve.server.ServeReport`.
 
 Components emit spans through the module-level helpers (:func:`span`,
 :func:`leaf`, :func:`event`, :func:`advance`) against a thread-local

@@ -39,7 +39,6 @@ from repro.lm.model import LMConfig, LMResponse, SimulatedLM
 from repro.lm.tokenizer import count_tokens
 from repro.lm.usage import Usage
 from repro.obs import racecheck, trace
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import LRUCache
 from repro.serve.clock import VirtualClock
 
@@ -134,7 +133,6 @@ class BatchingLM:
         window: int = 8,
         cache_size: int = 0,
         clock: VirtualClock | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -142,7 +140,6 @@ class BatchingLM:
         self.window = window
         self.clock = clock or VirtualClock()
         self._cache = LRUCache(cache_size)
-        self._metrics = metrics
         self._cv = threading.Condition()
         self._sessions: list[Session] = []
         self._pending: list[_Pending] = []
@@ -406,8 +403,8 @@ class BatchingLM:
         service, the fault plan's burn for an error — never the
         batch-shared ``latency_s``, which depends on what else was in
         flight (and therefore on the worker count).  The shared costs
-        stay in Usage/metrics; the trace stays byte-identical across
-        worker counts.
+        stay in Usage; the trace stays byte-identical across worker
+        counts.
         """
         if item.error is not None:
             trace.leaf(
@@ -500,11 +497,6 @@ class BatchingLM:
                 self._run_single(item)
             return
         self.clock.advance(sum(r.latency_s for r in responses))
-        if self._metrics is not None:
-            self._metrics.counter("serve.lm.batches").inc()
-            self._metrics.histogram("serve.lm.batch_size").observe(
-                len(chunk)
-            )
         for item, response in zip(chunk, responses):
             self._finish(item, response)
 

@@ -40,9 +40,7 @@ under the dynamic race checker at workers 1/4/8.
 
 Metering: every event goes through one
 :class:`~repro.obs.meter.Meter` into the bound
-:class:`~repro.lm.usage.Usage` (``semcache_*``) and the bound
-:class:`~repro.obs.metrics.MetricsRegistry`
-(``repro_semcache_*_total``), both of which surface on the
+:class:`~repro.lm.usage.Usage` (``semcache_*``), which surfaces on the
 :class:`~repro.serve.server.ServeReport` — and it happens at exactly
 one seam per event (the lookup/invalidation paths below), so the
 disabled-cache path (``capacity == 0``) meters one miss per lookup,
@@ -67,7 +65,6 @@ from repro.embed import HashingEmbedder
 from repro.lm.usage import Usage
 from repro.obs import racecheck, trace
 from repro.obs.meter import Meter
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import LRUCache
 from repro.text.tokenize import STOPWORDS, tokens
 from repro.vector import FlatIndex
@@ -250,7 +247,6 @@ class SemanticResultCache:
         config_fingerprint: str = "",
         catalog_version_source: Callable[[], Hashable] | None = None,
         usage: Usage | None = None,
-        metrics: MetricsRegistry | None = None,
         probe: int = 8,
     ) -> None:
         if not 0.0 < threshold <= 1.0:
@@ -261,7 +257,6 @@ class SemanticResultCache:
         self.config_fingerprint = config_fingerprint
         self._version_source = catalog_version_source
         self.usage = usage
-        self.metrics = metrics
         self.probe = probe
         # Word-only hashing: the cache embeds *canonical* text, whose
         # surface is already normalized, so character-trigram features
@@ -295,8 +290,8 @@ class SemanticResultCache:
     # -- metering (the one seam; lock held) ---------------------------
 
     def _meter(self, name: str, amount: int = 1) -> None:
-        # Built per event: ``usage`` and ``metrics`` are assignable.
-        Meter(self.usage, self.metrics).add(name, amount)
+        # Built per event: ``usage`` is assignable.
+        Meter(self.usage).add(name, amount)
 
     # -- lookup / store -----------------------------------------------
 

@@ -36,7 +36,6 @@ from repro.lm.faults import FaultPlan, FaultyLM
 from repro.lm.model import SimulatedLM
 from repro.lm.usage import Usage
 from repro.obs import racecheck, trace
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.batching import BatchingLM, Session
@@ -101,9 +100,6 @@ class ServeReport:
     #: Entries the semantic cache held when the run began (0 without a
     #: cache) — the state hits of this run were served from.
     semantic_entries: int = 0
-    #: Scraped :class:`~repro.obs.metrics.MetricsRegistry` snapshot for
-    #: the run (empty when the server was built without a registry).
-    metrics: dict = field(default_factory=dict)
     errors: list[ServeResult] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -182,7 +178,6 @@ class TagServer:
         resilience: ResiliencePolicy | None = None,
         admission: AdmissionPolicy | None = None,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
         semantic_cache: SemanticResultCache | None = None,
         registry: QueryRegistry | None = None,
     ) -> None:
@@ -199,18 +194,13 @@ class TagServer:
         self.resilience = resilience
         self.admission = admission
         self.tracer = tracer
-        self.metrics = metrics
         self.semantic_cache = semantic_cache
         self.registry = registry
-        if semantic_cache is not None:
-            # Bind the cache's meters to this server's sinks unless the
+        if semantic_cache is not None and semantic_cache.usage is None:
+            # Bind the cache's meters to this server's Usage unless the
             # caller wired its own: semcache_* counters then land in
-            # the same Usage delta and metrics scrape as everything
-            # else the run metered.
-            if semantic_cache.usage is None:
-                semantic_cache.usage = self._inner.usage
-            if semantic_cache.metrics is None:
-                semantic_cache.metrics = metrics
+            # the same Usage delta as everything else the run metered.
+            semantic_cache.usage = self._inner.usage
 
     def serve(self, requests: list[str]) -> ServeReport:
         """Run every request; never raises for a single request's failure.
@@ -234,7 +224,6 @@ class TagServer:
             window=self.window,
             cache_size=self.cache_size,
             clock=clock,
-            metrics=self.metrics,
         )
         before = self._inner.usage.snapshot()
         results: list[ServeResult | None] = [None] * len(requests)
@@ -369,31 +358,14 @@ class TagServer:
                     self.registry.record(
                         requests[index], outcome.query, outcome="ok"
                     )
-        final = [result for result in results if result is not None]
-        if self.metrics is not None:
-            registry = self.metrics
-            # Touch every instrument up front so a clean run scrapes
-            # explicit zeros rather than omitting the names.
-            served = registry.counter("serve.requests")
-            errored = registry.counter("serve.errors")
-            latencies = registry.histogram("serve.request.vseconds")
-            for result in final:
-                served.inc()
-                if not result.ok:
-                    errored.inc()
-                latencies.observe(result.et_seconds)
-            registry.gauge("serve.makespan.vseconds").set(clock.now())
         return ServeReport(
-            results=final,
+            results=[result for result in results if result is not None],
             simulated_seconds=clock.now(),
             usage=self._inner.usage.since(before),
             workers=self.workers,
             window=self.window,
             admission_rejected=rejected,
             semantic_entries=semantic_entries,
-            metrics=(
-                self.metrics.snapshot() if self.metrics is not None else {}
-            ),
         )
 
     def _hit_result(

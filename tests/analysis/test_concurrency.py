@@ -449,7 +449,6 @@ class TestRepositoryBaseline:
             "Session",
             "UDFMemoCache",
             "StatementCache",
-            "MetricsRegistry",
             "Tracer",
             "VirtualClock",
         } <= names

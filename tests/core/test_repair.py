@@ -18,14 +18,13 @@ from repro.core import (
 from repro.core.tag import TAGError
 from repro.errors import RepairExhaustedError
 from repro.lm import FaultPlan, FaultyLM, LMConfig, SimulatedLM
-from repro.obs import MetricsRegistry
 
 
 def _question(suite) -> str:
     return next(s for s in suite if s.domain == "formula_1").question
 
 
-def _pipeline(lm, dataset, max_repairs: int, metrics=None):
+def _pipeline(lm, dataset, max_repairs: int):
     return SelfCorrectingPipeline(
         LMQuerySynthesizer(lm, dataset),
         SQLExecutor(dataset.db, analyze=True),
@@ -33,7 +32,6 @@ def _pipeline(lm, dataset, max_repairs: int, metrics=None):
         lm=lm,
         schema_sql=dataset.prompt_schema(),
         policy=RepairPolicy(max_repairs=max_repairs),
-        metrics=metrics,
     )
 
 
@@ -164,16 +162,6 @@ class TestSelfCorrectingPipeline:
         failed = result.fallbacks[0].error
         assert failed.kind == "repair_exhausted"
         assert len(failed.repairs) == 3
-
-    def test_meters_mirror_into_metrics_registry(self, suite, datasets):
-        dataset = datasets["formula_1"]
-        metrics = MetricsRegistry()
-        lm = _faulty(["malformed_sql"] * 3)
-        _pipeline(lm, dataset, max_repairs=2, metrics=metrics).run(
-            _question(suite)
-        )
-        assert metrics.counter("repro_repair_attempts_total").value == 2
-        assert metrics.counter("repro_repair_exhausted_total").value == 1
 
     def test_non_sql_queries_are_not_repaired(self, datasets):
         """The loop only understands SQL text; a non-string query plan

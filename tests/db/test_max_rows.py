@@ -2,9 +2,9 @@
 
 The executor's row cap used to slice results after the engine returned
 them — invisible to accounting, so a capped answer looked identical to
-a complete one.  Truncation now happens inside the engine, mirrored
-into the bound :class:`~repro.lm.usage.Usage` and metrics registry and
-surfaced on EXPLAIN ANALYZE output.
+a complete one.  Truncation now happens inside the engine, counted in
+the bound :class:`~repro.lm.usage.Usage` and surfaced on EXPLAIN
+ANALYZE output.
 """
 
 import pytest
@@ -12,20 +12,15 @@ import pytest
 from repro.core import SQLExecutor
 from repro.errors import ExecutionError
 from repro.lm.usage import Usage
-from repro.obs import MetricsRegistry
 
 
 class TestEngineTruncation:
     def test_execute_meters_dropped_rows(self, movies_db):
         usage = Usage()
-        metrics = MetricsRegistry()
-        movies_db.bind_udf_meters(usage=usage, metrics=metrics)
+        movies_db.bind_udf_meters(usage=usage)
         result = movies_db.execute("SELECT title FROM movies", max_rows=2)
         assert len(result.rows) == 2
         assert usage.rows_truncated == 4  # 6 movies, kept 2
-        assert (
-            metrics.counter("repro_exec_rows_truncated_total").value == 4
-        )
 
     def test_uncapped_execution_meters_nothing(self, movies_db):
         usage = Usage()

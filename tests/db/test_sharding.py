@@ -22,7 +22,6 @@ from repro.lm.model import SimulatedLM
 from repro.lm.udf import register_llm_judge
 from repro.lm.usage import Usage
 from repro.obs import racecheck
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.racecheck import RaceChecker
 from repro.serve.batching import BatchingLM
 
@@ -289,10 +288,8 @@ class TestPruning:
     def test_pruned_counter_is_metered(self):
         db = self._partitioned()
         usage = Usage()
-        metrics = MetricsRegistry()
-        db.bind_udf_meters(usage=usage, metrics=metrics)
+        db.bind_udf_meters(usage=usage)
         db.execute("SELECT s FROM t WHERE n = 7")
-        assert metrics.counter("repro_shard_pruned_total").value == 3
         # The pruning is one of the metered decisions, and the footer
         # line that records it carries the shard count.
         decisions = usage.optimizer_decisions

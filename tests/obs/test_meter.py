@@ -1,13 +1,10 @@
-"""Every counter that has two sinks, driven through the layer that emits it.
+"""Every metered counter, driven through the layer that emits it.
 
-A counter such as ``udf_cache_hits`` lands in a bound
-:class:`~repro.lm.usage.Usage` field *and* in a ``*_total`` instrument
-of a bound :class:`~repro.obs.metrics.MetricsRegistry`.  Each case
-below binds a fresh pair, runs one piece of the system, and pins three
-things at once: the exact count, that the two sinks hold the same
-number, and the complete key set of ``registry.snapshot()`` — so no
-instrument can appear, disappear or be renamed unnoticed, and an event
-that did not happen creates none.
+A counter such as ``udf_cache_hits`` is a field of a bound
+:class:`~repro.lm.usage.Usage` that only
+:class:`~repro.obs.meter.Meter` writes.  Each case below binds a fresh
+``Usage``, runs one piece of the system, and pins every metered field
+exactly — so an event that did not happen counts nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from repro.db import Column, Database, DataType, TableSchema
 from repro.errors import DeadlineExceededError, TransientLMError
 from repro.lm import FaultPlan, FaultyLM, LMConfig, SimulatedLM, Usage
 from repro.lm.prompts import summary_prompt
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.resilience import (
     BreakerPolicy,
     ResiliencePolicy,
@@ -42,24 +38,25 @@ from repro.serve.resilience import (
 )
 from repro.serve.semantic import SemanticResultCache
 
-#: Usage field -> instrument, for the counters that have both sinks.
-DUAL_SINK = {
-    "udf_cache_hits": "repro_udf_cache_hits_total",
-    "udf_cache_misses": "repro_udf_cache_misses_total",
-    "cascade_cheap_hits": "repro_cascade_cheap_hits_total",
-    "cascade_escalations": "repro_cascade_escalations_total",
-    "optimizer_decisions": "repro_optimizer_decisions_total",
-    "rows_truncated": "repro_exec_rows_truncated_total",
-    "repair_attempts": "repro_repair_attempts_total",
-    "repair_successes": "repro_repair_successes_total",
-    "repair_exhausted": "repro_repair_exhausted_total",
-    "semcache_hits": "repro_semcache_hits_total",
-    "semcache_misses": "repro_semcache_misses_total",
-    "semcache_near_hits": "repro_semcache_near_hits_total",
-    "semcache_invalidations": "repro_semcache_invalidations_total",
-}
-#: Counters the resilience middleware keeps on Usage alone.
-USAGE_ONLY = ("retries", "breaker_trips", "deadline_exceeded")
+#: The Usage fields the meter writes.
+METERED = (
+    "udf_cache_hits",
+    "udf_cache_misses",
+    "cascade_cheap_hits",
+    "cascade_escalations",
+    "optimizer_decisions",
+    "rows_truncated",
+    "repair_attempts",
+    "repair_successes",
+    "repair_exhausted",
+    "semcache_hits",
+    "semcache_misses",
+    "semcache_near_hits",
+    "semcache_invalidations",
+    "retries",
+    "breaker_trips",
+    "deadline_exceeded",
+)
 
 #: 8 rows, 3 distinct judged values (tests/obs/test_udf_counters.py's).
 ROWS = [
@@ -78,7 +75,6 @@ PROMPT = summary_prompt("Summarize the notes", ["hello", "world"])
 
 def udf_database(
     usage: Usage,
-    metrics: MetricsRegistry | None,
     cheap: bool = False,
     shards: int | None = None,
 ) -> Database:
@@ -107,7 +103,7 @@ def udf_database(
         batch=batch,
         cheap=cheap_tier if cheap else None,
     )
-    db.bind_udf_meters(usage=usage, metrics=metrics)
+    db.bind_udf_meters(usage=usage)
     if shards is not None:
         db.set_partitioning("t", "n", shards=shards)
         db.configure_sharding(workers=2)
@@ -123,9 +119,8 @@ def faulty(script, **plan) -> FaultyLM:
 
 @dataclass
 class World:
-    """What a case may use: the registry to bind and the shared fixtures."""
+    """What a case may use: the shared fixtures."""
 
-    metrics: MetricsRegistry
     datasets: dict
     suite: list
 
@@ -133,13 +128,10 @@ class World:
 @dataclass
 class Case:
     name: str
-    #: Runs the layer against ``world.metrics``; returns the Usage it bound.
+    #: Runs the layer; returns the Usage it bound.
     drive: Callable[[World], Usage]
-    #: Every non-zero counter of DUAL_SINK and USAGE_ONLY, exactly.
+    #: Every non-zero counter of METERED, exactly.
     usage: dict[str, int] = field(default_factory=dict)
-    #: Instruments beyond the mirrors of ``usage``: the whole rest of
-    #: ``registry.snapshot()``.
-    also: dict[str, int] = field(default_factory=dict)
 
 
 # -- the engine -----------------------------------------------------------
@@ -148,7 +140,7 @@ class Case:
 def statement(method: str = "execute", **build) -> Callable[[World], Usage]:
     def drive(world: World) -> Usage:
         usage = Usage()
-        db = udf_database(usage, world.metrics, **build)
+        db = udf_database(usage, **build)
         getattr(db, method)(UDF_SQL, udf_batch_size=4)
         return usage
 
@@ -158,7 +150,7 @@ def statement(method: str = "execute", **build) -> Callable[[World], Usage]:
 def truncation(method: str) -> Callable[[World], Usage]:
     def drive(world: World) -> Usage:
         usage = Usage()
-        db = udf_database(usage, world.metrics)
+        db = udf_database(usage)
         getattr(db, method)("SELECT s FROM t", max_rows=3)
         db.execute("SELECT s FROM t WHERE n > 2", max_rows=6)  # drops none
         return usage
@@ -166,16 +158,11 @@ def truncation(method: str) -> Callable[[World], Usage]:
     return drive
 
 
-ROUTE = {"repro_optimizer_route_total": 1}
-CASCADE = {**ROUTE, "repro_optimizer_cascade_total": 1}
-SHARDED = {"repro_optimizer_shard_parallel_total": 1}
-
 ENGINE = [
     Case(
         "batched statement",
         statement(),
         {"udf_cache_hits": 13, "udf_cache_misses": 3, "optimizer_decisions": 1},
-        ROUTE,
     ),
     Case(
         "cascade statement",
@@ -187,7 +174,6 @@ ENGINE = [
             "cascade_escalations": 2,
             "optimizer_decisions": 2,
         },
-        CASCADE,
     ),
     *(
         Case(
@@ -198,7 +184,6 @@ ENGINE = [
                 "udf_cache_misses": 6,
                 "optimizer_decisions": 2,
             },
-            {**ROUTE, **SHARDED},
         )
         for shards in (1, 2, 8)
     ),
@@ -213,7 +198,6 @@ ENGINE = [
                 "cascade_escalations": 4,
                 "optimizer_decisions": 3,
             },
-            {**CASCADE, **SHARDED},
         )
         for shards in (1, 2, 8)
     ),
@@ -221,13 +205,11 @@ ENGINE = [
         "optimizer decision via explain",
         statement("explain"),
         {"optimizer_decisions": 1},
-        ROUTE,
     ),
     Case(
         "optimizer decision via explain_analyze",
         statement("explain_analyze"),
         {"udf_cache_hits": 13, "udf_cache_misses": 3, "optimizer_decisions": 1},
-        ROUTE,
     ),
     Case(
         "max_rows truncation via execute",
@@ -256,7 +238,6 @@ def repair(garbled: int) -> Callable[[World], Usage]:
             lm=lm,
             schema_sql=dataset.prompt_schema(),
             policy=RepairPolicy(max_repairs=2),
-            metrics=world.metrics,
         )
         question = next(
             spec.question
@@ -289,9 +270,7 @@ REPAIR = [
 
 def semantic(world: World) -> Usage:
     usage = Usage()
-    cache = SemanticResultCache(
-        capacity=8, threshold=0.6, usage=usage, metrics=world.metrics
-    )
+    cache = SemanticResultCache(capacity=8, threshold=0.6, usage=usage)
 
     def result(answer) -> TAGResult:
         return TAGResult(request="q", query="SELECT 1", answer=answer)
@@ -310,9 +289,7 @@ def semantic(world: World) -> Usage:
 
 def disabled_semantic(world: World) -> Usage:
     usage = Usage()
-    cache = SemanticResultCache(
-        capacity=0, usage=usage, metrics=world.metrics
-    )
+    cache = SemanticResultCache(capacity=0, usage=usage)
     assert cache.lookup("Top movies") is None
     assert cache.lookup("Top movies") is None
     return usage
@@ -395,7 +372,7 @@ def healthy(world: World) -> Usage:
 
 def plain_statement(world: World) -> Usage:
     usage = Usage()
-    db = udf_database(usage, world.metrics)
+    db = udf_database(usage)
     for run in (db.execute, db.explain, db.explain_analyze):
         run("SELECT s FROM t WHERE n > 2")
     return usage
@@ -418,21 +395,14 @@ CASES = ENGINE + REPAIR + SEMCACHE + RESILIENCE
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
 def test_usage_equals_metric_equals_expected(case, datasets, suite):
-    metrics = MetricsRegistry()
-    usage = case.drive(World(metrics, datasets, suite))
-    for name in (*DUAL_SINK, *USAGE_ONLY):
+    usage = case.drive(World(datasets, suite))
+    for name in METERED:
         assert getattr(usage, name) == case.usage.get(name, 0), name
-    mirrored = {
-        DUAL_SINK[name]: count
-        for name, count in case.usage.items()
-        if name in DUAL_SINK
-    }
-    assert metrics.snapshot() == {**mirrored, **case.also}
 
 
 def test_every_dual_sink_counter_is_driven():
     driven = {name for case in CASES for name in case.usage}
-    assert driven == {*DUAL_SINK, *USAGE_ONLY}
+    assert driven == set(METERED)
     assert all(hasattr(Usage(), name) for name in driven)
 
 
@@ -459,28 +429,11 @@ def test_each_metered_decision_is_a_footer_line(build, rules):
     """Which rules ``optimizer_decisions`` counted is read off the
     EXPLAIN ``Optimizer:`` footer, one line per decision."""
     usage = Usage()
-    db = udf_database(usage, None, **build)
+    db = udf_database(usage, **build)
     rendered = db.explain(UDF_SQL, udf_batch_size=4)
     footer = rendered[rendered.index("Optimizer:") :].splitlines()[1:]
     assert [line.split(":")[0].strip() for line in footer] == rules
     assert usage.optimizer_decisions == len(rules)
-
-
-def test_usage_alone_and_metrics_alone():
-    """Either sink may be left unbound; the other still counts."""
-    usage = Usage()
-    udf_database(usage, None).execute(UDF_SQL, udf_batch_size=4)
-    assert (usage.udf_cache_hits, usage.udf_cache_misses) == (13, 3)
-    metrics = MetricsRegistry()
-    db = udf_database(Usage(), metrics)
-    db.bind_udf_meters(metrics=metrics)
-    db.execute(UDF_SQL, udf_batch_size=4)
-    assert metrics.snapshot() == {
-        "repro_udf_cache_hits_total": 13,
-        "repro_udf_cache_misses_total": 3,
-        "repro_optimizer_decisions_total": 1,
-        **ROUTE,
-    }
 
 
 # -- contention ------------------------------------------------------------
@@ -496,12 +449,10 @@ def morsel_context(db: Database):
 def test_no_count_is_lost_under_contention(threads, each, databases):
     """``Usage.x += n`` is a read-modify-write: concurrent statements
     (two serving workers, or two databases bound to one ``lm.usage``)
-    must not lose increments, and the registry must agree."""
+    must not lose increments."""
     usage = Usage()
-    metrics = MetricsRegistry()
     contexts = [
-        morsel_context(udf_database(usage, metrics))
-        for _ in range(databases)
+        morsel_context(udf_database(usage)) for _ in range(databases)
     ]
     errors: list[BaseException] = []
 
@@ -530,9 +481,6 @@ def test_no_count_is_lost_under_contention(threads, each, databases):
     assert not any(worker.is_alive() for worker in workers)
     assert not errors, errors
     assert usage.udf_cache_hits == threads * each
-    assert metrics.snapshot() == {
-        "repro_udf_cache_hits_total": threads * each
-    }
 
 
 # -- the seam ----------------------------------------------------------------
@@ -541,21 +489,21 @@ def test_no_count_is_lost_under_contention(threads, each, databases):
 def test_the_table_is_the_pinned_one():
     from repro.obs.meter import METRIC_NAMES
 
-    assert METRIC_NAMES == {**DUAL_SINK, **dict.fromkeys(USAGE_ONLY)}
+    assert METRIC_NAMES == set(METERED)
 
 
 def test_meter_refuses_what_it_does_not_know():
     from repro.obs.meter import Meter
 
-    metrics = MetricsRegistry()
-    meter = Meter(Usage(), metrics)
+    usage = Usage()
+    meter = Meter(usage)
     with pytest.raises(KeyError):
         meter.add("lm_calls", 1)
     with pytest.raises(KeyError):
         meter.add("no_such_counter", 0)
     meter.add("udf_cache_hits", 0)
-    Meter().add("udf_cache_hits", 5)  # no sink bound: nothing to do
-    assert metrics.snapshot() == {}
+    Meter().add("udf_cache_hits", 5)  # no Usage bound: nothing to do
+    assert usage == Usage()
 
 
 def _stored_attributes(node: ast.AST):
@@ -572,14 +520,12 @@ def _stored_attributes(node: ast.AST):
 
 
 def test_only_the_meter_writes_a_metered_counter():
-    """Adding a counter is a Usage field, a table row and the call that
-    emits it: no other module stores to an attribute named after a
-    table field, ``setattr``s one, or spells one of the table's
-    instrument names."""
+    """Adding a counter is a Usage field, a name in the table and the
+    call that emits it: no other module stores to an attribute named
+    after a table field or ``setattr``s one."""
     from repro.obs import meter
 
-    fields = set(meter.METRIC_NAMES)
-    instruments = set(meter.METRIC_NAMES.values()) - {None}
+    fields = meter.METRIC_NAMES
     source = Path(meter.__file__).parents[1]
     offenders = []
     for path in sorted(source.rglob("*.py")):
@@ -598,8 +544,6 @@ def test_only_the_meter_writes_a_metered_counter():
                 and node.args[1].value in fields
             ):
                 found.append(node.args[1].value)
-            if isinstance(node, ast.Constant) and node.value in instruments:
-                found.append(node.value)
             offenders += [
                 f"{path.relative_to(source)}:{node.lineno}: {name}"
                 for name in found

@@ -1,10 +1,9 @@
 """Shard-count trace determinism: identical bytes at any (S, W) cell.
 
 Extends the PR 4 worker-count invariance to the sharded executor: the
-exported JSONL and Chrome artifacts, the invariant Usage counters, and
-the UDF metrics must be byte-identical for shards in {1, 2, 8} x
-workers in {1, 4}.  Two deliberate exclusions (see DESIGN.md §16):
-``Usage.batches`` and ``Usage.simulated_seconds`` vary per cell —
+exported JSONL and Chrome artifacts and the invariant Usage counters
+must be byte-identical for shards in {1, 2, 8} x workers in {1, 4}.
+Two deliberate exclusions (see DESIGN.md §16): ``Usage.batches`` and ``Usage.simulated_seconds`` vary per cell —
 coalescing concurrent shards' morsels into bigger flush batches is the
 speedup — and per-shard pipeline spans are hidden because the *number*
 of shard subtrees depends on the shard count.
@@ -19,7 +18,6 @@ from repro.db import Column, Database, DataType, TableSchema
 from repro.lm.model import SimulatedLM
 from repro.lm.udf import register_llm_judge
 from repro.obs import Tracer, to_chrome, to_jsonl
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.batching import BatchingLM
 
 CELLS = [(1, 1), (1, 4), (2, 1), (2, 4), (8, 1), (8, 4)]
@@ -35,12 +33,6 @@ INVARIANT_USAGE = (
     "udf_cache_hits",
     "udf_cache_misses",
     "optimizer_decisions",
-)
-
-INVARIANT_METRICS = (
-    "repro_udf_cache_hits_total",
-    "repro_udf_cache_misses_total",
-    "repro_optimizer_decisions_total",
 )
 
 
@@ -59,8 +51,7 @@ def run_traced(shards: int, workers: int):
     db.insert("t", [(i, f"review number {i % 11}") for i in range(40)])
     lm = BatchingLM(SimulatedLM())
     register_llm_judge(db, lm)
-    metrics = MetricsRegistry()
-    db.bind_udf_meters(usage=lm.usage, metrics=metrics)
+    db.bind_udf_meters(usage=lm.usage)
     db.set_partitioning("t", "n", shards=shards)
     db.configure_sharding(workers=workers, lm=lm)
     tracer = Tracer()
@@ -68,14 +59,10 @@ def run_traced(shards: int, workers: int):
     with tracer.request("q", 0):
         records = executor.execute(SQL)
     usage = {name: getattr(lm.usage, name) for name in INVARIANT_USAGE}
-    counters = {
-        name: metrics.counter(name).value for name in INVARIANT_METRICS
-    }
     return {
         "jsonl": to_jsonl(tracer),
         "chrome": to_chrome(tracer),
         "usage": usage,
-        "metrics": counters,
         "records": records,
     }
 
@@ -85,7 +72,7 @@ class TestShardCountInvariance:
         baseline = run_traced(*CELLS[0])
         for shards, workers in CELLS[1:]:
             got = run_traced(shards, workers)
-            for key in ("jsonl", "chrome", "usage", "metrics", "records"):
+            for key in ("jsonl", "chrome", "usage", "records"):
                 assert got[key] == baseline[key], (key, shards, workers)
 
     def test_identical_across_repeat_runs(self):

@@ -35,7 +35,7 @@ def movie_dataset():
     return movies.build()
 
 
-def _serve(dataset, workers, fault_rate=0.0, metrics=None):
+def _serve(dataset, workers, fault_rate=0.0):
     def factory(lm) -> TAGPipeline:
         return TAGPipeline(
             FixedQuerySynthesizer(ROMANCE_SQL),
@@ -60,7 +60,6 @@ def _serve(dataset, workers, fault_rate=0.0, metrics=None):
             else None
         ),
         tracer=tracer,
-        metrics=metrics,
     )
     report = server.serve(
         [
@@ -160,40 +159,3 @@ class TestTraceContent:
         assert traced.usage == untraced.usage
         assert traced.answers() == untraced.answers()
 
-
-class TestMetricsScrape:
-    def test_report_carries_metrics_snapshot(self, movie_dataset):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        _, report = _serve(movie_dataset, workers=3, metrics=registry)
-        metrics = report.metrics
-        assert metrics["serve.requests"] == 8
-        assert metrics["serve.errors"] == 0
-        assert metrics["serve.lm.batches"] >= 1
-        assert metrics["serve.request.vseconds"]["count"] == 8
-        assert metrics["serve.makespan.vseconds"] > 0.0
-
-    def test_metrics_deterministic_across_worker_counts_where_pure(
-        self, movie_dataset
-    ):
-        """Per-request metrics are worker-count invariant; batch-shape
-        metrics (batches, sizes) legitimately are not."""
-        from repro.obs import MetricsRegistry
-
-        registry_1 = MetricsRegistry()
-        registry_8 = MetricsRegistry()
-        _, report_1 = _serve(movie_dataset, 1, metrics=registry_1)
-        _, report_8 = _serve(movie_dataset, 8, metrics=registry_8)
-        assert (
-            report_1.metrics["serve.requests"]
-            == report_8.metrics["serve.requests"]
-        )
-        assert (
-            report_1.metrics["serve.errors"]
-            == report_8.metrics["serve.errors"]
-        )
-
-    def test_no_registry_means_empty_metrics(self, movie_dataset):
-        _, report = _serve(movie_dataset, workers=2)
-        assert report.metrics == {}

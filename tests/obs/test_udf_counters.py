@@ -1,20 +1,18 @@
-"""Exact LM-UDF counters: Usage fields, metrics, per-node EXPLAIN stats.
+"""Exact LM-UDF counters: Usage fields and per-node EXPLAIN stats.
 
 These tests pin the full accounting contract of the batched UDF path
 for a golden query: ``udf_cache_misses == lm_calls`` (each miss is a
 dispatched invocation), ``udf_cache_hits`` counts row-occurrences
 served without an invocation (intra-morsel dedup, statement memo, or
-the cross-statement LRU), and every number is mirrored identically to
-the bound :class:`~repro.lm.usage.Usage`, the
-:class:`~repro.obs.metrics.MetricsRegistry`, and the owning plan
-node's EXPLAIN ANALYZE line.
+the cross-statement LRU), and every number is the same in the bound
+:class:`~repro.lm.usage.Usage` and on the owning plan node's EXPLAIN
+ANALYZE line.
 """
 
 import pytest
 
 from repro.db import Column, Database, DataType, TableSchema
 from repro.lm import SimulatedLM, Usage, register_llm_judge
-from repro.obs.metrics import MetricsRegistry
 
 #: Duplicate-heavy golden data: 8 rows, 3 distinct judged values.
 ROWS = [
@@ -40,7 +38,7 @@ Optimizer:
   route: batched (caller-pinned udf_batch_size=4): est 6 LM calls / 336 tokens (per-row 16 calls / 896 tokens)"""
 
 
-def build_database() -> tuple[Database, Usage, MetricsRegistry]:
+def build_database() -> tuple[Database, Usage]:
     db = Database()
     db.create_table(
         TableSchema(
@@ -53,7 +51,6 @@ def build_database() -> tuple[Database, Usage, MetricsRegistry]:
     )
     db.insert("t", ROWS)
     usage = Usage()
-    metrics = MetricsRegistry()
 
     def scalar(value):
         return str(value).upper()
@@ -62,13 +59,13 @@ def build_database() -> tuple[Database, Usage, MetricsRegistry]:
         return [str(value).upper() for (value,) in tuples]
 
     db.register_udf("SLOW", scalar, expensive=True, batch=batch)
-    db.bind_udf_meters(usage=usage, metrics=metrics)
-    return db, usage, metrics
+    db.bind_udf_meters(usage=usage)
+    return db, usage
 
 
 class TestExactCounters:
     def test_golden_query_counter_contract(self):
-        db, usage, metrics = build_database()
+        db, usage = build_database()
         db.execute(GOLDEN_SQL, udf_batch_size=4)
         # 8 rows, 3 distinct values.  The filter's first morsel of 4
         # dispatches 3 distinct tuples (1 intra-morsel duplicate); the
@@ -76,12 +73,9 @@ class TestExactCounters:
         # The projection reuses the same memo for all 8 occurrences.
         assert usage.udf_cache_misses == 3
         assert usage.udf_cache_hits == 13  # (1 + 4) filter + 8 project
-        snapshot = metrics.snapshot()
-        assert snapshot["repro_udf_cache_misses_total"] == 3
-        assert snapshot["repro_udf_cache_hits_total"] == 13
 
     def test_second_statement_is_all_hits(self):
-        db, usage, _ = build_database()
+        db, usage = build_database()
         db.execute(GOLDEN_SQL, udf_batch_size=4)
         misses_after_first = usage.udf_cache_misses
         db.execute(GOLDEN_SQL, udf_batch_size=4)
@@ -90,20 +84,13 @@ class TestExactCounters:
 
     def test_every_sink_agrees_across_statements(self):
         """Two executions and an EXPLAIN ANALYZE of the golden query:
-        Usage and the registry hold the same numbers, and the registry
-        holds nothing else but the optimizer's instruments."""
-        db, usage, metrics = build_database()
+        Usage holds their sum, the plan nodes the last statement's."""
+        db, usage = build_database()
         db.execute(GOLDEN_SQL, udf_batch_size=4)
         db.execute(GOLDEN_SQL, udf_batch_size=4)
         analyzed = db.explain_analyze(GOLDEN_SQL, udf_batch_size=4)
         assert usage.udf_cache_misses == 3
         assert usage.udf_cache_hits == 13 + 16 + 16
-        assert metrics.snapshot() == {
-            "repro_optimizer_decisions_total": 3,
-            "repro_optimizer_route_total": 3,
-            "repro_udf_cache_hits_total": usage.udf_cache_hits,
-            "repro_udf_cache_misses_total": usage.udf_cache_misses,
-        }
         assert usage.optimizer_decisions == 3
         # One decision per statement: the footer's single route line.
         footer = analyzed.render().split("Optimizer:\n")[1]
@@ -162,7 +149,7 @@ class TestExactCounters:
 
 class TestGoldenAnalyze:
     def test_golden_render_with_per_node_lm_stats(self):
-        db, _, _ = build_database()
+        db, _ = build_database()
         analyzed = db.explain_analyze(GOLDEN_SQL, udf_batch_size=4)
         assert analyzed.render() == GOLDEN_ANALYZE
 
@@ -176,7 +163,7 @@ class TestGoldenAnalyze:
         ).render()
 
     def test_per_node_stats_sum_to_usage(self):
-        db, usage, _ = build_database()
+        db, usage = build_database()
         analyzed = db.explain_analyze(GOLDEN_SQL, udf_batch_size=4)
         hits = sum(
             stats.extra.get("udf_cache_hits", 0)
@@ -193,7 +180,7 @@ class TestGoldenAnalyze:
         # udf_batch_size=None pins the per-row oracle path: no batched
         # operators, so no per-node LM counters — but the optimizer
         # still footers the (pinned) route decision.
-        db, _, _ = build_database()
+        db, _ = build_database()
         analyzed = db.explain_analyze(GOLDEN_SQL, udf_batch_size=None)
         rendered = analyzed.render()
         assert "lm_calls" not in rendered
@@ -203,7 +190,7 @@ class TestGoldenAnalyze:
         )
 
     def test_results_match_between_analyze_and_execute(self):
-        db, _, _ = build_database()
+        db, _ = build_database()
         analyzed = db.explain_analyze(GOLDEN_SQL, udf_batch_size=4)
         plain = build_database()[0].execute(GOLDEN_SQL)
         assert analyzed.result.rows == plain.rows
@@ -217,16 +204,14 @@ class TestUsageFields:
         assert usage.udf_cache_misses == 0
 
     def test_metrics_stay_silent_without_binding(self):
-        db, usage, _ = build_database()
+        db, usage = build_database()
         db.bind_udf_meters()  # unbinds: counters go nowhere now
-        fresh = MetricsRegistry()
         db.execute(GOLDEN_SQL, udf_batch_size=4)
-        assert "repro_udf_cache_hits_total" not in fresh.snapshot()
         assert usage == Usage()
 
     @pytest.mark.parametrize("batch_size", [1, 4, 64])
     def test_miss_count_is_batch_size_invariant(self, batch_size):
         """Misses = distinct tuples regardless of morsel geometry."""
-        db, usage, _ = build_database()
+        db, usage = build_database()
         db.execute(GOLDEN_SQL, udf_batch_size=batch_size)
         assert usage.udf_cache_misses == 3

@@ -20,7 +20,6 @@ from repro.core import (
 from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
 from repro.obs import racecheck
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.racecheck import RaceChecker
 from repro.serve import TagServer
 
@@ -124,8 +123,7 @@ class TestServeSweepIsRaceClean:
         assert checked.simulated_seconds == plain.simulated_seconds
 
     def test_metrics_sweep_counters(self, movie_dataset):
-        registry = MetricsRegistry()
-        checker = RaceChecker(metrics=registry)
+        checker = RaceChecker()
         server = TagServer(
             romance_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
@@ -140,15 +138,6 @@ class TestServeSweepIsRaceClean:
         assert report.events > 0
         assert report.variables > 0
         assert report.threads == 5  # the serve thread and four workers
-        assert (
-            registry.counter("repro_conc_events_total").value
-            == report.events
-        )
-        assert (
-            registry.counter("repro_conc_vars_total").value
-            == report.variables
-        )
-        assert registry.counter("repro_conc_races_total").value == 0
 
 
 class TestHarnessCatchesSeededServeRace:

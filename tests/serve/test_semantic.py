@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.tag import TAGError, TAGResult
 from repro.lm.prompts import text2sql_prompt
 from repro.lm.usage import Usage
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.semantic import (
     QueryRegistry,
     SemanticResultCache,
@@ -241,14 +240,11 @@ class TestSemanticResultCache:
 class TestSemanticCacheMetering:
     def _cache(self, capacity=8, **kwargs):
         usage = Usage()
-        metrics = MetricsRegistry()
-        cache = SemanticResultCache(
-            capacity=capacity, usage=usage, metrics=metrics, **kwargs
-        )
-        return cache, usage, metrics
+        cache = SemanticResultCache(capacity=capacity, usage=usage, **kwargs)
+        return cache, usage
 
     def test_hit_miss_near_counters(self):
-        cache, usage, metrics = self._cache(threshold=0.6)
+        cache, usage = self._cache(threshold=0.6)
         assert cache.lookup("Top romance movies") is None
         cache.store("Top romance movies", _ok_result("q", 1))
         cache.lookup("top romance movie")
@@ -256,24 +252,13 @@ class TestSemanticCacheMetering:
         assert usage.semcache_misses == 1
         assert usage.semcache_hits == 1
         assert usage.semcache_near_hits == 1
-        assert (
-            metrics.counter("repro_semcache_misses_total").value == 1
-        )
-        assert metrics.counter("repro_semcache_hits_total").value == 1
-        assert (
-            metrics.counter("repro_semcache_near_hits_total").value == 1
-        )
 
     def test_invalidation_counter(self):
-        cache, usage, metrics = self._cache()
+        cache, usage = self._cache()
         cache.store("alpha question", _ok_result("q", 1))
         cache.store("beta question", _ok_result("q", 2))
         cache.invalidate()
         assert usage.semcache_invalidations == 2
-        assert (
-            metrics.counter("repro_semcache_invalidations_total").value
-            == 2
-        )
 
     def test_disabled_cache_meters_exactly_one_miss_per_lookup(self):
         """The capacity==0 audit: one miss at lookup, nothing at store.
@@ -281,18 +266,15 @@ class TestSemanticCacheMetering:
         Pre-audit the risk was double-metering each disabled round trip
         (a miss at get plus a drop at put); the counter pins the seam.
         """
-        cache, usage, metrics = self._cache(capacity=0)
+        cache, usage = self._cache(capacity=0)
         assert cache.lookup("Top movies") is None
         assert not cache.store("Top movies", _ok_result("q", 1))
         assert cache.lookup("Top movies") is None
         assert usage.semcache_misses == 2
         assert usage.semcache_hits == 0
-        assert (
-            metrics.counter("repro_semcache_misses_total").value == 2
-        )
 
     def test_coalesced_meters_one_hit(self):
-        cache, usage, _ = self._cache()
+        cache, usage = self._cache()
         cache.meter_coalesced()
         assert usage.semcache_hits == 1
         assert usage.semcache_misses == 0
