@@ -278,9 +278,8 @@ class UDFExecContext:
     cache and its :class:`~repro.obs.meter.Meter`.  Each operator owns
     an ``exec_stats`` dict surfaced by EXPLAIN ANALYZE; :meth:`tally`
     counts an event on the node and emits it, so the node and the bound
-    Usage can never disagree.  Cache reads and
-    writes go to the live cache and every pending key is the caller's
-    to dispatch.
+    Usage can never disagree.  Cache reads and writes go to the live
+    cache and every pending key is the caller's to dispatch.
     """
 
     tagged = False
@@ -1288,8 +1287,8 @@ class Exchange(PlanNode):
                     racecheck.join(thread.name)
         # Replay buffered effects on the caller's thread, in canonical
         # order: operator tallies shard by shard (into Usage through
-        # the real context), then cache events by call
-        # site and global first occurrence.
+        # the real context), then cache events by call site and global
+        # first occurrence.
         for shard_id, pipeline in enumerate(self.shards):
             racecheck.read(f"Exchange.shard.{shard_id}")
             for node in _shard_stat_nodes(pipeline):

@@ -27,12 +27,12 @@ what the exchange and those pipelines share:
     :class:`~repro.db.plan.UDFExecContext`.
     Shards never touch the live memo cache or the shared
     :class:`~repro.lm.usage.Usage` directly — a ``Usage`` count is a
-    read-modify-write ``setattr`` and the LRU
-    promotes on lookup, both of which would race (and worse, make
-    counter totals depend on thread interleaving).  Instead each shard
-    reads from a statement-start cache *snapshot*, buffers its tallies
-    in the operator's own stats dict, and records cache events keyed by
-    the global row id of the key's first occurrence.  After the shards
+    read-modify-write ``setattr`` and the LRU promotes on lookup, both
+    of which would race (and worse, make counter totals depend on
+    thread interleaving).  Instead each shard reads from a
+    statement-start cache *snapshot*, buffers its tallies in the
+    operator's own stats dict, and records cache events keyed by the
+    global row id of the key's first occurrence.  After the shards
     join, the exchange replays tallies and cache events on the caller's
     thread in a canonical order, so the merged counters and the final
     cache contents are byte-identical at any shard or worker count.
@@ -297,8 +297,8 @@ class ShardContext:
 
     Rows carry a trailing tag (their global row id).  ``tally`` writes
     only the operator's stats dict (the exchange adds merged totals to
-    Usage after the join), cache reads come from the
-    statement-start ``snapshot``, and cache effects are recorded as
+    Usage after the join), cache reads come from the statement-start
+    ``snapshot``, and cache effects are recorded as
     events keyed by each key's first-occurrence tag — a
     timing-independent quantity — so the post-join replay is identical
     no matter which shard claimed a key first.

@@ -316,6 +316,18 @@ class TestPruning:
         assert "shard-pruning" not in rendered
         assert "Exchange(shards=4)" in rendered
 
+    def test_a_coercion_bug_is_not_read_as_an_uncoercible_literal(
+        self, monkeypatch
+    ):
+        db = self._partitioned()
+
+        def broken(value, dtype):
+            raise TypeError("a bug, not a SchemaError")
+
+        monkeypatch.setattr("repro.db.types.coerce", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            db.explain("SELECT s FROM t WHERE n = 7")
+
     def test_non_key_predicate_does_not_prune(self):
         db = self._partitioned()
         rendered = db.explain("SELECT n FROM t WHERE s = 'value 1'")
