@@ -116,6 +116,23 @@ class TestPartitionSpec:
             assert 0 <= shard < 8
             assert shard == spec.shard_of(value)
 
+    def test_hash_shard_of_on_a_fixed_sample(self):
+        # The crc32 mapping is what stored rows were partitioned by: a
+        # change to it moves rows between shards, so it is pinned.
+        keys = [
+            0, 1, 7, -3, 2**53 + 1, 1.0, 2.5, -0.5, True, False,
+            "", "a", "value 3", "Sepang International Circuit", "ünïcode",
+        ]
+        expected = {
+            2: [1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1],
+            4: [1, 0, 0, 3, 2, 0, 3, 0, 0, 1, 0, 1, 0, 0, 1],
+            8: [1, 4, 0, 7, 2, 4, 7, 4, 4, 1, 4, 1, 0, 0, 5],
+        }
+        for shards, shard_ids in expected.items():
+            spec = PartitionSpec.hashed("k", shards)
+            assert [spec.shard_of(key) for key in keys] == shard_ids
+            assert spec.describe() == f"hash(k) % {shards}"
+
     def test_hash_is_type_canonical(self):
         # 1 and 1.0 compare equal in SQL; they must co-locate.
         spec = PartitionSpec.hashed("k", 8)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.bench.external_knowledge import oracle_external_knowledge
 from repro.core import SQLExecutor
+from repro.data import load_all
 from repro.data.base import Dataset
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db.sql import ast
@@ -398,6 +399,31 @@ def test_golden_set_covers_every_prompt_family(golden, suite):
     assert sum(prompt.startswith("You will be") for prompt in asked) == len(
         suite
     )
+
+
+#: sha256 over the Text2SQL prompt of every suite question, in suite
+#: order, each followed by its External Knowledge variant when the
+#: oracle has one (118 prompts over fresh seed-0 datasets).
+TEXT2SQL_PROMPTS_SHA256 = (
+    "a670462b0870d02661f0fe07de74143eca53d9ca36f7c5c36959b284c30fd28c"
+)
+
+
+def test_text2sql_prompt_bytes_are_pinned(suite):
+    """The golden set builds its prompts with the live builder, so it
+    cannot notice the builder's own bytes changing; this digest can."""
+    fresh = load_all(seed=0)
+    digest = hashlib.sha256()
+    count = 0
+    for spec in suite:
+        schema = fresh[spec.domain].prompt_schema()
+        knowledge = oracle_external_knowledge(spec.question)
+        for evidence in [None] if knowledge is None else [None, knowledge]:
+            prompt = prompts.text2sql_prompt(schema, spec.question, evidence)
+            digest.update(prompt.encode("utf-8"))
+            count += 1
+    assert count == 118
+    assert digest.hexdigest() == TEXT2SQL_PROMPTS_SHA256
 
 
 def test_prompt_schema_equals_reference(datasets):

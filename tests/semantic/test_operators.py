@@ -1,5 +1,7 @@
 """Unit tests for the semantic operators (sem_filter/topk/agg/map/join)."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import SemanticOperatorError
@@ -153,6 +155,56 @@ class TestSemAgg:
         answer = ops.sem_agg(frame, "Summarize the values")
         assert answer
         assert lm.usage.calls > 1  # folded in chunks
+
+
+class TestPinnedOnCommunityComments:
+    """The three operators the TAG-Bench pipelines call, pinned on the
+    comments frame: answers and the LM and dedup counters they cost."""
+
+    @pytest.fixture()
+    def comments(self, datasets) -> DataFrame:
+        return datasets["codebase_community"].frame("comments")
+
+    @staticmethod
+    def _counters(lm) -> tuple[int, int, int, int]:
+        usage = lm.usage
+        return (
+            usage.calls,
+            usage.batches,
+            usage.udf_cache_hits,
+            usage.udf_cache_misses,
+        )
+
+    def test_sem_filter(self, comments):
+        lm = SimulatedLM(LMConfig(seed=0))
+        kept = SemanticOperators(lm, batch_size=32).sem_filter(
+            comments.head(64), "The comment '{Text}' is positive"
+        )
+        assert kept["Id"].tolist() == [
+            1, 2, 6, 7, 9, 10, 14, 15, 17, 21, 22, 23, 24, 26, 27, 31,
+            34, 41, 42, 54, 55, 57, 63,
+        ]
+        assert self._counters(lm) == (37, 2, 27, 37)
+
+    def test_sem_topk(self, comments):
+        lm = SimulatedLM(LMConfig(seed=0))
+        top = SemanticOperators(lm, batch_size=32).sem_topk(
+            comments.head(32), "Which comment {Text} is most sarcastic?", 5
+        )
+        assert top["Id"].tolist() == [22, 14, 27, 2, 15]
+        assert self._counters(lm) == (39, 6, 24, 39)
+
+    def test_sem_agg(self, comments):
+        lm = SimulatedLM(LMConfig(seed=0))
+        answer = SemanticOperators(lm, batch_size=32).sem_agg(
+            comments.head(48), "Summarize the comments", columns=["Text"]
+        )
+        assert len(answer) == 1024
+        assert answer.startswith("There are 2 records. There are 24 records.")
+        assert hashlib.sha256(answer.encode("utf-8")).hexdigest() == (
+            "3c994893987adb49c8d2cb29966f422c7b6f656aa8b1a6ef5287bd32faea3b5c"
+        )
+        assert self._counters(lm) == (3, 2, 0, 2)
 
 
 class TestSemMap:

@@ -3,6 +3,8 @@ admission pricing, tracing, race-cleanliness, registry few-shot."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -16,6 +18,7 @@ from repro.core import (
 from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
 from repro.obs import racecheck
+from repro.obs.export import to_chrome
 from repro.obs.racecheck import RaceChecker
 from repro.obs.trace import Tracer
 from repro.serve import (
@@ -333,6 +336,70 @@ class TestSemanticTracing:
             ]
 
         assert spans(workers) == spans(1)
+
+
+class TestPinnedCachedServe:
+    """A TagServer with a semantic cache, served warm then hot at
+    workers 1 and 8: the ServeReports and the Chrome trace, pinned."""
+
+    #: workers -> (sha256 of the per-result rows, worker per result,
+    #: makespan of the warm run, warm-run LM batches).
+    EXPECTED = {
+        1: (
+            "047c34159f398298b6b1f7eb77c8412aae2757d56ad6068d9f3adf38ec8a60cb",
+            [0, 0, -2, 0, -2, 0] + [-2] * 6,
+            5.1599,
+            4,
+        ),
+        8: (
+            "54f77a482d129473a03f531e253ebfe1af92523c9b17508c667f3bd817ff3397",
+            [0, 1, -2, 2, -2, 3] + [-2] * 6,
+            1.289975,
+            1,
+        ),
+    }
+    #: The same at every worker count: spans live on per-request
+    #: virtual timelines.
+    CHROME_SHA256 = (
+        "e9b3df076a2b1a00b8cc894e2ed86e3240fd72f4512693e7146a823812af2a08"
+    )
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_reports_and_trace(self, movie_dataset, workers):
+        tracer = Tracer()
+        server = _server(
+            movie_dataset,
+            workers=workers,
+            cache=SemanticResultCache(capacity=64),
+            tracer=tracer,
+        )
+        requests = TestWorkerCountInvariance.REQUESTS
+        warm, hot = server.serve(requests), server.serve(requests)
+        rows = [
+            (r.index, r.request, r.worker, r.semantic, r.et_seconds,
+             r.lm_calls, r.cache_hits, r.result.answer)
+            for report in (warm, hot)
+            for r in report.results
+        ]
+        digest, placed, makespan, batches = self.EXPECTED[workers]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+        assert [row[2] for row in rows] == placed
+        assert [row[3] for row in rows] == (
+            [None, None, "coalesced", None, "coalesced", None]
+            + ["exact"] * 6
+        )
+        assert (warm.simulated_seconds, hot.simulated_seconds) == (
+            makespan,
+            0.0,
+        )
+        assert [
+            (u.calls, u.batches, u.prompt_tokens, u.output_tokens,
+             u.semcache_hits, u.semcache_misses)
+            for u in (warm.usage, hot.usage)
+        ] == [(4, batches, 447, 280, 2, 4), (0, 0, 0, 0, 6, 0)]
+        assert (warm.semantic_entries, hot.semantic_entries) == (0, 4)
+        chrome = to_chrome(tracer).encode("utf-8")
+        assert hashlib.sha256(chrome).hexdigest() == self.CHROME_SHA256
 
 
 class TestSemanticServeRaceClean:
