@@ -24,7 +24,7 @@ test-repair:
 	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_repair.py -q
 
 # The semantic-cache suites on their own: canonicalizer properties,
-# cache/registry unit tests (including both retrieval-path regression
+# cache unit tests (including both retrieval-path regression
 # suites), and the serve-integration equivalence/invariance tests.
 test-semcache:
 	$(PYTHON) -m pytest tests/serve/test_semantic.py tests/serve/test_semantic_serve.py tests/embed/test_hashing.py tests/vector/test_indexes.py -q

@@ -9,7 +9,8 @@ answers a question no single hop can:
 
 Hop 1 resolves *which* circuit that is (LM knowledge filter + exact
 aggregation); hop 2 runs a fresh TAG iteration about that circuit,
-splicing hop 1's answer into its request.
+splicing hop 1's answer into its request, and folds the rows with
+``sem_agg`` as the hand-written TAG pipelines do.
 
 Run:  python examples/multihop_chain.py
 """
@@ -17,7 +18,6 @@ Run:  python examples/multihop_chain.py
 from repro.core import (
     FixedQuerySynthesizer,
     Hop,
-    MapReduceGenerator,
     NoGenerator,
     SQLExecutor,
     TAGChain,
@@ -73,6 +73,16 @@ class CircuitRacesSynthesizer:
         )
 
 
+class SemAggGenerator:
+    """Hop 2 gen: fold every row into one answer with ``sem_agg``."""
+
+    def __init__(self, ops: SemanticOperators) -> None:
+        self.ops = ops
+
+    def generate(self, request: str, table: list[dict]) -> str:
+        return self.ops.sem_agg(DataFrame.from_records(table), request)
+
+
 def main() -> None:
     dataset = load_domain("formula_1", seed=0)
     lm = SimulatedLM(LMConfig(seed=0))
@@ -93,7 +103,7 @@ def main() -> None:
                 TAGPipeline(
                     CircuitRacesSynthesizer(),
                     SQLExecutor(dataset.db),
-                    MapReduceGenerator(lm),
+                    SemAggGenerator(ops),
                 ),
             ),
         ]

@@ -22,8 +22,8 @@ an interprocedural ``ast`` pass over ``src/repro/`` that
     the transitive construction/annotation closure from
     :data:`SHARED_ROOTS` (``TagServer``, ``BatchingLM``, ``Database``,
     ``UDFMemoCache``, ``StatementCache``, ``Tracer``,
-    ``SemanticResultCache``, ``QueryRegistry``, ``ShardDedup``,
-    ``Exchange``); ``Meter`` is reached from ``Database``.
+    ``SemanticResultCache``, ``ShardDedup``, ``Exchange``); ``Meter``
+    is reached from ``Database``.
 
 The rule taxonomy (codes are stable API, tests pin them):
 
@@ -89,7 +89,6 @@ SHARED_ROOTS = (
     "StatementCache",
     "Tracer",
     "SemanticResultCache",
-    "QueryRegistry",
     "ShardDedup",
     "Exchange",
 )
@@ -1130,13 +1129,11 @@ def _find_cycles(edges: dict[str, set[str]]) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def shared_closure(
-    classes: list[ClassModel], roots: tuple[str, ...] = SHARED_ROOTS
-) -> set[str]:
-    """Class names reachable from the shared roots by construction or
-    constructor annotation — the worker-crossing surface."""
+def shared_closure(classes: list[ClassModel]) -> set[str]:
+    """Class names reachable from :data:`SHARED_ROOTS` by construction
+    or constructor annotation — the worker-crossing surface."""
     by_name = {model.name: model for model in classes}
-    shared = {name for name in roots if name in by_name}
+    shared = {name for name in SHARED_ROOTS if name in by_name}
     frontier = list(shared)
     while frontier:
         current = frontier.pop()
@@ -1198,10 +1195,8 @@ def load_allowlist(root: Path) -> dict[str, str]:
     return allowlist
 
 
-def analyze_tree(
-    root: Path, subdirectory: str = "src"
-) -> ConcurrencyReport:
-    """Analyze every ``.py`` under ``root/subdirectory``.
+def analyze_tree(root: Path) -> ConcurrencyReport:
+    """Analyze every ``.py`` under ``root/src``.
 
     The shared-class closure is computed over the *whole* tree (so
     ``Database`` in ``db/`` marks ``UDFMemoCache`` even though
@@ -1211,7 +1206,7 @@ def analyze_tree(
     all_classes: list[ClassModel] = []
     module_functions: list[tuple[str, dict[str, FunctionFacts]]] = []
     files = 0
-    for path in sorted((root / subdirectory).rglob("*.py")):
+    for path in sorted((root / "src").rglob("*.py")):
         try:
             classes, functions, relative = collect_file(path, root)
         except SyntaxError:

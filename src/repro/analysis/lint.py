@@ -394,10 +394,8 @@ def load_allowlist(root: Path) -> dict[str, str]:
     return allowlist
 
 
-def lint_tree(
-    root: Path, subdirectory: str = "src"
-) -> tuple[list[LintFinding], list[LintFinding]]:
-    """Lint every ``.py`` under ``root/subdirectory``.
+def lint_tree(root: Path) -> tuple[list[LintFinding], list[LintFinding]]:
+    """Lint every ``.py`` under ``root/src``.
 
     Returns ``(reported, suppressed)`` after applying the pyproject
     allowlist; both lists are deterministically ordered.
@@ -405,7 +403,7 @@ def lint_tree(
     allowlist = load_allowlist(root)
     reported: list[LintFinding] = []
     suppressed: list[LintFinding] = []
-    for path in sorted((root / subdirectory).rglob("*.py")):
+    for path in sorted((root / "src").rglob("*.py")):
         for finding in lint_file(path, root):
             if finding.key in allowlist:
                 suppressed.append(finding)

@@ -263,11 +263,9 @@ class SQLAnalyzer:
     and concurrently (each run keeps its state on a private ``_Run``).
     """
 
-    def __init__(
-        self, db: Database, cost_model: CostModel | None = None
-    ) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
 
     # -- entry points ----------------------------------------------------
 

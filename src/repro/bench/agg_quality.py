@@ -21,6 +21,8 @@ from __future__ import annotations
 import re
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+#: Integers up to this are enumeration framing, not data claims.
+_MAX_FRAMING_INT = 30
 
 
 def entity_coverage(answer: str, entities: list[str]) -> float:
@@ -32,18 +34,13 @@ def entity_coverage(answer: str, entities: list[str]) -> float:
     return hits / len(entities)
 
 
-def numeric_faithfulness(
-    answer: str,
-    source_values: set[str],
-    max_framing_int: int = 30,
-) -> float:
+def numeric_faithfulness(answer: str, source_values: set[str]) -> float:
     """Fraction of the answer's numbers grounded in the source values.
 
     Numbers are compared textually after normalisation (so ``2257.8``
-    grounds ``2257.8`` and ``2257.80``); integers up to
-    ``max_framing_int`` are treated as framing ("3 records", "top 5")
-    rather than data claims.  An answer with no data numbers is fully
-    faithful (1.0).
+    grounds ``2257.8`` and ``2257.80``); integers up to 30 are treated
+    as framing ("3 records", "top 5") rather than data claims.  An
+    answer with no data numbers is fully faithful (1.0).
     """
     normalized_sources = set()
     for value in source_values:
@@ -55,7 +52,7 @@ def numeric_faithfulness(
         try:
             if (
                 float(normalized).is_integer()
-                and abs(int(float(normalized))) <= max_framing_int
+                and abs(int(float(normalized))) <= _MAX_FRAMING_INT
             ):
                 continue
         except ValueError:  # pragma: no cover

@@ -124,14 +124,3 @@ def is_technical(text: str) -> bool:
     """Noise-free technicality judgment (gold labels)."""
     return technicality_score(text) > TECHNICAL_THRESHOLD
 
-
-def rank_by(texts: list[str], scorer, descending: bool = True) -> list[str]:
-    """Stable ordering of texts by a scorer."""
-    return [
-        text
-        for _, text in sorted(
-            ((scorer(text), text) for text in texts),
-            key=lambda pair: pair[0],
-            reverse=descending,
-        )
-    ]

@@ -13,22 +13,18 @@ from repro.frame import DataFrame, merge
 
 
 def filter_by_region(
-    ctx: PipelineContext,
-    frame: DataFrame,
-    region: str,
-    city_column: str = "City",
+    ctx: PipelineContext, frame: DataFrame, region: str
 ) -> DataFrame:
     """Keep rows whose city the LM judges to be in ``region``.
 
     Judges each *unique* city once — the dedup optimisation the paper's
     match-based example pipeline applies before sem_filter.
     """
-    cities = DataFrame({city_column: frame[city_column].unique()})
+    cities = DataFrame({"City": frame["City"].unique()})
     kept = ctx.ops.sem_filter(
-        cities,
-        "{" + city_column + "} is a city in the " + region + " region",
+        cities, "{City} is a city in the " + region + " region"
     )
-    return frame[frame[city_column].isin(kept[city_column].tolist())]
+    return frame[frame["City"].isin(kept["City"].tolist())]
 
 
 def filter_players_by_height(
@@ -36,37 +32,24 @@ def filter_players_by_height(
     frame: DataFrame,
     person: str,
     direction: str = "taller",
-    height_column: str = "height",
 ) -> DataFrame:
     """Keep players the LM judges taller/shorter than a public figure."""
-    heights = DataFrame({height_column: frame[height_column].unique()})
+    heights = DataFrame({"height": frame["height"].unique()})
     kept = ctx.ops.sem_filter(
         heights,
-        "a player with height {" + height_column + "} is "
-        f"{direction} than {person}",
+        f"a player with height {{height}} is {direction} than {person}",
     )
-    return frame[
-        frame[height_column].isin(kept[height_column].tolist())
-    ]
+    return frame[frame["height"].isin(kept["height"].tolist())]
 
 
 def filter_countries(
-    ctx: PipelineContext,
-    frame: DataFrame,
-    predicate: str,
-    country_column: str = "Country",
+    ctx: PipelineContext, frame: DataFrame, predicate: str
 ) -> DataFrame:
     """Keep rows whose country satisfies a knowledge predicate, e.g.
     ``"uses the euro"`` or ``"is a member of the European Union"``."""
-    countries = DataFrame(
-        {country_column: frame[country_column].unique()}
-    )
-    kept = ctx.ops.sem_filter(
-        countries, "{" + country_column + "} " + predicate
-    )
-    return frame[
-        frame[country_column].isin(kept[country_column].tolist())
-    ]
+    countries = DataFrame({"Country": frame["Country"].unique()})
+    kept = ctx.ops.sem_filter(countries, "{Country} " + predicate)
+    return frame[frame["Country"].isin(kept["Country"].tolist())]
 
 
 def filter_street_circuits(
@@ -136,77 +119,57 @@ def comments_for_post_title(
     )
 
 
-def filter_positive(
-    ctx: PipelineContext, frame: DataFrame, text_column: str = "Text"
-) -> DataFrame:
+def filter_positive(ctx: PipelineContext, frame: DataFrame) -> DataFrame:
     """Keep rows whose text the LM judges positive."""
-    return ctx.ops.sem_filter(
-        frame, "The comment '{" + text_column + "}' is positive"
-    )
+    return ctx.ops.sem_filter(frame, "The comment '{Text}' is positive")
 
 
-def filter_negative(
-    ctx: PipelineContext, frame: DataFrame, text_column: str = "Text"
-) -> DataFrame:
+def filter_negative(ctx: PipelineContext, frame: DataFrame) -> DataFrame:
     """Keep rows whose text the LM judges negative."""
-    return ctx.ops.sem_filter(
-        frame, "The comment '{" + text_column + "}' is negative"
-    )
+    return ctx.ops.sem_filter(frame, "The comment '{Text}' is negative")
 
 
-def filter_sarcastic(
-    ctx: PipelineContext, frame: DataFrame, text_column: str = "Text"
-) -> DataFrame:
+def filter_sarcastic(ctx: PipelineContext, frame: DataFrame) -> DataFrame:
     """Keep rows whose text the LM judges sarcastic."""
-    return ctx.ops.sem_filter(
-        frame, "The comment '{" + text_column + "}' is sarcastic"
-    )
+    return ctx.ops.sem_filter(frame, "The comment '{Text}' is sarcastic")
 
 
 def filter_technical_titles(
-    ctx: PipelineContext, frame: DataFrame, title_column: str = "Title"
+    ctx: PipelineContext, frame: DataFrame
 ) -> DataFrame:
     """Keep rows whose title the LM judges technical."""
-    return ctx.ops.sem_filter(
-        frame, "The title '{" + title_column + "}' is technical"
-    )
+    return ctx.ops.sem_filter(frame, "The title '{Title}' is technical")
 
 
 def topk_technical(
-    ctx: PipelineContext, frame: DataFrame, k: int,
-    title_column: str = "Title",
+    ctx: PipelineContext, frame: DataFrame, k: int
 ) -> DataFrame:
     """Top-k rows by LM-judged technicality, best first."""
-    return ctx.ops.sem_topk(
-        frame, "Which {" + title_column + "} is most technical?", k
-    )
+    return ctx.ops.sem_topk(frame, "Which {Title} is most technical?", k)
 
 
 def topk_sarcastic(
-    ctx: PipelineContext, frame: DataFrame, k: int,
-    text_column: str = "Text",
+    ctx: PipelineContext, frame: DataFrame, k: int
 ) -> DataFrame:
     """Top-k rows by LM-judged sarcasm, best first."""
     return ctx.ops.sem_topk(
-        frame, "Which comment {" + text_column + "} is most sarcastic?", k
+        frame, "Which comment {Text} is most sarcastic?", k
     )
 
 
 def topk_positive(
-    ctx: PipelineContext, frame: DataFrame, k: int,
-    text_column: str = "Text",
+    ctx: PipelineContext, frame: DataFrame, k: int
 ) -> DataFrame:
     """Top-k rows by LM-judged positivity, best first."""
     return ctx.ops.sem_topk(
-        frame, "Which comment {" + text_column + "} is most positive?", k
+        frame, "Which comment {Text} is most positive?", k
     )
 
 
 def topk_negative(
-    ctx: PipelineContext, frame: DataFrame, k: int,
-    text_column: str = "Text",
+    ctx: PipelineContext, frame: DataFrame, k: int
 ) -> DataFrame:
     """Top-k rows by LM-judged negativity, best first."""
     return ctx.ops.sem_topk(
-        frame, "Which comment {" + text_column + "} is most negative?", k
+        frame, "Which comment {Text} is most negative?", k
     )

@@ -403,12 +403,10 @@ def _command_serve(args) -> int:
 
         tracer = Tracer()
     semantic_cache = None
-    registry = None
     if args.semantic_cache > 0:
-        from repro.serve import QueryRegistry, SemanticResultCache
+        from repro.serve import SemanticResultCache
 
         semantic_cache = SemanticResultCache(capacity=args.semantic_cache)
-        registry = QueryRegistry()
     server = TagServer(
         factory,
         SimulatedLM(LMConfig(seed=args.seed)),
@@ -419,7 +417,6 @@ def _command_serve(args) -> int:
         admission=admission,
         tracer=tracer,
         semantic_cache=semantic_cache,
-        registry=registry,
     )
     # With the semantic cache on, fold the stream onto a few distinct
     # questions: real traffic repeats itself, and the duplicates are
@@ -475,7 +472,6 @@ def _command_serve(args) -> int:
             f"{usage.semcache_near_hits} / {usage.semcache_misses}"
         )
         print(f"  semcache entries {len(semantic_cache):8d}")
-        print(f"  registry entries {len(registry):8d}")
     if tracer is not None:
         from repro.obs import write_trace
 

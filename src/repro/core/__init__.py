@@ -25,12 +25,7 @@ from repro.core.execution import (
     VectorSearchExecutor,
     shared_corpus,
 )
-from repro.core.generation import (
-    MapReduceGenerator,
-    NoGenerator,
-    RefineGenerator,
-    SingleCallGenerator,
-)
+from repro.core.generation import NoGenerator, SingleCallGenerator
 from repro.core.multihop import ChainResult, Hop, TAGChain
 from repro.core.repair import (
     RepairAttempt,
@@ -60,9 +55,7 @@ __all__ = [
     "FixedQuerySynthesizer",
     "Hop",
     "LMQuerySynthesizer",
-    "MapReduceGenerator",
     "NoGenerator",
-    "RefineGenerator",
     "RepairAttempt",
     "RepairPolicy",
     "RowCorpus",

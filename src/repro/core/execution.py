@@ -141,9 +141,5 @@ class VectorSearchExecutor:
         )
         self.k = k
 
-    @property
-    def corpus_size(self) -> int:
-        return self.corpus.size
-
     def execute(self, query: np.ndarray) -> list[dict[str, Any]]:
         return self.corpus.search(query, self.k)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.lm import SimulatedLM
-from repro.lm.prompts import answer_prompt, summary_prompt
+from repro.lm.prompts import answer_prompt
 
 
 class NoGenerator:
@@ -42,80 +42,3 @@ class SingleCallGenerator:
             request, table, aggregation=self.aggregation
         )
         return self.lm.complete(prompt).text
-
-
-class RefineGenerator:
-    """gen by sequential refinement: fold chunks through a running answer.
-
-    The complementary iterative pattern to map-reduce (§3, "iterative or
-    recursive LM generation patterns"): the model keeps one working
-    answer and revises it against each successive chunk of rows, so
-    later rows can correct earlier conclusions.  Costs one call per
-    chunk, strictly sequential.
-    """
-
-    def __init__(self, lm: SimulatedLM, chunk_rows: int = 16) -> None:
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
-        self.lm = lm
-        self.chunk_rows = chunk_rows
-
-    def generate(
-        self, request: str, table: list[dict[str, Any]]
-    ) -> str:
-        if not table:
-            response = self.lm.complete(
-                answer_prompt(request, [], aggregation=True)
-            )
-            return response.text
-        items = [
-            "; ".join(f"{key}: {value}" for key, value in record.items())
-            for record in table
-        ]
-        answer = ""
-        for start in range(0, len(items), self.chunk_rows):
-            chunk = items[start : start + self.chunk_rows]
-            if answer:
-                chunk = [f"Current draft answer: {answer}"] + chunk
-            response = self.lm.complete(summary_prompt(request, chunk))
-            answer = response.text
-        return answer
-
-
-class MapReduceGenerator:
-    """gen with hierarchical folding for tables beyond one context.
-
-    Rows are summarised in chunks and the partial summaries folded
-    until one answer remains — the iterative generation pattern the
-    paper highlights (§3, "LM Generation Patterns").
-    """
-
-    def __init__(self, lm: SimulatedLM, chunk_rows: int = 24) -> None:
-        if chunk_rows < 2:
-            raise ValueError("chunk_rows must be >= 2")
-        self.lm = lm
-        self.chunk_rows = chunk_rows
-
-    def generate(
-        self, request: str, table: list[dict[str, Any]]
-    ) -> str:
-        if not table:
-            response = self.lm.complete(
-                answer_prompt(request, [], aggregation=True)
-            )
-            return response.text
-        items = [
-            "; ".join(f"{key}: {value}" for key, value in record.items())
-            for record in table
-        ]
-        while len(items) > self.chunk_rows:
-            folded: list[str] = []
-            for start in range(0, len(items), self.chunk_rows):
-                chunk = items[start : start + self.chunk_rows]
-                response = self.lm.complete(
-                    summary_prompt(request, chunk)
-                )
-                folded.append(response.text)
-            items = folded
-        response = self.lm.complete(summary_prompt(request, items))
-        return response.text

@@ -42,7 +42,7 @@ and worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.tag import TAGError, TAGPipeline, TAGResult
 from repro.errors import (
@@ -145,10 +145,7 @@ class SelfCorrectingPipeline(TAGPipeline):
     encoding of the catalog the queries run against (normally
     ``dataset.prompt_schema()``).  ``external_knowledge`` is forwarded
     into repair prompts so a repaired generation sees the same evidence
-    the original one did; ``rewrite_sql`` optionally post-processes
-    each repaired query (e.g. the retrieval-mode broadening of
-    Text2SQL+LM) so repairs go through the same shaping as the original
-    synthesis.
+    the original one did.
     """
 
     def __init__(
@@ -160,14 +157,12 @@ class SelfCorrectingPipeline(TAGPipeline):
         schema_sql: str,
         policy: RepairPolicy | None = None,
         external_knowledge: str | None = None,
-        rewrite_sql: "Callable[[str], str] | None" = None,
     ) -> None:
         super().__init__(synthesis, execution, generation)
         self.lm = lm
         self.schema_sql = schema_sql
         self.policy = policy if policy is not None else RepairPolicy()
         self.external_knowledge = external_knowledge
-        self.rewrite_sql = rewrite_sql
 
     def _execute_step(
         self, request: str, result: TAGResult
@@ -229,12 +224,9 @@ class SelfCorrectingPipeline(TAGPipeline):
             self.external_knowledge,
             attempt=attempt,
         )
-        sql = self.lm.complete(
+        return self.lm.complete(
             prompt, max_tokens=self.policy.max_tokens
         ).text
-        if self.rewrite_sql is not None:
-            sql = self.rewrite_sql(sql)
-        return sql
 
     def _failed_attempt(
         self, attempt: int, sql: str, error: DatabaseError

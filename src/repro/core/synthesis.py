@@ -20,14 +20,6 @@ class LMQuerySynthesizer:
     row-retrieval query (``SELECT *``, no LIMIT) — the Text2SQL+LM
     baseline's synthesis, which asks the model for *relevant rows*
     rather than a direct answer.
-
-    ``registry`` (a :class:`repro.serve.semantic.QueryRegistry`) turns
-    on few-shot injection: the ``examples_k`` accepted entries most
-    similar to the request are retrieval-ranked and flattened into the
-    prompt as ``-- Example Question/SQL`` pairs.  The registry is
-    frozen while a serve run is in flight (the server records new
-    entries only between runs), so the injected examples — and hence
-    the prompt bytes — are identical at any worker count.
     """
 
     def __init__(
@@ -36,30 +28,15 @@ class LMQuerySynthesizer:
         dataset: Dataset,
         retrieval_mode: bool = False,
         external_knowledge: str | None = None,
-        registry=None,
-        examples_k: int = 3,
     ) -> None:
         self.lm = lm
         self.dataset = dataset
         self.retrieval_mode = retrieval_mode
         self.external_knowledge = external_knowledge
-        self.registry = registry
-        self.examples_k = examples_k
 
     def synthesize(self, request: str) -> str:
-        examples = None
-        if self.registry is not None:
-            examples = [
-                (entry.question, entry.sql)
-                for entry in self.registry.examples(
-                    request, self.examples_k
-                )
-            ]
         prompt = text2sql_prompt(
-            self.dataset.prompt_schema(),
-            request,
-            self.external_knowledge,
-            examples=examples,
+            self.dataset.prompt_schema(), request, self.external_knowledge
         )
         sql = self.lm.complete(prompt, max_tokens=256).text
         if self.retrieval_mode:

@@ -153,32 +153,16 @@ class Database:
         self.table(table_name).create_index(column_name)
 
     def set_partitioning(
-        self,
-        table_name: str,
-        column: str,
-        shards: int | None = None,
-        kind: str = "hash",
-        bounds: Sequence[Any] | None = None,
+        self, table_name: str, column: str, shards: int
     ) -> PartitionSpec:
-        """Partition a table on ``column`` for shard-parallel scans.
+        """Hash-partition a table on ``column`` into ``shards`` shards.
 
-        ``kind="hash"`` needs ``shards``; ``kind="range"`` derives the
-        shard count from ``bounds`` (``len(bounds) + 1`` shards).  The
-        planner shards eligible scans of a partitioned table into
+        The planner shards eligible scans of a partitioned table into
         :class:`~repro.db.plan.Exchange` pipelines — results, ordering,
         traces, and shared counters are identical at any shard/worker
         count (see DESIGN.md §16).  Returns the installed spec.
         """
-        if kind == "hash":
-            if shards is None:
-                raise SchemaError("hash partitioning requires shards")
-            spec = PartitionSpec.hashed(column, shards)
-        elif kind == "range":
-            spec = PartitionSpec.ranged(column, tuple(bounds or ()))
-        else:
-            raise SchemaError(
-                f"partition kind must be 'hash' or 'range', got {kind!r}"
-            )
+        spec = PartitionSpec.hashed(column, shards)
         self.table(table_name).set_partitioning(spec)
         return spec
 

@@ -64,10 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: nothing while error attribution latency grows.
 MAX_AUTO_BATCH = 256
 
-#: Fallback batch size when the static analyzer cannot price the
-#: statement (it analyzes a stricter SQL subset than the engine runs).
-FALLBACK_BATCH = 16
-
 
 @dataclass(frozen=True)
 class Decision:
@@ -131,13 +127,11 @@ class QueryOptimizer:
     EXPLAIN surfaces.
     """
 
-    def __init__(self, db: "Database", cost_model=None) -> None:
-        self._db = db
-        if cost_model is None:
-            from repro.analysis.cost import CostModel
+    def __init__(self, db: "Database") -> None:
+        from repro.analysis.cost import CostModel
 
-            cost_model = CostModel()
-        self._model = cost_model
+        self._db = db
+        self._model = CostModel()
         self.report = OptimizerReport()
         self.cascade = False
         #: Only statements touching expensive UDFs get decisions; plans
@@ -281,30 +275,14 @@ class QueryOptimizer:
         return batch
 
     def _estimate(self, select: ast.Select) -> tuple[int, int, int]:
-        """(per_row_calls, batched_calls, rows_scanned) upper bounds.
+        """(per_row_calls, batched_calls, rows_scanned) upper bounds,
+        priced by the static analyzer (which prices every SELECT)."""
+        from repro.analysis import SQLAnalyzer
 
-        Priced by the static analyzer; when the statement is outside
-        the analyzer's subset, falls back to a neutral bound that still
-        prefers batching.
-        """
-        try:
-            from repro.analysis import SQLAnalyzer
-
-            report = SQLAnalyzer(
-                self._db, cost_model=self._model
-            ).analyze(select)
-            cost = report.cost
-            if cost is not None and cost.lm_calls > 0:
-                return (
-                    cost.lm_calls,
-                    cost.lm_calls_batched,
-                    cost.rows_scanned,
-                )
-            if cost is not None:
-                return (0, 0, cost.rows_scanned)
-        except Exception:
-            pass
-        return (FALLBACK_BATCH, FALLBACK_BATCH, FALLBACK_BATCH)
+        cost = SQLAnalyzer(self._db).analyze(select).cost
+        if cost.lm_calls == 0:
+            return (0, 0, cost.rows_scanned)
+        return (cost.lm_calls, cost.lm_calls_batched, cost.rows_scanned)
 
     def _expensive_names(self, select: ast.Select) -> set[str]:
         names: set[str] = set()

@@ -5,9 +5,9 @@ runs each partition's pipeline on its own thread.  This module holds
 what the exchange and those pipelines share:
 
 :class:`PartitionSpec`
-    How a table's rows map to shards — hash or range partitioning on
-    one column.  Hashing goes through ``zlib.crc32`` over a canonical
-    value encoding, never Python's seeded ``hash()``, so the mapping is
+    How a table's rows map to shards — hash partitioning on one
+    column.  Hashing goes through ``zlib.crc32`` over a canonical value
+    encoding, never Python's seeded ``hash()``, so the mapping is
     stable across processes (the determinism contract of the whole
     engine).
 
@@ -50,7 +50,6 @@ what the exchange and those pipelines share:
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import threading
 import zlib
@@ -99,41 +98,16 @@ def _hash_form(value: SQLValue) -> tuple[int, Any]:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How one table's rows map to shards, on one key column.
+    """How one table's rows map to shards: a hash of one key column.
 
-    ``kind == "hash"``: ``crc32`` over a canonical encoding of the
-    (coerced) key value, modulo ``shards``.  ``kind == "range"``: the
-    shard is the number of ``bounds`` strictly below the value (so
-    ``bounds = (10, 20)`` makes three shards: ``< 10``, ``[10, 20)``,
-    ``>= 20``), compared through :func:`~repro.db.types.sort_key` like
-    every other ordering in the engine.  NULL keys always land on
-    shard 0 — both schemes, so pruning logic can reason about NULLs
-    uniformly.
+    ``crc32`` over a canonical encoding of the (coerced) key value,
+    modulo ``shards``.  NULL keys always land on shard 0.
     """
 
     column: str
     shards: int
-    kind: str = "hash"
-    bounds: tuple[SQLValue, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("hash", "range"):
-            raise SchemaError(
-                f"partition kind must be 'hash' or 'range', "
-                f"got {self.kind!r}"
-            )
-        if self.kind == "range":
-            keys = [sort_key(bound) for bound in self.bounds]
-            if keys != sorted(keys) or len(set(keys)) != len(keys):
-                raise SchemaError(
-                    "range partition bounds must be strictly increasing"
-                )
-            expected = len(self.bounds) + 1
-            if self.shards != expected:
-                raise SchemaError(
-                    f"range spec over {len(self.bounds)} bound(s) "
-                    f"defines {expected} shards, got shards={self.shards}"
-                )
         if self.shards < 1:
             raise SchemaError(
                 f"shards must be >= 1, got {self.shards}"
@@ -141,34 +115,17 @@ class PartitionSpec:
 
     @classmethod
     def hashed(cls, column: str, shards: int) -> "PartitionSpec":
-        return cls(column=column, shards=shards, kind="hash")
-
-    @classmethod
-    def ranged(
-        cls, column: str, bounds: tuple[SQLValue, ...] | list[SQLValue]
-    ) -> "PartitionSpec":
-        bounds = tuple(bounds)
-        return cls(
-            column=column,
-            shards=len(bounds) + 1,
-            kind="range",
-            bounds=bounds,
-        )
+        return cls(column=column, shards=shards)
 
     def shard_of(self, value: SQLValue) -> int:
         """The shard a (column-coerced) key value belongs to."""
         if value is None:
             return 0
-        if self.kind == "hash":
-            encoded = repr(_hash_form(value)).encode("utf-8")
-            return zlib.crc32(encoded) % self.shards
-        keys = [sort_key(bound) for bound in self.bounds]
-        return bisect.bisect_right(keys, sort_key(value))
+        encoded = repr(_hash_form(value)).encode("utf-8")
+        return zlib.crc32(encoded) % self.shards
 
     def describe(self) -> str:
-        if self.kind == "hash":
-            return f"hash({self.column}) % {self.shards}"
-        return f"range({self.column}, {len(self.bounds)} bound(s))"
+        return f"hash({self.column}) % {self.shards}"
 
 
 @dataclass

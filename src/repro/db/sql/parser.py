@@ -28,14 +28,6 @@ def parse_statement(sql: str) -> ast.Statement:
     return statement
 
 
-def parse_select(sql: str) -> ast.Select:
-    """Parse SQL that must be a SELECT statement."""
-    statement = parse_statement(sql)
-    if not isinstance(statement, ast.Select):
-        raise SQLSyntaxError("expected a SELECT statement")
-    return statement
-
-
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens

@@ -19,10 +19,9 @@ this in the serve worker sweep before the lock existed.)
 
 Error results are never cached; a failing UDF re-raises on every
 evaluation exactly like the per-row oracle path.  Hit/miss *metering*
-deliberately lives with the callers (the batched plan operators and
-:class:`repro.semantic.SemanticEngine`), which add one count per
-probed occurrence to ``Usage`` — the cache itself stays a dumb LRU so
-there is exactly one meter per surface.
+deliberately lives with the caller (the batched plan operators), which
+adds one count per probed occurrence to ``Usage`` — the cache itself
+stays a dumb LRU so there is exactly one meter per surface.
 """
 
 from __future__ import annotations

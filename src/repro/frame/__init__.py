@@ -10,19 +10,13 @@ top of it.
 
 from repro.frame.frame import Column, DataFrame, merge
 from repro.frame.groupby import GroupBy
-from repro.frame.io import (
-    export_dataset,
-    load_frames,
-    read_csv,
-    write_csv,
-)
+from repro.frame.io import export_dataset, read_csv, write_csv
 
 __all__ = [
     "Column",
     "DataFrame",
     "GroupBy",
     "export_dataset",
-    "load_frames",
     "merge",
     "read_csv",
     "write_csv",

@@ -40,9 +40,6 @@ class Column:
     def tolist(self) -> list[Any]:
         return list(self.values)
 
-    def to_list(self) -> list[Any]:
-        return list(self.values)
-
     # -- elementwise operations ------------------------------------------
 
     def _compare(self, other: Any, op: Callable[[Any, Any], bool]) -> "Column":
@@ -102,29 +99,8 @@ class Column:
         lookup = set(values)
         return Column(self.name, [value in lookup for value in self.values])
 
-    def notna(self) -> "Column":
-        return Column(self.name, [value is not None for value in self.values])
-
-    def isna(self) -> "Column":
-        return Column(self.name, [value is None for value in self.values])
-
     def apply(self, function: Callable[[Any], Any]) -> "Column":
         return Column(self.name, [function(value) for value in self.values])
-
-    def str_contains(self, needle: str, case: bool = False) -> "Column":
-        """Substring-match mask over text values (NULL-safe)."""
-        if case:
-            test = lambda text: needle in text  # noqa: E731
-        else:
-            lowered = needle.lower()
-            test = lambda text: lowered in text.lower()  # noqa: E731
-        return Column(
-            self.name,
-            [
-                isinstance(value, str) and test(value)
-                for value in self.values
-            ],
-        )
 
     # -- reductions --------------------------------------------------------
 
@@ -159,9 +135,6 @@ class Column:
 
     def count(self) -> int:
         return len(self._non_null())
-
-    def nunique(self) -> int:
-        return len(self.unique())
 
     def __repr__(self) -> str:
         preview = ", ".join(repr(value) for value in self.values[:5])
@@ -318,24 +291,6 @@ class DataFrame:
 
             indices.sort(key=sorter, reverse=not flag)
         return self.take(indices)
-
-    def drop_duplicates(
-        self, subset: str | list[str] | None = None
-    ) -> "DataFrame":
-        names = (
-            self.columns
-            if subset is None
-            else ([subset] if isinstance(subset, str) else list(subset))
-        )
-        seen: set[tuple] = set()
-        keep: list[int] = []
-        for index in range(len(self)):
-            signature = tuple(self._data[name][index] for name in names)
-            if signature in seen:
-                continue
-            seen.add(signature)
-            keep.append(index)
-        return self.take(keep)
 
     def rename(self, columns: dict[str, str]) -> "DataFrame":
         return DataFrame(

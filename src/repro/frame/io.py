@@ -92,15 +92,3 @@ def export_dataset(dataset, directory: str | pathlib.Path) -> list[str]:
         written.append(str(path))
     return written
 
-
-def load_frames(directory: str | pathlib.Path) -> dict[str, DataFrame]:
-    """Load every ``*.csv`` in a directory as {table_name: frame}."""
-    base = pathlib.Path(directory)
-    if not base.is_dir():
-        raise FrameError(f"no such directory: {base}")
-    frames = {
-        path.stem: read_csv(path) for path in sorted(base.glob("*.csv"))
-    }
-    if not frames:
-        raise FrameError(f"no CSV files in {base}")
-    return frames

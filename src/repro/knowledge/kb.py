@@ -137,10 +137,6 @@ class KnowledgeBase:
 
     # -- geography -------------------------------------------------------
 
-    def is_in_region(self, city: str, region: str) -> bool:
-        """Canonical region membership; unknown cities are non-members."""
-        return bool(self.value("in_region", (city, region), False))
-
     def cities_in_region(self, region: str) -> set[str]:
         return {
             fact.subject[0]

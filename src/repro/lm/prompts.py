@@ -114,32 +114,11 @@ def text2sql_prompt(
     schema_sql: str,
     question: str,
     external_knowledge: str | None = None,
-    examples: Sequence[tuple[str, str]] | None = None,
 ) -> str:
-    """Query-synthesis prompt in the BIRD format (paper Appendix B.1).
-
-    ``examples`` are few-shot ``(question, SQL)`` pairs — accepted
-    entries the query registry (:mod:`repro.serve.semantic`)
-    retrieval-ranked against this question.  They are flattened to
-    ``-- Example Question:`` / ``-- Example SQL:`` comment lines placed
-    *before* the External Knowledge line: the prompt stays
-    line-oriented, and the router's question parser (which takes the
-    last plain ``--`` line) still finds the real question below them.
-    """
+    """Query-synthesis prompt in the BIRD format (paper Appendix B.1)."""
     knowledge = external_knowledge or "None"
-    shots = ""
-    if examples:
-        shots = (
-            "\n".join(
-                f"-- Example Question: {q}\n"
-                f"-- Example SQL: {' '.join(sql.split())}"
-                for q, sql in examples
-            )
-            + "\n"
-        )
     return (
         f"{schema_sql}\n\n"
-        f"{shots}"
         f"-- External Knowledge: {knowledge}\n"
         f"{TEXT2SQL_INSTRUCTION}\n"
         f"-- {question}\n"

@@ -23,6 +23,9 @@ from __future__ import annotations
 from repro.lm.model import SimulatedLM
 from repro.lm.prompts import judgment_prompt
 
+#: Generation budget of one judgment: a yes/no answer.
+_MAX_TOKENS = 4
+
 
 def judgment_udf_prompt(task: str, value: object) -> str:
     """The prompt both UDF forms build for ``LLM(task, value)``.
@@ -34,14 +37,8 @@ def judgment_udf_prompt(task: str, value: object) -> str:
     return judgment_prompt(f"'{value}' is {task}")
 
 
-def register_llm_judge(
-    db,
-    lm: SimulatedLM,
-    name: str = "LLM",
-    max_tokens: int | None = 4,
-    cheap=None,
-) -> None:
-    """Register ``name(task, value)`` on ``db`` with scalar + batch forms.
+def register_llm_judge(db, lm: SimulatedLM, cheap=None) -> None:
+    """Register ``LLM(task, value)`` on ``db`` with scalar + batch forms.
 
     The UDF answers yes/no judgment prompts ("``'value' is task``"),
     the shape the paper's Figure 1 query uses.  The scalar form calls
@@ -64,7 +61,7 @@ def register_llm_judge(
 
     def scalar(task, value):
         return lm.complete(
-            judgment_udf_prompt(task, value), max_tokens=max_tokens
+            judgment_udf_prompt(task, value), max_tokens=_MAX_TOKENS
         ).text
 
     def batch(argument_tuples):
@@ -73,7 +70,7 @@ def register_llm_judge(
                 judgment_udf_prompt(task, value)
                 for task, value in argument_tuples
             ],
-            max_tokens=max_tokens,
+            max_tokens=_MAX_TOKENS,
         )
         return [response.text for response in responses]
 
@@ -84,7 +81,7 @@ def register_llm_judge(
             return [cheap(task, value) for task, value in argument_tuples]
 
     db.register_udf(
-        name,
+        "LLM",
         scalar,
         expensive=True,
         batch=batch,

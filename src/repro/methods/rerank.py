@@ -28,14 +28,13 @@ class RetrievalRerankMethod(Method):
         k: int = 10,
         candidates: int = 30,
         embedder: HashingEmbedder | None = None,
-        batch_size: int = 16,
         corpora: dict | None = None,
     ) -> None:
         super().__init__(lm)
         self.k = k
         self.candidates = candidates
         self.embedder = embedder or HashingEmbedder()
-        self.engine = SemanticEngine(lm, batch_size=batch_size)
+        self.engine = SemanticEngine(lm, batch_size=16)
         #: See :class:`~repro.methods.rag.RAGMethod`.
         self.corpora = {} if corpora is None else corpora
 

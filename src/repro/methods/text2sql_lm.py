@@ -14,54 +14,21 @@ from __future__ import annotations
 from typing import Any
 
 from repro.bench.queries import QuerySpec
-from repro.core import (
-    LMQuerySynthesizer,
-    NoGenerator,
-    RepairPolicy,
-    SQLExecutor,
-    SelfCorrectingPipeline,
-    SingleCallGenerator,
-)
-from repro.core.synthesis import _broaden_to_retrieval
+from repro.core import LMQuerySynthesizer, SQLExecutor, SingleCallGenerator
 from repro.data.base import Dataset
 from repro.errors import ContextLengthError
 from repro.methods.base import Method, SQL_EXECUTION_COST_S
 
 
 class Text2SQLLMMethod(Method):
-    """``max_repairs`` adds the validate→repair→retry loop around the
-    retrieval-SQL step; repaired queries are re-broadened the same way
-    the original synthesis is.  0 (the default) reproduces the paper's
-    one-shot behavior exactly."""
-
     name = "Text2SQL + LM"
-
-    def __init__(self, lm, max_repairs: int = 0) -> None:
-        super().__init__(lm)
-        self.max_repairs = max_repairs
 
     def _answer(self, spec: QuerySpec, dataset: Dataset) -> Any:
         synthesizer = LMQuerySynthesizer(
             self.lm, dataset, retrieval_mode=True
         )
-        executor = SQLExecutor(dataset.db, analyze=True)
-        if self.max_repairs > 0:
-            pipeline = SelfCorrectingPipeline(
-                synthesizer,
-                executor,
-                NoGenerator(),
-                lm=self.lm,
-                schema_sql=dataset.prompt_schema(),
-                policy=RepairPolicy(max_repairs=self.max_repairs),
-                rewrite_sql=_broaden_to_retrieval,
-            )
-            result = pipeline.run(spec.question)
-            if result.error is not None:
-                raise result.error.to_exception()
-            table = result.table
-        else:
-            sql = synthesizer.synthesize(spec.question)
-            table = executor.execute(sql)
+        sql = synthesizer.synthesize(spec.question)
+        table = SQLExecutor(dataset.db, analyze=True).execute(sql)
         self.extra_cost(SQL_EXECUTION_COST_S)
         generator = SingleCallGenerator(
             self.lm, aggregation=spec.query_type == "aggregation"

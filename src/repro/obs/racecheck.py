@@ -55,7 +55,6 @@ __all__ = [
     "read",
     "reacquired",
     "releasing",
-    "uninstall",
     "write",
 ]
 
@@ -395,11 +394,6 @@ def install(checker: RaceChecker) -> None:
     """Activate ``checker`` for all hooks (one checker at a time)."""
     global _CHECKER
     _CHECKER = checker
-
-
-def uninstall() -> None:
-    global _CHECKER
-    _CHECKER = None
 
 
 def installed() -> bool:

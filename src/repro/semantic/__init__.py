@@ -1,9 +1,9 @@
 """Semantic operators over dataframes (a LOTUS-style runtime).
 
 The paper's hand-written TAG pipelines are LOTUS programs: relational
-dataframe transforms composed with LM-backed *semantic operators* —
-``sem_filter``, ``sem_topk``, ``sem_agg``, ``sem_map``, ``sem_join``.
-This package reimplements those operator semantics over
+dataframe transforms composed with LM-backed *semantic operators*.
+The pipelines use three — ``sem_filter``, ``sem_topk``, ``sem_agg`` —
+and this package reimplements those operator semantics over
 :class:`repro.frame.DataFrame`, executing every LM judgment through the
 batched inference API of :class:`repro.lm.SimulatedLM` (which is where
 hand-written TAG's low execution time comes from, §4.3).

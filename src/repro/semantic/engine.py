@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.db.udfcache import UDFMemoCache
 from repro.lm import SimulatedLM, prompts
 from repro.obs.meter import Meter
 
@@ -16,65 +15,39 @@ class SemanticEngine:
     batches amortise overhead better (the batching ablation sweeps it).
 
     Identical prompts within a chunk are deduplicated before
-    ``complete_batch`` — duplicate cell values in a ``sem_filter`` /
-    ``sem_map`` column cost one judgment, not one per row.  Passing a
-    :class:`~repro.db.udfcache.UDFMemoCache` (e.g. a Database's
-    ``udf_cache``) extends the reuse across calls and operators.
-    Dedup/memo traffic is metered on the LM's
-    ``usage.udf_cache_hits``/``udf_cache_misses``, same contract as
-    the SQL engine's batched UDF operators: a hit is an occurrence
-    served without a new invocation, a miss a dispatched prompt.
+    ``complete_batch`` — duplicate cell values in a ``sem_filter``
+    column cost one judgment, not one per row.  Dedup traffic is
+    metered on the LM's ``usage.udf_cache_hits``/``udf_cache_misses``,
+    same contract as the SQL engine's batched UDF operators: a hit is
+    an occurrence served without a new invocation, a miss a dispatched
+    prompt.
     """
 
-    def __init__(
-        self,
-        lm: SimulatedLM,
-        batch_size: int = 32,
-        memo_cache: UDFMemoCache | None = None,
-    ) -> None:
+    def __init__(self, lm: SimulatedLM, batch_size: int = 32) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.lm = lm
         self.batch_size = batch_size
-        self.memo_cache = memo_cache
 
     def _run_batched(
         self, built_prompts: list[str], max_tokens: int | None = None
     ) -> list[str]:
-        results: list[str | None] = [None] * len(built_prompts)
+        results: list[str] = []
         meter = Meter(self.lm.usage)
-        pending: list[int] = []
-        for position, prompt in enumerate(built_prompts):
-            if self.memo_cache is not None:
-                found, text = self.memo_cache.lookup(
-                    _memo_key(prompt, max_tokens)
-                )
-                if found:
-                    results[position] = text
-                    continue
-            pending.append(position)
-        meter.add("udf_cache_hits", len(built_prompts) - len(pending))
-        for start in range(0, len(pending), self.batch_size):
-            chunk = pending[start : start + self.batch_size]
+        for start in range(0, len(built_prompts), self.batch_size):
+            chunk = built_prompts[start : start + self.batch_size]
             # First occurrence of each distinct prompt is dispatched;
             # repeats within the chunk share its response.
-            occurrences: dict[str, list[int]] = {}
-            for position in chunk:
-                occurrences.setdefault(
-                    built_prompts[position], []
-                ).append(position)
-            distinct = list(occurrences)
+            distinct = list(dict.fromkeys(chunk))
             meter.add("udf_cache_misses", len(distinct))
             meter.add("udf_cache_hits", len(chunk) - len(distinct))
             responses = self.lm.complete_batch(distinct, max_tokens)
-            for prompt, response in zip(distinct, responses):
-                for position in occurrences[prompt]:
-                    results[position] = response.text
-                if self.memo_cache is not None:
-                    self.memo_cache.put(
-                        _memo_key(prompt, max_tokens), response.text
-                    )
-        return results  # type: ignore[return-value]
+            texts = {
+                prompt: response.text
+                for prompt, response in zip(distinct, responses)
+            }
+            results.extend(texts[prompt] for prompt in chunk)
+        return results
 
     def judge(self, conditions: Sequence[str]) -> list[bool]:
         """Boolean judgment per condition (yes/no prompts)."""
@@ -136,16 +109,6 @@ class SemanticEngine:
             for chunk in chunks
         ]
         return self._run_batched(built, max_tokens=256)
-
-
-def _memo_key(prompt: str, max_tokens: int | None) -> tuple:
-    """Memo-cache key for one semantic prompt.
-
-    Namespaced like the SQL engine's ``(FUNCTION, args)`` keys so one
-    shared :class:`UDFMemoCache` can serve both surfaces without
-    collisions.
-    """
-    return ("SEMANTIC", (prompt, max_tokens))
 
 
 def _parse_float(text: str) -> float:

@@ -1,4 +1,4 @@
-"""The semantic operators: sem_filter, sem_topk, sem_agg, sem_map, sem_join.
+"""The semantic operators: sem_filter, sem_topk, sem_agg.
 
 Operator semantics follow LOTUS:
 
@@ -8,9 +8,7 @@ Operator semantics follow LOTUS:
   with an LM pairwise comparator — pivot comparisons are batched, the
   optimisation LOTUS's engine applies;
 - ``sem_agg`` folds rows into one text answer hierarchically, so
-  arbitrarily many rows fit the model's context window;
-- ``sem_map`` computes a per-row judgment or score column;
-- ``sem_join`` keeps (left, right) pairs the LM judges related.
+  arbitrarily many rows fit the model's context window.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ class SemanticOperators:
 
     def sem_filter(self, frame: DataFrame, instruction: str) -> DataFrame:
         """Rows for which the LM judges the filled instruction true."""
-        self._check_instruction(frame, instruction, needs_placeholder=True)
+        self._check_instruction(frame, instruction)
         if frame.empty:
             return frame
         conditions = [
@@ -109,7 +107,7 @@ class SemanticOperators:
                 f"sem_topk method must be 'quickselect' or 'score', "
                 f"got {method!r}"
             )
-        self._check_instruction(frame, instruction, needs_placeholder=True)
+        self._check_instruction(frame, instruction)
         if len(frame) <= 1:
             return frame
         criterion = _criterion_of(instruction)
@@ -202,152 +200,12 @@ class SemanticOperators:
             items = self.engine.summarize_batch(instruction, chunks)
         return self.engine.summarize(instruction, items)
 
-    def sem_agg_by(
-        self,
-        frame: DataFrame,
-        instruction: str,
-        by: str,
-        columns: list[str] | None = None,
-        output_column: str = "summary",
-    ) -> DataFrame:
-        """Per-group sem_agg: one folded answer per value of ``by``.
-
-        Returns a frame with the grouping column and ``output_column``,
-        in first-occurrence group order — the grouped-aggregation shape
-        of LOTUS's sem_agg.
-        """
-        if by not in frame:
-            raise SemanticOperatorError(f"unknown column {by!r}")
-        groups = frame.groupby(by)
-        keys: list[object] = []
-        summaries: list[str] = []
-        for sub_frame in groups.apply(lambda group: group):
-            keys.append(sub_frame[by][0])
-            summaries.append(
-                self.sem_agg(sub_frame, instruction, columns=columns)
-            )
-        return DataFrame({by: keys, output_column: summaries})
-
-    # ------------------------------------------------------------------
-    # sem_search
-    # ------------------------------------------------------------------
-
-    def sem_search(
-        self,
-        frame: DataFrame,
-        query: str,
-        text_column: str,
-        k: int = 5,
-    ) -> DataFrame:
-        """The ``k`` rows whose ``text_column`` the LM judges most
-        relevant to a natural-language query, best first (LOTUS's
-        sem_search / natural-language specifier retrieval)."""
-        if k < 1:
-            raise SemanticOperatorError("k must be >= 1")
-        if text_column not in frame:
-            raise SemanticOperatorError(
-                f"unknown column {text_column!r}"
-            )
-        if frame.empty:
-            return frame
-        documents = [
-            str(value) for value in frame[text_column].tolist()
-        ]
-        scores = self.engine.relevance(query, documents)
-        order = sorted(
-            range(len(scores)),
-            key=lambda index: scores[index],
-            reverse=True,
-        )
-        return frame.take(order[:k])
-
-    # ------------------------------------------------------------------
-    # sem_map
-    # ------------------------------------------------------------------
-
-    def sem_map(
-        self,
-        frame: DataFrame,
-        instruction: str,
-        output_column: str,
-        mode: str = "judge",
-    ) -> DataFrame:
-        """Add a per-row LM judgment (``judge``) or score (``score``)."""
-        self._check_instruction(frame, instruction, needs_placeholder=True)
-        if mode not in ("judge", "score"):
-            raise SemanticOperatorError(
-                f"sem_map mode must be 'judge' or 'score', got {mode!r}"
-            )
-        filled = [
-            fill(instruction, record) for _, record in frame.iterrows()
-        ]
-        if mode == "judge":
-            values: list[object] = list(self.engine.judge(filled))
-        else:
-            criterion = _criterion_of(instruction)
-            values = list(self.engine.score(criterion, filled))
-        result = frame.take(range(len(frame)))
-        result[output_column] = values
-        return result
-
-    # ------------------------------------------------------------------
-    # sem_join
-    # ------------------------------------------------------------------
-
-    def sem_join(
-        self,
-        left: DataFrame,
-        right: DataFrame,
-        instruction: str,
-        max_pairs: int = 2000,
-    ) -> DataFrame:
-        """Keep (left x right) pairs the LM judges to satisfy the
-        instruction; placeholders may reference columns of either side
-        (column names must not collide)."""
-        collisions = set(left.columns) & set(right.columns)
-        if collisions:
-            raise SemanticOperatorError(
-                f"sem_join requires disjoint columns; shared: "
-                f"{sorted(collisions)}"
-            )
-        total_pairs = len(left) * len(right)
-        if total_pairs > max_pairs:
-            raise SemanticOperatorError(
-                f"sem_join over {total_pairs} pairs exceeds max_pairs="
-                f"{max_pairs}; pre-filter the inputs"
-            )
-        conditions: list[str] = []
-        pairs: list[tuple[dict, dict]] = []
-        for _, left_record in left.iterrows():
-            for _, right_record in right.iterrows():
-                combined = dict(left_record)
-                combined.update(right_record)
-                conditions.append(fill(instruction, combined))
-                pairs.append((left_record, right_record))
-        if not conditions:
-            return DataFrame(
-                {name: [] for name in left.columns + right.columns}
-            )
-        verdicts = self.engine.judge(conditions)
-        kept = [
-            {**left_record, **right_record}
-            for (left_record, right_record), verdict in zip(pairs, verdicts)
-            if verdict
-        ]
-        if not kept:
-            return DataFrame(
-                {name: [] for name in left.columns + right.columns}
-            )
-        return DataFrame.from_records(kept)
-
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _check_instruction(
-        frame: DataFrame, instruction: str, needs_placeholder: bool
-    ) -> None:
+    def _check_instruction(frame: DataFrame, instruction: str) -> None:
         names = placeholders(instruction)
-        if needs_placeholder and not names:
+        if not names:
             raise SemanticOperatorError(
                 "instruction must reference at least one {Column}"
             )

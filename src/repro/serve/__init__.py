@@ -27,8 +27,6 @@ from repro.serve.resilience import (
 )
 from repro.serve.semantic import (
     CanonicalForm,
-    QueryRegistry,
-    RegistryEntry,
     SemanticHit,
     SemanticResultCache,
     canonicalize,
@@ -49,8 +47,6 @@ __all__ = [
     "CircuitBreaker",
     "LRUCache",
     "PipelineFactory",
-    "QueryRegistry",
-    "RegistryEntry",
     "ResiliencePolicy",
     "ResilientLM",
     "RetryPolicy",

@@ -1,9 +1,8 @@
-"""Semantic serving control plane: canonicalizer, result cache, registry.
+"""Semantic serving control plane: canonicalizer and result cache.
 
 TAG serving pays an LM synthesis + execution cost per request, but at
 scale most questions are near-duplicates of questions already answered.
-This module adds the cross-request control plane the ROADMAP's open
-item 1 calls for:
+This module adds the cross-request control plane:
 
 - :func:`canonicalize` — a deterministic normalizer over
   :mod:`repro.text.tokenize` (case folding, stopword dropping, number
@@ -17,26 +16,19 @@ item 1 calls for:
   exact-canonical fast path, near-match lookup via
   :class:`~repro.embed.HashingEmbedder` + :class:`~repro.vector`
   cosine similarity above a threshold, and explicit invalidation on
-  data/catalog change;
-
-- :class:`QueryRegistry` — accepted ``(question, SQL, outcome)``
-  entries, embedded and retrieval-ranked as few-shot examples for the
-  Text2SQL prompt (:func:`repro.lm.prompts.text2sql_prompt`).
+  data/catalog change.
 
 Determinism.  Cache lookups run sequentially on the serve thread,
 *ahead of admission* (see :class:`~repro.serve.server.TagServer`), so
 the hit/miss/coalesce partition of a request stream is a pure function
 of the stream and the cache state — never of the worker count or OS
-scheduling.  Stores happen after the run, in request order.  The
-registry is frozen during a run (workers only read it), so injected
-few-shot examples are byte-identical at any worker count.
+scheduling.  Stores happen after the run, in request order.
 
-Thread safety.  Both classes guard all state behind one lock with
-:mod:`repro.obs.racecheck` instrumentation: the registry is read by
-worker threads during synthesis, and both objects may be shared across
-concurrently serving servers.  They are ``SHARED_ROOTS`` of the static
-concurrency analyzer (``python -m repro lint --conc``) and replay clean
-under the dynamic race checker at workers 1/4/8.
+Thread safety.  The cache guards all state behind one lock with
+:mod:`repro.obs.racecheck` instrumentation: it may be shared across
+concurrently serving servers.  It is a ``SHARED_ROOTS`` class of the
+static concurrency analyzer (``python -m repro lint --conc``) and
+replays clean under the dynamic race checker at workers 1/4/8.
 
 Metering: every event goes through one
 :class:`~repro.obs.meter.Meter` into the bound
@@ -58,7 +50,7 @@ import copy
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Hashable
 
 from repro.core.tag import TAGResult
 from repro.embed import HashingEmbedder
@@ -82,12 +74,12 @@ _CONJUNCTIONS = frozenset({"and", "or"})
 class CanonicalForm:
     """The canonical form of one natural-language request.
 
-    ``text`` is the joined canonical tokens (the cache/registry key
+    ``text`` is the joined canonical tokens (the cache key
     component), ``raw`` the input it came from.  ``degenerate`` marks a
     request with no content tokens at all (empty, punctuation-only,
     stopword-only): such a form carries no information to key on —
     distinct degenerate requests would collapse onto one key — so the
-    cache and registry refuse to store or match it (the embedder-level
+    cache refuses to store or match it (the embedder-level
     twin of this contract is
     :meth:`repro.embed.HashingEmbedder.is_degenerate`).
     """
@@ -176,6 +168,11 @@ def canonicalize(request: str) -> CanonicalForm:
 # semantic result cache
 # ---------------------------------------------------------------------------
 
+#: Embedding width of the near-match index.
+_DIMENSIONS = 256
+#: Live candidates the near-match search ranks beyond tombstones.
+_PROBE = 8
+
 
 @dataclass
 class SemanticHit:
@@ -243,11 +240,8 @@ class SemanticResultCache:
         self,
         capacity: int = 256,
         threshold: float = 0.9,
-        dimensions: int = 256,
         config_fingerprint: str = "",
-        catalog_version_source: Callable[[], Hashable] | None = None,
         usage: Usage | None = None,
-        probe: int = 8,
     ) -> None:
         if not 0.0 < threshold <= 1.0:
             raise ValueError(
@@ -255,19 +249,17 @@ class SemanticResultCache:
             )
         self.threshold = threshold
         self.config_fingerprint = config_fingerprint
-        self._version_source = catalog_version_source
         self.usage = usage
-        self.probe = probe
         # Word-only hashing: the cache embeds *canonical* text, whose
         # surface is already normalized, so character-trigram features
         # would only add a shared-template background signal that
         # inflates similarity between unrelated questions.
         self._embedder = HashingEmbedder(
-            dimensions=dimensions, use_trigrams=False
+            dimensions=_DIMENSIONS, use_trigrams=False
         )
         self._lock = threading.Lock()
         self._entries = LRUCache(capacity)
-        self._index = FlatIndex(dimensions)
+        self._index = FlatIndex(_DIMENSIONS)
         #: Index row -> entry key; ``None`` marks a tombstoned row
         #: (evicted or invalidated — FlatIndex has no delete).
         self._rows: list[tuple | None] = []
@@ -283,9 +275,7 @@ class SemanticResultCache:
 
     def current_version(self) -> Hashable:
         """The catalog/data version lookups and stores default to."""
-        if self._version_source is None:
-            return 0
-        return self._version_source()
+        return 0
 
     # -- metering (the one seam; lock held) ---------------------------
 
@@ -381,7 +371,7 @@ class SemanticResultCache:
         # Over-fetch by the tombstone count so dead rows cannot crowd
         # live candidates out of the probe window.
         dead = sum(1 for key in self._rows if key is None)
-        rows, scores = self._index.search(query, self.probe + dead)
+        rows, scores = self._index.search(query, _PROBE + dead)
         for row, score in zip(rows, scores):
             if float(score) < self.threshold:
                 break
@@ -487,126 +477,3 @@ class SemanticResultCache:
                     1 for key in self._rows if key is None
                 ),
             }
-
-
-# ---------------------------------------------------------------------------
-# query registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    """One accepted (question, SQL, outcome) record."""
-
-    question: str
-    sql: str
-    outcome: str
-    canonical: str
-
-
-class QueryRegistry:
-    """Accepted query log doubling as a few-shot example store.
-
-    :meth:`record` admits ``(question, SQL, outcome)`` triples (one per
-    canonical form — the first wins, keeping replays deterministic);
-    :meth:`examples` retrieval-ranks them against a new question by
-    cosine similarity of canonical-form embeddings, for injection into
-    the Text2SQL prompt (see
-    :class:`repro.core.synthesis.LMQuerySynthesizer`).
-
-    Worker threads call :meth:`examples` concurrently during synthesis
-    while the serve thread records between runs, so all state lives
-    behind one lock (a ``SHARED_ROOTS`` class of the static concurrency
-    analyzer).
-    """
-
-    def __init__(
-        self, capacity: int = 512, dimensions: int = 256
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        # Word-only, as in SemanticResultCache: ranking is over
-        # canonical forms, where trigram surface features are noise.
-        self._embedder = HashingEmbedder(
-            dimensions=dimensions, use_trigrams=False
-        )
-        self._lock = threading.Lock()
-        #: canonical text -> RegistryEntry, insertion-ordered.
-        self._entries: dict[str, RegistryEntry] = {}
-        self._index = FlatIndex(dimensions)
-        #: Index row -> canonical text (None = tombstoned).
-        self._rows: list[str | None] = []
-
-    def __len__(self) -> int:
-        with racecheck.guard("QueryRegistry._lock", self._lock):
-            racecheck.read("QueryRegistry._entries")
-            return len(self._entries)
-
-    def record(
-        self, question: str, sql: str, outcome: str = "ok"
-    ) -> bool:
-        """Admit one accepted entry; returns True when recorded."""
-        canonical = canonicalize(question)
-        if canonical.degenerate or not sql:
-            return False
-        with racecheck.guard("QueryRegistry._lock", self._lock):
-            racecheck.write("QueryRegistry._entries")
-            if canonical.text in self._entries:
-                return False
-            self._index.add(self._embedder.embed(canonical.text))
-            self._rows.append(canonical.text)
-            self._entries[canonical.text] = RegistryEntry(
-                question=question,
-                sql=sql,
-                outcome=outcome,
-                canonical=canonical.text,
-            )
-            while len(self._entries) > self.capacity:
-                oldest = next(iter(self._entries))
-                del self._entries[oldest]
-                for row, text in enumerate(self._rows):
-                    if text == oldest:
-                        self._rows[row] = None
-                        break
-        return True
-
-    def examples(
-        self, question: str, k: int = 3
-    ) -> list[RegistryEntry]:
-        """The ``k`` most similar accepted entries, best first.
-
-        Deterministic: similarity ties break on insertion order (the
-        vector index's stable sort), and a degenerate question returns
-        no examples rather than matching the sentinel point.
-        """
-        if k < 1:
-            return []
-        canonical = canonicalize(question)
-        if canonical.degenerate:
-            return []
-        with racecheck.guard("QueryRegistry._lock", self._lock):
-            racecheck.read("QueryRegistry._entries")
-            if not self._entries:
-                return []
-            query = self._embedder.embed(canonical.text)
-            # Over-fetch to ride past tombstoned rows.
-            rows, _ = self._index.search(query, k + len(self._rows))
-            ranked: list[RegistryEntry] = []
-            for row in rows:
-                text = self._rows[int(row)]
-                if text is None:
-                    continue
-                entry = self._entries.get(text)
-                if entry is None:
-                    continue
-                ranked.append(entry)
-                if len(ranked) == k:
-                    break
-            return ranked
-
-    def entries(self) -> list[RegistryEntry]:
-        """All live entries, insertion-ordered (a snapshot copy)."""
-        with racecheck.guard("QueryRegistry._lock", self._lock):
-            racecheck.read("QueryRegistry._entries")
-            return list(self._entries.values())

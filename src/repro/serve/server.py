@@ -42,7 +42,6 @@ from repro.serve.batching import BatchingLM, Session
 from repro.serve.clock import VirtualClock
 from repro.serve.resilience import ResiliencePolicy, ResilientLM
 from repro.serve.semantic import (
-    QueryRegistry,
     SemanticHit,
     SemanticResultCache,
     detached_copy,
@@ -154,12 +153,6 @@ class ServeReport:
         rank = -(-permyriad * len(ordered) // 10_000) - 1
         return ordered[max(0, min(rank, len(ordered) - 1))]
 
-    @property
-    def semantic_hits(self) -> int:
-        """Requests served without dispatch by the semantic cache
-        (exact + near + in-run coalesced)."""
-        return sum(r.semantic is not None for r in self.results)
-
     def answers(self) -> list[object]:
         return [r.result.answer for r in self.results]
 
@@ -179,7 +172,6 @@ class TagServer:
         admission: AdmissionPolicy | None = None,
         tracer: Tracer | None = None,
         semantic_cache: SemanticResultCache | None = None,
-        registry: QueryRegistry | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -195,7 +187,6 @@ class TagServer:
         self.admission = admission
         self.tracer = tracer
         self.semantic_cache = semantic_cache
-        self.registry = registry
         if semantic_cache is not None and semantic_cache.usage is None:
             # Bind the cache's meters to this server's Usage unless the
             # caller wired its own: semcache_* counters then land in
@@ -341,22 +332,15 @@ class TagServer:
                 cache_hits=0,
                 semantic="coalesced",
             )
-        # Stores and registry records run sequentially in index order:
-        # cache and registry contents after a run are a pure function
-        # of the request stream, whatever the worker count.
-        for index in admitted:
-            served = results[index]
-            if served is None:
-                continue
-            if semantic is not None:
-                semantic.store(
-                    requests[index], served.result, catalog_version
-                )
-            if self.registry is not None and served.ok:
-                outcome = served.result
-                if isinstance(outcome.query, str) and not outcome.degraded:
-                    self.registry.record(
-                        requests[index], outcome.query, outcome="ok"
+        # Stores run sequentially in index order: cache contents after
+        # a run are a pure function of the request stream, whatever the
+        # worker count.
+        if semantic is not None:
+            for index in admitted:
+                served = results[index]
+                if served is not None:
+                    semantic.store(
+                        requests[index], served.result, catalog_version
                     )
         return ServeReport(
             results=[result for result in results if result is not None],

@@ -54,6 +54,3 @@ class FlatIndex:
         top = np.argpartition(-scores, k - 1)[:k]
         order = top[np.argsort(-scores[top], kind="stable")]
         return order.astype(np.int64), scores[order]
-
-    def reconstruct(self, index: int) -> np.ndarray:
-        return self._vectors[index].copy()

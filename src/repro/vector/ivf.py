@@ -12,6 +12,9 @@ import numpy as np
 
 from repro.errors import ReproError
 
+#: Lloyd iterations per :meth:`IVFIndex.train`.
+_KMEANS_ITERATIONS = 10
+
 
 class IVFIndex:
     def __init__(
@@ -20,7 +23,6 @@ class IVFIndex:
         n_clusters: int = 16,
         nprobe: int = 2,
         seed: int = 0,
-        kmeans_iterations: int = 10,
     ) -> None:
         if dimensions <= 0 or n_clusters <= 0 or nprobe <= 0:
             raise ReproError(
@@ -30,7 +32,6 @@ class IVFIndex:
         self.n_clusters = n_clusters
         self.nprobe = min(nprobe, n_clusters)
         self._seed = seed
-        self._iterations = kmeans_iterations
         self._centroids: np.ndarray | None = None
         self._vectors = np.zeros((0, dimensions), dtype=np.float64)
         self._assignments = np.zeros(0, dtype=np.int64)
@@ -64,7 +65,7 @@ class IVFIndex:
             vectors.shape[0], size=self.n_clusters, replace=False
         )
         centroids = vectors[choice].copy()
-        for _ in range(self._iterations):
+        for _ in range(_KMEANS_ITERATIONS):
             distances = _pairwise_sq_distances(vectors, centroids)
             labels = np.argmin(distances, axis=1)
             for cluster in range(self.n_clusters):

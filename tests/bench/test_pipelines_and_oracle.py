@@ -58,13 +58,6 @@ class TestOracleHelpers:
             "Bayesian covariance eigenvalue regularization"
         )
 
-    def test_rank_by_descending(self):
-        texts = ["plain words here", "gradient descent convergence"]
-        from repro.text.technicality import technicality_score
-
-        ranked = oracle.rank_by(texts, technicality_score)
-        assert ranked[0] == "gradient descent convergence"
-
 
 class TestPipelineHelpers:
     def test_region_filter_judges_unique_cities_once(self, datasets):

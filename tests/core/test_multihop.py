@@ -1,13 +1,11 @@
-"""Unit tests for multi-hop TAG chains and the refine generator."""
+"""Unit tests for multi-hop TAG chains."""
 
 import pytest
 
 from repro.core import (
     FixedQuerySynthesizer,
     Hop,
-    MapReduceGenerator,
     NoGenerator,
-    RefineGenerator,
     SQLExecutor,
     SingleCallGenerator,
     TAGChain,
@@ -15,6 +13,8 @@ from repro.core import (
 )
 from repro.core.multihop import _as_text
 from repro.errors import ReproError
+from repro.frame import DataFrame
+from repro.semantic import SemanticOperators
 
 
 def _pipeline(db, sql, lm=None, aggregation=False):
@@ -115,9 +115,9 @@ class TestTAGChain:
                     TAGPipeline(
                         _CircuitRacesSynthesizer(),
                         SQLExecutor(db),
-                        # Map-reduce folding enumerates structured rows
+                        # sem_agg's fold enumerates structured rows
                         # completely (the Figure 2 TAG behaviour).
-                        MapReduceGenerator(lm),
+                        _SemAggGenerator(SemanticOperators(lm)),
                     ),
                 ),
             ]
@@ -155,6 +155,16 @@ class _DynamicPipeline:
         )
 
 
+class _SemAggGenerator:
+    """gen for hop 2: fold every row into one answer with sem_agg."""
+
+    def __init__(self, ops):
+        self.ops = ops
+
+    def generate(self, request, table):
+        return self.ops.sem_agg(DataFrame.from_records(table), request)
+
+
 class _CircuitRacesSynthesizer:
     """syn for hop 2: request text -> SQL over the named circuit."""
 
@@ -169,19 +179,3 @@ class _CircuitRacesSynthesizer:
             "ORDER BY r.year"
         )
 
-
-class TestRefineGenerator:
-    def test_refines_over_chunks(self, lm):
-        generator = RefineGenerator(lm, chunk_rows=8)
-        table = [{"year": 1999 + i} for i in range(19)]
-        answer = generator.generate("Summarize the years", table)
-        assert answer
-        assert lm.usage.calls == 3  # ceil(19 / 8) sequential calls
-
-    def test_empty_table(self, lm):
-        answer = RefineGenerator(lm).generate("Summarize", [])
-        assert "do not contain" in answer
-
-    def test_validates_chunk_rows(self, lm):
-        with pytest.raises(ValueError):
-            RefineGenerator(lm, chunk_rows=0)

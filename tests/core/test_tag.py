@@ -6,7 +6,6 @@ from repro.core import (
     EmbeddingSynthesizer,
     FixedQuerySynthesizer,
     LMQuerySynthesizer,
-    MapReduceGenerator,
     NoGenerator,
     SQLExecutor,
     SingleCallGenerator,
@@ -143,7 +142,7 @@ class TestExecutors:
         )
         db = datasets["codebase_community"].db
         expected = sum(len(db.table(t)) for t in db.table_names)
-        assert executor.corpus_size == expected
+        assert executor.corpus.size == expected
 
 
     def test_row_corpus_serves_every_depth_from_one_index(self, datasets):
@@ -244,19 +243,3 @@ class TestGenerators:
             "How many rows are there?", [{"x": "1"}]
         )
         assert answer.startswith("[")
-
-    def test_map_reduce_generator_folds(self, lm):
-        generator = MapReduceGenerator(lm, chunk_rows=8)
-        table = [{"year": 1999 + i} for i in range(30)]
-        answer = generator.generate("Summarize the years", table)
-        assert answer
-        assert lm.usage.calls >= 4  # chunked folding
-
-    def test_map_reduce_empty_table(self, lm):
-        generator = MapReduceGenerator(lm)
-        answer = generator.generate("Summarize anything", [])
-        assert "do not contain" in answer
-
-    def test_map_reduce_validates_chunk(self, lm):
-        with pytest.raises(ValueError):
-            MapReduceGenerator(lm, chunk_rows=1)

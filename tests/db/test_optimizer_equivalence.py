@@ -282,6 +282,21 @@ class TestPinnedBehaviors:
             db.execute("SELECT SLOW(s) FROM t")
         assert "SLOW failed on 'poison'" in str(caught.value)
 
+    def test_an_analyzer_bug_is_not_priced_as_a_neutral_bound(
+        self, monkeypatch
+    ):
+        """The analyzer prices every SELECT, so a raise while pricing
+        the route is a bug: it surfaces from ``execute`` instead of
+        quietly planning some other route."""
+        db = build_database([("apple", "Romance", 1)])
+
+        def broken(self, sql, source=""):
+            raise RuntimeError("an analyzer bug")
+
+        monkeypatch.setattr("repro.analysis.SQLAnalyzer.analyze", broken)
+        with pytest.raises(RuntimeError, match="an analyzer bug"):
+            db.execute("SELECT SLOW(s) FROM t", analyze=False)
+
 
 class TestStrictBatchingAcrossSplitConjuncts:
     """Regression: reordered AND chains keep every expensive conjunct

@@ -140,21 +140,6 @@ class TestPartitionSpec:
 
     def test_null_lands_on_shard_zero(self):
         assert PartitionSpec.hashed("k", 8).shard_of(None) == 0
-        assert PartitionSpec.ranged("k", (10,)).shard_of(None) == 0
-
-    def test_range_boundaries(self):
-        spec = PartitionSpec.ranged("k", (10, 20))
-        assert spec.shards == 3
-        assert spec.shard_of(9) == 0
-        assert spec.shard_of(10) == 1
-        assert spec.shard_of(19) == 1
-        assert spec.shard_of(20) == 2
-
-    def test_range_bounds_must_strictly_increase(self):
-        with pytest.raises(SchemaError):
-            PartitionSpec.ranged("k", (10, 10))
-        with pytest.raises(SchemaError):
-            PartitionSpec.ranged("k", (20, 10))
 
     def test_shards_must_be_positive(self):
         with pytest.raises(SchemaError):
@@ -162,17 +147,11 @@ class TestPartitionSpec:
 
     def test_describe(self):
         assert PartitionSpec.hashed("n", 4).describe() == "hash(n) % 4"
-        assert (
-            PartitionSpec.ranged("n", (10,)).describe()
-            == "range(n, 1 bound(s))"
-        )
 
     def test_catalog_validation(self):
         db = make_table([])
         with pytest.raises(SchemaError):
-            db.set_partitioning("t", "n")  # hash needs shards
-        with pytest.raises(SchemaError):
-            db.set_partitioning("t", "n", shards=4, kind="round_robin")
+            db.set_partitioning("t", "n", shards=0)
         with pytest.raises(SchemaError):
             db.configure_sharding(workers=0)
 
@@ -195,14 +174,6 @@ class TestRelationalEquivalence:
             result = db.execute(sql)
             assert result.rows == oracle.rows
             assert result.columns == oracle.columns
-
-    @pytest.mark.parametrize("sql", QUERIES)
-    def test_range_sharded_rows_match_oracle(self, sql):
-        oracle = make_table(ROWS).execute(sql)
-        db = make_table(ROWS)
-        db.set_partitioning("t", "n", kind="range", bounds=(10, 20, 30))
-        db.configure_sharding(workers=4)
-        assert db.execute(sql).rows == oracle.rows
 
     def test_unordered_scan_preserves_global_scan_order(self):
         # No ORDER BY: the merge's tag order IS the insertion order.
@@ -350,14 +321,6 @@ class TestPruning:
         rendered = db.explain("SELECT n FROM t WHERE s = 'value 1'")
         assert "shard-pruning" not in rendered
         assert "Exchange(shards=4)" in rendered
-
-    def test_range_pruning_on_range_partitions(self):
-        db = make_table(ROWS)
-        db.set_partitioning("t", "n", kind="range", bounds=(10, 20, 30))
-        db.configure_sharding(workers=4)
-        rendered = db.explain("SELECT s FROM t WHERE n = 15")
-        assert "Exchange(shards=1)" in rendered
-        assert "pruned 3 of 4 shard(s)" in rendered
 
     def test_pruning_decision_count_is_shard_invariant(self):
         # The pruning decision is emitted whenever the predicate is

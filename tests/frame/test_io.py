@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import FrameError
 from repro.frame import DataFrame, read_csv, write_csv
-from repro.frame.io import export_dataset, load_frames
+from repro.frame.io import export_dataset
 
 
 @pytest.fixture()
@@ -65,20 +65,12 @@ class TestDatasetExport:
     def test_export_and_load(self, tmp_path, datasets):
         dataset = datasets["codebase_community"]
         written = export_dataset(dataset, tmp_path)
-        assert len(written) == len(dataset.frames)
-        frames = load_frames(tmp_path)
-        assert set(frames) == set(dataset.frames)
-        assert frames["posts"].to_records() == (
-            dataset.frames["posts"].to_records()
+        assert sorted(written) == sorted(
+            str(tmp_path / f"{name}.csv") for name in dataset.frames
         )
-
-    def test_load_missing_directory(self, tmp_path):
-        with pytest.raises(FrameError):
-            load_frames(tmp_path / "nope")
-
-    def test_load_empty_directory(self, tmp_path):
-        with pytest.raises(FrameError):
-            load_frames(tmp_path)
+        for name, frame in dataset.frames.items():
+            loaded = read_csv(tmp_path / f"{name}.csv")
+            assert loaded.to_records() == frame.to_records(), name
 
     def test_paper_workflow(self, tmp_path, datasets):
         # Appendix C reads pandas_dfs/<domain>/<table>.csv; same shape.

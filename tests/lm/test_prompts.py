@@ -55,6 +55,17 @@ class TestText2SQLPrompt:
         assert prompt.rstrip().endswith("SELECT")
         assert "-- How many rows?" in prompt
 
+    def test_bird_format_bytes(self):
+        assert prompts.text2sql_prompt("CREATE TABLE t (a TEXT);", "q?") == (
+            "CREATE TABLE t (a TEXT);\n\n"
+            "-- External Knowledge: None\n"
+            "-- Using valid SQLite and understading External Knowledge, "
+            "answer the following questions for the tables provided "
+            "above.\n"
+            "-- q?\n"
+            "SELECT"
+        )
+
     def test_external_knowledge_included(self):
         prompt = prompts.text2sql_prompt(
             "CREATE TABLE t (a INTEGER)",

@@ -1,4 +1,4 @@
-"""Unit tests for the semantic operators (sem_filter/topk/agg/map/join)."""
+"""Unit tests for the semantic operators (sem_filter/topk/agg)."""
 
 import hashlib
 
@@ -206,67 +206,3 @@ class TestPinnedOnCommunityComments:
         )
         assert self._counters(lm) == (3, 2, 0, 2)
 
-
-class TestSemMap:
-    def test_judge_mode(self, ops, cities):
-        mapped = ops.sem_map(
-            cities,
-            "{City} is a city in the Silicon Valley region",
-            "in_sv",
-            mode="judge",
-        )
-        lookup = dict(zip(mapped["City"], mapped["in_sv"]))
-        assert lookup["Palo Alto"] is True
-        assert lookup["Fresno"] is False
-
-    def test_score_mode(self, ops, titles):
-        mapped = ops.sem_map(
-            titles,
-            "The title '{Title}' is technical",
-            "tech",
-            mode="score",
-        )
-        assert all(isinstance(v, float) for v in mapped["tech"].tolist())
-
-    def test_invalid_mode(self, ops, cities):
-        with pytest.raises(SemanticOperatorError):
-            ops.sem_map(cities, "{City} x", "out", mode="nope")
-
-    def test_does_not_mutate_input(self, ops, cities):
-        ops.sem_map(cities, "{City} is big", "out")
-        assert "out" not in cities.columns
-
-
-class TestSemJoin:
-    def test_joins_on_judgment(self, ops):
-        players = DataFrame({"height": [170.0, 195.0]})
-        people = DataFrame({"person": ["Stephen Curry"]})
-        joined = ops.sem_join(
-            players,
-            people,
-            "a player with height {height} is taller than {person}",
-        )
-        assert joined["height"].tolist() == [195.0]
-
-    def test_column_collision_rejected(self, ops):
-        a = DataFrame({"x": [1]})
-        b = DataFrame({"x": [2]})
-        with pytest.raises(SemanticOperatorError):
-            ops.sem_join(a, b, "{x} matches {x}")
-
-    def test_pair_budget_enforced(self, ops):
-        a = DataFrame({"u": list(range(60))})
-        b = DataFrame({"w": list(range(60))})
-        with pytest.raises(SemanticOperatorError):
-            ops.sem_join(a, b, "{u} relates to {w}", max_pairs=100)
-
-    def test_empty_result_keeps_columns(self, ops):
-        players = DataFrame({"height": [150.0]})
-        people = DataFrame({"person": ["Stephen Curry"]})
-        joined = ops.sem_join(
-            players,
-            people,
-            "a player with height {height} is taller than {person}",
-        )
-        assert joined.columns == ["height", "person"]
-        assert joined.empty

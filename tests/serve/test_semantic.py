@@ -7,13 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tag import TAGError, TAGResult
-from repro.lm.prompts import text2sql_prompt
 from repro.lm.usage import Usage
-from repro.serve.semantic import (
-    QueryRegistry,
-    SemanticResultCache,
-    canonicalize,
-)
+from repro.serve.semantic import SemanticResultCache, canonicalize
 
 
 def _ok_result(request: str, answer: object) -> TAGResult:
@@ -303,82 +298,3 @@ class TestKeyFor:
             "Top movies", "v2"
         )
 
-
-# ---------------------------------------------------------------------------
-# query registry
-# ---------------------------------------------------------------------------
-
-
-class TestQueryRegistry:
-    def test_record_and_rank(self):
-        registry = QueryRegistry()
-        registry.record(
-            "Top comedy movies", "SELECT * FROM movies WHERE genre='c'"
-        )
-        registry.record("Average voter age", "SELECT AVG(age) FROM v")
-        ranked = registry.examples("best comedy movies of all time", 1)
-        assert [e.question for e in ranked] == ["Top comedy movies"]
-
-    def test_one_entry_per_canonical_form(self):
-        registry = QueryRegistry()
-        assert registry.record("Top movies", "SELECT 1")
-        assert not registry.record("top movie!", "SELECT 2")
-        assert len(registry) == 1
-        assert registry.entries()[0].sql == "SELECT 1"
-
-    def test_degenerate_and_empty_sql_rejected(self):
-        registry = QueryRegistry()
-        assert not registry.record("?!", "SELECT 1")
-        assert not registry.record("Top movies", "")
-        assert len(registry) == 0
-
-    def test_degenerate_question_gets_no_examples(self):
-        registry = QueryRegistry()
-        registry.record("Top movies", "SELECT 1")
-        assert registry.examples("?!...") == []
-
-    def test_capacity_evicts_oldest(self):
-        registry = QueryRegistry(capacity=2)
-        registry.record("alpha question", "SELECT 1")
-        registry.record("beta question", "SELECT 2")
-        registry.record("gamma question", "SELECT 3")
-        questions = [e.question for e in registry.entries()]
-        assert questions == ["beta question", "gamma question"]
-        # The evicted entry never resurfaces through the vector index.
-        ranked = registry.examples("alpha question", 3)
-        assert all(e.question != "alpha question" for e in ranked)
-
-    def test_examples_k_bounds(self):
-        registry = QueryRegistry()
-        registry.record("alpha question", "SELECT 1")
-        assert registry.examples("alpha question", 0) == []
-        assert len(registry.examples("alpha question", 5)) == 1
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            QueryRegistry(capacity=0)
-
-
-class TestFewShotPromptInjection:
-    def test_examples_flatten_before_question(self):
-        prompt = text2sql_prompt(
-            "CREATE TABLE movies (movie_title TEXT);",
-            "What are the top movies?",
-            examples=[
-                ("Top comedy movies", "SELECT *\nFROM movies"),
-            ],
-        )
-        assert "-- Example Question: Top comedy movies" in prompt
-        assert "-- Example SQL: SELECT * FROM movies" in prompt
-        # The real question stays the last plain comment line, so the
-        # prompt router still parses it (not the example lines).
-        from repro.lm.handlers.text2sql import _parse_question
-
-        assert _parse_question(prompt) == "What are the top movies?"
-
-    def test_no_examples_is_byte_identical_to_legacy(self):
-        schema = "CREATE TABLE t (a TEXT);"
-        assert text2sql_prompt(schema, "q?") == text2sql_prompt(
-            schema, "q?", examples=None
-        )
-        assert "Example" not in text2sql_prompt(schema, "q?", examples=[])

@@ -1,5 +1,5 @@
 """TagServer + semantic cache integration: equivalence, invariance,
-admission pricing, tracing, race-cleanliness, registry few-shot."""
+admission pricing, tracing, race-cleanliness."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import pytest
 
 from repro.core import (
     FixedQuerySynthesizer,
-    LMQuerySynthesizer,
-    NoGenerator,
     SQLExecutor,
     SingleCallGenerator,
     TAGPipeline,
@@ -23,7 +21,6 @@ from repro.obs.racecheck import RaceChecker
 from repro.obs.trace import Tracer
 from repro.serve import (
     AdmissionPolicy,
-    QueryRegistry,
     SemanticResultCache,
     SQLAdmissionEstimator,
     TagServer,
@@ -132,7 +129,6 @@ class TestHitEqualsFreshExecution:
         # Followers keep their own request text.
         assert report.results[1].result.request == requests[1]
         assert report.usage.semcache_hits == 2
-        assert report.semantic_hits == 2
 
     def test_invalidation_restores_fresh_execution(self, movie_dataset):
         cache = SemanticResultCache(capacity=64)
@@ -404,17 +400,10 @@ class TestPinnedCachedServe:
 
 class TestSemanticServeRaceClean:
     @pytest.mark.parametrize("workers", [1, 4, 8])
-    def test_replay_clean_with_cache_and_registry(
-        self, movie_dataset, workers
-    ):
+    def test_replay_clean_with_cache(self, movie_dataset, workers):
         checker = RaceChecker()
         cache = SemanticResultCache(capacity=64)
-        server = _server(
-            movie_dataset,
-            workers=workers,
-            cache=cache,
-            registry=QueryRegistry(),
-        )
+        server = _server(movie_dataset, workers=workers, cache=cache)
         with racecheck.checking(checker):
             warm = server.serve(distinct_requests(9))
             hot = server.serve(distinct_requests(9))
@@ -425,73 +414,3 @@ class TestSemanticServeRaceClean:
         assert report.threads >= workers + 1
         assert report.events > 0
 
-
-class TestRegistryFewShot:
-    def test_examples_injected_and_worker_invariant(self):
-        """Accepted (question, SQL) entries from run one are retrieval-
-        ranked into run two's Text2SQL prompts, identically at any
-        worker count."""
-        from repro.data import load_domain
-
-        dataset = load_domain("formula_1", seed=0)
-        questions = [
-            "How many races were held on street circuits?",
-            "What is the location of the street circuit that hosted "
-            "the fewest races?",
-        ]
-
-        def run(workers):
-            registry = QueryRegistry()
-            lm = SimulatedLM(LMConfig(seed=0))
-
-            def factory(worker_lm):
-                return TAGPipeline(
-                    LMQuerySynthesizer(
-                        worker_lm, dataset, registry=registry
-                    ),
-                    SQLExecutor(dataset.db, analyze=True),
-                    NoGenerator(),
-                )
-
-            server = TagServer(
-                factory, lm, workers=workers, window=2, registry=registry
-            )
-            first = server.serve(questions)
-            second = server.serve(questions)
-            return registry.entries(), first.answers(), second.answers()
-
-        entries_1, first_1, second_1 = run(1)
-        entries_4, first_4, second_4 = run(4)
-        assert [e.question for e in entries_1] != []
-        assert entries_1 == entries_4
-        assert first_1 == first_4
-        assert second_1 == second_4
-
-    def test_registry_examples_reach_the_prompt(self):
-        from repro.data import load_domain
-
-        dataset = load_domain("formula_1", seed=0)
-        registry = QueryRegistry()
-        registry.record(
-            "How many races were held on street circuits?",
-            "SELECT COUNT(*) FROM races",
-        )
-        seen = []
-
-        class _SpyLM:
-            def complete(self, prompt, max_tokens=256):
-                seen.append(prompt)
-                return SimulatedLM(LMConfig(seed=0)).complete(
-                    prompt, max_tokens=max_tokens
-                )
-
-        synthesizer = LMQuerySynthesizer(
-            _SpyLM(), dataset, registry=registry
-        )
-        synthesizer.synthesize("How many races were held on a street circuit?")
-        assert len(seen) == 1
-        assert (
-            "-- Example Question: How many races were held on street "
-            "circuits?" in seen[0]
-        )
-        assert "-- Example SQL: SELECT COUNT(*) FROM races" in seen[0]

@@ -55,11 +55,6 @@ class TestFlatIndex:
         with pytest.raises(ReproError):
             index.search(np.ones(5), 1)
 
-    def test_reconstruct(self, corpus):
-        index = FlatIndex(32)
-        index.add(corpus)
-        assert np.allclose(index.reconstruct(3), corpus[3])
-
     @given(st.integers(0, 199), st.integers(1, 20))
     @settings(max_examples=30, deadline=None)
     def test_matches_numpy_argmax(self, query_row, k):
