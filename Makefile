@@ -51,10 +51,12 @@ test-access:
 # What is derived once, against its frozen references: the handlers'
 # schema and vocabulary derivations, the embedder's buckets and the
 # shared row corpus (tests/lm/test_handler_memo.py; do not edit its
-# reference half), the prompt-schema staleness and Table.version
-# tests, and the reference-cycle check on a served pass.
+# reference half), the simulated judge's condition bank against a
+# frozen copy of the ungated bank (tests/lm/test_condition_bank.py;
+# same rule), the prompt-schema staleness and Table.version tests, and
+# the reference-cycle check on a served pass.
 test-lm:
-	$(PYTHON) -m pytest tests/lm/test_handler_memo.py tests/data/test_datasets.py tests/core/test_tag.py tests/serve/test_server.py -q
+	$(PYTHON) -m pytest tests/lm/test_handler_memo.py tests/lm/test_condition_bank.py tests/data/test_datasets.py tests/core/test_tag.py tests/serve/test_server.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

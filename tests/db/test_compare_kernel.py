@@ -281,6 +281,74 @@ def test_between_matches_reference(subject, low, high, negated):
     assert same(literals((subject, None, None)), want)
 
 
+@pytest.mark.parametrize("negated", [False, True])
+def test_between_literal_bounds_match_reference_on_every_listed_triple(
+    negated,
+):
+    for low, high in itertools.product(VALUES, repeat=2):
+        compiled = evaluator(
+            ast.BetweenExpression(
+                A, ast.Literal(low), ast.Literal(high), negated
+            )
+        )
+        for subject in VALUES:
+            assert same(
+                compiled((subject, None, None)),
+                ref_between(subject, low, high, negated),
+            ), (subject, low, high)
+
+
+#: Bounds of two families, or NaN: the general evaluator's cases.
+MIXED_BOUNDS = [
+    (1, "x"), (True, 3), (None, 5), (5, None), ("a", 2.5),
+    (NAN, 5), (1, NAN), (NAN, NAN), (NAN, "x"), (BLOB, 3),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("low, high", MIXED_BOUNDS, ids=repr)
+def test_between_mixed_family_bounds_keep_the_general_answers(low, high):
+    for negated in (False, True):
+        literals = evaluator(
+            ast.BetweenExpression(
+                A, ast.Literal(low), ast.Literal(high), negated
+            )
+        )
+        columns = evaluator(ast.BetweenExpression(A, B, C, negated))
+        for subject in VALUES:
+            want = ref_between(subject, low, high, negated)
+            assert same(literals((subject, None, None)), want), subject
+            assert same(columns((subject, low, high)), want), subject
+
+
+#: BETWEEN as SQL text: bounds of one family and of two.
+BETWEEN_SQL = [
+    ("0", "1", (0, 1)),
+    ("-1", "0.5", (-1, 0.5)),
+    ("'a'", "'b'", ("a", "b")),
+    ("1", "'x'", (1, "x")),
+    ("TRUE", "3", (True, 3)),
+    ("NULL", "5", (None, 5)),
+]
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+@pytest.mark.parametrize("low_sql, high_sql, bounds", BETWEEN_SQL)
+def test_between_in_where_keeps_what_the_reference_accepts(
+    low_sql, high_sql, bounds, optimize
+):
+    db = Database()
+    any_table(db, "t", ["v"], [(value,) for value in VALUES])
+    for negated in (False, True):
+        keyword = "NOT BETWEEN" if negated else "BETWEEN"
+        sql = f"SELECT id FROM t WHERE v {keyword} {low_sql} AND {high_sql}"
+        want = [
+            (index,)
+            for index, value in enumerate(VALUES)
+            if ref_is_true(ref_between(value, *bounds, negated))
+        ]
+        assert db.execute(sql, optimize=optimize).rows == want, sql
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     subject=values,

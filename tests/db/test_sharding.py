@@ -1,13 +1,18 @@
 """Sharded parallel execution: equivalence, pruning, and determinism.
 
 The unsharded plan is the correctness oracle; the exchange path must
-produce identical rows, identical order, identical error behaviour,
-and identical *shared counters* for every shard count and worker
-count.  The invariance contract covers ``calls``, token counters, and
-all cache counters — but deliberately not ``batches`` or
-``simulated_seconds``: coalescing concurrent shards' morsels into
-bigger flush batches is the speedup, so those two vary (deterministically)
-per (shards, workers) cell.  See DESIGN.md §16.
+produce identical rows, identical order and identical error behaviour
+for every shard count and worker count.  Its *shared counters* are the
+same in every (shards, workers) cell, and equal the unsharded plan's
+for a statement whose expensive call has one site.  The invariance
+contract covers ``calls``, token counters, and all cache counters —
+but deliberately not ``batches`` or ``simulated_seconds``: coalescing
+concurrent shards' morsels into bigger flush batches is the speedup,
+so those two vary (deterministically) per (shards, workers) cell.  A
+call repeated at two sites (WHERE and the select list) is dispatched
+once per site under shards, against once unsharded; that gap is pinned
+in ``tests/obs/test_morsel_explain.py::TestCrossSiteGap``.  See
+DESIGN.md §16.
 """
 
 from __future__ import annotations

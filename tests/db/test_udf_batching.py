@@ -339,3 +339,272 @@ class TestPlanShapes:
         )
         assert "Batched" not in rendered
         assert "Optimizer:" not in rendered
+
+
+# ---------------------------------------------------------------------------
+# A range filter under an LM judge, pinned
+# ---------------------------------------------------------------------------
+
+#: The two statement shapes of the wall-clock ledger's ``udf_scan``: a
+#: cheap range conjunct beside the ``LLM`` judge, and its select-list
+#: twin.  Each runs on a fresh two-column table at shards 0
+#: (unpartitioned), 1 and 2.
+RANGE_JUDGE_SQL = {
+    "where": (
+        "SELECT n, s FROM reviews WHERE n BETWEEN 0 AND 1023 "
+        "AND LLM('a positive review', s) = 'yes'"
+    ),
+    "select": (
+        "SELECT n, LLM('a positive review', s) AS judged "
+        "FROM reviews WHERE n BETWEEN 0 AND 1023"
+    ),
+}
+
+REVIEW_NOUNS = ["food", "service", "plot", "acting", "room", "staff"]
+REVIEW_WORDS = [
+    "great", "awful", "wonderful", "terrible", "fine", "boring",
+    "excellent", "poor", "lovely", "bland", "superb",
+]  # fmt: skip
+
+
+def review_rows() -> list[tuple[int, str]]:
+    """1,536 rows: even ``n`` share a 64-text pool, odd ``n`` are unique."""
+    rows = []
+    for n in range(1536):
+        tag = f"h{n % 64}" if n % 2 == 0 else f"u{n}"
+        key = n % 64 if n % 2 == 0 else n
+        rows.append(
+            (
+                n,
+                f"the {REVIEW_NOUNS[key % 6]} was "
+                f"{REVIEW_WORDS[key * 7 % 11]} and the "
+                f"{REVIEW_NOUNS[key * 5 % 6]} felt "
+                f"{REVIEW_WORDS[key * 3 % 11]} ({tag})",
+            )
+        )
+    return rows
+
+
+def range_judge_database(shards: int):
+    from repro.lm import LMConfig, SimulatedLM, register_llm_judge
+    from repro.serve.batching import BatchingLM
+    from repro.serve.clock import VirtualClock
+
+    db = Database()
+    db.create_table(
+        TableSchema(
+            "reviews",
+            [Column("n", DataType.INTEGER), Column("s", DataType.TEXT)],
+        )
+    )
+    db.insert("reviews", review_rows())
+    clock = VirtualClock()
+    model = SimulatedLM(LMConfig(seed=0))
+    batching = BatchingLM(model, window=64, clock=clock)
+    register_llm_judge(db, batching)
+    if shards:
+        db.set_partitioning("reviews", "n", shards=shards)
+        db.configure_sharding(workers=2, lm=batching)
+    return db, clock, model
+
+
+def _nonzero(usage) -> dict:
+    from dataclasses import fields
+
+    return {
+        field.name: getattr(usage, field.name)
+        for field in fields(usage)
+        if getattr(usage, field.name)
+    }
+
+
+def observe_range_judge(shards: int) -> dict:
+    """Per statement, each on a fresh database: row count and digest,
+    virtual-clock advance, ``Usage``, and the ``EXPLAIN ANALYZE``
+    render, which must report the same rows, clock and usage."""
+    import hashlib
+
+    observed: dict = {}
+    for name, sql in RANGE_JUDGE_SQL.items():
+        db, clock, model = range_judge_database(shards)
+        rows = db.execute(sql, udf_batch_size=8).rows
+        observed[name] = facts = {
+            "rows": len(rows),
+            "digest": hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
+            "clock": clock.now(),
+            "usage": _nonzero(model.usage),
+        }
+        db, clock, model = range_judge_database(shards)
+        analyzed = db.explain_analyze(sql, udf_batch_size=8)
+        assert analyzed.result.rows == rows
+        assert (clock.now(), _nonzero(model.usage)) == (
+            facts["clock"],
+            facts["usage"],
+        )
+        facts["explain_analyze"] = analyzed.render()
+    return observed
+
+
+RANGE_JUDGE_GOLDEN = {
+    0: {
+        "where": {
+            "rows": 265,
+            "digest": "bbcb4f56235a17b0",
+            "clock": 61.111112500000154,
+            "usage": {
+                "calls": 544,
+                "batches": 128,
+                "prompt_tokens": 21554,
+                "output_tokens": 544,
+                "simulated_seconds": 61.111112500000154,
+                "udf_cache_hits": 480,
+                "udf_cache_misses": 544,
+                "optimizer_decisions": 2,
+            },
+            "explain_analyze": """\
+Project(n, s) [rows_in=265 rows_out=265 vtime=0.000630s]
+  BatchedFilter(where[expensive], batch=8, sites=1) [rows_in=1024 rows_out=265 vtime=0.001389s lm_calls=544 lm_batches=128 udf_cache_hits=480 udf_cache_misses=544]
+    Filter(where) [rows_in=1536 rows_out=1024 vtime=0.002660s]
+      Scan(reviews AS reviews) [rows_in=0 rows_out=1536 vtime=0.001636s]
+Optimizer:
+  route: batched (caller-pinned udf_batch_size=8): est 800 LM calls / 44800 tokens (per-row 1536 calls / 86016 tokens)
+  predicate-reorder: 1 cheap conjunct(s) (est sel 0.250, rows 1536 -> 384) before 1 expensive conjunct(s) @ 56 tok/call; written order kept among expensive conjuncts""",
+        },
+        "select": {
+            "rows": 1024,
+            "digest": "1286b5826d12d635",
+            "clock": 61.111112500000154,
+            "usage": {
+                "calls": 544,
+                "batches": 128,
+                "prompt_tokens": 21554,
+                "output_tokens": 544,
+                "simulated_seconds": 61.111112500000154,
+                "udf_cache_hits": 480,
+                "udf_cache_misses": 544,
+                "optimizer_decisions": 1,
+            },
+            "explain_analyze": """\
+BatchedProject(n, judged, batch=8, sites=1) [rows_in=1024 rows_out=1024 vtime=0.002148s lm_calls=544 lm_batches=128 udf_cache_hits=480 udf_cache_misses=544]
+  Filter(where) [rows_in=1536 rows_out=1024 vtime=0.002660s]
+    Scan(reviews AS reviews) [rows_in=0 rows_out=1536 vtime=0.001636s]
+Optimizer:
+  route: batched (caller-pinned udf_batch_size=8): est 800 LM calls / 44800 tokens (per-row 1536 calls / 86016 tokens)""",
+        },
+    },
+    1: {
+        "where": {
+            "rows": 265,
+            "digest": "bbcb4f56235a17b0",
+            "clock": 61.111112500000154,
+            "usage": {
+                "calls": 544,
+                "batches": 128,
+                "prompt_tokens": 21554,
+                "output_tokens": 544,
+                "simulated_seconds": 61.111112500000154,
+                "udf_cache_hits": 480,
+                "udf_cache_misses": 544,
+                "optimizer_decisions": 3,
+            },
+            "explain_analyze": """\
+Project(n, s) [rows_in=265 rows_out=265 vtime=0.000630s]
+  Merge [rows_in=265 rows_out=265 vtime=0.000630s]
+    Exchange(shards=1) [rows_in=265 rows_out=265 vtime=0.000630s lm_calls=544 lm_batches=128 udf_cache_hits=480 udf_cache_misses=544]
+      ShardBatchedFilter(where[expensive], batch=8, sites=1) [rows_in=1024 rows_out=265 vtime=0.001389s lm_calls=544 lm_batches=128 udf_cache_hits=480 udf_cache_misses=544]
+        ShardFilter(where) [rows_in=1536 rows_out=1024 vtime=0.002660s]
+          ShardScan(reviews AS reviews, hash(n) % 1, shard=0) [rows_in=0 rows_out=1536 vtime=0.001636s]
+Optimizer:
+  route: batched (caller-pinned udf_batch_size=8): est 800 LM calls / 44800 tokens (per-row 1536 calls / 86016 tokens)
+  predicate-reorder: 1 cheap conjunct(s) (est sel 0.250, rows 1536 -> 384) before 1 expensive conjunct(s) @ 56 tok/call; written order kept among expensive conjuncts
+  shard-parallel: reviews: hash(n) % 1 -> 1 pipeline(s)""",
+        },
+        "select": {
+            "rows": 1024,
+            "digest": "1286b5826d12d635",
+            "clock": 61.111112500000154,
+            "usage": {
+                "calls": 544,
+                "batches": 128,
+                "prompt_tokens": 21554,
+                "output_tokens": 544,
+                "simulated_seconds": 61.111112500000154,
+                "udf_cache_hits": 480,
+                "udf_cache_misses": 544,
+                "optimizer_decisions": 2,
+            },
+            "explain_analyze": """\
+Merge [rows_in=1024 rows_out=1024 vtime=0.002148s]
+  Exchange(shards=1) [rows_in=1024 rows_out=1024 vtime=0.002148s lm_calls=544 lm_batches=128 udf_cache_hits=480 udf_cache_misses=544]
+    ShardBatchedProject(n, judged, batch=8, sites=1) [rows_in=1024 rows_out=1024 vtime=0.002148s lm_calls=544 lm_batches=128 udf_cache_hits=480 udf_cache_misses=544]
+      ShardFilter(where) [rows_in=1536 rows_out=1024 vtime=0.002660s]
+        ShardScan(reviews AS reviews, hash(n) % 1, shard=0) [rows_in=0 rows_out=1536 vtime=0.001636s]
+Optimizer:
+  route: batched (caller-pinned udf_batch_size=8): est 800 LM calls / 44800 tokens (per-row 1536 calls / 86016 tokens)
+  shard-parallel: reviews: hash(n) % 1 -> 1 pipeline(s)""",
+        },
+    },
+    2: {
+        "where": {
+            "rows": 265,
+            "digest": "bbcb4f56235a17b0",
+            "clock": 34.375675932539714,
+            "usage": {
+                "calls": 544,
+                "batches": 72,
+                "prompt_tokens": 21554,
+                "output_tokens": 544,
+                "simulated_seconds": 34.375675932539714,
+                "udf_cache_hits": 480,
+                "udf_cache_misses": 544,
+                "optimizer_decisions": 3,
+            },
+            "explain_analyze": """\
+Project(n, s) [rows_in=265 rows_out=265 vtime=0.000630s]
+  Merge [rows_in=265 rows_out=265 vtime=0.000630s]
+    Exchange(shards=2) [rows_in=265 rows_out=265 vtime=0.000630s lm_calls=544 lm_batches=128 udf_cache_hits=480 udf_cache_misses=544]
+      ShardBatchedFilter(where[expensive], batch=8, sites=1) [rows_in=512 rows_out=119 vtime=0.000731s lm_calls=276 lm_batches=64 udf_cache_hits=236 udf_cache_misses=276]
+        ShardFilter(where) [rows_in=768 rows_out=512 vtime=0.001380s]
+          ShardScan(reviews AS reviews, hash(n) % 2, shard=0) [rows_in=0 rows_out=768 vtime=0.000868s]
+      ShardBatchedFilter(where[expensive], batch=8, sites=1) [rows_in=512 rows_out=146 vtime=0.000758s lm_calls=268 lm_batches=64 udf_cache_hits=244 udf_cache_misses=268]
+        ShardFilter(where) [rows_in=768 rows_out=512 vtime=0.001380s]
+          ShardScan(reviews AS reviews, hash(n) % 2, shard=1) [rows_in=0 rows_out=768 vtime=0.000868s]
+Optimizer:
+  route: batched (caller-pinned udf_batch_size=8): est 800 LM calls / 44800 tokens (per-row 1536 calls / 86016 tokens)
+  predicate-reorder: 1 cheap conjunct(s) (est sel 0.250, rows 1536 -> 384) before 1 expensive conjunct(s) @ 56 tok/call; written order kept among expensive conjuncts
+  shard-parallel: reviews: hash(n) % 2 -> 2 pipeline(s)""",
+        },
+        "select": {
+            "rows": 1024,
+            "digest": "1286b5826d12d635",
+            "clock": 34.375675932539714,
+            "usage": {
+                "calls": 544,
+                "batches": 72,
+                "prompt_tokens": 21554,
+                "output_tokens": 544,
+                "simulated_seconds": 34.375675932539714,
+                "udf_cache_hits": 480,
+                "udf_cache_misses": 544,
+                "optimizer_decisions": 2,
+            },
+            "explain_analyze": """\
+Merge [rows_in=1024 rows_out=1024 vtime=0.002148s]
+  Exchange(shards=2) [rows_in=1024 rows_out=1024 vtime=0.002148s lm_calls=544 lm_batches=128 udf_cache_hits=480 udf_cache_misses=544]
+    ShardBatchedProject(n, judged, batch=8, sites=1) [rows_in=512 rows_out=512 vtime=0.001124s lm_calls=276 lm_batches=64 udf_cache_hits=236 udf_cache_misses=276]
+      ShardFilter(where) [rows_in=768 rows_out=512 vtime=0.001380s]
+        ShardScan(reviews AS reviews, hash(n) % 2, shard=0) [rows_in=0 rows_out=768 vtime=0.000868s]
+    ShardBatchedProject(n, judged, batch=8, sites=1) [rows_in=512 rows_out=512 vtime=0.001124s lm_calls=268 lm_batches=64 udf_cache_hits=244 udf_cache_misses=268]
+      ShardFilter(where) [rows_in=768 rows_out=512 vtime=0.001380s]
+        ShardScan(reviews AS reviews, hash(n) % 2, shard=1) [rows_in=0 rows_out=768 vtime=0.000868s]
+Optimizer:
+  route: batched (caller-pinned udf_batch_size=8): est 800 LM calls / 44800 tokens (per-row 1536 calls / 86016 tokens)
+  shard-parallel: reviews: hash(n) % 2 -> 2 pipeline(s)""",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("shards", [0, 1, 2])
+def test_range_judge_statements_are_pinned(shards):
+    assert observe_range_judge(shards) == RANGE_JUDGE_GOLDEN[shards]
