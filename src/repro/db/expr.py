@@ -9,8 +9,9 @@ not).
 
 What depends only on the expression is decided here, once: a column
 read is an ``itemgetter``, a comparison picks its operator function
-from one table, ``column <op> literal`` reads and compares in one
-step, and a literal LIKE pattern is translated before the first row.
+from one table, ``column <op> literal`` and ``column BETWEEN literal
+AND literal`` read and compare in one step, and a literal LIKE pattern
+is translated before the first row.
 """
 
 from __future__ import annotations
@@ -284,26 +285,27 @@ class ExpressionCompiler:
     def _compile_betweenexpression(
         self, node: ast.BetweenExpression
     ) -> Evaluator:
-        operand = self.compile(node.operand)
-        lower = self.compile(node.lower)
-        upper = self.compile(node.upper)
-
-        def evaluate(row: Row) -> SQLValue:
-            # ``x >= low AND x <= high`` in three-valued logic: one
-            # false side decides it even when the other is NULL.
-            subject = operand(row)
-            low, high = lower(row), upper(row)
-            above = dbtypes.compare(subject, low)
-            below = dbtypes.compare(subject, high)
-            if (above is not None and above < 0) or (
-                below is not None and below > 0
-            ):
-                return node.negated
-            if above is None or below is None:
-                return None
-            return not node.negated
-
-        return evaluate
+        ref, lower, upper = node.operand, node.lower, node.upper
+        if (
+            isinstance(ref, ast.ColumnRef)
+            and isinstance(lower, ast.Literal)
+            and isinstance(upper, ast.Literal)
+            and type(lower.value) in _RAW_COMPARABLE
+            and _RAW_COMPARABLE[type(lower.value)]
+            == _RAW_COMPARABLE.get(type(upper.value))
+            and lower.value == lower.value  # not NaN
+            and upper.value == upper.value
+        ):
+            return _column_between(
+                self._layout.resolve(ref.name, ref.table),
+                lower.value,
+                upper.value,
+                node.negated,
+            )
+        operand = self.compile(ref)
+        low, high = self.compile(lower), self.compile(upper)
+        negated = node.negated
+        return lambda row: _between(operand(row), low(row), high(row), negated)
 
     def _compile_likeexpression(self, node: ast.LikeExpression) -> Evaluator:
         operand = self.compile(node.operand)
@@ -723,6 +725,41 @@ def _column_comparison(op: str, position: int, literal: SQLValue) -> Evaluator:
         return None if ordering is None else test(ordering, 0)
 
     return evaluate
+
+
+def _column_between(
+    position: int, low: SQLValue, high: SQLValue, negated: bool
+) -> Evaluator:
+    """``column [NOT] BETWEEN low AND high`` over literals of one family,
+    as one read and one chained test.
+
+    The same split as :func:`_column_comparison`: a value that orders
+    against the bounds as it is tests them directly, anything else
+    takes the three-valued answer built from ``compare``.
+    """
+    raw = _RAW_COMPARABLE[type(low)]
+
+    def evaluate(row: Row) -> SQLValue:
+        value = row[position]
+        if type(value) in raw and value == value:
+            return (low <= value <= high) != negated  # type: ignore[operator]
+        return _between(value, low, high, negated)
+
+    return evaluate
+
+
+def _between(
+    value: SQLValue, low: SQLValue, high: SQLValue, negated: bool
+) -> SQLValue:
+    """``value >= low AND value <= high`` in three-valued logic: one
+    false side decides it even when the other is NULL."""
+    above = dbtypes.compare(value, low)
+    below = dbtypes.compare(value, high)
+    if (above is not None and above < 0) or (below is not None and below > 0):
+        return negated
+    if above is None or below is None:
+        return None
+    return not negated
 
 
 def _like_to_regex(pattern: str) -> re.Pattern[str]:

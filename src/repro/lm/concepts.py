@@ -16,7 +16,9 @@ a run.
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
+from collections.abc import Callable
 
 from repro.knowledge import FuzzyKnowledge
 from repro.knowledge.movies import MOVIE_FACTS
@@ -24,7 +26,7 @@ from repro.text.sarcasm import sarcasm_score
 from repro.text.sentiment import sentiment_score
 from repro.text.similarity import jaccard_similarity
 from repro.text.technicality import technicality_score
-from repro.text.tokenize import content_tokens
+from repro.text.tokenize import has_content_token
 
 # --------------------------------------------------------------------------
 # deterministic noise
@@ -170,127 +172,180 @@ RANK_JITTER = 0.25
 #: Score margin under which pairwise comparisons become coin flips.
 PAIR_MARGIN = 0.25
 
+# --------------------------------------------------------------------------
+# verdicts: how a matched condition is answered (None: undecided)
+# --------------------------------------------------------------------------
+
+Verdict = Callable[[re.Match[str], FuzzyKnowledge, int, str], "bool | None"]
+
+
+def _in_region(match, fuzzy, seed, condition):
+    return fuzzy.believes_in_region(
+        match.group("city").strip(), match.group("region").strip()
+    )
+
+
+def _uses_euro(match, fuzzy, seed, condition):
+    return fuzzy.believed_uses_euro(match.group("country").strip())
+
+
+def _believed_flag(relation: str, group: str) -> Verdict:
+    """A yes/no fact about the subject in ``group``."""
+
+    def verdict(match, fuzzy, seed, condition):
+        return bool(
+            fuzzy.believe(relation, match.group(group).strip(), False)
+        )
+
+    return verdict
+
+
+def _in_circuit_region(match, fuzzy, seed, condition):
+    believed = fuzzy.believe("circuit_region", match.group("circuit").strip())
+    return (
+        believed is not None
+        and believed == match.group("region").strip().lower()
+    )
+
+
+def _height(beats: Callable[[float, float], bool]) -> Verdict:
+    """``height`` against the believed height of ``person``."""
+
+    def verdict(match, fuzzy, seed, condition):
+        reference = fuzzy.believed_height_cm(match.group("person").strip())
+        if reference is None:
+            return False
+        return beats(float(match.group("height")), reference)
+
+    return verdict
+
+
+def _in_vertical(match, fuzzy, seed, condition):
+    believed = fuzzy.believe(
+        "company_vertical", match.group("company").strip()
+    )
+    return (
+        believed is not None
+        and str(believed).lower() == match.group("vertical").strip().lower()
+    )
+
+
+def _is_currency(match, fuzzy, seed, condition):
+    believed = fuzzy.believe("currency", match.group("country").strip())
+    return (
+        believed is not None
+        and str(believed).upper() == match.group("code").upper()
+    )
+
+
+def _is_classic(match, fuzzy, seed, condition):
+    title = match.group("title").strip().lower()
+    entry = _CLASSIC_MOVIES.get(title)
+    if entry is None:
+        return False
+    classic, confidence = entry
+    if _unit(seed, "classic", title) < 1.0 - confidence:
+        return not classic
+    return classic
+
+
+def _text_above(
+    scorer: Callable[[str], float], threshold: float
+) -> Verdict:
+    """The quoted ``text`` scores above ``threshold``, noisily."""
+
+    def verdict(match, fuzzy, seed, condition):
+        score = scorer(match.group("text"))
+        return noisy_threshold(score, threshold, TEXT_MARGIN, seed, condition)
+
+    return verdict
+
+
+def _has_nationality(match, fuzzy, seed, condition):
+    believed = fuzzy.believe(
+        "driver_nationality", match.group("driver").strip()
+    )
+    if believed is None:
+        return None
+    return str(believed).lower() == match.group("nationality").strip().lower()
+
+
+#: The condition bank in the order ``judge`` tries it: a pattern, the
+#: lowercase literals one of which every match of it contains, and its
+#: verdict.
+_BANK: tuple[tuple[re.Pattern[str], tuple[str, ...], Verdict], ...] = (
+    (_REGION_RE, (" is a city in ",), _in_region),
+    (_REGION_PART_RE, ("valley", "bay area", "california"), _in_region),
+    (_EURO_RE, ("euro",), _uses_euro),
+    (_EU_RE, (" the eu",), _believed_flag("in_eu", "country")),
+    (_BIG_FIVE_RE, ("big five",), _believed_flag("big_five_league", "league")),
+    (
+        _UK_RE,
+        (" the uk", " the united kingdom"),
+        _believed_flag("uk_home_nation", "country"),
+    ),
+    (
+        _STREET_RE,
+        ("street circuit",),
+        _believed_flag("street_circuit", "circuit"),
+    ),
+    (
+        _CIRCUIT_REGION_RE,
+        ("asia", "europe", "america", "middle east", "oceania"),
+        _in_circuit_region,
+    ),
+    (_TALLER_RE, ("is taller than ",), _height(operator.gt)),
+    (_SHORTER_RE, ("is shorter than ",), _height(operator.lt)),
+    (_VERTICAL_RE, (" vertical",), _in_vertical),
+    (_CURRENCY_RE, (" is the currency ",), _is_currency),
+    (_CLASSIC_MOVIE_RE, ("classic",), _is_classic),
+    (
+        _SENTIMENT_POSITIVE_RE,
+        (" is positive",),
+        _text_above(sentiment_score, 0.05),
+    ),
+    (
+        _SENTIMENT_NEGATIVE_RE,
+        (" is negative",),
+        _text_above(lambda text: -sentiment_score(text), 0.05),
+    ),
+    (_SARCASTIC_RE, (" is sarcastic",), _text_above(sarcasm_score, 0.4)),
+    (_TECHNICAL_RE, ("technical",), _text_above(technicality_score, 0.3)),
+    (_NATIONALITY_RE, (" is ",), _has_nationality),
+)
+
 
 def judge(condition: str, fuzzy: FuzzyKnowledge, seed: int) -> bool:
-    """Boolean LM judgment of a filled-in natural-language condition."""
-    condition = condition.strip()
+    """Boolean LM judgment of a filled-in natural-language condition.
 
-    match = _REGION_RE.match(condition) or _REGION_PART_RE.match(condition)
-    if match:
-        return fuzzy.believes_in_region(
-            match.group("city").strip(), match.group("region").strip()
-        )
-    match = _EURO_RE.match(condition)
-    if match:
-        return fuzzy.believed_uses_euro(match.group("country").strip())
-    match = _EU_RE.match(condition)
-    if match:
-        return bool(
-            fuzzy.believe("in_eu", match.group("country").strip(), False)
-        )
-    match = _BIG_FIVE_RE.match(condition)
-    if match:
-        return bool(
-            fuzzy.believe(
-                "big_five_league", match.group("league").strip(), False
-            )
-        )
-    match = _UK_RE.match(condition)
-    if match:
-        return bool(
-            fuzzy.believe(
-                "uk_home_nation", match.group("country").strip(), False
-            )
-        )
-    match = _STREET_RE.match(condition)
-    if match:
-        return bool(
-            fuzzy.believe(
-                "street_circuit", match.group("circuit").strip(), False
-            )
-        )
-    match = _CIRCUIT_REGION_RE.match(condition)
-    if match:
-        believed = fuzzy.believe(
-            "circuit_region", match.group("circuit").strip()
-        )
-        return (
-            believed is not None
-            and believed == match.group("region").strip().lower()
-        )
-    match = _TALLER_RE.match(condition)
-    if match:
-        reference = fuzzy.believed_height_cm(match.group("person").strip())
-        if reference is None:
-            return False
-        return float(match.group("height")) > reference
-    match = _SHORTER_RE.match(condition)
-    if match:
-        reference = fuzzy.believed_height_cm(match.group("person").strip())
-        if reference is None:
-            return False
-        return float(match.group("height")) < reference
-    match = _VERTICAL_RE.match(condition)
-    if match:
-        believed = fuzzy.believe(
-            "company_vertical", match.group("company").strip()
-        )
-        return (
-            believed is not None
-            and str(believed).lower()
-            == match.group("vertical").strip().lower()
-        )
-    match = _CURRENCY_RE.match(condition)
-    if match:
-        believed = fuzzy.believe(
-            "currency", match.group("country").strip()
-        )
-        return (
-            believed is not None
-            and str(believed).upper() == match.group("code").upper()
-        )
-    match = _CLASSIC_MOVIE_RE.match(condition)
-    if match:
-        title = match.group("title").strip().lower()
-        entry = _CLASSIC_MOVIES.get(title)
-        if entry is None:
-            return False
-        classic, confidence = entry
-        if _unit(seed, "classic", title) < 1.0 - confidence:
-            return not classic
-        return classic
-    match = _SENTIMENT_POSITIVE_RE.match(condition)
-    if match:
-        score = sentiment_score(match.group("text"))
-        return noisy_threshold(score, 0.05, TEXT_MARGIN, seed, condition)
-    match = _SENTIMENT_NEGATIVE_RE.match(condition)
-    if match:
-        score = -sentiment_score(match.group("text"))
-        return noisy_threshold(score, 0.05, TEXT_MARGIN, seed, condition)
-    match = _SARCASTIC_RE.match(condition)
-    if match:
-        score = sarcasm_score(match.group("text"))
-        return noisy_threshold(score, 0.4, TEXT_MARGIN, seed, condition)
-    match = _TECHNICAL_RE.match(condition)
-    if match:
-        score = technicality_score(match.group("text"))
-        return noisy_threshold(score, 0.3, TEXT_MARGIN, seed, condition)
-    match = _NATIONALITY_RE.match(condition)
-    if match:
-        believed = fuzzy.believe(
-            "driver_nationality", match.group("driver").strip()
-        )
-        if believed is not None:
-            lowered = match.group("nationality").strip().lower()
-            return str(believed).lower() == lowered
+    The first pattern of ``_BANK`` that matches and decides gives the
+    verdict.  An ASCII condition is lowered once, and a pattern is tried
+    only when the lowered text holds one of its literals.  A non-ASCII
+    condition tries every pattern: under ``re.IGNORECASE`` the letters
+    ``ſ``, ``K`` (U+212A), ``İ`` and ``ı`` match ASCII ones that
+    ``str.lower()`` never produces, so a substring test could miss.
+    """
+    condition = condition.strip()
+    lowered = condition.lower() if condition.isascii() else None
+    for pattern, literals, verdict in _BANK:
+        if lowered is not None:
+            for literal in literals:
+                if literal in lowered:
+                    break
+            else:
+                continue
+        match = pattern.match(condition)
+        if match:
+            answer = verdict(match, fuzzy, seed, condition)
+            if answer is not None:
+                return answer
     # Unknown condition: the model guesses from lexical overlap, the way
     # an LM extrapolates from surface cues on out-of-distribution asks.
     return _lexical_guess(condition, seed)
 
 
 def _lexical_guess(condition: str, seed: int) -> bool:
-    words = content_tokens(condition)
-    if not words:
+    if not has_content_token(condition):
         return False
     return _unit(seed, "guess", condition) < 0.25
 

@@ -31,6 +31,15 @@ def content_tokens(text: str) -> list[str]:
     return [token for token in tokens(text) if token not in STOPWORDS]
 
 
+def has_content_token(text: str) -> bool:
+    """Whether :func:`content_tokens` would keep any token of ``text``,
+    answered at the first one it keeps."""
+    for match in _WORD_RE.finditer(text):
+        if match.group().lower() not in STOPWORDS:
+            return True
+    return False
+
+
 def score_tiebreak(text: str) -> float:
     """A tiny deterministic per-text epsilon in [0, 1e-4).
 

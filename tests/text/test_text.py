@@ -1,6 +1,8 @@
 """Unit tests for the text-analysis primitives."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.text import (
     jaccard_similarity,
@@ -13,7 +15,7 @@ from repro.text import (
 )
 from repro.text.similarity import cosine_similarity, tf_idf_vectors
 from repro.text.summarize import summarize_items
-from repro.text.tokenize import content_tokens
+from repro.text.tokenize import content_tokens, has_content_token
 
 
 class TestTokenize:
@@ -28,6 +30,14 @@ class TestTokenize:
 
     def test_content_tokens_drop_stopwords(self):
         assert content_tokens("the cat and the hat") == ["cat", "hat"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    @example("the and of")
+    @example("The AND 3")
+    @example("İs ſo")
+    def test_has_content_token_is_content_tokens_nonempty(self, text):
+        assert has_content_token(text) == bool(content_tokens(text))
 
     def test_sentences(self):
         assert sentences("One. Two! Three?") == ["One.", "Two!", "Three?"]
