@@ -176,7 +176,7 @@ PAIR_MARGIN = 0.25
 # verdicts: how a matched condition is answered (None: undecided)
 # --------------------------------------------------------------------------
 
-Verdict = Callable[[re.Match[str], FuzzyKnowledge, int, str], "bool | None"]
+Verdict = Callable[[re.Match[str], FuzzyKnowledge, int, str], bool | None]
 
 
 def _in_region(match, fuzzy, seed, condition):
