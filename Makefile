@@ -53,10 +53,13 @@ test-access:
 # shared row corpus (tests/lm/test_handler_memo.py; do not edit its
 # reference half), the simulated judge's condition bank against a
 # frozen copy of the ungated bank (tests/lm/test_condition_bank.py;
-# same rule), the prompt-schema staleness and Table.version tests, and
-# the reference-cycle check on a served pass.
+# same rule), how the answer and Text2SQL handlers read a prompt and
+# test a row against frozen copies of the line readers and the row test
+# (tests/lm/test_prompt_reading.py; same rule), the prompt-schema
+# staleness and Table.version tests, and the reference-cycle check on a
+# served pass.
 test-lm:
-	$(PYTHON) -m pytest tests/lm/test_handler_memo.py tests/lm/test_condition_bank.py tests/data/test_datasets.py tests/core/test_tag.py tests/serve/test_server.py -q
+	$(PYTHON) -m pytest tests/lm/test_handler_memo.py tests/lm/test_condition_bank.py tests/lm/test_prompt_reading.py tests/data/test_datasets.py tests/core/test_tag.py tests/serve/test_server.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
@@ -64,13 +67,14 @@ bench:
 bench-smoke:
 	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_resilience.py benchmarks/bench_repair.py benchmarks/bench_trace_overhead.py benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_racecheck.py benchmarks/bench_semcache.py benchmarks/bench_sharding.py -q
 
-# Regenerate, full-size, the four artifacts that are deterministic and
-# quick (~10 s together), and fail if any differs from the committed
-# file.  Smoke runs never write under benchmarks/out (see
+# Regenerate, full-size, the six artifacts that are deterministic and
+# quick (~15 s together), and fail if any differs from the committed
+# file.  Tables 1 and 2 hold every method's answers and virtual ET over
+# the 80 questions.  Smoke runs never write under benchmarks/out (see
 # benchmarks/conftest.py), so the committed files stay the full-size ones.
-ARTIFACTS = udf_batching optimizer_plan_choice sharding resilience
+ARTIFACTS = udf_batching optimizer_plan_choice sharding resilience table1 table2
 artifacts-check:
-	$(PYTHON) -m pytest benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_sharding.py benchmarks/bench_resilience.py -q
+	$(PYTHON) -m pytest benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_sharding.py benchmarks/bench_resilience.py benchmarks/bench_table1.py benchmarks/bench_table2.py -q
 	git diff --exit-code -- $(ARTIFACTS:%=benchmarks/out/%.txt)
 
 # Wall-clock benchmark (benchmarks/perf, see its README): measure all

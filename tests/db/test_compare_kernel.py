@@ -366,6 +366,106 @@ def test_in_list_with_a_null_item_matches_reference(subject, items, negated):
     )
 
 
+#: IN lists beyond the listed pairs: equal across types (``1``/``1.0``
+#: /``True``, ``-0.0``/``0``), a float that is not the int above 2^53,
+#: text against numbers, NULL and NaN among literals of one family.
+IN_LISTS = [
+    (1, 1.0), (True, 1), (0, -0.0), (2**53, BIG), (float(2**53), 0.5),
+    ("10", 10), ("a", "b", ""), (1, 7, -1, 0.5), (None, NAN),
+    (None, "a", "b"), (NAN, 1, 2), (math.inf, -math.inf), (BLOB, "blob"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("negated", [False, True])
+def test_in_literal_list_matches_reference_on_every_listed_subject(negated):
+    lists = [(item,) for item in VALUES] + IN_LISTS
+    lists += itertools.product(VALUES, repeat=2)
+    for items in lists:
+        compiled = evaluator(
+            ast.InList(A, tuple(ast.Literal(item) for item in items), negated)
+        )
+        for subject in VALUES:
+            assert same(
+                compiled((subject, None, None)),
+                ref_in_list(subject, items, negated),
+            ), (subject, items)
+
+
+one_family_items = st.one_of(
+    st.lists(
+        st.one_of(st.integers(), st.floats(allow_nan=False)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.text(max_size=2), min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(subject=values, items=one_family_items, negated=st.booleans())
+def test_in_one_family_literal_list_matches_reference(subject, items, negated):
+    compiled = evaluator(
+        ast.InList(A, tuple(ast.Literal(item) for item in items), negated)
+    )
+    assert same(
+        compiled((subject, None, None)), ref_in_list(subject, items, negated)
+    )
+    columns = evaluator(ast.InList(A, (B, ast.Literal(items[0])), negated))
+    assert same(
+        columns((subject, items[-1], None)),
+        ref_in_list(subject, [items[-1], items[0]], negated),
+    )
+
+
+#: IN lists as SQL text.  ``-1`` parses as a unary minus over ``1``, so
+#: it is not a literal item.
+IN_SQL = [
+    ("1, 2", (1, 2)),
+    ("1.0", (1.0,)),
+    ("0", (0,)),
+    ("TRUE, 7", (True, 7)),
+    ("9007199254740993", (BIG,)),
+    ("9007199254740992.0", (float(2**53),)),
+    ("-1, 0.5", (-1, 0.5)),
+    ("'a', 'b'", ("a", "b")),
+    ("'10', 10", ("10", 10)),
+    ("NULL, 1", (None, 1)),
+    ("'blob'", ("blob",)),
+]
+
+
+@pytest.mark.parametrize("layout", ["plain", "indexed", "partitioned"])
+@pytest.mark.parametrize("items_sql, items", IN_SQL)
+def test_in_list_in_where_keeps_what_the_reference_accepts(
+    items_sql, items, layout
+):
+    # A NaN partition key is outside the sharding contract (DESIGN §18):
+    # it ties every number, so pruning may skip the shard it hashes to.
+    column = [
+        value
+        for value in VALUES
+        if layout != "partitioned" or value is not NAN
+    ]
+    db = Database()
+    any_table(db, "t", ["v"], [(value,) for value in column])
+    if layout == "indexed":
+        db.create_index("t", "v")
+    elif layout == "partitioned":
+        db.set_partitioning("t", "v", shards=2)
+        assert "Exchange" in db.explain("SELECT id FROM t WHERE v IN (1, 2)")
+    stored = list(db.table("t"))
+    for negated in (False, True):
+        keyword = "NOT IN" if negated else "IN"
+        sql = f"SELECT id FROM t WHERE v {keyword} ({items_sql})"
+        want = [
+            (row[0],)
+            for row in stored
+            if ref_is_true(ref_in_list(row[1], items, negated))
+        ]
+        for optimize in (True, False):
+            assert db.execute(sql, optimize=optimize).rows == want, sql
+
+
 @settings(max_examples=500, deadline=None)
 @given(subject=values, candidates=st.lists(values, min_size=1, max_size=4))
 def test_simple_case_operand_matching_matches_reference(subject, candidates):
