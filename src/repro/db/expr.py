@@ -10,15 +10,16 @@ not).
 What depends only on the expression is decided here, once: a column
 read is an ``itemgetter``, a comparison picks its operator function
 from one table, ``column <op> literal`` and ``column BETWEEN literal
-AND literal`` read and compare in one step, and a literal LIKE pattern
-is translated before the first row.
+AND literal`` read and compare in one step, ``column IN (literal,
+...)`` reads and probes a set, and a literal LIKE pattern is
+translated before the first row.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
 from repro.db import types as dbtypes
@@ -262,25 +263,29 @@ class ExpressionCompiler:
     # -- predicates ---------------------------------------------------------
 
     def _compile_inlist(self, node: ast.InList) -> Evaluator:
-        operand = self.compile(node.operand)
+        ref, negated = node.operand, node.negated
+        literals = [
+            item.value for item in node.items if isinstance(item, ast.Literal)
+        ]
+        family = _RAW_COMPARABLE.get(type(literals[0])) if literals else None
+        if (
+            isinstance(ref, ast.ColumnRef)
+            and family is not None
+            and len(literals) == len(node.items)
+            and all(
+                _RAW_COMPARABLE.get(type(value)) == family
+                and value == value  # not NaN
+                for value in literals
+            )
+        ):
+            return _column_in(
+                self._layout.resolve(ref.name, ref.table), literals, negated
+            )
+        operand = self.compile(ref)
         items = [self.compile(item) for item in node.items]
-
-        def evaluate(row: Row) -> SQLValue:
-            subject = operand(row)
-            if subject is None:
-                return None
-            saw_null = False
-            for item in items:
-                value = item(row)
-                if value is None:
-                    saw_null = True
-                elif dbtypes.values_equal(subject, value):
-                    return not node.negated
-            if saw_null:
-                return None
-            return node.negated
-
-        return evaluate
+        return lambda row: _in_values(
+            operand(row), (item(row) for item in items), negated
+        )
 
     def _compile_betweenexpression(
         self, node: ast.BetweenExpression
@@ -746,6 +751,49 @@ def _column_between(
         return _between(value, low, high, negated)
 
     return evaluate
+
+
+def _column_in(
+    position: int, literals: list[SQLValue], negated: bool
+) -> Evaluator:
+    """``column [NOT] IN (literal, ...)`` over non-NaN literals of one
+    family, as one read and one set probe.
+
+    The same split as :func:`_column_comparison`: a value that compares
+    with the literals as it is meets them in a ``frozenset`` (numbers
+    that are equal hash alike, so ``1`` finds ``1.0`` and ``-0.0`` finds
+    ``0``, as ``compare`` says), anything else takes the three-valued
+    loop.
+    """
+    raw = _RAW_COMPARABLE[type(literals[0])]
+    members = frozenset(literals)
+
+    def evaluate(row: Row) -> SQLValue:
+        value = row[position]
+        if type(value) in raw and value == value:
+            return (value in members) != negated
+        return _in_values(value, literals, negated)
+
+    return evaluate
+
+
+def _in_values(
+    subject: SQLValue, values: Iterable[SQLValue], negated: bool
+) -> SQLValue:
+    """``subject [NOT] IN (values)`` in three-valued logic, reading
+    ``values`` only up to the first match: a match decides it, and
+    otherwise a NULL among them makes it NULL."""
+    if subject is None:
+        return None
+    saw_null = False
+    for value in values:
+        if value is None:
+            saw_null = True
+        elif dbtypes.values_equal(subject, value):
+            return not negated
+    if saw_null:
+        return None
+    return negated
 
 
 def _between(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Callable
 
 from repro.lm import prompts, schema_semantics
 from repro.lm.concepts import noisy_threshold
@@ -33,8 +34,6 @@ from repro.text.technicality import technicality_score
 _DATA_POINT_RE = re.compile(
     r"^Data Point (\d+):$", re.MULTILINE
 )
-_FIELD_RE = re.compile(r"^- ([^:]+): (.*)$")
-_QUESTION_RE = re.compile(r"^Question: (.*)\Z", re.MULTILINE | re.DOTALL)
 _GT_RE = re.compile(
     r"(?:over|above|more than|greater than|at least) (\d+(?:\.\d+)?)",
     re.IGNORECASE,
@@ -82,28 +81,37 @@ class AnswerHandler:
 
     def handle(self, prompt: str, context: HandlerContext) -> str:
         records = _parse_data_points(prompt)
-        question_match = _QUESTION_RE.search(prompt)
-        question = (
-            question_match.group(1).strip() if question_match else ""
-        )
+        # The rest of the prompt after the first line that starts
+        # "Question: " (a line starts after "\n" only).
+        if prompt.startswith("Question: "):
+            question = prompt[10:].strip()
+        else:
+            at = prompt.find("\nQuestion: ")
+            question = prompt[at + 11 :].strip() if at >= 0 else ""
         if prompt.startswith(prompts.ANSWER_FREEFORM_HEADER):
             return _freeform_answer(question, records, context)
         return _list_answer(question, records, context)
 
 
 def _parse_data_points(prompt: str) -> list[dict[str, str]]:
+    """The ``Data Point N:`` rows up to the first ``Question:`` line.
+
+    A field line is ``- key: value`` with a non-empty key up to the
+    first colon and a space after it (what ``^- ([^:]+): (.*)$``
+    accepts), so one ``partition`` decides it.
+    """
     records: list[dict[str, str]] = []
     current: dict[str, str] | None = None
     for line in prompt.splitlines():
-        if _DATA_POINT_RE.match(line.strip()):
+        if line.startswith("- "):
+            key, _, value = line[2:].partition(":")
+            if key and value.startswith(" ") and current is not None:
+                current[key.strip()] = value[1:]
+        elif _DATA_POINT_RE.match(line.strip()):
             current = {}
             records.append(current)
-            continue
-        if line.startswith("Question:"):
+        elif line.startswith("Question:"):
             break
-        field = _FIELD_RE.match(line)
-        if field and current is not None:
-            current[field.group(1).strip()] = field.group(2)
     return records
 
 
@@ -197,12 +205,7 @@ def _count_answer(
     records: list[dict[str, str]],
     context: HandlerContext,
 ) -> str:
-    matching = [
-        record
-        for record in records
-        if _record_satisfies(question, record, context)
-    ]
-    count = len(matching)
+    count = sum(map(_row_test(question, context), records))
     if len(records) > context.reliable_rows:
         # Long-context arithmetic drift: deterministic signed error
         # whose magnitude grows with how far past the reliable window
@@ -214,51 +217,81 @@ def _count_answer(
     return f"[{count}]"
 
 
-def _record_satisfies(
-    question: str, record: dict[str, str], context: HandlerContext
-) -> bool:
-    """Evaluate the question's parseable conditions against one row."""
-    keys = list(record)
-    for pattern, greater in ((_GT_RE, True), (_LT_RE, False)):
-        for match in pattern.finditer(question):
-            phrase = _preceding_phrase(question, match.start())
-            key = schema_semantics.match_record_key(phrase, keys)
-            if key is None:
-                continue
-            value = _as_float(record.get(key))
-            if value is None:
-                return False
-            bound = float(match.group(1))
-            if greater and not value > bound:
-                return False
-            if not greater and not value < bound:
-                return False
-    text_key = _text_key(keys)
-    if text_key is not None:
-        text = record.get(text_key, "")
-        for keyword, scorer, threshold in _SEMANTIC_JUDGMENTS:
-            if re.search(
-                rf"\b{keyword}\b", question, re.IGNORECASE
-            ) and not noisy_threshold(
-                scorer(text), threshold, 0.05, context.seed,
-                keyword + text,
-            ):
-                return False
+def _row_test(
+    question: str, context: HandlerContext
+) -> Callable[[dict[str, str]], bool]:
+    """The question's parseable conditions as one test of a row.
+
+    The bounds, the judgment keywords and the height reference depend
+    on the question only, so they are read here once; the record keys
+    they name are resolved once per distinct key tuple.  A row then
+    costs dict reads and float tests, made in the order (and failing
+    at the first false one) of the checks they stand for.
+    """
+    bounds = [
+        (
+            _preceding_phrase(question, match.start()),
+            greater,
+            float(match.group(1)),
+        )
+        for pattern, greater in ((_GT_RE, True), (_LT_RE, False))
+        for match in pattern.finditer(question)
+    ]
+    judgments = [
+        (keyword, scorer, threshold)
+        for keyword, scorer, threshold in _SEMANTIC_JUDGMENTS
+        if re.search(rf"\b{keyword}\b", question, re.IGNORECASE)
+    ]
     taller = _TALLER_RE.search(question)
+    reference = None
     if taller is not None:
         reference = context.fuzzy.believed_height_cm(
             taller.group(2).strip().rstrip("?.")
         )
-        key = schema_semantics.match_record_key("height", keys)
-        if reference is not None and key is not None:
-            value = _as_float(record.get(key))
-            if value is None:
+    above = taller is not None and taller.group(1) == "taller"
+    resolved: dict[tuple[str, ...], tuple] = {}
+
+    def satisfies(record: dict[str, str]) -> bool:
+        keys = tuple(record)
+        found = resolved.get(keys)
+        if found is None:
+            names = list(keys)
+            checks = []
+            for phrase, greater, bound in bounds:
+                key = schema_semantics.match_record_key(phrase, names)
+                if key is not None:
+                    checks.append((key, greater, bound))
+            found = resolved[keys] = (
+                checks,
+                _text_key(names) if judgments else None,
+                schema_semantics.match_record_key("height", names)
+                if reference is not None
+                else None,
+            )
+        checks, text_key, height_key = found
+        for key, greater, bound in checks:
+            value = _as_float(record[key])
+            if value is None or not (
+                value > bound if greater else value < bound
+            ):
                 return False
-            if taller.group(1) == "taller" and not value > reference:
+        if text_key is not None:
+            text = record[text_key]
+            for keyword, scorer, threshold in judgments:
+                if not noisy_threshold(
+                    scorer(text), threshold, 0.05, context.seed,
+                    keyword + text,
+                ):
+                    return False
+        if height_key is not None:
+            value = _as_float(record[height_key])
+            if value is None or not (
+                value > reference if above else value < reference
+            ):
                 return False
-            if taller.group(1) == "shorter" and not value < reference:
-                return False
-    return True
+        return True
+
+    return satisfies
 
 
 def _ranking_answer(
@@ -341,25 +374,23 @@ def _superlative_answer(
     assert match is not None
     keyword = match.group(1).lower()
     ascending = keyword in ("lowest", "smallest", "minimum", "fewest")
-    keys = list(records[0])
+    target_key = _answer_key(question, records)
+    if target_key is None:  # the first row has no fields
+        return "[]"
     phrase = question[match.end() : match.end() + 40]
-    sort_key_name = schema_semantics.match_record_key(phrase, keys)
-    candidates = [
-        record
-        for record in records
-        if _record_satisfies(question, record, context)
-    ] or records
+    sort_key_name = schema_semantics.match_record_key(
+        phrase, list(records[0])
+    )
+    candidates = (
+        list(filter(_row_test(question, context), records)) or records
+    )
     if sort_key_name is not None:
         candidates = sorted(
             candidates,
             key=lambda record: _as_float(record.get(sort_key_name)) or 0.0,
             reverse=not ascending,
         )
-    best = candidates[0]
-    target_key = _answer_key(question, records)
-    if target_key is None:
-        target_key = keys[0]
-    return _format_list([best.get(target_key, "")])
+    return _format_list([candidates[0].get(target_key, "")])
 
 
 def _lookup_answer(
@@ -370,11 +401,7 @@ def _lookup_answer(
     target_key = _answer_key(question, records)
     if target_key is None:
         return "[]"
-    candidates = [
-        record
-        for record in records
-        if _record_satisfies(question, record, context)
-    ]
+    candidates = list(filter(_row_test(question, context), records))
     if not candidates:
         return "[]"
     values = [record.get(target_key, "") for record in candidates]

@@ -182,13 +182,20 @@ def _parse_block(
     )
 
 
+_XK_LINE = "-- External Knowledge: "
+
+
 def _parse_external_knowledge_line(prompt: str) -> str:
-    match = re.search(
-        r"^-- External Knowledge: (.*)$", prompt, re.MULTILINE
-    )
-    if match is None:
-        return ""
-    text = match.group(1).strip()
+    r"""The rest of the first line that starts with ``_XK_LINE`` (as
+    under ``re.MULTILINE``, a line starts after ``\n`` only)."""
+    if prompt.startswith(_XK_LINE):
+        start = len(_XK_LINE)
+    else:
+        start = prompt.find("\n" + _XK_LINE)
+        if start < 0:
+            return ""
+        start += 1 + len(_XK_LINE)
+    text = prompt[start:].partition("\n")[0].strip()
     return "" if text == "None" else text
 
 
@@ -260,16 +267,17 @@ def _split_list(text: str) -> list[str]:
 
 
 def _parse_question(prompt: str) -> str | None:
-    lines = [line.strip() for line in prompt.splitlines()]
-    question = None
-    for line in lines:
+    """The last non-empty ``--`` comment that is not protocol text: the
+    format puts the question just above the closing ``SELECT``."""
+    for line in reversed(prompt.splitlines()):
+        line = line.strip()
         if line.startswith("--") and not line.startswith(
             ("-- External Knowledge", "-- Using valid SQLite")
         ):
             text = line[2:].strip()
             if text:
-                question = text
-    return question
+                return text
+    return None
 
 
 # ---------------------------------------------------------------------------

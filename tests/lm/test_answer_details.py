@@ -133,3 +133,37 @@ class TestCountDrift:
             "How many rows?", records, context
         )
         assert answer == "[10]"
+
+
+class TestRowsWithoutFields:
+    """``- a:b: 3`` is not a field line (the key ends at the first
+    colon and no space follows it), so such rows parse with no fields.
+    A count still counts the rows; every other answer is ``[]``, the
+    model's "unable to answer" (the superlative raised ``IndexError``)."""
+
+    QUESTIONS = [
+        "What is the highest score?",
+        "What is the score?",
+        "How many rows have a score over 4?",
+        "Which is the most sarcastic?",
+        "List the scores in order of most technical.",
+    ]
+
+    @pytest.mark.parametrize("question", QUESTIONS)
+    def test_unable_to_answer(self, lm, question):
+        prompt = answer_prompt(question, [{"a:b": 3}, {"a:b": 5}])
+        assert _parse_data_points(prompt) == [{}, {}]
+        expected = "[2]" if question.startswith("How many") else "[]"
+        assert lm.complete(prompt).text == expected
+
+    def test_a_column_alias_with_a_colon(self, lm, movies_db):
+        from repro.core import SingleCallGenerator, SQLExecutor
+
+        rows = SQLExecutor(movies_db).execute(
+            'SELECT revenue AS "a:b" FROM movies WHERE revenue > 100'
+        )
+        assert rows[0] == {"a:b": 2257.8}
+        generated = SingleCallGenerator(lm).generate(
+            "What is the highest revenue?", rows
+        )
+        assert generated == "[]"
