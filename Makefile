@@ -67,14 +67,15 @@ bench:
 bench-smoke:
 	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_resilience.py benchmarks/bench_repair.py benchmarks/bench_trace_overhead.py benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_racecheck.py benchmarks/bench_semcache.py benchmarks/bench_sharding.py -q
 
-# Regenerate, full-size, the six artifacts that are deterministic and
+# Regenerate, full-size, the eight artifacts that are deterministic and
 # quick (~15 s together), and fail if any differs from the committed
 # file.  Tables 1 and 2 hold every method's answers and virtual ET over
-# the 80 questions.  Smoke runs never write under benchmarks/out (see
+# the 80 questions; serving_throughput and semcache_sweep the serving
+# demo's.  Smoke runs never write under benchmarks/out (see
 # benchmarks/conftest.py), so the committed files stay the full-size ones.
-ARTIFACTS = udf_batching optimizer_plan_choice sharding resilience table1 table2
+ARTIFACTS = udf_batching optimizer_plan_choice sharding resilience table1 table2 serving_throughput semcache_sweep
 artifacts-check:
-	$(PYTHON) -m pytest benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_sharding.py benchmarks/bench_resilience.py benchmarks/bench_table1.py benchmarks/bench_table2.py -q
+	$(PYTHON) -m pytest benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_sharding.py benchmarks/bench_resilience.py benchmarks/bench_table1.py benchmarks/bench_table2.py benchmarks/bench_serving.py benchmarks/bench_semcache.py -q
 	git diff --exit-code -- $(ARTIFACTS:%=benchmarks/out/%.txt)
 
 # Wall-clock benchmark (benchmarks/perf, see its README): measure all
@@ -131,7 +132,7 @@ trace-smoke:
 # semantic-cache, access-path and derived-once suites, a smoke-mode
 # pass of the resilience, repair,
 # trace-overhead, race-check, and semantic-cache benchmarks, the
-# full-size regeneration check of four committed artifacts, the
+# full-size regeneration check of eight committed artifacts, the
 # wall-clock harness's smoke tests, clean determinism-lint and
 # concurrency baselines, an analyzer round-trip through the CLI, and
 # the trace worker-invariance smoke.

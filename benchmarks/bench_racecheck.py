@@ -19,17 +19,10 @@ import time
 from pathlib import Path
 
 from repro.analysis.concurrency import analyze_tree
-from repro.core import (
-    FixedQuerySynthesizer,
-    SQLExecutor,
-    SingleCallGenerator,
-    TAGPipeline,
-)
-from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
 from repro.obs import racecheck
 from repro.obs.racecheck import RaceChecker
-from repro.serve import TagServer
+from repro.serve import TagServer, demo
 
 from benchmarks.conftest import write_artifact
 
@@ -42,32 +35,13 @@ WINDOW = 4
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-_DATASET = movies.build()
-_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
-
-
-def _factory(lm) -> TAGPipeline:
-    return TAGPipeline(
-        FixedQuerySynthesizer(_SQL),
-        SQLExecutor(_DATASET.db),
-        SingleCallGenerator(lm, aggregation=True),
-    )
-
-
-def _requests() -> list[str]:
-    return [
-        f"Summarize the reviews of the top romance movie (#{index})"
-        for index in range(REQUESTS)
-    ]
+_FACTORY = demo.pipeline_factory(demo.build_dataset())
 
 
 def _serve(checked: bool):
     checker = RaceChecker() if checked else None
     server = TagServer(
-        _factory,
+        _FACTORY,
         SimulatedLM(LMConfig(seed=0)),
         workers=WORKERS,
         window=WINDOW,
@@ -75,9 +49,9 @@ def _serve(checked: bool):
     started = time.perf_counter()
     if checker is not None:
         with racecheck.checking(checker):
-            report = server.serve(_requests())
+            report = server.serve(demo.requests(REQUESTS))
     else:
-        report = server.serve(_requests())
+        report = server.serve(demo.requests(REQUESTS))
     elapsed = time.perf_counter() - started
     return report, checker, elapsed
 

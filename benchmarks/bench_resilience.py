@@ -22,17 +22,8 @@ import os
 
 import pytest
 
-from repro.core import (
-    FallbackPipeline,
-    FixedQuerySynthesizer,
-    NoGenerator,
-    SQLExecutor,
-    SingleCallGenerator,
-    TAGPipeline,
-)
-from repro.data import movies
 from repro.lm import FaultPlan, LMConfig, SimulatedLM
-from repro.serve import ResiliencePolicy, RetryPolicy, TagServer
+from repro.serve import ResiliencePolicy, RetryPolicy, TagServer, demo
 
 from benchmarks.conftest import write_artifact
 
@@ -43,11 +34,7 @@ WORKERS = 4
 WINDOW = 4
 FAULT_SEED = 7
 
-_DATASET = movies.build()
-_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
+_DATASET = demo.build_dataset()
 
 _RETRY = ResiliencePolicy(retry=RetryPolicy(max_attempts=4))
 #: name -> (resilience policy, use a fallback tier?)
@@ -58,45 +45,17 @@ POLICIES = {
 }
 
 
-def _factory(with_fallback: bool):
-    def factory(lm):
-        primary = TAGPipeline(
-            FixedQuerySynthesizer(_SQL),
-            SQLExecutor(_DATASET.db),
-            SingleCallGenerator(lm, aggregation=True),
-        )
-        if not with_fallback:
-            return primary
-        # The degraded tier answers with the raw table — no LM call,
-        # so no fault can reach it.
-        raw_table = TAGPipeline(
-            FixedQuerySynthesizer(_SQL),
-            SQLExecutor(_DATASET.db),
-            NoGenerator(),
-        )
-        return FallbackPipeline([("tag", primary), ("table", raw_table)])
-
-    return factory
-
-
-def _requests() -> list[str]:
-    return [
-        f"Summarize the reviews of the top romance movie (#{index})"
-        for index in range(REQUESTS)
-    ]
-
-
 def _serve(rate: float, policy_name: str):
-    resilience, with_fallback = POLICIES[policy_name]
+    resilience, fallback = POLICIES[policy_name]
     server = TagServer(
-        _factory(with_fallback),
+        demo.pipeline_factory(_DATASET, fallback=fallback),
         SimulatedLM(LMConfig(seed=0)),
         workers=WORKERS,
         window=WINDOW,
         fault_plan=FaultPlan.uniform(rate, seed=FAULT_SEED),
         resilience=resilience,
     )
-    return server.serve(_requests())
+    return server.serve(demo.requests(REQUESTS))
 
 
 def _sweep():
@@ -135,11 +94,11 @@ def test_zero_fault_rate_matches_healthy_baseline(benchmark):
         lambda: (
             _serve(0.0, "retry"),
             TagServer(
-                _factory(with_fallback=False),
+                demo.pipeline_factory(_DATASET),
                 SimulatedLM(LMConfig(seed=0)),
                 workers=WORKERS,
                 window=WINDOW,
-            ).serve(_requests()),
+            ).serve(demo.requests(REQUESTS)),
         ),
         rounds=1,
         iterations=1,

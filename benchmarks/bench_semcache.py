@@ -28,15 +28,8 @@ import os
 
 import pytest
 
-from repro.core import (
-    FixedQuerySynthesizer,
-    SQLExecutor,
-    SingleCallGenerator,
-    TAGPipeline,
-)
-from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
-from repro.serve import SemanticResultCache, TagServer
+from repro.serve import SemanticResultCache, TagServer, demo
 
 from benchmarks.conftest import write_artifact
 
@@ -47,11 +40,7 @@ WINDOW_REQUESTS = 6 if SMOKE else 12
 DUPLICATE_RATES = (0.0, 0.5) if SMOKE else (0.0, 0.25, 0.5, 0.75)
 THRESHOLDS = (0.85,) if SMOKE else (0.8, 0.9, 0.95)
 
-_DATASET = movies.build()
-_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
+_FACTORY = demo.pipeline_factory(demo.build_dataset())
 
 #: Four-slot question generator.  The slot indices follow a linear
 #: scheme over Z6 so any two distinct questions differ in at least two
@@ -91,14 +80,6 @@ _MANGLERS = (
     lambda q: q.upper(),
     lambda q: q + " overall",
 )
-
-
-def _factory(lm) -> TAGPipeline:
-    return TAGPipeline(
-        FixedQuerySynthesizer(_SQL),
-        SQLExecutor(_DATASET.db),
-        SingleCallGenerator(lm, aggregation=True),
-    )
 
 
 def _stream(duplicate_rate: float) -> list[str]:
@@ -162,7 +143,7 @@ def _serve(requests: list[str], threshold: float | None) -> _Run:
         else SemanticResultCache(capacity=256, threshold=threshold)
     )
     server = TagServer(
-        _factory,
+        _FACTORY,
         SimulatedLM(LMConfig(seed=0)),
         workers=4,
         window=4,

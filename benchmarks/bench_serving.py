@@ -15,15 +15,8 @@ micro-batching is off and every request pays full per-call overhead.
 
 import pytest
 
-from repro.core import (
-    FixedQuerySynthesizer,
-    SQLExecutor,
-    SingleCallGenerator,
-    TAGPipeline,
-)
-from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
-from repro.serve import TagServer
+from repro.serve import TagServer, demo
 
 from benchmarks.conftest import write_artifact
 
@@ -31,36 +24,17 @@ WINDOWS = (1, 2, 4, 8, 16)
 WORKER_COUNTS = (1, 4, 16)
 REQUESTS = 32
 
-_DATASET = movies.build()
-_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
-
-
-def _factory(lm) -> TAGPipeline:
-    return TAGPipeline(
-        FixedQuerySynthesizer(_SQL),
-        SQLExecutor(_DATASET.db),
-        SingleCallGenerator(lm, aggregation=True),
-    )
-
-
-def _requests() -> list[str]:
-    return [
-        f"Summarize the reviews of the top romance movie (#{index})"
-        for index in range(REQUESTS)
-    ]
+_FACTORY = demo.pipeline_factory(demo.build_dataset())
 
 
 def _serve(workers: int, window: int):
     server = TagServer(
-        _factory,
+        _FACTORY,
         SimulatedLM(LMConfig(seed=0)),
         workers=workers,
         window=window,
     )
-    return server.serve(_requests())
+    return server.serve(demo.requests(REQUESTS))
 
 
 @pytest.mark.parametrize("window", WINDOWS)

@@ -21,16 +21,9 @@ verification runs (``make verify``).
 import os
 import time
 
-from repro.core import (
-    FixedQuerySynthesizer,
-    SQLExecutor,
-    SingleCallGenerator,
-    TAGPipeline,
-)
-from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
 from repro.obs import Tracer, to_chrome, trace
-from repro.serve import TagServer
+from repro.serve import TagServer, demo
 
 from benchmarks.conftest import write_artifact
 
@@ -40,39 +33,20 @@ NOOP_CALLS = 20_000 if SMOKE else 200_000
 WORKERS = 4
 WINDOW = 4
 
-_DATASET = movies.build()
-_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
-
-
-def _factory(lm) -> TAGPipeline:
-    return TAGPipeline(
-        FixedQuerySynthesizer(_SQL),
-        SQLExecutor(_DATASET.db),
-        SingleCallGenerator(lm, aggregation=True),
-    )
-
-
-def _requests() -> list[str]:
-    return [
-        f"Summarize the reviews of the top romance movie (#{index})"
-        for index in range(REQUESTS)
-    ]
+_FACTORY = demo.pipeline_factory(demo.build_dataset())
 
 
 def _serve(traced: bool):
     tracer = Tracer() if traced else None
     server = TagServer(
-        _factory,
+        _FACTORY,
         SimulatedLM(LMConfig(seed=0)),
         workers=WORKERS,
         window=WINDOW,
         tracer=tracer,
     )
     started = time.perf_counter()
-    report = server.serve(_requests())
+    report = server.serve(demo.requests(REQUESTS))
     elapsed = time.perf_counter() - started
     return report, tracer, elapsed
 

@@ -10,36 +10,16 @@ numbers are identical on any machine.
 Run:  python examples/serve_concurrent.py
 """
 
-from repro.core import (
-    FixedQuerySynthesizer,
-    SQLExecutor,
-    SingleCallGenerator,
-    TAGPipeline,
-)
-from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
-from repro.serve import TagServer
+from repro.serve import TagServer, demo
 
 
 def main() -> None:
-    dataset = movies.build()
-
-    def factory(lm) -> TAGPipeline:
-        return TAGPipeline(
-            FixedQuerySynthesizer(
-                "SELECT movie_title, review FROM movies "
-                "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-            ),
-            SQLExecutor(dataset.db),
-            SingleCallGenerator(lm, aggregation=True),
-        )
+    factory = demo.pipeline_factory(demo.build_dataset())
 
     # A realistic stream repeats popular questions: 8 distinct
     # requests, each asked by three different users.
-    requests = [
-        f"Summarize the reviews of the top romance movie (topic {i % 8})"
-        for i in range(24)
-    ]
+    requests = [f"{demo.REQUEST} (topic {i % 8})" for i in range(24)]
 
     configurations = [
         ("sequential (1 worker, window 1)", dict(workers=1, window=1)),

@@ -31,12 +31,29 @@ from repro.errors import ReproError
 from repro.frame.io import export_dataset
 from repro.lm import LMConfig, SimulatedLM
 
-#: The serve and trace demos' query: the top-grossing romance movie's
-#: review, one row for the generator to summarize.
-_ROMANCE_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
+
+def _bounded(convert, low, high=None):
+    """An argparse ``type``: ``convert``, then reject values outside
+    ``[low, high]`` (NaN included) as a usage error."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (low <= value and (high is None or value <= high)):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(
+                f"must be {bound}, got {text}"
+            )
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_COUNT = _bounded(int, 0)
+_POSITIVE = _bounded(int, 1)
+_SECONDS = _bounded(float, 0)
+_RATE = _bounded(float, 0, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,12 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve a demo TAG request stream under injected faults",
     )
-    serve.add_argument("--requests", type=int, default=16)
-    serve.add_argument("--workers", type=int, default=4)
-    serve.add_argument("--window", type=int, default=4)
+    serve.add_argument("--requests", type=_COUNT, default=16)
+    serve.add_argument("--workers", type=_POSITIVE, default=4)
+    serve.add_argument("--window", type=_POSITIVE, default=4)
     serve.add_argument(
         "--fault-rate",
-        type=float,
+        type=_RATE,
         default=0.0,
         help="total injected-fault probability per LM call",
     )
@@ -104,19 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--retries",
-        type=int,
+        type=_COUNT,
         default=3,
         help="retry attempts after the first (0 disables retries)",
     )
     serve.add_argument(
         "--deadline",
-        type=float,
+        type=_SECONDS,
         default=None,
         help="per-request budget in simulated seconds",
     )
     serve.add_argument(
         "--breaker-threshold",
-        type=int,
+        type=_POSITIVE,
         default=None,
         help="consecutive failures that trip the circuit breaker",
     )
@@ -127,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--admit-budget",
-        type=int,
+        type=_COUNT,
         default=None,
         help=(
             "per-request LM-call admission budget; requests whose "
@@ -136,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-repairs",
-        type=int,
+        type=_COUNT,
         default=0,
         help=(
             "validate→repair→retry budget per request: failed SQL is "
@@ -161,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--semantic-cache",
-        type=int,
+        type=_COUNT,
         default=0,
         metavar="N",
         help=(
@@ -176,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="serve a small demo stream and export its trace",
     )
-    trace.add_argument("--requests", type=int, default=6)
-    trace.add_argument("--workers", type=int, default=2)
-    trace.add_argument("--window", type=int, default=4)
+    trace.add_argument("--requests", type=_COUNT, default=6)
+    trace.add_argument("--workers", type=_POSITIVE, default=2)
+    trace.add_argument("--window", type=_POSITIVE, default=4)
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
         "--format",
@@ -309,76 +326,16 @@ def _command_export(args) -> int:
 
 
 def _command_serve(args) -> int:
-    from repro.core import (
-        FallbackPipeline,
-        NoGenerator,
-        RepairPolicy,
-        SQLExecutor,
-        SelfCorrectingPipeline,
-        SingleCallGenerator,
-        TAGPipeline,
-    )
-    from repro.data import movies
     from repro.lm import FaultPlan
     from repro.serve import (
         BreakerPolicy,
         ResiliencePolicy,
         RetryPolicy,
         TagServer,
+        demo,
     )
 
-    dataset = movies.build(seed=args.seed)
-    # A per-row LM UDF powers the admission-control demo: "deep scan"
-    # requests classify every review, so their estimated cost scales
-    # with the table instead of the single-row lookup above.
-    deep_sql = "SELECT movie_title, MOOD(review) FROM movies"
-
-    def mood(review):
-        return "positive" if "love" in str(review) else "mixed"
-
-    dataset.db.register_udf(
-        "MOOD",
-        mood,
-        expensive=True,
-        batch=lambda tuples: [mood(review) for (review,) in tuples],
-    )
-
-    def query_for(request: str) -> str:
-        return deep_sql if "deep scan" in request else _ROMANCE_SQL
-
-    class _DemoSynthesizer:
-        def synthesize(self, request: str) -> str:
-            return query_for(request)
-
-    def factory(lm):
-        # Deep-scan requests hit the expensive UDF on every row; the
-        # cost-based optimizer picks the vectorized route (morsel size
-        # from the distinct-value bound) unless --no-optimize pins the
-        # per-row path.
-        optimize = not args.no_optimize
-        steps = (
-            _DemoSynthesizer(),
-            SQLExecutor(dataset.db, optimize=optimize),
-            SingleCallGenerator(lm, aggregation=True),
-        )
-        if args.max_repairs > 0:
-            primary = SelfCorrectingPipeline(
-                *steps,
-                lm=lm,
-                schema_sql=dataset.db.schema_sql(),
-                policy=RepairPolicy(max_repairs=args.max_repairs),
-            )
-        else:
-            primary = TAGPipeline(*steps)
-        if args.no_fallback:
-            return primary
-        raw_table = TAGPipeline(
-            _DemoSynthesizer(),
-            SQLExecutor(dataset.db, optimize=optimize),
-            NoGenerator(),
-        )
-        return FallbackPipeline([("tag", primary), ("table", raw_table)])
-
+    dataset = demo.build_dataset(seed=args.seed)
     resilience = ResiliencePolicy(
         retry=RetryPolicy(max_attempts=args.retries + 1),
         deadline_s=args.deadline,
@@ -393,7 +350,7 @@ def _command_serve(args) -> int:
         from repro.serve import AdmissionPolicy, SQLAdmissionEstimator
 
         admission = AdmissionPolicy(
-            estimator=SQLAdmissionEstimator(dataset.db, query_for),
+            estimator=SQLAdmissionEstimator(dataset.db, demo.query_for),
             max_lm_calls=args.admit_budget,
             repair_budget=args.max_repairs,
         )
@@ -408,7 +365,12 @@ def _command_serve(args) -> int:
 
         semantic_cache = SemanticResultCache(capacity=args.semantic_cache)
     server = TagServer(
-        factory,
+        demo.pipeline_factory(
+            dataset,
+            fallback=not args.no_fallback,
+            max_repairs=args.max_repairs,
+            optimize=not args.no_optimize,
+        ),
         SimulatedLM(LMConfig(seed=args.seed)),
         workers=args.workers,
         window=args.window,
@@ -420,22 +382,18 @@ def _command_serve(args) -> int:
     )
     # With the semantic cache on, fold the stream onto a few distinct
     # questions: real traffic repeats itself, and the duplicates are
-    # what the cache coalesces.
-    distinct = (
-        max(1, args.requests // 3)
-        if semantic_cache is not None
-        else args.requests
-    )
-    requests = [
-        (
-            f"Classify the mood of every review (deep scan #{index})"
-            if args.admit_budget is not None and index % 4 == 3
-            else "Summarize the reviews of the top romance movie "
-            f"(#{index % distinct})"
+    # what the cache coalesces.  With a budget, deep scans join it.
+    report = server.serve(
+        demo.requests(
+            args.requests,
+            distinct=(
+                max(1, args.requests // 3)
+                if semantic_cache is not None
+                else None
+            ),
+            deep_scans=admission is not None,
         )
-        for index in range(args.requests)
-    ]
-    report = server.serve(requests)
+    )
     print(
         f"served {len(report.results)} requests "
         f"(workers={args.workers}, window={args.window}, "
@@ -494,38 +452,18 @@ def _command_trace(args) -> int:
     exported bytes are identical for any ``--workers`` value — the
     determinism contract ``make trace-smoke`` checks.
     """
-    from repro.core import (
-        FixedQuerySynthesizer,
-        SQLExecutor,
-        SingleCallGenerator,
-        TAGPipeline,
-    )
-    from repro.data import movies
     from repro.obs import Tracer, write_trace
-    from repro.serve import TagServer
-
-    dataset = movies.build(seed=args.seed)
-
-    def factory(lm):
-        return TAGPipeline(
-            FixedQuerySynthesizer(_ROMANCE_SQL),
-            SQLExecutor(dataset.db),
-            SingleCallGenerator(lm, aggregation=True),
-        )
+    from repro.serve import TagServer, demo
 
     tracer = Tracer()
     server = TagServer(
-        factory,
+        demo.pipeline_factory(demo.build_dataset(seed=args.seed)),
         SimulatedLM(LMConfig(seed=args.seed)),
         workers=args.workers,
         window=args.window,
         tracer=tracer,
     )
-    requests = [
-        f"Summarize the reviews of the top romance movie (#{index})"
-        for index in range(args.requests)
-    ]
-    report = server.serve(requests)
+    report = server.serve(demo.requests(args.requests))
     path = write_trace(tracer, args.out, format=args.trace_format)
     spans = sum(
         sum(1 for _ in root.walk()) for _, root in tracer.roots

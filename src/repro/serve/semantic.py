@@ -11,9 +11,8 @@ This module adds the cross-request control plane:
   everything downstream;
 
 - :class:`SemanticResultCache` — a cache of full
-  :class:`~repro.core.tag.TAGResult`\\ s keyed on ``(canonical form,
-  catalog version, pipeline-config fingerprint)``, with an
-  exact-canonical fast path, near-match lookup via
+  :class:`~repro.core.tag.TAGResult`\\ s keyed on the canonical text,
+  with an exact-canonical fast path, near-match lookup via
   :class:`~repro.embed.HashingEmbedder` + :class:`~repro.vector`
   cosine similarity above a threshold, and explicit invalidation on
   data/catalog change.
@@ -50,7 +49,6 @@ import copy
 import re
 import threading
 from dataclasses import dataclass
-from typing import Hashable
 
 from repro.core.tag import TAGResult
 from repro.embed import HashingEmbedder
@@ -193,9 +191,8 @@ class SemanticHit:
 
 @dataclass
 class _Entry:
-    """One stored result and the context it is valid in."""
+    """One stored result and the request that produced it."""
 
-    key: tuple
     request: str
     result: TAGResult
     #: Row of this entry's embedding in the vector index.
@@ -221,26 +218,25 @@ def detached_copy(result: TAGResult, request: str) -> TAGResult:
 class SemanticResultCache:
     """Cross-request cache of full TAGResults keyed on canonical form.
 
-    Keys are ``(canonical text, catalog_version, config_fingerprint)``:
-    a data/catalog change or a pipeline-configuration change makes old
-    entries unreachable, and :meth:`invalidate` evicts them explicitly
-    (metered).  ``capacity == 0`` disables the cache; every lookup then
-    meters exactly one miss — the single audited seam for the disabled
-    path (see :class:`repro.serve.cache.LRUCache`'s metering note).
+    The key is the canonical text: one cache serves one pipeline over
+    one catalog, and after a data/catalog change :meth:`invalidate`
+    evicts every entry (metered).  ``capacity == 0`` disables the
+    cache; every lookup then meters exactly one miss — the single
+    audited seam for the disabled path (see
+    :class:`repro.serve.cache.LRUCache`'s metering note).
 
     Near matching embeds the canonical form with
     :class:`~repro.embed.HashingEmbedder` into a
     :class:`~repro.vector.FlatIndex` and accepts the best live entry at
-    or above ``threshold`` cosine similarity whose catalog version and
-    fingerprint both match.  Degenerate canonical forms are uncacheable
-    in both directions: never stored, never matched.
+    or above ``threshold`` cosine similarity.  Degenerate canonical
+    forms are uncacheable in both directions: never stored, never
+    matched.
     """
 
     def __init__(
         self,
         capacity: int = 256,
         threshold: float = 0.9,
-        config_fingerprint: str = "",
         usage: Usage | None = None,
     ) -> None:
         if not 0.0 < threshold <= 1.0:
@@ -248,7 +244,6 @@ class SemanticResultCache:
                 f"threshold must be in (0, 1], got {threshold}"
             )
         self.threshold = threshold
-        self.config_fingerprint = config_fingerprint
         self.usage = usage
         # Word-only hashing: the cache embeds *canonical* text, whose
         # surface is already normalized, so character-trigram features
@@ -262,7 +257,7 @@ class SemanticResultCache:
         self._index = FlatIndex(_DIMENSIONS)
         #: Index row -> entry key; ``None`` marks a tombstoned row
         #: (evicted or invalidated — FlatIndex has no delete).
-        self._rows: list[tuple | None] = []
+        self._rows: list[str | None] = []
 
     @property
     def capacity(self) -> int:
@@ -273,10 +268,6 @@ class SemanticResultCache:
             racecheck.read("SemanticResultCache._entries")
             return len(self._entries)
 
-    def current_version(self) -> Hashable:
-        """The catalog/data version lookups and stores default to."""
-        return 0
-
     # -- metering (the one seam; lock held) ---------------------------
 
     def _meter(self, name: str, amount: int = 1) -> None:
@@ -285,14 +276,7 @@ class SemanticResultCache:
 
     # -- lookup / store -----------------------------------------------
 
-    def _key(
-        self, canonical: CanonicalForm, catalog_version: Hashable
-    ) -> tuple:
-        return (canonical.text, catalog_version, self.config_fingerprint)
-
-    def key_for(
-        self, request: str, catalog_version: Hashable | None = None
-    ) -> tuple | None:
+    def key_for(self, request: str) -> str | None:
         """The key ``request`` would store/match under, or None.
 
         None means *uncacheable* — the cache is disabled or the
@@ -303,12 +287,10 @@ class SemanticResultCache:
         """
         if self.capacity == 0:
             return None
-        if catalog_version is None:
-            catalog_version = self.current_version()
         canonical = canonicalize(request)
         if canonical.degenerate:
             return None
-        return self._key(canonical, catalog_version)
+        return canonical.text
 
     def meter_coalesced(self) -> None:
         """Meter an in-run duplicate served from an in-flight leader.
@@ -322,21 +304,17 @@ class SemanticResultCache:
         with racecheck.guard("SemanticResultCache._lock", self._lock):
             self._meter("semcache_hits")
 
-    def lookup(
-        self, request: str, catalog_version: Hashable | None = None
-    ) -> SemanticHit | None:
+    def lookup(self, request: str) -> SemanticHit | None:
         """Serve ``request`` from the cache, or meter a miss.
 
         Emits a ``semcache.lookup`` trace leaf when a request trace is
         active on the calling thread (zero virtual seconds: cache
         service costs no simulated compute).
         """
-        if catalog_version is None:
-            catalog_version = self.current_version()
         canonical = canonicalize(request)
         with racecheck.guard("SemanticResultCache._lock", self._lock):
             racecheck.write("SemanticResultCache._entries")
-            hit = self._lookup_locked(canonical, catalog_version)
+            hit = self._lookup_locked(canonical)
         if hit is None:
             trace.leaf("semcache.lookup", 0.0, outcome="miss")
             return None
@@ -349,16 +327,13 @@ class SemanticResultCache:
         )
         return hit
 
-    def _lookup_locked(
-        self, canonical: CanonicalForm, catalog_version: Hashable
-    ) -> SemanticHit | None:
+    def _lookup_locked(self, canonical: CanonicalForm) -> SemanticHit | None:
         if self.capacity == 0 or canonical.degenerate:
             # The single disabled/uncacheable metering point: one miss
             # per lookup, nothing metered again at store time.
             self._meter("semcache_misses")
             return None
-        key = self._key(canonical, catalog_version)
-        entry = self._entries.get(key)
+        entry = self._entries.get(canonical.text)
         if entry is not None:
             self._meter("semcache_hits")
             return SemanticHit(
@@ -376,7 +351,7 @@ class SemanticResultCache:
             if float(score) < self.threshold:
                 break
             live = self._rows[int(row)]
-            if live is None or live[1:] != key[1:]:
+            if live is None:
                 continue
             entry = self._entries.get(live)
             if entry is None:
@@ -391,12 +366,7 @@ class SemanticResultCache:
         self._meter("semcache_misses")
         return None
 
-    def store(
-        self,
-        request: str,
-        result: TAGResult,
-        catalog_version: Hashable | None = None,
-    ) -> bool:
+    def store(self, request: str, result: TAGResult) -> bool:
         """Insert an accepted result; returns True when stored.
 
         Only successful, non-degraded results are stored (a degraded
@@ -407,8 +377,6 @@ class SemanticResultCache:
         determinism contract, so refreshing would change nothing but
         eviction order.
         """
-        if catalog_version is None:
-            catalog_version = self.current_version()
         canonical = canonicalize(request)
         if (
             self.capacity == 0
@@ -417,7 +385,7 @@ class SemanticResultCache:
             or result.degraded
         ):
             return False
-        key = self._key(canonical, catalog_version)
+        key = canonical.text
         with racecheck.guard("SemanticResultCache._lock", self._lock):
             racecheck.write("SemanticResultCache._entries")
             if key in self._entries:
@@ -428,7 +396,6 @@ class SemanticResultCache:
             evicted = self._entries.put(
                 key,
                 _Entry(
-                    key=key,
                     request=request,
                     result=detached_copy(result, request),
                     row=row,
@@ -440,25 +407,12 @@ class SemanticResultCache:
 
     # -- invalidation --------------------------------------------------
 
-    def invalidate(
-        self, catalog_version: Hashable | None = None
-    ) -> int:
-        """Evict entries after a data/catalog change; returns the count.
-
-        With ``catalog_version`` given, evicts *exactly* the entries
-        stored under that version (the ones a change to it affected) —
-        entries for other versions, and entries under other pipeline
-        fingerprints but the same version string composition, survive
-        untouched.  With no argument, evicts everything.  Each evicted
-        entry meters one invalidation.
-        """
+    def invalidate(self) -> int:
+        """Evict every entry after a data/catalog change; returns the
+        count.  Each evicted entry meters one invalidation."""
         with racecheck.guard("SemanticResultCache._lock", self._lock):
             racecheck.write("SemanticResultCache._entries")
-            doomed = [
-                key
-                for key in self._entries.keys()
-                if catalog_version is None or key[1] == catalog_version
-            ]
+            doomed = list(self._entries.keys())
             for key in doomed:
                 entry = self._entries.pop(key)
                 self._rows[entry.row] = None

@@ -226,26 +226,23 @@ class TagServer:
         # admission prices it at zero (``decide(..., cached=True)``)
         # instead of the estimator's one-shot cost.
         semantic = self.semantic_cache
-        catalog_version = (
-            semantic.current_version() if semantic is not None else None
-        )
         semantic_entries = len(semantic) if semantic is not None else 0
         #: canonical key -> index of the in-flight leader for that key.
-        pending: dict[tuple, int] = {}
+        pending: dict[str, int] = {}
         #: follower index -> leader index, resolved after the join.
         followers: dict[int, int] = {}
         admitted: list[int] = []
         rejected = 0
         for index, request in enumerate(requests):
             if semantic is not None:
-                key = semantic.key_for(request, catalog_version)
+                key = semantic.key_for(request)
                 if key is not None and key in pending:
                     # In-run duplicate: its twin is already dispatched;
                     # resolve from the leader's result after the join.
                     semantic.meter_coalesced()
                     followers[index] = pending[key]
                     continue
-                hit = semantic.lookup(request, catalog_version)
+                hit = semantic.lookup(request)
                 if hit is not None:
                     if self.admission is not None:
                         self.admission.decide(request, cached=True)
@@ -339,9 +336,7 @@ class TagServer:
             for index in admitted:
                 served = results[index]
                 if served is not None:
-                    semantic.store(
-                        requests[index], served.result, catalog_version
-                    )
+                    semantic.store(requests[index], served.result)
         return ServeReport(
             results=[result for result in results if result is not None],
             simulated_seconds=clock.now(),

@@ -13,11 +13,7 @@ from repro.data import load_domain, movies
 from repro.db import Database
 from repro.errors import PlanningError
 from repro.obs import OperatorCostModel, instrument_plan, render_stats
-
-ROMANCE_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
+from repro.serve.demo import ROMANCE_SQL
 
 ROMANCE_GOLDEN = """\
 Limit(1, offset=0) [rows_in=1 rows_out=1 vtime=0.000102s]

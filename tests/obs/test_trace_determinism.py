@@ -12,40 +12,21 @@ of the worker count.
 
 import pytest
 
-from repro.core import (
-    FixedQuerySynthesizer,
-    SQLExecutor,
-    SingleCallGenerator,
-    TAGPipeline,
-)
-from repro.data import movies
 from repro.lm import FaultPlan, LMConfig, SimulatedLM
 from repro.obs import Tracer, to_chrome, to_jsonl
-from repro.serve import TagServer
+from repro.serve import TagServer, demo
 from repro.serve.resilience import ResiliencePolicy, RetryPolicy
-
-ROMANCE_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
 
 
 @pytest.fixture(scope="module")
 def movie_dataset():
-    return movies.build()
+    return demo.build_dataset()
 
 
-def _serve(dataset, workers, fault_rate=0.0):
-    def factory(lm) -> TAGPipeline:
-        return TAGPipeline(
-            FixedQuerySynthesizer(ROMANCE_SQL),
-            SQLExecutor(dataset.db),
-            SingleCallGenerator(lm, aggregation=True),
-        )
-
-    tracer = Tracer()
+def _serve(dataset, workers, fault_rate=0.0, traced=True):
+    tracer = Tracer() if traced else None
     server = TagServer(
-        factory,
+        demo.pipeline_factory(dataset),
         SimulatedLM(LMConfig(seed=0)),
         workers=workers,
         window=4,
@@ -61,12 +42,7 @@ def _serve(dataset, workers, fault_rate=0.0):
         ),
         tracer=tracer,
     )
-    report = server.serve(
-        [
-            f"Summarize the reviews of the top romance movie (#{index})"
-            for index in range(8)
-        ]
-    )
+    report = server.serve(demo.requests(8))
     return tracer, report
 
 
@@ -127,34 +103,9 @@ class TestTraceContent:
     def test_untraced_serving_report_unchanged(self, movie_dataset):
         """Tracing must not perturb the serving numbers it observes."""
         _, traced = _serve(movie_dataset, workers=3, fault_rate=0.3)
-
-        def plain():
-            def factory(lm):
-                return TAGPipeline(
-                    FixedQuerySynthesizer(ROMANCE_SQL),
-                    SQLExecutor(movie_dataset.db),
-                    SingleCallGenerator(lm, aggregation=True),
-                )
-
-            server = TagServer(
-                factory,
-                SimulatedLM(LMConfig(seed=0)),
-                workers=3,
-                window=4,
-                fault_plan=FaultPlan.uniform(0.3, seed=0),
-                resilience=ResiliencePolicy(
-                    retry=RetryPolicy(max_attempts=4)
-                ),
-            )
-            return server.serve(
-                [
-                    "Summarize the reviews of the top romance movie "
-                    f"(#{index})"
-                    for index in range(8)
-                ]
-            )
-
-        untraced = plain()
+        _, untraced = _serve(
+            movie_dataset, workers=3, fault_rate=0.3, traced=False
+        )
         assert traced.simulated_seconds == untraced.simulated_seconds
         assert traced.usage == untraced.usage
         assert traced.answers() == untraced.answers()

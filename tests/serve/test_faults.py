@@ -2,14 +2,6 @@
 
 import pytest
 
-from repro.core import (
-    FixedQuerySynthesizer,
-    NoGenerator,
-    SQLExecutor,
-    SingleCallGenerator,
-    TAGPipeline,
-)
-from repro.data import movies
 from repro.errors import (
     LMTimeoutError,
     MalformedOutputError,
@@ -17,28 +9,16 @@ from repro.errors import (
     TransientLMError,
 )
 from repro.lm import FaultPlan, FaultyLM, LMConfig, SimulatedLM
-from repro.serve import ResiliencePolicy, RetryPolicy, TagServer
+from repro.serve import ResiliencePolicy, RetryPolicy, TagServer, demo
 
 from repro.lm.prompts import summary_prompt
 
 PROMPT = summary_prompt("Summarize the notes", ["hello", "world"])
 
-ROMANCE_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
-
 
 @pytest.fixture(scope="module")
 def movie_dataset():
-    return movies.build()
-
-
-def requests(count: int) -> list[str]:
-    return [
-        f"Summarize the reviews of the top romance movie (#{index})"
-        for index in range(count)
-    ]
+    return demo.build_dataset()
 
 
 class TestFaultPlan:
@@ -197,15 +177,8 @@ class TestFaultyLM:
 
 
 def _resilient_server(workers: int, plan: FaultPlan, dataset, window=1):
-    def factory(lm) -> TAGPipeline:
-        return TAGPipeline(
-            FixedQuerySynthesizer(ROMANCE_SQL),
-            SQLExecutor(dataset.db),
-            SingleCallGenerator(lm, aggregation=True),
-        )
-
     return TagServer(
-        factory,
+        demo.pipeline_factory(dataset),
         SimulatedLM(LMConfig(seed=0)),
         workers=workers,
         window=window,
@@ -223,7 +196,7 @@ class TestServingDeterminismUnderFaults:
 
         def run():
             server = _resilient_server(4, plan, movie_dataset, window=4)
-            return server.serve(requests(12))
+            return server.serve(demo.requests(12))
 
         first, second = run(), run()
         assert first.answers() == second.answers()
@@ -247,7 +220,7 @@ class TestServingDeterminismUnderFaults:
         reports = {
             workers: _resilient_server(
                 workers, plan, movie_dataset, window=1
-            ).serve(requests(12))
+            ).serve(demo.requests(12))
             for workers in (1, 3, 12)
         }
         reference = reports[1]
@@ -267,31 +240,20 @@ class TestServingDeterminismUnderFaults:
         """Acceptance: the resilience stack is a zero-cost no-op when
         healthy — with fault rate 0 the server reproduces the plain
         deployment's answers, seconds, and usage exactly."""
-
-        def factory_for(dataset):
-            def factory(lm) -> TAGPipeline:
-                return TAGPipeline(
-                    FixedQuerySynthesizer(ROMANCE_SQL),
-                    SQLExecutor(dataset.db),
-                    SingleCallGenerator(lm, aggregation=True),
-                )
-
-            return factory
-
         plain = TagServer(
-            factory_for(movie_dataset),
+            demo.pipeline_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
             workers=4,
             window=8,
-        ).serve(requests(10))
+        ).serve(demo.requests(10))
         guarded = TagServer(
-            factory_for(movie_dataset),
+            demo.pipeline_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
             workers=4,
             window=8,
             fault_plan=FaultPlan.uniform(0.0, seed=9),
             resilience=ResiliencePolicy(),
-        ).serve(requests(10))
+        ).serve(demo.requests(10))
         assert guarded.answers() == plain.answers()
         assert guarded.simulated_seconds == plain.simulated_seconds
         assert guarded.usage == plain.usage
@@ -302,39 +264,23 @@ class TestServingDeterminismUnderFaults:
     def test_faulty_run_degrades_gracefully_with_fallback(
         self, movie_dataset
     ):
-        from repro.core import FallbackPipeline
-
-        def factory(lm):
-            primary = TAGPipeline(
-                FixedQuerySynthesizer(ROMANCE_SQL),
-                SQLExecutor(movie_dataset.db),
-                SingleCallGenerator(lm, aggregation=True),
-            )
-            fallback = TAGPipeline(
-                FixedQuerySynthesizer(ROMANCE_SQL),
-                SQLExecutor(movie_dataset.db),
-                NoGenerator(),  # no LM: raw rows instead of a summary
-            )
-            return FallbackPipeline(
-                [("tag", primary), ("text2sql", fallback)]
-            )
-
         # A brutal plan: everything faults, retries can't save it.
         plan = FaultPlan.uniform(1.0, seed=2)
         server = TagServer(
-            factory,
+            # The fallback tier answers with the raw rows: no LM call.
+            demo.pipeline_factory(movie_dataset, fallback=True),
             SimulatedLM(LMConfig(seed=0)),
             workers=4,
             window=4,
             fault_plan=plan,
             resilience=ResiliencePolicy(retry=RetryPolicy(max_attempts=2)),
         )
-        report = server.serve(requests(8))
+        report = server.serve(demo.requests(8))
         # Every request is answered (degraded), none errored.
         assert report.availability == 1.0
         assert report.degraded_count == len(report.results)
         for result in report.results:
-            assert result.result.method == "text2sql"
+            assert result.result.method == "table"
             assert result.result.fallbacks[0].method == "tag"
             assert result.result.fallbacks[0].error.kind in {
                 "RateLimitError",

@@ -17,52 +17,28 @@ from repro.core import (
     SingleCallGenerator,
     TAGPipeline,
 )
-from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
 from repro.obs import racecheck
 from repro.obs.racecheck import RaceChecker
-from repro.serve import TagServer
-
-ROMANCE_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
+from repro.serve import TagServer, demo
 
 
 @pytest.fixture(scope="module")
 def movie_dataset():
-    return movies.build()
-
-
-def romance_factory(dataset):
-    def factory(lm) -> TAGPipeline:
-        return TAGPipeline(
-            FixedQuerySynthesizer(ROMANCE_SQL),
-            SQLExecutor(dataset.db),
-            SingleCallGenerator(lm, aggregation=True),
-        )
-
-    return factory
-
-
-def requests(count: int) -> list[str]:
-    return [
-        f"Summarize the reviews of the top romance movie (#{index})"
-        for index in range(count)
-    ]
+    return demo.build_dataset()
 
 
 def _checked_serve(dataset, workers: int, *, cache_size: int = 0):
     checker = RaceChecker()
     server = TagServer(
-        romance_factory(dataset),
+        demo.pipeline_factory(dataset),
         SimulatedLM(LMConfig(seed=0)),
         workers=workers,
         window=max(2, workers),
         cache_size=cache_size,
     )
     with racecheck.checking(checker):
-        report = server.serve(requests(9))
+        report = server.serve(demo.requests(9))
     return report, checker.report()
 
 
@@ -97,41 +73,41 @@ class TestServeSweepIsRaceClean:
         lookups = cache.hits + cache.misses
         checker = RaceChecker()
         server = TagServer(
-            romance_factory(movie_dataset),
+            demo.pipeline_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
             workers=workers,
             window=max(2, workers),
         )
         with racecheck.checking(checker):
-            report = server.serve(requests(9))
+            report = server.serve(demo.requests(9))
         assert all(r.ok for r in report.results)
         assert checker.report().ok, checker.report().render()
         assert "StatementCache._entries" in checker._vars
         assert cache.hits + cache.misses == lookups + 9
         assert cache.plan_hits > 0
-        assert movie_dataset.db._lookup(ROMANCE_SQL).plan is not None
+        assert movie_dataset.db._lookup(demo.ROMANCE_SQL).plan is not None
 
     def test_checker_does_not_perturb_answers(self, movie_dataset):
         checked, _ = _checked_serve(movie_dataset, workers=4)
         plain = TagServer(
-            romance_factory(movie_dataset),
+            demo.pipeline_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
             workers=4,
             window=4,
-        ).serve(requests(9))
+        ).serve(demo.requests(9))
         assert checked.answers() == plain.answers()
         assert checked.simulated_seconds == plain.simulated_seconds
 
     def test_metrics_sweep_counters(self, movie_dataset):
         checker = RaceChecker()
         server = TagServer(
-            romance_factory(movie_dataset),
+            demo.pipeline_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
             workers=4,
             window=4,
         )
         with racecheck.checking(checker):
-            server.serve(requests(6))
+            server.serve(demo.requests(6))
         report = checker.report()
         assert report.ok
         assert report.findings == []
@@ -166,7 +142,7 @@ class TestHarnessCatchesSeededServeRace:
                     ).generate(request, table)
 
             return TAGPipeline(
-                FixedQuerySynthesizer(ROMANCE_SQL),
+                FixedQuerySynthesizer(demo.ROMANCE_SQL),
                 SQLExecutor(movie_dataset.db),
                 _PokingGenerator(),
             )
@@ -179,7 +155,7 @@ class TestHarnessCatchesSeededServeRace:
             window=4,
         )
         with racecheck.checking(checker):
-            server.serve(requests(12))
+            server.serve(demo.requests(12))
         report = checker.report()
         assert not report.ok
         assert any(

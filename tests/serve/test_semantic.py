@@ -148,34 +148,6 @@ class TestSemanticResultCache:
         cache.store("Top romance movies", _ok_result("q", [1]))
         assert cache.lookup("Average voter age in Texas") is None
 
-    def test_catalog_version_partitions_entries(self):
-        cache = SemanticResultCache(capacity=8)
-        cache.store("Top movies", _ok_result("q", [1]), catalog_version="v1")
-        assert cache.lookup("Top movies", catalog_version="v2") is None
-        assert (
-            cache.lookup("Top movies", catalog_version="v1") is not None
-        )
-
-    def test_config_fingerprint_partitions_entries(self):
-        a = SemanticResultCache(capacity=8, config_fingerprint="pipe-a")
-        b = SemanticResultCache(capacity=8, config_fingerprint="pipe-b")
-        a.store("Top movies", _ok_result("q", [1]))
-        b.store("Top movies", _ok_result("q", [2]))
-        assert a.lookup("Top movies").result.answer == [1]
-        assert b.lookup("Top movies").result.answer == [2]
-
-    def test_invalidate_evicts_exactly_affected_version(self):
-        cache = SemanticResultCache(capacity=8)
-        cache.store("alpha question", _ok_result("q", 1), catalog_version="v1")
-        cache.store("beta question", _ok_result("q", 2), catalog_version="v1")
-        cache.store("gamma question", _ok_result("q", 3), catalog_version="v2")
-        assert cache.invalidate(catalog_version="v1") == 2
-        assert cache.lookup("alpha question", catalog_version="v1") is None
-        assert cache.lookup("beta question", catalog_version="v1") is None
-        surviving = cache.lookup("gamma question", catalog_version="v2")
-        assert surviving is not None
-        assert surviving.result.answer == 3
-
     def test_invalidate_all(self):
         cache = SemanticResultCache(capacity=8)
         cache.store("alpha question", _ok_result("q", 1))
@@ -293,8 +265,5 @@ class TestKeyFor:
         assert cache.key_for("Top movies") == cache.key_for("top movie!")
         assert cache.key_for("Top movies") != cache.key_for(
             "Worst movies"
-        )
-        assert cache.key_for("Top movies", "v1") != cache.key_for(
-            "Top movies", "v2"
         )
 

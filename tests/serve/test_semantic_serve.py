@@ -7,13 +7,6 @@ import hashlib
 
 import pytest
 
-from repro.core import (
-    FixedQuerySynthesizer,
-    SQLExecutor,
-    SingleCallGenerator,
-    TAGPipeline,
-)
-from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
 from repro.obs import racecheck
 from repro.obs.export import to_chrome
@@ -24,40 +17,18 @@ from repro.serve import (
     SemanticResultCache,
     SQLAdmissionEstimator,
     TagServer,
-)
-
-ROMANCE_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
+    demo,
 )
 
 
 @pytest.fixture(scope="module")
 def movie_dataset():
-    return movies.build()
-
-
-def romance_factory(dataset):
-    def factory(lm) -> TAGPipeline:
-        return TAGPipeline(
-            FixedQuerySynthesizer(ROMANCE_SQL),
-            SQLExecutor(dataset.db),
-            SingleCallGenerator(lm, aggregation=True),
-        )
-
-    return factory
-
-
-def distinct_requests(count: int) -> list[str]:
-    return [
-        f"Summarize the reviews of the top romance movie (#{index})"
-        for index in range(count)
-    ]
+    return demo.build_dataset()
 
 
 def _server(dataset, workers=4, cache=None, **kwargs) -> TagServer:
     return TagServer(
-        romance_factory(dataset),
+        demo.pipeline_factory(dataset),
         SimulatedLM(LMConfig(seed=0)),
         workers=workers,
         window=max(2, workers),
@@ -77,7 +48,7 @@ class TestHitEqualsFreshExecution:
     def test_cached_answers_byte_identical_to_fresh(self, movie_dataset):
         """The acceptance property: every semantic hit returns a
         TAGResult equal to what fresh execution would produce."""
-        requests = distinct_requests(6)
+        requests = demo.requests(6)
         cache = SemanticResultCache(capacity=64)
         warm_server = _server(movie_dataset, cache=cache)
         fresh = warm_server.serve(requests)
@@ -97,8 +68,8 @@ class TestHitEqualsFreshExecution:
     def test_all_hit_run_costs_zero_lm(self, movie_dataset):
         cache = SemanticResultCache(capacity=64)
         server = _server(movie_dataset, cache=cache)
-        server.serve(distinct_requests(4))
-        report = server.serve(distinct_requests(4))
+        server.serve(demo.requests(4))
+        report = server.serve(demo.requests(4))
         assert report.simulated_seconds == 0.0
         assert report.usage.calls == 0
         assert report.usage.prompt_tokens == 0
@@ -133,7 +104,7 @@ class TestHitEqualsFreshExecution:
     def test_invalidation_restores_fresh_execution(self, movie_dataset):
         cache = SemanticResultCache(capacity=64)
         server = _server(movie_dataset, cache=cache)
-        requests = distinct_requests(3)
+        requests = demo.requests(3)
         first = server.serve(requests)
         cache.invalidate()
         assert cache.usage.semcache_invalidations == 3
@@ -210,7 +181,7 @@ class TestWorkerCountInvariance:
     ):
         cache = SemanticResultCache(capacity=64)
         server = _server(movie_dataset, workers=workers, cache=cache)
-        server.serve(distinct_requests(5))
+        server.serve(demo.requests(5))
         assert len(cache) == 5
         assert cache.stats() == {
             "entries": 5,
@@ -221,22 +192,14 @@ class TestWorkerCountInvariance:
 
 class TestAdmissionPricesHitsAtZero:
     def _admission(self, db, budget):
-        deep_sql = "SELECT movie_title, MOOD(review) FROM movies"
-
-        def query_for(request):
-            return deep_sql if "deep" in request else ROMANCE_SQL
-
         return AdmissionPolicy(
-            estimator=SQLAdmissionEstimator(db, query_for),
+            estimator=SQLAdmissionEstimator(db, demo.query_for),
             max_lm_calls=budget,
         )
 
     def test_decide_cached_admits_over_budget_request(
         self, movie_dataset
     ):
-        movie_dataset.db.register_udf(
-            "MOOD", lambda review: "ok", expensive=True
-        )
         policy = self._admission(movie_dataset.db, budget=1)
         fresh = policy.decide("deep scan of every review")
         assert not fresh.admit
@@ -246,16 +209,13 @@ class TestAdmissionPricesHitsAtZero:
     def test_cached_hit_skips_admission_budget(self, movie_dataset):
         """A request too expensive to admit fresh is served once it is
         in the cache: the hit costs zero, so admission prices it zero."""
-        movie_dataset.db.register_udf(
-            "MOOD", lambda review: "ok", expensive=True
-        )
         cache = SemanticResultCache(capacity=16)
         generous = _server(
             movie_dataset,
             cache=cache,
             admission=self._admission(movie_dataset.db, budget=10_000),
         )
-        request = "Summarize the reviews of the top romance movie"
+        request = demo.REQUEST
         warm = generous.serve([request])
         assert warm.results[0].ok and warm.admission_rejected == 0
 
@@ -282,7 +242,7 @@ class TestSemanticTracing:
         cache = SemanticResultCache(capacity=16)
         tracer = Tracer()
         server = _server(movie_dataset, cache=cache, tracer=tracer)
-        request = "Summarize the reviews of the top romance movie"
+        request = demo.REQUEST
         server.serve([request])
         tracer.clear()
         report = server.serve([request])
@@ -301,9 +261,7 @@ class TestSemanticTracing:
         cache = SemanticResultCache(capacity=16)
         tracer = Tracer()
         server = _server(movie_dataset, cache=cache, tracer=tracer)
-        report = server.serve(
-            ["Summarize the reviews of the top romance movie"]
-        )
+        report = server.serve([demo.REQUEST])
         assert report.results[0].semantic is None
         root = tracer.roots[0][1]
         first = root.children[0]
@@ -323,9 +281,9 @@ class TestSemanticTracing:
             server = _server(
                 movie_dataset, workers=n, cache=cache, tracer=tracer
             )
-            server.serve(distinct_requests(4))
+            server.serve(demo.requests(4))
             tracer.clear()
-            server.serve(distinct_requests(4))
+            server.serve(demo.requests(4))
             return [
                 (index, [(s.name, s.start_s, s.end_s) for s in root.walk()])
                 for index, root in tracer.roots
@@ -405,8 +363,8 @@ class TestSemanticServeRaceClean:
         cache = SemanticResultCache(capacity=64)
         server = _server(movie_dataset, workers=workers, cache=cache)
         with racecheck.checking(checker):
-            warm = server.serve(distinct_requests(9))
-            hot = server.serve(distinct_requests(9))
+            warm = server.serve(demo.requests(9))
+            hot = server.serve(demo.requests(9))
         assert all(r.ok for r in warm.results)
         assert all(r.semantic == "exact" for r in hot.results)
         report = checker.report()

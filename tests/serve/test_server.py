@@ -8,48 +8,24 @@ from repro.core import (
     SingleCallGenerator,
     TAGPipeline,
 )
-from repro.data import movies
 from repro.lm import LMConfig, SimulatedLM
-from repro.serve import TagServer
-
-ROMANCE_SQL = (
-    "SELECT movie_title, review FROM movies "
-    "WHERE genre = 'Romance' ORDER BY revenue DESC LIMIT 1"
-)
+from repro.serve import TagServer, demo
 
 
 @pytest.fixture(scope="module")
 def movie_dataset():
-    return movies.build()
-
-
-def romance_factory(dataset):
-    def factory(lm) -> TAGPipeline:
-        return TAGPipeline(
-            FixedQuerySynthesizer(ROMANCE_SQL),
-            SQLExecutor(dataset.db),
-            SingleCallGenerator(lm, aggregation=True),
-        )
-
-    return factory
-
-
-def requests(count: int) -> list[str]:
-    return [
-        f"Summarize the reviews of the top romance movie (#{index})"
-        for index in range(count)
-    ]
+    return demo.build_dataset()
 
 
 class TestTagServer:
     def test_serves_all_requests_in_order(self, movie_dataset):
         server = TagServer(
-            romance_factory(movie_dataset),
+            demo.pipeline_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
             workers=4,
             window=8,
         )
-        report = server.serve(requests(10))
+        report = server.serve(demo.requests(10))
         assert [r.index for r in report.results] == list(range(10))
         assert all(r.ok for r in report.results)
         assert report.errors == []
@@ -58,28 +34,28 @@ class TestTagServer:
     def test_matches_unserved_pipeline_answers(self, movie_dataset):
         """Concurrent serving returns exactly the sequential answers."""
         server = TagServer(
-            romance_factory(movie_dataset),
+            demo.pipeline_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
             workers=3,
             window=4,
         )
-        served = server.serve(requests(6)).answers()
+        served = server.serve(demo.requests(6)).answers()
         reference_lm = SimulatedLM(LMConfig(seed=0))
-        pipeline = romance_factory(movie_dataset)(reference_lm)
+        pipeline = demo.pipeline_factory(movie_dataset)(reference_lm)
         sequential = [
-            pipeline.run(request).answer for request in requests(6)
+            pipeline.run(request).answer for request in demo.requests(6)
         ]
         assert served == sequential
 
     def test_deterministic_across_runs(self, movie_dataset):
         def run():
             server = TagServer(
-                romance_factory(movie_dataset),
+                demo.pipeline_factory(movie_dataset),
                 SimulatedLM(LMConfig(seed=0)),
                 workers=4,
                 window=4,
             )
-            return server.serve(requests(9))
+            return server.serve(demo.requests(9))
 
         first, second = run(), run()
         assert first.answers() == second.answers()
@@ -96,12 +72,12 @@ class TestTagServer:
         self, movie_dataset
     ):
         server = TagServer(
-            romance_factory(movie_dataset),
+            demo.pipeline_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
             workers=4,
             window=8,
         )
-        report = server.serve(requests(8))
+        report = server.serve(demo.requests(8))
         assert (
             sum(r.lm_calls for r in report.results)
             == report.usage.calls
@@ -117,12 +93,12 @@ class TestTagServer:
     def test_batching_beats_single_worker(self, movie_dataset):
         def run(workers, window):
             server = TagServer(
-                romance_factory(movie_dataset),
+                demo.pipeline_factory(movie_dataset),
                 SimulatedLM(LMConfig(seed=0)),
                 workers=workers,
                 window=window,
             )
-            return server.serve(requests(12))
+            return server.serve(demo.requests(12))
 
         solo = run(workers=1, window=1)
         batched = run(workers=12, window=12)
@@ -132,13 +108,13 @@ class TestTagServer:
 
     def test_cache_serves_repeated_requests(self, movie_dataset):
         server = TagServer(
-            romance_factory(movie_dataset),
+            demo.pipeline_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
             workers=4,
             window=8,
             cache_size=64,
         )
-        same = ["Summarize the reviews of the top romance movie"] * 8
+        same = [demo.REQUEST] * 8
         report = server.serve(same)
         assert report.usage.cache_hits == 7
         assert report.usage.cache_misses == 1
@@ -147,18 +123,18 @@ class TestTagServer:
 
     def test_more_workers_than_requests(self, movie_dataset):
         server = TagServer(
-            romance_factory(movie_dataset),
+            demo.pipeline_factory(movie_dataset),
             SimulatedLM(LMConfig(seed=0)),
             workers=16,
             window=8,
         )
-        report = server.serve(requests(3))
+        report = server.serve(demo.requests(3))
         assert len(report.results) == 3
         assert all(r.ok for r in report.results)
 
     def test_empty_request_list(self, movie_dataset):
         server = TagServer(
-            romance_factory(movie_dataset), SimulatedLM(LMConfig(seed=0))
+            demo.pipeline_factory(movie_dataset), SimulatedLM(LMConfig(seed=0))
         )
         report = server.serve([])
         assert report.results == []
@@ -166,11 +142,11 @@ class TestTagServer:
 
     def test_workers_validated(self, movie_dataset):
         with pytest.raises(ValueError):
-            TagServer(romance_factory(movie_dataset), workers=0)
+            TagServer(demo.pipeline_factory(movie_dataset), workers=0)
 
     def test_window_validated(self, movie_dataset):
         with pytest.raises(ValueError):
-            TagServer(romance_factory(movie_dataset), window=0)
+            TagServer(demo.pipeline_factory(movie_dataset), window=0)
 
 
 class _ExplodingGenerator:
@@ -184,7 +160,7 @@ class TestWorkerSurvival:
     def test_buggy_step_fails_request_not_run(self, movie_dataset):
         def factory(lm) -> TAGPipeline:
             return TAGPipeline(
-                FixedQuerySynthesizer(ROMANCE_SQL),
+                FixedQuerySynthesizer(demo.ROMANCE_SQL),
                 SQLExecutor(movie_dataset.db),
                 _ExplodingGenerator(),
             )
@@ -192,7 +168,7 @@ class TestWorkerSurvival:
         server = TagServer(
             factory, SimulatedLM(LMConfig(seed=0)), workers=4
         )
-        report = server.serve(requests(6))
+        report = server.serve(demo.requests(6))
         assert len(report.results) == 6
         assert all(not r.ok for r in report.results)
         assert all(
@@ -208,16 +184,16 @@ class TestWorkerSurvival:
         def factory(lm) -> TAGPipeline:
             if next(calls) == 0:  # first worker gets the broken one
                 return TAGPipeline(
-                    FixedQuerySynthesizer(ROMANCE_SQL),
+                    FixedQuerySynthesizer(demo.ROMANCE_SQL),
                     SQLExecutor(movie_dataset.db),
                     _ExplodingGenerator(),
                 )
-            return romance_factory(movie_dataset)(lm)
+            return demo.pipeline_factory(movie_dataset)(lm)
 
         server = TagServer(
             factory, SimulatedLM(LMConfig(seed=0)), workers=3
         )
-        report = server.serve(requests(9))
+        report = server.serve(demo.requests(9))
         failed = [r for r in report.results if not r.ok]
         succeeded = [r for r in report.results if r.ok]
         assert {r.worker for r in failed} == {0}
@@ -232,12 +208,12 @@ class TestWorkerSurvival:
         def factory(lm) -> TAGPipeline:
             if next(workers_built) == 0:
                 raise RuntimeError("factory exploded")
-            return romance_factory(movie_dataset)(lm)
+            return demo.pipeline_factory(movie_dataset)(lm)
 
         server = TagServer(
             factory, SimulatedLM(LMConfig(seed=0)), workers=3
         )
-        report = server.serve(requests(6))
+        report = server.serve(demo.requests(6))
         failed = [r for r in report.results if not r.ok]
         assert {r.worker for r in failed} == {0}
         assert all(
@@ -265,7 +241,7 @@ class TestFatalWorkerSurfacing:
 
         def factory(lm) -> TAGPipeline:
             return TAGPipeline(
-                FixedQuerySynthesizer(ROMANCE_SQL),
+                FixedQuerySynthesizer(demo.ROMANCE_SQL),
                 SQLExecutor(movie_dataset.db),
                 DyingGenerator(),
             )
@@ -274,7 +250,7 @@ class TestFatalWorkerSurfacing:
             factory, SimulatedLM(LMConfig(seed=0)), workers=3, window=2
         )
         with pytest.raises(_Fatal):
-            server.serve(requests(6))
+            server.serve(demo.requests(6))
 
 
 class TestServeReportAccounting:

@@ -120,6 +120,64 @@ class TestServe:
         assert "FAILED" in output
 
 
+class TestServeFlagValidation:
+    """A flag value the server cannot honour is a usage error: one
+    ``error:`` line, exit 2, no traceback, and nothing served."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--workers", "0"],
+            ["serve", "--window", "0"],
+            ["serve", "--fault-rate", "1.5"],
+            ["serve", "--fault-rate", "-0.1"],
+            ["serve", "--fault-rate", "nan"],
+            ["serve", "--retries", "-1"],
+            ["serve", "--breaker-threshold", "0"],
+            ["serve", "--requests", "-1"],
+            ["serve", "--max-repairs", "-1"],
+            ["serve", "--semantic-cache", "-1"],
+            ["serve", "--deadline", "-1"],
+            ["serve", "--admit-budget", "-1"],
+            ["serve", "--workers", "two"],
+            ["trace", "--workers", "0"],
+            ["trace", "--window", "0"],
+            ["trace", "--requests", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert argv[1] in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_boundary_values_accepted(self, capsys):
+        assert (
+            main(
+                [
+                    "serve",
+                    "--requests", "0",
+                    "--workers", "1",
+                    "--window", "1",
+                    "--fault-rate", "1",
+                    "--retries", "0",
+                    "--breaker-threshold", "1",
+                    "--max-repairs", "0",
+                    "--semantic-cache", "0",
+                    "--deadline", "0",
+                    "--admit-budget", "0",
+                ]
+            )
+            == 0
+        )
+        assert "served 0 requests" in capsys.readouterr().out
+
+
 class TestServeAdmission:
     def test_budget_rejects_deep_scans(self, capsys):
         assert (
