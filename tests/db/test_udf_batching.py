@@ -250,6 +250,50 @@ class TestMemoCache:
         # carries across statements.
         assert udf.batch_tuples == 2
 
+    def test_capacity_two_through_the_database(self):
+        """Statements over a, b, a, c, b, c, a at memo capacity 2: the
+        repeated a promotes a, so c evicts b; 2 hits and 5 misses (a
+        first-in memo would give 3 hits)."""
+        from repro.lm.usage import Usage
+
+        udf = CountingUDF()
+        db = Database(udf_cache_capacity=2)
+        db.create_table(
+            TableSchema(
+                "t",
+                [
+                    Column("s", DataType.TEXT),
+                    Column("n", DataType.INTEGER),
+                ],
+            )
+        )
+        db.insert("t", [("apple", 1), ("banana", 2), ("cherry", 3)])
+        db.register_udf(
+            "SLOW", udf.scalar, expensive=True, batch=udf.batch
+        )
+        usage = Usage()
+        db.bind_udf_meters(usage=usage)
+        answers = [
+            db.execute(
+                f"SELECT SLOW(s) FROM t WHERE n = {n}", udf_batch_size=4
+            ).rows
+            for n in (1, 2, 1, 3, 2, 3, 1)
+        ]
+        assert answers == [
+            [("APPLE",)],
+            [("BANANA",)],
+            [("APPLE",)],
+            [("CHERRY",)],
+            [("BANANA",)],
+            [("CHERRY",)],
+            [("APPLE",)],
+        ]
+        assert usage.udf_cache_hits == 2
+        assert usage.udf_cache_misses == 5
+        assert (udf.batch_calls, udf.batch_tuples) == (5, 5)
+        assert udf.scalar_calls == 0
+        assert len(db.udf_cache) == 2
+
     def test_lru_evicts_least_recently_used(self):
         from repro.db.udfcache import UDFMemoCache
 

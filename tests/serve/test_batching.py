@@ -338,3 +338,15 @@ class TestPromptCache:
         assert inner.usage.cache_hits == 0
         assert inner.usage.cache_misses == 0
         assert inner.usage.calls == 2
+
+    def test_capacity_two_evicts_least_recently_used(self):
+        """A, B, A, C, B at capacity 2: the second A promotes A, so C
+        evicts B and the last B misses (first-in eviction would hit)."""
+        inner = fresh_lm()
+        facade = BatchingLM(inner, cache_size=2)
+        a, b, c = PROMPT_POOL[:3]
+        for prompt in (a, b, a, c, b):
+            facade.complete(prompt)
+        assert inner.usage.cache_hits == 1
+        assert inner.usage.cache_misses == 4
+        assert inner.usage.calls == 4

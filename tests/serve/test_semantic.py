@@ -172,6 +172,34 @@ class TestSemanticResultCache:
         assert cache.lookup("alpha bravo charlie") is None
         assert cache.lookup("golf hotel india") is not None
 
+    def test_capacity_two_evicts_least_recently_used(self):
+        """Three stores at capacity 2 evict the first.  A lookup is a
+        use: after looking up the third and then the second, a fourth
+        store evicts the third (first-in eviction would drop the
+        second)."""
+        cache = SemanticResultCache(capacity=2)
+        cache.store("alpha bravo charlie", _ok_result("q", 1))
+        cache.store("delta echo foxtrot", _ok_result("q", 2))
+        cache.store("golf hotel india", _ok_result("q", 3))
+        assert cache.lookup("alpha bravo charlie") is None
+        assert cache.lookup("golf hotel india").via == "exact"
+        assert cache.lookup("delta echo foxtrot").via == "exact"
+        assert cache.stats() == {
+            "entries": 2,
+            "index_rows": 3,
+            "tombstones": 1,
+        }
+        cache.store("juliet kilo lima", _ok_result("q", 4))
+        assert cache.lookup("golf hotel india") is None
+        hit = cache.lookup("delta echo foxtrot")
+        assert (hit.via, hit.result.answer) == ("exact", 2)
+        assert cache.lookup("juliet kilo lima").result.answer == 4
+        assert cache.stats() == {
+            "entries": 2,
+            "index_rows": 4,
+            "tombstones": 2,
+        }
+
     def test_degenerate_requests_are_uncacheable(self):
         cache = SemanticResultCache(capacity=8)
         assert not cache.store("?!...", _ok_result("q", 1))
