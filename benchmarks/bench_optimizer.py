@@ -49,7 +49,7 @@ import os
 
 import pytest
 
-from repro.analysis.cost import CostModel
+from repro.analysis.cost import CHEAP_TOKENS_PER_CALL, TOKENS_PER_CALL
 from repro.db import Column, Database, DataType, TableSchema
 from repro.lm import SimulatedLM, register_llm_judge
 from repro.lm.udf import judgment_udf_prompt
@@ -144,9 +144,8 @@ def _run(selectivity: float, duplication: int, plan: str):
 
 def _total_seconds(usage, batched_call_seconds: float) -> float:
     """Expensive virtual seconds plus the priced cheap tier."""
-    model = CostModel()
     cheap_calls = usage.cascade_cheap_hits + usage.cascade_escalations
-    cheap_ratio = model.cheap_tokens_per_call / model.tokens_per_call
+    cheap_ratio = CHEAP_TOKENS_PER_CALL / TOKENS_PER_CALL
     return usage.simulated_seconds + (
         cheap_calls * batched_call_seconds * cheap_ratio
     )

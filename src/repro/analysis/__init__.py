@@ -30,7 +30,6 @@ from repro.analysis.concurrency import (
     analyze_source,
     analyze_tree,
 )
-from repro.analysis.cost import CostModel
 from repro.analysis.diagnostics import (
     CostEstimate,
     Diagnostic,
@@ -44,7 +43,6 @@ __all__ = [
     "ConcFinding",
     "ConcurrencyReport",
     "CostEstimate",
-    "CostModel",
     "Diagnostic",
     "QueryReport",
     "Severity",

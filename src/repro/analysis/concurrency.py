@@ -1,9 +1,9 @@
 """Static concurrency-safety analyzer (``python -m repro lint --conc``).
 
-ROADMAP item 2 (sharded, multi-core execution) will multiply the number
-of threads mutating the serving layer's shared state; this module is
-the gate that must stay green before (and after) that refactor.  It is
-an interprocedural ``ast`` pass over ``src/repro/`` that
+Serving workers and the sharded executor's shard threads mutate shared
+state concurrently; this module is the static gate that keeps that
+state lock-guarded.  It is an interprocedural ``ast`` pass over
+``src/repro/`` that
 
 (a) builds a **class-attribute mutation map** per module — every
     ``self.x = ...`` / ``self.x += ...`` / ``self.x.append(...)`` /
@@ -21,9 +21,9 @@ an interprocedural ``ast`` pass over ``src/repro/`` that
 (c) identifies classes whose instances **cross the worker boundary**:
     the transitive construction/annotation closure from
     :data:`SHARED_ROOTS` (``TagServer``, ``BatchingLM``, ``Database``,
-    ``UDFMemoCache``, ``StatementCache``, ``Tracer``,
-    ``SemanticResultCache``, ``ShardDedup``, ``Exchange``); ``Meter``
-    is reached from ``Database``.
+    ``StatementCache``, ``Tracer``, ``SemanticResultCache``,
+    ``ShardDedup``, ``Exchange``); ``Meter`` and ``LRUCache`` are
+    reached from ``Database``.
 
 The rule taxonomy (codes are stable API, tests pin them):
 
@@ -85,7 +85,6 @@ SHARED_ROOTS = (
     "TagServer",
     "BatchingLM",
     "Database",
-    "UDFMemoCache",
     "StatementCache",
     "Tracer",
     "SemanticResultCache",
@@ -1199,7 +1198,7 @@ def analyze_tree(root: Path) -> ConcurrencyReport:
     """Analyze every ``.py`` under ``root/src``.
 
     The shared-class closure is computed over the *whole* tree (so
-    ``Database`` in ``db/`` marks ``UDFMemoCache`` even though
+    ``Database`` in ``db/`` marks ``LRUCache`` even though
     ``TagServer`` lives in ``serve/``), then each class is checked.
     """
     allowlist = load_allowlist(root)

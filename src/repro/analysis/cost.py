@@ -1,10 +1,10 @@
 """Cost-model constants and the predicate-selectivity estimator.
 
-The analyzer multiplies its bound on expensive-UDF call sites by these
-per-call constants to turn "at most N LM invocations" into an estimated
-token budget.  The defaults match the simulated LM's typical TAG-UDF
-shape (a short per-row classification prompt and a one-phrase answer);
-servers with different prompt templates pass their own model.
+The analyzer multiplies its bound on expensive-UDF call sites by the
+per-call token constants below to turn "at most N LM invocations" into
+an estimated token budget, and the query optimizer prices its routes
+with them.  They match the simulated LM's typical TAG-UDF shape (a
+short per-row classification prompt and a one-phrase answer).
 
 :func:`predicate_selectivity` is the shared estimator behind the query
 optimizer's predicate-reorder and pushdown decisions and the analyzer's
@@ -18,7 +18,6 @@ worst-case bounds for admission control.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 
 from repro.db.sql import ast
 from repro.db.table import ColumnStats, Table
@@ -32,37 +31,19 @@ RANGE_SELECTIVITY = 1 / 3
 BETWEEN_SELECTIVITY = 1 / 4
 LIKE_SELECTIVITY = 1 / 10
 
+#: Prompt and output tokens charged per estimated LM-UDF invocation.
+PROMPT_TOKENS_PER_CALL = 48
+OUTPUT_TOKENS_PER_CALL = 8
+TOKENS_PER_CALL = PROMPT_TOKENS_PER_CALL + OUTPUT_TOKENS_PER_CALL
 
-@dataclass(frozen=True)
-class CostModel:
-    """Per-call token constants used by :class:`~repro.analysis.SQLAnalyzer`
-    and the LM-aware query optimizer."""
+#: Tokens charged per *cheap-tier* (cascade) invocation: 12 prompt, 2
+#: output.
+CHEAP_TOKENS_PER_CALL = 12 + 2
 
-    #: Prompt tokens charged per estimated LM-UDF invocation.
-    prompt_tokens_per_call: int = 48
-    #: Output tokens charged per estimated LM-UDF invocation.
-    output_tokens_per_call: int = 8
-    #: Prompt tokens charged per *cheap-tier* (cascade) invocation.
-    cheap_prompt_tokens_per_call: int = 12
-    #: Output tokens charged per cheap-tier invocation.
-    cheap_output_tokens_per_call: int = 2
-    #: Expected fraction of cheap-tier calls that escalate to the
-    #: expensive tier (the cheap classifier answers None).  Used only
-    #: to *price* the cascade route; the executor meters the real rate.
-    cascade_escalation_rate: float = 0.5
-
-    @property
-    def tokens_per_call(self) -> int:
-        """Total (prompt + output) tokens per expensive invocation."""
-        return self.prompt_tokens_per_call + self.output_tokens_per_call
-
-    @property
-    def cheap_tokens_per_call(self) -> int:
-        """Total tokens per cheap-tier invocation."""
-        return (
-            self.cheap_prompt_tokens_per_call
-            + self.cheap_output_tokens_per_call
-        )
+#: Expected fraction of cheap-tier calls that escalate to the expensive
+#: tier (the cheap classifier answers None).  Used only to *price* the
+#: cascade route; the executor meters the real rate.
+CASCADE_ESCALATION_RATE = 0.5
 
 
 #: Resolves a column reference ``(name, table_or_None)`` to stats, or

@@ -25,8 +25,9 @@ import inspect
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.cost import (
+    OUTPUT_TOKENS_PER_CALL,
+    PROMPT_TOKENS_PER_CALL,
     ColumnStats,
-    CostModel,
     predicate_selectivity,
     table_stats,
 )
@@ -265,7 +266,6 @@ class SQLAnalyzer:
 
     def __init__(self, db: Database) -> None:
         self.db = db
-        self.cost_model = CostModel()
 
     # -- entry points ----------------------------------------------------
 
@@ -299,18 +299,14 @@ class SQLAnalyzer:
         if not isinstance(statement, ast.Select):
             # Only SELECT is analyzed; DDL/DML validate on execution.
             return QueryReport(sql=source_text)
-        run = _Run(self.db, self.db.functions, self.cost_model)
+        run = _Run(self.db, self.db.functions)
         info = run.select(statement)
         cost = CostEstimate(
             rows_scanned=info.rows_scanned,
             result_rows=info.result_rows,
             lm_calls=run.lm_calls,
-            lm_prompt_tokens=(
-                run.lm_calls * self.cost_model.prompt_tokens_per_call
-            ),
-            lm_output_tokens=(
-                run.lm_calls * self.cost_model.output_tokens_per_call
-            ),
+            lm_prompt_tokens=run.lm_calls * PROMPT_TOKENS_PER_CALL,
+            lm_output_tokens=run.lm_calls * OUTPUT_TOKENS_PER_CALL,
             lm_calls_batched=run.lm_calls_batched,
             expected_result_rows=info.expected_rows,
         )
@@ -326,11 +322,9 @@ class _Run:
         self,
         db: Database,
         functions: FunctionRegistry,
-        cost_model: CostModel,
     ) -> None:
         self.db = db
         self.functions = functions
-        self.cost_model = cost_model
         self.diagnostics: list[Diagnostic] = []
         self.lm_calls = 0
         self.lm_calls_batched = 0

@@ -54,7 +54,7 @@ class SQLExecutor:
                 udf_batch_size=self.udf_batch_size,
                 max_rows=self.max_rows,
             )
-            emit_operator_spans(analyzed.stats, analyzed.cost)
+            emit_operator_spans(analyzed.stats)
             result = analyzed.result
         else:
             result = self.db.execute(

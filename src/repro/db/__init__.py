@@ -24,19 +24,19 @@ from repro.db.catalog import Database
 from repro.db.result import ResultSet
 from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.shard import PartitionSpec, ShardRuntime
+from repro.db.stmtcache import LRUCache
 from repro.db.table import Table
 from repro.db.types import DataType
-from repro.db.udfcache import UDFMemoCache
 
 __all__ = [
     "Column",
     "DataType",
     "Database",
     "ForeignKey",
+    "LRUCache",
     "PartitionSpec",
     "ResultSet",
     "ShardRuntime",
     "Table",
     "TableSchema",
-    "UDFMemoCache",
 ]

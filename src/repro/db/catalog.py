@@ -12,8 +12,7 @@ from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.plan import UDFExecContext
 from repro.db.planner import Planner
 from repro.db.shard import PartitionSpec, ShardRuntime
-from repro.db.stmtcache import Prepared, StatementCache
-from repro.db.udfcache import UDFMemoCache
+from repro.db.stmtcache import LRUCache, Prepared, StatementCache
 from repro.db.result import ResultSet, RowLayout
 from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.sql import ast
@@ -94,7 +93,7 @@ class Database:
         #: Cross-statement memo of expensive-UDF results, shared by
         #: every batched execution against this database.  Capacity 0
         #: disables it (intra-morsel dedup still applies).
-        self.udf_cache = UDFMemoCache(udf_cache_capacity)
+        self.udf_cache = LRUCache(udf_cache_capacity)
         #: What :meth:`execute` derived from the text of each SELECT it
         #: ran (AST, analyzer verdict, plan), reused while it stands.
         self.statement_cache = StatementCache()

@@ -128,10 +128,7 @@ class QueryOptimizer:
     """
 
     def __init__(self, db: "Database") -> None:
-        from repro.analysis.cost import CostModel
-
         self._db = db
-        self._model = CostModel()
         self.report = OptimizerReport()
         self.cascade = False
         #: Only statements touching expensive UDFs get decisions; plans
@@ -155,6 +152,12 @@ class QueryOptimizer:
         oracle path, an int pins that morsel size.  Returns the batch
         size the planner should use.
         """
+        from repro.analysis.cost import (
+            CASCADE_ESCALATION_RATE,
+            CHEAP_TOKENS_PER_CALL,
+            TOKENS_PER_CALL,
+        )
+
         names = self._expensive_names(select)
         self.lm_relevant = bool(names)
         self._collect_bindings(select.source)
@@ -167,33 +170,20 @@ class QueryOptimizer:
         )
         estimate = self._estimate(select)
         per_row_calls, batched_calls, rows_scanned = estimate
-        model = self._model
         self.report.est_per_row_calls = per_row_calls
-        self.report.est_per_row_tokens = (
-            per_row_calls * model.tokens_per_call
-        )
-        escalated = math.ceil(
-            batched_calls * model.cascade_escalation_rate
-        )
+        self.report.est_per_row_tokens = per_row_calls * TOKENS_PER_CALL
+        escalated = math.ceil(batched_calls * CASCADE_ESCALATION_RATE)
         candidates = [
-            (
-                "per-row",
-                per_row_calls,
-                per_row_calls * model.tokens_per_call,
-            ),
-            (
-                "batched",
-                batched_calls,
-                batched_calls * model.tokens_per_call,
-            ),
+            ("per-row", per_row_calls, per_row_calls * TOKENS_PER_CALL),
+            ("batched", batched_calls, batched_calls * TOKENS_PER_CALL),
         ]
         if cheap_tiered:
             candidates.append(
                 (
                     "cascade",
                     escalated,
-                    batched_calls * model.cheap_tokens_per_call
-                    + escalated * model.tokens_per_call,
+                    batched_calls * CHEAP_TOKENS_PER_CALL
+                    + escalated * TOKENS_PER_CALL,
                 )
             )
         route, calls, tokens = candidates[0]
@@ -242,9 +232,9 @@ class QueryOptimizer:
                 "cascade",
                 f"cheap tier for {', '.join(cheap_tiered)}: "
                 f"est escalation rate "
-                f"{model.cascade_escalation_rate:.2f}, "
-                f"{model.cheap_tokens_per_call} tok/cheap call vs "
-                f"{model.tokens_per_call} tok/call",
+                f"{CASCADE_ESCALATION_RATE:.2f}, "
+                f"{CHEAP_TOKENS_PER_CALL} tok/cheap call vs "
+                f"{TOKENS_PER_CALL} tok/call",
             )
         self.cascade = route == "cascade" and batch is not None
         self.report.route = route
@@ -305,6 +295,8 @@ class QueryOptimizer:
         node: physical.PlanNode,
     ) -> None:
         """Record a cheap-before-expensive conjunct reorder."""
+        from repro.analysis.cost import TOKENS_PER_CALL
+
         if not self.lm_relevant or not cheap or not expensive:
             return
         selectivity = 1.0
@@ -317,7 +309,7 @@ class QueryOptimizer:
             f"{len(cheap)} cheap conjunct(s) (est sel "
             f"{selectivity:.3f}, rows {rows} -> {surviving}) before "
             f"{len(expensive)} expensive conjunct(s) @ "
-            f"{self._model.tokens_per_call} tok/call; "
+            f"{TOKENS_PER_CALL} tok/call; "
             "written order kept among expensive conjuncts",
         )
 

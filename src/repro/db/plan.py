@@ -29,9 +29,9 @@ from repro.db.shard import (
     merge_cache_events,
     next_shard_thread_name,
 )
+from repro.db.stmtcache import LRUCache
 from repro.db.table import Table
 from repro.db.types import SQLValue, sort_key
-from repro.db.udfcache import UDFMemoCache
 from repro.errors import ExecutionError
 from repro.obs import racecheck
 from repro.obs.meter import Meter
@@ -271,6 +271,10 @@ class MorselContext(Protocol):
         for it but never a cache)."""
 
 
+#: What a memo miss reads as: a UDF result may be None (SQL NULL).
+_UNCACHED = object()
+
+
 class UDFExecContext:
     """The local :class:`MorselContext`: live cache, emitted counters.
 
@@ -285,7 +289,7 @@ class UDFExecContext:
     tagged = False
 
     def __init__(
-        self, cache: UDFMemoCache | None = None, meter: Meter | None = None
+        self, cache: LRUCache | None = None, meter: Meter | None = None
     ) -> None:
         self.cache = cache
         self.meter = meter or Meter()
@@ -301,7 +305,8 @@ class UDFExecContext:
     ) -> tuple[bool, object]:
         if self.cache is None:
             return False, None
-        return self.cache.lookup(key)
+        value = self.cache.get(key, _UNCACHED)
+        return value is not _UNCACHED, value
 
     def claim(
         self, site_id: tuple, pending: list[MemoKey]
@@ -1302,7 +1307,7 @@ class Exchange(PlanNode):
                 self.contexts
             ):
                 if kind == "hit":
-                    self.context.cache.lookup(key)
+                    self.context.cache.get(key)
                 else:
                     self.context.cache.put(key, value)
         first_error: ShardRowError | None = None

@@ -13,11 +13,40 @@ and the hand-written pipelines emit):
 
 from __future__ import annotations
 
+from typing import get_args
+
 from repro.db.sql import ast
 from repro.db.sql.lexer import Token, TokenType, tokenize
 from repro.errors import SQLSyntaxError
 
 _COMPARISON_OPERATORS = {"=", "==", "<>", "!=", "<", "<=", ">", ">="}
+
+#: Deepest expression the parser accepts, as SQLite bounds its own with
+#: ``SQLITE_MAX_EXPR_DEPTH``.  It caps two things: how deep the parser
+#: nests (each parenthesis, function argument, unary operator and
+#: subquery is a level) and how many expression nodes deep a tree is (a
+#: left-associative chain ``1 + 1 + ... + 1`` of n terms is n deep).
+#: Every recursive walker of the tree stays inside Python's default
+#: recursion limit at this depth, from a ``TagServer`` worker thread
+#: too; deeper input is a :class:`~repro.errors.SQLSyntaxError`.  It
+#: also caps the joins in one statement, whose tree is left-deep the
+#: same way (SQLite's cap on tables in a join is 64 as well).
+MAX_EXPR_DEPTH = 64
+
+_EXPRESSION_TYPES = frozenset(get_args(ast.Expression))
+
+
+def _height(expression: ast.Expression) -> int:
+    """Expression nodes on the longest path down from ``expression``,
+    through any subquery it holds."""
+    deepest = 0
+    stack = [(expression, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        for child in ast.children(node):
+            stack.append((child, level + (type(child) in _EXPRESSION_TYPES)))
+    return deepest
 
 
 def parse_statement(sql: str) -> ast.Statement:
@@ -32,6 +61,9 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._position = 0
+        #: Expression levels open now, the most ever open at once, the
+        #: nodes left-associative chains have built so far, and joins.
+        self._depth = self._peak = self._steps = self._joins = 0
 
     # -- token helpers ---------------------------------------------------
 
@@ -83,6 +115,34 @@ class _Parser:
         shown = token.text or "<end of input>"
         raise SQLSyntaxError(
             f"{message}, found {shown!r}", position=token.position
+        )
+
+    def _enter(self) -> None:
+        """Open one more expression level (closed by ``_depth -= 1``)."""
+        self._depth += 1
+        if self._depth > self._peak:
+            self._peak = self._depth
+            if self._depth > MAX_EXPR_DEPTH:
+                self._too_deep(self._current.position)
+
+    def _chained(self, node: ast.Expression, position: int) -> ast.Expression:
+        """``node``, which a left-associative chain has just built over
+        everything parsed before it, if it is not too deep.  Its exact
+        height is only asked for once the cheap bound — every path down
+        holds at most ``_peak`` levels plus ``_steps`` chain nodes — no
+        longer rules it out."""
+        self._steps += 1
+        if (
+            self._peak + self._steps > MAX_EXPR_DEPTH
+            and self._depth + _height(node) - 1 > MAX_EXPR_DEPTH
+        ):
+            self._too_deep(position)
+        return node
+
+    def _too_deep(self, position: int) -> None:
+        raise SQLSyntaxError(
+            f"expression tree is too deep (maximum depth {MAX_EXPR_DEPTH})",
+            position=position,
         )
 
     def expect_end(self) -> None:
@@ -301,13 +361,19 @@ class _Parser:
     def _parse_from(self) -> ast.FromSource:
         source = self._parse_from_item()
         while True:
+            position = self._current.position
             if self._accept_punct(","):
-                right = self._parse_from_item()
-                source = ast.Join("CROSS", source, right, None)
-                continue
-            kind = self._parse_join_kind()
-            if kind is None:
-                return source
+                kind = "CROSS"
+            else:
+                kind = self._parse_join_kind()
+                if kind is None:
+                    return source
+            self._joins += 1
+            if self._joins > MAX_EXPR_DEPTH:
+                raise SQLSyntaxError(
+                    f"too many joins (maximum {MAX_EXPR_DEPTH})",
+                    position=position,
+                )
             right = self._parse_from_item()
             condition = None
             if kind != "CROSS":
@@ -332,14 +398,17 @@ class _Parser:
 
     def _parse_from_item(self) -> ast.FromSource:
         if self._accept_punct("("):
+            self._enter()
             if self._check_keyword("SELECT"):
                 query = self._parse_select()
                 self._expect_punct(")")
                 self._accept_keyword("AS")
                 alias = self._parse_identifier("subquery alias")
+                self._depth -= 1
                 return ast.SubquerySource(query, alias)
             source = self._parse_from()
             self._expect_punct(")")
+            self._depth -= 1
             return source
         position = self._current.position
         name = self._parse_identifier("table name")
@@ -367,30 +436,39 @@ class _Parser:
     # -- expressions (precedence climbing) --------------------------------
 
     def parse_expression(self) -> ast.Expression:
-        return self._parse_or()
+        self._enter()
+        expression = self._parse_or()
+        self._depth -= 1
+        return expression
 
     def _parse_or(self) -> ast.Expression:
         left = self._parse_and()
-        while self._accept_keyword("OR"):
+        while self._check_keyword("OR"):
+            position = self._advance().position
             right = self._parse_and()
-            left = ast.BinaryOp("OR", left, right)
+            left = self._chained(ast.BinaryOp("OR", left, right), position)
         return left
 
     def _parse_and(self) -> ast.Expression:
         left = self._parse_not()
-        while self._accept_keyword("AND"):
+        while self._check_keyword("AND"):
+            position = self._advance().position
             right = self._parse_not()
-            left = ast.BinaryOp("AND", left, right)
+            left = self._chained(ast.BinaryOp("AND", left, right), position)
         return left
 
     def _parse_not(self) -> ast.Expression:
         if self._accept_keyword("NOT"):
-            return ast.UnaryOp("NOT", self._parse_not())
+            self._enter()
+            operand = self._parse_not()
+            self._depth -= 1
+            return ast.UnaryOp("NOT", operand)
         return self._parse_comparison()
 
     def _parse_comparison(self) -> ast.Expression:
         left = self._parse_additive()
         while True:
+            position = self._current.position
             if self._check_operator(*_COMPARISON_OPERATORS):
                 op = self._advance().text
                 if op == "==":
@@ -398,7 +476,7 @@ class _Parser:
                 if op == "!=":
                     op = "<>"
                 right = self._parse_additive()
-                left = ast.BinaryOp(op, left, right)
+                left = self._chained(ast.BinaryOp(op, left, right), position)
                 continue
             negated = False
             if self._check_keyword("NOT"):
@@ -412,23 +490,21 @@ class _Parser:
                 is_negated = self._accept_keyword("NOT")
                 self._expect_keyword("NULL")
                 left = ast.IsNullExpression(left, negated=is_negated)
-                continue
-            if self._accept_keyword("LIKE"):
+            elif self._accept_keyword("LIKE"):
                 pattern = self._parse_additive()
                 left = ast.LikeExpression(left, pattern, negated=negated)
-                continue
-            if self._accept_keyword("BETWEEN"):
+            elif self._accept_keyword("BETWEEN"):
                 lower = self._parse_additive()
                 self._expect_keyword("AND")
                 upper = self._parse_additive()
                 left = ast.BetweenExpression(left, lower, upper, negated)
-                continue
-            if self._accept_keyword("IN"):
+            elif self._accept_keyword("IN"):
                 left = self._parse_in_tail(left, negated)
-                continue
-            if negated:
-                self._fail("expected IN, LIKE, or BETWEEN after NOT")
-            break
+            else:
+                if negated:
+                    self._fail("expected IN, LIKE, or BETWEEN after NOT")
+                break
+            left = self._chained(left, position)
         return left
 
     def _parse_in_tail(
@@ -448,23 +524,30 @@ class _Parser:
     def _parse_additive(self) -> ast.Expression:
         left = self._parse_multiplicative()
         while self._check_operator("+", "-", "||"):
-            op = self._advance().text
+            token = self._advance()
             right = self._parse_multiplicative()
-            left = ast.BinaryOp(op, left, right)
+            left = self._chained(
+                ast.BinaryOp(token.text, left, right), token.position
+            )
         return left
 
     def _parse_multiplicative(self) -> ast.Expression:
         left = self._parse_unary()
         while self._check_operator("*", "/", "%"):
-            op = self._advance().text
+            token = self._advance()
             right = self._parse_unary()
-            left = ast.BinaryOp(op, left, right)
+            left = self._chained(
+                ast.BinaryOp(token.text, left, right), token.position
+            )
         return left
 
     def _parse_unary(self) -> ast.Expression:
         if self._check_operator("-", "+"):
             op = self._advance().text
-            return ast.UnaryOp(op, self._parse_unary())
+            self._enter()
+            operand = self._parse_unary()
+            self._depth -= 1
+            return ast.UnaryOp(op, operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expression:

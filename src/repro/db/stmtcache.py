@@ -1,4 +1,17 @@
-"""Per-database cache of what a statement's text was last derived to.
+"""The least-recently-used map behind every cache, and the statement cache.
+
+:class:`LRUCache` is the one LRU map in the repo.  It serves the
+serving layer's prompt cache (:class:`~repro.serve.BatchingLM`), each
+:class:`~repro.db.Database`'s cross-statement memo of expensive-UDF
+results (``Database.udf_cache``, keyed by ``(FUNCTION_NAME, args)``),
+the semantic result cache's entries
+(:class:`~repro.serve.SemanticResultCache`) and, as its subclass, the
+statement cache.  Every method runs under its one lock, because the
+memo and the statement cache are shared by every ``TagServer`` worker.
+That lock is always acquired last: nothing else is taken while it is
+held, so it adds no edge a lock-order cycle could close.  The cache
+never meters: a caller that counts hits and misses does so at exactly
+one seam of its own.
 
 One :class:`StatementCache` lives on each :class:`~repro.db.Database`
 and is keyed by SQL text.  :meth:`~repro.db.Database.execute` admits a
@@ -6,28 +19,105 @@ SELECT only after it has succeeded: first its parsed AST and whether the
 analyzer accepted it, and — from the entry's first hit on, so a text
 that never repeats costs an AST and not a plan — the physical plan it
 ran, with its output names and optimizer report.  A :class:`Prepared`
-entry is immutable; admitting the plan replaces the entry.
-
-The cache itself is a dumb LRU in :class:`~repro.db.udfcache.UDFMemoCache`'s
-shape: lookup + promotion and insert + eviction each run under its one
-lock, because every ``TagServer`` worker shares the one ``Database``.
-Whether an entry still stands (see :class:`Prepared`) is asked by the
-database, outside the lock; two workers racing on a first sight
-at worst both plan and one entry survives.  The counts are plain ints
-for tests and experiments, not ``Usage`` fields: a racing first sight
-would make those depend on timing.
+entry is immutable; admitting the plan replaces the entry.  Whether an
+entry still stands (see :class:`Prepared`) is asked by the database,
+outside the lock; two workers racing on a first sight at worst both
+plan and one entry survives.  The counts are plain ints for tests and
+experiments, not ``Usage`` fields: a racing first sight would make
+those depend on timing.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, NamedTuple
+from typing import Any, Hashable, NamedTuple
 
 from repro.obs import racecheck
 
 #: Entries kept per database; least recently used go first.
 CAPACITY = 512
+
+_MISSING = object()
+
+
+class LRUCache:
+    """Least-recently-used map with a fixed capacity.
+
+    ``capacity == 0`` disables the cache: every ``get`` misses and
+    ``put`` is a no-op, so callers need no special case.  Only
+    :meth:`get` and :meth:`put` are uses that promote an entry to most
+    recently used; ``key in cache``, ``len(cache)`` and
+    :meth:`snapshot` leave the eviction order alone.  The race checker
+    names the entries after the class, so a subclass's are told apart.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._lock_name = f"{type(self).__name__}._lock"
+        self._var = f"{type(self).__name__}._entries"
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        """Look up and promote: a hit becomes most recently used."""
+        with racecheck.guard(self._lock_name, self._lock):
+            return self._get_locked(key, default)
+
+    def _get_locked(self, key: Hashable, default: Any) -> Any:
+        racecheck.read(self._var)
+        value = self._entries.get(key, _MISSING)
+        if value is _MISSING:
+            return default
+        racecheck.write(self._var)
+        self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: Hashable, value: Any) -> list[tuple[Hashable, Any]]:
+        """Insert or refresh ``key`` as most recently used; returns the
+        ``(key, value)`` pairs evicted, oldest first.  A caller that
+        mirrors entries elsewhere (the semantic cache's vector index)
+        uses them to tombstone its side."""
+        if self.capacity == 0:
+            return []
+        with racecheck.guard(self._lock_name, self._lock):
+            racecheck.write(self._var)
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            evicted = []
+            while len(self._entries) > self.capacity:
+                evicted.append(self._entries.popitem(last=False))
+            return evicted
+
+    def snapshot(self) -> dict[Hashable, Any]:
+        """A point-in-time copy of the entries, oldest first.
+
+        The sharded executor reads UDF results from a statement-start
+        snapshot, so every shard — and every shard *count* — sees the
+        same memo whatever concurrent statements insert mid-scan; hits
+        and inserts are replayed against the live memo after the shards
+        join (see :mod:`repro.db.shard`).
+        """
+        with racecheck.guard(self._lock_name, self._lock):
+            racecheck.read(self._var)
+            return dict(self._entries)
+
+    def clear(self) -> None:
+        with racecheck.guard(self._lock_name, self._lock):
+            racecheck.write(self._var)
+            self._entries.clear()
+
+    def __contains__(self, key: Hashable) -> bool:
+        with racecheck.guard(self._lock_name, self._lock):
+            racecheck.read(self._var)
+            return key in self._entries
+
+    def __len__(self) -> int:
+        with racecheck.guard(self._lock_name, self._lock):
+            racecheck.read(self._var)
+            return len(self._entries)
 
 
 class Prepared(NamedTuple):
@@ -77,44 +167,26 @@ class Prepared(NamedTuple):
         )
 
 
-class StatementCache:
-    """LRU of :class:`Prepared` entries keyed by SQL text."""
+class StatementCache(LRUCache):
+    """:data:`CAPACITY` :class:`Prepared` entries keyed by SQL text."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, Prepared] = OrderedDict()
+        super().__init__(CAPACITY)
         #: Lookups that found the text, lookups that did not, and
         #: executions that ran a stored plan.
         self.hits = self.misses = self.plan_hits = 0
 
     def lookup(self, sql: str) -> Prepared | None:
         """The entry for ``sql``, promoted to most recently used."""
-        with racecheck.guard("StatementCache._lock", self._lock):
-            racecheck.read("StatementCache._entries")
-            entry = self._entries.get(sql)
+        with racecheck.guard(self._lock_name, self._lock):
+            entry = self._get_locked(sql, None)
             if entry is None:
                 self.misses += 1
-                return None
-            racecheck.write("StatementCache._entries")
-            self._entries.move_to_end(sql)
-            self.hits += 1
+            else:
+                self.hits += 1
             return entry
 
     def count_plan_hit(self) -> None:
         """An execution ran the plan its entry stored."""
-        with racecheck.guard("StatementCache._lock", self._lock):
+        with racecheck.guard(self._lock_name, self._lock):
             self.plan_hits += 1
-
-    def put(self, sql: str, entry: Prepared) -> None:
-        """Store (or replace) ``sql``'s entry as most recently used."""
-        with racecheck.guard("StatementCache._lock", self._lock):
-            racecheck.write("StatementCache._entries")
-            self._entries[sql] = entry
-            self._entries.move_to_end(sql)
-            while len(self._entries) > CAPACITY:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with racecheck.guard("StatementCache._lock", self._lock):
-            racecheck.read("StatementCache._entries")
-            return len(self._entries)

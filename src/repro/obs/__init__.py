@@ -27,7 +27,6 @@ layer (db, lm, core, serve) can emit spans without import cycles.
 from repro.obs import racecheck, trace
 from repro.obs.explain import (
     AnalyzedQuery,
-    OperatorCostModel,
     OperatorStats,
     emit_operator_spans,
     instrument_plan,
@@ -41,7 +40,6 @@ from repro.obs.trace import Span, SpanEvent, Tracer
 __all__ = [
     "AnalyzedQuery",
     "Meter",
-    "OperatorCostModel",
     "OperatorStats",
     "RaceChecker",
     "RaceFinding",

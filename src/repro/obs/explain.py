@@ -2,10 +2,9 @@
 
 Wraps a physical plan (:mod:`repro.db.plan`) in counting proxies so a
 single execution yields, for every operator, the rows that flowed in
-and out and a *virtual* execution time from a deterministic
-:class:`OperatorCostModel` — never wall-clock, so analyzed output is
-byte-identical across machines and runs, like everything else measured
-in this repro.
+and out and a *virtual* execution time from a deterministic cost model
+— never wall-clock, so analyzed output is byte-identical across
+machines and runs, like everything else measured in this repro.
 
 Counting is honest about laziness: operators are Volcano-style
 iterators, so a ``Limit`` that stops pulling early is reflected in its
@@ -28,31 +27,14 @@ from repro.obs import trace
 #: Attribute names under which plan nodes hold their inputs.
 _CHILD_ATTRS = ("child", "left", "right")
 
-
-@dataclass(frozen=True)
-class OperatorCostModel:
-    """Virtual seconds an operator costs, as a pure function of rows.
-
-    The constants model a fast in-memory engine: a fixed per-operator
-    startup plus linear per-row costs.  Absolute calibration matters
-    less than determinism — the point is *attribution* (where rows and
-    time go), on a scale that composes with the simulated LM's seconds.
-    """
-
-    startup_s: float = 0.0001
-    per_row_in_s: float = 0.000001
-    per_row_out_s: float = 0.000001
-
-    def seconds(self, stats: "OperatorStats") -> float:
-        """This node's own (exclusive) virtual execution time."""
-        return (
-            self.startup_s
-            + stats.rows_in * self.per_row_in_s
-            + stats.rows_out * self.per_row_out_s
-        )
-
-
-DEFAULT_COST = OperatorCostModel()
+#: Virtual seconds an operator costs, as a pure function of rows: the
+#: constants model a fast in-memory engine, a fixed per-operator startup
+#: plus linear per-row costs.  Absolute calibration matters less than
+#: determinism — the point is *attribution* (where rows and time go),
+#: on a scale that composes with the simulated LM's seconds.
+_STARTUP_S = 0.0001
+_PER_ROW_IN_S = 0.000001
+_PER_ROW_OUT_S = 0.000001
 
 
 @dataclass
@@ -86,6 +68,15 @@ class OperatorStats:
     @property
     def rows_in(self) -> int:
         return sum(child.rows_out for child in self.children)
+
+    @property
+    def seconds(self) -> float:
+        """This node's own (exclusive) virtual execution time."""
+        return (
+            _STARTUP_S
+            + self.rows_in * _PER_ROW_IN_S
+            + self.rows_out * _PER_ROW_OUT_S
+        )
 
     def walk(self):
         yield self
@@ -153,11 +144,7 @@ def instrument_plan(node) -> tuple[object, OperatorStats]:
     return _CountingNode(node, stats), stats
 
 
-def render_stats(
-    stats: OperatorStats,
-    cost: OperatorCostModel = DEFAULT_COST,
-    depth: int = 0,
-) -> str:
+def render_stats(stats: OperatorStats, depth: int = 0) -> str:
     """The ``explain()`` tree, annotated with per-operator statistics."""
     extra = "".join(
         f" {key}={value}" for key, value in stats.extra.items()
@@ -165,18 +152,16 @@ def render_stats(
     line = (
         "  " * depth
         + f"{stats.describe} [rows_in={stats.rows_in} "
-        + f"rows_out={stats.rows_out} vtime={cost.seconds(stats):.6f}s"
+        + f"rows_out={stats.rows_out} vtime={stats.seconds:.6f}s"
         + f"{extra}]"
     )
     lines = [line]
     for child in stats.children:
-        lines.append(render_stats(child, cost, depth + 1))
+        lines.append(render_stats(child, depth + 1))
     return "\n".join(lines)
 
 
-def emit_operator_spans(
-    stats: OperatorStats, cost: OperatorCostModel = DEFAULT_COST
-) -> None:
+def emit_operator_spans(stats: OperatorStats) -> None:
     """Mirror the stats tree as nested ``op:`` spans on the active trace.
 
     Each operator's span covers its children plus its own exclusive
@@ -191,8 +176,8 @@ def emit_operator_spans(
         rows_out=stats.rows_out,
     ):
         for child in stats.children:
-            emit_operator_spans(child, cost)
-        trace.advance(cost.seconds(stats))
+            emit_operator_spans(child)
+        trace.advance(stats.seconds)
 
 
 @dataclass
@@ -209,16 +194,15 @@ class AnalyzedQuery:
 
     stats: OperatorStats
     result: object  # a repro.db ResultSet (duck-typed, see module doc)
-    cost: OperatorCostModel = DEFAULT_COST
     optimizer: object | None = None
     truncated: "tuple[int, int] | None" = None
 
     @property
     def total_seconds(self) -> float:
-        return sum(self.cost.seconds(node) for node in self.stats.walk())
+        return sum(node.seconds for node in self.stats.walk())
 
     def render(self) -> str:
-        rendered = render_stats(self.stats, self.cost)
+        rendered = render_stats(self.stats)
         if self.optimizer is not None and getattr(
             self.optimizer, "decisions", None
         ):

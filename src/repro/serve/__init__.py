@@ -16,7 +16,6 @@ from repro.serve.admission import (
     SQLAdmissionEstimator,
 )
 from repro.serve.batching import BatchingLM, Session
-from repro.serve.cache import LRUCache
 from repro.serve.clock import VirtualClock
 from repro.serve.resilience import (
     BreakerPolicy,
@@ -45,7 +44,6 @@ __all__ = [
     "BreakerPolicy",
     "CanonicalForm",
     "CircuitBreaker",
-    "LRUCache",
     "PipelineFactory",
     "ResiliencePolicy",
     "ResilientLM",

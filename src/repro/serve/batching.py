@@ -35,11 +35,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 
+from repro.db.stmtcache import LRUCache
 from repro.lm.model import LMConfig, LMResponse, SimulatedLM
 from repro.lm.tokenizer import count_tokens
 from repro.lm.usage import Usage
 from repro.obs import racecheck, trace
-from repro.serve.cache import LRUCache
 from repro.serve.clock import VirtualClock
 
 _MISS = object()
@@ -291,12 +291,12 @@ class BatchingLM:
         with racecheck.guard("BatchingLM._cv", self._cv):
             # Everything the scheduler mutates below — the pending
             # queue, in-flight coalescing map, errored-retry ledger,
-            # prompt cache, usage meters, and this session's counters —
-            # is guarded by the one condition variable.
+            # usage meters, and this session's counters — is guarded by
+            # the one condition variable (the prompt cache holds its
+            # own lock, taken inside it).
             racecheck.write("BatchingLM._pending")
             racecheck.write("BatchingLM._inflight")
             racecheck.write("BatchingLM._errored")
-            racecheck.write("BatchingLM._cache")
             racecheck.write("Usage.cache_meters")
             racecheck.write(f"Session.{session.order}.meters")
             items: list[_Pending] = []
@@ -317,9 +317,8 @@ class BatchingLM:
                         del self._errored[key]
                 if self._cache.capacity:
                     # One promoting get() is the lookup AND the
-                    # recency touch; peeking first (``key in cache``)
-                    # would leave eviction order unchanged — see
-                    # LRUCache's peek/promote contract.
+                    # recency touch; ``key in cache`` first would
+                    # leave the eviction order unchanged.
                     cached = self._cache.get(key, _MISS)
                     if cached is not _MISS:
                         if not retry:
@@ -532,7 +531,6 @@ class BatchingLM:
         racecheck.write(f"Session.{item.session.order}.meters")
         item.session.lm_calls += 1
         if self._cache.capacity:
-            racecheck.write("BatchingLM._cache")
             racecheck.write("BatchingLM._inflight")
             self._cache.put((item.prompt, item.max_tokens), response)
             self._inflight.pop((item.prompt, item.max_tokens), None)

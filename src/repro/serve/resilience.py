@@ -276,31 +276,19 @@ class ResilientLM:
         """Healthy batches pass through untouched (identical batch
         composition and cost to no middleware at all).
 
-        When the inner model exposes ``try_complete_batch`` (a
-        :class:`~repro.serve.batching.BatchingLM` does), a partially
-        failed batch keeps its successful responses and re-drives
-        *only* the failed prompts — already-billed work is never
-        re-executed, so ``calls`` and token counters stay honest under
-        retry.  Otherwise a transiently failed batch is re-driven one
-        prompt at a time, each with its own retry budget.
+        The inner model is a :class:`~repro.serve.batching.BatchingLM`
+        (``TagServer`` builds it so), whose ``try_complete_batch``
+        reports each prompt's outcome: a partially failed batch keeps
+        its successful responses and re-drives *only* the failed
+        prompts — already-billed work is never re-executed, so
+        ``calls`` and token counters stay honest under retry.
         """
         if not prompts:
             return []
         self._check_breaker()
-        attempted = getattr(self._inner, "try_complete_batch", None)
-        if attempted is None:
-            try:
-                responses = self._inner.complete_batch(prompts, max_tokens)
-            except TransientLMError:
-                return [
-                    self.complete(prompt, max_tokens) for prompt in prompts
-                ]
-            self._timeline.advance(sum(r.latency_s for r in responses))
-            if self.breaker is not None:
-                self.breaker.record_success()
-            return responses
+        outcomes = self._inner.try_complete_batch(prompts, max_tokens)
         results: list[LMResponse] = []
-        for prompt, outcome in zip(prompts, attempted(prompts, max_tokens)):
+        for prompt, outcome in zip(prompts, outcomes):
             if isinstance(outcome, LMResponse):
                 self._timeline.advance(outcome.latency_s)
                 if self.breaker is not None:

@@ -51,11 +51,11 @@ import threading
 from dataclasses import dataclass
 
 from repro.core.tag import TAGResult
+from repro.db.stmtcache import LRUCache
 from repro.embed import HashingEmbedder
 from repro.lm.usage import Usage
-from repro.obs import racecheck, trace
+from repro.obs import racecheck
 from repro.obs.meter import Meter
-from repro.serve.cache import LRUCache
 from repro.text.tokenize import STOPWORDS, tokens
 from repro.vector import FlatIndex
 
@@ -222,8 +222,7 @@ class SemanticResultCache:
     one catalog, and after a data/catalog change :meth:`invalidate`
     evicts every entry (metered).  ``capacity == 0`` disables the
     cache; every lookup then meters exactly one miss — the single
-    audited seam for the disabled path (see
-    :class:`repro.serve.cache.LRUCache`'s metering note).
+    audited seam for the disabled path.
 
     Near matching embeds the canonical form with
     :class:`~repro.embed.HashingEmbedder` into a
@@ -307,25 +306,13 @@ class SemanticResultCache:
     def lookup(self, request: str) -> SemanticHit | None:
         """Serve ``request`` from the cache, or meter a miss.
 
-        Emits a ``semcache.lookup`` trace leaf when a request trace is
-        active on the calling thread (zero virtual seconds: cache
-        service costs no simulated compute).
+        The server calls this on the serve thread before any request
+        trace is open, and emits the ``semcache.lookup`` leaf itself.
         """
         canonical = canonicalize(request)
         with racecheck.guard("SemanticResultCache._lock", self._lock):
             racecheck.write("SemanticResultCache._entries")
-            hit = self._lookup_locked(canonical)
-        if hit is None:
-            trace.leaf("semcache.lookup", 0.0, outcome="miss")
-            return None
-        trace.leaf(
-            "semcache.lookup",
-            0.0,
-            outcome="hit",
-            via=hit.via,
-            similarity=round(hit.similarity, 9),
-        )
-        return hit
+            return self._lookup_locked(canonical)
 
     def _lookup_locked(self, canonical: CanonicalForm) -> SemanticHit | None:
         if self.capacity == 0 or canonical.degenerate:
@@ -412,9 +399,9 @@ class SemanticResultCache:
         count.  Each evicted entry meters one invalidation."""
         with racecheck.guard("SemanticResultCache._lock", self._lock):
             racecheck.write("SemanticResultCache._entries")
-            doomed = list(self._entries.keys())
-            for key in doomed:
-                entry = self._entries.pop(key)
+            doomed = self._entries.snapshot()
+            self._entries.clear()
+            for entry in doomed.values():
                 self._rows[entry.row] = None
             if doomed:
                 self._meter("semcache_invalidations", len(doomed))

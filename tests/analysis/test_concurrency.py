@@ -255,7 +255,7 @@ class TestRuleFixtures:
     def test_worker_shared_tag_on_shared_classes(self):
         findings = _analyze(
             """
-            class UDFMemoCache:
+            class StatementCache:
                 def __init__(self):
                     self._entries = {}
                     self._lock = make_lock()
@@ -447,7 +447,7 @@ class TestRepositoryBaseline:
         assert {
             "BatchingLM",
             "Session",
-            "UDFMemoCache",
+            "LRUCache",
             "StatementCache",
             "Tracer",
             "VirtualClock",

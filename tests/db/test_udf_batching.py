@@ -295,12 +295,10 @@ class TestMemoCache:
         assert len(db.udf_cache) == 2
 
     def test_lru_evicts_least_recently_used(self):
-        from repro.db.udfcache import UDFMemoCache
-
-        cache = UDFMemoCache(capacity=2)
+        cache = Database(udf_cache_capacity=2).udf_cache
         cache.put("a", 1)
         cache.put("b", 2)
-        assert cache.lookup("a") == (True, 1)  # promotes a
+        assert cache.get("a") == 1  # promotes a
         cache.put("c", 3)  # evicts b
         assert "b" not in cache
         assert "a" in cache and "c" in cache

@@ -12,7 +12,7 @@ import pytest
 from repro.data import load_domain, movies
 from repro.db import Database
 from repro.errors import PlanningError
-from repro.obs import OperatorCostModel, instrument_plan, render_stats
+from repro.obs import instrument_plan
 from repro.serve.demo import ROMANCE_SQL
 
 ROMANCE_GOLDEN = """\
@@ -98,10 +98,7 @@ class TestAnalyzedQuery:
     def test_total_seconds_sums_exclusive_costs(self, movie_db):
         analyzed = movie_db.explain_analyze(ROMANCE_SQL)
         assert analyzed.total_seconds == pytest.approx(
-            sum(
-                analyzed.cost.seconds(stats)
-                for stats in analyzed.stats.walk()
-            )
+            sum(stats.seconds for stats in analyzed.stats.walk())
         )
         assert analyzed.total_seconds > 0.0
 
@@ -130,15 +127,3 @@ class TestInstrumentation:
         assert rows == [(1,), (2,), (3,)]
         assert stats.rows_out == 3
 
-    def test_custom_cost_model(self):
-        db = Database()
-        db.execute("CREATE TABLE t (x INTEGER)")
-        db.execute("INSERT INTO t (x) VALUES (1), (2)")
-        analyzed = db.explain_analyze("SELECT x FROM t")
-        expensive = OperatorCostModel(
-            startup_s=1.0, per_row_in_s=0.0, per_row_out_s=0.0
-        )
-        rendered = render_stats(analyzed.stats, expensive)
-        assert all(
-            "vtime=1.000000s" in line for line in rendered.splitlines()
-        )

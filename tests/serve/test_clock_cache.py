@@ -1,8 +1,10 @@
-"""Unit tests for the serving substrate: VirtualClock and LRUCache."""
+"""Unit tests for the serving substrate: VirtualClock and LRUCache
+(which lives in :mod:`repro.db.stmtcache`)."""
 
 import pytest
 
-from repro.serve import LRUCache, VirtualClock
+from repro.db import LRUCache
+from repro.serve import VirtualClock
 
 
 class TestVirtualClock:
@@ -70,21 +72,17 @@ class TestLRUCache:
         cache.clear()
         assert len(cache) == 0
 
-    # -- peek/promote contract --------------------------------------------
+    # -- what promotes --------------------------------------------------
 
-    def test_peek_returns_without_promoting(self):
+    def test_snapshot_returns_without_promoting(self):
         cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        assert cache.peek("a") == 1  # a stays LRU
+        assert cache.snapshot() == {"a": 1, "b": 2}  # oldest first
+        assert list(cache.snapshot()) == ["a", "b"]
         cache.put("c", 3)
         assert "a" not in cache
         assert "b" in cache
-
-    def test_peek_miss_returns_default(self):
-        cache = LRUCache(2)
-        assert cache.peek("missing") is None
-        assert cache.peek("missing", 7) == 7
 
     def test_contains_is_a_peek(self):
         cache = LRUCache(2)
@@ -102,8 +100,9 @@ class TestLRUCache:
         cache.put("b", 2)
         cache.put("c", 3)
         cache.get("a")  # order now b, c, a (LRU first)
-        cache.peek("b")  # no-op for recency
+        cache.snapshot()  # no-op for recency
         assert "b" in cache  # no-op for recency
+        assert len(cache) == 3  # no-op for recency
         cache.put("d", 4)  # evicts b
         cache.put("e", 5)  # evicts c
         assert "b" not in cache

@@ -118,17 +118,17 @@ class TestServeSweepIsRaceClean:
 
 class TestHarnessCatchesSeededServeRace:
     def test_lockless_memo_cache_is_flagged(self, movie_dataset):
-        """Re-introduce the UDFMemoCache bug (mutation without its
-        lock) inside a serve replay: the checker must flag it."""
+        """Re-introduce the memo cache's old bug (mutation without
+        its lock) inside a serve replay: the checker must flag it."""
 
         class _LocklessCache:
             def __init__(self) -> None:
                 self._hits = 0
 
             def poke(self) -> None:
-                racecheck.read("UDFMemoCache._entries")
+                racecheck.read("LRUCache._entries")
                 hits = self._hits
-                racecheck.write("UDFMemoCache._entries")
+                racecheck.write("LRUCache._entries")
                 self._hits = hits + 1
 
         shared = _LocklessCache()
@@ -159,6 +159,6 @@ class TestHarnessCatchesSeededServeRace:
         report = checker.report()
         assert not report.ok
         assert any(
-            f.variable == "UDFMemoCache._entries"
+            f.variable == "LRUCache._entries"
             for f in report.findings
         )

@@ -128,16 +128,6 @@ class TestResilientLMRetry:
         assert guarded.usage == reference.usage
         assert clock.now() == 0.0  # no backoff ever billed
 
-    def test_batch_fallback_retries_per_prompt(self):
-        lm = ResilientLM(
-            faulty(("transient", None, None, None)),
-            ResiliencePolicy(retry=RetryPolicy(max_attempts=3)),
-        )
-        prompts = [PROMPT, PROMPT + " again"]
-        responses = lm.complete_batch(prompts)
-        assert [bool(r.text) for r in responses] == [True, True]
-        assert lm.usage.retries == 1
-
 
 class TestDeadlines:
     def test_deadline_kills_slow_request(self):

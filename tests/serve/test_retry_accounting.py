@@ -110,17 +110,3 @@ class TestPartialBatchRetry:
         assert usage.prompt_tokens == (
             count_tokens(PROMPT_A) + count_tokens(PROMPT_B)
         )
-
-    def test_plain_inner_keeps_whole_batch_replay(self):
-        """Without try_complete_batch (bare FaultyLM inner), the old
-        per-prompt re-drive still applies and stays correct."""
-        faulty = FaultyLM(
-            SimulatedLM(LMConfig(seed=0)),
-            FaultPlan(script=("transient", None, None)),
-        )
-        resilient = ResilientLM(
-            faulty, ResiliencePolicy(retry=RetryPolicy(max_attempts=3))
-        )
-        responses = resilient.complete_batch([PROMPT_A, PROMPT_B])
-        assert len(responses) == 2
-        assert resilient.usage.faults_injected == 1
