@@ -8,8 +8,7 @@ benchmark's reasoning ranking queries.
 """
 
 from repro.bench.evaluate import exact_match
-from repro.bench.queries import PipelineContext
-from repro.bench.suites.match import _top_posts
+from repro.bench.pipelines import top_posts
 from repro.lm import LMConfig, SimulatedLM
 from repro.semantic import SemanticOperators
 from repro.text.technicality import technicality_score
@@ -24,7 +23,7 @@ def _run(method: str, datasets):
     correct = 0
     trials = 0
     for pool_size in (5, 8, 10, 12, 15):
-        pool = _top_posts(posts, pool_size)
+        pool = top_posts(posts, pool_size)
         got = ops.sem_topk(
             pool, "Which {Title} is most technical?", 3, method=method
         )["Title"].tolist()

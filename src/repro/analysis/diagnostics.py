@@ -62,10 +62,6 @@ class Span:
             return None
         return cls(position, position + max(length, 1))
 
-    def excerpt(self, sql: str) -> str:
-        """The source text this span covers."""
-        return sql[self.start : self.end]
-
     def caret_line(self, sql: str) -> str:
         """Two-line ``source\\n   ^^^`` rendering for CLI output."""
         line_start = sql.rfind("\n", 0, self.start) + 1
@@ -164,10 +160,6 @@ class QueryReport:
     @property
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.is_error]
-
-    @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if not d.is_error]
 
     def render(self) -> str:
         """Multi-line human-readable report (the CLI's output)."""

@@ -433,13 +433,12 @@ class _Run:
         ]
         for order in select.order_by:
             expression = order.expression
-            if isinstance(expression, ast.Literal) and isinstance(
-                expression.value, int
-            ) and not isinstance(expression.value, bool):
-                if not 1 <= expression.value <= len(items):
+            position = ast.output_position(expression)
+            if position is not None:
+                if not 1 <= position <= len(items):
                     self._diag(
                         "ANA014",
-                        f"ORDER BY position {expression.value} is out of "
+                        f"ORDER BY position {position} is out of "
                         f"range (1..{len(items)})",
                     )
                 continue
@@ -1063,15 +1062,13 @@ class _Run:
     ) -> ast.Expression:
         """GROUP BY ordinals / output aliases, as the planner resolves
         them."""
-        if isinstance(expression, ast.Literal) and isinstance(
-            expression.value, int
-        ) and not isinstance(expression.value, bool):
-            index = expression.value - 1
-            if 0 <= index < len(items):
-                return items[index].expression
+        position = ast.output_position(expression)
+        if position is not None:
+            if 1 <= position <= len(items):
+                return items[position - 1].expression
             self._diag(
                 "ANA014",
-                f"GROUP BY position {expression.value} is out of range "
+                f"GROUP BY position {position} is out of range "
                 f"(1..{len(items)})",
             )
             return ast.Literal(1)  # placeholder; error already recorded

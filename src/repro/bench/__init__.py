@@ -9,7 +9,8 @@ time, regenerating the paper's Table 1, Table 2, and Figure 2.
 """
 
 from repro.bench.evaluate import exact_match, normalize_answer
-from repro.bench.queries import PipelineContext, QuerySpec
+from repro.bench.pipelines import PipelineContext
+from repro.bench.queries import QuerySpec
 from repro.bench.report import (
     format_table1,
     format_table2,

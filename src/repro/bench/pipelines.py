@@ -1,92 +1,177 @@
-"""Shared building blocks for the hand-written TAG pipelines.
+"""What a TAG-Bench program may use, and its LM binding.
 
-These helpers encode the *schema expertise* of the paper's Appendix C
-pipelines — which tables join how, and which columns feed which
-semantic operator — in reusable form.  Everything semantic goes through
-the operators (i.e. the LM); nothing here consults the oracle.
+Each exact-answer query is written once, as a program over a context
+that offers ``frame(table)`` and a small set of semantic verbs (the
+``filter_*`` methods and ``topk_text``).  Two bindings implement the
+verbs: :class:`PipelineContext` here sends every semantic step through
+the operators, i.e. the LM (hand-written TAG, the paper's Appendix C),
+and :class:`repro.bench.oracle.OracleContext` answers from canonical
+knowledge and the noise-free scorers (the gold labels).  Programs
+encode expert knowledge of the *schema* — which tables join how, and
+which columns feed which verb — never of the answers.
+
+The join helpers below take anything with a ``frame(table)`` method: a
+context of either binding, or a :class:`~repro.data.base.Dataset`.
 """
 
 from __future__ import annotations
 
-from repro.bench.queries import PipelineContext
+from dataclasses import dataclass
+
+from repro.data.base import Dataset
 from repro.frame import DataFrame, merge
+from repro.lm import SimulatedLM
+from repro.semantic import SemanticOperators
+
+#: sem_filter and sem_topk instructions per text quality.
+_JUDGE = {
+    "positive": "The comment '{Text}' is positive",
+    "negative": "The comment '{Text}' is negative",
+    "sarcastic": "The comment '{Text}' is sarcastic",
+    "technical": "The title '{Title}' is technical",
+}
+_RANK = {
+    "positive": "Which comment {Text} is most positive?",
+    "negative": "Which comment {Text} is most negative?",
+    "sarcastic": "Which comment {Text} is most sarcastic?",
+    "technical": "Which {Title} is most technical?",
+}
 
 
-def filter_by_region(
-    ctx: PipelineContext, frame: DataFrame, region: str
-) -> DataFrame:
-    """Keep rows whose city the LM judges to be in ``region``.
+@dataclass
+class PipelineContext:
+    """The LM binding: the dataset's frames and the semantic operators."""
 
-    Judges each *unique* city once — the dedup optimisation the paper's
-    match-based example pipeline applies before sem_filter.
-    """
-    cities = DataFrame({"City": frame["City"].unique()})
-    kept = ctx.ops.sem_filter(
-        cities, "{City} is a city in the " + region + " region"
+    dataset: Dataset
+    ops: SemanticOperators
+    lm: SimulatedLM
+
+    def frame(self, table: str) -> DataFrame:
+        return self.dataset.frame(table)
+
+    def _filter_values(
+        self, frame: DataFrame, column: str, instruction: str
+    ) -> DataFrame:
+        """Judge each *unique* value of ``column`` once and keep the
+        rows whose value passes — the dedup the paper's match-based
+        example pipeline applies before sem_filter."""
+        values = DataFrame({column: frame[column].unique()})
+        kept = self.ops.sem_filter(values, instruction)
+        return frame[frame[column].isin(kept[column].tolist())]
+
+    def filter_by_region(self, frame: DataFrame, region: str) -> DataFrame:
+        """Rows whose ``City`` is in ``region``."""
+        return self._filter_values(
+            frame, "City", "{City} is a city in the " + region + " region"
+        )
+
+    def filter_players_by_height(
+        self, frame: DataFrame, person: str, direction: str
+    ) -> DataFrame:
+        """Players ``"taller"`` or ``"shorter"`` than a public figure."""
+        return self._filter_values(
+            frame,
+            "height",
+            f"a player with height {{height}} is {direction} than {person}",
+        )
+
+    def filter_euro_countries(self, frame: DataFrame) -> DataFrame:
+        """Rows whose ``Country`` uses the euro."""
+        return self._filter_values(
+            frame, "Country", "{Country} uses the euro"
+        )
+
+    def filter_eu_countries(self, frame: DataFrame) -> DataFrame:
+        """Rows whose ``Country`` is in the European Union."""
+        return self._filter_values(
+            frame, "Country", "{Country} is a member of the European Union"
+        )
+
+    def filter_currency_of(
+        self, frame: DataFrame, country: str
+    ) -> DataFrame:
+        """Rows whose ``Currency`` is the currency of ``country``."""
+        return self._filter_values(
+            frame, "Currency", "{Currency} is the currency of " + country
+        )
+
+    def filter_street_circuits(self, circuits: DataFrame) -> DataFrame:
+        return self.ops.sem_filter(circuits, "{name} is a street circuit")
+
+    def filter_circuits_in_region(
+        self, circuits: DataFrame, region: str
+    ) -> DataFrame:
+        return self.ops.sem_filter(
+            circuits, "{name} is located in " + region
+        )
+
+    def filter_uk_leagues(self, leagues: DataFrame) -> DataFrame:
+        """Leagues based in the UK (country prefix of the league name)."""
+        with_country = leagues.assign(
+            league_country=[
+                name.split()[0] for name in leagues["name"].tolist()
+            ]
+        )
+        kept = self.ops.sem_filter(
+            with_country, "{league_country} is part of the United Kingdom"
+        )
+        return kept[leagues.columns]
+
+    def filter_text(self, frame: DataFrame, quality: str) -> DataFrame:
+        """Rows whose text has ``quality``: ``"positive"``,
+        ``"negative"``, ``"sarcastic"`` (``Text``) or ``"technical"``
+        (``Title``)."""
+        return self.ops.sem_filter(frame, _JUDGE[quality])
+
+    def topk_text(self, frame: DataFrame, quality: str, k: int) -> DataFrame:
+        """The ``k`` rows with the most ``quality``, best first."""
+        return self.ops.sem_topk(frame, _RANK[quality], k)
+
+
+# -- joins shared by every binding ------------------------------------------
+
+
+def top_posts(posts: DataFrame, count: int) -> DataFrame:
+    """The ``count`` most viewed posts, most viewed first."""
+    return posts.sort_values("ViewCount", ascending=False).head(count)
+
+
+def _comments_of(source, posts: DataFrame) -> DataFrame:
+    # Project the post side to its key so comment columns keep their
+    # names (Score, CreationDate, ... would otherwise be suffixed).
+    return merge(
+        posts[["Id"]],
+        source.frame("comments"),
+        left_on="Id",
+        right_on="PostId",
     )
-    return frame[frame["City"].isin(kept["City"].tolist())]
 
 
-def filter_players_by_height(
-    ctx: PipelineContext,
-    frame: DataFrame,
-    person: str,
-    direction: str = "taller",
-) -> DataFrame:
-    """Keep players the LM judges taller/shorter than a public figure."""
-    heights = DataFrame({"height": frame["height"].unique()})
-    kept = ctx.ops.sem_filter(
-        heights,
-        f"a player with height {{height}} is {direction} than {person}",
-    )
-    return frame[frame["height"].isin(kept["height"].tolist())]
+def post_comments(source, title: str) -> DataFrame:
+    """Comments on the post titled ``title``."""
+    posts = source.frame("posts")
+    return _comments_of(source, posts[posts["Title"] == title])
 
 
-def filter_countries(
-    ctx: PipelineContext, frame: DataFrame, predicate: str
-) -> DataFrame:
-    """Keep rows whose country satisfies a knowledge predicate, e.g.
-    ``"uses the euro"`` or ``"is a member of the European Union"``."""
-    countries = DataFrame({"Country": frame["Country"].unique()})
-    kept = ctx.ops.sem_filter(countries, "{Country} " + predicate)
-    return frame[frame["Country"].isin(kept["Country"].tolist())]
+def top_post_comments(source, count: int = 1) -> DataFrame:
+    """Comments on the ``count`` most viewed posts."""
+    return _comments_of(source, top_posts(source.frame("posts"), count))
 
 
-def filter_street_circuits(
-    ctx: PipelineContext, circuits: DataFrame
-) -> DataFrame:
-    """Keep circuits the LM judges to be street circuits."""
-    return ctx.ops.sem_filter(circuits, "{name} is a street circuit")
-
-
-def filter_circuits_in_region(
-    ctx: PipelineContext, circuits: DataFrame, region: str
-) -> DataFrame:
-    """Keep circuits the LM judges to be in ``region``."""
-    return ctx.ops.sem_filter(
-        circuits, "{name} is located in " + region
+def schools_sat(source) -> DataFrame:
+    """schools joined to satscores on the CDS code."""
+    return merge(
+        source.frame("schools"),
+        source.frame("satscores"),
+        left_on="CDSCode",
+        right_on="cds",
     )
 
 
-def filter_uk_leagues(
-    ctx: PipelineContext, leagues: DataFrame
-) -> DataFrame:
-    """Keep leagues based in the UK (country prefix of the league name)."""
-    with_country = leagues.assign(
-        league_country=[
-            name.split()[0] for name in leagues["name"].tolist()
-        ]
-    )
-    kept = ctx.ops.sem_filter(
-        with_country, "{league_country} is part of the United Kingdom"
-    )
-    return kept[leagues.columns]
-
-
-def races_with_circuits(ctx: PipelineContext) -> DataFrame:
+def races_with_circuits(source) -> DataFrame:
     """races joined to circuits with disambiguated name columns."""
-    races = ctx.frame("races").rename(columns={"name": "race_name"})
-    circuits = ctx.frame("circuits").rename(
+    races = source.frame("races").rename(columns={"name": "race_name"})
+    circuits = source.frame("circuits").rename(
         columns={"name": "circuit_name"}
     )
     return merge(
@@ -94,82 +179,11 @@ def races_with_circuits(ctx: PipelineContext) -> DataFrame:
     )
 
 
-def players_with_attributes(ctx: PipelineContext) -> DataFrame:
+def players_with_attributes(source) -> DataFrame:
     """Player joined to Player_Attributes on player_api_id."""
     return merge(
-        ctx.frame("Player"),
-        ctx.frame("Player_Attributes"),
+        source.frame("Player"),
+        source.frame("Player_Attributes"),
         left_on="player_api_id",
         right_on="player_api_id",
-    )
-
-
-def comments_for_post_title(
-    ctx: PipelineContext, title: str
-) -> DataFrame:
-    posts = ctx.frame("posts")
-    post = posts[posts["Title"] == title]
-    # Project the post side to its key so comment columns keep their
-    # names (Score, CreationDate, ... would otherwise be suffixed).
-    return merge(
-        post[["Id"]],
-        ctx.frame("comments"),
-        left_on="Id",
-        right_on="PostId",
-    )
-
-
-def filter_positive(ctx: PipelineContext, frame: DataFrame) -> DataFrame:
-    """Keep rows whose text the LM judges positive."""
-    return ctx.ops.sem_filter(frame, "The comment '{Text}' is positive")
-
-
-def filter_negative(ctx: PipelineContext, frame: DataFrame) -> DataFrame:
-    """Keep rows whose text the LM judges negative."""
-    return ctx.ops.sem_filter(frame, "The comment '{Text}' is negative")
-
-
-def filter_sarcastic(ctx: PipelineContext, frame: DataFrame) -> DataFrame:
-    """Keep rows whose text the LM judges sarcastic."""
-    return ctx.ops.sem_filter(frame, "The comment '{Text}' is sarcastic")
-
-
-def filter_technical_titles(
-    ctx: PipelineContext, frame: DataFrame
-) -> DataFrame:
-    """Keep rows whose title the LM judges technical."""
-    return ctx.ops.sem_filter(frame, "The title '{Title}' is technical")
-
-
-def topk_technical(
-    ctx: PipelineContext, frame: DataFrame, k: int
-) -> DataFrame:
-    """Top-k rows by LM-judged technicality, best first."""
-    return ctx.ops.sem_topk(frame, "Which {Title} is most technical?", k)
-
-
-def topk_sarcastic(
-    ctx: PipelineContext, frame: DataFrame, k: int
-) -> DataFrame:
-    """Top-k rows by LM-judged sarcasm, best first."""
-    return ctx.ops.sem_topk(
-        frame, "Which comment {Text} is most sarcastic?", k
-    )
-
-
-def topk_positive(
-    ctx: PipelineContext, frame: DataFrame, k: int
-) -> DataFrame:
-    """Top-k rows by LM-judged positivity, best first."""
-    return ctx.ops.sem_topk(
-        frame, "Which comment {Text} is most positive?", k
-    )
-
-
-def topk_negative(
-    ctx: PipelineContext, frame: DataFrame, k: int
-) -> DataFrame:
-    """Top-k rows by LM-judged negativity, best first."""
-    return ctx.ops.sem_topk(
-        frame, "Which comment {Text} is most negative?", k
     )

@@ -6,38 +6,27 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
+from repro.bench.oracle import OracleContext
+from repro.bench.pipelines import PipelineContext
 from repro.data.base import Dataset
 from repro.errors import BenchmarkError
-from repro.lm import SimulatedLM
-from repro.semantic import SemanticOperators
 
 QUERY_TYPES = ("match", "comparison", "ranking", "aggregation")
 CAPABILITIES = ("knowledge", "reasoning")
 
 
 @dataclass
-class PipelineContext:
-    """What a hand-written TAG pipeline may use: the dataset's frames
-    and the semantic operators (i.e. the LM).  Pipelines encode expert
-    knowledge of the *schema* — never of the answers."""
-
-    dataset: Dataset
-    ops: SemanticOperators
-    lm: SimulatedLM
-
-    def frame(self, table: str):
-        return self.dataset.frame(table)
-
-
-@dataclass
 class QuerySpec:
     """One benchmark query.
 
-    ``gold`` computes the labeled answer from the dataset and the
-    *oracle* knowledge/text scorers (standing in for the paper's human
-    labels); it is ``None`` for aggregation queries, whose quality the
-    paper analyses qualitatively.  ``pipeline`` is the hand-written TAG
-    program for the query, mirroring the paper's Appendix C.
+    ``pipeline`` is the query's one program, mirroring the paper's
+    Appendix C, over a context that offers frames and semantic verbs
+    (:mod:`repro.bench.pipelines`).  Hand-written TAG runs it under the
+    LM binding, :class:`PipelineContext`.  ``gold`` runs it under the
+    oracle binding, :class:`~repro.bench.oracle.OracleContext`
+    (canonical knowledge + noise-free scorers, standing in for the
+    paper's human labels); it is ``None`` for aggregation queries,
+    whose quality the paper analyses qualitatively.
 
     Aggregation queries instead carry quantitative-quality oracles
     (the "future work" the paper defers, see
@@ -51,8 +40,7 @@ class QuerySpec:
     query_type: str
     capability: str
     question: str
-    gold: Callable[[Dataset], list[Any]] | None
-    pipeline: Callable[[PipelineContext], Any]
+    pipeline: Callable[[PipelineContext | OracleContext], Any]
     agg_entities: Callable[[Dataset], list[str]] | None = None
     agg_source: Callable[[Dataset], list[dict]] | None = None
 
@@ -65,15 +53,17 @@ class QuerySpec:
             raise BenchmarkError(
                 f"{self.qid}: bad capability {self.capability!r}"
             )
+        if self.query_type == "aggregation" and (
+            self.agg_entities is None or self.agg_source is None
+        ):
+            raise BenchmarkError(
+                f"{self.qid}: aggregation queries need "
+                "agg_entities and agg_source oracles"
+            )
+
+    @property
+    def gold(self) -> Callable[[Dataset], list[Any]] | None:
+        """The labeled answer: the program under the oracle binding."""
         if self.query_type == "aggregation":
-            if self.gold is not None:
-                raise BenchmarkError(
-                    f"{self.qid}: aggregation queries have no exact gold"
-                )
-            if self.agg_entities is None or self.agg_source is None:
-                raise BenchmarkError(
-                    f"{self.qid}: aggregation queries need "
-                    "agg_entities and agg_source oracles"
-                )
-        elif self.gold is None:
-            raise BenchmarkError(f"{self.qid}: gold function required")
+            return None
+        return lambda dataset: self.pipeline(OracleContext(dataset))

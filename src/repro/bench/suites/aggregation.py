@@ -8,9 +8,15 @@ answer *completeness* on the Sepang query.
 
 from __future__ import annotations
 
-from repro.bench import oracle, pipelines
-from repro.bench.queries import PipelineContext, QuerySpec
-from repro.bench.suites.match import _top_posts
+from repro.bench import oracle
+from repro.bench.oracle import OracleContext
+from repro.bench.pipelines import (
+    post_comments,
+    races_with_circuits,
+    schools_sat,
+    top_post_comments,
+)
+from repro.bench.queries import QuerySpec
 from repro.data.base import Dataset
 from repro.frame import DataFrame, merge
 
@@ -44,7 +50,6 @@ def _spec(
         query_type="aggregation",
         capability=capability,
         question=question,
-        gold=None,
         pipeline=pipeline,
         agg_entities=entities,
         agg_source=source,
@@ -73,15 +78,10 @@ def _race_years(dataset: Dataset, names: set[str]) -> list[str]:
     )
 
 
-def _region_school_rows(dataset: Dataset, region: str) -> list[dict]:
-    return oracle.filter_by_region(
+def _region_schools(dataset: Dataset, region: str) -> DataFrame:
+    return OracleContext(dataset).filter_by_region(
         dataset.frame("schools"), region
-    ).to_records()
-
-
-def _region_cities_present(dataset: Dataset, region: str) -> list[str]:
-    schools = oracle.filter_by_region(dataset.frame("schools"), region)
-    return schools["City"].unique()
+    )
 
 
 def _country_station_rows(
@@ -98,17 +98,6 @@ def _countries_present(dataset: Dataset, countries: set[str]) -> list[str]:
     ].unique()
 
 
-def _comment_rows(dataset: Dataset, title: str) -> list[dict]:
-    posts = dataset.frame("posts")
-    post = posts[posts["Title"] == title]
-    return merge(
-        post[["Id"]],
-        dataset.frame("comments"),
-        left_on="Id",
-        right_on="PostId",
-    ).to_records()
-
-
 def _comment_prefixes(records: list[dict], words: int = 6) -> list[str]:
     """Distinctive prefixes of comment texts — an answer "mentions" a
     comment when it reproduces its opening words."""
@@ -122,24 +111,17 @@ def _comment_prefixes(records: list[dict], words: int = 6) -> list[str]:
 
 
 def _top_technical_titles(dataset: Dataset, count: int) -> list[str]:
-    from repro.text.technicality import technicality_score
-
-    titles = [
-        str(record["Title"])
-        for record in dataset.frame("posts").to_records()
-    ]
-    ranked = sorted(titles, key=technicality_score, reverse=True)
-    return ranked[:count]
+    top = OracleContext(dataset).topk_text(
+        dataset.frame("posts"), "technical", count
+    )
+    return [str(title) for title in top["Title"].tolist()]
 
 
-def _top_post_comment_rows(dataset: Dataset, count: int = 1) -> list[dict]:
-    top = _top_posts(dataset.frame("posts"), count)
-    return merge(
-        top[["Id"]],
-        dataset.frame("comments"),
-        left_on="Id",
-        right_on="PostId",
-    ).to_records()
+def _judged_rows(
+    dataset: Dataset, rows: DataFrame, quality: str
+) -> list[dict]:
+    """``rows`` whose text has ``quality`` under the oracle binding."""
+    return OracleContext(dataset).filter_text(rows, quality).to_records()
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +132,8 @@ def _top_post_comment_rows(dataset: Dataset, count: int = 1) -> list[dict]:
 def _knowledge() -> list[QuerySpec]:
     specs: list[QuerySpec] = []
 
-    def pipe_ak1(ctx: PipelineContext):
-        joined = pipelines.races_with_circuits(ctx)
+    def pipe_ak1(ctx):
+        joined = races_with_circuits(ctx)
         sepang = joined[
             joined["circuit_name"] == "Sepang International Circuit"
         ]
@@ -174,13 +156,9 @@ def _knowledge() -> list[QuerySpec]:
         )
     )
 
-    def pipe_ak2(ctx: PipelineContext):
-        street = pipelines.filter_street_circuits(
-            ctx, ctx.frame("circuits")
-        )
-        europe = pipelines.filter_circuits_in_region(
-            ctx, street, "europe"
-        )
+    def pipe_ak2(ctx):
+        street = ctx.filter_street_circuits(ctx.frame("circuits"))
+        europe = ctx.filter_circuits_in_region(street, "europe")
         races = ctx.frame("races").rename(columns={"name": "race_name"})
         joined = merge(
             europe, races, left_on="circuitId", right_on="circuitId"
@@ -210,10 +188,8 @@ def _knowledge() -> list[QuerySpec]:
         )
     )
 
-    def pipe_ak3(ctx: PipelineContext):
-        schools = pipelines.filter_by_region(
-            ctx, ctx.frame("schools"), "Silicon Valley"
-        )
+    def pipe_ak3(ctx):
+        schools = ctx.filter_by_region(ctx.frame("schools"), "Silicon Valley")
         return ctx.ops.sem_agg(
             schools,
             "Summarize the characteristics of schools in the Silicon "
@@ -229,21 +205,17 @@ def _knowledge() -> list[QuerySpec]:
             "Summarize the characteristics of schools in the Silicon "
             "Valley region.",
             pipe_ak3,
-            entities=lambda d: _region_cities_present(
+            entities=lambda d: _region_schools(
                 d, "silicon valley"
-            ),
-            source=lambda d: _region_school_rows(d, "silicon valley"),
+            )["City"].unique(),
+            source=lambda d: _region_schools(
+                d, "silicon valley"
+            ).to_records(),
         )
     )
 
-    def pipe_ak4(ctx: PipelineContext):
-        joined = merge(
-            ctx.frame("schools"),
-            ctx.frame("satscores"),
-            left_on="CDSCode",
-            right_on="cds",
-        )
-        bay = pipelines.filter_by_region(ctx, joined, "Bay Area")
+    def pipe_ak4(ctx):
+        bay = ctx.filter_by_region(schools_sat(ctx), "Bay Area")
         return ctx.ops.sem_agg(
             bay,
             "Provide an overview of the SAT performance of schools in "
@@ -255,13 +227,9 @@ def _knowledge() -> list[QuerySpec]:
         )
 
     def _bay_sat_rows(d: Dataset) -> list[dict]:
-        joined = merge(
-            d.frame("schools"),
-            d.frame("satscores"),
-            left_on="CDSCode",
-            right_on="cds",
-        )
-        return oracle.filter_by_region(joined, "bay area").to_records()
+        return OracleContext(d).filter_by_region(
+            schools_sat(d), "bay area"
+        ).to_records()
 
     specs.append(
         _spec(
@@ -278,10 +246,8 @@ def _knowledge() -> list[QuerySpec]:
         )
     )
 
-    def pipe_ak5(ctx: PipelineContext):
-        euro = pipelines.filter_countries(
-            ctx, ctx.frame("gasstations"), "uses the euro"
-        )
+    def pipe_ak5(ctx):
+        euro = ctx.filter_euro_countries(ctx.frame("gasstations"))
         return ctx.ops.sem_agg(
             euro,
             "Summarize the gas stations in countries that use the "
@@ -305,12 +271,8 @@ def _knowledge() -> list[QuerySpec]:
         )
     )
 
-    def pipe_ak6(ctx: PipelineContext):
-        in_eu = pipelines.filter_countries(
-            ctx,
-            ctx.frame("gasstations"),
-            "is a member of the European Union",
-        )
+    def pipe_ak6(ctx):
+        in_eu = ctx.filter_eu_countries(ctx.frame("gasstations"))
         return ctx.ops.sem_agg(
             in_eu,
             "Provide an overview of gas stations in countries in the "
@@ -335,9 +297,9 @@ def _knowledge() -> list[QuerySpec]:
         )
     )
 
-    def pipe_ak7(ctx: PipelineContext):
-        taller = pipelines.filter_players_by_height(
-            ctx, ctx.frame("Player"), "Stephen Curry", "taller"
+    def pipe_ak7(ctx):
+        taller = ctx.filter_players_by_height(
+            ctx.frame("Player"), "Stephen Curry", "taller"
         )
         joined = merge(
             taller,
@@ -384,8 +346,8 @@ def _knowledge() -> list[QuerySpec]:
         )
     )
 
-    def pipe_ak8(ctx: PipelineContext):
-        uk = pipelines.filter_uk_leagues(ctx, ctx.frame("League"))
+    def pipe_ak8(ctx):
+        uk = ctx.filter_uk_leagues(ctx.frame("League"))
         joined = merge(
             uk, ctx.frame("Team"), left_on="id", right_on="league_id"
         )
@@ -418,9 +380,9 @@ def _knowledge() -> list[QuerySpec]:
         )
     )
 
-    def pipe_ak9(ctx: PipelineContext):
-        chosen = pipelines.filter_circuits_in_region(
-            ctx, ctx.frame("circuits"), "southeast asia"
+    def pipe_ak9(ctx):
+        chosen = ctx.filter_circuits_in_region(
+            ctx.frame("circuits"), "southeast asia"
         )
         races = ctx.frame("races").rename(columns={"name": "race_name"})
         joined = merge(
@@ -450,10 +412,10 @@ def _knowledge() -> list[QuerySpec]:
         )
     )
 
-    def pipe_ak10(ctx: PipelineContext):
+    def pipe_ak10(ctx):
         schools = ctx.frame("schools")
         charters = schools[schools["Charter"] == 1]
-        bay = pipelines.filter_by_region(ctx, charters, "Bay Area")
+        bay = ctx.filter_by_region(charters, "Bay Area")
         return ctx.ops.sem_agg(
             bay,
             "Provide information about charter schools in the Bay "
@@ -464,7 +426,9 @@ def _knowledge() -> list[QuerySpec]:
     def _bay_charter_rows(d: Dataset) -> list[dict]:
         schools = d.frame("schools")
         charters = schools[schools["Charter"] == 1]
-        return oracle.filter_by_region(charters, "bay area").to_records()
+        return OracleContext(d).filter_by_region(
+            charters, "bay area"
+        ).to_records()
 
     specs.append(
         _spec(
@@ -503,8 +467,8 @@ def _reasoning() -> list[QuerySpec]:
             )
         )
 
-    def pipe_ar1(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(ctx, _GENTLE_POST)
+    def pipe_ar1(ctx):
+        comments = post_comments(ctx, _GENTLE_POST)
         return ctx.ops.sem_agg(
             comments,
             "Summarize the comments made on the post titled "
@@ -512,18 +476,21 @@ def _reasoning() -> list[QuerySpec]:
             columns=["Text"],
         )
 
+    def _gentle_rows(d: Dataset) -> list[dict]:
+        return post_comments(d, _GENTLE_POST).to_records()
+
     add(
         "aggregation-r01",
         "Summarize the comments made on the post titled "
         f"'{_GENTLE_POST}' to answer the original question.",
         pipe_ar1,
-        entities=lambda d: _comment_prefixes(_comment_rows(d, _GENTLE_POST)),
-        source=lambda d: _comment_rows(d, _GENTLE_POST),
+        entities=lambda d: _comment_prefixes(_gentle_rows(d)),
+        source=_gentle_rows,
     )
 
-    def pipe_ar2(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(ctx, _KERNEL_POST)
-        positive = pipelines.filter_positive(ctx, comments)
+    def pipe_ar2(ctx):
+        comments = post_comments(ctx, _KERNEL_POST)
+        positive = ctx.filter_text(comments, "positive")
         return ctx.ops.sem_agg(
             positive,
             "Summarize the positive comments on the post titled "
@@ -531,57 +498,62 @@ def _reasoning() -> list[QuerySpec]:
             columns=["Text"],
         )
 
+    def _kernel_positive_rows(d: Dataset) -> list[dict]:
+        return _judged_rows(d, post_comments(d, _KERNEL_POST), "positive")
+
     add(
         "aggregation-r02",
         "Summarize the positive comments on the post titled "
         f"'{_KERNEL_POST}'.",
         pipe_ar2,
-        entities=lambda d: _comment_prefixes([r for r in _comment_rows(d, _KERNEL_POST) if oracle.is_positive(str(r['Text']))]),
-        source=lambda d: [r for r in _comment_rows(d, _KERNEL_POST) if oracle.is_positive(str(r['Text']))],
+        entities=lambda d: _comment_prefixes(_kernel_positive_rows(d)),
+        source=_kernel_positive_rows,
     )
 
-    def pipe_ar3(ctx: PipelineContext):
-        sarcastic = pipelines.filter_sarcastic(
-            ctx, ctx.frame("comments")
-        )
+    def pipe_ar3(ctx):
+        sarcastic = ctx.filter_text(ctx.frame("comments"), "sarcastic")
         return ctx.ops.sem_agg(
             sarcastic,
             "Summarize the sarcastic comments across all posts.",
             columns=["Text"],
         )
 
+    def _sarcastic_rows(d: Dataset) -> list[dict]:
+        return _judged_rows(d, d.frame("comments"), "sarcastic")
+
     add(
         "aggregation-r03",
         "Summarize the sarcastic comments across all posts.",
         pipe_ar3,
-        entities=lambda d: _comment_prefixes([r for r in d.frame('comments').to_records() if oracle.is_sarcastic(str(r['Text']))]),
-        source=lambda d: [r for r in d.frame('comments').to_records() if oracle.is_sarcastic(str(r['Text']))],
+        entities=lambda d: _comment_prefixes(_sarcastic_rows(d)),
+        source=_sarcastic_rows,
     )
 
-    def pipe_ar4(ctx: PipelineContext):
-        top = pipelines.topk_technical(ctx, ctx.frame("posts"), 5)
+    def pipe_ar4(ctx):
+        top = ctx.topk_text(ctx.frame("posts"), "technical", 5)
         return ctx.ops.sem_agg(
             top,
             "Summarize the titles of the 5 most technical posts.",
             columns=["Title"],
         )
 
+    def _top_technical_rows(d: Dataset) -> list[dict]:
+        titles = set(_top_technical_titles(d, 5))
+        return [
+            r for r in d.frame("posts").to_records()
+            if str(r["Title"]) in titles
+        ]
+
     add(
         "aggregation-r04",
         "Summarize the titles of the 5 most technical posts.",
         pipe_ar4,
         entities=lambda d: _top_technical_titles(d, 5),
-        source=lambda d: [r for r in d.frame('posts').to_records() if str(r['Title']) in set(_top_technical_titles(d, 5))],
+        source=_top_technical_rows,
     )
 
-    def pipe_ar5(ctx: PipelineContext):
-        top = _top_posts(ctx.frame("posts"), 1)
-        comments = merge(
-            top[["Id"]],
-            ctx.frame("comments"),
-            left_on="Id",
-            right_on="PostId",
-        )
+    def pipe_ar5(ctx):
+        comments = top_post_comments(ctx)
         return ctx.ops.sem_agg(
             comments,
             "Summarize the comments made on the post with the highest "
@@ -589,20 +561,21 @@ def _reasoning() -> list[QuerySpec]:
             columns=["Text"],
         )
 
+    def _top_post_rows(d: Dataset, count: int = 1) -> list[dict]:
+        return top_post_comments(d, count).to_records()
+
     add(
         "aggregation-r05",
         "Summarize the comments made on the post with the highest "
         "view count.",
         pipe_ar5,
-        entities=lambda d: _comment_prefixes(_top_post_comment_rows(d)),
-        source=lambda d: _top_post_comment_rows(d),
+        entities=lambda d: _comment_prefixes(_top_post_rows(d)),
+        source=_top_post_rows,
     )
 
-    def pipe_ar6(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(
-            ctx, _BACKPROP_POST
-        )
-        negative = pipelines.filter_negative(ctx, comments)
+    def pipe_ar6(ctx):
+        comments = post_comments(ctx, _BACKPROP_POST)
+        negative = ctx.filter_text(comments, "negative")
         return ctx.ops.sem_agg(
             negative,
             "Summarize the negative comments on the post titled "
@@ -610,23 +583,22 @@ def _reasoning() -> list[QuerySpec]:
             columns=["Text"],
         )
 
+    def _backprop_negative_rows(d: Dataset) -> list[dict]:
+        return _judged_rows(
+            d, post_comments(d, _BACKPROP_POST), "negative"
+        )
+
     add(
         "aggregation-r06",
         "Summarize the negative comments on the post titled "
         f"'{_BACKPROP_POST}'.",
         pipe_ar6,
-        entities=lambda d: _comment_prefixes([r for r in _comment_rows(d, _BACKPROP_POST) if oracle.is_negative(str(r['Text']))]),
-        source=lambda d: [r for r in _comment_rows(d, _BACKPROP_POST) if oracle.is_negative(str(r['Text']))],
+        entities=lambda d: _comment_prefixes(_backprop_negative_rows(d)),
+        source=_backprop_negative_rows,
     )
 
-    def pipe_ar7(ctx: PipelineContext):
-        top3 = _top_posts(ctx.frame("posts"), 3)
-        comments = merge(
-            top3[["Id"]],
-            ctx.frame("comments"),
-            left_on="Id",
-            right_on="PostId",
-        )
+    def pipe_ar7(ctx):
+        comments = top_post_comments(ctx, 3)
         return ctx.ops.sem_agg(
             comments,
             "Summarize the comments on the 3 posts with the highest "
@@ -639,13 +611,13 @@ def _reasoning() -> list[QuerySpec]:
         "Summarize the comments on the 3 posts with the highest view "
         "count.",
         pipe_ar7,
-        entities=lambda d: _comment_prefixes(_top_post_comment_rows(d, 3)),
-        source=lambda d: _top_post_comment_rows(d, 3),
+        entities=lambda d: _comment_prefixes(_top_post_rows(d, 3)),
+        source=lambda d: _top_post_rows(d, 3),
     )
 
-    def pipe_ar8(ctx: PipelineContext):
+    def pipe_ar8(ctx):
         posts = ctx.frame("posts")
-        technical = pipelines.filter_technical_titles(ctx, posts)
+        technical = ctx.filter_text(posts, "technical")
         technical_titles = set(technical["Title"].tolist())
         non_technical = posts.filter_mask(
             [
@@ -659,15 +631,27 @@ def _reasoning() -> list[QuerySpec]:
             columns=["Title"],
         )
 
+    def _non_technical_rows(d: Dataset) -> list[dict]:
+        posts = d.frame("posts")
+        technical = {
+            str(r["Title"]) for r in _judged_rows(d, posts, "technical")
+        }
+        return [
+            r for r in posts.to_records()
+            if str(r["Title"]) not in technical
+        ]
+
     add(
         "aggregation-r08",
         "Summarize the titles of the posts that are not technical.",
         pipe_ar8,
-        entities=lambda d: [str(r['Title']) for r in d.frame('posts').to_records() if not oracle.is_technical(str(r['Title']))],
-        source=lambda d: [r for r in d.frame('posts').to_records() if not oracle.is_technical(str(r['Title']))],
+        entities=lambda d: [
+            str(r["Title"]) for r in _non_technical_rows(d)
+        ],
+        source=_non_technical_rows,
     )
 
-    def pipe_ar9(ctx: PipelineContext):
+    def pipe_ar9(ctx):
         comments = ctx.frame("comments")
         high = comments[comments["Score"] > 20]
         return ctx.ops.sem_agg(
@@ -676,23 +660,22 @@ def _reasoning() -> list[QuerySpec]:
             columns=["Text", "Score"],
         )
 
+    def _high_score_rows(d: Dataset) -> list[dict]:
+        return [
+            r for r in d.frame("comments").to_records() if r["Score"] > 20
+        ]
+
     add(
         "aggregation-r09",
         "Summarize the comments with a score over 20.",
         pipe_ar9,
-        entities=lambda d: _comment_prefixes([r for r in d.frame('comments').to_records() if r['Score'] > 20]),
-        source=lambda d: [r for r in d.frame('comments').to_records() if r['Score'] > 20],
+        entities=lambda d: _comment_prefixes(_high_score_rows(d)),
+        source=_high_score_rows,
     )
 
-    def pipe_ar10(ctx: PipelineContext):
-        top = _top_posts(ctx.frame("posts"), 1)
-        comments = merge(
-            top[["Id"]],
-            ctx.frame("comments"),
-            left_on="Id",
-            right_on="PostId",
-        )
-        positive = pipelines.filter_positive(ctx, comments)
+    def pipe_ar10(ctx):
+        comments = top_post_comments(ctx)
+        positive = ctx.filter_text(comments, "positive")
         return ctx.ops.sem_agg(
             positive,
             "Summarize the positive comments on the post with the "
@@ -700,12 +683,15 @@ def _reasoning() -> list[QuerySpec]:
             columns=["Text"],
         )
 
+    def _top_positive_rows(d: Dataset) -> list[dict]:
+        return _judged_rows(d, top_post_comments(d), "positive")
+
     add(
         "aggregation-r10",
         "Summarize the positive comments on the post with the highest "
         "view count.",
         pipe_ar10,
-        entities=lambda d: _comment_prefixes([r for r in _top_post_comment_rows(d) if oracle.is_positive(str(r['Text']))]),
-        source=lambda d: [r for r in _top_post_comment_rows(d) if oracle.is_positive(str(r['Text']))],
+        entities=lambda d: _comment_prefixes(_top_positive_rows(d)),
+        source=_top_positive_rows,
     )
     return specs

@@ -8,15 +8,14 @@ context arithmetic both collapse, per the paper.
 
 from __future__ import annotations
 
-from repro.bench import oracle, pipelines
-from repro.bench.queries import PipelineContext, QuerySpec
-from repro.bench.suites.match import (
-    _ctx_top_post_comments,
-    _post_comments,
-    _top_post_comments,
-    _top_posts,
+from repro.bench.pipelines import (
+    players_with_attributes,
+    post_comments,
+    schools_sat,
+    top_post_comments,
+    top_posts,
 )
-from repro.data.base import Dataset
+from repro.bench.queries import QuerySpec
 from repro.frame import merge
 
 
@@ -26,12 +25,7 @@ def build() -> list[QuerySpec]:
 
 
 def _spec(
-    qid: str,
-    domain: str,
-    capability: str,
-    question: str,
-    gold,
-    pipeline,
+    qid: str, domain: str, capability: str, question: str, pipeline
 ) -> QuerySpec:
     return QuerySpec(
         qid=qid,
@@ -39,9 +33,15 @@ def _spec(
         query_type="comparison",
         capability=capability,
         question=question,
-        gold=gold,
         pipeline=pipeline,
     )
+
+
+def _races_at(ctx, circuits) -> list:
+    """How many races were held at any of ``circuits``."""
+    ids = set(circuits["circuitId"].tolist())
+    races = ctx.frame("races")
+    return [len(races[races["circuitId"].isin(ids)])]
 
 
 # ---------------------------------------------------------------------------
@@ -52,285 +52,128 @@ def _spec(
 def _knowledge() -> list[QuerySpec]:
     specs: list[QuerySpec] = []
 
-    def gold_ck1(dataset: Dataset) -> list:
-        players = merge(
-            dataset.frame("Player"),
-            dataset.frame("Player_Attributes"),
-            left_on="player_api_id",
-            right_on="player_api_id",
-        )
-        filtered = players[players["height"] > 180]
-        filtered = filtered[filtered["volleys"] > 70]
-        threshold = oracle.person_height("Stephen Curry")
-        filtered = filtered[filtered["height"] > threshold]
-        return [len(filtered)]
+    def add(qid: str, domain: str, question: str, pipeline) -> None:
+        specs.append(_spec(qid, domain, "knowledge", question, pipeline))
 
-    def pipe_ck1(ctx: PipelineContext):
-        players = pipelines.players_with_attributes(ctx)
+    def ck1(ctx):
+        players = players_with_attributes(ctx)
         filtered = players[players["height"] > 180]
         filtered = filtered[filtered["volleys"] > 70]
-        filtered = pipelines.filter_players_by_height(
-            ctx, filtered, "Stephen Curry", "taller"
+        filtered = ctx.filter_players_by_height(
+            filtered, "Stephen Curry", "taller"
         )
         return [len(filtered)]
 
-    specs.append(
-        _spec(
-            "comparison-k01",
-            "european_football_2",
-            "knowledge",
-            "Among the players whose height is over 180, how many of "
-            "them have a volley score of over 70 and are taller than "
-            "Stephen Curry?",
-            gold_ck1,
-            pipe_ck1,
-        )
+    add(
+        "comparison-k01",
+        "european_football_2",
+        "Among the players whose height is over 180, how many of them "
+        "have a volley score of over 70 and are taller than Stephen "
+        "Curry?",
+        ck1,
     )
 
-    def gold_ck2(dataset: Dataset) -> list:
-        players = dataset.frame("Player")
-        threshold = oracle.person_height("Lionel Messi")
-        return [len(players[players["height"] < threshold])]
+    def count_players(person: str, direction: str):
+        def program(ctx):
+            players = ctx.filter_players_by_height(
+                ctx.frame("Player"), person, direction
+            )
+            return [len(players)]
 
-    def pipe_ck2(ctx: PipelineContext):
-        shorter = pipelines.filter_players_by_height(
-            ctx, ctx.frame("Player"), "Lionel Messi", "shorter"
-        )
-        return [len(shorter)]
+        return program
 
-    specs.append(
-        _spec(
-            "comparison-k02",
-            "european_football_2",
-            "knowledge",
-            "How many players are shorter than Lionel Messi?",
-            gold_ck2,
-            pipe_ck2,
-        )
+    add(
+        "comparison-k02",
+        "european_football_2",
+        "How many players are shorter than Lionel Messi?",
+        count_players("Lionel Messi", "shorter"),
+    )
+    add(
+        "comparison-k03",
+        "european_football_2",
+        "How many players are taller than Peter Crouch?",
+        count_players("Peter Crouch", "taller"),
     )
 
-    def gold_ck3(dataset: Dataset) -> list:
-        players = dataset.frame("Player")
-        threshold = oracle.person_height("Peter Crouch")
-        return [len(players[players["height"] > threshold])]
+    def count_bay_sat(column: str, floor: int):
+        def program(ctx):
+            joined = schools_sat(ctx)
+            joined = joined[joined[column] > floor]
+            return [len(ctx.filter_by_region(joined, "Bay Area"))]
 
-    def pipe_ck3(ctx: PipelineContext):
-        taller = pipelines.filter_players_by_height(
-            ctx, ctx.frame("Player"), "Peter Crouch", "taller"
-        )
-        return [len(taller)]
+        return program
 
-    specs.append(
-        _spec(
-            "comparison-k03",
-            "european_football_2",
-            "knowledge",
-            "How many players are taller than Peter Crouch?",
-            gold_ck3,
-            pipe_ck3,
-        )
+    add(
+        "comparison-k04",
+        "california_schools",
+        "How many schools with an average score in Math over 560 are in "
+        "the Bay Area?",
+        count_bay_sat("AvgScrMath", 560),
     )
 
-    def gold_ck4(dataset: Dataset) -> list:
-        joined = merge(
-            dataset.frame("schools"),
-            dataset.frame("satscores"),
-            left_on="CDSCode",
-            right_on="cds",
-        )
-        joined = joined[joined["AvgScrMath"] > 560]
-        joined = oracle.filter_by_region(joined, "bay area")
-        return [len(joined)]
-
-    def pipe_ck4(ctx: PipelineContext):
-        joined = merge(
-            ctx.frame("schools"),
-            ctx.frame("satscores"),
-            left_on="CDSCode",
-            right_on="cds",
-        )
-        joined = joined[joined["AvgScrMath"] > 560]
-        joined = pipelines.filter_by_region(ctx, joined, "Bay Area")
-        return [len(joined)]
-
-    specs.append(
-        _spec(
-            "comparison-k04",
-            "california_schools",
-            "knowledge",
-            "How many schools with an average score in Math over 560 "
-            "are in the Bay Area?",
-            gold_ck4,
-            pipe_ck4,
-        )
-    )
-
-    def gold_ck5(dataset: Dataset) -> list:
-        schools = dataset.frame("schools")
-        charters = schools[schools["Charter"] == 1]
-        charters = oracle.filter_by_region(charters, "silicon valley")
-        return [len(charters)]
-
-    def pipe_ck5(ctx: PipelineContext):
+    def ck5(ctx):
         schools = ctx.frame("schools")
         charters = schools[schools["Charter"] == 1]
-        charters = pipelines.filter_by_region(
-            ctx, charters, "Silicon Valley"
-        )
-        return [len(charters)]
+        return [len(ctx.filter_by_region(charters, "Silicon Valley"))]
 
-    specs.append(
-        _spec(
-            "comparison-k05",
-            "california_schools",
-            "knowledge",
-            "How many charter schools are in cities in the Silicon "
-            "Valley region?",
-            gold_ck5,
-            pipe_ck5,
-        )
+    add(
+        "comparison-k05",
+        "california_schools",
+        "How many charter schools are in cities in the Silicon Valley "
+        "region?",
+        ck5,
+    )
+    add(
+        "comparison-k06",
+        "california_schools",
+        "How many schools in the Bay Area have more than 500 test "
+        "takers?",
+        count_bay_sat("NumTstTakr", 500),
     )
 
-    def gold_ck6(dataset: Dataset) -> list:
-        joined = merge(
-            dataset.frame("schools"),
-            dataset.frame("satscores"),
-            left_on="CDSCode",
-            right_on="cds",
-        )
-        joined = joined[joined["NumTstTakr"] > 500]
-        joined = oracle.filter_by_region(joined, "bay area")
-        return [len(joined)]
+    def ck7(ctx):
+        street = ctx.filter_street_circuits(ctx.frame("circuits"))
+        return _races_at(ctx, street)
 
-    def pipe_ck6(ctx: PipelineContext):
-        joined = merge(
-            ctx.frame("schools"),
-            ctx.frame("satscores"),
-            left_on="CDSCode",
-            right_on="cds",
-        )
-        joined = joined[joined["NumTstTakr"] > 500]
-        joined = pipelines.filter_by_region(ctx, joined, "Bay Area")
-        return [len(joined)]
-
-    specs.append(
-        _spec(
-            "comparison-k06",
-            "california_schools",
-            "knowledge",
-            "How many schools in the Bay Area have more than 500 test "
-            "takers?",
-            gold_ck6,
-            pipe_ck6,
-        )
+    add(
+        "comparison-k07",
+        "formula_1",
+        "How many races were held on street circuits?",
+        ck7,
     )
 
-    def gold_ck7(dataset: Dataset) -> list:
-        circuits = dataset.frame("circuits")
-        street = circuits[
-            circuits["name"].isin(oracle.street_circuits())
-        ]
-        ids = set(street["circuitId"].tolist())
-        races = dataset.frame("races")
-        return [len(races[races["circuitId"].isin(ids)])]
-
-    def pipe_ck7(ctx: PipelineContext):
-        street = pipelines.filter_street_circuits(
-            ctx, ctx.frame("circuits")
+    def ck8(ctx):
+        chosen = ctx.filter_circuits_in_region(
+            ctx.frame("circuits"), "southeast asia"
         )
-        races = ctx.frame("races")
-        ids = set(street["circuitId"].tolist())
-        return [len(races[races["circuitId"].isin(ids)])]
+        return _races_at(ctx, chosen)
 
-    specs.append(
-        _spec(
-            "comparison-k07",
-            "formula_1",
-            "knowledge",
-            "How many races were held on street circuits?",
-            gold_ck7,
-            pipe_ck7,
-        )
+    add(
+        "comparison-k08",
+        "formula_1",
+        "How many races were held at circuits located in Southeast Asia?",
+        ck8,
     )
 
-    def gold_ck8(dataset: Dataset) -> list:
-        circuits = dataset.frame("circuits")
-        chosen = circuits[
-            circuits["name"].isin(
-                oracle.circuits_in_region("southeast asia")
-            )
-        ]
-        ids = set(chosen["circuitId"].tolist())
-        races = dataset.frame("races")
-        return [len(races[races["circuitId"].isin(ids)])]
+    def ck9(ctx):
+        return [len(ctx.filter_euro_countries(ctx.frame("gasstations")))]
 
-    def pipe_ck8(ctx: PipelineContext):
-        chosen = pipelines.filter_circuits_in_region(
-            ctx, ctx.frame("circuits"), "southeast asia"
-        )
-        ids = set(chosen["circuitId"].tolist())
-        races = ctx.frame("races")
-        return [len(races[races["circuitId"].isin(ids)])]
-
-    specs.append(
-        _spec(
-            "comparison-k08",
-            "formula_1",
-            "knowledge",
-            "How many races were held at circuits located in Southeast "
-            "Asia?",
-            gold_ck8,
-            pipe_ck8,
-        )
+    add(
+        "comparison-k09",
+        "debit_card_specializing",
+        "How many gas stations are in countries that use the Euro?",
+        ck9,
     )
 
-    def gold_ck9(dataset: Dataset) -> list:
-        stations = dataset.frame("gasstations")
-        return [
-            len(stations[stations["Country"].isin(oracle.euro_countries())])
-        ]
+    def ck10(ctx):
+        return [len(ctx.filter_eu_countries(ctx.frame("gasstations")))]
 
-    def pipe_ck9(ctx: PipelineContext):
-        euro = pipelines.filter_countries(
-            ctx, ctx.frame("gasstations"), "uses the euro"
-        )
-        return [len(euro)]
-
-    specs.append(
-        _spec(
-            "comparison-k09",
-            "debit_card_specializing",
-            "knowledge",
-            "How many gas stations are in countries that use the Euro?",
-            gold_ck9,
-            pipe_ck9,
-        )
-    )
-
-    def gold_ck10(dataset: Dataset) -> list:
-        stations = dataset.frame("gasstations")
-        return [
-            len(stations[stations["Country"].isin(oracle.eu_countries())])
-        ]
-
-    def pipe_ck10(ctx: PipelineContext):
-        in_eu = pipelines.filter_countries(
-            ctx,
-            ctx.frame("gasstations"),
-            "is a member of the European Union",
-        )
-        return [len(in_eu)]
-
-    specs.append(
-        _spec(
-            "comparison-k10",
-            "debit_card_specializing",
-            "knowledge",
-            "How many gas stations are in countries that are in the "
-            "European Union?",
-            gold_ck10,
-            pipe_ck10,
-        )
+    add(
+        "comparison-k10",
+        "debit_card_specializing",
+        "How many gas stations are in countries that are in the European "
+        "Union?",
+        ck10,
     )
     return specs
 
@@ -348,124 +191,58 @@ _BOOTSTRAP_POST = "Bootstrap confidence intervals for the median"
 def _reasoning() -> list[QuerySpec]:
     specs: list[QuerySpec] = []
 
-    def add(qid: str, question: str, gold, pipeline) -> None:
+    def add(qid: str, question: str, pipeline) -> None:
         specs.append(
-            _spec(
-                qid, "codebase_community", "reasoning", question, gold,
-                pipeline,
-            )
+            _spec(qid, "codebase_community", "reasoning", question, pipeline)
         )
 
-    def gold_cr1(dataset: Dataset) -> list:
-        comments = _post_comments(dataset, _GENTLE_POST)
-        return [
-            sum(
-                1
-                for _, record in comments.iterrows()
-                if oracle.is_positive(str(record["Text"]))
-            )
-        ]
+    def count_post_comments(title: str, quality: str):
+        def program(ctx):
+            comments = post_comments(ctx, title)
+            return [len(ctx.filter_text(comments, quality))]
 
-    def pipe_cr1(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(ctx, _GENTLE_POST)
-        positive = pipelines.filter_positive(ctx, comments)
-        return [len(positive)]
+        return program
+
+    def count_technical_top_posts(count: int):
+        def program(ctx):
+            top = top_posts(ctx.frame("posts"), count)
+            return [len(ctx.filter_text(top, "technical"))]
+
+        return program
 
     add(
         "comparison-r01",
         "How many comments on the post titled "
         f"'{_GENTLE_POST}' are positive?",
-        gold_cr1,
-        pipe_cr1,
+        count_post_comments(_GENTLE_POST, "positive"),
     )
-
-    def gold_cr2(dataset: Dataset) -> list:
-        comments = _post_comments(dataset, _KERNEL_POST)
-        return [
-            sum(
-                1
-                for _, record in comments.iterrows()
-                if oracle.is_sarcastic(str(record["Text"]))
-            )
-        ]
-
-    def pipe_cr2(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(ctx, _KERNEL_POST)
-        sarcastic = pipelines.filter_sarcastic(ctx, comments)
-        return [len(sarcastic)]
-
     add(
         "comparison-r02",
         "How many comments on the post titled "
         f"'{_KERNEL_POST}' are sarcastic?",
-        gold_cr2,
-        pipe_cr2,
+        count_post_comments(_KERNEL_POST, "sarcastic"),
     )
 
-    def gold_cr3(dataset: Dataset) -> list:
-        posts = dataset.frame("posts")
-        return [
-            sum(
-                1
-                for _, record in posts.iterrows()
-                if oracle.is_technical(str(record["Title"]))
-            )
-        ]
-
-    def pipe_cr3(ctx: PipelineContext):
-        technical = pipelines.filter_technical_titles(
-            ctx, ctx.frame("posts")
-        )
-        return [len(technical)]
+    def cr3(ctx):
+        return [len(ctx.filter_text(ctx.frame("posts"), "technical"))]
 
     add(
         "comparison-r03",
         "How many posts have a technical title?",
-        gold_cr3,
-        pipe_cr3,
+        cr3,
     )
 
-    def gold_cr4(dataset: Dataset) -> list:
-        comments = _top_post_comments(dataset)
-        return [
-            sum(
-                1
-                for _, record in comments.iterrows()
-                if oracle.is_negative(str(record["Text"]))
-            )
-        ]
-
-    def pipe_cr4(ctx: PipelineContext):
-        comments = _ctx_top_post_comments(ctx)
-        negative = pipelines.filter_negative(ctx, comments)
-        return [len(negative)]
+    def cr4(ctx):
+        return [len(ctx.filter_text(top_post_comments(ctx), "negative"))]
 
     add(
         "comparison-r04",
-        "How many comments on the post with the highest view count "
-        "are negative?",
-        gold_cr4,
-        pipe_cr4,
+        "How many comments on the post with the highest view count are "
+        "negative?",
+        cr4,
     )
 
-    def gold_cr5(dataset: Dataset) -> list:
-        posts = dataset.frame("posts")
-        big = posts[posts["ViewCount"] > 20000]
-        comments = merge(
-            big[["Id"]],
-            dataset.frame("comments"),
-            left_on="Id",
-            right_on="PostId",
-        )
-        return [
-            sum(
-                1
-                for _, record in comments.iterrows()
-                if oracle.is_positive(str(record["Text"]))
-            )
-        ]
-
-    def pipe_cr5(ctx: PipelineContext):
+    def cr5(ctx):
         posts = ctx.frame("posts")
         big = posts[posts["ViewCount"] > 20000]
         comments = merge(
@@ -474,134 +251,47 @@ def _reasoning() -> list[QuerySpec]:
             left_on="Id",
             right_on="PostId",
         )
-        positive = pipelines.filter_positive(ctx, comments)
-        return [len(positive)]
+        return [len(ctx.filter_text(comments, "positive"))]
 
     add(
         "comparison-r05",
         "How many comments on posts with a view count over 20000 are "
         "positive?",
-        gold_cr5,
-        pipe_cr5,
+        cr5,
     )
-
-    def gold_cr6(dataset: Dataset) -> list:
-        top5 = _top_posts(dataset.frame("posts"), 5)
-        return [
-            sum(
-                1
-                for _, record in top5.iterrows()
-                if oracle.is_technical(str(record["Title"]))
-            )
-        ]
-
-    def pipe_cr6(ctx: PipelineContext):
-        top5 = _top_posts(ctx.frame("posts"), 5)
-        technical = pipelines.filter_technical_titles(ctx, top5)
-        return [len(technical)]
-
     add(
         "comparison-r06",
         "How many of the 5 posts with the highest view count have "
         "technical titles?",
-        gold_cr6,
-        pipe_cr6,
+        count_technical_top_posts(5),
     )
 
-    def gold_cr7(dataset: Dataset) -> list:
-        comments = dataset.frame("comments")
-        high = comments[comments["Score"] > 20]
-        return [
-            sum(
-                1
-                for _, record in high.iterrows()
-                if oracle.is_sarcastic(str(record["Text"]))
-            )
-        ]
-
-    def pipe_cr7(ctx: PipelineContext):
+    def cr7(ctx):
         comments = ctx.frame("comments")
         high = comments[comments["Score"] > 20]
-        sarcastic = pipelines.filter_sarcastic(ctx, high)
-        return [len(sarcastic)]
+        return [len(ctx.filter_text(high, "sarcastic"))]
 
     add(
         "comparison-r07",
         "How many comments with a score over 20 are sarcastic?",
-        gold_cr7,
-        pipe_cr7,
+        cr7,
     )
-
-    def gold_cr8(dataset: Dataset) -> list:
-        comments = _post_comments(dataset, _BACKPROP_POST)
-        return [
-            sum(
-                1
-                for _, record in comments.iterrows()
-                if oracle.is_negative(str(record["Text"]))
-            )
-        ]
-
-    def pipe_cr8(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(
-            ctx, _BACKPROP_POST
-        )
-        negative = pipelines.filter_negative(ctx, comments)
-        return [len(negative)]
-
     add(
         "comparison-r08",
         "How many comments on the post titled "
         f"'{_BACKPROP_POST}' are negative?",
-        gold_cr8,
-        pipe_cr8,
+        count_post_comments(_BACKPROP_POST, "negative"),
     )
-
-    def gold_cr9(dataset: Dataset) -> list:
-        comments = _post_comments(dataset, _BOOTSTRAP_POST)
-        return [
-            sum(
-                1
-                for _, record in comments.iterrows()
-                if oracle.is_positive(str(record["Text"]))
-            )
-        ]
-
-    def pipe_cr9(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(
-            ctx, _BOOTSTRAP_POST
-        )
-        positive = pipelines.filter_positive(ctx, comments)
-        return [len(positive)]
-
     add(
         "comparison-r09",
         "How many comments on the post titled "
         f"'{_BOOTSTRAP_POST}' are positive?",
-        gold_cr9,
-        pipe_cr9,
+        count_post_comments(_BOOTSTRAP_POST, "positive"),
     )
-
-    def gold_cr10(dataset: Dataset) -> list:
-        top10 = _top_posts(dataset.frame("posts"), 10)
-        return [
-            sum(
-                1
-                for _, record in top10.iterrows()
-                if oracle.is_technical(str(record["Title"]))
-            )
-        ]
-
-    def pipe_cr10(ctx: PipelineContext):
-        top10 = _top_posts(ctx.frame("posts"), 10)
-        technical = pipelines.filter_technical_titles(ctx, top10)
-        return [len(technical)]
-
     add(
         "comparison-r10",
         "How many of the 10 posts with the highest view count have "
         "technical titles?",
-        gold_cr10,
-        pipe_cr10,
+        count_technical_top_posts(10),
     )
     return specs

@@ -1,74 +1,26 @@
 """Match-based queries: point lookups requiring knowledge or reasoning.
 
-10 knowledge + 10 reasoning queries.  Each spec carries a gold oracle
-(canonical knowledge + noise-free scorers) and a hand-written TAG
-pipeline (frames + semantic operators).
+10 knowledge + 10 reasoning queries.  Each spec carries one program
+over a context's frames and semantic verbs: hand-written TAG runs it
+under the LM binding, gold under the oracle binding (canonical
+knowledge + noise-free scorers).
 """
 
 from __future__ import annotations
 
-from repro.bench import oracle, pipelines
-from repro.bench.queries import PipelineContext, QuerySpec
-from repro.data.base import Dataset
-from repro.frame import DataFrame, merge
-from repro.text.sarcasm import sarcasm_score
-from repro.text.sentiment import sentiment_score
-from repro.text.technicality import technicality_score
+from repro.bench.pipelines import (
+    post_comments,
+    schools_sat,
+    top_post_comments,
+    top_posts,
+)
+from repro.bench.queries import QuerySpec
+from repro.frame import merge
 
 
 def build() -> list[QuerySpec]:
     """The 20 match-based queries (10 knowledge + 10 reasoning)."""
     return _knowledge() + _reasoning()
-
-
-# ---------------------------------------------------------------------------
-# shared gold/pipeline building blocks
-# ---------------------------------------------------------------------------
-
-
-def _schools_sat(dataset: Dataset) -> DataFrame:
-    return merge(
-        dataset.frame("schools"),
-        dataset.frame("satscores"),
-        left_on="CDSCode",
-        right_on="cds",
-    )
-
-
-def _ctx_schools_sat(ctx: PipelineContext) -> DataFrame:
-    return merge(
-        ctx.frame("schools"),
-        ctx.frame("satscores"),
-        left_on="CDSCode",
-        right_on="cds",
-    )
-
-
-def _top_posts(posts: DataFrame, count: int) -> DataFrame:
-    return posts.sort_values("ViewCount", ascending=False).head(count)
-
-
-def _argmax_text(frame: DataFrame, text_column: str, scorer) -> int:
-    """Row index of the text with the maximal oracle score."""
-    best_index = 0
-    best_score = float("-inf")
-    for index, record in frame.iterrows():
-        score = scorer(str(record[text_column]))
-        if score > best_score:
-            best_score = score
-            best_index = index
-    return best_index
-
-
-def _argmin_text(frame: DataFrame, text_column: str, scorer) -> int:
-    best_index = 0
-    best_score = float("inf")
-    for index, record in frame.iterrows():
-        score = scorer(str(record[text_column]))
-        if score < best_score:
-            best_score = score
-            best_index = index
-    return best_index
 
 
 # ---------------------------------------------------------------------------
@@ -79,120 +31,62 @@ def _argmin_text(frame: DataFrame, text_column: str, scorer) -> int:
 def _knowledge() -> list[QuerySpec]:
     specs: list[QuerySpec] = []
 
-    def gold_mk1(dataset: Dataset) -> list:
-        schools = oracle.filter_by_region(
-            dataset.frame("schools"), "silicon valley"
+    def add(qid: str, domain: str, question: str, pipeline) -> None:
+        specs.append(
+            QuerySpec(
+                qid=qid,
+                domain=domain,
+                query_type="match",
+                capability="knowledge",
+                question=question,
+                pipeline=pipeline,
+            )
         )
-        top = schools.sort_values(
-            "Longitude", ascending=False, key=abs
-        ).head(1)
-        return [top["GSoffered"][0]]
 
-    def pipe_mk1(ctx: PipelineContext):
-        schools = pipelines.filter_by_region(
-            ctx, ctx.frame("schools"), "Silicon Valley"
-        )
+    def mk1(ctx):
+        schools = ctx.filter_by_region(ctx.frame("schools"), "Silicon Valley")
         top = schools.sort_values(
             "Longitude", ascending=False, key=abs
         ).head(1)
         return top["GSoffered"].tolist()
 
-    specs.append(
-        QuerySpec(
-            qid="match-k01",
-            domain="california_schools",
-            query_type="match",
-            capability="knowledge",
-            question=(
-                "What is the grade span offered in the school with the "
-                "highest longitude in cities that are part of the "
-                "'Silicon Valley' region?"
-            ),
-            gold=gold_mk1,
-            pipeline=pipe_mk1,
-        )
+    add(
+        "match-k01",
+        "california_schools",
+        "What is the grade span offered in the school with the highest "
+        "longitude in cities that are part of the 'Silicon Valley' "
+        "region?",
+        mk1,
     )
 
-    def gold_mk2(dataset: Dataset) -> list:
-        joined = oracle.filter_by_region(
-            _schools_sat(dataset), "bay area"
-        )
-        top = joined.sort_values("AvgScrMath", ascending=False).head(1)
-        return [top["School"][0]]
-
-    def pipe_mk2(ctx: PipelineContext):
-        joined = pipelines.filter_by_region(
-            ctx, _ctx_schools_sat(ctx), "Bay Area"
-        )
+    def mk2(ctx):
+        joined = ctx.filter_by_region(schools_sat(ctx), "Bay Area")
         top = joined.sort_values("AvgScrMath", ascending=False).head(1)
         return top["School"].tolist()
 
-    specs.append(
-        QuerySpec(
-            qid="match-k02",
-            domain="california_schools",
-            query_type="match",
-            capability="knowledge",
-            question=(
-                "What is the name of the school with the highest average "
-                "score in Math among schools in the Bay Area?"
-            ),
-            gold=gold_mk2,
-            pipeline=pipe_mk2,
-        )
+    add(
+        "match-k02",
+        "california_schools",
+        "What is the name of the school with the highest average score "
+        "in Math among schools in the Bay Area?",
+        mk2,
     )
 
-    def gold_mk3(dataset: Dataset) -> list:
-        schools = oracle.filter_by_region(
-            dataset.frame("schools"), "bay area"
-        )
-        bottom = schools.sort_values("Latitude", ascending=True).head(1)
-        return [bottom["County"][0]]
-
-    def pipe_mk3(ctx: PipelineContext):
-        schools = pipelines.filter_by_region(
-            ctx, ctx.frame("schools"), "Bay Area"
-        )
+    def mk3(ctx):
+        schools = ctx.filter_by_region(ctx.frame("schools"), "Bay Area")
         bottom = schools.sort_values("Latitude", ascending=True).head(1)
         return bottom["County"].tolist()
 
-    specs.append(
-        QuerySpec(
-            qid="match-k03",
-            domain="california_schools",
-            query_type="match",
-            capability="knowledge",
-            question=(
-                "What is the county of the school with the lowest "
-                "latitude among schools in the Bay Area?"
-            ),
-            gold=gold_mk3,
-            pipeline=pipe_mk3,
-        )
+    add(
+        "match-k03",
+        "california_schools",
+        "What is the county of the school with the lowest latitude among "
+        "schools in the Bay Area?",
+        mk3,
     )
 
-    def gold_mk4(dataset: Dataset) -> list:
-        circuits = dataset.frame("circuits")
-        street = circuits[
-            circuits["name"].isin(oracle.street_circuits())
-        ]
-        races = dataset.frame("races")
-        counts = {
-            record["circuitId"]: 0 for _, record in street.iterrows()
-        }
-        for _, race in races.iterrows():
-            if race["circuitId"] in counts:
-                counts[race["circuitId"]] += 1
-        fewest = min(
-            counts, key=lambda circuit_id: (counts[circuit_id], circuit_id)
-        )
-        row = circuits[circuits["circuitId"] == fewest]
-        return [row["location"][0]]
-
-    def pipe_mk4(ctx: PipelineContext):
-        street = pipelines.filter_street_circuits(
-            ctx, ctx.frame("circuits")
-        )
+    def mk4(ctx):
+        street = ctx.filter_street_circuits(ctx.frame("circuits"))
         races = ctx.frame("races").rename(columns={"name": "race_name"})
         joined = merge(
             street, races, left_on="circuitId", right_on="circuitId"
@@ -205,42 +99,17 @@ def _knowledge() -> list[QuerySpec]:
         ).head(1)
         return counts["location"].tolist()
 
-    specs.append(
-        QuerySpec(
-            qid="match-k04",
-            domain="formula_1",
-            query_type="match",
-            capability="knowledge",
-            question=(
-                "What is the location of the street circuit that hosted "
-                "the fewest races?"
-            ),
-            gold=gold_mk4,
-            pipeline=pipe_mk4,
-        )
+    add(
+        "match-k04",
+        "formula_1",
+        "What is the location of the street circuit that hosted the "
+        "fewest races?",
+        mk4,
     )
 
-    def gold_mk5(dataset: Dataset) -> list:
-        circuits = dataset.frame("circuits")
-        southeast = circuits[
-            circuits["name"].isin(
-                oracle.circuits_in_region("southeast asia")
-            )
-        ]
-        races = dataset.frame("races")
-        best_id, best_count = None, -1
-        for _, circuit in southeast.iterrows():
-            count = len(
-                races[races["circuitId"] == circuit["circuitId"]]
-            )
-            if count > best_count:
-                best_id, best_count = circuit["circuitId"], count
-        years = races[races["circuitId"] == best_id]["year"].tolist()
-        return [min(years)]
-
-    def pipe_mk5(ctx: PipelineContext):
-        southeast = pipelines.filter_circuits_in_region(
-            ctx, ctx.frame("circuits"), "southeast asia"
+    def mk5(ctx):
+        southeast = ctx.filter_circuits_in_region(
+            ctx.frame("circuits"), "southeast asia"
         )
         races = ctx.frame("races").rename(columns={"name": "race_name"})
         joined = merge(
@@ -252,45 +121,17 @@ def _knowledge() -> list[QuerySpec]:
         years = joined[joined["circuitId"] == circuit_id]["year"]
         return [years.min()]
 
-    specs.append(
-        QuerySpec(
-            qid="match-k05",
-            domain="formula_1",
-            query_type="match",
-            capability="knowledge",
-            question=(
-                "In which year was the first race held at the circuit "
-                "located in Southeast Asia that hosted the most races?"
-            ),
-            gold=gold_mk5,
-            pipeline=pipe_mk5,
-        )
+    add(
+        "match-k05",
+        "formula_1",
+        "In which year was the first race held at the circuit located in "
+        "Southeast Asia that hosted the most races?",
+        mk5,
     )
 
-    def gold_mk6(dataset: Dataset) -> list:
-        circuits = dataset.frame("circuits")
-        chosen = circuits[
-            circuits["name"].isin(
-                oracle.street_circuits()
-                & oracle.circuits_in_region("europe")
-            )
-        ]
-        races = dataset.frame("races")
-        ids = set(chosen["circuitId"].tolist())
-        dates = [
-            race["date"]
-            for _, race in races.iterrows()
-            if race["circuitId"] in ids
-        ]
-        return [min(dates)]
-
-    def pipe_mk6(ctx: PipelineContext):
-        street = pipelines.filter_street_circuits(
-            ctx, ctx.frame("circuits")
-        )
-        europe = pipelines.filter_circuits_in_region(
-            ctx, street, "europe"
-        )
+    def mk6(ctx):
+        street = ctx.filter_street_circuits(ctx.frame("circuits"))
+        europe = ctx.filter_circuits_in_region(street, "europe")
         races = ctx.frame("races").rename(columns={"name": "race_name"})
         joined = merge(
             europe, races, left_on="circuitId", right_on="circuitId"
@@ -299,102 +140,46 @@ def _knowledge() -> list[QuerySpec]:
             return []
         return [joined["date"].min()]
 
-    specs.append(
-        QuerySpec(
-            qid="match-k06",
-            domain="formula_1",
-            query_type="match",
-            capability="knowledge",
-            question=(
-                "What is the date of the earliest race held on a street "
-                "circuit in Europe?"
-            ),
-            gold=gold_mk6,
-            pipeline=pipe_mk6,
-        )
+    add(
+        "match-k06",
+        "formula_1",
+        "What is the date of the earliest race held on a street circuit "
+        "in Europe?",
+        mk6,
     )
 
-    def gold_mk7(dataset: Dataset) -> list:
-        players = dataset.frame("Player")
-        threshold = oracle.person_height("Stephen Curry")
-        taller = players[players["height"] > threshold]
-        shortest = taller.sort_values("height", ascending=True).head(1)
-        return [shortest["birthday"][0]]
-
-    def pipe_mk7(ctx: PipelineContext):
-        taller = pipelines.filter_players_by_height(
-            ctx, ctx.frame("Player"), "Stephen Curry", "taller"
+    def mk7(ctx):
+        taller = ctx.filter_players_by_height(
+            ctx.frame("Player"), "Stephen Curry", "taller"
         )
         shortest = taller.sort_values("height", ascending=True).head(1)
         return shortest["birthday"].tolist()
 
-    specs.append(
-        QuerySpec(
-            qid="match-k07",
-            domain="european_football_2",
-            query_type="match",
-            capability="knowledge",
-            question=(
-                "What is the birthday of the shortest player who is "
-                "taller than Stephen Curry?"
-            ),
-            gold=gold_mk7,
-            pipeline=pipe_mk7,
-        )
+    add(
+        "match-k07",
+        "european_football_2",
+        "What is the birthday of the shortest player who is taller than "
+        "Stephen Curry?",
+        mk7,
     )
 
-    def gold_mk8(dataset: Dataset) -> list:
-        players = dataset.frame("Player")
-        threshold = oracle.person_height("Lionel Messi")
-        shorter = players[players["height"] < threshold]
-        tallest = shorter.sort_values("height", ascending=False).head(1)
-        return [tallest["player_name"][0]]
-
-    def pipe_mk8(ctx: PipelineContext):
-        shorter = pipelines.filter_players_by_height(
-            ctx, ctx.frame("Player"), "Lionel Messi", "shorter"
+    def mk8(ctx):
+        shorter = ctx.filter_players_by_height(
+            ctx.frame("Player"), "Lionel Messi", "shorter"
         )
         tallest = shorter.sort_values("height", ascending=False).head(1)
         return tallest["player_name"].tolist()
 
-    specs.append(
-        QuerySpec(
-            qid="match-k08",
-            domain="european_football_2",
-            query_type="match",
-            capability="knowledge",
-            question=(
-                "What is the name of the tallest player who is shorter "
-                "than Lionel Messi?"
-            ),
-            gold=gold_mk8,
-            pipeline=pipe_mk8,
-        )
+    add(
+        "match-k08",
+        "european_football_2",
+        "What is the name of the tallest player who is shorter than "
+        "Lionel Messi?",
+        mk8,
     )
 
-    def gold_mk9(dataset: Dataset) -> list:
-        stations = dataset.frame("gasstations")
-        euro = stations[
-            stations["Country"].isin(oracle.euro_countries())
-        ]
-        transactions = dataset.frame("transactions_1k")
-        counts: dict[int, int] = {
-            record["GasStationID"]: 0 for _, record in euro.iterrows()
-        }
-        for _, transaction in transactions.iterrows():
-            station = transaction["GasStationID"]
-            if station in counts:
-                counts[station] += 1
-        best = max(
-            counts, key=lambda station: (counts[station], -station)
-        )
-        row = euro[euro["GasStationID"] == best]
-        return [row["Segment"][0]]
-
-    def pipe_mk9(ctx: PipelineContext):
-        euro = pipelines.filter_countries(
-            ctx, ctx.frame("gasstations"), "uses the euro"
-        )
+    def mk9(ctx):
+        euro = ctx.filter_euro_countries(ctx.frame("gasstations"))
         joined = merge(
             euro,
             ctx.frame("transactions_1k"),
@@ -411,38 +196,18 @@ def _knowledge() -> list[QuerySpec]:
         ).head(1)
         return counts["segment"].tolist()
 
-    specs.append(
-        QuerySpec(
-            qid="match-k09",
-            domain="debit_card_specializing",
-            query_type="match",
-            capability="knowledge",
-            question=(
-                "What is the segment of the gas station with the most "
-                "transactions among gas stations in countries that use "
-                "the Euro?"
-            ),
-            gold=gold_mk9,
-            pipeline=pipe_mk9,
-        )
+    add(
+        "match-k09",
+        "debit_card_specializing",
+        "What is the segment of the gas station with the most "
+        "transactions among gas stations in countries that use the Euro?",
+        mk9,
     )
 
-    def gold_mk10(dataset: Dataset) -> list:
-        leagues = dataset.frame("League")
-        uk = leagues[leagues["name"].isin(oracle.uk_leagues())]
-        teams = dataset.frame("Team")
-        best_name, best_count = None, -1
-        for _, league in uk.iterrows():
-            count = len(teams[teams["league_id"] == league["id"]])
-            if count > best_count:
-                best_name, best_count = league["name"], count
-        return [best_name]
-
-    def pipe_mk10(ctx: PipelineContext):
-        uk = pipelines.filter_uk_leagues(ctx, ctx.frame("League"))
-        teams = ctx.frame("Team")
+    def mk10(ctx):
+        uk = ctx.filter_uk_leagues(ctx.frame("League"))
         joined = merge(
-            uk, teams, left_on="id", right_on="league_id"
+            uk, ctx.frame("Team"), left_on="id", right_on="league_id"
         )
         counts = joined.groupby("id").agg(
             n=("team_api_id", "count"), league=("name", "first")
@@ -452,19 +217,12 @@ def _knowledge() -> list[QuerySpec]:
         ).head(1)
         return top["league"].tolist()
 
-    specs.append(
-        QuerySpec(
-            qid="match-k10",
-            domain="european_football_2",
-            query_type="match",
-            capability="knowledge",
-            question=(
-                "What is the name of the league in the United Kingdom "
-                "with the most teams?"
-            ),
-            gold=gold_mk10,
-            pipeline=pipe_mk10,
-        )
+    add(
+        "match-k10",
+        "european_football_2",
+        "What is the name of the league in the United Kingdom with the "
+        "most teams?",
+        mk10,
     )
     return specs
 
@@ -473,190 +231,113 @@ def _knowledge() -> list[QuerySpec]:
 # reasoning
 # ---------------------------------------------------------------------------
 
+_BIAS_POST = "Deriving the bias-variance decomposition for ridge regression"
+_KERNEL_POST = "Kernel trick intuition for support vector machines"
+_BOOTSTRAP_POST = "Bootstrap confidence intervals for the median"
+
 
 def _reasoning() -> list[QuerySpec]:
     specs: list[QuerySpec] = []
 
-    def add(
-        qid: str,
-        question: str,
-        gold,
-        pipeline,
-        domain: str = "codebase_community",
-    ) -> None:
+    def add(qid: str, question: str, pipeline) -> None:
         specs.append(
             QuerySpec(
                 qid=qid,
-                domain=domain,
+                domain="codebase_community",
                 query_type="match",
                 capability="reasoning",
                 question=question,
-                gold=gold,
                 pipeline=pipeline,
             )
         )
 
-    def gold_mr1(dataset: Dataset) -> list:
-        posts = dataset.frame("posts")
-        index = _argmax_text(posts, "Title", technicality_score)
-        return [posts["Title"][index]]
+    def most_technical_post(column: str):
+        def program(ctx):
+            top = ctx.topk_text(ctx.frame("posts"), "technical", 1)
+            return top[column].tolist()
 
-    def pipe_mr1(ctx: PipelineContext):
-        top = pipelines.topk_technical(ctx, ctx.frame("posts"), 1)
-        return top["Title"].tolist()
+        return program
 
     add(
         "match-r01",
         "What is the title of the most technical post?",
-        gold_mr1,
-        pipe_mr1,
+        most_technical_post("Title"),
     )
 
-    _BIAS_POST = (
-        "Deriving the bias-variance decomposition for ridge regression"
-    )
-
-    def gold_mr2(dataset: Dataset) -> list:
-        comments = _post_comments(dataset, _BIAS_POST)
-        index = _argmax_text(comments, "Text", sarcasm_score)
-        return [comments["Text"][index]]
-
-    def pipe_mr2(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(ctx, _BIAS_POST)
-        top = pipelines.topk_sarcastic(ctx, comments, 1)
-        return top["Text"].tolist()
+    def mr2(ctx):
+        comments = post_comments(ctx, _BIAS_POST)
+        return ctx.topk_text(comments, "sarcastic", 1)["Text"].tolist()
 
     add(
         "match-r02",
         "What is the text of the most sarcastic comment on the post "
         f"titled '{_BIAS_POST}'?",
-        gold_mr2,
-        pipe_mr2,
+        mr2,
     )
 
-    _KERNEL_POST = "Kernel trick intuition for support vector machines"
-
-    def gold_mr3(dataset: Dataset) -> list:
-        comments = _post_comments(dataset, _KERNEL_POST)
-        index = _argmax_text(comments, "Text", sentiment_score)
-        return [comments["Score"][index]]
-
-    def pipe_mr3(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(ctx, _KERNEL_POST)
-        top = pipelines.topk_positive(ctx, comments, 1)
-        return top["Score"].tolist()
+    def mr3(ctx):
+        comments = post_comments(ctx, _KERNEL_POST)
+        return ctx.topk_text(comments, "positive", 1)["Score"].tolist()
 
     add(
         "match-r03",
         "What is the score of the most positive comment on the post "
         f"titled '{_KERNEL_POST}'?",
-        gold_mr3,
-        pipe_mr3,
+        mr3,
     )
 
-    def gold_mr4(dataset: Dataset) -> list:
-        posts = dataset.frame("posts")
-        index = _argmin_text(posts, "Title", technicality_score)
-        return [posts["Title"][index]]
-
-    def pipe_mr4(ctx: PipelineContext):
+    def mr4(ctx):
         posts = ctx.frame("posts")
-        ordered = pipelines.topk_technical(ctx, posts, len(posts))
+        ordered = ctx.topk_text(posts, "technical", len(posts))
         # Least technical = the tail of a full technicality ordering.
         return [ordered["Title"].tolist()[-1]]
 
     add(
         "match-r04",
         "What is the title of the least technical post?",
-        gold_mr4,
-        pipe_mr4,
+        mr4,
     )
-
-    def gold_mr5(dataset: Dataset) -> list:
-        posts = dataset.frame("posts")
-        index = _argmax_text(posts, "Title", technicality_score)
-        return [posts["ViewCount"][index]]
-
-    def pipe_mr5(ctx: PipelineContext):
-        top = pipelines.topk_technical(ctx, ctx.frame("posts"), 1)
-        return top["ViewCount"].tolist()
-
     add(
         "match-r05",
         "What is the view count of the most technical post?",
-        gold_mr5,
-        pipe_mr5,
+        most_technical_post("ViewCount"),
     )
 
-    def gold_mr6(dataset: Dataset) -> list:
-        top5 = _top_posts(dataset.frame("posts"), 5)
-        index = _argmax_text(top5, "Title", technicality_score)
-        return [top5["Title"][index]]
-
-    def pipe_mr6(ctx: PipelineContext):
-        top5 = _top_posts(ctx.frame("posts"), 5)
-        best = pipelines.topk_technical(ctx, top5, 1)
-        return best["Title"].tolist()
+    def mr6(ctx):
+        top5 = top_posts(ctx.frame("posts"), 5)
+        return ctx.topk_text(top5, "technical", 1)["Title"].tolist()
 
     add(
         "match-r06",
-        "What is the title of the most technical post among the 5 "
-        "posts with the highest view count?",
-        gold_mr6,
-        pipe_mr6,
+        "What is the title of the most technical post among the 5 posts "
+        "with the highest view count?",
+        mr6,
     )
 
-    def gold_mr7(dataset: Dataset) -> list:
-        comments = _top_post_comments(dataset)
-        index = _argmax_text(comments, "Text", sentiment_score)
-        return [comments["Text"][index]]
-
-    def pipe_mr7(ctx: PipelineContext):
-        comments = _ctx_top_post_comments(ctx)
-        top = pipelines.topk_positive(ctx, comments, 1)
-        return top["Text"].tolist()
+    def mr7(ctx):
+        comments = top_post_comments(ctx)
+        return ctx.topk_text(comments, "positive", 1)["Text"].tolist()
 
     add(
         "match-r07",
-        "What is the text of the most positive comment on the post "
-        "with the highest view count?",
-        gold_mr7,
-        pipe_mr7,
+        "What is the text of the most positive comment on the post with "
+        "the highest view count?",
+        mr7,
     )
 
-    _BOOTSTRAP_POST = "Bootstrap confidence intervals for the median"
-
-    def gold_mr8(dataset: Dataset) -> list:
-        comments = _post_comments(dataset, _BOOTSTRAP_POST)
-        index = _argmin_text(comments, "Text", sentiment_score)
-        return [comments["Text"][index]]
-
-    def pipe_mr8(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(
-            ctx, _BOOTSTRAP_POST
-        )
-        top = pipelines.topk_negative(ctx, comments, 1)
-        return top["Text"].tolist()
+    def mr8(ctx):
+        comments = post_comments(ctx, _BOOTSTRAP_POST)
+        return ctx.topk_text(comments, "negative", 1)["Text"].tolist()
 
     add(
         "match-r08",
         "What is the text of the most negative comment on the post "
         f"titled '{_BOOTSTRAP_POST}'?",
-        gold_mr8,
-        pipe_mr8,
+        mr8,
     )
 
-    def gold_mr9(dataset: Dataset) -> list:
-        comments = _top_post_comments(dataset)
-        index = _argmax_text(comments, "Text", sarcasm_score)
-        user_id = comments["UserId"][index]
-        users = dataset.frame("users")
-        row = users[users["Id"] == user_id]
-        return [row["DisplayName"][0]]
-
-    def pipe_mr9(ctx: PipelineContext):
-        comments = _ctx_top_post_comments(ctx)
-        top = pipelines.topk_sarcastic(ctx, comments, 1)
+    def mr9(ctx):
+        top = ctx.topk_text(top_post_comments(ctx), "sarcastic", 1)
         joined = merge(
             top, ctx.frame("users"), left_on="UserId", right_on="Id"
         )
@@ -666,59 +347,11 @@ def _reasoning() -> list[QuerySpec]:
         "match-r09",
         "What is the display name of the user who wrote the most "
         "sarcastic comment on the post with the highest view count?",
-        gold_mr9,
-        pipe_mr9,
+        mr9,
     )
-
-    def gold_mr10(dataset: Dataset) -> list:
-        posts = dataset.frame("posts")
-        index = _argmax_text(posts, "Title", technicality_score)
-        return [posts["CreationDate"][index]]
-
-    def pipe_mr10(ctx: PipelineContext):
-        top = pipelines.topk_technical(ctx, ctx.frame("posts"), 1)
-        return top["CreationDate"].tolist()
-
     add(
         "match-r10",
         "What is the creation date of the most technical post?",
-        gold_mr10,
-        pipe_mr10,
+        most_technical_post("CreationDate"),
     )
     return specs
-
-
-# ---------------------------------------------------------------------------
-# small shared lookups
-# ---------------------------------------------------------------------------
-
-
-def _post_comments(dataset: Dataset, title: str) -> DataFrame:
-    posts = dataset.frame("posts")
-    post = posts[posts["Title"] == title]
-    return merge(
-        post[["Id"]],
-        dataset.frame("comments"),
-        left_on="Id",
-        right_on="PostId",
-    )
-
-
-def _top_post_comments(dataset: Dataset) -> DataFrame:
-    top = _top_posts(dataset.frame("posts"), 1)
-    return merge(
-        top[["Id"]],
-        dataset.frame("comments"),
-        left_on="Id",
-        right_on="PostId",
-    )
-
-
-def _ctx_top_post_comments(ctx: PipelineContext) -> DataFrame:
-    top = _top_posts(ctx.frame("posts"), 1)
-    return merge(
-        top[["Id"]],
-        ctx.frame("comments"),
-        left_on="Id",
-        right_on="PostId",
-    )

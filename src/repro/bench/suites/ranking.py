@@ -8,14 +8,14 @@ LM's graded judgments carry jitter on near-ties.
 
 from __future__ import annotations
 
-from repro.bench import oracle, pipelines
-from repro.bench.queries import PipelineContext, QuerySpec
-from repro.bench.suites.match import _top_posts
-from repro.data.base import Dataset
-from repro.frame import DataFrame, merge
-from repro.text.sarcasm import sarcasm_score
-from repro.text.sentiment import sentiment_score
-from repro.text.technicality import technicality_score
+from repro.bench.pipelines import (
+    post_comments,
+    schools_sat,
+    top_post_comments,
+    top_posts,
+)
+from repro.bench.queries import QuerySpec
+from repro.frame import merge
 
 
 def build() -> list[QuerySpec]:
@@ -24,12 +24,7 @@ def build() -> list[QuerySpec]:
 
 
 def _spec(
-    qid: str,
-    domain: str,
-    capability: str,
-    question: str,
-    gold,
-    pipeline,
+    qid: str, domain: str, capability: str, question: str, pipeline
 ) -> QuerySpec:
     return QuerySpec(
         qid=qid,
@@ -37,20 +32,8 @@ def _spec(
         query_type="ranking",
         capability=capability,
         question=question,
-        gold=gold,
         pipeline=pipeline,
     )
-
-
-def _ordered_texts(
-    frame: DataFrame, column: str, scorer, descending: bool = True
-) -> list[str]:
-    scored = [
-        (scorer(str(record[column])), index)
-        for index, record in frame.iterrows()
-    ]
-    scored.sort(key=lambda pair: pair[0], reverse=descending)
-    return [frame[column][index] for _, index in scored]
 
 
 # ---------------------------------------------------------------------------
@@ -61,145 +44,59 @@ def _ordered_texts(
 def _knowledge() -> list[QuerySpec]:
     specs: list[QuerySpec] = []
 
-    def gold_rk1(dataset: Dataset) -> list:
-        joined = merge(
-            dataset.frame("schools"),
-            dataset.frame("satscores"),
-            left_on="CDSCode",
-            right_on="cds",
-        )
-        joined = oracle.filter_by_region(joined, "bay area")
-        top = joined.sort_values("AvgScrMath", ascending=False).head(3)
-        return top["School"].tolist()
+    def add(qid: str, domain: str, question: str, pipeline) -> None:
+        specs.append(_spec(qid, domain, "knowledge", question, pipeline))
 
-    def pipe_rk1(ctx: PipelineContext):
-        joined = merge(
-            ctx.frame("schools"),
-            ctx.frame("satscores"),
-            left_on="CDSCode",
-            right_on="cds",
-        )
-        joined = pipelines.filter_by_region(ctx, joined, "Bay Area")
-        top = joined.sort_values("AvgScrMath", ascending=False).head(3)
-        return top["School"].tolist()
+    def top_bay_sat(column: str):
+        def program(ctx):
+            joined = ctx.filter_by_region(schools_sat(ctx), "Bay Area")
+            top = joined.sort_values(column, ascending=False).head(3)
+            return top["School"].tolist()
 
-    specs.append(
-        _spec(
-            "ranking-k01",
-            "california_schools",
-            "knowledge",
-            "List the names of the 3 schools with the highest average "
-            "score in Math among schools in the Bay Area.",
-            gold_rk1,
-            pipe_rk1,
-        )
+        return program
+
+    add(
+        "ranking-k01",
+        "california_schools",
+        "List the names of the 3 schools with the highest average score "
+        "in Math among schools in the Bay Area.",
+        top_bay_sat("AvgScrMath"),
+    )
+    add(
+        "ranking-k02",
+        "california_schools",
+        "List the names of the 3 schools with the most test takers among "
+        "schools in the Bay Area.",
+        top_bay_sat("NumTstTakr"),
     )
 
-    def gold_rk2(dataset: Dataset) -> list:
-        joined = merge(
-            dataset.frame("schools"),
-            dataset.frame("satscores"),
-            left_on="CDSCode",
-            right_on="cds",
-        )
-        joined = oracle.filter_by_region(joined, "bay area")
-        top = joined.sort_values("NumTstTakr", ascending=False).head(3)
-        return top["School"].tolist()
-
-    def pipe_rk2(ctx: PipelineContext):
-        joined = merge(
-            ctx.frame("schools"),
-            ctx.frame("satscores"),
-            left_on="CDSCode",
-            right_on="cds",
-        )
-        joined = pipelines.filter_by_region(ctx, joined, "Bay Area")
-        top = joined.sort_values("NumTstTakr", ascending=False).head(3)
-        return top["School"].tolist()
-
-    specs.append(
-        _spec(
-            "ranking-k02",
-            "california_schools",
-            "knowledge",
-            "List the names of the 3 schools with the most test takers "
-            "among schools in the Bay Area.",
-            gold_rk2,
-            pipe_rk2,
-        )
-    )
-
-    def gold_rk3(dataset: Dataset) -> list:
-        players = dataset.frame("Player")
-        threshold = oracle.person_height("Stephen Curry")
-        taller = players[players["height"] > threshold]
-        top = taller.sort_values("height", ascending=False).head(3)
-        return top["player_name"].tolist()
-
-    def pipe_rk3(ctx: PipelineContext):
-        taller = pipelines.filter_players_by_height(
-            ctx, ctx.frame("Player"), "Stephen Curry", "taller"
-        )
-        top = taller.sort_values("height", ascending=False).head(3)
-        return top["player_name"].tolist()
-
-    specs.append(
-        _spec(
-            "ranking-k03",
-            "european_football_2",
-            "knowledge",
-            "List the names of the 3 tallest players who are taller "
-            "than Stephen Curry.",
-            gold_rk3,
-            pipe_rk3,
-        )
-    )
-
-    def gold_rk4(dataset: Dataset) -> list:
-        players = dataset.frame("Player")
-        threshold = oracle.person_height("Stephen Curry")
-        taller = players[players["height"] > threshold]
-        bottom = taller.sort_values("height", ascending=True).head(3)
-        return bottom["player_name"].tolist()
-
-    def pipe_rk4(ctx: PipelineContext):
-        taller = pipelines.filter_players_by_height(
-            ctx, ctx.frame("Player"), "Stephen Curry", "taller"
-        )
-        bottom = taller.sort_values("height", ascending=True).head(3)
-        return bottom["player_name"].tolist()
-
-    specs.append(
-        _spec(
-            "ranking-k04",
-            "european_football_2",
-            "knowledge",
-            "List the names of the 3 shortest players who are taller "
-            "than Stephen Curry.",
-            gold_rk4,
-            pipe_rk4,
-        )
-    )
-
-    def gold_rk5(dataset: Dataset) -> list:
-        circuits = dataset.frame("circuits")
-        street = circuits[
-            circuits["name"].isin(oracle.street_circuits())
-        ]
-        races = dataset.frame("races")
-        counts = []
-        for _, circuit in street.iterrows():
-            count = len(
-                races[races["circuitId"] == circuit["circuitId"]]
+    def players_taller_than_curry(ascending: bool):
+        def program(ctx):
+            taller = ctx.filter_players_by_height(
+                ctx.frame("Player"), "Stephen Curry", "taller"
             )
-            counts.append((count, circuit["name"]))
-        counts.sort(key=lambda pair: (pair[0], pair[1]))
-        return [name for _, name in counts[:3]]
+            top = taller.sort_values("height", ascending=ascending).head(3)
+            return top["player_name"].tolist()
 
-    def pipe_rk5(ctx: PipelineContext):
-        street = pipelines.filter_street_circuits(
-            ctx, ctx.frame("circuits")
-        )
+        return program
+
+    add(
+        "ranking-k03",
+        "european_football_2",
+        "List the names of the 3 tallest players who are taller than "
+        "Stephen Curry.",
+        players_taller_than_curry(ascending=False),
+    )
+    add(
+        "ranking-k04",
+        "european_football_2",
+        "List the names of the 3 shortest players who are taller than "
+        "Stephen Curry.",
+        players_taller_than_curry(ascending=True),
+    )
+
+    def rk5(ctx):
+        street = ctx.filter_street_circuits(ctx.frame("circuits"))
         races = ctx.frame("races").rename(columns={"name": "race_name"})
         joined = merge(
             street, races, left_on="circuitId", right_on="circuitId"
@@ -210,40 +107,17 @@ def _knowledge() -> list[QuerySpec]:
         ).head(3)
         return ordered["name"].tolist()
 
-    specs.append(
-        _spec(
-            "ranking-k05",
-            "formula_1",
-            "knowledge",
-            "List the names of the 3 street circuits that hosted the "
-            "fewest races.",
-            gold_rk5,
-            pipe_rk5,
-        )
+    add(
+        "ranking-k05",
+        "formula_1",
+        "List the names of the 3 street circuits that hosted the fewest "
+        "races.",
+        rk5,
     )
 
-    def gold_rk6(dataset: Dataset) -> list:
-        circuits = dataset.frame("circuits")
-        chosen = circuits[
-            circuits["name"].isin(
-                oracle.circuits_in_region("southeast asia")
-            )
-        ]
-        ids = set(chosen["circuitId"].tolist())
-        races = dataset.frame("races")
-        years = sorted(
-            {
-                record["year"]
-                for _, record in races.iterrows()
-                if record["circuitId"] in ids
-            },
-            reverse=True,
-        )
-        return years[:3]
-
-    def pipe_rk6(ctx: PipelineContext):
-        chosen = pipelines.filter_circuits_in_region(
-            ctx, ctx.frame("circuits"), "southeast asia"
+    def rk6(ctx):
+        chosen = ctx.filter_circuits_in_region(
+            ctx.frame("circuits"), "southeast asia"
         )
         ids = set(chosen["circuitId"].tolist())
         races = ctx.frame("races")
@@ -251,86 +125,32 @@ def _knowledge() -> list[QuerySpec]:
         years = sorted(set(in_region["year"].tolist()), reverse=True)
         return years[:3]
 
-    specs.append(
-        _spec(
-            "ranking-k06",
-            "formula_1",
-            "knowledge",
-            "List the 3 most recent years in which races were held at "
-            "circuits located in Southeast Asia.",
-            gold_rk6,
-            pipe_rk6,
-        )
+    add(
+        "ranking-k06",
+        "formula_1",
+        "List the 3 most recent years in which races were held at "
+        "circuits located in Southeast Asia.",
+        rk6,
     )
 
-    def gold_rk7(dataset: Dataset) -> list:
-        stations = dataset.frame("gasstations")
-        euro = stations[
-            stations["Country"].isin(oracle.euro_countries())
-        ]
-        counts: dict[str, int] = {}
-        for _, record in euro.iterrows():
-            counts[record["Country"]] = (
-                counts.get(record["Country"], 0) + 1
-            )
-        ordered = sorted(
-            counts.items(), key=lambda item: (-item[1], item[0])
-        )
-        return [country for country, _ in ordered]
-
-    def pipe_rk7(ctx: PipelineContext):
-        euro = pipelines.filter_countries(
-            ctx, ctx.frame("gasstations"), "uses the euro"
-        )
-        counts = euro.groupby("Country").agg(
-            n=("GasStationID", "count")
-        )
+    def rk7(ctx):
+        euro = ctx.filter_euro_countries(ctx.frame("gasstations"))
+        counts = euro.groupby("Country").agg(n=("GasStationID", "count"))
         ordered = counts.sort_values(
             ["n", "Country"], ascending=[False, True]
         )
         return ordered["Country"].tolist()
 
-    specs.append(
-        _spec(
-            "ranking-k07",
-            "debit_card_specializing",
-            "knowledge",
-            "List the countries that use the Euro in order of number "
-            "of gas stations from most to fewest.",
-            gold_rk7,
-            pipe_rk7,
-        )
+    add(
+        "ranking-k07",
+        "debit_card_specializing",
+        "List the countries that use the Euro in order of number of gas "
+        "stations from most to fewest.",
+        rk7,
     )
 
-    def gold_rk8(dataset: Dataset) -> list:
-        currency = oracle.oracle_kb().value("currency", "Germany")
-        customers = dataset.frame("customers")
-        chosen = customers[customers["Currency"] == currency]
-        yearmonth = dataset.frame("yearmonth")
-        totals: dict[int, float] = {}
-        ids = set(chosen["CustomerID"].tolist())
-        for _, record in yearmonth.iterrows():
-            if record["CustomerID"] in ids:
-                totals[record["CustomerID"]] = (
-                    totals.get(record["CustomerID"], 0.0)
-                    + record["Consumption"]
-                )
-        ordered = sorted(
-            totals.items(), key=lambda item: (-item[1], item[0])
-        )
-        return [customer_id for customer_id, _ in ordered[:3]]
-
-    def pipe_rk8(ctx: PipelineContext):
-        customers = ctx.frame("customers")
-        currencies = DataFrame(
-            {"Currency": customers["Currency"].unique()}
-        )
-        kept = ctx.ops.sem_filter(
-            currencies, "{Currency} is the currency of Germany"
-        )
-        chosen = customers[
-            customers["Currency"].isin(kept["Currency"].tolist())
-        ]
+    def rk8(ctx):
+        chosen = ctx.filter_currency_of(ctx.frame("customers"), "Germany")
         joined = merge(
             chosen,
             ctx.frame("yearmonth"),
@@ -345,32 +165,16 @@ def _knowledge() -> list[QuerySpec]:
         ).head(3)
         return top["CustomerID"].tolist()
 
-    specs.append(
-        _spec(
-            "ranking-k08",
-            "debit_card_specializing",
-            "knowledge",
-            "List the IDs of the 3 customers with the highest total "
-            "consumption among customers paying in the currency of "
-            "Germany.",
-            gold_rk8,
-            pipe_rk8,
-        )
+    add(
+        "ranking-k08",
+        "debit_card_specializing",
+        "List the IDs of the 3 customers with the highest total "
+        "consumption among customers paying in the currency of Germany.",
+        rk8,
     )
 
-    def gold_rk9(dataset: Dataset) -> list:
-        leagues = dataset.frame("League")
-        uk = leagues[leagues["name"].isin(oracle.uk_leagues())]
-        teams = dataset.frame("Team")
-        counts = []
-        for _, league in uk.iterrows():
-            count = len(teams[teams["league_id"] == league["id"]])
-            counts.append((count, league["name"]))
-        counts.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [name for _, name in counts]
-
-    def pipe_rk9(ctx: PipelineContext):
-        uk = pipelines.filter_uk_leagues(ctx, ctx.frame("League"))
+    def rk9(ctx):
+        uk = ctx.filter_uk_leagues(ctx.frame("League"))
         joined = merge(
             uk, ctx.frame("Team"), left_on="id", right_on="league_id"
         )
@@ -380,52 +184,31 @@ def _knowledge() -> list[QuerySpec]:
         )
         return ordered["name"].tolist()
 
-    specs.append(
-        _spec(
-            "ranking-k09",
-            "european_football_2",
-            "knowledge",
-            "List the names of the leagues in the United Kingdom in "
-            "order of number of teams from most to fewest.",
-            gold_rk9,
-            pipe_rk9,
-        )
+    add(
+        "ranking-k09",
+        "european_football_2",
+        "List the names of the leagues in the United Kingdom in order of "
+        "number of teams from most to fewest.",
+        rk9,
     )
 
-    def gold_rk10(dataset: Dataset) -> list:
-        joined = merge(
-            dataset.frame("schools"),
-            dataset.frame("frpm"),
-            left_on="CDSCode",
-            right_on="CDSCode",
-        )
-        joined = oracle.filter_by_region(joined, "silicon valley")
-        bottom = joined.sort_values("Enrollment", ascending=True).head(3)
-        return bottom["County"].tolist()
-
-    def pipe_rk10(ctx: PipelineContext):
+    def rk10(ctx):
         joined = merge(
             ctx.frame("schools"),
             ctx.frame("frpm"),
             left_on="CDSCode",
             right_on="CDSCode",
         )
-        joined = pipelines.filter_by_region(
-            ctx, joined, "Silicon Valley"
-        )
+        joined = ctx.filter_by_region(joined, "Silicon Valley")
         bottom = joined.sort_values("Enrollment", ascending=True).head(3)
         return bottom["County"].tolist()
 
-    specs.append(
-        _spec(
-            "ranking-k10",
-            "california_schools",
-            "knowledge",
-            "List the counties of the 3 schools with the lowest "
-            "enrollment among schools in the Silicon Valley region.",
-            gold_rk10,
-            pipe_rk10,
-        )
+    add(
+        "ranking-k10",
+        "california_schools",
+        "List the counties of the 3 schools with the lowest enrollment "
+        "among schools in the Silicon Valley region.",
+        rk10,
     )
     return specs
 
@@ -442,165 +225,95 @@ _SGD_POST = "Why does SGD with momentum escape saddle points faster?"
 def _reasoning() -> list[QuerySpec]:
     specs: list[QuerySpec] = []
 
-    def add(qid: str, question: str, gold, pipeline) -> None:
+    def add(qid: str, question: str, pipeline) -> None:
         specs.append(
-            _spec(
-                qid, "codebase_community", "reasoning", question, gold,
-                pipeline,
-            )
+            _spec(qid, "codebase_community", "reasoning", question, pipeline)
         )
 
-    def gold_rr1(dataset: Dataset) -> list:
-        top5 = _top_posts(dataset.frame("posts"), 5)
-        return _ordered_texts(top5, "Title", technicality_score)
+    def titles_by_technicality(posts, most_first: bool = True):
+        """A program ordering the titles of ``posts(ctx)`` by
+        technicality."""
 
-    def pipe_rr1(ctx: PipelineContext):
-        top5 = _top_posts(ctx.frame("posts"), 5)
-        ordered = pipelines.topk_technical(ctx, top5, 5)
-        return ordered["Title"].tolist()
+        def program(ctx):
+            pool = posts(ctx)
+            ordered = ctx.topk_text(pool, "technical", len(pool))
+            titles = ordered["Title"].tolist()
+            return titles if most_first else list(reversed(titles))
+
+        return program
+
+    def top_texts(comments, quality: str, k: int):
+        """A program listing the ``k`` comment texts of
+        ``comments(ctx)`` with the most ``quality``."""
+
+        def program(ctx):
+            top = ctx.topk_text(comments(ctx), quality, k)
+            return top["Text"].tolist()
+
+        return program
+
+    def viewed(count: int):
+        return lambda ctx: top_posts(ctx.frame("posts"), count)
+
+    def commented(title: str):
+        return lambda ctx: post_comments(ctx, title)
 
     add(
         "ranking-r01",
         "Of the 5 posts with the highest popularity, list their titles "
         "in order of most technical to least technical.",
-        gold_rr1,
-        pipe_rr1,
+        titles_by_technicality(viewed(5)),
     )
-
-    def gold_rr2(dataset: Dataset) -> list:
-        comments = _dataset_top_post_comments(dataset)
-        return _ordered_texts(comments, "Text", sarcasm_score)[:3]
-
-    def pipe_rr2(ctx: PipelineContext):
-        comments = _context_top_post_comments(ctx)
-        top = pipelines.topk_sarcastic(ctx, comments, 3)
-        return top["Text"].tolist()
-
     add(
         "ranking-r02",
         "List the texts of the 3 most sarcastic comments on the post "
         "with the highest view count.",
-        gold_rr2,
-        pipe_rr2,
+        top_texts(top_post_comments, "sarcastic", 3),
     )
-
-    def gold_rr3(dataset: Dataset) -> list:
-        top3 = _top_posts(dataset.frame("posts"), 3)
-        return _ordered_texts(
-            top3, "Title", technicality_score, descending=False
-        )
-
-    def pipe_rr3(ctx: PipelineContext):
-        top3 = _top_posts(ctx.frame("posts"), 3)
-        ordered = pipelines.topk_technical(ctx, top3, 3)
-        return list(reversed(ordered["Title"].tolist()))
-
     add(
         "ranking-r03",
-        "List the titles of the 3 posts with the highest view count "
-        "in order of least technical to most technical.",
-        gold_rr3,
-        pipe_rr3,
+        "List the titles of the 3 posts with the highest view count in "
+        "order of least technical to most technical.",
+        titles_by_technicality(viewed(3), most_first=False),
     )
-
-    def gold_rr4(dataset: Dataset) -> list:
-        comments = _dataset_post_comments(dataset, _GENTLE_POST)
-        return _ordered_texts(comments, "Text", sentiment_score)[:3]
-
-    def pipe_rr4(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(ctx, _GENTLE_POST)
-        top = pipelines.topk_positive(ctx, comments, 3)
-        return top["Text"].tolist()
-
     add(
         "ranking-r04",
         "List the texts of the 3 most positive comments on the post "
         f"titled '{_GENTLE_POST}'.",
-        gold_rr4,
-        pipe_rr4,
+        top_texts(commented(_GENTLE_POST), "positive", 3),
     )
 
-    def gold_rr5(dataset: Dataset) -> list:
-        top10 = _top_posts(dataset.frame("posts"), 10)
-        return _ordered_texts(top10, "Title", technicality_score)[:3]
-
-    def pipe_rr5(ctx: PipelineContext):
-        top10 = _top_posts(ctx.frame("posts"), 10)
-        best = pipelines.topk_technical(ctx, top10, 3)
-        return best["Title"].tolist()
+    def rr5(ctx):
+        top10 = top_posts(ctx.frame("posts"), 10)
+        return ctx.topk_text(top10, "technical", 3)["Title"].tolist()
 
     add(
         "ranking-r05",
-        "Of the 10 posts with the highest view count, list the titles "
-        "of the 3 most technical.",
-        gold_rr5,
-        pipe_rr5,
+        "Of the 10 posts with the highest view count, list the titles of "
+        "the 3 most technical.",
+        rr5,
     )
-
-    def gold_rr6(dataset: Dataset) -> list:
-        comments = _dataset_post_comments(dataset, _L1_POST)
-        return _ordered_texts(
-            comments, "Text", lambda text: -sentiment_score(text)
-        )[:3]
-
-    def pipe_rr6(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(ctx, _L1_POST)
-        top = pipelines.topk_negative(ctx, comments, 3)
-        return top["Text"].tolist()
-
     add(
         "ranking-r06",
         "List the texts of the 3 most negative comments on the post "
         f"titled '{_L1_POST}'.",
-        gold_rr6,
-        pipe_rr6,
+        top_texts(commented(_L1_POST), "negative", 3),
     )
 
-    def gold_rr7(dataset: Dataset) -> list:
-        bottom5 = (
-            dataset.frame("posts")
-            .sort_values("ViewCount", ascending=True)
-            .head(5)
-        )
-        return _ordered_texts(bottom5, "Title", technicality_score)
-
-    def pipe_rr7(ctx: PipelineContext):
-        bottom5 = (
-            ctx.frame("posts")
-            .sort_values("ViewCount", ascending=True)
-            .head(5)
-        )
-        ordered = pipelines.topk_technical(ctx, bottom5, 5)
-        return ordered["Title"].tolist()
+    def least_viewed(ctx):
+        posts = ctx.frame("posts")
+        return posts.sort_values("ViewCount", ascending=True).head(5)
 
     add(
         "ranking-r07",
-        "Order the titles of the 5 posts with the lowest view count "
-        "from most technical to least technical.",
-        gold_rr7,
-        pipe_rr7,
+        "Order the titles of the 5 posts with the lowest view count from "
+        "most technical to least technical.",
+        titles_by_technicality(least_viewed),
     )
 
-    def gold_rr8(dataset: Dataset) -> list:
-        comments = _dataset_post_comments(dataset, _SGD_POST)
-        users = dataset.frame("users")
-        ordered_indices = sorted(
-            range(len(comments)),
-            key=lambda index: sarcasm_score(
-                str(comments["Text"][index])
-            ),
-            reverse=True,
-        )[:2]
-        names = []
-        for index in ordered_indices:
-            user_id = comments["UserId"][index]
-            row = users[users["Id"] == user_id]
-            names.append(row["DisplayName"][0])
-        return names
-
-    def pipe_rr8(ctx: PipelineContext):
-        comments = pipelines.comments_for_post_title(ctx, _SGD_POST)
-        top = pipelines.topk_sarcastic(ctx, comments, 2)
+    def rr8(ctx):
+        comments = post_comments(ctx, _SGD_POST)
+        top = ctx.topk_text(comments, "sarcastic", 2)
         joined = merge(
             top, ctx.frame("users"), left_on="UserId", right_on="Id"
         )
@@ -610,74 +323,18 @@ def _reasoning() -> list[QuerySpec]:
         "ranking-r08",
         "List the display names of the users who wrote the 2 most "
         f"sarcastic comments on the post titled '{_SGD_POST}'.",
-        gold_rr8,
-        pipe_rr8,
+        rr8,
     )
-
-    def gold_rr9(dataset: Dataset) -> list:
-        comments = _dataset_top_post_comments(dataset)
-        return _ordered_texts(comments, "Text", sentiment_score)[:2]
-
-    def pipe_rr9(ctx: PipelineContext):
-        comments = _context_top_post_comments(ctx)
-        top = pipelines.topk_positive(ctx, comments, 2)
-        return top["Text"].tolist()
-
     add(
         "ranking-r09",
-        "List the texts of the 2 most positive comments on the post "
-        "with the highest view count.",
-        gold_rr9,
-        pipe_rr9,
+        "List the texts of the 2 most positive comments on the post with "
+        "the highest view count.",
+        top_texts(top_post_comments, "positive", 2),
     )
-
-    def gold_rr10(dataset: Dataset) -> list:
-        top5 = _top_posts(dataset.frame("posts"), 5)
-        return _ordered_texts(
-            top5, "Title", technicality_score, descending=False
-        )
-
-    def pipe_rr10(ctx: PipelineContext):
-        top5 = _top_posts(ctx.frame("posts"), 5)
-        ordered = pipelines.topk_technical(ctx, top5, 5)
-        return list(reversed(ordered["Title"].tolist()))
-
     add(
         "ranking-r10",
         "Of the 5 posts with the highest popularity, list their titles "
         "in order of least technical to most technical.",
-        gold_rr10,
-        pipe_rr10,
+        titles_by_technicality(viewed(5), most_first=False),
     )
     return specs
-
-
-def _dataset_post_comments(dataset: Dataset, title: str) -> DataFrame:
-    posts = dataset.frame("posts")
-    post = posts[posts["Title"] == title]
-    return merge(
-        post[["Id"]],
-        dataset.frame("comments"),
-        left_on="Id",
-        right_on="PostId",
-    )
-
-
-def _dataset_top_post_comments(dataset: Dataset) -> DataFrame:
-    top = _top_posts(dataset.frame("posts"), 1)
-    return merge(
-        top[["Id"]],
-        dataset.frame("comments"),
-        left_on="Id",
-        right_on="PostId",
-    )
-
-
-def _context_top_post_comments(ctx: PipelineContext) -> DataFrame:
-    top = _top_posts(ctx.frame("posts"), 1)
-    return merge(
-        top[["Id"]],
-        ctx.frame("comments"),
-        left_on="Id",
-        right_on="PostId",
-    )

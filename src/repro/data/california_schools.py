@@ -14,6 +14,7 @@ import random
 
 from repro.data.base import Dataset, frames_from_db
 from repro.db import Column, Database, DataType, ForeignKey, TableSchema
+from repro.errors import BenchmarkError
 from repro.knowledge.geography import CITY_COORDINATES
 
 _GRADE_SPANS = ["K-5", "K-6", "K-8", "K-12", "6-8", "6-12", "9-12"]
@@ -24,6 +25,10 @@ _SCHOOL_KINDS = [
     ("Unified", ("K-12", "6-12")),
     ("Charter Academy", ("K-8", "K-12", "9-12")),
 ]
+#: Kinds of school that administer the SAT, and how many distinct math
+#: scores the generator can draw for them (440..680).
+_SAT_KINDS = ("High", "Unified", "Charter Academy")
+_MATH_SCORES = 241
 _COUNTY_BY_CITY = {
     "San Francisco": "San Francisco",
     "Oakland": "Alameda",
@@ -79,7 +84,20 @@ _COUNTY_BY_CITY = {
 
 
 def build(seed: int = 0, schools_per_city: int = 5) -> Dataset:
-    """Generate the domain deterministically from ``seed``."""
+    """Generate the domain deterministically from ``seed``.
+
+    Math scores are unique, so at most 241 schools can take the SAT:
+    ``schools_per_city`` above 8 raises BenchmarkError.
+    """
+    sat_rows = len(_COUNTY_BY_CITY) * sum(
+        _SCHOOL_KINDS[slot % len(_SCHOOL_KINDS)][0] in _SAT_KINDS
+        for slot in range(schools_per_city)
+    )
+    if sat_rows > _MATH_SCORES:
+        raise BenchmarkError(
+            f"schools_per_city={schools_per_city} needs {sat_rows} unique "
+            f"SAT math scores; the generator has {_MATH_SCORES}"
+        )
     rng = random.Random(("california_schools", seed).__repr__())
     db = Database("california_schools")
     db.create_table(
@@ -215,7 +233,7 @@ def build(seed: int = 0, schools_per_city: int = 5) -> Dataset:
                 ],
             )
             # Only high/unified schools administer the SAT.
-            if kind in ("High", "Unified", "Charter Academy"):
+            if kind in _SAT_KINDS:
                 # Keep math scores and taker counts unique so that
                 # superlative and top-k gold answers are unambiguous.
                 takers = rng.randint(40, 600)

@@ -11,6 +11,7 @@ import random
 
 from repro.data.base import Dataset, frames_from_db
 from repro.db import Column, Database, DataType, ForeignKey, TableSchema
+from repro.errors import BenchmarkError
 from repro.knowledge.football import LEAGUE_COUNTRY_FACTS
 
 _TEAM_STEMS = [
@@ -31,7 +32,17 @@ _PLAYER_LAST = [
 
 
 def build(seed: int = 0, players: int = 240) -> Dataset:
-    """Generate the domain deterministically from ``seed``."""
+    """Generate the domain deterministically from ``seed``.
+
+    Player names are unique first/last pairs, so at most 400 players;
+    more raises BenchmarkError.
+    """
+    names = len(_PLAYER_FIRST) * len(_PLAYER_LAST)
+    if players > names:
+        raise BenchmarkError(
+            f"players={players} exceeds the {names} unique player names "
+            "the generator can draw"
+        )
     rng = random.Random(("european_football_2", seed).__repr__())
     db = Database("european_football_2")
     db.create_table(

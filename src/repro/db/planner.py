@@ -1014,15 +1014,11 @@ class Planner:
         self, expression: ast.Expression, items: list[ast.SelectItem]
     ) -> ast.Expression:
         """GROUP BY 1 / alias resolve to the corresponding item."""
-        if isinstance(expression, ast.Literal) and isinstance(
-            expression.value, int
-        ):
-            index = expression.value - 1
-            if 0 <= index < len(items):
-                return items[index].expression
-            raise PlanningError(
-                f"GROUP BY position {expression.value} out of range"
-            )
+        position = ast.output_position(expression)
+        if position is not None:
+            if 1 <= position <= len(items):
+                return items[position - 1].expression
+            raise PlanningError(f"GROUP BY position {position} out of range")
         if isinstance(expression, ast.ColumnRef) and (
             expression.table is None
         ):
@@ -1188,15 +1184,11 @@ class Planner:
         items: list[ast.SelectItem],
         names: list[str],
     ) -> int | None:
-        if isinstance(expression, ast.Literal) and isinstance(
-            expression.value, int
-        ):
-            index = expression.value - 1
-            if 0 <= index < len(items):
-                return index
-            raise PlanningError(
-                f"ORDER BY position {expression.value} out of range"
-            )
+        position = ast.output_position(expression)
+        if position is not None:
+            if 1 <= position <= len(items):
+                return position - 1
+            raise PlanningError(f"ORDER BY position {position} out of range")
         if isinstance(expression, ast.ColumnRef) and (
             expression.table is None
         ):

@@ -82,10 +82,6 @@ class RowLayout:
             and entry_binding.lower() == lowered
         ]
 
-    def rebind(self, binding: str) -> "RowLayout":
-        """Layout exposing the same columns under a single new binding."""
-        return RowLayout([(binding, name) for _, name in self.entries])
-
     @staticmethod
     def concat(left: "RowLayout", right: "RowLayout") -> "RowLayout":
         return RowLayout(left.entries + right.entries)
@@ -117,9 +113,6 @@ class ResultSet:
         if not self.rows:
             return None
         return self.rows[0][0]
-
-    def to_dicts(self) -> list[dict[str, SQLValue]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
 
     def __repr__(self) -> str:
         return f"ResultSet({self.columns!r}, {len(self.rows)} rows)"

@@ -310,3 +310,16 @@ def expression_name(expression: "Expression") -> str:
     if isinstance(expression, Literal):
         return repr(expression.value)
     return type(expression).__name__.lower()
+
+
+def output_position(expression: "Expression") -> int | None:
+    """The 1-based output column a GROUP BY / ORDER BY term names, or
+    ``None`` when it is an expression.  A position is a non-bool int
+    literal: ``TRUE`` / ``FALSE`` are constants, as in SQLite."""
+    if (
+        isinstance(expression, Literal)
+        and isinstance(expression.value, int)
+        and not isinstance(expression.value, bool)
+    ):
+        return expression.value
+    return None

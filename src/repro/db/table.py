@@ -349,10 +349,6 @@ class Table:
             layouts[binding] = layout
         return layout
 
-    def column_values(self, name: str) -> list[SQLValue]:
-        position = self.schema.column_index(name)
-        return [row[position] for row in self._rows]
-
     def column_stats(self, name: str) -> ColumnStats:
         """Rows, distinct values and NULLs of one column.
 

@@ -39,8 +39,8 @@ class HashingEmbedder:
     bucket*, so they are mutually identical (cosine 1.0 against each
     other) and near-orthogonal to real content — a well-defined point,
     never an ill-defined one.  Callers that must not conflate distinct
-    degenerate texts (the semantic serving cache) should test
-    :meth:`is_degenerate` and refuse to key on such texts at all.
+    degenerate texts refuse to key on them at all (the semantic serving
+    cache's ``CanonicalForm.degenerate``).
     """
 
     def __init__(
@@ -50,18 +50,6 @@ class HashingEmbedder:
             raise ValueError("dimensions must be at least 8")
         self.dimensions = dimensions
         self.use_trigrams = use_trigrams
-
-    def is_degenerate(self, text: str) -> bool:
-        """True when ``text`` yields no hashed features.
-
-        Such a text embeds as the shared sentinel-bucket vector (see the
-        class docstring), so all degenerate texts are indistinguishable
-        in cosine space; similarity-keyed callers should treat them as
-        uncacheable rather than rely on their embedding.
-        """
-        if tokens(text):
-            return False
-        return not (self.use_trigrams and len(text) >= 1)
 
     def embed(self, text: str) -> np.ndarray:
         """Unit-norm embedding of one text (sentinel for degenerate)."""

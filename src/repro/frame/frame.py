@@ -99,9 +99,6 @@ class Column:
         lookup = set(values)
         return Column(self.name, [value in lookup for value in self.values])
 
-    def apply(self, function: Callable[[Any], Any]) -> "Column":
-        return Column(self.name, [function(value) for value in self.values])
-
     # -- reductions --------------------------------------------------------
 
     def unique(self) -> list[Any]:

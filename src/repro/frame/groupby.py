@@ -100,11 +100,3 @@ class GroupBy:
             out["size"].append(len(self._groups[key]))
         return frame_module.DataFrame(out)
 
-    def apply(
-        self, function: Callable[["frame_module.DataFrame"], Any]
-    ) -> list[Any]:
-        """Call ``function`` on each group's sub-frame, in group order."""
-        return [
-            function(self._frame.take(self._groups[key]))
-            for key in self._order
-        ]

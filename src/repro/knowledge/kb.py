@@ -154,13 +154,6 @@ class KnowledgeBase:
     def race_years(self, circuit: str) -> tuple[int, ...]:
         return tuple(self.value("race_years", circuit, ()))
 
-    def grand_prix_name(self, circuit: str) -> str | None:
-        return self.value("grand_prix_name", circuit)
-
-    # -- business -------------------------------------------------------------
-
-    def uses_euro(self, country: str) -> bool:
-        return bool(self.value("uses_euro", country, False))
 
 
 class FuzzyKnowledge:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.queries import PipelineContext, QuerySpec
+from repro.bench.pipelines import PipelineContext
+from repro.bench.queries import QuerySpec
 from repro.data.base import Dataset
 from repro.lm import SimulatedLM
 from repro.methods.base import Method

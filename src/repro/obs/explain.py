@@ -197,10 +197,6 @@ class AnalyzedQuery:
     optimizer: object | None = None
     truncated: "tuple[int, int] | None" = None
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(node.seconds for node in self.stats.walk())
-
     def render(self) -> str:
         rendered = render_stats(self.stats)
         if self.optimizer is not None and getattr(

@@ -77,9 +77,8 @@ class CanonicalForm:
     request with no content tokens at all (empty, punctuation-only,
     stopword-only): such a form carries no information to key on —
     distinct degenerate requests would collapse onto one key — so the
-    cache refuses to store or match it (the embedder-level
-    twin of this contract is
-    :meth:`repro.embed.HashingEmbedder.is_degenerate`).
+    cache refuses to store or match it (the embedder maps every such
+    text to one sentinel vector, see :class:`repro.embed.HashingEmbedder`).
     """
 
     text: str

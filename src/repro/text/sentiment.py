@@ -88,7 +88,3 @@ def sentiment_score(text: str) -> float:
     score = total / (hits + 1.0)
     return max(-1.0, min(1.0, score)) + score_tiebreak(text)
 
-
-def is_positive(text: str, threshold: float = 0.05) -> bool:
-    """Binary classification used by LM filter judgments over reviews."""
-    return sentiment_score(text) > threshold

@@ -86,7 +86,9 @@ class TestGoldenTaxonomy:
     def test_warning_does_not_reject(self, db):
         report = SQLAnalyzer(db).analyze("SELECT name FROM t GROUP BY id")
         assert report.ok
-        assert [d.code for d in report.warnings] == ["ANA010"]
+        assert [
+            d.code for d in report.diagnostics if not d.is_error
+        ] == ["ANA010"]
 
 
 class TestSpans:
@@ -95,25 +97,25 @@ class TestSpans:
         report = SQLAnalyzer(db).analyze(sql)
         (diagnostic,) = report.errors
         assert diagnostic.span is not None
-        assert diagnostic.span.excerpt(sql) == "ghost"
+        assert sql[diagnostic.span.start : diagnostic.span.end] == "ghost"
 
     def test_unknown_table_span_covers_token(self, db):
         sql = "SELECT id FROM nope"
         report = SQLAnalyzer(db).analyze(sql)
         (diagnostic,) = report.errors
-        assert diagnostic.span.excerpt(sql) == "nope"
+        assert sql[diagnostic.span.start : diagnostic.span.end] == "nope"
 
     def test_qualified_column_span(self, db):
         sql = "SELECT t.ghost FROM t"
         report = SQLAnalyzer(db).analyze(sql)
         (diagnostic,) = report.errors
-        assert diagnostic.span.excerpt(sql) == "t.ghost"
+        assert sql[diagnostic.span.start : diagnostic.span.end] == "t.ghost"
 
     def test_function_span_covers_name(self, db):
         sql = "SELECT FROBNICATE(id) FROM t"
         report = SQLAnalyzer(db).analyze(sql)
         (diagnostic,) = report.errors
-        assert diagnostic.span.excerpt(sql) == "FROBNICATE"
+        assert sql[diagnostic.span.start : diagnostic.span.end] == "FROBNICATE"
 
     def test_syntax_error_span_present(self, db):
         report = SQLAnalyzer(db).analyze("SELEKT id FROM t")

@@ -1,8 +1,10 @@
-"""Tests for gold-oracle helpers and hand-written pipeline behaviour."""
+"""Tests for the two bindings of the TAG-Bench verbs: the oracle's
+canonical answers and the LM's hand-written pipeline steps."""
 
 import pytest
 
 from repro.bench import oracle, pipelines
+from repro.bench.oracle import OracleContext
 from repro.bench.queries import PipelineContext
 from repro.frame import DataFrame
 from repro.lm import LMConfig, SimulatedLM
@@ -33,7 +35,9 @@ class TestOracleHelpers:
 
     def test_filter_by_region(self, datasets):
         schools = datasets["california_schools"].frame("schools")
-        bay = oracle.filter_by_region(schools, "bay area")
+        bay = OracleContext(datasets["california_schools"]).filter_by_region(
+            schools, "bay area"
+        )
         assert 0 < len(bay) < len(schools)
         assert "Los Angeles" not in bay["City"].unique()
 
@@ -50,13 +54,42 @@ class TestOracleHelpers:
         )
         assert "England Premier League" in oracle.uk_leagues()
 
-    def test_text_judgments(self):
-        assert oracle.is_positive("wonderful, excellent work")
-        assert oracle.is_negative("a terrible mess")
-        assert oracle.is_sarcastic("Oh great, yeah right, as if.")
-        assert oracle.is_technical(
-            "Bayesian covariance eigenvalue regularization"
+    def test_text_judgments(self, datasets):
+        ctx = OracleContext(datasets["codebase_community"])
+        texts = DataFrame(
+            {
+                "Text": [
+                    "wonderful, excellent work",
+                    "a terrible mess",
+                    "Oh great, yeah right, as if.",
+                ]
+            }
         )
+        titles = DataFrame(
+            {"Title": ["Bayesian covariance eigenvalue regularization"]}
+        )
+
+        def kept(frame, column, quality):
+            return ctx.filter_text(frame, quality)[column].tolist()
+
+        assert "wonderful, excellent work" in kept(texts, "Text", "positive")
+        assert kept(texts, "Text", "negative") == ["a terrible mess"]
+        assert "Oh great, yeah right, as if." in kept(
+            texts, "Text", "sarcastic"
+        )
+        assert len(kept(titles, "Title", "technical")) == 1
+
+    def test_topk_is_a_stable_sort_on_the_score(self, datasets):
+        ctx = OracleContext(datasets["codebase_community"])
+        texts = DataFrame(
+            {"Text": ["fine", "a terrible mess", "fine", "wonderful"]}
+        )
+        ordered = ctx.topk_text(texts, "positive", 4)["Text"].tolist()
+        assert ordered[0] == "wonderful"
+        assert ordered[-1] == "a terrible mess"
+        assert ctx.topk_text(texts, "negative", 1)["Text"].tolist() == [
+            "a terrible mess"
+        ]
 
 
 class TestPipelineHelpers:
@@ -64,7 +97,7 @@ class TestPipelineHelpers:
         lm = SimulatedLM(LMConfig(seed=0))
         ctx = _ctx(datasets, "california_schools", lm)
         schools = ctx.frame("schools")
-        pipelines.filter_by_region(ctx, schools, "Bay Area")
+        ctx.filter_by_region(schools, "Bay Area")
         unique_cities = len(schools["City"].unique())
         assert lm.usage.calls == unique_cities
 
@@ -73,8 +106,8 @@ class TestPipelineHelpers:
     ):
         ctx = _ctx(datasets, "european_football_2", oracle_lm)
         players = ctx.frame("Player")
-        taller = pipelines.filter_players_by_height(
-            ctx, players, "Stephen Curry", "taller"
+        taller = ctx.filter_players_by_height(
+            players, "Stephen Curry", "taller"
         )
         threshold = oracle.person_height("Stephen Curry")
         expected = players[players["height"] > threshold]
@@ -84,7 +117,7 @@ class TestPipelineHelpers:
 
     def test_uk_league_filter(self, datasets, oracle_lm):
         ctx = _ctx(datasets, "european_football_2", oracle_lm)
-        uk = pipelines.filter_uk_leagues(ctx, ctx.frame("League"))
+        uk = ctx.filter_uk_leagues(ctx.frame("League"))
         assert sorted(uk["name"].tolist()) == sorted(oracle.uk_leagues())
 
     def test_races_with_circuits_disambiguates_names(
@@ -99,7 +132,7 @@ class TestPipelineHelpers:
         self, datasets, oracle_lm
     ):
         ctx = _ctx(datasets, "codebase_community", oracle_lm)
-        comments = pipelines.comments_for_post_title(
+        comments = pipelines.post_comments(
             ctx, "How does gentle boosting differ from AdaBoost?"
         )
         for column in ("Text", "Score", "UserId", "CreationDate"):
@@ -108,9 +141,7 @@ class TestPipelineHelpers:
 
     def test_street_circuit_filter_with_oracle(self, datasets, oracle_lm):
         ctx = _ctx(datasets, "formula_1", oracle_lm)
-        street = pipelines.filter_street_circuits(
-            ctx, ctx.frame("circuits")
-        )
+        street = ctx.filter_street_circuits(ctx.frame("circuits"))
         assert sorted(street["name"].tolist()) == sorted(
             oracle.street_circuits()
         )

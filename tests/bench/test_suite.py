@@ -54,31 +54,34 @@ class TestSuiteStructure:
 class TestQuerySpecValidation:
     def test_bad_type_rejected(self):
         with pytest.raises(BenchmarkError):
-            QuerySpec(
-                "x", "d", "weird", "knowledge", "q",
-                gold=lambda d: [], pipeline=lambda c: [],
-            )
+            QuerySpec("x", "d", "weird", "knowledge", "q", lambda c: [])
 
     def test_bad_capability_rejected(self):
         with pytest.raises(BenchmarkError):
-            QuerySpec(
-                "x", "d", "match", "magic", "q",
-                gold=lambda d: [], pipeline=lambda c: [],
-            )
+            QuerySpec("x", "d", "match", "magic", "q", lambda c: [])
 
     def test_aggregation_must_not_have_gold(self):
-        with pytest.raises(BenchmarkError):
-            QuerySpec(
-                "x", "d", "aggregation", "knowledge", "q",
-                gold=lambda d: [], pipeline=lambda c: [],
-            )
+        spec = QuerySpec(
+            "x", "d", "aggregation", "knowledge", "q", lambda c: "",
+            agg_entities=lambda d: [], agg_source=lambda d: [],
+        )
+        assert spec.gold is None
+        with pytest.raises(BenchmarkError):  # but needs quality oracles
+            QuerySpec("x", "d", "aggregation", "knowledge", "q", lambda c: "")
 
-    def test_non_aggregation_requires_gold(self):
-        with pytest.raises(BenchmarkError):
-            QuerySpec(
-                "x", "d", "match", "knowledge", "q",
-                gold=None, pipeline=lambda c: [],
-            )
+    def test_non_aggregation_requires_gold(self, datasets):
+        # Every exact-answer spec has one: its program under the oracle
+        # binding.
+        def program(ctx):
+            return [type(ctx).__name__, len(ctx.frame("posts"))]
+
+        spec = QuerySpec(
+            "x", "codebase_community", "match", "reasoning", "q", program
+        )
+        dataset = datasets["codebase_community"]
+        assert spec.gold(dataset) == [
+            "OracleContext", len(dataset.frame("posts"))
+        ]
 
 
 class TestGoldAnswers:

@@ -1,5 +1,7 @@
 """Generator scale knobs: structures hold at non-default sizes."""
 
+import threading
+
 import pytest
 
 from repro.data import (
@@ -9,6 +11,27 @@ from repro.data import (
     european_football_2,
     formula_1,
 )
+from repro.errors import BenchmarkError
+
+
+def _build_error(build, **sizes):
+    """What ``build(**sizes)`` raises (None if it returns), run on a
+    thread so a builder that loops forever fails instead of hanging."""
+    outcome = []
+
+    def run():
+        try:
+            build(seed=0, **sizes)
+        except Exception as error:  # noqa: BLE001
+            outcome.append(error)
+        else:
+            outcome.append(None)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert outcome, f"build({sizes}) did not return"
+    return outcome[0]
 
 
 class TestScaleParameters:
@@ -57,3 +80,19 @@ class TestScaleParameters:
             "ORDER BY r.year"
         ).column("year")
         assert years == list(kb.race_years("Sepang International Circuit"))
+
+
+class TestSizeLimits:
+    """Sizes past a generator's pool of unique values raise a typed
+    error naming the limit, instead of looping forever."""
+
+    def test_players_past_the_name_pool(self):
+        error = _build_error(european_football_2.build, players=401)
+        assert isinstance(error, BenchmarkError)
+        assert "400" in str(error)
+        assert _build_error(european_football_2.build, players=400) is None
+
+    def test_schools_past_the_math_score_pool(self):
+        error = _build_error(california_schools.build, schools_per_city=9)
+        assert isinstance(error, BenchmarkError)
+        assert "241" in str(error)

@@ -43,11 +43,6 @@ class TestRowLayout:
         assert layout.positions_for_binding("m") == [0, 1]
         assert layout.positions_for_binding("zzz") == []
 
-    def test_rebind(self, layout):
-        rebound = layout.rebind("x")
-        assert rebound.resolve("title", "x") == 1
-        assert rebound.bindings == {"x"}
-
     def test_concat(self):
         left = RowLayout([("a", "x")])
         right = RowLayout([("b", "y")])
@@ -77,6 +72,3 @@ class TestResultSet:
     def test_scalar(self, result):
         assert result.scalar() == 1
         assert ResultSet(["a"], []).scalar() is None
-
-    def test_to_dicts(self, result):
-        assert result.to_dicts()[0] == {"a": 1, "b": "x"}

@@ -59,10 +59,6 @@ class TestInsert:
 
 
 class TestReads:
-    def test_column_values(self, table):
-        table.insert_many([[1, "Ada", 36], [2, "Bob", None]])
-        assert table.column_values("age") == [36, None]
-
     def test_to_dicts(self, table):
         table.insert([1, "Ada", 36])
         assert table.to_dicts() == [{"id": 1, "name": "Ada", "age": 36}]

@@ -50,8 +50,8 @@ class TestDegenerateTextContract:
     ``embed`` used to return the zero vector for texts contributing no
     features, making cosine similarity against them ill-defined (inner
     product 0 against everything).  The contract now: every embedding
-    is unit-norm; feature-less texts share one sentinel bucket; callers
-    that must not conflate degenerate texts ask :meth:`is_degenerate`.
+    is unit-norm; feature-less ("degenerate") texts share one sentinel
+    bucket.
     """
 
     def test_empty_text_embeds_unit_norm(self, embedder):
@@ -77,14 +77,14 @@ class TestDegenerateTextContract:
         assert abs(float(sentinel @ content)) < 0.5
 
     def test_is_degenerate(self):
+        # A text with no hashed features embeds as the sentinel vector.
         plain = HashingEmbedder(dimensions=64, use_trigrams=False)
-        assert plain.is_degenerate("")
-        assert plain.is_degenerate("?!...")
-        assert not plain.is_degenerate("movies")
+        sentinel = plain.embed("")
+        assert np.array_equal(plain.embed("?!..."), sentinel)
+        assert not np.array_equal(plain.embed("movies"), sentinel)
         # With trigrams on, any non-empty text contributes features.
         tri = HashingEmbedder(dimensions=64, use_trigrams=True)
-        assert tri.is_degenerate("")
-        assert not tri.is_degenerate("?!")
+        assert not np.array_equal(tri.embed("?!"), tri.embed(""))
 
     def test_empty_text_no_longer_matches_nothing(self):
         """The observable bug: a zero query vector scored 0 against

@@ -61,8 +61,9 @@ class TestSelection:
             df["extra"] = [1]
 
     def test_setitem_accepts_column(self, df):
-        df["double"] = df["score"].apply(
-            lambda value: None if value is None else value * 2
+        df["double"] = Column(
+            "double",
+            [None if value is None else value * 2 for value in df["score"]],
         )
         assert df["double"].tolist() == [6, 2, None, 4]
 

@@ -113,10 +113,6 @@ class TestGroupBy:
         out = frame.groupby(["a", "b"]).agg(total=("v", "sum"))
         assert len(out) == 2
 
-    def test_apply(self, frame):
-        sizes = frame.groupby("g").apply(len)
-        assert sizes == [3, 2]
-
     def test_unknown_reduction_rejected(self, frame):
         with pytest.raises(FrameError):
             frame.groupby("g").agg(bad=("v", "median"))

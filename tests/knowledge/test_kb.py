@@ -30,13 +30,13 @@ class TestKnowledgeBase:
         assert len(years) == 19
 
     def test_grand_prix_name(self, kb):
-        assert kb.grand_prix_name("Sepang International Circuit") == (
+        assert kb.value("grand_prix_name", "Sepang International Circuit") == (
             "Malaysian Grand Prix"
         )
 
     def test_uses_euro(self, kb):
-        assert kb.uses_euro("Slovakia")
-        assert not kb.uses_euro("Czech Republic")
+        assert kb.value("uses_euro", "Slovakia") is True
+        assert kb.value("uses_euro", "Czech Republic") is False
 
     def test_confidence_validation(self):
         store = KnowledgeBase()
