@@ -79,7 +79,7 @@ class TestOracleHelpers:
         )
         assert len(kept(titles, "Title", "technical")) == 1
 
-    def test_topk_is_a_stable_sort_on_the_score(self, datasets):
+    def test_topk_orders_by_the_noise_free_score(self, datasets):
         ctx = OracleContext(datasets["codebase_community"])
         texts = DataFrame(
             {"Text": ["fine", "a terrible mess", "fine", "wonderful"]}
