@@ -11,8 +11,9 @@ database that has never seen the statement answers.
 Two foreign-key-linked tables and a fixed pool of SELECT texts (point,
 range + ORDER BY + LIMIT, key join, aggregates, IN-subquery, plain and
 expensive UDFs, one whose verdict follows a column's type, one the
-analyzer always rejects, one that fails at run time).  After every step,
-for every pool text: rows (and order where ordered) equal a live
+analyzer always rejects, one that fails at run time), and literal
+siblings of those texts: the same shapes with other constants.  After
+every step, for every pool text: rows (and order where ordered) equal a live
 ``sqlite3`` mirror where SQLite can follow, and the outcome — rows, or
 the error's type and message — equals ``execute`` on a ``Database``
 rebuilt from scratch from the live tables; ``db.explain(sql)`` equals
@@ -103,6 +104,69 @@ POOL = (
     ("SELECT nope FROM orders", False, True),
     # Fails at run time whenever an amount exceeds STRICT's limit.
     ("SELECT id, STRICT(amount) FROM orders ORDER BY id", False, True),
+    # Literal siblings of the texts above: same shape, other constants,
+    # spacing and spelling, so what one text's shape derived is reused
+    # for another's constants.
+    ("SELECT id, amount, status FROM orders WHERE id = 10", True, True),
+    (
+        "SELECT  id, amount FROM orders WHERE id BETWEEN 7 AND 11 "
+        "ORDER BY id LIMIT 2",
+        True,
+        True,
+    ),
+    (
+        "select o.id, o.amount, c.name from orders o "
+        "join customers c on o.customer_id = c.id where c.id = 3",
+        True,
+        False,
+    ),
+    (
+        "SELECT id FROM orders WHERE customer_id IN "
+        "(SELECT id FROM customers WHERE name <> 'c0') ORDER BY id",
+        True,
+        True,
+    ),
+    (
+        "SELECT id, amount FROM orders WHERE status = 'paid' "
+        "ORDER BY amount DESC, id LIMIT 1",
+        True,
+        True,
+    ),
+    (
+        "SELECT id, status FROM orders WHERE amount >= 0.5 ORDER BY id",
+        True,
+        True,
+    ),
+    (
+        "SELECT id, status FROM orders WHERE amount >= 2 ORDER BY id",
+        True,
+        True,
+    ),
+    (
+        "SELECT id, LABEL(status) FROM orders WHERE id < 11 ORDER BY id",
+        False,
+        True,
+    ),
+    (
+        "SELECT id FROM orders WHERE JUDGE(status) = 'no' ORDER BY id",
+        False,
+        True,
+    ),
+    (
+        "SELECT id, ABS(tier) FROM customers WHERE id >= 1 ORDER BY 1",
+        False,
+        True,
+    ),
+    (
+        "SELECT id, ABS(tier) FROM customers WHERE id >= 2 ORDER BY 2, 1",
+        False,
+        True,
+    ),
+    (
+        "SELECT id, STRICT(amount) FROM orders WHERE id > 4 ORDER BY id",
+        False,
+        True,
+    ),
 )
 
 ORDER_IDS = st.integers(min_value=0, max_value=11)
