@@ -12,11 +12,17 @@ from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.plan import UDFExecContext
 from repro.db.planner import Planner
 from repro.db.shard import PartitionSpec, ShardRuntime
-from repro.db.stmtcache import LRUCache, Prepared, StatementCache
+from repro.db.stmtcache import (
+    LRUCache,
+    Prepared,
+    StatementCache,
+    template_key,
+)
 from repro.db.result import ResultSet, RowLayout
 from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.sql import ast
-from repro.db.sql.parser import parse_statement
+from repro.db.sql.lexer import tokenize
+from repro.db.sql.parser import parse_tokens
 from repro.db.table import Table
 from repro.errors import (
     AnalysisError,
@@ -309,6 +315,31 @@ class Database:
         )
         return Prepared(statement, False, tables, version, self.shard_runtime)
 
+    def _derive(self, sql: str) -> tuple[Any, tuple | None]:
+        """What a text the cache does not hold derives to.
+
+        A SELECT is lexed once.  Its tokens' :func:`template_key` finds
+        the template other texts of its shape left; while that stands,
+        the text's AST is bound from it and the template's stamps and
+        verdict come along, else the tokens are parsed and stamped as a
+        first sight.  Returns the :class:`Prepared` and the ``(key,
+        tokens, template)`` that
+        :meth:`~repro.db.stmtcache.StatementCache.admit` learns from,
+        or, for any other statement, its parse and None.
+        """
+        tokens = tokenize(sql)
+        if not tokens[0].matches_keyword("SELECT"):
+            return parse_tokens(tokens), None
+        key = template_key(tokens)
+        template = self.statement_cache.template(key)
+        if template is not None and template.stamps.stands(
+            self._tables, self.functions.version, self.shard_runtime
+        ):
+            entry = template.prepare(tokens)
+        else:
+            entry = self._first_sight(parse_tokens(tokens))
+        return entry, (key, tokens, template)
+
     def _preflight(self, statement: ast.Select, sql: str) -> None:
         """Raise what the static analyzer's rejection flattens to."""
         report = self.analyze(statement, source=sql)
@@ -317,15 +348,16 @@ class Database:
 
     def _select(self, sql: str, what: str, analyze: bool) -> ast.Select:
         """For the EXPLAIN paths: the SELECT ``sql`` holds — as parsed
-        and accepted before, while its stored entry stands — analyzed
-        when asked."""
+        and accepted before, while its stored entry or its shape's
+        template stands — analyzed when asked.  Nothing is kept."""
         entry = self._lookup(sql)
-        statement = entry.statement if entry else parse_statement(sql)
-        if not isinstance(statement, ast.Select):
-            raise PlanningError(f"{what} only supports SELECT")
-        if analyze and not (entry is not None and entry.analyzed):
-            self._preflight(statement, sql)
-        return statement
+        if entry is None:
+            entry, shape = self._derive(sql)
+            if shape is None:
+                raise PlanningError(f"{what} only supports SELECT")
+        if analyze and not entry.analyzed:
+            self._preflight(entry.statement, sql)
+        return entry.statement
 
     # ------------------------------------------------------------------
     # SQL execution
@@ -394,11 +426,11 @@ class Database:
                 [(line,) for line in analyzed.render().splitlines()],
             )
         entry = stored = self._lookup(sql)
+        shape = None
         if stored is None:
-            statement = parse_statement(sql)
-            if not isinstance(statement, ast.Select):
-                return self._execute_write(statement)
-            entry = self._first_sight(statement)
+            entry, shape = self._derive(sql)
+            if shape is None:
+                return self._execute_write(entry)
         if analyze and not entry.analyzed:
             self._preflight(entry.statement, sql)
             entry = entry._replace(analyzed=True)
@@ -431,7 +463,7 @@ class Database:
             rows = rows[:max_rows]
         # Only a statement that has succeeded is kept.
         if entry is not stored:
-            self.statement_cache.put(sql, entry)
+            self.statement_cache.admit(sql, entry, shape)
         return ResultSet(names, rows)
 
     def _execute_write(self, statement: ast.Statement) -> ResultSet:

@@ -1197,8 +1197,15 @@ class Exchange(PlanNode):
 
     * shards run in waves of at most ``runtime.workers`` threads; a
       wave's LM sessions are opened on the caller's thread in shard
-      order with orders derived from the caller's own session, so
-      micro-batch composition is a pure function of the workload;
+      order with orders derived from the caller's own session, so a
+      flush orders the requests it holds the same way every run.
+      Micro-batch composition is *not* a pure function of the
+      workload, though: a key two shards both need is dispatched by
+      whichever shard thread claims it first in
+      :meth:`~repro.db.shard.ShardDedup.claim`, and that decides which
+      session's flush carries it, so the batches and the virtual
+      seconds can differ between runs while rows and ``Usage`` do not
+      (a known flake, ROADMAP item 8);
     * the caller's session is *parked* for the duration — it is
       waiting on the shards, not on its own LM call — otherwise the
       flush barrier the shards need could never complete;

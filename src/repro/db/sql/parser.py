@@ -13,7 +13,8 @@ and the hand-written pipelines emit):
 
 from __future__ import annotations
 
-from typing import get_args
+from collections.abc import Callable
+from typing import NamedTuple, get_args
 
 from repro.db.sql import ast
 from repro.db.sql.lexer import Token, TokenType, tokenize
@@ -51,7 +52,39 @@ def _height(expression: ast.Expression) -> int:
 
 def parse_statement(sql: str) -> ast.Statement:
     """Parse one SQL statement (a trailing ``;`` is permitted)."""
-    parser = _Parser(tokenize(sql))
+    return parse_tokens(tokenize(sql))
+
+
+def parse_tokens(tokens: list[Token]) -> ast.Statement:
+    """Parse one statement from :func:`tokenize`'s tokens."""
+    return _parse(_Parser(tokens))
+
+
+class Slot(NamedTuple):
+    """A template's stand-in for the value of the literal token at
+    ``index``, which ``read`` makes of the token's text."""
+
+    index: int
+    read: Callable[[str], object]
+
+
+def parse_template(tokens: list[Token]) -> ast.Statement:
+    """Parse ``tokens`` into the tree every text with their token types
+    and non-literal texts parses to: each literal's value is the
+    :class:`Slot` of its token, and each ``position`` is a token index
+    instead of a character offset.  The parser decides nothing on a
+    literal's value, so only those two differ between such texts."""
+    return _parse(
+        _TemplateParser(
+            [
+                Token(token.type, token.text, index)
+                for index, token in enumerate(tokens)
+            ]
+        )
+    )
+
+
+def _parse(parser: "_Parser") -> ast.Statement:
     statement = parser.parse_statement()
     parser.expect_end()
     return statement
@@ -76,6 +109,9 @@ class _Parser:
         if token.type is not TokenType.EOF:
             self._position += 1
         return token
+
+    def _value(self, read: Callable[[str], object], token: Token) -> object:
+        return read(token.text)
 
     def _check_keyword(self, *keywords: str) -> bool:
         return self._current.matches_keyword(*keywords)
@@ -554,13 +590,13 @@ class _Parser:
         token = self._current
         if token.type is TokenType.INTEGER:
             self._advance()
-            return ast.Literal(int(token.text))
+            return ast.Literal(self._value(int, token))
         if token.type is TokenType.FLOAT:
             self._advance()
-            return ast.Literal(float(token.text))
+            return ast.Literal(self._value(float, token))
         if token.type is TokenType.STRING:
             self._advance()
-            return ast.Literal(token.text)
+            return ast.Literal(self._value(str, token))
         if token.matches_keyword("NULL"):
             self._advance()
             return ast.Literal(None)
@@ -662,3 +698,8 @@ class _Parser:
                 self._advance()
         self._expect_punct(")")
         return ast.CastExpression(operand, type_name)
+
+
+class _TemplateParser(_Parser):
+    def _value(self, read: Callable[[str], object], token: Token) -> object:
+        return Slot(token.position, read)

@@ -25,14 +25,29 @@ outside the lock; two workers racing on a first sight at worst both
 plan and one entry survives.  The counts are plain ints for tests and
 experiments, not ``Usage`` fields: a racing first sight would make
 those depend on timing.
+
+Beside the texts, the cache keeps templates: one per
+:func:`template_key`, the shape texts share when they differ only in
+literal values, whitespace and comments.  A text the cache does not hold
+is lexed once; the first text of a key that succeeds leaves only a
+marker, and the second builds the key's :class:`Template`.  Every later
+text of the key is bound from it — the template's AST with this text's
+literals and positions — instead of parsed, and takes the template's
+stamps and, where no literal the analyzer reads the value of differs,
+its verdict.  Plans are never shared between texts: a plan depends on
+the literals.  Templates live in their own LRU map and are not counted
+by ``len()``, which counts texts.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, NamedTuple
+from typing import Any, Callable, Hashable, NamedTuple
 
+from repro.db.sql import ast
+from repro.db.sql.lexer import Token, TokenType
+from repro.db.sql.parser import Slot, parse_template
 from repro.obs import racecheck
 
 #: Entries kept per database; least recently used go first.
@@ -167,14 +182,229 @@ class Prepared(NamedTuple):
         )
 
 
+def template_key(tokens: list[Token]) -> tuple[str, ...]:
+    """What a SELECT's tokens share with every text that differs from
+    it only in literal values, whitespace and comments: each INTEGER,
+    FLOAT or STRING token stands as its type, every other token as its
+    type and text.
+
+    Spelled as strings, so the key hashes without hashing an enum: a
+    literal is ``#`` and its type's initial, an identifier ``i`` and
+    its text, and a keyword, operator or punctuation token its text —
+    upper-case letters, symbols and punctuation, three sets that share
+    no text with each other or with the first two forms.
+    """
+    integer, real = TokenType.INTEGER, TokenType.FLOAT
+    string, identifier = TokenType.STRING, TokenType.IDENTIFIER
+    return tuple(
+        [
+            "#I"
+            if (kind := token.type) is integer
+            else "#F"
+            if kind is real
+            else "#S"
+            if kind is string
+            else "i" + token.text
+            if kind is identifier
+            else token.text
+            for token in tokens
+        ]
+    )
+
+
+#: A function of one text's literal values (by token index) and tokens.
+_Build = Callable[[dict, list], Any]
+
+
+class Binder:
+    """Builds, from the tokens of any text of one key, the tree
+    :func:`~repro.db.sql.parser.parse_tokens` would: the key's template
+    with this text's literal values and this text's positions.
+
+    The template is compiled once into one function per node that
+    differs between texts; a subtree that holds no literal and no
+    position is shared by every tree bound.  Literals are read in token
+    order, as the parser reads them, so a text whose integer ``int()``
+    refuses fails as its parse would.
+    """
+
+    def __init__(self, tokens: list[Token]) -> None:
+        template = parse_template(tokens)
+        slots: list[Slot] = []
+        build = _compile(template, slots)
+        self._build: _Build = build or (lambda values, tokens: template)
+        self._slots = sorted(slots)
+        self._verdict = sorted(_verdict_slots(template))
+
+    def bind(self, tokens: list[Token]) -> ast.Statement:
+        values = {
+            index: read(tokens[index].text) for index, read in self._slots
+        }
+        return self._build(values, tokens)
+
+    def verdict_values(self, tokens: list[Token]) -> tuple:
+        """The values of this text's literals the analyzer's verdict
+        reads (see :func:`_verdict_slots`)."""
+        return tuple(read(tokens[index].text) for index, read in self._verdict)
+
+
+def _compile(node: Any, slots: list[Slot]) -> _Build | None:
+    """A function building ``node`` for one text, or None where every
+    text of the key holds ``node`` itself; appends each literal's
+    :class:`~repro.db.sql.parser.Slot` met to ``slots``."""
+    if type(node) is tuple:
+        parts = [_part(element, slots) for element in node]
+        if not any(bound for bound, _ in parts):
+            return None
+        return lambda values, tokens: tuple(
+            [
+                part(values, tokens) if bound else part
+                for bound, part in parts
+            ]
+        )
+    if type(node) is ast.Literal and type(node.value) is Slot:
+        slots.append(node.value)
+        index = node.value.index
+        return lambda values, tokens: ast.Literal(values[index])
+    fields = getattr(node, "__dataclass_fields__", None)
+    if fields is None:
+        return None
+    node_parts: list[tuple[bool, Any]] = []
+    for name in fields:
+        value = getattr(node, name)
+        if name == "position" and value is not None:
+            node_parts.append((True, _position(value)))
+        else:
+            node_parts.append(_part(value, slots))
+    if not any(bound for bound, _ in node_parts):
+        return None
+    kind = type(node)
+    return lambda values, tokens: kind(
+        *[
+            part(values, tokens) if bound else part
+            for bound, part in node_parts
+        ]
+    )
+
+
+def _part(value: Any, slots: list[Slot]) -> tuple[bool, Any]:
+    build = _compile(value, slots)
+    return (False, value) if build is None else (True, build)
+
+
+def _position(index: int) -> _Build:
+    return lambda values, tokens: tokens[index].position
+
+
+def _verdict_slots(template: ast.Statement) -> set[Slot]:
+    """The literals whose value, not just type, the static analyzer
+    reads: a GROUP BY or ORDER BY term that is a literal
+    (an output position: its range is ANA014, and a GROUP BY position
+    names the item grouped on), and a literal inside an unaliased SELECT
+    item's output name (:func:`~repro.db.sql.ast.expression_name`),
+    which ORDER BY and an enclosing query resolve names against.  Every
+    other rule reads a literal's type, which the key fixes."""
+    found: set[Slot] = set()
+    stack: list[Any] = [template]
+    while stack:
+        node = stack.pop()
+        if type(node) is ast.Select:
+            for term in node.group_by + tuple(
+                order.expression for order in node.order_by
+            ):
+                if type(term) is ast.Literal and type(term.value) is Slot:
+                    found.add(term.value)
+            for item in node.items:
+                if item.alias is None:
+                    found.update(_name_slots(item.expression))
+        stack.extend(ast.children(node))
+    return found
+
+
+def _name_slots(expression: Any) -> set[Slot]:
+    """Slots :func:`~repro.db.sql.ast.expression_name` spells out."""
+    if type(expression) is ast.Literal and type(expression.value) is Slot:
+        return {expression.value}
+    if type(expression) is ast.FunctionCall and not expression.star:
+        return set().union(*(_name_slots(arg) for arg in expression.args))
+    return set()
+
+
+class Template(NamedTuple):
+    """One key's :class:`Binder`, with the stamps and analyzer verdict
+    of the last text of the key that succeeded (``stamps``, a
+    :class:`Prepared` without a statement) and that text's
+    :meth:`~Binder.verdict_values`: the verdict holds for another text
+    of the key only if its values are the same."""
+
+    binder: Binder
+    stamps: Prepared
+    values: tuple
+
+    def prepare(self, tokens: list[Token]) -> Prepared:
+        """The entry for the text ``tokens`` came from, as parsing and
+        analyzing it afresh under these stamps would derive it."""
+        analyzed = self.stamps.analyzed and (
+            self.binder.verdict_values(tokens) == self.values
+        )
+        return self.stamps._replace(
+            statement=self.binder.bind(tokens), analyzed=analyzed
+        )
+
+
 class StatementCache(LRUCache):
-    """:data:`CAPACITY` :class:`Prepared` entries keyed by SQL text."""
+    """:data:`CAPACITY` :class:`Prepared` entries keyed by SQL text, and
+    beside them :data:`CAPACITY` templates and first-sight markers: a
+    :class:`Template` under its :func:`template_key`, a marker under the
+    key's ``hash()``.  A marker only decides when a template is built,
+    so two keys sharing a hash cost at most one template built early,
+    and a key seen once costs an int instead of its tokens' texts."""
 
     def __init__(self) -> None:
         super().__init__(CAPACITY)
+        self.templates = LRUCache(CAPACITY)
         #: Lookups that found the text, lookups that did not, and
         #: executions that ran a stored plan.
         self.hits = self.misses = self.plan_hits = 0
+
+    def template(self, key: tuple) -> "Template | None":
+        """The template stored for ``key``, promoted, if one is."""
+        return self.templates.get(key)
+
+    def admit(
+        self,
+        sql: str,
+        entry: Prepared,
+        shape: tuple[tuple, list[Token], "Template | None"] | None = None,
+    ) -> None:
+        """Keep ``entry``, which ``sql`` has just succeeded with, and
+        — when ``shape`` gives the key, tokens and template a miss
+        derived it with — teach the key: a first sight leaves a marker,
+        the second builds the template, and later texts renew its
+        stamps and verdict when the one they were derived with no longer
+        stood or the analyzer has judged values it had not."""
+        self.put(sql, entry)
+        if shape is None:
+            return
+        key, tokens, template = shape
+        if template is not None:
+            binder = template.binder
+            values = binder.verdict_values(tokens)
+            if entry.tables is template.stamps.tables and (
+                not entry.analyzed
+                or template.stamps.analyzed
+                and values == template.values
+            ):
+                return
+        elif hash(key) not in self.templates:
+            self.templates.put(hash(key), True)
+            return
+        else:
+            binder = Binder(tokens)
+            values = binder.verdict_values(tokens)
+        self.templates.put(
+            key, Template(binder, entry._replace(statement=None), values)
+        )
 
     def lookup(self, sql: str) -> Prepared | None:
         """The entry for ``sql``, promoted to most recently used."""

@@ -17,9 +17,15 @@ world: a flush happens exactly when every open session is either
 blocked on the LM or finished.  Pending requests are then ordered by
 ``(session order, submission sequence)`` — both assigned
 deterministically — and chunked into micro-batches of at most
-``window`` requests.  Batch composition depends only on which LM calls
-the running pipelines make, never on thread scheduling, so answers,
-token counts, *and* simulated seconds are exactly reproducible.
+``window`` requests.  Given which session makes which LM call, batch
+composition never depends on thread scheduling, so answers, token
+counts, *and* simulated seconds are exactly reproducible wherever that
+assignment is fixed.  It is not fixed under sharded execution: a UDF
+key two shards both need is dispatched by whichever shard thread claims
+it first (:meth:`repro.db.shard.ShardDedup.claim`), so which session's
+flush carries it — and with it the micro-batches and the simulated
+seconds, though not the answers or ``Usage`` — can vary between runs
+(a known flake, ROADMAP item 8).
 
 Sessions.  A :class:`Session` represents one synchronous requester (a
 server worker).  The barrier waits for every open session, so a session
