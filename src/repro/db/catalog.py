@@ -331,7 +331,7 @@ class Database:
         if not tokens[0].matches_keyword("SELECT"):
             return parse_tokens(tokens), None
         key = template_key(tokens)
-        template = self.statement_cache.template(key)
+        template = self.statement_cache.templates.get(key)
         if template is not None and template.stamps.stands(
             self._tables, self.functions.version, self.shard_runtime
         ):

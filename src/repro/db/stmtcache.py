@@ -298,12 +298,13 @@ def _position(index: int) -> _Build:
 
 def _verdict_slots(template: ast.Statement) -> set[Slot]:
     """The literals whose value, not just type, the static analyzer
-    reads: a GROUP BY or ORDER BY term that is a literal
-    (an output position: its range is ANA014, and a GROUP BY position
-    names the item grouped on), and a literal inside an unaliased SELECT
-    item's output name (:func:`~repro.db.sql.ast.expression_name`),
-    which ORDER BY and an enclosing query resolve names against.  Every
-    other rule reads a literal's type, which the key fixes."""
+    reads: a GROUP BY or ORDER BY term that is a literal (an output
+    position: its range is ANA014, and a GROUP BY position names the
+    item grouped on), and a literal inside an unaliased SELECT item's
+    output name (:func:`~repro.db.sql.ast.expression_name`), which
+    ORDER BY and an enclosing query resolve names against.  Every other
+    rule reads a literal's type, which the key fixes, or feeds only the
+    cost estimate, which ``execute`` does not read."""
     found: set[Slot] = set()
     stack: list[Any] = [template]
     while stack:
@@ -367,15 +368,11 @@ class StatementCache(LRUCache):
         #: executions that ran a stored plan.
         self.hits = self.misses = self.plan_hits = 0
 
-    def template(self, key: tuple) -> "Template | None":
-        """The template stored for ``key``, promoted, if one is."""
-        return self.templates.get(key)
-
     def admit(
         self,
         sql: str,
         entry: Prepared,
-        shape: tuple[tuple, list[Token], "Template | None"] | None = None,
+        shape: tuple[tuple, list[Token], "Template | None"] | None,
     ) -> None:
         """Keep ``entry``, which ``sql`` has just succeeded with, and
         — when ``shape`` gives the key, tokens and template a miss
