@@ -6,7 +6,10 @@ players, twice the comments, transactions and race results), so a
 rewrite of the suite must reproduce each gold exactly (``repr``-equal,
 not just exact-match equal).  Hand-written TAG is pinned at seed 0 over
 all 80 queries: its answers, ET and every ``Usage`` field, and a sha256
-over the ordered sequence of prompts the LM saw.
+over the ordered sequence of prompts the LM saw.  The 20 aggregation
+queries' quality oracles are pinned at the same six dataset
+configurations: the entities a complete answer must mention, and the
+values its numbers may be grounded in.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import astuple
 
 import pytest
 
+from repro.bench.agg_quality import source_numbers
 from repro.data import (
     california_schools,
     codebase_community,
@@ -37,6 +41,18 @@ GOLD_DIGESTS = {
 LARGE_GOLD_DIGESTS = {
     0: "1413c00327a76e449e9eb582b1abed07ac18b15261ae9a392810ba4095a36f13",
     1: "80d375c95d418d39550df841ae6c881b50264ba9b2ca03ab15684639a28973db",
+}
+
+AGG_DIGESTS = {
+    0: "66f58bb7806e2b50558eaffe893d3c316ab014af70ef131c19f326821942613f",
+    1: "ee485a8516015b10a2f7f55c2dee9b7c7de09ea355075b51de965dd6a22dafd7",
+    2: "ea3f02d771a88727c1fd77e2f08d9e4f9c828ffcbc943cd8000b9fde56e72132",
+    7: "202e9a139dd2a4a55e1051cd77d3e653699147088f4f777f44ff76646344e220",
+}
+
+LARGE_AGG_DIGESTS = {
+    0: "ff849002e97baec537caacef339e4f4b6a8e633a1f1d10ff19762dc9db4f254b",
+    1: "17ce32486a47d7d7926c6e928d1b21dd32019b724b6a26867df7bb638265d71e",
 }
 
 TAG_DIGEST = (
@@ -71,6 +87,19 @@ def _gold_lines(suite, datasets) -> list[str]:
     ]
 
 
+def _agg_lines(suite, datasets) -> list[str]:
+    lines = []
+    for spec in suite:
+        if spec.query_type != "aggregation":
+            continue
+        dataset = datasets[spec.domain]
+        sources = sorted(source_numbers(spec.agg_source(dataset)))
+        lines.append(
+            f"{spec.qid}={spec.agg_entities(dataset)!r}|{sources!r}"
+        )
+    return lines
+
+
 def test_exact_queries_are_sixty(suite):
     assert sum(spec.gold is not None for spec in suite) == 60
 
@@ -86,6 +115,19 @@ def test_gold_answers_are_pinned(suite, seed):
 def test_gold_answers_are_pinned_on_larger_datasets(suite, seed):
     lines = _gold_lines(suite, _large_datasets(seed))
     assert _sha(lines) == LARGE_GOLD_DIGESTS[seed], lines
+
+
+@pytest.mark.parametrize("seed", sorted(AGG_DIGESTS))
+def test_aggregation_oracles_are_pinned(suite, seed):
+    lines = _agg_lines(suite, load_all(seed=seed))
+    assert len(lines) == 20
+    assert _sha(lines) == AGG_DIGESTS[seed], lines
+
+
+@pytest.mark.parametrize("seed", sorted(LARGE_AGG_DIGESTS))
+def test_aggregation_oracles_are_pinned_on_larger_datasets(suite, seed):
+    lines = _agg_lines(suite, _large_datasets(seed))
+    assert _sha(lines) == LARGE_AGG_DIGESTS[seed], lines
 
 
 def test_handwritten_tag_is_pinned(suite, datasets):
