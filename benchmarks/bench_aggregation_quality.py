@@ -7,11 +7,7 @@ number) and *numeric faithfulness* (no hallucinated figures) over all
 20 aggregation queries, using the per-query oracles on the specs.
 """
 
-from repro.bench.agg_quality import (
-    entity_coverage,
-    numeric_faithfulness,
-    source_numbers,
-)
+from repro.bench.agg_quality import mean_quality
 
 from benchmarks.conftest import write_artifact
 
@@ -19,45 +15,11 @@ TAG = "Hand-written TAG"
 GENERATIVE_METHODS = ["RAG", "Retrieval + LM Rank", "Text2SQL + LM", TAG]
 
 
-def _score(full_report, suite, datasets):
-    by_qid = {
-        spec.qid: spec
-        for spec in suite
-        if spec.query_type == "aggregation"
-    }
-    datasets_by_name = datasets
-    scores: dict[str, dict[str, list[float]]] = {
-        method: {"coverage": [], "faithfulness": []}
-        for method in GENERATIVE_METHODS
-    }
-    for record in full_report.records:
-        if record.qid not in by_qid:
-            continue
-        if record.method not in scores:
-            continue
-        spec = by_qid[record.qid]
-        dataset = datasets_by_name[spec.domain]
-        answer = str(record.answer)
-        entities = spec.agg_entities(dataset)
-        sources = source_numbers(spec.agg_source(dataset))
-        scores[record.method]["coverage"].append(
-            entity_coverage(answer, entities)
-        )
-        scores[record.method]["faithfulness"].append(
-            numeric_faithfulness(answer, sources)
-        )
-    return {
-        method: {
-            metric: sum(values) / len(values)
-            for metric, values in metrics.items()
-        }
-        for method, metrics in scores.items()
-    }
-
-
 def test_aggregation_quality(benchmark, full_report, suite, datasets):
     means = benchmark.pedantic(
-        lambda: _score(full_report, suite, datasets),
+        lambda: mean_quality(
+            full_report.records, suite, datasets, GENERATIVE_METHODS
+        ),
         rounds=1,
         iterations=1,
     )

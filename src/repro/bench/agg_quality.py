@@ -14,11 +14,14 @@ against per-query oracles.
   entities), catching hallucinated figures.  Small enumeration counts
   (1-30) are exempt, since "There are 19 records" style framing is not
   a data claim.
+
+:func:`mean_quality` averages both over a benchmark run (E12).
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 #: Integers up to this are enumeration framing, not data claims.
@@ -87,3 +90,44 @@ def source_numbers(records: list[dict]) -> set[str]:
         for value in record.values():
             values.add(str(value))
     return values
+
+
+def mean_quality(
+    records: Iterable, suite: Iterable, datasets: dict, methods: list[str]
+) -> dict[str, dict[str, float]]:
+    """Per method, mean coverage and faithfulness of its aggregation
+    answers among ``records`` (the benchmark's ``QueryRecord`` rows).
+
+    A query whose oracle names no entity (at seed 2 no comment on the
+    most viewed post is positive) has nothing to cover: it is left out
+    of the coverage mean, and its faithfulness still counts.
+    """
+    specs = {
+        spec.qid: spec for spec in suite if spec.query_type == "aggregation"
+    }
+    scores: dict[str, dict[str, list[float]]] = {
+        method: {"coverage": [], "faithfulness": []} for method in methods
+    }
+    for record in records:
+        spec = specs.get(record.qid)
+        if spec is None or record.method not in scores:
+            continue
+        dataset = datasets[spec.domain]
+        answer = str(record.answer)
+        entities = spec.agg_entities(dataset)
+        if entities:
+            scores[record.method]["coverage"].append(
+                entity_coverage(answer, entities)
+            )
+        scores[record.method]["faithfulness"].append(
+            numeric_faithfulness(
+                answer, source_numbers(spec.agg_source(dataset))
+            )
+        )
+    return {
+        method: {
+            metric: sum(values) / len(values)
+            for metric, values in metrics.items()
+        }
+        for method, metrics in scores.items()
+    }

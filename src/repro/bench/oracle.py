@@ -163,6 +163,12 @@ class OracleContext:
         )
         return frame.take(order[:k])
 
+    def aggregate(
+        self, frame: DataFrame, instruction: str, columns: list[str]
+    ) -> list[dict]:
+        """The rows a complete and faithful summary must rest on."""
+        return frame.to_records()
+
 
 def _scores(frame: DataFrame, quality: str) -> list[float]:
     column, score, _ = _QUALITIES[quality]

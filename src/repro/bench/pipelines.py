@@ -1,12 +1,13 @@
 """What a TAG-Bench program may use, and its LM binding.
 
-Each exact-answer query is written once, as a program over a context
-that offers ``frame(table)`` and a small set of semantic verbs (the
-``filter_*`` methods and ``topk_text``).  Two bindings implement the
-verbs: :class:`PipelineContext` here sends every semantic step through
-the operators, i.e. the LM (hand-written TAG, the paper's Appendix C),
-and :class:`repro.bench.oracle.OracleContext` answers from canonical
-knowledge and the noise-free scorers (the gold labels).  Programs
+Each TAG-Bench query is written once, as a program over a context that
+offers ``frame(table)`` and a small set of semantic verbs (the
+``filter_*`` methods, ``topk_text`` and ``aggregate``).  Two bindings
+implement the verbs: :class:`PipelineContext` here sends every semantic
+step through the operators, i.e. the LM (hand-written TAG, the paper's
+Appendix C), and :class:`repro.bench.oracle.OracleContext` answers from
+canonical knowledge and the noise-free scorers (the gold labels, and
+the rows an aggregation answer is scored against).  Programs
 encode expert knowledge of the *schema* — which tables join how, and
 which columns feed which verb — never of the answers.
 
@@ -126,6 +127,12 @@ class PipelineContext:
     def topk_text(self, frame: DataFrame, quality: str, k: int) -> DataFrame:
         """The ``k`` rows with the most ``quality``, best first."""
         return self.ops.sem_topk(frame, _RANK[quality], k)
+
+    def aggregate(
+        self, frame: DataFrame, instruction: str, columns: list[str]
+    ) -> str:
+        """One text answer summarising ``columns`` of every row."""
+        return self.ops.sem_agg(frame, instruction, columns=columns)
 
 
 # -- joins shared by every binding ------------------------------------------

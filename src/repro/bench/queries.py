@@ -28,11 +28,14 @@ class QuerySpec:
     paper's human labels); it is ``None`` for aggregation queries,
     whose quality the paper analyses qualitatively.
 
-    Aggregation queries instead carry quantitative-quality oracles
-    (the "future work" the paper defers, see
-    :mod:`repro.bench.agg_quality`): ``agg_entities`` lists what a
-    complete answer must mention; ``agg_source`` returns the rows whose
-    values ground the answer's numeric claims.
+    An aggregation program ends in the ``aggregate`` verb, which
+    summarises rows under the LM binding and returns them under the
+    oracle binding.  Its quantitative-quality oracles (the "future
+    work" the paper defers, see :mod:`repro.bench.agg_quality`) are
+    read off those oracle rows: ``agg_entities`` lists what a complete
+    answer must mention; ``agg_source`` returns the rows whose values
+    ground the answer's numeric claims (see
+    :mod:`repro.bench.suites.aggregation`).
     """
 
     qid: str

@@ -23,12 +23,8 @@ class HandwrittenTAGMethod(Method):
 
     def __init__(self, lm: SimulatedLM, batch_size: int = 32) -> None:
         super().__init__(lm)
-        self.batch_size = batch_size
+        self.ops = SemanticOperators(lm, batch_size=batch_size)
 
     def _answer(self, spec: QuerySpec, dataset: Dataset) -> Any:
-        context = PipelineContext(
-            dataset=dataset,
-            ops=SemanticOperators(self.lm, batch_size=self.batch_size),
-            lm=self.lm,
-        )
+        context = PipelineContext(dataset=dataset, ops=self.ops, lm=self.lm)
         return spec.pipeline(context)

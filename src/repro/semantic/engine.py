@@ -24,8 +24,14 @@ class SemanticEngine:
     """
 
     def __init__(self, lm: SimulatedLM, batch_size: int = 32) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if (
+            isinstance(batch_size, bool)
+            or not isinstance(batch_size, int)
+            or batch_size < 1
+        ):
+            raise ValueError(
+                f"batch_size must be an int >= 1, got {batch_size!r}"
+            )
         self.lm = lm
         self.batch_size = batch_size
 

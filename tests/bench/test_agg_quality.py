@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.agg_quality import (
     entity_coverage,
+    mean_quality,
     numeric_faithfulness,
     source_numbers,
 )
@@ -117,3 +118,43 @@ class TestSuiteOracles:
         )
         assert coverage == 1.0
         assert faithfulness == 1.0
+
+
+class TestMeanQuality:
+    def test_seed_2_scores_a_query_with_no_entities(self, suite):
+        """At seed 2 no comment on the most viewed post is positive, so
+        aggregation-r10 has no entity to cover: it leaves the coverage
+        mean and keeps its faithfulness score."""
+        from repro.bench.runner import run_benchmark
+        from repro.data import load_all
+
+        specs = [s for s in suite if s.query_type == "aggregation"]
+        datasets = load_all(seed=2)
+        empty = [
+            s.qid for s in specs if not s.agg_entities(datasets[s.domain])
+        ]
+        assert empty == ["aggregation-r10"]
+        r10 = next(s for s in specs if s.qid == "aggregation-r10")
+        sources = source_numbers(r10.agg_source(datasets[r10.domain]))
+        methods = [
+            "RAG", "Retrieval + LM Rank", "Text2SQL + LM", "Hand-written TAG",
+        ]
+        records = run_benchmark(
+            seed=2, queries=specs, datasets=datasets
+        ).records
+        means = mean_quality(records, specs, datasets, methods)
+        rest = mean_quality(
+            [r for r in records if r.qid != r10.qid],
+            specs,
+            datasets,
+            methods,
+        )
+        for record in records:
+            if record.qid != r10.qid or record.method not in methods:
+                continue
+            method = record.method
+            faithful = numeric_faithfulness(str(record.answer), sources)
+            assert means[method]["coverage"] == rest[method]["coverage"]
+            assert means[method]["faithfulness"] * 20 == pytest.approx(
+                rest[method]["faithfulness"] * 19 + faithful
+            )

@@ -147,47 +147,85 @@ class TestPipelineHelpers:
         )
 
 
-class TestOraclePipelinesAgree:
-    """With an oracle LM and no judgment noise, every hand-written
-    pipeline should reproduce its gold answer except where graded
-    ranking jitter is inherent — a strong cross-check that pipelines
-    and gold functions implement the same query."""
+@pytest.fixture()
+def noise_free_lm():
+    """An oracle LM with judgment and ranking noise switched off."""
+    from repro.lm import concepts
 
-    def test_knowledge_pipelines_match_gold_with_oracle_lm(
-        self, suite, datasets
-    ):
-        from repro.bench.evaluate import exact_match
-        from repro.lm import concepts
-
-        lm = SimulatedLM(LMConfig(seed=0, skepticism=0.0))
-        old = (
+    old = (
+        concepts.RANK_JITTER,
+        concepts.PAIR_MARGIN,
+        concepts.TEXT_MARGIN,
+    )
+    concepts.RANK_JITTER = 0.0
+    concepts.PAIR_MARGIN = 0.0
+    concepts.TEXT_MARGIN = 0.0
+    try:
+        yield SimulatedLM(LMConfig(seed=0, skepticism=0.0))
+    finally:
+        (
             concepts.RANK_JITTER,
             concepts.PAIR_MARGIN,
             concepts.TEXT_MARGIN,
-        )
-        concepts.RANK_JITTER = 0.0
-        concepts.PAIR_MARGIN = 0.0
-        concepts.TEXT_MARGIN = 0.0
-        try:
-            mismatches = []
-            for spec in suite:
-                if spec.gold is None:
-                    continue
-                ctx = PipelineContext(
-                    dataset=datasets[spec.domain],
-                    ops=SemanticOperators(lm, batch_size=32),
-                    lm=lm,
-                )
-                answer = spec.pipeline(ctx)
-                gold = spec.gold(datasets[spec.domain])
-                if not exact_match(
-                    answer, gold, ordered=spec.query_type == "ranking"
-                ):
-                    mismatches.append((spec.qid, answer, gold))
-            assert not mismatches, mismatches[:5]
-        finally:
-            (
-                concepts.RANK_JITTER,
-                concepts.PAIR_MARGIN,
-                concepts.TEXT_MARGIN,
-            ) = old
+        ) = old
+
+
+class _SummarisedRows(PipelineContext):
+    """The LM binding, keeping the rows handed to ``aggregate`` instead
+    of summarising them."""
+
+    def aggregate(self, frame, instruction, columns):
+        self.rows = frame.to_records()
+        return ""
+
+
+class TestOraclePipelinesAgree:
+    """With an oracle LM and no judgment noise, every hand-written
+    pipeline should reproduce its gold answer, and every aggregation
+    program should summarise the rows its quality oracles are read
+    from — a strong cross-check that the two bindings implement the
+    same verbs."""
+
+    def test_knowledge_pipelines_match_gold_with_oracle_lm(
+        self, suite, datasets, noise_free_lm
+    ):
+        from repro.bench.evaluate import exact_match
+
+        mismatches = []
+        for spec in suite:
+            if spec.gold is None:
+                continue
+            ctx = PipelineContext(
+                dataset=datasets[spec.domain],
+                ops=SemanticOperators(noise_free_lm, batch_size=32),
+                lm=noise_free_lm,
+            )
+            answer = spec.pipeline(ctx)
+            gold = spec.gold(datasets[spec.domain])
+            if not exact_match(
+                answer, gold, ordered=spec.query_type == "ranking"
+            ):
+                mismatches.append((spec.qid, answer, gold))
+        assert not mismatches, mismatches[:5]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_aggregation_rows_match_oracle_with_oracle_lm(
+        self, suite, noise_free_lm, seed
+    ):
+        from repro.data import load_all
+
+        datasets = load_all(seed=seed)
+        aggregation = [s for s in suite if s.query_type == "aggregation"]
+        assert len(aggregation) == 20
+        mismatches = []
+        for spec in aggregation:
+            dataset = datasets[spec.domain]
+            ctx = _SummarisedRows(
+                dataset=dataset,
+                ops=SemanticOperators(noise_free_lm, batch_size=32),
+                lm=noise_free_lm,
+            )
+            spec.pipeline(ctx)
+            if ctx.rows != spec.pipeline(OracleContext(dataset)):
+                mismatches.append(spec.qid)
+        assert not mismatches

@@ -148,6 +148,12 @@ class TestHandwrittenTAG:
             result.diagnostics["lm_calls"]
         )
 
+    @pytest.mark.parametrize("batch_size", [0, 2.5, True])
+    def test_bad_batch_size_rejected_when_built(self, batch_size):
+        # Not one error per answered query: the method is never built.
+        with pytest.raises(ValueError, match="batch_size must be an int"):
+            HandwrittenTAGMethod(_lm(), batch_size=batch_size)
+
     def test_deterministic_across_runs(self, suite, datasets):
         spec = _spec(suite, "ranking-r01")
         first = HandwrittenTAGMethod(_lm()).answer(

@@ -14,6 +14,11 @@ class TestEngine:
         with pytest.raises(ValueError):
             SemanticEngine(lm, batch_size=0)
 
+    @pytest.mark.parametrize("batch_size", [2.5, True, False, None, "4"])
+    def test_batch_size_must_be_a_non_bool_int(self, lm, batch_size):
+        with pytest.raises(ValueError, match="got"):
+            SemanticEngine(lm, batch_size=batch_size)
+
     def test_judge_batches_respect_batch_size(self):
         lm = SimulatedLM(LMConfig(seed=0))
         engine = SemanticEngine(lm, batch_size=3)
