@@ -72,6 +72,13 @@ class _Pending:
     error: Exception | None = None
     followers: list["_Pending"] = field(default_factory=list)
     via: str = "call"
+    #: A re-submission of a key whose delivery errored: its cache
+    #: hit/miss was counted the first time.
+    retry: bool = False
+
+
+def _schedule_order(item: _Pending) -> tuple[int, int]:
+    return (item.session.order, item.seq)
 
 
 class Session:
@@ -329,7 +336,6 @@ class BatchingLM:
                     if cached is not _MISS:
                         if not retry:
                             self.usage.cache_hits += 1
-                            session.cache_hits += 1
                         items.append(
                             _Pending(
                                 session,
@@ -340,6 +346,7 @@ class BatchingLM:
                                 # Served from memory: no simulated compute.
                                 response=replace(cached, latency_s=0.0),
                                 via="hit",
+                                retry=retry,
                             )
                         )
                         continue
@@ -349,13 +356,13 @@ class BatchingLM:
                         # the leader's call instead of paying twice.
                         if not retry:
                             self.usage.cache_hits += 1
-                            session.cache_hits += 1
                         follower = _Pending(
                             session,
                             session.next_seq(),
                             prompt,
                             max_tokens,
                             via="coalesced",
+                            retry=retry,
                         )
                         leader.followers.append(follower)
                         items.append(follower)
@@ -368,6 +375,7 @@ class BatchingLM:
                     prompt,
                     max_tokens,
                     via="miss" if self._cache.capacity else "call",
+                    retry=retry,
                 )
                 if self._cache.capacity:
                     self._inflight[key] = item
@@ -385,6 +393,8 @@ class BatchingLM:
                     self._cv.wait()
                     racecheck.reacquired("BatchingLM._cv")
             for item in items:
+                if item.via in ("hit", "coalesced") and not item.retry:
+                    session.cache_hits += 1
                 if item.response is not None:
                     session.consumed_seconds += item.response.latency_s
                 elif item.error is not None:
@@ -463,9 +473,23 @@ class BatchingLM:
         and accounting the unbatched path produces.
         """
         racecheck.write("BatchingLM._pending")
-        batch = sorted(
-            self._pending, key=lambda it: (it.session.order, it.seq)
-        )
+        batch = []
+        for item in self._pending:
+            # Whichever thread submitted a coalesced prompt first led
+            # it.  Hand the call to the earliest ``(order, seq)`` so
+            # the batch it joins and the request it is billed to do not
+            # depend on thread timing.
+            first = min([item, *item.followers], key=_schedule_order)
+            if first is not item:
+                first.followers = [
+                    other
+                    for other in (item, *item.followers)
+                    if other is not first
+                ]
+                item.followers = []
+                first.via, item.via = item.via, first.via
+            batch.append(first)
+        batch.sort(key=_schedule_order)
         self._pending = []
         context_window = self._inner.config.context_window
         groups: dict[int | None, list[_Pending]] = {}

@@ -11,6 +11,7 @@ The determinism guarantee behind every ET number in the tables:
 """
 
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ContextLengthError, PromptRoutingError
 from repro.lm import LMConfig, SimulatedLM, prompts
+from repro.obs import Tracer
 from repro.serve import BatchingLM, VirtualClock
 
 CONDITIONS = [
@@ -329,6 +331,35 @@ class TestPromptCache:
         assert inner.usage.calls == 1
         assert inner.usage.cache_misses == 1
         assert inner.usage.cache_hits == 2
+
+    def test_coalesced_call_is_led_by_the_earliest_session(self):
+        """Session 1 submits first and session 0 rides its call; the
+        flush still hands the call to session 0, so which request is
+        billed for it never depends on thread timing."""
+        facade = BatchingLM(fresh_lm(), cache_size=8)
+        early, late = facade.open_session(0), facade.open_session(1)
+        tracer = Tracer()
+
+        def submit_first():
+            with late, tracer.request("late", 1):
+                facade.complete(PROMPT_POOL[0])
+
+        thread = threading.Thread(target=submit_first)
+        thread.start()
+        while not late.waiting:
+            time.sleep(0.001)
+        with early, tracer.request("early", 0):
+            facade.complete(PROMPT_POOL[0])
+        thread.join()
+        vias = [
+            [
+                span.attrs["via"]
+                for span in root.walk()
+                if span.name == "lm.call"
+            ]
+            for _, root in tracer.roots
+        ]
+        assert vias == [["miss"], ["coalesced"]]
 
     def test_disabled_cache_meters_nothing(self):
         inner = fresh_lm()
