@@ -69,7 +69,7 @@ bench:
 bench-smoke:
 	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_resilience.py benchmarks/bench_repair.py benchmarks/bench_trace_overhead.py benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_racecheck.py benchmarks/bench_semcache.py benchmarks/bench_sharding.py -q
 
-# Regenerate, full-size, the eighteen artifacts that are deterministic
+# Regenerate, full-size, the nineteen artifacts that are deterministic
 # and quick (~35 s together), and fail if any differs from the committed
 # file.  Tables 1 and 2 hold every method's answers and virtual ET over
 # the 80 questions; aggregation_quality, figure2 and the top-k strategy,
@@ -77,13 +77,15 @@ bench-smoke:
 # suite and its oracles; the UDF-pushdown and vector-index ablations
 # and repair their own fixed workloads;
 # serving_throughput and semcache_sweep the serving demo's;
-# racecheck_overhead the checked replay's event and variable counts (its
-# wall times go to an ignored racecheck_overhead.wall.txt).
+# racecheck_overhead the checked replay's event and variable counts and
+# trace_overhead the traced replay's makespans and span count (their
+# wall times go to ignored racecheck_overhead.wall.txt and
+# trace_overhead.wall.txt).
 # Smoke runs never write under benchmarks/out (see
 # benchmarks/conftest.py), so the committed files stay the full-size ones.
-ARTIFACTS = udf_batching optimizer_plan_choice sharding resilience table1 table2 aggregation_quality figure2 ablation_topk_strategy ablation_external_knowledge ablation_batching ablation_retrieval_k ablation_udf_pushdown ablation_vector_index repair serving_throughput semcache_sweep racecheck_overhead
+ARTIFACTS = udf_batching optimizer_plan_choice sharding resilience table1 table2 aggregation_quality figure2 ablation_topk_strategy ablation_external_knowledge ablation_batching ablation_retrieval_k ablation_udf_pushdown ablation_vector_index repair serving_throughput semcache_sweep racecheck_overhead trace_overhead
 artifacts-check:
-	$(PYTHON) -m pytest benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_sharding.py benchmarks/bench_resilience.py benchmarks/bench_table1.py benchmarks/bench_table2.py benchmarks/bench_aggregation_quality.py benchmarks/bench_figure2.py benchmarks/bench_ablation_topk_strategy.py benchmarks/bench_ablation_external_knowledge.py benchmarks/bench_ablation_batching.py benchmarks/bench_ablation_retrieval_k.py benchmarks/bench_ablation_udf_pushdown.py benchmarks/bench_ablation_vector_index.py benchmarks/bench_repair.py benchmarks/bench_serving.py benchmarks/bench_semcache.py benchmarks/bench_racecheck.py -q
+	$(PYTHON) -m pytest benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_sharding.py benchmarks/bench_resilience.py benchmarks/bench_table1.py benchmarks/bench_table2.py benchmarks/bench_aggregation_quality.py benchmarks/bench_figure2.py benchmarks/bench_ablation_topk_strategy.py benchmarks/bench_ablation_external_knowledge.py benchmarks/bench_ablation_batching.py benchmarks/bench_ablation_retrieval_k.py benchmarks/bench_ablation_udf_pushdown.py benchmarks/bench_ablation_vector_index.py benchmarks/bench_repair.py benchmarks/bench_serving.py benchmarks/bench_semcache.py benchmarks/bench_racecheck.py benchmarks/bench_trace_overhead.py -q
 	git diff --exit-code -- $(ARTIFACTS:%=benchmarks/out/%.txt)
 
 # Wall-clock benchmark (benchmarks/perf, see its README): measure all
@@ -140,7 +142,7 @@ trace-smoke:
 # semantic-cache, access-path and derived-once suites, a smoke-mode
 # pass of the resilience, repair,
 # trace-overhead, race-check, and semantic-cache benchmarks, the
-# full-size regeneration check of eighteen committed artifacts, the
+# full-size regeneration check of nineteen committed artifacts, the
 # wall-clock harness's smoke tests, clean determinism-lint and
 # concurrency baselines, an analyzer round-trip through the CLI, and
 # the trace worker-invariance smoke.

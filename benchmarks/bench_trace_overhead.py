@@ -16,6 +16,11 @@ against an empty loop.
 
 Smoke mode: set ``REPRO_SMOKE=1`` to shrink the workload for CI-style
 verification runs (``make verify``).
+
+``trace_overhead.txt`` holds only what is deterministic (makespans,
+span count, the identity checks), so ``make artifacts-check`` diffs
+it; the disabled-hook and empty-loop wall times go to
+``trace_overhead.wall.txt``, which git ignores.
 """
 
 import os
@@ -66,14 +71,19 @@ def _time_noop_helpers() -> tuple[float, float]:
     return hooked, empty
 
 
-def _render(untraced, traced, tracer, hooked, empty) -> str:
+HEADING = (
+    f"Tracing overhead, {REQUESTS} requests, "
+    f"{WORKERS} workers, window {WINDOW}:"
+)
+
+
+def _render(untraced, traced, tracer) -> str:
     spans = sum(
         sum(1 for _ in root.walk()) for _, root in tracer.roots
     )
     return "\n".join(
         [
-            f"Tracing overhead, {REQUESTS} requests, "
-            f"{WORKERS} workers, window {WINDOW}:",
+            HEADING,
             "",
             f"  untraced makespan   {untraced.simulated_seconds:.6f} s",
             f"  traced   makespan   {traced.simulated_seconds:.6f} s"
@@ -81,9 +91,6 @@ def _render(untraced, traced, tracer, hooked, empty) -> str:
             f"  usage identical     {traced.usage == untraced.usage}",
             f"  answers identical   "
             f"{traced.answers() == untraced.answers()}",
-            "",
-            f"  disabled hook       {hooked * 1e9:8.1f} ns/call",
-            f"  empty loop          {empty * 1e9:8.1f} ns/call",
         ]
     )
 
@@ -116,9 +123,17 @@ def test_disabled_hooks_are_near_free(benchmark):
         iterations=1,
     )
     hooked, empty = _time_noop_helpers()
+    write_artifact("trace_overhead.txt", _render(untraced, traced, tracer))
     write_artifact(
-        "trace_overhead.txt",
-        _render(untraced, traced, tracer, hooked, empty),
+        "trace_overhead.wall.txt",
+        "\n".join(
+            [
+                HEADING,
+                "",
+                f"  disabled hook       {hooked * 1e9:8.1f} ns/call",
+                f"  empty loop          {empty * 1e9:8.1f} ns/call",
+            ]
+        ),
     )
     # Loose wall-clock bound: a disabled hook is a function call plus
     # a thread-local attribute read.  10 µs/call would mean something

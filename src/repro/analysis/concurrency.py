@@ -22,8 +22,9 @@ state lock-guarded.  It is an interprocedural ``ast`` pass over
     the transitive construction/annotation closure from
     :data:`SHARED_ROOTS` (``TagServer``, ``BatchingLM``, ``Database``,
     ``StatementCache``, ``Tracer``, ``SemanticResultCache``,
-    ``ShardDedup``, ``Exchange``); ``Meter`` and ``LRUCache`` are
-    reached from ``Database``.
+    ``ShardDedup``, ``Exchange``); ``LRUCache`` is reached from
+    ``Database``, ``Usage`` (whose ``add`` is every counter's one
+    writer) from the serving stack's models.
 
 The rule taxonomy (codes are stable API, tests pin them):
 

@@ -25,8 +25,8 @@ large fraction of invalid/hallucinated text-to-SQL generations.
 
 Every attempt is recorded as a :class:`RepairAttempt` on
 ``TAGResult.repairs`` (success or not) and on the per-request
-transcript (:func:`render_transcript`), and counted through one
-:class:`~repro.obs.meter.Meter` in ``Usage``: ``repair_attempts`` one
+transcript (:func:`render_transcript`), and counted in the LM's
+:class:`~repro.lm.usage.Usage`: ``repair_attempts`` one
 per repair prompt issued, ``repair_successes`` one per request whose
 repaired SQL executed cleanly, ``repair_exhausted`` one per request
 that spent the whole ``max_repairs`` budget and degraded.
@@ -53,7 +53,6 @@ from repro.errors import (
 )
 from repro.lm.prompts import repair_prompt
 from repro.obs import trace
-from repro.obs.meter import Meter
 
 
 @dataclass(frozen=True)
@@ -239,4 +238,6 @@ class SelfCorrectingPipeline(TAGPipeline):
         )
 
     def _meter(self, counter: str) -> None:
-        Meter(getattr(self.lm, "usage", None)).add(counter)
+        usage = getattr(self.lm, "usage", None)
+        if usage is not None:
+            usage.add(**{counter: 1})

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.db import types as dbtypes
 from repro.db.expr import ExpressionCompiler
@@ -30,7 +30,9 @@ from repro.errors import (
     PlanningError,
     SchemaError,
 )
-from repro.obs.meter import Meter
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lm.usage import Usage
 
 
 #: ``EXPLAIN ANALYZE <select>`` prefix, handled before the parser sees
@@ -103,7 +105,8 @@ class Database:
         #: What :meth:`execute` derived from the text of each SELECT it
         #: ran (AST, analyzer verdict, plan), reused while it stands.
         self.statement_cache = StatementCache()
-        self._meter = Meter()
+        #: Where this database's counters go (see bind_udf_meters).
+        self._usage: Usage | None = None
         #: Worker count / LM host for shard-parallel execution; scans
         #: only shard once a table opts in via :meth:`set_partitioning`.
         self.shard_runtime = ShardRuntime()
@@ -223,17 +226,27 @@ class Database:
             cheap_batch=cheap_batch,
         )
 
-    def bind_udf_meters(self, usage: Any = None) -> None:
+    def bind_udf_meters(self, usage: Usage | None = None) -> None:
         """Where this database's counters go: a
         :class:`repro.lm.usage.Usage`, or nowhere when None.
 
         UDF-cache and cascade traffic, optimizer decisions and
-        ``max_rows`` drops are emitted through one
-        :class:`~repro.obs.meter.Meter` over it.  The batched
-        operators' per-node ``exec_stats`` stay the canonical
-        per-operator numbers; these are the same increments.
+        ``max_rows`` drops are added to it.  The batched operators'
+        per-node ``exec_stats`` stay the canonical per-operator
+        numbers; these are the same increments.
         """
-        self._meter = Meter(usage)
+        self._usage = usage
+
+    def _count(self, **amounts: int) -> None:
+        """Add to the bound Usage, if any.
+
+        Optimizer decisions are plan-time events: every planned
+        statement (execute, EXPLAIN, EXPLAIN ANALYZE) counts them once,
+        deterministic for a fixed query and catalog; which rules they
+        are is the EXPLAIN footer's to say.
+        """
+        if self._usage is not None:
+            self._usage.add(**amounts)
 
     def _planner(
         self,
@@ -247,7 +260,7 @@ class Database:
             optimize=optimize,
             udf_batch_size=udf_batch_size,
             udf_context=(
-                UDFExecContext(self.udf_cache, self._meter)
+                UDFExecContext(self.udf_cache, self._usage)
                 if udf_batch_size is not None
                 else None
             ),
@@ -285,10 +298,6 @@ class Database:
             self._planner(optimize, udf_batch_size, optimizer),  # type: ignore[arg-type]
             optimizer,
         )
-
-    def _meter_optimizer(self, optimizer: Any) -> None:
-        if optimizer is not None:
-            optimizer.report.meter(self._meter)
 
     # ------------------------------------------------------------------
     # statement cache
@@ -457,9 +466,9 @@ class Database:
                 )
         rows = list(plan.execute())
         if report is not None:
-            report.meter(self._meter)
+            self._count(optimizer_decisions=len(report.decisions))
         if max_rows is not None and len(rows) > max_rows:
-            self._meter.add("rows_truncated", len(rows) - max_rows)
+            self._count(rows_truncated=len(rows) - max_rows)
             rows = rows[:max_rows]
         # Only a statement that has succeeded is kept.
         if entry is not stored:
@@ -524,11 +533,12 @@ class Database:
         plan, names = planner.plan_select(statement)
         proxy, stats = instrument_plan(plan)
         rows = list(proxy.execute())
-        self._meter_optimizer(optimizer)
+        if optimizer is not None:
+            self._count(optimizer_decisions=len(optimizer.report.decisions))
         truncated = None
         if max_rows is not None and len(rows) > max_rows:
             truncated = (max_rows, len(rows))
-            self._meter.add("rows_truncated", len(rows) - max_rows)
+            self._count(rows_truncated=len(rows) - max_rows)
             rows = rows[:max_rows]
         return AnalyzedQuery(
             stats=stats,
@@ -560,9 +570,10 @@ class Database:
         )
         plan, _ = planner.plan_select(statement)
         rendered = plan.explain()
-        self._meter_optimizer(optimizer)
-        if optimizer is not None and optimizer.report.decisions:
-            rendered += "\n" + optimizer.report.render()
+        if optimizer is not None:
+            self._count(optimizer_decisions=len(optimizer.report.decisions))
+            if optimizer.report.decisions:
+                rendered += "\n" + optimizer.report.render()
         return rendered
 
     def schema_sql(self) -> str:

@@ -58,7 +58,6 @@ from repro.db.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.catalog import Database
-    from repro.obs.meter import Meter
 
 #: Largest morsel the auto route will pick; beyond this, batching gains
 #: nothing while error attribution latency grows.
@@ -104,16 +103,6 @@ class OptimizerReport:
         for decision in self.decisions:
             lines.append("  " + decision.render())
         return "\n".join(lines)
-
-    def meter(self, meter: Meter) -> None:
-        """Emit the decision count; which rules it counts is the
-        footer's to say.
-
-        Decisions are plan-time events: every planned statement
-        (execute, EXPLAIN, EXPLAIN ANALYZE) meters once, deterministic
-        for a fixed query and catalog.
-        """
-        meter.add("optimizer_decisions", len(self.decisions))
 
 
 class QueryOptimizer:

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from itertools import chain, count, islice, tee
 from operator import itemgetter
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.db.expr import Evaluator, MemoKey, UDFCallError, UDFCallSite
 from repro.db.functions import AggregateSpec
@@ -34,7 +34,9 @@ from repro.db.table import Table
 from repro.db.types import SQLValue, sort_key
 from repro.errors import ExecutionError
 from repro.obs import racecheck
-from repro.obs.meter import Meter
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lm.usage import Usage
 
 
 class PlanNode:
@@ -279,26 +281,27 @@ class UDFExecContext:
     """The local :class:`MorselContext`: live cache, emitted counters.
 
     Carries the :class:`~repro.db.Database`'s cross-statement memo
-    cache and its :class:`~repro.obs.meter.Meter`.  Each operator owns
-    an ``exec_stats`` dict surfaced by EXPLAIN ANALYZE; :meth:`tally`
-    counts an event on the node and emits it, so the node and the bound
-    Usage can never disagree.  Cache reads and writes go to the live
-    cache and every pending key is the caller's to dispatch.
+    cache and its bound :class:`~repro.lm.usage.Usage`.  Each operator
+    owns an ``exec_stats`` dict surfaced by EXPLAIN ANALYZE;
+    :meth:`tally` counts an event on the node and adds it to the
+    Usage, so the two can never disagree.  Cache reads and writes go to
+    the live cache and every pending key is the caller's to dispatch.
     """
 
     tagged = False
 
     def __init__(
-        self, cache: LRUCache | None = None, meter: Meter | None = None
+        self, cache: LRUCache | None = None, usage: Usage | None = None
     ) -> None:
         self.cache = cache
-        self.meter = meter or Meter()
+        self.usage = usage
 
     def tally(self, stats: dict[str, int], key: str, amount: int) -> None:
         if amount == 0:
             return
         stats[key] = stats.get(key, 0) + amount
-        self.meter.add(key, amount)
+        if self.usage is not None:
+            self.usage.add(**{key: amount})
 
     def lookup(
         self, site_id: tuple, key: MemoKey, tag: int | None

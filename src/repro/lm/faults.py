@@ -221,9 +221,6 @@ class FaultyLM:
     def config(self) -> LMConfig:
         return self._inner.config
 
-    def reset_usage(self) -> None:
-        self._inner.reset_usage()
-
     def complete(
         self, prompt: str, max_tokens: int | None = None
     ) -> LMResponse:
@@ -235,7 +232,7 @@ class FaultyLM:
         response = self._inner.complete(prompt, max_tokens)
         if kind == "malformed":
             with self._lock:
-                self.usage.faults_injected += 1
+                self.usage.add(faults_injected=1)
             raise MalformedOutputError(
                 _garble(response.text), latency_s=response.latency_s
             )
@@ -330,14 +327,14 @@ class FaultyLM:
         """Build, meter, and bill a fault that never ran the model."""
         error = self._build_error(kind)
         with self._lock:
-            self.usage.faults_injected += 1
-            self.usage.simulated_seconds += error.latency_s
+            self.usage.add(
+                faults_injected=1, simulated_seconds=error.latency_s
+            )
         return error
 
     def _spike_locked(self, response: LMResponse) -> LMResponse:
         extra = response.latency_s * (self.plan.latency_spike_factor - 1.0)
-        self.usage.faults_injected += 1
-        self.usage.simulated_seconds += extra
+        self.usage.add(faults_injected=1, simulated_seconds=extra)
         return replace(response, latency_s=response.latency_s + extra)
 
     def _spike(self, response: LMResponse) -> LMResponse:
@@ -345,7 +342,7 @@ class FaultyLM:
             return self._spike_locked(response)
 
     def _garble_sql_locked(self, response: LMResponse) -> LMResponse:
-        self.usage.faults_injected += 1
+        self.usage.add(faults_injected=1)
         return replace(response, text=_garble_sql(response.text))
 
     def _garble_sql(self, response: LMResponse) -> LMResponse:

@@ -96,7 +96,13 @@ class SimulatedLM:
         latency = self.config.latency.call_seconds(
             prompt_tokens, output_tokens
         )
-        self._account(1, 1, prompt_tokens, output_tokens, latency)
+        self.usage.add(
+            calls=1,
+            batches=1,
+            prompt_tokens=prompt_tokens,
+            output_tokens=output_tokens,
+            simulated_seconds=latency,
+        )
         if trace.active():
             trace.leaf(
                 "lm.complete",
@@ -123,8 +129,12 @@ class SimulatedLM:
         per_request = batch_latency / len(prompts)
         total_prompt = sum(tokens for tokens, _ in shape)
         total_output = sum(tokens for _, tokens in shape)
-        self._account(
-            len(prompts), 1, total_prompt, total_output, batch_latency
+        self.usage.add(
+            calls=len(prompts),
+            batches=1,
+            prompt_tokens=total_prompt,
+            output_tokens=total_output,
+            simulated_seconds=batch_latency,
         )
         if trace.active():
             trace.leaf(
@@ -148,7 +158,7 @@ class SimulatedLM:
     ) -> tuple[str, int, int]:
         prompt_tokens = count_tokens(prompt)
         if prompt_tokens > self.config.context_window:
-            self.usage.context_errors += 1
+            self.usage.add(context_errors=1)
             raise ContextLengthError(
                 prompt_tokens, self.config.context_window
             )
@@ -190,20 +200,3 @@ class SimulatedLM:
             else:
                 high = mid - 1
         return text[:low]
-
-    def _account(
-        self,
-        calls: int,
-        batches: int,
-        prompt_tokens: int,
-        output_tokens: int,
-        latency: float,
-    ) -> None:
-        self.usage.calls += calls
-        self.usage.batches += batches
-        self.usage.prompt_tokens += prompt_tokens
-        self.usage.output_tokens += output_tokens
-        self.usage.simulated_seconds += latency
-
-    def reset_usage(self) -> None:
-        self.usage = Usage()

@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
+
+from repro.obs import racecheck
 
 
 @dataclass
 class Usage:
     """Cumulative usage counters; snapshot-and-subtract friendly.
 
-    One line per group, and who writes it:
+    :meth:`add` is the only code that changes a field, so a new counter
+    is a field here and the ``add`` call that emits it.  One line per
+    group, and who emits it:
 
-    - ``calls`` … ``context_errors``: work the model performed, written
-      by :class:`~repro.lm.model.SimulatedLM` alone (under threads,
-      every model call is made by the serving layer's flush, which
-      holds ``BatchingLM._cv``).  A retried call that re-runs the model
-      is billed again; work reused from a partially failed batch is
-      not.
+    - ``calls`` … ``context_errors``: work the model performed, emitted
+      by :class:`~repro.lm.model.SimulatedLM` (under threads, every
+      model call is made by the serving layer's flush, which holds
+      ``BatchingLM._cv``).  A retried call that re-runs the model is
+      billed again; work reused from a partially failed batch is not.
     - ``cache_hits`` / ``cache_misses``: the serving prompt cache
       (:class:`repro.serve.BatchingLM`), once per *logical* request at
       first submission — a retry is a continuation, not a new miss.
@@ -24,10 +28,9 @@ class Usage:
       injected fault.
     - everything else — UDF cache and cascade traffic, optimizer
       decisions, dropped rows, the resilience, repair and semantic-cache
-      counters — is emitted through :class:`repro.obs.meter.Meter`,
-      whose ``METRIC_NAMES`` lists each.  What each one counts is
-      documented where it is emitted (``db/plan.py``'s counter contract,
-      ``serve/resilience.py``, ``core/repair.py``,
+      counters — by the layer that owns the event.  What each one
+      counts is documented where it is emitted (``db/plan.py``'s
+      counter contract, ``serve/resilience.py``, ``core/repair.py``,
       ``serve/semantic.py``).
 
     A hit of either cache touches no call/token/latency counter, so
@@ -35,6 +38,14 @@ class Usage:
     first group stays zero on a healthy, uncached, unrepaired run: its
     accounting is bit-identical with or without those layers.
     """
+
+    #: Guards every field's read-modify-write: several holders on
+    #: several threads share one Usage (five databases bound to one
+    #: ``lm.usage``, every serving worker's middleware).  One per
+    #: process, on the class rather than a field, so the dataclass's
+    #: fields stay the counters (``snapshot``, ``since``, ``==``,
+    #: ``repr`` and copies see only them).
+    _lock = threading.Lock()
 
     calls: int = 0
     batches: int = 0
@@ -61,6 +72,22 @@ class Usage:
     semcache_misses: int = 0
     semcache_near_hits: int = 0
     semcache_invalidations: int = 0
+
+    def add(self, **amounts: float) -> None:
+        """Count ``name=amount`` for each keyword: the one writer.
+
+        An unknown name is a ``KeyError`` (before anything is counted);
+        a zero amount changes nothing.
+        """
+        unknown = amounts.keys() - self.__dataclass_fields__.keys()
+        if unknown:
+            raise KeyError(min(unknown))
+        counted = [(name, n) for name, n in amounts.items() if n]
+        if counted:
+            with racecheck.guard("Usage._lock", self._lock):
+                racecheck.write("Usage.counters")
+                for name, amount in counted:
+                    setattr(self, name, getattr(self, name) + amount)
 
     def snapshot(self) -> "Usage":
         return Usage(

@@ -7,10 +7,11 @@ guarantees:
 
 - :mod:`repro.obs.trace` — nested spans (request -> pipeline step ->
   SQL operator / LM call / retry) on per-request virtual timelines;
-  byte-identical traces across runs and worker counts;
-- :mod:`repro.obs.meter` — the one place a counter written above the
-  model (UDF cache, cascade, optimizer, repair, semantic cache,
-  resilience) is added to a ``Usage``;
+  byte-identical traces across runs and worker counts.  Its request
+  scope is open for every served request, traced or not: the
+  request's ET, LM calls and cache hits are charged to it on its own
+  thread (the run-wide counters are ``Usage`` fields, which only
+  :meth:`repro.lm.usage.Usage.add` writes);
 - :mod:`repro.obs.racecheck` — an Eraser-style lockset + vector-clock
   dynamic race checker behind zero-cost-when-disabled hooks, the
   runtime half of the concurrency analyzer
@@ -33,13 +34,11 @@ from repro.obs.explain import (
     render_stats,
 )
 from repro.obs.export import to_chrome, to_jsonl, write_trace
-from repro.obs.meter import Meter
 from repro.obs.racecheck import RaceChecker, RaceFinding, RaceReport
 from repro.obs.trace import Span, SpanEvent, Tracer
 
 __all__ = [
     "AnalyzedQuery",
-    "Meter",
     "OperatorStats",
     "RaceChecker",
     "RaceFinding",

@@ -27,6 +27,12 @@ context their thread is serving.  With no active context every helper
 is a cheap no-op, so tracing-off overhead is effectively zero
 (``benchmarks/bench_trace_overhead.py``).
 
+Every served request runs inside a :class:`RequestScope`
+(:func:`request`), traced or not: the serving layer charges the
+request's ET, LM calls and cache hits to it on the request's own
+thread (:func:`scope`).  Only a scope opened with a tracer holds a
+root span, so :func:`active` keeps meaning "spans are being recorded".
+
 Span identity is deliberately absent at runtime: ids are assigned at
 export time from (request index, depth-first order), never from
 ``id()``/``uuid``/counters that would vary across runs — the
@@ -199,30 +205,73 @@ def suspended():
     return _Suspended()
 
 
-class _RequestContext:
-    """Context manager for one request's root span."""
+class RequestScope:
+    """One served request: what it consumed, and its root span if traced.
 
-    __slots__ = ("tracer", "index", "root", "saved")
+    :func:`request` opens it on the thread serving the request, and only
+    that thread charges it (:func:`scope`), so its counts need no lock
+    and start at zero — a request's ET is the sum of its own charges,
+    never a difference of a worker's running totals.
+    """
 
-    def __init__(self, tracer: "Tracer", name: str, index: int) -> None:
+    __slots__ = (
+        "tracer", "index", "root", "et_seconds", "lm_calls", "cache_hits",
+        "_saved",
+    )
+
+    def __init__(
+        self, tracer: "Tracer | None", name: str, index: int
+    ) -> None:
         self.tracer = tracer
         self.index = index
-        self.root = Span(
-            "request", start_s=0.0, attrs={"index": index, "request": name}
-        )
+        #: The request's root span; None when no tracer records it.
+        self.root = None
+        if tracer is not None:
+            attrs = {"index": index, "request": name}
+            self.root = Span("request", start_s=0.0, attrs=attrs)
+        #: Simulated LM seconds of this request's responses, fault burn
+        #: and backoff sleeps included.
+        self.et_seconds = 0.0
+        self.lm_calls = 0
+        self.cache_hits = 0
 
-    def __enter__(self) -> Span:
-        self.saved = _context()
-        _LOCAL.context = _Context(self.root)
-        return self.root
+    def charge(
+        self, et_seconds: float = 0.0, lm_calls: int = 0, cache_hits: int = 0
+    ) -> None:
+        self.et_seconds += et_seconds
+        self.lm_calls += lm_calls
+        self.cache_hits += cache_hits
+
+    def __enter__(self) -> "RequestScope":
+        self._saved = (getattr(_LOCAL, "scope", None), _context())
+        _LOCAL.scope = self
+        if self.root is not None:
+            _LOCAL.context = _Context(self.root)
+        return self
 
     def __exit__(self, *exc_info: object) -> bool:
-        context = _context()
-        if context is not None:
-            self.root.end_s = context.cursor
-        _LOCAL.context = self.saved
-        self.tracer._record(self.index, self.root)
+        saved_scope, saved_context = self._saved
+        _LOCAL.scope = saved_scope
+        if self.root is not None:
+            context = _context()
+            if context is not None:
+                self.root.end_s = context.cursor
+            _LOCAL.context = saved_context
+            self.tracer._record(self.index, self.root)
         return False
+
+
+def request(tracer: "Tracer | None", name: str, index: int) -> RequestScope:
+    """Open the scope one served request is charged to on this thread;
+    with a tracer, also its root span (recorded on exit)."""
+    return RequestScope(tracer, name, index)
+
+
+def scope() -> RequestScope | None:
+    """The request open on this thread, to charge; None with none open
+    (a benchmark, a shard thread, a transient session): nothing is
+    charged there."""
+    return getattr(_LOCAL, "scope", None)
 
 
 class Tracer:
@@ -232,9 +281,9 @@ class Tracer:
         self._lock = threading.Lock()
         self._roots: list[tuple[int, Span]] = []
 
-    def request(self, name: str, index: int):
+    def request(self, name: str, index: int) -> RequestScope:
         """Open (and on exit record) the root span for one request."""
-        return _RequestContext(self, name, index)
+        return request(self, name, index)
 
     def _record(self, index: int, root: Span) -> None:
         with racecheck.guard("Tracer._lock", self._lock):

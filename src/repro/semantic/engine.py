@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.lm import SimulatedLM, prompts
-from repro.obs.meter import Meter
 
 
 class SemanticEngine:
@@ -39,14 +38,15 @@ class SemanticEngine:
         self, built_prompts: list[str], max_tokens: int | None = None
     ) -> list[str]:
         results: list[str] = []
-        meter = Meter(self.lm.usage)
         for start in range(0, len(built_prompts), self.batch_size):
             chunk = built_prompts[start : start + self.batch_size]
             # First occurrence of each distinct prompt is dispatched;
             # repeats within the chunk share its response.
             distinct = list(dict.fromkeys(chunk))
-            meter.add("udf_cache_misses", len(distinct))
-            meter.add("udf_cache_hits", len(chunk) - len(distinct))
+            self.lm.usage.add(
+                udf_cache_misses=len(distinct),
+                udf_cache_hits=len(chunk) - len(distinct),
+            )
             responses = self.lm.complete_batch(distinct, max_tokens)
             texts = {
                 prompt: response.text

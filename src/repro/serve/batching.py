@@ -82,7 +82,7 @@ def _schedule_order(item: _Pending) -> tuple[int, int]:
 
 
 class Session:
-    """One registered requester; tracks per-requester consumption.
+    """One registered requester of the flush barrier.
 
     ``order`` is the deterministic sort key used when chunking pending
     requests into micro-batches; servers pass the worker index.
@@ -99,10 +99,6 @@ class Session:
         #: its own LM call.  A parked session does not hold up the
         #: flush barrier — it will issue no calls until unparked.
         self.parked = False
-        #: Simulated seconds attributed to this session's responses.
-        self.consumed_seconds = 0.0
-        self.lm_calls = 0
-        self.cache_hits = 0
         self._seq = 0
 
     def next_seq(self) -> int:
@@ -177,9 +173,6 @@ class BatchingLM:
     @property
     def config(self) -> LMConfig:
         return self._inner.config
-
-    def reset_usage(self) -> None:
-        self._inner.reset_usage()
 
     def complete(
         self, prompt: str, max_tokens: int | None = None
@@ -303,15 +296,12 @@ class BatchingLM:
     ) -> list[_Pending]:
         with racecheck.guard("BatchingLM._cv", self._cv):
             # Everything the scheduler mutates below — the pending
-            # queue, in-flight coalescing map, errored-retry ledger,
-            # usage meters, and this session's counters — is guarded by
-            # the one condition variable (the prompt cache holds its
-            # own lock, taken inside it).
+            # queue, in-flight coalescing map and errored-retry ledger
+            # — is guarded by the one condition variable (the prompt
+            # cache and Usage hold their own locks, taken inside it).
             racecheck.write("BatchingLM._pending")
             racecheck.write("BatchingLM._inflight")
             racecheck.write("BatchingLM._errored")
-            racecheck.write("Usage.cache_meters")
-            racecheck.write(f"Session.{session.order}.meters")
             items: list[_Pending] = []
             for prompt, max_tokens in requests:
                 key = (prompt, max_tokens)
@@ -335,7 +325,7 @@ class BatchingLM:
                     cached = self._cache.get(key, _MISS)
                     if cached is not _MISS:
                         if not retry:
-                            self.usage.cache_hits += 1
+                            self.usage.add(cache_hits=1)
                         items.append(
                             _Pending(
                                 session,
@@ -355,7 +345,7 @@ class BatchingLM:
                         # Same prompt already awaiting a flush: ride
                         # the leader's call instead of paying twice.
                         if not retry:
-                            self.usage.cache_hits += 1
+                            self.usage.add(cache_hits=1)
                         follower = _Pending(
                             session,
                             session.next_seq(),
@@ -368,7 +358,7 @@ class BatchingLM:
                         items.append(follower)
                         continue
                     if not retry:
-                        self.usage.cache_misses += 1
+                        self.usage.add(cache_misses=1)
                 item = _Pending(
                     session,
                     session.next_seq(),
@@ -392,21 +382,20 @@ class BatchingLM:
                     racecheck.releasing("BatchingLM._cv")
                     self._cv.wait()
                     racecheck.reacquired("BatchingLM._cv")
+            scope = trace.scope()
+            tracing = trace.active()
             for item in items:
-                if item.via in ("hit", "coalesced") and not item.retry:
-                    session.cache_hits += 1
-                if item.response is not None:
-                    session.consumed_seconds += item.response.latency_s
-                elif item.error is not None:
+                if scope is not None:
                     # Failed calls still consumed simulated seconds
-                    # (fault errors carry them); attribute the burn to
-                    # the requester so per-request latency under faults
+                    # (fault errors carry them): the burn is the
+                    # requester's, so per-request latency under faults
                     # reflects what the request actually cost.
-                    session.consumed_seconds += getattr(
-                        item.error, "latency_s", 0.0
+                    scope.charge(
+                        getattr(item.response or item.error, "latency_s", 0.0),
+                        item.error is None and item.via in ("call", "miss"),
+                        item.via in ("hit", "coalesced") and not item.retry,
                     )
-            if trace.active():
-                for item in items:
+                if tracing:
                     self._trace_item(item)
             return items
 
@@ -475,20 +464,19 @@ class BatchingLM:
         racecheck.write("BatchingLM._pending")
         batch = []
         for item in self._pending:
-            # Whichever thread submitted a coalesced prompt first led
-            # it.  Hand the call to the earliest ``(order, seq)`` so
-            # the batch it joins and the request it is billed to do not
-            # depend on thread timing.
-            first = min([item, *item.followers], key=_schedule_order)
-            if first is not item:
-                first.followers = [
-                    other
-                    for other in (item, *item.followers)
-                    if other is not first
-                ]
-                item.followers = []
-                first.via, item.via = item.via, first.via
-            batch.append(first)
+            if item.followers:
+                # Whichever thread submitted a coalesced prompt first
+                # led it.  Hand the call to the earliest ``(order,
+                # seq)`` so the batch it joins and the request it is
+                # billed to do not depend on thread timing.
+                first = min(item.followers, key=_schedule_order)
+                if _schedule_order(first) < _schedule_order(item):
+                    item.followers.remove(first)
+                    first.followers = [item, *item.followers]
+                    item.followers = []
+                    first.via, item.via = item.via, first.via
+                    item = first
+            batch.append(item)
         batch.sort(key=_schedule_order)
         self._pending = []
         context_window = self._inner.config.context_window
@@ -558,8 +546,6 @@ class BatchingLM:
     def _finish(self, item: _Pending, response: LMResponse) -> None:
         item.response = response
         item.done = True
-        racecheck.write(f"Session.{item.session.order}.meters")
-        item.session.lm_calls += 1
         if self._cache.capacity:
             racecheck.write("BatchingLM._inflight")
             self._cache.put((item.prompt, item.max_tokens), response)

@@ -30,12 +30,13 @@ timeline is a pure function of this caller's own call sequence, which
 keeps every report byte-identical across runs.  In single-threaded use
 you may pass the shared clock as the timeline; the two coincide.
 
-All policy events are metered in :class:`~repro.lm.usage.Usage`
-through :class:`~repro.obs.meter.Meter`: ``retries`` one per backoff
-sleep, ``breaker_trips`` one per closed→open transition,
-``deadline_exceeded`` one per deadline kill.  With no faults
-occurring, the wrapper makes zero extra calls, zero clock advances, and
-zero meter increments — a strict no-op.
+All policy events are counted with :meth:`~repro.lm.usage.Usage.add`:
+``retries`` one per backoff sleep, ``breaker_trips`` one per
+closed→open transition, ``deadline_exceeded`` one per deadline kill.
+A backoff sleep is also charged to the request open on the sleeping
+thread (:func:`repro.obs.trace.scope`), so a served request's ET
+includes its waits.  With no faults occurring, the wrapper makes zero
+extra calls, zero clock advances, and zero counts — a strict no-op.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from repro.errors import (
 from repro.lm.model import LMConfig, LMResponse
 from repro.lm.usage import Usage
 from repro.obs import racecheck, trace
-from repro.obs.meter import Meter
-from repro.serve.batching import Session
 from repro.serve.clock import VirtualClock
 
 
@@ -234,7 +233,6 @@ class ResilientLM:
         policy: ResiliencePolicy | None = None,
         clock: VirtualClock | None = None,
         timeline: VirtualClock | None = None,
-        session: Session | None = None,
     ) -> None:
         self._inner = inner
         self.policy = policy or ResiliencePolicy()
@@ -242,8 +240,6 @@ class ResilientLM:
         self._clock = clock
         #: Policy timeline: this caller's own consumed simulated time.
         self._timeline = timeline or VirtualClock()
-        #: Serving session to attribute backoff seconds to (optional).
-        self._session = session
         self.breaker = (
             CircuitBreaker(self.policy.breaker, self._timeline)
             if self.policy.breaker is not None
@@ -261,9 +257,6 @@ class ResilientLM:
     @property
     def config(self) -> LMConfig:
         return self._inner.config
-
-    def reset_usage(self) -> None:
-        self._inner.reset_usage()
 
     def complete(
         self, prompt: str, max_tokens: int | None = None
@@ -339,13 +332,13 @@ class ResilientLM:
             spent += cost
             self._timeline.advance(cost)
             if self.breaker is not None and self.breaker.record_failure():
-                Meter(self.usage).add("breaker_trips")
+                self.usage.add(breaker_trips=1)
                 trace.event("breaker.trip")
             if attempt >= retry.max_attempts:
                 raise error
             backoff = retry.backoff_seconds(prompt, attempt)
             if deadline is not None and spent + backoff > deadline:
-                Meter(self.usage).add("deadline_exceeded")
+                self.usage.add(deadline_exceeded=1)
                 trace.event(
                     "deadline.exceeded", deadline=deadline, spent=spent
                 )
@@ -366,17 +359,13 @@ class ResilientLM:
         """A backoff sleep in simulated time.
 
         Advances the policy timeline, bills the shared makespan clock
-        (retries cost simulated seconds, not wall time), and attributes
-        the wait to the serving session's per-request consumption.
+        (retries cost simulated seconds, not wall time), and charges
+        the wait to the request open on this thread.
         """
         self._timeline.advance(seconds)
         if self._clock is not None and self._clock is not self._timeline:
             self._clock.advance(seconds)
-        if self._session is not None:
-            # Unlocked by design: only this session's own worker thread
-            # sleeps here, and the flushing thread's meter writes are
-            # ordered before this one by the cv wake-up the worker just
-            # went through — an edge the dynamic checker verifies.
-            racecheck.write(f"Session.{self._session.order}.meters")
-            self._session.consumed_seconds += seconds
-        Meter(self.usage).add("retries")
+        scope = trace.scope()
+        if scope is not None:
+            scope.charge(et_seconds=seconds)
+        self.usage.add(retries=1)

@@ -29,8 +29,7 @@ concurrently serving servers.  It is a ``SHARED_ROOTS`` class of the
 static concurrency analyzer (``python -m repro lint --conc``) and
 replays clean under the dynamic race checker at workers 1/4/8.
 
-Metering: every event goes through one
-:class:`~repro.obs.meter.Meter` into the bound
+Metering: every event is added to the bound
 :class:`~repro.lm.usage.Usage` (``semcache_*``), which surfaces on the
 :class:`~repro.serve.server.ServeReport` — and it happens at exactly
 one seam per event (the lookup/invalidation paths below), so the
@@ -55,7 +54,6 @@ from repro.db.stmtcache import LRUCache
 from repro.embed import HashingEmbedder
 from repro.lm.usage import Usage
 from repro.obs import racecheck
-from repro.obs.meter import Meter
 from repro.text.tokenize import STOPWORDS, tokens
 from repro.vector import FlatIndex
 
@@ -268,9 +266,9 @@ class SemanticResultCache:
 
     # -- metering (the one seam; lock held) ---------------------------
 
-    def _meter(self, name: str, amount: int = 1) -> None:
-        # Built per event: ``usage`` is assignable.
-        Meter(self.usage).add(name, amount)
+    def _meter(self, **amounts: int) -> None:
+        if self.usage is not None:
+            self.usage.add(**amounts)
 
     # -- lookup / store -----------------------------------------------
 
@@ -300,7 +298,7 @@ class SemanticResultCache:
         resolution time).
         """
         with racecheck.guard("SemanticResultCache._lock", self._lock):
-            self._meter("semcache_hits")
+            self._meter(semcache_hits=1)
 
     def lookup(self, request: str) -> SemanticHit | None:
         """Serve ``request`` from the cache, or meter a miss.
@@ -317,11 +315,11 @@ class SemanticResultCache:
         if self.capacity == 0 or canonical.degenerate:
             # The single disabled/uncacheable metering point: one miss
             # per lookup, nothing metered again at store time.
-            self._meter("semcache_misses")
+            self._meter(semcache_misses=1)
             return None
         entry = self._entries.get(canonical.text)
         if entry is not None:
-            self._meter("semcache_hits")
+            self._meter(semcache_hits=1)
             return SemanticHit(
                 result=detached_copy(entry.result, canonical.raw),
                 via="exact",
@@ -342,14 +340,14 @@ class SemanticResultCache:
             entry = self._entries.get(live)
             if entry is None:
                 continue
-            self._meter("semcache_near_hits")
+            self._meter(semcache_near_hits=1)
             return SemanticHit(
                 result=detached_copy(entry.result, canonical.raw),
                 via="near",
                 similarity=float(score),
                 source_request=entry.request,
             )
-        self._meter("semcache_misses")
+        self._meter(semcache_misses=1)
         return None
 
     def store(self, request: str, result: TAGResult) -> bool:
@@ -403,7 +401,7 @@ class SemanticResultCache:
             for entry in doomed.values():
                 self._rows[entry.row] = None
             if doomed:
-                self._meter("semcache_invalidations", len(doomed))
+                self._meter(semcache_invalidations=len(doomed))
             return len(doomed)
 
     def stats(self) -> dict[str, int]:

@@ -36,7 +36,7 @@ from repro.lm.faults import FaultPlan, FaultyLM
 from repro.lm.model import SimulatedLM
 from repro.lm.usage import Usage
 from repro.obs import racecheck, trace
-from repro.obs.trace import Tracer
+from repro.obs.trace import RequestScope, Tracer
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.batching import BatchingLM, Session
 from repro.serve.clock import VirtualClock
@@ -60,12 +60,12 @@ class ServeResult:
     index: int
     request: str
     result: TAGResult
+    worker: int
     #: Simulated LM seconds attributed to this request's responses,
     #: fault burn and backoff sleeps included.
-    et_seconds: float
-    worker: int
-    lm_calls: int
-    cache_hits: int
+    et_seconds: float = 0.0
+    lm_calls: int = 0
+    cache_hits: int = 0
     #: How the semantic serving cache answered this request, when it
     #: did: ``"exact"``/``"near"`` (cross-run cache hit, ``worker ==
     #: -2``) or ``"coalesced"`` (in-run duplicate resolved from its
@@ -260,10 +260,7 @@ class TagServer:
                         result=TAGResult(
                             request=request, error=decision.to_error()
                         ),
-                        et_seconds=0.0,
                         worker=-1,
-                        lm_calls=0,
-                        cache_hits=0,
                     )
                     continue
             admitted.append(index)
@@ -323,10 +320,7 @@ class TagServer:
                 index=index,
                 request=requests[index],
                 result=detached_copy(leader.result, requests[index]),
-                et_seconds=0.0,
                 worker=-2,
-                lm_calls=0,
-                cache_hits=0,
                 semantic="coalesced",
             )
         # Stores run sequentially in index order: cache contents after
@@ -358,35 +352,18 @@ class TagServer:
         the request's own virtual timeline — worker-count invariant
         like every other trace.
         """
-        outcome = hit.result
-        if self.tracer is not None:
-            with self.tracer.request(request, index) as root:
-                trace.leaf(
-                    "semcache.lookup",
-                    0.0,
-                    outcome="hit",
-                    via=hit.via,
-                    similarity=round(hit.similarity, 9),
-                    source=hit.source_request,
-                )
-            outcome.trace = root
-        return ServeResult(
-            index=index,
-            request=request,
-            result=outcome,
-            et_seconds=0.0,
-            worker=-2,
-            lm_calls=0,
-            cache_hits=0,
-            semantic=hit.via,
-        )
+        with trace.request(self.tracer, request, index) as scope:
+            trace.leaf(
+                "semcache.lookup",
+                0.0,
+                outcome="hit",
+                via=hit.via,
+                similarity=round(hit.similarity, 9),
+                source=hit.source_request,
+            )
+        return _served(scope, request, hit.result, -2, hit.via)
 
-    def _worker_lm(
-        self,
-        batching: BatchingLM,
-        session: Session,
-        clock: VirtualClock,
-    ):
+    def _worker_lm(self, batching: BatchingLM, clock: VirtualClock):
         """The LM a worker's pipeline talks to.
 
         The resilience wrapper is per worker: its circuit breaker runs
@@ -396,12 +373,7 @@ class TagServer:
         """
         if self.resilience is None:
             return batching
-        return ResilientLM(
-            batching,
-            self.resilience,
-            clock=clock,
-            session=session,
-        )
+        return ResilientLM(batching, self.resilience, clock=clock)
 
     def _run_worker(
         self,
@@ -418,7 +390,7 @@ class TagServer:
             with session:
                 try:
                     pipeline = self._factory(
-                        self._worker_lm(batching, session, clock)
+                        self._worker_lm(batching, clock)
                     )
                 except Exception as exc:  # noqa: BLE001 - fail requests, not the run
                     for index in indices:
@@ -430,62 +402,50 @@ class TagServer:
                                 request=requests[index],
                                 error=TAGError.from_exception(exc),
                             ),
-                            et_seconds=0.0,
                             worker=worker,
-                            lm_calls=0,
-                            cache_hits=0,
                         )
                     return
-                tracer = self.tracer
                 for index in indices:
-                    # Unlocked read of this session's meters: safe
-                    # because writes from the flushing thread happen
-                    # under the cv this worker re-acquired on wake-up
-                    # (a release->acquire edge the checker verifies).
-                    racecheck.read(f"Session.{session.order}.meters")
-                    seconds = session.consumed_seconds
-                    calls = session.lm_calls
-                    hits = session.cache_hits
-                    request_scope = (
-                        tracer.request(requests[index], index)
-                        if tracer is not None
-                        else None
-                    )
-                    try:
-                        if request_scope is not None:
-                            with request_scope as root:
-                                if self.semantic_cache is not None:
-                                    # Mirror of the hit leaf the serve
-                                    # thread emits: every traced
-                                    # request shows its lookup.
-                                    trace.leaf(
-                                        "semcache.lookup",
-                                        0.0,
-                                        outcome="miss",
-                                    )
-                                outcome = pipeline.run(requests[index])
-                                outcome.trace = root
-                        else:
-                            outcome = pipeline.run(requests[index])
-                    except Exception as exc:  # noqa: BLE001 - worker must survive
-                        outcome = TAGResult(
-                            request=requests[index],
-                            error=TAGError.from_exception(exc),
-                        )
-                    racecheck.read(f"Session.{session.order}.meters")
+                    request = requests[index]
+                    with trace.request(self.tracer, request, index) as scope:
+                        if self.semantic_cache is not None:
+                            # Mirror of the hit leaf the serve thread
+                            # emits: every traced request shows its
+                            # lookup.
+                            trace.leaf("semcache.lookup", 0.0, outcome="miss")
+                        try:
+                            outcome = pipeline.run(request)
+                        except Exception as exc:  # noqa: BLE001 - worker must survive
+                            outcome = TAGResult(
+                                request=request,
+                                error=TAGError.from_exception(exc),
+                            )
                     racecheck.write(f"serve.results.{index}")
-                    results[index] = ServeResult(
-                        index=index,
-                        request=requests[index],
-                        result=outcome,
-                        et_seconds=session.consumed_seconds - seconds,
-                        worker=worker,
-                        lm_calls=session.lm_calls - calls,
-                        cache_hits=session.cache_hits - hits,
-                    )
+                    results[index] = _served(scope, request, outcome, worker)
         except BaseException as exc:  # noqa: BLE001 - surfaced by serve()
             # The session context manager has already closed the
             # session (so no other worker deadlocks on the flush
             # barrier); record the failure for serve() to re-raise.
             racecheck.write("serve.fatal")
             fatal.append(exc)
+
+
+def _served(
+    scope: RequestScope,
+    request: str,
+    outcome: TAGResult,
+    worker: int,
+    semantic: str | None = None,
+) -> ServeResult:
+    """The served result of a request, charged what its scope counted."""
+    outcome.trace = scope.root
+    return ServeResult(
+        index=scope.index,
+        request=request,
+        result=outcome,
+        worker=worker,
+        et_seconds=scope.et_seconds,
+        lm_calls=scope.lm_calls,
+        cache_hits=scope.cache_hits,
+        semantic=semantic,
+    )

@@ -457,11 +457,9 @@ class TestRepositoryBaseline:
         not (REPO_ROOT / "src" / "repro").is_dir(),
         reason="repository layout not available",
     )
-    def test_the_meter_is_on_the_worker_shared_surface(self):
-        """Every holder's counters go through ``repro.obs.meter.Meter``
-        under its one lock; the closure reaches it from ``Database``
-        (a bare ``"Meter"`` root would also claim the CONC201 fixture
-        class of that name above)."""
+    def test_usage_is_on_the_worker_shared_surface(self):
+        """Every counter is written by ``Usage.add`` under its one
+        lock; the closure reaches ``Usage`` from the serving stack."""
         report = analyze_tree(REPO_ROOT)
-        assert "Meter (src/repro/obs/meter.py)" in report.shared_classes
+        assert "Usage (src/repro/lm/usage.py)" in report.shared_classes
         assert not report.suppressed

@@ -146,11 +146,6 @@ class TestSimulatedLM:
         with pytest.raises(PromptRoutingError):
             lm.complete("complete gibberish with no recognised header")
 
-    def test_reset_usage(self, lm):
-        lm.complete(judgment_prompt("Napa is a city in the Bay Area region"))
-        lm.reset_usage()
-        assert lm.usage.calls == 0
-
     def test_usage_snapshot_since(self, lm):
         before = lm.usage.snapshot()
         lm.complete(judgment_prompt("Napa is a city in the Bay Area region"))

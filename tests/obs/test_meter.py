@@ -1,8 +1,8 @@
 """Every metered counter, driven through the layer that emits it.
 
 A counter such as ``udf_cache_hits`` is a field of a bound
-:class:`~repro.lm.usage.Usage` that only
-:class:`~repro.obs.meter.Meter` writes.  Each case below binds a fresh
+:class:`~repro.lm.usage.Usage` that only :meth:`Usage.add
+<repro.lm.usage.Usage.add>` writes.  Each case below binds a fresh
 ``Usage``, runs one piece of the system, and pins every metered field
 exactly — so an event that did not happen counts nothing.
 """
@@ -10,6 +10,7 @@ exactly — so an event that did not happen counts nothing.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from repro.serve.resilience import (
 )
 from repro.serve.semantic import SemanticResultCache
 
-#: The Usage fields the meter writes.
+#: The Usage fields the layers above the model write.
 METERED = (
     "udf_cache_hits",
     "udf_cache_misses",
@@ -486,27 +487,32 @@ def test_no_count_is_lost_under_contention(threads, each, databases):
 # -- the seam ----------------------------------------------------------------
 
 
-def test_the_table_is_the_pinned_one():
-    from repro.obs.meter import METRIC_NAMES
+def test_usage_add_refuses_what_it_does_not_know():
+    usage = Usage()
+    with pytest.raises(KeyError):
+        usage.add(lm_calls=1)
+    with pytest.raises(KeyError):
+        usage.add(udf_cache_hits=5, no_such_counter=0)
+    assert usage == Usage()  # refused before anything was counted
 
-    assert METRIC_NAMES == set(METERED)
 
-
-def test_meter_refuses_what_it_does_not_know():
-    from repro.obs.meter import Meter
+def test_adding_zero_changes_nothing():
+    """A zero amount is not even a write: no lock, no checker event."""
+    from repro.obs import racecheck
+    from repro.obs.racecheck import RaceChecker
 
     usage = Usage()
-    meter = Meter(usage)
-    with pytest.raises(KeyError):
-        meter.add("lm_calls", 1)
-    with pytest.raises(KeyError):
-        meter.add("no_such_counter", 0)
-    meter.add("udf_cache_hits", 0)
-    Meter().add("udf_cache_hits", 5)  # no Usage bound: nothing to do
+    checker = RaceChecker()
+    with racecheck.checking(checker):
+        usage.add(udf_cache_hits=0, simulated_seconds=0.0)
+        usage.add()
     assert usage == Usage()
+    assert checker.report().events == 0
 
 
 def _stored_attributes(node: ast.AST):
+    """Attributes stored through an object other than ``self`` (a
+    class's own ``self.calls`` is its attribute, not a Usage's)."""
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -515,21 +521,25 @@ def _stored_attributes(node: ast.AST):
         return
     for target in targets:
         for part in ast.walk(target):
-            if isinstance(part, ast.Attribute):
+            if isinstance(part, ast.Attribute) and not (
+                isinstance(part.value, ast.Name) and part.value.id == "self"
+            ):
                 yield part.attr
 
 
-def test_only_the_meter_writes_a_metered_counter():
-    """Adding a counter is a Usage field, a name in the table and the
-    call that emits it: no other module stores to an attribute named
-    after a table field or ``setattr``s one."""
-    from repro.obs import meter
+def test_only_usage_add_writes_a_counter():
+    """Adding a counter is a Usage field and the ``add`` call that
+    emits it: outside ``lm/usage.py`` no module stores to a field of
+    any of the 25 through an object (``lm.usage.calls += 1``) or
+    ``setattr``s one."""
+    from repro.lm import usage as module
 
-    fields = meter.METRIC_NAMES
-    source = Path(meter.__file__).parents[1]
+    fields = {field.name for field in dataclasses.fields(Usage)}
+    assert len(fields) == 25
+    source = Path(module.__file__).parents[1]
     offenders = []
     for path in sorted(source.rglob("*.py")):
-        if path == Path(meter.__file__):
+        if path == Path(module.__file__):
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             found = [

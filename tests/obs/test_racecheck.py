@@ -143,7 +143,8 @@ class TestHappensBefore:
         # Thread A publishes under a lock; after A is done, thread B
         # takes the lock once and then reads *outside* it.  The
         # release->acquire edge makes the unlocked read safe — the
-        # pattern the server uses for session.consumed_seconds.
+        # pattern a worker relies on when it reads the responses the
+        # flushing thread delivered.
         checker = RaceChecker()
         with racecheck.checking(checker):
             lock = threading.Lock()

@@ -216,8 +216,6 @@ class TestFacadeInterface:
         facade.complete(PROMPT_POOL[0])
         assert facade.usage is inner.usage
         assert inner.usage.calls == 1
-        facade.reset_usage()
-        assert inner.usage.calls == 0
 
 
 class TestErrorIsolation:

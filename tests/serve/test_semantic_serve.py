@@ -300,7 +300,7 @@ class TestPinnedCachedServe:
     #: makespan of the warm run, warm-run LM batches).
     EXPECTED = {
         1: (
-            "047c34159f398298b6b1f7eb77c8412aae2757d56ad6068d9f3adf38ec8a60cb",
+            "b69505a79bd27a92c50179a1fc5b67ca8de17f0e1eb65d8db9382f6944f9bca9",
             [0, 0, -2, 0, -2, 0] + [-2] * 6,
             5.1599,
             4,

@@ -90,6 +90,22 @@ class TestTagServer:
             report.usage.simulated_seconds
         )
 
+    def test_identical_requests_are_charged_identical_et(
+        self, movie_dataset
+    ):
+        """Three rounds of three identical-shape requests: every
+        request is charged the same seconds, bit for bit.  ET is the
+        sum of the request's own charges, not a difference of its
+        worker's running totals, so no rounding differs by round."""
+        server = TagServer(
+            demo.pipeline_factory(movie_dataset),
+            SimulatedLM(LMConfig(seed=0)),
+            workers=3,
+            window=3,
+        )
+        report = server.serve(demo.requests(9))
+        assert len({r.et_seconds for r in report.results}) == 1
+
     def test_batching_beats_single_worker(self, movie_dataset):
         def run(workers, window):
             server = TagServer(
