@@ -183,10 +183,11 @@ class SelfCorrectingPipeline(TAGPipeline):
         self, request: str, result: TAGResult, error: DatabaseError
     ) -> list[dict[str, Any]]:
         attempts = [self._failed_attempt(0, result.query, error)]
+        usage = getattr(self.lm, "usage", None)
         result.repairs = attempts
         for attempt in range(1, self.policy.max_repairs + 1):
             failed = attempts[-1]
-            self._meter("repair_attempts")
+            trace.count(usage, repair_attempts=1)
             with trace.span(
                 "repair", attempt=attempt, kind=failed.error.kind
             ):
@@ -206,10 +207,10 @@ class SelfCorrectingPipeline(TAGPipeline):
                     )
                     continue
                 attempts.append(RepairAttempt(attempt=attempt, sql=sql))
-                self._meter("repair_successes")
+                trace.count(usage, repair_successes=1)
                 trace.event("repair.succeeded", attempt=attempt)
                 return table
-        self._meter("repair_exhausted")
+        trace.count(usage, repair_exhausted=1)
         raise RepairExhaustedError(attempts) from error
 
     def _resynthesize(
@@ -237,7 +238,3 @@ class SelfCorrectingPipeline(TAGPipeline):
             diagnostics=describe_failure(error),
         )
 
-    def _meter(self, counter: str) -> None:
-        usage = getattr(self.lm, "usage", None)
-        if usage is not None:
-            usage.add(**{counter: 1})

@@ -30,6 +30,7 @@ from repro.errors import (
     PlanningError,
     SchemaError,
 )
+from repro.obs import trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lm.usage import Usage
@@ -233,20 +234,13 @@ class Database:
         UDF-cache and cascade traffic, optimizer decisions and
         ``max_rows`` drops are added to it.  The batched operators'
         per-node ``exec_stats`` stay the canonical per-operator
-        numbers; these are the same increments.
+        numbers; these are the same increments.  Optimizer decisions
+        are plan-time events: every planned statement (execute,
+        EXPLAIN, EXPLAIN ANALYZE) counts them once, deterministic for a
+        fixed query and catalog; which rules they are is the EXPLAIN
+        footer's to say.
         """
         self._usage = usage
-
-    def _count(self, **amounts: int) -> None:
-        """Add to the bound Usage, if any.
-
-        Optimizer decisions are plan-time events: every planned
-        statement (execute, EXPLAIN, EXPLAIN ANALYZE) counts them once,
-        deterministic for a fixed query and catalog; which rules they
-        are is the EXPLAIN footer's to say.
-        """
-        if self._usage is not None:
-            self._usage.add(**amounts)
 
     def _planner(
         self,
@@ -466,9 +460,10 @@ class Database:
                 )
         rows = list(plan.execute())
         if report is not None:
-            self._count(optimizer_decisions=len(report.decisions))
+            decisions = len(report.decisions)
+            trace.count(self._usage, optimizer_decisions=decisions)
         if max_rows is not None and len(rows) > max_rows:
-            self._count(rows_truncated=len(rows) - max_rows)
+            trace.count(self._usage, rows_truncated=len(rows) - max_rows)
             rows = rows[:max_rows]
         # Only a statement that has succeeded is kept.
         if entry is not stored:
@@ -534,11 +529,12 @@ class Database:
         proxy, stats = instrument_plan(plan)
         rows = list(proxy.execute())
         if optimizer is not None:
-            self._count(optimizer_decisions=len(optimizer.report.decisions))
+            decisions = len(optimizer.report.decisions)
+            trace.count(self._usage, optimizer_decisions=decisions)
         truncated = None
         if max_rows is not None and len(rows) > max_rows:
             truncated = (max_rows, len(rows))
-            self._count(rows_truncated=len(rows) - max_rows)
+            trace.count(self._usage, rows_truncated=len(rows) - max_rows)
             rows = rows[:max_rows]
         return AnalyzedQuery(
             stats=stats,
@@ -571,7 +567,8 @@ class Database:
         plan, _ = planner.plan_select(statement)
         rendered = plan.explain()
         if optimizer is not None:
-            self._count(optimizer_decisions=len(optimizer.report.decisions))
+            decisions = len(optimizer.report.decisions)
+            trace.count(self._usage, optimizer_decisions=decisions)
             if optimizer.report.decisions:
                 rendered += "\n" + optimizer.report.render()
         return rendered

@@ -33,7 +33,7 @@ from repro.db.stmtcache import LRUCache
 from repro.db.table import Table
 from repro.db.types import SQLValue, sort_key
 from repro.errors import ExecutionError
-from repro.obs import racecheck
+from repro.obs import racecheck, trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lm.usage import Usage
@@ -300,8 +300,7 @@ class UDFExecContext:
         if amount == 0:
             return
         stats[key] = stats.get(key, 0) + amount
-        if self.usage is not None:
-            self.usage.add(**{key: amount})
+        trace.count(self.usage, **{key: amount})
 
     def lookup(
         self, site_id: tuple, key: MemoKey, tag: int | None

@@ -11,7 +11,8 @@ guarantees:
   scope is open for every served request, traced or not: the
   request's ET, LM calls and cache hits are charged to it on its own
   thread (the run-wide counters are ``Usage`` fields, which only
-  :meth:`repro.lm.usage.Usage.add` writes);
+  :meth:`repro.lm.usage.Usage.add` writes; a holder that may be bound
+  to no ``Usage`` adds through :func:`~repro.obs.trace.count`);
 - :mod:`repro.obs.racecheck` — an Eraser-style lockset + vector-clock
   dynamic race checker behind zero-cost-when-disabled hooks, the
   runtime half of the concurrency analyzer

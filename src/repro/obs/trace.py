@@ -43,8 +43,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.obs import racecheck
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lm.usage import Usage
 
 
 @dataclass
@@ -272,6 +276,14 @@ def scope() -> RequestScope | None:
     (a benchmark, a shard thread, a transient session): nothing is
     charged there."""
     return getattr(_LOCAL, "scope", None)
+
+
+def count(usage: "Usage | None", **amounts: float) -> None:
+    """Add to the Usage a holder is bound to; a holder bound to none
+    (None: an unbound database or semantic cache, a model without
+    ``usage``) counts nowhere.  The one place that case is handled."""
+    if usage is not None:
+        usage.add(**amounts)
 
 
 class Tracer:

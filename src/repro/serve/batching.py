@@ -474,7 +474,10 @@ class BatchingLM:
                     item.followers.remove(first)
                     first.followers = [item, *item.followers]
                     item.followers = []
+                    # ``retry`` goes with ``via``: it only decides
+                    # whether the item's hit was counted in Usage.
                     first.via, item.via = item.via, first.via
+                    first.retry, item.retry = item.retry, first.retry
                     item = first
             batch.append(item)
         batch.sort(key=_schedule_order)

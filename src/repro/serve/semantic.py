@@ -53,7 +53,7 @@ from repro.core.tag import TAGResult
 from repro.db.stmtcache import LRUCache
 from repro.embed import HashingEmbedder
 from repro.lm.usage import Usage
-from repro.obs import racecheck
+from repro.obs import racecheck, trace
 from repro.text.tokenize import STOPWORDS, tokens
 from repro.vector import FlatIndex
 
@@ -264,12 +264,6 @@ class SemanticResultCache:
             racecheck.read("SemanticResultCache._entries")
             return len(self._entries)
 
-    # -- metering (the one seam; lock held) ---------------------------
-
-    def _meter(self, **amounts: int) -> None:
-        if self.usage is not None:
-            self.usage.add(**amounts)
-
     # -- lookup / store -----------------------------------------------
 
     def key_for(self, request: str) -> str | None:
@@ -298,7 +292,7 @@ class SemanticResultCache:
         resolution time).
         """
         with racecheck.guard("SemanticResultCache._lock", self._lock):
-            self._meter(semcache_hits=1)
+            trace.count(self.usage, semcache_hits=1)
 
     def lookup(self, request: str) -> SemanticHit | None:
         """Serve ``request`` from the cache, or meter a miss.
@@ -315,11 +309,11 @@ class SemanticResultCache:
         if self.capacity == 0 or canonical.degenerate:
             # The single disabled/uncacheable metering point: one miss
             # per lookup, nothing metered again at store time.
-            self._meter(semcache_misses=1)
+            trace.count(self.usage, semcache_misses=1)
             return None
         entry = self._entries.get(canonical.text)
         if entry is not None:
-            self._meter(semcache_hits=1)
+            trace.count(self.usage, semcache_hits=1)
             return SemanticHit(
                 result=detached_copy(entry.result, canonical.raw),
                 via="exact",
@@ -340,14 +334,14 @@ class SemanticResultCache:
             entry = self._entries.get(live)
             if entry is None:
                 continue
-            self._meter(semcache_near_hits=1)
+            trace.count(self.usage, semcache_near_hits=1)
             return SemanticHit(
                 result=detached_copy(entry.result, canonical.raw),
                 via="near",
                 similarity=float(score),
                 source_request=entry.request,
             )
-        self._meter(semcache_misses=1)
+        trace.count(self.usage, semcache_misses=1)
         return None
 
     def store(self, request: str, result: TAGResult) -> bool:
@@ -401,7 +395,7 @@ class SemanticResultCache:
             for entry in doomed.values():
                 self._rows[entry.row] = None
             if doomed:
-                self._meter(semcache_invalidations=len(doomed))
+                trace.count(self.usage, semcache_invalidations=len(doomed))
             return len(doomed)
 
     def stats(self) -> dict[str, int]:

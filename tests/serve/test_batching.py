@@ -17,9 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ContextLengthError, PromptRoutingError
-from repro.lm import LMConfig, SimulatedLM, prompts
-from repro.obs import Tracer
+from repro.errors import (
+    ContextLengthError,
+    PromptRoutingError,
+    TransientLMError,
+)
+from repro.lm import FaultPlan, FaultyLM, LMConfig, SimulatedLM, prompts
+from repro.obs import Tracer, trace
 from repro.serve import BatchingLM, VirtualClock
 
 CONDITIONS = [
@@ -358,6 +362,36 @@ class TestPromptCache:
             for _, root in tracer.roots
         ]
         assert vias == [["miss"], ["coalesced"]]
+
+    def test_a_retried_leader_leaves_the_hit_with_its_follower(self):
+        """Session 1 re-submits a prompt that errored (a retry, so no
+        miss is counted) and session 0 rides it (a hit is counted).
+        After the flush hands the call to session 0, the two requests'
+        charged hits still add up to what Usage counted."""
+        faulty = FaultyLM(fresh_lm(), FaultPlan(script=("transient",)))
+        facade = BatchingLM(faulty, cache_size=8)
+        with pytest.raises(TransientLMError):
+            facade.complete(PROMPT_POOL[0])
+        early, late = facade.open_session(0), facade.open_session(1)
+        scopes = {}
+
+        def submit_retry():
+            with late, trace.request(None, "late", 1) as scope:
+                facade.complete(PROMPT_POOL[0])
+            scopes["late"] = scope
+
+        thread = threading.Thread(target=submit_retry)
+        thread.start()
+        while not late.waiting:
+            time.sleep(0.001)
+        with early, trace.request(None, "early", 0) as scope:
+            facade.complete(PROMPT_POOL[0])
+        scopes["early"] = scope
+        thread.join()
+        assert facade.usage.cache_hits == 1
+        assert facade.usage.cache_misses == 1
+        assert (scopes["early"].lm_calls, scopes["early"].cache_hits) == (1, 0)
+        assert (scopes["late"].lm_calls, scopes["late"].cache_hits) == (0, 1)
 
     def test_disabled_cache_meters_nothing(self):
         inner = fresh_lm()
