@@ -1076,16 +1076,18 @@ class Limit(PlanNode):
         self.layout = child.layout
 
     def execute(self) -> Iterator[Row]:
-        produced = 0
-        skipped = 0
-        for row in self.child.execute():
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            if self.limit is not None and produced >= self.limit:
-                return
-            produced += 1
-            yield row
+        rows = self.child.execute()
+        offset = max(self.offset, 0)
+        if self.limit == 0:
+            # One read past the offset still starts the child, so a
+            # Sort below evaluates every input row and raises what the
+            # full statement would.
+            next(islice(rows, offset, None), None)
+            return
+        stop = None if self.limit is None else offset + self.limit
+        # Reading stops at the last row kept: a row past it would run
+        # the operators below (and their UDF or LM calls) for nothing.
+        yield from islice(rows, offset, stop)
 
     def _describe(self) -> str:
         return f"Limit({self.limit}, offset={self.offset})"

@@ -23,10 +23,10 @@ Limit(5, offset=0)
       IndexRange(orders AS orders, id >= 10 AND id <= 30, key order)"""
 
 RANGE_ANALYZED = """\
-Limit(5, offset=0) [rows_in=6 rows_out=5 vtime=0.000111s]
-  Project(id, amount) [rows_in=6 rows_out=6 vtime=0.000112s]
-    Filter(where) [rows_in=7 rows_out=6 vtime=0.000113s]
-      IndexRange(orders AS orders, id >= 10 AND id <= 30, key order) [rows_in=0 rows_out=7 vtime=0.000107s]"""
+Limit(5, offset=0) [rows_in=5 rows_out=5 vtime=0.000110s]
+  Project(id, amount) [rows_in=5 rows_out=5 vtime=0.000110s]
+    Filter(where) [rows_in=6 rows_out=5 vtime=0.000111s]
+      IndexRange(orders AS orders, id >= 10 AND id <= 30, key order) [rows_in=0 rows_out=6 vtime=0.000106s]"""
 
 JOIN_SQL = (
     "SELECT o.id, o.amount, c.name FROM orders o "
