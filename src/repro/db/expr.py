@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Callable, Iterable
+from itertools import compress, repeat
 from typing import TYPE_CHECKING
 
 from repro.db import types as dbtypes
@@ -135,21 +136,12 @@ class ExpressionCompiler:
         raise PlanningError(f"unknown binary operator {node.op!r}")
 
     def _compile_comparison(self, node: ast.BinaryOp) -> Evaluator:
-        for ref, literal, op in (
-            (node.left, node.right, node.op),
-            (node.right, node.left, FLIPPED.get(node.op, node.op)),
-        ):
-            if (
-                isinstance(ref, ast.ColumnRef)
-                and isinstance(literal, ast.Literal)
-                and type(literal.value) in _RAW_COMPARABLE
-                and literal.value == literal.value  # not NaN
-            ):
-                return _column_comparison(
-                    op,
-                    self._layout.resolve(ref.name, ref.table),
-                    literal.value,
-                )
+        found = _column_literal(node)
+        if found is not None:
+            ref, op, literal = found
+            return _column_comparison(
+                op, self._layout.resolve(ref.name, ref.table), literal
+            )
         return _comparison(
             node.op, self.compile(node.left), self.compile(node.right)
         )
@@ -264,20 +256,8 @@ class ExpressionCompiler:
 
     def _compile_inlist(self, node: ast.InList) -> Evaluator:
         ref, negated = node.operand, node.negated
-        literals = [
-            item.value for item in node.items if isinstance(item, ast.Literal)
-        ]
-        family = _RAW_COMPARABLE.get(type(literals[0])) if literals else None
-        if (
-            isinstance(ref, ast.ColumnRef)
-            and family is not None
-            and len(literals) == len(node.items)
-            and all(
-                _RAW_COMPARABLE.get(type(value)) == family
-                and value == value  # not NaN
-                for value in literals
-            )
-        ):
+        literals = _literal_items(node)
+        if literals is not None:
             return _column_in(
                 self._layout.resolve(ref.name, ref.table), literals, negated
             )
@@ -291,16 +271,7 @@ class ExpressionCompiler:
         self, node: ast.BetweenExpression
     ) -> Evaluator:
         ref, lower, upper = node.operand, node.lower, node.upper
-        if (
-            isinstance(ref, ast.ColumnRef)
-            and isinstance(lower, ast.Literal)
-            and isinstance(upper, ast.Literal)
-            and type(lower.value) in _RAW_COMPARABLE
-            and _RAW_COMPARABLE[type(lower.value)]
-            == _RAW_COMPARABLE.get(type(upper.value))
-            and lower.value == lower.value  # not NaN
-            and upper.value == upper.value
-        ):
+        if _literal_bounds(node):
             return _column_between(
                 self._layout.resolve(ref.name, ref.table),
                 lower.value,
@@ -777,6 +748,63 @@ def _column_in(
     return evaluate
 
 
+def _column_literal(
+    node: ast.BinaryOp,
+) -> tuple[ast.ColumnRef, str, SQLValue] | None:
+    """``column <op> literal``, either way round, as ``(column, op as
+    read from the column, literal)`` when the literal orders as it is
+    against its family (not NaN, not ``bool``); else None."""
+    for ref, literal, op in (
+        (node.left, node.right, node.op),
+        (node.right, node.left, FLIPPED.get(node.op, node.op)),
+    ):
+        if (
+            isinstance(ref, ast.ColumnRef)
+            and isinstance(literal, ast.Literal)
+            and type(literal.value) in _RAW_COMPARABLE
+            and literal.value == literal.value  # not NaN
+        ):
+            return ref, op, literal.value
+    return None
+
+
+def _literal_bounds(node: ast.BetweenExpression) -> bool:
+    """Whether ``node`` is ``column BETWEEN`` two non-NaN literals of
+    one family."""
+    lower, upper = node.lower, node.upper
+    return (
+        isinstance(node.operand, ast.ColumnRef)
+        and isinstance(lower, ast.Literal)
+        and isinstance(upper, ast.Literal)
+        and type(lower.value) in _RAW_COMPARABLE
+        and _RAW_COMPARABLE[type(lower.value)]
+        == _RAW_COMPARABLE.get(type(upper.value))
+        and lower.value == lower.value  # not NaN
+        and upper.value == upper.value
+    )
+
+
+def _literal_items(node: ast.InList) -> list[SQLValue] | None:
+    """The items of ``column IN (...)`` when all are non-NaN literals
+    of one family; else None."""
+    literals = [
+        item.value for item in node.items if isinstance(item, ast.Literal)
+    ]
+    family = _RAW_COMPARABLE.get(type(literals[0])) if literals else None
+    if (
+        isinstance(node.operand, ast.ColumnRef)
+        and family is not None
+        and len(literals) == len(node.items)
+        and all(
+            _RAW_COMPARABLE.get(type(value)) == family
+            and value == value  # not NaN
+            for value in literals
+        )
+    ):
+        return literals
+    return None
+
+
 def _in_values(
     subject: SQLValue, values: Iterable[SQLValue], negated: bool
 ) -> SQLValue:
@@ -808,6 +836,161 @@ def _between(
     if above is None or below is None:
         return None
     return not negated
+
+
+# ---------------------------------------------------------------------------
+# Literal filters, a morsel at a time
+# ---------------------------------------------------------------------------
+
+_NULL = type(None)
+
+#: A literal conjunct over a morsel of rows: the rows it keeps, or None
+#: when its column holds a value it cannot test as it is.
+MorselTest = Callable[[list[Row]], "list[Row] | None"]
+
+
+def morsel_tests(
+    conjuncts: list[ast.Expression], layout: RowLayout
+) -> list[MorselTest] | None:
+    """Column-at-a-time tests for the AND of ``conjuncts``, one per
+    conjunct in order (ANDs flattened), or None unless every one is a
+    literal test: ``column <op> literal``, ``column [NOT] BETWEEN`` or
+    ``[NOT] IN`` over literals (the shapes the compiler reads and tests
+    in one step), or ``column [NOT] LIKE 'pattern'``.
+
+    Each test reads its column off the morsel, asks once whether every
+    value is of the literal's family as it is (and, where the operator
+    would see it, no NaN, which ``compare`` calls a tie), and if so
+    keeps the rows with ``compress`` over ``map`` of the operator.  The
+    rows it keeps are the rows the compiled conjunct is truthy for; a
+    column that does not qualify answers None, and the caller tests
+    that morsel with the compiled predicate instead.
+    """
+    tests: list[MorselTest] = []
+    pending = list(reversed(conjuncts))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.BinaryOp) and node.op == "AND":
+            pending += [node.right, node.left]
+            continue
+        test = _morsel_test(node, layout)
+        if test is None:
+            return None
+        tests.append(test)
+    return tests
+
+
+def _morsel_test(
+    node: ast.Expression, layout: RowLayout
+) -> MorselTest | None:
+    def column_of(ref: ast.ColumnRef) -> Callable[[Row], SQLValue]:
+        return operator.itemgetter(layout.resolve(ref.name, ref.table))
+
+    if isinstance(node, ast.BinaryOp) and node.op in _COMPARISONS:
+        found = _column_literal(node)
+        if found is not None:
+            ref, op, literal = found
+            # NaN against a number is a tie to ``compare``: it decides
+            # =, <>, <= and >=, but < and > are false either way.
+            return _keep_where(
+                column_of(ref),
+                _RAW_COMPARABLE[type(literal)],
+                op not in ("<", ">"),
+                _against(_COMPARISONS[op], literal),
+            )
+    elif isinstance(node, ast.BetweenExpression) and _literal_bounds(node):
+        low, high = node.lower.value, node.upper.value  # type: ignore[union-attr]
+        if node.negated:
+
+            def between(column: list[SQLValue]) -> Iterable[object]:
+                return map(
+                    operator.or_,
+                    map(operator.lt, column, repeat(low)),
+                    map(operator.gt, column, repeat(high)),
+                )
+
+        else:
+
+            def between(column: list[SQLValue]) -> Iterable[object]:
+                return map(
+                    operator.and_,
+                    map(operator.le, repeat(low), column),
+                    map(operator.le, column, repeat(high)),
+                )
+
+        return _keep_where(
+            column_of(node.operand),  # type: ignore[arg-type]
+            _RAW_COMPARABLE[type(low)],
+            True,
+            between,
+        )
+    elif isinstance(node, ast.InList):
+        literals = _literal_items(node)
+        if literals is not None:
+            contains = frozenset(literals).__contains__
+            return _keep_where(
+                column_of(node.operand),  # type: ignore[arg-type]
+                _RAW_COMPARABLE[type(literals[0])],
+                True,
+                _negatable(lambda column: map(contains, column), node.negated),
+            )
+    elif (
+        isinstance(node, ast.LikeExpression)
+        and isinstance(node.operand, ast.ColumnRef)
+        and isinstance(node.pattern, ast.Literal)
+        and node.pattern.value is not None
+    ):
+        match = _like_to_regex(str(node.pattern.value)).match
+        return _keep_where(
+            column_of(node.operand),
+            (str,),
+            False,
+            _negatable(lambda column: map(match, column), node.negated),
+        )
+    return None
+
+
+def _against(
+    test: Callable[[SQLValue, SQLValue], bool], literal: SQLValue
+) -> Callable[[list[SQLValue]], Iterable[bool]]:
+    return lambda column: map(test, column, repeat(literal))
+
+
+def _negatable(
+    flags: Callable[[list[SQLValue]], Iterable[object]], negated: bool
+) -> Callable[[list[SQLValue]], Iterable[object]]:
+    if not negated:
+        return flags
+    return lambda column: map(operator.not_, flags(column))
+
+
+def _keep_where(
+    read: Callable[[Row], SQLValue],
+    family: tuple[type, ...],
+    nan_decides: bool,
+    flags: Callable[[list[SQLValue]], Iterable[object]],
+) -> MorselTest:
+    """The morsel test keeping the rows whose ``flags`` are truthy, when
+    every value read is NULL (never kept: each of these tests is NULL
+    there) or of ``family`` (and, if ``nan_decides``, none is NaN)."""
+
+    def keep(rows: list[Row]) -> list[Row] | None:
+        column = list(map(read, rows))
+        kinds = set(map(type, column))
+        if _NULL in kinds:
+            kinds.discard(_NULL)
+            present = list(map(operator.is_not, column, repeat(None)))
+            rows = list(compress(rows, present))
+            column = list(compress(column, present))
+        if not kinds.issubset(family) or (
+            nan_decides
+            and float in kinds
+            and any(map(operator.ne, column, column))
+        ):
+            return None
+        return list(compress(rows, flags(column)))
+
+    return keep
 
 
 def _like_to_regex(pattern: str) -> re.Pattern[str]:

@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Any
 
 from repro.db.sql import ast
-from repro.db.types import SQLValue, compare, sort_key
+from repro.db.types import NUMBERS, TEXT, SQLValue, compare, sort_key
 from repro.errors import ExecutionError
 
 ScalarFunction = Callable[..., SQLValue]
@@ -30,10 +32,18 @@ BatchFunction = Callable[[Sequence[tuple[SQLValue, ...]]], Sequence[SQLValue]]
 
 @dataclass
 class AggregateSpec:
-    """An aggregate as an initial state + fold + finalizer triple."""
+    """An aggregate as an initial state + fold + finalizer triple.
+
+    ``fold(state, values)`` folds a list of argument values -- one per
+    row of a group's share of a morsel, in row order, NULLs included --
+    into the state and returns the new state.  It decides each type
+    question once per list where it can, and must fold exactly as one
+    value at a time would: same result, same float bits, and on a bad
+    value the error the first bad value raises.
+    """
 
     make_state: Callable[[], Any]
-    step: Callable[[Any, SQLValue], Any]
+    fold: Callable[[Any, list[SQLValue]], Any]
     finish: Callable[[Any], SQLValue]
 
 
@@ -278,75 +288,109 @@ def _register_builtin_scalars(registry: FunctionRegistry) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _count_spec() -> AggregateSpec:
-    def step(state: int, value: SQLValue) -> int:
-        return state + (0 if value is None else 1)
+def _present(values: list[SQLValue]) -> list[SQLValue]:
+    return [value for value in values if value is not None]
 
-    return AggregateSpec(lambda: 0, step, lambda state: state)
+
+def _count(state: int, values: list[SQLValue]) -> int:
+    return state + len(values) - values.count(None)
+
+
+def _count_rows(state: int, rows: list) -> int:
+    return state + len(rows)
+
+
+#: COUNT, and COUNT(*), whose fold is handed the rows themselves.
+COUNT = AggregateSpec(lambda: 0, _count, lambda state: state)
+COUNT_ROWS = AggregateSpec(lambda: 0, _count_rows, lambda state: state)
 
 
 def _sum_spec(empty_result: SQLValue) -> AggregateSpec:
-    def step(state: SQLValue, value: SQLValue) -> SQLValue:
-        if value is None:
+    def fold(state: SQLValue, values: list[SQLValue]) -> SQLValue:
+        present = _present(values)
+        if not NUMBERS.issuperset(map(type, present)):
+            for value in present:
+                if not isinstance(value, (int, float)) or isinstance(
+                    value, bool
+                ):
+                    raise ExecutionError(
+                        f"SUM over non-numeric value {value!r}"
+                    )
+        if not present:
             return state
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ExecutionError(f"SUM over non-numeric value {value!r}")
-        return value if state is None else state + value
+        # Left to right, one ``+`` at a time, as a row loop adds.
+        if state is None:
+            return reduce(add, present)
+        return reduce(add, present, state)
 
     def finish(state: SQLValue) -> SQLValue:
         return empty_result if state is None else state
 
-    return AggregateSpec(lambda: None, step, finish)
+    return AggregateSpec(lambda: None, fold, finish)
 
 
 def _avg_spec() -> AggregateSpec:
-    def step(
-        state: tuple[float, int], value: SQLValue
+    def fold(
+        state: tuple[float, int], values: list[SQLValue]
     ) -> tuple[float, int]:
-        if value is None:
-            return state
         total, count = state
-        try:
-            return total + float(value), count + 1
-        except (TypeError, ValueError):
-            raise ExecutionError(
-                f"AVG over non-numeric value {value!r}"
-            ) from None
+        present = _present(values)
+        if NUMBERS.issuperset(map(type, present)):
+            total = reduce(add, map(float, present), total)
+        else:
+            for value in present:
+                try:
+                    total = total + float(value)
+                except (TypeError, ValueError):
+                    raise ExecutionError(
+                        f"AVG over non-numeric value {value!r}"
+                    ) from None
+        return total, count + len(present)
 
     def finish(state: tuple[float, int]) -> SQLValue:
         total, count = state
         return None if count == 0 else total / count
 
-    return AggregateSpec(lambda: (0.0, 0), step, finish)
+    return AggregateSpec(lambda: (0.0, 0), fold, finish)
 
 
 def _minmax_spec(pick_max: bool) -> AggregateSpec:
     wanted = 1 if pick_max else -1
+    pick = max if pick_max else min
 
-    def step(state: SQLValue, value: SQLValue) -> SQLValue:
-        if value is None:
+    def fold(state: SQLValue, values: list[SQLValue]) -> SQLValue:
+        present = _present(values)
+        if not present:
             return state
-        if state is None:
-            return value
-        return value if compare(value, state) == wanted else state
+        kinds = set(map(type, present))
+        if state is not None:
+            kinds.add(type(state))
+        if kinds <= NUMBERS or kinds == TEXT:
+            # One family orders as it is, exactly as ``compare`` would
+            # (NaN included), and ``min``/``max`` keep the earliest of
+            # equals, as the row loop does.
+            return pick(present) if state is None else pick(state, *present)
+        for value in present:
+            if state is None or compare(value, state) == wanted:
+                state = value
+        return state
 
-    return AggregateSpec(lambda: None, step, lambda state: state)
+    return AggregateSpec(lambda: None, fold, lambda state: state)
 
 
 def _group_concat_spec() -> AggregateSpec:
-    def step(state: list[str], value: SQLValue) -> list[str]:
-        if value is not None:
-            state.append(str(value))
+    def fold(state: list[str], values: list[SQLValue]) -> list[str]:
+        state.extend([str(value) for value in values if value is not None])
         return state
 
     def finish(state: list[str]) -> SQLValue:
         return None if not state else ",".join(state)
 
-    return AggregateSpec(list, step, finish)
+    return AggregateSpec(list, fold, finish)
 
 
 def _register_builtin_aggregates(registry: FunctionRegistry) -> None:
-    registry.register_aggregate("COUNT", _count_spec())
+    registry.register_aggregate("COUNT", COUNT)
     registry.register_aggregate("SUM", _sum_spec(empty_result=None))
     registry.register_aggregate("TOTAL", _sum_spec(empty_result=0.0))
     registry.register_aggregate("AVG", _avg_spec())

@@ -13,12 +13,20 @@ import threading
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
-from itertools import chain, count, islice, tee
-from operator import itemgetter
+from heapq import _heapify_max, _heapreplace_max
+from itertools import chain, islice
+from operator import itemgetter, ne, neg
 from typing import TYPE_CHECKING, Protocol
 
-from repro.db.expr import Evaluator, MemoKey, UDFCallError, UDFCallSite
-from repro.db.functions import AggregateSpec
+from repro.db.expr import (
+    Evaluator,
+    MemoKey,
+    MorselTest,
+    UDFCallError,
+    UDFCallSite,
+    morsel_tests,
+)
+from repro.db.functions import COUNT, COUNT_ROWS, AggregateSpec
 from repro.db.result import Row, RowLayout
 from repro.db.shard import (
     PartitionSpec,
@@ -29,9 +37,10 @@ from repro.db.shard import (
     merge_cache_events,
     next_shard_thread_name,
 )
+from repro.db.sql import ast
 from repro.db.stmtcache import LRUCache
 from repro.db.table import Table
-from repro.db.types import SQLValue, sort_key
+from repro.db.types import NUMBERS, TEXT, SQLValue, sort_key
 from repro.errors import ExecutionError
 from repro.obs import racecheck, trace
 
@@ -39,13 +48,53 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.lm.usage import Usage
 
 
+#: Rows per morsel: the operators that decide per morsel (Aggregate,
+#: Sort, a literal Filter, an inner HashJoin probe) read their input in
+#: lists of this many rows.
+MORSEL_SIZE = 2048
+
+
+def _morsels(rows: Iterator[Row]) -> Iterator[list[Row]]:
+    """``rows`` in lists of :data:`MORSEL_SIZE`.
+
+    When reading fails part-way, the rows read before the failure come
+    first as a morsel of their own, then the error: the consumer handles
+    every row before the failing one, as a row-at-a-time reader would.
+    """
+    while True:
+        morsel: list[Row] = []
+        error: Exception | None = None
+        try:
+            morsel.extend(islice(rows, MORSEL_SIZE))
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            error = exc
+        if morsel:
+            yield morsel
+        if error is not None:
+            raise error
+        if len(morsel) < MORSEL_SIZE:
+            return
+
+
 class PlanNode:
     """Base class for plan operators."""
 
     layout: RowLayout
 
+    #: Whether this node may read its input a morsel ahead of the rows
+    #: it hands on.  A row-limited :class:`Limit` clears it on every
+    #: node it reads row by row (:func:`_read_row_by_row`): below it,
+    #: reading ahead would run those rows through every operator under
+    #: the limit, UDF and LM calls included, for rows it never keeps.
+    pull_ahead = True
+
     def execute(self) -> Iterator[Row]:
         raise NotImplementedError
+
+    def _streamed(self) -> list["PlanNode"]:
+        """The children read only as fast as this node's output is
+        (every child, unless the node drains one before it emits)."""
+        return self._children()
 
     def explain(self, depth: int = 0) -> str:
         lines = ["  " * depth + self._describe()]
@@ -194,17 +243,60 @@ def _tuple_builder(
 
 
 class Filter(PlanNode):
+    """Keeps the rows whose predicate value is truthy (NULL is not).
+
+    ``conjuncts``, when the planner passes the predicate's AST (an AND
+    of them), lets a literal filter -- every conjunct ``column <op>
+    literal``, ``BETWEEN`` or ``IN`` over literals, or ``LIKE`` a
+    literal pattern -- test an input of a morsel or more a column at a
+    time (:func:`~repro.db.expr.morsel_tests`).
+    """
+
     def __init__(
-        self, child: PlanNode, predicate: Evaluator, label: str = ""
+        self,
+        child: PlanNode,
+        predicate: Evaluator,
+        label: str = "",
+        conjuncts: list[ast.Expression] | None = None,
     ) -> None:
         self.child = child
         self.predicate = predicate
         self.label = label
+        self.conjuncts = conjuncts
         self.layout = child.layout
 
     def execute(self) -> Iterator[Row]:
-        # A row is kept when its predicate value is truthy: NULL is not.
-        return filter(self.predicate, self.child.execute())
+        rows = self.child.execute()
+        if not (self.conjuncts and self.pull_ahead):
+            return filter(self.predicate, rows)
+        return chain.from_iterable(self._kept(rows))
+
+    def _kept(self, rows: Iterator[Row]) -> Iterator[Iterable[Row]]:
+        morsels = _morsels(rows)
+        first = next(morsels, None)
+        if first is None:
+            return
+        # An input of less than a morsel is tested row by row: building
+        # the column tests would cost more than they save.
+        tests = None
+        if len(first) == MORSEL_SIZE:
+            tests = morsel_tests(self.conjuncts, self.layout)
+        for morsel in chain((first,), morsels):
+            if tests is None:
+                yield filter(self.predicate, morsel)
+            else:
+                yield self._keep(tests, morsel)
+
+    def _keep(self, tests: list[MorselTest], morsel: list[Row]) -> list[Row]:
+        for test in tests:
+            kept = test(morsel)
+            if kept is None:
+                # A column the test cannot read as it is: the rows still
+                # in hand take the predicate itself (the conjuncts are
+                # pure, so re-testing the ones already passed is moot).
+                return list(filter(self.predicate, morsel))
+            morsel = kept
+        return morsel
 
     def _describe(self) -> str:
         return f"Filter({self.label})" if self.label else "Filter"
@@ -676,11 +768,13 @@ class Slice(PlanNode):
         self.layout = RowLayout(
             [child.layout.entries[position] for position in positions]
         )
+        self._slice = _tuple_builder(
+            [itemgetter(position) for position in positions],
+            len(child.layout),
+        )
 
     def execute(self) -> Iterator[Row]:
-        positions = self.positions
-        for row in self.child.execute():
-            yield tuple(row[position] for position in positions)
+        return map(self._slice, self.child.execute())
 
     def _describe(self) -> str:
         return f"Slice({self.positions})"
@@ -721,6 +815,9 @@ class NestedLoopJoin(PlanNode):
 
     def _describe(self) -> str:
         return f"NestedLoopJoin({self.kind})"
+
+    def _streamed(self) -> list[PlanNode]:
+        return [self.left]
 
     def _children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -769,20 +866,55 @@ class HashJoin(PlanNode):
 
         return key
 
-    def execute(self) -> Iterator[Row]:
-        left_key, right_key = self._left_key, self._right_key
+    def _build(self) -> dict[object, list[Row]]:
+        right_key = self._right_key
         buckets: dict[object, list[Row]] = defaultdict(list)
         for right_row in self.right.execute():
             key = right_key(right_row)
             if key is not None:
                 buckets[key].append(right_row)
+        return buckets
+
+    def execute(self) -> Iterator[Row]:
+        if self.kind == "INNER" and self.residual is None and self.pull_ahead:
+            return chain.from_iterable(self._probed_morsels())
+        return self._probed_rows()
+
+    def _probed_morsels(self) -> Iterator[Iterable[Row]]:
+        """Inner join with no residual: a morsel of the left input is
+        probed in one comprehension."""
+        matches = self._build().get
+        left_key = self._left_key
+        for morsel in _morsels(self.left.execute()):
+            try:
+                # A NULL key finds nothing: None is never a bucket.
+                yield [
+                    left_row + right_row
+                    for left_row, key in zip(morsel, map(left_key, morsel))
+                    for right_row in matches(key, ())
+                ]
+            except Exception:  # noqa: BLE001 - re-raised at its row
+                # A key that fails: hand on the rows before it first.
+                yield self._probed_rows(matches, morsel)
+
+    def _probed_rows(
+        self,
+        matches: Callable[..., list[Row]] | None = None,
+        left_rows: Iterable[Row] | None = None,
+    ) -> Iterator[Row]:
+        """Row by row: outer joins, residuals, under a row limit, and a
+        morsel whose key fails (``matches`` and ``left_rows`` given)."""
+        if matches is None:
+            matches = self._build().get
+        if left_rows is None:
+            left_rows = self.left.execute()
+        left_key = self._left_key
         null_right = (None,) * len(self.right.layout)
         residual = self.residual
         outer = self.kind == "LEFT"
-        for left_row in self.left.execute():
+        for left_row in left_rows:
             matched = False
-            # A NULL key finds nothing: None is never a bucket.
-            for right_row in buckets.get(left_key(left_row), ()):
+            for right_row in matches(left_key(left_row), ()):
                 combined = left_row + right_row
                 if residual is None or residual(combined):
                     matched = True
@@ -792,6 +924,9 @@ class HashJoin(PlanNode):
 
     def _describe(self) -> str:
         return f"HashJoin({self.kind}, {len(self.left_keys)} key(s))"
+
+    def _streamed(self) -> list[PlanNode]:
+        return [self.left]  # the right side is built in full first
 
     def _children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -874,6 +1009,10 @@ class IndexJoin(PlanNode):
     def _children(self) -> list[PlanNode]:
         return [self.child]
 
+    def _streamed(self) -> list[PlanNode]:
+        # Probing a left table sorts every match first.
+        return [] if self.table_is_left else [self.child]
+
 
 class AggregateCall:
     """One compiled aggregate invocation within an Aggregate node."""
@@ -881,34 +1020,48 @@ class AggregateCall:
     def __init__(
         self,
         spec: AggregateSpec,
-        argument: Evaluator | None,  # None means COUNT(*)
+        argument: Evaluator | None,  # None means X(*)
         distinct: bool,
         name: str,
     ) -> None:
-        #: DISTINCT is part of the fold: the node's loop never asks.
+        #: DISTINCT and ``*`` are part of the fold: the node's loop never
+        #: asks.  A star call's fold is handed the rows themselves.
+        if argument is None:
+            spec = _over_rows(spec)
         self.spec = _distinct(spec) if distinct else spec
-        self.argument = _every_row if argument is None else argument
+        self.argument = argument
         self.name = name
 
 
-def _every_row(row: Row) -> SQLValue:
-    return 1  # COUNT(*) counts every row
+def _over_rows(spec: AggregateSpec) -> AggregateSpec:
+    """``spec`` folding a 1 per row: COUNT(*) counts with ``len``."""
+    if spec is COUNT:
+        return COUNT_ROWS
+    return AggregateSpec(
+        spec.make_state,
+        lambda state, rows: spec.fold(state, [1] * len(rows)),
+        spec.finish,
+    )
 
 
 def _distinct(spec: AggregateSpec) -> AggregateSpec:
     """``spec`` folding each non-NULL value of a group only once; the
     values seen ride in the state, next to ``spec``'s own."""
 
-    def step(state: list, value: SQLValue) -> list:
+    def fold(state: list, values: list[SQLValue]) -> list:
         seen, inner = state
-        if value is not None and value not in seen:
-            seen.add(value)
-            state[1] = spec.step(inner, value)
+        fresh = [
+            value
+            for value in dict.fromkeys(values)  # first of equals, in order
+            if value is not None and value not in seen
+        ]
+        seen.update(fresh)
+        state[1] = spec.fold(inner, fresh)
         return state
 
     return AggregateSpec(
         lambda: [set(), spec.make_state()],
-        step,
+        fold,
         lambda state: spec.finish(state[1]),
     )
 
@@ -920,6 +1073,11 @@ class Aggregate(PlanNode):
     followed by one column per aggregate call.  With no group keys the
     node always emits exactly one row, even over empty input (SQL
     semantics: ``SELECT COUNT(*) FROM empty`` is 0).
+
+    The input is read a morsel at a time: the morsel's rows are bucketed
+    by group key (buckets in first-seen order, rows in input order), and
+    each call folds a bucket's whole list of argument values at once.
+    Groups come out in first-seen order.
     """
 
     def __init__(
@@ -938,21 +1096,17 @@ class Aggregate(PlanNode):
         )
 
     def execute(self) -> Iterator[Row]:
-        group_key = self._group_key
         makers = [call.spec.make_state for call in self.calls]
-        folds = [
-            (position, call.argument, call.spec.step)
-            for position, call in enumerate(self.calls)
-        ]
         #: Insertion order is first-seen order, which groups come out in.
         groups: dict[tuple[SQLValue, ...], list] = {}
-        for row in self.child.execute():
-            key = group_key(row)
-            states = groups.get(key)
-            if states is None:
-                states = groups[key] = [make() for make in makers]
-            for position, argument, step in folds:
-                states[position] = step(states[position], argument(row))
+        for morsel in _morsels(self.child.execute()):
+            try:
+                self._fold(morsel, groups, makers)
+            except Exception:
+                # Folding call by call meets errors out of row order:
+                # the first failing row's error is found row by row.
+                self._fold_rows(morsel, makers)
+                raise
         if not self.group_evaluators and not groups:
             groups[()] = [make() for make in makers]
         for key, states in groups.items():
@@ -963,6 +1117,43 @@ class Aggregate(PlanNode):
                 ]
             )
 
+    def _fold(
+        self,
+        morsel: list[Row],
+        groups: dict[tuple[SQLValue, ...], list],
+        makers: list[Callable[[], object]],
+    ) -> None:
+        group_evaluators = self.group_evaluators
+        buckets: dict[tuple[SQLValue, ...], list[Row]] = {(): morsel}
+        if group_evaluators:
+            # One key buckets on the bare value, which meets the keys its
+            # 1-tuple would (and a 1-tuple hashes anew for every row).
+            single = len(group_evaluators) == 1
+            key_of = group_evaluators[0] if single else self._group_key
+            buckets = defaultdict(list)
+            for key, row in zip(map(key_of, morsel), morsel):
+                buckets[key].append(row)
+            if single:
+                buckets = {(key,): rows for key, rows in buckets.items()}
+        folds = [(call.argument, call.spec.fold) for call in self.calls]
+        for key, rows in buckets.items():
+            states = groups.get(key)
+            if states is None:
+                states = groups[key] = [make() for make in makers]
+            for position, (argument, fold) in enumerate(folds):
+                values = rows if argument is None else list(map(argument, rows))
+                states[position] = fold(states[position], values)
+
+    def _fold_rows(
+        self, morsel: list[Row], makers: list[Callable[[], object]]
+    ) -> None:
+        """Fold ``morsel`` one row and one call at a time, from fresh
+        states, so the first failing row raises its error (a builtin
+        fold fails on a value alone, never on what was folded before)."""
+        groups: dict[tuple[SQLValue, ...], list] = {}
+        for row in morsel:
+            self._fold([row], groups, makers)
+
     def _describe(self) -> str:
         names = ", ".join(call.name for call in self.calls)
         return (
@@ -972,6 +1163,9 @@ class Aggregate(PlanNode):
 
     def _children(self) -> list[PlanNode]:
         return [self.child]
+
+    def _streamed(self) -> list[PlanNode]:
+        return []  # every input row is folded before a group comes out
 
 
 class _Descending:
@@ -1003,6 +1197,43 @@ def _descending_key(value: SQLValue) -> tuple[int, object]:
     return (-rank, _Descending(key))
 
 
+#: How a Sort key column is encoded, by name: ``+``/``-`` for ASC/DESC.
+_ENCODERS: dict[str, Callable[[list[SQLValue]], Iterable[object]]] = {
+    "+number": lambda column: column,
+    "-number": lambda column: map(neg, column),
+    "+text": lambda column: column,
+    "+general": lambda column: map(sort_key, column),
+    "-general": lambda column: map(_descending_key, column),
+}
+
+
+def _encoding(
+    column: list[SQLValue], ascending: bool, current: str | None
+) -> str:
+    """The encoding for a morsel's key column, given the column's
+    ``current`` one (None before the first morsel).
+
+    Numbers order among themselves as their ``sort_key`` tuples do,
+    NaN included (the tuple compares its second item as it is); negated
+    they order as ``_descending_key``'s only without NaN, which that key
+    keeps as the same object rather than a negated copy.  Text orders as
+    it is; DESC text needs ``_Descending``.
+    """
+    sign = "+" if ascending else "-"
+    if current == sign + "general":
+        return current
+    kinds = set(map(type, column))
+    if kinds <= NUMBERS and (
+        ascending or float not in kinds or not any(map(ne, column, column))
+    ):
+        wanted = sign + "number"
+    elif ascending and kinds == TEXT:
+        wanted = "+text"
+    else:
+        wanted = sign + "general"
+    return wanted if current in (None, wanted) else sign + "general"
+
+
 class Sort(PlanNode):
     """ORDER BY as an explicit *total* order.
 
@@ -1024,6 +1255,17 @@ class Sort(PlanNode):
     above: only the first ``bound`` rows of the order are wanted, so a
     heap of that size replaces the full sort.  The order is total, so
     the bounded output is a prefix of the unbounded one.
+
+    The input is read a morsel at a time, and each key column is
+    encoded whole by one of :data:`_ENCODERS`: raw numbers (negated
+    under DESC, where there is no NaN), raw text under ASC, or the
+    general ``sort_key`` / ``_descending_key``.  The first morsel picks
+    a column's encoding; a later one that does not fit it moves the
+    column to the general one and re-encodes what is held, so no two
+    held keys are ever in different encodings (raw keys and
+    ``sort_key`` tuples do not compare).  Each raw encoding makes, pair
+    for pair, the comparisons the general one makes over the values it
+    admits, NaN included, so the output is the same row for row.
     """
 
     def __init__(
@@ -1038,32 +1280,73 @@ class Sort(PlanNode):
         self.bound: int | None = None
         self.layout = child.layout
 
-    def _decorated(self) -> Iterator[tuple]:
-        """``(key parts..., input position, row)``: the position is
-        unique, so comparing two of these never reaches the row.  One
-        copy of the input feeds each key column and ``zip`` reads them
-        in step, so the input streams, row by row, as it always did."""
-        *copies, rows = tee(self.child.execute(), len(self.keys) + 1)
-        parts = [
-            map(sort_key if ascending else _descending_key, map(key, copy))
-            for key, ascending, copy in zip(self.keys, self.ascending, copies)
-        ]
-        return zip(*parts, count(), rows)
-
     def execute(self) -> Iterator[Row]:
-        # A bound of 0 sorts in full: nsmallest(0, ...) would not pull
-        # the child at all, and every input row must still be evaluated.
-        if self.bound:
-            ordered = heapq.nsmallest(self.bound, self._decorated())
-        else:
-            ordered = sorted(self._decorated())
-        yield from map(itemgetter(-1), ordered)
+        # A bound of 0 sorts in full: every input row must still be
+        # evaluated.
+        bound = self.bound
+        encodings: list[str | None] = [None] * len(self.keys)
+        #: Decorated rows ``(key parts..., input position, row)``: the
+        #: position is unique, so comparing two never reaches the row.
+        #: Under a bound, the max-heap ``heapq.nsmallest`` keeps, built
+        #: and replaced as it does, comparison for comparison.
+        held: list[tuple] = []
+        start = 0
+        for morsel in _morsels(self.child.execute()):
+            parts = []
+            for index, (key, ascending) in enumerate(
+                zip(self.keys, self.ascending)
+            ):
+                column = list(map(key, morsel))
+                encoding = _encoding(column, ascending, encodings[index])
+                if encodings[index] not in (None, encoding):
+                    self._reencode(held, index, encoding)
+                encodings[index] = encoding
+                parts.append(_ENCODERS[encoding](column))
+            items = zip(*parts, range(start, start + len(morsel)), morsel)
+            start += len(morsel)
+            if not bound:
+                held.extend(items)
+                continue
+            if len(held) < bound:
+                held.extend(islice(items, bound - len(held)))
+                if len(held) < bound:
+                    continue
+                _heapify_max(held)
+            top = held[0]
+            for item in items:
+                if item < top:
+                    _heapreplace_max(held, item)
+                    top = held[0]
+        if bound and len(held) < bound:
+            _heapify_max(held)
+        held.sort()
+        yield from map(itemgetter(-1), held)
+
+    def _reencode(self, held: list[tuple], index: int, encoding: str) -> None:
+        """Key part ``index`` of every held row, in ``encoding``, in
+        place (a heap stays the heap it is: the order does not move)."""
+        encode = _ENCODERS[encoding]
+        key = self.keys[index]
+        column = encode([key(item[-1]) for item in held])
+        for position, part in enumerate(column):
+            item = held[position]
+            held[position] = item[:index] + (part,) + item[index + 1 :]
 
     def _describe(self) -> str:
         return f"Sort({len(self.keys)} key(s))"
 
     def _children(self) -> list[PlanNode]:
         return [self.child]
+
+    def _streamed(self) -> list[PlanNode]:
+        return []  # every input row is read before the first comes out
+
+
+def _read_row_by_row(node: PlanNode) -> None:
+    """Clear ``pull_ahead`` on ``node`` and every node it streams from."""
+    node.pull_ahead = False
+    for child in node._streamed():
+        _read_row_by_row(child)
 
 
 class Limit(PlanNode):
@@ -1074,6 +1357,10 @@ class Limit(PlanNode):
         self.limit = limit
         self.offset = offset
         self.layout = child.layout
+        if limit is not None:
+            # Below a row limit, a node reads only as far as the row
+            # at a time plan would: up to the first draining operator.
+            _read_row_by_row(child)
 
     def execute(self) -> Iterator[Row]:
         rows = self.child.execute()
@@ -1366,6 +1653,9 @@ class Exchange(PlanNode):
 
     def _children(self) -> list[PlanNode]:
         return list(self.shards)
+
+    def _streamed(self) -> list[PlanNode]:
+        return []  # every shard runs to its end before the merge
 
 
 class Merge(PlanNode):

@@ -76,13 +76,13 @@ def _first_spec() -> AggregateSpec:
     """Hidden aggregate capturing the first value seen in a group."""
     sentinel = object()
 
-    def step(state: object, value: object) -> object:
-        return value if state is sentinel else state
+    def fold(state: object, values: list) -> object:
+        return values[0] if state is sentinel and values else state
 
     def finish(state: object) -> object:
         return None if state is sentinel else state
 
-    return AggregateSpec(lambda: sentinel, step, finish)
+    return AggregateSpec(lambda: sentinel, fold, finish)
 
 
 class Planner:
@@ -569,7 +569,10 @@ class Planner:
         compiler = self._compiler(node.layout)
         if cheap:
             node = physical.Filter(
-                node, compiler.compile(_and_all(cheap)), label="where"
+                node,
+                compiler.compile(_and_all(cheap)),
+                label="where",
+                conjuncts=cheap,
             )
         for conjunct in expensive:
             node = self._expensive_filter(node, conjunct)

@@ -153,6 +153,13 @@ def infer_type(value: SQLValue) -> DataType:
 #: :func:`sort_key` ranks them.
 _ORDERED_TYPES = (int, float, str)
 
+#: The two families of those types whose members also order against
+#: each other as they are: numbers (not ``bool``, which ``sort_key``
+#: ranks with them but SUM rejects) and text.  A column of one family
+#: is compared, folded or sorted with no per-value ``sort_key``.
+NUMBERS = frozenset((int, float))
+TEXT = frozenset((str,))
+
 
 def sort_key(value: SQLValue) -> tuple[int, Any]:
     """Total-order key over heterogeneous SQL values.
