@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Callable, Iterable
+from functools import partial
 from itertools import compress, repeat
 from typing import TYPE_CHECKING
 
@@ -883,101 +884,50 @@ def morsel_tests(
 def _morsel_test(
     node: ast.Expression, layout: RowLayout
 ) -> MorselTest | None:
-    def column_of(ref: ast.ColumnRef) -> Callable[[Row], SQLValue]:
-        return operator.itemgetter(layout.resolve(ref.name, ref.table))
-
+    # NaN against a number is a tie to ``compare``: it decides =, <>,
+    # <=, >=, BETWEEN and IN, but < and > are false either way.
     if isinstance(node, ast.BinaryOp) and node.op in _COMPARISONS:
         found = _column_literal(node)
-        if found is not None:
-            ref, op, literal = found
-            # NaN against a number is a tie to ``compare``: it decides
-            # =, <>, <= and >=, but < and > are false either way.
-            return _keep_where(
-                column_of(ref),
-                _RAW_COMPARABLE[type(literal)],
-                op not in ("<", ">"),
-                _against(_COMPARISONS[op], literal),
-            )
+        if found is None:
+            return None
+        ref, op, literal = found
+        test = _COMPARISONS[op]
+        family = _RAW_COMPARABLE[type(literal)]
+        nan_decides = op not in ("<", ">")
+        flags = lambda column: map(test, column, repeat(literal))
     elif isinstance(node, ast.BetweenExpression) and _literal_bounds(node):
+        ref = node.operand  # type: ignore[assignment]
         low, high = node.lower.value, node.upper.value  # type: ignore[union-attr]
-        if node.negated:
-
-            def between(column: list[SQLValue]) -> Iterable[object]:
-                return map(
-                    operator.or_,
-                    map(operator.lt, column, repeat(low)),
-                    map(operator.gt, column, repeat(high)),
-                )
-
-        else:
-
-            def between(column: list[SQLValue]) -> Iterable[object]:
-                return map(
-                    operator.and_,
-                    map(operator.le, repeat(low), column),
-                    map(operator.le, column, repeat(high)),
-                )
-
-        return _keep_where(
-            column_of(node.operand),  # type: ignore[arg-type]
-            _RAW_COMPARABLE[type(low)],
-            True,
-            between,
+        family, nan_decides = _RAW_COMPARABLE[type(low)], True
+        flags = lambda column: map(
+            operator.and_,
+            map(operator.le, repeat(low), column),
+            map(operator.le, column, repeat(high)),
         )
-    elif isinstance(node, ast.InList):
-        literals = _literal_items(node)
-        if literals is not None:
-            contains = frozenset(literals).__contains__
-            return _keep_where(
-                column_of(node.operand),  # type: ignore[arg-type]
-                _RAW_COMPARABLE[type(literals[0])],
-                True,
-                _negatable(lambda column: map(contains, column), node.negated),
-            )
+    elif isinstance(node, ast.InList) and (
+        (literals := _literal_items(node)) is not None
+    ):
+        ref = node.operand  # type: ignore[assignment]
+        family, nan_decides = _RAW_COMPARABLE[type(literals[0])], True
+        flags = partial(map, frozenset(literals).__contains__)
     elif (
         isinstance(node, ast.LikeExpression)
         and isinstance(node.operand, ast.ColumnRef)
         and isinstance(node.pattern, ast.Literal)
         and node.pattern.value is not None
     ):
-        match = _like_to_regex(str(node.pattern.value)).match
-        return _keep_where(
-            column_of(node.operand),
-            (str,),
-            False,
-            _negatable(lambda column: map(match, column), node.negated),
-        )
-    return None
-
-
-def _against(
-    test: Callable[[SQLValue, SQLValue], bool], literal: SQLValue
-) -> Callable[[list[SQLValue]], Iterable[bool]]:
-    return lambda column: map(test, column, repeat(literal))
-
-
-def _negatable(
-    flags: Callable[[list[SQLValue]], Iterable[object]], negated: bool
-) -> Callable[[list[SQLValue]], Iterable[object]]:
-    if not negated:
-        return flags
-    return lambda column: map(operator.not_, flags(column))
-
-
-def _keep_where(
-    read: Callable[[Row], SQLValue],
-    family: tuple[type, ...],
-    nan_decides: bool,
-    flags: Callable[[list[SQLValue]], Iterable[object]],
-) -> MorselTest:
-    """The morsel test keeping the rows whose ``flags`` are truthy, when
-    every value read is NULL (never kept: each of these tests is NULL
-    there) or of ``family`` (and, if ``nan_decides``, none is NaN)."""
+        ref = node.operand
+        family, nan_decides = (str,), False
+        flags = partial(map, _like_to_regex(str(node.pattern.value)).match)
+    else:
+        return None
+    read = operator.itemgetter(layout.resolve(ref.name, ref.table))
+    negated = getattr(node, "negated", False)
 
     def keep(rows: list[Row]) -> list[Row] | None:
         column = list(map(read, rows))
         kinds = set(map(type, column))
-        if _NULL in kinds:
+        if _NULL in kinds:  # each of these tests is NULL there: dropped
             kinds.discard(_NULL)
             present = list(map(operator.is_not, column, repeat(None)))
             rows = list(compress(rows, present))
@@ -988,7 +938,10 @@ def _keep_where(
             and any(map(operator.ne, column, column))
         ):
             return None
-        return list(compress(rows, flags(column)))
+        kept = flags(column)
+        if negated:  # NOT of a two-valued answer, as nothing here is NULL
+            kept = map(operator.not_, kept)
+        return list(compress(rows, kept))
 
     return keep
 
