@@ -669,7 +669,11 @@ FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 #: By literal type, the column value types that order against it as
 #: they are (so not ``bool``, which is left to ``compare``).
-_RAW_COMPARABLE = {int: (int, float), float: (int, float), str: (str,)}
+_RAW_COMPARABLE = {
+    int: dbtypes.NUMBERS,
+    float: dbtypes.NUMBERS,
+    str: dbtypes.TEXT,
+}
 
 
 def _comparison(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
@@ -917,7 +921,7 @@ def _morsel_test(
         and node.pattern.value is not None
     ):
         ref = node.operand
-        family, nan_decides = (str,), False
+        family, nan_decides = dbtypes.TEXT, False
         flags = partial(map, _like_to_regex(str(node.pattern.value)).match)
     else:
         return None

@@ -13,7 +13,6 @@ import threading
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
-from heapq import _heapify_max, _heapreplace_max
 from itertools import chain, islice
 from operator import itemgetter, ne, neg
 from typing import TYPE_CHECKING, Protocol
@@ -44,6 +43,12 @@ from repro.db.types import NUMBERS, TEXT, SQLValue, sort_key
 from repro.errors import ExecutionError
 from repro.obs import racecheck, trace
 
+try:  # the max-heap calls heapq.nsmallest makes, public from 3.14
+    from heapq import heapify_max as _heapify_max  # type: ignore[attr-defined]
+    from heapq import heapreplace_max as _heapreplace_max  # type: ignore[attr-defined]
+except ImportError:
+    from heapq import _heapify_max, _heapreplace_max  # type: ignore[attr-defined]
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lm.usage import Usage
 
@@ -54,8 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover
 MORSEL_SIZE = 2048
 
 
-def _morsels(rows: Iterator[Row]) -> Iterator[list[Row]]:
-    """``rows`` in lists of :data:`MORSEL_SIZE`.
+def _morsels(
+    rows: Iterator[Row], size: int = MORSEL_SIZE
+) -> Iterator[list[Row]]:
+    """``rows`` in lists of ``size``.
 
     When reading fails part-way, the rows read before the failure come
     first as a morsel of their own, then the error: the consumer handles
@@ -65,14 +72,14 @@ def _morsels(rows: Iterator[Row]) -> Iterator[list[Row]]:
         morsel: list[Row] = []
         error: Exception | None = None
         try:
-            morsel.extend(islice(rows, MORSEL_SIZE))
+            morsel.extend(islice(rows, size))
         except Exception as exc:  # noqa: BLE001 - re-raised below
             error = exc
         if morsel:
             yield morsel
         if error is not None:
             raise error
-        if len(morsel) < MORSEL_SIZE:
+        if len(morsel) < size:
             return
 
 
@@ -640,10 +647,7 @@ class _MorselNode(PlanNode):
         if not self.sites:
             yield source  # nothing to resolve: one morsel, streamed
             return
-        while True:
-            morsel = list(islice(source, self.batch_size))
-            if not morsel:
-                return
+        for morsel in _morsels(source, self.batch_size):
             try:
                 _resolve_morsel(
                     self.sites,

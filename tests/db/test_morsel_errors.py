@@ -5,7 +5,8 @@ next, so the error it raises is the one met at the earliest row, and
 within a row the one nearest the leaves.  The morsel operators must
 keep that: a child failing part-way through a morsel hands over the
 rows before the failure first, and an aggregate fold that fails on a
-morsel is replayed row by row.
+morsel is replayed row by row.  The batched UDF operators cut their
+``udf_batch_size`` morsels the same way.
 """
 
 from __future__ import annotations
@@ -113,3 +114,29 @@ def test_a_join_probe_hands_on_the_rows_before_a_failing_key():
     db.create_table(TableSchema("u", [Column("k", DataType.INTEGER)]))
     db.insert("u", [(k,) for k in range(11)])
     assert "KEY at" in error_of(db, sql)
+
+
+@pytest.mark.parametrize("inner, outer", [(6, 5), (5, 6), (5, 5)])
+def test_a_batched_udf_filter_hands_on_the_rows_before_its_child_fails(
+    inner, outer
+):
+    """The UDF operators read ``udf_batch_size`` rows through the same
+    morsel cutter: the batched plan raises the per-row plan's error."""
+    db = make({"INNER": inner, "OUTER": outer})
+    db.register_udf(
+        "SLOW",
+        lambda value: value,
+        expensive=True,
+        batch=lambda tuples: [value for (value,) in tuples],
+    )
+    sql = (
+        "SELECT FAIL_OUTER(id, id) FROM "
+        "(SELECT id, v, FAIL_INNER(v, id) AS x FROM t) AS d "
+        "WHERE SLOW(v) >= 0"
+    )
+    with pytest.raises(ExecutionError) as per_row:
+        db.execute(sql, udf_batch_size=None)
+    assert "BatchedFilter" in db.explain(sql, udf_batch_size=4)
+    with pytest.raises(ExecutionError) as batched:
+        db.execute(sql, udf_batch_size=4)
+    assert str(batched.value) == str(per_row.value)
