@@ -17,6 +17,7 @@ translated before the first row.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from collections.abc import Callable, Iterable
@@ -240,16 +241,7 @@ class ExpressionCompiler:
 
         def evaluate(row: Row) -> SQLValue:
             value = operand(row)
-            try:
-                return dbtypes.coerce(value, target)
-            except Exception:
-                # SQLite-style lenient CAST: unparseable text becomes 0.
-                if target in (
-                    dbtypes.DataType.INTEGER,
-                    dbtypes.DataType.REAL,
-                ):
-                    return 0
-                return _to_text(value) if value is not None else None
+            return _cast(value, target)
 
         return evaluate
 
@@ -645,12 +637,44 @@ def _arithmetic(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
                 return int(quotient) if quotient == int(quotient) else quotient
             return lhs / rhs
         if op == "%":
-            if rhs == 0:
-                return None
-            return lhs % rhs
+            return _remainder(lhs, rhs)
         raise PlanningError(f"unknown arithmetic operator {op!r}")
 
     return evaluate
+
+
+def _cast(value: SQLValue, target: dbtypes.DataType) -> SQLValue:
+    """SQLite's lenient CAST: a REAL becomes an INTEGER by truncating
+    toward zero, and what will not convert becomes 0 (0.0 as REAL)."""
+    if target is dbtypes.DataType.INTEGER and type(value) is float:
+        if math.isfinite(value):
+            return int(value)
+    try:
+        return dbtypes.coerce(value, target)
+    except Exception:
+        if target is dbtypes.DataType.INTEGER:
+            return 0
+        if target is dbtypes.DataType.REAL:
+            return 0.0
+        return _to_text(value) if value is not None else None
+
+
+def _remainder(lhs: int | float, rhs: int | float) -> SQLValue:
+    """SQLite's ``%``: both operands truncated to integers, the sign of
+    the dividend, REAL if either operand is, NULL for a zero divisor
+    (and, as SQLite has no NaN or infinity to give, for those)."""
+    try:
+        dividend, divisor = int(lhs), int(rhs)
+    except (OverflowError, ValueError):  # infinity, NaN
+        return None
+    if divisor == 0:
+        return None
+    remainder = abs(dividend) % abs(divisor)
+    if dividend < 0:
+        remainder = -remainder
+    if type(lhs) is float or type(rhs) is float:
+        return float(remainder)
+    return remainder
 
 
 #: What a comparison operator asks, of two values that order as they
@@ -959,4 +983,5 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
             pieces.append(".")
         else:
             pieces.append(re.escape(char))
-    return re.compile("^" + "".join(pieces) + "$", re.IGNORECASE | re.DOTALL)
+    # \Z, not $: a pattern must not match before a final newline.
+    return re.compile("".join(pieces) + r"\Z", re.IGNORECASE | re.DOTALL)

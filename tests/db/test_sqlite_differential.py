@@ -45,7 +45,7 @@ SIZES = [0, 1, M - 1, M, M + 1, 3 * M + 7]
 INTEGERS = [None, None, None, -5, -3, -1, 0, 1, 2, 3, 5, 2**40]
 REALS = [None, None, None, -0.0, 0.0, 0.1, 1.5, -2.25, 3.0, 1e10, -1.0]
 TEXTS = [None, None, None, "", "abc", "Abc", "ab", "abcd", "b%c", "x_y",
-         "zeta", "note 1"]
+         "zeta", "note 1", "abc\n"]
 
 COLUMNS = [
     ("id", DataType.INTEGER, "INTEGER"),
@@ -161,6 +161,9 @@ PREDICATES = [
     "t LIKE 'ABC'",
     "t LIKE '%\\_%'",
     "t LIKE 'b%'",
+    "t LIKE 'abc'",
+    "t LIKE 'abc_'",
+    "t || 'z' LIKE 'abc%z'",
     # OR, NOT, CASE, IS NULL and COALESCE
     "i > 0 OR t = 'abc'",
     "i > 0 OR r < 0 OR t IS NULL",
@@ -183,6 +186,11 @@ PREDICATES = [
     "i || t LIKE '1%'",
     "r / 2.0 > 0.5",
     "i / 0 IS NULL",
+    "i % 2 = 1",
+    "i % -3 < 0",
+    "r % 2 < 0",
+    "CAST(r AS INTEGER) = 0",
+    "CAST(r AS INTEGER) < -1",
     # AND chains, with NULLs between
     "i > 0 AND r > 0",
     "r > 0 AND i > 0 AND t < 'n'",
@@ -224,6 +232,19 @@ EXPRESSIONS = [
     "t || 'x'",
     "i || t",
     "t || t",
+    "i % 3",
+    "i % -3",
+    "-i % 4",
+    "r % 2",
+    "r % 2.5",
+    "i % r",
+    "i % 0",
+    "CAST(r AS INTEGER)",
+    "CAST(r AS REAL)",
+    "CAST(i AS REAL)",
+    "CAST(t AS REAL)",
+    "CAST(t AS INTEGER)",
+    "t LIKE 'abc'",
 ]
 
 
