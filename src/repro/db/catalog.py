@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from itertools import compress
 from typing import TYPE_CHECKING, Any
 
 from repro.db import types as dbtypes
-from repro.db.expr import ExpressionCompiler
+from repro.db.expr import ExpressionCompiler, reads_row_by_row
 from repro.db.functions import BatchFunction, FunctionRegistry
-from repro.db.plan import UDFExecContext
+from repro.db.plan import UDFExecContext, run_morsels
 from repro.db.planner import Planner
 from repro.db.shard import PartitionSpec, ShardRuntime
 from repro.db.stmtcache import (
@@ -392,8 +393,8 @@ class Database:
         cost-based optimizer choose (see
         :class:`repro.db.optimizer.QueryOptimizer`); ``None`` pins the
         per-row oracle path; an int ``N`` pins the vectorized operators
-        (:class:`~repro.db.plan.MorselFilter` /
-        :class:`~repro.db.plan.MorselProject`, rendered as
+        (:class:`~repro.db.plan.Filter` /
+        :class:`~repro.db.plan.Project` with call sites, rendered as
         ``BatchedFilter`` / ``BatchedProject``): morsels of N rows,
         one batch dispatch per morsel of distinct argument tuples,
         memoized across statements via :attr:`udf_cache`.  Results are
@@ -631,33 +632,38 @@ class Database:
         )
         if statement.where is None:
             return table, compiler, list(candidates)
-        predicate = compiler.compile(statement.where)
+        predicate = compiler.kernel(statement.where)
         rows = table.rows
-        return (
-            table,
-            compiler,
-            [
-                row_id
-                for row_id in candidates
-                if predicate(rows[row_id])
-            ],
-        )
+
+        def selected(row_ids: list[int]) -> Iterable[int]:
+            return compress(row_ids, predicate([rows[i] for i in row_ids]))
+
+        one_by_one = reads_row_by_row(predicate)
+        selected_ids = run_morsels(selected, candidates, one_by_one)
+        return table, compiler, list(selected_ids)
 
     def _execute_update(self, statement: ast.Update) -> int:
         table, compiler, row_ids = self._target_rows(statement)
-        assignments = [
-            (table.schema.column_index(column), compiler.compile(value))
-            for column, value in statement.assignments
+        positions = [
+            table.schema.column_index(column)
+            for column, _ in statement.assignments
+        ]
+        kernels = [
+            compiler.kernel(value) for _, value in statement.assignments
         ]
         rows = table.rows
-        changes = []
-        for row_id in row_ids:
-            row = rows[row_id]
-            mutable = list(row)
-            for position, evaluate in assignments:
-                mutable[position] = evaluate(row)
-            changes.append((row_id, mutable))
-        return table.update_rows(changes)
+
+        def changed(row_ids: list[int]) -> list[tuple[int, list]]:
+            targets = [rows[row_id] for row_id in row_ids]
+            changes = [(row_id, list(rows[row_id])) for row_id in row_ids]
+            for position, kernel in zip(positions, kernels):
+                for (_, mutable), value in zip(changes, kernel(targets)):
+                    mutable[position] = value
+            return changes
+
+        one_by_one = reads_row_by_row(*kernels)
+        changes = run_morsels(changed, row_ids, one_by_one)
+        return table.update_rows(list(changes))
 
     def _execute_delete(self, statement: ast.Delete) -> int:
         table, _, row_ids = self._target_rows(statement)

@@ -1,18 +1,25 @@
-"""Expression compilation: AST expression -> callable over a row tuple.
+"""Expression compilation: AST expression -> kernel over a morsel of rows.
 
-Expressions are compiled once at plan time into nested closures, so
-per-row evaluation does no AST walking.  SQL three-valued logic is
+Expressions are compiled once at plan time, bottom-up, into *kernels*:
+a kernel takes a morsel (a list of row tuples) and answers one value
+per row, in order, so the type decisions an expression needs are taken
+once per morsel, not once per row.  SQL three-valued logic is
 implemented throughout: comparisons involving NULL yield NULL, AND/OR
 short-circuit per Kleene logic, and WHERE treats NULL as false (the
 executor keeps a row when its predicate value is truthy, and NULL is
 not).
 
-What depends only on the expression is decided here, once: a column
-read is an ``itemgetter``, a comparison picks its operator function
-from one table, ``column <op> literal`` and ``column BETWEEN literal
-AND literal`` read and compare in one step, ``column IN (literal,
-...)`` reads and probes a set, and a literal LIKE pattern is
-translated before the first row.
+A column read is one ``itemgetter`` pass.  A test of one side against
+literals -- ``<op> literal``, ``[NOT] BETWEEN`` or ``[NOT] IN`` over
+literals of one type family, ``[NOT] LIKE 'pattern'`` -- asks once per
+morsel whether every value is of the literal's family as it is, and if
+so maps the operator over the column; any other morsel takes
+``compare`` value by value.  The right side of AND/OR, later CASE
+branches and later IN items run only on the rows a row-at-a-time
+evaluation reaches, so a UDF there is called, and fails, on exactly
+those rows.  A WHERE predicate (:meth:`ExpressionCompiler.predicate`)
+narrows the morsel conjunct by conjunct instead of building the AND's
+values.
 """
 
 from __future__ import annotations
@@ -21,14 +28,16 @@ import math
 import operator
 import re
 from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
+from operator import and_, is_, is_not, itemgetter, le, ne, not_, truth
 from typing import TYPE_CHECKING
 
 from repro.db import types as dbtypes
 from repro.db.result import RowLayout
 from repro.db.sql import ast
-from repro.db.types import SQLValue
+from repro.db.types import TEXT, SQLValue, compare, values_equal
 from repro.errors import ExecutionError, PlanningError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,7 +45,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db.planner import Planner
 
 Row = tuple[SQLValue, ...]
+#: One row's value of an expression: what constants and tests ask for.
 Evaluator = Callable[[Row], SQLValue]
+#: An expression over a morsel: one value per row, in row order.
+Kernel = Callable[[list[Row]], list[SQLValue]]
+#: A WHERE predicate over a morsel: the rows it is TRUE for, in order.
+Predicate = Callable[[list[Row]], list[Row]]
+#: One conjunct of a predicate: the rows it is TRUE for, and, when the
+#: flag asks, the rows it is NULL for (a later conjunct still runs there).
+_Select = Callable[[list[Row], bool], tuple[list[Row], list[Row]]]
 
 
 class ExpressionCompiler:
@@ -46,10 +63,15 @@ class ExpressionCompiler:
     subquery results are computed on first use and cached, so an
     uncorrelated ``IN (SELECT ...)`` executes its inner query once.
 
-    ``call_overrides`` maps :class:`~repro.db.sql.ast.FunctionCall`
-    nodes (by structural equality) to pre-built evaluators; the batched
+    ``sites`` maps :class:`~repro.db.sql.ast.FunctionCall` nodes (by
+    structural equality) to batched :class:`UDFCallSite`\\ s; the batched
     UDF path uses it to splice memo lookups in place of expensive calls
     while the rest of the expression compiles normally.
+
+    A kernel or predicate that calls an expensive function no site
+    resolves is marked (see :func:`reads_row_by_row`): the operator
+    holding it reads its input one row at a time, so no LM call is made
+    that a row-at-a-time plan would not make.
     """
 
     def __init__(
@@ -57,14 +79,45 @@ class ExpressionCompiler:
         layout: RowLayout,
         functions: "FunctionRegistry",
         subquery_planner: "Planner | None" = None,
-        call_overrides: "dict[ast.FunctionCall, Evaluator] | None" = None,
+        sites: "dict[ast.FunctionCall, UDFCallSite] | None" = None,
     ) -> None:
         self._layout = layout
         self._functions = functions
         self._subquery_planner = subquery_planner
-        self._call_overrides = call_overrides
+        self._sites = sites
+        #: Whether what is being compiled makes an unbatched LM call.
+        self._unbatched = False
+
+    def kernel(self, expression: ast.Expression) -> Kernel:
+        """``expression``'s values over a morsel."""
+        self._unbatched = False
+        kernel = self._compile(expression)
+        if self._unbatched:
+            kernel = partial(kernel)  # a copy that can carry the mark
+            kernel.serial = True  # type: ignore[attr-defined]
+        return kernel
+
+    def predicate(self, expression: ast.Expression) -> Predicate:
+        """The WHERE form of ``expression``: the rows it is TRUE for.
+
+        The conjuncts of a top-level AND narrow the morsel one after
+        another.  A row a conjunct leaves NULL is kept aside and still
+        meets the later conjuncts, as Kleene AND evaluates them there,
+        then is dropped at the end.
+        """
+        self._unbatched = False
+        keep = _narrowing([self._select(c) for c in _conjuncts(expression)])
+        if self._unbatched:
+            keep.serial = True  # type: ignore[attr-defined]
+        return keep
 
     def compile(self, expression: ast.Expression) -> Evaluator:
+        """``expression``'s value for one row: its kernel on a one-row
+        morsel (for constants, and for tests that ask row by row)."""
+        kernel = self.kernel(expression)
+        return lambda row: kernel([row])[0]
+
+    def _compile(self, expression: ast.Expression) -> Kernel:
         method_name = "_compile_" + type(expression).__name__.lower()
         method = getattr(self, method_name, None)
         if method is None:
@@ -73,122 +126,66 @@ class ExpressionCompiler:
             )
         return method(expression)
 
+    def _select(self, node: ast.Expression) -> _Select:
+        test = self._test(node)
+        if test is None:
+            return _select_truthy(self._compile(node))
+        return test.select
+
     # -- leaves ------------------------------------------------------------
 
-    def _compile_literal(self, node: ast.Literal) -> Evaluator:
+    def _compile_literal(self, node: ast.Literal) -> Kernel:
         value = node.value
-        return lambda row: value
+        return lambda rows: [value] * len(rows)
 
-    def _compile_columnref(self, node: ast.ColumnRef) -> Evaluator:
-        return operator.itemgetter(
-            self._layout.resolve(node.name, node.table)
-        )
+    def _compile_columnref(self, node: ast.ColumnRef) -> Kernel:
+        return read_column(self._layout.resolve(node.name, node.table))
 
-    def _compile_star(self, node: ast.Star) -> Evaluator:
+    def _compile_star(self, node: ast.Star) -> Kernel:
         raise PlanningError("'*' is only valid in SELECT items or COUNT(*)")
 
     # -- operators ----------------------------------------------------------
 
-    def _compile_unaryop(self, node: ast.UnaryOp) -> Evaluator:
-        operand = self.compile(node.operand)
+    def _compile_unaryop(self, node: ast.UnaryOp) -> Kernel:
+        operand = self._compile(node.operand)
         if node.op == "NOT":
-
-            def negate(row: Row) -> SQLValue:
-                value = operand(row)
-                if value is None:
-                    return None
-                return not bool(value)
-
-            return negate
+            return lambda rows: [
+                None if value is None else not value
+                for value in operand(rows)
+            ]
         if node.op == "-":
-
-            def minus(row: Row) -> SQLValue:
-                value = operand(row)
-                if value is None:
-                    return None
-                if not isinstance(value, (int, float)):
-                    raise ExecutionError(f"cannot negate {value!r}")
-                return -value
-
-            return minus
+            return lambda rows: list(map(_negative, operand(rows)))
         if node.op == "+":
             return operand
         raise PlanningError(f"unknown unary operator {node.op!r}")
 
-    def _compile_binaryop(self, node: ast.BinaryOp) -> Evaluator:
-        if node.op == "AND":
-            return self._compile_and(node)
-        if node.op == "OR":
-            return self._compile_or(node)
-        if node.op in _COMPARISONS:
-            return self._compile_comparison(node)
-        left = self.compile(node.left)
-        right = self.compile(node.right)
-        if node.op in ("+", "-", "*", "/", "%"):
-            return _arithmetic(node.op, left, right)
-        if node.op == "||":
-
-            def concat(row: Row) -> SQLValue:
-                lhs, rhs = left(row), right(row)
-                if lhs is None or rhs is None:
-                    return None
-                return _to_text(lhs) + _to_text(rhs)
-
-            return concat
-        raise PlanningError(f"unknown binary operator {node.op!r}")
-
-    def _compile_comparison(self, node: ast.BinaryOp) -> Evaluator:
-        found = _column_literal(node)
-        if found is not None:
-            ref, op, literal = found
-            return _column_comparison(
-                op, self._layout.resolve(ref.name, ref.table), literal
+    def _compile_binaryop(self, node: ast.BinaryOp) -> Kernel:
+        if node.op in ("AND", "OR"):
+            return _logical(
+                node.op, self._compile(node.left), self._compile(node.right)
             )
-        return _comparison(
-            node.op, self.compile(node.left), self.compile(node.right)
+        if node.op in _COMPARISONS:
+            test = self._test(node)
+            if test is not None:
+                return test.values
+            function = partial(_compared, _COMPARISONS[node.op])
+        elif node.op in ("+", "-", "*", "/", "%"):
+            function = partial(_arithmetic, node.op)
+        elif node.op == "||":
+            function = _concat
+        else:
+            raise PlanningError(f"unknown binary operator {node.op!r}")
+        return _pairwise(
+            function, self._compile(node.left), self._compile(node.right)
         )
-
-    def _compile_and(self, node: ast.BinaryOp) -> Evaluator:
-        left = self.compile(node.left)
-        right = self.compile(node.right)
-
-        def evaluate(row: Row) -> SQLValue:
-            lhs = left(row)
-            if lhs is not None and not lhs:
-                return False
-            rhs = right(row)
-            if rhs is not None and not rhs:
-                return False
-            if lhs is None or rhs is None:
-                return None
-            return True
-
-        return evaluate
-
-    def _compile_or(self, node: ast.BinaryOp) -> Evaluator:
-        left = self.compile(node.left)
-        right = self.compile(node.right)
-
-        def evaluate(row: Row) -> SQLValue:
-            lhs = left(row)
-            if lhs is not None and lhs:
-                return True
-            rhs = right(row)
-            if rhs is not None and rhs:
-                return True
-            if lhs is None or rhs is None:
-                return None
-            return False
-
-        return evaluate
 
     # -- functions -----------------------------------------------------------
 
-    def _compile_functioncall(self, node: ast.FunctionCall) -> Evaluator:
-        if self._call_overrides is not None:
-            override = self._call_overrides.get(node)
-            if override is not None:
-                return override
+    def _compile_functioncall(self, node: ast.FunctionCall) -> Kernel:
+        site = self._sites.get(node) if self._sites is not None else None
+        if site is not None:
+            self._unbatched |= site.serial
+            return site.evaluate
         if self._functions.is_aggregate(node.name) and not (
             self._functions.has_scalar(node.name) and len(node.args) > 1
         ):
@@ -196,124 +193,127 @@ class ExpressionCompiler:
                 f"aggregate {node.name}() is not allowed here"
             )
         function = self._functions.scalar(node.name)
-        argument_evaluators = [self.compile(arg) for arg in node.args]
+        self._unbatched |= self._functions.is_expensive(node.name)
+        arguments = [self._compile(arg) for arg in node.args]
+        name = node.name
 
-        def call(row: Row) -> SQLValue:
-            arguments = [evaluate(row) for evaluate in argument_evaluators]
+        def call(rows: list[Row]) -> list[SQLValue]:
+            columns = [argument(rows) for argument in arguments]
             try:
-                return function(*arguments)
+                if not columns:
+                    return [function() for _ in rows]
+                return list(map(function, *columns))
             except ExecutionError:
                 raise
             except Exception as exc:
                 raise ExecutionError(
-                    f"error in function {node.name}: {exc}"
+                    f"error in function {name}: {exc}"
                 ) from exc
 
         return call
 
     # -- conditionals ----------------------------------------------------------
 
-    def _compile_caseexpression(self, node: ast.CaseExpression) -> Evaluator:
-        operand = self.compile(node.operand) if node.operand else None
+    def _compile_caseexpression(self, node: ast.CaseExpression) -> Kernel:
+        operand = self._compile(node.operand) if node.operand else None
         branches = [
-            (self.compile(condition), self.compile(result))
+            (self._compile(condition), self._compile(result))
             for condition, result in node.branches
         ]
-        default = self.compile(node.default) if node.default else None
+        default = self._compile(node.default) if node.default else None
 
-        def evaluate(row: Row) -> SQLValue:
-            if operand is not None:
-                subject = operand(row)
-                for condition, result in branches:
-                    if dbtypes.values_equal(subject, condition(row)):
-                        return result(row)
-            else:
-                for condition, result in branches:
-                    if condition(row):
-                        return result(row)
-            return default(row) if default is not None else None
+        def evaluate(rows: list[Row]) -> list[SQLValue]:
+            out: list[SQLValue] = [None] * len(rows)
+            #: Positions of the rows no branch has taken yet.
+            pending = list(range(len(rows)))
+            subjects = operand(rows) if operand is not None else None
+            for condition, result in branches:
+                if not pending:
+                    break
+                tested = condition([rows[i] for i in pending])
+                if subjects is not None:
+                    tested = [
+                        values_equal(subjects[i], value)
+                        for i, value in zip(pending, tested)
+                    ]
+                taken = list(compress(pending, tested))
+                if taken:
+                    _scatter(out, taken, result([rows[i] for i in taken]))
+                    pending = [i for i, hit in zip(pending, tested) if not hit]
+            if default is not None and pending:
+                _scatter(out, pending, default([rows[i] for i in pending]))
+            return out
 
         return evaluate
 
-    def _compile_castexpression(self, node: ast.CastExpression) -> Evaluator:
-        operand = self.compile(node.operand)
+    def _compile_castexpression(self, node: ast.CastExpression) -> Kernel:
+        operand = self._compile(node.operand)
         target = dbtypes.DataType.from_sql(node.type_name)
-
-        def evaluate(row: Row) -> SQLValue:
-            value = operand(row)
-            return _cast(value, target)
-
-        return evaluate
+        return lambda rows: [_cast(value, target) for value in operand(rows)]
 
     # -- predicates ---------------------------------------------------------
 
-    def _compile_inlist(self, node: ast.InList) -> Evaluator:
-        ref, negated = node.operand, node.negated
-        literals = _literal_items(node)
-        if literals is not None:
-            return _column_in(
-                self._layout.resolve(ref.name, ref.table), literals, negated
-            )
-        operand = self.compile(ref)
-        items = [self.compile(item) for item in node.items]
-        return lambda row: _in_values(
-            operand(row), (item(row) for item in items), negated
-        )
+    def _test(self, node: ast.Expression) -> "_Test | None":
+        found = _literal_test(node)
+        if found is None:
+            return None
+        operand, *how = found
+        negated = getattr(node, "negated", False)
+        return _Test(self._compile(operand), *how, negated)
+
+    def _compile_inlist(self, node: ast.InList) -> Kernel:
+        test = self._test(node)
+        if test is not None:
+            return test.values
+        operand = self._compile(node.operand)
+        items = [self._compile(item) for item in node.items]
+        negated = node.negated
+        # An item is read only up to a row's first match, and not at all
+        # for a NULL subject: row by row, lazily.
+        return lambda rows: [
+            _in_values(subject, (item([row])[0] for item in items), negated)
+            for row, subject in zip(rows, operand(rows))
+        ]
 
     def _compile_betweenexpression(
         self, node: ast.BetweenExpression
-    ) -> Evaluator:
-        ref, lower, upper = node.operand, node.lower, node.upper
-        if _literal_bounds(node):
-            return _column_between(
-                self._layout.resolve(ref.name, ref.table),
-                lower.value,
-                upper.value,
-                node.negated,
-            )
-        operand = self.compile(ref)
-        low, high = self.compile(lower), self.compile(upper)
-        negated = node.negated
-        return lambda row: _between(operand(row), low(row), high(row), negated)
+    ) -> Kernel:
+        test = self._test(node)
+        if test is not None:
+            return test.values
+        operand = self._compile(node.operand)
+        low, high = self._compile(node.lower), self._compile(node.upper)
+        negated = repeat(node.negated)
+        return lambda rows: list(
+            map(_between, operand(rows), low(rows), high(rows), negated)
+        )
 
-    def _compile_likeexpression(self, node: ast.LikeExpression) -> Evaluator:
-        operand = self.compile(node.operand)
-        literal = node.pattern
-        if isinstance(literal, ast.Literal) and literal.value is not None:
-            match = _like_to_regex(str(literal.value)).match
-            negated = node.negated
-
-            def evaluate_literal(row: Row) -> SQLValue:
-                subject = operand(row)
-                if subject is None:
-                    return None
-                return (match(_to_text(subject)) is not None) != negated
-
-            return evaluate_literal
-        pattern = self.compile(node.pattern)
+    def _compile_likeexpression(self, node: ast.LikeExpression) -> Kernel:
+        test = self._test(node)
+        if test is not None:
+            return test.values
         cache: dict[str, re.Pattern[str]] = {}
+        negated = node.negated
 
-        def evaluate(row: Row) -> SQLValue:
-            subject = operand(row)
-            pattern_text = pattern(row)
+        def like(subject: SQLValue, pattern_text: SQLValue) -> SQLValue:
             if subject is None or pattern_text is None:
                 return None
-            compiled = cache.get(pattern_text)
+            compiled = cache.get(pattern_text)  # type: ignore[arg-type]
             if compiled is None:
                 compiled = _like_to_regex(str(pattern_text))
-                cache[pattern_text] = compiled
-            matched = compiled.match(_to_text(subject)) is not None
-            return matched != node.negated
+                cache[pattern_text] = compiled  # type: ignore[index]
+            return (compiled.match(_to_text(subject)) is not None) != negated
 
-        return evaluate
+        return _pairwise(
+            like, self._compile(node.operand), self._compile(node.pattern)
+        )
 
     def _compile_isnullexpression(
         self, node: ast.IsNullExpression
-    ) -> Evaluator:
-        operand = self.compile(node.operand)
-        if node.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
+    ) -> Kernel:
+        operand = self._compile(node.operand)
+        test = is_not if node.negated else is_
+        return lambda rows: list(map(test, operand(rows), repeat(None)))
 
     # -- subqueries ---------------------------------------------------------
 
@@ -323,68 +323,275 @@ class ExpressionCompiler:
         planner = self._subquery_planner
         # The closure below answers once: a plan holding it runs once.
         planner.reusable = False
-        cache: list[list[Row]] = []
+        cache: list = []
 
         def fetch() -> list[Row]:
+            # A failure is kept too: a morsel run again row by row meets
+            # it again without running the subquery (and its UDFs) twice.
             if not cache:
-                result = planner.run_select(select)
-                cache.append(result.rows)
+                try:
+                    cache.append(planner.run_select(select).rows)
+                except Exception as exc:
+                    cache.append(exc)
+            if isinstance(cache[0], Exception):
+                raise cache[0]
             return cache[0]
 
         return fetch
 
-    def _compile_insubquery(self, node: ast.InSubquery) -> Evaluator:
-        operand = self.compile(node.operand)
+    def _compile_insubquery(self, node: ast.InSubquery) -> Kernel:
+        operand = self._compile(node.operand)
         fetch = self._subquery_values(node.subquery)
-        state: dict[str, object] = {}
+        hit = not node.negated
+        members: list[tuple[set, SQLValue]] = []
 
-        def evaluate(row: Row) -> SQLValue:
-            subject = operand(row)
-            if subject is None:
-                return None
-            if "values" not in state:
-                rows = fetch()
-                if rows and len(rows[0]) != 1:
+        def evaluate(rows: list[Row]) -> list[SQLValue]:
+            subjects = operand(rows)
+            if subjects.count(None) == len(subjects):
+                # The subquery runs at the first non-NULL subject.
+                return [None] * len(subjects)
+            if not members:
+                fetched = fetch()
+                if fetched and len(fetched[0]) != 1:
                     raise ExecutionError(
                         "IN subquery must return exactly one column"
                     )
-                values = {row_[0] for row_ in rows if row_[0] is not None}
-                state["values"] = values
-                state["saw_null"] = any(row_[0] is None for row_ in rows)
-            values = state["values"]  # type: ignore[assignment]
-            if subject in values:  # type: ignore[operator]
-                return not node.negated
-            if state["saw_null"]:
-                return None
-            return node.negated
+                values = {row[0] for row in fetched}
+                miss = None if None in values else node.negated
+                members.append((values - {None}, miss))
+            values, miss = members[0]
+            return [
+                None if subject is None else hit if subject in values else miss
+                for subject in subjects
+            ]
 
         return evaluate
 
     def _compile_existssubquery(
         self, node: ast.ExistsSubquery
-    ) -> Evaluator:
+    ) -> Kernel:
+        fetch = self._subquery_values(node.subquery)
+        negated = node.negated
+        return lambda rows: (
+            [bool(fetch()) != negated] * len(rows) if rows else []
+        )
+
+    def _compile_scalarsubquery(self, node: ast.ScalarSubquery) -> Kernel:
         fetch = self._subquery_values(node.subquery)
 
-        def evaluate(row: Row) -> SQLValue:
-            exists = bool(fetch())
-            return exists != node.negated
-
-        return evaluate
-
-    def _compile_scalarsubquery(self, node: ast.ScalarSubquery) -> Evaluator:
-        fetch = self._subquery_values(node.subquery)
-
-        def evaluate(row: Row) -> SQLValue:
-            rows = fetch()
-            if not rows:
-                return None
-            if len(rows[0]) != 1:
+        def evaluate(rows: list[Row]) -> list[SQLValue]:
+            fetched = fetch() if rows else None
+            if fetched and len(fetched[0]) != 1:
                 raise ExecutionError(
                     "scalar subquery must return exactly one column"
                 )
-            return rows[0][0]
+            return [fetched[0][0] if fetched else None] * len(rows)
 
         return evaluate
+
+
+def read_column(position: int) -> Kernel:
+    """The kernel of a bare column read: one ``itemgetter`` pass."""
+    read = itemgetter(position)
+    return lambda rows: list(map(read, rows))
+
+
+def reads_row_by_row(*compiled: Callable | None) -> bool:
+    """Whether any of ``compiled`` makes an LM call no batched site
+    resolves, so that the operator holding it must read row by row."""
+    return any(getattr(each, "serial", False) for each in compiled)
+
+
+def _conjuncts(expression: ast.Expression) -> list[ast.Expression]:
+    """The conjuncts of a top-level AND, in evaluation order."""
+    if isinstance(expression, ast.BinaryOp) and expression.op == "AND":
+        return _conjuncts(expression.left) + _conjuncts(expression.right)
+    return [expression]
+
+
+def _narrowing(selects: list[_Select]) -> Predicate:
+    last = len(selects) - 1
+
+    def keep(rows: list[Row]) -> list[Row]:
+        #: Rows no conjunct was FALSE for but some was NULL for.
+        undecided: list[Row] = []
+        for index, select in enumerate(selects):
+            if undecided:
+                kept, nulls = select(undecided, True)
+                undecided = kept + nulls
+            if rows:
+                rows, nulls = select(rows, index < last)
+                undecided += nulls
+        return rows
+
+    return keep
+
+
+def _select_truthy(kernel: Kernel) -> _Select:
+    def select(rows: list[Row], undecided: bool) -> tuple[list, list]:
+        values = kernel(rows)
+        nulls: list[Row] = []
+        if undecided and None in values:
+            nulls = list(compress(rows, map(is_, values, repeat(None))))
+        return list(compress(rows, values)), nulls
+
+    return select
+
+
+_NULL = type(None)
+
+
+@dataclass(slots=True)
+class _Test:
+    """One side tested against literals of one type family.
+
+    ``fast(values)`` answers, with anything truthy for TRUE, for values
+    that are all of ``family`` as they are -- with no NaN where
+    ``nan_decides`` (``compare`` calls NaN a tie, which decides ``=``,
+    ``<>``, ``<=``, ``>=``, BETWEEN and IN but not ``<`` or ``>``).
+    ``slow(value)`` answers any one value, NULL included, in
+    three-valued logic.  Both answer before ``negated``.
+    """
+
+    operand: Kernel
+    family: frozenset
+    nan_decides: bool
+    fast: Callable[[list[SQLValue]], Iterable[object]]
+    slow: Callable[[SQLValue], SQLValue]
+    negated: bool = False
+
+    def _fits(self, values: list[SQLValue], kinds: set[type]) -> bool:
+        if not kinds <= self.family:
+            return False
+        nan = float in kinds and any(map(ne, values, values))
+        return not (nan and self.nan_decides)
+
+    def _answer(self, value: SQLValue) -> SQLValue:
+        answer = self.slow(value)
+        return None if answer is None else answer != self.negated
+
+    def values(self, rows: list[Row]) -> list[SQLValue]:
+        values = self.operand(rows)
+        if not self._fits(values, set(map(type, values))):
+            return list(map(self._answer, values))
+        flags = self.fast(values)
+        return list(map(not_ if self.negated else truth, flags))
+
+    def select(
+        self, rows: list[Row], undecided: bool
+    ) -> tuple[list[Row], list[Row]]:
+        values = self.operand(rows)
+        kinds = set(map(type, values))
+        nulls: list[Row] = []
+        if _NULL in kinds:  # the test is NULL there
+            kinds.discard(_NULL)
+            present = list(map(is_not, values, repeat(None)))
+            if undecided:
+                nulls = list(compress(rows, map(not_, present)))
+            rows = list(compress(rows, present))
+            values = list(compress(values, present))
+        if not self._fits(values, kinds):
+            return list(compress(rows, map(self._answer, values))), nulls
+        flags = self.fast(values)
+        if self.negated:  # NOT of a two-valued answer: nothing is NULL
+            flags = map(not_, flags)
+        return list(compress(rows, flags)), nulls
+
+
+def _literal_test(node: ast.Expression) -> tuple | None:
+    """``node`` as a test of one side against literals of one family:
+    ``(side, family, nan_decides, fast, slow)`` of a :class:`_Test`,
+    or None."""
+    if isinstance(node, ast.BinaryOp) and node.op in _COMPARISONS:
+        for side, other, op in (
+            (node.left, node.right, node.op),
+            (node.right, node.left, FLIPPED.get(node.op, node.op)),
+        ):
+            family, (literal,) = _family(other)
+            if family is not None:
+                test = _COMPARISONS[op]
+                fast = lambda values: map(test, values, repeat(literal))
+                slow = partial(_compared, test, right=literal)
+                return side, family, op not in ("<", ">"), fast, slow
+        return None
+    if isinstance(node, ast.BetweenExpression):
+        family, (low, high) = _family(node.lower, node.upper)
+        fast = lambda values: map(
+            and_, map(le, repeat(low), values), map(le, values, repeat(high))
+        )
+        slow = partial(_between, low=low, high=high, negated=False)
+    elif isinstance(node, ast.InList):
+        family, literals = _family(*node.items)
+        # Numbers that are equal hash alike, so ``1`` finds ``1.0`` and
+        # ``-0.0`` finds ``0``, as ``compare`` says.
+        fast = partial(map, frozenset(literals).__contains__)
+        slow = partial(_in_values, values=literals, negated=False)
+    elif (
+        isinstance(node, ast.LikeExpression)
+        and isinstance(node.pattern, ast.Literal)
+        and node.pattern.value is not None
+    ):
+        match = _like_to_regex(str(node.pattern.value)).match
+        family, fast, slow = TEXT, partial(map, match), partial(_like, match)
+    else:
+        return None
+    if family is None:
+        return None
+    # BETWEEN and IN see NaN's tie; a text family never holds a NaN.
+    return node.operand, family, family is not TEXT, fast, slow
+
+
+def _family(*nodes: ast.Expression) -> tuple[frozenset | None, list]:
+    """The values of ``nodes`` when all are literals of one family that
+    order as they are (not NULL, a boolean or NaN), with that family;
+    else ``(None, [])``."""
+    values = [node.value for node in nodes if isinstance(node, ast.Literal)]
+    families = {_RAW_COMPARABLE.get(type(value)) for value in values}
+    if len(values) != len(nodes) or len(families) != 1 or None in families:
+        return None, [None] * len(nodes)
+    if any(value != value for value in values):  # NaN
+        return None, [None] * len(nodes)
+    return families.pop(), values
+
+
+def _logical(op: str, left: Kernel, right: Kernel) -> Kernel:
+    """AND / OR: the right side runs on the rows the left leaves
+    undecided (not FALSE for AND, not TRUE for OR)."""
+    decides = op == "OR"  # the left value that decides it alone
+
+    def evaluate(rows: list[Row]) -> list[SQLValue]:
+        lhs = left(rows)
+        reached = [value is None or bool(value) != decides for value in lhs]
+        rhs = iter(right(list(compress(rows, reached))))
+        return [
+            _kleene(decides, value, next(rhs)) if reach else decides
+            for value, reach in zip(lhs, reached)
+        ]
+
+    return evaluate
+
+
+def _kleene(decides: bool, lhs: SQLValue, rhs: SQLValue) -> SQLValue:
+    """AND (``decides`` False) / OR (True) of a left value that did not
+    decide it alone and a right one."""
+    if rhs is not None and bool(rhs) == decides:
+        return decides
+    if lhs is None or rhs is None:
+        return None
+    return not decides
+
+
+def _scatter(out: list, positions: list[int], values: list) -> None:
+    for position, value in zip(positions, values):
+        out[position] = value
+
+
+def _pairwise(
+    function: Callable[[SQLValue, SQLValue], SQLValue],
+    left: Kernel,
+    right: Kernel,
+) -> Kernel:
+    return lambda rows: list(map(function, left(rows), right(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +624,13 @@ class UDFCallError:
 class UDFCallSite:
     """One strict expensive-call site, compiled for batched execution.
 
-    Holds the per-argument evaluators (cheap row expressions) and a
-    statement-local memo of resolved keys.  ``evaluate`` is the
-    residual-phase evaluator spliced into the surrounding expression
-    via ``call_overrides``: it recomputes the key (argument evaluation
-    is deterministic, so this matches the collect phase) and reads the
-    memo.  Argument-evaluation errors deliberately re-raise *here*, in
-    row order, exactly as the per-row path would.
+    Holds the argument kernels (cheap expressions) and a statement-local
+    memo of resolved keys.  ``evaluate`` is the residual-phase kernel
+    spliced into the surrounding expression in place of the call: it
+    recomputes the keys (argument evaluation is deterministic, so they
+    match the collect phase) and reads the memo.  Argument errors
+    deliberately re-raise *here*, at their row, exactly as the per-row
+    path would.  ``serial`` says an argument makes an unbatched LM call.
     """
 
     __slots__ = (
@@ -432,7 +639,8 @@ class UDFCallSite:
         "batch_function",
         "cheap_function",
         "cheap_batch",
-        "arg_evaluators",
+        "arguments",
+        "serial",
         "memo",
     )
 
@@ -441,7 +649,7 @@ class UDFCallSite:
         name: str,
         function: Callable[..., SQLValue],
         batch_function: Callable | None,
-        arg_evaluators: list[Evaluator],
+        arguments: list[Kernel],
         cheap_function: Callable[..., SQLValue] | None = None,
         cheap_batch: Callable | None = None,
     ) -> None:
@@ -455,24 +663,27 @@ class UDFCallSite:
         #: memoizes errors, never changes results.
         self.cheap_function = cheap_function
         self.cheap_batch = cheap_batch
-        self.arg_evaluators = arg_evaluators
+        self.arguments = arguments
+        self.serial = reads_row_by_row(*arguments)
         self.memo: dict[MemoKey, object] = {}
 
-    def key(self, row: Row) -> MemoKey:
-        return (
-            self.name,
-            tuple(evaluate(row) for evaluate in self.arg_evaluators),
-        )
+    def keys(self, rows: list[Row]) -> list[MemoKey]:
+        """Each row's memo key (raising where an argument fails)."""
+        if not self.arguments:
+            return [(self.name, ())] * len(rows)
+        columns = [argument(rows) for argument in self.arguments]
+        return list(zip(repeat(self.name), zip(*columns)))
 
-    def evaluate(self, row: Row) -> SQLValue:
-        value = self.memo.get(self.key(row), _UNRESOLVED)
-        if value is _UNRESOLVED:
-            raise ExecutionError(
-                f"internal: uncollected batched call to {self.name}"
-            )
-        if isinstance(value, UDFCallError):
-            raise value.error
-        return value  # type: ignore[return-value]
+    def evaluate(self, rows: list[Row]) -> list[SQLValue]:
+        values = list(map(self.memo.get, self.keys(rows), repeat(_UNRESOLVED)))
+        for value in values:
+            if value is _UNRESOLVED:
+                raise ExecutionError(
+                    f"internal: uncollected batched call to {self.name}"
+                )
+            if type(value) is UDFCallError:
+                raise value.error
+        return values
 
     def call_scalar(self, args: tuple[SQLValue, ...]) -> object:
         """Invoke the scalar form, parking errors per the oracle contract."""
@@ -491,7 +702,7 @@ def strict_expensive_calls(
 ) -> list[ast.FunctionCall]:
     """Expensive calls evaluated *unconditionally* for every row.
 
-    Walks only the edges the compiled evaluators traverse eagerly, so a
+    Walks only the edges the compiled kernels traverse on every row, so a
     call the per-row path might skip (the right side of AND/OR, CASE
     branches past the first WHEN, IN-list items) is never pre-executed
     by the batched path — pre-executing it could change results, error
@@ -551,15 +762,16 @@ def plan_batched_expressions(
     functions: "FunctionRegistry",
     subquery_planner: "Planner | None" = None,
     cascade: bool = False,
-) -> tuple[list[UDFCallSite], list[Evaluator]]:
-    """Compile ``expressions`` with shared batched UDF call sites.
+) -> tuple[list[UDFCallSite], ExpressionCompiler]:
+    """The batched call sites of ``expressions``, and a compiler that
+    splices them in.
 
     Extracts every strict expensive call across all expressions (so a
-    ``LLM(...)`` repeated between SELECT items resolves once), builds a
-    :class:`UDFCallSite` per distinct call, and compiles the residual
-    expressions with the sites spliced in.  Site order is inner-before-
-    outer, so a site's argument evaluators may reference earlier sites'
-    memoized results (nested LM UDFs batch in waves).
+    ``LLM(...)`` repeated between SELECT items resolves once) and builds
+    a :class:`UDFCallSite` per distinct call; the compiler returned
+    compiles the residual expressions with the sites spliced in.  Site
+    order is inner-before-outer, so a site's argument kernels may read
+    earlier sites' memoized results (nested LM UDFs batch in waves).
 
     With ``cascade=True``, sites whose function has a registered cheap
     tier route each distinct argument tuple through it first; only
@@ -571,17 +783,16 @@ def plan_batched_expressions(
         for call in strict_expensive_calls(expression, functions):
             if call not in calls:
                 calls.append(call)
-    overrides: dict[ast.FunctionCall, Evaluator] = {}
-    sites: list[UDFCallSite] = []
+    sites: dict[ast.FunctionCall, UDFCallSite] = {}
     for call in calls:
         compiler = ExpressionCompiler(
-            layout, functions, subquery_planner, call_overrides=dict(overrides)
+            layout, functions, subquery_planner, sites=dict(sites)
         )
-        site = UDFCallSite(
+        sites[call] = UDFCallSite(
             call.name.upper(),
             functions.scalar(call.name),
             functions.batch_function(call.name),
-            [compiler.compile(arg) for arg in call.args],
+            [compiler.kernel(arg) for arg in call.args],
             cheap_function=(
                 functions.cheap_function(call.name) if cascade else None
             ),
@@ -591,12 +802,10 @@ def plan_batched_expressions(
                 else None
             ),
         )
-        overrides[call] = site.evaluate
-        sites.append(site)
-    final = ExpressionCompiler(
-        layout, functions, subquery_planner, call_overrides=overrides
+    compiler = ExpressionCompiler(
+        layout, functions, subquery_planner, sites=sites
     )
-    return sites, [final.compile(expression) for expression in expressions]
+    return list(sites.values()), compiler
 
 
 # ---------------------------------------------------------------------------
@@ -612,35 +821,41 @@ def _to_text(value: SQLValue) -> str:
     return str(value)
 
 
-def _arithmetic(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
-    def evaluate(row: Row) -> SQLValue:
-        lhs, rhs = left(row), right(row)
-        if lhs is None or rhs is None:
-            return None
-        if not isinstance(lhs, (int, float)) or not isinstance(
-            rhs, (int, float)
-        ):
-            raise ExecutionError(
-                f"arithmetic on non-numeric values {lhs!r} {op} {rhs!r}"
-            )
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if rhs == 0:
-                return None  # SQLite: division by zero yields NULL
-            if isinstance(lhs, int) and isinstance(rhs, int):
-                quotient = lhs / rhs
-                return int(quotient) if quotient == int(quotient) else quotient
-            return lhs / rhs
-        if op == "%":
-            return _remainder(lhs, rhs)
-        raise PlanningError(f"unknown arithmetic operator {op!r}")
+def _negative(value: SQLValue) -> SQLValue:
+    if value is None:
+        return None
+    if not isinstance(value, (int, float)):
+        raise ExecutionError(f"cannot negate {value!r}")
+    return -value
 
-    return evaluate
+
+def _concat(lhs: SQLValue, rhs: SQLValue) -> SQLValue:
+    if lhs is None or rhs is None:
+        return None
+    return _to_text(lhs) + _to_text(rhs)
+
+
+def _arithmetic(op: str, lhs: SQLValue, rhs: SQLValue) -> SQLValue:
+    if lhs is None or rhs is None:
+        return None
+    if not isinstance(lhs, (int, float)) or not isinstance(rhs, (int, float)):
+        raise ExecutionError(
+            f"arithmetic on non-numeric values {lhs!r} {op} {rhs!r}"
+        )
+    if op == "+":
+        return lhs + rhs
+    if op == "-":
+        return lhs - rhs
+    if op == "*":
+        return lhs * rhs
+    if op == "/":
+        if rhs == 0:
+            return None  # SQLite: division by zero yields NULL
+        if isinstance(lhs, int) and isinstance(rhs, int):
+            quotient = lhs / rhs
+            return int(quotient) if quotient == int(quotient) else quotient
+        return lhs / rhs
+    return _remainder(lhs, rhs)
 
 
 def _cast(value: SQLValue, target: dbtypes.DataType) -> SQLValue:
@@ -700,138 +915,15 @@ _RAW_COMPARABLE = {
 }
 
 
-def _comparison(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
-    test = _COMPARISONS[op]
-    compare = dbtypes.compare
-
-    def evaluate(row: Row) -> SQLValue:
-        ordering = compare(left(row), right(row))
-        return None if ordering is None else test(ordering, 0)
-
-    return evaluate
+def _compared(
+    test: Callable[[int, int], bool], left: SQLValue, right: SQLValue
+) -> SQLValue:
+    ordering = compare(left, right)
+    return None if ordering is None else test(ordering, 0)
 
 
-def _column_comparison(op: str, position: int, literal: SQLValue) -> Evaluator:
-    """``column <op> literal`` as one read and one test.
-
-    A value of a type that orders against the literal's as it is gets
-    the operator directly; anything else (NULL, another rank, ``bool``,
-    and NaN, which ``compare`` calls a tie) takes ``compare``'s answer.
-    """
-    test = _COMPARISONS[op]
-    raw = _RAW_COMPARABLE[type(literal)]
-    compare = dbtypes.compare
-
-    def evaluate(row: Row) -> SQLValue:
-        value = row[position]
-        if type(value) in raw and value == value:
-            return test(value, literal)
-        ordering = compare(value, literal)
-        return None if ordering is None else test(ordering, 0)
-
-    return evaluate
-
-
-def _column_between(
-    position: int, low: SQLValue, high: SQLValue, negated: bool
-) -> Evaluator:
-    """``column [NOT] BETWEEN low AND high`` over literals of one family,
-    as one read and one chained test.
-
-    The same split as :func:`_column_comparison`: a value that orders
-    against the bounds as it is tests them directly, anything else
-    takes the three-valued answer built from ``compare``.
-    """
-    raw = _RAW_COMPARABLE[type(low)]
-
-    def evaluate(row: Row) -> SQLValue:
-        value = row[position]
-        if type(value) in raw and value == value:
-            return (low <= value <= high) != negated  # type: ignore[operator]
-        return _between(value, low, high, negated)
-
-    return evaluate
-
-
-def _column_in(
-    position: int, literals: list[SQLValue], negated: bool
-) -> Evaluator:
-    """``column [NOT] IN (literal, ...)`` over non-NaN literals of one
-    family, as one read and one set probe.
-
-    The same split as :func:`_column_comparison`: a value that compares
-    with the literals as it is meets them in a ``frozenset`` (numbers
-    that are equal hash alike, so ``1`` finds ``1.0`` and ``-0.0`` finds
-    ``0``, as ``compare`` says), anything else takes the three-valued
-    loop.
-    """
-    raw = _RAW_COMPARABLE[type(literals[0])]
-    members = frozenset(literals)
-
-    def evaluate(row: Row) -> SQLValue:
-        value = row[position]
-        if type(value) in raw and value == value:
-            return (value in members) != negated
-        return _in_values(value, literals, negated)
-
-    return evaluate
-
-
-def _column_literal(
-    node: ast.BinaryOp,
-) -> tuple[ast.ColumnRef, str, SQLValue] | None:
-    """``column <op> literal``, either way round, as ``(column, op as
-    read from the column, literal)`` when the literal orders as it is
-    against its family (not NaN, not ``bool``); else None."""
-    for ref, literal, op in (
-        (node.left, node.right, node.op),
-        (node.right, node.left, FLIPPED.get(node.op, node.op)),
-    ):
-        if (
-            isinstance(ref, ast.ColumnRef)
-            and isinstance(literal, ast.Literal)
-            and type(literal.value) in _RAW_COMPARABLE
-            and literal.value == literal.value  # not NaN
-        ):
-            return ref, op, literal.value
-    return None
-
-
-def _literal_bounds(node: ast.BetweenExpression) -> bool:
-    """Whether ``node`` is ``column BETWEEN`` two non-NaN literals of
-    one family."""
-    lower, upper = node.lower, node.upper
-    return (
-        isinstance(node.operand, ast.ColumnRef)
-        and isinstance(lower, ast.Literal)
-        and isinstance(upper, ast.Literal)
-        and type(lower.value) in _RAW_COMPARABLE
-        and _RAW_COMPARABLE[type(lower.value)]
-        == _RAW_COMPARABLE.get(type(upper.value))
-        and lower.value == lower.value  # not NaN
-        and upper.value == upper.value
-    )
-
-
-def _literal_items(node: ast.InList) -> list[SQLValue] | None:
-    """The items of ``column IN (...)`` when all are non-NaN literals
-    of one family; else None."""
-    literals = [
-        item.value for item in node.items if isinstance(item, ast.Literal)
-    ]
-    family = _RAW_COMPARABLE.get(type(literals[0])) if literals else None
-    if (
-        isinstance(node.operand, ast.ColumnRef)
-        and family is not None
-        and len(literals) == len(node.items)
-        and all(
-            _RAW_COMPARABLE.get(type(value)) == family
-            and value == value  # not NaN
-            for value in literals
-        )
-    ):
-        return literals
-    return None
+def _like(match: Callable, value: SQLValue) -> SQLValue:
+    return None if value is None else match(_to_text(value)) is not None
 
 
 def _in_values(
@@ -865,113 +957,6 @@ def _between(
     if above is None or below is None:
         return None
     return not negated
-
-
-# ---------------------------------------------------------------------------
-# Literal filters, a morsel at a time
-# ---------------------------------------------------------------------------
-
-_NULL = type(None)
-
-#: A literal conjunct over a morsel of rows: the rows it keeps, or None
-#: when its column holds a value it cannot test as it is.
-MorselTest = Callable[[list[Row]], "list[Row] | None"]
-
-
-def morsel_tests(
-    conjuncts: list[ast.Expression], layout: RowLayout
-) -> list[MorselTest] | None:
-    """Column-at-a-time tests for the AND of ``conjuncts``, one per
-    conjunct in order (ANDs flattened), or None unless every one is a
-    literal test: ``column <op> literal``, ``column [NOT] BETWEEN`` or
-    ``[NOT] IN`` over literals (the shapes the compiler reads and tests
-    in one step), or ``column [NOT] LIKE 'pattern'``.
-
-    Each test reads its column off the morsel, asks once whether every
-    value is of the literal's family as it is (and, where the operator
-    would see it, no NaN, which ``compare`` calls a tie), and if so
-    keeps the rows with ``compress`` over ``map`` of the operator.  The
-    rows it keeps are the rows the compiled conjunct is truthy for; a
-    column that does not qualify answers None, and the caller tests
-    that morsel with the compiled predicate instead.
-    """
-    tests: list[MorselTest] = []
-    pending = list(reversed(conjuncts))
-    while pending:
-        node = pending.pop()
-        if isinstance(node, ast.BinaryOp) and node.op == "AND":
-            pending += [node.right, node.left]
-            continue
-        test = _morsel_test(node, layout)
-        if test is None:
-            return None
-        tests.append(test)
-    return tests
-
-
-def _morsel_test(
-    node: ast.Expression, layout: RowLayout
-) -> MorselTest | None:
-    # NaN against a number is a tie to ``compare``: it decides =, <>,
-    # <=, >=, BETWEEN and IN, but < and > are false either way.
-    if isinstance(node, ast.BinaryOp) and node.op in _COMPARISONS:
-        found = _column_literal(node)
-        if found is None:
-            return None
-        ref, op, literal = found
-        test = _COMPARISONS[op]
-        family = _RAW_COMPARABLE[type(literal)]
-        nan_decides = op not in ("<", ">")
-        flags = lambda column: map(test, column, repeat(literal))
-    elif isinstance(node, ast.BetweenExpression) and _literal_bounds(node):
-        ref = node.operand  # type: ignore[assignment]
-        low, high = node.lower.value, node.upper.value  # type: ignore[union-attr]
-        family, nan_decides = _RAW_COMPARABLE[type(low)], True
-        flags = lambda column: map(
-            operator.and_,
-            map(operator.le, repeat(low), column),
-            map(operator.le, column, repeat(high)),
-        )
-    elif isinstance(node, ast.InList) and (
-        (literals := _literal_items(node)) is not None
-    ):
-        ref = node.operand  # type: ignore[assignment]
-        family, nan_decides = _RAW_COMPARABLE[type(literals[0])], True
-        flags = partial(map, frozenset(literals).__contains__)
-    elif (
-        isinstance(node, ast.LikeExpression)
-        and isinstance(node.operand, ast.ColumnRef)
-        and isinstance(node.pattern, ast.Literal)
-        and node.pattern.value is not None
-    ):
-        ref = node.operand
-        family, nan_decides = dbtypes.TEXT, False
-        flags = partial(map, _like_to_regex(str(node.pattern.value)).match)
-    else:
-        return None
-    read = operator.itemgetter(layout.resolve(ref.name, ref.table))
-    negated = getattr(node, "negated", False)
-
-    def keep(rows: list[Row]) -> list[Row] | None:
-        column = list(map(read, rows))
-        kinds = set(map(type, column))
-        if _NULL in kinds:  # each of these tests is NULL there: dropped
-            kinds.discard(_NULL)
-            present = list(map(operator.is_not, column, repeat(None)))
-            rows = list(compress(rows, present))
-            column = list(compress(column, present))
-        if not kinds.issubset(family) or (
-            nan_decides
-            and float in kinds
-            and any(map(operator.ne, column, column))
-        ):
-            return None
-        kept = flags(column)
-        if negated:  # NOT of a two-valued answer, as nothing here is NULL
-            kept = map(operator.not_, kept)
-        return list(compress(rows, kept))
-
-    return keep
 
 
 def _like_to_regex(pattern: str) -> re.Pattern[str]:

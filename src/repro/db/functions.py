@@ -83,10 +83,10 @@ class FunctionRegistry:
         ``batch`` optionally supplies a vectorised form: called with a
         list of argument tuples, it returns one result per tuple in
         order, and must agree value-for-value with ``function``.  The
-        batched execution path (:class:`repro.db.plan.MorselFilter` /
-        ``MorselProject``) dispatches one ``batch`` call per morsel of
-        distinct argument tuples — for an LM UDF this is where per-row
-        ``complete()`` turns into one ``complete_batch()``.  Without
+        batched execution path (a :class:`repro.db.plan.Filter` or
+        ``Project`` with call sites) dispatches one ``batch`` call per
+        morsel of distinct argument tuples — for an LM UDF this is where
+        per-row ``complete()`` turns into one ``complete_batch()``.  Without
         ``batch``, the batched path still deduplicates and memoizes but
         invokes ``function`` once per distinct tuple.
 

@@ -1,7 +1,9 @@
 """Physical query plan operators (Volcano-style iterators).
 
-The planner compiles expressions at build time, so operators hold plain
-callables and iterate tuples.  Each operator exposes its output
+The planner compiles expressions at build time into kernels (see
+:mod:`repro.db.expr`), so operators hold plain callables: each reads
+its input a morsel at a time and evaluates every expression it holds
+once per morsel.  Each operator exposes its output
 :class:`~repro.db.result.RowLayout` and an ``execute()`` generator, plus
 an ``explain()`` line used by tests and diagnostics.
 """
@@ -13,17 +15,19 @@ import threading
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
-from itertools import chain, islice
+from functools import partial
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter, ne, neg
 from typing import TYPE_CHECKING, Protocol
 
 from repro.db.expr import (
-    Evaluator,
+    Kernel,
     MemoKey,
-    MorselTest,
+    Predicate,
     UDFCallError,
     UDFCallSite,
-    morsel_tests,
+    read_column,
+    reads_row_by_row,
 )
 from repro.db.functions import COUNT, COUNT_ROWS, AggregateSpec
 from repro.db.result import Row, RowLayout
@@ -36,7 +40,6 @@ from repro.db.shard import (
     merge_cache_events,
     next_shard_thread_name,
 )
-from repro.db.sql import ast
 from repro.db.stmtcache import LRUCache
 from repro.db.table import Table
 from repro.db.types import NUMBERS, TEXT, SQLValue, sort_key
@@ -53,9 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.lm.usage import Usage
 
 
-#: Rows per morsel: the operators that decide per morsel (Aggregate,
-#: Sort, a literal Filter, an inner HashJoin probe) read their input in
-#: lists of this many rows.
+#: Rows per morsel: every operator that evaluates an expression reads
+#: its input in lists of this many rows (of one, below a row limit or in
+#: a plan that makes an unbatched LM call, see :func:`read_serially`).
 MORSEL_SIZE = 2048
 
 
@@ -83,6 +86,42 @@ def _morsels(
             return
 
 
+def _stepped(
+    step: Callable[[list], Iterable],
+    morsels: Iterable[list],
+    tagged: bool = False,
+) -> Iterator:
+    """The output of ``step`` over each morsel in turn.
+
+    A morsel ``step`` fails on is run again one row at a time: the
+    output of the rows before the first failing row comes out, then
+    that row's error is raised (as a
+    :class:`~repro.db.shard.ShardRowError` carrying its tag, in a shard
+    pipeline), so the rows and the error are a row-at-a-time plan's.
+    """
+    for morsel in morsels:
+        try:
+            out = step(morsel)
+        except Exception as exc:  # noqa: BLE001 - re-raised at its row
+            if len(morsel) > 1:
+                out = _stepped(step, ([row] for row in morsel), tagged)
+            elif tagged:
+                raise ShardRowError(morsel[0][-1], exc) from exc
+            else:
+                raise
+        yield from out
+
+
+def run_morsels(
+    step: Callable[[list], Iterable], items: Iterable, one_by_one: bool
+) -> Iterator:
+    """``step`` over ``items`` a morsel at a time (or one item at a
+    time), with a failing morsel's error raised at its first failing
+    item: for the statements that run outside a plan (UPDATE/DELETE)."""
+    size = 1 if one_by_one else MORSEL_SIZE
+    return _stepped(step, _morsels(iter(items), size))
+
+
 class PlanNode:
     """Base class for plan operators."""
 
@@ -95,8 +134,17 @@ class PlanNode:
     #: the limit, UDF and LM calls included, for rows it never keeps.
     pull_ahead = True
 
+    #: Whether an expression this node holds makes an LM call no batched
+    #: site resolves (:func:`~repro.db.expr.reads_row_by_row`).
+    serial = False
+
     def execute(self) -> Iterator[Row]:
         raise NotImplementedError
+
+    def _input(self, rows: Iterator[Row]) -> Iterator[list[Row]]:
+        """``rows`` in morsels, or one by one when this node may not
+        read ahead."""
+        return _morsels(rows, MORSEL_SIZE if self.pull_ahead else 1)
 
     def _streamed(self) -> list["PlanNode"]:
         """The children read only as fast as this node's output is
@@ -228,19 +276,9 @@ class IndexRange(PlanNode):
         )
 
 
-def _tuple_builder(
-    evaluators: list[Evaluator], width: int
-) -> Callable[[Row], tuple]:
-    """One function from a row to ``(evaluate(row), ...)``.
-
-    Bare column reads (``itemgetter``s, as the compiler spells them)
-    fuse into a single ``itemgetter`` over their positions, which each
-    one gives back when applied to ``range(width)``, the row that holds
-    ``p`` at position ``p``; ``width`` is the input layout's.
-    """
-    if not all(type(evaluate) is itemgetter for evaluate in evaluators):
-        return lambda row: tuple([evaluate(row) for evaluate in evaluators])
-    positions = [read(range(width)) for read in evaluators]
+def _tuple_builder(positions: list[int]) -> Callable[[Row], tuple]:
+    """One function from a row to the tuple of its values at
+    ``positions``: a single ``itemgetter``."""
     if len(positions) > 1:
         return itemgetter(*positions)
     # One position alone would answer the bare value, and none cannot
@@ -249,89 +287,11 @@ def _tuple_builder(
     return itemgetter(slice(start, start + len(positions)))
 
 
-class Filter(PlanNode):
-    """Keeps the rows whose predicate value is truthy (NULL is not).
-
-    ``conjuncts``, when the planner passes the predicate's AST (an AND
-    of them), lets a literal filter -- every conjunct ``column <op>
-    literal``, ``BETWEEN`` or ``IN`` over literals, or ``LIKE`` a
-    literal pattern -- test an input of a morsel or more a column at a
-    time (:func:`~repro.db.expr.morsel_tests`).
-    """
-
-    def __init__(
-        self,
-        child: PlanNode,
-        predicate: Evaluator,
-        label: str = "",
-        conjuncts: list[ast.Expression] | None = None,
-    ) -> None:
-        self.child = child
-        self.predicate = predicate
-        self.label = label
-        self.conjuncts = conjuncts
-        self.layout = child.layout
-
-    def execute(self) -> Iterator[Row]:
-        rows = self.child.execute()
-        if not (self.conjuncts and self.pull_ahead):
-            return filter(self.predicate, rows)
-        return chain.from_iterable(self._kept(rows))
-
-    def _kept(self, rows: Iterator[Row]) -> Iterator[Iterable[Row]]:
-        morsels = _morsels(rows)
-        first = next(morsels, None)
-        if first is None:
-            return
-        # An input of less than a morsel is tested row by row: building
-        # the column tests would cost more than they save.
-        tests = None
-        if len(first) == MORSEL_SIZE:
-            tests = morsel_tests(self.conjuncts, self.layout)
-        for morsel in chain((first,), morsels):
-            if tests is None:
-                yield filter(self.predicate, morsel)
-            else:
-                yield self._keep(tests, morsel)
-
-    def _keep(self, tests: list[MorselTest], morsel: list[Row]) -> list[Row]:
-        for test in tests:
-            kept = test(morsel)
-            if kept is None:
-                # A column the test cannot read as it is: the rows still
-                # in hand take the predicate itself (the conjuncts are
-                # pure, so re-testing the ones already passed is moot).
-                return list(filter(self.predicate, morsel))
-            morsel = kept
-        return morsel
-
-    def _describe(self) -> str:
-        return f"Filter({self.label})" if self.label else "Filter"
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]
-
-
-class Project(PlanNode):
-    def __init__(
-        self,
-        child: PlanNode,
-        evaluators: list[Evaluator],
-        layout: RowLayout,
-    ) -> None:
-        self.child = child
-        self.evaluators = evaluators
-        self.layout = layout
-        self._project = _tuple_builder(evaluators, len(child.layout))
-
-    def execute(self) -> Iterator[Row]:
-        return map(self._project, self.child.execute())
-
-    def _describe(self) -> str:
-        return f"Project({', '.join(self.layout.names)})"
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]
+def _projected(kernels: list[Kernel], rows: list[Row]) -> list[Row]:
+    """One output row per row of ``rows``: the kernels' values."""
+    if not kernels:
+        return [()] * len(rows)
+    return list(zip(*[kernel(rows) for kernel in kernels]))
 
 
 class MorselContext(Protocol):
@@ -485,7 +445,7 @@ def _resolve_morsel(
     """Resolve every strict UDF call for a morsel of rows, in waves.
 
     Sites arrive inner-before-outer, so by the time an outer site's
-    argument evaluators run, any nested call they read is already
+    argument kernels run, any nested call they read is already
     memoized.  Per site: evaluate each row's argument tuple (rows whose
     arguments error are skipped — the residual phase re-raises the same
     error at the same row), serve duplicates and cache hits for free,
@@ -511,11 +471,9 @@ def _resolve_morsel(
         #: Tag of the row each pending key first occurs at.
         tags: dict[MemoKey, int | None] = {}
         hits = 0
-        for row in rows:
-            try:
-                key = site.key(row)
-            except Exception:
-                continue  # argument error; re-raised per row later
+        for row, key in zip(rows, _site_keys(site, rows)):
+            if key is None:
+                continue  # argument error; re-raised at its row later
             if key in memo or key in tags:
                 hits += 1
                 continue
@@ -551,6 +509,24 @@ def _resolve_morsel(
             context.publish(site_id, key, tags[key], value)
             waited += 1
         context.tally(stats, "udf_cache_hits", waited)
+
+
+def _site_keys(site: UDFCallSite, rows: list[Row]) -> list[MemoKey | None]:
+    """Each row's memo key at ``site``, None where an argument fails:
+    the morsel at once, or row by row when that fails (or when an
+    argument makes an unbatched LM call, which must not run twice)."""
+    if not site.serial:
+        try:
+            return site.keys(rows)
+        except Exception:  # noqa: BLE001 - found again row by row
+            pass
+    keys: list[MemoKey | None] = []
+    for row in rows:
+        try:
+            keys.extend(site.keys([row]))
+        except Exception:  # noqa: BLE001 - re-raised at its row later
+            keys.append(None)
+    return keys
 
 
 def _dispatch(
@@ -616,38 +592,38 @@ def _dispatch(
 
 
 class _MorselNode(PlanNode):
-    """Shared state and loop of the two morsel operators: pull a morsel
-    of ``batch_size`` rows, resolve every strict expensive call in it
-    through :func:`_resolve_morsel`, hand it on for per-row work.
+    """Shared state and loop of :class:`Filter` and :class:`Project`:
+    read the child a morsel at a time and run the node's kernels on it.
 
-    ``ordinal`` numbers the operator within its statement where its
-    context tells call sites apart (shard pipelines).  The rendered
-    name follows from the context and the sites, not from a class:
-    ``Shard`` when rows are tagged, ``Batched`` when there are call
-    sites to resolve.
+    With call sites, a morsel is ``batch_size`` rows and every strict
+    expensive call in it is resolved through :func:`_resolve_morsel`
+    first.  ``ordinal`` numbers the operator within its statement where
+    its ``context`` tells call sites apart (shard pipelines).  The
+    rendered name follows from the context and the sites, not from a
+    class: ``Shard`` when rows are tagged, ``Batched`` when there are
+    call sites to resolve.
     """
 
     def __init__(
         self,
         child: PlanNode,
         sites: list[UDFCallSite],
-        context: MorselContext,
+        context: MorselContext | None,
         batch_size: int | None,
         ordinal: int,
     ) -> None:
         self.child = child
         self.sites = sites
-        self.context = context
+        self.context = context or UDFExecContext()
         self.batch_size = batch_size
         self.ordinal = ordinal
         self.exec_stats = _fresh_exec_stats(sites)
 
-    def _morsels(self) -> Iterator[Iterable[Row]]:
-        source = self.child.execute()
+    def _morsels(self) -> Iterator[list[Row]]:
         if not self.sites:
-            yield source  # nothing to resolve: one morsel, streamed
+            yield from self._input(self.child.execute())  # nothing to resolve
             return
-        for morsel in _morsels(source, self.batch_size):
+        for morsel in _morsels(self.child.execute(), self.batch_size):
             try:
                 _resolve_morsel(
                     self.sites,
@@ -662,7 +638,7 @@ class _MorselNode(PlanNode):
                 if self.context.tagged:
                     raise ShardRowError(morsel[0][-1], exc) from exc
                 raise
-            yield morsel
+            yield from self._input(iter(morsel))
 
     def _label(self, kind: str, parts: list[str]) -> str:
         shard = "Shard" if self.context.tagged else ""
@@ -678,86 +654,72 @@ class _MorselNode(PlanNode):
         return [self.child]
 
 
-class MorselFilter(_MorselNode):
-    """Filter with vectorized expensive-UDF resolution.
+class Filter(_MorselNode):
+    """Keeps the rows whose predicate value is truthy (NULL is not).
 
-    Applies the residual predicate per row of each resolved morsel —
-    identical rows, order, and error behaviour to :class:`Filter` over
-    the same predicate.  Renders as ``BatchedFilter``; in a shard
-    pipeline as ``ShardBatchedFilter``, or, with no call sites (the
-    cheap conjuncts, where only the failure tagging is wanted), as
-    ``ShardFilter``.
+    ``predicate`` is the compiled WHERE form
+    (:meth:`~repro.db.expr.ExpressionCompiler.predicate`): a morsel in,
+    the rows it keeps out.  With call sites it renders as
+    ``BatchedFilter``; in a shard pipeline as ``ShardBatchedFilter``,
+    or, with no call sites (the cheap conjuncts, where only the failure
+    tagging is wanted), as ``ShardFilter``.
     """
 
     def __init__(
         self,
         child: PlanNode,
-        predicate: Evaluator,
-        sites: list[UDFCallSite],
-        context: MorselContext,
-        batch_size: int | None,
-        ordinal: int = 0,
+        predicate: Predicate,
         label: str = "",
+        sites: list[UDFCallSite] | None = None,
+        context: MorselContext | None = None,
+        batch_size: int | None = None,
+        ordinal: int = 0,
     ) -> None:
-        super().__init__(child, sites, context, batch_size, ordinal)
+        super().__init__(child, sites or [], context, batch_size, ordinal)
         self.predicate = predicate
         self.label = label
         self.layout = child.layout
+        self.serial = reads_row_by_row(predicate)
 
     def execute(self) -> Iterator[Row]:
-        predicate = self.predicate
-        tagged = self.context.tagged
-        for morsel in self._morsels():
-            for row in morsel:
-                try:
-                    if not predicate(row):
-                        continue
-                except Exception as exc:
-                    if tagged:
-                        raise ShardRowError(row[-1], exc) from exc
-                    raise
-                yield row
+        return _stepped(self.predicate, self._morsels(), self.context.tagged)
 
     def _describe(self) -> str:
         return self._label("Filter", [self.label] if self.label else [])
 
 
-class MorselProject(_MorselNode):
-    """Project with vectorized expensive-UDF resolution (see
-    :class:`MorselFilter`); renders as ``BatchedProject`` or
-    ``ShardBatchedProject``.  A tag is one more output column, so the
-    merge above still sees globally ordered tuples."""
+class Project(_MorselNode):
+    """One output column per kernel.  With ``positions`` every item is
+    a bare input column, and a row is projected with one
+    ``itemgetter``.  With call sites it renders as ``BatchedProject`` or
+    ``ShardBatchedProject`` (see :class:`Filter`); a tag is one more
+    output column, so the merge above still sees globally ordered
+    tuples."""
 
     def __init__(
         self,
         child: PlanNode,
-        evaluators: list[Evaluator],
+        kernels: list[Kernel],
         layout: RowLayout,
-        sites: list[UDFCallSite],
-        context: MorselContext,
-        batch_size: int,
+        positions: list[int] | None = None,
+        sites: list[UDFCallSite] | None = None,
+        context: MorselContext | None = None,
+        batch_size: int | None = None,
         ordinal: int = 0,
     ) -> None:
-        super().__init__(child, sites, context, batch_size, ordinal)
-        if context.tagged:
-            evaluators = evaluators + [itemgetter(-1)]
-        self.evaluators = evaluators
+        super().__init__(child, sites or [], context, batch_size, ordinal)
+        self.serial = reads_row_by_row(*kernels)
+        if self.context.tagged:
+            kernels = kernels + [read_column(-1)]
+        self.kernels = kernels
         self.layout = layout
+        self._slice = None if positions is None else _tuple_builder(positions)
 
     def execute(self) -> Iterator[Row]:
-        evaluators = self.evaluators
-        tagged = self.context.tagged
-        for morsel in self._morsels():
-            for row in morsel:
-                try:
-                    projected = tuple(
-                        evaluate(row) for evaluate in evaluators
-                    )
-                except Exception as exc:
-                    if tagged:
-                        raise ShardRowError(row[-1], exc) from exc
-                    raise
-                yield projected
+        if self._slice is not None:
+            return map(self._slice, self.child.execute())
+        project = partial(_projected, self.kernels)
+        return _stepped(project, self._morsels(), self.context.tagged)
 
     def _describe(self) -> str:
         return self._label("Project", [", ".join(self.layout.names)])
@@ -772,10 +734,7 @@ class Slice(PlanNode):
         self.layout = RowLayout(
             [child.layout.entries[position] for position in positions]
         )
-        self._slice = _tuple_builder(
-            [itemgetter(position) for position in positions],
-            len(child.layout),
-        )
+        self._slice = _tuple_builder(positions)
 
     def execute(self) -> Iterator[Row]:
         return map(self._slice, self.child.execute())
@@ -788,13 +747,14 @@ class Slice(PlanNode):
 
 
 class NestedLoopJoin(PlanNode):
-    """General join; materialises the right side once."""
+    """General join; materialises the right side once.  Each left row
+    meets the right rows a morsel of combined rows at a time."""
 
     def __init__(
         self,
         left: PlanNode,
         right: PlanNode,
-        condition: Evaluator | None,
+        condition: Kernel | None,
         kind: str,
     ) -> None:
         self.left = left
@@ -802,20 +762,25 @@ class NestedLoopJoin(PlanNode):
         self.condition = condition
         self.kind = kind
         self.layout = RowLayout.concat(left.layout, right.layout)
+        self.serial = reads_row_by_row(condition)
 
     def execute(self) -> Iterator[Row]:
         right_rows = list(self.right.execute())
         null_right = (None,) * len(self.right.layout)
-        condition = self.condition
         for left_row in self.left.execute():
+            combined = self._input(
+                left_row + right_row for right_row in right_rows
+            )
             matched = False
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if condition is None or condition(combined):
-                    matched = True
-                    yield combined
+            for row in _stepped(self._matching, combined):
+                matched = True
+                yield row
             if self.kind == "LEFT" and not matched:
                 yield left_row + null_right
+
+    def _matching(self, rows: list[Row]) -> Iterable[Row]:
+        condition = self.condition
+        return rows if condition is None else compress(rows, condition(rows))
 
     def _describe(self) -> str:
         return f"NestedLoopJoin({self.kind})"
@@ -827,21 +792,36 @@ class NestedLoopJoin(PlanNode):
         return [self.left, self.right]
 
 
+def _key_kernel(kernels: list[Kernel]) -> Kernel:
+    """A morsel's hash keys, None where any part is NULL (NULL keys
+    never match in an equi-join): the kernel itself for a single key, a
+    tuple of the parts otherwise."""
+    if len(kernels) == 1:
+        return kernels[0]
+
+    def keys(rows: list[Row]) -> list[tuple | None]:
+        parts = zip(*[kernel(rows) for kernel in kernels])
+        return [None if None in key else key for key in parts]
+
+    return keys
+
+
 class HashJoin(PlanNode):
     """Equi-join: builds a hash table on the right side.
 
-    ``residual`` (if any) is evaluated over the combined row for extra
-    non-equi conjuncts of the ON clause.
+    ``residual`` (if any) is evaluated over the combined rows for extra
+    non-equi conjuncts of the ON clause.  The left input is probed a
+    morsel at a time.
     """
 
     def __init__(
         self,
         left: PlanNode,
         right: PlanNode,
-        left_keys: list[Evaluator],
-        right_keys: list[Evaluator],
+        left_keys: list[Kernel],
+        right_keys: list[Kernel],
         kind: str,
-        residual: Evaluator | None = None,
+        residual: Kernel | None = None,
     ) -> None:
         self.left = left
         self.right = right
@@ -850,81 +830,62 @@ class HashJoin(PlanNode):
         self.kind = kind
         self.residual = residual
         self.layout = RowLayout.concat(left.layout, right.layout)
-        self._left_key = self._key_function(left_keys, len(left.layout))
-        self._right_key = self._key_function(right_keys, len(right.layout))
-
-    @staticmethod
-    def _key_function(
-        evaluators: list[Evaluator], width: int
-    ) -> Callable[[Row], object]:
-        """A row's hash key, or None when any part of it is NULL (NULL
-        keys never match in an equi-join): the evaluator itself for a
-        single key, a tuple of the parts otherwise."""
-        if len(evaluators) == 1:
-            return evaluators[0]
-        build = _tuple_builder(evaluators, width)
-
-        def key(row: Row) -> tuple | None:
-            parts = build(row)
-            return None if None in parts else parts
-
-        return key
+        self.serial = reads_row_by_row(*left_keys, *right_keys, residual)
+        self._left_key = _key_kernel(left_keys)
+        self._right_key = _key_kernel(right_keys)
 
     def _build(self) -> dict[object, list[Row]]:
-        right_key = self._right_key
         buckets: dict[object, list[Row]] = defaultdict(list)
-        for right_row in self.right.execute():
-            key = right_key(right_row)
-            if key is not None:
-                buckets[key].append(right_row)
+
+        def add(rows: list[Row]) -> tuple:
+            for key, right_row in zip(self._right_key(rows), rows):
+                if key is not None:
+                    buckets[key].append(right_row)
+            return ()
+
+        size = 1 if self.serial else MORSEL_SIZE
+        list(_stepped(add, _morsels(self.right.execute(), size)))
         return buckets
 
     def execute(self) -> Iterator[Row]:
-        if self.kind == "INNER" and self.residual is None and self.pull_ahead:
-            return chain.from_iterable(self._probed_morsels())
-        return self._probed_rows()
+        probe = partial(self._probe, self._build().get)
+        yield from _stepped(probe, self._input(self.left.execute()))
 
-    def _probed_morsels(self) -> Iterator[Iterable[Row]]:
-        """Inner join with no residual: a morsel of the left input is
-        probed in one comprehension."""
-        matches = self._build().get
-        left_key = self._left_key
-        for morsel in _morsels(self.left.execute()):
-            try:
-                # A NULL key finds nothing: None is never a bucket.
-                yield [
-                    left_row + right_row
-                    for left_row, key in zip(morsel, map(left_key, morsel))
-                    for right_row in matches(key, ())
-                ]
-            except Exception:  # noqa: BLE001 - re-raised at its row
-                # A key that fails: hand on the rows before it first.
-                yield self._probed_rows(matches, morsel)
-
-    def _probed_rows(
-        self,
-        matches: Callable[..., list[Row]] | None = None,
-        left_rows: Iterable[Row] | None = None,
-    ) -> Iterator[Row]:
-        """Row by row: outer joins, residuals, under a row limit, and a
-        morsel whose key fails (``matches`` and ``left_rows`` given)."""
-        if matches is None:
-            matches = self._build().get
-        if left_rows is None:
-            left_rows = self.left.execute()
-        left_key = self._left_key
+    def _probe(
+        self, matches: Callable[..., list[Row]], morsel: list[Row]
+    ) -> list[Row]:
+        """``morsel``'s left rows joined to their matches, kept where
+        the residual is truthy; in a LEFT join a left row none is kept
+        for comes out once, padded with NULLs."""
+        # A NULL key finds nothing: None is never a bucket.
+        found = map(matches, self._left_key(morsel), repeat(()))
+        if self.residual is None and self.kind == "INNER":
+            return [
+                left_row + right_row
+                for left_row, rows in zip(morsel, found)
+                for right_row in rows
+            ]
+        combined: list[Row] = []
+        owners: list[int] = []
+        for owner, (left_row, rows) in enumerate(zip(morsel, found)):
+            for right_row in rows:
+                combined.append(left_row + right_row)
+                owners.append(owner)
+        kept = repeat(True)
+        if self.residual is not None and combined:
+            kept = self.residual(combined)
+        if self.kind == "INNER":
+            return list(compress(combined, kept))
+        joined: list[list[Row]] = [[] for _ in morsel]
+        for owner, row, keep in zip(owners, combined, kept):
+            if keep:
+                joined[owner].append(row)
         null_right = (None,) * len(self.right.layout)
-        residual = self.residual
-        outer = self.kind == "LEFT"
-        for left_row in left_rows:
-            matched = False
-            for right_row in matches(left_key(left_row), ()):
-                combined = left_row + right_row
-                if residual is None or residual(combined):
-                    matched = True
-                    yield combined
-            if outer and not matched:
-                yield left_row + null_right
+        return [
+            row
+            for left_row, rows in zip(morsel, joined)
+            for row in rows or [left_row + null_right]
+        ]
 
     def _describe(self) -> str:
         return f"HashJoin({self.kind}, {len(self.left_keys)} key(s))"
@@ -952,12 +913,12 @@ class IndexJoin(PlanNode):
     def __init__(
         self,
         child: PlanNode,
-        key: Evaluator,
+        key: Kernel,
         table: Table,
         binding: str,
         column: str,
         table_is_left: bool,
-        residual: Evaluator | None = None,
+        residual: Kernel | None = None,
     ) -> None:
         self.child = child
         self.key = key
@@ -966,6 +927,7 @@ class IndexJoin(PlanNode):
         self.column = column
         self.table_is_left = table_is_left
         self.residual = residual
+        self.serial = reads_row_by_row(key, residual)
         probed = table.layout(binding)
         self.layout = (
             RowLayout.concat(probed, child.layout)
@@ -975,9 +937,12 @@ class IndexJoin(PlanNode):
 
     def execute(self) -> Iterator[Row]:
         residual = self.residual
-        for row in self._matches():
-            if residual is None or residual(row):
-                yield row
+        if residual is None:
+            return self._matches()
+        return _stepped(
+            lambda rows: compress(rows, residual(rows)),
+            self._input(self._matches()),
+        )
 
     def _matches(self) -> Iterator[Row]:
         """Key-matched combined rows, in the hash join's order."""
@@ -985,20 +950,26 @@ class IndexJoin(PlanNode):
         rows = self.table.rows
         key = self.key
         if not self.table_is_left:
-            for outer_row in self.child.execute():
-                value = key(outer_row)
-                if value is not None:  # NULL keys never match
-                    for row_id in buckets.get(value, ()):
-                        yield outer_row + rows[row_id]
+            yield from _stepped(
+                lambda morsel: [
+                    outer_row + rows[row_id]
+                    for outer_row, value in zip(morsel, key(morsel))
+                    if value is not None  # NULL keys never match
+                    for row_id in buckets.get(value, ())
+                ],
+                self._input(self.child.execute()),
+            )
             return
         outer = list(self.child.execute())
-        matches: list[tuple[int, int]] = []
-        for position, outer_row in enumerate(outer):
-            value = key(outer_row)
-            if value is not None:
-                matches.extend(
-                    (row_id, position) for row_id in buckets.get(value, ())
-                )
+        size = 1 if self.serial else MORSEL_SIZE
+        matches = [
+            (row_id, position)
+            for position, value in enumerate(
+                _stepped(key, _morsels(iter(outer), size))
+            )
+            if value is not None
+            for row_id in buckets.get(value, ())
+        ]
         matches.sort()
         for row_id, position in matches:
             yield rows[row_id] + outer[position]
@@ -1024,7 +995,7 @@ class AggregateCall:
     def __init__(
         self,
         spec: AggregateSpec,
-        argument: Evaluator | None,  # None means X(*)
+        argument: Kernel | None,  # None means X(*)
         distinct: bool,
         name: str,
     ) -> None:
@@ -1087,31 +1058,35 @@ class Aggregate(PlanNode):
     def __init__(
         self,
         child: PlanNode,
-        group_evaluators: list[Evaluator],
+        group_keys: list[Kernel],
         calls: list[AggregateCall],
         layout: RowLayout,
     ) -> None:
         self.child = child
-        self.group_evaluators = group_evaluators
+        self.group_keys = group_keys
         self.calls = calls
         self.layout = layout
-        self._group_key = _tuple_builder(
-            group_evaluators, len(child.layout)
+        self.serial = reads_row_by_row(
+            *group_keys, *[call.argument for call in calls]
         )
 
     def execute(self) -> Iterator[Row]:
         makers = [call.spec.make_state for call in self.calls]
         #: Insertion order is first-seen order, which groups come out in.
         groups: dict[tuple[SQLValue, ...], list] = {}
-        for morsel in _morsels(self.child.execute()):
+        size = 1 if self.serial else MORSEL_SIZE
+        for morsel in _morsels(self.child.execute(), size):
             try:
                 self._fold(morsel, groups, makers)
             except Exception:
-                # Folding call by call meets errors out of row order:
-                # the first failing row's error is found row by row.
-                self._fold_rows(morsel, makers)
+                # Folding call by call meets errors out of row order: the
+                # first failing row's error is found folding one row at a
+                # time into fresh states (a builtin fold fails on a value
+                # alone, never on what was folded before).
+                fresh = partial(self._fold, groups={}, makers=makers)
+                list(_stepped(fresh, ([row] for row in morsel)))
                 raise
-        if not self.group_evaluators and not groups:
+        if not self.group_keys and not groups:
             groups[()] = [make() for make in makers]
         for key, states in groups.items():
             yield key + tuple(
@@ -1126,16 +1101,19 @@ class Aggregate(PlanNode):
         morsel: list[Row],
         groups: dict[tuple[SQLValue, ...], list],
         makers: list[Callable[[], object]],
-    ) -> None:
-        group_evaluators = self.group_evaluators
+    ) -> tuple:
+        group_keys = self.group_keys
         buckets: dict[tuple[SQLValue, ...], list[Row]] = {(): morsel}
-        if group_evaluators:
+        if group_keys:
             # One key buckets on the bare value, which meets the keys its
             # 1-tuple would (and a 1-tuple hashes anew for every row).
-            single = len(group_evaluators) == 1
-            key_of = group_evaluators[0] if single else self._group_key
+            single = len(group_keys) == 1
+            if single:
+                keys = group_keys[0](morsel)
+            else:
+                keys = zip(*[group_key(morsel) for group_key in group_keys])
             buckets = defaultdict(list)
-            for key, row in zip(map(key_of, morsel), morsel):
+            for key, row in zip(keys, morsel):
                 buckets[key].append(row)
             if single:
                 buckets = {(key,): rows for key, rows in buckets.items()}
@@ -1145,23 +1123,14 @@ class Aggregate(PlanNode):
             if states is None:
                 states = groups[key] = [make() for make in makers]
             for position, (argument, fold) in enumerate(folds):
-                values = rows if argument is None else list(map(argument, rows))
+                values = rows if argument is None else argument(rows)
                 states[position] = fold(states[position], values)
-
-    def _fold_rows(
-        self, morsel: list[Row], makers: list[Callable[[], object]]
-    ) -> None:
-        """Fold ``morsel`` one row and one call at a time, from fresh
-        states, so the first failing row raises its error (a builtin
-        fold fails on a value alone, never on what was folded before)."""
-        groups: dict[tuple[SQLValue, ...], list] = {}
-        for row in morsel:
-            self._fold([row], groups, makers)
+        return ()
 
     def _describe(self) -> str:
         names = ", ".join(call.name for call in self.calls)
         return (
-            f"Aggregate(groups={len(self.group_evaluators)}, "
+            f"Aggregate(groups={len(self.group_keys)}, "
             f"calls=[{names}])"
         )
 
@@ -1275,7 +1244,7 @@ class Sort(PlanNode):
     def __init__(
         self,
         child: PlanNode,
-        keys: list[Evaluator],
+        keys: list[Kernel],
         ascending: list[bool],
     ) -> None:
         self.child = child
@@ -1300,7 +1269,7 @@ class Sort(PlanNode):
             for index, (key, ascending) in enumerate(
                 zip(self.keys, self.ascending)
             ):
-                column = list(map(key, morsel))
+                column = key(morsel)
                 encoding = _encoding(column, ascending, encodings[index])
                 if encodings[index] not in (None, encoding):
                     self._reencode(held, index, encoding)
@@ -1331,7 +1300,7 @@ class Sort(PlanNode):
         place (a heap stays the heap it is: the order does not move)."""
         encode = _ENCODERS[encoding]
         key = self.keys[index]
-        column = encode([key(item[-1]) for item in held])
+        column = encode(key([item[-1] for item in held]))
         for position, part in enumerate(column):
             item = held[position]
             held[position] = item[:index] + (part,) + item[index + 1 :]
@@ -1351,6 +1320,34 @@ def _read_row_by_row(node: PlanNode) -> None:
     node.pull_ahead = False
     for child in node._streamed():
         _read_row_by_row(child)
+
+
+def read_serially(root: PlanNode) -> None:
+    """Clear ``pull_ahead`` where reading ahead would make LM calls a
+    row-at-a-time plan does not make.
+
+    When any node holds an expression that makes an LM call no batched
+    site resolves, the whole plan reads row by row, so those calls come
+    in that plan's order and none is made for a row past the first
+    failing one, or made again by :func:`_stepped`.  Otherwise the
+    nodes that read a batched UDF operator's rows as they come read
+    them row by row, so its batches are dispatched only as far as they
+    are read.
+    """
+    nodes = [root]
+    #: The node that reads a node's rows as they come, by ``id``.
+    reader: dict[int, PlanNode] = {}
+    for node in nodes:
+        nodes.extend(node._children())
+        reader.update((id(child), node) for child in node._streamed())
+    serial = any(node.serial for node in nodes)
+    for node in nodes:
+        if serial:
+            node.pull_ahead = False
+        elif getattr(node, "sites", None):
+            while id(node) in reader:
+                node = reader[id(node)]
+                node.pull_ahead = False
 
 
 class Limit(PlanNode):
@@ -1427,8 +1424,8 @@ class Values(PlanNode):
 #       Exchange(shards=N)       <- runs pipelines on threads, k-way merge
 #         ShardScan -> [ShardFilter] -> [ShardBatchedFilter...] (x N)
 #
-# The filters (and a ShardBatchedProject pushed on top) are the morsel
-# operators above over the shard's ShardContext; ShardScan, Exchange and
+# The filters (and a ShardBatchedProject pushed on top) are the Filter and
+# Project above over the shard's ShardContext; ShardScan, Exchange and
 # Merge are the only shard-specific nodes.
 #
 # Every shard row carries one trailing *tag*: the row's global id in the
@@ -1442,7 +1439,7 @@ class Values(PlanNode):
 class ShardScan(PlanNode):
     """Scan of one partition, yielding rows tagged with global row ids.
 
-    The advertised ``layout`` is the *untagged* scan layout: evaluators
+    The advertised ``layout`` is the *untagged* scan layout: kernels
     compiled against it index positions strictly below the tag, so they
     run unchanged on tagged tuples.  :class:`Merge` strips the tag
     before anything above the exchange sees a row.

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable, Iterator
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
@@ -48,6 +47,7 @@ from repro.db.expr import (
     FLIPPED,
     ExpressionCompiler,
     plan_batched_expressions,
+    read_column,
 )
 from repro.db.functions import AggregateSpec, FunctionRegistry
 from repro.db.optimizer import _estimate_rows
@@ -98,8 +98,8 @@ class Planner:
         self._catalog = catalog
         self._functions = functions
         self._optimize = optimize
-        #: When set, expensive-UDF filters and projections become
-        #: morsel operators over morsels of this size.
+        #: When set, expensive-UDF filters and projections resolve
+        #: their calls in batches of this many rows.
         self._udf_batch_size = udf_batch_size
         self._udf_context = udf_context
         #: Cost-based optimizer for this statement: records decisions
@@ -120,7 +120,7 @@ class Planner:
             physical.HashJoin, tuple[ast.Expression, ast.Expression]
         ] = {}
         #: Cleared when the plan being built keeps run state outside
-        #: the frames of ``execute()`` — morsel operators, a shard
+        #: the frames of ``execute()`` — batched call sites, a shard
         #: exchange, a subquery's fetch-once closure — and so may run
         #: only once; the statement cache stores no such plan.
         self.reusable = True
@@ -145,7 +145,9 @@ class Planner:
         self._shard_select = select
         self._open_merge = None
         try:
-            return self._plan_select(select)
+            plan, names = self._plan_select(select)
+            physical.read_serially(plan)
+            return plan, names
         finally:
             self._shard_select = saved_select
             self._open_merge = saved_merge
@@ -184,7 +186,7 @@ class Planner:
         if having is not None:
             compiler = self._compiler(source.layout)
             source = physical.Filter(
-                source, compiler.compile(having), label="having"
+                source, compiler.predicate(having), label="having"
             )
 
         plan, names = self._plan_projection_and_order(
@@ -235,7 +237,7 @@ class Planner:
         combined_layout = RowLayout.concat(left.layout, right.layout)
         compiler = self._compiler(combined_layout)
         condition = (
-            compiler.compile(_and_all(condition_conjuncts))
+            compiler.kernel(_and_all(condition_conjuncts))
             if condition_conjuncts
             else None
         )
@@ -260,14 +262,14 @@ class Planner:
                 right_keys.append(pair[1])
         combined_layout = RowLayout.concat(left.layout, right.layout)
         combined_compiler = self._compiler(combined_layout)
-        residual_evaluator = (
-            combined_compiler.compile(_and_all(residual))
+        residual_kernel = (
+            combined_compiler.kernel(_and_all(residual))
             if residual
             else None
         )
         if not left_keys:
             condition = (
-                combined_compiler.compile(_and_all(conjuncts))
+                combined_compiler.kernel(_and_all(conjuncts))
                 if conjuncts
                 else None
             )
@@ -277,10 +279,10 @@ class Planner:
         join = physical.HashJoin(
             left,
             right,
-            [left_compiler.compile(key) for key in left_keys],
-            [right_compiler.compile(key) for key in right_keys],
+            [left_compiler.kernel(key) for key in left_keys],
+            [right_compiler.kernel(key) for key in right_keys],
             kind,
-            residual_evaluator,
+            residual_kernel,
         )
         if kind == "INNER" and len(left_keys) == 1:
             self._equi_keys[join] = (left_keys[0], right_keys[0])
@@ -560,7 +562,7 @@ class Planner:
         if not self._optimize:
             compiler = self._compiler(node.layout)
             return physical.Filter(
-                node, compiler.compile(_and_all(conjuncts)), label="where"
+                node, compiler.predicate(_and_all(conjuncts)), label="where"
             )
         cheap = [c for c in conjuncts if not self._is_expensive(c)]
         expensive = [c for c in conjuncts if self._is_expensive(c)]
@@ -569,10 +571,7 @@ class Planner:
         compiler = self._compiler(node.layout)
         if cheap:
             node = physical.Filter(
-                node,
-                compiler.compile(_and_all(cheap)),
-                label="where",
-                conjuncts=cheap,
+                node, compiler.predicate(_and_all(cheap)), label="where"
             )
         for conjunct in expensive:
             node = self._expensive_filter(node, conjunct)
@@ -595,7 +594,7 @@ class Planner:
         pipeline; the default is the statement's own context.
         """
         if self._udf_batch_size is not None:
-            sites, evaluators = plan_batched_expressions(
+            sites, compiler = plan_batched_expressions(
                 [conjunct],
                 node.layout,
                 self._functions,
@@ -604,18 +603,18 @@ class Planner:
             )
             if sites:
                 self.reusable = False
-                return physical.MorselFilter(
+                return physical.Filter(
                     node,
-                    evaluators[0],
+                    compiler.predicate(conjunct),
+                    "where[expensive]",
                     sites,
                     context or self._udf_exec_context(),
                     self._udf_batch_size,
                     ordinal,
-                    label="where[expensive]",
                 )
         compiler = self._compiler(node.layout)
         return physical.Filter(
-            node, compiler.compile(conjunct), label="where[expensive]"
+            node, compiler.predicate(conjunct), label="where[expensive]"
         )
 
     # ------------------------------------------------------------------
@@ -734,7 +733,7 @@ class Planner:
         expensive: list[ast.Expression],
         context: ShardContext,
     ) -> physical.PlanNode | None:
-        """One shard's pipeline, compiled fresh: evaluators and call
+        """One shard's pipeline, compiled fresh: kernels and call
         sites hold per-shard state (memos, LIKE caches), so nothing
         compiled is ever shared across shard threads.  None when an
         expensive conjunct has no call site to batch."""
@@ -743,17 +742,15 @@ class Planner:
         )
         if cheap:
             compiler = self._compiler(node.layout)
-            node = physical.MorselFilter(
+            node = physical.Filter(
                 node,
-                compiler.compile(_and_all(cheap)),
-                sites=[],
+                compiler.predicate(_and_all(cheap)),
+                "where",
                 context=context,
-                batch_size=None,
-                label="where",
             )
         for ordinal, conjunct in enumerate(expensive):
             node = self._expensive_filter(node, conjunct, context, ordinal)
-            if not isinstance(node, physical.MorselFilter):
+            if not node.sites:  # type: ignore[attr-defined]
                 return None
         return node
 
@@ -931,9 +928,7 @@ class Planner:
         # genuinely bare column is served by FIRST (SQLite leniency).
 
         source_compiler = self._compiler(source.layout)
-        group_evaluators = [
-            source_compiler.compile(expr) for expr in group_by
-        ]
+        group_keys = [source_compiler.kernel(expr) for expr in group_by]
         entries: list[tuple[str | None, str]] = []
         replacements: dict[ast.Expression, ast.ColumnRef] = {}
         for position, expr in enumerate(group_by):
@@ -947,7 +942,7 @@ class Planner:
             replacements[call] = ast.ColumnRef(name)
             argument = None
             if not call.star and call.args:
-                argument = source_compiler.compile(call.args[0])
+                argument = source_compiler.kernel(call.args[0])
             calls.append(
                 physical.AggregateCall(
                     self._functions.aggregate(call.name),
@@ -965,15 +960,13 @@ class Planner:
             calls.append(
                 physical.AggregateCall(
                     _first_spec(),
-                    source_compiler.compile(ref),
+                    source_compiler.kernel(ref),
                     False,
                     f"FIRST({ref.display()})",
                 )
             )
         layout = RowLayout(entries)
-        aggregate_node = physical.Aggregate(
-            source, group_evaluators, calls, layout
-        )
+        aggregate_node = physical.Aggregate(source, group_keys, calls, layout)
 
         def rewrite(expression: ast.Expression) -> ast.Expression:
             return _replace(expression, replacements)
@@ -1077,7 +1070,7 @@ class Planner:
         )
         plan = self._build_projection(source, expressions, layout)
         if sort_positions:
-            keys = [itemgetter(position) for position in sort_positions]
+            keys = [read_column(position) for position in sort_positions]
             plan = physical.Sort(plan, keys, ascending)
         if extra_expressions:
             plan = physical.Slice(plan, list(range(len(items))))
@@ -1103,7 +1096,7 @@ class Planner:
         if len(order_items) != 1 or not order_items[0].ascending:
             return False
         scan = source
-        while isinstance(scan, (physical.Filter, physical.MorselFilter)):
+        while isinstance(scan, physical.Filter):
             scan = scan.child
         if not isinstance(scan, physical.IndexRange):
             return False
@@ -1134,10 +1127,17 @@ class Planner:
         if plan is not None:
             return plan
         compiler = self._compiler(source.layout)
+        positions = None
+        if all(isinstance(item, ast.ColumnRef) for item in expressions):
+            positions = [
+                source.layout.resolve(item.name, item.table)
+                for item in expressions
+            ]
         return physical.Project(
             source,
-            [compiler.compile(expression) for expression in expressions],
+            [compiler.kernel(expression) for expression in expressions],
             layout,
+            positions,
         )
 
     def _batched_projection(
@@ -1161,7 +1161,7 @@ class Planner:
             for expression in expressions
         ):
             return None
-        sites, evaluators = plan_batched_expressions(
+        sites, compiler = plan_batched_expressions(
             expressions,
             source.layout,
             self._functions,
@@ -1171,14 +1171,14 @@ class Planner:
         if not sites:
             return None
         self.reusable = False
-        return physical.MorselProject(
+        return physical.Project(
             source,
-            evaluators,
+            [compiler.kernel(expression) for expression in expressions],
             layout,
-            sites,
-            context or self._udf_exec_context(),
-            self._udf_batch_size,
-            ordinal,
+            sites=sites,
+            context=context or self._udf_exec_context(),
+            batch_size=self._udf_batch_size,
+            ordinal=ordinal,
         )
 
     def _order_target(

@@ -23,8 +23,8 @@ what the exchange and those pipelines share:
 
 :class:`ShardContext`
     The shard-side :class:`~repro.db.plan.MorselContext`, handed to the
-    morsel operators of one shard pipeline in place of the statement's
-    :class:`~repro.db.plan.UDFExecContext`.
+    filters and projections of one shard pipeline in place of the
+    statement's :class:`~repro.db.plan.UDFExecContext`.
     Shards never touch the live memo cache or the shared
     :class:`~repro.lm.usage.Usage` directly — a ``Usage`` count is a
     read-modify-write ``setattr`` and the LRU promotes on lookup, both
