@@ -461,10 +461,11 @@ class _Test:
     negated: bool = False
 
     def _fits(self, values: list[SQLValue], kinds: set[type]) -> bool:
-        if not kinds <= self.family:
-            return False
-        nan = float in kinds and any(map(ne, values, values))
-        return not (nan and self.nan_decides)
+        return kinds <= self.family and not (
+            self.nan_decides
+            and float in kinds
+            and any(map(ne, values, values))  # a NaN
+        )
 
     def _answer(self, value: SQLValue) -> SQLValue:
         answer = self.slow(value)

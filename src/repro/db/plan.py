@@ -98,7 +98,14 @@ def _stepped(
     that row's error is raised (as a
     :class:`~repro.db.shard.ShardRowError` carrying its tag, in a shard
     pipeline), so the rows and the error are a row-at-a-time plan's.
+    Rows pass through ``chain``, not through a Python frame each.
     """
+    return chain.from_iterable(_outputs(step, morsels, tagged))
+
+
+def _outputs(
+    step: Callable[[list], Iterable], morsels: Iterable[list], tagged: bool
+) -> Iterator[Iterable]:
     for morsel in morsels:
         try:
             out = step(morsel)
@@ -109,7 +116,7 @@ def _stepped(
                 raise ShardRowError(morsel[0][-1], exc) from exc
             else:
                 raise
-        yield from out
+        yield out
 
 
 def run_morsels(
@@ -848,8 +855,12 @@ class HashJoin(PlanNode):
         return buckets
 
     def execute(self) -> Iterator[Row]:
+        return chain.from_iterable(self._probed())
+
+    def _probed(self) -> Iterator[Iterable[Row]]:
+        # A generator, so the right side is built on the first read.
         probe = partial(self._probe, self._build().get)
-        yield from _stepped(probe, self._input(self.left.execute()))
+        yield _stepped(probe, self._input(self.left.execute()))
 
     def _probe(
         self, matches: Callable[..., list[Row]], morsel: list[Row]
