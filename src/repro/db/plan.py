@@ -1346,16 +1346,19 @@ def read_serially(root: PlanNode) -> None:
     are read.
     """
     nodes = [root]
-    #: The node that reads a node's rows as they come, by ``id``.
-    reader: dict[int, PlanNode] = {}
     for node in nodes:
         nodes.extend(node._children())
-        reader.update((id(child), node) for child in node._streamed())
-    serial = any(node.serial for node in nodes)
-    for node in nodes:
-        if serial:
+    if any(node.serial for node in nodes):
+        for node in nodes:
             node.pull_ahead = False
-        elif getattr(node, "sites", None):
+        return
+    batched = [node for node in nodes if getattr(node, "sites", None)]
+    if batched:
+        #: The node that reads a node's rows as they come, by ``id``.
+        reader = {
+            id(child): node for node in nodes for child in node._streamed()
+        }
+        for node in batched:
             while id(node) in reader:
                 node = reader[id(node)]
                 node.pull_ahead = False

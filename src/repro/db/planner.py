@@ -1126,18 +1126,17 @@ class Planner:
             plan = self._batched_projection(source, expressions, layout)
         if plan is not None:
             return plan
-        compiler = self._compiler(source.layout)
-        positions = None
         if all(isinstance(item, ast.ColumnRef) for item in expressions):
             positions = [
                 source.layout.resolve(item.name, item.table)
                 for item in expressions
             ]
+            return physical.Project(source, [], layout, positions)
+        compiler = self._compiler(source.layout)
         return physical.Project(
             source,
             [compiler.kernel(expression) for expression in expressions],
             layout,
-            positions,
         )
 
     def _batched_projection(
