@@ -138,6 +138,10 @@ class FunctionRegistry:
     def is_expensive(self, name: str) -> bool:
         return name.upper() in self._expensive
 
+    def has_expensive(self) -> bool:
+        """Whether any registered function is expensive."""
+        return bool(self._expensive)
+
     def batch_function(self, name: str) -> BatchFunction | None:
         """The registered vectorised form of ``name``, if any."""
         return self._batch.get(name.upper())

@@ -146,7 +146,8 @@ class Planner:
         self._open_merge = None
         try:
             plan, names = self._plan_select(select)
-            physical.read_serially(plan)
+            if self._functions.has_expensive():  # else no LM call to order
+                physical.read_serially(plan)
             return plan, names
         finally:
             self._shard_select = saved_select
