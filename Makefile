@@ -42,16 +42,22 @@ test-shard:
 # machine (ordered-index upkeep under every write shape); the
 # comparison kernel's frozen-reference oracle, which every one of those
 # paths compares through, and the morsel kernels' (Aggregate folds,
-# Sort key encodings, literal Filter column tests and the HashJoin
-# probe against frozen copies of their row-at-a-time loops, around a
-# morsel boundary); and the statement cache's pin (a repeated
+# Sort key encodings, Filter and the HashJoin probe against frozen
+# copies of their row-at-a-time loops, around a morsel boundary); the
+# expression kernels' pins: which error a statement raises when rows
+# fail on either side of a morsel boundary and how often a UDF runs
+# (test_morsel_errors, test_kernel_errors, test_where_narrowing), the
+# reads, UDF/LM calls and EXPLAIN ANALYZE rows under LIMIT
+# (test_limit_reads), and WHERE and SELECT-list values against sqlite3
+# on NULL-heavy columns (test_sqlite_differential); and the statement
+# cache's pin (a repeated
 # statement answers as one never seen, after any interleaving of writes,
 # index builds, UDF re-registration and DDL) with its unit and stress
 # tests; and the template pin (a text run after its literal siblings
 # answers, explains and is rejected as on a cold database) with the
 # binding tests (a bound AST is parse_statement's, positions included).
 test-access:
-	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_morsel_kernels.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py tests/db/test_statement_templates.py tests/db/test_template_binding.py -q
+	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_morsel_kernels.py tests/db/test_morsel_errors.py tests/db/test_kernel_errors.py tests/db/test_where_narrowing.py tests/db/test_limit_reads.py tests/db/test_sqlite_differential.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py tests/db/test_statement_templates.py tests/db/test_template_binding.py -q
 
 # What is derived once, against its frozen references: the handlers'
 # schema and vocabulary derivations, the embedder's buckets and the
