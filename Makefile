@@ -12,9 +12,12 @@ test-durations:
 	$(PYTHON) -m pytest -q --durations=20
 
 # The query-optimizer suites on their own: plan-equivalence harness,
-# golden EXPLAIN footers, selectivity regressions.
+# golden EXPLAIN footers, selectivity regressions, and the suites of
+# the name resolver they all read: how each statement binds at every
+# layer (test_name_resolution), the analyzer's soundness both ways
+# (test_property) and the golden diagnostics.
 test-optimizer:
-	$(PYTHON) -m pytest tests/db/test_optimizer_equivalence.py tests/db/test_optimizer_explain.py tests/analysis/test_selectivity.py -q
+	$(PYTHON) -m pytest tests/db/test_optimizer_equivalence.py tests/db/test_optimizer_explain.py tests/analysis/test_selectivity.py tests/db/test_name_resolution.py tests/analysis/test_property.py tests/analysis/test_diagnostics_golden.py -q
 
 # The self-correction suites on their own: repair-loop mechanics,
 # worker-invariance with repairs firing, the repair handler, metered

@@ -49,7 +49,7 @@ import os
 
 import pytest
 
-from repro.analysis.cost import CHEAP_TOKENS_PER_CALL, TOKENS_PER_CALL
+from repro.db.cost import CHEAP_TOKENS_PER_CALL, TOKENS_PER_CALL
 from repro.db import Column, Database, DataType, TableSchema
 from repro.lm import SimulatedLM, register_llm_judge
 from repro.lm.udf import judgment_udf_prompt

@@ -130,7 +130,7 @@ class CostEstimate:
     #: column values (catalog distinct counts), capped by ``lm_calls``.
     lm_calls_batched: int = 0
     #: *Expected* result rows after WHERE, from the shared selectivity
-    #: estimator (:func:`repro.analysis.cost.predicate_selectivity`).
+    #: estimator (:func:`repro.db.cost.predicate_selectivity`).
     #: Unlike every other field this is an expectation, not a bound —
     #: the query optimizer uses it to rank plans; admission control
     #: must keep using the worst-case fields above.  None when the

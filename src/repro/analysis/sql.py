@@ -1,20 +1,26 @@
-"""SQL semantic analyzer: resolve, typecheck, and cost a SELECT statically.
+"""SQL semantic analyzer: typecheck and cost a SELECT statically.
 
 The analyzer walks a parsed :class:`~repro.db.sql.ast.Select` against a
-:class:`~repro.db.Database` catalog *before* any plan is built, mirroring
-the planner/executor's semantics exactly so that its error-severity
-diagnostics are **sound for admission**: a query the analyzer accepts is
-guaranteed to plan and execute without an engine error (property-tested
-in ``tests/analysis``).  The converse is deliberately not promised — the
-analyzer may reject a few exotic constructs the engine would tolerate
-(e.g. a computed LIMIT), because admission control wants cheap certainty
-over completeness.
+:class:`~repro.db.Database` catalog *before* any plan is built.  Names
+are bound once, by :func:`repro.db.resolve.resolve`, the same pass the
+planner plans from; the analyzer adds the type rules, the signatures
+and the legality checks.  Its error-severity diagnostics are **sound
+for admission**: a query the analyzer accepts is guaranteed to plan and
+execute without an engine error.  For binding errors the contract goes
+both ways: when the engine rejects a name (unknown table or column,
+ambiguous column, bad ``t.*``, ordinal out of range), the analyzer
+reports ANA002/003/004/014 at the span the engine's
+:class:`~repro.errors.PlanningError` carries (both property-tested in
+``tests/analysis``).  Past binding, the analyzer may still reject a few
+exotic constructs the engine would tolerate (e.g. a computed LIMIT),
+because admission control wants cheap certainty over completeness.
 
-Alongside diagnostics the walk accumulates a :class:`CostEstimate`:
-catalog cardinalities bound the rows each expression site can see, and
-every call site of an *expensive* registered function (an LM UDF) adds
-``rows_at_site`` potential invocations.  That bound is what
-:class:`repro.serve.TagServer` uses for deterministic admission control.
+Alongside diagnostics it reports a :class:`CostEstimate`: catalog
+cardinalities bound the rows each expression site can see, and every
+call site of an *expensive* registered function (an LM UDF) adds
+``rows_at_site`` potential invocations (the resolver records the
+sites).  That bound is what :class:`repro.serve.TagServer` uses for
+deterministic admission control.
 
 See :mod:`repro.analysis.diagnostics` for the diagnostic taxonomy.
 """
@@ -22,15 +28,8 @@ See :mod:`repro.analysis.diagnostics` for the diagnostic taxonomy.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.analysis.cost import (
-    OUTPUT_TOKENS_PER_CALL,
-    PROMPT_TOKENS_PER_CALL,
-    ColumnStats,
-    predicate_selectivity,
-    table_stats,
-)
 from repro.analysis.diagnostics import (
     CostEstimate,
     Diagnostic,
@@ -38,8 +37,9 @@ from repro.analysis.diagnostics import (
     Severity,
     Span,
 )
-from repro.db import Database, Table
-from repro.db.functions import FunctionRegistry
+from repro.db import Database
+from repro.db.cost import OUTPUT_TOKENS_PER_CALL, PROMPT_TOKENS_PER_CALL
+from repro.db.resolve import Failure, Resolved, literal_limit, resolve
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.db.types import DataType, infer_type
@@ -162,94 +162,23 @@ def _callable_arity(function) -> tuple[int, int | None] | None:
 
 
 # ---------------------------------------------------------------------------
-# Scopes
+# Per-SELECT state
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Scope:
-    """Column bindings visible to expressions of one SELECT."""
-
-    #: (binding, column name, declared type) triples, in layout order.
-    entries: list[tuple[str | None, str, DataType]] = field(
-        default_factory=list
-    )
-    #: True when a FROM source failed to resolve; suppresses cascading
-    #: unknown-column diagnostics inside this scope.
-    open: bool = False
-    #: Stored tables by lower-cased binding: the source of catalog
-    #: statistics for batched LM-cost pricing and the shared
-    #: selectivity estimator.  Subquery sources do not appear, so
-    #: their columns fall back to the per-row bound.
-    tables: dict[str, Table] = field(default_factory=dict)
-
-    def column_stats(
-        self, name: str, table: str | None
-    ) -> ColumnStats | None:
-        """StatsLookup for :func:`predicate_selectivity`."""
-        return table_stats(self.tables, name, table)
-
-    def resolve(
-        self, name: str, table: str | None
-    ) -> DataType | str:
-        """The column's type, or the failing diagnostic code."""
-        lowered = name.lower()
-        if table is not None:
-            key = table.lower()
-            for binding, entry_name, dtype in self.entries:
-                if (
-                    binding is not None
-                    and binding.lower() == key
-                    and entry_name.lower() == lowered
-                ):
-                    return dtype
-            return "ANA003"
-        matches = [
-            (binding, dtype)
-            for binding, entry_name, dtype in self.entries
-            if entry_name.lower() == lowered
-        ]
-        if not matches:
-            return "ANA003"
-        bindings = {binding for binding, _ in matches}
-        if len(matches) > 1 and len(bindings) > 1:
-            return "ANA004"
-        return matches[0][1]
-
-    def bindings(self) -> set[str]:
-        return {
-            binding.lower()
-            for binding, _, _ in self.entries
-            if binding is not None
-        }
-
-
-@dataclass
-class _SelectInfo:
-    """What one analyzed SELECT exposes to its parent."""
-
-    names: list[str]
-    types: list[ExprType]
-    #: Upper bound on rows out of the FROM tree.
-    rows_scanned: int
-    #: Upper bound on result rows (grouping and LIMIT applied).
-    result_rows: int
-    #: Expected rows after WHERE (selectivity estimate); None without
-    #: a WHERE clause.  An expectation, not a bound — see
-    #: :attr:`repro.analysis.CostEstimate.expected_result_rows`.
-    expected_rows: int | None = None
 
 
 @dataclass(frozen=True)
 class _Context:
     """Where an expression sits, for aggregate/star legality."""
 
-    rows: int
+    #: The FROM named an unknown table (see :class:`repro.db.resolve.Scope`).
+    open: bool = False
     aggregates_allowed: bool = False
     inside_aggregate: bool = False
     is_aggregate_query: bool = False
     group_expressions: tuple[ast.Expression, ...] = ()
     clause: str = "expression"
+    #: The SELECT items' types, for references to an output alias.
+    item_types: tuple[ExprType, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +198,7 @@ class SQLAnalyzer:
 
     # -- entry points ----------------------------------------------------
 
-    def analyze(
-        self, sql: str | ast.Select, source: str = ""
-    ) -> QueryReport:
+    def analyze(self, sql: str | ast.Select, source: str = "") -> QueryReport:
         """Analyze SQL text (or a pre-parsed SELECT) into a QueryReport.
 
         ``source`` supplies the original SQL text when a pre-parsed AST
@@ -299,16 +226,18 @@ class SQLAnalyzer:
         if not isinstance(statement, ast.Select):
             # Only SELECT is analyzed; DDL/DML validate on execution.
             return QueryReport(sql=source_text)
-        run = _Run(self.db, self.db.functions)
-        info = run.select(statement)
+        resolved = resolve(self.db, statement)
+        run = _Run(self.db, resolved)
+        run.select(statement)
+        lm_calls = resolved.lm_calls
         cost = CostEstimate(
-            rows_scanned=info.rows_scanned,
-            result_rows=info.result_rows,
-            lm_calls=run.lm_calls,
-            lm_prompt_tokens=run.lm_calls * PROMPT_TOKENS_PER_CALL,
-            lm_output_tokens=run.lm_calls * OUTPUT_TOKENS_PER_CALL,
-            lm_calls_batched=run.lm_calls_batched,
-            expected_result_rows=info.expected_rows,
+            rows_scanned=resolved.scope.rows,
+            result_rows=resolved.result_rows,
+            lm_calls=lm_calls,
+            lm_prompt_tokens=lm_calls * PROMPT_TOKENS_PER_CALL,
+            lm_output_tokens=lm_calls * OUTPUT_TOKENS_PER_CALL,
+            lm_calls_batched=resolved.lm_calls_batched,
+            expected_result_rows=resolved.expected_rows,
         )
         return QueryReport(
             sql=source_text, diagnostics=run.diagnostics, cost=cost
@@ -316,18 +245,16 @@ class SQLAnalyzer:
 
 
 class _Run:
-    """One analysis pass: accumulates diagnostics and LM-call bounds."""
+    """One analysis pass over a resolved statement: accumulates
+    diagnostics."""
 
-    def __init__(
-        self,
-        db: Database,
-        functions: FunctionRegistry,
-    ) -> None:
-        self.db = db
-        self.functions = functions
+    def __init__(self, db: Database, resolved: Resolved) -> None:
+        self.functions = db.functions
+        self.resolved = resolved
+        self.owners = resolved.owners
         self.diagnostics: list[Diagnostic] = []
-        self.lm_calls = 0
-        self.lm_calls_batched = 0
+        #: ``id`` of each FROM subquery -> its items' types.
+        self.source_types: dict[int, list[ExprType]] = {}
 
     # -- diagnostics -----------------------------------------------------
 
@@ -345,66 +272,48 @@ class _Run:
         if diagnostic not in self.diagnostics:
             self.diagnostics.append(diagnostic)
 
+    def _report(self, failure: Failure) -> None:
+        """A name the resolver could not bind."""
+        self._diag(
+            failure.code, failure.message, failure.position, failure.length
+        )
+
     # -- SELECT ----------------------------------------------------------
 
-    def select(self, select: ast.Select) -> _SelectInfo:
-        scope, from_rows = self._scope_for(select.source)
-        items = self._expand_stars(select.items, scope)
-
-        contains_aggregate = self.functions.contains_aggregate
-        has_aggregate = any(
-            contains_aggregate(item.expression) for item in items
-        )
-        if select.having is not None:
-            has_aggregate = has_aggregate or contains_aggregate(
-                select.having
-            )
-        has_aggregate = has_aggregate or any(
-            contains_aggregate(order.expression)
-            for order in select.order_by
-        )
-
-        group_by = [
-            self._resolve_positional(expression, items)
-            for expression in select.group_by
-        ]
-        is_aggregate_query = bool(group_by) or has_aggregate
-
+    def select(self, select: ast.Select) -> list[ExprType]:
+        """Check one SELECT; returns its items' types."""
+        top = self.resolved
+        resolved = top if select is top.select else top.selects[id(select)]
+        self._walk_from(select.source)
+        for failure in resolved.star_failures + resolved.group_failures:
+            self._report(failure)
+        group_by = resolved.group_by
+        is_aggregate_query = bool(group_by) or resolved.has_aggregate
         context = _Context(
-            rows=from_rows,
+            open=resolved.scope.open,
             aggregates_allowed=True,
             is_aggregate_query=is_aggregate_query,
             group_expressions=tuple(group_by),
         )
 
         # GROUP BY expressions: plain column expressions, no aggregates.
+        grouping = replace(
+            context, aggregates_allowed=False, clause="GROUP BY"
+        )
         for expression in group_by:
-            self._check(
-                expression,
-                scope,
-                replace(
-                    context,
-                    aggregates_allowed=False,
-                    clause="GROUP BY",
-                ),
-            )
+            self._check(expression, grouping)
 
         # SELECT items.
-        item_types: list[ExprType] = []
-        for item in items:
-            item_types.append(
-                self._check(
-                    item.expression,
-                    scope,
-                    replace(context, clause="SELECT"),
-                )
-            )
+        item_types = [
+            self._check(item.expression, replace(context, clause="SELECT"))
+            for item in resolved.items
+        ]
+        context = replace(context, item_types=tuple(item_types))
 
         # WHERE: aggregates are illegal here.
         if select.where is not None:
             self._check(
                 select.where,
-                scope,
                 replace(
                     context,
                     aggregates_allowed=False,
@@ -421,229 +330,60 @@ class _Run:
                     "HAVING requires GROUP BY or aggregates",
                 )
             else:
-                self._check_output_expression(
-                    select.having, scope, items, item_types, context,
-                    "HAVING",
-                )
+                self._check(select.having, replace(context, clause="HAVING"))
 
-        # ORDER BY: ordinals, output aliases, or source expressions.
-        names = [
-            (item.alias or ast.expression_name(item.expression)).lower()
-            for item in items
-        ]
-        for order in select.order_by:
-            expression = order.expression
-            position = ast.output_position(expression)
-            if position is not None:
-                if not 1 <= position <= len(items):
-                    self._diag(
-                        "ANA014",
-                        f"ORDER BY position {position} is out of "
-                        f"range (1..{len(items)})",
-                    )
-                continue
-            if (
-                isinstance(expression, ast.ColumnRef)
-                and expression.table is None
-                and expression.name.lower() in names
-            ):
-                continue  # resolves to an output column
-            self._check_output_expression(
-                expression, scope, items, item_types, context, "ORDER BY"
-            )
+        # ORDER BY: an output column, or an expression over the source.
+        for order, ordering in zip(select.order_by, resolved.order_by):
+            if ordering.failure is not None:
+                self._report(ordering.failure)
+            elif ordering.target is None:
+                self._check(
+                    order.expression, replace(context, clause="ORDER BY")
+                )
 
         # LIMIT / OFFSET must be integer literals.
-        limit_value = self._check_limit(select.limit, "LIMIT")
+        self._check_limit(select.limit, "LIMIT")
         self._check_limit(select.offset, "OFFSET")
-
-        # Result-shape bookkeeping for parents and the cost estimate.
-        # result_rows stays a worst-case bound (WHERE may drop
-        # nothing); expected_rows applies the shared selectivity
-        # estimator, for the optimizer's plan ranking only.
-        result_rows = from_rows
-        expected_rows: int | None = None
-        if select.where is not None:
-            expected_rows = round(
-                from_rows
-                * predicate_selectivity(
-                    select.where, scope.column_stats
-                )
-            )
-        if is_aggregate_query and not group_by:
-            result_rows = 1
-            if expected_rows is not None:
-                expected_rows = 1
-        if limit_value is not None:
-            result_rows = max(0, min(result_rows, limit_value))
-            if expected_rows is not None:
-                expected_rows = max(0, min(expected_rows, limit_value))
-        return _SelectInfo(
-            names=[
-                item.alias or ast.expression_name(item.expression)
-                for item in items
-            ],
-            types=item_types,
-            rows_scanned=from_rows,
-            result_rows=result_rows,
-            expected_rows=expected_rows,
-        )
-
-    def _check_output_expression(
-        self,
-        expression: ast.Expression,
-        scope: _Scope,
-        items: list[ast.SelectItem],
-        item_types: list[ExprType],
-        context: _Context,
-        clause: str,
-    ) -> None:
-        """Check a HAVING/ORDER BY expression with output aliases visible.
-
-        The planner substitutes ``item.alias`` references with the
-        aliased expression before compiling, so an unqualified name
-        matching an alias is legal even when no source column has it;
-        the aliased expression itself was already checked as an item.
-        """
-        aliases = {
-            item.alias.lower(): item_types[position]
-            for position, item in enumerate(items)
-            if item.alias
-        }
-        if (
-            isinstance(expression, ast.ColumnRef)
-            and expression.table is None
-            and expression.name.lower() in aliases
-        ):
-            return
-        self._check(
-            expression,
-            scope,
-            replace(context, clause=clause),
-            output_aliases=aliases,
-        )
+        return item_types
 
     def _check_limit(
         self, expression: ast.Expression | None, what: str
-    ) -> int | None:
+    ) -> None:
         """LIMIT/OFFSET: accept (possibly signed) integer literals only.
 
         The engine tolerates any constant-foldable integer expression;
         the analyzer accepts the literal subset and rejects the rest —
         over-rejection is the safe direction for admission soundness.
         """
-        if expression is None:
-            return None
-        node = expression
-        negate = False
-        while isinstance(node, ast.UnaryOp) and node.op in ("-", "+"):
-            if node.op == "-":
-                negate = not negate
-            node = node.operand
-        if isinstance(node, ast.Literal) and isinstance(
-            node.value, int
-        ) and not isinstance(node.value, bool):
-            return -node.value if negate else node.value
-        self._diag("ANA011", f"{what} must be an integer literal")
-        return None
+        if expression is not None and literal_limit(expression) is None:
+            self._diag("ANA011", f"{what} must be an integer literal")
 
     # -- FROM ------------------------------------------------------------
 
-    def _scope_for(
-        self, source: ast.FromSource | None
-    ) -> tuple[_Scope, int]:
-        if source is None:
-            return _Scope(), 1
+    def _walk_from(self, source: ast.FromSource | None) -> None:
+        """Unknown tables, FROM subqueries and ON conditions, in order."""
         if isinstance(source, ast.TableSource):
-            if not self.db.has_table(source.name):
-                self._diag(
-                    "ANA002",
-                    f"unknown table {source.name!r}",
-                    source.position,
-                    len(source.name),
-                )
-                return _Scope(open=True), 1
-            table = self.db.table(source.name)
-            entries = [
-                (source.binding, column.name, column.dtype)
-                for column in table.schema.columns
-            ]
-            return (
-                _Scope(
-                    entries=entries,
-                    tables={source.binding.lower(): table},
-                ),
-                max(len(table), 1),
-            )
-        if isinstance(source, ast.SubquerySource):
-            info = self.select(source.query)
-            entries = [
-                (
-                    source.alias,
-                    name,
-                    dtype if dtype is not None else DataType.ANY,
-                )
-                for name, dtype in zip(info.names, info.types)
-            ]
-            return _Scope(entries=entries), max(info.result_rows, 1)
-        if isinstance(source, ast.Join):
-            left, left_rows = self._scope_for(source.left)
-            right, right_rows = self._scope_for(source.right)
-            scope = _Scope(
-                entries=left.entries + right.entries,
-                open=left.open or right.open,
-                tables={**left.tables, **right.tables},
-            )
+            failure = self.owners.get(id(source))
+            if failure is not None:
+                self._report(failure)  # type: ignore[arg-type]
+        elif isinstance(source, ast.SubquerySource):
+            self.source_types[id(source)] = self.select(source.query)
+        elif isinstance(source, ast.Join):
+            self._walk_from(source.left)
+            self._walk_from(source.right)
             if source.condition is not None:
+                scope = self.resolved.joins[id(source)]
                 self._check(
                     source.condition,
-                    scope,
-                    _Context(
-                        rows=left_rows * right_rows, clause="JOIN ON"
-                    ),
+                    _Context(open=scope.open, clause="JOIN ON"),
                 )
-            return scope, left_rows * right_rows
-        raise AssertionError(  # pragma: no cover - parser is exhaustive
-            f"unexpected FROM source {type(source).__name__}"
-        )
-
-    def _expand_stars(
-        self, items: tuple[ast.SelectItem, ...], scope: _Scope
-    ) -> list[ast.SelectItem]:
-        expanded: list[ast.SelectItem] = []
-        for item in items:
-            if not isinstance(item.expression, ast.Star):
-                expanded.append(item)
-                continue
-            star = item.expression
-            if star.table is not None and not scope.open:
-                if star.table.lower() not in scope.bindings():
-                    self._diag(
-                        "ANA002",
-                        f"unknown table {star.table!r} in "
-                        f"{star.table}.*",
-                        star.position,
-                        len(star.table),
-                    )
-                    continue
-            for binding, name, _ in scope.entries:
-                if star.table is not None and (
-                    binding is None
-                    or binding.lower() != star.table.lower()
-                ):
-                    continue
-                expanded.append(
-                    ast.SelectItem(ast.ColumnRef(name, binding), name)
-                )
-        return expanded
 
     # -- expressions -----------------------------------------------------
 
     def _check(
         self,
         expression: ast.Expression,
-        scope: _Scope,
         context: _Context,
-        output_aliases: dict[str, ExprType] | None = None,
     ) -> ExprType:
         """Typecheck one expression; returns its inferred type."""
         if isinstance(expression, ast.Literal):
@@ -653,8 +393,7 @@ class _Run:
                 else infer_type(expression.value)
             )
         if isinstance(expression, ast.ColumnRef):
-            return self._check_column(expression, scope, context,
-                                      output_aliases)
+            return self._check_column(expression, context)
         if isinstance(expression, ast.Star):
             self._diag(
                 "ANA009",
@@ -663,9 +402,7 @@ class _Run:
             )
             return DataType.ANY
         if isinstance(expression, ast.UnaryOp):
-            operand = self._check(
-                expression.operand, scope, context, output_aliases
-            )
+            operand = self._check(expression.operand, context)
             if expression.op == "NOT":
                 return DataType.BOOLEAN
             if not _numeric_ok(operand):
@@ -676,33 +413,21 @@ class _Run:
                 )
             return operand if operand is not None else None
         if isinstance(expression, ast.BinaryOp):
-            return self._check_binary(
-                expression, scope, context, output_aliases
-            )
+            return self._check_binary(expression, context)
         if isinstance(expression, ast.FunctionCall):
-            return self._check_call(
-                expression, scope, context, output_aliases
-            )
+            return self._check_call(expression, context)
         if isinstance(expression, ast.CaseExpression):
             if expression.operand is not None:
-                self._check(
-                    expression.operand, scope, context, output_aliases
-                )
+                self._check(expression.operand, context)
             results: list[ExprType] = []
             for condition, result in expression.branches:
-                self._check(condition, scope, context, output_aliases)
-                results.append(
-                    self._check(result, scope, context, output_aliases)
-                )
+                self._check(condition, context)
+                results.append(self._check(result, context))
             if expression.default is not None:
-                results.append(
-                    self._check(
-                        expression.default, scope, context, output_aliases
-                    )
-                )
+                results.append(self._check(expression.default, context))
             return _unify(*results)
         if isinstance(expression, ast.CastExpression):
-            self._check(expression.operand, scope, context, output_aliases)
+            self._check(expression.operand, context)
             try:
                 return DataType.from_sql(expression.type_name)
             except SchemaError:
@@ -712,35 +437,33 @@ class _Run:
                 )
                 return DataType.ANY
         if isinstance(expression, ast.InList):
-            self._check(expression.operand, scope, context, output_aliases)
+            self._check(expression.operand, context)
             for item in expression.items:
-                self._check(item, scope, context, output_aliases)
+                self._check(item, context)
             return DataType.BOOLEAN
         if isinstance(expression, ast.InSubquery):
-            self._check(expression.operand, scope, context, output_aliases)
+            self._check(expression.operand, context)
             self._value_subquery(expression.subquery, "IN subquery")
             return DataType.BOOLEAN
         if isinstance(expression, ast.ExistsSubquery):
             self.select(expression.subquery)
             return DataType.BOOLEAN
         if isinstance(expression, ast.ScalarSubquery):
-            info = self._value_subquery(
+            types = self._value_subquery(
                 expression.subquery, "scalar subquery"
             )
-            if info is not None and len(info.types) == 1:
-                return info.types[0]
-            return DataType.ANY
+            return DataType.ANY if types is None else types[0]
         if isinstance(expression, ast.BetweenExpression):
-            self._check(expression.operand, scope, context, output_aliases)
-            self._check(expression.lower, scope, context, output_aliases)
-            self._check(expression.upper, scope, context, output_aliases)
+            self._check(expression.operand, context)
+            self._check(expression.lower, context)
+            self._check(expression.upper, context)
             return DataType.BOOLEAN
         if isinstance(expression, ast.LikeExpression):
-            self._check(expression.operand, scope, context, output_aliases)
-            self._check(expression.pattern, scope, context, output_aliases)
+            self._check(expression.operand, context)
+            self._check(expression.pattern, context)
             return DataType.BOOLEAN
         if isinstance(expression, ast.IsNullExpression):
-            self._check(expression.operand, scope, context, output_aliases)
+            self._check(expression.operand, context)
             return DataType.BOOLEAN
         raise AssertionError(  # pragma: no cover - AST is exhaustive
             f"unexpected expression {type(expression).__name__}"
@@ -748,56 +471,35 @@ class _Run:
 
     def _value_subquery(
         self, subquery: ast.Select, what: str
-    ) -> _SelectInfo | None:
+    ) -> list[ExprType] | None:
         """A subquery used as a value must expose exactly one column."""
-        info = self.select(subquery)
-        if len(info.names) != 1:
+        types = self.select(subquery)
+        if len(types) != 1:
             self._diag(
                 "ANA013",
-                f"{what} must return exactly one column, "
-                f"got {len(info.names)}",
+                f"{what} must return exactly one column, got {len(types)}",
             )
             return None
-        return info
+        return types
 
     def _check_column(
         self,
         node: ast.ColumnRef,
-        scope: _Scope,
         context: _Context,
-        output_aliases: dict[str, ExprType] | None,
     ) -> ExprType:
-        if (
-            output_aliases is not None
-            and node.table is None
-            and node.name.lower() in output_aliases
-        ):
-            return output_aliases[node.name.lower()]
-        if scope.open:
+        owner = self.owners[id(node)]
+        if type(owner) is int:  # an output alias (HAVING, ORDER BY)
+            return context.item_types[owner]
+        if context.open:
             return DataType.ANY
-        resolved = scope.resolve(node.name, node.table)
-        if resolved == "ANA003":
-            self._diag(
-                "ANA003",
-                f"unknown column {node.display()!r}",
-                node.position,
-                len(node.display()),
-            )
-            return DataType.ANY
-        if resolved == "ANA004":
-            self._diag(
-                "ANA004",
-                f"ambiguous column {node.name!r} (qualify it with a "
-                "table name)",
-                node.position,
-                len(node.name),
-            )
+        if isinstance(owner, Failure):
+            self._report(owner)
             return DataType.ANY
         if (
             context.is_aggregate_query
             and not context.inside_aggregate
             and context.clause in ("SELECT", "HAVING", "ORDER BY")
-            and node not in context.group_expressions
+            and not self._grouped(node, context)
         ):
             self._diag(
                 "ANA010",
@@ -808,18 +510,28 @@ class _Run:
                 len(node.display()),
                 severity=Severity.WARNING,
             )
-        assert isinstance(resolved, DataType)
-        return resolved
+        if owner.dtype is not None:
+            return owner.dtype
+        inferred = self.source_types[id(owner.source)][owner.index]
+        return DataType.ANY if inferred is None else inferred
+
+    def _grouped(self, node: ast.ColumnRef, context: _Context) -> bool:
+        """Whether a GROUP BY term names ``node``'s column, however
+        either is spelled."""
+        owner = self.owners[id(node)]
+        return node in context.group_expressions or any(
+            self.owners.get(id(term)) is owner
+            for term in context.group_expressions
+            if isinstance(term, ast.ColumnRef)
+        )
 
     def _check_binary(
         self,
         node: ast.BinaryOp,
-        scope: _Scope,
         context: _Context,
-        output_aliases: dict[str, ExprType] | None,
     ) -> ExprType:
-        left = self._check(node.left, scope, context, output_aliases)
-        right = self._check(node.right, scope, context, output_aliases)
+        left = self._check(node.left, context)
+        right = self._check(node.right, context)
         if node.op in ("AND", "OR"):
             return DataType.BOOLEAN
         if node.op in ("=", "<>", "<", "<=", ">", ">="):
@@ -850,18 +562,14 @@ class _Run:
     def _check_call(
         self,
         node: ast.FunctionCall,
-        scope: _Scope,
         context: _Context,
-        output_aliases: dict[str, ExprType] | None,
     ) -> ExprType:
         name = node.name
         is_aggregate_call = self.functions.is_aggregate(name) and (
             node.star or len(node.args) == 1
         )
         if is_aggregate_call:
-            return self._check_aggregate_call(
-                node, scope, context, output_aliases
-            )
+            return self._check_aggregate_call(node, context)
         if node.star:
             # FOO(*) for a non-aggregate FOO calls FOO() at runtime.
             self._diag(
@@ -884,7 +592,7 @@ class _Run:
                 len(name),
             )
             for argument in node.args:
-                self._check(argument, scope, context, output_aliases)
+                self._check(argument, context)
             return DataType.ANY
         if not self.functions.has_scalar(name):
             self._diag(
@@ -894,14 +602,10 @@ class _Run:
                 len(name),
             )
             for argument in node.args:
-                self._check(argument, scope, context, output_aliases)
+                self._check(argument, context)
             return DataType.ANY
-        if self.functions.is_expensive(name):
-            self.lm_calls += context.rows
-            self.lm_calls_batched += self._batched_bound(node, scope,
-                                                         context)
         argument_types = [
-            self._check(argument, scope, context, output_aliases)
+            self._check(argument, context)
             for argument in node.args
         ]
         signature = _SCALAR_SIGNATURES.get(name)
@@ -911,44 +615,10 @@ class _Run:
         self._check_signature(node, signature, argument_types)
         return signature.returns
 
-    def _batched_bound(
-        self,
-        node: ast.FunctionCall,
-        scope: _Scope,
-        context: _Context,
-    ) -> int:
-        """Invocation bound for one call site under the batched path.
-
-        The batched operators invoke the UDF at most once per distinct
-        argument *tuple*, so the bound is the product of each
-        argument's distinct-value count: literals contribute 1, stored
-        columns their catalog distinct count, anything else (computed
-        expressions, subquery columns) falls back to the per-row
-        bound.  Always capped by ``context.rows`` — dedup can never
-        cost more than per-row execution.
-        """
-        bound = 1
-        for argument in node.args:
-            if isinstance(argument, ast.Literal):
-                continue
-            if isinstance(argument, ast.ColumnRef):
-                stats = scope.column_stats(
-                    argument.name, argument.table
-                )
-                if stats is not None:
-                    bound *= max(stats.distinct, 1)
-                    if bound >= context.rows:
-                        return context.rows
-                    continue
-            return context.rows
-        return min(bound, context.rows)
-
     def _check_aggregate_call(
         self,
         node: ast.FunctionCall,
-        scope: _Scope,
         context: _Context,
-        output_aliases: dict[str, ExprType] | None,
     ) -> ExprType:
         name = node.name
         if not context.aggregates_allowed or context.inside_aggregate:
@@ -968,15 +638,11 @@ class _Run:
                 name, _Signature(1, 1)
             ).returns if name == "COUNT" else DataType.ANY
         inner = replace(context, inside_aggregate=True)
-        argument_type = self._check(
-            node.args[0], scope, inner, output_aliases
-        )
+        argument_type = self._check(node.args[0], inner)
         signature = _AGGREGATE_SIGNATURES.get(name)
         if signature is None:  # registered custom aggregate
             return DataType.ANY
-        if signature.kind_at(0) == "num" and not _numeric_ok(
-            argument_type
-        ):
+        if signature.kind_at(0) == "num" and not _numeric_ok(argument_type):
             self._diag(
                 "ANA008",
                 f"{name}() over a {_type_name(argument_type)} argument",
@@ -1052,35 +718,6 @@ class _Run:
                 node.position,
                 len(node.name),
             )
-
-    # -- aggregate discovery / positional resolution ---------------------
-
-    def _resolve_positional(
-        self,
-        expression: ast.Expression,
-        items: list[ast.SelectItem],
-    ) -> ast.Expression:
-        """GROUP BY ordinals / output aliases, as the planner resolves
-        them."""
-        position = ast.output_position(expression)
-        if position is not None:
-            if 1 <= position <= len(items):
-                return items[position - 1].expression
-            self._diag(
-                "ANA014",
-                f"GROUP BY position {position} is out of range "
-                f"(1..{len(items)})",
-            )
-            return ast.Literal(1)  # placeholder; error already recorded
-        if isinstance(expression, ast.ColumnRef) and (
-            expression.table is None
-        ):
-            for item in items:
-                if item.alias and item.alias.lower() == (
-                    expression.name.lower()
-                ):
-                    return item.expression
-        return expression
 
 
 def _type_name(expression_type: ExprType) -> str:

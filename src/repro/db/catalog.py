@@ -12,6 +12,7 @@ from repro.db.expr import ExpressionCompiler, reads_row_by_row
 from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.plan import UDFExecContext, run_morsels
 from repro.db.planner import Planner
+from repro.db.resolve import resolve
 from repro.db.shard import PartitionSpec, ShardRuntime
 from repro.db.stmtcache import (
     LRUCache,
@@ -260,6 +261,7 @@ class Database:
                 else None
             ),
             optimizer=optimizer,
+            resolved=optimizer.resolved if optimizer is not None else None,
         )
 
     def _prepare_select(
@@ -384,7 +386,7 @@ class Database:
 
         With ``analyze=True``, SELECTs are pre-flighted through the
         static analyzer and an :class:`~repro.errors.AnalysisError`
-        (carrying the full :class:`~repro.analysis.QueryReport`) is
+        (carrying the analyzer's full ``QueryReport``) is
         raised before any plan is built when error-severity diagnostics
         are found.
 
@@ -491,7 +493,7 @@ class Database:
     def analyze(self, sql: str | ast.Select, source: str = ""):
         """Statically analyze a SELECT against this catalog.
 
-        Returns a :class:`repro.analysis.QueryReport` with diagnostics
+        Returns the analyzer's ``QueryReport`` with diagnostics
         and an LM-cost estimate; never raises for invalid SQL (syntax
         errors become ``ANA001`` diagnostics).
         """
@@ -624,10 +626,23 @@ class Database:
         layout, and the ascending ids of the rows its WHERE selects
         (all of them without one)."""
         table = self.table(statement.table)
-        compiler = ExpressionCompiler(
-            table.layout(statement.table), self.functions
+        # The WHERE and the assigned values bind as a one-table SELECT.
+        values = getattr(statement, "assignments", ())
+        resolved = resolve(
+            self,
+            ast.Select(
+                tuple(ast.SelectItem(value) for _, value in values),
+                ast.TableSource(statement.table),
+                statement.where,
+            ),
         )
-        candidates = Planner(self, self.functions).candidate_row_ids(
+        compiler = ExpressionCompiler(
+            table.layout(statement.table),
+            self.functions,
+            owners=resolved.owners,
+        )
+        planner = Planner(self, self.functions, resolved=resolved)
+        candidates = planner.candidate_row_ids(
             table, statement.table, statement.where
         )
         if statement.where is None:

@@ -11,16 +11,16 @@ optimizer's predicate-reorder and pushdown decisions and the analyzer's
 expected-row figures.  It is deliberately classical (System R-style
 magic numbers refined by catalog statistics) and deliberately *not* a
 bound: selectivities are expectations used to choose among plans, while
-:class:`~repro.analysis.CostEstimate`'s call/token fields stay
+the analyzer's ``CostEstimate`` call/token fields stay
 worst-case bounds for admission control.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro.db.sql import ast
-from repro.db.table import ColumnStats, Table
 
 #: Fallback selectivity for predicates the estimator has no rule or no
 #: statistics for (System R's classic 1/3).
@@ -46,26 +46,25 @@ CHEAP_TOKENS_PER_CALL = 12 + 2
 CASCADE_ESCALATION_RATE = 0.5
 
 
+@dataclass(frozen=True)
+class ColumnStats:
+    """Catalog statistics for one stored column."""
+
+    rows: int
+    #: Distinct values, NULL counted as one of them.
+    distinct: int
+    nulls: int
+
+    @property
+    def null_fraction(self) -> float:
+        return self.nulls / self.rows if self.rows else 0.0
+
+
 #: Resolves a column reference ``(name, table_or_None)`` to stats, or
-#: None when the column is computed / unresolvable.
+#: None when the column is computed / unresolvable; a statement's is
+#: :meth:`repro.db.resolve.Scope.stats`, which reads the statistics of
+#: the stored column the reference binds to.
 StatsLookup = Callable[[str, "str | None"], "ColumnStats | None"]
-
-
-def table_stats(
-    tables: Mapping[str, Table], name: str, table: str | None
-) -> ColumnStats | None:
-    """The :data:`StatsLookup` over stored tables keyed by lower-cased
-    FROM binding: the statistics of the one table the reference names,
-    None for an unknown, computed or ambiguous column.  Reads
-    :meth:`Table.column_stats`, so it scans a column at most once
-    between writes, and only if a predicate mentions it."""
-    if table is not None:
-        bound = tables.get(table.lower())
-        owners = [] if bound is None else [bound]
-    else:
-        owners = list(tables.values())
-    owners = [bound for bound in owners if bound.schema.has_column(name)]
-    return owners[0].column_stats(name) if len(owners) == 1 else None
 
 
 def _clamp(value: float) -> float:

@@ -35,6 +35,7 @@ from operator import and_, is_, is_not, itemgetter, le, ne, not_, truth
 from typing import TYPE_CHECKING
 
 from repro.db import types as dbtypes
+from repro.db.resolve import Owner, slot
 from repro.db.result import RowLayout
 from repro.db.sql import ast
 from repro.db.types import TEXT, SQLValue, compare, values_equal
@@ -80,11 +81,14 @@ class ExpressionCompiler:
         functions: "FunctionRegistry",
         subquery_planner: "Planner | None" = None,
         sites: "dict[ast.FunctionCall, UDFCallSite] | None" = None,
+        owners: "dict[int, Owner] | None" = None,
     ) -> None:
         self._layout = layout
         self._functions = functions
         self._subquery_planner = subquery_planner
         self._sites = sites
+        #: Each column reference's owner (see :mod:`repro.db.resolve`).
+        self._owners = owners if owners is not None else {}
         #: Whether what is being compiled makes an unbatched LM call.
         self._unbatched = False
 
@@ -139,7 +143,8 @@ class ExpressionCompiler:
         return lambda rows: [value] * len(rows)
 
     def _compile_columnref(self, node: ast.ColumnRef) -> Kernel:
-        return read_column(self._layout.resolve(node.name, node.table))
+        owner = self._owners.get(id(node))
+        return read_column(slot(self._layout, node, owner))
 
     def _compile_star(self, node: ast.Star) -> Kernel:
         raise PlanningError("'*' is only valid in SELECT items or COUNT(*)")
@@ -763,6 +768,7 @@ def plan_batched_expressions(
     functions: "FunctionRegistry",
     subquery_planner: "Planner | None" = None,
     cascade: bool = False,
+    owners: "dict[int, Owner] | None" = None,
 ) -> tuple[list[UDFCallSite], ExpressionCompiler]:
     """The batched call sites of ``expressions``, and a compiler that
     splices them in.
@@ -787,7 +793,7 @@ def plan_batched_expressions(
     sites: dict[ast.FunctionCall, UDFCallSite] = {}
     for call in calls:
         compiler = ExpressionCompiler(
-            layout, functions, subquery_planner, sites=dict(sites)
+            layout, functions, subquery_planner, dict(sites), owners
         )
         sites[call] = UDFCallSite(
             call.name.upper(),
@@ -804,7 +810,7 @@ def plan_batched_expressions(
             ),
         )
     compiler = ExpressionCompiler(
-        layout, functions, subquery_planner, sites=sites
+        layout, functions, subquery_planner, sites, owners
     )
     return list(sites.values()), compiler
 

@@ -165,8 +165,8 @@ class FunctionRegistry:
         arguments, IN lists, and LIKE/BETWEEN operands — so a conjunct
         like ``COALESCE(LLM(x), 'no') = 'yes'`` is correctly deferred
         behind cheap relational predicates.  This is the single source
-        of truth for expensive-conjunct detection; the planner and the
-        static analyzer both defer to it.
+        of truth for expensive-conjunct detection; the planner defers
+        to it.
         """
         return any(
             isinstance(node, ast.FunctionCall)
@@ -179,11 +179,6 @@ class FunctionRegistry:
             isinstance(node, ast.FunctionCall)
             and self.is_aggregate(node.name)
             and (node.star or len(node.args) == 1)
-        )
-
-    def contains_aggregate(self, expression: ast.Expression) -> bool:
-        return any(
-            self.is_aggregate_call(node) for node in ast.walk(expression)
         )
 
 

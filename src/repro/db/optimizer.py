@@ -3,7 +3,7 @@
 TAG queries put LM calls on the hot path, so plan choice — not scan
 speed — dominates latency and cost.  This pass sits between planning
 and execution and makes four kinds of decisions, each priced by the
-static cost model (:mod:`repro.analysis.cost`) and recorded with the
+static cost model (:mod:`repro.db.cost`) and recorded with the
 numbers that justified it:
 
 ``route``
@@ -16,7 +16,7 @@ numbers that justified it:
     property-tested).
 
 ``auto-batch-size``
-    ``udf_batch_size`` is derived from the analyzer's distinct-value
+    ``udf_batch_size`` is derived from the resolver's distinct-value
     bound instead of being caller-supplied: dedup means a morsel larger
     than the distinct argument space buys nothing, and a constant
     un-ordered LIMIT caps how many rows can ever reach the UDF.
@@ -41,9 +41,10 @@ purely relational queries are byte-identical with the optimizer on or
 off), and every decision is counted once in
 ``Usage.optimizer_decisions``; the footer says which rules they were.
 
-Imports from :mod:`repro.analysis` stay lazy (function-level): the
-analysis package imports ``repro.db`` at module level, and this module
-loads as part of ``repro.db``.
+Every figure is read off the statement's resolution
+(:mod:`repro.db.resolve`): the expensive call sites of every SELECT,
+nested ones included, their per-row and batched bounds, and the
+statistics of the columns a conjunct reads.
 """
 
 from __future__ import annotations
@@ -53,8 +54,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
+from repro.db.cost import (
+    CASCADE_ESCALATION_RATE,
+    CHEAP_TOKENS_PER_CALL,
+    TOKENS_PER_CALL,
+    predicate_selectivity,
+)
+from repro.db.resolve import Resolved, literal_limit, resolve
 from repro.db.sql import ast
-from repro.db.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.catalog import Database
@@ -125,7 +132,9 @@ class QueryOptimizer:
         #: by the planner: such a statement's route, reorders and
         #: pushdowns are priced from its tables' statistics.
         self.lm_relevant = False
-        self._bindings: dict[str, Table] = {}
+        #: The statement :meth:`choose_route` resolved; the planner
+        #: plans from it.
+        self.resolved: Resolved | None = None
 
     # ------------------------------------------------------------------
     # route choice (pre-planning)
@@ -141,15 +150,9 @@ class QueryOptimizer:
         oracle path, an int pins that morsel size.  Returns the batch
         size the planner should use.
         """
-        from repro.analysis.cost import (
-            CASCADE_ESCALATION_RATE,
-            CHEAP_TOKENS_PER_CALL,
-            TOKENS_PER_CALL,
-        )
-
-        names = self._expensive_names(select)
+        resolved = self.resolved = resolve(self._db, select)
+        names = {site.call.name.upper() for site in resolved.sites}
         self.lm_relevant = bool(names)
-        self._collect_bindings(select.source)
         if not names:
             return None if requested == "auto" else requested  # type: ignore[return-value]
         cheap_tiered = sorted(
@@ -157,8 +160,9 @@ class QueryOptimizer:
             for name in names
             if self._db.functions.has_cheap(name)
         )
-        estimate = self._estimate(select)
-        per_row_calls, batched_calls, rows_scanned = estimate
+        per_row_calls = resolved.lm_calls
+        batched_calls = resolved.lm_calls_batched
+        rows_scanned = resolved.scope.rows
         self.report.est_per_row_calls = per_row_calls
         self.report.est_per_row_tokens = per_row_calls * TOKENS_PER_CALL
         escalated = math.ceil(batched_calls * CASCADE_ESCALATION_RATE)
@@ -240,8 +244,8 @@ class QueryOptimizer:
             f"udf_batch_size={batch} from distinct-value bound {bound} "
             f"(rows_scanned={rows_scanned})"
         )
-        limit = _constant_limit(select)
-        if limit is not None and not select.order_by and limit < batch:
+        limit = literal_limit(select.limit)
+        if limit is not None and 0 <= limit < batch and not select.order_by:
             # Without ORDER BY the plan is a streaming prefix: at most
             # LIMIT rows are ever pulled through the UDF, so a larger
             # morsel would prefetch LM calls the query then discards.
@@ -252,26 +256,6 @@ class QueryOptimizer:
             )
         self.report.add("auto-batch-size", detail)
         return batch
-
-    def _estimate(self, select: ast.Select) -> tuple[int, int, int]:
-        """(per_row_calls, batched_calls, rows_scanned) upper bounds,
-        priced by the static analyzer (which prices every SELECT)."""
-        from repro.analysis import SQLAnalyzer
-
-        cost = SQLAnalyzer(self._db).analyze(select).cost
-        if cost.lm_calls == 0:
-            return (0, 0, cost.rows_scanned)
-        return (cost.lm_calls, cost.lm_calls_batched, cost.rows_scanned)
-
-    def _expensive_names(self, select: ast.Select) -> set[str]:
-        names: set[str] = set()
-        for expression in _statement_expressions(select):
-            for node in ast.walk(expression):
-                if isinstance(
-                    node, ast.FunctionCall
-                ) and self._db.functions.is_expensive(node.name):
-                    names.add(node.name.upper())
-        return names
 
     # ------------------------------------------------------------------
     # planner hooks
@@ -284,8 +268,6 @@ class QueryOptimizer:
         node: physical.PlanNode,
     ) -> None:
         """Record a cheap-before-expensive conjunct reorder."""
-        from repro.analysis.cost import TOKENS_PER_CALL
-
         if not self.lm_relevant or not cheap or not expensive:
             return
         selectivity = 1.0
@@ -379,71 +361,14 @@ class QueryOptimizer:
             f"pushed {count} cheap conjunct(s) below {kind} join",
         )
 
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-
-    def _collect_bindings(self, source: ast.FromSource | None) -> None:
-        if source is None:
-            return
-        if isinstance(source, ast.TableSource):
-            if self._db.has_table(source.name):
-                self._bindings[source.binding.lower()] = self._db.table(
-                    source.name
-                )
-        elif isinstance(source, ast.Join):
-            self._collect_bindings(source.left)
-            self._collect_bindings(source.right)
-        # Subquery sources: computed columns, no catalog stats.
-
-    def _column_stats(self, name: str, table: str | None):
-        from repro.analysis.cost import table_stats
-
-        return table_stats(self._bindings, name, table)
-
     def _selectivity(self, conjunct: ast.Expression) -> float:
-        from repro.analysis.cost import predicate_selectivity
-
-        return predicate_selectivity(conjunct, self._column_stats)
+        stats = self.resolved.scope.stats  # type: ignore[union-attr]
+        return predicate_selectivity(conjunct, stats)
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _statement_expressions(select: ast.Select):
-    for item in select.items:
-        yield item.expression
-    if select.where is not None:
-        yield select.where
-    for expression in select.group_by:
-        yield expression
-    if select.having is not None:
-        yield select.having
-    for order in select.order_by:
-        yield order.expression
-    source_stack = [select.source]
-    while source_stack:
-        source = source_stack.pop()
-        if isinstance(source, ast.Join):
-            if source.condition is not None:
-                yield source.condition
-            source_stack.append(source.left)
-            source_stack.append(source.right)
-        elif isinstance(source, ast.SubquerySource):
-            yield from _statement_expressions(source.query)
-
-
-def _constant_limit(select: ast.Select) -> int | None:
-    node = select.limit
-    if node is None:
-        return None
-    if isinstance(node, ast.Literal) and isinstance(
-        node.value, int
-    ) and not isinstance(node.value, bool):
-        return node.value if node.value >= 0 else None
-    return None
 
 
 def _conjunct_label(

@@ -1,27 +1,31 @@
-"""Planner: binds a parsed SELECT to the catalog and builds a plan tree.
+"""Planner: builds a plan tree for a resolved SELECT.
 
-The planner performs, in order:
+The statement's names are bound by :mod:`repro.db.resolve` (stars
+expanded, ordinals and aliases replaced, each column reference given
+its owner); the planner maps owners to row positions and raises a
+reference's failure where it compiles the reference.  It performs, in
+order:
 
 1. FROM-tree construction (scans, subquery sources, joins),
-2. ``*`` expansion against the source layout,
-3. WHERE decomposition into conjuncts with optional *predicate pushdown*
-   (each conjunct is applied at the deepest subtree whose layout can
-   resolve all of its columns; never pushed into the right side of a
+2. WHERE decomposition into conjuncts with optional *predicate pushdown*
+   (each conjunct is applied at the deepest subtree holding the sources
+   of all the columns it reads; never pushed into the right side of a
    LEFT join, which would change semantics); one conjunct that compares
    an indexed column with literals becomes the scan's access path
    (``=``: index lookup; ``BETWEEN``/``<``/``<=``/``>``/``>=``: range
    scan over the ordered index),
-4. equi-join detection (ON conjuncts of the form ``l.x = r.y`` become
+3. equi-join detection (ON conjuncts of the form ``l.x = r.y`` become
    hash-join keys; the rest stay as a residual predicate); once
    push-down has settled the inputs, an INNER single-key hash join of a
    small input with a bare scan indexed on the key probes that index
    instead (same rows, same order),
-5. aggregation planning: aggregate calls anywhere in the SELECT items,
+4. aggregation planning: aggregate calls anywhere in the SELECT items,
    HAVING, or ORDER BY are collected, deduplicated, and computed by one
-   Aggregate node; bare column references in an aggregate query are
+   Aggregate node; a column a GROUP BY term names reads that term's
+   value, and other bare column references in an aggregate query are
    rewritten to a hidden FIRST() aggregate (SQLite-style leniency, which
    LM-generated SQL relies on),
-6. HAVING, extended projection (items + extra ORDER BY expressions),
+5. HAVING, extended projection (items + extra ORDER BY expressions),
    sort, slice back to the item columns, DISTINCT, LIMIT/OFFSET.  No
    sort is planned when a range scan already emits the one ascending
    key, and a sort directly under LIMIT keeps only ``limit + offset``
@@ -37,8 +41,7 @@ the ablation benchmark compares both modes.
 
 from __future__ import annotations
 
-import dataclasses
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
@@ -51,6 +54,14 @@ from repro.db.expr import (
 )
 from repro.db.functions import AggregateSpec, FunctionRegistry
 from repro.db.optimizer import _estimate_rows
+from repro.db.resolve import (
+    Column,
+    Ordering,
+    Resolved,
+    resolve,
+    slot,
+    substitute,
+)
 from repro.db.result import ResultSet, Row, RowLayout
 from repro.db.shard import PartitionSpec, ShardContext
 from repro.db.sql import ast
@@ -94,6 +105,7 @@ class Planner:
         udf_batch_size: int | None = None,
         udf_context: "physical.UDFExecContext | None" = None,
         optimizer: "QueryOptimizer | None" = None,
+        resolved: Resolved | None = None,
     ) -> None:
         self._catalog = catalog
         self._functions = functions
@@ -128,6 +140,14 @@ class Planner:
         #: statistics: the plan was chosen for those numbers and stands
         #: while they do.
         self.stats_read: dict[Table, int] = {}
+        #: What the statement's names bind to (see
+        #: :mod:`repro.db.resolve`): every column reference's owner, and
+        #: each SELECT's resolution, by ``id``.
+        self._owners = resolved.owners if resolved is not None else {}
+        self._selects: dict[int, Resolved] = {}
+        if resolved is not None:
+            self._selects.update(resolved.selects)
+            self._selects[id(resolved.select)] = resolved
 
     # ------------------------------------------------------------------
     # public entry points
@@ -153,33 +173,34 @@ class Planner:
             self._shard_select = saved_select
             self._open_merge = saved_merge
 
+    def _resolution(self, select: ast.Select) -> Resolved:
+        """``select``'s resolution: the statement's, or (for a SELECT
+        only a constant expression holds) its own."""
+        resolved = self._selects.get(id(select))
+        if resolved is None:
+            resolved = resolve(self._catalog, select)
+            self._owners.update(resolved.owners)
+            self._selects.update(resolved.selects)
+            self._selects[id(select)] = resolved
+        return resolved
+
     def _plan_select(
         self, select: ast.Select
     ) -> tuple[physical.PlanNode, list[str]]:
+        resolved = self._resolution(select)
         source = self._build_source(select.source)
-        items = self._expand_stars(select.items, source.layout)
-        conjuncts = _split_conjuncts(select.where)
-        source = self._apply_where(source, conjuncts)
+        if resolved.star_failures:
+            resolved.star_failures[0].throw()
+        items = resolved.items
+        if not items:
+            raise PlanningError("SELECT list is empty")
+        source = self._apply_where(source, _split_conjuncts(select.where))
 
-        group_by = list(select.group_by)
-        contains_aggregate = self._functions.contains_aggregate
-        has_aggregate = any(
-            contains_aggregate(item.expression) for item in items
-        )
-        if select.having is not None:
-            has_aggregate = has_aggregate or contains_aggregate(
-                select.having
-            )
-        order_items = list(select.order_by)
-        has_aggregate = has_aggregate or any(
-            contains_aggregate(order.expression)
-            for order in order_items
-        )
-
-        having = select.having
-        if group_by or has_aggregate:
+        having = resolved.having
+        order_items = resolved.order_by
+        if resolved.group_by or resolved.has_aggregate:
             source, items, having, order_items = self._plan_aggregation(
-                source, items, group_by, having, order_items
+                source, resolved
             )
         elif having is not None:
             raise PlanningError("HAVING requires GROUP BY or aggregates")
@@ -206,6 +227,9 @@ class Planner:
         if source is None:
             return physical.Values([()], RowLayout([]))
         if isinstance(source, ast.TableSource):
+            failure = self._owners.get(id(source))
+            if failure is not None:
+                failure.throw()
             scan = physical.Scan(
                 self._catalog.table(source.name), source.binding
             )
@@ -305,7 +329,7 @@ class Planner:
             (conjunct.left, conjunct.right),
             (conjunct.right, conjunct.left),
         ):
-            if self._resolvable(first, left_layout) and self._resolvable(
+            if self._reads_only(first, left_layout) and self._reads_only(
                 second, right_layout
             ):
                 return first, second
@@ -335,9 +359,9 @@ class Planner:
             right_push: list[ast.Expression] = []
             for conjunct in conjuncts:
                 side: physical.PlanNode | None = None
-                if self._resolvable(conjunct, node.left.layout):
+                if self._reads_only(conjunct, node.left.layout):
                     side = node.left
-                elif node.kind != "LEFT" and self._resolvable(
+                elif node.kind != "LEFT" and self._reads_only(
                     conjunct, node.right.layout
                 ):
                     side = node.right
@@ -490,13 +514,13 @@ class Planner:
             (conjunct.left, conjunct.right),
             (conjunct.right, conjunct.left),
         ):
+            column = self._column_of(ref, scan.layout)
             if (
-                isinstance(ref, ast.ColumnRef)
+                column is not None
                 and isinstance(literal, ast.Literal)
                 and literal.value is not None
-                and scan.layout.can_resolve(ref.name, ref.table)
             ):
-                return ref.name, literal.value
+                return column, literal.value
         return None
 
     def _range_predicate(
@@ -510,11 +534,7 @@ class Planner:
         """
 
         def column_of(ref: ast.Expression) -> str | None:
-            if isinstance(ref, ast.ColumnRef) and scan.layout.can_resolve(
-                ref.name, ref.table
-            ):
-                return ref.name
-            return None
+            return self._column_of(ref, scan.layout)
 
         def bound_of(literal: ast.Expression) -> object:
             return (
@@ -601,6 +621,7 @@ class Planner:
                 self._functions,
                 self,
                 cascade=self._cascade(),
+                owners=self._owners,
             )
             if sites:
                 self.reusable = False
@@ -703,17 +724,8 @@ class Planner:
     def _shard_decline_reason(
         self, select: ast.Select, conjuncts: list[ast.Expression]
     ) -> str | None:
-        for expression in _select_expressions(select):
-            for node in ast.walk(expression):
-                if isinstance(
-                    node,
-                    (
-                        ast.InSubquery,
-                        ast.ExistsSubquery,
-                        ast.ScalarSubquery,
-                    ),
-                ):
-                    return "statement contains a subquery"
+        if self._resolution(select).has_subquery:
+            return "statement contains a subquery"
         if select.limit is not None and not select.order_by:
             # An un-ordered LIMIT is a streaming prefix: the unsharded
             # plan stops pulling (and stops calling the LM) after LIMIT
@@ -770,7 +782,7 @@ class Planner:
         survivors = set(range(spec.shards))
         prunable = False
         for conjunct in conjuncts:
-            values = _partition_key_values(conjunct, spec, scan)
+            values = self._partition_key_values(conjunct, spec, scan)
             if values is None:
                 continue
             allowed = self._shards_for_values(spec, scan, values)
@@ -806,6 +818,43 @@ class Planner:
                 return None
             allowed.add(spec.shard_of(coerced))
         return allowed
+
+    def _partition_key_values(
+        self,
+        conjunct: ast.Expression,
+        spec: PartitionSpec,
+        scan: physical.Scan,
+    ) -> list[object] | None:
+        """Literal values an equality/IN conjunct pins the partition key to.
+
+        Recognizes ``key = literal`` (either side) and ``key IN
+        (literals...)`` where the column reference binds to the scanned
+        table; anything else is not prunable.
+        """
+        column = spec.column.lower()
+
+        def is_key(ref: ast.Expression) -> bool:
+            name = self._column_of(ref, scan.layout)
+            return name is not None and name.lower() == column
+
+        if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
+            for ref, literal in (
+                (conjunct.left, conjunct.right),
+                (conjunct.right, conjunct.left),
+            ):
+                if is_key(ref) and isinstance(literal, ast.Literal):
+                    return [literal.value]
+            return None
+        if (
+            isinstance(conjunct, ast.InList)
+            and not conjunct.negated
+            and is_key(conjunct.operand)
+            and all(
+                isinstance(item, ast.Literal) for item in conjunct.items
+            )
+        ):
+            return [item.value for item in conjunct.items]
+        return None
 
     def _shard_projection(
         self,
@@ -865,77 +914,41 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _plan_aggregation(
-        self,
-        source: physical.PlanNode,
-        items: list[ast.SelectItem],
-        group_by: list[ast.Expression],
-        having: ast.Expression | None,
-        order_items: list[ast.OrderItem],
+        self, source: physical.PlanNode, resolved: Resolved
     ) -> tuple[
         physical.PlanNode,
         list[ast.SelectItem],
         ast.Expression | None,
-        list[ast.OrderItem],
+        list[Ordering],
     ]:
-        group_by = [
-            self._resolve_positional(expr, items) for expr in group_by
-        ]
-        if having is not None:
-            having = self._resolve_alias_refs(having, items)
-        order_items = [
-            ast.OrderItem(
-                self._resolve_alias_refs(order.expression, items),
-                order.ascending,
-            )
-            for order in order_items
-        ]
-        aggregate_calls: list[ast.FunctionCall] = []
-
-        def collect(expression: ast.Expression) -> None:
-            for node in ast.walk(expression):
-                if self._functions.is_aggregate_call(node) and (
-                    node not in aggregate_calls
-                ):
-                    aggregate_calls.append(node)
-
-        for item in items:
-            collect(item.expression)
-        if having is not None:
-            collect(having)
-        for order in order_items:
-            collect(order.expression)
-
+        if resolved.group_failures:
+            resolved.group_failures[0].throw()
+        items = resolved.items
+        group_by = resolved.group_by
+        having = resolved.having
+        order_items = resolved.order_by
+        aggregate_calls = resolved.aggregates
         # Bare (non-grouped) column refs become hidden FIRST() aggregates.
         bare_columns: list[ast.ColumnRef] = []
-
-        def collect_bare(expression: ast.Expression) -> None:
-            for node in _walk_outside_aggregates(
-                expression, self._functions.is_aggregate_call
-            ):
-                if (
-                    isinstance(node, ast.ColumnRef)
-                    and node not in group_by
-                    and node not in bare_columns
-                ):
-                    bare_columns.append(node)
-
-        for item in items:
-            collect_bare(item.expression)
-        if having is not None:
-            collect_bare(having)
-        for order in order_items:
-            collect_bare(order.expression)
-        # Anything matching a group-by expression textually is fine; a
-        # genuinely bare column is served by FIRST (SQLite leniency).
+        for ref in resolved.columns:
+            if ref not in group_by and ref not in bare_columns:
+                bare_columns.append(ref)
+        # A column a GROUP BY term names, however spelled, reads that
+        # term's value; a genuinely bare column is served by FIRST
+        # (SQLite leniency).
 
         source_compiler = self._compiler(source.layout)
         group_keys = [source_compiler.kernel(expr) for expr in group_by]
         entries: list[tuple[str | None, str]] = []
         replacements: dict[ast.Expression, ast.ColumnRef] = {}
+        grouped: dict[Column, ast.ColumnRef] = {}
         for position, expr in enumerate(group_by):
             name = f"_group{position}"
             entries.append((None, name))
             replacements[expr] = ast.ColumnRef(name)
+            owner = self._owners.get(id(expr))
+            if isinstance(owner, Column):
+                grouped.setdefault(owner, replacements[expr])
         calls: list[physical.AggregateCall] = []
         for position, call in enumerate(aggregate_calls):
             name = f"_agg{position}"
@@ -955,6 +968,10 @@ class Planner:
         for position, ref in enumerate(bare_columns):
             if ref in replacements:
                 continue
+            group = grouped.get(self._owners.get(id(ref)))  # type: ignore
+            if group is not None:
+                replacements[ref] = group
+                continue
             name = f"_bare{position}"
             entries.append((None, name))
             replacements[ref] = ast.ColumnRef(name)
@@ -970,7 +987,7 @@ class Planner:
         aggregate_node = physical.Aggregate(source, group_keys, calls, layout)
 
         def rewrite(expression: ast.Expression) -> ast.Expression:
-            return _replace(expression, replacements)
+            return substitute(expression, replacements)
 
         new_items = [
             ast.SelectItem(
@@ -981,50 +998,12 @@ class Planner:
         ]
         new_having = rewrite(having) if having is not None else None
         new_order = [
-            ast.OrderItem(rewrite(order.expression), order.ascending)
+            order
+            if order.target is not None or order.failure is not None
+            else Ordering(rewrite(order.expression), order.ascending)
             for order in order_items
         ]
         return aggregate_node, new_items, new_having, new_order
-
-    def _resolve_alias_refs(
-        self, expression: ast.Expression, items: list[ast.SelectItem]
-    ) -> ast.Expression:
-        """Replace output-alias references (HAVING n > 2) with the
-        aliased expression — SQLite-style leniency."""
-        replacements: dict[ast.Expression, ast.Expression] = {}
-        for node in ast.walk(expression):
-            if (
-                isinstance(node, ast.ColumnRef)
-                and node.table is None
-            ):
-                for item in items:
-                    if item.alias and item.alias.lower() == (
-                        node.name.lower()
-                    ):
-                        replacements[node] = item.expression
-                        break
-        if not replacements:
-            return expression
-        return _replace(expression, replacements)  # type: ignore[arg-type]
-
-    def _resolve_positional(
-        self, expression: ast.Expression, items: list[ast.SelectItem]
-    ) -> ast.Expression:
-        """GROUP BY 1 / alias resolve to the corresponding item."""
-        position = ast.output_position(expression)
-        if position is not None:
-            if 1 <= position <= len(items):
-                return items[position - 1].expression
-            raise PlanningError(f"GROUP BY position {position} out of range")
-        if isinstance(expression, ast.ColumnRef) and (
-            expression.table is None
-        ):
-            for item in items:
-                if item.alias and item.alias.lower() == (
-                    expression.name.lower()
-                ):
-                    return item.expression
-        return expression
 
     # ------------------------------------------------------------------
     # projection / ORDER BY / DISTINCT
@@ -1034,25 +1013,27 @@ class Planner:
         self,
         source: physical.PlanNode,
         items: list[ast.SelectItem],
-        order_items: list[ast.OrderItem],
+        order_items: list[Ordering],
         distinct: bool,
     ) -> tuple[physical.PlanNode, list[str]]:
         names = [
             item.alias or ast.expression_name(item.expression)
             for item in items
         ]
-        if self._arrives_ordered(source, items, names, order_items):
+        if self._arrives_ordered(source, items, order_items):
             order_items = []
 
-        # ORDER BY may reference output aliases, positional numbers, or
-        # any expression over the pre-projection layout; extend the
-        # projection with the extra expressions, sort, then slice back.
+        # ORDER BY may name an output column or sort by any expression
+        # over the pre-projection layout; extend the projection with
+        # the extra expressions, sort, then slice back.
         sort_positions: list[int] = []
         ascending: list[bool] = []
         extra_expressions: list[ast.Expression] = []
         extra_names: list[str] = []
         for order in order_items:
-            position = self._order_target(order.expression, items, names)
+            if order.failure is not None:
+                order.failure.throw()
+            position = self._order_target(order, items)
             if position is not None:
                 sort_positions.append(position)
             else:
@@ -1083,8 +1064,7 @@ class Planner:
         self,
         source: physical.PlanNode,
         items: list[ast.SelectItem],
-        names: list[str],
-        order_items: list[ast.OrderItem],
+        order_items: list[Ordering],
     ) -> bool:
         """Whether ``ORDER BY`` asks for what a range scan can emit.
 
@@ -1101,14 +1081,17 @@ class Planner:
             scan = scan.child
         if not isinstance(scan, physical.IndexRange):
             return False
-        key = order_items[0].expression
-        position = self._order_target(key, items, names)
+        order = order_items[0]
+        if order.failure is not None:
+            return False
+        key = order.expression
+        position = self._order_target(order, items)
         if position is not None:
             key = items[position].expression
+        owner = self._owners.get(id(key))
         if not (
-            isinstance(key, ast.ColumnRef)
-            and scan.layout.can_resolve(key.name, key.table)
-            and scan.layout.resolve(key.name, key.table)
+            self._column_of(key, scan.layout) is not None
+            and owner.index  # type: ignore[union-attr]
             == scan.table.schema.column_index(scan.column)
         ):
             return False
@@ -1129,7 +1112,7 @@ class Planner:
             return plan
         if all(isinstance(item, ast.ColumnRef) for item in expressions):
             positions = [
-                source.layout.resolve(item.name, item.table)
+                slot(source.layout, item, self._owners.get(id(item)))
                 for item in expressions
             ]
             return physical.Project(source, [], layout, positions)
@@ -1167,6 +1150,7 @@ class Planner:
             self._functions,
             self,
             cascade=self._cascade(),
+            owners=self._owners,
         )
         if not sites:
             return None
@@ -1182,25 +1166,14 @@ class Planner:
         )
 
     def _order_target(
-        self,
-        expression: ast.Expression,
-        items: list[ast.SelectItem],
-        names: list[str],
+        self, order: Ordering, items: list[ast.SelectItem]
     ) -> int | None:
-        position = ast.output_position(expression)
-        if position is not None:
-            if 1 <= position <= len(items):
-                return position - 1
-            raise PlanningError(f"ORDER BY position {position} out of range")
-        if isinstance(expression, ast.ColumnRef) and (
-            expression.table is None
-        ):
-            lowered = expression.name.lower()
-            for position, name in enumerate(names):
-                if name.lower() == lowered:
-                    return position
+        """The output column ``order`` sorts by: the one it names, or
+        the first item whose expression it equals."""
+        if order.target is not None:
+            return order.target
         for position, item in enumerate(items):
-            if item.expression == expression:
+            if item.expression == order.expression:
                 return position
         return None
 
@@ -1237,50 +1210,35 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _compiler(self, layout: RowLayout) -> ExpressionCompiler:
-        return ExpressionCompiler(layout, self._functions, self)
+        return ExpressionCompiler(
+            layout, self._functions, self, owners=self._owners
+        )
 
-    def _expand_stars(
-        self, items: tuple[ast.SelectItem, ...], layout: RowLayout
-    ) -> list[ast.SelectItem]:
-        expanded: list[ast.SelectItem] = []
-        for item in items:
-            if not isinstance(item.expression, ast.Star):
-                expanded.append(item)
-                continue
-            star = item.expression
-            if star.table is not None:
-                positions = layout.positions_for_binding(star.table)
-                if not positions:
-                    raise PlanningError(
-                        f"unknown table {star.table!r} in {star.table}.*"
-                    )
-            else:
-                positions = list(range(len(layout)))
-            for position in positions:
-                binding, name = layout.entries[position]
-                expanded.append(
-                    ast.SelectItem(ast.ColumnRef(name, binding), name)
-                )
-        if not expanded:
-            raise PlanningError("SELECT list is empty")
-        return expanded
+    def _column_of(
+        self, ref: ast.Expression, layout: RowLayout
+    ) -> str | None:
+        """``ref``'s name, when it is a column of a source ``layout``
+        holds."""
+        if isinstance(ref, ast.ColumnRef) and self._reads_only(ref, layout):
+            return ref.name
+        return None
 
-    def _resolvable(
+    def _reads_only(
         self, expression: ast.Expression, layout: RowLayout
     ) -> bool:
-        """True if every column ref in ``expression`` binds in ``layout``.
-
-        Subquery expressions are treated as opaque (they plan against the
-        catalog, not the row), so they are always resolvable.
-        """
-        for node in ast.walk(expression):
-            if isinstance(node, ast.ColumnRef) and not layout.can_resolve(
-                node.name, node.table
-            ):
-                return False
-            if isinstance(node, ast.Star):
-                return False
-        return True
+        """Whether every column ``expression`` reads comes from a source
+        ``layout`` holds (a subquery's columns are its own)."""
+        kind = type(expression)
+        if kind is ast.ColumnRef:
+            owner = self._owners.get(id(expression))
+            return type(owner) is Column and owner.key in layout.slots
+        if kind is ast.Star:
+            return False
+        return all(
+            self._reads_only(child, layout)
+            for child in ast.children(expression)
+            if not isinstance(child, ast.Select)
+        )
 
     def _is_expensive(self, expression: ast.Expression) -> bool:
         return self._functions.contains_expensive(expression)
@@ -1327,104 +1285,3 @@ def _and_all(conjuncts: list[ast.Expression]) -> ast.Expression:
     for conjunct in conjuncts[1:]:
         combined = ast.BinaryOp("AND", combined, conjunct)
     return combined
-
-
-def _select_expressions(
-    select: ast.Select,
-) -> Iterator[ast.Expression]:
-    """Every expression of one SELECT level (sharding only considers
-    single-table statements, so there are no join conditions here)."""
-    for item in select.items:
-        yield item.expression
-    if select.where is not None:
-        yield select.where
-    yield from select.group_by
-    if select.having is not None:
-        yield select.having
-    for order in select.order_by:
-        yield order.expression
-
-
-def _partition_key_values(
-    conjunct: ast.Expression,
-    spec: PartitionSpec,
-    scan: physical.Scan,
-) -> list[object] | None:
-    """Literal values an equality/IN conjunct pins the partition key to.
-
-    Recognizes ``key = literal`` (either side) and ``key IN
-    (literals...)`` where the column reference resolves against the
-    scanned table; anything else is not prunable.
-    """
-    column = spec.column.lower()
-
-    def is_key(ref: ast.Expression) -> bool:
-        return (
-            isinstance(ref, ast.ColumnRef)
-            and ref.name.lower() == column
-            and scan.layout.can_resolve(ref.name, ref.table)
-        )
-
-    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
-        for ref, literal in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if is_key(ref) and isinstance(literal, ast.Literal):
-                return [literal.value]
-        return None
-    if (
-        isinstance(conjunct, ast.InList)
-        and not conjunct.negated
-        and is_key(conjunct.operand)
-        and all(
-            isinstance(item, ast.Literal) for item in conjunct.items
-        )
-    ):
-        return [item.value for item in conjunct.items]
-    return None
-
-
-def _walk_outside_aggregates(
-    expression: ast.Expression, is_aggregate
-) -> Iterator[ast.Expression]:
-    """Pre-order walk that does not descend into aggregate calls."""
-    if is_aggregate(expression):
-        return
-    yield expression
-    for child in ast.children(expression):
-        if not isinstance(child, ast.Select):
-            yield from _walk_outside_aggregates(child, is_aggregate)
-
-
-def _replace(
-    expression: ast.Expression,
-    replacements: dict[ast.Expression, ast.ColumnRef],
-) -> ast.Expression:
-    """Structural find-and-replace over an expression tree."""
-    if isinstance(expression, ast.Select):
-        return expression  # opaque, and never a key: not worth hashing
-    if expression in replacements:
-        return replacements[expression]
-    changes = {}
-    for name in getattr(expression, "__dataclass_fields__", ()):
-        value = getattr(expression, name)
-        new_value = _replace_value(value, replacements)
-        if new_value is not value:
-            changes[name] = new_value
-    if changes:
-        return dataclasses.replace(expression, **changes)
-    return expression
-
-
-def _replace_value(value: object, replacements: dict) -> object:
-    if isinstance(value, tuple):
-        new_elements = tuple(
-            _replace_value(element, replacements) for element in value
-        )
-        if any(
-            new is not old for new, old in zip(new_elements, value)
-        ):
-            return new_elements
-        return value
-    return _replace(value, replacements)  # type: ignore[arg-type]

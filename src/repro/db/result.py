@@ -11,30 +11,26 @@ Row = tuple[SQLValue, ...]
 
 
 class RowLayout:
-    """Maps (binding, column) references to tuple positions.
+    """Maps (binding, column) pairs to tuple positions.
 
     Each entry is a ``(binding, name)`` pair: ``binding`` is the table
     alias (or table name) a column came from, or ``None`` for computed
-    columns.  Resolution is case-insensitive and detects ambiguity the
-    way SQL requires (an unqualified name matching two bindings is an
-    error).
+    columns.  Which column a reference names is
+    :mod:`repro.db.resolve`'s to say; a layout only finds the slot of
+    the pair it is given, case-insensitively, first one first.
     """
 
     def __init__(self, entries: list[tuple[str | None, str]]) -> None:
         self.entries = list(entries)
-        self._by_qualified: dict[tuple[str, str], int] = {}
-        #: Lowered name -> its first position; names that two distinct
-        #: bindings expose are ambiguous when unqualified.
-        self._by_name: dict[str, int] = {}
-        self._ambiguous: set[str] = set()
+        #: ``(binding, name)``, both lower-cased -> its first slot.
+        self.slots: dict[tuple[str | None, str], int] = {}
+        #: The resolver's owners of these columns, made on first use; a
+        #: stored table's layout is shared by every statement reading
+        #: the table under one binding, so they are made once for all.
+        self.owners: list | None = None
         for position, (binding, name) in enumerate(self.entries):
-            lowered = name.lower()
-            first = self._by_name.setdefault(lowered, position)
-            if self.entries[first][0] != binding:
-                self._ambiguous.add(lowered)
-            if binding is not None:
-                key = (binding.lower(), lowered)
-                self._by_qualified.setdefault(key, position)
+            key = (binding and binding.lower(), name.lower())
+            self.slots.setdefault(key, position)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -43,44 +39,9 @@ class RowLayout:
     def names(self) -> list[str]:
         return [name for _, name in self.entries]
 
-    @property
-    def bindings(self) -> set[str]:
-        return {
-            binding for binding, _ in self.entries if binding is not None
-        }
-
-    def resolve(self, name: str, table: str | None = None) -> int:
-        """Position of a column reference; raises PlanningError."""
-        if table is not None:
-            key = (table.lower(), name.lower())
-            if key in self._by_qualified:
-                return self._by_qualified[key]
-            raise PlanningError(f"unknown column {table}.{name}")
-        lowered = name.lower()
-        position = self._by_name.get(lowered)
-        if position is None:
-            raise PlanningError(f"unknown column {name!r}")
-        if lowered in self._ambiguous:
-            # Distinct bindings exposing the same name are ambiguous;
-            # duplicates within one binding never happen by construction.
-            raise PlanningError(f"ambiguous column {name!r}")
-        return position
-
-    def can_resolve(self, name: str, table: str | None = None) -> bool:
-        try:
-            self.resolve(name, table)
-            return True
-        except PlanningError:
-            return False
-
-    def positions_for_binding(self, binding: str) -> list[int]:
-        lowered = binding.lower()
-        return [
-            position
-            for position, (entry_binding, _) in enumerate(self.entries)
-            if entry_binding is not None
-            and entry_binding.lower() == lowered
-        ]
+    def position(self, binding: str | None, name: str) -> int | None:
+        """The slot of ``(binding, name)``, or None."""
+        return self.slots.get((binding and binding.lower(), name.lower()))
 
     @staticmethod
     def concat(left: "RowLayout", right: "RowLayout") -> "RowLayout":

@@ -15,9 +15,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from typing import Any
 
+from repro.db.cost import ColumnStats
 from repro.db.result import RowLayout
 from repro.db.schema import TableSchema
 from repro.db.shard import PartitionSpec
@@ -28,20 +28,6 @@ Row = tuple[SQLValue, ...]
 
 #: Bindings whose layout a table remembers at once (see ``Table.layout``).
 _MAX_LAYOUTS = 32
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Catalog statistics for one stored column."""
-
-    rows: int
-    #: Distinct values, NULL counted as one of them.
-    distinct: int
-    nulls: int
-
-    @property
-    def null_fraction(self) -> float:
-        return self.nulls / self.rows if self.rows else 0.0
 
 
 class Table:

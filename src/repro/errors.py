@@ -38,8 +38,16 @@ class PlanningError(DatabaseError):
     """The query parsed but could not be bound to the catalog.
 
     Raised for unknown tables/columns, ambiguous references, misplaced
-    aggregates, and similar semantic errors.
+    aggregates, and similar semantic errors.  A name that binds to
+    nothing carries its ``span``: the half-open ``(start, end)`` source
+    range the analyzer's diagnostic for it points at, or None.
     """
+
+    def __init__(
+        self, message: str, span: tuple[int, int] | None = None
+    ) -> None:
+        super().__init__(message)
+        self.span = span
 
 
 class ExecutionError(DatabaseError):

@@ -14,6 +14,14 @@ catalog alone (the documented soundness caveat).
 
 The run also checks the cost bound: actual result rows never exceed
 ``cost.result_rows``.
+
+The converse (``TestConverse``): when the engine rejects a statement
+with a name-resolution :class:`~repro.errors.PlanningError` (unknown
+table or column, ambiguous column, bad ``t.*``, ordinal out of range)
+at either ``optimize`` setting, the analyzer reports ANA002, ANA003,
+ANA004 or ANA014 at the error's span.  Its generator puts unknown
+columns, ambiguous names, bad ``t.*`` and out-of-range ordinals in
+every clause, ON included, over two tables that share column names.
 """
 
 from __future__ import annotations
@@ -23,10 +31,13 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import re
+
 from repro.analysis import SQLAnalyzer
 from repro.data import DOMAINS, load_domain
+from repro.db import Column, Database, TableSchema
 from repro.db.types import DataType
-from repro.errors import ReproError
+from repro.errors import PlanningError, ReproError
 
 
 @lru_cache(maxsize=None)
@@ -171,3 +182,124 @@ class TestSoundness:
                     f"standalone analysis rejected but pre-flight "
                     f"admitted: {sql}"
                 )
+
+
+@lru_cache(maxsize=None)
+def _shared_names() -> Database:
+    """``a(id, x, n)`` and ``b(id, y, n)``: ``id`` and ``n`` are in both."""
+    db = Database()
+    db.create_table(
+        TableSchema(
+            "a",
+            [
+                Column("id", DataType.INTEGER),
+                Column("x", DataType.TEXT),
+                Column("n", DataType.INTEGER),
+            ],
+        )
+    )
+    db.create_table(
+        TableSchema(
+            "b",
+            [
+                Column("id", DataType.INTEGER),
+                Column("y", DataType.TEXT),
+                Column("n", DataType.INTEGER),
+            ],
+        )
+    )
+    db.insert("a", [(1, "p", 1), (2, "q", 2), (3, "p", None)])
+    db.insert("b", [(2, "u", 5), (3, "v", 6), (4, "u", 7)])
+    return db
+
+
+#: The engine's name-resolution messages.
+_NAME_ERROR = re.compile(
+    r"unknown column|ambiguous column|unknown table|no table named"
+    r"|position -?\d+ out of range"
+)
+_NAME_CODES = {"ANA002", "ANA003", "ANA004", "ANA014"}
+
+
+@st.composite
+def faulty_selects(draw):
+    """A SELECT over ``a`` (maybe joined to ``b`` or a missing table)
+    whose names may not bind, in any clause."""
+    source = draw(
+        st.sampled_from(
+            [
+                "a",
+                "a AS p",
+                "a, b",
+                "a JOIN b ON {on}",
+                "a LEFT JOIN b ON {on}",
+                "a AS p JOIN a AS q ON {on}",
+                "a JOIN nope ON {on}",
+                "(SELECT a.id, b.id, x FROM a JOIN b ON a.id = b.id) AS s",
+            ]
+        )
+    )
+    columns = st.sampled_from(
+        [
+            "id", "x", "y", "n", "ghost", "a.id", "b.id", "a.x", "b.y",
+            "p.id", "q.x", "s.id", "s.x", "c.id", "A.ID", "a.ghost",
+        ]
+    )
+
+    def predicate() -> str:
+        return f"{draw(columns)} {draw(st.sampled_from(['=', '<', '<>']))} " + (
+            draw(st.sampled_from(["1", "'p'", draw(columns)]))
+        )
+
+    source = source.format(on=predicate())
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        items.append(
+            draw(
+                st.one_of(
+                    columns,
+                    st.sampled_from(
+                        ["*", "a.*", "b.*", "c.*", "COUNT(*)", "1"]
+                    ),
+                    columns.map(lambda c: f"{c} + 1 AS k"),
+                    columns.map(lambda c: f"MAX({c}) AS m"),
+                )
+            )
+        )
+    sql = f"SELECT {', '.join(items)} FROM {source}"
+    if draw(st.booleans()):
+        sql += f" WHERE {predicate()}"
+    term = st.one_of(columns, st.integers(-1, 4).map(str))
+    if draw(st.booleans()):
+        sql += f" GROUP BY {draw(term)}"
+        if draw(st.booleans()):
+            sql += f" HAVING {predicate()}"
+    if draw(st.booleans()):
+        sql += f" ORDER BY {draw(term)}"
+    return sql
+
+
+class TestConverse:
+    @settings(max_examples=300, deadline=None)
+    @given(sql=faulty_selects())
+    def test_engine_name_errors_are_reported_at_their_span(self, sql):
+        db = _shared_names()
+        report = db.analyze(sql)
+        spans = {
+            (None if d.span is None else (d.span.start, d.span.end))
+            for d in report.diagnostics
+            if d.code in _NAME_CODES
+        }
+        for optimize in (True, False):
+            try:
+                db.execute(sql, optimize=optimize)
+            except ReproError as error:
+                if isinstance(error, PlanningError) and _NAME_ERROR.search(
+                    str(error)
+                ):
+                    assert error.span in spans, (
+                        f"engine rejected but the analyzer did not say "
+                        f"where:\n  {sql}\n  optimize={optimize}: "
+                        f"{error} at {error.span}\n"
+                        f"  report: {report.render()}"
+                    )

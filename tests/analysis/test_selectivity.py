@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import SQLAnalyzer
-from repro.analysis.cost import (
+from repro.db.cost import (
     BETWEEN_SELECTIVITY,
     DEFAULT_SELECTIVITY,
     LIKE_SELECTIVITY,

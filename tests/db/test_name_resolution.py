@@ -217,6 +217,29 @@ CASES = [
      "SELECT s.k FROM (SELECT SLOW(y) AS k FROM b) AS s "
      "WHERE s.k = 'T1' LIMIT 2"),
     ("udf_unknown_column", "SELECT SLOW(ghost) FROM b"),
+    # -- fixed: an ambiguous name is ambiguous at every setting -------------
+    ("fix_ambiguous_where_comma_join", "SELECT x FROM a, b WHERE id = 1"),
+    ("fix_ambiguous_on_key", "SELECT COUNT(*) FROM a JOIN b ON id = id"),
+    ("fix_ambiguous_where_over_join",
+     "SELECT COUNT(*) FROM a JOIN b ON a.id = b.id WHERE id = 1"),
+    ("fix_self_join_same_binding",
+     "SELECT id, x FROM a JOIN a ON a.id = a.id ORDER BY 1"),
+    # -- fixed: a source column wins over an alias inside an expression ----
+    ("fix_group_alias_shadows_column",
+     "SELECT x AS id, COUNT(*) FROM a GROUP BY id"),
+    ("fix_having_alias_shadows_column",
+     "SELECT x AS n, COUNT(*) FROM a GROUP BY x HAVING n = 'p'"),
+    ("fix_order_expression_column_first",
+     "SELECT x AS id FROM a ORDER BY -id"),
+    ("fix_order_expression_alias", "SELECT x AS k FROM a ORDER BY k || 1"),
+    # -- fixed: a grouped column spelled two ways --------------------------
+    ("fix_grouped_qualified", "SELECT x, COUNT(*) FROM a GROUP BY a.x"),
+    ("fix_grouped_unqualified",
+     "SELECT a.x, COUNT(*) FROM a GROUP BY x ORDER BY A.X"),
+    # -- fixed: an LM UDF only inside a subquery gets a route --------------
+    ("fix_udf_in_subquery",
+     "SELECT COUNT(*) FROM a WHERE id IN "
+     "(SELECT id FROM b WHERE SLOW(y) = 'T1')"),
 ]
 
 
@@ -602,7 +625,120 @@ EXPECTED: dict[str, dict] = {'self_join_qualified': {'diagnostics': [],
                         'optimize': ('PlanningError',
                                      "unknown column 'ghost'"),
                         'plain': ('PlanningError', "unknown column 'ghost'"),
-                        'explain': "PlanningError: unknown column 'ghost'"}}
+                        'explain': "PlanningError: unknown column 'ghost'"},
+ 'fix_ambiguous_where_comma_join': {'diagnostics': [('ANA004',
+                                                     "ambiguous column 'id' "
+                                                     '(qualify it with a '
+                                                     'table name)',
+                                                     (25, 27))],
+                                    'cost': (90, 90, 0, 0, 0, 0, 30),
+                                    'optimize': ('PlanningError',
+                                                 "ambiguous column 'id'"),
+                                    'plain': ('PlanningError',
+                                              "ambiguous column 'id'")},
+ 'fix_ambiguous_on_key': {'diagnostics': [('ANA004',
+                                           "ambiguous column 'id' (qualify it "
+                                           'with a table name)',
+                                           (33, 35)),
+                                          ('ANA004',
+                                           "ambiguous column 'id' (qualify it "
+                                           'with a table name)',
+                                           (38, 40))],
+                          'cost': (90, 1, 0, 0, 0, 0, None),
+                          'optimize': ('PlanningError',
+                                       "ambiguous column 'id'"),
+                          'plain': ('PlanningError', "ambiguous column 'id'")},
+ 'fix_ambiguous_where_over_join': {'diagnostics': [('ANA004',
+                                                    "ambiguous column 'id' "
+                                                    '(qualify it with a table '
+                                                    'name)',
+                                                    (51, 53))],
+                                   'cost': (90, 1, 0, 0, 0, 0, 1),
+                                   'optimize': ('PlanningError',
+                                                "ambiguous column 'id'"),
+                                   'plain': ('PlanningError',
+                                             "ambiguous column 'id'")},
+ 'fix_self_join_same_binding': {'diagnostics': [('ANA004',
+                                                 "ambiguous column 'a.id' "
+                                                 '(qualify it with a table '
+                                                 'name)',
+                                                 (30, 34)),
+                                                ('ANA004',
+                                                 "ambiguous column 'a.id' "
+                                                 '(qualify it with a table '
+                                                 'name)',
+                                                 (37, 41)),
+                                                ('ANA004',
+                                                 "ambiguous column 'id' "
+                                                 '(qualify it with a table '
+                                                 'name)',
+                                                 (7, 9)),
+                                                ('ANA004',
+                                                 "ambiguous column 'x' "
+                                                 '(qualify it with a table '
+                                                 'name)',
+                                                 (11, 12))],
+                                'cost': (9, 9, 0, 0, 0, 0, None),
+                                'optimize': ('PlanningError',
+                                             "ambiguous column 'a.id'"),
+                                'plain': ('PlanningError',
+                                          "ambiguous column 'a.id'")},
+ 'fix_group_alias_shadows_column': {'diagnostics': [('ANA010',
+                                                     "column 'x' is neither "
+                                                     'grouped nor aggregated; '
+                                                     'the engine serves an '
+                                                     'arbitrary group member '
+                                                     '(hidden FIRST())',
+                                                     (7, 8))],
+                                    'cost': (3, 3, 0, 0, 0, 0, None),
+                                    'optimize': ('rows',
+                                                 [('p', 1),
+                                                  ('p', 1),
+                                                  ('s', 1)]),
+                                    'plain': ('rows',
+                                              [('p', 1), ('p', 1), ('s', 1)])},
+ 'fix_having_alias_shadows_column': {'diagnostics': [('ANA010',
+                                                      "column 'n' is neither "
+                                                      'grouped nor '
+                                                      'aggregated; the engine '
+                                                      'serves an arbitrary '
+                                                      'group member (hidden '
+                                                      'FIRST())',
+                                                      (49, 50))],
+                                     'cost': (3, 3, 0, 0, 0, 0, None),
+                                     'optimize': ('rows', []),
+                                     'plain': ('rows', [])},
+ 'fix_order_expression_column_first': {'diagnostics': [],
+                                       'cost': (3, 3, 0, 0, 0, 0, None),
+                                       'optimize': ('rows',
+                                                    [('s',), ('p',), ('p',)]),
+                                       'plain': ('rows',
+                                                 [('s',), ('p',), ('p',)])},
+ 'fix_order_expression_alias': {'diagnostics': [],
+                                'cost': (3, 3, 0, 0, 0, 0, None),
+                                'optimize': ('rows', [('p',), ('p',), ('s',)]),
+                                'plain': ('rows', [('p',), ('p',), ('s',)])},
+ 'fix_grouped_qualified': {'diagnostics': [],
+                           'cost': (3, 3, 0, 0, 0, 0, None),
+                           'optimize': ('rows', [('p', 2), ('s', 1)]),
+                           'plain': ('rows', [('p', 2), ('s', 1)])},
+ 'fix_grouped_unqualified': {'diagnostics': [],
+                             'cost': (3, 3, 0, 0, 0, 0, None),
+                             'optimize': ('rows', [('p', 2), ('s', 1)]),
+                             'plain': ('rows', [('p', 2), ('s', 1)])},
+ 'fix_udf_in_subquery': {'diagnostics': [],
+                         'cost': (3, 1, 30, 1440, 240, 3, 1),
+                         'optimize': ('rows', [(1,)]),
+                         'plain': ('rows', [(1,)]),
+                         'explain': 'Project(COUNT(*))\n'
+                                    '  Aggregate(groups=0, calls=[COUNT])\n'
+                                    '    Filter(where)\n'
+                                    '      Scan(a AS a)\n'
+                                    'Optimizer:\n'
+                                    '  route: batched: est 3 LM calls / 168 '
+                                    'tokens (per-row 30 calls / 1680 tokens)\n'
+                                    '  auto-batch-size: udf_batch_size=3 from '
+                                    'distinct-value bound 3 (rows_scanned=3)'}}
 # fmt: on
 
 
@@ -643,3 +779,29 @@ def test_agrees_with_sqlite(label, sql):
         else:
             found = ("error",)
         assert found == expected, (label, optimize)
+
+
+SUBQUERY_UDF = dict(CASES)["fix_udf_in_subquery"]
+
+
+def test_udf_only_inside_a_subquery_takes_the_batched_route():
+    """30 rows, 3 distinct arguments: one call per distinct argument,
+    the rows of the per-row route, and a route line in the footer."""
+    db, udf = build()
+    rows = db.execute(SUBQUERY_UDF).rows
+    assert len(udf.calls) <= 3
+    assert sorted(udf.calls) == ["T1", "T2", "T3"]
+    pinned, per_row = build()
+    assert rows == pinned.execute(SUBQUERY_UDF, udf_batch_size=None).rows
+    assert len(per_row.calls) == 30
+    assert "  route: batched: est 3 LM calls" in build()[0].explain(
+        SUBQUERY_UDF
+    )
+
+
+@pytest.mark.parametrize(
+    "label", ["fix_grouped_qualified", "fix_grouped_unqualified"]
+)
+def test_grouped_column_spelled_two_ways_reads_the_group_key(label):
+    sql = dict(CASES)[label]
+    assert "calls=[COUNT])" in build()[0].explain(sql)  # no hidden FIRST()

@@ -282,19 +282,19 @@ class TestPinnedBehaviors:
             db.execute("SELECT SLOW(s) FROM t")
         assert "SLOW failed on 'poison'" in str(caught.value)
 
-    def test_an_analyzer_bug_is_not_priced_as_a_neutral_bound(
+    def test_a_resolver_bug_is_not_priced_as_a_neutral_bound(
         self, monkeypatch
     ):
-        """The analyzer prices every SELECT, so a raise while pricing
-        the route is a bug: it surfaces from ``execute`` instead of
-        quietly planning some other route."""
+        """The route is priced off the statement's resolution, so a
+        raise while resolving is a bug: it surfaces from ``execute``
+        instead of quietly planning some other route."""
         db = build_database([("apple", "Romance", 1)])
 
-        def broken(self, sql, source=""):
-            raise RuntimeError("an analyzer bug")
+        def broken(db, select):
+            raise RuntimeError("a resolver bug")
 
-        monkeypatch.setattr("repro.analysis.SQLAnalyzer.analyze", broken)
-        with pytest.raises(RuntimeError, match="an analyzer bug"):
+        monkeypatch.setattr("repro.db.optimizer.resolve", broken)
+        with pytest.raises(RuntimeError, match="a resolver bug"):
             db.execute("SELECT SLOW(s) FROM t", analyze=False)
 
 

@@ -1,8 +1,19 @@
-"""Unit tests for RowLayout and ResultSet."""
+"""Unit tests for RowLayout and ResultSet.
+
+Which column a name binds to is :mod:`repro.db.resolve`'s to say, so the
+resolution cases read through it: :func:`~repro.db.resolve.slot` for a
+reference no resolution covers, :meth:`Scope.bind` and star expansion
+for a statement's own names.
+"""
 
 import pytest
 
+from repro.db import Column, Database, DataType, TableSchema
+from repro.db.resolve import Column as Owner
+from repro.db.resolve import resolve, slot
 from repro.db.result import ResultSet, RowLayout
+from repro.db.sql import ast
+from repro.db.sql.parser import parse_statement
 from repro.errors import PlanningError
 
 
@@ -13,46 +24,77 @@ def layout() -> RowLayout:
     )
 
 
+def position(layout: RowLayout, name: str, table: str | None = None) -> int:
+    return slot(layout, ast.ColumnRef(name, table), None)
+
+
+@pytest.fixture()
+def db() -> Database:
+    database = Database()
+    database.create_table(
+        TableSchema(
+            "m",
+            [Column("id", DataType.INTEGER), Column("title", DataType.TEXT)],
+        )
+    )
+    database.create_table(TableSchema("r", [Column("id", DataType.INTEGER)]))
+    return database
+
+
 class TestRowLayout:
     def test_qualified_resolution(self, layout):
-        assert layout.resolve("id", "m") == 0
-        assert layout.resolve("id", "r") == 2
+        assert position(layout, "id", "m") == 0
+        assert position(layout, "id", "r") == 2
 
     def test_case_insensitive(self, layout):
-        assert layout.resolve("TITLE", "M") == 1
+        assert position(layout, "TITLE", "M") == 1
 
     def test_unqualified_unique(self, layout):
-        assert layout.resolve("title") == 1
-        assert layout.resolve("_agg0") == 3
+        assert position(layout, "title") == 1
+        assert position(layout, "_agg0") == 3
 
     def test_unqualified_ambiguous(self, layout):
         with pytest.raises(PlanningError, match="ambiguous"):
-            layout.resolve("id")
+            position(layout, "id")
 
     def test_unknown(self, layout):
         with pytest.raises(PlanningError):
-            layout.resolve("nope")
+            position(layout, "nope")
         with pytest.raises(PlanningError):
-            layout.resolve("title", "zzz")
+            position(layout, "title", "zzz")
 
-    def test_can_resolve(self, layout):
-        assert layout.can_resolve("title", "m")
-        assert not layout.can_resolve("id")  # ambiguous counts as no
+    def test_can_resolve(self, db):
+        scope = resolve(
+            db, parse_statement("SELECT 1 FROM m JOIN r ON m.id = r.id")
+        ).scope
+        assert isinstance(scope.bind("title", "m"), Owner)
+        assert scope.bind("id") is True  # ambiguous counts as no owner
+        assert scope.bind("nope") is False
 
-    def test_positions_for_binding(self, layout):
-        assert layout.positions_for_binding("m") == [0, 1]
-        assert layout.positions_for_binding("zzz") == []
+    def test_positions_for_binding(self, db):
+        resolved = resolve(
+            db, parse_statement("SELECT m.* FROM m JOIN r ON m.id = r.id")
+        )
+        assert [
+            (item.expression.table, item.expression.name)
+            for item in resolved.items
+        ] == [("m", "id"), ("m", "title")]
+        assert not resolved.star_failures
+        resolved = resolve(db, parse_statement("SELECT zzz.* FROM m"))
+        assert resolved.items == []
+        assert [f.error for f in resolved.star_failures] == [
+            "unknown table 'zzz' in zzz.*"
+        ]
 
     def test_concat(self):
         left = RowLayout([("a", "x")])
         right = RowLayout([("b", "y")])
         combined = RowLayout.concat(left, right)
         assert combined.names == ["x", "y"]
-        assert combined.resolve("y", "b") == 1
+        assert position(combined, "y", "b") == 1
 
     def test_names_and_bindings(self, layout):
         assert layout.names == ["id", "title", "id", "_agg0"]
-        assert layout.bindings == {"m", "r"}
 
 
 class TestResultSet:
