@@ -2,8 +2,9 @@
 
 Two pillars:
 
-* :mod:`repro.analysis.sql` — a semantic analyzer (resolver,
-  typechecker, LM-cost estimator) that validates a SELECT against a
+* :mod:`repro.analysis.sql` — a semantic analyzer (typechecker and
+  LM-cost estimator over :mod:`repro.db.resolve`'s binding of the
+  statement's names) that validates a SELECT against a
   :class:`~repro.db.Database` catalog *before* planning, producing a
   :class:`QueryReport` of span-carrying :class:`Diagnostic` findings
   plus a :class:`CostEstimate` that bounds per-row LM-UDF invocations.

@@ -187,7 +187,7 @@ class _Context:
 
 
 class SQLAnalyzer:
-    """Static resolver/typechecker/cost-estimator for one catalog.
+    """Static typechecker and cost estimator for one catalog.
 
     Stateless across calls; :meth:`analyze` may be invoked repeatedly
     and concurrently (each run keeps its state on a private ``_Run``).
