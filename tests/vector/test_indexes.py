@@ -1,5 +1,7 @@
 """Unit and property tests for the flat and IVF vector indexes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,3 +183,40 @@ class TestIVFRetrain:
         assert len(index) == 0
         ids, _ = index.search(corpus[0], 3)
         assert len(ids) == 0
+
+
+def _digest(*arrays: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _scores_digests() -> dict[str, str]:
+    """sha256 of flat and IVF results over a seeded 3,175 x 256 corpus.
+
+    3,175 rows is the largest TAG-Bench row corpus; the IVF digest also
+    covers the centroids, so it reads the k-means GEMM bit for bit.
+    """
+    rng = np.random.default_rng(39)
+    rows = _unit_rows(rng.normal(size=(3175, 256)))
+    queries = _unit_rows(rng.normal(size=(20, 256)))
+    flat = FlatIndex(256)
+    flat.add(rows)
+    ivf = IVFIndex(256, n_clusters=16, nprobe=4, seed=0)
+    ivf.train(rows)
+    ivf.add(rows)
+    flat_results = [a for q in queries for a in flat.search(q, 10)]
+    ivf_results = [a for q in queries for a in ivf.search(q, 10)]
+    return {
+        "flat": _digest(*flat_results),
+        "ivf": _digest(ivf._centroids, *ivf_results),
+    }
+
+
+def test_scores_are_pinned():
+    """Search results are bit-identical however many threads BLAS uses."""
+    assert _scores_digests() == {
+        "flat": "e7933e8ac00b4d48be1712f0f1fcbf0ddc64d0c64c2e17a0b00da91881d35deb",
+        "ivf": "40dabed260107360dd1f9fff155f94342213163c5c38905c2bd5bf27c8a53ed9",
+    }
