@@ -1,6 +1,7 @@
 """Unit and property tests for the flat and IVF vector indexes."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -220,3 +221,18 @@ def test_scores_are_pinned():
         "flat": "e7933e8ac00b4d48be1712f0f1fcbf0ddc64d0c64c2e17a0b00da91881d35deb",
         "ivf": "40dabed260107360dd1f9fff155f94342213163c5c38905c2bd5bf27c8a53ed9",
     }
+
+
+def test_search_runs_on_the_calling_thread():
+    """No BLAS pool burns CPU beside the caller while searches run."""
+    rng = np.random.default_rng(0)
+    rows = _unit_rows(rng.normal(size=(4096, 256)))
+    index = FlatIndex(256)
+    index.add(rows)
+    index.search(rows[0], 10)
+    process, caller = time.process_time(), time.thread_time()
+    for query in rows[:300]:
+        index.search(query, 10)
+    caller = time.thread_time() - caller
+    others = time.process_time() - process - caller
+    assert others < 0.05 * caller, (others, caller)
