@@ -39,18 +39,30 @@ class FlatIndex:
         self, query: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` (indices, scores) by inner product, best first."""
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        if query.shape[0] != self.dimensions:
-            raise ReproError(
-                f"query dimension {query.shape[0]} != {self.dimensions}"
-            )
+        query = _checked_query(query, k, self.dimensions)
         if len(self) == 0:
             return (
                 np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.float64),
             )
         scores = self._vectors @ query
-        k = min(k, len(self))
-        top = np.argpartition(-scores, k - 1)[:k]
-        order = top[np.argsort(-scores[top], kind="stable")]
+        order = _best_first(scores, k)
         return order.astype(np.int64), scores[order]
+
+
+def _checked_query(query: np.ndarray, k: int, dimensions: int) -> np.ndarray:
+    """``query`` as a vector; :class:`ReproError` on a wrong dimension or
+    on a ``k`` that is not a non-negative integer."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ReproError(f"k must be a non-negative integer, got {k!r}")
+    query = np.asarray(query, dtype=np.float64).reshape(-1)
+    if query.shape[0] != dimensions:
+        raise ReproError(f"query dimension {query.shape[0]} != {dimensions}")
+    return query
+
+
+def _best_first(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` highest ``scores``, best first."""
+    k = min(k, len(scores))
+    top = np.argpartition(-scores, k - 1)[:k]
+    return top[np.argsort(-scores[top], kind="stable")]

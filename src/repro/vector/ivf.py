@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ReproError
+from repro.vector.flat import _best_first, _checked_query
 
 #: Lloyd iterations per :meth:`IVFIndex.train`.
 _KMEANS_ITERATIONS = 10
@@ -105,12 +106,12 @@ class IVFIndex:
         self, query: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Approximate top-``k`` (indices, scores) by inner product."""
+        query = _checked_query(query, k, self.dimensions)
         if not self.is_trained or len(self) == 0:
             return (
                 np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.float64),
             )
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
         centroid_scores = self._centroids @ query
         probe = np.argsort(-centroid_scores, kind="stable")[: self.nprobe]
         candidates: list[int] = []
@@ -123,9 +124,7 @@ class IVFIndex:
             )
         candidate_ids = np.asarray(candidates, dtype=np.int64)
         scores = self._vectors[candidate_ids] @ query
-        k = min(k, len(candidate_ids))
-        top = np.argpartition(-scores, k - 1)[:k]
-        order = top[np.argsort(-scores[top], kind="stable")]
+        order = _best_first(scores, k)
         return candidate_ids[order], scores[order]
 
 
