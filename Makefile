@@ -28,7 +28,9 @@ test-repair:
 
 # The semantic-cache suites on their own: canonicalizer properties,
 # cache unit tests (including both retrieval-path regression
-# suites), and the serve-integration equivalence/invariance tests.
+# suites), the serve-integration equivalence/invariance tests, and the
+# vector indexes' score pin (flat and IVF results bit for bit) and spin
+# test (BLAS runs on the calling thread, no pool burns a second core).
 test-semcache:
 	$(PYTHON) -m pytest tests/serve/test_semantic.py tests/serve/test_semantic_serve.py tests/embed/test_hashing.py tests/vector/test_indexes.py -q
 
@@ -58,9 +60,10 @@ test-shard:
 # index builds, UDF re-registration and DDL) with its unit and stress
 # tests; and the template pin (a text run after its literal siblings
 # answers, explains and is rejected as on a cold database) with the
-# binding tests (a bound AST is parse_statement's, positions included).
+# binding tests (a bound AST is parse_statement's, positions included)
+# and the lexer's, since template binding reads token positions.
 test-access:
-	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_morsel_kernels.py tests/db/test_morsel_errors.py tests/db/test_kernel_errors.py tests/db/test_where_narrowing.py tests/db/test_limit_reads.py tests/db/test_sqlite_differential.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py tests/db/test_statement_templates.py tests/db/test_template_binding.py -q
+	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_morsel_kernels.py tests/db/test_morsel_errors.py tests/db/test_kernel_errors.py tests/db/test_where_narrowing.py tests/db/test_limit_reads.py tests/db/test_sqlite_differential.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py tests/db/test_statement_templates.py tests/db/test_template_binding.py tests/db/test_lexer.py -q
 
 # What is derived once, against its frozen references: the handlers'
 # schema and vocabulary derivations, the embedder's buckets and the

@@ -9,7 +9,10 @@ Produces a flat token stream.  Supports:
 - line comments (``-- ...``) and block comments (``/* ... */``).
 
 Keywords are recognised case-insensitively; the lexer tags them as
-``KEYWORD`` tokens carrying the upper-cased text.
+``KEYWORD`` tokens carrying the upper-cased text.  A token's
+``position`` is the offset of its first source character (a literal's
+or quoted identifier's opening quote).  Digits are the decimal ones
+``int()`` and ``float()`` read, so ``²`` is an unexpected character.
 """
 
 from __future__ import annotations
@@ -77,17 +80,19 @@ def tokenize(sql: str) -> list[Token]:
             position = end + 2
             continue
         if char == "'":
-            text, position = _read_string(sql, position)
+            text, end = _read_string(sql, position)
             tokens.append(Token(TokenType.STRING, text, position))
+            position = end
             continue
         if char in ('"', "`", "["):
-            text, position = _read_quoted_identifier(sql, position)
+            text, end = _read_quoted_identifier(sql, position)
             tokens.append(Token(TokenType.IDENTIFIER, text, position))
+            position = end
             continue
-        if char.isdigit() or (
+        if char.isdecimal() or (
             char == "."
             and position + 1 < length
-            and sql[position + 1].isdigit()
+            and sql[position + 1].isdecimal()
         ):
             token, position = _read_number(sql, position)
             tokens.append(token)
@@ -155,21 +160,21 @@ def _read_quoted_identifier(sql: str, start: int) -> tuple[str, int]:
 def _read_number(sql: str, start: int) -> tuple[Token, int]:
     position = start
     is_float = False
-    while position < len(sql) and sql[position].isdigit():
+    while position < len(sql) and sql[position].isdecimal():
         position += 1
     if position < len(sql) and sql[position] == ".":
         is_float = True
         position += 1
-        while position < len(sql) and sql[position].isdigit():
+        while position < len(sql) and sql[position].isdecimal():
             position += 1
     if position < len(sql) and sql[position] in ("e", "E"):
         scan = position + 1
         if scan < len(sql) and sql[scan] in ("+", "-"):
             scan += 1
-        if scan < len(sql) and sql[scan].isdigit():
+        if scan < len(sql) and sql[scan].isdecimal():
             is_float = True
             position = scan
-            while position < len(sql) and sql[position].isdigit():
+            while position < len(sql) and sql[position].isdecimal():
                 position += 1
     text = sql[start:position]
     token_type = TokenType.FLOAT if is_float else TokenType.INTEGER
