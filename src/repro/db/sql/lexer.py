@@ -80,14 +80,12 @@ def tokenize(sql: str) -> list[Token]:
             position = end + 2
             continue
         if char == "'":
-            text, end = _read_string(sql, position)
-            tokens.append(Token(TokenType.STRING, text, position))
-            position = end
+            token, position = _read_string(sql, position)
+            tokens.append(token)
             continue
         if char in ('"', "`", "["):
-            text, end = _read_quoted_identifier(sql, position)
-            tokens.append(Token(TokenType.IDENTIFIER, text, position))
-            position = end
+            token, position = _read_quoted_identifier(sql, position)
+            tokens.append(token)
             continue
         if char.isdecimal() or (
             char == "."
@@ -119,7 +117,7 @@ def tokenize(sql: str) -> list[Token]:
     return tokens
 
 
-def _read_string(sql: str, start: int) -> tuple[str, int]:
+def _read_string(sql: str, start: int) -> tuple[Token, int]:
     position = start + 1
     pieces: list[str] = []
     while position < len(sql):
@@ -129,7 +127,8 @@ def _read_string(sql: str, start: int) -> tuple[str, int]:
                 pieces.append("'")
                 position += 2
                 continue
-            return "".join(pieces), position + 1
+            token = Token(TokenType.STRING, "".join(pieces), start)
+            return token, position + 1
         pieces.append(char)
         position += 1
     raise SQLSyntaxError("unterminated string literal", start)
@@ -138,7 +137,7 @@ def _read_string(sql: str, start: int) -> tuple[str, int]:
 _CLOSER = {'"': '"', "`": "`", "[": "]"}
 
 
-def _read_quoted_identifier(sql: str, start: int) -> tuple[str, int]:
+def _read_quoted_identifier(sql: str, start: int) -> tuple[Token, int]:
     opener = sql[start]
     closer = _CLOSER[opener]
     position = start + 1
@@ -151,7 +150,8 @@ def _read_quoted_identifier(sql: str, start: int) -> tuple[str, int]:
                 pieces.append(closer)
                 position += 2
                 continue
-            return "".join(pieces), position + 1
+            token = Token(TokenType.IDENTIFIER, "".join(pieces), start)
+            return token, position + 1
         pieces.append(char)
         position += 1
     raise SQLSyntaxError("unterminated quoted identifier", start)
