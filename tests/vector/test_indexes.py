@@ -238,7 +238,9 @@ def test_search_runs_on_the_calling_thread():
     assert others < 0.05 * caller, (others, caller)
 
 
-def _ten_vector_indexes() -> list:
+def _k_test_indexes() -> list:
+    """Flat and IVF over the same 10 vectors, then an empty flat and an
+    untrained IVF index."""
     rng = np.random.default_rng(5)
     rows = _unit_rows(rng.normal(size=(10, 8)))
     flat = FlatIndex(8)
@@ -254,16 +256,16 @@ def test_bad_k_is_a_repro_error(k):
     """A negative k used to return all but |k| rows; a float was numpy's
     bare TypeError.  Both raise as a dimension mismatch does, on empty
     and untrained indexes too."""
-    for index in _ten_vector_indexes():
+    for index in _k_test_indexes():
         with pytest.raises(ReproError, match="non-negative integer"):
             index.search(np.ones(8), k)
 
 
 def test_k_zero_returns_nothing_and_numpy_k_is_an_integer():
-    for index in _ten_vector_indexes():
+    for index in _k_test_indexes():
         ids, scores = index.search(np.ones(8), 0)
         assert len(ids) == 0 and len(scores) == 0
-    flat, ivf = _ten_vector_indexes()[:2]
+    flat, ivf = _k_test_indexes()[:2]
     for index in (flat, ivf):
         assert index.search(np.ones(8), np.int64(3))[0].tolist() == (
             index.search(np.ones(8), 3)[0].tolist()
@@ -272,7 +274,7 @@ def test_k_zero_returns_nothing_and_numpy_k_is_an_integer():
 
 
 def test_ivf_query_dimension_mismatch():
-    _, ivf, _, untrained = _ten_vector_indexes()
+    _, ivf, _, untrained = _k_test_indexes()
     for index in (ivf, untrained):
         with pytest.raises(ReproError, match="dimension"):
             index.search(np.ones(5), 1)
