@@ -15,9 +15,11 @@ test-durations:
 # golden EXPLAIN footers, selectivity regressions, and the suites of
 # the name resolver they all read: how each statement binds at every
 # layer (test_name_resolution), the analyzer's soundness both ways
-# (test_property) and the golden diagnostics.
+# (test_property) and the golden diagnostics; every builtin's verdict
+# and outcome at each arity (test_function_signatures), and that a
+# name's span is its whole source text (test_name_spans).
 test-optimizer:
-	$(PYTHON) -m pytest tests/db/test_optimizer_equivalence.py tests/db/test_optimizer_explain.py tests/analysis/test_selectivity.py tests/db/test_name_resolution.py tests/analysis/test_property.py tests/analysis/test_diagnostics_golden.py -q
+	$(PYTHON) -m pytest tests/db/test_optimizer_equivalence.py tests/db/test_optimizer_explain.py tests/analysis/test_selectivity.py tests/db/test_name_resolution.py tests/analysis/test_property.py tests/analysis/test_diagnostics_golden.py tests/analysis/test_function_signatures.py tests/db/test_name_spans.py -q
 
 # The self-correction suites on their own: repair-loop mechanics,
 # worker-invariance with repairs firing, the repair handler, metered

@@ -27,7 +27,6 @@ See :mod:`repro.analysis.diagnostics` for the diagnostic taxonomy.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, replace
 
 from repro.analysis.diagnostics import (
@@ -39,6 +38,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.db import Database
 from repro.db.cost import OUTPUT_TOKENS_PER_CALL, PROMPT_TOKENS_PER_CALL
+from repro.db.functions import Aggregate, Signature
 from repro.db.resolve import Failure, Resolved, literal_limit, resolve
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
@@ -73,92 +73,6 @@ def _unify(*types: ExprType) -> ExprType:
     if all(t in _NUMERIC and t is not DataType.ANY for t in concrete):
         return DataType.REAL
     return DataType.ANY
-
-
-# ---------------------------------------------------------------------------
-# Builtin signatures
-# ---------------------------------------------------------------------------
-
-#: Argument kinds: "num" rejects TEXT operands, "text" rejects numeric
-#: ones, "any" accepts everything (matching what the builtin's Python
-#: body tolerates, not what ANSI SQL would say).
-@dataclass(frozen=True)
-class _Signature:
-    min_args: int
-    max_args: int | None  # None = variadic
-    kinds: tuple[str, ...] = ()  # per-position; last kind repeats
-    returns: ExprType = DataType.ANY
-
-    def kind_at(self, position: int) -> str:
-        if not self.kinds:
-            return "any"
-        if position < len(self.kinds):
-            return self.kinds[position]
-        return self.kinds[-1]
-
-
-_SCALAR_SIGNATURES: dict[str, _Signature] = {
-    "ABS": _Signature(1, 1, ("num",)),
-    "ROUND": _Signature(1, 2, ("num", "num"), DataType.REAL),
-    "LENGTH": _Signature(1, 1, ("any",), DataType.INTEGER),
-    "UPPER": _Signature(1, 1, ("any",), DataType.TEXT),
-    "LOWER": _Signature(1, 1, ("any",), DataType.TEXT),
-    "TRIM": _Signature(1, 1, ("any",), DataType.TEXT),
-    "LTRIM": _Signature(1, 1, ("any",), DataType.TEXT),
-    "RTRIM": _Signature(1, 1, ("any",), DataType.TEXT),
-    "REPLACE": _Signature(3, 3, ("any", "text", "text"), DataType.TEXT),
-    "SUBSTR": _Signature(2, 3, ("text", "num", "num"), DataType.TEXT),
-    "SUBSTRING": _Signature(2, 3, ("text", "num", "num"), DataType.TEXT),
-    "INSTR": _Signature(2, 2, ("text", "text"), DataType.INTEGER),
-    "COALESCE": _Signature(1, None),
-    "IFNULL": _Signature(2, 2),
-    "NULLIF": _Signature(2, 2),
-    "IIF": _Signature(3, 3),
-    "SQRT": _Signature(1, 1, ("num",), DataType.REAL),
-    "FLOOR": _Signature(1, 1, ("num",), DataType.REAL),
-    "CEIL": _Signature(1, 1, ("num",), DataType.REAL),
-    "SIGN": _Signature(1, 1, ("num",), DataType.INTEGER),
-    # Multi-argument scalar MIN/MAX (single-argument is the aggregate).
-    "MIN": _Signature(2, None),
-    "MAX": _Signature(2, None),
-}
-
-_AGGREGATE_SIGNATURES: dict[str, _Signature] = {
-    "COUNT": _Signature(1, 1, ("any",), DataType.INTEGER),
-    "SUM": _Signature(1, 1, ("num",)),
-    "TOTAL": _Signature(1, 1, ("num",), DataType.REAL),
-    "AVG": _Signature(1, 1, ("num",), DataType.REAL),
-    "MIN": _Signature(1, 1),
-    "MAX": _Signature(1, 1),
-    "GROUP_CONCAT": _Signature(1, 1, ("any",), DataType.TEXT),
-}
-
-
-def _callable_arity(function) -> tuple[int, int | None] | None:
-    """(min, max) positional arity of a UDF, or None if unknowable."""
-    try:
-        signature = inspect.signature(function)
-    except (TypeError, ValueError):
-        return None
-    minimum = 0
-    maximum: int | None = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            if maximum is not None:
-                maximum += 1
-            if parameter.default is inspect.Parameter.empty:
-                minimum += 1
-        elif parameter.kind is inspect.Parameter.VAR_POSITIONAL:
-            maximum = None
-        elif (
-            parameter.kind is inspect.Parameter.KEYWORD_ONLY
-            and parameter.default is inspect.Parameter.empty
-        ):
-            return None  # not callable positionally; skip the check
-    return minimum, maximum
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +421,7 @@ class _Run:
                 "aggregated; the engine serves an arbitrary group "
                 "member (hidden FIRST())",
                 node.position,
-                len(node.display()),
+                ast.extent(node),
                 severity=Severity.WARNING,
             )
         if owner.dtype is not None:
@@ -565,11 +479,9 @@ class _Run:
         context: _Context,
     ) -> ExprType:
         name = node.name
-        is_aggregate_call = self.functions.is_aggregate(name) and (
-            node.star or len(node.args) == 1
-        )
-        if is_aggregate_call:
-            return self._check_aggregate_call(node, context)
+        aggregate = self.functions.aggregate_call(node)
+        if aggregate is not None:
+            return self._check_aggregate_call(node, aggregate, context)
         if node.star:
             # FOO(*) for a non-aggregate FOO calls FOO() at runtime.
             self._diag(
@@ -577,47 +489,42 @@ class _Run:
                 f"'*' argument is only valid for aggregates, not "
                 f"{name}()",
                 node.position,
-                len(name),
+                ast.extent(node),
             )
             return DataType.ANY
-        if self.functions.is_aggregate(name) and not (
-            self.functions.has_scalar(name)
-        ):
-            # COUNT(), SUM(a, b): aggregate name with non-aggregate shape.
-            self._diag(
-                "ANA007",
-                f"aggregate {name}() takes exactly one argument "
-                f"(or '*'), got {len(node.args)}",
-                node.position,
-                len(name),
-            )
-            for argument in node.args:
-                self._check(argument, context)
-            return DataType.ANY
-        if not self.functions.has_scalar(name):
-            self._diag(
-                "ANA005",
-                f"unknown function {name!r}",
-                node.position,
-                len(name),
-            )
+        scalar = self.functions.scalar(name)
+        if scalar is None:
+            if self.functions.misplaced_aggregate(node):
+                # COUNT(), SUM(a, b): aggregate name, non-aggregate shape.
+                self._diag(
+                    "ANA007",
+                    f"aggregate {name}() takes exactly one argument "
+                    f"(or '*'), got {len(node.args)}",
+                    node.position,
+                    ast.extent(node),
+                )
+            else:
+                self._diag(
+                    "ANA005",
+                    f"unknown function {name!r}",
+                    node.position,
+                    ast.extent(node),
+                )
             for argument in node.args:
                 self._check(argument, context)
             return DataType.ANY
         argument_types = [
-            self._check(argument, context)
-            for argument in node.args
+            self._check(argument, context) for argument in node.args
         ]
-        signature = _SCALAR_SIGNATURES.get(name)
-        if signature is None:
-            self._check_udf_arity(node)
+        if scalar.signature is None:
             return DataType.ANY
-        self._check_signature(node, signature, argument_types)
-        return signature.returns
+        self._check_signature(node, scalar.signature, argument_types)
+        return scalar.signature.returns
 
     def _check_aggregate_call(
         self,
         node: ast.FunctionCall,
+        aggregate: Aggregate,
         context: _Context,
     ) -> ExprType:
         name = node.name
@@ -631,40 +538,32 @@ class _Run:
                 "ANA006",
                 f"aggregate {name}() is not allowed {where}",
                 node.position,
-                len(name),
+                ast.extent(node),
             )
+        signature = aggregate.signature
         if node.star:
-            return _AGGREGATE_SIGNATURES.get(
-                name, _Signature(1, 1)
-            ).returns if name == "COUNT" else DataType.ANY
+            return signature.returns if name == "COUNT" else DataType.ANY
         inner = replace(context, inside_aggregate=True)
         argument_type = self._check(node.args[0], inner)
-        signature = _AGGREGATE_SIGNATURES.get(name)
-        if signature is None:  # registered custom aggregate
-            return DataType.ANY
         if signature.kind_at(0) == "num" and not _numeric_ok(argument_type):
             self._diag(
                 "ANA008",
                 f"{name}() over a {_type_name(argument_type)} argument",
                 node.position,
-                len(name),
+                ast.extent(node),
             )
-        if name in ("MIN", "MAX", "SUM") and signature.returns is (
-            DataType.ANY
-        ):
+        if signature.returns is None:
             return argument_type
         return signature.returns
 
     def _check_signature(
         self,
         node: ast.FunctionCall,
-        signature: _Signature,
+        signature: Signature,
         argument_types: list[ExprType],
     ) -> None:
         count = len(node.args)
-        if count < signature.min_args or (
-            signature.max_args is not None and count > signature.max_args
-        ):
+        if not signature.takes(count):
             if signature.max_args is None:
                 expected = f"at least {signature.min_args}"
             elif signature.min_args == signature.max_args:
@@ -676,7 +575,7 @@ class _Run:
                 f"{node.name}() expects {expected} argument(s), "
                 f"got {count}",
                 node.position,
-                len(node.name),
+                ast.extent(node),
             )
             return
         for position, argument_type in enumerate(argument_types):
@@ -687,7 +586,7 @@ class _Run:
                     f"argument {position + 1} of {node.name}() must be "
                     f"numeric, got {_type_name(argument_type)}",
                     node.position,
-                    len(node.name),
+                    ast.extent(node),
                 )
             elif kind == "text" and not _textual_ok(argument_type):
                 self._diag(
@@ -695,29 +594,8 @@ class _Run:
                     f"argument {position + 1} of {node.name}() must be "
                     f"text, got {_type_name(argument_type)}",
                     node.position,
-                    len(node.name),
+                    ast.extent(node),
                 )
-
-    def _check_udf_arity(self, node: ast.FunctionCall) -> None:
-        arity = _callable_arity(self.functions.scalar(node.name))
-        if arity is None:
-            return
-        minimum, maximum = arity
-        count = len(node.args)
-        if count < minimum or (maximum is not None and count > maximum):
-            if maximum is None:
-                expected = f"at least {minimum}"
-            elif minimum == maximum:
-                expected = str(minimum)
-            else:
-                expected = f"{minimum}..{maximum}"
-            self._diag(
-                "ANA007",
-                f"{node.name}() expects {expected} argument(s), "
-                f"got {count}",
-                node.position,
-                len(node.name),
-            )
 
 
 def _type_name(expression_type: ExprType) -> str:

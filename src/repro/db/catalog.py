@@ -206,27 +206,22 @@ class Database:
         expensive: bool = False,
         batch: BatchFunction | None = None,
         cheap: Callable[..., dbtypes.SQLValue] | None = None,
-        cheap_batch: BatchFunction | None = None,
     ) -> None:
-        """Expose a Python callable (e.g. an LM) as a SQL function.
+        """Expose a Python callable (e.g. an LM) as a SQL function,
+        replacing every part of an earlier registration of ``name``.
 
         ``batch`` optionally supplies a vectorised form (see
         :meth:`repro.db.functions.FunctionRegistry.register_scalar`);
         the batched execution path dispatches it once per morsel of
         distinct argument tuples.
 
-        ``cheap`` (and optional ``cheap_batch``) register a cheap
-        classifier tier for the optimizer's *cascade* route: it must
-        return exactly what ``function`` would, or ``None`` to escalate
-        the tuple to the expensive tier.
+        ``cheap`` registers a cheap classifier tier for the optimizer's
+        *cascade* route, called once per distinct argument tuple: it
+        must return exactly what ``function`` would, or ``None`` to
+        escalate the tuple to the expensive tier.
         """
         self.functions.register_scalar(
-            name,
-            function,
-            expensive=expensive,
-            batch=batch,
-            cheap=cheap,
-            cheap_batch=cheap_batch,
+            name, function, expensive=expensive, batch=batch, cheap=cheap
         )
 
     def bind_udf_meters(self, usage: Usage | None = None) -> None:

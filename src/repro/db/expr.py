@@ -42,7 +42,7 @@ from repro.db.types import TEXT, SQLValue, compare, values_equal
 from repro.errors import ExecutionError, PlanningError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.db.functions import FunctionRegistry
+    from repro.db.functions import FunctionRegistry, Scalar
     from repro.db.planner import Planner
 
 Row = tuple[SQLValue, ...]
@@ -191,16 +191,15 @@ class ExpressionCompiler:
         if site is not None:
             self._unbatched |= site.serial
             return site.evaluate
-        if self._functions.is_aggregate(node.name) and not (
-            self._functions.has_scalar(node.name) and len(node.args) > 1
-        ):
-            raise PlanningError(
-                f"aggregate {node.name}() is not allowed here"
-            )
-        function = self._functions.scalar(node.name)
-        self._unbatched |= self._functions.is_expensive(node.name)
-        arguments = [self._compile(arg) for arg in node.args]
         name = node.name
+        if self._functions.misplaced_aggregate(node):
+            raise PlanningError(f"aggregate {name}() is not allowed here")
+        scalar = self._functions.scalar(name)
+        if scalar is None:
+            raise ExecutionError(f"unknown function {name!r}")
+        function = scalar.function
+        self._unbatched |= scalar.expensive
+        arguments = [self._compile(arg) for arg in node.args]
 
         def call(rows: list[Row]) -> list[SQLValue]:
             columns = [argument(rows) for argument in arguments]
@@ -604,8 +603,10 @@ def _pairwise(
 # Batched UDF call sites
 # ---------------------------------------------------------------------------
 
-#: Memo key of one resolved UDF invocation: ``(FUNCTION, argument tuple)``.
-MemoKey = tuple[str, tuple[SQLValue, ...]]
+#: Memo key of one resolved UDF invocation: ``(Scalar, argument tuple)``.
+#: The record, not its name: a name registered again is a new record,
+#: so no cache serves a value the replaced function computed.
+MemoKey = tuple["Scalar", tuple[SQLValue, ...]]
 
 _UNRESOLVED = object()
 
@@ -630,62 +631,43 @@ class UDFCallError:
 class UDFCallSite:
     """One strict expensive-call site, compiled for batched execution.
 
-    Holds the argument kernels (cheap expressions) and a statement-local
-    memo of resolved keys.  ``evaluate`` is the residual-phase kernel
-    spliced into the surrounding expression in place of the call: it
-    recomputes the keys (argument evaluation is deterministic, so they
-    match the collect phase) and reads the memo.  Argument errors
-    deliberately re-raise *here*, at their row, exactly as the per-row
-    path would.  ``serial`` says an argument makes an unbatched LM call.
+    Holds the registered function's record, the argument kernels (cheap
+    expressions) and a statement-local memo of resolved keys.
+    ``evaluate`` is the residual-phase kernel spliced into the
+    surrounding expression in place of the call: it recomputes the keys
+    (argument evaluation is deterministic, so they match the collect
+    phase) and reads the memo.  Argument errors deliberately re-raise
+    *here*, at their row, exactly as the per-row path would.  ``serial``
+    says an argument makes an unbatched LM call.  ``cascade`` says the
+    record's cheap tier answers first (``repro.db.plan._dispatch``); it
+    never memoizes errors, never changes results.
     """
 
-    __slots__ = (
-        "name",
-        "function",
-        "batch_function",
-        "cheap_function",
-        "cheap_batch",
-        "arguments",
-        "serial",
-        "memo",
-    )
+    __slots__ = ("record", "arguments", "cascade", "serial", "memo")
 
     def __init__(
-        self,
-        name: str,
-        function: Callable[..., SQLValue],
-        batch_function: Callable | None,
-        arguments: list[Kernel],
-        cheap_function: Callable[..., SQLValue] | None = None,
-        cheap_batch: Callable | None = None,
+        self, record: "Scalar", arguments: list[Kernel], cascade: bool
     ) -> None:
-        self.name = name
-        self.function = function
-        self.batch_function = batch_function
-        #: Cascade tier: a cheap classifier that either agrees with
-        #: ``function`` or returns None to escalate (see
-        #: ``FunctionRegistry.register_scalar``).  Consulted before the
-        #: expensive dispatch in ``repro.db.plan._dispatch``; never
-        #: memoizes errors, never changes results.
-        self.cheap_function = cheap_function
-        self.cheap_batch = cheap_batch
+        self.record = record
         self.arguments = arguments
+        self.cascade = cascade and record.cheap is not None
         self.serial = reads_row_by_row(*arguments)
         self.memo: dict[MemoKey, object] = {}
 
     def keys(self, rows: list[Row]) -> list[MemoKey]:
         """Each row's memo key (raising where an argument fails)."""
         if not self.arguments:
-            return [(self.name, ())] * len(rows)
+            return [(self.record, ())] * len(rows)
         columns = [argument(rows) for argument in self.arguments]
-        return list(zip(repeat(self.name), zip(*columns)))
+        return list(zip(repeat(self.record), zip(*columns)))
 
     def evaluate(self, rows: list[Row]) -> list[SQLValue]:
         values = list(map(self.memo.get, self.keys(rows), repeat(_UNRESOLVED)))
         for value in values:
             if value is _UNRESOLVED:
                 raise ExecutionError(
-                    f"internal: uncollected batched call to {self.name}"
+                    "internal: uncollected batched call to "
+                    f"{self.record.name}"
                 )
             if type(value) is UDFCallError:
                 raise value.error
@@ -694,12 +676,12 @@ class UDFCallSite:
     def call_scalar(self, args: tuple[SQLValue, ...]) -> object:
         """Invoke the scalar form, parking errors per the oracle contract."""
         try:
-            return self.function(*args)
+            return self.record.function(*args)
         except ExecutionError as exc:
             return UDFCallError(exc)
         except Exception as exc:
             return UDFCallError(
-                ExecutionError(f"error in function {self.name}: {exc}")
+                ExecutionError(f"error in function {self.record.name}: {exc}")
             )
 
 
@@ -721,10 +703,8 @@ def strict_expensive_calls(
 
     def visit(node: ast.Expression) -> None:
         if isinstance(node, ast.FunctionCall):
-            if functions.is_aggregate(node.name) and not (
-                functions.has_scalar(node.name) and len(node.args) > 1
-            ):
-                return  # aggregate shape: rewritten away before compile
+            if functions.misplaced_aggregate(node):
+                return  # rewritten away before compile, or refused there
             for arg in node.args:
                 visit(arg)
             if functions.is_expensive(node.name) and node not in found:
@@ -796,18 +776,9 @@ def plan_batched_expressions(
             layout, functions, subquery_planner, dict(sites), owners
         )
         sites[call] = UDFCallSite(
-            call.name.upper(),
-            functions.scalar(call.name),
-            functions.batch_function(call.name),
+            functions.scalar(call.name),  # type: ignore[arg-type]
             [compiler.kernel(arg) for arg in call.args],
-            cheap_function=(
-                functions.cheap_function(call.name) if cascade else None
-            ),
-            cheap_batch=(
-                functions.cheap_batch_function(call.name)
-                if cascade
-                else None
-            ),
+            cascade,
         )
     compiler = ExpressionCompiler(
         layout, functions, subquery_planner, sites, owners

@@ -6,10 +6,16 @@ SQL: registering a callable under a name such as ``LLM`` makes
 the paper's Figure 1 illustrates.  UDFs may be marked *expensive*, which
 the optimizer uses to evaluate cheap relational predicates first so the
 expensive LM predicate sees as few rows as possible.
+
+Each name holds one record, a :class:`Scalar` or an :class:`Aggregate`,
+carrying everything a call reads, its :class:`Signature` included: the
+planner, the batched executor and the static analyzer all read that
+one definition, and registering a name again replaces all of it.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -18,7 +24,14 @@ from operator import add
 from typing import Any
 
 from repro.db.sql import ast
-from repro.db.types import NUMBERS, TEXT, SQLValue, compare, sort_key
+from repro.db.types import (
+    NUMBERS,
+    TEXT,
+    DataType,
+    SQLValue,
+    compare,
+    sort_key,
+)
 from repro.errors import ExecutionError
 
 ScalarFunction = Callable[..., SQLValue]
@@ -47,16 +60,69 @@ class AggregateSpec:
     finish: Callable[[Any], SQLValue]
 
 
+@dataclass(frozen=True)
+class Signature:
+    """What a function takes and gives, as the static analyzer checks it.
+
+    Argument kinds: "num" rejects TEXT operands, "text" rejects numeric
+    ones, "any" accepts everything (matching what the builtin's Python
+    body tolerates, not what ANSI SQL would say).  ``returns`` None is
+    the type of the first argument (aggregate MIN, MAX and SUM).
+    """
+
+    min_args: int
+    max_args: int | None  # None = variadic
+    kinds: tuple[str, ...] = ()  # per-position; last kind repeats
+    returns: DataType | None = DataType.ANY
+
+    def kind_at(self, position: int) -> str:
+        if not self.kinds:
+            return "any"
+        return self.kinds[min(position, len(self.kinds) - 1)]
+
+    def takes(self, count: int) -> bool:
+        """Whether ``count`` arguments are within the arity."""
+        return self.min_args <= count and (
+            self.max_args is None or count <= self.max_args
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Scalar:
+    """One registered scalar function: everything a call of it reads.
+
+    ``signature`` is None when the callable's arity cannot be read.
+    Compared by identity: a memo key holds the record, so a value one
+    registration computed is never served for the next.
+    """
+
+    name: str
+    function: ScalarFunction
+    signature: Signature | None
+    expensive: bool = False
+    batch: BatchFunction | None = None
+    cheap: ScalarFunction | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Aggregate:
+    """One registered aggregate: its fold and its signature."""
+
+    name: str
+    spec: AggregateSpec
+    signature: Signature
+
+
 class FunctionRegistry:
-    """Named scalar and aggregate functions, plus user-defined functions."""
+    """Named scalar and aggregate functions, plus user-defined functions.
+
+    One record per name and kind; registering a name replaces its whole
+    record.
+    """
 
     def __init__(self) -> None:
-        self._scalars: dict[str, ScalarFunction] = {}
-        self._aggregates: dict[str, AggregateSpec] = {}
-        self._expensive: set[str] = set()
-        self._batch: dict[str, BatchFunction] = {}
-        self._cheap: dict[str, ScalarFunction] = {}
-        self._cheap_batch: dict[str, BatchFunction] = {}
+        self._scalars: dict[str, Scalar] = {}
+        self._aggregates: dict[str, Aggregate] = {}
         #: Bumped by every registration: anything compiled or checked
         #: against the registry (closures bind the function object)
         #: stands while this number does.
@@ -73,9 +139,9 @@ class FunctionRegistry:
         expensive: bool = False,
         batch: BatchFunction | None = None,
         cheap: ScalarFunction | None = None,
-        cheap_batch: BatchFunction | None = None,
     ) -> None:
-        """Register a scalar function (UDF) under ``name``.
+        """Register a scalar function (UDF) under ``name``, replacing
+        whatever was registered under it.
 
         ``expensive=True`` tags it for optimizer deferral (used for LM
         UDFs, whose per-row cost dwarfs relational predicates).
@@ -90,73 +156,75 @@ class FunctionRegistry:
         ``batch``, the batched path still deduplicates and memoizes but
         invokes ``function`` once per distinct tuple.
 
-        ``cheap`` (and optional ``cheap_batch``) supply a *cheap
-        classifier tier* for the cascade route: called with the same
-        arguments as ``function``, it must return either the exact
-        value ``function`` would return or ``None`` to escalate to the
-        expensive tier.  Soundness is the registrant's contract — a
-        cheap tier that disagrees with the expensive form changes query
-        results.  Cheap-tier exceptions are treated as escalations, so
-        a flaky cheap tier degrades cost, never correctness.
-        """
-        upper = name.upper()
-        self._scalars[upper] = function
-        if expensive:
-            self._expensive.add(upper)
-        if batch is not None:
-            self._batch[upper] = batch
-        if cheap is not None:
-            self._cheap[upper] = cheap
-        if cheap_batch is not None:
-            self._cheap_batch[upper] = cheap_batch
-        self.version += 1
+        ``cheap`` supplies a *cheap classifier tier* for the cascade
+        route: called with the same arguments as ``function``, it must
+        return either the exact value ``function`` would return or
+        ``None`` to escalate to the expensive tier.  Soundness is the
+        registrant's contract — a cheap tier that disagrees with the
+        expensive form changes query results.  Cheap-tier exceptions
+        are treated as escalations, so a flaky cheap tier degrades
+        cost, never correctness.
 
-    def register_aggregate(self, name: str, spec: AggregateSpec) -> None:
-        self._aggregates[name.upper()] = spec
+        The analyzer checks calls against the callable's positional
+        arity, read here once.
+        """
+        self._define(
+            Scalar(
+                name.upper(),
+                function,
+                _callable_signature(function),
+                expensive,
+                batch,
+                cheap,
+            )
+        )
+
+    def _define(self, record: Scalar | Aggregate) -> None:
+        table = self._scalars if type(record) is Scalar else self._aggregates
+        table[record.name] = record  # type: ignore[assignment]
         self.version += 1
 
     # -- lookup ----------------------------------------------------------
 
-    def scalar(self, name: str) -> ScalarFunction:
-        try:
-            return self._scalars[name.upper()]
-        except KeyError as exc:
-            raise ExecutionError(f"unknown function {name!r}") from exc
+    def scalar(self, name: str) -> Scalar | None:
+        """The scalar registered under ``name``, if any."""
+        return self._scalars.get(name.upper())
 
-    def has_scalar(self, name: str) -> bool:
-        return name.upper() in self._scalars
+    def aggregate_call(self, node: ast.FunctionCall) -> Aggregate | None:
+        """The aggregate ``node`` computes, or None for any other call.
 
-    def aggregate(self, name: str) -> AggregateSpec:
-        try:
-            return self._aggregates[name.upper()]
-        except KeyError as exc:
-            raise ExecutionError(f"unknown aggregate {name!r}") from exc
+        An aggregate is called with ``*`` or one argument.  Any other
+        shape under an aggregate's name calls the scalar of that name
+        if it takes that many arguments (multi-argument MIN/MAX, as in
+        SQLite), and is a misplaced aggregate if not
+        (:meth:`misplaced_aggregate`).
+        """
+        if node.star or len(node.args) == 1:
+            return self._aggregates.get(node.name.upper())
+        return None
 
-    def is_aggregate(self, name: str) -> bool:
-        return name.upper() in self._aggregates
+    def misplaced_aggregate(self, node: ast.FunctionCall) -> bool:
+        """Whether the engine refuses ``node`` as an aggregate out of
+        place: an aggregate call anywhere the planner has not replaced
+        it, or an aggregate's name in a shape no scalar of it takes."""
+        upper = node.name.upper()
+        if upper not in self._aggregates:
+            return False
+        if self.aggregate_call(node) is not None:
+            return True
+        scalar = self._scalars.get(upper)
+        return scalar is None or (
+            scalar.signature is not None
+            and not scalar.signature.takes(len(node.args))
+        )
 
     def is_expensive(self, name: str) -> bool:
-        return name.upper() in self._expensive
+        scalar = self._scalars.get(name.upper())
+        return scalar is not None and scalar.expensive
 
     def has_expensive(self) -> bool:
         """Whether any registered function is expensive."""
-        return bool(self._expensive)
-
-    def batch_function(self, name: str) -> BatchFunction | None:
-        """The registered vectorised form of ``name``, if any."""
-        return self._batch.get(name.upper())
-
-    def cheap_function(self, name: str) -> ScalarFunction | None:
-        """The registered cheap-tier form of ``name``, if any."""
-        return self._cheap.get(name.upper())
-
-    def cheap_batch_function(self, name: str) -> BatchFunction | None:
-        """The registered vectorised cheap-tier form, if any."""
-        return self._cheap_batch.get(name.upper())
-
-    def has_cheap(self, name: str) -> bool:
-        """Whether ``name`` has a cheap cascade tier registered."""
-        return name.upper() in self._cheap
+        return any(scalar.expensive for scalar in self._scalars.values())
 
     def contains_expensive(self, expression: ast.Expression) -> bool:
         """True when any expensive call appears anywhere in ``expression``.
@@ -174,12 +242,32 @@ class FunctionRegistry:
             for node in ast.walk(expression)
         )
 
-    def is_aggregate_call(self, node: ast.Expression) -> bool:
-        return (
-            isinstance(node, ast.FunctionCall)
-            and self.is_aggregate(node.name)
-            and (node.star or len(node.args) == 1)
-        )
+
+def _callable_signature(function: ScalarFunction) -> Signature | None:
+    """A UDF's positional arity as a signature, or None if unknowable."""
+    try:
+        signature = inspect.signature(function)
+    except (TypeError, ValueError):
+        return None
+    minimum = 0
+    maximum: int | None = 0
+    for parameter in signature.parameters.values():
+        if parameter.kind in (
+            inspect.Parameter.POSITIONAL_ONLY,
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        ):
+            if maximum is not None:
+                maximum += 1
+            if parameter.default is inspect.Parameter.empty:
+                minimum += 1
+        elif parameter.kind is inspect.Parameter.VAR_POSITIONAL:
+            maximum = None
+        elif (
+            parameter.kind is inspect.Parameter.KEYWORD_ONLY
+            and parameter.default is inspect.Parameter.empty
+        ):
+            return None  # not callable positionally; skip the check
+    return Signature(minimum, maximum)
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +340,46 @@ def _scalar_max(*args: SQLValue) -> SQLValue:
 
 
 def _register_builtin_scalars(registry: FunctionRegistry) -> None:
-    register = registry.register_scalar
-    register("ABS", _null_if_any_null(abs))
-    register("ROUND", _null_if_any_null(_round))
-    register("LENGTH", _null_if_any_null(lambda s: len(str(s))))
-    register("UPPER", _null_if_any_null(lambda s: str(s).upper()))
-    register("LOWER", _null_if_any_null(lambda s: str(s).lower()))
-    register("TRIM", _null_if_any_null(lambda s: str(s).strip()))
-    register("LTRIM", _null_if_any_null(lambda s: str(s).lstrip()))
-    register("RTRIM", _null_if_any_null(lambda s: str(s).rstrip()))
-    register(
-        "REPLACE",
-        _null_if_any_null(lambda s, old, new: str(s).replace(old, new)),
-    )
-    register("SUBSTR", _null_if_any_null(_substr))
-    register("SUBSTRING", _null_if_any_null(_substr))
-    register("INSTR", _null_if_any_null(_instr))
-    register("COALESCE", _coalesce)
-    register("IFNULL", _coalesce)
-    register("NULLIF", _nullif)
-    register("IIF", _iif)
-    register("SQRT", _null_if_any_null(math.sqrt))
-    register("FLOOR", _null_if_any_null(lambda v: float(math.floor(v))))
-    register("CEIL", _null_if_any_null(lambda v: float(math.ceil(v))))
-    register("SIGN", _null_if_any_null(lambda v: (v > 0) - (v < 0)))
+    def register(name, function, *signature) -> None:
+        registry._define(Scalar(name, function, Signature(*signature)))
+
+    num, real = ("num",), DataType.REAL
+    integer, text = DataType.INTEGER, DataType.TEXT
+    register("ABS", _null_if_any_null(abs), 1, 1, num)
+    register("ROUND", _null_if_any_null(_round), 1, 2, num, real)
+    length = _null_if_any_null(lambda s: len(str(s)))
+    register("LENGTH", length, 1, 1, (), integer)
+    upper = _null_if_any_null(lambda s: str(s).upper())
+    register("UPPER", upper, 1, 1, (), text)
+    lower = _null_if_any_null(lambda s: str(s).lower())
+    register("LOWER", lower, 1, 1, (), text)
+    trim = _null_if_any_null(lambda s: str(s).strip())
+    register("TRIM", trim, 1, 1, (), text)
+    ltrim = _null_if_any_null(lambda s: str(s).lstrip())
+    register("LTRIM", ltrim, 1, 1, (), text)
+    rtrim = _null_if_any_null(lambda s: str(s).rstrip())
+    register("RTRIM", rtrim, 1, 1, (), text)
+    replace = _null_if_any_null(lambda s, old, new: str(s).replace(old, new))
+    register("REPLACE", replace, 3, 3, ("any", "text"), text)
+    substr = _null_if_any_null(_substr)
+    register("SUBSTR", substr, 2, 3, ("text", "num"), text)
+    register("SUBSTRING", substr, 2, 3, ("text", "num"), text)
+    register("INSTR", _null_if_any_null(_instr), 2, 2, ("text",), integer)
+    register("COALESCE", _coalesce, 1, None)
+    register("IFNULL", _coalesce, 2, 2)
+    register("NULLIF", _nullif, 2, 2)
+    register("IIF", _iif, 3, 3)
+    register("SQRT", _null_if_any_null(math.sqrt), 1, 1, num, real)
+    floor = _null_if_any_null(lambda v: float(math.floor(v)))
+    register("FLOOR", floor, 1, 1, num, real)
+    ceil = _null_if_any_null(lambda v: float(math.ceil(v)))
+    register("CEIL", ceil, 1, 1, num, real)
+    sign = _null_if_any_null(lambda v: (v > 0) - (v < 0))
+    register("SIGN", sign, 1, 1, num, integer)
     # Multi-argument MIN/MAX are scalar (SQLite semantics); the planner
     # routes single-argument MIN/MAX to the aggregate implementations.
-    register("MIN", _scalar_min)
-    register("MAX", _scalar_max)
+    register("MIN", _scalar_min, 2, None)
+    register("MAX", _scalar_max, 2, None)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +489,14 @@ def _group_concat_spec() -> AggregateSpec:
 
 
 def _register_builtin_aggregates(registry: FunctionRegistry) -> None:
-    registry.register_aggregate("COUNT", COUNT)
-    registry.register_aggregate("SUM", _sum_spec(empty_result=None))
-    registry.register_aggregate("TOTAL", _sum_spec(empty_result=0.0))
-    registry.register_aggregate("AVG", _avg_spec())
-    registry.register_aggregate("MIN", _minmax_spec(pick_max=False))
-    registry.register_aggregate("MAX", _minmax_spec(pick_max=True))
-    registry.register_aggregate("GROUP_CONCAT", _group_concat_spec())
+    def register(name, spec, kinds=(), returns=DataType.ANY) -> None:
+        signature = Signature(1, 1, kinds, returns)
+        registry._define(Aggregate(name, spec, signature))
+
+    register("COUNT", COUNT, returns=DataType.INTEGER)
+    register("SUM", _sum_spec(empty_result=None), ("num",), returns=None)
+    register("TOTAL", _sum_spec(empty_result=0.0), ("num",), DataType.REAL)
+    register("AVG", _avg_spec(), ("num",), DataType.REAL)
+    register("MIN", _minmax_spec(pick_max=False), returns=None)
+    register("MAX", _minmax_spec(pick_max=True), returns=None)
+    register("GROUP_CONCAT", _group_concat_spec(), returns=DataType.TEXT)

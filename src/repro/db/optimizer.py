@@ -156,9 +156,9 @@ class QueryOptimizer:
         if not names:
             return None if requested == "auto" else requested  # type: ignore[return-value]
         cheap_tiered = sorted(
-            name
-            for name in names
-            if self._db.functions.has_cheap(name)
+            scalar.name
+            for scalar in map(self._db.functions.scalar, names)
+            if scalar.cheap is not None  # type: ignore[union-attr]
         )
         per_row_calls = resolved.lm_calls
         batched_calls = resolved.lm_calls_batched

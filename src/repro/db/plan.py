@@ -408,7 +408,7 @@ def _fresh_exec_stats(sites: list[UDFCallSite]) -> dict[str, int]:
         "udf_cache_hits": 0,
         "udf_cache_misses": 0,
     }
-    if any(site.cheap_function is not None for site in sites):
+    if any(site.cascade for site in sites):
         stats["cascade_cheap_hits"] = 0
         stats["cascade_escalations"] = 0
     return stats
@@ -420,23 +420,14 @@ def _cheap_tier_answers(
     """Run the cascade's cheap tier over ``pending`` argument tuples.
 
     Returns one answer per tuple; ``None`` means "escalate to the
-    expensive tier".  Any cheap-tier failure — a batch dispatch error,
-    a wrong-length batch result, or a per-tuple exception — degrades to
-    escalation, so an unsound-by-crashing cheap tier costs money, not
-    correctness.
+    expensive tier".  A cheap-tier exception degrades to escalation, so
+    an unsound-by-crashing cheap tier costs money, not correctness.
     """
-    tuples = [key[1] for key in pending]
-    if site.cheap_batch is not None:
+    cheap = site.record.cheap
+    answers: list[object] = []
+    for _, args in pending:
         try:
-            answers = list(site.cheap_batch(tuples))
-        except Exception:
-            answers = None
-        if answers is not None and len(answers) == len(tuples):
-            return answers
-    answers = []
-    for args in tuples:
-        try:
-            answers.append(site.cheap_function(*args))
+            answers.append(cheap(*args))  # type: ignore[misc]
         except Exception:
             answers.append(None)
     return answers
@@ -505,7 +496,7 @@ def _resolve_morsel(
             for key in mine:
                 if key not in memo:
                     aborted = ExecutionError(
-                        f"shard dispatch of {site.name} aborted"
+                        f"shard dispatch of {site.record.name} aborted"
                     )
                     context.publish(
                         site_id, key, tags[key], UDFCallError(aborted)
@@ -549,7 +540,7 @@ def _dispatch(
     is registered or the batch dispatch fails).  Every result is
     memoized and published as it lands."""
     memo = site.memo
-    if pending and site.cheap_function is not None:
+    if pending and site.cascade:
         # Cascade route: the cheap classifier tier answers what it
         # can; only declined tuples reach the expensive dispatch.
         # Cheap answers are real results (contract: the cheap tier
@@ -572,12 +563,11 @@ def _dispatch(
     context.tally(stats, "udf_cache_misses", len(pending))
     stats["lm_calls"] += len(pending)
     resolved: Iterable[object] | None = None
-    if site.batch_function is not None:
+    batch = site.record.batch
+    if batch is not None:
         stats["lm_batches"] += 1
         try:
-            resolved = list(
-                site.batch_function([key[1] for key in pending])
-            )
+            resolved = list(batch([key[1] for key in pending]))
         except Exception:
             # Fall back to per-tuple scalar calls so each failing
             # tuple is attributed (and wrapped) exactly as the
@@ -586,7 +576,7 @@ def _dispatch(
         else:
             if len(resolved) != len(pending):
                 raise ExecutionError(
-                    f"batch form of {site.name} returned "
+                    f"batch form of {site.record.name} returned "
                     f"{len(resolved)} results for {len(pending)} "
                     "argument tuples"
                 )

@@ -957,9 +957,10 @@ class Planner:
             argument = None
             if not call.star and call.args:
                 argument = source_compiler.kernel(call.args[0])
+            aggregate = self._functions.aggregate_call(call)
             calls.append(
                 physical.AggregateCall(
-                    self._functions.aggregate(call.name),
+                    aggregate.spec,  # type: ignore[union-attr]
                     argument,
                     call.distinct,
                     call.name,

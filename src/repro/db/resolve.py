@@ -94,7 +94,11 @@ def _unknown_column(ref: ast.ColumnRef) -> Failure:
         else f"unknown column {ref.name!r}"
     )
     return Failure(
-        "ANA003", f"unknown column {shown!r}", error, ref.position, len(shown)
+        "ANA003",
+        f"unknown column {shown!r}",
+        error,
+        ref.position,
+        ast.extent(ref),
     )
 
 
@@ -105,7 +109,7 @@ def _ambiguous_column(ref: ast.ColumnRef) -> Failure:
         f"ambiguous column {shown!r} (qualify it with a table name)",
         f"ambiguous column {shown!r}",
         ref.position,
-        len(shown),
+        ast.extent(ref),
     )
 
 
@@ -438,7 +442,7 @@ class _Resolver:
                     f"unknown table {source.name!r}",
                     f"no table named {source.name!r}",
                     source.position,
-                    len(source.name),
+                    ast.extent(source),
                 )
                 return Scope([], open=True)
             table = self.db.table(source.name)
@@ -484,7 +488,7 @@ class _Resolver:
                 columns = [c for c in columns if c.binding.lower() == key]
                 if not columns and not scope.open:
                     text = f"unknown table {star.table!r} in {star.table}.*"
-                    width = len(star.table)
+                    width = ast.extent(star)
                     failures.append(
                         Failure("ANA002", text, text, star.position, width)
                     )
@@ -591,8 +595,9 @@ class _Resolver:
             self._walk(node.right, scope, rows, aliases)  # type: ignore
             return
         functions = self.functions
-        aggregate = kind is ast.FunctionCall and functions.is_aggregate_call(
-            node
+        aggregate = (
+            kind is ast.FunctionCall
+            and functions.aggregate_call(node) is not None  # type: ignore
         )
         if aggregate and node not in self.aggregates:
             self.aggregates.append(node)  # type: ignore[arg-type]

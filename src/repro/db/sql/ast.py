@@ -24,15 +24,17 @@ class Literal:
 class ColumnRef:
     """A possibly-qualified column reference (``t.col`` or ``col``).
 
-    ``position`` is the character offset of the reference in the source
-    SQL, carried for analyzer diagnostics; it is excluded from equality
-    and hashing so two references to the same column compare equal no
-    matter where they appear (the planner relies on that).
+    ``position`` and ``end`` are the source extent of the reference,
+    qualifier and quotes included, carried for diagnostics (see
+    :func:`extent`); they are excluded from equality and hashing so two
+    references to the same column compare equal no matter where or how
+    they are spelled (the planner relies on that).
     """
 
     name: str
     table: str | None = None
     position: int | None = field(default=None, compare=False)
+    end: int | None = field(default=None, compare=False)
 
     def display(self) -> str:
         if self.table:
@@ -42,10 +44,12 @@ class ColumnRef:
 
 @dataclass(frozen=True, slots=True)
 class Star:
-    """``*`` or ``t.*`` in a projection or inside COUNT(*)."""
+    """``*`` or ``t.*`` in a projection or inside COUNT(*); ``end``
+    closes the source extent of ``t``."""
 
     table: str | None = None
     position: int | None = field(default=None, compare=False)
+    end: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,11 +67,15 @@ class BinaryOp:
 
 @dataclass(frozen=True, slots=True)
 class FunctionCall:
+    """``name(args)``; ``position`` and ``end`` are the source extent
+    of the name."""
+
     name: str  # upper-cased
     args: tuple["Expression", ...]
     distinct: bool = False
     star: bool = False  # COUNT(*)
     position: int | None = field(default=None, compare=False)
+    end: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,9 +165,13 @@ Expression = Union[
 
 @dataclass(frozen=True, slots=True)
 class TableSource:
+    """A stored table in FROM; ``position`` and ``end`` are the source
+    extent of its name."""
+
     name: str
     alias: str | None = None
     position: int | None = field(default=None, compare=False)
+    end: int | None = field(default=None, compare=False)
 
     @property
     def binding(self) -> str:
@@ -323,3 +335,11 @@ def output_position(expression: "Expression") -> int | None:
     ):
         return expression.value
     return None
+
+
+def extent(node: "ColumnRef | Star | FunctionCall | TableSource") -> int:
+    """How many source characters the name of ``node`` spans, quotes
+    and qualifier included (1 for a node not parsed from text)."""
+    if node.position is None or node.end is None:
+        return 1
+    return node.end - node.position

@@ -11,14 +11,15 @@ Produces a flat token stream.  Supports:
 Keywords are recognised case-insensitively; the lexer tags them as
 ``KEYWORD`` tokens carrying the upper-cased text.  A token's
 ``position`` is the offset of its first source character (a literal's
-or quoted identifier's opening quote).  Digits are the decimal ones
+or quoted identifier's opening quote), and its ``end`` one past its
+last (the closing quote).  Digits are the decimal ones
 ``int()`` and ``float()`` read, so ``²`` is an unexpected character.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SQLSyntaxError
 
@@ -49,11 +50,14 @@ _SINGLE_CHAR_OPERATORS = set("+-*/%<>=")
 _PUNCTUATION = set("(),.;")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token and its source extent (a tuple: a statement makes
+    dozens, and a tuple is the cheapest record to build)."""
+
     type: TokenType
     text: str
     position: int
+    end: int
 
     def matches_keyword(self, *keywords: str) -> bool:
         return self.type is TokenType.KEYWORD and self.text in keywords
@@ -99,21 +103,21 @@ def tokenize(sql: str) -> list[Token]:
             token, position = _read_word(sql, position)
             tokens.append(token)
             continue
+        start = position
         multi = sql[position : position + 2]
         if multi in _MULTI_CHAR_OPERATORS:
-            tokens.append(Token(TokenType.OPERATOR, multi, position))
             position += 2
+            tokens.append(Token(TokenType.OPERATOR, multi, start, position))
             continue
+        position += 1
         if char in _SINGLE_CHAR_OPERATORS:
-            tokens.append(Token(TokenType.OPERATOR, char, position))
-            position += 1
+            tokens.append(Token(TokenType.OPERATOR, char, start, position))
             continue
         if char in _PUNCTUATION:
-            tokens.append(Token(TokenType.PUNCT, char, position))
-            position += 1
+            tokens.append(Token(TokenType.PUNCT, char, start, position))
             continue
-        raise SQLSyntaxError(f"unexpected character {char!r}", position)
-    tokens.append(Token(TokenType.EOF, "", length))
+        raise SQLSyntaxError(f"unexpected character {char!r}", start)
+    tokens.append(Token(TokenType.EOF, "", length, length))
     return tokens
 
 
@@ -127,8 +131,9 @@ def _read_string(sql: str, start: int) -> tuple[Token, int]:
                 pieces.append("'")
                 position += 2
                 continue
-            token = Token(TokenType.STRING, "".join(pieces), start)
-            return token, position + 1
+            position += 1
+            token = Token(TokenType.STRING, "".join(pieces), start, position)
+            return token, position
         pieces.append(char)
         position += 1
     raise SQLSyntaxError("unterminated string literal", start)
@@ -150,8 +155,9 @@ def _read_quoted_identifier(sql: str, start: int) -> tuple[Token, int]:
                 pieces.append(closer)
                 position += 2
                 continue
-            token = Token(TokenType.IDENTIFIER, "".join(pieces), start)
-            return token, position + 1
+            position += 1
+            text = "".join(pieces)
+            return Token(TokenType.IDENTIFIER, text, start, position), position
         pieces.append(char)
         position += 1
     raise SQLSyntaxError("unterminated quoted identifier", start)
@@ -178,7 +184,7 @@ def _read_number(sql: str, start: int) -> tuple[Token, int]:
                 position += 1
     text = sql[start:position]
     token_type = TokenType.FLOAT if is_float else TokenType.INTEGER
-    return Token(token_type, text, start), position
+    return Token(token_type, text, start, position), position
 
 
 def _read_word(sql: str, start: int) -> tuple[Token, int]:
@@ -190,5 +196,5 @@ def _read_word(sql: str, start: int) -> tuple[Token, int]:
     text = sql[start:position]
     upper = text.upper()
     if upper in KEYWORDS:
-        return Token(TokenType.KEYWORD, upper, start), position
-    return Token(TokenType.IDENTIFIER, text, start), position
+        return Token(TokenType.KEYWORD, upper, start, position), position
+    return Token(TokenType.IDENTIFIER, text, start, position), position

@@ -71,13 +71,14 @@ class Slot(NamedTuple):
 def parse_template(tokens: list[Token]) -> ast.Statement:
     """Parse ``tokens`` into the tree every text with their token types
     and non-literal texts parses to: each literal's value is the
-    :class:`Slot` of its token, and each ``position`` is a token index
-    instead of a character offset.  The parser decides nothing on a
-    literal's value, so only those two differ between such texts."""
+    :class:`Slot` of its token, and each ``position`` and ``end`` is a
+    token index instead of a character offset.  The parser decides
+    nothing on a literal's value, so only those differ between such
+    texts."""
     return _parse(
         _TemplateParser(
             [
-                Token(token.type, token.text, index)
+                Token(token.type, token.text, index, index)
                 for index, token in enumerate(tokens)
             ]
         )
@@ -446,14 +447,14 @@ class _Parser:
             self._expect_punct(")")
             self._depth -= 1
             return source
-        position = self._current.position
+        token = self._current
         name = self._parse_identifier("table name")
         alias = None
         if self._accept_keyword("AS"):
             alias = self._parse_identifier("alias")
         elif self._current.type is TokenType.IDENTIFIER:
             alias = self._advance().text
-        return ast.TableSource(name, alias, position=position)
+        return ast.TableSource(name, alias, token.position, token.end)
 
     def _parse_identifier(self, what: str) -> str:
         token = self._current
@@ -637,35 +638,33 @@ class _Parser:
         token = self._advance()
         name = token.text
         if self._check_punct("("):
-            return self._parse_function_call(name, token.position)
+            return self._parse_function_call(token)
         if self._accept_punct("."):
             if self._check_operator("*"):
                 self._advance()
-                return ast.Star(table=name, position=token.position)
+                return ast.Star(name, token.position, token.end)
+            last = self._current
             column = self._parse_identifier("column name")
-            return ast.ColumnRef(
-                column, table=name, position=token.position
-            )
-        return ast.ColumnRef(name, position=token.position)
+            return ast.ColumnRef(column, name, token.position, last.end)
+        return ast.ColumnRef(name, None, token.position, token.end)
 
-    def _parse_function_call(
-        self, name: str, position: int | None = None
-    ) -> ast.FunctionCall:
+    def _parse_function_call(self, token: Token) -> ast.FunctionCall:
+        """The call of the function ``token`` names."""
         self._expect_punct("(")
-        upper = name.upper()
+        upper = token.text.upper()
+        star = distinct = False
+        args: list[ast.Expression] = []
         if self._check_operator("*"):
             self._advance()
-            self._expect_punct(")")
-            return ast.FunctionCall(upper, (), star=True, position=position)
-        if self._accept_punct(")"):
-            return ast.FunctionCall(upper, (), position=position)
-        distinct = self._accept_keyword("DISTINCT")
-        args = [self.parse_expression()]
-        while self._accept_punct(","):
+            star = True
+        elif not self._check_punct(")"):
+            distinct = self._accept_keyword("DISTINCT")
             args.append(self.parse_expression())
+            while self._accept_punct(","):
+                args.append(self.parse_expression())
         self._expect_punct(")")
         return ast.FunctionCall(
-            upper, tuple(args), distinct=distinct, position=position
+            upper, tuple(args), distinct, star, token.position, token.end
         )
 
     def _parse_case(self) -> ast.CaseExpression:

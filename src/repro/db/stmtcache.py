@@ -272,8 +272,8 @@ def _compile(node: Any, slots: list[Slot]) -> _Build | None:
     node_parts: list[tuple[bool, Any]] = []
     for name in fields:
         value = getattr(node, name)
-        if name == "position" and value is not None:
-            node_parts.append((True, _position(value)))
+        if name in _EXTENT and value is not None:
+            node_parts.append((True, _extent(name, value)))
         else:
             node_parts.append(_part(value, slots))
     if not any(bound for bound, _ in node_parts):
@@ -292,8 +292,13 @@ def _part(value: Any, slots: list[Slot]) -> tuple[bool, Any]:
     return (False, value) if build is None else (True, build)
 
 
-def _position(index: int) -> _Build:
-    return lambda values, tokens: tokens[index].position
+#: The fields a template holds token indexes in (see
+#: :func:`~repro.db.sql.parser.parse_template`).
+_EXTENT = ("position", "end")
+
+
+def _extent(name: str, index: int) -> _Build:
+    return lambda values, tokens: getattr(tokens[index], name)
 
 
 def _verdict_slots(template: ast.Statement) -> set[Slot]:

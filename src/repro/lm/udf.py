@@ -55,8 +55,9 @@ def register_llm_judge(db, lm: SimulatedLM, cheap=None) -> None:
     Soundness is the caller's contract — a cheap tier that disagrees
     with the LM changes query results.  In practice this is a
     high-precision heuristic (keyword match, lookup table, small
-    distilled model) that abstains whenever unsure; exceptions it
-    raises are treated as abstentions by the executor.
+    distilled model) that abstains whenever unsure.  The executor
+    calls it once per distinct argument tuple and treats an exception
+    it raises as an abstention.
     """
 
     def scalar(task, value):
@@ -74,18 +75,5 @@ def register_llm_judge(db, lm: SimulatedLM, cheap=None) -> None:
         )
         return [response.text for response in responses]
 
-    cheap_batch = None
-    if cheap is not None:
-
-        def cheap_batch(argument_tuples):  # noqa: F811 — gated wrapper
-            return [cheap(task, value) for task, value in argument_tuples]
-
-    db.register_udf(
-        "LLM",
-        scalar,
-        expensive=True,
-        batch=batch,
-        cheap=cheap,
-        cheap_batch=cheap_batch,
-    )
+    db.register_udf("LLM", scalar, expensive=True, batch=batch, cheap=cheap)
     db.bind_udf_meters(usage=lm.usage)

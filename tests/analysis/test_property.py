@@ -31,6 +31,7 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
 import re
 
 from repro.analysis import SQLAnalyzer
@@ -182,6 +183,44 @@ class TestSoundness:
                     f"standalone analysis rejected but pre-flight "
                     f"admitted: {sql}"
                 )
+
+
+#: Builtins a one-argument UDF is registered over, and argument lists.
+SHADOWED = ("ROUND", "ABS", "SUBSTR", "COALESCE", "MIN", "UPPER", "COUNT")
+ARGUMENTS = ("", "1.5", "1.5, 1", "x, 1, 2")
+
+
+class TestShadowedBuiltins:
+    """A UDF registered under a builtin's name replaces its signature
+    too: the analyzer checks a call against the UDF's arity, so an
+    accepted call still executes."""
+
+    @pytest.mark.parametrize("name", SHADOWED)
+    @pytest.mark.parametrize("arguments", ARGUMENTS)
+    def test_accepted_calls_execute(self, name, arguments):
+        db = _shared_names.__wrapped__()
+        db.register_udf(name, lambda value: 7)
+        sql = f"SELECT {name}({arguments}) FROM a"
+        report = db.analyze(sql)
+        if not report.ok:
+            return
+        for optimize in (True, False):
+            try:
+                db.execute(sql, optimize=optimize)
+            except ReproError as error:  # pragma: no cover - the bug trap
+                raise AssertionError(
+                    f"analyzer accepted but engine rejected:\n  {sql}\n"
+                    f"  engine: {type(error).__name__}: {error}"
+                ) from error
+
+    def test_round_with_two_arguments_is_ana007(self):
+        db = _shared_names.__wrapped__()
+        db.register_udf("ROUND", lambda value: 7)
+        report = db.analyze("SELECT ROUND(1.5, 1) FROM a")
+        assert [(d.code, d.message) for d in report.diagnostics] == [
+            ("ANA007", "ROUND() expects 1 argument(s), got 2")
+        ]
+        assert db.execute("SELECT ROUND(1.5) FROM a").rows == [(7,)] * 3
 
 
 @lru_cache(maxsize=None)

@@ -417,7 +417,7 @@ EXPECTED: dict[str, dict] = {'self_join_qualified': {'diagnostics': [],
                   'plain': ('rows', [(1, 'p')])},
  'quoted_unknown': {'diagnostics': [('ANA003',
                                      "unknown column 'nope'",
-                                     (13, 17))],
+                                     (13, 19))],
                     'cost': (3, 3, 0, 0, 0, 0, None),
                     'optimize': ('PlanningError', "unknown column 'nope'"),
                     'plain': ('PlanningError', "unknown column 'nope'")},
