@@ -3,8 +3,9 @@
 The analyzer walks a parsed :class:`~repro.db.sql.ast.Select` against a
 :class:`~repro.db.Database` catalog *before* any plan is built.  Names
 are bound once, by :func:`repro.db.resolve.resolve`, the same pass the
-planner plans from; the analyzer adds the type rules, the signatures
-and the legality checks.  Its error-severity diagnostics are **sound
+planner plans from; the analyzer adds the type rules, each call's
+check against the signature its function was registered with, and the
+legality checks.  Its error-severity diagnostics are **sound
 for admission**: a query the analyzer accepts is guaranteed to plan and
 execute without an engine error.  For binding errors the contract goes
 both ways: when the engine rejects a name (unknown table or column,

@@ -17,8 +17,8 @@ from repro.db import Column, Database, DataType, TableSchema
 
 ROWS = [(f"w{index % 3}", index) for index in range(8)]
 SQL = "SELECT n, J(s) AS j FROM t ORDER BY n"
-#: Every path the batched executor has: morsels of 4, the optimizer's
-#: choice, and both over one and two hash shards.
+#: Every path the batched executor has: morsels of 4 and the
+#: optimizer's choice, each unsharded and over one and two hash shards.
 PATHS = [(batch, shards) for batch in (4, "auto") for shards in (0, 1, 2)]
 
 
