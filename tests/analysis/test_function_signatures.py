@@ -8,7 +8,8 @@ enough and too many for every arity the builtins have.  For each call
 
 * the analyzer's diagnostics (code, message, span), in order;
 * the engine's rows, or its error type and message, at
-  ``optimize=True`` and at ``optimize=False``.
+  ``optimize=True`` and at ``optimize=False``, over the three rows of
+  ``t`` and over an empty ``t``.
 
 So a change to where a signature is declared, or to which rule
 decides that a call is an aggregate, must leave every verdict and
@@ -54,7 +55,7 @@ def _calls() -> list[str]:
 CALLS = _calls()
 
 
-def _database() -> Database:
+def _database(rows: list = ROWS) -> Database:
     db = Database()
     db.create_table(
         TableSchema(
@@ -62,7 +63,7 @@ def _database() -> Database:
             [Column("i", DataType.INTEGER), Column("s", DataType.TEXT)],
         )
     )
-    db.insert("t", ROWS)
+    db.insert("t", rows)
     return db
 
 
@@ -74,7 +75,7 @@ def _outcome(db: Database, sql: str, optimize: bool) -> list:
     return ["rows", [list(row) for row in rows]]
 
 
-def observe(db: Database, call: str) -> dict:
+def observe(db: Database, empty: Database, call: str) -> dict:
     sql = f"SELECT {call} FROM t"
     report = db.analyze(sql)
     return {
@@ -90,6 +91,8 @@ def observe(db: Database, call: str) -> dict:
         ],
         "optimize": _outcome(db, sql, True),
         "plain": _outcome(db, sql, False),
+        "empty_optimize": _outcome(empty, sql, True),
+        "empty_plain": _outcome(empty, sql, False),
     }
 
 
@@ -103,19 +106,24 @@ def db() -> Database:
     return _database()
 
 
+@pytest.fixture(scope="module")
+def empty() -> Database:
+    return _database([])
+
+
 def test_every_call_is_pinned(pinned):
     assert sorted(pinned) == sorted(CALLS)
 
 
 @pytest.mark.parametrize("call", CALLS)
-def test_call_is_pinned(db, pinned, call):
-    assert observe(db, call) == pinned[call]
+def test_call_is_pinned(db, empty, pinned, call):
+    assert observe(db, empty, call) == pinned[call]
 
 
 if __name__ == "__main__":  # pragma: no cover - rewrites the pin
-    database = _database()
+    database, nothing = _database(), _database([])
     lines = [
-        f"{json.dumps(call)}: {json.dumps(observe(database, call))}"
+        f"{json.dumps(call)}: {json.dumps(observe(database, nothing, call))}"
         for call in sorted(CALLS)
     ]
     PIN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
