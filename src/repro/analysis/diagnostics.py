@@ -16,9 +16,10 @@ ANA002 error    unknown table in FROM
 ANA003 error    unknown column reference
 ANA004 error    ambiguous unqualified column reference
 ANA005 error    unknown function (not a builtin, aggregate, or UDF)
-ANA006 error    aggregate misuse (in WHERE/GROUP BY, nested, or HAVING
-                without grouping context)
-ANA007 error    wrong number of arguments for a function
+ANA006 error    aggregate misuse (in WHERE/GROUP BY/ON/LIMIT, nested, or
+                HAVING without grouping context)
+ANA007 error    wrong number of arguments for a function, or ``*``
+                passed to anything but COUNT
 ANA008 error    operand type mismatch (arithmetic/function over TEXT, ...)
 ANA009 error    ``*`` outside SELECT items / COUNT(*)
 ANA010 warning  bare non-grouped column under GROUP BY (engine serves it

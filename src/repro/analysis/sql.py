@@ -2,18 +2,18 @@
 
 The analyzer walks a parsed :class:`~repro.db.sql.ast.Select` against a
 :class:`~repro.db.Database` catalog *before* any plan is built.  Names
-are bound once, by :func:`repro.db.resolve.resolve`, the same pass the
-planner plans from; the analyzer adds the type rules, each call's
-check against the signature its function was registered with, and the
-legality checks.  Its error-severity diagnostics are **sound
-for admission**: a query the analyzer accepts is guaranteed to plan and
-execute without an engine error.  For binding errors the contract goes
-both ways: when the engine rejects a name (unknown table or column,
-ambiguous column, bad ``t.*``, ordinal out of range), the analyzer
-reports ANA002/003/004/014 at the span the engine's
-:class:`~repro.errors.PlanningError` carries (both property-tested in
-``tests/analysis``).  Past binding, the analyzer may still reject a few
-exotic constructs the engine would tolerate (e.g. a computed LIMIT),
+are bound, and calls checked, once, by :func:`repro.db.resolve.resolve`,
+the same pass the planner plans from: the analyzer reports each
+failure resolution records where its walk meets the node, and adds the
+type rules.  Its error-severity diagnostics are **sound for
+admission**: a query the analyzer accepts is guaranteed to plan and
+execute without an engine error.  For names and calls the contract goes
+both ways: the engine raises a :class:`~repro.errors.PlanningError`
+for a name (ANA002/003/004/014) or a call (ANA005/006/007/009/012/013)
+exactly when the analyzer reports one, at the same span (both
+property-tested in ``tests/analysis``).  Past that, the analyzer keeps
+a *stricter admission*: ANA008's operand-kind rules and ANA011's
+literal LIMIT reject what the engine tolerates or meets only per row,
 because admission control wants cheap certainty over completeness.
 
 Alongside diagnostics it reports a :class:`CostEstimate`: catalog
@@ -44,7 +44,7 @@ from repro.db.resolve import Failure, Resolved, literal_limit, resolve
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.db.types import DataType, infer_type
-from repro.errors import SchemaError, SQLSyntaxError
+from repro.errors import SQLSyntaxError
 
 #: Internal expression type: a DataType, or None for the NULL literal
 #: (NULL propagates through every operator without erroring).
@@ -83,15 +83,14 @@ def _unify(*types: ExprType) -> ExprType:
 
 @dataclass(frozen=True)
 class _Context:
-    """Where an expression sits, for aggregate/star legality."""
+    """Where an expression sits, for the grouping warning."""
 
     #: The FROM named an unknown table (see :class:`repro.db.resolve.Scope`).
     open: bool = False
-    aggregates_allowed: bool = False
-    inside_aggregate: bool = False
-    is_aggregate_query: bool = False
     group_expressions: tuple[ast.Expression, ...] = ()
-    clause: str = "expression"
+    #: ``id`` of each column reference an aggregate query reads outside
+    #: aggregate calls (items, HAVING, ORDER BY): ANA010 candidates.
+    bare: frozenset[int] = frozenset()
     #: The SELECT items' types, for references to an output alias.
     item_types: tuple[ExprType, ...] = ()
 
@@ -167,6 +166,7 @@ class _Run:
         self.functions = db.functions
         self.resolved = resolved
         self.owners = resolved.owners
+        self.failures = resolved.failures
         self.diagnostics: list[Diagnostic] = []
         #: ``id`` of each FROM subquery -> its items' types.
         self.source_types: dict[int, list[ExprType]] = {}
@@ -188,10 +188,17 @@ class _Run:
             self.diagnostics.append(diagnostic)
 
     def _report(self, failure: Failure) -> None:
-        """A name the resolver could not bind."""
+        """A name the resolver could not bind, or a bad call."""
         self._diag(
             failure.code, failure.message, failure.position, failure.length
         )
+
+    def _report_at(self, node: object) -> bool:
+        """Report the failure resolution keyed by ``node``, if any."""
+        failure = self.failures.get(id(node))
+        if failure is not None:
+            self._report(failure)
+        return failure is not None
 
     # -- SELECT ----------------------------------------------------------
 
@@ -203,58 +210,31 @@ class _Run:
         for failure in resolved.star_failures + resolved.group_failures:
             self._report(failure)
         group_by = resolved.group_by
-        is_aggregate_query = bool(group_by) or resolved.has_aggregate
-        context = _Context(
-            open=resolved.scope.open,
-            aggregates_allowed=True,
-            is_aggregate_query=is_aggregate_query,
-            group_expressions=tuple(group_by),
-        )
-
-        # GROUP BY expressions: plain column expressions, no aggregates.
-        grouping = replace(
-            context, aggregates_allowed=False, clause="GROUP BY"
-        )
+        plain = _Context(open=resolved.scope.open)
         for expression in group_by:
-            self._check(expression, grouping)
-
-        # SELECT items.
+            self._check(expression, plain)
+        context = replace(
+            plain,
+            group_expressions=tuple(group_by),
+            bare=frozenset(map(id, resolved.columns))
+            if group_by or resolved.has_aggregate
+            else frozenset(),
+        )
         item_types = [
-            self._check(item.expression, replace(context, clause="SELECT"))
-            for item in resolved.items
+            self._check(item.expression, context) for item in resolved.items
         ]
         context = replace(context, item_types=tuple(item_types))
-
-        # WHERE: aggregates are illegal here.
         if select.where is not None:
-            self._check(
-                select.where,
-                replace(
-                    context,
-                    aggregates_allowed=False,
-                    is_aggregate_query=False,
-                    clause="WHERE",
-                ),
-            )
-
-        # HAVING needs a grouping context.
-        if select.having is not None:
-            if not is_aggregate_query:
-                self._diag(
-                    "ANA006",
-                    "HAVING requires GROUP BY or aggregates",
-                )
-            else:
-                self._check(select.having, replace(context, clause="HAVING"))
-
+            self._check(select.where, plain)
+        # A HAVING without grouping is an error, never evaluated.
+        if select.having is not None and not self._report_at(select):
+            self._check(select.having, context)
         # ORDER BY: an output column, or an expression over the source.
         for order, ordering in zip(select.order_by, resolved.order_by):
             if ordering.failure is not None:
                 self._report(ordering.failure)
             elif ordering.target is None:
-                self._check(
-                    order.expression, replace(context, clause="ORDER BY")
-                )
+                self._check(order.expression, context)
 
         # LIMIT / OFFSET must be integer literals.
         self._check_limit(select.limit, "LIMIT")
@@ -272,6 +252,7 @@ class _Run:
         """
         if expression is not None and literal_limit(expression) is None:
             self._diag("ANA011", f"{what} must be an integer literal")
+            self._check(expression, _Context())
 
     # -- FROM ------------------------------------------------------------
 
@@ -288,10 +269,7 @@ class _Run:
             self._walk_from(source.right)
             if source.condition is not None:
                 scope = self.resolved.joins[id(source)]
-                self._check(
-                    source.condition,
-                    _Context(open=scope.open, clause="JOIN ON"),
-                )
+                self._check(source.condition, _Context(open=scope.open))
 
     # -- expressions -----------------------------------------------------
 
@@ -310,11 +288,7 @@ class _Run:
         if isinstance(expression, ast.ColumnRef):
             return self._check_column(expression, context)
         if isinstance(expression, ast.Star):
-            self._diag(
-                "ANA009",
-                "'*' is only valid in SELECT items or COUNT(*)",
-                expression.position,
-            )
+            self._report_at(expression)
             return DataType.ANY
         if isinstance(expression, ast.UnaryOp):
             operand = self._check(expression.operand, context)
@@ -343,14 +317,9 @@ class _Run:
             return _unify(*results)
         if isinstance(expression, ast.CastExpression):
             self._check(expression.operand, context)
-            try:
-                return DataType.from_sql(expression.type_name)
-            except SchemaError:
-                self._diag(
-                    "ANA012",
-                    f"unknown type {expression.type_name!r} in CAST",
-                )
+            if self._report_at(expression):
                 return DataType.ANY
+            return DataType.from_sql(expression.type_name)
         if isinstance(expression, ast.InList):
             self._check(expression.operand, context)
             for item in expression.items:
@@ -358,16 +327,16 @@ class _Run:
             return DataType.BOOLEAN
         if isinstance(expression, ast.InSubquery):
             self._check(expression.operand, context)
-            self._value_subquery(expression.subquery, "IN subquery")
+            self.select(expression.subquery)
+            self._report_at(expression)
             return DataType.BOOLEAN
         if isinstance(expression, ast.ExistsSubquery):
             self.select(expression.subquery)
             return DataType.BOOLEAN
         if isinstance(expression, ast.ScalarSubquery):
-            types = self._value_subquery(
-                expression.subquery, "scalar subquery"
-            )
-            return DataType.ANY if types is None else types[0]
+            types = self.select(expression.subquery)
+            self._report_at(expression)
+            return types[0] if len(types) == 1 else DataType.ANY
         if isinstance(expression, ast.BetweenExpression):
             self._check(expression.operand, context)
             self._check(expression.lower, context)
@@ -384,19 +353,6 @@ class _Run:
             f"unexpected expression {type(expression).__name__}"
         )
 
-    def _value_subquery(
-        self, subquery: ast.Select, what: str
-    ) -> list[ExprType] | None:
-        """A subquery used as a value must expose exactly one column."""
-        types = self.select(subquery)
-        if len(types) != 1:
-            self._diag(
-                "ANA013",
-                f"{what} must return exactly one column, got {len(types)}",
-            )
-            return None
-        return types
-
     def _check_column(
         self,
         node: ast.ColumnRef,
@@ -410,12 +366,7 @@ class _Run:
         if isinstance(owner, Failure):
             self._report(owner)
             return DataType.ANY
-        if (
-            context.is_aggregate_query
-            and not context.inside_aggregate
-            and context.clause in ("SELECT", "HAVING", "ORDER BY")
-            and not self._grouped(node, context)
-        ):
+        if id(node) in context.bare and not self._grouped(node, context):
             self._diag(
                 "ANA010",
                 f"column {node.display()!r} is neither grouped nor "
@@ -479,48 +430,28 @@ class _Run:
         node: ast.FunctionCall,
         context: _Context,
     ) -> ExprType:
-        name = node.name
         aggregate = self.functions.aggregate_call(node)
         if aggregate is not None:
             return self._check_aggregate_call(node, aggregate, context)
-        if node.star:
-            # FOO(*) for a non-aggregate FOO calls FOO() at runtime.
-            self._diag(
-                "ANA007",
-                f"'*' argument is only valid for aggregates, not "
-                f"{name}()",
-                node.position,
-                ast.extent(node),
-            )
-            return DataType.ANY
-        scalar = self.functions.scalar(name)
-        if scalar is None:
-            if self.functions.misplaced_aggregate(node):
-                # COUNT(), SUM(a, b): aggregate name, non-aggregate shape.
-                self._diag(
-                    "ANA007",
-                    f"aggregate {name}() takes exactly one argument "
-                    f"(or '*'), got {len(node.args)}",
-                    node.position,
-                    ast.extent(node),
-                )
-            else:
-                self._diag(
-                    "ANA005",
-                    f"unknown function {name!r}",
-                    node.position,
-                    ast.extent(node),
-                )
+        scalar = self.functions.scalar(node.name)
+        if scalar is None or node.star:
+            # Unknown, FOO(*), or an aggregate's name misused: reported
+            # before the arguments.
+            self._report_at(node)
             for argument in node.args:
                 self._check(argument, context)
             return DataType.ANY
         argument_types = [
             self._check(argument, context) for argument in node.args
         ]
-        if scalar.signature is None:
+        signature = scalar.signature
+        if signature is None:
             return DataType.ANY
-        self._check_signature(node, scalar.signature, argument_types)
-        return scalar.signature.returns
+        # A wrong arity is reported after the arguments; the kinds are
+        # read only when the arity holds.
+        if not self._report_at(node):
+            self._check_kinds(node, signature, argument_types)
+        return signature.returns
 
     def _check_aggregate_call(
         self,
@@ -528,28 +459,15 @@ class _Run:
         aggregate: Aggregate,
         context: _Context,
     ) -> ExprType:
-        name = node.name
-        if not context.aggregates_allowed or context.inside_aggregate:
-            where = (
-                "inside another aggregate"
-                if context.inside_aggregate
-                else f"in {context.clause}"
-            )
-            self._diag(
-                "ANA006",
-                f"aggregate {name}() is not allowed {where}",
-                node.position,
-                ast.extent(node),
-            )
+        self._report_at(node)
         signature = aggregate.signature
         if node.star:
-            return signature.returns if name == "COUNT" else DataType.ANY
-        inner = replace(context, inside_aggregate=True)
-        argument_type = self._check(node.args[0], inner)
+            return signature.returns if node.name == "COUNT" else DataType.ANY
+        argument_type = self._check(node.args[0], context)
         if signature.kind_at(0) == "num" and not _numeric_ok(argument_type):
             self._diag(
                 "ANA008",
-                f"{name}() over a {_type_name(argument_type)} argument",
+                f"{node.name}() over a {_type_name(argument_type)} argument",
                 node.position,
                 ast.extent(node),
             )
@@ -557,46 +475,27 @@ class _Run:
             return argument_type
         return signature.returns
 
-    def _check_signature(
+    def _check_kinds(
         self,
         node: ast.FunctionCall,
         signature: Signature,
         argument_types: list[ExprType],
     ) -> None:
-        count = len(node.args)
-        if not signature.takes(count):
-            if signature.max_args is None:
-                expected = f"at least {signature.min_args}"
-            elif signature.min_args == signature.max_args:
-                expected = str(signature.min_args)
-            else:
-                expected = f"{signature.min_args}..{signature.max_args}"
-            self._diag(
-                "ANA007",
-                f"{node.name}() expects {expected} argument(s), "
-                f"got {count}",
-                node.position,
-                ast.extent(node),
-            )
-            return
         for position, argument_type in enumerate(argument_types):
             kind = signature.kind_at(position)
             if kind == "num" and not _numeric_ok(argument_type):
-                self._diag(
-                    "ANA008",
-                    f"argument {position + 1} of {node.name}() must be "
-                    f"numeric, got {_type_name(argument_type)}",
-                    node.position,
-                    ast.extent(node),
-                )
+                wanted = "numeric"
             elif kind == "text" and not _textual_ok(argument_type):
-                self._diag(
-                    "ANA008",
-                    f"argument {position + 1} of {node.name}() must be "
-                    f"text, got {_type_name(argument_type)}",
-                    node.position,
-                    ast.extent(node),
-                )
+                wanted = "text"
+            else:
+                continue
+            self._diag(
+                "ANA008",
+                f"argument {position + 1} of {node.name}() must be "
+                f"{wanted}, got {_type_name(argument_type)}",
+                node.position,
+                ast.extent(node),
+            )
 
 
 def _type_name(expression_type: ExprType) -> str:

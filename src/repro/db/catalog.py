@@ -8,11 +8,11 @@ from itertools import compress
 from typing import TYPE_CHECKING, Any
 
 from repro.db import types as dbtypes
-from repro.db.expr import ExpressionCompiler, reads_row_by_row
+from repro.db.expr import ExpressionCompiler, Kernel, reads_row_by_row
 from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.plan import UDFExecContext, run_morsels
 from repro.db.planner import Planner
-from repro.db.resolve import resolve
+from repro.db.resolve import Resolved, misplaced, resolve
 from repro.db.shard import PartitionSpec, ShardRuntime
 from repro.db.stmtcache import (
     LRUCache,
@@ -600,13 +600,17 @@ class Database:
 
     def _execute_insert(self, statement: ast.Insert) -> int:
         table = self.table(statement.table)
-        compiler = ExpressionCompiler(RowLayout([]), self.functions)
+        resolved = self._checked(
+            statement, [value for row in statement.rows for value in row]
+        )
+        compiler = ExpressionCompiler(
+            RowLayout([]), self.functions, owners=resolved.owners
+        )
+        # Every value is compiled, and so checked, before a row is written.
+        rows = [list(map(compiler.compile, row)) for row in statement.rows]
         count = 0
-        for row_expressions in statement.rows:
-            values = [
-                compiler.compile(expression)(())
-                for expression in row_expressions
-            ]
+        for row in rows:
+            values = [evaluate(()) for evaluate in row]
             if statement.columns:
                 table.insert(dict(zip(statement.columns, values)))
             else:
@@ -614,34 +618,49 @@ class Database:
             count += 1
         return count
 
+    def _checked(
+        self,
+        statement: ast.Statement,
+        values: list[ast.Expression],
+        source: ast.TableSource | None = None,
+    ) -> Resolved:
+        """A write's ``values`` and WHERE, resolved as the one-table
+        SELECT they bind as; raises its first bad call, and an
+        aggregate among the values."""
+        items = tuple(map(ast.SelectItem, values))
+        where = getattr(statement, "where", None)
+        resolved = resolve(self, ast.Select(items, source, where))
+        for failure in resolved.failures.values():
+            failure.throw()
+        for call in resolved.aggregates:
+            misplaced(call, f"in {type(statement).__name__.upper()}").throw()
+        return resolved
+
     def _target_rows(
         self, statement: ast.Update | ast.Delete
-    ) -> tuple[Table, ExpressionCompiler, list[int]]:
-        """The table an UPDATE/DELETE names, a compiler over its row
-        layout, and the ascending ids of the rows its WHERE selects
-        (all of them without one)."""
+    ) -> tuple[Table, list[Kernel], list[int]]:
+        """The table an UPDATE/DELETE names, the kernels of its assigned
+        values, and the ascending ids of the rows its WHERE selects (all
+        of them without one).  Every expression is compiled, and so
+        checked, before a row is read."""
         table = self.table(statement.table)
         # The WHERE and the assigned values bind as a one-table SELECT.
-        values = getattr(statement, "assignments", ())
-        resolved = resolve(
-            self,
-            ast.Select(
-                tuple(ast.SelectItem(value) for _, value in values),
-                ast.TableSource(statement.table),
-                statement.where,
-            ),
+        values = [value for _, value in getattr(statement, "assignments", ())]
+        resolved = self._checked(
+            statement, values, ast.TableSource(statement.table)
         )
         compiler = ExpressionCompiler(
             table.layout(statement.table),
             self.functions,
             owners=resolved.owners,
         )
+        kernels = [compiler.kernel(value) for value in values]
         planner = Planner(self, self.functions, resolved=resolved)
         candidates = planner.candidate_row_ids(
             table, statement.table, statement.where
         )
         if statement.where is None:
-            return table, compiler, list(candidates)
+            return table, kernels, list(candidates)
         predicate = compiler.kernel(statement.where)
         rows = table.rows
 
@@ -650,17 +669,14 @@ class Database:
 
         one_by_one = reads_row_by_row(predicate)
         selected_ids = run_morsels(selected, candidates, one_by_one)
-        return table, compiler, list(selected_ids)
+        return table, kernels, list(selected_ids)
 
     def _execute_update(self, statement: ast.Update) -> int:
-        table, compiler, row_ids = self._target_rows(statement)
+        schema = self.table(statement.table).schema
         positions = [
-            table.schema.column_index(column)
-            for column, _ in statement.assignments
+            schema.column_index(column) for column, _ in statement.assignments
         ]
-        kernels = [
-            compiler.kernel(value) for _, value in statement.assignments
-        ]
+        table, kernels, row_ids = self._target_rows(statement)
         rows = table.rows
 
         def changed(row_ids: list[int]) -> list[tuple[int, list]]:

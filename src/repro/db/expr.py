@@ -146,9 +146,6 @@ class ExpressionCompiler:
         owner = self._owners.get(id(node))
         return read_column(slot(self._layout, node, owner))
 
-    def _compile_star(self, node: ast.Star) -> Kernel:
-        raise PlanningError("'*' is only valid in SELECT items or COUNT(*)")
-
     # -- operators ----------------------------------------------------------
 
     def _compile_unaryop(self, node: ast.UnaryOp) -> Kernel:
@@ -192,13 +189,10 @@ class ExpressionCompiler:
             self._unbatched |= site.serial
             return site.evaluate
         name = node.name
-        if self._functions.misplaced_aggregate(node):
-            raise PlanningError(f"aggregate {name}() is not allowed here")
+        # Resolution has refused every call but a scalar's of its arity.
         scalar = self._functions.scalar(name)
-        if scalar is None:
-            raise ExecutionError(f"unknown function {name!r}")
-        function = scalar.function
-        self._unbatched |= scalar.expensive
+        function = scalar.function  # type: ignore[union-attr]
+        self._unbatched |= scalar.expensive  # type: ignore[union-attr]
         arguments = [self._compile(arg) for arg in node.args]
 
         def call(rows: list[Row]) -> list[SQLValue]:
@@ -355,12 +349,7 @@ class ExpressionCompiler:
                 # The subquery runs at the first non-NULL subject.
                 return [None] * len(subjects)
             if not members:
-                fetched = fetch()
-                if fetched and len(fetched[0]) != 1:
-                    raise ExecutionError(
-                        "IN subquery must return exactly one column"
-                    )
-                values = {row[0] for row in fetched}
+                values = {row[0] for row in fetch()}
                 miss = None if None in values else node.negated
                 members.append((values - {None}, miss))
             values, miss = members[0]
@@ -385,10 +374,6 @@ class ExpressionCompiler:
 
         def evaluate(rows: list[Row]) -> list[SQLValue]:
             fetched = fetch() if rows else None
-            if fetched and len(fetched[0]) != 1:
-                raise ExecutionError(
-                    "scalar subquery must return exactly one column"
-                )
             return [fetched[0][0] if fetched else None] * len(rows)
 
         return evaluate
@@ -703,8 +688,6 @@ def strict_expensive_calls(
 
     def visit(node: ast.Expression) -> None:
         if isinstance(node, ast.FunctionCall):
-            if functions.misplaced_aggregate(node):
-                return  # rewritten away before compile, or refused there
             for arg in node.args:
                 visit(arg)
             if functions.is_expensive(node.name) and node not in found:

@@ -86,6 +86,15 @@ class Signature:
             self.max_args is None or count <= self.max_args
         )
 
+    @property
+    def arity(self) -> str:
+        """The argument counts it takes, as a diagnostic says them."""
+        if self.max_args is None:
+            return f"at least {self.min_args}"
+        if self.min_args == self.max_args:
+            return str(self.min_args)
+        return f"{self.min_args}..{self.max_args}"
+
 
 @dataclass(frozen=True, eq=False)
 class Scalar:
@@ -190,33 +199,21 @@ class FunctionRegistry:
         """The scalar registered under ``name``, if any."""
         return self._scalars.get(name.upper())
 
+    def aggregate(self, name: str) -> Aggregate | None:
+        """The aggregate registered under ``name``, if any."""
+        return self._aggregates.get(name.upper())
+
     def aggregate_call(self, node: ast.FunctionCall) -> Aggregate | None:
         """The aggregate ``node`` computes, or None for any other call.
 
         An aggregate is called with ``*`` or one argument.  Any other
         shape under an aggregate's name calls the scalar of that name
-        if it takes that many arguments (multi-argument MIN/MAX, as in
-        SQLite), and is a misplaced aggregate if not
-        (:meth:`misplaced_aggregate`).
+        (multi-argument MIN/MAX, as in SQLite);
+        :func:`repro.db.resolve.resolve` refuses it when there is none
+        or it does not take that many arguments.
         """
-        if node.star or len(node.args) == 1:
-            return self._aggregates.get(node.name.upper())
-        return None
-
-    def misplaced_aggregate(self, node: ast.FunctionCall) -> bool:
-        """Whether the engine refuses ``node`` as an aggregate out of
-        place: an aggregate call anywhere the planner has not replaced
-        it, or an aggregate's name in a shape no scalar of it takes."""
-        upper = node.name.upper()
-        if upper not in self._aggregates:
-            return False
-        if self.aggregate_call(node) is not None:
-            return True
-        scalar = self._scalars.get(upper)
-        return scalar is None or (
-            scalar.signature is not None
-            and not scalar.signature.takes(len(node.args))
-        )
+        single = node.star or len(node.args) == 1
+        return self.aggregate(node.name) if single else None
 
     def is_expensive(self, name: str) -> bool:
         scalar = self._scalars.get(name.upper())

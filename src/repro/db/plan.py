@@ -29,7 +29,7 @@ from repro.db.expr import (
     read_column,
     reads_row_by_row,
 )
-from repro.db.functions import COUNT, COUNT_ROWS, AggregateSpec
+from repro.db.functions import COUNT_ROWS, AggregateSpec
 from repro.db.result import Row, RowLayout
 from repro.db.shard import (
     PartitionSpec,
@@ -1001,23 +1001,12 @@ class AggregateCall:
         name: str,
     ) -> None:
         #: DISTINCT and ``*`` are part of the fold: the node's loop never
-        #: asks.  A star call's fold is handed the rows themselves.
+        #: asks.  COUNT(*), the one star call, is handed the rows.
         if argument is None:
-            spec = _over_rows(spec)
+            spec = COUNT_ROWS
         self.spec = _distinct(spec) if distinct else spec
         self.argument = argument
         self.name = name
-
-
-def _over_rows(spec: AggregateSpec) -> AggregateSpec:
-    """``spec`` folding a 1 per row: COUNT(*) counts with ``len``."""
-    if spec is COUNT:
-        return COUNT_ROWS
-    return AggregateSpec(
-        spec.make_state,
-        lambda state, rows: spec.fold(state, [1] * len(rows)),
-        spec.finish,
-    )
 
 
 def _distinct(spec: AggregateSpec) -> AggregateSpec:

@@ -1,10 +1,11 @@
 """Planner: builds a plan tree for a resolved SELECT.
 
-The statement's names are bound by :mod:`repro.db.resolve` (stars
-expanded, ordinals and aliases replaced, each column reference given
-its owner); the planner maps owners to row positions and raises a
-reference's failure where it compiles the reference.  It performs, in
-order:
+The statement's names are bound, and its calls checked, by
+:mod:`repro.db.resolve` (stars expanded, ordinals and aliases replaced,
+each column reference given its owner); the planner raises the
+failures resolution keeps for it before it builds a node, maps owners
+to row positions, and raises a reference's failure where it compiles
+the reference.  It performs, in order:
 
 1. FROM-tree construction (scans, subquery sources, joins),
 2. WHERE decomposition into conjuncts with optional *predicate pushdown*
@@ -188,6 +189,8 @@ class Planner:
         self, select: ast.Select
     ) -> tuple[physical.PlanNode, list[str]]:
         resolved = self._resolution(select)
+        for failure in resolved.failures.values():
+            failure.throw()  # the first bad call or nested SELECT's failure
         source = self._build_source(select.source)
         if resolved.star_failures:
             resolved.star_failures[0].throw()
@@ -202,8 +205,6 @@ class Planner:
             source, items, having, order_items = self._plan_aggregation(
                 source, resolved
             )
-        elif having is not None:
-            raise PlanningError("HAVING requires GROUP BY or aggregates")
 
         if having is not None:
             compiler = self._compiler(source.layout)
@@ -954,9 +955,10 @@ class Planner:
             name = f"_agg{position}"
             entries.append((None, name))
             replacements[call] = ast.ColumnRef(name)
-            argument = None
-            if not call.star and call.args:
-                argument = source_compiler.kernel(call.args[0])
+            # COUNT(*) folds the rows; any other call has one argument.
+            argument = (
+                None if call.star else source_compiler.kernel(call.args[0])
+            )
             aggregate = self._functions.aggregate_call(call)
             calls.append(
                 physical.AggregateCall(

@@ -19,10 +19,19 @@ How a name binds:
 * A whole ORDER BY term that is an integer literal or an output
   column's name sorts by that output column.
 
-A reference that binds to nothing gets a :class:`Failure` with its
-span; the analyzer reports it as a diagnostic where its walk meets it,
-and the planner raises it as a :class:`~repro.errors.PlanningError`
-where it compiles it.  Resolution itself never raises.
+The same walk checks every call, against the record its function was
+registered with: an unknown function, a misplaced aggregate, a wrong
+number of arguments or a misplaced ``*``, an unknown CAST type, and a
+subquery used as a value whose width is not 1.
+
+A reference that binds to nothing, and a bad call, get a
+:class:`Failure` with its span; the analyzer reports it as a diagnostic
+where its walk meets it, and the planner raises it as a
+:class:`~repro.errors.PlanningError`.  A bad call, and any failure in a
+SELECT nested in an expression (which plans only when it runs), is
+raised before the statement's plan has a node, so no such error
+depends on the rows; a name of the SELECT being planned fails where the
+planner compiles it.  Resolution itself never raises.
 """
 
 from __future__ import annotations
@@ -36,10 +45,11 @@ from repro.db.cost import ColumnStats, predicate_selectivity
 from repro.db.result import RowLayout
 from repro.db.sql import ast
 from repro.db.types import DataType
-from repro.errors import PlanningError
+from repro.errors import PlanningError, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.catalog import Database
+    from repro.db.functions import Aggregate
     from repro.db.table import Table
 
 _SUBQUERIES = (ast.InSubquery, ast.ExistsSubquery, ast.ScalarSubquery)
@@ -71,7 +81,8 @@ class Column:
 
 @dataclass(frozen=True)
 class Failure:
-    """A name that binds to nothing: ANA002, ANA003, ANA004 or ANA014."""
+    """A name that binds to nothing (ANA002, ANA003, ANA004, ANA014) or
+    a bad call (ANA005, ANA006, ANA007, ANA009, ANA012, ANA013)."""
 
     code: str
     #: The analyzer's message, and the engine's.
@@ -110,6 +121,18 @@ def _ambiguous_column(ref: ast.ColumnRef) -> Failure:
         f"ambiguous column {shown!r}",
         ref.position,
         ast.extent(ref),
+    )
+
+
+def _call_failure(code: str, message: str, node) -> Failure:
+    """A bad call: the analyzer and the engine say the same."""
+    return Failure(code, message, message, node.position, ast.extent(node))
+
+
+def misplaced(call: ast.FunctionCall, where: str) -> Failure:
+    """The ANA006 of an aggregate ``call`` ``where`` it may not be."""
+    return _call_failure(
+        "ANA006", f"aggregate {call.name}() is not allowed {where}", call
     )
 
 
@@ -257,6 +280,12 @@ class Resolved:
     joins: dict[int, Scope]
     #: Every expensive call site the analyzer's walk prices.
     sites: list[CallSite]
+    #: ``id`` of a node -> its failure, in walk order, for what the
+    #: planner raises before it builds a node: each bad call (keyed by
+    #: the call, the CAST, the ``*``, the value subquery, or the SELECT
+    #: whose HAVING has no grouping), and each failure in a SELECT
+    #: nested in an expression.
+    failures: dict[int, Failure]
 
     @property
     def has_aggregate(self) -> bool:
@@ -366,6 +395,7 @@ class _Resolver:
         self.selects: dict[int, Resolved] = {}
         self.joins: dict[int, Scope] = {}
         self.sites: list[CallSite] = []
+        self.failures: dict[int, Failure] = {}
         #: The aggregate calls of the clauses being walked (distinct, in
         #: walk order), the column references they read outside those
         #: calls, and whether they hold a subquery; nested SELECTs keep
@@ -373,20 +403,29 @@ class _Resolver:
         self.aggregates: list[ast.FunctionCall] = []
         self.columns: list[ast.ColumnRef] = []
         self.subquery = False
-        #: How many aggregate calls enclose the node being walked.
+        #: How many aggregate calls enclose the node being walked, and
+        #: where an aggregate may not be ("in WHERE"), if it may not.
         self.depth = 0
+        self.refused: str | None = None
+        #: How many subquery expressions enclose the SELECT being walked.
+        self.nested = 0
 
     # -- SELECT ----------------------------------------------------------
 
     def select(self, select: ast.Select) -> Resolved:
-        saved = self.aggregates, self.columns, self.subquery, self.depth
+        saved = (
+            self.aggregates, self.columns, self.subquery, self.depth,
+            self.refused,
+        )
         outer, self.selects = self.selects, {}
+        # The FROM clause's aggregates and columns count nowhere.
+        self.aggregates, self.columns = [], []
+        self.depth, self.refused = 0, None
         scope = self._from(select.source)
         rows = scope.rows
         # Aggregates count in the items, HAVING and ORDER BY; subqueries
         # in every clause but FROM.
         self.aggregates, self.columns, self.subquery = [], [], False
-        self.depth = 0
         items, star_failures = self._expand_stars(select.items, scope)
         for item in items:
             self._walk(item.expression, scope, rows)
@@ -402,10 +441,10 @@ class _Resolver:
                 if item.alias:
                     aliases.setdefault(item.alias.lower(), position)
         having = select.having
-        first = len(self.sites)
+        first, first_failure = len(self.sites), len(self.failures)
         if having is not None:
             self._walk(having, scope, rows, aliases)
-        last = len(self.sites)
+        last, last_failure = len(self.sites), len(self.failures)
         order_by = self._order_by(
             select.order_by, items, outputs, aliases, scope
         )
@@ -415,21 +454,36 @@ class _Resolver:
                 having = self._substitute_aliases(having, items)
             else:  # HAVING without grouping: an error, never evaluated
                 del self.sites[first:last]
+                for key in list(self.failures)[first_failure:last_failure]:
+                    del self.failures[key]
+                text = "HAVING requires GROUP BY or aggregates"
+                self.failures[id(select)] = Failure("ANA006", text, text)
         self.aggregates, self.columns = [], []  # not WHERE's or GROUP BY's
         if select.where is not None:
+            self.refused = "in WHERE"
             self._walk(select.where, scope, rows)
         group_by, group_failures = self._group_by(
             select.group_by, items, aliases, scope
         )
+        # LIMIT and OFFSET are constants, read before any row is.
+        limits = (("LIMIT", select.limit), ("OFFSET", select.offset))
+        for clause, term in limits:
+            if term is not None:
+                self.refused = f"in {clause}"
+                self._walk(term, Scope([]), 1)
         resolved = Resolved(
             select, scope, items, star_failures, names, group_by,
             group_failures, having, order_by, aggregates, columns,
             self.subquery, self.owners, self.selects, self.joins, self.sites,
+            self.failures,
         )
         outer.update(self.selects)
         outer[id(select)] = resolved
         self.selects = outer
-        self.aggregates, self.columns, self.subquery, self.depth = saved
+        (
+            self.aggregates, self.columns, self.subquery, self.depth,
+            self.refused,
+        ) = saved
         return resolved
 
     def _from(self, source: ast.FromSource | None) -> Scope:
@@ -437,13 +491,14 @@ class _Resolver:
             return Scope([])
         if isinstance(source, ast.TableSource):
             if not self.db.has_table(source.name):
-                self.owners[id(source)] = Failure(
+                failure = Failure(
                     "ANA002",
                     f"unknown table {source.name!r}",
                     f"no table named {source.name!r}",
                     source.position,
                     ast.extent(source),
                 )
+                self.owners[id(source)] = self._named(source, failure)
                 return Scope([], open=True)
             table = self.db.table(source.name)
             binding = source.binding
@@ -466,7 +521,9 @@ class _Resolver:
         )
         self.joins[id(source)] = scope
         if source.condition is not None:
+            self.refused = "in JOIN ON"
             self._walk(source.condition, scope, scope.rows)
+            self.refused = None
         return scope
 
     def _expand_stars(
@@ -488,10 +545,10 @@ class _Resolver:
                 columns = [c for c in columns if c.binding.lower() == key]
                 if not columns and not scope.open:
                     text = f"unknown table {star.table!r} in {star.table}.*"
-                    width = ast.extent(star)
-                    failures.append(
-                        Failure("ANA002", text, text, star.position, width)
+                    failure = Failure(
+                        "ANA002", text, text, star.position, ast.extent(star)
                     )
+                    failures.append(self._named(star, failure))
             for column in columns:
                 ref = ast.ColumnRef(column.name, column.binding)
                 owners[id(ref)] = column
@@ -507,6 +564,7 @@ class _Resolver:
     ) -> tuple[list[ast.Expression], list[Failure]]:
         group_by: list[ast.Expression] = []
         failures: list[Failure] = []
+        self.refused = "in GROUP BY"
         for term in terms:
             ordinal = ast.output_position(term)
             if ordinal is None:
@@ -520,9 +578,8 @@ class _Resolver:
             elif 1 <= ordinal <= len(items):
                 term = items[ordinal - 1].expression
             else:
-                failures.append(
-                    _position_failure("GROUP BY", ordinal, len(items))
-                )
+                failure = _position_failure("GROUP BY", ordinal, len(items))
+                failures.append(self._named(term, failure))
                 term = ast.Literal(1)  # placeholder; failure recorded
             self._walk(term, scope, scope.rows)
             group_by.append(term)
@@ -548,6 +605,7 @@ class _Resolver:
                 target = ordinal - 1
             else:
                 failure = _position_failure("ORDER BY", ordinal, len(items))
+                self._named(expression, failure)
             if target is None and failure is None:
                 self._walk(expression, scope, scope.rows, aliases)
                 expression = self._substitute_aliases(expression, items)
@@ -579,8 +637,8 @@ class _Resolver:
         rows: int,
         aliases: dict[str, int] | None = None,
     ) -> None:
-        """Bind every reference in ``node``, resolve its subqueries and
-        record its expensive call sites."""
+        """Bind every reference in ``node``, check its calls, resolve
+        its subqueries and record its expensive call sites."""
         kind = type(node)
         if kind is ast.ColumnRef:
             if id(node) not in self.owners:
@@ -594,29 +652,90 @@ class _Resolver:
             self._walk(node.left, scope, rows, aliases)  # type: ignore
             self._walk(node.right, scope, rows, aliases)  # type: ignore
             return
-        functions = self.functions
-        aggregate = (
-            kind is ast.FunctionCall
-            and functions.aggregate_call(node) is not None  # type: ignore
-        )
-        if aggregate and node not in self.aggregates:
+        aggregate = None
+        failure: Failure | None = None
+        if kind is ast.FunctionCall:
+            aggregate = self.functions.aggregate_call(node)  # type: ignore
+            failure = self._check_call(node, aggregate)  # type: ignore
+        elif kind is ast.Star:
+            text = "'*' is only valid in SELECT items or COUNT(*)"
+            failure = _call_failure("ANA009", text, node)
+        elif kind is ast.CastExpression:
+            name = node.type_name  # type: ignore[union-attr]
+            try:
+                DataType.from_sql(name)
+            except SchemaError:
+                text = f"unknown type {name!r} in CAST"
+                failure = _call_failure("ANA012", text, node)
+        if aggregate is not None and node not in self.aggregates:
             self.aggregates.append(node)  # type: ignore[arg-type]
-        self.depth += aggregate
+        self.depth += aggregate is not None
         for child in ast.children(node):
             if isinstance(child, ast.Select):
-                self.select(child)
+                self.nested += 1
+                width = len(self.select(child).items)
+                self.nested -= 1
+                if width != 1 and kind is not ast.ExistsSubquery:
+                    what = "IN" if kind is ast.InSubquery else "scalar"
+                    text = f"{what} subquery must return exactly one column"
+                    text += f", got {width}"
+                    failure = _call_failure("ANA013", text, node)
             else:
                 self._walk(child, scope, rows, aliases)
-        self.depth -= aggregate
+        self.depth -= aggregate is not None
+        if failure is not None:
+            self.failures[id(node)] = failure
         if kind is ast.FunctionCall:
-            if not aggregate and not node.star and functions.is_expensive(
-                node.name
+            if aggregate is None and not node.star and (
+                self.functions.is_expensive(node.name)  # type: ignore
             ):
                 self.sites.append(
                     CallSite(node, rows, self._distinct_bound(node, rows))
                 )
         elif kind in _SUBQUERIES:
             self.subquery = True
+
+    def _check_call(
+        self, node: ast.FunctionCall, aggregate: "Aggregate | None"
+    ) -> Failure | None:
+        """What is wrong with the call ``node``, if anything."""
+        name = node.name
+        if aggregate is not None:
+            if self.depth:
+                return misplaced(node, "inside another aggregate")
+            if self.refused is not None:
+                return misplaced(node, self.refused)
+            if node.star and aggregate.name != "COUNT":
+                text = f"'*' argument is only valid for COUNT(), not {name}()"
+                return _call_failure("ANA007", text, node)
+            return None
+        if node.star:
+            text = f"'*' argument is only valid for aggregates, not {name}()"
+            return _call_failure("ANA007", text, node)
+        scalar = self.functions.scalar(name)
+        if scalar is None:
+            if self.functions.aggregate(name) is not None:
+                # COUNT(), SUM(a, b): an aggregate's name, no aggregate's
+                # shape, and no scalar of that name.
+                return _call_failure(
+                    "ANA007",
+                    f"aggregate {name}() takes exactly one argument "
+                    f"(or '*'), got {len(node.args)}",
+                    node,
+                )
+            return _call_failure("ANA005", f"unknown function {name!r}", node)
+        signature, count = scalar.signature, len(node.args)
+        if signature is None or signature.takes(count):
+            return None
+        text = f"{name}() expects {signature.arity} argument(s), got {count}"
+        return _call_failure("ANA007", text, node)
+
+    def _named(self, node: object, failure: Failure) -> Failure:
+        """``failure``, of a name at ``node``; raised with the bad calls
+        when its SELECT is nested in an expression."""
+        if self.nested:
+            self.failures[id(node)] = failure
+        return failure
 
     def _bind(
         self,
@@ -632,6 +751,8 @@ class _Resolver:
                 owner = aliases.get(ref.name.lower())
             if owner is None or owner is False:
                 owner = _unknown_column(ref)
+        if type(owner) is Failure:
+            self._named(ref, owner)
         self.owners[id(ref)] = owner  # type: ignore[assignment]
 
     def _distinct_bound(self, call: ast.FunctionCall, rows: int) -> int:

@@ -89,8 +89,13 @@ class CaseExpression:
 
 @dataclass(frozen=True, slots=True)
 class CastExpression:
+    """``CAST(operand AS type_name)``; ``position`` and ``end`` are the
+    source extent of the type name."""
+
     operand: "Expression"
     type_name: str
+    position: int | None = field(default=None, compare=False)
+    end: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,9 +107,14 @@ class InList:
 
 @dataclass(frozen=True, slots=True)
 class InSubquery:
+    """``operand [NOT] IN (SELECT ...)``; ``position`` and ``end`` are
+    the source extent of the parenthesized SELECT."""
+
     operand: "Expression"
     subquery: "Select"
     negated: bool = False
+    position: int | None = field(default=None, compare=False)
+    end: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +125,12 @@ class ExistsSubquery:
 
 @dataclass(frozen=True, slots=True)
 class ScalarSubquery:
+    """``(SELECT ...)`` as a value; ``position`` and ``end`` are its
+    source extent, parentheses included."""
+
     subquery: "Select"
+    position: int | None = field(default=None, compare=False)
+    end: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -337,9 +352,9 @@ def output_position(expression: "Expression") -> int | None:
     return None
 
 
-def extent(node: "ColumnRef | Star | FunctionCall | TableSource") -> int:
-    """How many source characters the name of ``node`` spans, quotes
-    and qualifier included (1 for a node not parsed from text)."""
+def extent(node) -> int:
+    """How many source characters ``node``'s extent spans (a name's
+    quotes and qualifier included; 1 for a node not parsed from text)."""
     if node.position is None or node.end is None:
         return 1
     return node.end - node.position

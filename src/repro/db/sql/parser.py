@@ -547,11 +547,15 @@ class _Parser:
     def _parse_in_tail(
         self, operand: ast.Expression, negated: bool
     ) -> ast.Expression:
+        opening = self._current
         self._expect_punct("(")
         if self._check_keyword("SELECT"):
             subquery = self._parse_select()
+            last = self._current
             self._expect_punct(")")
-            return ast.InSubquery(operand, subquery, negated)
+            return ast.InSubquery(
+                operand, subquery, negated, opening.position, last.end
+            )
         items = [self.parse_expression()]
         while self._accept_punct(","):
             items.append(self.parse_expression())
@@ -621,8 +625,9 @@ class _Parser:
             self._advance()
             if self._check_keyword("SELECT"):
                 subquery = self._parse_select()
+                last = self._current
                 self._expect_punct(")")
-                return ast.ScalarSubquery(subquery)
+                return ast.ScalarSubquery(subquery, token.position, last.end)
             expression = self.parse_expression()
             self._expect_punct(")")
             return expression
@@ -691,12 +696,13 @@ class _Parser:
         self._expect_punct("(")
         operand = self.parse_expression()
         self._expect_keyword("AS")
+        name = self._current
         type_name = self._parse_identifier("type name")
         if self._accept_punct("("):
             while not self._accept_punct(")"):
                 self._advance()
         self._expect_punct(")")
-        return ast.CastExpression(operand, type_name)
+        return ast.CastExpression(operand, type_name, name.position, name.end)
 
 
 class _TemplateParser(_Parser):

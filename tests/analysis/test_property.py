@@ -22,6 +22,13 @@ at either ``optimize`` setting, the analyzer reports ANA002, ANA003,
 ANA004 or ANA014 at the error's span.  Its generator puts unknown
 columns, ambiguous names, bad ``t.*`` and out-of-range ordinals in
 every clause, ON included, over two tables that share column names.
+For calls it holds both ways: over an empty and a full table alike,
+the engine raises a ``PlanningError`` exactly when the analyzer
+reports ANA005, ANA006, ANA007, ANA009, ANA012 or ANA013, at one of
+their spans, with the same error on both tables.  That generator
+calls unknown functions, every builtin at its arity and one off it,
+calls with ``*``, aggregates in WHERE, ON, GROUP BY and inside another
+aggregate, ``CAST`` to unknown types and two-column subqueries.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from repro.data import DOMAINS, load_domain
 from repro.db import Column, Database, TableSchema
 from repro.db.types import DataType
 from repro.errors import PlanningError, ReproError
+from tests.analysis.test_function_signatures import AGGREGATES, SCALARS
 
 
 @lru_cache(maxsize=None)
@@ -224,8 +232,9 @@ class TestShadowedBuiltins:
 
 
 @lru_cache(maxsize=None)
-def _shared_names() -> Database:
-    """``a(id, x, n)`` and ``b(id, y, n)``: ``id`` and ``n`` are in both."""
+def _shared_names(empty: bool = False) -> Database:
+    """``a(id, x, n)`` and ``b(id, y, n)``: ``id`` and ``n`` are in both
+    (with no rows in ``a`` when ``empty``)."""
     db = Database()
     db.create_table(
         TableSchema(
@@ -247,7 +256,8 @@ def _shared_names() -> Database:
             ],
         )
     )
-    db.insert("a", [(1, "p", 1), (2, "q", 2), (3, "p", None)])
+    if not empty:
+        db.insert("a", [(1, "p", 1), (2, "q", 2), (3, "p", None)])
     db.insert("b", [(2, "u", 5), (3, "v", 6), (4, "u", 7)])
     return db
 
@@ -318,6 +328,80 @@ def faulty_selects(draw):
     return sql
 
 
+_CALL_CODES = {"ANA005", "ANA006", "ANA007", "ANA009", "ANA012", "ANA013"}
+
+
+def _arities(name: str) -> list[int]:
+    """A builtin scalar's argument counts at its bounds and one off."""
+    signature = Database().functions.scalar(name).signature
+    bounds = [signature.min_args, signature.max_args]
+    return sorted(
+        {count for bound in bounds if bound is not None
+         for count in (bound - 1, bound, bound + 1) if count >= 0}
+    )
+
+
+_ARITIES = {name: _arities(name) for name in SCALARS}
+
+
+@st.composite
+def faulty_calls(draw):
+    """A SELECT over ``a`` (maybe joined to ``b``) whose calls may be
+    bad, in any clause; every name binds."""
+    joined = draw(st.booleans())
+    number, text = ("a.n", "a.x") if joined else ("n", "x")
+    arguments = st.sampled_from([number, text, "1", "NULL"])
+
+    def call() -> str:
+        kind = draw(st.integers(0, 6))
+        if kind == 0:
+            name = draw(st.sampled_from(SCALARS))
+            count = draw(st.sampled_from(_ARITIES[name]))
+            listed = ", ".join(draw(arguments) for _ in range(count))
+            return f"{name}({listed})"
+        if kind == 1:
+            inner = draw(
+                st.sampled_from(
+                    ["*", "", number, f"{number}, 1", "COUNT(*)",
+                     f"MAX({number})", f"ABS({number})"]
+                )
+            )
+            return f"{draw(st.sampled_from(AGGREGATES))}({inner})"
+        if kind == 2:
+            return draw(st.sampled_from(["FOO(*)", "FOO()", f"FOO({text})"]))
+        if kind == 3:
+            kind_name = draw(st.sampled_from(["INTEGER", "TEXT", "FOO"]))
+            return f"CAST({number} AS {kind_name})"
+        if kind == 4:
+            inner = draw(
+                st.sampled_from(["id", "id, y", "COUNT(*)", "ROUND()"])
+            )
+            return f"(SELECT {inner} FROM b)"
+        if kind == 5:
+            width = draw(st.sampled_from(["id", "id, y"]))
+            return f"{number} IN (SELECT {width} FROM b)"
+        return number
+
+    source = "a"
+    if joined:
+        source = f"a JOIN b ON a.id = b.id AND {call()} IS NOT NULL"
+    items = ", ".join(call() for _ in range(draw(st.integers(1, 2))))
+    sql = f"SELECT {items} FROM {source}"
+    if draw(st.booleans()):
+        sql += f" WHERE {draw(st.sampled_from([call(), '*']))} IS NOT NULL"
+    if draw(st.booleans()):
+        sql += f" GROUP BY {call()}"
+    return sql
+
+
+def _engine(db: Database, sql: str, optimize: bool):
+    try:
+        db.execute(sql, optimize=optimize)
+    except ReproError as error:
+        return error
+    return None
+
+
 class TestConverse:
     @settings(max_examples=300, deadline=None)
     @given(sql=faulty_selects())
@@ -342,3 +426,54 @@ class TestConverse:
                         f"{error} at {error.span}\n"
                         f"  report: {report.render()}"
                     )
+
+    @settings(max_examples=300, deadline=None)
+    @given(sql=faulty_calls())
+    def test_engine_refuses_a_call_iff_the_analyzer_does(self, sql):
+        full, empty = _shared_names(), _shared_names(empty=True)
+        report = full.analyze(sql)
+        assert report.diagnostics == empty.analyze(sql).diagnostics
+        spans = {
+            (None if d.span is None else (d.span.start, d.span.end))
+            for d in report.diagnostics
+            if d.code in _CALL_CODES
+        }
+        for optimize in (True, False):
+            errors = [_engine(db, sql, optimize) for db in (full, empty)]
+            refused = [isinstance(e, PlanningError) for e in errors]
+            assert refused == [bool(spans)] * 2, (
+                f"{sql}\n  optimize={optimize}: {errors}\n"
+                f"  report: {report.render()}"
+            )
+            if spans:
+                full_error, empty_error = errors
+                assert full_error.span in spans, (sql, full_error)
+                assert (str(full_error), full_error.span) == (
+                    str(empty_error), empty_error.span
+                )
+
+
+class TestSpans:
+    """ANA012 and ANA013 point at their node, as the engine's error
+    does (``tests/analysis/test_diagnostics_golden.py`` pins the other
+    codes' spans)."""
+
+    @pytest.mark.parametrize(
+        "sql,code,text",
+        [
+            ("SELECT CAST(n AS BLOB) FROM a", "ANA012", "BLOB"),
+            ('SELECT CAST(n AS "Foo") FROM a', "ANA012", '"Foo"'),
+            ("SELECT (SELECT id, y FROM b) FROM a", "ANA013",
+             "(SELECT id, y FROM b)"),
+            ("SELECT x FROM a WHERE n NOT IN ( SELECT id, y FROM b )",
+             "ANA013", "( SELECT id, y FROM b )"),
+        ],
+    )
+    def test_span_covers_the_node(self, sql, code, text):
+        db = _shared_names()
+        (diagnostic,) = db.analyze(sql).errors
+        span = (diagnostic.span.start, diagnostic.span.end)
+        assert (diagnostic.code, sql[span[0] : span[1]]) == (code, text)
+        with pytest.raises(PlanningError) as raised:
+            db.execute(sql)
+        assert raised.value.span == span

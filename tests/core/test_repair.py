@@ -72,6 +72,21 @@ class TestDescribeFailure:
             "syntax error at position 0:"
         )
 
+    @pytest.mark.parametrize("rows", [True, False])
+    def test_bad_call_without_analysis_names_the_engine_check(
+        self, movies_db, rows
+    ):
+        # Refused when the statement plans, over a full table or an
+        # empty one, in the analyzer's words rather than Python's.
+        if not rows:
+            movies_db.execute("DELETE FROM movies")
+        executor = SQLExecutor(movies_db)
+        with pytest.raises(Exception) as info:
+            executor.execute("SELECT ROUND() FROM movies")
+        assert describe_failure(info.value) == (
+            "PlanningError: ROUND() expects 1..2 argument(s), got 0"
+        )
+
     def test_fallback_names_the_exception(self):
         assert describe_failure(ValueError("boom")) == "ValueError: boom"
 

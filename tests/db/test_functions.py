@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db import Database
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PlanningError
 
 
 @pytest.fixture()
@@ -59,8 +59,10 @@ class TestScalars:
         assert scalar(db, expression) is None
 
     def test_unknown_function(self, db):
-        with pytest.raises(ExecutionError):
+        # Refused when the statement plans, at the name's span.
+        with pytest.raises(PlanningError) as raised:
             db.execute("SELECT NOPE(1)")
+        assert raised.value.span == (7, 11)
 
     def test_cast_leniency(self, db):
         assert scalar(db, "CAST('12' AS INTEGER)") == 12

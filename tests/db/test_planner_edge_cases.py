@@ -118,6 +118,34 @@ class TestAggregateEdgeCases:
         with pytest.raises(PlanningError):
             db.execute("SELECT v FROM l LIMIT 'x'")
 
+    @pytest.mark.parametrize(
+        "limit,code,error",
+        [
+            ("FOO(1)", "ANA005", "unknown function 'FOO'"),
+            ("COUNT(*)", "ANA006",
+             "aggregate COUNT() is not allowed in LIMIT"),
+        ],
+    )
+    def test_limit_calls_are_checked(self, db, limit, code, error):
+        sql = f"SELECT v FROM l LIMIT {limit}"
+        codes = [d.code for d in db.analyze(sql).errors]
+        assert codes == ["ANA011", code]
+        with pytest.raises(PlanningError) as raised:
+            db.execute(sql)
+        span = (22, 22 + limit.index("("))  # the function's name
+        assert (str(raised.value), raised.value.span) == (error, span)
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_join_in_a_subquery_of_an_aggregate_query(self, db, optimize):
+        # The subquery's ON reads r.id, which the outer SELECT cannot
+        # see: it is not one of the outer query's ungrouped columns.
+        sql = (
+            "SELECT COUNT(*), (SELECT COUNT(*) FROM l JOIN r "
+            "ON l.id = r.id) FROM l"
+        )
+        assert db.analyze(sql).ok
+        assert db.execute(sql, optimize=optimize).rows == [(3, 2)]
+
 
 class TestSetOperandEdgeCases:
     def test_in_list_with_null_semantics(self, db):

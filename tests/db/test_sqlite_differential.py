@@ -5,7 +5,8 @@ paths share (a NULL rule, a NaN rule, a type family) cannot show there.
 Here every shape runs on a table of 0, 1, M-1, M, M+1 and 3M+7 rows
 (M the morsel size) with NULL-heavy INTEGER, REAL and TEXT columns, in
 the engine and in ``sqlite3``, and the WHERE results and SELECT-list
-values must agree, booleans read as 0/1.
+values must agree, booleans read as 0/1.  A statement ``sqlite3``
+refuses, the engine refuses too, at any size.
 
 Deliberate divergences are left out, each with its reason:
 
@@ -38,6 +39,7 @@ import pytest
 
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db import plan as physical
+from repro.errors import PlanningError
 
 M = getattr(physical, "MORSEL_SIZE", 2048)
 SIZES = [0, 1, M - 1, M, M + 1, 3 * M + 7]
@@ -297,3 +299,24 @@ def test_left_join_with_a_residual_matches_sqlite(size):
     for sql in JOINS:
         got, want = both(size, sql, ordered=False)
         assert same_rows(got, want), sql
+
+
+#: Aggregates ``sqlite3`` refuses to call with ``*`` ("wrong number of
+#: arguments"): only COUNT takes it.
+STAR_REFUSED = ["SUM", "TOTAL", "AVG", "MIN", "MAX", "GROUP_CONCAT"]
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("name", STAR_REFUSED)
+def test_aggregate_star_is_refused_by_both(size, name):
+    db, reference = databases(size)
+    sql = f"SELECT {name}(*) FROM x"
+    span = (7, 7 + len(name))
+    with pytest.raises(PlanningError) as caught:
+        db.execute(sql)
+    assert caught.value.span == span
+    assert [
+        (d.code, (d.span.start, d.span.end)) for d in db.analyze(sql).errors
+    ] == [("ANA007", span)]
+    with pytest.raises(sqlite3.OperationalError, match="wrong number"):
+        reference.execute(sql)

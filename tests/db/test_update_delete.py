@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.db import Database
-from repro.errors import SchemaError, SQLSyntaxError
+from repro.db import Column, Database, DataType, TableSchema
+from repro.errors import PlanningError, SchemaError, SQLSyntaxError
 
 
 class TestUpdate:
@@ -280,3 +280,81 @@ class TestSyntax:
     def test_delete_requires_from(self, movies_db):
         with pytest.raises(SQLSyntaxError):
             movies_db.execute("DELETE movies")
+
+
+def _counted(rows: list[tuple]) -> tuple[Database, list]:
+    """``t(i, s)`` holding ``rows``, and a UDF ``SEEN(x)`` that returns
+    ``x`` and records each call."""
+    db = Database()
+    db.create_table(
+        TableSchema(
+            "t", [Column("i", DataType.INTEGER), Column("s", DataType.TEXT)]
+        )
+    )
+    db.insert("t", rows)
+    seen: list = []
+    db.register_udf("SEEN", lambda value: seen.append(value) or value)
+    return db, seen
+
+
+class TestWritesCheckCallsFirst:
+    """A write's bad call raises before a row is read, so an empty
+    table refuses it as a full one does."""
+
+    @pytest.mark.parametrize(
+        "sql,error,span",
+        [
+            ("UPDATE t SET i = ROUND()",
+             "ROUND() expects 1..2 argument(s), got 0", (17, 22)),
+            ("DELETE FROM t WHERE ROUND() = 1",
+             "ROUND() expects 1..2 argument(s), got 0", (20, 25)),
+            ("UPDATE t SET s = FOO(s) WHERE SEEN(i) > 0",
+             "unknown function 'FOO'", (17, 20)),
+            ("DELETE FROM t WHERE SEEN(i) > 0 AND SUM(i) > 1",
+             "aggregate SUM() is not allowed in WHERE", (36, 39)),
+            ("UPDATE t SET i = COUNT(*) WHERE SEEN(i) > 0",
+             "aggregate COUNT() is not allowed in UPDATE", (17, 22)),
+            ("UPDATE t SET s = CAST(i AS FOO)",
+             "unknown type 'FOO' in CAST", (27, 30)),
+            ("UPDATE t SET i = (SELECT i, s FROM t)",
+             "scalar subquery must return exactly one column, got 2",
+             (17, 37)),
+            ("UPDATE t SET i = 1 WHERE SEEN(ghost) > 0",
+             "unknown column 'ghost'", (30, 35)),
+            ("UPDATE t SET i = ghost WHERE SEEN(i) > 0",
+             "unknown column 'ghost'", (17, 22)),
+        ],
+    )
+    @pytest.mark.parametrize("rows", [[], [(1, "a"), (2, "b"), (3, None)]])
+    def test_bad_write_raises_before_a_row_is_read(
+        self, sql, error, span, rows
+    ):
+        db, seen = _counted(rows)
+        with pytest.raises(PlanningError) as raised:
+            db.execute(sql)
+        assert (str(raised.value), raised.value.span) == (error, span)
+        assert seen == []
+        assert db.execute("SELECT * FROM t").rows == rows
+
+    def test_unknown_target_column_raises_before_a_row_is_read(self):
+        db, seen = _counted([(1, "a")])
+        with pytest.raises(SchemaError, match="no column 'nope'"):
+            db.execute("UPDATE t SET nope = 1 WHERE SEEN(i) > 0")
+        assert seen == []
+
+    def test_insert_checks_its_values(self):
+        # ... every value of every row, before the first row is written.
+        db, _ = _counted([])
+        for sql, error in [
+            ("INSERT INTO t VALUES (FOO(1), 'a')", "unknown function 'FOO'"),
+            ("INSERT INTO t VALUES (1, 'a'), (ROUND(), 'b')",
+             "ROUND() expects 1..2 argument(s), got 0"),
+            ("INSERT INTO t VALUES (MAX(2), 'a')",
+             "aggregate MAX() is not allowed in INSERT"),
+            ("INSERT INTO t VALUES (1, 'a'), (ghost, 'b')",
+             "unknown column 'ghost'"),
+        ]:
+            with pytest.raises(PlanningError) as raised:
+                db.execute(sql)
+            assert str(raised.value) == error
+        assert db.execute("SELECT * FROM t").rows == []
