@@ -205,6 +205,21 @@ CASES = [
      "SELECT ghost FROM a GROUP BY x HAVING spook > 1"),
     ("ambiguous_and_unknown",
      "SELECT a.id FROM a JOIN b ON a.id = b.id WHERE ghost = id"),
+    # -- two failures in two places: the first in the analyzer's order ----
+    ("two_items_and_where", "SELECT ghost FROM a WHERE nope = 1"),
+    ("two_items_and_order_ordinal", "SELECT ghost, x FROM a ORDER BY 9"),
+    ("two_items_and_group_term",
+     "SELECT ghost, COUNT(*) FROM a GROUP BY nope"),
+    ("two_where_name_and_call",
+     "SELECT x FROM a WHERE ghost = 1 AND FOO(id) = 1"),
+    ("two_items_and_in_subquery",
+     "SELECT ghost FROM a WHERE id IN (SELECT nope FROM b)"),
+    ("two_arity_and_argument", "SELECT ROUND(ghost, 1, 2) FROM a"),
+    ("two_unknown_function_and_argument", "SELECT FOO(ghost) FROM a"),
+    ("two_on_and_where",
+     "SELECT a.id FROM a JOIN b ON a.id = b.ghost WHERE nope = 1"),
+    ("two_items_and_from_subquery",
+     "SELECT ghost FROM (SELECT nope FROM a) AS s"),
     # -- statements calling an expensive UDF -------------------------------
     ("udf_select_list", "SELECT id, SLOW(y) FROM b WHERE id < 5 ORDER BY id"),
     ("udf_join",
@@ -555,6 +570,110 @@ EXPECTED: dict[str, dict] = {'self_join_qualified': {'diagnostics': [],
                                         "unknown column 'ghost'"),
                            'plain': ('PlanningError',
                                      "unknown column 'ghost'")},
+ 'two_items_and_where': {'diagnostics': [('ANA003',
+                                          "unknown column 'ghost'",
+                                          (7, 12)),
+                                         ('ANA003',
+                                          "unknown column 'nope'",
+                                          (26, 30))],
+                         'cost': (3, 3, 0, 0, 0, 0, 1),
+                         'optimize': ('PlanningError',
+                                      "unknown column 'nope'"),
+                         'plain': ('PlanningError', "unknown column 'nope'")},
+ 'two_items_and_order_ordinal': {'diagnostics': [('ANA003',
+                                                  "unknown column 'ghost'",
+                                                  (7, 12)),
+                                                 ('ANA014',
+                                                  'ORDER BY position 9 is out '
+                                                  'of range (1..2)',
+                                                  None)],
+                                 'cost': (3, 3, 0, 0, 0, 0, None),
+                                 'optimize': ('PlanningError',
+                                              'ORDER BY position 9 out of '
+                                              'range'),
+                                 'plain': ('PlanningError',
+                                           'ORDER BY position 9 out of '
+                                           'range')},
+ 'two_items_and_group_term': {'diagnostics': [('ANA003',
+                                               "unknown column 'nope'",
+                                               (39, 43)),
+                                              ('ANA003',
+                                               "unknown column 'ghost'",
+                                               (7, 12))],
+                              'cost': (3, 3, 0, 0, 0, 0, None),
+                              'optimize': ('PlanningError',
+                                           "unknown column 'nope'"),
+                              'plain': ('PlanningError',
+                                        "unknown column 'nope'")},
+ 'two_where_name_and_call': {'diagnostics': [('ANA003',
+                                              "unknown column 'ghost'",
+                                              (22, 27)),
+                                             ('ANA005',
+                                              "unknown function 'FOO'",
+                                              (36, 39))],
+                             'cost': (3, 3, 0, 0, 0, 0, 0),
+                             'optimize': ('PlanningError',
+                                          "unknown function 'FOO'"),
+                             'plain': ('PlanningError',
+                                       "unknown function 'FOO'")},
+ 'two_items_and_in_subquery': {'diagnostics': [('ANA003',
+                                                "unknown column 'ghost'",
+                                                (7, 12)),
+                                               ('ANA003',
+                                                "unknown column 'nope'",
+                                                (40, 44))],
+                               'cost': (3, 3, 0, 0, 0, 0, 1),
+                               'optimize': ('PlanningError',
+                                            "unknown column 'nope'"),
+                               'plain': ('PlanningError',
+                                         "unknown column 'nope'")},
+ 'two_arity_and_argument': {'diagnostics': [('ANA003',
+                                             "unknown column 'ghost'",
+                                             (13, 18)),
+                                            ('ANA007',
+                                             'ROUND() expects 1..2 '
+                                             'argument(s), got 3',
+                                             (7, 12))],
+                            'cost': (3, 3, 0, 0, 0, 0, None),
+                            'optimize': ('PlanningError',
+                                         'ROUND() expects 1..2 argument(s), '
+                                         'got 3'),
+                            'plain': ('PlanningError',
+                                      'ROUND() expects 1..2 argument(s), got '
+                                      '3')},
+ 'two_unknown_function_and_argument': {'diagnostics': [('ANA005',
+                                                        'unknown function '
+                                                        "'FOO'",
+                                                        (7, 10)),
+                                                       ('ANA003',
+                                                        'unknown column '
+                                                        "'ghost'",
+                                                        (11, 16))],
+                                       'cost': (3, 3, 0, 0, 0, 0, None),
+                                       'optimize': ('PlanningError',
+                                                    "unknown function 'FOO'"),
+                                       'plain': ('PlanningError',
+                                                 "unknown function 'FOO'")},
+ 'two_on_and_where': {'diagnostics': [('ANA003',
+                                       "unknown column 'b.ghost'",
+                                       (36, 43)),
+                                      ('ANA003',
+                                       "unknown column 'nope'",
+                                       (50, 54))],
+                      'cost': (90, 90, 0, 0, 0, 0, 30),
+                      'optimize': ('PlanningError', 'unknown column b.ghost'),
+                      'plain': ('PlanningError', 'unknown column b.ghost')},
+ 'two_items_and_from_subquery': {'diagnostics': [('ANA003',
+                                                  "unknown column 'nope'",
+                                                  (26, 30)),
+                                                 ('ANA003',
+                                                  "unknown column 'ghost'",
+                                                  (7, 12))],
+                                 'cost': (3, 3, 0, 0, 0, 0, None),
+                                 'optimize': ('PlanningError',
+                                              "unknown column 'nope'"),
+                                 'plain': ('PlanningError',
+                                           "unknown column 'nope'")},
  'udf_select_list': {'diagnostics': [],
                      'cost': (30, 30, 30, 1440, 240, 3, 10),
                      'optimize': ('rows', [(2, 'T1'), (3, 'T2'), (4, 'T3')]),
