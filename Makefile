@@ -1,10 +1,16 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-durations test-optimizer test-repair test-conc test-semcache test-shard test-access test-lm bench bench-smoke artifacts-check perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
+.PHONY: test loc test-durations test-optimizer test-repair test-conc test-semcache test-shard test-access test-lm bench bench-smoke artifacts-check perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Code lines of src/repro, per file and in total: physical lines that
+# hold a token other than a comment or layout, outside docstrings (see
+# tools/code_lines.py; tests/test_code_lines.py pins the rules).
+loc:
+	$(PYTHON) tools/code_lines.py src/repro
 
 # Tier-1 wall time and its 20 slowest tests (the ledger's time tier:
 # EXPERIMENTS.md records the table per perf PR); not part of verify.
@@ -15,11 +21,13 @@ test-durations:
 # golden EXPLAIN footers, selectivity regressions, and the suites of
 # the name resolver they all read: how each statement binds at every
 # layer (test_name_resolution), the analyzer's soundness both ways
-# (test_property) and the golden diagnostics; every builtin's verdict
-# and outcome at each arity (test_function_signatures), and that a
-# name's span is its whole source text (test_name_spans).
+# (test_property, the engine's error the analyzer's first included) and
+# the golden diagnostics; every builtin's verdict and outcome at each
+# arity (test_function_signatures), that a name's span is its whole
+# source text (test_name_spans), and the code-line count's rules
+# (test_code_lines).
 test-optimizer:
-	$(PYTHON) -m pytest tests/db/test_optimizer_equivalence.py tests/db/test_optimizer_explain.py tests/analysis/test_selectivity.py tests/db/test_name_resolution.py tests/analysis/test_property.py tests/analysis/test_diagnostics_golden.py tests/analysis/test_function_signatures.py tests/db/test_name_spans.py -q
+	$(PYTHON) -m pytest tests/db/test_optimizer_equivalence.py tests/db/test_optimizer_explain.py tests/analysis/test_selectivity.py tests/db/test_name_resolution.py tests/analysis/test_property.py tests/analysis/test_diagnostics_golden.py tests/analysis/test_function_signatures.py tests/db/test_name_spans.py tests/test_code_lines.py -q
 
 # The self-correction suites on their own: repair-loop mechanics,
 # worker-invariance with repairs firing, the repair handler, metered
