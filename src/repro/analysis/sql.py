@@ -10,11 +10,12 @@ admission**: a query the analyzer accepts is guaranteed to plan and
 execute without an engine error.  For names and calls the contract goes
 both ways: the engine raises a :class:`~repro.errors.PlanningError`
 for a name (ANA002/003/004/014) or a call (ANA005/006/007/009/012/013)
-exactly when the analyzer reports one, at the same span (both
-property-tested in ``tests/analysis``).  Past that, the analyzer keeps
-a *stricter admission*: ANA008's operand-kind rules and ANA011's
-literal LIMIT reject what the engine tolerates or meets only per row,
-because admission control wants cheap certainty over completeness.
+exactly when the analyzer reports one, and raises the analyzer's first,
+at its span (property-tested in ``tests/analysis``).  Past that, the
+analyzer keeps a *stricter admission*: ANA008's operand-kind rules and
+ANA011's literal LIMIT reject what the engine tolerates or meets only
+per row, because admission control wants cheap certainty over
+completeness.
 
 Alongside diagnostics it reports a :class:`CostEstimate`: catalog
 cardinalities bound the rows each expression site can see, and every
@@ -40,7 +41,7 @@ from repro.analysis.diagnostics import (
 from repro.db import Database
 from repro.db.cost import OUTPUT_TOKENS_PER_CALL, PROMPT_TOKENS_PER_CALL
 from repro.db.functions import Aggregate, Signature
-from repro.db.resolve import Failure, Resolved, literal_limit, resolve
+from repro.db.resolve import Resolved, literal_limit, resolve
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.db.types import DataType, infer_type
@@ -187,17 +188,14 @@ class _Run:
         if diagnostic not in self.diagnostics:
             self.diagnostics.append(diagnostic)
 
-    def _report(self, failure: Failure) -> None:
-        """A name the resolver could not bind, or a bad call."""
-        self._diag(
-            failure.code, failure.message, failure.position, failure.length
-        )
-
     def _report_at(self, node: object) -> bool:
-        """Report the failure resolution keyed by ``node``, if any."""
+        """Report the failure resolution keyed by ``node``, if any: a
+        name it could not bind, an ordinal out of range or a bad call."""
         failure = self.failures.get(id(node))
         if failure is not None:
-            self._report(failure)
+            self._diag(
+                failure.code, failure.message, failure.position, failure.length
+            )
         return failure is not None
 
     # -- SELECT ----------------------------------------------------------
@@ -207,8 +205,12 @@ class _Run:
         top = self.resolved
         resolved = top if select is top.select else top.selects[id(select)]
         self._walk_from(select.source)
-        for failure in resolved.star_failures + resolved.group_failures:
-            self._report(failure)
+        for item in select.items:
+            if type(item.expression) is ast.Star:
+                self._report_at(item.expression)  # a bad ``t.*``
+        for term in select.group_by:
+            if ast.output_position(term) is not None:
+                self._report_at(term)  # an ordinal out of range
         group_by = resolved.group_by
         plain = _Context(open=resolved.scope.open)
         for expression in group_by:
@@ -231,9 +233,8 @@ class _Run:
             self._check(select.having, context)
         # ORDER BY: an output column, or an expression over the source.
         for order, ordering in zip(select.order_by, resolved.order_by):
-            if ordering.failure is not None:
-                self._report(ordering.failure)
-            elif ordering.target is None:
+            self._report_at(order)  # an ordinal out of range
+            if ordering.target is None:
                 self._check(order.expression, context)
 
         # LIMIT / OFFSET must be integer literals.
@@ -259,9 +260,7 @@ class _Run:
     def _walk_from(self, source: ast.FromSource | None) -> None:
         """Unknown tables, FROM subqueries and ON conditions, in order."""
         if isinstance(source, ast.TableSource):
-            failure = self.owners.get(id(source))
-            if failure is not None:
-                self._report(failure)  # type: ignore[arg-type]
+            self._report_at(source)
         elif isinstance(source, ast.SubquerySource):
             self.source_types[id(source)] = self.select(source.query)
         elif isinstance(source, ast.Join):
@@ -363,8 +362,7 @@ class _Run:
             return context.item_types[owner]
         if context.open:
             return DataType.ANY
-        if isinstance(owner, Failure):
-            self._report(owner)
+        if self._report_at(node):
             return DataType.ANY
         if id(node) in context.bare and not self._grouped(node, context):
             self._diag(
@@ -382,10 +380,11 @@ class _Run:
         return DataType.ANY if inferred is None else inferred
 
     def _grouped(self, node: ast.ColumnRef, context: _Context) -> bool:
-        """Whether a GROUP BY term names ``node``'s column, however
-        either is spelled."""
+        """Whether a GROUP BY term names ``node``'s column, spelled
+        another way (resolution leaves out a column under a subtree
+        equal to a term)."""
         owner = self.owners[id(node)]
-        return node in context.group_expressions or any(
+        return any(
             self.owners.get(id(term)) is owner
             for term in context.group_expressions
             if isinstance(term, ast.ColumnRef)

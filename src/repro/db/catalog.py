@@ -155,7 +155,8 @@ class Database:
         table_name: str,
         rows: Iterable[Sequence[Any] | Mapping[str, Any]],
     ) -> int:
-        """Bulk-insert rows (sequences or mappings); returns the count."""
+        """Bulk-insert rows (sequences or mappings), all or none;
+        returns the count."""
         return self.table(table_name).insert_many(rows)
 
     def create_index(self, table_name: str, column_name: str) -> None:
@@ -606,17 +607,13 @@ class Database:
         compiler = ExpressionCompiler(
             RowLayout([]), self.functions, owners=resolved.owners
         )
-        # Every value is compiled, and so checked, before a row is written.
+        # Every value is compiled, then evaluated, before a row is
+        # written; the table writes all the rows or none.
         rows = [list(map(compiler.compile, row)) for row in statement.rows]
-        count = 0
-        for row in rows:
-            values = [evaluate(()) for evaluate in row]
-            if statement.columns:
-                table.insert(dict(zip(statement.columns, values)))
-            else:
-                table.insert(values)
-            count += 1
-        return count
+        values = [[evaluate(()) for evaluate in row] for row in rows]
+        if statement.columns:
+            values = [dict(zip(statement.columns, row)) for row in values]
+        return table.insert_many(values)
 
     def _checked(
         self,
@@ -625,7 +622,7 @@ class Database:
         source: ast.TableSource | None = None,
     ) -> Resolved:
         """A write's ``values`` and WHERE, resolved as the one-table
-        SELECT they bind as; raises its first bad call, and an
+        SELECT they bind as; raises its first failure, then an
         aggregate among the values."""
         items = tuple(map(ast.SelectItem, values))
         where = getattr(statement, "where", None)

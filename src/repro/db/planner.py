@@ -2,10 +2,10 @@
 
 The statement's names are bound, and its calls checked, by
 :mod:`repro.db.resolve` (stars expanded, ordinals and aliases replaced,
-each column reference given its owner); the planner raises the
-failures resolution keeps for it before it builds a node, maps owners
-to row positions, and raises a reference's failure where it compiles
-the reference.  It performs, in order:
+each column reference given its owner).  The planner raises the first
+failure resolution records, in the analyzer's order, before it builds a
+node, so it only ever plans a clean resolution; then it maps owners to
+row positions.  It performs, in order:
 
 1. FROM-tree construction (scans, subquery sources, joins),
 2. WHERE decomposition into conjuncts with optional *predicate pushdown*
@@ -190,10 +190,8 @@ class Planner:
     ) -> tuple[physical.PlanNode, list[str]]:
         resolved = self._resolution(select)
         for failure in resolved.failures.values():
-            failure.throw()  # the first bad call or nested SELECT's failure
+            failure.throw()  # the analyzer's first error
         source = self._build_source(select.source)
-        if resolved.star_failures:
-            resolved.star_failures[0].throw()
         items = resolved.items
         if not items:
             raise PlanningError("SELECT list is empty")
@@ -228,9 +226,6 @@ class Planner:
         if source is None:
             return physical.Values([()], RowLayout([]))
         if isinstance(source, ast.TableSource):
-            failure = self._owners.get(id(source))
-            if failure is not None:
-                failure.throw()
             scan = physical.Scan(
                 self._catalog.table(source.name), source.binding
             )
@@ -922,21 +917,15 @@ class Planner:
         ast.Expression | None,
         list[Ordering],
     ]:
-        if resolved.group_failures:
-            resolved.group_failures[0].throw()
         items = resolved.items
         group_by = resolved.group_by
         having = resolved.having
         order_items = resolved.order_by
         aggregate_calls = resolved.aggregates
-        # Bare (non-grouped) column refs become hidden FIRST() aggregates.
-        bare_columns: list[ast.ColumnRef] = []
-        for ref in resolved.columns:
-            if ref not in group_by and ref not in bare_columns:
-                bare_columns.append(ref)
         # A column a GROUP BY term names, however spelled, reads that
-        # term's value; a genuinely bare column is served by FIRST
-        # (SQLite leniency).
+        # term's value; a genuinely bare column is served by a hidden
+        # FIRST() aggregate (SQLite leniency).
+        bare_columns = list(dict.fromkeys(resolved.columns))
 
         source_compiler = self._compiler(source.layout)
         group_keys = [source_compiler.kernel(expr) for expr in group_by]
@@ -969,8 +958,6 @@ class Planner:
                 )
             )
         for position, ref in enumerate(bare_columns):
-            if ref in replacements:
-                continue
             group = grouped.get(self._owners.get(id(ref)))  # type: ignore
             if group is not None:
                 replacements[ref] = group
@@ -1002,7 +989,7 @@ class Planner:
         new_having = rewrite(having) if having is not None else None
         new_order = [
             order
-            if order.target is not None or order.failure is not None
+            if order.target is not None
             else Ordering(rewrite(order.expression), order.ascending)
             for order in order_items
         ]
@@ -1034,8 +1021,6 @@ class Planner:
         extra_expressions: list[ast.Expression] = []
         extra_names: list[str] = []
         for order in order_items:
-            if order.failure is not None:
-                order.failure.throw()
             position = self._order_target(order, items)
             if position is not None:
                 sort_positions.append(position)
@@ -1085,8 +1070,6 @@ class Planner:
         if not isinstance(scan, physical.IndexRange):
             return False
         order = order_items[0]
-        if order.failure is not None:
-            return False
         key = order.expression
         position = self._order_target(order, items)
         if position is not None:

@@ -24,14 +24,18 @@ registered with: an unknown function, a misplaced aggregate, a wrong
 number of arguments or a misplaced ``*``, an unknown CAST type, and a
 subquery used as a value whose width is not 1.
 
-A reference that binds to nothing, and a bad call, get a
-:class:`Failure` with its span; the analyzer reports it as a diagnostic
-where its walk meets it, and the planner raises it as a
-:class:`~repro.errors.PlanningError`.  A bad call, and any failure in a
-SELECT nested in an expression (which plans only when it runs), is
-raised before the statement's plan has a node, so no such error
-depends on the rows; a name of the SELECT being planned fails where the
-planner compiles it.  Resolution itself never raises.
+A name that binds to nothing, an ordinal out of range and a bad call
+get a :class:`Failure` with its span, keyed by its node in
+:attr:`Resolved.failures`, at every depth.  They are recorded in the
+order the analyzer reports them: FROM (tables, FROM subqueries, ON),
+``t.*``, GROUP BY ordinals, GROUP BY terms, items, WHERE, HAVING, ORDER
+BY, LIMIT/OFFSET; inside an expression, an unknown function, a misused
+``*`` or aggregate name and a misplaced aggregate before the arguments,
+a wrong arity, a CAST type and a subquery's width after them.  The
+analyzer reports each where its walk meets the node; the planner raises
+the first as a :class:`~repro.errors.PlanningError` before the plan has
+a node, so the engine's error is the analyzer's first and never depends
+on the rows.  Resolution itself never raises.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ def _ambiguous_column(ref: ast.ColumnRef) -> Failure:
 
 
 def _call_failure(code: str, message: str, node) -> Failure:
-    """A bad call: the analyzer and the engine say the same."""
+    """A bad call, or ``t.*``: the analyzer and the engine say the same."""
     return Failure(code, message, message, node.position, ast.extent(node))
 
 
@@ -221,12 +225,11 @@ class Scope:
 @dataclass(frozen=True)
 class Ordering:
     """One ORDER BY term as planned: an output column, or an expression
-    (output aliases substituted), or the failure of an ordinal."""
+    (output aliases substituted)."""
 
     expression: ast.Expression
     ascending: bool
     target: int | None = None
-    failure: Failure | None = None
 
 
 @dataclass(frozen=True)
@@ -252,25 +255,24 @@ class Resolved:
 
     select: ast.Select
     scope: Scope
-    #: Stars expanded, and the failure of each bad ``t.*``.
+    #: Stars expanded.
     items: list[ast.SelectItem]
-    star_failures: list[Failure]
     #: The output column names.
     names: list[str]
-    #: Ordinals and aliases replaced (a failed ordinal by ``1``).
+    #: Ordinals and aliases replaced.
     group_by: list[ast.Expression]
-    group_failures: list[Failure]
     #: Output aliases substituted; as written when the SELECT is not
     #: an aggregate query (which makes a HAVING an error of its own).
     having: ast.Expression | None
     order_by: list[Ordering]
     #: The aggregate calls of the items, HAVING and ORDER BY, distinct,
-    #: and the column references those read outside aggregate calls.
+    #: and the column references those read outside aggregate calls and
+    #: outside every subtree equal to a GROUP BY term (which reads its
+    #: group key): the bare columns of an aggregate query.
     aggregates: list[ast.FunctionCall]
     columns: list[ast.ColumnRef]
     has_subquery: bool
-    #: ``id`` of each column reference -> its :data:`Owner`, and of
-    #: each FROM entry naming an unknown table -> its failure.
+    #: ``id`` of each column reference -> its :data:`Owner`.
     owners: dict[int, Owner]
     #: ``id`` of each SELECT nested in this one, at any depth -> its
     #: resolution (itself excluded: a resolution holds no cycle for the
@@ -280,11 +282,12 @@ class Resolved:
     joins: dict[int, Scope]
     #: Every expensive call site the analyzer's walk prices.
     sites: list[CallSite]
-    #: ``id`` of a node -> its failure, in walk order, for what the
-    #: planner raises before it builds a node: each bad call (keyed by
-    #: the call, the CAST, the ``*``, the value subquery, or the SELECT
-    #: whose HAVING has no grouping), and each failure in a SELECT
-    #: nested in an expression.
+    #: ``id`` of a node -> its failure, every SELECT's, in the order the
+    #: analyzer reports them; the planner raises the first before it
+    #: builds a node.  Keyed by the column reference, the unknown
+    #: table's FROM entry, the ``t.*``, the GROUP BY ordinal, the ORDER
+    #: BY term, the call, the CAST, the ``*``, the value subquery, or
+    #: the SELECT whose HAVING has no grouping.
     failures: dict[int, Failure]
 
     @property
@@ -335,8 +338,6 @@ def slot(
 ) -> int:
     """Where ``ref`` sits in ``layout``: its owner's slot, or for a
     reference the planner made (``_group0``, ...) the slot of that name."""
-    if isinstance(owner, Failure):
-        owner.throw()
     if isinstance(owner, Column):
         found = layout.slots.get(owner.key)
     else:
@@ -398,37 +399,34 @@ class _Resolver:
         self.failures: dict[int, Failure] = {}
         #: The aggregate calls of the clauses being walked (distinct, in
         #: walk order), the column references they read outside those
-        #: calls, and whether they hold a subquery; nested SELECTs keep
-        #: their own.
+        #: calls and outside the GROUP BY terms ``grouped``, and whether
+        #: they hold a subquery; nested SELECTs keep their own.
         self.aggregates: list[ast.FunctionCall] = []
         self.columns: list[ast.ColumnRef] = []
+        self.grouped: tuple[ast.Expression, ...] = ()
         self.subquery = False
         #: How many aggregate calls enclose the node being walked, and
         #: where an aggregate may not be ("in WHERE"), if it may not.
         self.depth = 0
         self.refused: str | None = None
-        #: How many subquery expressions enclose the SELECT being walked.
-        self.nested = 0
 
     # -- SELECT ----------------------------------------------------------
 
     def select(self, select: ast.Select) -> Resolved:
+        """Walk ``select``'s clauses in the analyzer's order."""
         saved = (
-            self.aggregates, self.columns, self.subquery, self.depth,
-            self.refused,
+            self.aggregates, self.columns, self.grouped, self.subquery,
+            self.depth, self.refused,
         )
         outer, self.selects = self.selects, {}
-        # The FROM clause's aggregates and columns count nowhere.
-        self.aggregates, self.columns = [], []
+        # The aggregates and columns of FROM, GROUP BY, WHERE and LIMIT
+        # count nowhere; subqueries count in every clause but FROM.
+        self.aggregates, self.columns, self.grouped = [], [], ()
         self.depth, self.refused = 0, None
         scope = self._from(select.source)
         rows = scope.rows
-        # Aggregates count in the items, HAVING and ORDER BY; subqueries
-        # in every clause but FROM.
-        self.aggregates, self.columns, self.subquery = [], [], False
-        items, star_failures = self._expand_stars(select.items, scope)
-        for item in items:
-            self._walk(item.expression, scope, rows)
+        self.subquery = False
+        items = self._expand_stars(select.items, scope)
         names = [
             item.alias or ast.expression_name(item.expression)
             for item in items
@@ -440,31 +438,33 @@ class _Resolver:
                 outputs.setdefault(name.lower(), position)
                 if item.alias:
                     aliases.setdefault(item.alias.lower(), position)
+        group_by = self._group_by(select.group_by, items, aliases, scope)
+        aggregates: list[ast.FunctionCall] = []
+        columns: list[ast.ColumnRef] = []
+        self.aggregates, self.columns = aggregates, columns
+        self.grouped, self.refused = tuple(group_by), None
+        for item in items:
+            self._walk(item.expression, scope, rows)
+        if select.where is not None:
+            self.aggregates, self.columns = [], []
+            self.refused = "in WHERE"
+            self._walk(select.where, scope, rows)
+            self.aggregates, self.columns = aggregates, columns
+            self.refused = None
         having = select.having
-        first, first_failure = len(self.sites), len(self.failures)
+        first = len(self.sites), len(self.failures)
         if having is not None:
             self._walk(having, scope, rows, aliases)
-        last, last_failure = len(self.sites), len(self.failures)
+        last = len(self.sites), len(self.failures)
         order_by = self._order_by(
             select.order_by, items, outputs, aliases, scope
         )
-        aggregates, columns = self.aggregates, self.columns
         if having is not None:
             if select.group_by or aggregates:
                 having = self._substitute_aliases(having, items)
-            else:  # HAVING without grouping: an error, never evaluated
-                del self.sites[first:last]
-                for key in list(self.failures)[first_failure:last_failure]:
-                    del self.failures[key]
-                text = "HAVING requires GROUP BY or aggregates"
-                self.failures[id(select)] = Failure("ANA006", text, text)
-        self.aggregates, self.columns = [], []  # not WHERE's or GROUP BY's
-        if select.where is not None:
-            self.refused = "in WHERE"
-            self._walk(select.where, scope, rows)
-        group_by, group_failures = self._group_by(
-            select.group_by, items, aliases, scope
-        )
+            else:
+                self._refuse_having(select, first, last)
+        self.aggregates, self.columns = [], []
         # LIMIT and OFFSET are constants, read before any row is.
         limits = (("LIMIT", select.limit), ("OFFSET", select.offset))
         for clause, term in limits:
@@ -472,33 +472,49 @@ class _Resolver:
                 self.refused = f"in {clause}"
                 self._walk(term, Scope([]), 1)
         resolved = Resolved(
-            select, scope, items, star_failures, names, group_by,
-            group_failures, having, order_by, aggregates, columns,
-            self.subquery, self.owners, self.selects, self.joins, self.sites,
-            self.failures,
+            select, scope, items, names, group_by, having, order_by,
+            aggregates, columns, self.subquery, self.owners, self.selects,
+            self.joins, self.sites, self.failures,
         )
         outer.update(self.selects)
         outer[id(select)] = resolved
         self.selects = outer
         (
-            self.aggregates, self.columns, self.subquery, self.depth,
-            self.refused,
+            self.aggregates, self.columns, self.grouped, self.subquery,
+            self.depth, self.refused,
         ) = saved
         return resolved
+
+    def _refuse_having(
+        self,
+        select: ast.Select,
+        first: tuple[int, int],
+        last: tuple[int, int],
+    ) -> None:
+        """A HAVING without grouping is an error, never evaluated: its
+        call sites go, and one failure takes the place of its own."""
+        del self.sites[first[0] : last[0]]
+        text = "HAVING requires GROUP BY or aggregates"
+        entries = list(self.failures.items())
+        entries[first[1] : last[1]] = [
+            (id(select), Failure("ANA006", text, text))
+        ]
+        # Refilled in place: every SELECT of the statement shares it.
+        self.failures.clear()
+        self.failures.update(entries)
 
     def _from(self, source: ast.FromSource | None) -> Scope:
         if source is None:
             return Scope([])
         if isinstance(source, ast.TableSource):
             if not self.db.has_table(source.name):
-                failure = Failure(
+                self.failures[id(source)] = Failure(
                     "ANA002",
                     f"unknown table {source.name!r}",
                     f"no table named {source.name!r}",
                     source.position,
                     ast.extent(source),
                 )
-                self.owners[id(source)] = self._named(source, failure)
                 return Scope([], open=True)
             table = self.db.table(source.name)
             binding = source.binding
@@ -528,11 +544,10 @@ class _Resolver:
 
     def _expand_stars(
         self, items: tuple[ast.SelectItem, ...], scope: Scope
-    ) -> tuple[list[ast.SelectItem], list[Failure]]:
-        expanded: list[ast.SelectItem] = []
-        failures: list[Failure] = []
+    ) -> list[ast.SelectItem]:
         if not any(type(item.expression) is ast.Star for item in items):
-            return list(items), failures
+            return list(items)
+        expanded: list[ast.SelectItem] = []
         owners = self.owners
         for item in items:
             star = item.expression
@@ -545,15 +560,14 @@ class _Resolver:
                 columns = [c for c in columns if c.binding.lower() == key]
                 if not columns and not scope.open:
                     text = f"unknown table {star.table!r} in {star.table}.*"
-                    failure = Failure(
-                        "ANA002", text, text, star.position, ast.extent(star)
+                    self.failures[id(star)] = _call_failure(
+                        "ANA002", text, star
                     )
-                    failures.append(self._named(star, failure))
             for column in columns:
                 ref = ast.ColumnRef(column.name, column.binding)
                 owners[id(ref)] = column
                 expanded.append(ast.SelectItem(ref, column.name))
-        return expanded, failures
+        return expanded
 
     def _group_by(
         self,
@@ -561,10 +575,10 @@ class _Resolver:
         items: list[ast.SelectItem],
         aliases: dict[str, int],
         scope: Scope,
-    ) -> tuple[list[ast.Expression], list[Failure]]:
+    ) -> list[ast.Expression]:
+        """The GROUP BY terms, ordinals and aliases replaced; every
+        ordinal out of range fails before any term is walked."""
         group_by: list[ast.Expression] = []
-        failures: list[Failure] = []
-        self.refused = "in GROUP BY"
         for term in terms:
             ordinal = ast.output_position(term)
             if ordinal is None:
@@ -578,12 +592,14 @@ class _Resolver:
             elif 1 <= ordinal <= len(items):
                 term = items[ordinal - 1].expression
             else:
-                failure = _position_failure("GROUP BY", ordinal, len(items))
-                failures.append(self._named(term, failure))
-                term = ast.Literal(1)  # placeholder; failure recorded
-            self._walk(term, scope, scope.rows)
+                self.failures[id(term)] = _position_failure(
+                    "GROUP BY", ordinal, len(items)
+                )
             group_by.append(term)
-        return group_by, failures
+        self.refused = "in GROUP BY"
+        for term in group_by:
+            self._walk(term, scope, scope.rows)
+        return group_by
 
     def _order_by(
         self,
@@ -597,21 +613,20 @@ class _Resolver:
         for term in terms:
             expression = term.expression
             ordinal = ast.output_position(expression)
-            target = failure = None
+            target = None
             if ordinal is None:
                 if type(expression) is ast.ColumnRef and not expression.table:
                     target = outputs.get(expression.name.lower())
             elif 1 <= ordinal <= len(items):
                 target = ordinal - 1
             else:
-                failure = _position_failure("ORDER BY", ordinal, len(items))
-                self._named(expression, failure)
-            if target is None and failure is None:
+                self.failures[id(term)] = _position_failure(
+                    "ORDER BY", ordinal, len(items)
+                )
+            if target is None:
                 self._walk(expression, scope, scope.rows, aliases)
                 expression = self._substitute_aliases(expression, items)
-            orderings.append(
-                Ordering(expression, term.ascending, target, failure)
-            )
+            orderings.append(Ordering(expression, term.ascending, target))
         return orderings
 
     def _substitute_aliases(
@@ -639,6 +654,14 @@ class _Resolver:
     ) -> None:
         """Bind every reference in ``node``, check its calls, resolve
         its subqueries and record its expensive call sites."""
+        if self.grouped and node in self.grouped:
+            # A subtree equal to a GROUP BY term (as ``substitute``
+            # matches) reads the group key: no column under it is bare.
+            kept = self.grouped, self.columns
+            self.grouped, self.columns = (), []
+            self._walk(node, scope, rows, aliases)
+            self.grouped, self.columns = kept
+            return
         kind = type(node)
         if kind is ast.ColumnRef:
             if id(node) not in self.owners:
@@ -652,6 +675,9 @@ class _Resolver:
             self._walk(node.left, scope, rows, aliases)  # type: ignore
             self._walk(node.right, scope, rows, aliases)  # type: ignore
             return
+        # An unknown function, a misused ``*`` or aggregate name and a
+        # misplaced aggregate fail before the arguments; a wrong arity,
+        # a CAST type and a subquery's width after them.
         aggregate = None
         failure: Failure | None = None
         if kind is ast.FunctionCall:
@@ -660,31 +686,35 @@ class _Resolver:
         elif kind is ast.Star:
             text = "'*' is only valid in SELECT items or COUNT(*)"
             failure = _call_failure("ANA009", text, node)
+        if failure is not None:
+            self.failures[id(node)] = failure
+        if aggregate is not None and node not in self.aggregates:
+            self.aggregates.append(node)  # type: ignore[arg-type]
+        self.depth += aggregate is not None
+        late: Failure | None = None
+        for child in ast.children(node):
+            if isinstance(child, ast.Select):
+                width = len(self.select(child).items)
+                if width != 1 and kind is not ast.ExistsSubquery:
+                    what = "IN" if kind is ast.InSubquery else "scalar"
+                    text = f"{what} subquery must return exactly one column"
+                    text += f", got {width}"
+                    late = _call_failure("ANA013", text, node)
+            else:
+                self._walk(child, scope, rows, aliases)
+        self.depth -= aggregate is not None
+        if kind is ast.FunctionCall:
+            if failure is None and aggregate is None:
+                late = self._check_arity(node)  # type: ignore[arg-type]
         elif kind is ast.CastExpression:
             name = node.type_name  # type: ignore[union-attr]
             try:
                 DataType.from_sql(name)
             except SchemaError:
                 text = f"unknown type {name!r} in CAST"
-                failure = _call_failure("ANA012", text, node)
-        if aggregate is not None and node not in self.aggregates:
-            self.aggregates.append(node)  # type: ignore[arg-type]
-        self.depth += aggregate is not None
-        for child in ast.children(node):
-            if isinstance(child, ast.Select):
-                self.nested += 1
-                width = len(self.select(child).items)
-                self.nested -= 1
-                if width != 1 and kind is not ast.ExistsSubquery:
-                    what = "IN" if kind is ast.InSubquery else "scalar"
-                    text = f"{what} subquery must return exactly one column"
-                    text += f", got {width}"
-                    failure = _call_failure("ANA013", text, node)
-            else:
-                self._walk(child, scope, rows, aliases)
-        self.depth -= aggregate is not None
-        if failure is not None:
-            self.failures[id(node)] = failure
+                late = _call_failure("ANA012", text, node)
+        if late is not None:
+            self.failures[id(node)] = late
         if kind is ast.FunctionCall:
             if aggregate is None and not node.star and (
                 self.functions.is_expensive(node.name)  # type: ignore
@@ -698,7 +728,8 @@ class _Resolver:
     def _check_call(
         self, node: ast.FunctionCall, aggregate: "Aggregate | None"
     ) -> Failure | None:
-        """What is wrong with the call ``node``, if anything."""
+        """What is wrong with the call ``node`` before its arguments are
+        read, if anything: all but a wrong arity."""
         name = node.name
         if aggregate is not None:
             if self.depth:
@@ -712,30 +743,30 @@ class _Resolver:
         if node.star:
             text = f"'*' argument is only valid for aggregates, not {name}()"
             return _call_failure("ANA007", text, node)
-        scalar = self.functions.scalar(name)
-        if scalar is None:
-            if self.functions.aggregate(name) is not None:
-                # COUNT(), SUM(a, b): an aggregate's name, no aggregate's
-                # shape, and no scalar of that name.
-                return _call_failure(
-                    "ANA007",
-                    f"aggregate {name}() takes exactly one argument "
-                    f"(or '*'), got {len(node.args)}",
-                    node,
-                )
-            return _call_failure("ANA005", f"unknown function {name!r}", node)
-        signature, count = scalar.signature, len(node.args)
+        if self.functions.scalar(name) is not None:
+            return None
+        if self.functions.aggregate(name) is not None:
+            # COUNT(), SUM(a, b): an aggregate's name, no aggregate's
+            # shape, and no scalar of that name.
+            return _call_failure(
+                "ANA007",
+                f"aggregate {name}() takes exactly one argument "
+                f"(or '*'), got {len(node.args)}",
+                node,
+            )
+        return _call_failure("ANA005", f"unknown function {name!r}", node)
+
+    def _check_arity(self, node: ast.FunctionCall) -> Failure | None:
+        """A known scalar called with a wrong number of arguments."""
+        signature = self.functions.scalar(node.name).signature  # type: ignore
+        count = len(node.args)
         if signature is None or signature.takes(count):
             return None
-        text = f"{name}() expects {signature.arity} argument(s), got {count}"
+        text = (
+            f"{node.name}() expects {signature.arity} argument(s), "
+            f"got {count}"
+        )
         return _call_failure("ANA007", text, node)
-
-    def _named(self, node: object, failure: Failure) -> Failure:
-        """``failure``, of a name at ``node``; raised with the bad calls
-        when its SELECT is nested in an expression."""
-        if self.nested:
-            self.failures[id(node)] = failure
-        return failure
 
     def _bind(
         self,
@@ -752,7 +783,7 @@ class _Resolver:
             if owner is None or owner is False:
                 owner = _unknown_column(ref)
         if type(owner) is Failure:
-            self._named(ref, owner)
+            self.failures[id(ref)] = owner
         self.owners[id(ref)] = owner  # type: ignore[assignment]
 
     def _distinct_bound(self, call: ast.FunctionCall, rows: int) -> int:

@@ -82,25 +82,36 @@ class Table:
 
     def insert(self, values: Sequence[Any] | Mapping[str, Any]) -> None:
         """Insert one row given positionally or as a column->value mapping."""
-        row = self._prepare_row(values)
-        self._check_constraints(row)
-        row_id = len(self._rows)
-        self._rows.append(row)
-        for position, index in self._indexes.items():
-            _index(index, self._index_keys[position], row[position], row_id)
-        self._partition_rows = None
-        self._stats = {}
-        self.version += 1
+        self.insert_many((values,))
 
     def insert_many(
         self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]
     ) -> int:
-        """Insert rows in bulk; returns the number inserted."""
-        count = 0
-        for values in rows:
-            self.insert(values)
-            count += 1
-        return count
+        """Insert rows, all or none; returns the number inserted.
+
+        Validate-then-mutate, as :meth:`update_rows`: every row is
+        coerced, then checked for NOT NULL and for primary-key
+        uniqueness against the table and the rows before it.  Any
+        failure raises :class:`SchemaError` with rows, key set, indexes
+        and statistics untouched.  ``version`` moves by one per row.
+        """
+        staged = [self._prepare_row(values) for values in rows]
+        if not staged:
+            return 0
+        claimed = self._claim(staged)
+
+        # Every row passed: nothing below can fail.
+        self._pk_seen.update(claimed)
+        row_id = len(self._rows)
+        self._rows.extend(staged)
+        for position, index in self._indexes.items():
+            keys = self._index_keys[position]
+            for offset, row in enumerate(staged):
+                _index(index, keys, row[position], row_id + offset)
+        self._partition_rows = None
+        self._stats = {}
+        self.version += len(staged)
+        return len(staged)
 
     def _prepare_row(self, values: Sequence[Any] | Mapping[str, Any]) -> Row:
         columns = self.schema.columns
@@ -126,21 +137,29 @@ class Table:
             for value, column in zip(ordered, columns)
         )
 
-    def _check_constraints(self, row: Row) -> None:
-        self._check_not_null(row)
-        if self._pk_positions:
-            key = self._pk_key(row)
-            if key in self._pk_seen:
-                raise self._duplicate_key(key)
-            self._pk_seen.add(key)
-
-    def _check_not_null(self, row: Row) -> None:
-        for position, column in enumerate(self.schema.columns):
-            if row[position] is None and not column.nullable:
-                raise SchemaError(
-                    f"NULL in NOT NULL column {column.name!r} of "
-                    f"{self.schema.name!r}"
-                )
+    def _claim(
+        self, rows: list[Row], released: Iterable[tuple] = ()
+    ) -> set[tuple[SQLValue, ...]]:
+        """The primary keys ``rows`` will hold, once every row is
+        checked for NOT NULL and its key against the other rows' and the
+        table's (bar the ``released`` keys)."""
+        released = set(released)
+        claimed: set[tuple[SQLValue, ...]] = set()
+        for row in rows:
+            for position, column in enumerate(self.schema.columns):
+                if row[position] is None and not column.nullable:
+                    raise SchemaError(
+                        f"NULL in NOT NULL column {column.name!r} of "
+                        f"{self.schema.name!r}"
+                    )
+            if self._pk_positions:
+                key = self._pk_key(row)
+                if key in claimed or (
+                    key in self._pk_seen and key not in released
+                ):
+                    raise self._duplicate_key(key)
+                claimed.add(key)
+        return claimed
 
     def _check_row_ids(self, row_ids: Iterable[int]) -> None:
         for row_id in row_ids:
@@ -179,23 +198,12 @@ class Table:
             return 0
         rows = self._rows
         self._check_row_ids(row_id for row_id, _ in staged)
-        keyed = bool(self._pk_positions)
         old_keys = (
             [self._pk_key(rows[row_id]) for row_id, _ in staged]
-            if keyed
+            if self._pk_positions
             else []
         )
-        released = set(old_keys)
-        claimed: set[tuple[SQLValue, ...]] = set()
-        for _, row in staged:
-            self._check_not_null(row)
-            if keyed:
-                key = self._pk_key(row)
-                if key in claimed or (
-                    key in self._pk_seen and key not in released
-                ):
-                    raise self._duplicate_key(key)
-                claimed.add(key)
+        claimed = self._claim([row for _, row in staged], old_keys)
 
         # Every row passed: nothing below can fail.
         self._pk_seen.difference_update(old_keys)

@@ -28,14 +28,19 @@ reports ANA005, ANA006, ANA007, ANA009, ANA012 or ANA013, at one of
 their spans, with the same error on both tables.  That generator
 calls unknown functions, every builtin at its arity and one off it,
 calls with ``*``, aggregates in WHERE, ON, GROUP BY and inside another
-aggregate, ``CAST`` to unknown types and two-column subqueries.
+aggregate, ``CAST`` to unknown types and two-column subqueries.  And
+in order: over those statements and ones with faults in two clauses
+(FROM, ON, items, WHERE, GROUP BY, HAVING, ORDER BY), the engine
+raises a ``PlanningError`` exactly when the analyzer reports one of
+those codes, and it is the analyzer's first, with its message and
+span, at both settings over an empty and a full table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -44,6 +49,8 @@ import re
 from repro.analysis import SQLAnalyzer
 from repro.data import DOMAINS, load_domain
 from repro.db import Column, Database, TableSchema
+from repro.db.resolve import resolve
+from repro.db.sql.parser import parse_statement
 from repro.db.types import DataType
 from repro.errors import PlanningError, ReproError
 from tests.analysis.test_function_signatures import AGGREGATES, SCALARS
@@ -394,6 +401,65 @@ def faulty_calls(draw):
     return sql
 
 
+#: Per clause, fragments holding a fault: names that do not bind and
+#: bad calls, and where a clause takes one, an ordinal out of range.
+_NAME_FAULTS = ["ghost", "a.ghost", "c.id", "nope + 1"]
+_CALL_FAULTS = [
+    "FOO(n)", "FOO(ghost)", "ROUND(ghost, 1, 2)", "ABS()", "SUM(*)",
+    "CAST(ghost AS BLOB)", "(SELECT id, y FROM b)",
+    "n IN (SELECT nope FROM b)", "MAX(COUNT(*))",
+]
+_CLAUSES = ["from", "on", "items", "where", "group", "having", "order"]
+
+
+@st.composite
+def two_fault_selects(draw):
+    """A SELECT over ``a`` (maybe joined to ``b``, whose ``id`` and
+    ``n`` clash with ``a``'s) with a fault in each of two clauses, and
+    maybe more inside one fragment."""
+    faulty = set(draw(st.lists(
+        st.sampled_from(_CLAUSES), min_size=2, max_size=2, unique=True
+    )))
+
+    def fault(extra: tuple[str, ...] = ()) -> str:
+        return draw(st.sampled_from(_NAME_FAULTS + _CALL_FAULTS + list(extra)))
+
+    joined = "on" in faulty or draw(st.booleans())
+    source = "a"
+    if "from" in faulty:
+        source = draw(st.sampled_from(
+            ["a, nope", f"a, (SELECT {fault()} AS z FROM b) AS s"]
+        ))
+    if joined:
+        on = f" AND {fault()} IS NOT NULL" if "on" in faulty else ""
+        source += f" JOIN b ON a.id = b.id{on}"
+    clauses = {
+        "items": ("a.x, a.id", ("c.*", "id")),
+        "where": ("WHERE a.id > 1", ("id",)),
+        "group": ("GROUP BY a.x", ("9", "id")),
+        "having": ("HAVING COUNT(*) > 0", ("n",)),
+        "order": ("ORDER BY 1", ("9", "id")),
+    }
+    parts = {}
+    for clause, (good, extra) in clauses.items():
+        if clause in faulty:
+            parts[clause] = fault(extra)
+        elif clause == "items" or draw(st.booleans()):
+            parts[clause] = good
+    items = parts["items"]
+    sql = f"SELECT {items} FROM {source}"
+    for clause, head in (("where", "WHERE"), ("group", "GROUP BY"),
+                         ("having", "HAVING"), ("order", "ORDER BY")):
+        fragment = parts.get(clause)
+        if fragment is None:
+            continue
+        if clause in faulty:
+            suffix = " IS NOT NULL" if clause in ("where", "having") else ""
+            fragment = f"{head} {fragment}{suffix}"
+        sql += f" {fragment}"
+    return sql
+
+
 def _engine(db: Database, sql: str, optimize: bool):
     try:
         db.execute(sql, optimize=optimize)
@@ -450,6 +516,47 @@ class TestConverse:
                 assert full_error.span in spans, (sql, full_error)
                 assert (str(full_error), full_error.span) == (
                     str(empty_error), empty_error.span
+                )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sql=st.one_of(two_fault_selects(), faulty_selects(), faulty_calls())
+    )
+    @example(sql="SELECT ghost FROM a WHERE nope = 1")
+    def test_engine_raises_the_analyzers_first_error(self, sql):
+        """With faults in two clauses, the engine's error is the
+        analyzer's first name or call diagnostic, at both settings and
+        whatever the rows: the message the resolver's failure pairs
+        with that diagnostic, at its span."""
+        full, empty = _shared_names(), _shared_names(empty=True)
+        codes = _NAME_CODES | _CALL_CODES
+        errors = [d for d in full.analyze(sql).diagnostics if d.code in codes]
+        assert errors == [
+            d for d in empty.analyze(sql).diagnostics if d.code in codes
+        ]
+        expected = None
+        if errors:
+            # The engine's wording of a failure is the resolver's record
+            # of it, paired there with the analyzer's.
+            first = errors[0]
+            span = first.span and (first.span.start, first.span.end)
+            worded = {
+                (f.code, f.message, f.position): f.error
+                for f in resolve(full, parse_statement(sql)).failures.values()
+            }
+            key = (first.code, first.message, span and span[0])
+            expected = (worded.get(key), span)
+        for optimize in (True, False):
+            for db in (full, empty):
+                error = _engine(db, sql, optimize)
+                found = (
+                    (str(error), error.span)
+                    if isinstance(error, PlanningError)
+                    else None
+                )
+                assert found == expected, (
+                    f"{sql}\n  optimize={optimize}, {len(db.table('a'))} "
+                    f"rows: {error!r}\n  analyzer: {errors}"
                 )
 
 

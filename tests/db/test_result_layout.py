@@ -79,11 +79,13 @@ class TestRowLayout:
             (item.expression.table, item.expression.name)
             for item in resolved.items
         ] == [("m", "id"), ("m", "title")]
-        assert not resolved.star_failures
-        resolved = resolve(db, parse_statement("SELECT zzz.* FROM m"))
+        assert not resolved.failures
+        select = parse_statement("SELECT zzz.* FROM m")
+        resolved = resolve(db, select)
         assert resolved.items == []
-        assert [f.error for f in resolved.star_failures] == [
-            "unknown table 'zzz' in zzz.*"
+        star = select.items[0].expression
+        assert [(key, f.error) for key, f in resolved.failures.items()] == [
+            (id(star), "unknown table 'zzz' in zzz.*")
         ]
 
     def test_concat(self):

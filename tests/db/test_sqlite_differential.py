@@ -39,7 +39,7 @@ import pytest
 
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db import plan as physical
-from repro.errors import PlanningError
+from repro.errors import PlanningError, ReproError
 
 M = getattr(physical, "MORSEL_SIZE", 2048)
 SIZES = [0, 1, M - 1, M, M + 1, 3 * M + 7]
@@ -320,3 +320,44 @@ def test_aggregate_star_is_refused_by_both(size, name):
     ] == [("ANA007", span)]
     with pytest.raises(sqlite3.OperationalError, match="wrong number"):
         reference.execute(sql)
+
+
+def _boom(value):
+    raise ValueError(f"no value for {value!r}")
+
+
+#: Multi-row INSERTs whose second row fails: a function that raises, a
+#: NULL in a NOT NULL column, a key the statement's first row took.
+HALF_WRITES = [
+    "INSERT INTO k VALUES (7, 'x'), (BOOM(8), 'y')",
+    "INSERT INTO k VALUES (7, 'x'), (8, NULL)",
+    "INSERT INTO k (s, id) VALUES ('x', 7), ('y', 7)",
+]
+
+
+@pytest.mark.parametrize("sql", HALF_WRITES)
+def test_a_failing_insert_writes_no_row_in_either_engine(sql):
+    create = "CREATE TABLE k (id INTEGER PRIMARY KEY, s TEXT NOT NULL)"
+    db = Database()
+    db.execute(create)
+    db.execute("INSERT INTO k VALUES (1, 'a'), (2, 'b')")
+    db.create_index("k", "s")
+    db.register_udf("BOOM", _boom)
+    table = db.table("k")
+    version = table.version
+    with closing(sqlite3.connect(":memory:")) as reference:
+        reference.execute(create)
+        reference.execute("INSERT INTO k VALUES (1, 'a'), (2, 'b')")
+        reference.create_function("BOOM", 1, _boom)
+        with pytest.raises(sqlite3.Error):
+            reference.execute(sql)
+        want = reference.execute("SELECT * FROM k ORDER BY id").fetchall()
+    with pytest.raises(ReproError):
+        db.execute(sql)
+    assert table.rows == want == [(1, "a"), (2, "b")]
+    assert table.version == version
+    assert [table.lookup_ids("s", s) for s in "abxy"] == [[0], [1], [], []]
+    assert table.range_keys("s", None, None) == ["a", "b"]
+    # The key the failed statement would have taken is still free.
+    db.execute("INSERT INTO k VALUES (7, 'z')")
+    assert table.lookup_ids("s", "z") == [2]
