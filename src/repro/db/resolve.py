@@ -706,6 +706,12 @@ class _Resolver:
         if kind is ast.FunctionCall:
             if failure is None and aggregate is None:
                 late = self._check_arity(node)  # type: ignore[arg-type]
+            if aggregate is None and not node.star and (
+                self.functions.is_expensive(node.name)  # type: ignore
+            ):
+                self.sites.append(
+                    CallSite(node, rows, self._distinct_bound(node, rows))
+                )
         elif kind is ast.CastExpression:
             name = node.type_name  # type: ignore[union-attr]
             try:
@@ -713,17 +719,10 @@ class _Resolver:
             except SchemaError:
                 text = f"unknown type {name!r} in CAST"
                 late = _call_failure("ANA012", text, node)
-        if late is not None:
-            self.failures[id(node)] = late
-        if kind is ast.FunctionCall:
-            if aggregate is None and not node.star and (
-                self.functions.is_expensive(node.name)  # type: ignore
-            ):
-                self.sites.append(
-                    CallSite(node, rows, self._distinct_bound(node, rows))
-                )
         elif kind in _SUBQUERIES:
             self.subquery = True
+        if late is not None:
+            self.failures[id(node)] = late
 
     def _check_call(
         self, node: ast.FunctionCall, aggregate: "Aggregate | None"
