@@ -141,9 +141,13 @@ class SQLAnalyzer:
         if not isinstance(statement, ast.Select):
             # Only SELECT is analyzed; DDL/DML validate on execution.
             return QueryReport(sql=source_text)
-        resolved = resolve(self.db, statement)
+        return self.report(resolve(self.db, statement), source_text)
+
+    def report(self, resolved: Resolved, source: str) -> QueryReport:
+        """The QueryReport of a SELECT already resolved against this
+        catalog; ``source`` is its SQL text."""
         run = _Run(self.db, resolved)
-        run.select(statement)
+        run.select(resolved.select)
         lm_calls = resolved.lm_calls
         cost = CostEstimate(
             rows_scanned=resolved.scope.rows,
@@ -154,9 +158,7 @@ class SQLAnalyzer:
             lm_calls_batched=resolved.lm_calls_batched,
             expected_result_rows=resolved.expected_rows,
         )
-        return QueryReport(
-            sql=source_text, diagnostics=run.diagnostics, cost=cost
-        )
+        return QueryReport(sql=source, diagnostics=run.diagnostics, cost=cost)
 
 
 class _Run:
@@ -202,8 +204,7 @@ class _Run:
 
     def select(self, select: ast.Select) -> list[ExprType]:
         """Check one SELECT; returns its items' types."""
-        top = self.resolved
-        resolved = top if select is top.select else top.selects[id(select)]
+        resolved = self.resolved.of(select)
         self._walk_from(select.source)
         for item in select.items:
             if type(item.expression) is ast.Star:

@@ -6,8 +6,10 @@ uses as the database API for its SQL-based baselines.  It provides:
 - typed columnar-schema tables with optional secondary indexes
   (:mod:`repro.db.table`),
 - a SQL lexer/parser producing an AST (:mod:`repro.db.sql`),
+- a name resolver that binds each SELECT once, for the analyzer, the
+  optimizer and the planner (:mod:`repro.db.resolve`),
 - a planner with a small optimizer (:mod:`repro.db.planner`),
-- a Volcano-style iterator executor (:mod:`repro.db.executor`),
+- a Volcano-style iterator executor (:mod:`repro.db.plan`),
 - scalar and aggregate builtins plus a UDF registry that can host
   language-model UDFs inside SQL (:mod:`repro.db.functions`), the design
   point Figure 1 of the paper illustrates.

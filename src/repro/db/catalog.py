@@ -10,6 +10,7 @@ from typing import TYPE_CHECKING, Any
 from repro.db import types as dbtypes
 from repro.db.expr import ExpressionCompiler, Kernel, reads_row_by_row
 from repro.db.functions import BatchFunction, FunctionRegistry
+from repro.db.optimizer import QueryOptimizer
 from repro.db.plan import UDFExecContext, run_morsels
 from repro.db.planner import Planner
 from repro.db.resolve import Resolved, misplaced, resolve
@@ -240,33 +241,25 @@ class Database:
         """
         self._usage = usage
 
-    def _planner(
+    def _prepare(
         self,
-        optimize: bool,
-        udf_batch_size: int | None,
-        optimizer: Any = None,
-    ) -> Planner:
-        return Planner(
-            self,
-            self.functions,
-            optimize=optimize,
-            udf_batch_size=udf_batch_size,
-            udf_context=(
-                UDFExecContext(self.udf_cache, self._usage)
-                if udf_batch_size is not None
-                else None
-            ),
-            optimizer=optimizer,
-            resolved=optimizer.resolved if optimizer is not None else None,
-        )
-
-    def _prepare_select(
-        self,
-        statement: ast.Select,
+        sql: str,
+        entry: Prepared,
+        stored: Prepared | None,
+        analyze: bool,
         optimize: bool,
         udf_batch_size: "int | str | None",
-    ) -> tuple[Planner, Any]:
-        """Resolve the route and build the planner for one SELECT.
+        max_rows: int | None,
+    ) -> tuple[Prepared, Any, list[str], Any]:
+        """The one prepare step of the SELECT ``entry`` holds: the entry
+        to keep, the plan, its output names and the optimizer's report.
+
+        The SELECT is resolved once, and only when something reads the
+        resolution: the analyzer's preflight (asked for, and ``entry``
+        not yet ``analyzed``), the route choice and the planner.  A plan
+        the ``stored`` entry kept under these options runs as it is.
+        Errors come in order: the analyzer's rejection, a bad option,
+        then the planning failure.
 
         ``udf_batch_size`` semantics: the default ``"auto"`` delegates
         the choice to the cost-based optimizer (per-row for purely
@@ -275,22 +268,71 @@ class Database:
         ``None`` pins the per-row oracle path; an int pins that morsel
         size.  With ``optimize=False`` there is no optimizer: ``"auto"``
         degrades to per-row, ints are still honored (for ablations).
-        Anything else was refused by :func:`_check_options`.
+        Anything else is refused by :func:`_check_options`.
         """
+        resolved = None
+        if analyze and not entry.analyzed:
+            from repro.analysis import SQLAnalyzer
+
+            resolved = resolve(self, entry.statement)
+            report = SQLAnalyzer(self).report(resolved, sql)
+            if not report.ok:
+                raise _analysis_error(report)
+            entry = entry._replace(analyzed=True)
+        _check_options(udf_batch_size, max_rows)
+        options = (optimize, udf_batch_size)
+        if stored is not None and stored.serves(options):
+            self.statement_cache.count_plan_hit()
+            return entry, stored.plan, stored.names, stored.report
+        if resolved is None:
+            resolved = resolve(self, entry.statement)
         optimizer = None
         if optimize:
-            from repro.db.optimizer import QueryOptimizer
-
             optimizer = QueryOptimizer(self)
-            udf_batch_size = optimizer.choose_route(
-                statement, udf_batch_size
-            )
+            udf_batch_size = optimizer.route(resolved, udf_batch_size)
         elif udf_batch_size == "auto":
             udf_batch_size = None
-        return (
-            self._planner(optimize, udf_batch_size, optimizer),  # type: ignore[arg-type]
+        planner = Planner(
+            self,
+            resolved,
+            optimize,
+            udf_batch_size,  # type: ignore[arg-type]
+            None
+            if udf_batch_size is None
+            else UDFExecContext(self.udf_cache, self._usage),
             optimizer,
         )
+        plan, names = planner.plan_select(entry.statement)
+        report = None if optimizer is None else optimizer.report
+        # The plan is kept from the text's first repeat on (one that
+        # never recurs then costs an AST, not a plan), and only when it
+        # may run again.
+        if stored is not None and planner.reusable:
+            entry = entry._replace(
+                options=options,
+                plan=plan,
+                names=names,
+                report=report,
+                stats=tuple(planner.stats_read.items()),
+            )
+        return entry, plan, names, report
+
+    def _run(
+        self, plan: Any, report: Any, max_rows: int | None
+    ) -> tuple[list, tuple[int, int] | None]:
+        """Run a prepared plan: its rows, cut to ``max_rows``, and
+        ``(max_rows, rows)`` when the cut dropped any.  Counts the
+        optimizer's decisions and the rows dropped."""
+        rows = list(plan.execute())
+        if report is not None:
+            decisions = len(report.decisions)
+            trace.count(self._usage, optimizer_decisions=decisions)
+        truncated = None
+        if max_rows is not None and len(rows) > max_rows:
+            truncated = (max_rows, len(rows))
+            trace.count(self._usage, rows_truncated=len(rows) - max_rows)
+            rows = rows[:max_rows]
+        return rows, truncated
 
     # ------------------------------------------------------------------
     # statement cache
@@ -342,24 +384,27 @@ class Database:
             entry = self._first_sight(parse_tokens(tokens))
         return entry, (key, tokens, template)
 
-    def _preflight(self, statement: ast.Select, sql: str) -> None:
-        """Raise what the static analyzer's rejection flattens to."""
-        report = self.analyze(statement, source=sql)
-        if not report.ok:
-            raise _analysis_error(report)
-
-    def _select(self, sql: str, what: str, analyze: bool) -> ast.Select:
-        """For the EXPLAIN paths: the SELECT ``sql`` holds — as parsed
-        and accepted before, while its stored entry or its shape's
-        template stands — analyzed when asked.  Nothing is kept."""
+    def _planned(
+        self,
+        sql: str,
+        what: str,
+        analyze: bool,
+        optimize: bool,
+        udf_batch_size: "int | str | None",
+        max_rows: int | None,
+    ) -> tuple[Any, list[str], Any]:
+        """For the EXPLAIN paths: the plan, output names and optimizer
+        report of the SELECT ``sql`` holds — as parsed and accepted
+        before, while its stored entry or its shape's template stands.
+        Nothing is kept."""
         entry = self._lookup(sql)
         if entry is None:
             entry, shape = self._derive(sql)
             if shape is None:
                 raise PlanningError(f"{what} only supports SELECT")
-        if analyze and not entry.analyzed:
-            self._preflight(entry.statement, sql)
-        return entry.statement
+        return self._prepare(
+            sql, entry, None, analyze, optimize, udf_batch_size, max_rows
+        )[1:]
 
     # ------------------------------------------------------------------
     # SQL execution
@@ -384,7 +429,10 @@ class Database:
         static analyzer and an :class:`~repro.errors.AnalysisError`
         (carrying the analyzer's full ``QueryReport``) is
         raised before any plan is built when error-severity diagnostics
-        are found.
+        are found.  A SELECT is resolved once, by the prepare step
+        :meth:`explain` and :meth:`explain_analyze` share: the
+        preflight, the route choice and the planner read that one
+        resolution.
 
         ``udf_batch_size`` controls how expensive-UDF filters and
         projections execute.  The default ``"auto"`` lets the
@@ -433,37 +481,10 @@ class Database:
             entry, shape = self._derive(sql)
             if shape is None:
                 return self._execute_write(entry)
-        if analyze and not entry.analyzed:
-            self._preflight(entry.statement, sql)
-            entry = entry._replace(analyzed=True)
-        _check_options(udf_batch_size, max_rows)
-        if stored is not None and stored.serves((optimize, udf_batch_size)):
-            self.statement_cache.count_plan_hit()
-            plan, names, report = stored.plan, stored.names, stored.report
-        else:
-            planner, optimizer = self._prepare_select(
-                entry.statement, optimize, udf_batch_size
-            )
-            plan, names = planner.plan_select(entry.statement)
-            report = optimizer.report if optimizer is not None else None
-            # The plan is kept from the text's first repeat on (one
-            # that never recurs then costs an AST, not a plan), and
-            # only when it may run again.
-            if stored is not None and planner.reusable:
-                entry = entry._replace(
-                    options=(optimize, udf_batch_size),
-                    plan=plan,
-                    names=names,
-                    report=report,
-                    stats=tuple(planner.stats_read.items()),
-                )
-        rows = list(plan.execute())
-        if report is not None:
-            decisions = len(report.decisions)
-            trace.count(self._usage, optimizer_decisions=decisions)
-        if max_rows is not None and len(rows) > max_rows:
-            trace.count(self._usage, rows_truncated=len(rows) - max_rows)
-            rows = rows[:max_rows]
+        entry, plan, names, report = self._prepare(
+            sql, entry, stored, analyze, optimize, udf_batch_size, max_rows
+        )
+        rows, _ = self._run(plan, report, max_rows)
         # Only a statement that has succeeded is kept.
         if entry is not stored:
             self.statement_cache.admit(sql, entry, shape)
@@ -515,33 +536,23 @@ class Database:
         ``rows_out``.  Under ``udf_batch_size``, batched operators
         additionally report their LM call/batch and UDF-cache counters
         per node.  For statements involving expensive UDFs the render
-        ends with the optimizer's decision footer.
+        ends with the optimizer's decision footer.  ``analyze=True``
+        pre-flights the SELECT as :meth:`execute` does, over the one
+        resolution its route choice and planner read.
         """
         from repro.obs.explain import AnalyzedQuery, instrument_plan
 
-        statement = self._select(sql, "EXPLAIN ANALYZE", analyze)
-        _check_options(udf_batch_size, max_rows)
-        planner, optimizer = self._prepare_select(
-            statement, optimize, udf_batch_size
+        plan, names, report = self._planned(
+            sql, "EXPLAIN ANALYZE", analyze, optimize, udf_batch_size,
+            max_rows,
         )
-        plan, names = planner.plan_select(statement)
         proxy, stats = instrument_plan(plan)
-        rows = list(proxy.execute())
-        if optimizer is not None:
-            decisions = len(optimizer.report.decisions)
-            trace.count(self._usage, optimizer_decisions=decisions)
-        truncated = None
-        if max_rows is not None and len(rows) > max_rows:
-            truncated = (max_rows, len(rows))
-            trace.count(self._usage, rows_truncated=len(rows) - max_rows)
-            rows = rows[:max_rows]
+        rows, truncated = self._run(proxy, report, max_rows)
         return AnalyzedQuery(
             stats=stats,
             result=ResultSet(names, rows),
             optimizer=(
-                optimizer.report
-                if optimizer is not None and optimizer.report.decisions
-                else None
+                report if report is not None and report.decisions else None
             ),
             truncated=truncated,
         )
@@ -558,18 +569,15 @@ class Database:
         listing every decision (route, batch size, reorders, pushdowns)
         with the cost numbers that justified it.
         """
-        statement = self._select(sql, "EXPLAIN", False)
-        _check_options(udf_batch_size, None)
-        planner, optimizer = self._prepare_select(
-            statement, optimize, udf_batch_size
+        plan, _, report = self._planned(
+            sql, "EXPLAIN", False, optimize, udf_batch_size, None
         )
-        plan, _ = planner.plan_select(statement)
         rendered = plan.explain()
-        if optimizer is not None:
-            decisions = len(optimizer.report.decisions)
+        if report is not None:
+            decisions = len(report.decisions)
             trace.count(self._usage, optimizer_decisions=decisions)
-            if optimizer.report.decisions:
-                rendered += "\n" + optimizer.report.render()
+            if report.decisions:
+                rendered += "\n" + report.render()
         return rendered
 
     def schema_sql(self) -> str:
@@ -652,7 +660,7 @@ class Database:
             owners=resolved.owners,
         )
         kernels = [compiler.kernel(value) for value in values]
-        planner = Planner(self, self.functions, resolved=resolved)
+        planner = Planner(self, resolved)
         candidates = planner.candidate_row_ids(
             table, statement.table, statement.where
         )

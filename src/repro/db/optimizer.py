@@ -44,7 +44,9 @@ off), and every decision is counted once in
 Every figure is read off the statement's resolution
 (:mod:`repro.db.resolve`): the expensive call sites of every SELECT,
 nested ones included, their per-row and batched bounds, and the
-statistics of the columns a conjunct reads.
+statistics of the columns a conjunct reads.  The resolution is made
+once, by the database's prepare step, and handed to :meth:`route`;
+:meth:`choose_route` resolves a bare SELECT for a caller that has none.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from repro.db.cost import (
     TOKENS_PER_CALL,
     predicate_selectivity,
 )
-from repro.db.resolve import Resolved, literal_limit, resolve
+from repro.db.resolve import Resolved, Scope, literal_limit, resolve
 from repro.db.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -132,9 +134,8 @@ class QueryOptimizer:
         #: by the planner: such a statement's route, reorders and
         #: pushdowns are priced from its tables' statistics.
         self.lm_relevant = False
-        #: The statement :meth:`choose_route` resolved; the planner
-        #: plans from it.
-        self.resolved: Resolved | None = None
+        #: The statement's FROM scope, whose statistics price a reorder.
+        self._scope: Scope | None = None
 
     # ------------------------------------------------------------------
     # route choice (pre-planning)
@@ -143,14 +144,19 @@ class QueryOptimizer:
     def choose_route(
         self, select: ast.Select, requested: object
     ) -> int | None:
-        """Resolve ``udf_batch_size`` and pick the execution route.
+        """:meth:`route` for ``select``, resolved here."""
+        return self.route(resolve(self._db, select), requested)
+
+    def route(self, resolved: Resolved, requested: object) -> int | None:
+        """Resolve ``udf_batch_size`` and pick the execution route of
+        the SELECT ``resolved`` is the resolution of.
 
         ``requested`` is the caller's ``udf_batch_size``: the string
         ``"auto"`` delegates the choice here, ``None`` pins the per-row
         oracle path, an int pins that morsel size.  Returns the batch
         size the planner should use.
         """
-        resolved = self.resolved = resolve(self._db, select)
+        self._scope = resolved.scope
         names = {site.call.name.upper() for site in resolved.sites}
         self.lm_relevant = bool(names)
         if not names:
@@ -218,7 +224,7 @@ class QueryOptimizer:
                 f"{self.report.est_per_row_tokens} tokens)",
             )
             batch = self._auto_batch_size(
-                select, batched_calls, rows_scanned
+                resolved.select, batched_calls, rows_scanned
             )
         if route == "cascade":
             self.report.add(
@@ -362,7 +368,7 @@ class QueryOptimizer:
         )
 
     def _selectivity(self, conjunct: ast.Expression) -> float:
-        stats = self.resolved.scope.stats  # type: ignore[union-attr]
+        stats = self._scope.stats  # type: ignore[union-attr]
         return predicate_selectivity(conjunct, stats)
 
 

@@ -2,7 +2,9 @@
 
 The statement's names are bound, and its calls checked, by
 :mod:`repro.db.resolve` (stars expanded, ordinals and aliases replaced,
-each column reference given its owner).  The planner raises the first
+each column reference given its owner), once, by the database's prepare
+step.  A :class:`Planner` is given that :class:`Resolved`, which covers
+every nested SELECT, and resolves nothing itself.  It raises the first
 failure resolution records, in the analyzer's order, before it builds a
 node, so it only ever plans a clean resolution; then it maps owners to
 row positions.  It performs, in order:
@@ -53,13 +55,12 @@ from repro.db.expr import (
     plan_batched_expressions,
     read_column,
 )
-from repro.db.functions import AggregateSpec, FunctionRegistry
+from repro.db.functions import AggregateSpec
 from repro.db.optimizer import _estimate_rows
 from repro.db.resolve import (
     Column,
     Ordering,
     Resolved,
-    resolve,
     slot,
     substitute,
 )
@@ -101,15 +102,14 @@ class Planner:
     def __init__(
         self,
         catalog: "Database",
-        functions: FunctionRegistry,
+        resolved: Resolved,
         optimize: bool = True,
         udf_batch_size: int | None = None,
         udf_context: "physical.UDFExecContext | None" = None,
         optimizer: "QueryOptimizer | None" = None,
-        resolved: Resolved | None = None,
     ) -> None:
         self._catalog = catalog
-        self._functions = functions
+        self._functions = catalog.functions
         self._optimize = optimize
         #: When set, expensive-UDF filters and projections resolve
         #: their calls in batches of this many rows.
@@ -142,13 +142,9 @@ class Planner:
         #: while they do.
         self.stats_read: dict[Table, int] = {}
         #: What the statement's names bind to (see
-        #: :mod:`repro.db.resolve`): every column reference's owner, and
-        #: each SELECT's resolution, by ``id``.
-        self._owners = resolved.owners if resolved is not None else {}
-        self._selects: dict[int, Resolved] = {}
-        if resolved is not None:
-            self._selects.update(resolved.selects)
-            self._selects[id(resolved.select)] = resolved
+        #: :mod:`repro.db.resolve`), and every column reference's owner.
+        self._resolved = resolved
+        self._owners = resolved.owners
 
     # ------------------------------------------------------------------
     # public entry points
@@ -174,21 +170,10 @@ class Planner:
             self._shard_select = saved_select
             self._open_merge = saved_merge
 
-    def _resolution(self, select: ast.Select) -> Resolved:
-        """``select``'s resolution: the statement's, or (for a SELECT
-        only a constant expression holds) its own."""
-        resolved = self._selects.get(id(select))
-        if resolved is None:
-            resolved = resolve(self._catalog, select)
-            self._owners.update(resolved.owners)
-            self._selects.update(resolved.selects)
-            self._selects[id(select)] = resolved
-        return resolved
-
     def _plan_select(
         self, select: ast.Select
     ) -> tuple[physical.PlanNode, list[str]]:
-        resolved = self._resolution(select)
+        resolved = self._resolved.of(select)
         for failure in resolved.failures.values():
             failure.throw()  # the analyzer's first error
         source = self._build_source(select.source)
@@ -720,7 +705,7 @@ class Planner:
     def _shard_decline_reason(
         self, select: ast.Select, conjuncts: list[ast.Expression]
     ) -> str | None:
-        if self._resolution(select).has_subquery:
+        if self._resolved.of(select).has_subquery:
             return "statement contains a subquery"
         if select.limit is not None and not select.order_by:
             # An un-ordered LIMIT is a streaming prefix: the unsharded

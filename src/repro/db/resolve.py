@@ -1,9 +1,12 @@
 """Name resolution: bind a SELECT's names once, for every reader.
 
 :func:`resolve` makes one walk per SELECT, nested SELECTs included, and
-returns a :class:`Resolved`.  The planner, the static analyzer and the
-query optimizer read it; none of them looks a name up itself.  Nothing
-in the engine correlates, so each SELECT has its own scope.
+returns a :class:`Resolved`.  A statement is resolved once, by the
+database's prepare step that ``execute``, ``explain`` and
+``explain_analyze`` share; the static analyzer, the query optimizer and
+the planner read that one resolution, and none of them looks a name up
+itself.  Nothing in the engine correlates, so each SELECT has its own
+scope.
 
 How a name binds:
 
@@ -294,6 +297,10 @@ class Resolved:
     def has_aggregate(self) -> bool:
         return bool(self.aggregates)
 
+    def of(self, select: ast.Select) -> "Resolved":
+        """The resolution of ``select``: this one, or a nested one's."""
+        return self if select is self.select else self.selects[id(select)]
+
     def _shaped(self, rows: int) -> int:
         """``rows`` out of the FROM, after grouping and a literal LIMIT."""
         if self.has_aggregate and not self.group_by:
@@ -342,23 +349,6 @@ def slot(
         found = layout.slots.get(owner.key)
     else:
         found = layout.position(ref.table, ref.name)
-        if found is None:
-            # A fragment compiled on its own binds by the same rule, each
-            # binding of the layout taken for one source (whose node is
-            # the list of its slots).
-            groups: dict[str | None, list[int]] = {}
-            for index, (binding, _) in enumerate(layout.entries):
-                groups.setdefault(binding, []).append(index)
-            entries = layout.entries
-            sources = [
-                Source(b or "", slots, RowLayout([entries[i] for i in slots]))
-                for b, slots in groups.items()
-            ]
-            owner = Scope(sources).bind(ref.name, ref.table)
-            if owner is True:
-                _ambiguous_column(ref).throw()
-            if owner:
-                found = owner.source[owner.index]  # type: ignore[index]
     if found is None:
         _unknown_column(ref).throw()
     return found
@@ -495,10 +485,11 @@ class _Resolver:
         call sites go, and one failure takes the place of its own."""
         del self.sites[first[0] : last[0]]
         text = "HAVING requires GROUP BY or aggregates"
+        failure = Failure(
+            "ANA006", text, text, select.position, ast.extent(select)
+        )
         entries = list(self.failures.items())
-        entries[first[1] : last[1]] = [
-            (id(select), Failure("ANA006", text, text))
-        ]
+        entries[first[1] : last[1]] = [(id(select), failure)]
         # Refilled in place: every SELECT of the statement shares it.
         self.failures.clear()
         self.failures.update(entries)
@@ -656,11 +647,13 @@ class _Resolver:
         its subqueries and record its expensive call sites."""
         if self.grouped and node in self.grouped:
             # A subtree equal to a GROUP BY term (as ``substitute``
-            # matches) reads the group key: no column under it is bare.
-            kept = self.grouped, self.columns
+            # matches) reads the group key: no column under it is bare,
+            # and no call under it runs again (the term's walk priced it).
+            kept = self.grouped, self.columns, len(self.sites)
             self.grouped, self.columns = (), []
             self._walk(node, scope, rows, aliases)
-            self.grouped, self.columns = kept
+            self.grouped, self.columns, sites = kept
+            del self.sites[sites:]
             return
         kind = type(node)
         if kind is ast.ColumnRef:

@@ -231,6 +231,9 @@ class OrderItem:
 
 @dataclass(frozen=True, slots=True)
 class Select:
+    """One SELECT; ``position`` and ``end`` are the source extent of its
+    HAVING clause, the keyword through its condition."""
+
     items: tuple[SelectItem, ...]
     source: FromSource | None = None
     where: Expression | None = None
@@ -240,6 +243,8 @@ class Select:
     limit: Expression | None = None
     offset: Expression | None = None
     distinct: bool = False
+    position: int | None = field(default=None, compare=False)
+    end: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)

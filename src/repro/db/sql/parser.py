@@ -346,9 +346,11 @@ class _Parser:
             group_by.append(self.parse_expression())
             while self._accept_punct(","):
                 group_by.append(self.parse_expression())
-        having = None
-        if self._accept_keyword("HAVING"):
+        having = position = end = None
+        if self._check_keyword("HAVING"):
+            position = self._advance().position
             having = self.parse_expression()
+            end = self._tokens[self._position - 1].end
         order_by: list[ast.OrderItem] = []
         if self._accept_keyword("ORDER"):
             self._expect_keyword("BY")
@@ -375,6 +377,8 @@ class _Parser:
             limit=limit,
             offset=offset,
             distinct=distinct,
+            position=position,
+            end=end,
         )
 
     def _parse_select_item(self) -> ast.SelectItem:

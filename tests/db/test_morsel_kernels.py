@@ -37,6 +37,7 @@ from repro.db import Column, Database, DataType, TableSchema
 from repro.db import plan as physical
 from repro.db.expr import ExpressionCompiler
 from repro.db.functions import FunctionRegistry
+from repro.db.resolve import resolve
 from repro.db.sql.parser import parse_statement
 from repro.errors import ExecutionError
 
@@ -580,10 +581,11 @@ def test_filter_matches_the_frozen_filter(pool, size):
     layout = db.table("t").layout("t")
     for predicate in PREDICATES:
         sql = f"SELECT * FROM t WHERE {predicate}"
-        where = parse_statement(sql).where
-        compiled = ExpressionCompiler(layout, FunctionRegistry()).compile(
-            where
-        )
+        statement = parse_statement(sql)
+        owners = resolve(db, statement).owners
+        compiled = ExpressionCompiler(
+            layout, FunctionRegistry(), owners=owners
+        ).compile(statement.where)
         want = ref_filter(compiled, stored)
         assert same(db.execute(sql).rows, want), sql
         assert "Filter(where)" in db.explain(sql)

@@ -232,6 +232,12 @@ CASES = [
      "SELECT s.k FROM (SELECT SLOW(y) AS k FROM b) AS s "
      "WHERE s.k = 'T1' LIMIT 2"),
     ("udf_unknown_column", "SELECT SLOW(ghost) FROM b"),
+    # -- fixed: a GROUP BY term's calls are priced once -------------------
+    ("fix_udf_group_ordinal", "SELECT SLOW(y), COUNT(*) FROM b GROUP BY 1"),
+    ("fix_udf_group_alias",
+     "SELECT SLOW(y) AS k, COUNT(*) FROM b GROUP BY k"),
+    ("fix_udf_group_expression",
+     "SELECT SLOW(y), COUNT(*) FROM b GROUP BY SLOW(y)"),
     # -- fixed: an ambiguous name is ambiguous at every setting -------------
     ("fix_ambiguous_where_comma_join", "SELECT x FROM a, b WHERE id = 1"),
     ("fix_ambiguous_on_key", "SELECT COUNT(*) FROM a JOIN b ON id = id"),
@@ -741,6 +747,56 @@ EXPECTED: dict[str, dict] = {'self_join_qualified': {'diagnostics': [],
                                      "unknown column 'ghost'"),
                         'plain': ('PlanningError', "unknown column 'ghost'"),
                         'explain': "PlanningError: unknown column 'ghost'"},
+ 'fix_udf_group_ordinal': {'diagnostics': [],
+                           'cost': (30, 30, 30, 1440, 240, 3, None),
+                           'optimize': ('rows',
+                                        [('T1', 10), ('T2', 10), ('T3', 10)]),
+                           'plain': ('rows',
+                                     [('T1', 10), ('T2', 10), ('T3', 10)]),
+                           'explain': 'Project(SLOW(y), COUNT(*))\n'
+                                      '  Aggregate(groups=1, calls=[COUNT])\n'
+                                      '    Scan(b AS b)\n'
+                                      'Optimizer:\n'
+                                      '  route: batched: est 3 LM calls / 168 '
+                                      'tokens (per-row 30 calls / 1680 '
+                                      'tokens)\n'
+                                      '  auto-batch-size: udf_batch_size=3 '
+                                      'from distinct-value bound 3 '
+                                      '(rows_scanned=30)'},
+ 'fix_udf_group_alias': {'diagnostics': [],
+                         'cost': (30, 30, 30, 1440, 240, 3, None),
+                         'optimize': ('rows',
+                                      [('T1', 10), ('T2', 10), ('T3', 10)]),
+                         'plain': ('rows',
+                                   [('T1', 10), ('T2', 10), ('T3', 10)]),
+                         'explain': 'Project(k, COUNT(*))\n'
+                                    '  Aggregate(groups=1, calls=[COUNT])\n'
+                                    '    Scan(b AS b)\n'
+                                    'Optimizer:\n'
+                                    '  route: batched: est 3 LM calls / 168 '
+                                    'tokens (per-row 30 calls / 1680 tokens)\n'
+                                    '  auto-batch-size: udf_batch_size=3 from '
+                                    'distinct-value bound 3 '
+                                    '(rows_scanned=30)'},
+ 'fix_udf_group_expression': {'diagnostics': [],
+                              'cost': (30, 30, 30, 1440, 240, 3, None),
+                              'optimize': ('rows',
+                                           [('T1', 10),
+                                            ('T2', 10),
+                                            ('T3', 10)]),
+                              'plain': ('rows',
+                                        [('T1', 10), ('T2', 10), ('T3', 10)]),
+                              'explain': 'Project(SLOW(y), COUNT(*))\n'
+                                         '  Aggregate(groups=1, '
+                                         'calls=[COUNT])\n'
+                                         '    Scan(b AS b)\n'
+                                         'Optimizer:\n'
+                                         '  route: batched: est 3 LM calls / '
+                                         '168 tokens (per-row 30 calls / 1680 '
+                                         'tokens)\n'
+                                         '  auto-batch-size: udf_batch_size=3 '
+                                         'from distinct-value bound 3 '
+                                         '(rows_scanned=30)'},
  'fix_ambiguous_where_comma_join': {'diagnostics': [('ANA004',
                                                      "ambiguous column 'id' "
                                                      '(qualify it with a '

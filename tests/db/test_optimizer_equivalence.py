@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Column, Database, DataType, TableSchema
-from repro.db.sql.parser import parse_statement
 from repro.errors import ExecutionError
 
 #: Routes compared against the per-row oracle: the auto default, the
@@ -245,9 +244,7 @@ class TestPinnedBehaviors:
         rows = [("apple", "Romance", 1), ("poison", "Romance", 2)]
         db = build_database(rows, fail_on="poison")
         sql = "SELECT s FROM t WHERE SLOW(s) <> 'ZZZ'"
-        statement = parse_statement(sql)
-        planner, _ = db._prepare_select(statement, True, "auto")
-        plan, _ = planner.plan_select(statement)
+        plan, _, _ = db._planned(sql, "EXPLAIN", False, True, "auto", None)
         iterator = plan.execute()
         assert next(iterator) == ("apple",)
         with pytest.raises(ExecutionError):
@@ -293,7 +290,7 @@ class TestPinnedBehaviors:
         def broken(db, select):
             raise RuntimeError("a resolver bug")
 
-        monkeypatch.setattr("repro.db.optimizer.resolve", broken)
+        monkeypatch.setattr("repro.db.catalog.resolve", broken)
         with pytest.raises(RuntimeError, match="a resolver bug"):
             db.execute("SELECT SLOW(s) FROM t", analyze=False)
 

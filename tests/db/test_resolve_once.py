@@ -162,12 +162,12 @@ def answer_key(case: str) -> str:
 #: ``resolve`` calls per case, one count per statement (in the order of
 #: ``STATEMENTS``).
 COUNTS: dict[str, tuple[int, ...]] = {
-    'execute-first-analyze1-optimize1': (2, 2, 2, 2, 1),
-    'execute-first-analyze1-optimize0': (2, 2, 2, 2, 1),
+    'execute-first-analyze1-optimize1': (1, 1, 1, 1, 1),
+    'execute-first-analyze1-optimize0': (1, 1, 1, 1, 1),
     'execute-first-analyze0-optimize1': (1, 1, 1, 1, 1),
     'execute-first-analyze0-optimize0': (1, 1, 1, 1, 1),
-    'execute-second_text-analyze1-optimize1': (2, 2, 2, 2, 1),
-    'execute-second_text-analyze1-optimize0': (2, 2, 2, 2, 1),
+    'execute-second_text-analyze1-optimize1': (1, 1, 1, 1, 1),
+    'execute-second_text-analyze1-optimize0': (1, 1, 1, 1, 1),
     'execute-second_text-analyze0-optimize1': (1, 1, 1, 1, 1),
     'execute-second_text-analyze0-optimize0': (1, 1, 1, 1, 1),
     'execute-template-analyze1-optimize1': (1, 1, 1, 1, 1),
@@ -184,8 +184,8 @@ COUNTS: dict[str, tuple[int, ...]] = {
     'execute-plan_hit-analyze0-optimize0': (0, 0, 1, 0, 1),
     'explain-optimize1': (1, 1, 1, 1, 1),
     'explain-optimize0': (1, 1, 1, 1, 1),
-    'explain_analyze-optimize1': (2, 2, 2, 2, 1),
-    'explain_analyze-optimize0': (2, 2, 2, 2, 1),
+    'explain_analyze-optimize1': (1, 1, 1, 1, 1),
+    'explain_analyze-optimize0': (1, 1, 1, 1, 1),
 }
 
 #: Rows, rendered plan or error, per statement and answer key.
@@ -409,3 +409,4 @@ def test_each_door_resolves_once(resolves, statement, case):
     count, answer = record(resolves, statement, case)
     assert answer == ANSWERS[statement][answer_key(case)]
     assert count == COUNTS[case][list(STATEMENTS).index(statement)]
+    assert count <= 1

@@ -1,9 +1,9 @@
 """Unit tests for RowLayout and ResultSet.
 
 Which column a name binds to is :mod:`repro.db.resolve`'s to say, so the
-resolution cases read through it: :func:`~repro.db.resolve.slot` for a
-reference no resolution covers, :meth:`Scope.bind` and star expansion
-for a statement's own names.
+resolution cases read through it: :func:`~repro.db.resolve.slot` for an
+owner's slot and for a name the planner made (``_agg0``), and
+:meth:`Scope.bind` and star expansion for a statement's own names.
 """
 
 import pytest
@@ -49,13 +49,19 @@ class TestRowLayout:
     def test_case_insensitive(self, layout):
         assert position(layout, "TITLE", "M") == 1
 
-    def test_unqualified_unique(self, layout):
-        assert position(layout, "title") == 1
+    def test_unqualified_unique(self, db, layout):
+        sql = "SELECT 1 FROM m JOIN r ON m.id = r.id"
+        owner = resolve(db, parse_statement(sql)).scope.bind("title")
+        assert slot(layout, ast.ColumnRef("title"), owner) == 1
         assert position(layout, "_agg0") == 3
+        with pytest.raises(PlanningError, match="unknown column 'title'"):
+            position(layout, "title")  # no owner: bound by no other rule
 
-    def test_unqualified_ambiguous(self, layout):
+    def test_unqualified_ambiguous(self, db):
+        sql = "SELECT id FROM m JOIN r ON m.id = r.id"
+        assert resolve(db, parse_statement(sql)).scope.bind("id") is True
         with pytest.raises(PlanningError, match="ambiguous"):
-            position(layout, "id")
+            db.execute(sql)
 
     def test_unknown(self, layout):
         with pytest.raises(PlanningError):

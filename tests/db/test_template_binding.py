@@ -22,7 +22,8 @@ from repro.db import Database
 from repro.db.sql.lexer import tokenize
 from repro.db.sql.parser import parse_statement
 from repro.db.stmtcache import CAPACITY, Binder, Template, template_key
-from repro.errors import AnalysisError, ReproError
+from repro.db.resolve import resolve
+from repro.errors import AnalysisError, PlanningError, ReproError
 from tests.db.test_statement_templates import SHAPES, database
 
 
@@ -112,6 +113,32 @@ class TestBinding:
                 continue
             assert bound(binders[key], sql) == parsed(sql), sql
         assert len(binders) < 10
+
+    def test_a_bound_having_without_grouping_fails_at_its_own_span(self):
+        """A SELECT carries its HAVING clause's extent as ``position``
+        and ``end``, which the Binder rebuilds: the analyzer and the
+        engine point a bound text's caret at that text's HAVING clause,
+        as they do for its parse."""
+        db = database()
+        texts = [
+            "SELECT id FROM orders HAVING id > 1",
+            "/* moved */  SELECT id FROM orders HAVING id >  22 -- end",
+        ]
+        binder = Binder(tokenize(texts[0]))
+        for text in texts:
+            clause = text[text.index("HAVING") :].removesuffix(" -- end")
+            statement = binder.bind(tokenize(text))
+            assert repr(statement) == repr(parse_statement(text))
+            [diagnostic] = db.analyze(statement, source=text).diagnostics
+            span = diagnostic.span
+            assert diagnostic.code == "ANA006"
+            assert text[span.start : span.end] == clause
+            [failure] = resolve(db, statement).failures.values()
+            for fails in (failure.throw, lambda: db.execute(text)):
+                with pytest.raises(PlanningError) as caught:
+                    fails()
+                start, end = caught.value.span
+                assert text[start:end] == clause
 
     def test_a_key_abstracts_literals_and_keeps_every_other_token(self):
         key = template_key(tokenize("SELECT a FROM t WHERE a = 1"))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db import plan as physical
 from repro.db.planner import Planner
+from repro.db.resolve import resolve
 from repro.db.sql.parser import parse_statement
 
 rows = st.lists(
@@ -44,7 +45,8 @@ def make(data) -> Database:
 
 def top_sort(db: Database, sql: str) -> physical.Sort | None:
     """The Sort a statement's plan holds directly under its Limit."""
-    plan, _ = Planner(db, db.functions).plan_select(parse_statement(sql))
+    statement = parse_statement(sql)
+    plan, _ = Planner(db, resolve(db, statement)).plan_select(statement)
     assert isinstance(plan, physical.Limit)
     node = plan.child
     if isinstance(node, physical.Slice):

@@ -181,11 +181,9 @@ class TestErrorEquivalence:
         """Lazy prefix equivalence: rows ahead of the error are yielded."""
         udf = CountingUDF(fail_on="poison")
         db = make_database(self.ROWS, udf)
-        planner = db._planner(True, batch_size)
-        from repro.db.sql import parse_statement
-
-        plan, _ = planner.plan_select(
-            parse_statement("SELECT s FROM t WHERE SLOW(s) <> 'X'")
+        plan, _, _ = db._planned(
+            "SELECT s FROM t WHERE SLOW(s) <> 'X'",
+            "EXPLAIN", False, True, batch_size, None,
         )
         produced = []
         with pytest.raises(ExecutionError):

@@ -111,10 +111,12 @@ class TestInstrumentation:
         db.execute("CREATE TABLE t (x INTEGER)")
         db.execute("INSERT INTO t (x) VALUES (3), (1), (2)")
         from repro.db.planner import Planner
+        from repro.db.resolve import resolve
         from repro.db.sql.parser import parse_statement
 
         statement = parse_statement("SELECT x FROM t ORDER BY x")
-        plan, names = Planner(db, db.functions).plan_select(statement)
+        planner = Planner(db, resolve(db, statement))
+        plan, names = planner.plan_select(statement)
         proxy, stats = instrument_plan(plan)
         rows = list(proxy.execute())
         assert rows == [(1,), (2,), (3,)]

@@ -28,6 +28,7 @@ from repro.core import (
 )
 from repro.core.tag import TAGResult
 from repro.db import Column, Database, DataType, TableSchema
+from repro.db.plan import UDFExecContext
 from repro.errors import DeadlineExceededError, TransientLMError
 from repro.lm import FaultPlan, FaultyLM, LMConfig, SimulatedLM, Usage
 from repro.lm.prompts import summary_prompt
@@ -442,7 +443,7 @@ def test_each_metered_decision_is_a_footer_line(build, rules):
 
 def morsel_context(db: Database):
     """The context a batched statement's operators tally through."""
-    return db._planner(True, 4)._udf_exec_context()
+    return UDFExecContext(db.udf_cache, db._usage)
 
 
 @pytest.mark.parametrize("databases", [1, 2], ids=["one db", "two dbs"])

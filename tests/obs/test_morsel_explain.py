@@ -24,7 +24,6 @@ dispatches it again.
 import pytest
 
 from repro.db import plan as physical
-from repro.db.sql.parser import parse_statement
 from repro.errors import ExecutionError
 from repro.lm import Usage
 from tests.db.test_sharding import (
@@ -227,9 +226,7 @@ def test_exchange_over_no_call_sites_renders_no_counters():
 def run_to_failure(sql, shards):
     """Rows streamed before the statement fails, and the failure."""
     db, _, _ = build(shards, fail_on="v3")
-    statement = parse_statement(sql)
-    planner, _ = db._prepare_select(statement, True, 4)
-    plan, _ = planner.plan_select(statement)
+    plan, _, _ = db._planned(sql, "EXPLAIN", False, True, 4, None)
     rows = []
     with pytest.raises(ExecutionError) as caught:
         for row in plan.execute():
@@ -253,9 +250,7 @@ def test_first_failing_row_is_the_same_at_any_shard_count(shards):
 
 def exchange_totals(db):
     """Execute ``SQL`` off its plan; rows plus the Exchange's counters."""
-    statement = parse_statement(SQL)
-    planner, _ = db._prepare_select(statement, True, 4)
-    plan, _ = planner.plan_select(statement)
+    plan, _, _ = db._planned(SQL, "EXPLAIN", False, True, 4, None)
     rows = list(plan.execute())
     node = plan
     while not isinstance(node, physical.Exchange):
