@@ -275,9 +275,9 @@ class Database:
             from repro.analysis import SQLAnalyzer
 
             resolved = resolve(self, entry.statement)
-            report = SQLAnalyzer(self).report(resolved, sql)
-            if not report.ok:
-                raise _analysis_error(report)
+            verdict = SQLAnalyzer(self).report(resolved, sql)
+            if not verdict.ok:
+                raise _analysis_error(verdict)
             entry = entry._replace(analyzed=True)
         _check_options(udf_batch_size, max_rows)
         options = (optimize, udf_batch_size)

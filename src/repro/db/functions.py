@@ -221,7 +221,9 @@ class FunctionRegistry:
 
     def has_expensive(self) -> bool:
         """Whether any registered function is expensive."""
-        return any(scalar.expensive for scalar in self._scalars.values())
+        # A copy (one C call, under the interpreter lock): a worker may
+        # register a new name while another's statement plans.
+        return any(scalar.expensive for scalar in list(self._scalars.values()))
 
     def contains_expensive(self, expression: ast.Expression) -> bool:
         """True when any expensive call appears anywhere in ``expression``.

@@ -14,7 +14,7 @@ text bound from its key's template (``template``), the second run of
 one text (``stored``) and its third (``plan_hit``, which runs the plan
 the second stored when the plan may run again).
 
-The statements cover a relational point query, a call of the expensive
+The statements cover a relational range read, a call of the expensive
 ``SLOW``, a nested SELECT in WHERE and in FROM, and a name that binds
 to nothing (the analyzer's rejection, or the planner's error).
 """
