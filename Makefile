@@ -3,8 +3,10 @@ export PYTHONPATH := src
 
 .PHONY: test loc test-durations test-optimizer test-repair test-conc test-semcache test-shard test-access test-lm bench bench-smoke artifacts-check perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
 
+# pyproject's addopts already pass one -q; a second would drop the
+# "N passed" summary line.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x
 
 # Code lines of src/repro, per file and in total: physical lines that
 # hold a token other than a comment or layout, outside docstrings (see
@@ -15,7 +17,7 @@ loc:
 # Tier-1 wall time and its 20 slowest tests (the ledger's time tier:
 # EXPERIMENTS.md records the table per perf PR); not part of verify.
 test-durations:
-	$(PYTHON) -m pytest -q --durations=20
+	$(PYTHON) -m pytest --durations=20
 
 # The query-optimizer suites on their own: plan-equivalence harness,
 # golden EXPLAIN footers, selectivity regressions, and the suites of
@@ -27,14 +29,14 @@ test-durations:
 # source text (test_name_spans), and the code-line count's rules
 # (test_code_lines).
 test-optimizer:
-	$(PYTHON) -m pytest tests/db/test_optimizer_equivalence.py tests/db/test_optimizer_explain.py tests/analysis/test_selectivity.py tests/db/test_name_resolution.py tests/analysis/test_property.py tests/analysis/test_diagnostics_golden.py tests/analysis/test_function_signatures.py tests/db/test_name_spans.py tests/test_code_lines.py -q
+	$(PYTHON) -m pytest tests/db/test_optimizer_equivalence.py tests/db/test_optimizer_explain.py tests/analysis/test_selectivity.py tests/db/test_name_resolution.py tests/analysis/test_property.py tests/analysis/test_diagnostics_golden.py tests/analysis/test_function_signatures.py tests/db/test_name_spans.py tests/test_code_lines.py
 
 # The self-correction suites on their own: repair-loop mechanics,
 # worker-invariance with repairs firing, the repair handler, metered
 # row-cap truncation, and a smoke pass of the E18 sweep.
 test-repair:
-	$(PYTHON) -m pytest tests/core/test_repair.py tests/serve/test_repair_determinism.py tests/lm/test_repair_handler.py tests/db/test_max_rows.py -q
-	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_repair.py -q
+	$(PYTHON) -m pytest tests/core/test_repair.py tests/serve/test_repair_determinism.py tests/lm/test_repair_handler.py tests/db/test_max_rows.py
+	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_repair.py
 
 # The semantic-cache suites on their own: canonicalizer properties,
 # cache unit tests (including both retrieval-path regression
@@ -70,10 +72,13 @@ test-shard:
 # index builds, UDF re-registration and DDL) with its unit and stress
 # tests; and the template pin (a text run after its literal siblings
 # answers, explains and is rejected as on a cold database) with the
-# binding tests (a bound AST is parse_statement's, positions included)
-# and the lexer's, since template binding reads token positions.
+# binding tests (a bound AST is parse_statement's, positions included),
+# a template key's rows against sqlite3 around every catalog event (its
+# kept owners dropped after each), and the lexer's tests and its token
+# digest over a fixed corpus, since template binding reads token
+# positions.
 test-access:
-	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_morsel_kernels.py tests/db/test_morsel_errors.py tests/db/test_kernel_errors.py tests/db/test_where_narrowing.py tests/db/test_limit_reads.py tests/db/test_sqlite_differential.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py tests/db/test_statement_templates.py tests/db/test_template_binding.py tests/db/test_lexer.py -q
+	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_morsel_kernels.py tests/db/test_morsel_errors.py tests/db/test_kernel_errors.py tests/db/test_where_narrowing.py tests/db/test_limit_reads.py tests/db/test_sqlite_differential.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py tests/db/test_statement_templates.py tests/db/test_template_binding.py tests/db/test_kept_resolution.py tests/db/test_lexer.py tests/db/test_token_digest.py -q
 
 # What is derived once, against its frozen references: the handlers'
 # schema and vocabulary derivations, the embedder's buckets and the

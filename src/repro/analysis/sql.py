@@ -168,11 +168,11 @@ class _Run:
     def __init__(self, db: Database, resolved: Resolved) -> None:
         self.functions = db.functions
         self.resolved = resolved
-        self.owners = resolved.owners
         self.failures = resolved.failures
         self.diagnostics: list[Diagnostic] = []
-        #: ``id`` of each FROM subquery -> its items' types.
-        self.source_types: dict[int, list[ExprType]] = {}
+        #: The type of each column the FROM subqueries of the SELECT
+        #: being checked expose, by the column's key and position.
+        self.source_types: dict[tuple, ExprType] = {}
 
     # -- diagnostics -----------------------------------------------------
 
@@ -205,6 +205,7 @@ class _Run:
     def select(self, select: ast.Select) -> list[ExprType]:
         """Check one SELECT; returns its items' types."""
         resolved = self.resolved.of(select)
+        outer, self.source_types = self.source_types, {}
         self._walk_from(select.source)
         for item in select.items:
             if type(item.expression) is ast.Star:
@@ -241,6 +242,7 @@ class _Run:
         # LIMIT / OFFSET must be integer literals.
         self._check_limit(select.limit, "LIMIT")
         self._check_limit(select.offset, "OFFSET")
+        self.source_types = outer
         return item_types
 
     def _check_limit(
@@ -258,18 +260,25 @@ class _Run:
 
     # -- FROM ------------------------------------------------------------
 
-    def _walk_from(self, source: ast.FromSource | None) -> None:
-        """Unknown tables, FROM subqueries and ON conditions, in order."""
+    def _walk_from(self, source: ast.FromSource | None) -> bool:
+        """Unknown tables, FROM subqueries and ON conditions, in order;
+        whether an unknown table leaves ``source``'s scope open."""
         if isinstance(source, ast.TableSource):
-            self._report_at(source)
-        elif isinstance(source, ast.SubquerySource):
-            self.source_types[id(source)] = self.select(source.query)
-        elif isinstance(source, ast.Join):
-            self._walk_from(source.left)
-            self._walk_from(source.right)
+            return self._report_at(source)
+        if isinstance(source, ast.SubquerySource):
+            types = self.select(source.query)
+            names = self.resolved.of(source.query).names  # type: ignore
+            alias = source.alias.lower()
+            for index, (name, kind) in enumerate(zip(names, types)):
+                self.source_types[(alias, name.lower()), index] = kind
+            return False
+        if isinstance(source, ast.Join):
+            opened = self._walk_from(source.left)
+            opened |= self._walk_from(source.right)
             if source.condition is not None:
-                scope = self.resolved.joins[id(source)]
-                self._check(source.condition, _Context(open=scope.open))
+                self._check(source.condition, _Context(open=opened))
+            return opened
+        return False
 
     # -- expressions -----------------------------------------------------
 
@@ -358,7 +367,7 @@ class _Run:
         node: ast.ColumnRef,
         context: _Context,
     ) -> ExprType:
-        owner = self.owners[id(node)]
+        owner = node.owner
         if type(owner) is int:  # an output alias (HAVING, ORDER BY)
             return context.item_types[owner]
         if context.open:
@@ -377,16 +386,16 @@ class _Run:
             )
         if owner.dtype is not None:
             return owner.dtype
-        inferred = self.source_types[id(owner.source)][owner.index]
+        inferred = self.source_types[owner.key, owner.index]
         return DataType.ANY if inferred is None else inferred
 
     def _grouped(self, node: ast.ColumnRef, context: _Context) -> bool:
         """Whether a GROUP BY term names ``node``'s column, spelled
         another way (resolution leaves out a column under a subtree
         equal to a term)."""
-        owner = self.owners[id(node)]
+        owner = node.owner
         return any(
-            self.owners.get(id(term)) is owner
+            term.owner is owner
             for term in context.group_expressions
             if isinstance(term, ast.ColumnRef)
         )

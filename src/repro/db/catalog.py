@@ -13,7 +13,7 @@ from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.optimizer import QueryOptimizer
 from repro.db.plan import UDFExecContext, run_morsels
 from repro.db.planner import Planner
-from repro.db.resolve import Resolved, misplaced, resolve
+from repro.db.resolve import Resolved, misplaced, rebound, resolve
 from repro.db.shard import PartitionSpec, ShardRuntime
 from repro.db.stmtcache import (
     LRUCache,
@@ -254,10 +254,14 @@ class Database:
         """The one prepare step of the SELECT ``entry`` holds: the entry
         to keep, the plan, its output names and the optimizer's report.
 
-        The SELECT is resolved once, and only when something reads the
-        resolution: the analyzer's preflight (asked for, and ``entry``
-        not yet ``analyzed``), the route choice and the planner.  A plan
-        the ``stored`` entry kept under these options runs as it is.
+        The SELECT is resolved at most once, and only when something
+        reads the resolution: the analyzer's preflight (asked for, and
+        ``entry`` not yet ``analyzed``), the route choice and the
+        planner.  An entry that is ``bound`` (its nodes carry the owners
+        an earlier resolution of its shape wrote, and it calls no
+        expensive function) is not resolved again for those two: its
+        resolution is derived from the owners.  A plan the ``stored``
+        entry kept under these options runs as it is.
         Errors come in order: the analyzer's rejection, a bad option,
         then the planning failure.
 
@@ -278,14 +282,18 @@ class Database:
             verdict = SQLAnalyzer(self).report(resolved, sql)
             if not verdict.ok:
                 raise _analysis_error(verdict)
-            entry = entry._replace(analyzed=True)
+            entry = entry._replace(analyzed=True, bound=not resolved.sites)
         _check_options(udf_batch_size, max_rows)
         options = (optimize, udf_batch_size)
         if stored is not None and stored.serves(options):
             self.statement_cache.count_plan_hit()
             return entry, stored.plan, stored.names, stored.report
-        if resolved is None:
+        if resolved is None and entry.bound:
+            resolved = rebound(self.functions, entry.statement)
+        elif resolved is None:
             resolved = resolve(self, entry.statement)
+            if not resolved.sites:
+                entry = entry._replace(bound=True)
         optimizer = None
         if optimize:
             optimizer = QueryOptimizer(self)
@@ -609,12 +617,10 @@ class Database:
 
     def _execute_insert(self, statement: ast.Insert) -> int:
         table = self.table(statement.table)
-        resolved = self._checked(
+        self._checked(
             statement, [value for row in statement.rows for value in row]
         )
-        compiler = ExpressionCompiler(
-            RowLayout([]), self.functions, owners=resolved.owners
-        )
+        compiler = ExpressionCompiler(RowLayout([]), self.functions)
         # Every value is compiled, then evaluated, before a row is
         # written; the table writes all the rows or none.
         rows = [list(map(compiler.compile, row)) for row in statement.rows]
@@ -655,9 +661,7 @@ class Database:
             statement, values, ast.TableSource(statement.table)
         )
         compiler = ExpressionCompiler(
-            table.layout(statement.table),
-            self.functions,
-            owners=resolved.owners,
+            table.layout(statement.table), self.functions
         )
         kernels = [compiler.kernel(value) for value in values]
         planner = Planner(self, resolved)

@@ -35,7 +35,7 @@ from operator import and_, is_, is_not, itemgetter, le, ne, not_, truth
 from typing import TYPE_CHECKING
 
 from repro.db import types as dbtypes
-from repro.db.resolve import Owner, slot
+from repro.db.resolve import slot
 from repro.db.result import RowLayout
 from repro.db.sql import ast
 from repro.db.types import TEXT, SQLValue, compare, values_equal
@@ -81,14 +81,11 @@ class ExpressionCompiler:
         functions: "FunctionRegistry",
         subquery_planner: "Planner | None" = None,
         sites: "dict[ast.FunctionCall, UDFCallSite] | None" = None,
-        owners: "dict[int, Owner] | None" = None,
     ) -> None:
         self._layout = layout
         self._functions = functions
         self._subquery_planner = subquery_planner
         self._sites = sites
-        #: Each column reference's owner (see :mod:`repro.db.resolve`).
-        self._owners = owners if owners is not None else {}
         #: Whether what is being compiled makes an unbatched LM call.
         self._unbatched = False
 
@@ -143,8 +140,7 @@ class ExpressionCompiler:
         return lambda rows: [value] * len(rows)
 
     def _compile_columnref(self, node: ast.ColumnRef) -> Kernel:
-        owner = self._owners.get(id(node))
-        return read_column(slot(self._layout, node, owner))
+        return read_column(slot(self._layout, node))
 
     # -- operators ----------------------------------------------------------
 
@@ -731,7 +727,6 @@ def plan_batched_expressions(
     functions: "FunctionRegistry",
     subquery_planner: "Planner | None" = None,
     cascade: bool = False,
-    owners: "dict[int, Owner] | None" = None,
 ) -> tuple[list[UDFCallSite], ExpressionCompiler]:
     """The batched call sites of ``expressions``, and a compiler that
     splices them in.
@@ -756,7 +751,7 @@ def plan_batched_expressions(
     sites: dict[ast.FunctionCall, UDFCallSite] = {}
     for call in calls:
         compiler = ExpressionCompiler(
-            layout, functions, subquery_planner, dict(sites), owners
+            layout, functions, subquery_planner, dict(sites)
         )
         sites[call] = UDFCallSite(
             functions.scalar(call.name),  # type: ignore[arg-type]
@@ -764,7 +759,7 @@ def plan_batched_expressions(
             cascade,
         )
     compiler = ExpressionCompiler(
-        layout, functions, subquery_planner, sites, owners
+        layout, functions, subquery_planner, sites
     )
     return list(sites.values()), compiler
 

@@ -219,12 +219,6 @@ class FunctionRegistry:
         scalar = self._scalars.get(name.upper())
         return scalar is not None and scalar.expensive
 
-    def has_expensive(self) -> bool:
-        """Whether any registered function is expensive."""
-        # A copy (one C call, under the interpreter lock): a worker may
-        # register a new name while another's statement plans.
-        return any(scalar.expensive for scalar in list(self._scalars.values()))
-
     def contains_expensive(self, expression: ast.Expression) -> bool:
         """True when any expensive call appears anywhere in ``expression``.
 

@@ -1042,7 +1042,10 @@ class Aggregate(PlanNode):
     The input is read a morsel at a time: the morsel's rows are bucketed
     by group key (buckets in first-seen order, rows in input order), and
     each call folds a bucket's whole list of argument values at once.
-    Groups come out in first-seen order.
+    Groups come out in first-seen order.  Group keys that call an
+    expensive function read the call sites :meth:`batch` gives, which
+    are resolved for a morsel of ``batch_size`` rows before it is
+    folded, as a batched :class:`Project` resolves its own.
     """
 
     def __init__(
@@ -1056,16 +1059,33 @@ class Aggregate(PlanNode):
         self.group_keys = group_keys
         self.calls = calls
         self.layout = layout
+        self.sites: list[UDFCallSite] = []
         self.serial = reads_row_by_row(
             *group_keys, *[call.argument for call in calls]
         )
+
+    def batch(
+        self, sites: list[UDFCallSite], context: MorselContext, size: int
+    ) -> None:
+        self.sites, self.context, self.batch_size = sites, context, size
+        self.exec_stats = _fresh_exec_stats(sites)
+
+    def _morsels(self, size: int) -> Iterator[list[Row]]:
+        """The input in morsels of ``size``, each batch of call sites
+        resolved first (as :class:`_MorselNode` reads its input)."""
+        if not self.sites:
+            yield from _morsels(self.child.execute(), size)
+            return
+        for batch in _morsels(self.child.execute(), self.batch_size):
+            stats = self.exec_stats
+            _resolve_morsel(self.sites, batch, self.context, stats, 0)
+            yield from _morsels(iter(batch), size)
 
     def execute(self) -> Iterator[Row]:
         makers = [call.spec.make_state for call in self.calls]
         #: Insertion order is first-seen order, which groups come out in.
         groups: dict[tuple[SQLValue, ...], list] = {}
-        size = 1 if self.serial else MORSEL_SIZE
-        for morsel in _morsels(self.child.execute(), size):
+        for morsel in self._morsels(1 if self.serial else MORSEL_SIZE):
             try:
                 self._fold(morsel, groups, makers)
             except Exception:

@@ -2,9 +2,11 @@
 
 The statement's names are bound, and its calls checked, by
 :mod:`repro.db.resolve` (stars expanded, ordinals and aliases replaced,
-each column reference given its owner), once, by the database's prepare
-step.  A :class:`Planner` is given that :class:`Resolved`, which covers
-every nested SELECT, and resolves nothing itself.  It raises the first
+each column reference given its owner), at most once, by the database's
+prepare step.  A :class:`Planner` is given that :class:`Resolved`, and
+resolves nothing itself: a nested SELECT the resolution does not cover
+(a statement planned from the owners its nodes kept) is derived from
+its owners (:func:`~repro.db.resolve.rebound`).  It raises the first
 failure resolution records, in the analyzer's order, before it builds a
 node, so it only ever plans a clean resolution; then it maps owners to
 row positions.  It performs, in order:
@@ -61,6 +63,7 @@ from repro.db.resolve import (
     Column,
     Ordering,
     Resolved,
+    rebound,
     slot,
     substitute,
 )
@@ -142,9 +145,8 @@ class Planner:
         #: while they do.
         self.stats_read: dict[Table, int] = {}
         #: What the statement's names bind to (see
-        #: :mod:`repro.db.resolve`), and every column reference's owner.
+        #: :mod:`repro.db.resolve`).
         self._resolved = resolved
-        self._owners = resolved.owners
 
     # ------------------------------------------------------------------
     # public entry points
@@ -163,7 +165,7 @@ class Planner:
         self._open_merge = None
         try:
             plan, names = self._plan_select(select)
-            if self._functions.has_expensive():  # else no LM call to order
+            if self._resolved.sites:  # else no LM call to order
                 physical.read_serially(plan)
             return plan, names
         finally:
@@ -173,7 +175,7 @@ class Planner:
     def _plan_select(
         self, select: ast.Select
     ) -> tuple[physical.PlanNode, list[str]]:
-        resolved = self._resolved.of(select)
+        resolved = self._resolution(select)
         for failure in resolved.failures.values():
             failure.throw()  # the analyzer's first error
         source = self._build_source(select.source)
@@ -233,66 +235,43 @@ class Planner:
         )
 
     def _build_join(self, join: ast.Join) -> physical.PlanNode:
+        """A hash join on the ON conjuncts that compare a column of each
+        side (optimized, and not a CROSS join), the rest its residual;
+        a nested-loop join over every conjunct when there is none."""
         left = self._build_source(join.left)
         right = self._build_source(join.right)
-        condition_conjuncts = _split_conjuncts(join.condition)
-        if self._optimize and join.kind != "CROSS":
-            return self._build_hash_or_loop_join(
-                left, right, condition_conjuncts, join.kind
-            )
-        combined_layout = RowLayout.concat(left.layout, right.layout)
-        compiler = self._compiler(combined_layout)
-        condition = (
-            compiler.kernel(_and_all(condition_conjuncts))
-            if condition_conjuncts
-            else None
-        )
-        return physical.NestedLoopJoin(left, right, condition, join.kind)
-
-    def _build_hash_or_loop_join(
-        self,
-        left: physical.PlanNode,
-        right: physical.PlanNode,
-        conjuncts: list[ast.Expression],
-        kind: str,
-    ) -> physical.PlanNode:
+        conjuncts = _split_conjuncts(join.condition)
         left_keys: list[ast.Expression] = []
         right_keys: list[ast.Expression] = []
         residual: list[ast.Expression] = []
-        for conjunct in conjuncts:
-            pair = self._equi_key_pair(conjunct, left.layout, right.layout)
-            if pair is None:
-                residual.append(conjunct)
-            else:
-                left_keys.append(pair[0])
-                right_keys.append(pair[1])
-        combined_layout = RowLayout.concat(left.layout, right.layout)
-        combined_compiler = self._compiler(combined_layout)
-        residual_kernel = (
-            combined_compiler.kernel(_and_all(residual))
-            if residual
-            else None
-        )
+        if self._optimize and join.kind != "CROSS":
+            for conjunct in conjuncts:
+                pair = self._equi_key_pair(conjunct, left.layout, right.layout)
+                if pair is None:
+                    residual.append(conjunct)
+                else:
+                    left_keys.append(pair[0])
+                    right_keys.append(pair[1])
+        compiler = self._compiler(RowLayout.concat(left.layout, right.layout))
         if not left_keys:
             condition = (
-                combined_compiler.kernel(_and_all(conjuncts))
-                if conjuncts
-                else None
+                compiler.kernel(_and_all(conjuncts)) if conjuncts else None
             )
-            return physical.NestedLoopJoin(left, right, condition, kind)
-        left_compiler = self._compiler(left.layout)
-        right_compiler = self._compiler(right.layout)
-        join = physical.HashJoin(
+            return physical.NestedLoopJoin(left, right, condition, join.kind)
+        residual_kernel = (
+            compiler.kernel(_and_all(residual)) if residual else None
+        )
+        hashed = physical.HashJoin(
             left,
             right,
-            [left_compiler.kernel(key) for key in left_keys],
-            [right_compiler.kernel(key) for key in right_keys],
-            kind,
+            [self._compiler(left.layout).kernel(key) for key in left_keys],
+            [self._compiler(right.layout).kernel(key) for key in right_keys],
+            join.kind,
             residual_kernel,
         )
-        if kind == "INNER" and len(left_keys) == 1:
-            self._equi_keys[join] = (left_keys[0], right_keys[0])
-        return join
+        if join.kind == "INNER" and len(left_keys) == 1:
+            self._equi_keys[hashed] = (left_keys[0], right_keys[0])
+        return hashed
 
     def _equi_key_pair(
         self,
@@ -602,7 +581,6 @@ class Planner:
                 self._functions,
                 self,
                 cascade=self._cascade(),
-                owners=self._owners,
             )
             if sites:
                 self.reusable = False
@@ -705,7 +683,7 @@ class Planner:
     def _shard_decline_reason(
         self, select: ast.Select, conjuncts: list[ast.Expression]
     ) -> str | None:
-        if self._resolved.of(select).has_subquery:
+        if self._resolution(select).has_subquery:
             return "statement contains a subquery"
         if select.limit is not None and not select.order_by:
             # An un-ordered LIMIT is a streaming prefix: the unsharded
@@ -912,8 +890,8 @@ class Planner:
         # FIRST() aggregate (SQLite leniency).
         bare_columns = list(dict.fromkeys(resolved.columns))
 
+        sites, group_keys = self._group_keys(source.layout, group_by)
         source_compiler = self._compiler(source.layout)
-        group_keys = [source_compiler.kernel(expr) for expr in group_by]
         entries: list[tuple[str | None, str]] = []
         replacements: dict[ast.Expression, ast.ColumnRef] = {}
         grouped: dict[Column, ast.ColumnRef] = {}
@@ -921,7 +899,7 @@ class Planner:
             name = f"_group{position}"
             entries.append((None, name))
             replacements[expr] = ast.ColumnRef(name)
-            owner = self._owners.get(id(expr))
+            owner = getattr(expr, "owner", None)
             if isinstance(owner, Column):
                 grouped.setdefault(owner, replacements[expr])
         calls: list[physical.AggregateCall] = []
@@ -943,7 +921,7 @@ class Planner:
                 )
             )
         for position, ref in enumerate(bare_columns):
-            group = grouped.get(self._owners.get(id(ref)))  # type: ignore
+            group = grouped.get(ref.owner)  # type: ignore[arg-type]
             if group is not None:
                 replacements[ref] = group
                 continue
@@ -960,6 +938,11 @@ class Planner:
             )
         layout = RowLayout(entries)
         aggregate_node = physical.Aggregate(source, group_keys, calls, layout)
+        if sites:
+            self.reusable = False
+            aggregate_node.batch(
+                sites, self._udf_exec_context(), self._udf_batch_size
+            )
 
         def rewrite(expression: ast.Expression) -> ast.Expression:
             return substitute(expression, replacements)
@@ -979,6 +962,22 @@ class Planner:
             for order in order_items
         ]
         return aggregate_node, new_items, new_having, new_order
+
+    def _group_keys(
+        self, layout: RowLayout, group_by: list[ast.Expression]
+    ) -> tuple[list, list]:
+        """The call sites and group key kernels of ``group_by`` over
+        ``layout``.  Under the batched route a key that calls an
+        expensive function sends each distinct argument tuple to it
+        once, as a SELECT item does."""
+        sites, compiler = [], self._compiler(layout)
+        if self._udf_batch_size is not None and any(
+            map(self._is_expensive, group_by)
+        ):
+            sites, compiler = plan_batched_expressions(
+                group_by, layout, self._functions, self, self._cascade()
+            )
+        return sites, [compiler.kernel(expr) for expr in group_by]
 
     # ------------------------------------------------------------------
     # projection / ORDER BY / DISTINCT
@@ -1059,7 +1058,7 @@ class Planner:
         position = self._order_target(order, items)
         if position is not None:
             key = items[position].expression
-        owner = self._owners.get(id(key))
+        owner = getattr(key, "owner", None)
         if not (
             self._column_of(key, scan.layout) is not None
             and owner.index  # type: ignore[union-attr]
@@ -1082,10 +1081,7 @@ class Planner:
         if plan is not None:
             return plan
         if all(isinstance(item, ast.ColumnRef) for item in expressions):
-            positions = [
-                slot(source.layout, item, self._owners.get(id(item)))
-                for item in expressions
-            ]
+            positions = [slot(source.layout, item) for item in expressions]
             return physical.Project(source, [], layout, positions)
         compiler = self._compiler(source.layout)
         return physical.Project(
@@ -1121,7 +1117,6 @@ class Planner:
             self._functions,
             self,
             cascade=self._cascade(),
-            owners=self._owners,
         )
         if not sites:
             return None
@@ -1181,9 +1176,14 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _compiler(self, layout: RowLayout) -> ExpressionCompiler:
-        return ExpressionCompiler(
-            layout, self._functions, self, owners=self._owners
-        )
+        return ExpressionCompiler(layout, self._functions, self)
+
+    def _resolution(self, select: ast.Select) -> Resolved:
+        """``select``'s resolution: the statement's or a nested one's,
+        or, for a nested SELECT of a statement planned from its kept
+        owners, one derived from those."""
+        found = self._resolved.of(select)
+        return found or rebound(self._functions, select)
 
     def _column_of(
         self, ref: ast.Expression, layout: RowLayout
@@ -1201,7 +1201,7 @@ class Planner:
         ``layout`` holds (a subquery's columns are its own)."""
         kind = type(expression)
         if kind is ast.ColumnRef:
-            owner = self._owners.get(id(expression))
+            owner = expression.owner  # type: ignore[union-attr]
             return type(owner) is Column and owner.key in layout.slots
         if kind is ast.Star:
             return False
@@ -1212,7 +1212,11 @@ class Planner:
         )
 
     def _is_expensive(self, expression: ast.Expression) -> bool:
-        return self._functions.contains_expensive(expression)
+        """Whether ``expression`` calls an expensive function; never, and
+        no tree is walked, when the statement has no such call site."""
+        return bool(self._resolved.sites) and (
+            self._functions.contains_expensive(expression)
+        )
 
 
 # ---------------------------------------------------------------------------

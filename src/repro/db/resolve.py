@@ -1,8 +1,8 @@
 """Name resolution: bind a SELECT's names once, for every reader.
 
 :func:`resolve` makes one walk per SELECT, nested SELECTs included, and
-returns a :class:`Resolved`.  A statement is resolved once, by the
-database's prepare step that ``execute``, ``explain`` and
+returns a :class:`Resolved`.  A statement is resolved at most once, by
+the database's prepare step that ``execute``, ``explain`` and
 ``explain_analyze`` share; the static analyzer, the query optimizer and
 the planner read that one resolution, and none of them looks a name up
 itself.  Nothing in the engine correlates, so each SELECT has its own
@@ -26,6 +26,16 @@ The same walk checks every call, against the record its function was
 registered with: an unknown function, a misplaced aggregate, a wrong
 number of arguments or a misplaced ``*``, an unknown CAST type, and a
 subquery used as a value whose width is not 1.
+
+What a name binds to rides on its node: each column reference's
+``owner`` is the :class:`Column` it binds to, the index of the output
+column whose alias it names, or its :class:`Failure`, and a star's is
+the items it expands to.  A whole GROUP BY or ORDER BY term that names
+an output column by its alias or name owns that column's index.  The
+rest of a :class:`Resolved` follows from those fields and the literals:
+:func:`rebound` derives it again, with no name looked up, for a
+statement whose nodes still carry what an earlier resolution of its
+shape wrote (see :mod:`repro.db.stmtcache`).
 
 A name that binds to nothing, an ordinal out of range and a bad call
 get a :class:`Failure` with its span, keyed by its node in
@@ -56,7 +66,7 @@ from repro.errors import PlanningError, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.catalog import Database
-    from repro.db.functions import Aggregate
+    from repro.db.functions import Aggregate, FunctionRegistry
     from repro.db.table import Table
 
 _SUBQUERIES = (ast.InSubquery, ast.ExistsSubquery, ast.ScalarSubquery)
@@ -74,9 +84,8 @@ class Column:
     #: The stored table, held weakly (the table's own layouts keep
     #: their owners), or None for a FROM subquery's column.
     table: weakref.ref[Table] | None
-    #: The FROM subquery exposing the column (a stored table's column
-    #: is shared by every statement that reads it), and its position.
-    source: object
+    #: Its position in its source (a stored table's column is shared by
+    #: every statement that reads it).
     index: int
     #: ``(binding, name)`` lower-cased: its slot's key in a layout.
     key: tuple[str, str]
@@ -159,7 +168,6 @@ class Source:
     def __init__(
         self,
         binding: str,
-        node: object,
         layout: "RowLayout",
         table: "Table | None" = None,
     ) -> None:
@@ -178,7 +186,6 @@ class Source:
                     name,
                     None if schema is None else schema.columns[index].dtype,
                     held,
-                    node,
                     index,
                     (key, name.lower()),
                 )
@@ -251,13 +258,21 @@ class CallSite:
 Owner = Column | Failure | int
 
 
+def _own(node: ast.ColumnRef | ast.Star, owner: object) -> None:
+    """Write ``node``'s owner: the one field set after a node is built."""
+    object.__setattr__(node, "owner", owner)
+
+
 @dataclass
 class Resolved:
     """One SELECT, resolved.  Every SELECT of a statement shares the
-    statement's ``owners``, ``joins`` and ``sites``."""
+    statement's ``sites`` and ``failures``."""
 
     select: ast.Select
-    scope: Scope
+    #: None when :func:`rebound` derived the resolution: it reads no
+    #: scope, and nothing reads the scope of a statement that calls no
+    #: expensive function once it is known to be clean.
+    scope: Scope | None
     #: Stars expanded.
     items: list[ast.SelectItem]
     #: The output column names.
@@ -274,15 +289,10 @@ class Resolved:
     #: group key): the bare columns of an aggregate query.
     aggregates: list[ast.FunctionCall]
     columns: list[ast.ColumnRef]
-    has_subquery: bool
-    #: ``id`` of each column reference -> its :data:`Owner`.
-    owners: dict[int, Owner]
-    #: ``id`` of each SELECT nested in this one, at any depth -> its
-    #: resolution (itself excluded: a resolution holds no cycle for the
-    #: garbage collector to find).
-    selects: dict[int, "Resolved"]
-    #: ``id`` of each join -> the scope its ON condition binds in.
-    joins: dict[int, Scope]
+    #: The resolution of each SELECT nested in this one, at any depth
+    #: (itself excluded: a resolution holds no cycle for the garbage
+    #: collector to find); empty when :func:`rebound` derived it.
+    selects: list["Resolved"]
     #: Every expensive call site the analyzer's walk prices.
     sites: list[CallSite]
     #: ``id`` of a node -> its failure, every SELECT's, in the order the
@@ -290,16 +300,31 @@ class Resolved:
     #: builds a node.  Keyed by the column reference, the unknown
     #: table's FROM entry, the ``t.*``, the GROUP BY ordinal, the ORDER
     #: BY term, the call, the CAST, the ``*``, the value subquery, or
-    #: the SELECT whose HAVING has no grouping.
+    #: the SELECT whose HAVING has no grouping.  Never kept: a statement
+    #: that fails is not stored.
     failures: dict[int, Failure]
 
     @property
     def has_aggregate(self) -> bool:
         return bool(self.aggregates)
 
-    def of(self, select: ast.Select) -> "Resolved":
-        """The resolution of ``select``: this one, or a nested one's."""
-        return self if select is self.select else self.selects[id(select)]
+    @property
+    def has_subquery(self) -> bool:
+        """Whether a clause other than FROM holds a subquery."""
+        select = self.select
+        clauses = [select.where, select.having, select.limit, select.offset]
+        clauses += [*self.items, *self.group_by, *select.order_by]
+        return any(
+            type(node) in _SUBQUERIES
+            for clause in clauses
+            for node in ast.walk(clause)
+        )
+
+    def of(self, select: ast.Select) -> "Resolved | None":
+        """The resolution of ``select``: this one, or a nested one's;
+        None for a SELECT this derived resolution did not reach."""
+        every = [self, *self.selects]
+        return next((r for r in every if r.select is select), None)
 
     def _shaped(self, rows: int) -> int:
         """``rows`` out of the FROM, after grouping and a literal LIMIT."""
@@ -312,7 +337,7 @@ class Resolved:
     def result_rows(self) -> int:
         """Upper bound on the rows this SELECT returns (WHERE may drop
         nothing)."""
-        return self._shaped(self.scope.rows)
+        return self._shaped(self.scope.rows)  # type: ignore[union-attr]
 
     @property
     def expected_rows(self) -> int | None:
@@ -321,7 +346,7 @@ class Resolved:
         where = self.select.where
         if where is None:
             return None
-        scope = self.scope
+        scope: Scope = self.scope  # type: ignore[assignment]
         return self._shaped(
             round(scope.rows * predicate_selectivity(where, scope.stats))
         )
@@ -340,11 +365,27 @@ def resolve(db: "Database", select: ast.Select) -> Resolved:
     return _Resolver(db).select(select)
 
 
-def slot(
-    layout: "RowLayout", ref: ast.ColumnRef, owner: Owner | None
-) -> int:
+def rebound(functions: "FunctionRegistry", select: ast.Select) -> Resolved:
+    """The resolution of a clean ``select`` that calls no expensive
+    function, derived from the owners its nodes carry, with no name
+    looked up: what :func:`resolve` would return under the catalog
+    stamps those owners were written under.
+
+    A statement kept in the statement cache, or bound from a template,
+    carries them; it is planned from this instead of being resolved
+    again.  A nested SELECT's is derived when the planner asks for it.
+    """
+    items = _items(select.items)
+    return _resolution(
+        functions, select, None, items, _grouping(select.group_by, items),
+        [], [], {},
+    )
+
+
+def slot(layout: "RowLayout", ref: ast.ColumnRef) -> int:
     """Where ``ref`` sits in ``layout``: its owner's slot, or for a
     reference the planner made (``_group0``, ...) the slot of that name."""
+    owner = ref.owner
     if isinstance(owner, Column):
         found = layout.slots.get(owner.key)
     else:
@@ -368,7 +409,7 @@ def substitute(expression, replacements: dict):
     if expression in replacements:
         return replacements[expression]
     changes = {}
-    for name in expression.__dataclass_fields__:
+    for name in ast.child_fields(type(expression)):
         value = getattr(expression, name)
         new_value = substitute(value, replacements)
         if new_value is not value:
@@ -378,23 +419,151 @@ def substitute(expression, replacements: dict):
     return dataclasses.replace(expression, **changes)
 
 
+# -- what follows from the owners -----------------------------------------
+
+
+def _items(items: tuple[ast.SelectItem, ...]) -> list[ast.SelectItem]:
+    """The SELECT items, each star replaced by the items it expands to."""
+    if not any(type(item.expression) is ast.Star for item in items):
+        return list(items)
+    expanded: list[ast.SelectItem] = []
+    for item in items:
+        star = item.expression
+        expanded.extend(star.owner if type(star) is ast.Star else [item])
+    return expanded
+
+
+def _star_item(column: Column) -> ast.SelectItem:
+    """The item a star expands to for ``column``."""
+    ref = ast.ColumnRef(column.name, column.binding, owner=column)
+    return ast.SelectItem(ref, column.name)
+
+
+def _grouping(
+    terms: tuple[ast.Expression, ...], items: list[ast.SelectItem]
+) -> list[ast.Expression]:
+    """The GROUP BY terms, each that names an output column replaced by
+    its item's expression."""
+    targets = [_target(term, len(items)) for term in terms]
+    return [
+        term if at is None else items[at].expression
+        for term, at in zip(terms, targets)
+    ]
+
+
+def _target(expression: ast.Expression, count: int) -> int | None:
+    """The output column, of ``count``, a GROUP BY or ORDER BY term
+    names: by an ordinal in range, or as a whole-term alias or name
+    that owns its index."""
+    ordinal = ast.output_position(expression)
+    if ordinal is not None:
+        return ordinal - 1 if 1 <= ordinal <= count else None
+    owner = getattr(expression, "owner", None)
+    return owner if type(owner) is int else None
+
+
+def _ordering(term: ast.OrderItem, items: list[ast.SelectItem]) -> Ordering:
+    """One ORDER BY term: the output column it names, else its
+    expression, aliases substituted."""
+    target = _target(term.expression, len(items))
+    expression = term.expression
+    if target is None:
+        expression = _substitute_aliases(expression, items)
+    return Ordering(expression, term.ascending, target)
+
+
+def _substitute_aliases(
+    expression: ast.Expression, items: list[ast.SelectItem]
+) -> ast.Expression:
+    replacements = {
+        node: items[node.owner].expression
+        for node in ast.walk(expression)
+        if type(node) is ast.ColumnRef and type(node.owner) is int
+    }
+    if not replacements:
+        return expression
+    return substitute(expression, replacements)
+
+
+def _collect(
+    functions: "FunctionRegistry",
+    grouped: list[ast.Expression],
+    expressions: list[ast.Expression],
+) -> tuple[list[ast.FunctionCall], list[ast.ColumnRef]]:
+    """The aggregate calls of ``expressions`` (distinct, in walk order)
+    and the column references they read outside those calls and outside
+    every subtree equal to a ``grouped`` term (as ``substitute``
+    matches), which reads its group key.  Nested SELECTs keep their own."""
+    aggregates: list[ast.FunctionCall] = []
+    columns: list[ast.ColumnRef] = []
+    # Walked with a stack: a nested function calling itself would be a
+    # reference cycle, left behind by every statement.
+    stack = [(expression, True) for expression in reversed(expressions)]
+    while stack:
+        node, bare = stack.pop()
+        if bare and grouped and node in grouped:
+            bare = False
+        kind = type(node)
+        if kind is ast.ColumnRef:
+            if bare and type(node.owner) is not int:  # type: ignore
+                columns.append(node)  # type: ignore[arg-type]
+            continue
+        if kind is ast.FunctionCall and functions.aggregate_call(node):
+            bare = False
+            if node not in aggregates:
+                aggregates.append(node)  # type: ignore[arg-type]
+        stack.extend(
+            (child, bare)
+            for child in reversed(list(ast.children(node)))
+            if type(child) is not ast.Select
+        )
+    return aggregates, columns
+
+
+def _resolution(
+    functions: "FunctionRegistry",
+    select: ast.Select,
+    scope: Scope | None,
+    items: list[ast.SelectItem],
+    group_by: list[ast.Expression],
+    selects: list[Resolved],
+    sites: list[CallSite],
+    failures: dict[int, Failure],
+) -> Resolved:
+    """``select``'s :class:`Resolved`, once its owners are written."""
+    order_by = [_ordering(term, items) for term in select.order_by]
+    having = select.having
+    aggregates, columns = _collect(
+        functions,
+        group_by,
+        [item.expression for item in items]
+        + [having] * (having is not None)
+        + [order.expression for order in order_by if order.target is None],
+    )
+    if having is not None and (group_by or aggregates):
+        having = _substitute_aliases(having, items)
+    names = [
+        item.alias or ast.expression_name(item.expression) for item in items
+    ]
+    return Resolved(
+        select, scope, items, names, group_by, having, order_by, aggregates,
+        columns, selects, sites, failures,
+    )
+
+
+# -- resolution -------------------------------------------------------------
+
+
 class _Resolver:
     def __init__(self, db: "Database") -> None:
         self.db = db
         self.functions = db.functions
-        self.owners: dict[int, Owner] = {}
-        self.selects: dict[int, Resolved] = {}
-        self.joins: dict[int, Scope] = {}
+        self.selects: list[Resolved] = []
         self.sites: list[CallSite] = []
         self.failures: dict[int, Failure] = {}
-        #: The aggregate calls of the clauses being walked (distinct, in
-        #: walk order), the column references they read outside those
-        #: calls and outside the GROUP BY terms ``grouped``, and whether
-        #: they hold a subquery; nested SELECTs keep their own.
-        self.aggregates: list[ast.FunctionCall] = []
-        self.columns: list[ast.ColumnRef] = []
+        #: The GROUP BY terms of the SELECT being walked: a call under a
+        #: subtree equal to one runs once per group, priced by the term.
         self.grouped: tuple[ast.Expression, ...] = ()
-        self.subquery = False
         #: How many aggregate calls enclose the node being walked, and
         #: where an aggregate may not be ("in WHERE"), if it may not.
         self.depth = 0
@@ -403,76 +572,52 @@ class _Resolver:
     # -- SELECT ----------------------------------------------------------
 
     def select(self, select: ast.Select) -> Resolved:
-        """Walk ``select``'s clauses in the analyzer's order."""
-        saved = (
-            self.aggregates, self.columns, self.grouped, self.subquery,
-            self.depth, self.refused,
-        )
-        outer, self.selects = self.selects, {}
-        # The aggregates and columns of FROM, GROUP BY, WHERE and LIMIT
-        # count nowhere; subqueries count in every clause but FROM.
-        self.aggregates, self.columns, self.grouped = [], [], ()
-        self.depth, self.refused = 0, None
+        """Walk ``select``'s clauses in the analyzer's order, writing
+        every owner."""
+        saved = self.grouped, self.depth, self.refused
+        outer, self.selects = self.selects, []
+        self.grouped, self.depth, self.refused = (), 0, None
         scope = self._from(select.source)
         rows = scope.rows
-        self.subquery = False
         items = self._expand_stars(select.items, scope)
-        names = [
-            item.alias or ast.expression_name(item.expression)
-            for item in items
-        ]
         outputs: dict[str, int] = {}
         aliases: dict[str, int] = {}
         if select.order_by or select.group_by or select.having:
-            for position, (item, name) in enumerate(zip(items, names)):
+            for position, item in enumerate(items):
+                name = item.alias or ast.expression_name(item.expression)
                 outputs.setdefault(name.lower(), position)
                 if item.alias:
                     aliases.setdefault(item.alias.lower(), position)
         group_by = self._group_by(select.group_by, items, aliases, scope)
-        aggregates: list[ast.FunctionCall] = []
-        columns: list[ast.ColumnRef] = []
-        self.aggregates, self.columns = aggregates, columns
         self.grouped, self.refused = tuple(group_by), None
-        for item in items:
-            self._walk(item.expression, scope, rows)
+        for item in select.items:
+            if type(item.expression) is not ast.Star:  # expanded: owned
+                self._walk(item.expression, scope, rows)
         if select.where is not None:
-            self.aggregates, self.columns = [], []
             self.refused = "in WHERE"
             self._walk(select.where, scope, rows)
-            self.aggregates, self.columns = aggregates, columns
             self.refused = None
-        having = select.having
         first = len(self.sites), len(self.failures)
-        if having is not None:
-            self._walk(having, scope, rows, aliases)
+        if select.having is not None:
+            self._walk(select.having, scope, rows, aliases)
         last = len(self.sites), len(self.failures)
-        order_by = self._order_by(
-            select.order_by, items, outputs, aliases, scope
+        self._order_by(select.order_by, items, outputs, aliases, scope)
+        resolved = _resolution(
+            self.functions, select, scope, items, group_by, self.selects,
+            self.sites, self.failures,
         )
-        if having is not None:
-            if select.group_by or aggregates:
-                having = self._substitute_aliases(having, items)
-            else:
-                self._refuse_having(select, first, last)
-        self.aggregates, self.columns = [], []
+        if select.having is not None and not (group_by or resolved.aggregates):
+            self._refuse_having(select, first, last)
         # LIMIT and OFFSET are constants, read before any row is.
         limits = (("LIMIT", select.limit), ("OFFSET", select.offset))
         for clause, term in limits:
             if term is not None:
                 self.refused = f"in {clause}"
                 self._walk(term, Scope([]), 1)
-        resolved = Resolved(
-            select, scope, items, names, group_by, having, order_by,
-            aggregates, columns, self.subquery, self.owners, self.selects,
-            self.joins, self.sites, self.failures,
-        )
-        outer.update(self.selects)
-        outer[id(select)] = resolved
+        outer.extend(self.selects)
+        outer.append(resolved)
         self.selects = outer
-        (
-            self.aggregates, self.columns, self.grouped, self.subquery,
-            self.depth, self.refused,
-        ) = saved
+        self.grouped, self.depth, self.refused = saved
         return resolved
 
     def _refuse_having(
@@ -509,15 +654,14 @@ class _Resolver:
                 return Scope([], open=True)
             table = self.db.table(source.name)
             binding = source.binding
-            entry = Source(binding, None, table.layout(binding), table)
+            entry = Source(binding, table.layout(binding), table)
             return Scope([entry], rows=max(len(table), 1))
         if isinstance(source, ast.SubquerySource):
             inner = self.select(source.query)
             alias = source.alias
             layout = RowLayout([(alias, name) for name in inner.names])
             return Scope(
-                [Source(alias, source, layout)],
-                rows=max(inner.result_rows, 1),
+                [Source(alias, layout)], rows=max(inner.result_rows, 1)
             )
         left = self._from(source.left)
         right = self._from(source.right)
@@ -526,7 +670,6 @@ class _Resolver:
             left.open or right.open,
             left.rows * right.rows,
         )
-        self.joins[id(source)] = scope
         if source.condition is not None:
             self.refused = "in JOIN ON"
             self._walk(source.condition, scope, scope.rows)
@@ -536,14 +679,10 @@ class _Resolver:
     def _expand_stars(
         self, items: tuple[ast.SelectItem, ...], scope: Scope
     ) -> list[ast.SelectItem]:
-        if not any(type(item.expression) is ast.Star for item in items):
-            return list(items)
-        expanded: list[ast.SelectItem] = []
-        owners = self.owners
+        """Write each star's expansion, and return the items expanded."""
         for item in items:
             star = item.expression
-            if not isinstance(star, ast.Star):
-                expanded.append(item)
+            if type(star) is not ast.Star:
                 continue
             columns = [c for source in scope.sources for c in source.columns]
             if star.table is not None:
@@ -554,11 +693,8 @@ class _Resolver:
                     self.failures[id(star)] = _call_failure(
                         "ANA002", text, star
                     )
-            for column in columns:
-                ref = ast.ColumnRef(column.name, column.binding)
-                owners[id(ref)] = column
-                expanded.append(ast.SelectItem(ref, column.name))
-        return expanded
+            _own(star, tuple(_star_item(column) for column in columns))
+        return _items(items)
 
     def _group_by(
         self,
@@ -568,25 +704,21 @@ class _Resolver:
         scope: Scope,
     ) -> list[ast.Expression]:
         """The GROUP BY terms, ordinals and aliases replaced; every
-        ordinal out of range fails before any term is walked."""
-        group_by: list[ast.Expression] = []
+        ordinal out of range fails before any term is walked.  A bare
+        name that binds to no source column but names an alias owns
+        the alias's item."""
         for term in terms:
             ordinal = ast.output_position(term)
-            if ordinal is None:
-                if (
-                    isinstance(term, ast.ColumnRef)
-                    and not term.table
-                    and term.name.lower() in aliases
-                    and scope.bind(term.name) is False
-                ):
-                    term = items[aliases[term.name.lower()]].expression
-            elif 1 <= ordinal <= len(items):
-                term = items[ordinal - 1].expression
-            else:
+            if ordinal is not None and not 1 <= ordinal <= len(items):
                 self.failures[id(term)] = _position_failure(
                     "GROUP BY", ordinal, len(items)
                 )
-            group_by.append(term)
+            elif type(term) is ast.ColumnRef:
+                alias = None if term.table else aliases.get(term.name.lower())
+                if alias is not None and scope.bind(term.name) is not False:
+                    alias = None
+                _own(term, alias)
+        group_by = _grouping(terms, items)
         self.refused = "in GROUP BY"
         for term in group_by:
             self._walk(term, scope, scope.rows)
@@ -599,40 +731,21 @@ class _Resolver:
         outputs: dict[str, int],
         aliases: dict[str, int],
         scope: Scope,
-    ) -> list[Ordering]:
-        orderings: list[Ordering] = []
+    ) -> None:
+        """A whole ORDER BY term that names an output column owns its
+        index; an ordinal out of range fails; every other term is
+        walked, its aliases bound to their items' indexes."""
         for term in terms:
             expression = term.expression
             ordinal = ast.output_position(expression)
-            target = None
-            if ordinal is None:
-                if type(expression) is ast.ColumnRef and not expression.table:
-                    target = outputs.get(expression.name.lower())
-            elif 1 <= ordinal <= len(items):
-                target = ordinal - 1
-            else:
+            if ordinal is not None and not 1 <= ordinal <= len(items):
                 self.failures[id(term)] = _position_failure(
                     "ORDER BY", ordinal, len(items)
                 )
-            if target is None:
+            elif type(expression) is ast.ColumnRef and not expression.table:
+                _own(expression, outputs.get(expression.name.lower()))
+            if _target(expression, len(items)) is None:
                 self._walk(expression, scope, scope.rows, aliases)
-                expression = self._substitute_aliases(expression, items)
-            orderings.append(Ordering(expression, term.ascending, target))
-        return orderings
-
-    def _substitute_aliases(
-        self, expression: ast.Expression, items: list[ast.SelectItem]
-    ) -> ast.Expression:
-        owners = self.owners
-        replacements = {
-            node: items[owner].expression
-            for node in ast.walk(expression)
-            if isinstance(node, ast.ColumnRef)
-            and type(owner := owners.get(id(node))) is int
-        }
-        if not replacements:
-            return expression
-        return substitute(expression, replacements)
 
     # -- expressions -----------------------------------------------------
 
@@ -647,20 +760,19 @@ class _Resolver:
         its subqueries and record its expensive call sites."""
         if self.grouped and node in self.grouped:
             # A subtree equal to a GROUP BY term (as ``substitute``
-            # matches) reads the group key: no column under it is bare,
-            # and no call under it runs again (the term's walk priced it).
-            kept = self.grouped, self.columns, len(self.sites)
-            self.grouped, self.columns = (), []
+            # matches) reads the group key: no call under it runs again
+            # (the term's walk priced it).
+            kept = self.grouped, len(self.sites)
+            self.grouped = ()
             self._walk(node, scope, rows, aliases)
-            self.grouped, self.columns, sites = kept
+            self.grouped, sites = kept
             del self.sites[sites:]
             return
         kind = type(node)
         if kind is ast.ColumnRef:
-            if id(node) not in self.owners:
+            # A star's expansion (no source extent) owns its column.
+            if node.position is not None or node.owner is None:  # type: ignore
                 self._bind(node, scope, aliases)  # type: ignore[arg-type]
-            if not self.depth and type(self.owners[id(node)]) is not int:
-                self.columns.append(node)  # type: ignore[arg-type]
             return
         if kind is ast.Literal:
             return
@@ -681,8 +793,6 @@ class _Resolver:
             failure = _call_failure("ANA009", text, node)
         if failure is not None:
             self.failures[id(node)] = failure
-        if aggregate is not None and node not in self.aggregates:
-            self.aggregates.append(node)  # type: ignore[arg-type]
         self.depth += aggregate is not None
         late: Failure | None = None
         for child in ast.children(node):
@@ -712,8 +822,6 @@ class _Resolver:
             except SchemaError:
                 text = f"unknown type {name!r} in CAST"
                 late = _call_failure("ANA012", text, node)
-        elif kind in _SUBQUERIES:
-            self.subquery = True
         if late is not None:
             self.failures[id(node)] = late
 
@@ -776,7 +884,7 @@ class _Resolver:
                 owner = _unknown_column(ref)
         if type(owner) is Failure:
             self.failures[id(ref)] = owner
-        self.owners[id(ref)] = owner  # type: ignore[assignment]
+        _own(ref, owner)
 
     def _distinct_bound(self, call: ast.FunctionCall, rows: int) -> int:
         """Invocation bound for one call site under the batched path.
@@ -794,7 +902,7 @@ class _Resolver:
             if isinstance(argument, ast.Literal):
                 continue
             if isinstance(argument, ast.ColumnRef):
-                owner = self.owners.get(id(argument))
+                owner = argument.owner
                 stats = owner.stats() if isinstance(owner, Column) else None
                 if stats is not None:
                     bound *= max(stats.distinct, 1)

@@ -2,12 +2,18 @@
 
 Expression nodes and statement nodes are plain frozen dataclasses; the
 planner walks them, so they carry no behaviour beyond ``__repr__``.
+A column reference's and a star's ``owner`` is what name resolution
+bound it to (:mod:`repro.db.resolve` writes it, the only field written
+after a node is built); like a source extent it is left out of
+equality, hashing and ``repr``, and a template carries it to the texts
+it binds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Union
 
 # ---------------------------------------------------------------------------
@@ -35,6 +41,9 @@ class ColumnRef:
     table: str | None = None
     position: int | None = field(default=None, compare=False)
     end: int | None = field(default=None, compare=False)
+    #: The scope column it binds to, the index of the output column
+    #: whose alias it names, or the failure it raised.
+    owner: object = field(default=None, compare=False, repr=False)
 
     def display(self) -> str:
         if self.table:
@@ -50,6 +59,8 @@ class Star:
     table: str | None = None
     position: int | None = field(default=None, compare=False)
     end: int | None = field(default=None, compare=False)
+    #: A SELECT item's star: the items it expands to.
+    owner: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,11 +314,19 @@ def children(node: object) -> Iterator:
 
     Looks through tuples (CASE branches, IN lists, function arguments)
     so nothing nested is missed, and yields nothing for a non-node.
-    Reads the class's field table: asking a node for its ``__dict__``
-    would make it grow one, for as long as the AST is kept.
+    Reads the class's field table (asking a node for its ``__dict__``
+    would make it grow one, for as long as the AST is kept), less the
+    fields that hold no child: the source extent and the ``owner``.
     """
-    for name in getattr(node, "__dataclass_fields__", ()):
+    for name in child_fields(type(node)):
         yield from _nodes_in(getattr(node, name))
+
+
+@cache
+def child_fields(kind: type) -> tuple[str, ...]:
+    """The fields of a node class that may hold a child node."""
+    fields = getattr(kind, "__dataclass_fields__", ())
+    return tuple(f for f in fields if f not in ("position", "end", "owner"))
 
 
 def _nodes_in(value: object) -> Iterator:

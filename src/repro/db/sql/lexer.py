@@ -8,17 +8,28 @@ Produces a flat token stream.  Supports:
 - multi-character operators (``<=``, ``>=``, ``<>``, ``!=``, ``||``),
 - line comments (``-- ...``) and block comments (``/* ... */``).
 
+One compiled master pattern reads the text left to right: an
+alternative per kind of lexeme, in a fixed order, and the group that
+matched names the kind, so the loop in :func:`tokenize` runs once per
+token instead of once per character.
+
 Keywords are recognised case-insensitively; the lexer tags them as
 ``KEYWORD`` tokens carrying the upper-cased text.  A token's
 ``position`` is the offset of its first source character (a literal's
 or quoted identifier's opening quote), and its ``end`` one past its
-last (the closing quote).  Digits are the decimal ones
-``int()`` and ``float()`` read, so ``²`` is an unexpected character.
+last (the closing quote).  Digits are the decimal ones ``int()`` and
+``float()`` read: ``\\d`` is exactly ``str.isdecimal``.  A word starts
+with a letter or ``_`` (``str.isalpha``).  ``\\w`` also accepts a digit
+that is not decimal, so ``²`` or ``½`` is an unexpected character where
+a word would start and part of the word after its first letter
+(``x²``).
 """
 
 from __future__ import annotations
 
 import enum
+import re
+from functools import partial
 from typing import NamedTuple
 
 from repro.errors import SQLSyntaxError
@@ -45,10 +56,6 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_MULTI_CHAR_OPERATORS = ("<=", ">=", "<>", "!=", "||", "==")
-_SINGLE_CHAR_OPERATORS = set("+-*/%<>=")
-_PUNCTUATION = set("(),.;")
-
 
 class Token(NamedTuple):
     """One token and its source extent (a tuple: a statement makes
@@ -63,138 +70,73 @@ class Token(NamedTuple):
         return self.type is TokenType.KEYWORD and self.text in keywords
 
 
+#: Layout, then one alternative per kind of lexeme, tried in this
+#: order; the group that matched says which, and a match with none is
+#: the layout at the end of the text.  ``\s``, ``\d`` and ``\w`` are
+#: exactly ``str.isspace``, ``str.isdecimal`` and ``str.isalnum`` (or
+#: ``_``).  Quoted runs are possessive, so a run that finds no closing
+#: quote never gives back a doubled quote to close at: it fails as a
+#: whole, and the bare quote is the error.  A named group is an error,
+#: its name the message, as is group 12.
+_LEXEME = re.compile(
+    r"""
+    (?:\s+|--[^\n]*\n?|/\*.*?\*/)*
+    (?:((?!\d)\w+)                                        # 1 word
+    |([(),;]|\.(?!\d))                                    # 2 punct
+    |(?P<unterminated_block_comment>/\*)                  # 3
+    |(<=|>=|<>|!=|\|\||==|[-+*/%<>=])                      # 4 operator
+    |((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)           # 5 number
+    |'((?:[^']|'')*+)'                                    # 6 string
+    |"((?:[^"]|"")*+)"|`((?:[^`]|``)*+)`|\[([^\]]*)\]       # 7-9 name
+    |(?P<unterminated_string_literal>')                   # 10
+    |(?P<unterminated_quoted_identifier>["`[])            # 11
+    |(.)                                                  # 12
+    |\Z)
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+
+
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql``; raises :class:`SQLSyntaxError` on bad input."""
     tokens: list[Token] = []
-    position = 0
+    append = tokens.append
+    # Built as a tuple of four, which skips the class's Python __new__.
+    token = partial(tuple.__new__, Token)
+    keyword, identifier = TokenType.KEYWORD, TokenType.IDENTIFIER
+    for match in _LEXEME.finditer(sql):
+        kind = match.lastindex
+        if kind is None:
+            break
+        start, end = match.span(kind)
+        text = sql[start:end]
+        if kind == 1:
+            upper = text.upper()
+            if upper in KEYWORDS:
+                append(token((keyword, upper, start, end)))
+                continue
+            first = text[0]
+            if not (first.isalpha() or first == "_"):
+                # A digit or number that is not decimal: "²", "½".
+                raise SQLSyntaxError(f"unexpected character {first!r}", start)
+            append(token((identifier, text, start, end)))
+        elif kind == 2:
+            append(token((TokenType.PUNCT, text, start, end)))
+        elif kind == 4:
+            append(token((TokenType.OPERATOR, text, start, end)))
+        elif kind == 5:
+            number = TokenType.INTEGER if text.isdecimal() else TokenType.FLOAT
+            append(token((number, text, start, end)))
+        elif 5 < kind < 10:  # quoted: the group lies inside the quotes
+            closer = sql[end]
+            if kind < 9:
+                text = text.replace(closer + closer, closer)
+            string = TokenType.STRING if kind == 6 else identifier
+            append(token((string, text, start - 1, end + 1)))
+        elif match.lastgroup:
+            raise SQLSyntaxError(match.lastgroup.replace("_", " "), start)
+        else:
+            raise SQLSyntaxError(f"unexpected character {text!r}", start)
     length = len(sql)
-    while position < length:
-        char = sql[position]
-        if char.isspace():
-            position += 1
-            continue
-        if sql.startswith("--", position):
-            newline = sql.find("\n", position)
-            position = length if newline == -1 else newline + 1
-            continue
-        if sql.startswith("/*", position):
-            end = sql.find("*/", position + 2)
-            if end == -1:
-                raise SQLSyntaxError("unterminated block comment", position)
-            position = end + 2
-            continue
-        if char == "'":
-            token, position = _read_string(sql, position)
-            tokens.append(token)
-            continue
-        if char in ('"', "`", "["):
-            token, position = _read_quoted_identifier(sql, position)
-            tokens.append(token)
-            continue
-        if char.isdecimal() or (
-            char == "."
-            and position + 1 < length
-            and sql[position + 1].isdecimal()
-        ):
-            token, position = _read_number(sql, position)
-            tokens.append(token)
-            continue
-        if char.isalpha() or char == "_":
-            token, position = _read_word(sql, position)
-            tokens.append(token)
-            continue
-        start = position
-        multi = sql[position : position + 2]
-        if multi in _MULTI_CHAR_OPERATORS:
-            position += 2
-            tokens.append(Token(TokenType.OPERATOR, multi, start, position))
-            continue
-        position += 1
-        if char in _SINGLE_CHAR_OPERATORS:
-            tokens.append(Token(TokenType.OPERATOR, char, start, position))
-            continue
-        if char in _PUNCTUATION:
-            tokens.append(Token(TokenType.PUNCT, char, start, position))
-            continue
-        raise SQLSyntaxError(f"unexpected character {char!r}", start)
-    tokens.append(Token(TokenType.EOF, "", length, length))
+    append(Token(TokenType.EOF, "", length, length))
     return tokens
-
-
-def _read_string(sql: str, start: int) -> tuple[Token, int]:
-    position = start + 1
-    pieces: list[str] = []
-    while position < len(sql):
-        char = sql[position]
-        if char == "'":
-            if sql.startswith("''", position):
-                pieces.append("'")
-                position += 2
-                continue
-            position += 1
-            token = Token(TokenType.STRING, "".join(pieces), start, position)
-            return token, position
-        pieces.append(char)
-        position += 1
-    raise SQLSyntaxError("unterminated string literal", start)
-
-
-_CLOSER = {'"': '"', "`": "`", "[": "]"}
-
-
-def _read_quoted_identifier(sql: str, start: int) -> tuple[Token, int]:
-    opener = sql[start]
-    closer = _CLOSER[opener]
-    position = start + 1
-    pieces: list[str] = []
-    while position < len(sql):
-        char = sql[position]
-        if char == closer:
-            doubled = closer + closer
-            if opener == closer and sql.startswith(doubled, position):
-                pieces.append(closer)
-                position += 2
-                continue
-            position += 1
-            text = "".join(pieces)
-            return Token(TokenType.IDENTIFIER, text, start, position), position
-        pieces.append(char)
-        position += 1
-    raise SQLSyntaxError("unterminated quoted identifier", start)
-
-
-def _read_number(sql: str, start: int) -> tuple[Token, int]:
-    position = start
-    is_float = False
-    while position < len(sql) and sql[position].isdecimal():
-        position += 1
-    if position < len(sql) and sql[position] == ".":
-        is_float = True
-        position += 1
-        while position < len(sql) and sql[position].isdecimal():
-            position += 1
-    if position < len(sql) and sql[position] in ("e", "E"):
-        scan = position + 1
-        if scan < len(sql) and sql[scan] in ("+", "-"):
-            scan += 1
-        if scan < len(sql) and sql[scan].isdecimal():
-            is_float = True
-            position = scan
-            while position < len(sql) and sql[position].isdecimal():
-                position += 1
-    text = sql[start:position]
-    token_type = TokenType.FLOAT if is_float else TokenType.INTEGER
-    return Token(token_type, text, start, position), position
-
-
-def _read_word(sql: str, start: int) -> tuple[Token, int]:
-    position = start
-    while position < len(sql) and (
-        sql[position].isalnum() or sql[position] == "_"
-    ):
-        position += 1
-    text = sql[start:position]
-    upper = text.upper()
-    if upper in KEYWORDS:
-        return Token(TokenType.KEYWORD, upper, start, position), position
-    return Token(TokenType.IDENTIFIER, text, start, position), position

@@ -34,9 +34,15 @@ marker, and the second builds the key's :class:`Template`.  Every later
 text of the key is bound from it — the template's AST with this text's
 literals and positions — instead of parsed, and takes the template's
 stamps and, where no literal the analyzer reads the value of differs,
-its verdict.  Plans are never shared between texts: a plan depends on
-the literals.  Templates live in their own LRU map and are not counted
-by ``len()``, which counts texts.
+its verdict and its binding: the owners resolution wrote onto the
+nodes of the text that taught it (see :mod:`repro.db.resolve`).  A
+bound text of a statement that calls no expensive function is planned
+from those owners and not resolved again.  A template keeps its
+binding, not its estimates: row counts, call-site bounds and
+selectivities read the tables as they are and are made per text.
+Plans are never shared between texts: a plan depends on the literals.
+Templates live in their own LRU map and are not counted by ``len()``,
+which counts texts.
 """
 
 from __future__ import annotations
@@ -153,6 +159,10 @@ class Prepared(NamedTuple):
     tables: tuple
     functions: int
     runtime: Any
+    #: The statement's nodes carry the owners a resolution under these
+    #: stamps wrote, and it calls no expensive function: it is planned
+    #: from them (:func:`~repro.db.resolve.rebound`), not resolved again.
+    bound: bool = False
     options: tuple | None = None
     plan: Any = None
     names: list[str] | None = None
@@ -212,35 +222,43 @@ def template_key(tokens: list[Token]) -> tuple[str, ...]:
     )
 
 
-#: A function of one text's literal values (by token index) and tokens.
-_Build = Callable[[dict, list], Any]
-
-
 class Binder:
     """Builds, from the tokens of any text of one key, the tree
     :func:`~repro.db.sql.parser.parse_tokens` would: the key's template
     with this text's literal values and this text's positions.
 
-    The template is compiled once into one function per node that
-    differs between texts; a subtree that holds no literal and no
-    position is shared by every tree bound.  Literals are read in token
-    order, as the parser reads them, so a text whose integer ``int()``
-    refuses fails as its parse would.
+    The template is compiled once into one function (:class:`_Code`)
+    that builds each node differing between texts; a subtree that holds
+    no literal, no position and no owner is shared by every tree bound.
+    Literals are read in token order, as the parser reads them, so a
+    text whose integer ``int()`` refuses fails as its parse would.  Each
+    node with an ``owner`` takes it from the tuple :meth:`bind` is
+    given, in the order :meth:`owners` reads them off a resolved tree
+    of the key.
     """
 
     def __init__(self, tokens: list[Token]) -> None:
         template = parse_template(tokens)
-        slots: list[Slot] = []
-        build = _compile(template, slots)
-        self._build: _Build = build or (lambda values, tokens: template)
-        self._slots = sorted(slots)
+        code = _Code()
+        self._build = code.function(code.emit(template) or code.of(template))
         self._verdict = sorted(_verdict_slots(template))
+        self._unowned = (None,) * code.owners
 
-    def bind(self, tokens: list[Token]) -> ast.Statement:
-        values = {
-            index: read(tokens[index].text) for index, read in self._slots
-        }
-        return self._build(values, tokens)
+    def bind(
+        self, tokens: list[Token], owners: tuple | None = None
+    ) -> ast.Statement:
+        return self._build(tokens, owners or self._unowned)
+
+    def owners(self, statement: ast.Statement) -> tuple:
+        """The owners ``statement``, a tree of this key, carries."""
+        found: list = []
+        stack: list[Any] = [statement]
+        while stack:
+            node = stack.pop()
+            if type(node) in (ast.ColumnRef, ast.Star):
+                found.append(node.owner)
+            stack.extend(reversed(list(ast.children(node))))
+        return tuple(found)
 
     def verdict_values(self, tokens: list[Token]) -> tuple:
         """The values of this text's literals the analyzer's verdict
@@ -248,57 +266,75 @@ class Binder:
         return tuple(read(tokens[index].text) for index, read in self._verdict)
 
 
-def _compile(node: Any, slots: list[Slot]) -> _Build | None:
-    """A function building ``node`` for one text, or None where every
-    text of the key holds ``node`` itself; appends each literal's
-    :class:`~repro.db.sql.parser.Slot` met to ``slots``."""
-    if type(node) is tuple:
-        parts = [_part(element, slots) for element in node]
-        if not any(bound for bound, _ in parts):
-            return None
-        return lambda values, tokens: tuple(
-            [
-                part(values, tokens) if bound else part
-                for bound, part in parts
-            ]
-        )
-    if type(node) is ast.Literal and type(node.value) is Slot:
-        slots.append(node.value)
-        index = node.value.index
-        return lambda values, tokens: ast.Literal(values[index])
-    fields = getattr(node, "__dataclass_fields__", None)
-    if fields is None:
-        return None
-    node_parts: list[tuple[bool, Any]] = []
-    for name in fields:
-        value = getattr(node, name)
-        if name in _EXTENT and value is not None:
-            node_parts.append((True, _extent(name, value)))
-        else:
-            node_parts.append(_part(value, slots))
-    if not any(bound for bound, _ in node_parts):
-        return None
-    kind = type(node)
-    return lambda values, tokens: kind(
-        *[
-            part(values, tokens) if bound else part
-            for bound, part in node_parts
-        ]
-    )
-
-
-def _part(value: Any, slots: list[Slot]) -> tuple[bool, Any]:
-    build = _compile(value, slots)
-    return (False, value) if build is None else (True, build)
-
-
-#: The fields a template holds token indexes in (see
+#: Where a template's ``position`` and ``end`` token index points in a
+#: :class:`~repro.db.sql.lexer.Token` (see
 #: :func:`~repro.db.sql.parser.parse_template`).
-_EXTENT = ("position", "end")
+_EXTENT = {"position": 2, "end": 3}
 
 
-def _extent(name: str, index: int) -> _Build:
-    return lambda values, tokens: getattr(tokens[index], name)
+class _Code:
+    """The source of one function of a text's tokens ``t`` and owners
+    ``o`` that builds a key's tree: one local per literal read (by its
+    :class:`~repro.db.sql.parser.Slot`) and one per node built, each
+    node after its children.  Every value the
+    source names is an index into its constants ``c``: no text of a
+    statement is spliced into it, and it nests no deeper than one
+    call, however deep the tree."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.constants: list[Any] = []
+        self.slots: list[Slot] = []
+        #: How many owners the tree holds, in :meth:`Binder.owners`'
+        #: order: pre-order, fields in order.
+        self.owners = 0
+
+    def of(self, value: Any) -> str:
+        self.constants.append(value)
+        return f"c[{len(self.constants) - 1}]"
+
+    def emit(self, node: Any) -> str | None:
+        """The local that holds ``node`` built for one text, or None
+        where every text holds ``node`` itself."""
+        if type(node) is tuple:
+            parts = [self.emit(element) for element in node]
+            if not any(parts):
+                return None
+            args = [p or self.of(e) for p, e in zip(parts, node)]
+            return self._local("(" + "".join(f"{a}, " for a in args) + ")")
+        if type(node) is ast.Literal and type(node.value) is Slot:
+            self.slots.append(node.value)
+            return self._local(f"{self.of(ast.Literal)}(v{node.value.index})")
+        fields = getattr(node, "__dataclass_fields__", ())
+        parts: list[str | None] = []
+        for name in fields:
+            value = getattr(node, name)
+            if name == "owner":
+                parts.append(f"o[{self.owners}]")
+                self.owners += 1
+            elif name in _EXTENT and value is not None:
+                parts.append(f"t[{value}][{_EXTENT[name]}]")
+            else:
+                parts.append(self.emit(value))
+        if not any(parts):
+            return None
+        args = [p or self.of(getattr(node, n)) for p, n in zip(parts, fields)]
+        return self._local(f"{self.of(type(node))}({', '.join(args)})")
+
+    def _local(self, expression: str) -> str:
+        name = f"n{len(self.lines)}"
+        self.lines.append(f"{name} = {expression}")
+        return name
+
+    def function(self, result: str) -> Callable[[list, tuple], Any]:
+        reads = [
+            f"v{slot.index} = {self.of(slot.read)}(t[{slot.index}][1])"
+            for slot in sorted(self.slots)
+        ]
+        body = "".join(f"    {line}\n" for line in reads + self.lines)
+        namespace = {"c": self.constants}
+        exec(f"def build(t, o):\n{body}    return {result}\n", namespace)
+        return namespace["build"]
 
 
 def _verdict_slots(template: ast.Statement) -> set[Slot]:
@@ -337,24 +373,28 @@ def _name_slots(expression: Any) -> set[Slot]:
 
 
 class Template(NamedTuple):
-    """One key's :class:`Binder`, with the stamps and analyzer verdict
-    of the last text of the key that succeeded (``stamps``, a
-    :class:`Prepared` without a statement) and that text's
-    :meth:`~Binder.verdict_values`: the verdict holds for another text
-    of the key only if its values are the same."""
+    """One key's :class:`Binder`, with the stamps, analyzer verdict and
+    owners of the last text of the key that taught it (``stamps``, a
+    :class:`Prepared` without a statement, and :meth:`Binder.owners`)
+    and that text's :meth:`~Binder.verdict_values`: the verdict and the
+    owners hold for another text of the key only if its values are the
+    same."""
 
     binder: Binder
     stamps: Prepared
     values: tuple
+    owners: tuple
 
     def prepare(self, tokens: list[Token]) -> Prepared:
-        """The entry for the text ``tokens`` came from, as parsing and
-        analyzing it afresh under these stamps would derive it."""
-        analyzed = self.stamps.analyzed and (
-            self.binder.verdict_values(tokens) == self.values
-        )
-        return self.stamps._replace(
-            statement=self.binder.bind(tokens), analyzed=analyzed
+        """The entry for the text ``tokens`` came from, as parsing,
+        analyzing and resolving it afresh under these stamps would
+        derive it."""
+        same = self.binder.verdict_values(tokens) == self.values
+        stamps = self.stamps
+        return stamps._replace(
+            statement=self.binder.bind(tokens, self.owners),
+            analyzed=stamps.analyzed and same,
+            bound=stamps.bound and same,
         )
 
 
@@ -383,19 +423,21 @@ class StatementCache(LRUCache):
         — when ``shape`` gives the key, tokens and template a miss
         derived it with — teach the key: a first sight leaves a marker,
         the second builds the template, and later texts renew its
-        stamps and verdict when the one they were derived with no longer
-        stood or the analyzer has judged values it had not."""
+        stamps, verdict and owners when the one they were derived with
+        no longer stood, or when they hold a verdict or owners for
+        values the template had none for."""
         self.put(sql, entry)
         if shape is None:
             return
         key, tokens, template = shape
         if template is not None:
-            binder = template.binder
+            binder, stamps = template.binder, template.stamps
             values = binder.verdict_values(tokens)
-            if entry.tables is template.stamps.tables and (
-                not entry.analyzed
-                or template.stamps.analyzed
-                and values == template.values
+            same = values == template.values
+            if (
+                entry.tables is stamps.tables
+                and (not entry.analyzed or stamps.analyzed and same)
+                and (not entry.bound or stamps.bound and same)
             ):
                 return
         elif hash(key) not in self.templates:
@@ -404,9 +446,9 @@ class StatementCache(LRUCache):
         else:
             binder = Binder(tokens)
             values = binder.verdict_values(tokens)
-        self.templates.put(
-            key, Template(binder, entry._replace(statement=None), values)
-        )
+        stamps = entry._replace(statement=None)
+        owners = binder.owners(entry.statement)
+        self.templates.put(key, Template(binder, stamps, values, owners))
 
     def lookup(self, sql: str) -> Prepared | None:
         """The entry for ``sql``, promoted to most recently used."""

@@ -582,10 +582,10 @@ def test_filter_matches_the_frozen_filter(pool, size):
     for predicate in PREDICATES:
         sql = f"SELECT * FROM t WHERE {predicate}"
         statement = parse_statement(sql)
-        owners = resolve(db, statement).owners
-        compiled = ExpressionCompiler(
-            layout, FunctionRegistry(), owners=owners
-        ).compile(statement.where)
+        resolve(db, statement)  # writes each reference's owner
+        compiled = ExpressionCompiler(layout, FunctionRegistry()).compile(
+            statement.where
+        )
         want = ref_filter(compiled, stored)
         assert same(db.execute(sql).rows, want), sql
         assert "Filter(where)" in db.explain(sql)

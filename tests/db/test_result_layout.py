@@ -25,7 +25,7 @@ def layout() -> RowLayout:
 
 
 def position(layout: RowLayout, name: str, table: str | None = None) -> int:
-    return slot(layout, ast.ColumnRef(name, table), None)
+    return slot(layout, ast.ColumnRef(name, table))
 
 
 @pytest.fixture()
@@ -52,7 +52,7 @@ class TestRowLayout:
     def test_unqualified_unique(self, db, layout):
         sql = "SELECT 1 FROM m JOIN r ON m.id = r.id"
         owner = resolve(db, parse_statement(sql)).scope.bind("title")
-        assert slot(layout, ast.ColumnRef("title"), owner) == 1
+        assert slot(layout, ast.ColumnRef("title", owner=owner)) == 1
         assert position(layout, "_agg0") == 3
         with pytest.raises(PlanningError, match="unknown column 'title'"):
             position(layout, "title")  # no owner: bound by no other rule
