@@ -40,7 +40,8 @@ def test_a_batched_group_key_calls_once_per_distinct_value(sql, size):
     assert len(udf.calls) == 3
     db, _ = build()
     render = db.explain_analyze(sql, udf_batch_size=size).render()
-    [aggregate] = [line for line in render.splitlines() if "Aggregate(" in line]
+    lines = render.splitlines()
+    [aggregate] = [line for line in lines if "Aggregate(" in line]
     assert "lm_calls=3 " in aggregate
 
 

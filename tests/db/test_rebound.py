@@ -12,7 +12,8 @@ GROUP BY terms, HAVING, ORDER BY, aggregate calls, bare columns and
 whether a subquery is held.  The pairs differ in literals a structural
 comparison reads (a GROUP BY term equal to an item or not, two
 aggregate calls equal or not), so a kept decision that depended on a
-literal would show.
+literal would show.  Last, worker threads share stored trees while some
+of them write owners again and others plan from them.
 """
 
 from __future__ import annotations
@@ -163,3 +164,51 @@ def refs(statement) -> list:
             found.append(node)
         stack.extend(ast.children(node))
     return found
+
+
+#: Texts whose stored trees workers share: LM-free ones planned from
+#: their owners, and one calling the expensive ``SLOW``, resolved again
+#: (its owners written again) on every execution.
+SHARED = [
+    "SELECT * FROM a WHERE id >= 2 ORDER BY id",
+    "SELECT x AS k, COUNT(*) FROM a GROUP BY k ORDER BY k",
+    "SELECT id, SLOW(y) FROM b WHERE id < 6 ORDER BY id",
+    "SELECT s.k FROM (SELECT id AS k FROM b WHERE id < 9) AS s "
+    "WHERE s.k IN (SELECT id FROM a) ORDER BY s.k",
+]
+
+
+def test_workers_share_stored_trees_and_their_owners():
+    """Six threads (more than cores) run the shared texts with the
+    analyzer on and off, so some re-resolve a stored tree while others
+    plan from its owners; every answer is the single-threaded one."""
+    import sys
+    import threading
+
+    db, _ = build()
+    want = {sql: db.execute(sql).rows for sql in SHARED}
+    errors: list[BaseException] = []
+
+    def work(seed: int) -> None:
+        try:
+            for step in range(120):
+                sql = SHARED[(seed + step) % len(SHARED)]
+                rows = db.execute(sql, analyze=bool(step % 2)).rows
+                assert rows == want[sql], sql
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=work, args=(n,)) for n in range(6)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
