@@ -334,7 +334,9 @@ class _Code:
         body = "".join(f"    {line}\n" for line in reads + self.lines)
         namespace = {"c": self.constants}
         exec(f"def build(t, o):\n{body}    return {result}\n", namespace)
-        return namespace["build"]
+        # Taken out of its own globals: a binder holds no reference
+        # cycle for the garbage collector to find.
+        return namespace.pop("build")
 
 
 def _verdict_slots(template: ast.Statement) -> set[Slot]:
