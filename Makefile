@@ -3,8 +3,8 @@ export PYTHONPATH := src
 
 .PHONY: test loc test-durations test-optimizer test-repair test-conc test-semcache test-shard test-access test-lm bench bench-smoke artifacts-check perf perf-smoke lint lint-conc analyze-smoke trace-smoke verify
 
-# pyproject's addopts already pass one -q; a second would drop the
-# "N passed" summary line.
+# No -q: pytest's own summary ends with the "N passed" line (two -q
+# flags drop it).
 test:
 	$(PYTHON) -m pytest -x
 
@@ -78,7 +78,7 @@ test-shard:
 # digest over a fixed corpus, since template binding reads token
 # positions.
 test-access:
-	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_morsel_kernels.py tests/db/test_morsel_errors.py tests/db/test_kernel_errors.py tests/db/test_where_narrowing.py tests/db/test_limit_reads.py tests/db/test_sqlite_differential.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py tests/db/test_statement_templates.py tests/db/test_template_binding.py tests/db/test_kept_resolution.py tests/db/test_lexer.py tests/db/test_token_digest.py -q
+	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_morsel_kernels.py tests/db/test_morsel_errors.py tests/db/test_kernel_errors.py tests/db/test_where_narrowing.py tests/db/test_limit_reads.py tests/db/test_sqlite_differential.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py tests/db/test_statement_templates.py tests/db/test_template_binding.py tests/db/test_kept_resolution.py tests/db/test_lexer.py tests/db/test_token_digest.py tests/db/test_write_pin.py tests/db/test_lowered_writes.py -q
 
 # What is derived once, against its frozen references: the handlers'
 # schema and vocabulary derivations, the embedder's buckets and the

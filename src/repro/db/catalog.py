@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import compress
+from itertools import islice
 from typing import TYPE_CHECKING, Any
 
 from repro.db import types as dbtypes
-from repro.db.expr import ExpressionCompiler, Kernel, reads_row_by_row
 from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.optimizer import QueryOptimizer
-from repro.db.plan import UDFExecContext, run_morsels
+from repro.db.plan import UDFExecContext
 from repro.db.planner import Planner
-from repro.db.resolve import Resolved, misplaced, rebound, resolve
+from repro.db.resolve import rebound, resolve
 from repro.db.shard import PartitionSpec, ShardRuntime
 from repro.db.stmtcache import (
     LRUCache,
@@ -21,7 +20,7 @@ from repro.db.stmtcache import (
     StatementCache,
     template_key,
 )
-from repro.db.result import ResultSet, RowLayout
+from repro.db.result import ResultSet
 from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.lexer import tokenize
@@ -74,15 +73,17 @@ def _check_options(udf_batch_size: object, max_rows: object) -> None:
         )
 
 
-def _named_tables(select: ast.Select) -> set[str]:
-    """Lowered name of every table a SELECT mentions, in its FROM tree
-    or in any subquery at any depth."""
+def _named_tables(statement: ast.Statement) -> set[str]:
+    """Lowered name of every table a statement mentions: a write's
+    target, and every table in a FROM tree or subquery at any depth."""
     names: set[str] = set()
-    stack: list[Any] = [select]
+    stack: list[Any] = [statement]
     while stack:
         node = stack.pop()
         if type(node) is ast.TableSource:
             names.add(node.name.lower())
+        elif type(node) in (ast.Insert, ast.Update, ast.Delete):
+            names.add(node.table.lower())
         stack.extend(ast.children(node))
     return names
 
@@ -251,16 +252,18 @@ class Database:
         udf_batch_size: "int | str | None",
         max_rows: int | None,
     ) -> tuple[Prepared, Any, list[str], Any]:
-        """The one prepare step of the SELECT ``entry`` holds: the entry
-        to keep, the plan, its output names and the optimizer's report.
+        """The one prepare step of the statement ``entry`` holds: the
+        entry to keep, the plan, its output names and the optimizer's
+        report.  A write is planned as the SELECT it is lowered to
+        (:meth:`_lowered`).
 
         The SELECT is resolved at most once, and only when something
-        reads the resolution: the analyzer's preflight (asked for, and
-        ``entry`` not yet ``analyzed``), the route choice and the
-        planner.  An entry that is ``bound`` (its nodes carry the owners
-        an earlier resolution of its shape wrote, and it calls no
-        expensive function) is not resolved again for those two: its
-        resolution is derived from the owners.  A plan the ``stored``
+        reads the resolution: the analyzer's preflight (asked for, of a
+        SELECT, and ``entry`` not yet ``analyzed``), the route choice
+        and the planner.  An entry that is ``bound`` (its nodes carry
+        the owners an earlier resolution of its shape wrote, and it
+        calls no expensive function) is not resolved again for those
+        two: its resolution is derived from the owners.  A plan the ``stored``
         entry kept under these options runs as it is.
         Errors come in order: the analyzer's rejection, a bad option,
         then the planning failure.
@@ -274,11 +277,13 @@ class Database:
         degrades to per-row, ints are still honored (for ablations).
         Anything else is refused by :func:`_check_options`.
         """
+        statement = entry.statement
+        select = self._lowered(statement)
         resolved = None
-        if analyze and not entry.analyzed:
+        if analyze and not entry.analyzed and select is statement:
             from repro.analysis import SQLAnalyzer
 
-            resolved = resolve(self, entry.statement)
+            resolved = resolve(self, select)
             verdict = SQLAnalyzer(self).report(resolved, sql)
             if not verdict.ok:
                 raise _analysis_error(verdict)
@@ -289,9 +294,9 @@ class Database:
             self.statement_cache.count_plan_hit()
             return entry, stored.plan, stored.names, stored.report
         if resolved is None and entry.bound:
-            resolved = rebound(self.functions, entry.statement)
+            resolved = rebound(self.functions, select)
         elif resolved is None:
-            resolved = resolve(self, entry.statement)
+            resolved = resolve(self, select)
             if not resolved.sites:
                 entry = entry._replace(bound=True)
         optimizer = None
@@ -310,7 +315,10 @@ class Database:
             else UDFExecContext(self.udf_cache, self._usage),
             optimizer,
         )
-        plan, names = planner.plan_select(entry.statement)
+        write = type(statement).__name__.upper()
+        plan, names = planner.plan_select(
+            select, None if select is statement else write
+        )
         report = None if optimizer is None else optimizer.report
         # The plan is kept from the text's first repeat on (one that
         # never recurs then costs an AST, not a plan), and only when it
@@ -355,8 +363,8 @@ class Database:
             return entry
         return None
 
-    def _first_sight(self, statement: ast.Select) -> Prepared:
-        """A not yet stored entry for a SELECT just parsed, stamped
+    def _first_sight(self, statement: ast.Statement) -> Prepared:
+        """A not yet stored entry for a statement just parsed, stamped
         before anything is derived from the catalog: a change racing
         the derivation then voids the entry instead of hiding in it."""
         version = self.functions.version
@@ -370,17 +378,17 @@ class Database:
     def _derive(self, sql: str) -> tuple[Any, tuple | None]:
         """What a text the cache does not hold derives to.
 
-        A SELECT is lexed once.  Its tokens' :func:`template_key` finds
-        the template other texts of its shape left; while that stands,
-        the text's AST is bound from it and the template's stamps and
-        verdict come along, else the tokens are parsed and stamped as a
-        first sight.  Returns the :class:`Prepared` and the ``(key,
-        tokens, template)`` that
+        A statement is lexed once.  Its tokens' :func:`template_key`
+        finds the template other texts of its shape left; while that
+        stands, the text's AST is bound from it and the template's
+        stamps and verdict come along, else the tokens are parsed and
+        stamped as a first sight.  Returns the :class:`Prepared` and the
+        ``(key, tokens, template)`` that
         :meth:`~repro.db.stmtcache.StatementCache.admit` learns from,
-        or, for any other statement, its parse and None.
+        or, for a CREATE TABLE, its parse and None.
         """
         tokens = tokenize(sql)
-        if not tokens[0].matches_keyword("SELECT"):
+        if tokens[0].matches_keyword("CREATE"):
             return parse_tokens(tokens), None
         key = template_key(tokens)
         template = self.statement_cache.templates.get(key)
@@ -408,7 +416,7 @@ class Database:
         entry = self._lookup(sql)
         if entry is None:
             entry, shape = self._derive(sql)
-            if shape is None:
+            if shape is None or type(entry.statement) is not ast.Select:
                 raise PlanningError(f"{what} only supports SELECT")
         return self._prepare(
             sql, entry, None, analyze, optimize, udf_batch_size, max_rows
@@ -428,10 +436,11 @@ class Database:
     ) -> ResultSet:
         """Parse and run one SQL statement.
 
-        ``max_rows`` caps the rows a SELECT returns.  Truncation is
-        never silent: every dropped row is metered into the bound
-        ``Usage.rows_truncated`` (see :meth:`bind_udf_meters`) and
-        EXPLAIN ANALYZE output carries a truncation note.
+        ``max_rows`` caps the rows a SELECT returns, never the rows a
+        write writes.  Truncation is never silent: every dropped row is
+        metered into the bound ``Usage.rows_truncated`` (see
+        :meth:`bind_udf_meters`) and EXPLAIN ANALYZE output carries a
+        truncation note.
 
         With ``analyze=True``, SELECTs are pre-flighted through the
         static analyzer and an :class:`~repro.errors.AnalysisError`
@@ -465,10 +474,14 @@ class Database:
         decides (see :mod:`repro.db.stmtcache`): parsing and the
         analyzer's verdict while the catalog objects it names stand,
         and from its second repeat on planning too, while the
-        statistics the plan was chosen from stand.  Rows, errors and
-        everything metered are those of a statement seen for the first
-        time; :meth:`explain` and :meth:`explain_analyze` always plan
-        afresh.
+        statistics the plan was chosen from stand.  An INSERT, UPDATE
+        or DELETE is bound from its shape's template as a SELECT is,
+        and planned afresh each time as the SELECT of the values it
+        writes (:meth:`_lowered`), so it takes the routes a SELECT
+        does; its plan runs to its end before a row is written.  Rows,
+        errors and everything metered are those of a statement seen
+        for the first time; :meth:`explain` and :meth:`explain_analyze`
+        always plan afresh, and only SELECTs.
         """
         prefixed = _EXPLAIN_ANALYZE.match(sql)
         if prefixed is not None:
@@ -488,32 +501,20 @@ class Database:
         if stored is None:
             entry, shape = self._derive(sql)
             if shape is None:
-                return self._execute_write(entry)
+                self._execute_create(entry)
+                return ResultSet([], [])
         entry, plan, names, report = self._prepare(
             sql, entry, stored, analyze, optimize, udf_batch_size, max_rows
         )
-        rows, _ = self._run(plan, report, max_rows)
+        statement = entry.statement
+        if type(statement) is ast.Select:
+            result = ResultSet(names, self._run(plan, report, max_rows)[0])
+        else:
+            result = self._write(statement, list(plan.execute()))
         # Only a statement that has succeeded is kept.
         if entry is not stored:
             self.statement_cache.admit(sql, entry, shape)
-        return ResultSet(names, rows)
-
-    def _execute_write(self, statement: ast.Statement) -> ResultSet:
-        if isinstance(statement, ast.CreateTable):
-            self._execute_create(statement)
-            return ResultSet([], [])
-        if isinstance(statement, ast.Insert):
-            inserted = self._execute_insert(statement)
-            return ResultSet(["rows_inserted"], [(inserted,)])
-        if isinstance(statement, ast.Update):
-            updated = self._execute_update(statement)
-            return ResultSet(["rows_updated"], [(updated,)])
-        if isinstance(statement, ast.Delete):
-            deleted = self._execute_delete(statement)
-            return ResultSet(["rows_deleted"], [(deleted,)])
-        raise PlanningError(  # pragma: no cover - parser covers all cases
-            f"unsupported statement {type(statement).__name__}"
-        )
+        return result
 
     def analyze(self, sql: str | ast.Select, source: str = ""):
         """Statically analyze a SELECT against this catalog.
@@ -615,94 +616,54 @@ class Database:
         ]
         self.create_table(TableSchema(statement.name, columns, foreign_keys))
 
-    def _execute_insert(self, statement: ast.Insert) -> int:
-        table = self.table(statement.table)
-        self._checked(
-            statement, [value for row in statement.rows for value in row]
-        )
-        compiler = ExpressionCompiler(RowLayout([]), self.functions)
-        # Every value is compiled, then evaluated, before a row is
-        # written; the table writes all the rows or none.
-        rows = [list(map(compiler.compile, row)) for row in statement.rows]
-        values = [[evaluate(()) for evaluate in row] for row in rows]
-        if statement.columns:
-            values = [dict(zip(statement.columns, row)) for row in values]
-        return table.insert_many(values)
-
-    def _checked(
-        self,
-        statement: ast.Statement,
-        values: list[ast.Expression],
-        source: ast.TableSource | None = None,
-    ) -> Resolved:
-        """A write's ``values`` and WHERE, resolved as the one-table
-        SELECT they bind as; raises its first failure, then an
-        aggregate among the values."""
-        items = tuple(map(ast.SelectItem, values))
-        where = getattr(statement, "where", None)
-        resolved = resolve(self, ast.Select(items, source, where))
-        for failure in resolved.failures.values():
-            failure.throw()
-        for call in resolved.aggregates:
-            misplaced(call, f"in {type(statement).__name__.upper()}").throw()
-        return resolved
-
-    def _target_rows(
-        self, statement: ast.Update | ast.Delete
-    ) -> tuple[Table, list[Kernel], list[int]]:
-        """The table an UPDATE/DELETE names, the kernels of its assigned
-        values, and the ascending ids of the rows its WHERE selects (all
-        of them without one).  Every expression is compiled, and so
-        checked, before a row is read."""
-        table = self.table(statement.table)
-        # The WHERE and the assigned values bind as a one-table SELECT.
-        values = [value for _, value in getattr(statement, "assignments", ())]
-        resolved = self._checked(
-            statement, values, ast.TableSource(statement.table)
-        )
-        compiler = ExpressionCompiler(
-            table.layout(statement.table), self.functions
-        )
-        kernels = [compiler.kernel(value) for value in values]
-        planner = Planner(self, resolved)
-        candidates = planner.candidate_row_ids(
-            table, statement.table, statement.where
-        )
-        if statement.where is None:
-            return table, kernels, list(candidates)
-        predicate = compiler.kernel(statement.where)
-        rows = table.rows
-
-        def selected(row_ids: list[int]) -> Iterable[int]:
-            return compress(row_ids, predicate([rows[i] for i in row_ids]))
-
-        one_by_one = reads_row_by_row(predicate)
-        selected_ids = run_morsels(selected, candidates, one_by_one)
-        return table, kernels, list(selected_ids)
-
-    def _execute_update(self, statement: ast.Update) -> int:
+    def _lowered(self, statement: ast.Statement) -> ast.Select:
+        """The SELECT a statement's rows come from: a SELECT itself; an
+        INSERT's values, every row's in one row; the values an UPDATE
+        assigns (none for a DELETE) from each row its WHERE selects,
+        each row tagged with its row id.  A write's table, and the
+        columns an UPDATE assigns, are checked here, before anything
+        is resolved."""
+        if type(statement) is ast.Select:
+            return statement
         schema = self.table(statement.table).schema
+        if type(statement) is ast.Insert:
+            values = [value for row in statement.rows for value in row]
+            return ast.Select(tuple(map(ast.SelectItem, values)))
+        assignments = getattr(statement, "assignments", ())
+        for column, _ in assignments:
+            schema.column_index(column)
+        return ast.Select(
+            tuple(ast.SelectItem(value) for _, value in assignments),
+            ast.TableSource(statement.table),
+            statement.where,
+        )
+
+    def _write(self, statement: ast.Statement, rows: list) -> ResultSet:
+        """Apply the rows a write's lowered SELECT produced; the table
+        writes all of them or none."""
+        table = self.table(statement.table)
+        if type(statement) is ast.Insert:
+            values = iter(rows[0])
+            staged: list = [
+                tuple(islice(values, len(row))) for row in statement.rows
+            ]
+            if statement.columns:
+                staged = [dict(zip(statement.columns, row)) for row in staged]
+            return ResultSet(["rows_inserted"], [(table.insert_many(staged),)])
+        if type(statement) is ast.Delete:
+            deleted = table.delete_rows(row[-1] for row in rows)
+            return ResultSet(["rows_deleted"], [(deleted,)])
+        schema, old = table.schema, table.rows
         positions = [
             schema.column_index(column) for column, _ in statement.assignments
         ]
-        table, kernels, row_ids = self._target_rows(statement)
-        rows = table.rows
-
-        def changed(row_ids: list[int]) -> list[tuple[int, list]]:
-            targets = [rows[row_id] for row_id in row_ids]
-            changes = [(row_id, list(rows[row_id])) for row_id in row_ids]
-            for position, kernel in zip(positions, kernels):
-                for (_, mutable), value in zip(changes, kernel(targets)):
-                    mutable[position] = value
-            return changes
-
-        one_by_one = reads_row_by_row(*kernels)
-        changes = run_morsels(changed, row_ids, one_by_one)
-        return table.update_rows(list(changes))
-
-    def _execute_delete(self, statement: ast.Delete) -> int:
-        table, _, row_ids = self._target_rows(statement)
-        return table.delete_rows(row_ids)
+        changes = []
+        for row in rows:
+            new = list(old[row[-1]])
+            for position, value in zip(positions, row):
+                new[position] = value
+            changes.append((row[-1], new))
+        return ResultSet(["rows_updated"], [(table.update_rows(changes),)])
 
     def __repr__(self) -> str:
         return f"Database({self.name!r}, tables={self.table_names})"

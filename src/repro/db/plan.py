@@ -119,16 +119,6 @@ def _outputs(
         yield out
 
 
-def run_morsels(
-    step: Callable[[list], Iterable], items: Iterable, one_by_one: bool
-) -> Iterator:
-    """``step`` over ``items`` a morsel at a time (or one item at a
-    time), with a failing morsel's error raised at its first failing
-    item: for the statements that run outside a plan (UPDATE/DELETE)."""
-    size = 1 if one_by_one else MORSEL_SIZE
-    return _stepped(step, _morsels(iter(items), size))
-
-
 class PlanNode:
     """Base class for plan operators."""
 
@@ -144,6 +134,11 @@ class PlanNode:
     #: Whether an expression this node holds makes an LM call no batched
     #: site resolves (:func:`~repro.db.expr.reads_row_by_row`).
     serial = False
+
+    #: Whether each row this node emits ends with its row id, one past
+    #: its ``layout``: a shard pipeline's rows, and a write's targets.
+    #: Kernels compiled against the layout never read it.
+    tagged = False
 
     def execute(self) -> Iterator[Row]:
         raise NotImplementedError
@@ -185,10 +180,21 @@ class Scan(PlanNode):
         self.layout = table.layout(binding)
 
     def execute(self) -> Iterator[Row]:
+        if self.tagged:
+            return _read(self, range(len(self.table)))
         return iter(self.table)
 
     def _describe(self) -> str:
         return f"Scan({self.table.schema.name} AS {self.binding})"
+
+
+def _read(node: PlanNode, row_ids: Iterable[int]) -> Iterator[Row]:
+    """The rows of ``node``'s table with these ids, each with its id
+    after it when ``node`` is tagged."""
+    rows = node.table.rows  # type: ignore[attr-defined]
+    if node.tagged:
+        return (rows[row_id] + (row_id,) for row_id in row_ids)
+    return map(rows.__getitem__, row_ids)
 
 
 class IndexLookup(PlanNode):
@@ -201,12 +207,8 @@ class IndexLookup(PlanNode):
         self.value = value
         self.layout = table.layout(binding)
 
-    def row_ids(self) -> list[int]:
-        """Ascending ids of the rows this node emits."""
-        return self.table.lookup_ids(self.column, self.value)
-
     def execute(self) -> Iterator[Row]:
-        yield from self.table.lookup(self.column, self.value)
+        return _read(self, self.table.lookup_ids(self.column, self.value))
 
     def _describe(self) -> str:
         return (
@@ -264,9 +266,7 @@ class IndexRange(PlanNode):
         return ids if self.key_order else sorted(ids)
 
     def execute(self) -> Iterator[Row]:
-        rows = self.table.rows
-        for row_id in self.row_ids():
-            yield rows[row_id]
+        return _read(self, self.row_ids())
 
     def _describe(self) -> str:
         bounds = []
@@ -676,6 +676,7 @@ class Filter(_MorselNode):
         self.predicate = predicate
         self.label = label
         self.layout = child.layout
+        self.tagged = child.tagged
         self.serial = reads_row_by_row(predicate)
 
     def execute(self) -> Iterator[Row]:
@@ -689,9 +690,9 @@ class Project(_MorselNode):
     """One output column per kernel.  With ``positions`` every item is
     a bare input column, and a row is projected with one
     ``itemgetter``.  With call sites it renders as ``BatchedProject`` or
-    ``ShardBatchedProject`` (see :class:`Filter`); a tag is one more
-    output column, so the merge above still sees globally ordered
-    tuples."""
+    ``ShardBatchedProject`` (see :class:`Filter`).  A tag is one more
+    output column, so the merge above a shard pipeline still sees
+    globally ordered tuples, and a write still knows its rows."""
 
     def __init__(
         self,
@@ -706,8 +707,11 @@ class Project(_MorselNode):
     ) -> None:
         super().__init__(child, sites or [], context, batch_size, ordinal)
         self.serial = reads_row_by_row(*kernels)
-        if self.context.tagged:
-            kernels = kernels + [read_column(-1)]
+        self.tagged = child.tagged
+        if self.tagged:
+            tag = len(child.layout)
+            kernels = kernels + [read_column(tag)]
+            positions = None if positions is None else positions + [tag]
         self.kernels = kernels
         self.layout = layout
         self._slice = None if positions is None else _tuple_builder(positions)
@@ -720,6 +724,25 @@ class Project(_MorselNode):
 
     def _describe(self) -> str:
         return self._label("Project", [", ".join(self.layout.names)])
+
+
+class Materialize(PlanNode):
+    """Reads its child to the end before it hands on a row: a write's
+    targets are all selected before a value is computed for any."""
+
+    def __init__(self, child: PlanNode) -> None:
+        self.child = child
+        self.layout = child.layout
+        self.tagged = child.tagged
+
+    def execute(self) -> Iterator[Row]:
+        yield from list(self.child.execute())
+
+    def _children(self) -> list[PlanNode]:
+        return [self.child]
+
+    def _streamed(self) -> list[PlanNode]:
+        return []
 
 
 class Slice(PlanNode):
@@ -920,6 +943,7 @@ class IndexJoin(PlanNode):
         column: str,
         table_is_left: bool,
         residual: Kernel | None = None,
+        layout: RowLayout | None = None,
     ) -> None:
         self.child = child
         self.key = key
@@ -929,12 +953,10 @@ class IndexJoin(PlanNode):
         self.table_is_left = table_is_left
         self.residual = residual
         self.serial = reads_row_by_row(key, residual)
-        probed = table.layout(binding)
-        self.layout = (
-            RowLayout.concat(probed, child.layout)
-            if table_is_left
-            else RowLayout.concat(child.layout, probed)
-        )
+        if layout is None:  # else the layout of the join it replaces
+            sides = [table.layout(binding), child.layout]
+            layout = RowLayout.concat(*sides[:: 1 if table_is_left else -1])
+        self.layout = layout
 
     def execute(self) -> Iterator[Row]:
         residual = self.residual
@@ -1433,7 +1455,7 @@ class Values(PlanNode):
 # A shardable WHERE region is planned as N per-shard pipelines under one
 # Exchange:
 #
-#     Merge                      <- strips the tag, restores scan layout
+#     Merge                      <- strips the tag (a write's keeps it)
 #       Exchange(shards=N)       <- runs pipelines on threads, k-way merge
 #         ShardScan -> [ShardFilter] -> [ShardBatchedFilter...] (x N)
 #
@@ -1455,8 +1477,11 @@ class ShardScan(PlanNode):
     The advertised ``layout`` is the *untagged* scan layout: kernels
     compiled against it index positions strictly below the tag, so they
     run unchanged on tagged tuples.  :class:`Merge` strips the tag
-    before anything above the exchange sees a row.
+    before anything above the exchange sees a row, unless the rows are
+    a write's targets.
     """
+
+    tagged = True
 
     def __init__(
         self,
@@ -1472,15 +1497,16 @@ class ShardScan(PlanNode):
         self.layout = table.layout(binding)
 
     def execute(self) -> Iterator[Row]:
-        rows = self.table.rows
-        for row_id in self.table.partition_row_ids()[self.shard_id]:
-            yield rows[row_id] + (row_id,)
+        return _read(self, self.table.partition_row_ids()[self.shard_id])
 
     def _describe(self) -> str:
         return (
             f"ShardScan({self.table.schema.name} AS {self.binding}, "
             f"{self.spec.describe()}, shard={self.shard_id})"
         )
+
+
+_untagged = itemgetter(slice(-1))
 
 
 def _shard_stat_nodes(pipeline: PlanNode) -> list[PlanNode]:
@@ -1673,16 +1699,18 @@ class Exchange(PlanNode):
 
 
 class Merge(PlanNode):
-    """Strips shard tags; output order is the global scan order."""
+    """Strips shard tags, unless it is ``tagged`` (a write's targets);
+    output order is the global scan order."""
 
-    def __init__(self, child: Exchange) -> None:
+    def __init__(self, child: Exchange, tagged: bool = False) -> None:
         self.child = child
         self.layout = child.layout
+        self.tagged = tagged
         self.trace_describe = "Merge"
 
     def execute(self) -> Iterator[Row]:
-        for row in self.child.execute():
-            yield row[:-1]
+        rows = self.child.execute()
+        return rows if self.tagged else map(_untagged, rows)
 
     def _describe(self) -> str:
         return "Merge"

@@ -46,7 +46,6 @@ the ablation benchmark compares both modes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
@@ -63,6 +62,7 @@ from repro.db.resolve import (
     Column,
     Ordering,
     Resolved,
+    misplaced,
     rebound,
     slot,
     substitute,
@@ -157,14 +157,18 @@ class Planner:
         return ResultSet(names, list(plan.execute()))
 
     def plan_select(
-        self, select: ast.Select
+        self, select: ast.Select, write: str | None = None
     ) -> tuple[physical.PlanNode, list[str]]:
+        """The plan of ``select`` and its output names.  For the SELECT a
+        ``write`` (``"UPDATE"``, ...) is lowered to, an aggregate call
+        is an error and each row of a FROM table ends with its row id
+        (see :class:`~repro.db.plan.PlanNode`'s ``tagged``)."""
         saved_select = self._shard_select
         saved_merge = self._open_merge
         self._shard_select = select
         self._open_merge = None
         try:
-            plan, names = self._plan_select(select)
+            plan, names = self._plan_select(select, write)
             if self._resolved.sites:  # else no LM call to order
                 physical.read_serially(plan)
             return plan, names
@@ -173,16 +177,21 @@ class Planner:
             self._open_merge = saved_merge
 
     def _plan_select(
-        self, select: ast.Select
+        self, select: ast.Select, write: str | None
     ) -> tuple[physical.PlanNode, list[str]]:
         resolved = self._resolution(select)
         for failure in resolved.failures.values():
             failure.throw()  # the analyzer's first error
+        if write is not None:
+            for call in resolved.aggregates:
+                misplaced(call, f"in {write}").throw()
         source = self._build_source(select.source)
+        if write is not None and select.source is not None:
+            source.tagged = True  # the rows an UPDATE or DELETE writes
         items = resolved.items
-        if not items:
-            raise PlanningError("SELECT list is empty")
         source = self._apply_where(source, _split_conjuncts(select.where))
+        if write is not None:
+            source = physical.Materialize(source)
 
         having = resolved.having
         order_items = resolved.order_by
@@ -252,22 +261,20 @@ class Planner:
                 else:
                     left_keys.append(pair[0])
                     right_keys.append(pair[1])
-        compiler = self._compiler(RowLayout.concat(left.layout, right.layout))
+        rest = residual if left_keys else conjuncts
+        condition = None
+        if rest:
+            layout = RowLayout.concat(left.layout, right.layout)
+            condition = self._compiler(layout).kernel(_and_all(rest))
         if not left_keys:
-            condition = (
-                compiler.kernel(_and_all(conjuncts)) if conjuncts else None
-            )
             return physical.NestedLoopJoin(left, right, condition, join.kind)
-        residual_kernel = (
-            compiler.kernel(_and_all(residual)) if residual else None
-        )
         hashed = physical.HashJoin(
             left,
             right,
             [self._compiler(left.layout).kernel(key) for key in left_keys],
             [self._compiler(right.layout).kernel(key) for key in right_keys],
             join.kind,
-            residual_kernel,
+            condition,
         )
         if join.kind == "INNER" and len(left_keys) == 1:
             self._equi_keys[hashed] = (left_keys[0], right_keys[0])
@@ -394,6 +401,7 @@ class Planner:
                 key.name,
                 table_is_left,
                 join.residual,
+                join.layout,
             )
             self._reads_statistics(candidate)
             if _estimate_rows(candidate) * _INDEX_JOIN_MARGIN <= len(
@@ -431,6 +439,7 @@ class Planner:
             lookup = physical.IndexLookup(
                 table, scan.binding, column, value
             )
+            lookup.tagged = scan.tagged
             rest = conjuncts[:position] + conjuncts[position + 1 :]
             return lookup, rest
         for position, conjunct in enumerate(conjuncts):
@@ -438,30 +447,10 @@ class Planner:
             if bounds is None or not table.has_index(bounds[0]):
                 continue
             ranged = physical.IndexRange(table, scan.binding, *bounds)
+            ranged.tagged = scan.tagged
             rest = conjuncts[:position] + conjuncts[position + 1 :]
             return ranged, rest
         return scan, conjuncts
-
-    def candidate_row_ids(
-        self,
-        table: Table,
-        binding: str,
-        where: ast.Expression | None,
-    ) -> Iterable[int]:
-        """Ascending ids of the rows ``where`` can select: a superset.
-
-        UPDATE and DELETE find their targets through the access path a
-        SELECT's scan of the table would get — :meth:`_maybe_index_lookup`
-        decides, so there is one index rule — and evaluate the whole
-        WHERE on the candidates themselves.
-        """
-        if self._optimize and where is not None:
-            node, _ = self._maybe_index_lookup(
-                physical.Scan(table, binding), _split_conjuncts(where)
-            )
-            if not isinstance(node, physical.Scan):
-                return node.row_ids()
-        return range(len(table))
 
     def _point_predicate(
         self, conjunct: ast.Expression, scan: physical.Scan
@@ -671,7 +660,7 @@ class Planner:
             self._udf_exec_context(),
             self._catalog.shard_runtime,
         )
-        merge = physical.Merge(exchange)
+        merge = physical.Merge(exchange, source.tagged)
         self._open_merge = merge
         return merge
 

@@ -15,10 +15,12 @@ one seam of its own.
 
 One :class:`StatementCache` lives on each :class:`~repro.db.Database`
 and is keyed by SQL text.  :meth:`~repro.db.Database.execute` admits a
-SELECT only after it has succeeded: first its parsed AST and whether the
-analyzer accepted it, and — from the entry's first hit on, so a text
-that never repeats costs an AST and not a plan — the physical plan it
-ran, with its output names and optimizer report.  A :class:`Prepared`
+statement only after it has succeeded.  A SELECT's text keeps first its
+parsed AST and whether the analyzer accepted it, and — from the entry's
+first hit on, so a text that never repeats costs an AST and not a plan
+— the physical plan it ran, with its output names and optimizer
+report.  An INSERT, UPDATE or DELETE keeps no text: it teaches only its
+key's template (below), and is planned afresh every time.  A :class:`Prepared`
 entry is immutable; admitting the plan replaces the entry.  Whether an
 entry still stands (see :class:`Prepared`) is asked by the database,
 outside the lock; two workers racing on a first sight at worst both
@@ -142,7 +144,8 @@ class LRUCache:
 
 
 class Prepared(NamedTuple):
-    """What one SELECT text was derived to, and what it was derived from.
+    """What one statement's text was derived to, and what it was derived
+    from.
 
     ``tables`` holds ``(name, table, access_version)`` for every table
     the statement names, ``functions`` the registry's version and
@@ -193,7 +196,7 @@ class Prepared(NamedTuple):
 
 
 def template_key(tokens: list[Token]) -> tuple[str, ...]:
-    """What a SELECT's tokens share with every text that differs from
+    """What a statement's tokens share with every text that differs from
     it only in literal values, whitespace and comments: each INTEGER,
     FLOAT or STRING token stands as its type, every other token as its
     type and text.
@@ -427,8 +430,10 @@ class StatementCache(LRUCache):
         the second builds the template, and later texts renew its
         stamps, verdict and owners when the one they were derived with
         no longer stood, or when they hold a verdict or owners for
-        values the template had none for."""
-        self.put(sql, entry)
+        values the template had none for.  A write's text is not kept:
+        only its key learns."""
+        if type(entry.statement) is ast.Select:
+            self.put(sql, entry)
         if shape is None:
             return
         key, tokens, template = shape

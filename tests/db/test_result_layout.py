@@ -122,3 +122,71 @@ class TestResultSet:
     def test_scalar(self, result):
         assert result.scalar() == 1
         assert ResultSet(["a"], []).scalar() is None
+
+
+class TestLayoutsPerPlan:
+    """Planning a key join builds each layout once: the join's and the
+    projection's.  A combined layout for the ON clause is built only
+    for a residual, and an index join takes the layout of the hash join
+    it replaces."""
+
+    @pytest.fixture()
+    def keyed(self) -> Database:
+        database = Database()
+        database.create_table(
+            TableSchema(
+                "c",
+                [
+                    Column("id", DataType.INTEGER, primary_key=True),
+                    Column("name", DataType.TEXT),
+                ],
+            )
+        )
+        database.create_table(
+            TableSchema(
+                "o",
+                [
+                    Column("id", DataType.INTEGER, primary_key=True),
+                    Column("cid", DataType.INTEGER),
+                    Column("qty", DataType.INTEGER),
+                ],
+            )
+        )
+        database.insert("c", [(n, f"c{n}") for n in range(100)])
+        database.insert("o", [(n, n % 100, n % 7) for n in range(1000)])
+        for table, column in (("c", "id"), ("o", "id"), ("o", "cid")):
+            database.create_index(table, column)
+        return database
+
+    @pytest.fixture()
+    def built(self, monkeypatch) -> list[RowLayout]:
+        layouts: list[RowLayout] = []
+        real = RowLayout.__init__
+
+        def counted(self, entries) -> None:
+            layouts.append(self)
+            real(self, entries)
+
+        monkeypatch.setattr(RowLayout, "__init__", counted)
+        return layouts
+
+    @pytest.mark.parametrize(
+        "on, joins, count",
+        [
+            ("o.cid = c.id", "IndexJoin", 2),
+            ("o.cid = c.id AND o.qty > 3", "IndexJoin", 3),
+        ],
+    )
+    def test_a_key_join_builds_each_layout_once(
+        self, keyed, built, on, joins, count
+    ):
+        sql = f"SELECT o.id, c.name FROM o JOIN c ON {on} WHERE c.id = 7"
+        assert joins in keyed.explain(sql)
+        del built[:]
+        keyed.explain(sql)
+        assert len(built) == count
+        assert keyed.execute(sql).rows == [
+            (n, "c7")
+            for n in range(7, 1000, 100)
+            if "qty" not in on or n % 7 > 3
+        ]

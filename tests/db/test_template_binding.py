@@ -354,5 +354,6 @@ class TestWorkersShareOneStore:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         assert answered[0] > 50
-        # ``id = 3``, ``id = -1`` (an operator more) and ``ORDER BY 2``.
-        assert templates(db) == 3
+        # ``id = 3``, ``id = -1`` (an operator more), ``ORDER BY 2`` and
+        # the writer's UPDATE.
+        assert templates(db) == 4
