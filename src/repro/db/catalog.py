@@ -76,14 +76,13 @@ def _check_options(udf_batch_size: object, max_rows: object) -> None:
 def _named_tables(statement: ast.Statement) -> set[str]:
     """Lowered name of every table a statement mentions: a write's
     target, and every table in a FROM tree or subquery at any depth."""
-    names: set[str] = set()
+    select = type(statement) is ast.Select
+    names = set() if select else {statement.table.lower()}  # type: ignore
     stack: list[Any] = [statement]
     while stack:
         node = stack.pop()
         if type(node) is ast.TableSource:
             names.add(node.name.lower())
-        elif type(node) in (ast.Insert, ast.Update, ast.Delete):
-            names.add(node.table.lower())
         stack.extend(ast.children(node))
     return names
 

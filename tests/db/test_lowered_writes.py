@@ -172,8 +172,8 @@ def test_subqueries_run_as_in_sqlite(sql, optimize, batch, shards):
         reference.execute("CREATE TABLE t (id INT PRIMARY KEY, x TEXT, y INT)")
         reference.executemany("INSERT INTO t VALUES (?, ?, ?)", ROWS)
         count = reference.execute(sql).rowcount
-        expected = reference.execute("SELECT * FROM t ORDER BY rowid")
-        expected = expected.fetchall()
+        query = "SELECT * FROM t ORDER BY rowid"
+        expected = reference.execute(query).fetchall()
     answer = db.execute(sql, optimize=optimize, udf_batch_size=batch)
     assert answer.rows == [(count,)]
     assert db.table("t").rows == expected
@@ -267,7 +267,8 @@ def test_a_template_bound_write_sees_a_recreated_table():
     db.drop_table("t")
     db.create_table(
         TableSchema(
-            "t", [Column("y", DataType.INTEGER), Column("id", DataType.INTEGER)]
+            "t",
+            [Column("y", DataType.INTEGER), Column("id", DataType.INTEGER)],
         )
     )
     db.insert("t", [(0, 5), (0, 6)])
