@@ -76,8 +76,9 @@ def _check_options(udf_batch_size: object, max_rows: object) -> None:
 def _named_tables(statement: ast.Statement) -> set[str]:
     """Lowered name of every table a statement mentions: a write's
     target, and every table in a FROM tree or subquery at any depth."""
-    select = type(statement) is ast.Select
-    names = set() if select else {statement.table.lower()}  # type: ignore
+    names: set[str] = set()
+    if type(statement) is not ast.Select:
+        names.add(statement.table.lower())  # type: ignore[union-attr]
     stack: list[Any] = [statement]
     while stack:
         node = stack.pop()
@@ -262,8 +263,8 @@ class Database:
         and the planner.  An entry that is ``bound`` (its nodes carry
         the owners an earlier resolution of its shape wrote, and it
         calls no expensive function) is not resolved again for those
-        two: its resolution is derived from the owners.  A plan the ``stored``
-        entry kept under these options runs as it is.
+        two: its resolution is derived from the owners.  A plan the
+        ``stored`` entry kept under these options runs as it is.
         Errors come in order: the analyzer's rejection, a bad option,
         then the planning failure.
 

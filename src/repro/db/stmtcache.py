@@ -19,12 +19,12 @@ statement only after it has succeeded.  A SELECT's text keeps first its
 parsed AST and whether the analyzer accepted it, and — from the entry's
 first hit on, so a text that never repeats costs an AST and not a plan
 — the physical plan it ran, with its output names and optimizer
-report.  An INSERT, UPDATE or DELETE keeps no text: it teaches only its
-key's template (below), and is planned afresh every time.  A :class:`Prepared`
-entry is immutable; admitting the plan replaces the entry.  Whether an
-entry still stands (see :class:`Prepared`) is asked by the database,
-outside the lock; two workers racing on a first sight at worst both
-plan and one entry survives.  The counts are plain ints for tests and
+report.  An INSERT, UPDATE or DELETE keeps no text: it teaches only
+its key's template (below), and is planned afresh every time.  A
+:class:`Prepared` entry is immutable; admitting the plan replaces the
+entry.  Whether an entry still stands (see :class:`Prepared`) is asked
+by the database, outside the lock; two workers racing on a first sight
+at worst both plan and one entry survives.  The counts are plain ints for tests and
 experiments, not ``Usage`` fields: a racing first sight would make
 those depend on timing.
 
