@@ -67,25 +67,25 @@ class TestReads:
 class TestIndexes:
     def test_lookup_without_index_scans(self, table):
         table.insert_many([[1, "Ada", 36], [2, "Bob", 36], [3, "Cy", 20]])
-        assert len(table.lookup("age", 36)) == 2
+        assert len(table.lookup_ids("age", 36)) == 2
 
     def test_lookup_with_index(self, table):
         table.insert_many([[1, "Ada", 36], [2, "Bob", 36]])
         table.create_index("age")
         assert table.has_index("age")
-        assert len(table.lookup("age", 36)) == 2
-        assert table.lookup("age", 99) == []
+        assert len(table.lookup_ids("age", 36)) == 2
+        assert table.lookup_ids("age", 99) == []
 
     def test_index_maintained_on_later_inserts(self, table):
         table.create_index("age")
         table.insert([1, "Ada", 36])
         table.insert([2, "Bob", 36])
-        assert len(table.lookup("age", 36)) == 2
+        assert len(table.lookup_ids("age", 36)) == 2
 
     def test_lookup_coerces_value(self, table):
         table.insert([1, "Ada", 36])
         table.create_index("age")
-        assert len(table.lookup("age", "36")) == 1
+        assert len(table.lookup_ids("age", "36")) == 1
 
 
 class TestColumnStats:

@@ -52,7 +52,7 @@ class TestUpdate:
         movies_db.execute(
             "UPDATE movies SET genre = 'Epic' WHERE title = 'Titanic'"
         )
-        assert movies_db.table("movies").lookup("genre", "Epic")
+        assert movies_db.table("movies").lookup_ids("genre", "Epic")
 
     def test_update_null_semantics_in_where(self, movies_db):
         # NULL revenue rows never satisfy revenue > 0.
@@ -82,7 +82,7 @@ class TestDelete:
     def test_delete_reindexes(self, movies_db):
         movies_db.create_index("movies", "genre")
         movies_db.execute("DELETE FROM movies WHERE genre = 'Romance'")
-        assert movies_db.table("movies").lookup("genre", "Romance") == []
+        assert movies_db.table("movies").lookup_ids("genre", "Romance") == []
 
     def test_pk_reusable_after_delete(self, movies_db):
         movies_db.execute("DELETE FROM movies WHERE id = 1")
@@ -92,6 +92,12 @@ class TestDelete:
         assert movies_db.execute(
             "SELECT title FROM movies WHERE id = 1"
         ).scalar() == "New"
+
+
+def ids(table, column, value) -> list:
+    """The ``id`` of each row whose ``column`` equals ``value``, as the
+    table's lookup finds them."""
+    return [table.rows[i][0] for i in table.lookup_ids(column, value)]
 
 
 def table_state(table):
@@ -136,7 +142,7 @@ class TestFailedWriteLeavesTableIntact:
         assert str(raised.value) == "duplicate primary key (1,) in 'movies'"
         assert table.rows == before
         assert table.has_index("genre")
-        assert [row[0] for row in table.lookup("genre", "SciFi")] == [3, 5]
+        assert ids(table, "genre", "SciFi") == [3, 5]
         # The key set survived too: 3 is still taken, 7 still free.
         with pytest.raises(SchemaError, match="duplicate primary key"):
             movies_db.execute(
@@ -196,8 +202,8 @@ class TestInPlaceWrites:
         movies_db.create_index("movies", "genre")
         table = movies_db.table("movies")
         movies_db.execute("UPDATE movies SET genre = 'Epic' WHERE id = 3")
-        assert [row[0] for row in table.lookup("genre", "Epic")] == [3]
-        assert [row[0] for row in table.lookup("genre", "SciFi")] == [5]
+        assert ids(table, "genre", "Epic") == [3]
+        assert ids(table, "genre", "SciFi") == [5]
         movies_db.execute("UPDATE movies SET genre = 'Epic' WHERE id = 5")
         # The emptied bucket is dropped: same index as a fresh build.
         position = table.schema.column_index("genre")
@@ -207,10 +213,7 @@ class TestInPlaceWrites:
     def test_index_buckets_stay_in_row_order(self, movies_db):
         movies_db.create_index("movies", "genre")
         movies_db.execute("UPDATE movies SET genre = 'SciFi' WHERE id = 1")
-        assert [
-            row[0]
-            for row in movies_db.table("movies").lookup("genre", "SciFi")
-        ] == [1, 3, 5]
+        assert ids(movies_db.table("movies"), "genre", "SciFi") == [1, 3, 5]
 
     def test_tail_and_mid_table_deletes_keep_indexes(self, movies_db):
         movies_db.create_index("movies", "id")
@@ -220,11 +223,8 @@ class TestInPlaceWrites:
         movies_db.execute("DELETE FROM movies WHERE id = 2")  # middle
         for position in table._indexes:
             assert table._indexes[position] == table._build_index(position)
-        assert [row[0] for row in table.lookup("genre", "Romance")] == [
-            1,
-            4,
-        ]
-        assert table.lookup("id", 6) == []
+        assert ids(table, "genre", "Romance") == [1, 4]
+        assert table.lookup_ids("id", 6) == []
 
     def test_index_driven_write_matches_the_scan(self, movies_db):
         indexed = movies_db

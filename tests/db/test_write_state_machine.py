@@ -238,9 +238,9 @@ class WriteMachine(RuleBasedStateMachine):
             for value in present | {-1, "zz"} - {None}:
                 if isinstance(value, str) != (column == "label"):
                     continue
-                assert table.lookup(column, value) == [
-                    row for row in table.rows if row[position] == value
-                ]
+                assert [
+                    table.rows[i] for i in table.lookup_ids(column, value)
+                ] == [row for row in table.rows if row[position] == value]
 
     @invariant()
     def ordered_keys_equal_a_sorted_rebuild(self):
