@@ -16,6 +16,7 @@ from repro.db.resolve import rebound, resolve
 from repro.db.shard import PartitionSpec, ShardRuntime
 from repro.db.stmtcache import (
     LRUCache,
+    Parameters,
     Prepared,
     StatementCache,
     template_key,
@@ -264,7 +265,10 @@ class Database:
         the owners an earlier resolution of its shape wrote, and it
         calls no expensive function) is not resolved again for those
         two: its resolution is derived from the owners.  A plan the
-        ``stored`` entry kept under these options runs as it is.
+        ``stored`` entry kept under these options runs as it is; else
+        the generic plan of the entry's key, kept under these options
+        and on statistics that stand, runs filled with the statement's
+        values, and is neither resolved, routed nor planned.
         Errors come in order: the analyzer's rejection, a bad option,
         then the planning failure.
 
@@ -293,6 +297,22 @@ class Database:
         if stored is not None and stored.serves(options):
             self.statement_cache.count_plan_hit()
             return entry, stored.plan, stored.names, stored.report
+        kept = self.statement_cache.plans.get(entry.key)
+        if (
+            kept
+            and kept.serves(options)
+            and self._stands(kept)
+            and (plan := kept.parameters.fill(kept.plan, select))
+        ):
+            if stored is not None:  # the text keeps the filled copy
+                entry = entry._replace(
+                    options=options,
+                    plan=plan,
+                    names=kept.names,
+                    report=kept.report,
+                    stats=kept.stats,
+                )
+            return entry, plan, kept.names, kept.report
         if resolved is None and entry.bound:
             resolved = rebound(self.functions, select)
         elif resolved is None:
@@ -320,17 +340,26 @@ class Database:
             select, None if select is statement else write
         )
         report = None if optimizer is None else optimizer.report
+        made = entry._replace(
+            options=options,
+            plan=plan,
+            names=names,
+            report=report,
+            stats=tuple(planner.stats_read.items()),
+        )
         # The plan is kept from the text's first repeat on (one that
         # never recurs then costs an AST, not a plan), and only when it
-        # may run again.
+        # may run again; a generic plan, by its key from the first on.
         if stored is not None and planner.reusable:
-            entry = entry._replace(
-                options=options,
-                plan=plan,
-                names=names,
-                report=report,
-                stats=tuple(planner.stats_read.items()),
+            entry = made
+        if planner.reusable and not resolved.sites and entry.key:
+            known = kept and kept.parameters
+            parameters = Parameters.of(
+                plan, planner.reads, select, entry.key, known
             )
+            if parameters is not None:
+                made = made._replace(statement=None, parameters=parameters)
+                self.statement_cache.plans.put(entry.key, made)
         return entry, plan, names, report
 
     def _run(
@@ -357,11 +386,12 @@ class Database:
     def _lookup(self, sql: str) -> Prepared | None:
         """The statement cache's entry for ``sql``, if it still stands."""
         entry = self.statement_cache.lookup(sql)
-        if entry is not None and entry.stands(
-            self._tables, self.functions.version, self.shard_runtime
-        ):
-            return entry
-        return None
+        return entry if entry is not None and self._stands(entry) else None
+
+    def _stands(self, entry: Prepared) -> bool:
+        """Whether what ``entry`` was derived from still stands."""
+        functions, runtime = self.functions.version, self.shard_runtime
+        return entry.stands(self._tables, functions, runtime)
 
     def _first_sight(self, statement: ast.Statement) -> Prepared:
         """A not yet stored entry for a statement just parsed, stamped
@@ -392,12 +422,10 @@ class Database:
             return parse_tokens(tokens), None
         key = template_key(tokens)
         template = self.statement_cache.templates.get(key)
-        if template is not None and template.stamps.stands(
-            self._tables, self.functions.version, self.shard_runtime
-        ):
+        if template is not None and self._stands(template.stamps):
             entry = template.prepare(tokens)
         else:
-            entry = self._first_sight(parse_tokens(tokens))
+            entry = self._first_sight(parse_tokens(tokens))._replace(key=key)
         return entry, (key, tokens, template)
 
     def _planned(
@@ -418,6 +446,7 @@ class Database:
             entry, shape = self._derive(sql)
             if shape is None or type(entry.statement) is not ast.Select:
                 raise PlanningError(f"{what} only supports SELECT")
+        entry = entry._replace(key=None)  # no plan of its key serves
         return self._prepare(
             sql, entry, None, analyze, optimize, udf_batch_size, max_rows
         )[1:]
@@ -474,14 +503,22 @@ class Database:
         decides (see :mod:`repro.db.stmtcache`): parsing and the
         analyzer's verdict while the catalog objects it names stand,
         and from its second repeat on planning too, while the
-        statistics the plan was chosen from stand.  An INSERT, UPDATE
+        statistics the plan was chosen from stand.  A text of a shape
+        whose plan is *generic* is not planned at all while that plan
+        stands: every literal of the shape is a *parameter* (a value
+        the plan holds in a node field, such as an index lookup's key,
+        never one a kernel compiled) and every decision the planner
+        took on a literal's value is re-run by a *guard*, so the text
+        runs the plan its shape keeps, filled with its own values,
+        unless a guard decides otherwise for them.  An INSERT, UPDATE
         or DELETE is bound from its shape's template as a SELECT is,
-        and planned afresh each time as the SELECT of the values it
-        writes (:meth:`_lowered`), so it takes the routes a SELECT
-        does; its plan runs to its end before a row is written.  Rows,
-        errors and everything metered are those of a statement seen
-        for the first time; :meth:`explain` and :meth:`explain_analyze`
-        always plan afresh, and only SELECTs.
+        and planned as the SELECT of the values it writes
+        (:meth:`_lowered`), so it takes the routes a SELECT does (a
+        DELETE by key, whose plan is generic, is filled like one); its
+        plan runs to its end before a row is written.  Rows, errors and
+        everything metered are those of a statement seen for the first
+        time; :meth:`explain` and :meth:`explain_analyze` always plan
+        afresh, keep nothing, and take only SELECTs.
         """
         prefixed = _EXPLAIN_ANALYZE.match(sql)
         if prefixed is not None:

@@ -46,6 +46,7 @@ the ablation benchmark compares both modes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
@@ -147,6 +148,11 @@ class Planner:
         #: What the statement's names bind to (see
         #: :mod:`repro.db.resolve`).
         self._resolved = resolved
+        #: Each parameter, as ``(node, field, read, literals)``: the plan
+        #: holds ``read`` of the literals' values in ``node.field`` (see
+        #: :class:`~repro.db.stmtcache.Parameters`).  None once an
+        #: estimate has read a literal's value.
+        self.reads: list[tuple] | None = []
 
     # ------------------------------------------------------------------
     # public entry points
@@ -412,10 +418,13 @@ class Planner:
 
     def _reads_statistics(self, node: physical.PlanNode) -> None:
         """Note, before an estimate reads them, the version of every
-        stored table under ``node``."""
+        stored table under ``node``, and that the estimate reads a
+        range's bounds (it counts the keys between them)."""
         table = getattr(node, "table", None)
         if table is not None:
             self.stats_read.setdefault(table, table.version)
+        if type(node) is physical.IndexRange:
+            self.reads = None
         for child in node._children():
             self._reads_statistics(child)
 
@@ -430,15 +439,15 @@ class Planner:
             point = self._point_predicate(conjunct, scan)
             if point is None:
                 continue
-            column, value = point
+            column, literal = point
             if not (
                 table.has_index(column)
-                and _probe_matches_filter(table, column, value)
+                and _probe_matches_filter(table, column, literal.value)
             ):
                 continue
-            lookup = physical.IndexLookup(
-                table, scan.binding, column, value
-            )
+            lookup = physical.IndexLookup(table, scan.binding, column, None)
+            probed = partial(_probed, table, column)
+            self._hold(lookup, "value", probed, literal)
             lookup.tagged = scan.tagged
             rest = conjuncts[:position] + conjuncts[position + 1 :]
             return lookup, rest
@@ -446,7 +455,12 @@ class Planner:
             bounds = self._range_predicate(conjunct, scan)
             if bounds is None or not table.has_index(bounds[0]):
                 continue
-            ranged = physical.IndexRange(table, scan.binding, *bounds)
+            column, low, high, *strict = bounds
+            ranged = physical.IndexRange(
+                table, scan.binding, column, None, None, *strict
+            )
+            self._hold(ranged, "low", _itself, low)
+            self._hold(ranged, "high", _itself, high)
             ranged.tagged = scan.tagged
             rest = conjuncts[:position] + conjuncts[position + 1 :]
             return ranged, rest
@@ -454,7 +468,7 @@ class Planner:
 
     def _point_predicate(
         self, conjunct: ast.Expression, scan: physical.Scan
-    ) -> tuple[str, object] | None:
+    ) -> tuple[str, ast.Literal] | None:
         if not (
             isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="
         ):
@@ -469,26 +483,27 @@ class Planner:
                 and isinstance(literal, ast.Literal)
                 and literal.value is not None
             ):
-                return column, literal.value
+                return column, literal
         return None
 
     def _range_predicate(
         self, conjunct: ast.Expression, scan: physical.Scan
-    ) -> tuple[str, object, object, bool, bool] | None:
+    ) -> tuple | None:
         """``(column, low, high, low_strict, high_strict)`` when
         ``conjunct`` bounds one of the scan's columns by literals:
         ``col BETWEEN a AND b`` or ``col <|<=|>|>= a`` (either way
-        round); a side left open is None.  NULL bounds and NOT BETWEEN
-        select nothing a range can express, so they stay filters.
+        round); a bound is its literal, a side left open None.  NULL
+        bounds and NOT BETWEEN select nothing a range can express, so
+        they stay filters.
         """
 
         def column_of(ref: ast.Expression) -> str | None:
             return self._column_of(ref, scan.layout)
 
-        def bound_of(literal: ast.Expression) -> object:
-            return (
-                literal.value if isinstance(literal, ast.Literal) else None
-            )
+        def bound_of(literal: ast.Expression) -> ast.Literal | None:
+            if isinstance(literal, ast.Literal) and literal.value is not None:
+                return literal
+            return None
 
         if isinstance(conjunct, ast.BetweenExpression):
             column = column_of(conjunct.operand)
@@ -1147,7 +1162,12 @@ class Planner:
         top = plan.child if isinstance(plan, physical.Slice) else plan
         if isinstance(top, physical.Sort) and limit_value is not None:
             top.bound = limit_value + max(offset_value, 0)
-        return physical.Limit(plan, limit_value, offset_value)
+            self._hold(top, "bound", _top_n, limit, offset)
+        limited = physical.Limit(plan, limit_value, offset_value)
+        # A bare LIMIT or OFFSET is an INTEGER token: it is never negative.
+        self._hold(limited, "limit", _itself, limit)
+        self._hold(limited, "offset", _itself, offset)
+        return limited
 
     def _constant_int(
         self, expression: ast.Expression | None, what: str
@@ -1166,6 +1186,16 @@ class Planner:
 
     def _compiler(self, layout: RowLayout) -> ExpressionCompiler:
         return ExpressionCompiler(layout, self._functions, self)
+
+    def _hold(self, node, field: str, read, *expressions) -> None:
+        """Hold ``read`` of the expressions' values in ``node.field``,
+        a parameter (see :attr:`reads`), when each is a literal or None
+        (absent) and one is a literal."""
+        literals = [expression for expression in expressions if expression]
+        if literals and all(type(e) is ast.Literal for e in literals):
+            setattr(node, field, read(*[e.value for e in literals]))
+            if self.reads is not None:
+                self.reads.append((node, field, read, literals))
 
     def _resolution(self, select: ast.Select) -> Resolved:
         """``select``'s resolution: the statement's or a nested one's,
@@ -1230,6 +1260,20 @@ def _probe_matches_filter(
     except SchemaError:
         return False
     return dbtypes.compare(value, key) == 0
+
+
+def _probed(table: Table, column: str, value: dbtypes.SQLValue) -> object:
+    """``value`` when an index probe for it selects what a Filter does,
+    else None: the guard of an index lookup's parameter."""
+    return value if _probe_matches_filter(table, column, value) else None
+
+
+def _itself(value: object) -> object:
+    return value
+
+
+def _top_n(limit: int, offset: int = 0) -> int:
+    return limit + max(offset, 0)
 
 
 def _split_conjuncts(

@@ -20,13 +20,13 @@ parsed AST and whether the analyzer accepted it, and — from the entry's
 first hit on, so a text that never repeats costs an AST and not a plan
 — the physical plan it ran, with its output names and optimizer
 report.  An INSERT, UPDATE or DELETE keeps no text: it teaches only
-its key's template (below), and is planned afresh every time.  A
-:class:`Prepared` entry is immutable; admitting the plan replaces the
-entry.  Whether an entry still stands (see :class:`Prepared`) is asked
-by the database, outside the lock; two workers racing on a first sight
-at worst both plan and one entry survives.  The counts are plain ints for tests and
-experiments, not ``Usage`` fields: a racing first sight would make
-those depend on timing.
+its key (below).  A :class:`Prepared` entry is immutable; admitting
+the plan replaces the entry.  Whether an entry still stands (see
+:class:`Prepared`) is asked by the database, outside the lock; two
+workers racing on a first sight at worst both plan and one entry
+survives.  The counts are plain ints for tests and experiments, not
+``Usage`` fields: a racing first sight would make those depend on
+timing.
 
 Beside the texts, the cache keeps templates: one per
 :func:`template_key`, the shape texts share when they differ only in
@@ -42,16 +42,31 @@ bound text of a statement that calls no expensive function is planned
 from those owners and not resolved again.  A template keeps its
 binding, not its estimates: row counts, call-site bounds and
 selectivities read the tables as they are and are made per text.
-Plans are never shared between texts: a plan depends on the literals.
-Templates live in their own LRU map and are not counted by ``len()``,
-which counts texts.
+
+A key also keeps its *generic plan*, when its plan has one: a plan
+that holds every literal of its statement as a *parameter*, a value the
+planner copied into a node field (an index lookup's key, a range's
+bounds, LIMIT and OFFSET, a Top-N bound), where no kernel compiled it
+and no estimate read it, and whose every decision on a literal's value
+is re-run by a *guard* (whether an index probe selects what a filter
+would).  Such a plan is kept in :attr:`StatementCache.plans` from the
+first text of its key planned with it, with its options, statistics
+stamps and report, and serves every text of the key while those
+stand: the copy a text runs is the kept plan with the text's values
+read into the nodes that hold them, and shares every other subtree
+(see :class:`Parameters`).  Only a text whose guard refuses its
+values, or a plan with a literal inside a kernel, an estimate that
+read a range's keys, a shard pruned by value, an expensive call or
+run state outside ``execute()``, is planned per text.  Templates and
+generic plans live in LRU maps of their own and are not counted by
+``len()``, which counts texts.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, NamedTuple
+from typing import Any, Callable, Hashable, Iterator, NamedTuple
 
 from repro.db.sql import ast
 from repro.db.sql.lexer import Token, TokenType
@@ -171,6 +186,12 @@ class Prepared(NamedTuple):
     names: list[str] | None = None
     report: Any = None
     stats: tuple = ()
+    #: The text's :func:`template_key`, under which its key's generic
+    #: plan is kept; None where none may serve or be kept.
+    key: tuple | None = None
+    #: Where the plan holds its literals, when it is its key's generic
+    #: plan (an entry of :attr:`StatementCache.plans`).
+    parameters: "Parameters | None" = None
 
     def stands(self, catalog: dict, functions: int, runtime: Any) -> bool:
         """Whether everything here may still be used: every table named
@@ -193,6 +214,97 @@ class Prepared(NamedTuple):
         return self.options == options and all(
             table.version == version for table, version in self.stats
         )
+
+
+def _at(node: Any, path: tuple) -> Any:
+    """What ``path``, a field name or tuple index per step, leads to."""
+    for step in path:
+        node = node[step] if type(step) is int else getattr(node, step)
+    return node
+
+
+def _paths(node: Any, path: tuple = ()) -> Iterator[tuple]:
+    """Each literal under ``node`` with its path, in one fixed order:
+    the same paths for every tree of one key."""
+    if type(node) is ast.Literal:
+        yield path, node
+    else:
+        steps = ast.child_fields(type(node))
+        for step in range(len(node)) if type(node) is tuple else steps:
+            yield from _paths(_at(node, (step,)), (*path, step))
+
+
+class Parameters(NamedTuple):
+    """Where a generic plan holds its statement's literals.
+
+    A literal the planner copies into a node field is a *parameter*;
+    one a kernel compiles, or an estimate reads, is not.  A plan is
+    *generic* when every literal of its statement is a parameter: it
+    serves every text of its key, filled with that text's values.
+    ``fields`` holds ``(node id, field, read, paths)``: the field holds
+    ``read`` of the values of the literals at those paths.  A read that
+    answers None refuses the values: it is a *guard*, re-running a
+    decision the planner took on the value (an index probe that selects
+    what a Filter would), and the text is planned afresh.  ``spine``
+    maps each node holding a parameter, and each node above one, to
+    the fields that lead down to such a node: what a filled copy
+    copies, every other subtree being shared.
+    """
+
+    fields: tuple
+    spine: dict
+
+    @classmethod
+    def of(
+        cls, plan: Any, reads: list | None, statement: Any, key: tuple, known
+    ):
+        """The parameters of ``plan``, planned from ``statement`` of
+        ``key`` with these ``reads``, each ``(node, field, read,
+        literals)``, as its :class:`~repro.db.planner.Planner` noted
+        them; None when the plan is not generic.  ``known`` are those
+        of an earlier generic plan of the key, or None."""
+        held = {id(literal) for *_, found in reads or () for literal in found}
+        if not held or len(held) < sum(map(key.count, ("#I", "#F", "#S"))):
+            return None  # a literal token whose value is not a parameter
+        known = known and {p for *_, paths in known.fields for p in paths}
+        pairs = [(path, _at(statement, path)) for path in known or ()]
+        paths = {id(lit): path for path, lit in pairs or _paths(statement)}
+        if held != paths.keys():
+            return None
+        fields = tuple(
+            (id(node), field, read, tuple(paths[id(lit)] for lit in found))
+            for node, field, read, found in reads  # type: ignore[union-attr]
+        )
+        noted = {at for at, *_ in fields}
+        spine: dict[int, tuple] = {}
+        nodes = [plan]
+        for node in nodes:
+            nodes.extend(node._children())
+        for node in reversed(nodes):  # each node after the nodes below it
+            down = tuple(k for k, v in vars(node).items() if id(v) in spine)
+            if down or id(node) in noted:
+                spine[id(node)] = down
+        return cls(fields, spine) if noted <= spine.keys() else None
+
+    def fill(self, plan: Any, statement: Any) -> Any:
+        """``plan`` holding ``statement``'s values, or None when a guard
+        refuses them."""
+        values = [
+            (at, field, read(*[_at(statement, path).value for path in paths]))
+            for at, field, read, paths in self.fields
+        ]
+        if any(value is None for *_, value in values):
+            return None
+        return self._filled(plan, values)
+
+    def _filled(self, node: Any, values: list) -> Any:
+        made = object.__new__(type(node))
+        made.__dict__.update(
+            vars(node), **{f: v for at, f, v in values if at == id(node)}
+        )
+        for name in self.spine[id(node)]:
+            setattr(made, name, self._filled(getattr(node, name), values))
+        return made
 
 
 def template_key(tokens: list[Token]) -> tuple[str, ...]:
@@ -405,15 +517,19 @@ class Template(NamedTuple):
 
 class StatementCache(LRUCache):
     """:data:`CAPACITY` :class:`Prepared` entries keyed by SQL text, and
-    beside them :data:`CAPACITY` templates and first-sight markers: a
+    beside them :data:`CAPACITY` templates and first-sight markers (a
     :class:`Template` under its :func:`template_key`, a marker under the
-    key's ``hash()``.  A marker only decides when a template is built,
-    so two keys sharing a hash cost at most one template built early,
-    and a key seen once costs an int instead of its tokens' texts."""
+    key's ``hash()``) and :data:`CAPACITY` generic plans by key.  A
+    marker only decides when a template is built, so two keys sharing a
+    hash cost at most one template built early, and a key seen once
+    costs an int instead of its tokens' texts."""
 
     def __init__(self) -> None:
         super().__init__(CAPACITY)
         self.templates = LRUCache(CAPACITY)
+        #: Each key's generic plan: a :class:`Prepared` with no
+        #: statement and its :class:`Parameters`.
+        self.plans = LRUCache(CAPACITY)
         #: Lookups that found the text, lookups that did not, and
         #: executions that ran a stored plan.
         self.hits = self.misses = self.plan_hits = 0

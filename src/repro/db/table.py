@@ -417,13 +417,6 @@ class Table:
             if row[position] == coerced
         ]
 
-    def lookup(self, column_name: str, value: Any) -> list[Row]:
-        """Equality lookup; uses the index when present, else scans."""
-        rows = self._rows
-        return [
-            rows[row_id] for row_id in self.lookup_ids(column_name, value)
-        ]
-
     def index_buckets(
         self, column_name: str
     ) -> Mapping[SQLValue, Sequence[int]]:
