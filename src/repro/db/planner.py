@@ -445,7 +445,9 @@ class Planner:
                 and _probe_matches_filter(table, column, literal.value)
             ):
                 continue
-            lookup = physical.IndexLookup(table, scan.binding, column, None)
+            lookup = physical.IndexLookup(
+                table, scan.binding, column, literal.value
+            )
             probed = partial(_probed, table, column)
             self._hold(lookup, "value", probed, literal)
             lookup.tagged = scan.tagged
@@ -456,8 +458,9 @@ class Planner:
             if bounds is None or not table.has_index(bounds[0]):
                 continue
             column, low, high, *strict = bounds
+            values = [bound and bound.value for bound in (low, high)]
             ranged = physical.IndexRange(
-                table, scan.binding, column, None, None, *strict
+                table, scan.binding, column, *values, *strict
             )
             self._hold(ranged, "low", _itself, low)
             self._hold(ranged, "high", _itself, high)
@@ -1188,14 +1191,14 @@ class Planner:
         return ExpressionCompiler(layout, self._functions, self)
 
     def _hold(self, node, field: str, read, *expressions) -> None:
-        """Hold ``read`` of the expressions' values in ``node.field``,
-        a parameter (see :attr:`reads`), when each is a literal or None
-        (absent) and one is a literal."""
+        """Note that ``node.field`` holds ``read`` of the expressions'
+        values, a parameter (see :attr:`reads`), when each is a literal
+        or None (absent) and one is a literal."""
         literals = [expression for expression in expressions if expression]
-        if literals and all(type(e) is ast.Literal for e in literals):
-            setattr(node, field, read(*[e.value for e in literals]))
-            if self.reads is not None:
-                self.reads.append((node, field, read, literals))
+        if self.reads is not None and literals and all(
+            type(expression) is ast.Literal for expression in literals
+        ):
+            self.reads.append((node, field, read, literals))
 
     def _resolution(self, select: ast.Select) -> Resolved:
         """``select``'s resolution: the statement's or a nested one's,
