@@ -266,9 +266,10 @@ class Database:
         calls no expensive function) is not resolved again for those
         two: its resolution is derived from the owners.  A plan the
         ``stored`` entry kept under these options runs as it is; else
-        the generic plan of the entry's key, kept under these options
-        and on statistics that stand, runs filled with the statement's
-        values, and is neither resolved, routed nor planned.
+        the generic plan of the entry's key, kept under these options,
+        runs filled with the statement's values, and is neither
+        resolved, routed nor planned, while each decision it took on
+        statistics comes out the same on today's.
         Errors come in order: the analyzer's rejection, a bad option,
         then the planning failure.
 
@@ -298,9 +299,11 @@ class Database:
             self.statement_cache.count_plan_hit()
             return entry, stored.plan, stored.names, stored.report
         kept = self.statement_cache.plans.get(entry.key)
+        # Stamped before the decisions its statistics fed are run again.
+        stats = kept and tuple((t, t.version) for t, _ in kept.stats)
         if (
             kept
-            and kept.serves(options)
+            and kept.options == options
             and self._stands(kept)
             and (plan := kept.parameters.fill(kept.plan, select))
         ):
@@ -310,7 +313,7 @@ class Database:
                     plan=plan,
                     names=kept.names,
                     report=kept.report,
-                    stats=kept.stats,
+                    stats=stats,
                 )
             return entry, plan, kept.names, kept.report
         if resolved is None and entry.bound:
@@ -354,9 +357,7 @@ class Database:
             entry = made
         if planner.reusable and not resolved.sites and entry.key:
             known = kept and kept.parameters
-            parameters = Parameters.of(
-                plan, planner.reads, select, entry.key, known
-            )
+            parameters = Parameters.of(plan, planner, select, entry.key, known)
             if parameters is not None:
                 made = made._replace(statement=None, parameters=parameters)
                 self.statement_cache.plans.put(entry.key, made)

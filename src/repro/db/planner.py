@@ -153,6 +153,10 @@ class Planner:
         #: :class:`~repro.db.stmtcache.Parameters`).  None once an
         #: estimate has read a literal's value.
         self.reads: list[tuple] | None = []
+        #: Each decision taken on statistics, as ``(test, outcome)``: a
+        #: plan made for other statistics is this plan while each test
+        #: run on them gives its outcome.
+        self.weighed: list[tuple] = []
 
     # ------------------------------------------------------------------
     # public entry points
@@ -410,9 +414,9 @@ class Planner:
                 join.layout,
             )
             self._reads_statistics(candidate)
-            if _estimate_rows(candidate) * _INDEX_JOIN_MARGIN <= len(
-                probed.table
-            ):
+            pays = partial(_index_join_pays, candidate, probed.table)
+            self.weighed.append((pays, pays()))
+            if self.weighed[-1][1]:
                 return candidate
         return join
 
@@ -1263,6 +1267,12 @@ def _probe_matches_filter(
     except SchemaError:
         return False
     return dbtypes.compare(value, key) == 0
+
+
+def _index_join_pays(join: physical.IndexJoin, table: Table) -> bool:
+    """Whether ``join``'s estimated rows, times the margin, fit under
+    the row count of the ``table`` it probes."""
+    return _estimate_rows(join) * _INDEX_JOIN_MARGIN <= len(table)
 
 
 def _probed(table: Table, column: str, value: dbtypes.SQLValue) -> object:

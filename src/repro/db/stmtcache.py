@@ -50,11 +50,12 @@ bounds, LIMIT and OFFSET, a Top-N bound), where no kernel compiled it
 and no estimate read it, and whose every decision on a literal's value
 is re-run by a *guard* (whether an index probe selects what a filter
 would).  Such a plan is kept in :attr:`StatementCache.plans` from the
-first text of its key planned with it, with its options, statistics
-stamps and report, and serves every text of the key while those
-stand: the copy a text runs is the kept plan with the text's values
-read into the nodes that hold them, and shares every other subtree
-(see :class:`Parameters`).  Only a text whose guard refuses its
+first text of its key planned with it, with its options and report,
+and serves every text of the key while its catalog stamps stand and
+each decision it took on statistics (whether an index join pays) comes
+out the same on the statistics of the moment: the copy a text runs is
+the kept plan with the text's values read into the nodes that hold
+them, and shares every other subtree (see :class:`Parameters`).  Only a text whose guard refuses its
 values, or a plan with a literal inside a kernel, an estimate that
 read a range's keys, a shard pruned by value, an expensive call or
 run state outside ``execute()``, is planned per text.  Templates and
@@ -248,21 +249,24 @@ class Parameters(NamedTuple):
     what a Filter would), and the text is planned afresh.  ``spine``
     maps each node holding a parameter, and each node above one, to
     the fields that lead down to such a node: what a filled copy
-    copies, every other subtree being shared.
+    copies, every other subtree being shared.  ``weighed`` holds the
+    decisions the planner took on statistics, ``(test, outcome)``: the
+    plan is what a fresh plan would be on the statistics of the moment
+    while each test, run again, gives its outcome.
     """
 
     fields: tuple
     spine: dict
+    weighed: tuple
 
     @classmethod
-    def of(
-        cls, plan: Any, reads: list | None, statement: Any, key: tuple, known
-    ):
+    def of(cls, plan: Any, planner: Any, statement: Any, key: tuple, known):
         """The parameters of ``plan``, planned from ``statement`` of
-        ``key`` with these ``reads``, each ``(node, field, read,
-        literals)``, as its :class:`~repro.db.planner.Planner` noted
-        them; None when the plan is not generic.  ``known`` are those
-        of an earlier generic plan of the key, or None."""
+        ``key`` by ``planner`` (its ``reads``, each ``(node, field,
+        read, literals)``, and its ``weighed``); None when the plan is
+        not generic.  ``known`` are those of an earlier generic plan of
+        the key, or None."""
+        reads = planner.reads
         held = {id(literal) for *_, found in reads or () for literal in found}
         if not held or len(held) < sum(map(key.count, ("#I", "#F", "#S"))):
             return None  # a literal token whose value is not a parameter
@@ -284,11 +288,17 @@ class Parameters(NamedTuple):
             down = tuple(k for k, v in vars(node).items() if id(v) in spine)
             if down or id(node) in noted:
                 spine[id(node)] = down
-        return cls(fields, spine) if noted <= spine.keys() else None
+        if not noted <= spine.keys():
+            return None  # a node noted is not in the plan
+        if planner.stats_read and not planner.weighed:
+            return None  # statistics read, and no decision noted on them
+        return cls(fields, spine, tuple(planner.weighed))
 
     def fill(self, plan: Any, statement: Any) -> Any:
         """``plan`` holding ``statement``'s values, or None when a guard
-        refuses them."""
+        refuses them or a decision on statistics comes out otherwise."""
+        if any(test() != outcome for test, outcome in self.weighed):
+            return None
         values = [
             (at, field, read(*[_at(statement, path).value for path in paths]))
             for at, field, read, paths in self.fields

@@ -2,11 +2,11 @@
 filled with its own values.
 
 ``plan_select`` is counted as ``test_resolve_once`` counts ``resolve``:
-texts of one key with fresh constants make one call while nothing the
-plan was chosen from changes, and one more after each write that moves
-a statistic it read.  Every filled plan renders as the plan made afresh
-for its text, shares no node that holds a parameter with the plan its
-key keeps, and answers what ``sqlite3`` answers.
+texts of one key with fresh constants make one call, and a key join one
+more only after a write that turns the choice of its index join.
+Every filled plan renders as the plan made afresh for its text, shares
+no node that holds a parameter with the plan its key keeps, and
+answers what ``sqlite3`` answers.
 """
 
 from __future__ import annotations
@@ -68,16 +68,35 @@ def test_fresh_constants_of_one_key_plan_once(plans, text, analyze):
 
 
 @pytest.mark.parametrize("analyze", [True, False])
-def test_a_key_join_plans_once_per_write_epoch(plans, analyze):
-    db = big_database()
+def test_a_key_join_plans_again_only_when_a_write_turns_its_join(
+    plans, analyze
+):
+    """A write moves the statistics the index join was chosen by; the
+    kept plan serves on while that choice, made again, comes out the
+    same, and is made again when it does not."""
+    db, cold = big_database(), big_database()
     hot = KEY_JOIN.format(2)
+    writes = []
     for n in range(50):
         if n and n % 10 == 0:
-            db.execute(f"UPDATE orders SET amount = {n} WHERE id = {n}")
+            writes.append(f"UPDATE orders SET amount = {n} WHERE id = {n}")
+            db.execute(writes[-1])
         db.execute(KEY_JOIN.format(n % 4), analyze=analyze)
         db.execute(hot, analyze=analyze)
-    updates = 4
-    assert len(plans) == 5 + updates  # each UPDATE is planned too
+    assert len(plans) == 1 + 4  # the key join once, and each UPDATE
+    assert "IndexJoin" in db._lookup(hot).plan.explain()
+    # Three customers left in orders: probing its index no longer pays.
+    writes.append("UPDATE orders SET customer_id = 0 WHERE customer_id = 3")
+    db.execute(writes[-1])
+    for sql in writes:
+        cold.execute(sql)
+    before = len(plans)
+    for sql in (KEY_JOIN.format(1), hot, KEY_JOIN.format(0)):
+        rows = db.execute(sql, analyze=analyze).rows
+        assert sorted(rows) == sorted(cold.execute(sql).rows)
+    assert len(plans) == before + 2  # the key join, once on each
+    assert db._lookup(hot).plan.explain() == fresh_tree(db, hot)
+    assert "HashJoin" in fresh_tree(db, hot)
 
 
 def fresh_tree(db, sql: str) -> str:
@@ -89,7 +108,7 @@ def assert_filled_as_fresh(db, sql: str) -> bool:
     """Fill the plan ``sql``'s key keeps (if any) with ``sql``'s values
     and check it against a fresh plan; whether one was filled."""
     kept = db.statement_cache.plans.get(template_key(tokenize(sql)))
-    if kept is None or not kept.serves((True, "auto")):
+    if kept is None or kept.options != (True, "auto"):
         return False
     entry, _ = db._derive(sql)
     filled = kept.parameters.fill(kept.plan, db._lowered(entry.statement))
