@@ -511,7 +511,9 @@ class Database:
         never one a kernel compiled) and every decision the planner
         took on a literal's value is re-run by a *guard*, so the text
         runs the plan its shape keeps, filled with its own values,
-        unless a guard decides otherwise for them.  An INSERT, UPDATE
+        unless a guard decides otherwise for them or a decision the
+        plan took on statistics (whether an index join pays) comes out
+        otherwise on today's.  An INSERT, UPDATE
         or DELETE is bound from its shape's template as a SELECT is,
         and planned as the SELECT of the values it writes
         (:meth:`_lowered`), so it takes the routes a SELECT does (a
