@@ -80,11 +80,15 @@ test-shard:
 # a guard refuses, against sqlite3 and a fresh plan around every
 # catalog event), the generic-plan counts (one plan_select per key, a
 # key join again only when a write turns its join; a filled plan
-# renders as a fresh one and shares no node holding a parameter), and
-# every SELECT the five TAG-Bench
+# renders as a fresh one and shares no node holding a parameter; a text
+# that holds a plan is not filled again), the statistics pin (around
+# writes that turn a join or an expensive conjunct's place, every kept
+# plan answers and renders as a fresh one), how often each front door
+# resolves a SELECT (a text planned again after such a write is not
+# resolved again), and every SELECT the five TAG-Bench
 # methods send, against sqlite3 at four seeds.
 test-access:
-	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_morsel_kernels.py tests/db/test_morsel_errors.py tests/db/test_kernel_errors.py tests/db/test_where_narrowing.py tests/db/test_limit_reads.py tests/db/test_sqlite_differential.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py tests/db/test_statement_templates.py tests/db/test_template_binding.py tests/db/test_kept_resolution.py tests/db/test_lexer.py tests/db/test_token_digest.py tests/db/test_write_pin.py tests/db/test_lowered_writes.py tests/db/test_plan_pin.py tests/db/test_generic_plans.py tests/bench/test_paper_sql.py -q
+	$(PYTHON) -m pytest tests/db/test_access_paths.py tests/db/test_top_n.py tests/obs/test_access_path_explain.py tests/db/test_write_state_machine.py tests/db/test_compare_kernel.py tests/db/test_morsel_kernels.py tests/db/test_morsel_errors.py tests/db/test_kernel_errors.py tests/db/test_where_narrowing.py tests/db/test_limit_reads.py tests/db/test_sqlite_differential.py tests/db/test_statement_cache.py tests/db/test_statement_reuse.py tests/db/test_statement_templates.py tests/db/test_template_binding.py tests/db/test_kept_resolution.py tests/db/test_lexer.py tests/db/test_token_digest.py tests/db/test_write_pin.py tests/db/test_lowered_writes.py tests/db/test_plan_pin.py tests/db/test_generic_plans.py tests/db/test_statistics_pin.py tests/db/test_resolve_once.py tests/bench/test_paper_sql.py -q
 
 # What is derived once, against its frozen references: the handlers'
 # schema and vocabulary derivations, the embedder's buckets and the

@@ -264,13 +264,14 @@ class Database:
         and the planner.  An entry that is ``bound`` (its nodes carry
         the owners an earlier resolution of its shape wrote, and it
         calls no expensive function) is not resolved again for those
-        two: its resolution is derived from the owners.  A plan the
-        ``stored`` entry kept under these options runs as it is; else
-        the generic plan of the entry's key, kept under these options,
-        runs filled with the statement's values, and is neither
-        resolved, routed nor planned, while each decision it took on
-        statistics comes out the same on today's.
-        Errors come in order: the analyzer's rejection, a bad option,
+        two: its resolution is derived from the owners.  A kept plan runs
+        while it serves (:meth:`~repro.db.stmtcache.Prepared.serves`:
+        it was built under these options, and each decision it took on
+        statistics comes out the same on today's): the ``stored``
+        entry's as it is, else the generic plan of the entry's key
+        filled with the statement's values, neither resolved, routed
+        nor planned.  A stored text keeps the filled copy, and with it
+        the key plan's decisions.  Errors come in order: the analyzer's rejection, a bad option,
         then the planning failure.
 
         ``udf_batch_size`` semantics: the default ``"auto"`` delegates
@@ -299,12 +300,10 @@ class Database:
             self.statement_cache.count_plan_hit()
             return entry, stored.plan, stored.names, stored.report
         kept = self.statement_cache.plans.get(entry.key)
-        # Stamped before the decisions its statistics fed are run again.
-        stats = kept and tuple((t, t.version) for t, _ in kept.stats)
         if (
             kept
-            and kept.options == options
             and self._stands(kept)
+            and kept.serves(options)
             and (plan := kept.parameters.fill(kept.plan, select))
         ):
             if stored is not None:  # the text keeps the filled copy
@@ -313,7 +312,7 @@ class Database:
                     plan=plan,
                     names=kept.names,
                     report=kept.report,
-                    stats=stats,
+                    weighed=kept.weighed,
                 )
             return entry, plan, kept.names, kept.report
         if resolved is None and entry.bound:
@@ -348,7 +347,7 @@ class Database:
             plan=plan,
             names=names,
             report=report,
-            stats=tuple(planner.stats_read.items()),
+            weighed=tuple(planner.weighed),
         )
         # The plan is kept from the text's first repeat on (one that
         # never recurs then costs an AST, not a plan), and only when it
@@ -356,8 +355,7 @@ class Database:
         if stored is not None and planner.reusable:
             entry = made
         if planner.reusable and not resolved.sites and entry.key:
-            known = kept and kept.parameters
-            parameters = Parameters.of(plan, planner, select, entry.key, known)
+            parameters = Parameters.of(plan, planner.reads, select, entry.key)
             if parameters is not None:
                 made = made._replace(statement=None, parameters=parameters)
                 self.statement_cache.plans.put(entry.key, made)
@@ -503,19 +501,19 @@ class Database:
         A SELECT that has succeeded before skips what its text alone
         decides (see :mod:`repro.db.stmtcache`): parsing and the
         analyzer's verdict while the catalog objects it names stand,
-        and from its second repeat on planning too, while the
-        statistics the plan was chosen from stand.  A text of a shape
-        whose plan is *generic* is not planned at all while that plan
-        stands: every literal of the shape is a *parameter* (a value
-        the plan holds in a node field, such as an index lookup's key,
-        never one a kernel compiled) and every decision the planner
-        took on a literal's value is re-run by a *guard*, so the text
-        runs the plan its shape keeps, filled with its own values,
-        unless a guard decides otherwise for them or a decision the
-        plan took on statistics (whether an index join pays) comes out
-        otherwise on today's.  An INSERT, UPDATE
-        or DELETE is bound from its shape's template as a SELECT is,
-        and planned as the SELECT of the values it writes
+        and from its second repeat on planning too, while each decision
+        the plan took on statistics (whether an index join pays,
+        whether an expensive conjunct is held above a join), run again
+        on today's, comes out the same.  A text of a shape whose plan
+        is *generic* is not planned at all while that plan serves by
+        the same rule: every literal of the shape is a *parameter* (a
+        value the plan holds in a node field, such as an index lookup's
+        key, never one a kernel compiled) and every decision the
+        planner took on a literal's value is re-run by a *guard*, so
+        the text runs the plan its shape keeps, filled with its own
+        values, unless a guard decides otherwise for them.  An INSERT,
+        UPDATE or DELETE is bound from its shape's template as a SELECT
+        is, and planned as the SELECT of the values it writes
         (:meth:`_lowered`), so it takes the routes a SELECT does (a
         DELETE by key, whose plan is generic, is filled like one); its
         plan runs to its end before a row is written.  Rows, errors and

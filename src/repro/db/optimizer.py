@@ -52,7 +52,9 @@ once, by the database's prepare step, and handed to :meth:`route`;
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
@@ -295,31 +297,34 @@ class QueryOptimizer:
         conjunct: ast.Expression,
         join: physical.PlanNode,
         side: physical.PlanNode,
+        weigh: Callable[[partial], bool],
     ) -> bool:
         """Whether an expensive conjunct should stay above ``join``.
 
         Pushing below runs the LM over the side's rows; holding above
-        runs it over the join's output.  Pick the smaller input.
+        runs it over the join's output.  Pick the smaller input: the
+        planner's ``weigh`` takes the test, so a kept plan takes it again
+        on the statistics of the moment.
         """
         if not self.lm_relevant:
             return False
-        below = _estimate_rows(side)
-        above = _estimate_rows(join)
+        held = weigh(partial(_held_above, join, side))
+        below, above = _estimate_rows(side), _estimate_rows(join)
         label = _conjunct_label(conjunct, self._db.functions)
         kind = getattr(join, "kind", "INNER")
-        if above < below:
-            self.report.add(
-                "selection-pushdown",
-                f"held {label} above {kind} join "
-                f"(est rows {above} after join vs {below} below)",
-            )
-            return True
         self.report.add(
             "selection-pushdown",
-            f"pushed {label} below {kind} join "
-            f"(est rows {below} below vs {above} after join)",
+            (
+                f"held {label} above {kind} join "
+                f"(est rows {above} after join vs {below} below)"
+            )
+            if held
+            else (
+                f"pushed {label} below {kind} join "
+                f"(est rows {below} below vs {above} after join)"
+            ),
         )
-        return False
+        return held
 
     def note_shard(
         self,
@@ -391,6 +396,12 @@ def _conjunct_label(
     if names:
         return " + ".join(f"{name}(…)" for name in names)
     return "predicate"
+
+
+def _held_above(join: physical.PlanNode, side: physical.PlanNode) -> bool:
+    """Whether fewer rows are estimated to leave ``join`` than its input
+    ``side``."""
+    return _estimate_rows(join) < _estimate_rows(side)
 
 
 def _estimate_rows(node: physical.PlanNode) -> int:

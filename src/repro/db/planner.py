@@ -46,6 +46,7 @@ the ablation benchmark compares both modes.
 
 from __future__ import annotations
 
+import copy
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -141,10 +142,6 @@ class Planner:
         #: exchange, a subquery's fetch-once closure — and so may run
         #: only once; the statement cache stores no such plan.
         self.reusable = True
-        #: Table -> its ``version`` just before planning first read its
-        #: statistics: the plan was chosen for those numbers and stands
-        #: while they do.
-        self.stats_read: dict[Table, int] = {}
         #: What the statement's names bind to (see
         #: :mod:`repro.db.resolve`).
         self._resolved = resolved
@@ -153,9 +150,9 @@ class Planner:
         #: :class:`~repro.db.stmtcache.Parameters`).  None once an
         #: estimate has read a literal's value.
         self.reads: list[tuple] | None = []
-        #: Each decision taken on statistics, as ``(test, outcome)``: a
-        #: plan made for other statistics is this plan while each test
-        #: run on them gives its outcome.
+        #: Each decision taken on statistics, as ``(test, outcome)`` (see
+        #: :meth:`_weigh`): a plan made for other statistics is this plan
+        #: while each test run on them gives its outcome.
         self.weighed: list[tuple] = []
 
     # ------------------------------------------------------------------
@@ -232,14 +229,9 @@ class Planner:
         if source is None:
             return physical.Values([()], RowLayout([]))
         if isinstance(source, ast.TableSource):
-            scan = physical.Scan(
+            return physical.Scan(
                 self._catalog.table(source.name), source.binding
             )
-            if self._optimizer is not None and self._optimizer.lm_relevant:
-                # Routes, reorders and pushdowns of a statement with
-                # LM calls are priced from every table it scans.
-                self._reads_statistics(scan)
-            return scan
         if isinstance(source, ast.SubquerySource):
             inner, names = self.plan_select(source.query)
             sliced = physical.Slice(inner, list(range(len(names))))
@@ -352,7 +344,7 @@ class Planner:
                     self._optimizer is not None
                     and self._is_expensive(conjunct)
                     and self._optimizer.hold_above_join(
-                        conjunct, node, side
+                        conjunct, node, side, self._weigh
                     )
                 ):
                     remaining.append(conjunct)
@@ -369,26 +361,32 @@ class Planner:
                     ),
                     node,
                 )
+            # A copy takes the new inputs: the join as built stays what
+            # the tests weighed on it read.
+            joined = copy.copy(node)
             new_left, leftover = self._push_down(node.left, left_push)
-            node.left = self._attach_filters(new_left, leftover)
+            joined.left = self._attach_filters(new_left, leftover)
             new_right, leftover = self._push_down(node.right, right_push)
-            node.right = self._attach_filters(new_right, leftover)
-            return self._maybe_index_join(node), remaining
+            joined.right = self._attach_filters(new_right, leftover)
+            return self._maybe_index_join(node, joined), remaining
         if isinstance(node, physical.Scan):
             return self._maybe_index_lookup(node, conjuncts)
         return node, conjuncts
 
     def _maybe_index_join(
-        self, join: physical.HashJoin | physical.NestedLoopJoin
+        self,
+        built: physical.HashJoin | physical.NestedLoopJoin,
+        join: physical.HashJoin | physical.NestedLoopJoin,
     ) -> physical.PlanNode:
         """Probe an index instead of hashing a whole table, when one
-        input is a bare indexed scan and the other is small.
+        input of ``join``, the join ``built`` with its inputs pushed
+        down, is a bare indexed scan and the other is small.
 
         Applies to an INNER hash join on one key whose key on the scan
         side is the indexed column itself.  The rows and their order
         are the hash join's (see :class:`~repro.db.plan.IndexJoin`).
         """
-        keys = self._equi_keys.pop(join, None)
+        keys = self._equi_keys.pop(built, None)
         if keys is None:
             return join
         # The right input first: probing it streams the left input,
@@ -413,24 +411,23 @@ class Planner:
                 join.residual,
                 join.layout,
             )
-            self._reads_statistics(candidate)
-            pays = partial(_index_join_pays, candidate, probed.table)
-            self.weighed.append((pays, pays()))
-            if self.weighed[-1][1]:
+            if self._weigh(partial(_index_join_pays, candidate, probed.table)):
                 return candidate
         return join
 
-    def _reads_statistics(self, node: physical.PlanNode) -> None:
-        """Note, before an estimate reads them, the version of every
-        stored table under ``node``, and that the estimate reads a
-        range's bounds (it counts the keys between them)."""
-        table = getattr(node, "table", None)
-        if table is not None:
-            self.stats_read.setdefault(table, table.version)
-        if type(node) is physical.IndexRange:
-            self.reads = None
-        for child in node._children():
-            self._reads_statistics(child)
+    def _weigh(self, test: partial) -> bool:
+        """Take a decision on statistics: ``test``'s outcome, noted with
+        the test in :attr:`weighed`.  An estimate of a subtree that
+        counts a range's keys reads its bounds, so no literal of the
+        statement is then a parameter (see :attr:`reads`)."""
+        outcome = test()
+        self.weighed.append((test, outcome))
+        nodes = [n for n in test.args if isinstance(n, physical.PlanNode)]
+        for node in nodes:
+            if type(node) is physical.IndexRange:
+                self.reads = None
+            nodes.extend(node._children())
+        return outcome
 
     def _maybe_index_lookup(
         self, scan: physical.Scan, conjuncts: list[ast.Expression]

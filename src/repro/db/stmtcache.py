@@ -20,11 +20,18 @@ parsed AST and whether the analyzer accepted it, and — from the entry's
 first hit on, so a text that never repeats costs an AST and not a plan
 — the physical plan it ran, with its output names and optimizer
 report.  An INSERT, UPDATE or DELETE keeps no text: it teaches only
-its key (below).  A :class:`Prepared` entry is immutable; admitting
-the plan replaces the entry.  Whether an entry still stands (see
-:class:`Prepared`) is asked by the database, outside the lock; two
-workers racing on a first sight at worst both plan and one entry
-survives.  The counts are plain ints for tests and experiments, not
+its key (below).  Every plan kept, a text's or its key's (below),
+follows one rule: it serves while the catalog stamps it was derived
+under stand and each decision its planning took on statistics (whether
+an index join pays, whether an expensive conjunct is held above a
+join), run again, comes out the same (:meth:`Prepared.serves`).  A
+write that leaves every such decision as it was voids no plan.  Of a
+kept report only its count of decisions is read, and EXPLAIN always
+plans afresh, so its estimates are never shown stale.  A
+:class:`Prepared` entry is immutable; admitting the plan replaces the
+entry.  Whether an entry still stands is asked by the database,
+outside the lock; two workers racing on a first sight at worst both
+plan and one entry survives.  The counts are plain ints for tests and experiments, not
 ``Usage`` fields: a racing first sight would make those depend on
 timing.
 
@@ -51,14 +58,14 @@ and no estimate read it, and whose every decision on a literal's value
 is re-run by a *guard* (whether an index probe selects what a filter
 would).  Such a plan is kept in :attr:`StatementCache.plans` from the
 first text of its key planned with it, with its options and report,
-and serves every text of the key while its catalog stamps stand and
-each decision it took on statistics (whether an index join pays) comes
-out the same on the statistics of the moment: the copy a text runs is
-the kept plan with the text's values read into the nodes that hold
-them, and shares every other subtree (see :class:`Parameters`).  Only a text whose guard refuses its
-values, or a plan with a literal inside a kernel, an estimate that
-read a range's keys, a shard pruned by value, an expensive call or
-run state outside ``execute()``, is planned per text.  Templates and
+and serves every text of the key by the one rule: the copy a text runs
+is the kept plan with the text's values read into the nodes that hold
+them, and shares every other subtree (see :class:`Parameters`); a text
+that keeps the copy keeps its decisions with it.  Only a text whose
+guard refuses its values, or a plan with a literal inside a kernel, an
+estimate that read a range's keys, a shard pruned by value, an
+expensive call or run state outside ``execute()``, is planned per
+text.  Templates and
 generic plans live in LRU maps of their own and are not counted by
 ``len()``, which counts texts.
 """
@@ -168,9 +175,12 @@ class Prepared(NamedTuple):
     ``runtime`` the shard runtime: the stamps :meth:`stands` checks.
     The plan — kept only when its run state lives entirely in the
     frames of ``execute()`` — was built under the ``(optimize,
-    udf_batch_size)`` in ``options``, and ``stats`` holds ``(table,
-    version)`` for every table whose statistics its planning read: what
-    :meth:`serves` checks on top.
+    udf_batch_size)`` in ``options``, and ``weighed`` holds each
+    decision its planning took on statistics, as ``(test, outcome)``
+    (whether an index join pays, whether an expensive conjunct is held
+    above a join).  Every kept plan, a text's own, its key's generic
+    plan or a text's filled copy of that, follows one rule: it serves
+    while its stamps stand and :meth:`serves` says yes.
     """
 
     statement: Any
@@ -186,7 +196,7 @@ class Prepared(NamedTuple):
     plan: Any = None
     names: list[str] | None = None
     report: Any = None
-    stats: tuple = ()
+    weighed: tuple = ()
     #: The text's :func:`template_key`, under which its key's generic
     #: plan is kept; None where none may serve or be kept.
     key: tuple | None = None
@@ -210,10 +220,12 @@ class Prepared(NamedTuple):
         )
 
     def serves(self, options: tuple) -> bool:
-        """Whether the plan kept was built under ``options`` and no
-        table whose statistics chose it has been written since."""
+        """Whether the plan kept was built under ``options`` and is the
+        plan a fresh planning would build on the statistics of the
+        moment: each decision it took on them, run again, comes out the
+        same."""
         return self.options == options and all(
-            table.version == version for table, version in self.stats
+            test() == outcome for test, outcome in self.weighed
         )
 
 
@@ -249,30 +261,23 @@ class Parameters(NamedTuple):
     what a Filter would), and the text is planned afresh.  ``spine``
     maps each node holding a parameter, and each node above one, to
     the fields that lead down to such a node: what a filled copy
-    copies, every other subtree being shared.  ``weighed`` holds the
-    decisions the planner took on statistics, ``(test, outcome)``: the
-    plan is what a fresh plan would be on the statistics of the moment
-    while each test, run again, gives its outcome.
+    copies, every other subtree being shared.  Whether the plan serves
+    at all is its entry's to say (:meth:`Prepared.serves`): the guards
+    decide only on a text's values.
     """
 
     fields: tuple
     spine: dict
-    weighed: tuple
 
     @classmethod
-    def of(cls, plan: Any, planner: Any, statement: Any, key: tuple, known):
+    def of(cls, plan: Any, reads: list | None, statement: Any, key: tuple):
         """The parameters of ``plan``, planned from ``statement`` of
-        ``key`` by ``planner`` (its ``reads``, each ``(node, field,
-        read, literals)``, and its ``weighed``); None when the plan is
-        not generic.  ``known`` are those of an earlier generic plan of
-        the key, or None."""
-        reads = planner.reads
+        ``key`` with the planner's ``reads``, each ``(node, field, read,
+        literals)``; None when the plan is not generic."""
         held = {id(literal) for *_, found in reads or () for literal in found}
         if not held or len(held) < sum(map(key.count, ("#I", "#F", "#S"))):
             return None  # a literal token whose value is not a parameter
-        known = known and {p for *_, paths in known.fields for p in paths}
-        pairs = [(path, _at(statement, path)) for path in known or ()]
-        paths = {id(lit): path for path, lit in pairs or _paths(statement)}
+        paths = {id(literal): path for path, literal in _paths(statement)}
         if held != paths.keys():
             return None
         fields = tuple(
@@ -290,15 +295,11 @@ class Parameters(NamedTuple):
                 spine[id(node)] = down
         if not noted <= spine.keys():
             return None  # a node noted is not in the plan
-        if planner.stats_read and not planner.weighed:
-            return None  # statistics read, and no decision noted on them
-        return cls(fields, spine, tuple(planner.weighed))
+        return cls(fields, spine)
 
     def fill(self, plan: Any, statement: Any) -> Any:
         """``plan`` holding ``statement``'s values, or None when a guard
-        refuses them or a decision on statistics comes out otherwise."""
-        if any(test() != outcome for test, outcome in self.weighed):
-            return None
+        refuses them."""
         values = [
             (at, field, read(*[_at(statement, path).value for path in paths]))
             for at, field, read, paths in self.fields

@@ -18,7 +18,7 @@ from benchmarks.perf.oracle import SqliteMirror, rows_match
 from benchmarks.perf.workloads import _load_database
 from repro.db.planner import Planner
 from repro.db.sql.lexer import tokenize
-from repro.db.stmtcache import template_key
+from repro.db.stmtcache import Parameters, template_key
 from tests.db.test_statement_templates import SHAPES, database
 
 POINT = "SELECT id, amount, status FROM orders WHERE id = {}"
@@ -157,3 +157,30 @@ def test_sql_short_texts_fill_as_fresh_plans_and_answer_as_sqlite():
             assert rows_match(rows, mirror.run(statement), statement.ordered)
     mirror.close()
     assert filled > 500
+
+
+def test_a_text_that_holds_a_plan_is_not_filled_again(monkeypatch):
+    """Over 60 warmed ``sql_short`` blocks and their writes, a text that
+    holds a plan runs it: a write that leaves each of its choices as it
+    was does not send the text back to its key's plan to be filled."""
+    db = _load_database(gen.relational(0))
+    hot = gen.short_hot_set(0)
+    fills: list[int] = []
+    fill = Parameters.fill
+    monkeypatch.setattr(
+        Parameters,
+        "fill",
+        lambda self, *args: fills.append(1) or fill(self, *args),
+    )
+    held = filled = 0
+    for block in range(100):
+        for statement in gen.short_block(0, block, hot):
+            read = statement.kind in ("point", "keyjoin", "range")
+            entry = db._lookup(statement.sql)
+            before = len(fills)
+            db.execute(statement.sql, analyze=read)
+            if block >= 40 and entry is not None and entry.plan is not None:
+                held += 1
+                filled += len(fills) > before
+    assert held > 700
+    assert filled == 0

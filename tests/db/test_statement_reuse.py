@@ -9,16 +9,20 @@ misses meter, and that workers sharing one ``Database`` may race on it.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import time
 
 import pytest
 
+from benchmarks.perf import gen
+from benchmarks.perf.workloads import _load_database
 from repro.db import Database
 from repro.db.stmtcache import CAPACITY
 from repro.errors import ReproError
 from repro.lm.usage import Usage
+from tests.db.test_statistics_pin import INSERTS, PER_ROW, per_row_database
 
 POINT = "SELECT id, amount FROM orders WHERE id = 3"
 RANGE = "SELECT id FROM orders WHERE id BETWEEN 2 AND 9 ORDER BY id LIMIT 4"
@@ -198,8 +202,14 @@ class TestOnlyPlansThatMayRunAgainAreKept:
         kept = db._lookup(JUDGED)
         assert kept.options == (True, None)
         assert kept.report.route == "per-row"
-        # Its estimate was priced from orders' statistics.
-        assert [table.schema.name for table, _ in kept.stats] == ["orders"]
+        # Its report's estimates read orders' statistics, but no choice
+        # of its plan did: a write leaves the plan serving.
+        assert kept.weighed == ()
+        hits = db.statement_cache.plan_hits
+        db.execute("INSERT INTO orders VALUES (12, 0, 6.0, 'open')")
+        rows = db.execute(JUDGED, udf_batch_size=None).rows
+        assert rows == [(id,) for id in range(0, 13, 2)]
+        assert db.statement_cache.plan_hits == hits + 1
 
     def test_a_plan_serves_only_the_options_it_was_built_under(self, db):
         run(db, KEY_JOIN, 3)
@@ -214,7 +224,7 @@ class TestWhatVoidsWhat:
     def test_writes_leave_plans_that_read_no_statistics(self, db):
         for sql in (POINT, RANGE):
             run(db, sql, 3)
-            assert db._lookup(sql).stats == ()
+            assert db._lookup(sql).weighed == ()
         hits = db.statement_cache.plan_hits
         db.execute("INSERT INTO orders VALUES (100, 1, 9.5, 'open')")
         db.execute("UPDATE orders SET amount = 7.0 WHERE id = 3")
@@ -223,21 +233,80 @@ class TestWhatVoidsWhat:
         assert db.execute(RANGE).rows == [(2,), (3,), (5,), (6,)]
         assert db.statement_cache.plan_hits == hits + 2
 
-    def test_a_write_voids_the_plan_that_followed_the_statistics(self, db):
+    def test_a_write_that_turns_a_choice_plans_again(self, db):
         run(db, KEY_JOIN, 3)
         kept = db._lookup(KEY_JOIN)
-        assert {table.schema.name for table, _ in kept.stats} == {
-            "orders",
-            "customers",
-        }
+        assert "IndexJoin" in kept.plan.explain()
+        assert [outcome for _, outcome in kept.weighed] == [True]
         hits = db.statement_cache.plan_hits
+        # Three orders left: probing their index no longer pays.
         db.execute("DELETE FROM orders WHERE id > 2")
         assert db.execute(KEY_JOIN).rows == [(1, "c1")]
         assert db.statement_cache.plan_hits == hits  # planned again
-        assert db._lookup(KEY_JOIN).plan is not kept.plan
+        assert "HashJoin" in db._lookup(KEY_JOIN).plan.explain()
         assert db._lookup(KEY_JOIN).plan.explain() == db.explain(KEY_JOIN)
         db.execute(KEY_JOIN)
         assert db.statement_cache.plan_hits == hits + 1
+
+    def test_a_write_that_leaves_every_choice_keeps_the_key_join(self, db):
+        run(db, KEY_JOIN, 3)
+        kept = db._lookup(KEY_JOIN)
+        hits = db.statement_cache.plan_hits
+        db.execute("UPDATE orders SET amount = 7.0 WHERE id = 5")
+        db.execute("INSERT INTO customers VALUES (4, 'c4')")
+        assert sorted(db.execute(KEY_JOIN).rows) == [
+            (1, "c1"),
+            (5, "c1"),
+            (9, "c1"),
+        ]
+        assert db.statement_cache.plan_hits == hits + 1
+        assert db._lookup(KEY_JOIN).plan is kept.plan
+
+    def test_a_write_that_leaves_every_choice_keeps_the_per_row_join(self):
+        db, calls = per_row_database([])
+        run(db, PER_ROW, 2, udf_batch_size=None)
+        kept = db._lookup(PER_ROW)
+        hits = db.statement_cache.plan_hits
+        db.execute("INSERT INTO b VALUES (9, 9, 1)")
+        db.execute("UPDATE a SET x = 4 WHERE id = 1")
+        del calls[:]
+        rows = db.execute(PER_ROW, udf_batch_size=None).rows
+        assert rows == [(1, 5), (1, 7), (1, 9)]
+        assert len(calls) == 5  # still above the join: one per joined row
+        assert db.statement_cache.plan_hits == hits + 1
+        assert db._lookup(PER_ROW).plan is kept.plan
+
+    def test_a_choice_is_weighed_on_the_join_as_built(self):
+        """The pushdown is weighed before the join's inputs take their
+        own conjuncts; its input becoming an index lookup afterwards
+        does not turn the test run again."""
+        db, _ = per_row_database(INSERTS)
+        db.create_index("a", "id")
+        sql = PER_ROW.replace("WHERE", "WHERE a.id = 1 AND")
+        assert "IndexLookup" in db.explain(sql, udf_batch_size=None)
+        run(db, sql, 3, udf_batch_size=None)
+        assert [o for _, o in db._lookup(sql).weighed] == [False]  # below
+        assert db.statement_cache.plan_hits == 1
+
+    def test_kept_choices_close_no_reference_cycle(self):
+        """A choice is kept as a partial over plan nodes, in every entry
+        that keeps a plan: none closes a cycle the collector must find."""
+        db = _load_database(gen.relational(0))
+        hot = gen.short_hot_set(0)
+        joined, _ = per_row_database([])
+        gc.collect()
+        gc.disable()
+        try:
+            for block in range(40):
+                for statement in gen.short_block(0, block, hot):
+                    read = statement.kind in ("point", "keyjoin", "range")
+                    db.execute(statement.sql, analyze=read)
+            for write in INSERTS:
+                run(joined, PER_ROW, 2, udf_batch_size=None)
+                joined.execute(write)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "change",
