@@ -271,8 +271,8 @@ class Database:
         entry's as it is, else the generic plan of the entry's key
         filled with the statement's values, neither resolved, routed
         nor planned.  A stored text keeps the filled copy, and with it
-        the key plan's decisions.  Errors come in order: the analyzer's rejection, a bad option,
-        then the planning failure.
+        the key plan's decisions.  Errors come in order: the analyzer's
+        rejection, a bad option, then the planning failure.
 
         ``udf_batch_size`` semantics: the default ``"auto"`` delegates
         the choice to the cost-based optimizer (per-row for purely

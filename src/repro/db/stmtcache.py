@@ -31,9 +31,9 @@ plans afresh, so its estimates are never shown stale.  A
 :class:`Prepared` entry is immutable; admitting the plan replaces the
 entry.  Whether an entry still stands is asked by the database,
 outside the lock; two workers racing on a first sight at worst both
-plan and one entry survives.  The counts are plain ints for tests and experiments, not
-``Usage`` fields: a racing first sight would make those depend on
-timing.
+plan and one entry survives.  The counts are plain ints for tests and
+experiments, not ``Usage`` fields: a racing first sight would make
+those depend on timing.
 
 Beside the texts, the cache keeps templates: one per
 :func:`template_key`, the shape texts share when they differ only in
@@ -65,9 +65,8 @@ that keeps the copy keeps its decisions with it.  Only a text whose
 guard refuses its values, or a plan with a literal inside a kernel, an
 estimate that read a range's keys, a shard pruned by value, an
 expensive call or run state outside ``execute()``, is planned per
-text.  Templates and
-generic plans live in LRU maps of their own and are not counted by
-``len()``, which counts texts.
+text.  Templates and generic plans live in LRU maps of their own and
+are not counted by ``len()``, which counts texts.
 """
 
 from __future__ import annotations
