@@ -99,9 +99,12 @@ test-access:
 # test a row against frozen copies of the line readers and the row test
 # (tests/lm/test_prompt_reading.py; same rule), the prompt-schema
 # staleness and Table.version tests, and the reference-cycle check on a
-# served pass.
+# served pass; the token count against a frozen copy of the one that
+# split every text, with the context-length error the word count alone
+# decides (tests/lm/test_token_count.py; same rule), and the model's
+# own unit tests (tests/lm/test_model.py).
 test-lm:
-	$(PYTHON) -m pytest tests/lm/test_handler_memo.py tests/lm/test_condition_bank.py tests/lm/test_prompt_reading.py tests/data/test_datasets.py tests/core/test_tag.py tests/serve/test_server.py -q
+	$(PYTHON) -m pytest tests/lm/test_handler_memo.py tests/lm/test_condition_bank.py tests/lm/test_prompt_reading.py tests/lm/test_token_count.py tests/lm/test_model.py tests/data/test_datasets.py tests/core/test_tag.py tests/serve/test_server.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -140,18 +140,13 @@ def find_mentions(
 ) -> list[Mention]:
     """All phrase mentions resolvable against ``tables``, sorted by
     position; overlapping shorter matches are suppressed."""
-    lowered_tables = {
-        table.lower(): (table, columns)
-        for table, columns in tables.items()
-    }
+    schema = tuple(
+        (table, tuple(columns)) for table, columns in tables.items()
+    )
     claimed: list[tuple[int, int]] = []
     mentions: list[Mention] = []
-    for phrase, hint_table, column in _ORDERED_HINTS:
-        resolved = _resolve(hint_table, column, lowered_tables)
-        if resolved is None:
-            continue
-        table_name, column_name = resolved
-        for match in _phrase_pattern(phrase).finditer(question):
+    for phrase, pattern, table_name, column_name in _schema_hints(schema):
+        for match in pattern.finditer(question):
             span = (match.start(), match.end())
             if any(
                 span[0] < end and start < span[1]
@@ -166,10 +161,29 @@ def find_mentions(
     return mentions
 
 
+@functools.lru_cache(maxsize=64)
+def _schema_hints(
+    schema: tuple[tuple[str, tuple[str, ...]], ...],
+) -> tuple[tuple[str, re.Pattern[str], str, str], ...]:
+    """The hints that resolve against ``schema`` (ordered ``(table,
+    columns)`` pairs), in match order, as (phrase, pattern, table,
+    column): resolved once per distinct schema, since a schema recurs
+    in every question over it."""
+    lowered_tables = {
+        table.lower(): (table, columns) for table, columns in schema
+    }
+    hints = []
+    for phrase, hint_table, column in _ORDERED_HINTS:
+        resolved = _resolve(hint_table, column, lowered_tables)
+        if resolved is not None:
+            hints.append((phrase, _phrase_pattern(phrase), *resolved))
+    return tuple(hints)
+
+
 def _resolve(
     hint_table: str | None,
     column: str,
-    lowered_tables: dict[str, tuple[str, list[str]]],
+    lowered_tables: dict[str, tuple[str, tuple[str, ...]]],
 ) -> tuple[str, str] | None:
     if hint_table is not None:
         entry = lowered_tables.get(hint_table.lower())

@@ -513,6 +513,79 @@ def test_unparseable_blocks_are_skipped_every_time():
 
 
 # ---------------------------------------------------------------------------
+# Hint resolution, once per schema: staleness and aliasing
+# ---------------------------------------------------------------------------
+
+_HINT_QUESTIONS = [
+    "What is the average math score of the school with the most test takers?",
+    "Which city has the highest grade span offered, and in which county?",
+    "How many points did the drivers of each nationality score per season?",
+    "List the races and the year of each race in that round.",
+    "What is the score of the school in the city of Fresno?",
+    "",
+]
+
+
+def _assert_mentions_equal_reference(tables: dict[str, list[str]]) -> None:
+    for question in _HINT_QUESTIONS:
+        assert schema_semantics.find_mentions(
+            question, tables
+        ) == ref_find_mentions(question, tables), (question, tables)
+
+
+def test_schemas_one_column_apart_resolve_alternately():
+    first = {
+        "schools": ["School", "City", "County", "GSoffered"],
+        "satscores": ["AvgScrMath", "NumTstTakr", "Score"],
+    }
+    second = {
+        "schools": ["School", "Town", "County", "GSoffered"],
+        "satscores": ["AvgScrMath", "NumTstTakr", "Score"],
+    }
+    for _ in range(3):
+        for tables in (first, second):
+            _assert_mentions_equal_reference(tables)
+    question = _HINT_QUESTIONS[1]
+    assert schema_semantics.find_mentions(
+        question, first
+    ) != schema_semantics.find_mentions(question, second)
+
+
+def test_tables_mutated_after_a_call_are_read_afresh():
+    tables = {"races": ["name", "year"], "results": ["points"]}
+    _assert_mentions_equal_reference(tables)
+    tables["races"].append("round")
+    tables["drivers"] = ["surname", "nationality"]
+    del tables["results"]
+    _assert_mentions_equal_reference(tables)
+    tables["races"].remove("year")
+    _assert_mentions_equal_reference(tables)
+    question = _HINT_QUESTIONS[3]
+    mentions = schema_semantics.find_mentions(question, tables)
+    mentions.clear()
+    assert schema_semantics.find_mentions(
+        question, tables
+    ) == ref_find_mentions(question, tables) != []
+
+
+def test_tables_whose_names_differ_only_in_case_resolve_as_before():
+    layouts = [
+        {"Races": ["name"], "races": ["year", "round"]},
+        {"races": ["year", "round"], "Races": ["name"]},
+        {"SATSCORES": ["Score"], "satscores": ["AvgScrMath"]},
+        {"satscores": ["AvgScrMath"], "SATSCORES": ["Score"]},
+    ]
+    for _ in range(2):
+        for tables in layouts:
+            _assert_mentions_equal_reference(tables)
+    # The last spelling wins, so the two orders resolve differently.
+    question = _HINT_QUESTIONS[3]
+    assert schema_semantics.find_mentions(
+        question, layouts[0]
+    ) != schema_semantics.find_mentions(question, layouts[1])
+
+
+# ---------------------------------------------------------------------------
 # Staleness: prompt_schema after every kind of change
 # ---------------------------------------------------------------------------
 
