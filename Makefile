@@ -48,9 +48,12 @@ test-semcache:
 
 # The sharded-execution suites on their own: partitioning specs,
 # shard/worker equivalence and pruning, shard-merge trace determinism,
-# and a smoke pass of the E21 shard x fault sweep.
+# the UDF counters each plan node writes and its statement adds to
+# Usage once when it ends, an Exchange's its shards' sum
+# (test_morsel_explain, test_udf_counters), and a smoke pass of the E21
+# shard x fault sweep.
 test-shard:
-	$(PYTHON) -m pytest tests/db/test_sharding.py tests/obs/test_shard_trace.py -q
+	$(PYTHON) -m pytest tests/db/test_sharding.py tests/obs/test_shard_trace.py tests/obs/test_morsel_explain.py tests/obs/test_udf_counters.py -q
 	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_sharding.py -q
 
 # The index access-path suites on their own: index-vs-no-index and

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import islice
 from typing import TYPE_CHECKING, Any
@@ -10,7 +11,6 @@ from typing import TYPE_CHECKING, Any
 from repro.db import types as dbtypes
 from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.optimizer import QueryOptimizer
-from repro.db.plan import UDFExecContext
 from repro.db.planner import Planner
 from repro.db.resolve import rebound, resolve
 from repro.db.shard import PartitionSpec, ShardRuntime
@@ -233,9 +233,12 @@ class Database:
         :class:`repro.lm.usage.Usage`, or nowhere when None.
 
         UDF-cache and cascade traffic, optimizer decisions and
-        ``max_rows`` drops are added to it.  The batched operators'
-        per-node ``exec_stats`` stay the canonical per-operator
-        numbers; these are the same increments.  Optimizer decisions
+        ``max_rows`` drops are added to it.  A batched operator is the
+        one writer of its UDF-cache and cascade counters, its
+        ``exec_stats``; when a statement ends, run or failed, the sum
+        over its operators (each exchange's in place of its shards',
+        and those of the subqueries it ran) is added in one call.
+        Optimizer decisions
         are plan-time events: every planned statement (execute,
         EXPLAIN, EXPLAIN ANALYZE) counts them once, deterministic for a
         fixed query and catalog; which rules they are is the EXPLAIN
@@ -252,11 +255,13 @@ class Database:
         optimize: bool,
         udf_batch_size: "int | str | None",
         max_rows: int | None,
-    ) -> tuple[Prepared, Any, list[str], Any]:
+    ) -> tuple[Prepared, Any, list[str], Any, Sequence[Any]]:
         """The one prepare step of the statement ``entry`` holds: the
-        entry to keep, the plan, its output names and the optimizer's
-        report.  A write is planned as the SELECT it is lowered to
-        (:meth:`_lowered`).
+        entry to keep, the plan, its output names, the optimizer's
+        report and the nodes whose counters are the statement's (the
+        :class:`~repro.db.planner.Planner`'s ``counted``; none in a kept
+        plan, which holds no call site).  A write is planned as the
+        SELECT it is lowered to (:meth:`_lowered`).
 
         The SELECT is resolved at most once, and only when something
         reads the resolution: the analyzer's preflight (asked for, of a
@@ -298,7 +303,7 @@ class Database:
         options = (optimize, udf_batch_size)
         if stored is not None and stored.serves(options):
             self.statement_cache.count_plan_hit()
-            return entry, stored.plan, stored.names, stored.report
+            return entry, stored.plan, stored.names, stored.report, ()
         kept = self.statement_cache.plans.get(entry.key)
         if (
             kept
@@ -314,7 +319,7 @@ class Database:
                     report=kept.report,
                     weighed=kept.weighed,
                 )
-            return entry, plan, kept.names, kept.report
+            return entry, plan, kept.names, kept.report, ()
         if resolved is None and entry.bound:
             resolved = rebound(self.functions, select)
         elif resolved is None:
@@ -332,9 +337,6 @@ class Database:
             resolved,
             optimize,
             udf_batch_size,  # type: ignore[arg-type]
-            None
-            if udf_batch_size is None
-            else UDFExecContext(self.udf_cache, self._usage),
             optimizer,
         )
         write = type(statement).__name__.upper()
@@ -359,15 +361,35 @@ class Database:
             if parameters is not None:
                 made = made._replace(statement=None, parameters=parameters)
                 self.statement_cache.plans.put(entry.key, made)
-        return entry, plan, names, report
+        return entry, plan, names, report, planner.counted
 
-    def _run(
-        self, plan: Any, report: Any, max_rows: int | None
+    def _drained(self, plan: Any, counted: Sequence[Any]) -> list:
+        """The rows ``plan`` makes.  Whether it runs or fails, the sum
+        of the ``counted`` nodes' UDF counters then goes to the bound
+        Usage in one add: each node is the one writer of its own.  A
+        subquery planned as the plan runs adds its nodes to the list
+        first; a plan with no call site has none and adds nothing."""
+        try:
+            return list(plan.execute())
+        finally:
+            if counted:
+                totals: Counter[str] = Counter()
+                for node in counted:
+                    totals.update(node.exec_stats)
+                trace.count(
+                    self._usage,
+                    udf_cache_hits=totals["udf_cache_hits"],
+                    udf_cache_misses=totals["udf_cache_misses"],
+                    cascade_cheap_hits=totals["cascade_cheap_hits"],
+                    cascade_escalations=totals["cascade_escalations"],
+                )
+
+    def _finish(
+        self, rows: list, report: Any, max_rows: int | None
     ) -> tuple[list, tuple[int, int] | None]:
-        """Run a prepared plan: its rows, cut to ``max_rows``, and
-        ``(max_rows, rows)`` when the cut dropped any.  Counts the
-        optimizer's decisions and the rows dropped."""
-        rows = list(plan.execute())
+        """A SELECT's rows, as :meth:`_drained` from its plan: cut to
+        ``max_rows``, and ``(max_rows, rows)`` when the cut dropped any.
+        Counts the optimizer's decisions and the rows dropped."""
         if report is not None:
             decisions = len(report.decisions)
             trace.count(self._usage, optimizer_decisions=decisions)
@@ -427,6 +449,18 @@ class Database:
             entry = self._first_sight(parse_tokens(tokens))._replace(key=key)
         return entry, (key, tokens, template)
 
+    def _explained(self, sql: str, what: str) -> Prepared:
+        """For the EXPLAIN paths: the entry of the SELECT ``sql`` holds
+        — as parsed and accepted before, while its stored entry or its
+        shape's template stands — whose plan is made afresh and kept
+        nowhere."""
+        entry = self._lookup(sql)
+        if entry is None:
+            entry, shape = self._derive(sql)
+            if shape is None or type(entry.statement) is not ast.Select:
+                raise PlanningError(f"{what} only supports SELECT")
+        return entry._replace(key=None)  # no plan of its key serves
+
     def _planned(
         self,
         sql: str,
@@ -436,19 +470,12 @@ class Database:
         udf_batch_size: "int | str | None",
         max_rows: int | None,
     ) -> tuple[Any, list[str], Any]:
-        """For the EXPLAIN paths: the plan, output names and optimizer
-        report of the SELECT ``sql`` holds — as parsed and accepted
-        before, while its stored entry or its shape's template stands.
-        Nothing is kept."""
-        entry = self._lookup(sql)
-        if entry is None:
-            entry, shape = self._derive(sql)
-            if shape is None or type(entry.statement) is not ast.Select:
-                raise PlanningError(f"{what} only supports SELECT")
-        entry = entry._replace(key=None)  # no plan of its key serves
+        """The plan, output names and optimizer report of the
+        :meth:`_explained` entry of ``sql``."""
+        entry = self._explained(sql, what)
         return self._prepare(
             sql, entry, None, analyze, optimize, udf_batch_size, max_rows
-        )[1:]
+        )[1:4]
 
     # ------------------------------------------------------------------
     # SQL execution
@@ -541,14 +568,15 @@ class Database:
             if shape is None:
                 self._execute_create(entry)
                 return ResultSet([], [])
-        entry, plan, names, report = self._prepare(
+        entry, plan, names, report, counted = self._prepare(
             sql, entry, stored, analyze, optimize, udf_batch_size, max_rows
         )
         statement = entry.statement
         if type(statement) is ast.Select:
-            result = ResultSet(names, self._run(plan, report, max_rows)[0])
+            rows = self._drained(plan, counted)
+            result = ResultSet(names, self._finish(rows, report, max_rows)[0])
         else:
-            result = self._write(statement, list(plan.execute()))
+            result = self._write(statement, self._drained(plan, counted))
         # Only a statement that has succeeded is kept.
         if entry is not stored:
             self.statement_cache.admit(sql, entry, shape)
@@ -589,12 +617,13 @@ class Database:
         """
         from repro.obs.explain import AnalyzedQuery, instrument_plan
 
-        plan, names, report = self._planned(
-            sql, "EXPLAIN ANALYZE", analyze, optimize, udf_batch_size,
-            max_rows,
+        entry = self._explained(sql, "EXPLAIN ANALYZE")
+        _, plan, names, report, counted = self._prepare(
+            sql, entry, None, analyze, optimize, udf_batch_size, max_rows
         )
         proxy, stats = instrument_plan(plan)
-        rows, truncated = self._run(proxy, report, max_rows)
+        rows = self._drained(proxy, counted)
+        rows, truncated = self._finish(rows, report, max_rows)
         return AnalyzedQuery(
             stats=stats,
             result=ResultSet(names, rows),

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter, ne, neg
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
 from repro.db.expr import (
     Kernel,
@@ -44,16 +44,13 @@ from repro.db.stmtcache import LRUCache
 from repro.db.table import Table
 from repro.db.types import NUMBERS, TEXT, SQLValue, sort_key
 from repro.errors import ExecutionError
-from repro.obs import racecheck, trace
+from repro.obs import racecheck
 
 try:  # the max-heap calls heapq.nsmallest makes, public from 3.14
     from heapq import heapify_max as _heapify_max  # type: ignore[attr-defined]
     from heapq import heapreplace_max as _heapreplace_max  # type: ignore[attr-defined]
 except ImportError:
     from heapq import _heapify_max, _heapreplace_max  # type: ignore[attr-defined]
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.lm.usage import Usage
 
 
 #: Rows per morsel: every operator that evaluates an expression reads
@@ -307,7 +304,9 @@ class MorselContext(Protocol):
     :class:`UDFExecContext` is the local form, used by an unsharded
     plan; :class:`~repro.db.shard.ShardContext` the form handed to the
     operators of one shard pipeline.  ``site_id`` is ``(operator
-    ordinal, site index)``: one call site of the statement.
+    ordinal, site index)``: one call site of the statement.  A context
+    says where cache reads and results go, never what is counted: the
+    operator is the one writer of its ``exec_stats``.
     """
 
     #: Whether rows carry a trailing tag (their global row id) that a
@@ -315,9 +314,6 @@ class MorselContext(Protocol):
     #: (:class:`~repro.db.shard.ShardRowError`); ``tag`` below is it,
     #: for the row a key first occurs at, and None on untagged rows.
     tagged: bool
-
-    def tally(self, stats: dict[str, int], key: str, amount: int) -> None:
-        """Add to one operator counter, and to whatever mirrors it."""
 
     def lookup(
         self, site_id: tuple, key: MemoKey, tag: int | None
@@ -344,29 +340,19 @@ _UNCACHED = object()
 
 
 class UDFExecContext:
-    """The local :class:`MorselContext`: live cache, emitted counters.
+    """The local :class:`MorselContext`: the live cache.
 
     Carries the :class:`~repro.db.Database`'s cross-statement memo
-    cache and its bound :class:`~repro.lm.usage.Usage`.  Each operator
-    owns an ``exec_stats`` dict surfaced by EXPLAIN ANALYZE;
-    :meth:`tally` counts an event on the node and adds it to the
-    Usage, so the two can never disagree.  Cache reads and writes go to
-    the live cache and every pending key is the caller's to dispatch.
+    cache.  Cache reads and writes go to it and every pending key is the
+    caller's to dispatch.  It counts nothing: each operator is the one
+    writer of its ``exec_stats``, and the database adds a statement's
+    sum to the bound :class:`~repro.lm.usage.Usage` when it ends.
     """
 
     tagged = False
 
-    def __init__(
-        self, cache: LRUCache | None = None, usage: Usage | None = None
-    ) -> None:
+    def __init__(self, cache: LRUCache | None = None) -> None:
         self.cache = cache
-        self.usage = usage
-
-    def tally(self, stats: dict[str, int], key: str, amount: int) -> None:
-        if amount == 0:
-            return
-        stats[key] = stats.get(key, 0) + amount
-        trace.count(self.usage, **{key: amount})
 
     def lookup(
         self, site_id: tuple, key: MemoKey, tag: int | None
@@ -386,11 +372,6 @@ class UDFExecContext:
     ) -> None:
         if self.cache is not None and not isinstance(value, UDFCallError):
             self.cache.put(key, value)
-
-
-#: Operator counters nothing mirrors: the model's own Usage already
-#: meters calls and batches.
-_NODE_ONLY_STATS = ("lm_calls", "lm_batches")
 
 
 def _fresh_exec_stats(sites: list[UDFCallSite]) -> dict[str, int]:
@@ -452,14 +433,18 @@ def _resolve_morsel(
     else dispatches.  The caller's own come first, so whoever waits on
     them waits on a caller that is making progress.
 
-    Counter contract: ``udf_cache_hits`` counts row-occurrences served
-    without a new invocation (statement memo, cross-statement LRU,
-    intra-morsel dedup, or another shard's dispatch);
+    Counter contract, written to ``stats`` (the operator's
+    ``exec_stats``) and nowhere else: ``udf_cache_hits`` counts
+    row-occurrences served without a new invocation (statement memo,
+    cross-statement LRU, intra-morsel dedup, or another shard's
+    dispatch);
     ``udf_cache_misses`` and ``lm_calls`` count dispatched invocations;
     ``lm_batches`` counts batch dispatches.  On the cascade route
     ``cascade_cheap_hits`` counts distinct tuples the cheap tier
     answered and ``cascade_escalations`` those it declined (dispatched
-    to the expensive form, so also ``udf_cache_misses``).
+    to the expensive form, so also ``udf_cache_misses``).  The
+    :class:`~repro.db.Database` adds a statement's sums to its bound
+    :class:`~repro.lm.usage.Usage` once, when the statement ends.
     """
     tagged = context.tagged
     for site_idx, site in enumerate(sites):
@@ -483,7 +468,7 @@ def _resolve_morsel(
                 continue
             tags[key] = tag
             pending.append(key)
-        context.tally(stats, "udf_cache_hits", hits)
+        stats["udf_cache_hits"] += hits
         if not pending:
             continue
         mine, theirs = context.claim(site_id, pending)
@@ -506,7 +491,7 @@ def _resolve_morsel(
             memo[key] = value
             context.publish(site_id, key, tags[key], value)
             waited += 1
-        context.tally(stats, "udf_cache_hits", waited)
+        stats["udf_cache_hits"] += waited
 
 
 def _site_keys(site: UDFCallSite, rows: list[Row]) -> list[MemoKey | None]:
@@ -554,13 +539,12 @@ def _dispatch(
                 continue
             memo[key] = answer
             context.publish(site_id, key, tags[key], answer)
-        cheap_hits = len(pending) - len(escalated)
-        context.tally(stats, "cascade_cheap_hits", cheap_hits)
-        context.tally(stats, "cascade_escalations", len(escalated))
+        stats["cascade_cheap_hits"] += len(pending) - len(escalated)
+        stats["cascade_escalations"] += len(escalated)
         pending = escalated
     if not pending:
         return
-    context.tally(stats, "udf_cache_misses", len(pending))
+    stats["udf_cache_misses"] += len(pending)
     stats["lm_calls"] += len(pending)
     resolved: Iterable[object] | None = None
     batch = site.record.batch
@@ -1534,16 +1518,21 @@ class Exchange(PlanNode):
       workload, though: a key two shards both need is dispatched by
       whichever shard thread claims it first in
       :meth:`~repro.db.shard.ShardDedup.claim`, and that decides which
-      session's flush carries it, so the batches and the virtual
-      seconds can differ between runs while rows and ``Usage`` do not
-      (a known flake, ROADMAP item 8);
+      session's flush carries it.  So ``Usage.batches`` and
+      ``Usage.simulated_seconds`` can differ between runs; rows and
+      every other ``Usage`` field do not (a known flake, ROADMAP item
+      9);
     * the caller's session is *parked* for the duration — it is
       waiting on the shards, not on its own LM call — otherwise the
       flush barrier the shards need could never complete;
-    * shard threads buffer all Usage and cache effects; after the
-      join the caller replays them in canonical order (shard order for
-      tallies, plan-order-then-first-occurrence for cache events), so
-      every shared counter is byte-identical at any shard/worker count;
+    * shard threads touch neither ``Usage`` nor the live cache: each
+      shard node counts into its own ``exec_stats``, and each shard
+      buffers its cache events.  After the join, on the caller's
+      thread, this node sums the shards' counters into its own
+      ``exec_stats`` (the statement's sum reads these, not the shards'
+      nodes) and replays the cache events in plan order, then by first
+      occurrence, so every shared counter is byte-identical at any
+      shard/worker count;
     * rows are k-way merged by tag; on shard errors the rows strictly
       before the smallest error tag are yielded, then that error is
       re-raised — the same first-failing-row the unsharded order hits.
@@ -1558,14 +1547,16 @@ class Exchange(PlanNode):
         self,
         shards: list[PlanNode],
         contexts: list[ShardContext],
-        context: UDFExecContext,
+        cache: LRUCache,
         runtime: ShardRuntime,
     ) -> None:
         if not shards:
             raise ExecutionError("Exchange requires at least one shard")
         self.shards = shards
         self.contexts = contexts
-        self.context = context
+        #: The database's memo cache, which the shards read a snapshot
+        #: of and this node replays their cache events into.
+        self.cache = cache
         self.runtime = runtime
         self.layout = shards[0].layout
         sites = [
@@ -1581,9 +1572,7 @@ class Exchange(PlanNode):
     def execute(self) -> Iterator[Row]:
         has_sites = bool(self.exec_stats)  # seeded iff there are sites
         lm = self.runtime.lm if has_sites else None
-        snapshot: dict = {}
-        if has_sites and self.context.cache is not None:
-            snapshot = self.context.cache.snapshot()
+        snapshot = self.cache.snapshot() if has_sites else {}
         dedup = ShardDedup(lm)
         for shard_context in self.contexts:
             shard_context.begin(snapshot, dedup)
@@ -1628,26 +1617,22 @@ class Exchange(PlanNode):
                 for thread in threads:
                     thread.join()
                     racecheck.join(thread.name)
-        # Replay buffered effects on the caller's thread, in canonical
-        # order: operator tallies shard by shard (into Usage through
-        # the real context), then cache events by call site and global
-        # first occurrence.
+        # On the caller's thread: the shards' counters summed into this
+        # node's, then their cache events replayed in canonical order,
+        # by call site and global first occurrence.
         for shard_id, pipeline in enumerate(self.shards):
             racecheck.read(f"Exchange.shard.{shard_id}")
             for node in _shard_stat_nodes(pipeline):
                 for key, amount in node.exec_stats.items():
-                    if key in _NODE_ONLY_STATS:
-                        self.exec_stats[key] += amount
-                    else:
-                        self.context.tally(self.exec_stats, key, amount)
-        if has_sites and self.context.cache is not None:
+                    self.exec_stats[key] += amount
+        if has_sites:
             for _site, kind, key, value in merge_cache_events(
                 self.contexts
             ):
                 if kind == "hit":
-                    self.context.cache.get(key)
+                    self.cache.get(key)
                 else:
-                    self.context.cache.put(key, value)
+                    self.cache.put(key, value)
         first_error: ShardRowError | None = None
         for error in errors:
             if error is not None and (

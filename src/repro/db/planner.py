@@ -110,7 +110,6 @@ class Planner:
         resolved: Resolved,
         optimize: bool = True,
         udf_batch_size: int | None = None,
-        udf_context: "physical.UDFExecContext | None" = None,
         optimizer: "QueryOptimizer | None" = None,
     ) -> None:
         self._catalog = catalog
@@ -119,7 +118,10 @@ class Planner:
         #: When set, expensive-UDF filters and projections resolve
         #: their calls in batches of this many rows.
         self._udf_batch_size = udf_batch_size
-        self._udf_context = udf_context
+        #: What the statement's call sites read the database's memo
+        #: cache through (a shard's own context stands in, in a shard
+        #: pipeline).
+        self._udf_context = physical.UDFExecContext(catalog.udf_cache)
         #: Cost-based optimizer for this statement: records decisions
         #: (reorder/pushdown rationale) and steers expensive-conjunct
         #: placement and the cascade route.  None under optimize=False.
@@ -142,6 +144,11 @@ class Planner:
         #: exchange, a subquery's fetch-once closure — and so may run
         #: only once; the statement cache stores no such plan.
         self.reusable = True
+        #: The nodes whose ``exec_stats`` are the statement's UDF
+        #: counters: each node with call sites outside a shard pipeline
+        #: and each Exchange over call sites, which sums its shards'.
+        #: A subquery planned as the statement runs adds its own.
+        self.counted: list[physical.PlanNode] = []
         #: What the statement's names bind to (see
         #: :mod:`repro.db.resolve`).
         self._resolved = resolved
@@ -592,15 +599,18 @@ class Planner:
             )
             if sites:
                 self.reusable = False
-                return physical.Filter(
+                filtered = physical.Filter(
                     node,
                     compiler.predicate(conjunct),
                     "where[expensive]",
                     sites,
-                    context or self._udf_exec_context(),
+                    context or self._udf_context,
                     self._udf_batch_size,
                     ordinal,
                 )
+                if context is None:  # a shard's, its Exchange counts
+                    self.counted.append(filtered)
+                return filtered
         compiler = self._compiler(node.layout)
         return physical.Filter(
             node, compiler.predicate(conjunct), label="where[expensive]"
@@ -676,9 +686,11 @@ class Planner:
         exchange = physical.Exchange(
             pipelines,
             contexts,
-            self._udf_exec_context(),
+            self._catalog.udf_cache,
             self._catalog.shard_runtime,
         )
+        if exchange.exec_stats:  # seeded iff there are call sites
+            self.counted.append(exchange)
         merge = physical.Merge(exchange, source.tagged)
         self._open_merge = merge
         return merge
@@ -856,20 +868,15 @@ class Planner:
             replacements.append(projected)
         self._open_merge = None
         # A new exchange, not new shards on the old one: an Exchange
-        # seeds its counters from the call sites it is built over.
-        return physical.Merge(
-            physical.Exchange(
-                replacements,
-                exchange.contexts,
-                exchange.context,
-                exchange.runtime,
-            )
+        # seeds its counters from the call sites it is built over.  It
+        # is counted in place of the old one, which never runs.
+        replaced = physical.Exchange(
+            replacements, exchange.contexts, exchange.cache, exchange.runtime
         )
-
-    def _udf_exec_context(self) -> "physical.UDFExecContext":
-        if self._udf_context is None:
-            self._udf_context = physical.UDFExecContext()
-        return self._udf_context
+        if exchange in self.counted:
+            self.counted.remove(exchange)
+        self.counted.append(replaced)
+        return physical.Merge(replaced)
 
     def _cascade(self) -> bool:
         return (
@@ -949,8 +956,9 @@ class Planner:
         if sites:
             self.reusable = False
             aggregate_node.batch(
-                sites, self._udf_exec_context(), self._udf_batch_size
+                sites, self._udf_context, self._udf_batch_size
             )
+            self.counted.append(aggregate_node)
 
         def rewrite(expression: ast.Expression) -> ast.Expression:
             return substitute(expression, replacements)
@@ -1129,15 +1137,18 @@ class Planner:
         if not sites:
             return None
         self.reusable = False
-        return physical.Project(
+        projected = physical.Project(
             source,
             [compiler.kernel(expression) for expression in expressions],
             layout,
             sites=sites,
-            context=context or self._udf_exec_context(),
+            context=context or self._udf_context,
             batch_size=self._udf_batch_size,
             ordinal=ordinal,
         )
+        if context is None:  # a shard's, its Exchange counts
+            self.counted.append(projected)
+        return projected
 
     def _order_target(
         self, order: Ordering, items: list[ast.SelectItem]

@@ -25,17 +25,17 @@ what the exchange and those pipelines share:
     The shard-side :class:`~repro.db.plan.MorselContext`, handed to the
     filters and projections of one shard pipeline in place of the
     statement's :class:`~repro.db.plan.UDFExecContext`.
-    Shards never touch the live memo cache or the shared
-    :class:`~repro.lm.usage.Usage` directly — a ``Usage`` count is a
-    read-modify-write ``setattr`` and the LRU promotes on lookup, both
-    of which would race (and worse, make counter totals depend on
-    thread interleaving).  Instead each shard reads from a
-    statement-start cache *snapshot*, buffers its tallies in the
-    operator's own stats dict, and records cache events keyed by the
-    global row id of the key's first occurrence.  After the shards
-    join, the exchange replays tallies and cache events on the caller's
-    thread in a canonical order, so the merged counters and the final
-    cache contents are byte-identical at any shard or worker count.
+    Shards never touch the live memo cache, and no shard thread ever
+    touches the shared :class:`~repro.lm.usage.Usage` — the LRU
+    promotes on lookup, which would race (and worse, make the cache's
+    order depend on thread interleaving).  Instead each shard reads
+    from a statement-start cache *snapshot*, and records cache events
+    keyed by the global row id of the key's first occurrence; its
+    operators count into their own stats dicts, as every operator
+    does.  After the shards join, the exchange sums those counters into
+    its own and replays the cache events on the caller's thread in a
+    canonical order, so the merged counters and the final cache
+    contents are byte-identical at any shard or worker count.
 
 :class:`ShardRuntime`
     The execution knobs a :class:`~repro.db.Database` hands the
@@ -252,11 +252,9 @@ class ShardRowError(Exception):
 class ShardContext:
     """The shard side of :class:`~repro.db.plan.MorselContext`.
 
-    Rows carry a trailing tag (their global row id).  ``tally`` writes
-    only the operator's stats dict (the exchange adds merged totals to
-    Usage after the join), cache reads come from the statement-start
-    ``snapshot``, and cache effects are recorded as
-    events keyed by each key's first-occurrence tag — a
+    Rows carry a trailing tag (their global row id).  Cache reads come
+    from the statement-start ``snapshot``, and cache effects are
+    recorded as events keyed by each key's first-occurrence tag — a
     timing-independent quantity — so the post-join replay is identical
     no matter which shard claimed a key first.
     """
@@ -279,11 +277,6 @@ class ShardContext:
         self.dedup = dedup
         self.events = {}
         self.owed = {}
-
-    def tally(self, stats: dict[str, int], key: str, amount: int) -> None:
-        if amount == 0:
-            return
-        stats[key] = stats.get(key, 0) + amount
 
     def lookup(
         self, site_id: tuple, key: Hashable, tag: int

@@ -28,10 +28,10 @@ from repro.core import (
 )
 from repro.core.tag import TAGResult
 from repro.db import Column, Database, DataType, TableSchema
-from repro.db.plan import UDFExecContext
 from repro.errors import DeadlineExceededError, TransientLMError
 from repro.lm import FaultPlan, FaultyLM, LMConfig, SimulatedLM, Usage
 from repro.lm.prompts import summary_prompt
+from repro.obs import trace
 from repro.serve.resilience import (
     BreakerPolicy,
     ResiliencePolicy,
@@ -441,34 +441,26 @@ def test_each_metered_decision_is_a_footer_line(build, rules):
 # -- contention ------------------------------------------------------------
 
 
-def morsel_context(db: Database):
-    """The context a batched statement's operators tally through."""
-    return UDFExecContext(db.udf_cache, db._usage)
-
-
-@pytest.mark.parametrize("databases", [1, 2], ids=["one db", "two dbs"])
+@pytest.mark.parametrize("usages", [1, 2], ids=["one usage", "two usages"])
 @pytest.mark.parametrize("threads, each", [(4, 50_000), (16, 20_000)])
-def test_no_count_is_lost_under_contention(threads, each, databases):
+def test_no_count_is_lost_under_contention(threads, each, usages):
     """``Usage.x += n`` is a read-modify-write: concurrent statements
     (two serving workers, or two databases bound to one ``lm.usage``)
-    must not lose increments."""
-    usage = Usage()
-    contexts = [
-        morsel_context(udf_database(usage)) for _ in range(databases)
-    ]
+    must not lose increments.  Each thread adds through
+    ``trace.count``, the call a statement makes when it ends, to one of
+    ``usages`` shared Usages."""
+    shared = [Usage() for _ in range(usages)]
     errors: list[BaseException] = []
 
-    def work(context) -> None:
+    def work(usage: Usage) -> None:
         try:
-            stats: dict[str, int] = {}
             for _ in range(each):
-                context.tally(stats, "udf_cache_hits", 1)
-            assert stats == {"udf_cache_hits": each}
+                trace.count(usage, udf_cache_hits=1)
         except BaseException as error:  # noqa: BLE001 - reported below
             errors.append(error)
 
     workers = [
-        threading.Thread(target=work, args=(contexts[n % databases],))
+        threading.Thread(target=work, args=(shared[n % usages],))
         for n in range(threads)
     ]
     interval = sys.getswitchinterval()
@@ -482,7 +474,9 @@ def test_no_count_is_lost_under_contention(threads, each, databases):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert not errors, errors
-    assert usage.udf_cache_hits == threads * each
+    assert [usage.udf_cache_hits for usage in shared] == [
+        threads // usages * each
+    ] * usages
 
 
 # -- the seam ----------------------------------------------------------------

@@ -12,6 +12,7 @@ ANALYZE line.
 import pytest
 
 from repro.db import Column, Database, DataType, TableSchema
+from repro.errors import ExecutionError
 from repro.lm import SimulatedLM, Usage, register_llm_judge
 
 #: Duplicate-heavy golden data: 8 rows, 3 distinct judged values.
@@ -215,3 +216,100 @@ class TestUsageFields:
         db, usage = build_database()
         db.execute(GOLDEN_SQL, udf_batch_size=batch_size)
         assert usage.udf_cache_misses == 3
+
+
+# -- the statement-end sum ---------------------------------------------------
+
+#: The UDF counters a statement adds to the bound Usage when it ends.
+UDF_COUNTERS = (
+    "udf_cache_hits",
+    "udf_cache_misses",
+    "cascade_cheap_hits",
+    "cascade_escalations",
+)
+
+#: Fails at row 5, the first ``'v5'`` past the cheap conjunct.
+FAILING_SQL = "SELECT n, SLOW(s) FROM t WHERE n < 30 AND SLOW(s) <> 'V0'"
+
+#: The subquery's WHERE calls SLOW over the 26 rows its cheap conjuncts
+#: keep: 6 distinct values, one miss each, 20 hits.
+SUBQUERY_SQL = (
+    "SELECT n, s FROM t WHERE n = "
+    "(SELECT MAX(n) FROM t WHERE n < 30 AND s <> 'v5' AND SLOW(s) = 'V3')"
+)
+
+
+def failing_database(shards: int | None) -> tuple[Database, Usage]:
+    """100 rows ``(n, 'v{n % 7}')``; SLOW has a batch form and raises
+    on ``'v5'``; at ``shards`` hash partitions of ``n`` over 2 workers."""
+    db = Database()
+    db.create_table(
+        TableSchema(
+            "t",
+            [Column("n", DataType.INTEGER), Column("s", DataType.TEXT)],
+        )
+    )
+    db.insert("t", [(n, f"v{n % 7}") for n in range(100)])
+
+    def scalar(value):
+        if value == "v5":
+            raise ValueError("SLOW refuses v5")
+        return str(value).upper()
+
+    def batch(tuples):
+        return [scalar(value) for (value,) in tuples]
+
+    db.register_udf("SLOW", scalar, expensive=True, batch=batch)
+    if shards is not None:
+        db.set_partitioning("t", "n", shards)
+        db.configure_sharding(workers=2)
+    usage = Usage()
+    db.bind_udf_meters(usage=usage)
+    return db, usage
+
+
+@pytest.fixture
+def udf_adds(monkeypatch):
+    """The amounts of each ``Usage.add`` that carries a UDF counter."""
+    adds: list[dict] = []
+    real = Usage.add
+
+    def add(self, **amounts):
+        if any(amounts.get(name) for name in UDF_COUNTERS):
+            adds.append(amounts)
+        return real(self, **amounts)
+
+    monkeypatch.setattr(Usage, "add", add)
+    return adds
+
+
+class TestStatementEndSum:
+    @pytest.mark.parametrize(
+        "shards, hits, misses", [(None, 5, 7), (2, 20, 12)], ids=str
+    )
+    def test_a_failing_statement_counts_what_ran(
+        self, udf_adds, shards, hits, misses
+    ):
+        db, usage = failing_database(shards)
+        with pytest.raises(ExecutionError, match="SLOW refuses v5"):
+            db.execute(FAILING_SQL, udf_batch_size=8)
+        assert (usage.udf_cache_hits, usage.udf_cache_misses) == (
+            hits,
+            misses,
+        )
+        assert udf_adds == [
+            {
+                "udf_cache_hits": hits,
+                "udf_cache_misses": misses,
+                "cascade_cheap_hits": 0,
+                "cascade_escalations": 0,
+            }
+        ]
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=str)
+    def test_a_subquery_is_counted_once(self, udf_adds, shards):
+        db, usage = failing_database(shards)
+        result = db.execute(SUBQUERY_SQL, udf_batch_size=8)
+        assert result.rows == [(24, "v3")]
+        assert (usage.udf_cache_hits, usage.udf_cache_misses) == (20, 6)
+        assert len(udf_adds) == 1

@@ -345,6 +345,7 @@ class TestNoReferenceCycles:
         self, suite, datasets
     ):
         import gc
+        from collections import Counter
 
         from repro.core import LMQuerySynthesizer
 
@@ -382,6 +383,18 @@ class TestNoReferenceCycles:
                 for r in failed
             )
             del report, failed
-            assert gc.collect() < 20
+            # Saved, not freed, so a failure can say what was in cycles:
+            # the ten most common types, with counts.
+            flags = gc.get_debug()
+            gc.set_debug(flags | gc.DEBUG_SAVEALL)
+            try:
+                found = gc.collect()
+                leaked = Counter(
+                    type(garbage).__qualname__ for garbage in gc.garbage
+                ).most_common(10)
+            finally:
+                gc.garbage.clear()
+                gc.set_debug(flags)
+            assert found < 20, f"{found} objects in cycles: {leaked}"
         finally:
             gc.enable()
